@@ -205,7 +205,7 @@ func BenchmarkFigFSIMD(b *testing.B) {
 func BenchmarkFigGHAFailover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		c, err := mpp.NewCluster([]mpp.NodeSpec{
+		c, err := mpp.NewCluster([]mpp.NetNode{
 			{Name: "A", Cores: 8, MemBytes: 64 << 20},
 			{Name: "B", Cores: 8, MemBytes: 64 << 20},
 			{Name: "C", Cores: 8, MemBytes: 64 << 20},
@@ -237,7 +237,7 @@ func BenchmarkFigGHAFailover(b *testing.B) {
 }
 
 func BenchmarkFigHSparkIntegration(b *testing.B) {
-	c, err := mpp.NewCluster([]mpp.NodeSpec{
+	c, err := mpp.NewCluster([]mpp.NetNode{
 		{Name: "A", Cores: 4, MemBytes: 32 << 20},
 		{Name: "B", Cores: 4, MemBytes: 32 << 20},
 	}, 2, nil)
@@ -260,7 +260,7 @@ func BenchmarkFigHSparkIntegration(b *testing.B) {
 	if err := c.Insert("pts", rows); err != nil {
 		b.Fatal(err)
 	}
-	d, err := spark.NewDispatcher(c)
+	d, err := spark.NewDispatcher(c.ShardEngines())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,15 +9,18 @@ import (
 	"dashdb/internal/spark"
 )
 
-// NodeSpec describes one cluster server.
-type NodeSpec = mpp.NodeSpec
+// NodeSpec describes one cluster server. Addr is its shard-server
+// address (ConnectCluster); in-process clusters leave it empty.
+type NodeSpec = mpp.NetNode
 
 // TableOptions control MPP table placement.
 type TableOptions = mpp.TableOptions
 
-// Cluster is a deployed MPP dashDB Local cluster.
+// Cluster is an MPP dashDB Local cluster: one coordinator over shard
+// engines that live either in this process (Deploy, NewCluster, Restore)
+// or behind shard servers (ConnectCluster).
 type Cluster struct {
-	inner *mpp.Cluster
+	inner *mpp.NetCluster
 	// DeployTime is the simulated wall-clock time the deployment took
 	// (the paper's < 30 minutes claim, experiment F-A).
 	DeployTime time.Duration
@@ -100,11 +103,12 @@ func (c *Cluster) FailNode(name string) error { return c.inner.FailNode(name) }
 // RemoveNode performs elastic contraction.
 func (c *Cluster) RemoveNode(name string) error { return c.inner.RemoveNode(name) }
 
-// AddNode performs elastic growth or reinstates a repaired node.
+// AddNode performs elastic growth or reinstates a repaired node; on a
+// connected cluster spec.Addr names the running shard server to grow onto.
 func (c *Cluster) AddNode(spec NodeSpec) error { return c.inner.AddNode(spec) }
 
 // Internal exposes the MPP layer for advanced integrations.
-func (c *Cluster) Internal() *mpp.Cluster { return c.inner }
+func (c *Cluster) Internal() *mpp.NetCluster { return c.inner }
 
 // Spark returns (starting on first use) the integrated analytics runtime:
 // the dispatcher with per-user cluster managers and shard-collocated
@@ -113,7 +117,7 @@ func (c *Cluster) Spark() (*spark.Dispatcher, error) {
 	if c.dispatcher != nil {
 		return c.dispatcher, nil
 	}
-	d, err := spark.NewDispatcher(c.inner)
+	d, err := spark.NewDispatcher(c.inner.ShardEngines())
 	if err != nil {
 		return nil, err
 	}
@@ -121,12 +125,15 @@ func (c *Cluster) Spark() (*spark.Dispatcher, error) {
 	return d, nil
 }
 
-// Close releases cluster resources (the Spark data servers).
+// Close releases cluster resources: the Spark data servers, and the
+// shard engines (in-process) or the connections to the shard servers,
+// which keep running.
 func (c *Cluster) Close() {
 	if c.dispatcher != nil {
 		c.dispatcher.Close()
 		c.dispatcher = nil
 	}
+	c.inner.Close()
 }
 
 // Checkpoint persists every table (pages were already on the clustered
@@ -148,25 +155,14 @@ func Restore(nodes []NodeSpec, fs *clusterfs.FS) (*Cluster, error) {
 	return &Cluster{inner: inner}, nil
 }
 
-// --- distributed (multi-process) runtime -------------------------------------
-
-// NetNode describes one shard-server process of a distributed cluster.
-type NetNode = mpp.NetNode
-
-// NetCluster is the multi-process MPP coordinator: shards live behind
-// shard servers (dashdb-local -shard-listen) on a shared clustered
-// filesystem; queries scatter over RPC, distributed joins run through
-// the partitioned-hash shuffle, and node deaths fail over onto the
-// survivors (§II.E, Figure 9).
-type NetCluster struct {
-	inner *mpp.NetCluster
-}
-
-// ConnectCluster forms a coordinator over running shard servers. When
-// the clustered filesystem already holds a manifest the existing tables
-// (and shard count) are restored; otherwise a fresh cluster with
+// ConnectCluster forms a coordinator over running shard servers
+// (dashdb-local -shard-listen) that share the clustered filesystem fs:
+// queries scatter over RPC, distributed joins run through the
+// partitioned-hash shuffle, and node deaths fail over onto the survivors
+// (§II.E, Figure 9). When fs already holds a manifest the existing
+// tables (and shard count) are restored; otherwise a fresh cluster with
 // nShards shards is bootstrapped.
-func ConnectCluster(nodes []NetNode, nShards int, fs *clusterfs.FS) (*NetCluster, error) {
+func ConnectCluster(nodes []NodeSpec, nShards int, fs *clusterfs.FS) (*Cluster, error) {
 	inner, err := mpp.OpenNetCluster(nodes, fs)
 	if err != nil {
 		inner, err = mpp.NewNetCluster(nodes, nShards, fs)
@@ -174,43 +170,5 @@ func ConnectCluster(nodes []NetNode, nShards int, fs *clusterfs.FS) (*NetCluster
 			return nil, err
 		}
 	}
-	return &NetCluster{inner: inner}, nil
+	return &Cluster{inner: inner}, nil
 }
-
-// Exec runs one SQL statement cluster-wide (ANSI dialect).
-func (c *NetCluster) Exec(sqlText string) (*Result, error) { return c.inner.Query(sqlText) }
-
-// ExecDialect runs one SQL statement under an explicit dialect.
-func (c *NetCluster) ExecDialect(sqlText string, d Dialect) (*Result, error) {
-	return c.inner.QueryDialect(sqlText, d)
-}
-
-// CreateTable registers a distributed table.
-func (c *NetCluster) CreateTable(name string, schema Schema, opts TableOptions) error {
-	return c.inner.CreateTable(name, schema, opts)
-}
-
-// Insert routes rows to shard servers by distribution-key hash.
-func (c *NetCluster) Insert(table string, rows []Row) error { return c.inner.Insert(table, rows) }
-
-// Rows returns a table's cluster-wide live row count.
-func (c *NetCluster) Rows(table string) (int, error) { return c.inner.Rows(table) }
-
-// Assignment renders the shard→node association.
-func (c *NetCluster) Assignment() string { return c.inner.Assignment() }
-
-// FailNode declares a node dead; survivors adopt its shards with
-// reduced per-shard memory and parallelism.
-func (c *NetCluster) FailNode(name string) error { return c.inner.FailNode(name) }
-
-// AddNode grows the cluster onto a running shard server.
-func (c *NetCluster) AddNode(spec NetNode) error { return c.inner.AddNode(spec) }
-
-// RemoveNode shrinks the cluster gracefully.
-func (c *NetCluster) RemoveNode(name string) error { return c.inner.RemoveNode(name) }
-
-// Close releases the coordinator's connections (servers keep running).
-func (c *NetCluster) Close() { c.inner.Close() }
-
-// Internal exposes the underlying coordinator for advanced callers.
-func (c *NetCluster) Internal() *mpp.NetCluster { return c.inner }

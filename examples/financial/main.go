@@ -22,7 +22,7 @@ func main() {
 	flag.Parse()
 
 	fmt.Printf("loading financial workload: %d transactions, 7-year history\n", *scale)
-	cluster, err := mpp.NewCluster([]mpp.NodeSpec{
+	cluster, err := mpp.NewCluster([]mpp.NetNode{
 		{Name: "n1", Cores: 4, MemBytes: 64 << 20},
 		{Name: "n2", Cores: 4, MemBytes: 64 << 20},
 		{Name: "n3", Cores: 4, MemBytes: 64 << 20},

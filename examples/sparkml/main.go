@@ -91,7 +91,7 @@ func main() {
 
 	// The SQL stored-procedure interface (CALL SPARK_SUBMIT) on a shard
 	// engine.
-	db := cl.Internal().Shards()[0].DB
+	db := cl.Internal().ShardEngines()[0]
 	dashdb.RegisterSparkProcedures(db, d)
 	sess := db.NewSession()
 	sess.SetUser("riskteam")

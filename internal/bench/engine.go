@@ -36,7 +36,7 @@ type Engine interface {
 
 // ClusterEngine drives an MPP dashDB cluster through its SQL coordinator.
 type ClusterEngine struct {
-	Cluster *mpp.Cluster
+	Cluster *mpp.NetCluster
 	Label   string
 }
 

@@ -12,8 +12,8 @@ import (
 
 // fourNodeCluster builds the Test 1/2 dashDB configuration (scaled from
 // the paper's 4 nodes × 20 cores × 256 GB).
-func fourNodeCluster() (*mpp.Cluster, error) {
-	return mpp.NewCluster([]mpp.NodeSpec{
+func fourNodeCluster() (*mpp.NetCluster, error) {
+	return mpp.NewCluster([]mpp.NetNode{
 		{Name: "n1", Cores: 4, MemBytes: 64 << 20},
 		{Name: "n2", Cores: 4, MemBytes: 64 << 20},
 		{Name: "n3", Cores: 4, MemBytes: 64 << 20},
@@ -22,8 +22,8 @@ func fourNodeCluster() (*mpp.Cluster, error) {
 }
 
 // sixNodeCluster builds the Test 3 configuration (paper: 6 × 24 cores).
-func sixNodeCluster() (*mpp.Cluster, error) {
-	return mpp.NewCluster([]mpp.NodeSpec{
+func sixNodeCluster() (*mpp.NetCluster, error) {
+	return mpp.NewCluster([]mpp.NetNode{
 		{Name: "n1", Cores: 4, MemBytes: 64 << 20},
 		{Name: "n2", Cores: 4, MemBytes: 64 << 20},
 		{Name: "n3", Cores: 4, MemBytes: 64 << 20},

@@ -40,7 +40,7 @@ func FigureA(sizes []int) (string, error) {
 			return "", err
 		}
 		fmt.Fprintf(&b, "  %2d nodes: %5.1f min, %d shards, fully configured\n",
-			n, dep.Timeline.Total().Minutes(), len(dep.Cluster.Shards()))
+			n, dep.Timeline.Total().Minutes(), dep.Cluster.NShards())
 	}
 	return b.String(), nil
 }
@@ -200,7 +200,7 @@ func FigureF() string {
 func FigureG() (string, error) {
 	var b strings.Builder
 	b.WriteString("F-G HA re-association (Figure 9)\n")
-	c, err := mpp.NewCluster([]mpp.NodeSpec{
+	c, err := mpp.NewCluster([]mpp.NetNode{
 		{Name: "A", Cores: 8, MemBytes: 64 << 20},
 		{Name: "B", Cores: 8, MemBytes: 64 << 20},
 		{Name: "C", Cores: 8, MemBytes: 64 << 20},
@@ -234,7 +234,7 @@ func FigureG() (string, error) {
 	fmt.Fprintf(&b, "  fail D: %s  count=%s (results identical: %v)\n",
 		c.Assignment(), after.Rows[0][0],
 		types.Compare(before.Rows[0][1], after.Rows[0][1]) == 0)
-	if err := c.AddNode(mpp.NodeSpec{Name: "D", Cores: 8, MemBytes: 64 << 20}); err != nil {
+	if err := c.AddNode(mpp.NetNode{Name: "D", Cores: 8, MemBytes: 64 << 20}); err != nil {
 		return "", err
 	}
 	fmt.Fprintf(&b, "  rejoin: %s\n", c.Assignment())
@@ -247,9 +247,9 @@ func FigureH(rowsPerNode int) (string, error) {
 	var b strings.Builder
 	b.WriteString("F-H integrated Spark: pushdown and scaling\n")
 	for _, nodes := range []int{1, 2, 4} {
-		var specs []mpp.NodeSpec
+		var specs []mpp.NetNode
 		for i := 0; i < nodes; i++ {
-			specs = append(specs, mpp.NodeSpec{Name: fmt.Sprintf("n%d", i), Cores: 4, MemBytes: 32 << 20})
+			specs = append(specs, mpp.NetNode{Name: fmt.Sprintf("n%d", i), Cores: 4, MemBytes: 32 << 20})
 		}
 		c, err := mpp.NewCluster(specs, 2, nil)
 		if err != nil {
@@ -274,7 +274,7 @@ func FigureH(rowsPerNode int) (string, error) {
 		if err := c.Insert("pts", rows); err != nil {
 			return "", err
 		}
-		d, err := spark.NewDispatcher(c)
+		d, err := spark.NewDispatcher(c.ShardEngines())
 		if err != nil {
 			return "", err
 		}

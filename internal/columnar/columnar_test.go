@@ -2,7 +2,9 @@ package columnar
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -277,6 +279,49 @@ func TestFrameOfReferenceRebuild(t *testing.T) {
 	n, _ = tbl.CountWhere([]Pred{{Col: 0, Op: encoding.OpEQ, Val: types.NewInt(7)}})
 	if n != 40 {
 		t.Fatalf("old value count after rebuild: %d", n)
+	}
+}
+
+// TestDoubleColumnIsLossless: a DOUBLE column analyzed as fixed-point
+// cents must not round a later value that is merely close to a cent —
+// 861.99999999999989 used to come back as 862, match "= 862" and lose
+// its place in sorted output.
+func TestDoubleColumnIsLossless(t *testing.T) {
+	tbl := NewTable(4, "amounts", types.Schema{{Name: "amount", Kind: types.KindFloat}}, Config{})
+	var rows []types.Row
+	for i := 0; i < 2000; i++ {
+		rows = append(rows, types.Row{types.NewFloat(float64(i) / 2)})
+	}
+	if err := tbl.InsertBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	near := 861.99999999999989
+	late := []float64{862.5, near, 862}
+	for i := 2000; i < 2200; i++ { // seals the stride the three land in: open rows keep their values
+		late = append(late, float64(i)/2)
+	}
+	for _, f := range late {
+		if err := tbl.Insert(types.Row{types.NewFloat(f)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, err := tbl.CountWhere([]Pred{{Col: 0, Op: encoding.OpEQ, Val: types.NewFloat(862)}})
+	if err != nil || n != 2 { // row 1724 of the load, and the insert
+		t.Fatalf("amount = 862 matches %d rows (err %v), want 2", n, err)
+	}
+	got, err := tbl.SelectWhere([]Pred{{Col: 0, Op: encoding.OpGT, Val: types.NewFloat(861.75)}, {Col: 0, Op: encoding.OpLT, Val: types.NewFloat(862.75)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(got, func(i, j int) bool { return types.Compare(got[i][0], got[j][0]) < 0 })
+	want := []float64{near, 862, 862, 862.5, 862.5}
+	if len(got) != len(want) {
+		t.Fatalf("range holds %d rows %v, want %v", len(got), got, want)
+	}
+	for i, w := range want {
+		if f := got[i][0].Float(); math.Float64bits(f) != math.Float64bits(w) {
+			t.Fatalf("sorted row %d is %v, want %v exactly", i, f, w)
+		}
 	}
 }
 

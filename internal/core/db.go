@@ -94,12 +94,7 @@ type DB struct {
 
 // Open creates an engine with the given configuration.
 func Open(cfg Config) *DB {
-	if cfg.BufferPoolBytes <= 0 {
-		cfg.BufferPoolBytes = 64 << 20
-	}
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = 1
-	}
+	cfg.sizeDefaults()
 	var policy bufferpool.Policy
 	switch strings.ToUpper(cfg.CachePolicy) {
 	case "LRU":
@@ -116,19 +111,6 @@ func Open(cfg Config) *DB {
 	histSize := cfg.QueryHistorySize
 	if histSize <= 0 {
 		histSize = telemetry.DefaultHistorySize
-	}
-	// Environment knobs override configured heap budgets (the CI
-	// low-memory gate runs the whole suite with tiny heaps to force every
-	// spill path).
-	if v := os.Getenv("DASHDB_SORTHEAP"); v != "" {
-		if n, err := mem.ParseBytes(v); err == nil {
-			cfg.SortHeapBytes = n
-		}
-	}
-	if v := os.Getenv("DASHDB_HASHHEAP"); v != "" {
-		if n, err := mem.ParseBytes(v); err == nil {
-			cfg.HashHeapBytes = n
-		}
 	}
 	db := &DB{
 		cat:    catalog.New(),
@@ -149,6 +131,45 @@ func Open(cfg Config) *DB {
 	return db
 }
 
+// sizeDefaults fills in the resource sizes Open and Resize share: a
+// small default pool, serial execution, and the environment knobs that
+// override configured heap budgets (the CI low-memory gate runs the
+// whole suite with tiny heaps to force every spill path).
+func (cfg *Config) sizeDefaults() {
+	if cfg.BufferPoolBytes <= 0 {
+		cfg.BufferPoolBytes = 64 << 20
+	}
+	if cfg.Parallelism <= 0 {
+		cfg.Parallelism = 1
+	}
+	if v := os.Getenv("DASHDB_SORTHEAP"); v != "" {
+		if n, err := mem.ParseBytes(v); err == nil {
+			cfg.SortHeapBytes = n
+		}
+	}
+	if v := os.Getenv("DASHDB_HASHHEAP"); v != "" {
+		if n, err := mem.ParseBytes(v); err == nil {
+			cfg.HashHeapBytes = n
+		}
+	}
+}
+
+// Resize applies a new resource grant to a live engine: the MPP
+// re-association of §II.E, where a shard keeps its data and its share of
+// the node changes. Zero values select the same defaults as Open.
+// Statements already running finish under the grant they started with,
+// except that a shrunk heap denies their next reservation growth.
+func (db *DB) Resize(poolBytes int, sortHeap, hashHeap int64, parallelism int) {
+	db.mu.Lock()
+	db.cfg.BufferPoolBytes, db.cfg.Parallelism = poolBytes, parallelism
+	db.cfg.SortHeapBytes, db.cfg.HashHeapBytes = sortHeap, hashHeap
+	db.cfg.sizeDefaults()
+	cfg := db.cfg
+	db.mu.Unlock()
+	db.pool.Resize(cfg.BufferPoolBytes)
+	db.broker.SetBudgets(cfg.SortHeapBytes, cfg.HashHeapBytes)
+}
+
 // Close shuts the engine down: the spill directory (and any files a
 // crashed query left behind) is removed. Idempotent; sessions must not be
 // used afterwards.
@@ -166,7 +187,11 @@ func (db *DB) Catalog() *catalog.Catalog { return db.cat }
 func (db *DB) Pool() *bufferpool.Pool { return db.pool }
 
 // Config returns the engine configuration.
-func (db *DB) Config() Config { return db.cfg }
+func (db *DB) Config() Config {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.cfg
+}
 
 // WLM exposes the workload manager.
 func (db *DB) WLM() *wlm.Manager { return db.wlm }
@@ -257,7 +282,7 @@ type Session struct {
 func (s *Session) Parallelism() int {
 	dop := s.parallelism
 	if dop <= 0 {
-		dop = s.db.cfg.Parallelism
+		dop = s.db.Config().Parallelism
 	}
 	return s.db.wlm.ClampParallelism(dop)
 }

@@ -71,7 +71,7 @@ func (s *syscatConfig) Schema() types.Schema {
 }
 
 func (s *syscatConfig) ScanAll() ([]types.Row, error) {
-	cfg := s.db.cfg
+	cfg := s.db.Config()
 	wlmStats := s.db.wlm.Stats()
 	tot := s.db.reg.Totals()
 	entries := []struct {

@@ -13,7 +13,7 @@ import (
 // (experiment F-A: "consistently able to deploy to large clusters in
 // under 30 minutes, fully configured").
 type ClusterDeployment struct {
-	Cluster    *mpp.Cluster
+	Cluster    *mpp.NetCluster
 	Containers []*Container
 	Timeline   Timeline
 }
@@ -42,13 +42,15 @@ func DeployCluster(reg *Registry, hosts []*Host, imageName, version string, fs *
 	formation := 30*time.Second + time.Duration(len(hosts))*2*time.Second
 	slowest.Phases = append(slowest.Phases, Phase{Name: "cluster formation", Duration: formation})
 
-	var nodes []mpp.NodeSpec
+	var nodes []mpp.NetNode
 	shardsPerNode := 1
 	for _, c := range containers {
-		nodes = append(nodes, mpp.NodeSpec{
-			Name:     c.Host.Name,
-			Cores:    c.Host.HW.Cores,
-			MemBytes: c.Config.BufferPoolBytes,
+		nodes = append(nodes, mpp.NetNode{
+			Name:  c.Host.Name,
+			Cores: c.Host.HW.Cores,
+			// Host RAM, not the auto-configured buffer pool: the coordinator
+			// applies the pool/heap shares to each shard's slice itself.
+			MemBytes: c.Host.HW.RAMBytes,
 		})
 		if c.Config.ShardsPerNode > shardsPerNode {
 			shardsPerNode = c.Config.ShardsPerNode

@@ -174,8 +174,8 @@ func TestClusterDeployUnder30Minutes(t *testing.T) {
 		if total > 30*time.Minute {
 			t.Fatalf("%d-node deploy took %v (> 30 min)", n, total)
 		}
-		if len(dep.Cluster.Shards()) < n {
-			t.Fatalf("%d-node cluster has %d shards", n, len(dep.Cluster.Shards()))
+		if dep.Cluster.NShards() < n {
+			t.Fatalf("%d-node cluster has %d shards", n, dep.Cluster.NShards())
 		}
 		// The cluster is immediately usable.
 		if _, err := dep.Cluster.Query(`CREATE TABLE t (a BIGINT NOT NULL)`); err != nil {
@@ -188,7 +188,7 @@ func TestClusterDeployUnder30Minutes(t *testing.T) {
 		if err != nil || r.Rows[0][0].Int() != 1 {
 			t.Fatalf("post-deploy query: %v err %v", r, err)
 		}
-		t.Logf("%2d nodes: deploy %.1f min, %d shards", n, total.Minutes(), len(dep.Cluster.Shards()))
+		t.Logf("%2d nodes: deploy %.1f min, %d shards", n, total.Minutes(), dep.Cluster.NShards())
 	}
 }
 

@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -264,6 +265,39 @@ func TestChooseEncoder(t *testing.T) {
 	e := ChooseEncoder(types.KindInt, ints).(*IntFOR)
 	if !e.Contains(1000) {
 		t.Error("headroom should cover moderate drift above max")
+	}
+}
+
+// TestFloatFORIsLossless: fixed-point admission used to tolerate 1e-6 of
+// rounding error and store the rounded integer, so 861.99999999999989
+// read back as 862. Every value an encoder accepts must decode to the
+// same bits; everything else has to fall to another encoding.
+func TestFloatFORIsLossless(t *testing.T) {
+	near, tenth := 861.99999999999989, 0.1
+	inexact := []float64{near, tenth + 2*tenth, math.Copysign(0, -1), math.NaN(), math.Inf(1), 1e-7}
+	for _, scale := range floatForScales {
+		e := NewFloatFOR(-1_000_000, 1_000_000, scale)
+		for _, f := range inexact {
+			if e.Contains(f) {
+				t.Errorf("scale %v admits %v, which it cannot decode exactly", scale, f)
+			}
+		}
+		for _, f := range []float64{862, -0.25, 449.99, 0} {
+			if !e.Contains(f) {
+				continue // e.g. 449.99 at scale 1
+			}
+			if got := e.Decode(e.Encode(types.NewFloat(f))).Float(); math.Float64bits(got) != math.Float64bits(f) {
+				t.Errorf("scale %v: %v decodes to %v", scale, f, got)
+			}
+		}
+	}
+	cents := []types.Value{types.NewFloat(449.99), types.NewFloat(862), types.NewFloat(-3.5)}
+	if _, ok := ChooseEncoder(types.KindFloat, cents).(*FloatFOR); !ok {
+		t.Fatal("exact cent values should still use fixed-point minus encoding")
+	}
+	mixed := append(cents, types.NewFloat(near))
+	if _, ok := ChooseEncoder(types.KindFloat, mixed).(*FloatFOR); ok {
+		t.Fatalf("a sample holding %v must not be stored fixed-point", near)
 	}
 }
 

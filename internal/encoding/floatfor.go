@@ -20,8 +20,24 @@ type FloatFOR struct {
 // floatForScales are the fixed-point denominators the analyzer probes.
 var floatForScales = []float64{1, 100, 10000}
 
-// fixedPointScale returns the smallest scale rendering every sample value
-// integral (within FP noise), or 0 when none fits.
+// exactFixedPoint returns f·scale as an integer when that fixed-point
+// form decodes back to f bit for bit. A tolerance here would make the
+// encoding lossy: 861.99999999999989 would read back as 862 and change
+// place under ORDER BY. NaN, ±Inf and -0 never qualify.
+func exactFixedPoint(f, scale float64) (int64, bool) {
+	s := f * scale
+	if math.Abs(s) > 1e15 {
+		return 0, false
+	}
+	r := int64(math.Round(s))
+	if math.Float64bits(float64(r)/scale) != math.Float64bits(f) {
+		return 0, false
+	}
+	return r, true
+}
+
+// fixedPointScale returns the smallest scale at which every sample value
+// is exactly fixed-point, or 0 when none fits.
 func fixedPointScale(sample []types.Value) float64 {
 	for _, scale := range floatForScales {
 		ok := true
@@ -30,9 +46,7 @@ func fixedPointScale(sample []types.Value) float64 {
 			if !isNum {
 				return 0
 			}
-			scaled := f * scale
-			if math.Abs(scaled-math.Round(scaled)) > 1e-6 || math.Abs(scaled) > 1e15 {
-				ok = false
+			if _, ok = exactFixedPoint(f, scale); !ok {
 				break
 			}
 		}
@@ -64,12 +78,7 @@ func (e *FloatFOR) MemSize() int { return 48 }
 // Scaled converts a float to its fixed-point integer, reporting whether
 // the conversion is exact.
 func (e *FloatFOR) Scaled(f float64) (int64, bool) {
-	s := f * e.scale
-	r := math.Round(s)
-	if math.Abs(s-r) > 1e-6 || math.Abs(s) > 1e15 {
-		return 0, false
-	}
-	return int64(r), true
+	return exactFixedPoint(f, e.scale)
 }
 
 // Contains reports whether the value lies in the encodable domain.

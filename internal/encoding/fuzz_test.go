@@ -110,7 +110,7 @@ func fuzzFloatFOR(t *testing.T, x float64) {
 		code := e.Encode(types.NewFloat(x))
 		dec := e.Decode(code).Float()
 		back, ok := e.Scaled(dec)
-		if !ok || back != raw {
+		if !ok || back != raw || math.Float64bits(dec) != math.Float64bits(x) {
 			t.Fatalf("FloatFOR(scale=%v): %v -> code %d -> %v (raw %d vs %d)",
 				scale, x, code, dec, raw, back)
 		}

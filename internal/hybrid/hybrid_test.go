@@ -7,9 +7,9 @@ import (
 	"dashdb/internal/types"
 )
 
-func onPremCluster(t *testing.T) *mpp.Cluster {
+func onPremCluster(t *testing.T) *mpp.NetCluster {
 	t.Helper()
-	cl, err := mpp.NewCluster([]mpp.NodeSpec{
+	cl, err := mpp.NewCluster([]mpp.NetNode{
 		{Name: "A", Cores: 4, MemBytes: 32 << 20},
 		{Name: "B", Cores: 4, MemBytes: 32 << 20},
 	}, 2, nil)

@@ -50,7 +50,7 @@ func (h Heap) String() string {
 // workers of a parallel aggregation grow one shared reservation
 // concurrently.
 type heapState struct {
-	budget  int64
+	budget  atomic.Int64 // re-set by SetBudgets when an MPP shard is re-associated
 	used    atomic.Int64
 	peak    atomic.Int64
 	grants  atomic.Int64 // successful Grow calls
@@ -76,6 +76,16 @@ type Broker struct {
 // of the paper's 8 GB minimum). The spill directory is created lazily on
 // first spill; pass "" to place it under the OS temp dir.
 func NewBroker(sortBytes, hashBytes int64, dir string) *Broker {
+	b := &Broker{}
+	b.SetBudgets(sortBytes, hashBytes)
+	b.spillDir.parent = dir
+	return b
+}
+
+// SetBudgets re-sizes both heaps of a live broker (same defaults as
+// NewBroker). Open reservations keep what they hold; a shrunk budget is
+// felt at their next Grow, which is denied and makes the operator spill.
+func (b *Broker) SetBudgets(sortBytes, hashBytes int64) {
 	const defaultHeap = 64 << 20
 	if sortBytes <= 0 {
 		sortBytes = defaultHeap
@@ -83,11 +93,8 @@ func NewBroker(sortBytes, hashBytes int64, dir string) *Broker {
 	if hashBytes <= 0 {
 		hashBytes = defaultHeap
 	}
-	b := &Broker{}
-	b.heaps[SortHeap].budget = sortBytes
-	b.heaps[HashHeap].budget = hashBytes
-	b.spillDir.parent = dir
-	return b
+	b.heaps[SortHeap].budget.Store(sortBytes)
+	b.heaps[HashHeap].budget.Store(hashBytes)
 }
 
 // Budget returns a heap's configured budget in bytes.
@@ -95,7 +102,7 @@ func (b *Broker) Budget(h Heap) int64 {
 	if b == nil {
 		return 0
 	}
-	return b.heaps[h].budget
+	return b.heaps[h].budget.Load()
 }
 
 // InUse returns a heap's currently reserved bytes.
@@ -116,10 +123,11 @@ func (b *Broker) Pressure() float64 {
 	worst := 0.0
 	for h := range b.heaps {
 		hs := &b.heaps[h]
-		if hs.budget <= 0 {
+		budget := hs.budget.Load()
+		if budget <= 0 {
 			continue
 		}
-		if p := float64(hs.used.Load()) / float64(hs.budget); p > worst {
+		if p := float64(hs.used.Load()) / float64(budget); p > worst {
 			worst = p
 		}
 	}
@@ -136,7 +144,7 @@ func (b *Broker) Exhausted() bool {
 	}
 	for h := range b.heaps {
 		hs := &b.heaps[h]
-		if hs.budget > 0 && hs.used.Load() >= hs.budget {
+		if budget := hs.budget.Load(); budget > 0 && hs.used.Load() >= budget {
 			return true
 		}
 	}
@@ -182,7 +190,7 @@ func (b *Broker) Stats() (heaps []HeapStat, activeReservations int64) {
 		hs := &b.heaps[h]
 		out[h] = HeapStat{
 			Heap:        Heap(h),
-			BudgetBytes: hs.budget,
+			BudgetBytes: hs.budget.Load(),
 			UsedBytes:   hs.used.Load(),
 			PeakBytes:   hs.peak.Load(),
 			Grants:      hs.grants.Load(),
@@ -202,8 +210,8 @@ func (b *Broker) Reserve(h Heap, limit int64) *Reservation {
 	if b == nil {
 		return nil
 	}
-	if limit <= 0 || limit > b.heaps[h].budget {
-		limit = b.heaps[h].budget
+	if budget := b.heaps[h].budget.Load(); limit <= 0 || limit > budget {
+		limit = budget
 	}
 	b.active.Add(1)
 	return &Reservation{b: b, heap: h, limit: limit}
@@ -245,7 +253,7 @@ func (r *Reservation) Grow(n int64) bool {
 		break
 	}
 	u := hs.used.Add(n)
-	if u > hs.budget {
+	if u > hs.budget.Load() {
 		// Heap-level exhaustion: another reservation got there first.
 		// Roll back and report denial.
 		hs.used.Add(-n)

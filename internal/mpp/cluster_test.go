@@ -1,0 +1,1054 @@
+package mpp
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+	"testing/quick"
+
+	"dashdb/internal/clusterfs"
+	"dashdb/internal/core"
+	"dashdb/internal/mem"
+	"dashdb/internal/shardrpc"
+	"dashdb/internal/types"
+)
+
+// The coordinator's behaviour must not depend on how it reaches its
+// shards, so every test in this file runs once per shard client: the
+// in-process engines of NewCluster/Restore and shardrpc servers on
+// loopback sockets behind NewNetCluster/OpenNetCluster.
+
+// harness forms clusters over one shard client and finds their engines.
+type harness struct {
+	t       testing.TB
+	socket  bool
+	servers []*shardrpc.Server
+}
+
+func forEachClient(t *testing.T, test func(t *testing.T, h *harness)) {
+	for _, socket := range []bool{false, true} {
+		name := "local"
+		if socket {
+			name = "socket"
+		}
+		t.Run(name, func(t *testing.T) { test(t, &harness{t: t, socket: socket}) })
+	}
+}
+
+// host makes a node spec usable: a socket cluster needs a shard server
+// running behind it.
+func (h *harness) host(fs *clusterfs.FS, n NetNode) NetNode {
+	if !h.socket {
+		return n
+	}
+	srv := shardrpc.NewServer(n.Name, fs)
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		h.t.Fatalf("start %s: %v", n.Name, err)
+	}
+	h.t.Cleanup(srv.Close)
+	h.servers = append(h.servers, srv)
+	n.Addr = srv.Addr()
+	return n
+}
+
+func (h *harness) hostAll(fs *clusterfs.FS, nodes []NetNode) []NetNode {
+	out := make([]NetNode, len(nodes))
+	for i, n := range nodes {
+		out[i] = h.host(fs, n)
+	}
+	return out
+}
+
+// form boots a fresh cluster with shardsPerNode shards per node.
+func (h *harness) form(nodes []NetNode, shardsPerNode int, fs *clusterfs.FS) *NetCluster {
+	h.t.Helper()
+	nodes = h.hostAll(fs, nodes)
+	var c *NetCluster
+	var err error
+	if h.socket {
+		c, err = NewNetCluster(nodes, len(nodes)*shardsPerNode, fs)
+	} else {
+		c, err = NewCluster(nodes, shardsPerNode, fs)
+	}
+	if err != nil {
+		h.t.Fatalf("form cluster: %v", err)
+	}
+	h.t.Cleanup(c.Close)
+	return c
+}
+
+// reopen builds a cluster from the manifest on fs over a new node list.
+func (h *harness) reopen(nodes []NetNode, fs *clusterfs.FS) (*NetCluster, error) {
+	nodes = h.hostAll(fs, nodes)
+	var c *NetCluster
+	var err error
+	if h.socket {
+		c, err = OpenNetCluster(nodes, fs)
+	} else {
+		c, err = Restore(nodes, fs)
+	}
+	if err == nil {
+		h.t.Cleanup(c.Close)
+	}
+	return c, err
+}
+
+// engine finds the engine currently serving a shard of c.
+func (h *harness) engine(c *NetCluster, shard int) *core.DB {
+	h.t.Helper()
+	if !h.socket {
+		return c.ShardEngines()[shard]
+	}
+	addrs, err := c.shardAddrs()
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	for _, srv := range h.servers {
+		if db, ok := srv.Engine(shard); ok && srv.Addr() == addrs[shard] {
+			return db
+		}
+	}
+	h.t.Fatalf("no server hosts shard %d", shard)
+	return nil
+}
+
+func fourNodes() []NetNode {
+	return []NetNode{
+		{Name: "A", Cores: 8, MemBytes: 64 << 20},
+		{Name: "B", Cores: 8, MemBytes: 64 << 20},
+		{Name: "C", Cores: 8, MemBytes: 64 << 20},
+		{Name: "D", Cores: 8, MemBytes: 64 << 20},
+	}
+}
+
+func salesSchema() types.Schema {
+	return types.Schema{
+		{Name: "id", Kind: types.KindInt},
+		{Name: "region", Kind: types.KindString, Nullable: true},
+		{Name: "amount", Kind: types.KindFloat, Nullable: true},
+	}
+}
+
+// seedSales creates the sales table and loads rows of it: id = i, region
+// cycling over four names, amount = i%100 + frac.
+func seedSales(t testing.TB, c *NetCluster, rows int, frac float64) {
+	t.Helper()
+	if err := c.CreateTable("sales", salesSchema(), TableOptions{DistributeBy: "id"}); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	regions := []string{"north", "south", "east", "west"}
+	var batch []types.Row
+	for i := 0; i < rows; i++ {
+		batch = append(batch, types.Row{
+			types.NewInt(int64(i)),
+			types.NewString(regions[i%4]),
+			types.NewFloat(float64(i%100) + frac),
+		})
+	}
+	if err := c.Insert("sales", batch); err != nil {
+		t.Fatalf("insert: %v", err)
+	}
+}
+
+// salesCluster is the Figure 9 shape: 4 servers x 6 shards, sales loaded.
+func (h *harness) salesCluster(rows int) *NetCluster {
+	h.t.Helper()
+	c := h.form(fourNodes(), 6, clusterfs.New())
+	seedSales(h.t, c, rows, 0)
+	return c
+}
+
+func TestShardLayout(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.salesCluster(0)
+		if c.NShards() != 24 {
+			t.Fatalf("shards %d want 24", c.NShards())
+		}
+		if got := c.Assignment(); got != "A:6 B:6 C:6 D:6" {
+			t.Fatalf("assignment %q", got)
+		}
+	})
+	// NewCluster clamps the shard count at the cumulative cores.
+	c, err := NewCluster([]NetNode{{Name: "X", Cores: 2, MemBytes: 1 << 20}}, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if c.NShards() != 2 {
+		t.Fatalf("core clamp: %d shards", c.NShards())
+	}
+}
+
+func TestInsertRouting(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.salesCluster(4800)
+		total, err := c.Rows("sales")
+		if err != nil || total != 4800 {
+			t.Fatalf("rows %d err %v", total, err)
+		}
+		// Hash distribution should put data on every shard, roughly evenly.
+		for s := 0; s < c.NShards(); s++ {
+			tbl, _ := h.engine(c, s).Table("sales")
+			if n := tbl.Rows(); n < 100 || n > 300 {
+				t.Fatalf("shard %d has %d rows: skewed distribution", s, n)
+			}
+		}
+	})
+}
+
+func TestFastPathAggregates(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.salesCluster(4000)
+		r, err := c.Query(`SELECT COUNT(*), SUM(amount), MIN(id), MAX(id), AVG(amount) FROM sales`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := r.Rows[0]
+		if row[0].Int() != 4000 {
+			t.Fatalf("count %v", row[0])
+		}
+		wantSum := 0.0
+		for i := 0; i < 4000; i++ {
+			wantSum += float64(i % 100)
+		}
+		if row[1].Float() != wantSum {
+			t.Fatalf("sum %v want %v", row[1], wantSum)
+		}
+		if row[2].Int() != 0 || row[3].Int() != 3999 {
+			t.Fatalf("min/max %v %v", row[2], row[3])
+		}
+		if row[4].Float() != wantSum/4000 {
+			t.Fatalf("avg %v", row[4])
+		}
+		if c.Stats().FastPathQueries != 1 {
+			t.Fatalf("fast path not used: %+v", c.Stats())
+		}
+	})
+}
+
+func TestFastPathGroupBy(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.salesCluster(4000)
+		r, err := c.Query(`SELECT region, COUNT(*) cnt, AVG(amount) a FROM sales WHERE id < 2000 GROUP BY region ORDER BY region`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Rows) != 4 {
+			t.Fatalf("groups %d", len(r.Rows))
+		}
+		if r.Rows[0][0].Str() != "east" || r.Rows[0][1].Int() != 500 {
+			t.Fatalf("group row %v", r.Rows[0])
+		}
+		if r.Stats == nil || r.Stats.Shards != 24 {
+			t.Fatalf("scatter result must carry stats merged over 24 shards: %+v", r.Stats)
+		}
+		if c.Stats().FastPathQueries != 1 {
+			t.Fatalf("expected fast path: %+v", c.Stats())
+		}
+	})
+}
+
+func TestPlainSelectScatter(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.salesCluster(1000)
+		r, err := c.Query(`SELECT id, region FROM sales WHERE id < 10 ORDER BY id`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Rows) != 10 {
+			t.Fatalf("rows %d", len(r.Rows))
+		}
+		for i, row := range r.Rows {
+			if row[0].Int() != int64(i) {
+				t.Fatalf("order broken at %d: %v", i, row)
+			}
+		}
+		r, err = c.Query(`SELECT id FROM sales ORDER BY id DESC LIMIT 3 OFFSET 1`)
+		if err != nil || len(r.Rows) != 3 || r.Rows[0][0].Int() != 998 {
+			t.Fatalf("limit/offset: %v err %v", r.Rows, err)
+		}
+	})
+}
+
+func TestGatherPathFallback(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.salesCluster(1000)
+		// MEDIAN is not decomposable → gather path.
+		r, err := c.Query(`SELECT MEDIAN(amount) FROM sales`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Rows[0][0].IsNull() {
+			t.Fatalf("median %v", r.Rows[0])
+		}
+		if st := c.Stats(); st.GatherPathQueries != 1 || st.FastPathQueries != 0 {
+			t.Fatalf("expected gather path: %+v", st)
+		}
+		// COUNT(DISTINCT) also needs gather.
+		r, err = c.Query(`SELECT COUNT(DISTINCT region) FROM sales`)
+		if err != nil || r.Rows[0][0].Int() != 4 {
+			t.Fatalf("count distinct %v err %v", r.Rows, err)
+		}
+		// Subquery → gather.
+		r, err = c.Query(`SELECT COUNT(*) FROM sales WHERE amount > (SELECT AVG(amount) FROM sales)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := r.Rows[0][0].Int(); n == 0 || n == 1000 {
+			t.Fatalf("subquery count %d", n)
+		}
+	})
+}
+
+func TestColocatedJoinWithReplicatedDimension(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.salesCluster(2000)
+		dim := types.Schema{
+			{Name: "region", Kind: types.KindString},
+			{Name: "zone", Kind: types.KindString},
+		}
+		if err := c.CreateTable("regions", dim, TableOptions{Replicated: true}); err != nil {
+			t.Fatal(err)
+		}
+		err := c.Insert("regions", []types.Row{
+			{types.NewString("north"), types.NewString("Z1")},
+			{types.NewString("south"), types.NewString("Z1")},
+			{types.NewString("east"), types.NewString("Z2")},
+			{types.NewString("west"), types.NewString("Z2")},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.Query(`
+			SELECT r.zone, COUNT(*) FROM sales s JOIN regions r ON s.region = r.region
+			GROUP BY r.zone ORDER BY r.zone`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Rows) != 2 || r.Rows[0][1].Int() != 1000 || r.Rows[1][1].Int() != 1000 {
+			t.Fatalf("join groups %v", r.Rows)
+		}
+		if c.Stats().FastPathQueries == 0 {
+			t.Fatalf("co-located join should be fast path: %+v", c.Stats())
+		}
+	})
+}
+
+func TestReplicatedTableCounts(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.salesCluster(0)
+		dim := types.Schema{{Name: "k", Kind: types.KindInt}}
+		if err := c.CreateTable("d", dim, TableOptions{Replicated: true}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Insert("d", []types.Row{{types.NewInt(1)}, {types.NewInt(2)}}); err != nil {
+			t.Fatal(err)
+		}
+		n, err := c.Rows("d")
+		if err != nil || n != 2 {
+			t.Fatalf("replicated rows %d err %v", n, err)
+		}
+		// Scattering a COUNT over a replicated table would multiply it by
+		// the shard count; accept only the true count.
+		r, err := c.Query(`SELECT COUNT(*) FROM d`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Rows[0][0].Int() != 2 {
+			t.Fatalf("replicated COUNT = %v, want 2", r.Rows[0][0])
+		}
+		rows, err := c.TableRows("d")
+		if err != nil || len(rows) != 2 {
+			t.Fatalf("TableRows of a replicated table: %d rows err %v, want one copy", len(rows), err)
+		}
+	})
+}
+
+func TestDMLBroadcast(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.salesCluster(1000)
+		r, err := c.Query(`DELETE FROM sales WHERE id < 100`)
+		if err != nil || r.RowsAffected != 100 {
+			t.Fatalf("delete %v err %v", r, err)
+		}
+		total, _ := c.Rows("sales")
+		if total != 900 {
+			t.Fatalf("rows after delete %d", total)
+		}
+		r, err = c.Query(`UPDATE sales SET amount = 0 WHERE region = 'north'`)
+		if err != nil || r.RowsAffected != 225 {
+			t.Fatalf("update %v err %v, want 225 rows affected", r, err)
+		}
+		cnt, err := c.Query(`SELECT COUNT(*) FROM sales WHERE amount = 0`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cnt.Rows[0][0].Int() < r.RowsAffected {
+			t.Fatalf("update not visible: %v vs %v", cnt.Rows[0][0], r.RowsAffected)
+		}
+	})
+}
+
+// TestWritePathClusterfsWrites pins the one deliberate difference
+// between the shard clients: a shard server saves the written table's
+// metadata to the clustered filesystem after every statement (another
+// process may adopt the shard at any moment), in-process engines write
+// nothing until a stride seals or Checkpoint runs.
+func TestWritePathClusterfsWrites(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		fs := clusterfs.New()
+		c := h.form(fourNodes()[:2], 2, fs)
+		seedSales(t, c, 400, 0)
+		before := fs.Stats().Writes
+		for _, stmt := range []string{
+			`INSERT INTO sales VALUES (1000, 'north', 1)`,
+			`UPDATE sales SET amount = 2 WHERE id < 40`,
+			`DELETE FROM sales WHERE id >= 390`,
+		} {
+			if _, err := c.Query(stmt); err != nil {
+				t.Fatalf("%s: %v", stmt, err)
+			}
+		}
+		if err := c.Insert("sales", []types.Row{{types.NewInt(1001), types.NewString("east"), types.NewFloat(3)}}); err != nil {
+			t.Fatal(err)
+		}
+		writes := fs.Stats().Writes - before
+		if h.socket && writes == 0 {
+			t.Fatal("shard servers must persist written tables")
+		}
+		if !h.socket && writes != 0 {
+			t.Fatalf("in-process write path made %d clusterfs writes, want 0", writes)
+		}
+	})
+}
+
+func TestSQLSurface(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.form(fourNodes(), 2, clusterfs.New())
+		if _, err := c.Query(`CREATE TABLE t1 (a BIGINT NOT NULL, b VARCHAR(10))`); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Query(`INSERT INTO t1 VALUES (1, 'x'), (2, 'y'), (3, 'z')`); err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.Query(`SELECT COUNT(*) FROM t1`)
+		if err != nil || r.Rows[0][0].Int() != 3 {
+			t.Fatalf("ddl roundtrip %v err %v", r, err)
+		}
+		if _, err := c.Query(`DELETE FROM t1 WHERE a = 2`); err != nil {
+			t.Fatal(err)
+		}
+		r, err = c.Query(`SELECT COUNT(*) FROM t1`)
+		if err != nil || r.Rows[0][0].Int() != 2 {
+			t.Fatalf("count after delete %v err %v", r, err)
+		}
+		if _, err := c.Query(`DROP TABLE t1`); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Query(`SELECT * FROM t1`); err == nil {
+			t.Fatal("dropped table queryable")
+		}
+	})
+}
+
+func TestQueryErrors(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.salesCluster(10)
+		if _, err := c.Query(`SELECT * FROM missing`); err == nil {
+			t.Fatal("missing table must error")
+		}
+		if _, err := c.Query(`SELEC bogus`); err == nil {
+			t.Fatal("parse error must surface")
+		}
+		if err := c.CreateTable("sales", salesSchema(), TableOptions{}); err == nil {
+			t.Fatal("duplicate create must error")
+		}
+		if err := c.CreateTable("x", salesSchema(), TableOptions{DistributeBy: "nope"}); err == nil {
+			t.Fatal("bad distribution column must error")
+		}
+		if err := c.Insert("missing", nil); err == nil {
+			t.Fatal("insert into missing table must error")
+		}
+	})
+}
+
+// grants reads every shard's applied resources off its engine.
+func (h *harness) grants(c *NetCluster) []shardrpc.ShardAssign {
+	out := make([]shardrpc.ShardAssign, c.NShards())
+	for s := range out {
+		db := h.engine(c, s)
+		out[s] = shardrpc.ShardAssign{
+			ID:          s,
+			MemBytes:    int64(db.Pool().Capacity()),
+			SortHeap:    db.MemBroker().Budget(mem.SortHeap),
+			HashHeap:    db.MemBroker().Budget(mem.HashHeap),
+			Parallelism: db.Config().Parallelism,
+		}
+	}
+	return out
+}
+
+// TestFigure9Failover reproduces the paper's Figure 9: 4 servers × 6
+// shards; server D fails; A, B, C now serve 8 shards each with smaller
+// per-shard pool, heaps and parallelism; the cluster keeps answering
+// queries with identical results; D rejoins and the grants grow back.
+func TestFigure9Failover(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.salesCluster(4800)
+		before, err := c.Query(`SELECT COUNT(*), SUM(amount) FROM sales`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 64 MiB node / 6 shards: 40% pool, 15% each heap, 8 cores / 6.
+		slice := float64((64 << 20) / 6)
+		want := shardrpc.ShardAssign{MemBytes: int64(slice * 0.40), SortHeap: int64(slice * 0.15), HashHeap: int64(slice * 0.15), Parallelism: 1}
+		check := func(when string) {
+			t.Helper()
+			got, planned := h.grants(c), c.ShardAssigns()
+			for s := range got {
+				want.ID = s
+				if got[s] != want || planned[s] != want {
+					t.Fatalf("%s: shard %d runs with %+v, coordinator granted %+v, want %+v", when, s, got[s], planned[s], want)
+				}
+			}
+		}
+		check("bootstrap")
+
+		if err := c.FailNode("D"); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Assignment(); got != "A:8 B:8 C:8" {
+			t.Fatalf("post-failover assignment %q", got)
+		}
+		slice = float64((64 << 20) / 8)
+		want = shardrpc.ShardAssign{MemBytes: int64(slice * 0.40), SortHeap: int64(slice * 0.15), HashHeap: int64(slice * 0.15), Parallelism: 1}
+		check("failover")
+		after, err := c.Query(`SELECT COUNT(*), SUM(amount) FROM sales`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if types.Compare(before.Rows[0][0], after.Rows[0][0]) != 0 ||
+			types.Compare(before.Rows[0][1], after.Rows[0][1]) != 0 {
+			t.Fatalf("results changed across failover: %v vs %v", before.Rows[0], after.Rows[0])
+		}
+
+		// Reinstate D with more cores (elastic growth): back to 6 shards
+		// each, and D's shards run at its own parallelism.
+		if err := c.AddNode(h.host(c.FS(), NetNode{Name: "D", Cores: 12, MemBytes: 64 << 20})); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Assignment(); got != "A:6 B:6 C:6 D:6" {
+			t.Fatalf("post-rejoin assignment %q", got)
+		}
+		dop2 := 0
+		for _, g := range h.grants(c) {
+			if g.Parallelism == 2 {
+				dop2++
+			}
+			if g.MemBytes != int64(float64((64<<20)/6)*0.40) {
+				t.Fatalf("post-rejoin shard %d pool %d did not grow back", g.ID, g.MemBytes)
+			}
+		}
+		if dop2 != 6 {
+			t.Fatalf("%d shards run at parallelism 2, want D's 6", dop2)
+		}
+		if n, err := c.Rows("sales"); err != nil || n != 4800 {
+			t.Fatalf("rows after rejoin %d err %v", n, err)
+		}
+		if st := c.Stats(); st.Failovers != 1 || st.Reshards != 1 {
+			t.Fatalf("re-association counters %+v, want 1 failover and 1 reshard", st)
+		}
+	})
+}
+
+// TestReassociationUnderLoad: in-process engines are resized live, so
+// statements running while shards re-associate must neither fail nor
+// see a different answer (and, under -race, must not race the resize).
+// Shard servers reopen the engine instead, which may fail an in-flight
+// statement; that path is covered by the kill-a-server tests.
+func TestReassociationUnderLoad(t *testing.T) {
+	c := (&harness{t: t}).salesCluster(2400)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r, err := c.Query(`SELECT region, COUNT(*) AS n FROM sales GROUP BY region ORDER BY region`)
+				if err != nil || len(r.Rows) != 4 || r.Rows[0][1].Int() != 600 {
+					t.Errorf("query during re-association: %v err %v", r, err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 5; i++ {
+		if err := c.FailNode("D"); err != nil {
+			t.Error(err)
+		}
+		if err := c.AddNode(NetNode{Name: "D", Cores: 8, MemBytes: 64 << 20}); err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+func TestGrowShrink(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		fs := clusterfs.New()
+		c := h.form(fourNodes()[:2], 2, fs)
+		seedSales(t, c, 200, 0)
+		if err := c.AddNode(h.host(fs, NetNode{Name: "C", Cores: 8, MemBytes: 64 << 20})); err != nil {
+			t.Fatalf("grow: %v", err)
+		}
+		if got := c.Assignment(); got != "A:2 B:1 C:1" {
+			t.Fatalf("assignment after grow %q", got)
+		}
+		if h.socket {
+			if got := len(h.servers[2].Shards()); got != 1 {
+				t.Fatalf("grown server hosts %d shards, want 1", got)
+			}
+		}
+		res, err := c.Query("SELECT COUNT(*) AS n FROM sales")
+		if err != nil || res.Rows[0][0].Int() != 200 {
+			t.Fatalf("count after grow: %v %v", res, err)
+		}
+		if err := c.RemoveNode("C"); err != nil {
+			t.Fatalf("shrink: %v", err)
+		}
+		if got := c.Assignment(); got != "A:2 B:2" {
+			t.Fatalf("assignment after shrink %q", got)
+		}
+		if h.socket {
+			if got := len(h.servers[2].Shards()); got != 0 {
+				t.Fatalf("shrunk server still hosts %d shards", got)
+			}
+		}
+		if n, err := c.Rows("sales"); err != nil || n != 200 {
+			t.Fatalf("rows after shrink=%d err=%v", n, err)
+		}
+		if st := c.Stats(); st.Reshards != 2 {
+			t.Fatalf("reshards %d, want 2", st.Reshards)
+		}
+	})
+}
+
+func TestElasticGuards(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.form([]NetNode{{Name: "A", Cores: 2, MemBytes: 8 << 20}}, 2, clusterfs.New())
+		if err := c.RemoveNode("A"); err == nil {
+			t.Fatal("removing the last node must fail")
+		}
+		if err := c.FailNode("A"); err == nil {
+			t.Fatal("failing the last node must fail")
+		}
+		if err := c.FailNode("Z"); err == nil {
+			t.Fatal("failing an unknown node must fail")
+		}
+		if got := c.Assignment(); got != "A:2" {
+			t.Fatalf("refused operations changed the assignment: %q", got)
+		}
+		if err := c.AddNode(NetNode{Name: "A", Cores: 8, MemBytes: 1 << 20}); err == nil {
+			t.Fatal("adding a live duplicate node must fail")
+		}
+	})
+}
+
+func TestClusterFSPersistsPages(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		fs := clusterfs.New()
+		c := h.form(fourNodes(), 2, fs)
+		if err := c.CreateTable("sales", salesSchema(), TableOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		var batch []types.Row
+		for i := 0; i < 20000; i++ {
+			batch = append(batch, types.Row{types.NewInt(int64(i)), types.NewString("x"), types.NewFloat(1)})
+		}
+		if err := c.Insert("sales", batch); err != nil {
+			t.Fatal(err)
+		}
+		if len(fs.List("shards/")) == 0 {
+			t.Fatal("no pages written to the clustered filesystem")
+		}
+		// Snapshot (portability / DR story).
+		if snap := fs.Snapshot(); snap.TotalBytes() == 0 || snap.TotalBytes() != fs.TotalBytes() {
+			t.Fatalf("snapshot holds %d bytes, filesystem %d", snap.TotalBytes(), fs.TotalBytes())
+		}
+	})
+}
+
+// Property: for random row sets, hash routing lands every row on exactly
+// one shard and cluster-wide aggregates equal local computation, before
+// and after a failover.
+func TestRoutingConservationProperty(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			c := h.form(fourNodes(), 3, clusterfs.New())
+			if err := c.CreateTable("t", types.Schema{
+				{Name: "k", Kind: types.KindInt},
+				{Name: "v", Kind: types.KindInt, Nullable: true},
+			}, TableOptions{DistributeBy: "k"}); err != nil {
+				return false
+			}
+			n := rng.Intn(3000) + 100
+			var rows []types.Row
+			wantSum := int64(0)
+			for i := 0; i < n; i++ {
+				v := int64(rng.Intn(1000))
+				wantSum += v
+				rows = append(rows, types.Row{types.NewInt(int64(rng.Int31())), types.NewInt(v)})
+			}
+			if err := c.Insert("t", rows); err != nil {
+				return false
+			}
+			check := func() bool {
+				total := 0
+				for s := 0; s < c.NShards(); s++ {
+					tbl, _ := h.engine(c, s).Table("t")
+					total += tbl.Rows()
+				}
+				if total != n {
+					return false
+				}
+				r, err := c.Query(`SELECT COUNT(*), SUM(v) FROM t`)
+				if err != nil {
+					return false
+				}
+				return r.Rows[0][0].Int() == int64(n) && r.Rows[0][1].Int() == wantSum
+			}
+			if !check() {
+				return false
+			}
+			if err := c.FailNode("B"); err != nil {
+				return false
+			}
+			return check()
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// TestCheckpointSnapshotRestore exercises the §II.E portability flow:
+// checkpoint a loaded cluster, snapshot the clustered filesystem, and
+// restore onto an ENTIRELY DIFFERENT physical topology (3 bigger nodes
+// instead of 4) — queries answer identically and the restored cluster
+// accepts new writes and failovers.
+func TestCheckpointSnapshotRestore(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		src := h.salesCluster(5000)
+		dim := types.Schema{{Name: "region", Kind: types.KindString}, {Name: "zone", Kind: types.KindString}}
+		if err := src.CreateTable("regions", dim, TableOptions{Replicated: true}); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.Insert("regions", []types.Row{
+			{types.NewString("north"), types.NewString("Z1")},
+			{types.NewString("south"), types.NewString("Z2")},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		before, err := src.Query(`SELECT COUNT(*), SUM(amount) FROM sales`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := src.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		// "Copy the clustered filesystem and docker run on new hardware."
+		snap := src.FS().Snapshot()
+		restored, err := h.reopen([]NetNode{
+			{Name: "X", Cores: 16, MemBytes: 128 << 20},
+			{Name: "Y", Cores: 16, MemBytes: 128 << 20},
+			{Name: "Z", Cores: 16, MemBytes: 128 << 20},
+		}, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := restored.Assignment(); got != "X:8 Y:8 Z:8" {
+			t.Fatalf("restored assignment %q: the manifest fixes 24 shards", got)
+		}
+		after, err := restored.Query(`SELECT COUNT(*), SUM(amount) FROM sales`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if types.Compare(before.Rows[0][0], after.Rows[0][0]) != 0 ||
+			types.Compare(before.Rows[0][1], after.Rows[0][1]) != 0 {
+			t.Fatalf("restore changed results: %v vs %v", before.Rows[0], after.Rows[0])
+		}
+		if n, err := restored.Rows("sales"); err != nil || n != 5000 {
+			t.Fatalf("restored rows=%d err=%v", n, err)
+		}
+		// Replicated dimension still joins.
+		r, err := restored.Query(`SELECT COUNT(*) FROM sales s JOIN regions r ON s.region = r.region`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Rows[0][0].Int() != 2500 { // north + south halves
+			t.Fatalf("restored join %v", r.Rows[0])
+		}
+		// The restored cluster is live: writes, DDL and failover work.
+		if _, err := restored.Query(`INSERT INTO sales VALUES (99999, 'north', 1)`); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := restored.Query(`CREATE TABLE fresh (a BIGINT NOT NULL)`); err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.FailNode("Z"); err != nil {
+			t.Fatal(err)
+		}
+		r, err = restored.Query(`SELECT COUNT(*) FROM sales`)
+		if err != nil || r.Rows[0][0].Int() != 5001 {
+			t.Fatalf("post-restore failover: %v err %v", r, err)
+		}
+		// The source keeps working on its own filesystem, unaffected.
+		if n, err := src.Rows("sales"); err != nil || n != 5000 {
+			t.Fatalf("source rows=%d err=%v", n, err)
+		}
+		// Restore guards.
+		if _, err := h.reopen(nil, snap); err == nil {
+			t.Fatal("restore with no nodes must fail")
+		}
+		if _, err := h.reopen([]NetNode{{Name: "A", Cores: 4, MemBytes: 1 << 20}}, clusterfs.New()); err == nil {
+			t.Fatal("restore without manifest must fail")
+		}
+	})
+}
+
+func TestClusterQueryHistoryMergesShardStats(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.salesCluster(10_000)
+		// Fast path: parallel partitioned aggregate scattered to all 24 shards.
+		if _, err := c.Query(`SELECT region, COUNT(*), SUM(amount) FROM sales WHERE id < 5000 GROUP BY region`); err != nil {
+			t.Fatal(err)
+		}
+		// Gather path: MEDIAN has no partial form, rows ship to the coordinator.
+		if _, err := c.Query(`SELECT MEDIAN(amount) FROM sales`); err != nil {
+			t.Fatal(err)
+		}
+		hist := c.Registry().History()
+		if len(hist) != 2 {
+			t.Fatalf("history has %d records, want 2", len(hist))
+		}
+		agg := hist[0]
+		if agg.Shards != 24 {
+			t.Fatalf("fast-path record shards=%d, want 24", agg.Shards)
+		}
+		if agg.Status != "ok" || agg.Rows != 4 {
+			t.Fatalf("fast-path record %+v", agg)
+		}
+		var scanRows, visited int64
+		for _, op := range agg.Ops {
+			if op.HasScan {
+				scanRows += op.Rows
+				visited += op.StridesVisited
+			}
+		}
+		if scanRows == 0 || visited == 0 {
+			t.Fatalf("merged record lost scan counters: rows=%d visited=%d", scanRows, visited)
+		}
+		med := hist[1]
+		if med.Shards != 24 || med.Status != "ok" {
+			t.Fatalf("gather-path record %+v", med)
+		}
+		if med.SQL == "" || agg.SQL == "" {
+			t.Fatal("history records must carry the SQL text")
+		}
+		if med.ID == agg.ID {
+			t.Fatal("history records must get distinct cluster-level IDs")
+		}
+	})
+}
+
+func BenchmarkMPPFastPathAggregate(b *testing.B) {
+	c := (&harness{t: b}).salesCluster(20000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Query(`SELECT region, COUNT(*), SUM(amount) FROM sales GROUP BY region`); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func renderRows(rows []types.Row) string {
+	var b strings.Builder
+	for _, r := range rows {
+		for i, v := range r {
+			if i > 0 {
+				b.WriteByte('\t')
+			}
+			b.WriteString(v.String())
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// parityColumns boots the three clusters every parity test compares:
+// one shard behind a socket (the single-node reference), three shards
+// behind sockets, and three shards in-process (whose distributed joins
+// gather instead of shuffling).
+func parityColumns(t *testing.T, node NetNode) map[string]*NetCluster {
+	nodes := func(n int) []NetNode {
+		out := make([]NetNode, n)
+		for i := range out {
+			out[i] = node
+			out[i].Name = fmt.Sprintf("node%c", 'A'+i)
+		}
+		return out
+	}
+	socket, local := &harness{t: t, socket: true}, &harness{t: t}
+	return map[string]*NetCluster{
+		"1-shard":       socket.form(nodes(1), 1, clusterfs.New()),
+		"3-shard":       socket.form(nodes(3), 1, clusterfs.New()),
+		"3-shard-local": local.form(nodes(3), 1, clusterfs.New()),
+	}
+}
+
+// checkParity runs every query on every column and requires the
+// single-shard reference's answer everywhere.
+func checkParity(t *testing.T, cols map[string]*NetCluster, queries []string) {
+	t.Helper()
+	for _, q := range queries {
+		ref, err := cols["1-shard"].Query(q)
+		if err != nil {
+			t.Fatalf("1-shard %q: %v", q, err)
+		}
+		for name, c := range cols {
+			res, err := c.Query(q)
+			if err != nil {
+				t.Fatalf("%s %q: %v", name, q, err)
+			}
+			if got, want := renderRows(res.Rows), renderRows(ref.Rows); got != want {
+				t.Fatalf("%q diverged:\n%s:\n%s\n1-shard:\n%s", q, name, got, want)
+			}
+		}
+	}
+}
+
+// TestParitySingleNode is the bit-identical acceptance check: the same
+// workload on one shard and on three must produce identical results on
+// scatter, shuffle-join and gather paths alike.
+func TestParitySingleNode(t *testing.T) {
+	cols := parityColumns(t, NetNode{Cores: 4, MemBytes: 256 << 20})
+	for _, c := range cols {
+		seedSales(t, c, 300, 0.5)
+		if err := c.CreateTable("regions", types.Schema{
+			{Name: "name", Kind: types.KindString},
+			{Name: "manager", Kind: types.KindString, Nullable: true},
+		}, TableOptions{DistributeBy: "name"}); err != nil {
+			t.Fatalf("create regions: %v", err)
+		}
+		if err := c.Insert("regions", []types.Row{
+			{types.NewString("north"), types.NewString("ada")},
+			{types.NewString("south"), types.NewString("bob")},
+			{types.NewString("east"), types.NewString("cho")},
+			// "west" intentionally missing: exercises LEFT JOIN nulls.
+		}); err != nil {
+			t.Fatalf("insert regions: %v", err)
+		}
+	}
+	checkParity(t, cols, []string{
+		// Scatter fast path: partial aggregation.
+		"SELECT region, COUNT(*) AS n, SUM(amount) AS s, MIN(amount) AS lo, MAX(amount) AS hi FROM sales GROUP BY region ORDER BY region",
+		// Global aggregate, no GROUP BY.
+		"SELECT COUNT(*) AS n, AVG(amount) AS a FROM sales",
+		// Plain scatter with ORDER BY + LIMIT pushdown.
+		"SELECT id, amount FROM sales ORDER BY id DESC LIMIT 7",
+		// Shuffle join: two distributed tables on a non-distribution key.
+		"SELECT s.region, COUNT(*) AS n FROM sales s INNER JOIN regions r ON s.region = r.name GROUP BY s.region ORDER BY s.region",
+		// LEFT JOIN through the shuffle (west has no match).
+		"SELECT s.region, COUNT(*) AS n FROM sales s LEFT JOIN regions r ON s.region = r.name GROUP BY s.region ORDER BY s.region",
+		// Gather path: DISTINCT disqualifies the fast paths.
+		"SELECT DISTINCT region FROM sales ORDER BY region",
+	})
+	if st := cols["3-shard"].Stats(); st.ShuffleJoins != 2 || st.FastPathQueries != 3 || st.GatherPathQueries != 1 {
+		t.Fatalf("socket cluster took paths %+v, want 3 fast, 2 shuffle, 1 gather", st)
+	}
+	if st := cols["3-shard-local"].Stats(); st.ShuffleJoins != 0 || st.FastPathQueries != 3 || st.GatherPathQueries != 3 {
+		t.Fatalf("in-process cluster took paths %+v, want 3 fast, 3 gather", st)
+	}
+}
+
+// TestParityNullJoinKeys: NULL join keys hash to partition 0 but must
+// never match under SQL equality; LEFT JOIN must null-extend them.
+// Parity against a single shard proves the shuffle preserves those
+// semantics.
+func TestParityNullJoinKeys(t *testing.T) {
+	cols := parityColumns(t, NetNode{Cores: 4, MemBytes: 256 << 20})
+	for _, c := range cols {
+		if err := c.CreateTable("orders", types.Schema{
+			{Name: "id", Kind: types.KindInt},
+			{Name: "cust", Kind: types.KindString, Nullable: true},
+		}, TableOptions{DistributeBy: "id"}); err != nil {
+			t.Fatalf("create orders: %v", err)
+		}
+		if err := c.CreateTable("custs", types.Schema{
+			{Name: "name", Kind: types.KindString, Nullable: true},
+			{Name: "tier", Kind: types.KindInt},
+		}, TableOptions{DistributeBy: "tier"}); err != nil {
+			t.Fatalf("create custs: %v", err)
+		}
+		var orders []types.Row
+		for i := 0; i < 60; i++ {
+			cust := types.NewString(fmt.Sprintf("c%d", i%7))
+			if i%5 == 0 {
+				cust = types.Null // NULL join keys sprinkled through every shard
+			}
+			orders = append(orders, types.Row{types.NewInt(int64(i)), cust})
+		}
+		if err := c.Insert("orders", orders); err != nil {
+			t.Fatalf("insert orders: %v", err)
+		}
+		var custs []types.Row
+		for i := 0; i < 7; i++ {
+			name := types.NewString(fmt.Sprintf("c%d", i))
+			if i == 3 {
+				name = types.Null // NULL on the build side too
+			}
+			custs = append(custs, types.Row{name, types.NewInt(int64(i))})
+		}
+		if err := c.Insert("custs", custs); err != nil {
+			t.Fatalf("insert custs: %v", err)
+		}
+	}
+	checkParity(t, cols, []string{
+		"SELECT COUNT(*) AS n FROM orders o INNER JOIN custs c ON o.cust = c.name",
+		"SELECT COUNT(*) AS n FROM orders o LEFT JOIN custs c ON o.cust = c.name",
+		"SELECT o.cust, COUNT(*) AS n FROM orders o LEFT JOIN custs c ON o.cust = c.name GROUP BY o.cust ORDER BY 1",
+	})
+}
+
+// TestParityUnderSpill starves every shard of the 3-shard columns (tiny
+// node RAM → ~8KB sort/hash heaps) so sorts and joins spill mid-query,
+// and checks the distributed answer still matches a comfortable single
+// shard.
+func TestParityUnderSpill(t *testing.T) {
+	// ~56KB per shard slice → ~8KB SORTHEAP/HASHHEAP per shard.
+	cols := parityColumns(t, NetNode{Cores: 2, MemBytes: 56 << 10})
+	cols["1-shard"] = (&harness{t: t, socket: true}).form([]NetNode{{Name: "roomy", Cores: 4, MemBytes: 256 << 20}}, 1, clusterfs.New())
+	for name, c := range cols {
+		for _, a := range c.ShardAssigns() {
+			if name != "1-shard" && a.SortHeap > 16<<10 {
+				t.Fatalf("%s shard %d sort heap %d: test needs starved heaps", name, a.ID, a.SortHeap)
+			}
+		}
+		seedSales(t, c, 2000, 0.5)
+	}
+	checkParity(t, cols, []string{
+		"SELECT region, COUNT(*) AS n, SUM(amount) AS s FROM sales GROUP BY region ORDER BY region",
+		"SELECT id, amount FROM sales ORDER BY amount DESC, id LIMIT 25",
+		"SELECT DISTINCT region FROM sales ORDER BY region",
+	})
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"dashdb/internal/core"
 	"dashdb/internal/exec"
@@ -13,11 +12,9 @@ import (
 	"dashdb/internal/types"
 )
 
-// The scatter fast path is shared by the in-process Cluster and the
-// multi-process NetCluster: buildShardSel rewrites the statement the
-// shards run, mergeFastResults folds their partial results back into
-// the user-visible answer. Only the transport differs (direct engine
-// calls vs shardrpc), so both live here as package functions.
+// The two halves of the scatter fast path that run at the coordinator:
+// buildShardSel rewrites the statement the shards run, mergeFastResults
+// folds their partial results back into the user-visible answer.
 
 // buildShardSel derives the per-shard statement for a decomposed query:
 // plain queries push ORDER BY+LIMIT down (each shard returns its top
@@ -172,42 +169,11 @@ func mergeFastResults(sel *sql.SelectStmt, plan *fastPlan, results []*core.Resul
 	return finalizeOrderLimit(&core.Result{Columns: finalCols, Rows: rows}, sel)
 }
 
-// runFastPath executes the decomposed plan: the (possibly rewritten)
-// query runs on every shard in parallel — each shard evaluating
-// predicates over its own compressed data — and the coordinator merges
-// partial results. This is the scatter/gather model of Figure 2.
-func (c *Cluster) runFastPath(sel *sql.SelectStmt, plan *fastPlan, d sql.Dialect, text string) (*core.Result, error) {
-	shardSel, err := buildShardSel(sel, plan)
-	if err != nil {
-		return nil, err
-	}
-	results, err := c.scatter(shardSel, d, plan.singleShard)
-	if err != nil {
-		return nil, err
-	}
-	final, err := mergeFastResults(sel, plan, results)
-	if err != nil {
-		return nil, err
-	}
-	c.mergeShardStats(final, results, text)
-	return final, nil
-}
-
-// mergeShardStats folds the per-shard telemetry records of one scattered
+// foldShardStats folds the per-shard telemetry records of one scattered
 // query into a single cluster-level record (counters summed, elapsed =
-// slowest shard), appends it to the cluster history, and attaches it to
-// the coordinator result.
-func (c *Cluster) mergeShardStats(res *core.Result, shardResults []*core.Result, text string) {
-	rec, ok := foldShardStats(c.reg, res, shardResults, text)
-	if ok {
-		res.Stats = rec
-	}
-}
-
-// foldShardStats is the registry-level half of mergeShardStats, shared
-// with NetCluster. expected = scatter width: a shard whose result came
-// back without instrumentation surfaces as a degraded merge, not an
-// under-count.
+// slowest shard) and appends it to the cluster history. expected =
+// scatter width: a shard whose result came back without instrumentation
+// surfaces as a degraded merge, not an under-count.
 func foldShardStats(reg *telemetry.Registry, res *core.Result, shardResults []*core.Result, text string) (*telemetry.QueryRecord, bool) {
 	var recs []telemetry.QueryRecord
 	for _, r := range shardResults {
@@ -225,39 +191,6 @@ func foldShardStats(reg *telemetry.Registry, res *core.Result, shardResults []*c
 	merged.Rows = int64(len(res.Rows))
 	reg.Record(merged)
 	return &merged, true
-}
-
-// scatter runs the statement on every shard in parallel; singleShard
-// restricts it to shard 0 (queries over replicated tables only).
-func (c *Cluster) scatter(sel *sql.SelectStmt, d sql.Dialect, singleShard bool) ([]*core.Result, error) {
-	c.mu.RLock()
-	shards := c.shards
-	c.mu.RUnlock()
-	if singleShard && len(shards) > 0 {
-		shards = shards[:1]
-	}
-	results := make([]*core.Result, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i, sh := range shards {
-		wg.Add(1)
-		go func(i int, sh *Shard) {
-			defer wg.Done()
-			sess := sh.DB.NewSession()
-			sess.SetDialect(d)
-			results[i], errs[i] = sess.ExecParsed(sel)
-		}(i, sh)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(results) == 0 {
-		return nil, fmt.Errorf("mpp: no shards")
-	}
-	return results, nil
 }
 
 // finalizeOrderLimit applies the original ORDER BY / LIMIT / OFFSET at

@@ -1,3 +1,11 @@
+// Package mpp implements the shared-nothing scale-out of Figure 2 and the
+// elasticity/HA mechanics of §II.E and Figure 9. Data is hash-partitioned
+// into a number of shards several factors larger than the number of
+// servers; each shard is a full engine whose file-set lives on the
+// clustered filesystem. The association of shards to nodes is the only
+// mutable cluster state: failover, elastic shrink and elastic growth are
+// all the same operation — re-associate shards over the current node set
+// and recompute per-shard memory and parallelism.
 package mpp
 
 import (
@@ -10,23 +18,55 @@ import (
 	"sync/atomic"
 
 	"dashdb/internal/clusterfs"
+	"dashdb/internal/core"
 	"dashdb/internal/shardrpc"
 	"dashdb/internal/sql"
 	"dashdb/internal/telemetry"
 	"dashdb/internal/types"
 )
 
-// NetCluster is the multi-process MPP coordinator: the same
-// scatter/partial-aggregate model as the in-process Cluster, but the
-// shards live behind shardrpc servers — separate OS processes sharing
-// one clustered filesystem, exactly the paper's §II.E deployment. On
-// top of the scatter fast path it runs distributed equi-joins through
-// the partitioned-hash shuffle exchange, and it owns the HA story:
-// when a node dies, survivors adopt its shards (from clusterfs-persisted
-// state) with per-shard memory and parallelism scaled down, and the
-// in-flight statement is retried against the new membership (Figure 9).
+// NetCluster is the MPP coordinator: catalog, DDL, hash routing, the
+// scatter fast path, distributed equi-joins through the partitioned-hash
+// shuffle exchange, the coordinator gather fallback, and the HA story —
+// when a node dies, survivors adopt its shards with per-shard memory and
+// parallelism scaled down, and the in-flight statement is retried against
+// the new membership (Figure 9). It reaches the shard engines through a
+// shardClient; which one is decided by the constructor: NewNetCluster and
+// OpenNetCluster dial shardrpc servers (separate OS processes sharing one
+// clustered filesystem, the paper's §II.E deployment), NewCluster and
+// Restore host the engines in this process.
+type NetCluster struct {
+	mu      sync.RWMutex
+	fs      *clusterfs.FS
+	client  shardClient
+	nodes   []*netNode
+	nShards int
+	assign  []int // shard -> node index, -1 = unassigned
+	tables  map[string]*tableMeta
+	nextID  uint32
+	reg     *telemetry.Registry
+	stats   NetStats
+	qid     atomic.Uint64 // randomly seeded; see newCluster
+}
 
-// NetNode describes one shard-server process.
+// shardClient is every call the coordinator makes on a shard host.
+// *shardrpc.Pool serves it over sockets, addressed by NetNode.Addr;
+// *localShards serves it in-process and ignores the address.
+type shardClient interface {
+	Ping(addr string) (shardrpc.PingInfo, error)
+	Adopt(addr string, req shardrpc.AdoptReq) error
+	Release(addr string, shards []int) error
+	Exec(addr string, req shardrpc.ExecReq) (*shardrpc.Result, error)
+	Insert(addr string, shardID int, table string, token uint64, rows []types.Row) error
+	RowCount(addr string, shardID int, table string) (int64, error)
+	Fragment(addr string, req shardrpc.FragmentReq) error
+	JoinFrag(addr string, req shardrpc.JoinFragReq) (*shardrpc.Result, error)
+	DropShuffle(addr string, query uint64) error
+	Close()
+}
+
+// NetNode describes one server host; Addr is its shard-server address
+// and stays empty for in-process clusters.
 type NetNode struct {
 	Name     string
 	Addr     string
@@ -39,6 +79,24 @@ type netNode struct {
 	alive bool
 }
 
+// TableOptions control MPP table placement.
+type TableOptions struct {
+	// DistributeBy names the hash-distribution column. Empty selects the
+	// first column.
+	DistributeBy string
+	// Replicated stores a full copy on every shard (dimension tables),
+	// making joins against it co-located.
+	Replicated bool
+}
+
+// tableMeta is the coordinator's view of one table.
+type tableMeta struct {
+	schema  types.Schema
+	distCol int
+	repl    bool
+	id      uint32 // storage id, identical on every shard
+}
+
 // Per-shard memory shares, mirroring deploy.AutoConfigure (deploy
 // imports mpp, so the fractions are restated here): of a shard's RAM
 // slice, 40% buffer pool, 15% sort heap, 15% hash heap.
@@ -47,21 +105,6 @@ const (
 	netSortHeapShare   = 0.15
 	netHashHeapShare   = 0.15
 )
-
-// NetCluster coordinates shard servers over the wire.
-type NetCluster struct {
-	mu      sync.RWMutex
-	fs      *clusterfs.FS
-	pool    *shardrpc.Pool
-	nodes   []*netNode
-	nShards int
-	assign  []int // shard -> node index, -1 = unassigned
-	tables  map[string]*tableMeta
-	nextID  uint32
-	reg     *telemetry.Registry
-	stats   NetStats
-	qid     atomic.Uint64 // randomly seeded; see NewNetCluster
-}
 
 // mintID mints a cluster-unique 64-bit ID (shuffle query IDs, DML
 // idempotency tokens) off the randomly seeded counter.
@@ -81,17 +124,69 @@ type NetStats struct {
 // in-memory instance in-process, or the same OpenDir directory across
 // processes).
 func NewNetCluster(nodes []NetNode, nShards int, fs *clusterfs.FS) (*NetCluster, error) {
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("mpp: net cluster needs nodes")
-	}
 	if nShards < len(nodes) {
 		nShards = len(nodes)
 	}
+	return newCluster(shardrpc.NewPool("coordinator"), nodes, manifest{NShards: nShards}, fs)
+}
+
+// NewCluster forms a cluster whose shard engines live in this process,
+// shardsPerNode data shards per server (the paper: shard count "several
+// factors larger than the number of servers, though not larger than the
+// cumulative cores"). A nil fs selects a fresh in-memory filesystem.
+func NewCluster(nodes []NetNode, shardsPerNode int, fs *clusterfs.FS) (*NetCluster, error) {
+	if shardsPerNode < 1 {
+		shardsPerNode = 1
+	}
+	totalCores := 0
+	for _, n := range nodes {
+		totalCores += n.Cores
+	}
+	nShards := len(nodes) * shardsPerNode
+	if nShards > totalCores && totalCores > 0 {
+		nShards = totalCores
+	}
+	if fs == nil {
+		fs = clusterfs.New()
+	}
+	return newCluster(newLocalShards(fs), nodes, manifest{NShards: nShards}, fs)
+}
+
+// OpenNetCluster bootstraps a coordinator over an existing clustered
+// filesystem: the manifest fixes shard count and tables (the node
+// topology is free — the paper's portability story).
+func OpenNetCluster(nodes []NetNode, fs *clusterfs.FS) (*NetCluster, error) {
+	m, err := readManifest(fs)
+	if err != nil {
+		return nil, err
+	}
+	return newCluster(shardrpc.NewPool("coordinator"), nodes, m, fs)
+}
+
+// Restore is OpenNetCluster with the shard engines in this process: it
+// builds a cluster over any node list from a checkpointed clustered
+// filesystem (typically a Snapshot of the original).
+func Restore(nodes []NetNode, fs *clusterfs.FS) (*NetCluster, error) {
+	m, err := readManifest(fs)
+	if err != nil {
+		return nil, err
+	}
+	return newCluster(newLocalShards(fs), nodes, m, fs)
+}
+
+// newCluster builds the coordinator over client and associates the
+// manifest's shards and tables with nodes. It owns client: on failure
+// the client is closed.
+func newCluster(client shardClient, nodes []NetNode, m manifest, fs *clusterfs.FS) (*NetCluster, error) {
+	if len(nodes) == 0 {
+		client.Close()
+		return nil, fmt.Errorf("mpp: cluster needs at least one node")
+	}
 	c := &NetCluster{
 		fs:      fs,
-		pool:    shardrpc.NewPool("coordinator"),
-		nShards: nShards,
-		assign:  make([]int, nShards),
+		client:  client,
+		nShards: m.NShards,
+		assign:  make([]int, m.NShards),
 		tables:  make(map[string]*tableMeta),
 		nextID:  1,
 		reg:     telemetry.NewRegistry(telemetry.DefaultHistorySize),
@@ -111,29 +206,6 @@ func NewNetCluster(nodes []NetNode, nShards int, fs *clusterfs.FS) (*NetCluster,
 	for i := range c.assign {
 		c.assign[i] = -1
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rebalanceLocked()
-	if err := c.pushAssignmentsLocked("bootstrap", nil); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// OpenNetCluster bootstraps a coordinator over an existing clustered
-// filesystem: the manifest fixes shard count and tables (the node
-// topology is free — the paper's portability story).
-func OpenNetCluster(nodes []NetNode, fs *clusterfs.FS) (*NetCluster, error) {
-	m, err := readManifest(fs)
-	if err != nil {
-		return nil, err
-	}
-	c, err := NewNetCluster(nodes, m.NShards, fs)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, mt := range m.Tables {
 		distCol := 0
 		if mt.DistributeBy != "" {
@@ -146,11 +218,32 @@ func OpenNetCluster(nodes []NetNode, fs *clusterfs.FS) (*NetCluster, error) {
 			c.nextID = mt.ID + 1
 		}
 	}
-	return c, c.pushAssignmentsLocked("restore", nil)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.rebalanceLocked()
+	if err := c.pushAssignmentsLocked("bootstrap", nil); err != nil {
+		client.Close()
+		return nil, err
+	}
+	return c, nil
 }
 
-// Close shuts the coordinator's connection pool (servers keep running).
-func (c *NetCluster) Close() { c.pool.Close() }
+// Close shuts the shard client: the connection pool of a socket cluster
+// (its servers keep running), the engines of an in-process one.
+func (c *NetCluster) Close() { c.client.Close() }
+
+// FS exposes the clustered filesystem.
+func (c *NetCluster) FS() *clusterfs.FS { return c.fs }
+
+// ShardEngines returns an in-process cluster's shard engines in shard
+// order (collocated analytics, monitoring); nil for a socket cluster,
+// whose engines live in the server processes.
+func (c *NetCluster) ShardEngines() []*core.DB {
+	if l, ok := c.client.(*localShards); ok {
+		return l.all()
+	}
+	return nil
+}
 
 // Stats returns path-selection counters.
 func (c *NetCluster) Stats() NetStats {
@@ -195,6 +288,7 @@ func (c *NetCluster) Assignment() string {
 			parts = append(parts, fmt.Sprintf("%s:%d", n.spec.Name, counts[i]))
 		}
 	}
+	sort.Strings(parts) // by node name, whatever order the nodes joined in
 	return strings.Join(parts, " ")
 }
 
@@ -209,6 +303,14 @@ func (c *NetCluster) ShardAssigns() []shardrpc.ShardAssign {
 		out = append(out, c.shardAssignLocked(s))
 	}
 	return out
+}
+
+// Tables lists the cluster's tables in creation order (introspection
+// and hybrid synchronization).
+func (c *NetCluster) Tables() []shardrpc.TableSpec {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.tableSpecsLocked()
 }
 
 // --- placement ---------------------------------------------------------------
@@ -341,12 +443,12 @@ func (c *NetCluster) pushAssignmentsLocked(reason string, released map[int][]int
 		if !c.nodes[ni].alive {
 			continue
 		}
-		if err := c.pool.Release(c.nodes[ni].spec.Addr, shards); err != nil {
+		if err := c.client.Release(c.nodes[ni].spec.Addr, shards); err != nil {
 			return fmt.Errorf("mpp: release on %s: %w", c.nodes[ni].spec.Name, err)
 		}
 	}
 	for ni, assigns := range perNode {
-		err := c.pool.Adopt(c.nodes[ni].spec.Addr, shardrpc.AdoptReq{Shards: assigns, Tables: tables, Reason: reason})
+		err := c.client.Adopt(c.nodes[ni].spec.Addr, shardrpc.AdoptReq{Shards: assigns, Tables: tables, Reason: reason})
 		if err != nil {
 			return fmt.Errorf("mpp: adopt on %s: %w", c.nodes[ni].spec.Name, err)
 		}
@@ -387,19 +489,19 @@ func (c *NetCluster) shardAddrs() ([]string, error) {
 func (c *NetCluster) FailNode(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	found := false
+	var victim *netNode
 	for _, n := range c.nodes {
 		if strings.EqualFold(n.spec.Name, name) && n.alive {
-			n.alive = false
-			found = true
+			victim = n
 		}
 	}
-	if !found {
+	if victim == nil {
 		return fmt.Errorf("mpp: no alive node %s", name)
 	}
-	if len(c.aliveLocked()) == 0 {
+	if len(c.aliveLocked()) == 1 {
 		return fmt.Errorf("mpp: failing %s leaves no alive nodes", name)
 	}
+	victim.alive = false
 	c.stats.Failovers++
 	c.rebalanceLocked()
 	return c.pushAssignmentsLocked("failover", nil)
@@ -416,7 +518,7 @@ func (c *NetCluster) AddNode(spec NetNode) error {
 			return fmt.Errorf("mpp: node %s already present", spec.Name)
 		}
 	}
-	if _, err := c.pool.Ping(spec.Addr); err != nil {
+	if _, err := c.client.Ping(spec.Addr); err != nil {
 		return fmt.Errorf("mpp: new node %s unreachable: %w", spec.Name, err)
 	}
 	c.nodes = append(c.nodes, &netNode{spec: spec, alive: true})
@@ -452,7 +554,7 @@ func (c *NetCluster) RemoveNode(name string) error {
 		}
 	}
 	// Release first so the open strides are persisted before adoption.
-	if err := c.pool.Release(c.nodes[idx].spec.Addr, owned); err != nil {
+	if err := c.client.Release(c.nodes[idx].spec.Addr, owned); err != nil {
 		return fmt.Errorf("mpp: release on %s: %w", name, err)
 	}
 	c.nodes[idx].alive = false
@@ -543,16 +645,18 @@ func (c *NetCluster) DropTable(name string) error {
 }
 
 func (c *NetCluster) writeManifestLocked() error {
-	m := manifest{NShards: c.nShards}
-	for name, meta := range c.tables {
-		mt := manifestTable{Name: name, ID: meta.id, Schema: meta.schema, Replicated: meta.repl}
-		if meta.distCol >= 0 && meta.distCol < len(meta.schema) {
-			mt.DistributeBy = meta.schema[meta.distCol].Name
-		}
-		m.Tables = append(m.Tables, mt)
+	return writeManifest(c.fs, manifest{NShards: c.nShards, Tables: c.tableSpecsLocked()})
+}
+
+// tableMeta looks a table up in the coordinator catalog.
+func (c *NetCluster) tableMeta(name string) (*tableMeta, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	meta, ok := c.tables[strings.ToLower(name)]
+	if !ok {
+		return nil, fmt.Errorf("mpp: table %s does not exist", name)
 	}
-	sort.Slice(m.Tables, func(i, j int) bool { return m.Tables[i].ID < m.Tables[j].ID })
-	return writeManifest(c.fs, m)
+	return meta, nil
 }
 
 // Insert routes rows to shards by distribution-key hash; replicated
@@ -564,11 +668,9 @@ func (c *NetCluster) writeManifestLocked() error {
 // have recovered state the dead node persisted just before losing the
 // reply) acknowledge the resend without duplicating the bucket.
 func (c *NetCluster) Insert(table string, rows []types.Row) error {
-	c.mu.RLock()
-	meta, ok := c.tables[strings.ToLower(table)]
-	c.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("mpp: table %s does not exist", table)
+	meta, err := c.tableMeta(table)
+	if err != nil {
+		return err
 	}
 	buckets := make([][]types.Row, c.nShards)
 	if meta.repl {
@@ -599,7 +701,7 @@ func (c *NetCluster) Insert(table string, rows []types.Row) error {
 			wg.Add(1)
 			go func(i, s int) {
 				defer wg.Done()
-				errs[i] = c.pool.Insert(addrs[s], s, table, token, buckets[s])
+				errs[i] = c.client.Insert(addrs[s], s, table, token, buckets[s])
 			}(i, s)
 		}
 		wg.Wait()
@@ -620,23 +722,21 @@ func (c *NetCluster) Insert(table string, rows []types.Row) error {
 
 // Rows returns a table's cluster-wide live row count.
 func (c *NetCluster) Rows(table string) (int, error) {
-	c.mu.RLock()
-	meta, ok := c.tables[strings.ToLower(table)]
-	c.mu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("mpp: table %s does not exist", table)
+	meta, err := c.tableMeta(table)
+	if err != nil {
+		return 0, err
 	}
 	addrs, err := c.shardAddrs()
 	if err != nil {
 		return 0, err
 	}
 	if meta.repl {
-		n, err := c.pool.RowCount(addrs[0], 0, table)
+		n, err := c.client.RowCount(addrs[0], 0, table)
 		return int(n), err
 	}
 	total := 0
 	for s := 0; s < c.nShards; s++ {
-		n, err := c.pool.RowCount(addrs[s], s, table)
+		n, err := c.client.RowCount(addrs[s], s, table)
 		if err != nil {
 			return 0, err
 		}

@@ -11,6 +11,9 @@ import (
 	"dashdb/internal/types"
 )
 
+// The tests here need a shard server to kill, so they run on the socket
+// client only; everything transport-independent is in cluster_test.go.
+
 // startNetCluster boots n in-process shard servers over one clustered
 // filesystem and a coordinator with nShards shards spread across them.
 func startNetCluster(t *testing.T, n, nShards int) (*NetCluster, []*shardrpc.Server, *clusterfs.FS) {
@@ -36,253 +39,12 @@ func startNetCluster(t *testing.T, n, nShards int) (*NetCluster, []*shardrpc.Ser
 	return c, servers, fs
 }
 
-func seedNetSales(t *testing.T, c *NetCluster, rows int) {
-	t.Helper()
-	schema := types.Schema{
-		{Name: "id", Kind: types.KindInt},
-		{Name: "region", Kind: types.KindString, Nullable: true},
-		{Name: "amount", Kind: types.KindFloat, Nullable: true},
-	}
-	if err := c.CreateTable("sales", schema, TableOptions{DistributeBy: "id"}); err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	regions := []string{"north", "south", "east", "west"}
-	var batch []types.Row
-	for i := 0; i < rows; i++ {
-		batch = append(batch, types.Row{
-			types.NewInt(int64(i)),
-			types.NewString(regions[i%len(regions)]),
-			types.NewFloat(float64(i%100) + 0.5),
-		})
-	}
-	if err := c.Insert("sales", batch); err != nil {
-		t.Fatalf("insert: %v", err)
-	}
-}
-
-func TestNetClusterScatterAggregate(t *testing.T) {
-	c, _, _ := startNetCluster(t, 3, 3)
-	seedNetSales(t, c, 400)
-
-	if n, err := c.Rows("sales"); err != nil || n != 400 {
-		t.Fatalf("rows=%d err=%v", n, err)
-	}
-	res, err := c.Query("SELECT region, COUNT(*) AS n, SUM(amount) AS total, AVG(amount) AS avg_amt FROM sales GROUP BY region ORDER BY region")
-	if err != nil {
-		t.Fatalf("query: %v", err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("groups %d, want 4", len(res.Rows))
-	}
-	for _, r := range res.Rows {
-		if r[1].Int() != 100 {
-			t.Fatalf("group %v count %d, want 100", r[0], r[1].Int())
-		}
-	}
-	if res.Stats == nil {
-		t.Fatal("scatter result must carry merged shard stats")
-	}
-	if res.Stats.Shards != 3 {
-		t.Fatalf("stats shards %d, want 3", res.Stats.Shards)
-	}
-	if got := c.Stats(); got.FastPathQueries == 0 {
-		t.Fatalf("fast path not taken: %+v", got)
-	}
-}
-
-// TestNetClusterParitySingleNode is the bit-identical acceptance check:
-// the same workload on a 3-shard network cluster and a 1-shard cluster
-// must produce identical results on scatter, shuffle-join and gather
-// paths alike.
-func TestNetClusterParitySingleNode(t *testing.T) {
-	multi, _, _ := startNetCluster(t, 3, 3)
-	single, _, _ := startNetCluster(t, 1, 1)
-
-	for _, c := range []*NetCluster{multi, single} {
-		seedNetSales(t, c, 300)
-		if err := c.CreateTable("regions", types.Schema{
-			{Name: "name", Kind: types.KindString},
-			{Name: "manager", Kind: types.KindString, Nullable: true},
-		}, TableOptions{DistributeBy: "name"}); err != nil {
-			t.Fatalf("create regions: %v", err)
-		}
-		if err := c.Insert("regions", []types.Row{
-			{types.NewString("north"), types.NewString("ada")},
-			{types.NewString("south"), types.NewString("bob")},
-			{types.NewString("east"), types.NewString("cho")},
-			// "west" intentionally missing: exercises LEFT JOIN nulls.
-		}); err != nil {
-			t.Fatalf("insert regions: %v", err)
-		}
-	}
-
-	queries := []string{
-		// Scatter fast path: partial aggregation.
-		"SELECT region, COUNT(*) AS n, SUM(amount) AS s, MIN(amount) AS lo, MAX(amount) AS hi FROM sales GROUP BY region ORDER BY region",
-		// Global aggregate, no GROUP BY.
-		"SELECT COUNT(*) AS n, AVG(amount) AS a FROM sales",
-		// Plain scatter with ORDER BY + LIMIT pushdown.
-		"SELECT id, amount FROM sales ORDER BY id DESC LIMIT 7",
-		// Shuffle join: two distributed tables on a non-distribution key.
-		"SELECT s.region, COUNT(*) AS n FROM sales s INNER JOIN regions r ON s.region = r.name GROUP BY s.region ORDER BY s.region",
-		// LEFT JOIN through the shuffle (west has no match).
-		"SELECT s.region, COUNT(*) AS n FROM sales s LEFT JOIN regions r ON s.region = r.name GROUP BY s.region ORDER BY s.region",
-		// Gather path: DISTINCT disqualifies the fast paths.
-		"SELECT DISTINCT region FROM sales ORDER BY region",
-	}
-	for _, q := range queries {
-		mres, err := multi.Query(q)
-		if err != nil {
-			t.Fatalf("multi %q: %v", q, err)
-		}
-		sres, err := single.Query(q)
-		if err != nil {
-			t.Fatalf("single %q: %v", q, err)
-		}
-		if got, want := renderRows(mres.Rows), renderRows(sres.Rows); got != want {
-			t.Fatalf("%q diverged:\n3-shard:\n%s\n1-shard:\n%s", q, got, want)
-		}
-	}
-	if st := multi.Stats(); st.ShuffleJoins == 0 {
-		t.Fatalf("shuffle join path not taken: %+v", st)
-	}
-}
-
-func renderRows(rows []types.Row) string {
-	var b strings.Builder
-	for _, r := range rows {
-		for i, v := range r {
-			if i > 0 {
-				b.WriteByte('\t')
-			}
-			b.WriteString(v.String())
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// TestNetClusterParityNullJoinKeys: NULL join keys hash to partition 0
-// but must never match under SQL equality; LEFT JOIN must null-extend
-// them. Parity against a single shard proves the shuffle preserves
-// those semantics.
-func TestNetClusterParityNullJoinKeys(t *testing.T) {
-	multi, _, _ := startNetCluster(t, 3, 3)
-	single, _, _ := startNetCluster(t, 1, 1)
-
-	for _, c := range []*NetCluster{multi, single} {
-		if err := c.CreateTable("orders", types.Schema{
-			{Name: "id", Kind: types.KindInt},
-			{Name: "cust", Kind: types.KindString, Nullable: true},
-		}, TableOptions{DistributeBy: "id"}); err != nil {
-			t.Fatalf("create orders: %v", err)
-		}
-		if err := c.CreateTable("custs", types.Schema{
-			{Name: "name", Kind: types.KindString, Nullable: true},
-			{Name: "tier", Kind: types.KindInt},
-		}, TableOptions{DistributeBy: "tier"}); err != nil {
-			t.Fatalf("create custs: %v", err)
-		}
-		var orders []types.Row
-		for i := 0; i < 60; i++ {
-			cust := types.NewString(fmt.Sprintf("c%d", i%7))
-			if i%5 == 0 {
-				cust = types.Null // NULL join keys sprinkled through every shard
-			}
-			orders = append(orders, types.Row{types.NewInt(int64(i)), cust})
-		}
-		if err := c.Insert("orders", orders); err != nil {
-			t.Fatalf("insert orders: %v", err)
-		}
-		var custs []types.Row
-		for i := 0; i < 7; i++ {
-			name := types.NewString(fmt.Sprintf("c%d", i))
-			if i == 3 {
-				name = types.Null // NULL on the build side too
-			}
-			custs = append(custs, types.Row{name, types.NewInt(int64(i))})
-		}
-		if err := c.Insert("custs", custs); err != nil {
-			t.Fatalf("insert custs: %v", err)
-		}
-	}
-	queries := []string{
-		"SELECT COUNT(*) AS n FROM orders o INNER JOIN custs c ON o.cust = c.name",
-		"SELECT COUNT(*) AS n FROM orders o LEFT JOIN custs c ON o.cust = c.name",
-		"SELECT o.cust, COUNT(*) AS n FROM orders o LEFT JOIN custs c ON o.cust = c.name GROUP BY o.cust ORDER BY 1",
-	}
-	for _, q := range queries {
-		mres, err := multi.Query(q)
-		if err != nil {
-			t.Fatalf("multi %q: %v", q, err)
-		}
-		sres, err := single.Query(q)
-		if err != nil {
-			t.Fatalf("single %q: %v", q, err)
-		}
-		if got, want := renderRows(mres.Rows), renderRows(sres.Rows); got != want {
-			t.Fatalf("%q diverged:\n3-shard:\n%s\n1-shard:\n%s", q, got, want)
-		}
-	}
-}
-
-// TestNetClusterParityUnderSpill starves every shard (tiny node RAM →
-// ~8KB sort/hash heaps) so sorts and joins spill mid-query, and checks
-// the distributed answer still matches a comfortable single shard.
-func TestNetClusterParityUnderSpill(t *testing.T) {
-	fs := clusterfs.New()
-	var nodes []NetNode
-	for i := 0; i < 3; i++ {
-		name := fmt.Sprintf("tiny%d", i)
-		srv := shardrpc.NewServer(name, fs)
-		if err := srv.Start("127.0.0.1:0"); err != nil {
-			t.Fatalf("start: %v", err)
-		}
-		t.Cleanup(srv.Close)
-		// ~56KB per shard slice → ~8KB SORTHEAP/HASHHEAP per shard.
-		nodes = append(nodes, NetNode{Name: name, Addr: srv.Addr(), Cores: 2, MemBytes: 112 << 10})
-	}
-	multi, err := NewNetCluster(nodes, 6, fs)
-	if err != nil {
-		t.Fatalf("NewNetCluster: %v", err)
-	}
-	t.Cleanup(multi.Close)
-	for _, a := range multi.ShardAssigns() {
-		if a.SortHeap > 16<<10 {
-			t.Fatalf("shard %d sort heap %d: test needs starved heaps", a.ID, a.SortHeap)
-		}
-	}
-	single, _, _ := startNetCluster(t, 1, 1)
-
-	for _, c := range []*NetCluster{multi, single} {
-		seedNetSales(t, c, 2000)
-	}
-	queries := []string{
-		"SELECT region, COUNT(*) AS n, SUM(amount) AS s FROM sales GROUP BY region ORDER BY region",
-		"SELECT id, amount FROM sales ORDER BY amount DESC, id LIMIT 25",
-		"SELECT DISTINCT region FROM sales ORDER BY region",
-	}
-	for _, q := range queries {
-		mres, err := multi.Query(q)
-		if err != nil {
-			t.Fatalf("multi %q: %v", q, err)
-		}
-		sres, err := single.Query(q)
-		if err != nil {
-			t.Fatalf("single %q: %v", q, err)
-		}
-		if got, want := renderRows(mres.Rows), renderRows(sres.Rows); got != want {
-			t.Fatalf("%q diverged under spill:\n3-shard:\n%s\n1-shard:\n%s", q, got, want)
-		}
-	}
-}
-
 // TestNetClusterFailover kills one server mid-workload: the survivors
 // adopt its shards from clusterfs with reduced per-shard budgets and
 // the interrupted statement completes.
 func TestNetClusterFailover(t *testing.T) {
 	c, servers, _ := startNetCluster(t, 3, 6)
-	seedNetSales(t, c, 600)
+	seedSales(t, c, 600, 0.5)
 
 	before := c.ShardAssigns()
 
@@ -336,7 +98,7 @@ func TestNetClusterFailover(t *testing.T) {
 // durably applied its bucket.
 func TestNetClusterInsertFailoverNoDuplicates(t *testing.T) {
 	c, servers, _ := startNetCluster(t, 3, 6)
-	seedNetSales(t, c, 300)
+	seedSales(t, c, 300, 0.5)
 
 	servers[2].Close()
 
@@ -381,7 +143,7 @@ func TestNetClusterIDsSeededRandomly(t *testing.T) {
 // cluster-wide, not accumulate for the process lifetime.
 func TestNetClusterShuffleJoinFailoverDrops(t *testing.T) {
 	c, servers, _ := startNetCluster(t, 3, 3)
-	seedNetSales(t, c, 200)
+	seedSales(t, c, 200, 0.5)
 	if err := c.CreateTable("regions", types.Schema{
 		{Name: "name", Kind: types.KindString},
 		{Name: "manager", Kind: types.KindString, Nullable: true},
@@ -422,98 +184,5 @@ func TestNetClusterShuffleJoinFailoverDrops(t *testing.T) {
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
-	}
-}
-
-// TestNetClusterGrowShrink exercises elastic re-shard: a new node
-// adopts existing shards; removing it hands them back.
-func TestNetClusterGrowShrink(t *testing.T) {
-	c, servers, fs := startNetCluster(t, 2, 4)
-	seedNetSales(t, c, 200)
-
-	extra := shardrpc.NewServer("nodeC", fs)
-	if err := extra.Start("127.0.0.1:0"); err != nil {
-		t.Fatalf("start extra: %v", err)
-	}
-	defer extra.Close()
-	if err := c.AddNode(NetNode{Name: "nodeC", Addr: extra.Addr(), Cores: 4, MemBytes: 256 << 20}); err != nil {
-		t.Fatalf("grow: %v", err)
-	}
-	if got := len(extra.Shards()); got == 0 {
-		t.Fatal("grown node adopted no shards")
-	}
-	if n, err := c.Rows("sales"); err != nil || n != 200 {
-		t.Fatalf("rows after grow=%d err=%v", n, err)
-	}
-	res, err := c.Query("SELECT COUNT(*) AS n FROM sales")
-	if err != nil || res.Rows[0][0].Int() != 200 {
-		t.Fatalf("count after grow: %v %v", res, err)
-	}
-
-	if err := c.RemoveNode("nodeC"); err != nil {
-		t.Fatalf("shrink: %v", err)
-	}
-	if got := len(extra.Shards()); got != 0 {
-		t.Fatalf("shrunk node still hosts %d shards", got)
-	}
-	if n, err := c.Rows("sales"); err != nil || n != 200 {
-		t.Fatalf("rows after shrink=%d err=%v", n, err)
-	}
-	if st := c.Stats(); st.Reshards != 2 {
-		t.Fatalf("reshards %d, want 2", st.Reshards)
-	}
-	_ = servers
-}
-
-// TestNetClusterManifestRestore reopens a coordinator over the same
-// clusterfs: tables and data must survive without re-registration.
-func TestNetClusterManifestRestore(t *testing.T) {
-	c, servers, fs := startNetCluster(t, 2, 2)
-	seedNetSales(t, c, 100)
-	c.Close()
-
-	nodes := []NetNode{
-		{Name: "nodeA", Addr: servers[0].Addr(), Cores: 4, MemBytes: 256 << 20},
-		{Name: "nodeB", Addr: servers[1].Addr(), Cores: 4, MemBytes: 256 << 20},
-	}
-	c2, err := OpenNetCluster(nodes, fs)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer c2.Close()
-	if n, err := c2.Rows("sales"); err != nil || n != 100 {
-		t.Fatalf("rows=%d err=%v", n, err)
-	}
-	res, err := c2.Query("SELECT COUNT(*) AS n FROM sales")
-	if err != nil || res.Rows[0][0].Int() != 100 {
-		t.Fatalf("count after reopen: %v %v", res, err)
-	}
-}
-
-// TestNetClusterSQLSurface drives DDL/DML/query entirely through SQL.
-func TestNetClusterSQLSurface(t *testing.T) {
-	c, _, _ := startNetCluster(t, 2, 2)
-	if _, err := c.Query("CREATE TABLE kv (k INT, v VARCHAR(10))"); err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	if _, err := c.Query("INSERT INTO kv VALUES (1, 'one'), (2, 'two'), (3, 'three')"); err != nil {
-		t.Fatalf("insert: %v", err)
-	}
-	res, err := c.Query("SELECT COUNT(*) AS n FROM kv")
-	if err != nil || res.Rows[0][0].Int() != 3 {
-		t.Fatalf("count: %v %v", res, err)
-	}
-	if _, err := c.Query("DELETE FROM kv WHERE k = 2"); err != nil {
-		t.Fatalf("delete: %v", err)
-	}
-	res, err = c.Query("SELECT COUNT(*) AS n FROM kv")
-	if err != nil || res.Rows[0][0].Int() != 2 {
-		t.Fatalf("count after delete: %v %v", res, err)
-	}
-	if _, err := c.Query("DROP TABLE kv"); err != nil {
-		t.Fatalf("drop: %v", err)
-	}
-	if _, err := c.Query("SELECT COUNT(*) FROM kv"); err == nil {
-		t.Fatal("query after drop must fail")
 	}
 }

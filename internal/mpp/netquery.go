@@ -11,10 +11,9 @@ import (
 	"dashdb/internal/types"
 )
 
-// Query dispatch for the multi-process coordinator. The decision tree
-// mirrors the in-process Cluster — scatter fast path, then shuffle
-// join, then coordinator gather — but every shard interaction is a
-// shardrpc call, and a node death anywhere in the tree triggers
+// Query dispatch. The decision tree is scatter fast path, then shuffle
+// join, then coordinator gather; every shard interaction is a
+// shardClient call, and a node death anywhere in the tree triggers
 // failover plus one retry against the surviving membership.
 
 // Query parses and executes a statement cluster-wide (ANSI dialect).
@@ -88,7 +87,7 @@ func (c *NetCluster) netBroadcast(st sql.Statement, d sql.Dialect) (*core.Result
 			wg.Add(1)
 			go func(i, s int) {
 				defer wg.Done()
-				res, err := c.pool.Exec(addrs[s], shardrpc.ExecReq{ShardID: s, Dialect: d, Stmt: st, Token: token})
+				res, err := c.client.Exec(addrs[s], shardrpc.ExecReq{ShardID: s, Dialect: d, Stmt: st, Token: token})
 				if err != nil {
 					errs[i] = err
 					return
@@ -116,11 +115,9 @@ func (c *NetCluster) netBroadcast(st sql.Statement, d sql.Dialect) (*core.Result
 // netInsertStmt evaluates INSERT rows at the coordinator and routes
 // them through Insert (which carries the failover retry).
 func (c *NetCluster) netInsertStmt(stmt *sql.InsertStmt, d sql.Dialect) (*core.Result, error) {
-	c.mu.RLock()
-	meta, ok := c.tables[strings.ToLower(stmt.Table)]
-	c.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("mpp: table %s does not exist", stmt.Table)
+	meta, err := c.tableMeta(stmt.Table)
+	if err != nil {
+		return nil, err
 	}
 	if stmt.Query != nil {
 		res, err := c.netSelect(stmt.Query, d, "")
@@ -190,13 +187,14 @@ func (c *NetCluster) netSelect(sel *sql.SelectStmt, d sql.Dialect, text string) 
 	return c.netGather(sel, d, text)
 }
 
-// netDecompose mirrors Cluster.decompose over the net catalog.
+// netDecompose decides whether the query can run scatter/gather with
+// partial aggregation: every FROM table known to the cluster with at
+// most one non-replicated table (co-location), and a select shape
+// classifySelect accepts.
 func (c *NetCluster) netDecompose(sel *sql.SelectStmt) (*fastPlan, bool) {
 	lookup := func(name string) (replicated, known bool) {
-		c.mu.RLock()
-		meta, ok := c.tables[strings.ToLower(name)]
-		c.mu.RUnlock()
-		if !ok {
+		meta, err := c.tableMeta(name)
+		if err != nil {
 			return false, false
 		}
 		return meta.repl, true
@@ -254,7 +252,7 @@ func (c *NetCluster) netScatter(sel *sql.SelectStmt, d sql.Dialect, text string,
 			wg.Add(1)
 			go func(s int) {
 				defer wg.Done()
-				res, err := c.pool.Exec(addrs[s], shardrpc.ExecReq{
+				res, err := c.client.Exec(addrs[s], shardrpc.ExecReq{
 					ShardID: s, Dialect: d, Stmt: sel, SQL: text, WithStats: true,
 				})
 				if err != nil {
@@ -426,7 +424,7 @@ func (c *NetCluster) dropShuffle(qid uint64) {
 	}
 	c.mu.RUnlock()
 	for _, addr := range addrs {
-		c.pool.DropShuffle(addr, qid) //nolint:errcheck — best effort; a dead node has no inboxes to free
+		c.client.DropShuffle(addr, qid) //nolint:errcheck — best effort; a dead node has no inboxes to free
 	}
 }
 
@@ -468,7 +466,7 @@ func (c *NetCluster) shuffleJoinOnce(qid uint64, sel *sql.SelectStmt, sj *shuffl
 		wg.Add(1)
 		go func(i int, f frag) {
 			defer wg.Done()
-			fragErrs[i] = c.pool.Fragment(addrs[f.shard], f.req)
+			fragErrs[i] = c.client.Fragment(addrs[f.shard], f.req)
 		}(i, f)
 	}
 	wg.Wait()
@@ -503,7 +501,7 @@ func (c *NetCluster) shuffleJoinOnce(qid uint64, sel *sql.SelectStmt, sj *shuffl
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			res, err := c.pool.JoinFrag(addrs[p], shardrpc.JoinFragReq{
+			res, err := c.client.JoinFrag(addrs[p], shardrpc.JoinFragReq{
 				Query: qid, ShardID: p, Part: p, Dialect: d,
 				BuildStage: 0, ProbeStage: 1,
 				BuildName: shuffleBuildName, ProbeName: shuffleProbeName,
@@ -568,6 +566,16 @@ func (g *netGatherSource) ScanAll() ([]types.Row, error) {
 	return all, nil
 }
 
+// TableRows gathers every live row of a table to the caller (hybrid sync
+// and diagnostics; replicated tables return one copy).
+func (c *NetCluster) TableRows(name string) ([]types.Row, error) {
+	meta, err := c.tableMeta(name)
+	if err != nil {
+		return nil, err
+	}
+	return (&netGatherSource{c: c, table: name, meta: meta}).ScanAll()
+}
+
 // scanShard pulls one shard's rows, failing the node over and retrying
 // once if it dies mid-scan.
 func (c *NetCluster) scanShard(scan *sql.SelectStmt, shard int) ([]types.Row, error) {
@@ -580,7 +588,7 @@ func (c *NetCluster) scanShard(scan *sql.SelectStmt, shard int) ([]types.Row, er
 		if err != nil {
 			return nil, err
 		}
-		res, err := c.pool.Exec(addr, shardrpc.ExecReq{ShardID: shard, Dialect: sql.DialectANSI, Stmt: scan})
+		res, err := c.client.Exec(addr, shardrpc.ExecReq{ShardID: shard, Dialect: sql.DialectANSI, Stmt: scan})
 		if err == nil {
 			return res.Rows, nil
 		}

@@ -4,80 +4,51 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"strings"
 
 	"dashdb/internal/clusterfs"
-	"dashdb/internal/columnar"
-	"dashdb/internal/types"
+	"dashdb/internal/shardrpc"
 )
 
 // Cluster persistence realizes §II.E's portability claim in full: "by
 // copying/moving the clustered file system by any method available to
 // your infrastructure you can now docker run and deploy quick and easily
 // against an entirely new set of hardware with a different physical
-// cluster topology". Checkpoint writes every shard's table metadata plus
-// a cluster manifest to the filesystem; Restore builds a new cluster —
-// over any node list — and reopens the tables. The shard count is fixed
-// by the manifest (shards own their file-sets); the node topology is
-// free, exactly the paper's model.
+// cluster topology". The coordinator keeps a manifest of the shard count
+// and tables on the filesystem; OpenNetCluster / Restore build a new
+// cluster over any node list from it. The shard count is fixed by the
+// manifest (shards own their file-sets); the node topology is free,
+// exactly the paper's model.
 
 // manifestPath is the manifest's location on the clustered filesystem.
 const manifestPath = "cluster/manifest"
 
-// manifestTable records one table's identity and placement.
-type manifestTable struct {
-	Name         string
-	ID           uint32 // storage id, identical on every shard
-	Schema       types.Schema
-	DistributeBy string
-	Replicated   bool
-}
-
 // manifest is the cluster's persisted shape.
 type manifest struct {
 	NShards int
-	Tables  []manifestTable
+	Tables  []shardrpc.TableSpec // storage ids are identical on every shard
 }
 
-// Checkpoint persists all shard tables and the cluster manifest to the
-// clustered filesystem. The cluster remains usable afterwards.
-func (c *Cluster) Checkpoint() error {
+// Checkpoint makes the clustered filesystem a complete image of the
+// cluster. Socket shard servers persist a table after every write, so
+// there this only rewrites the manifest; in-process engines persist
+// pages as strides seal but table metadata (dictionaries, synopses, the
+// open stride) only here, which is what keeps their write path free of
+// clusterfs writes. The cluster remains usable afterwards.
+func (c *NetCluster) Checkpoint() error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	m := manifest{NShards: len(c.shards)}
-	for name, meta := range c.tables {
-		t0, ok := c.shards[0].DB.Table(name)
-		if !ok {
-			return fmt.Errorf("mpp: checkpoint: shard 0 missing table %s", name)
-		}
-		mt := manifestTable{
-			Name:       name,
-			ID:         t0.ID(),
-			Schema:     meta.schema,
-			Replicated: meta.repl,
-		}
-		if meta.distCol >= 0 && meta.distCol < len(meta.schema) {
-			mt.DistributeBy = meta.schema[meta.distCol].Name
-		}
-		m.Tables = append(m.Tables, mt)
-		for _, sh := range c.shards {
-			tbl, ok := sh.DB.Table(name)
+	for shard, db := range c.ShardEngines() {
+		for name := range c.tables {
+			tbl, ok := db.Table(name)
 			if !ok {
-				return fmt.Errorf("mpp: checkpoint: shard %d missing table %s", sh.ID, name)
-			}
-			if tbl.ID() != mt.ID {
-				return fmt.Errorf("mpp: checkpoint: table %s has id %d on shard %d but %d on shard 0",
-					name, tbl.ID(), sh.ID, mt.ID)
+				return fmt.Errorf("mpp: checkpoint: shard %d missing table %s", shard, name)
 			}
 			if err := tbl.SaveMeta(); err != nil {
-				return fmt.Errorf("mpp: checkpoint: shard %d: %w", sh.ID, err)
+				return fmt.Errorf("mpp: checkpoint: shard %d: %w", shard, err)
 			}
 		}
 	}
-	if err := writeManifest(c.fs, m); err != nil {
-		return fmt.Errorf("mpp: checkpoint: %w", err)
-	}
-	return nil
+	return c.writeManifestLocked()
 }
 
 // writeManifest gob-encodes the cluster manifest onto the clustered
@@ -102,64 +73,4 @@ func readManifest(fs *clusterfs.FS) (manifest, error) {
 		return m, fmt.Errorf("mpp: manifest: %w", err)
 	}
 	return m, nil
-}
-
-// Restore builds a cluster over nodes from a checkpointed clustered
-// filesystem (typically a Snapshot of the original): the manifest fixes
-// the shard count; the node list — the physical topology — is free.
-func Restore(nodes []NodeSpec, fs *clusterfs.FS) (*Cluster, error) {
-	m, err := readManifest(fs)
-	if err != nil {
-		return nil, fmt.Errorf("mpp: restore: %w", err)
-	}
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("mpp: restore: no nodes")
-	}
-	if m.NShards < len(nodes) {
-		return nil, fmt.Errorf("mpp: restore: %d shards cannot spread over %d nodes", m.NShards, len(nodes))
-	}
-	// Build the cluster with exactly the manifest's shard count.
-	shardsPerNode := (m.NShards + len(nodes) - 1) / len(nodes)
-	c, err := NewCluster(nodes, shardsPerNode, fs)
-	if err != nil {
-		return nil, err
-	}
-	if len(c.shards) != m.NShards {
-		// Core clamping can interfere; rebuild the shard list explicitly.
-		return nil, fmt.Errorf("mpp: restore: built %d shards, manifest has %d (increase node cores)", len(c.shards), m.NShards)
-	}
-	maxID := uint32(0)
-	for _, mt := range m.Tables {
-		distCol := 0
-		if mt.DistributeBy != "" {
-			distCol = mt.Schema.ColumnIndex(mt.DistributeBy)
-			if distCol < 0 {
-				distCol = 0
-			}
-		}
-		for _, sh := range c.shards {
-			tbl, err := columnar.OpenTable(mt.ID, mt.Schema, columnar.Config{
-				Pool:  sh.DB.Pool(),
-				Store: fs.ShardStore(sh.ID),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("mpp: restore: shard %d table %s: %w", sh.ID, mt.Name, err)
-			}
-			if err := sh.DB.Catalog().CreateTable(tbl, false); err != nil {
-				return nil, fmt.Errorf("mpp: restore: shard %d table %s: %w", sh.ID, mt.Name, err)
-			}
-		}
-		c.tables[strings.ToLower(mt.Name)] = &tableMeta{
-			schema:  mt.Schema,
-			distCol: distCol,
-			repl:    mt.Replicated,
-		}
-		if mt.ID > maxID {
-			maxID = mt.ID
-		}
-	}
-	for _, sh := range c.shards {
-		sh.DB.Catalog().EnsureNextID(maxID + 1)
-	}
-	return c, nil
 }

@@ -3,7 +3,6 @@ package mpp
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"dashdb/internal/core"
 	"dashdb/internal/exec"
@@ -11,104 +10,8 @@ import (
 	"dashdb/internal/types"
 )
 
-// Query parses and executes a statement cluster-wide under the ANSI
-// dialect. SELECTs use the MPP fast path (scatter partial aggregation,
-// gather, final merge) when the query decomposes; otherwise they fall
-// back to a coordinator gather plan. DML and DDL are routed or broadcast.
-func (c *Cluster) Query(text string) (*core.Result, error) {
-	return c.QueryDialect(text, sql.DialectANSI)
-}
-
-// QueryDialect is Query under an explicit SQL dialect.
-func (c *Cluster) QueryDialect(text string, d sql.Dialect) (*core.Result, error) {
-	st, err := sql.Parse(text, d)
-	if err != nil {
-		return nil, err
-	}
-	switch stmt := st.(type) {
-	case *sql.SelectStmt:
-		return c.querySelect(stmt, d, text)
-	case *sql.InsertStmt:
-		return c.insertStmt(stmt, d)
-	case *sql.CreateTableStmt:
-		return c.createTableStmt(stmt)
-	case *sql.DropStmt:
-		if stmt.Kind == "TABLE" {
-			if err := c.DropTable(stmt.Name); err != nil {
-				if stmt.IfExists {
-					return &core.Result{Message: "OK"}, nil
-				}
-				return nil, err
-			}
-			return &core.Result{Message: "TABLE DROPPED"}, nil
-		}
-		return c.broadcast(st)
-	case *sql.TruncateStmt, *sql.DeleteStmt, *sql.UpdateStmt:
-		return c.broadcast(st)
-	default:
-		return c.broadcast(st)
-	}
-}
-
-// broadcast runs a statement on every shard, summing affected rows.
-func (c *Cluster) broadcast(st sql.Statement) (*core.Result, error) {
-	c.mu.RLock()
-	shards := c.shards
-	c.mu.RUnlock()
-	var wg sync.WaitGroup
-	results := make([]*core.Result, len(shards))
-	errs := make([]error, len(shards))
-	for i, sh := range shards {
-		wg.Add(1)
-		go func(i int, sh *Shard) {
-			defer wg.Done()
-			results[i], errs[i] = sh.DB.NewSession().ExecParsed(st)
-		}(i, sh)
-	}
-	wg.Wait()
-	total := int64(0)
-	for i := range shards {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		total += results[i].RowsAffected
-	}
-	return &core.Result{RowsAffected: total, Message: fmt.Sprintf("%d rows affected cluster-wide", total)}, nil
-}
-
-// insertStmt evaluates INSERT rows at the coordinator and routes them by
-// distribution key.
-func (c *Cluster) insertStmt(stmt *sql.InsertStmt, d sql.Dialect) (*core.Result, error) {
-	c.mu.RLock()
-	meta, ok := c.tables[strings.ToLower(stmt.Table)]
-	c.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("mpp: table %s does not exist", stmt.Table)
-	}
-	if stmt.Query != nil {
-		// INSERT..SELECT: run the query cluster-wide, then route.
-		res, err := c.querySelect(stmt.Query, d, "")
-		if err != nil {
-			return nil, err
-		}
-		if err := c.Insert(stmt.Table, res.Rows); err != nil {
-			return nil, err
-		}
-		return &core.Result{RowsAffected: int64(len(res.Rows))}, nil
-	}
-	rows, err := evalInsertRows(stmt, meta.schema, d)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Insert(stmt.Table, rows); err != nil {
-		return nil, err
-	}
-	return &core.Result{RowsAffected: int64(len(rows))}, nil
-}
-
 // evalInsertRows evaluates an INSERT's literal rows with a scratch
-// compiler and maps any column list onto the table schema. Shared by
-// the in-process and network coordinators.
+// compiler and maps any column list onto the table schema.
 func evalInsertRows(stmt *sql.InsertStmt, schema types.Schema, d sql.Dialect) ([]types.Row, error) {
 	scratch := core.Open(core.Config{BufferPoolBytes: 1 << 20})
 	defer scratch.Close()
@@ -144,133 +47,6 @@ func evalInsertRows(stmt *sql.InsertStmt, schema types.Schema, d sql.Dialect) ([
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-func (c *Cluster) createTableStmt(stmt *sql.CreateTableStmt) (*core.Result, error) {
-	if stmt.AsQuery != nil {
-		return nil, fmt.Errorf("mpp: CREATE TABLE AS SELECT is not supported cluster-wide; create then INSERT..SELECT")
-	}
-	var schema types.Schema
-	for _, cd := range stmt.Columns {
-		kind, err := sql.TypeKindFor(cd.Type)
-		if err != nil {
-			return nil, err
-		}
-		schema = append(schema, types.Column{Name: cd.Name, Kind: kind, Nullable: !cd.NotNull})
-	}
-	if err := c.CreateTable(stmt.Table, schema, TableOptions{}); err != nil {
-		if stmt.IfNotExists {
-			return &core.Result{Message: "TABLE EXISTS"}, nil
-		}
-		return nil, err
-	}
-	return &core.Result{Message: "TABLE CREATED"}, nil
-}
-
-// --- SELECT handling ---------------------------------------------------------
-
-func (c *Cluster) querySelect(sel *sql.SelectStmt, d sql.Dialect, text string) (*core.Result, error) {
-	if plan, ok := c.decompose(sel); ok {
-		res, err := c.runFastPath(sel, plan, d, text)
-		if err == nil {
-			c.mu.Lock()
-			c.stats.FastPathQueries++
-			c.mu.Unlock()
-			return res, nil
-		}
-		// Fall through to the gather path on any fast-path failure.
-	}
-	c.mu.Lock()
-	c.stats.GatherPathQueries++
-	c.mu.Unlock()
-	return c.gatherQuery(sel, d, text)
-}
-
-// gatherSource streams a table's rows from every shard to the
-// coordinator (the universal, slower path).
-type gatherSource struct {
-	c     *Cluster
-	table string
-	meta  *tableMeta
-}
-
-func (g *gatherSource) Schema() types.Schema { return g.meta.schema }
-func (g *gatherSource) Origin() string       { return "MPP-GATHER" }
-
-func (g *gatherSource) ScanAll() ([]types.Row, error) {
-	g.c.mu.RLock()
-	shards := g.c.shards
-	g.c.mu.RUnlock()
-	if g.meta.repl {
-		tbl, ok := shards[0].DB.Table(g.table)
-		if !ok {
-			return nil, fmt.Errorf("mpp: shard 0 missing table %s", g.table)
-		}
-		return tbl.SelectWhere(nil)
-	}
-	var mu sync.Mutex
-	var all []types.Row
-	var wg sync.WaitGroup
-	errs := make([]error, len(shards))
-	for i, sh := range shards {
-		wg.Add(1)
-		go func(i int, sh *Shard) {
-			defer wg.Done()
-			tbl, ok := sh.DB.Table(g.table)
-			if !ok {
-				errs[i] = fmt.Errorf("mpp: shard %d missing table %s", sh.ID, g.table)
-				return
-			}
-			rows, err := tbl.SelectWhere(nil)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			mu.Lock()
-			all = append(all, rows...)
-			mu.Unlock()
-		}(i, sh)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return all, nil
-}
-
-// gatherQuery compiles the original query at a coordinator engine whose
-// tables are gather-nicknames over the shards. Always correct; used when
-// the query does not decompose.
-func (c *Cluster) gatherQuery(sel *sql.SelectStmt, d sql.Dialect, text string) (*core.Result, error) {
-	coord := core.Open(core.Config{BufferPoolBytes: 4 << 20})
-	c.mu.RLock()
-	nShards := len(c.shards)
-	for name, meta := range c.tables {
-		if err := coord.Catalog().CreateNickname(name, &gatherSource{c: c, table: name, meta: meta}); err != nil {
-			c.mu.RUnlock()
-			return nil, err
-		}
-	}
-	c.mu.RUnlock()
-	sess := coord.NewSession()
-	sess.SetDialect(d)
-	res, err := sess.ExecParsed(sel)
-	if err != nil {
-		return nil, err
-	}
-	// The coordinator engine is per-query scratch, so lift its telemetry
-	// record into the cluster-level history before it is discarded.
-	if res.Stats != nil {
-		rec := *res.Stats
-		rec.ID = c.reg.NextID()
-		rec.SQL = text
-		rec.Shards = nShards
-		c.reg.Record(rec)
-		res.Stats = &rec
-	}
-	return res, nil
 }
 
 // fastPlan describes a decomposed aggregate query.
@@ -330,36 +106,6 @@ func hasSubquery(e sql.Expr) bool {
 		}
 	}
 	return false
-}
-
-// decompose decides whether the query can run scatter/gather with partial
-// aggregation. Requirements: no CTEs/UNION/DISTINCT/HAVING, no
-// subqueries, every FROM table known to the cluster with at most one
-// non-replicated table (co-location), aggregates limited to
-// COUNT/SUM/MIN/MAX/AVG, and select items that are either group-by
-// columns or aggregate calls.
-func (c *Cluster) decompose(sel *sql.SelectStmt) (*fastPlan, bool) {
-	lookup := func(name string) (replicated, known bool) {
-		c.mu.RLock()
-		meta, ok := c.tables[strings.ToLower(name)]
-		c.mu.RUnlock()
-		if !ok {
-			return false, false
-		}
-		return meta.repl, true
-	}
-	nonRepl, ok := countFromTables(sel, lookup)
-	if !ok || nonRepl > 1 {
-		return nil, false
-	}
-	plan, ok := classifySelect(sel)
-	if !ok {
-		return nil, false
-	}
-	// singleShard: every FROM table is replicated, so the query must run
-	// on exactly one shard (scattering would multiply results).
-	plan.singleShard = nonRepl == 0
-	return plan, true
 }
 
 // countFromTables walks the FROM clause counting non-replicated cluster
@@ -464,8 +210,8 @@ func classifySelect(sel *sql.SelectStmt) (*fastPlan, bool) {
 	}
 	if !hasAgg {
 		// Plain select: ORDER BY must be ordinal- or name-resolvable at
-		// the coordinator; defer that check to runFastPath which falls
-		// back on error.
+		// the coordinator; defer that check to netFastPath, whose caller
+		// falls back on error.
 		plan.plain = true
 	}
 	return plan, true

@@ -143,8 +143,8 @@ func (s *Server) Adopt(req AdoptReq) error {
 	for _, a := range req.Shards {
 		if slot, ok := s.engines[a.ID]; ok {
 			if slot.assign == a {
-				if err := s.ensureTablesLocked(slot, req.Tables); err != nil {
-					return err
+				if err := EnsureTables(slot.db, req.Tables); err != nil {
+					return fmt.Errorf("shardrpc: adopt shard %d: %w", a.ID, err)
 				}
 				continue
 			}
@@ -152,45 +152,50 @@ func (s *Server) Adopt(req AdoptReq) error {
 			slot.db.Close()
 			delete(s.engines, a.ID)
 		}
-		db := core.Open(core.Config{
-			BufferPoolBytes: int(a.MemBytes),
-			Parallelism:     a.Parallelism,
-			SortHeapBytes:   a.SortHeap,
-			HashHeapBytes:   a.HashHeap,
-			Store:           s.fs.ShardStore(a.ID),
-		})
-		slot := &engineSlot{db: db, assign: a}
-		if err := s.ensureTablesLocked(slot, req.Tables); err != nil {
+		db := OpenShard(s.fs, a)
+		if err := EnsureTables(db, req.Tables); err != nil {
 			db.Close()
-			return err
+			return fmt.Errorf("shardrpc: adopt shard %d: %w", a.ID, err)
 		}
-		s.engines[a.ID] = slot
+		s.engines[a.ID] = &engineSlot{db: db, assign: a}
 	}
 	return nil
 }
 
-// ensureTablesLocked opens (or creates empty) the shard-local slice of
-// every table the coordinator knows about.
-func (s *Server) ensureTablesLocked(slot *engineSlot, tables []TableSpec) error {
+// OpenShard opens a shard's engine over its file-set on the clustered
+// filesystem with the resources the coordinator granted it.
+func OpenShard(fs *clusterfs.FS, a ShardAssign) *core.DB {
+	return core.Open(core.Config{
+		BufferPoolBytes: int(a.MemBytes),
+		Parallelism:     a.Parallelism,
+		SortHeapBytes:   a.SortHeap,
+		HashHeapBytes:   a.HashHeap,
+		Store:           fs.ShardStore(a.ID),
+	})
+}
+
+// EnsureTables opens (or creates empty) the shard-local slice of every
+// table the coordinator knows about, on the engine's own page store.
+func EnsureTables(db *core.DB, tables []TableSpec) error {
 	var maxID uint32
 	for _, t := range tables {
 		if t.ID > maxID {
 			maxID = t.ID
 		}
-		if _, ok := slot.db.Table(t.Name); ok {
+		if _, ok := db.Table(t.Name); ok {
 			continue
 		}
-		cfg := columnar.Config{Pool: slot.db.Pool(), Store: s.fs.ShardStore(slot.assign.ID)}
+		cfg := columnar.Config{Pool: db.Pool(), Store: db.Config().Store}
 		tbl, err := columnar.OpenTable(t.ID, t.Schema, cfg)
 		if err != nil {
 			// No persisted meta yet: a freshly created shard slice.
 			tbl = columnar.NewTable(t.ID, t.Name, t.Schema, cfg)
 		}
-		if err := slot.db.Catalog().CreateTable(tbl, false); err != nil {
-			return fmt.Errorf("shardrpc: adopt shard %d table %s: %w", slot.assign.ID, t.Name, err)
+		if err := db.Catalog().CreateTable(tbl, false); err != nil {
+			return fmt.Errorf("table %s: %w", t.Name, err)
 		}
 	}
-	slot.db.Catalog().EnsureNextID(maxID + 1)
+	db.Catalog().EnsureNextID(maxID + 1)
 	return nil
 }
 
@@ -214,10 +219,32 @@ func (s *Server) Release(ids []int) {
 // stride) so another process can reopen the shard losslessly.
 func persistEngine(db *core.DB) {
 	for _, name := range db.Catalog().TableNames() {
-		if tbl, ok := db.Table(name); ok {
-			tbl.SaveMeta() //nolint:errcheck — best effort on shutdown
-		}
+		persistTable(db, name)
 	}
+}
+
+func persistTable(db *core.DB, name string) {
+	if tbl, ok := db.Table(name); ok {
+		tbl.SaveMeta() //nolint:errcheck — best effort: shutdown, or the pages are already on clusterfs
+	}
+}
+
+// writeTarget names the one table a write statement changes, "" when
+// the statement has none (or may touch several, e.g. a compound block).
+func writeTarget(st sql.Statement) string {
+	switch w := st.(type) {
+	case *sql.InsertStmt:
+		return w.Table
+	case *sql.UpdateStmt:
+		return w.Table
+	case *sql.DeleteStmt:
+		return w.Table
+	case *sql.TruncateStmt:
+		return w.Table
+	case *sql.CreateTableStmt:
+		return w.Table
+	}
+	return ""
 }
 
 // --- DML idempotency ---------------------------------------------------------
@@ -476,7 +503,13 @@ func (s *Server) handleExec(c *serverConn, payload []byte) error {
 		return c.write(FrameErr, []byte(err.Error()))
 	}
 	if write {
-		persistEngine(slot.db)
+		// SaveMeta rewrites a table's whole metadata, so persist only what
+		// the statement changed.
+		if target := writeTarget(req.Stmt); target != "" {
+			persistTable(slot.db, target)
+		} else {
+			persistEngine(slot.db)
+		}
 		s.markApplied(req.ShardID, req.Token, res.RowsAffected)
 	}
 	return writeResultStream(c, res, req.WithStats)

@@ -449,6 +449,60 @@ func TestExecTokenReplay(t *testing.T) {
 	check(12)
 }
 
+// TestExecPersistsOnlyTargetTable: after a write statement the server
+// saves the metadata of the table it changed, not of every table on the
+// shard — and that is still enough for another server to adopt the
+// shard and see the write.
+func TestExecPersistsOnlyTargetTable(t *testing.T) {
+	fs := clusterfs.New()
+	s := startTestServer(t, fs)
+	p := NewPool("coord")
+	defer p.Close()
+	shard0 := ShardAssign{ID: 0, MemBytes: 8 << 20, SortHeap: 1 << 20, HashHeap: 1 << 20, Parallelism: 2}
+	tables := []TableSpec{
+		{Name: "sales", ID: 1, Schema: types.Schema{
+			{Name: "id", Kind: types.KindInt},
+			{Name: "region", Kind: types.KindString, Nullable: true},
+			{Name: "amount", Kind: types.KindFloat, Nullable: true},
+		}},
+		{Name: "audit", ID: 2, Schema: types.Schema{{Name: "id", Kind: types.KindInt}}},
+	}
+	if err := s.Adopt(AdoptReq{Shards: []ShardAssign{shard0}, Tables: tables}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Insert(s.Addr(), 0, "sales", 0, []types.Row{{types.NewInt(1), types.NewString("north"), types.NewFloat(10)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Insert(s.Addr(), 0, "audit", 0, []types.Row{{types.NewInt(7)}}); err != nil {
+		t.Fatal(err)
+	}
+	upd, err := sql.Parse("UPDATE sales SET amount = amount + 1 WHERE id = 1", sql.DialectANSI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := fs.Stats().Writes
+	if _, err := p.Exec(s.Addr(), ExecReq{ShardID: 0, Stmt: upd}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fs.Stats().Writes - before; got != 1 {
+		t.Fatalf("UPDATE of one table made %d clusterfs writes, want 1 (that table's metadata)", got)
+	}
+
+	s2 := NewServer("other", fs)
+	if err := s2.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if err := s2.Adopt(AdoptReq{Shards: []ShardAssign{shard0}, Tables: tables}); err != nil {
+		t.Fatal(err)
+	}
+	q, _ := sql.Parse("SELECT amount FROM sales WHERE id = 1", sql.DialectANSI)
+	res, err := p.Exec(s2.Addr(), ExecReq{ShardID: 0, Stmt: q})
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Float() != 11 {
+		t.Fatalf("adopter reads %v (err %v), want the updated amount 11", res, err)
+	}
+}
+
 // TestShuffleDropFrame: FrameShuffleDrop discards every inbox of one
 // query and leaves other queries' inboxes alone.
 func TestShuffleDropFrame(t *testing.T) {

@@ -5,7 +5,7 @@ import (
 	"sync"
 	"time"
 
-	"dashdb/internal/mpp"
+	"dashdb/internal/core"
 )
 
 // JobState tracks a submitted application's lifecycle.
@@ -52,8 +52,6 @@ type App func(ctx *Context) (interface{}, error)
 // It creates one ClusterManager per user so users are isolated from each
 // other, and dispatches submitted applications onto that user's managers.
 type Dispatcher struct {
-	cluster *mpp.Cluster
-
 	mu       sync.Mutex
 	managers map[string]*ClusterManager
 	apps     map[string]App
@@ -62,18 +60,21 @@ type Dispatcher struct {
 	servers  []*DataServer // one per shard, shared by all users
 }
 
-// NewDispatcher starts the integrated analytics runtime over the MPP
-// cluster: one data server per shard (collocated access) and an empty
-// manager map.
-func NewDispatcher(cluster *mpp.Cluster) (*Dispatcher, error) {
+// NewDispatcher starts the integrated analytics runtime over an MPP
+// cluster's shard engines, in shard order: one data server per shard
+// (collocated access, so the engines must live in this process) and an
+// empty manager map.
+func NewDispatcher(shards []*core.DB) (*Dispatcher, error) {
+	if len(shards) == 0 {
+		return nil, fmt.Errorf("spark: no in-process shard engines to collocate with")
+	}
 	d := &Dispatcher{
-		cluster:  cluster,
 		managers: make(map[string]*ClusterManager),
 		apps:     make(map[string]App),
 		jobs:     make(map[int64]*Job),
 	}
-	for _, sh := range cluster.Shards() {
-		srv, err := NewDataServer(sh.DB)
+	for _, db := range shards {
+		srv, err := NewDataServer(db)
 		if err != nil {
 			d.Close()
 			return nil, err
@@ -284,11 +285,8 @@ type ClusterManager struct {
 
 func newClusterManager(user string, d *Dispatcher) *ClusterManager {
 	cm := &ClusterManager{user: user, d: d}
-	for i, sh := range d.cluster.Shards() {
-		cm.workers = append(cm.workers, &Worker{
-			Shard:    sh.ID,
-			DataAddr: d.servers[i].Addr(),
-		})
+	for i, srv := range d.servers {
+		cm.workers = append(cm.workers, &Worker{Shard: i, DataAddr: srv.Addr()})
 	}
 	return cm
 }

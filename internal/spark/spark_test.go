@@ -9,9 +9,9 @@ import (
 	"dashdb/internal/types"
 )
 
-func testCluster(t testing.TB, rows int) *mpp.Cluster {
+func testCluster(t testing.TB, rows int) *mpp.NetCluster {
 	t.Helper()
-	c, err := mpp.NewCluster([]mpp.NodeSpec{
+	c, err := mpp.NewCluster([]mpp.NetNode{
 		{Name: "A", Cores: 4, MemBytes: 32 << 20},
 		{Name: "B", Cores: 4, MemBytes: 32 << 20},
 	}, 2, nil)
@@ -45,10 +45,10 @@ func testCluster(t testing.TB, rows int) *mpp.Cluster {
 	return c
 }
 
-func newDispatcher(t testing.TB, rows int) (*mpp.Cluster, *Dispatcher) {
+func newDispatcher(t testing.TB, rows int) (*mpp.NetCluster, *Dispatcher) {
 	t.Helper()
 	c := testCluster(t, rows)
-	d, err := NewDispatcher(c)
+	d, err := NewDispatcher(c.ShardEngines())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +87,8 @@ func TestDatasetPartitionsMatchShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.(int) != len(c.Shards()) {
-		t.Fatalf("partitions %v, shards %d", res, len(c.Shards()))
+	if res.(int) != c.NShards() {
+		t.Fatalf("partitions %v, shards %d", res, c.NShards())
 	}
 }
 
@@ -325,7 +325,7 @@ func TestRegisteredAppAndSQLProcedures(t *testing.T) {
 		return ds.Count(), nil
 	})
 	// SQL interface on shard 0's engine.
-	db := c.Shards()[0].DB
+	db := c.ShardEngines()[0]
 	RegisterProcedures(db, d)
 	sess := db.NewSession()
 	sess.SetUser("carol")

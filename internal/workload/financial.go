@@ -105,10 +105,14 @@ func (f *Financial) Transactions() []types.Row {
 	rows := make([]types.Row, f.Scale)
 	for i := 0; i < f.Scale; i++ {
 		day := epochDay2010 + int64(i*finHistoryDays/f.Scale)
-		amount := float64(f.rng.Intn(100_000)) / 100
+		// Amounts are money, whole cents: scaling the float instead of the
+		// cent count leaves fat-tail trades one ulp off (861.99999999999989),
+		// which no fixed-point encoding can hold exactly.
+		cents := f.rng.Intn(100_000)
 		if f.rng.Intn(100) == 0 {
-			amount *= 100 // fat-tail trades
+			cents *= 100 // fat-tail trades
 		}
+		amount := float64(cents) / 100
 		rows[i] = types.Row{
 			types.NewInt(int64(i)),
 			types.NewInt(int64(f.rng.Intn(nAcc))),
