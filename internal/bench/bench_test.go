@@ -148,8 +148,8 @@ func BenchmarkParallelScan(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelGroupBy measures the parallel partitioned aggregation
-// against the serial GroupByOp (dop=1 runs the serial operator).
+// BenchmarkParallelGroupBy measures the vectorized GroupByOp at several
+// degrees (dop=1 is the serial plan).
 func BenchmarkParallelGroupBy(b *testing.B) {
 	tbl, err := parallelBenchTable(200_000)
 	if err != nil {
@@ -159,13 +159,7 @@ func BenchmarkParallelGroupBy(b *testing.B) {
 	for _, dop := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("dop=%d", dop), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				var op exec.Operator
-				if dop == 1 {
-					op = serialGroupBy(tbl, preds)
-				} else {
-					op = parallelGroupBy(tbl, preds, dop)
-				}
-				if err := drainOp(op); err != nil {
+				if err := drainOp(groupByAt(tbl, preds, dop)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -335,15 +329,7 @@ func BenchmarkCompressedGroupBy(b *testing.B) {
 	}{{"decoded", false}, {"compressed", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				op := &exec.ParallelGroupByOp{
-					Table:      fact,
-					GroupBy:    []exec.Expr{exec.ColRef(0)},
-					GroupCols:  types.Schema{{Name: "cat", Kind: types.KindString}},
-					Aggs:       figAggSpecs(),
-					Dop:        4,
-					Compressed: mode.compressed,
-				}
-				if err := drainOp(op); err != nil {
+				if err := drainOp(dictGroupBy(fact, mode.compressed)); err != nil {
 					b.Fatal(err)
 				}
 			}

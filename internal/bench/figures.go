@@ -315,8 +315,8 @@ func FigureH(rowsPerNode int) (string, error) {
 	return b.String(), nil
 }
 
-// FigureP reports morsel-driven parallel speedups: the serial scan and
-// GROUP BY against their parallel counterparts at growing dop (§II.A's
+// FigureP reports morsel-driven parallel speedups: the serial scan and the
+// dop-1 GROUP BY against the same scan and operator at growing dop (§II.A's
 // auto-configured query parallelism put to work; stride = morsel). Ratios
 // above 1.0x mean the parallel path is faster. On a single-core runner
 // the ratios hover near 1.0x — the figure reports runtime.NumCPU so that
@@ -336,7 +336,7 @@ func FigureP(rows int, dops []int) (string, error) {
 		_ = n
 		return err
 	})
-	serialAgg := timeIt(func() error { return drainOp(serialGroupBy(tbl, preds)) })
+	serialAgg := timeIt(func() error { return drainOp(groupByAt(tbl, preds, 1)) })
 
 	for _, dop := range dops {
 		d := dop
@@ -347,7 +347,7 @@ func FigureP(rows int, dops []int) (string, error) {
 				return true
 			})
 		})
-		parAgg := timeIt(func() error { return drainOp(parallelGroupBy(tbl, preds, d)) })
+		parAgg := timeIt(func() error { return drainOp(groupByAt(tbl, preds, d)) })
 		fmt.Fprintf(&b, "  dop %2d: scan %8v vs %8v (%.2fx)   group-by %8v vs %8v (%.2fx)\n",
 			d, serialScan.Round(time.Microsecond), parScan.Round(time.Microsecond),
 			float64(serialScan)/float64(maxDuration(parScan, 1)),
@@ -391,24 +391,18 @@ func figAggSpecs() []exec.AggSpec {
 	}
 }
 
-func serialGroupBy(tbl *columnar.Table, preds []columnar.Pred) exec.Operator {
-	return &exec.GroupByOp{
-		Child:     exec.NewScan(tbl, preds, nil),
-		GroupBy:   []exec.Expr{exec.ColRef(0)},
-		GroupCols: types.Schema{{Name: "g", Kind: types.KindInt}},
-		Aggs:      figAggSpecs(),
-	}
-}
-
-func parallelGroupBy(tbl *columnar.Table, preds []columnar.Pred, dop int) exec.Operator {
-	return &exec.ParallelGroupByOp{
-		Table:     tbl,
-		Preds:     preds,
+// groupByAt is the plan the compiler builds at SET PARALLELISM dop: the one
+// GroupByOp over a dop-way scan, vectorized. dop 1 is the serial plan.
+func groupByAt(tbl *columnar.Table, preds []columnar.Pred, dop int) exec.Operator {
+	scan := exec.NewScan(tbl, preds, nil)
+	scan.Dop = dop
+	return exec.Vectorize(&exec.GroupByOp{
+		Child:     scan,
 		GroupBy:   []exec.Expr{exec.ColRef(0)},
 		GroupCols: types.Schema{{Name: "g", Kind: types.KindInt}},
 		Aggs:      figAggSpecs(),
 		Dop:       dop,
-	}
+	})
 }
 
 func drainOp(op exec.Operator) error {

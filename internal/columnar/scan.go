@@ -72,41 +72,6 @@ func (b *Batch) Value(ci, i int) types.Value {
 	return c.enc.Decode(pg.Codes.Get(off))
 }
 
-// ColumnDict returns column ci's dictionary, or nil when the column is
-// not dictionary-encoded. Float columns report nil even when
-// dict-encoded: NaN breaks the value↔code bijection compressed execution
-// relies on (same gate as Table.ColumnDict). The dictionary comes from
-// the batch's pinned epoch, so it is the one that assigned every code in
-// the batch.
-func (b *Batch) ColumnDict(ci int) *encoding.Dict {
-	return b.st.columnDict(ci)
-}
-
-// Code returns column ci's dictionary code for the i'th selected tuple
-// without decoding, and whether the cell is non-NULL. Valid only for
-// columns whose encoder assigns codes (any analyzed column); the caller
-// pairs the codes with the column's dictionary from ColumnDict. Within
-// one scan every batch of a column shares a single dictionary: the scan
-// pins one epoch for its whole duration, so the encoder cannot be swapped
-// mid-scan (dictionaries only ever grow, and codes are stable).
-//
-//dashdb:hotpath
-func (b *Batch) Code(ci, i int) (uint64, bool) {
-	off := b.sel[i]
-	if b.stride < 0 {
-		c := &b.st.cols[ci]
-		if c.openNulls[off] {
-			return 0, false
-		}
-		return c.openCodes[off], true
-	}
-	pg := b.page(ci)
-	if pg.Nulls.Get(off) {
-		return 0, false
-	}
-	return pg.Codes.Get(off), true
-}
-
 // Column materializes column ci for all selected tuples.
 func (b *Batch) Column(ci int) []types.Value {
 	out := make([]types.Value, len(b.sel))

@@ -48,7 +48,7 @@ func TestMonCompressionView(t *testing.T) {
 
 // TestExplainCompressedTags checks the static EXPLAIN annotations: scans
 // over dictionary columns, residual filters answerable in code space, and
-// the fused parallel group-by are tagged [compressed]; with
+// group-bys on a dictionary key are tagged [compressed]; with
 // DisableCompressedExec the tags disappear.
 func TestExplainCompressedTags(t *testing.T) {
 	db := Open(Config{BufferPoolBytes: 16 << 20, Parallelism: 4})
@@ -67,7 +67,7 @@ func TestExplainCompressedTags(t *testing.T) {
 	}
 
 	r = mustExec(t, s, `EXPLAIN SELECT region, COUNT(*) FROM sales GROUP BY region`)
-	if plan = planText(r); !strings.Contains(plan, "PARALLEL GROUP BY [dop=4, 1 keys, 1 aggregates] [compressed]") {
+	if plan = planText(r); !strings.Contains(plan, "GROUP BY [1 keys, 1 aggregates] [vectorized] [compressed] [dop=4]") {
 		t.Fatalf("group-by plan missing [compressed]:\n%s", plan)
 	}
 

@@ -221,42 +221,30 @@ func collectOp(op exec.Operator, depth int, st *telemetry.OpStats, out *[]planEn
 		collectOp(o.Left, depth+1, nil, out)
 		collectOp(o.Right, depth+1, nil, out)
 	case *exec.GroupByOp:
-		tag := " [row]"
+		text := fmt.Sprintf("GROUP BY [%d keys, %d aggregates]", len(o.GroupBy), len(o.Aggs))
 		if o.VecIngest() {
-			tag = " [vectorized]"
+			text += " [vectorized]"
+		} else {
+			text += " [row]"
 		}
-		add(fmt.Sprintf("GROUP BY [%d keys, %d aggregates]%s", len(o.GroupBy), len(o.Aggs), tag), nil)
+		if o.CodeKeyed() {
+			text += " [compressed]"
+		}
+		if w := o.Workers(); w > 1 {
+			text += fmt.Sprintf(" [dop=%d]", w)
+		}
+		add(text, nil)
 		addSpill(o.SpillStats())
 		if n := o.CodeKeyCount(); n > 0 {
-			e := &(*out)[len(*out)-1]
-			e.text += " [compressed]"
-			e.analyzeExtra = fmt.Sprintf(" [code-keys=%d]", n)
+			(*out)[len(*out)-1].analyzeExtra = fmt.Sprintf(" [code-keys=%d]", n)
 		}
 		collectOp(o.Child, depth+1, nil, out)
-	case *exec.ParallelGroupByOp:
-		add(fmt.Sprintf("PARALLEL GROUP BY [dop=%d, %d keys, %d aggregates]", o.Dop, len(o.GroupBy), len(o.Aggs)), nil)
-		addSpill(o.SpillStats())
-		if parallelGroupCompressed(o) {
-			e := &(*out)[len(*out)-1]
-			e.text += " [compressed]"
-			if n := o.CodeKeyCount(); n > 0 {
-				e.analyzeExtra = fmt.Sprintf(" [code-keys=%d]", n)
-			}
-		}
-		scan := fmt.Sprintf("PARALLEL COLUMNAR SCAN %s [dop=%d]", o.Table.Name(), o.Dop)
-		if len(o.Preds) > 0 {
-			scan += " [pushdown: " + predString(o.Table, o.Preds) + "]"
-		}
-		*out = append(*out, planEntry{depth: depth + 1, text: scan, scan: o.ScanStats})
 	case *exec.SortOp:
 		add(fmt.Sprintf("SORT [%d keys] [row]", len(o.Keys)), nil)
 		addSpill(o.SpillStats())
 		collectOp(o.Child, depth+1, nil, out)
 	case *exec.LimitOp:
 		add(fmt.Sprintf("LIMIT %d OFFSET %d [row]", o.Limit, o.Offset), nil)
-		collectOp(o.Child, depth+1, nil, out)
-	case *exec.DistinctOp:
-		add("DISTINCT [row]", nil)
 		collectOp(o.Child, depth+1, nil, out)
 	case *exec.UnionAllOp:
 		add("UNION ALL", nil)
@@ -304,8 +292,8 @@ func collectVec(op exec.VecOperator, depth int, st *telemetry.OpStats, out *[]pl
 			text += " [compressed]"
 		}
 		add(text, nil)
-		if o.CodeRows > 0 {
-			(*out)[len(*out)-1].analyzeExtra = fmt.Sprintf(" [code-rows=%d]", o.CodeRows)
+		if n := o.CodeRows.Load(); n > 0 {
+			(*out)[len(*out)-1].analyzeExtra = fmt.Sprintf(" [code-rows=%d]", n)
 		}
 		collectVec(o.Child, depth+1, nil, out)
 	case *exec.VecProjectOp:
@@ -314,8 +302,8 @@ func collectVec(op exec.VecOperator, depth int, st *telemetry.OpStats, out *[]pl
 			text += " [compressed]"
 		}
 		add(text, nil)
-		if o.EncodedRows > 0 {
-			(*out)[len(*out)-1].analyzeExtra = fmt.Sprintf(" [encoded-rows=%d]", o.EncodedRows)
+		if n := o.EncodedRows.Load(); n > 0 {
+			(*out)[len(*out)-1].analyzeExtra = fmt.Sprintf(" [encoded-rows=%d]", n)
 		}
 		collectVec(o.Child, depth+1, nil, out)
 	case *exec.VecLimitOp:
@@ -333,34 +321,6 @@ func collectVec(op exec.VecOperator, depth int, st *telemetry.OpStats, out *[]pl
 func anyFlag(flags []bool) bool {
 	for _, f := range flags {
 		if f {
-			return true
-		}
-	}
-	return false
-}
-
-// parallelGroupCompressed reports whether a parallel group-by is eligible
-// to group on dictionary codes: compressed execution enabled and at least
-// one bare-column group key over a dictionary-encoded column. Advisory
-// (the operator adopts dictionaries from the first batch at run time);
-// EXPLAIN uses it so the tag is stable before and after execution.
-func parallelGroupCompressed(o *exec.ParallelGroupByOp) bool {
-	if !o.Compressed {
-		return false
-	}
-	for _, e := range o.GroupBy {
-		cr, ok := e.(exec.ColRef)
-		if !ok {
-			continue
-		}
-		ci := int(cr)
-		if o.Projection != nil {
-			if ci < 0 || ci >= len(o.Projection) {
-				continue
-			}
-			ci = o.Projection[ci]
-		}
-		if o.Table.ColumnDict(ci) != nil {
 			return true
 		}
 	}

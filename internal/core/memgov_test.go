@@ -3,6 +3,7 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -63,6 +64,40 @@ func TestMemoryGovernorSQL(t *testing.T) {
 
 	if r := mustExec(t, s, `SET SORTHEAP DEFAULT`); r.Message != "SORTHEAP AUTO" {
 		t.Fatalf("SET SORTHEAP DEFAULT: %q", r.Message)
+	}
+}
+
+// TestDistinctSpills checks duplicate elimination under the governor:
+// SELECT DISTINCT and UNION run on the group-by's hash table, so an 8 KB
+// HASHHEAP makes them spill, return the in-memory rows and leave the temp
+// dir empty.
+func TestDistinctSpills(t *testing.T) {
+	dir := t.TempDir()
+	db := Open(Config{BufferPoolBytes: 16 << 20, Parallelism: 2, TempDir: dir})
+	defer db.Close()
+	s := db.NewSession()
+	seedSales(t, s, 20_000)
+	queries := []string{
+		`SELECT DISTINCT amount, region, sale_date FROM sales`,
+		`SELECT id, region FROM sales WHERE id < 3000 UNION SELECT id, region FROM sales WHERE id >= 2000 AND id < 6000`,
+	}
+	var want []*Result
+	for _, q := range queries {
+		want = append(want, mustExec(t, s, q))
+	}
+	mustExec(t, s, `SET HASHHEAP 8KB`)
+	for i, q := range queries {
+		got := mustExec(t, s, q)
+		if !reflect.DeepEqual(got.Rows, want[i].Rows) {
+			t.Fatalf("%s: spilled result (%d rows) differs from in-memory (%d rows)", q, len(got.Rows), len(want[i].Rows))
+		}
+		plan := planText(mustExec(t, s, `EXPLAIN ANALYZE `+q))
+		if !strings.Contains(plan, "aggregates]") || !strings.Contains(plan, "[spill: runs=") {
+			t.Fatalf("%s: no spilling group-by in the plan:\n%s", q, plan)
+		}
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*"+mem.SpillSuffix)); len(left) > 0 {
+		t.Fatalf("spill files left behind: %v", left)
 	}
 }
 

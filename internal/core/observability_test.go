@@ -28,8 +28,9 @@ func TestExplainAnalyzeFormat(t *testing.T) {
 	r := mustExec(t, s, `EXPLAIN ANALYZE SELECT region, COUNT(*), SUM(amount) FROM sales WHERE amount >= 10 GROUP BY region`)
 	plan := normalizeTimes(planText(r))
 	for _, want := range []string{
-		"PARALLEL GROUP BY [dop=4, 1 keys, 2 aggregates] [compressed] (actual rows=4 batches=1 time=T) [code-keys=1]",
-		"PARALLEL COLUMNAR SCAN SALES [dop=4] [pushdown: AMOUNT >= 10] (actual rows=",
+		"GROUP BY [1 keys, 2 aggregates] [vectorized] [compressed] [dop=4] (actual rows=4 batches=1 time=T) [code-keys=1]",
+		"PARALLEL COLUMNAR SCAN SALES [dop=4] [vectorized] [compressed] [pushdown: AMOUNT >= 10] (est rows=",
+		") (actual rows=45000 batches=",
 		"[strides: ",
 		" visited, ",
 		" skipped, skip=",

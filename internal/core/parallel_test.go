@@ -3,11 +3,8 @@ package core
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
-
-	"dashdb/internal/types"
 )
 
 // planLines runs EXPLAIN and returns the plan as strings.
@@ -19,25 +16,6 @@ func planLines(t *testing.T, s *Session, q string) []string {
 		lines = append(lines, row[0].Str())
 	}
 	return lines
-}
-
-func sortRowsByAll(rows []types.Row) {
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		for k := range a {
-			an, bn := a[k].IsNull(), b[k].IsNull()
-			if an != bn {
-				return an
-			}
-			if an {
-				continue
-			}
-			if c := types.Compare(a[k], b[k]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
 }
 
 // TestSetParallelism covers the per-session override: SET PARALLELISM n,
@@ -78,9 +56,11 @@ func TestSetParallelism(t *testing.T) {
 }
 
 // TestParallelPlanAndResults checks that a mergeable scan+aggregate query
-// compiles to the parallel operator (visible in EXPLAIN with the chosen
-// degree) and returns exactly the serial result set; non-mergeable
-// aggregates and residual filters stay on the serial plan.
+// runs its group-by and scan at the session's degree (visible in EXPLAIN)
+// and returns exactly the serial result set, rows and order — with a
+// residual vector filter in between too; non-mergeable aggregates stay
+// serial, and a filter with no vector kernel keeps the group-by on one
+// worker.
 func TestParallelPlanAndResults(t *testing.T) {
 	db := Open(Config{BufferPoolBytes: 16 << 20, Parallelism: 1})
 	s := db.NewSession()
@@ -106,15 +86,14 @@ func TestParallelPlanAndResults(t *testing.T) {
 
 	mustExec(t, s, "SET PARALLELISM 4")
 	plan := strings.Join(planLines(t, s, q), "\n")
-	if !strings.Contains(plan, "PARALLEL GROUP BY [dop=4") ||
-		!strings.Contains(plan, "PARALLEL COLUMNAR SCAN M [dop=4]") ||
+	if !strings.Contains(plan, "GROUP BY [1 keys, 5 aggregates] [vectorized] [dop=4]") ||
+		!strings.Contains(plan, "PARALLEL COLUMNAR SCAN M [dop=4] [vectorized]") ||
 		!strings.Contains(plan, "pushdown: V >= 100") {
-		t.Fatalf("parallel plan missing fused operator:\n%s", plan)
+		t.Fatalf("plan does not run group-by and scan at dop 4:\n%s", plan)
 	}
 
+	// Key-ordered emit: identical rows in identical order at every degree.
 	par := mustExec(t, s, q)
-	sortRowsByAll(serial.Rows)
-	sortRowsByAll(par.Rows)
 	if !reflect.DeepEqual(serial.Rows, par.Rows) {
 		t.Fatalf("parallel result diverged\n got %v\nwant %v", par.Rows, serial.Rows)
 	}
@@ -125,18 +104,56 @@ func TestParallelPlanAndResults(t *testing.T) {
 	if strings.Contains(mplan, "PARALLEL") {
 		t.Fatalf("MEDIAN must stay on the serial path:\n%s", mplan)
 	}
-	// A residual (non-pushable) filter under the aggregate also blocks fusion.
+	// A residual (non-pushable) vector filter between scan and group-by is
+	// pulled by every worker.
 	rq := `SELECT g, COUNT(*) FROM m WHERE v + f > 200 GROUP BY g`
 	rplan := strings.Join(planLines(t, s, rq), "\n")
-	if strings.Contains(rplan, "PARALLEL") {
-		t.Fatalf("residual filter must block parallel fusion:\n%s", rplan)
+	if !strings.Contains(rplan, "GROUP BY [1 keys, 1 aggregates] [vectorized] [dop=4]") ||
+		!strings.Contains(rplan, "FILTER [vectorized]") ||
+		!strings.Contains(rplan, "PARALLEL COLUMNAR SCAN M [dop=4]") {
+		t.Fatalf("residual vector filter must not serialize the plan:\n%s", rplan)
 	}
-	rser := mustExec(t, s, rq)
-	mustExec(t, s, "SET PARALLELISM AUTO")
-	rauto := mustExec(t, s, rq)
-	sortRowsByAll(rser.Rows)
-	sortRowsByAll(rauto.Rows)
-	if !reflect.DeepEqual(rser.Rows, rauto.Rows) {
-		t.Fatal("residual-filter query diverged across dop settings")
+	// A filter with no vector kernel leaves a row child: one ingest worker
+	// (no dop tag) over the parallel scan.
+	fq := `SELECT g, COUNT(*) FROM m WHERE ABS(v) > 200 GROUP BY g`
+	fplan := strings.Join(planLines(t, s, fq), "\n")
+	if !strings.Contains(fplan, "GROUP BY [1 keys, 1 aggregates] [row]\n") ||
+		!strings.Contains(fplan, "FILTER [row]") {
+		t.Fatalf("row filter must keep the group-by on one row-ingest worker:\n%s", fplan)
+	}
+	for _, q := range []string{rq, fq} {
+		mustExec(t, s, "SET PARALLELISM 4")
+		at4 := mustExec(t, s, q)
+		mustExec(t, s, "SET PARALLELISM AUTO")
+		auto := mustExec(t, s, q)
+		if !reflect.DeepEqual(at4.Rows, auto.Rows) {
+			t.Fatalf("%s diverged across dop settings\n got %v\nwant %v", q, at4.Rows, auto.Rows)
+		}
+	}
+}
+
+// TestParallelChildWallWithinParent checks that operator wall times stay
+// elapsed times when four workers pull the scan and filter at once: every
+// node's time is non-zero and no larger than its parent's, which is what
+// lets a reader subtract children to get an operator's self time.
+func TestParallelChildWallWithinParent(t *testing.T) {
+	db := Open(Config{BufferPoolBytes: 16 << 20, Parallelism: 4})
+	s := db.NewSession()
+	seedSales(t, s, 50_000)
+	r := mustExec(t, s, `EXPLAIN ANALYZE SELECT region, COUNT(*), SUM(amount) FROM sales WHERE amount + id > 100 GROUP BY region`)
+	plan := planText(r)
+	for _, want := range []string{"[vectorized] [compressed] [dop=4]", "FILTER [vectorized]", "PARALLEL COLUMNAR SCAN SALES [dop=4]"} {
+		if !strings.Contains(plan, want) {
+			t.Fatalf("plan missing %q:\n%s", want, plan)
+		}
+	}
+	ops := r.Stats.Ops
+	for i := 1; i < len(ops); i++ {
+		if ops[i].Depth != ops[i-1].Depth+1 {
+			t.Fatalf("expected a single chain of operators:\n%s", plan)
+		}
+		if ops[i].Wall <= 0 || ops[i].Wall > ops[i-1].Wall {
+			t.Fatalf("%q took %v under a parent that took %v:\n%s", ops[i].Name, ops[i].Wall, ops[i-1].Wall, plan)
+		}
 	}
 }

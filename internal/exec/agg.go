@@ -3,7 +3,10 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"dashdb/internal/encoding"
 	"dashdb/internal/mem"
@@ -163,8 +166,8 @@ func (a *accumulator) addVals(spec AggSpec, v, v2 types.Value) error {
 // families merge by summing running moments (float sums reassociate, so
 // results are exact whenever the serial sums are); COUNT(DISTINCT)
 // merges by set union. Percentile/median state merges by concatenation,
-// which is exact but unbounded — the planner keeps those on the serial
-// path (see MergeableAggs).
+// which is exact but unbounded — spilled runs merge that way, but
+// GroupByOp never splits those across workers (see MergeableAggs).
 func (a *accumulator) merge(o *accumulator) {
 	a.count += o.count
 	a.intSum += o.intSum
@@ -194,8 +197,8 @@ func (a *accumulator) merge(o *accumulator) {
 
 // MergeableAggs reports whether every aggregate in the list merges
 // exactly from thread-local partials. MEDIAN and PERCENTILE_* keep the
-// full value list per group, so the planner routes them to the serial
-// aggregation path instead of parallel partitioned aggregation.
+// full value list per group, so GroupByOp ingests them on one worker,
+// row-at-a-time, whatever its Dop.
 func MergeableAggs(specs []AggSpec) bool {
 	for _, s := range specs {
 		switch s.Func {
@@ -300,25 +303,35 @@ func percentileDisc(vals []float64, p float64) types.Value {
 	return types.NewFloat(vals[idx])
 }
 
-// GroupByOp evaluates grouped aggregation. With no group expressions it
-// produces a single global group (one row even over empty input, per SQL).
-// Grouping is hash-based over the group key values.
+// GroupByOp is the engine's one hash aggregation (and, with no aggregates,
+// its duplicate elimination: DISTINCT and UNION group on every column).
+// With no group expressions it produces a single global group (one row
+// even over empty input, per SQL).
 //
-// With a governor the partial hash table is charged against a HASHHEAP
-// reservation; when a Grow is denied the whole table spills to disk as a
-// run of group states and ingestion restarts with an empty table. Runs are
-// merged back (accumulator.merge) before emit, so results are identical to
-// the in-memory path.
+// Open consumes the whole child into per-worker groupTables. It runs Dop
+// workers when the child is a vector pipeline that tolerates concurrent
+// pulls and every aggregate merges exactly (MergeableAggs); otherwise one.
+// Workers ingest vector batches — keys and arguments are evaluated
+// column-at-a-time and only the group keys are materialized as rows, never
+// the input tuples; a row child is consumed row-at-a-time into the same
+// table type. The tables are then merged partition by partition and the
+// groups emitted in key order (NULLs first), so the output is a function
+// of the data, not of the worker count or batch arrival order.
+//
+// With a governor every table charges one shared HASHHEAP reservation;
+// when a Grow is denied the worker spills its largest partition (see
+// groupTable) and the merge folds the spilled states back in, so results
+// are identical to the in-memory path.
 type GroupByOp struct {
 	Child     Operator
 	GroupBy   []Expr
 	GroupCols types.Schema // names/kinds for the group key outputs
 	Aggs      []AggSpec
 	Gov       *mem.Governor
+	Dop       int // ingest workers wanted; see Workers for how many run
 
-	res      *mem.Reservation
-	runs     []*mem.SpillFile
-	memBytes int64
+	res   *mem.Reservation // shared by all workers; mem counters are atomic
+	files []*mem.SpillFile // every worker's partition run files
 
 	out     types.Schema
 	results []types.Row
@@ -326,11 +339,12 @@ type GroupByOp struct {
 
 	// Operate-on-compressed group keys: a key position whose vector
 	// arrives dictionary-encoded groups on the code (stored as an INT
-	// cell), so the hash table holds fixed-width codes instead of decoded
-	// values and key cells decode once per distinct group at emit, not
-	// once per row. Adopted from the first batch; the scan latch fixes
-	// one dictionary per column for the whole scan, so spilled runs
-	// round-trip codes losslessly through the value-typed row codec.
+	// cell), so the hash tables and spill runs hold fixed-width codes
+	// instead of decoded values and key cells decode once per distinct
+	// group at emit, not once per row. Adopted from the first batch any
+	// worker sees; the scan latch fixes one dictionary per column for the
+	// whole scan, so every worker's batches carry the adopted dictionary.
+	adoptOnce  sync.Once
 	keyCode    []bool
 	anyKeyCode bool
 	keyDicts   []*encoding.Dict
@@ -361,59 +375,61 @@ type groupState struct {
 	accs []accumulator
 }
 
-// Open implements Operator: it consumes the whole child and aggregates.
-// When the child is a RowAdapter over a vectorized subtree and every
-// grouping expression and aggregate argument has a vector kernel, the
-// aggregation ingests vector batches directly — keys and arguments are
-// evaluated column-at-a-time and only the group keys are materialized as
-// rows, never the input tuples.
+// Open implements Operator: it consumes the whole child, merges the
+// workers' tables and materializes the result rows.
 func (g *GroupByOp) Open() error {
 	if err := g.Child.Open(); err != nil {
 		return err
 	}
 	defer g.Child.Close()
+	g.adoptOnce = sync.Once{}
 	g.keyCode, g.keyDicts, g.keyDoms, g.keyKinds, g.anyKeyCode = nil, nil, nil, nil, false
 	g.res = g.Gov.Acquire(mem.HashHeap)
-	groups := make(map[uint64][]*groupState)
-	var order []*groupState
-	var err error
-	if ra, ok := g.Child.(*RowAdapter); ok && g.vecIngestable() {
-		err = g.consumeVec(ra.Inner, groups, &order)
-	} else {
-		err = g.consumeRows(groups, &order)
+	tables := make([]*groupTable, g.Workers())
+	for i := range tables {
+		tables[i] = &groupTable{res: g.res, naggs: len(g.Aggs), surcharge: rowSurcharge(g.Aggs)}
+	}
+	err := g.ingest(tables)
+	// Adopt every spill file before inspecting the error, so an error
+	// return still lets Close remove them from disk.
+	for _, t := range tables {
+		for _, f := range t.spills {
+			if f != nil {
+				g.files = append(g.files, f)
+			}
+		}
 	}
 	if err != nil {
 		return err
 	}
-	// Fold spilled partials back into the live table before emitting.
-	for _, f := range g.runs {
-		if err := mergeSpilled(f, g.res, groups, &order, len(g.Aggs)); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	groups, err := g.merge(tables)
+	if err != nil {
+		return err
 	}
-	g.runs = nil
-	if len(order) == 0 && len(g.GroupBy) == 0 {
-		order = append(order, &groupState{accs: make([]accumulator, len(g.Aggs))})
+	if len(groups) == 0 && len(g.GroupBy) == 0 {
+		groups = append(groups, &groupState{accs: make([]accumulator, len(g.Aggs))})
 	}
-	g.results = g.results[:0]
-	for _, st := range order {
-		row := make(types.Row, 0, len(st.key)+len(g.Aggs))
-		row = append(row, st.key...)
-		// Late materialization: code-valued key cells decode here, once
-		// per distinct group rather than once per input row.
-		if g.anyKeyCode {
+	// Late materialization: code-valued key cells decode once per distinct
+	// group. This must happen BEFORE the emit sort — frequency-partitioned
+	// dictionary codes are not globally order-preserving, so sorting by
+	// code would not be sorting by value.
+	if g.anyKeyCode {
+		for _, st := range groups {
 			for k := range st.key {
-				if !g.keyCode[k] || row[k].IsNull() {
+				if !g.keyCode[k] || st.key[k].IsNull() {
 					continue
 				}
-				if c, ok := row[k].AsInt(); ok && c >= 0 && int(c) < len(g.keyDoms[k]) {
-					row[k] = g.keyDoms[k][c]
+				if c, ok := st.key[k].AsInt(); ok && c >= 0 && int(c) < len(g.keyDoms[k]) {
+					st.key[k] = g.keyDoms[k][c]
 				}
 			}
 		}
+	}
+	slices.SortFunc(groups, func(a, b *groupState) int { return groupKeyCompare(a.key, b.key) })
+	g.results = g.results[:0]
+	for _, st := range groups {
+		row := make(types.Row, 0, len(st.key)+len(g.Aggs))
+		row = append(row, st.key...)
 		for i := range g.Aggs {
 			row = append(row, st.accs[i].result(g.Aggs[i]))
 		}
@@ -423,58 +439,117 @@ func (g *GroupByOp) Open() error {
 	return nil
 }
 
-// lookupGroup finds or creates the state for a group key.
-func lookupGroup(groups map[uint64][]*groupState, order *[]*groupState, key types.Row, naggs int) (st *groupState, created bool) {
-	h := key.Hash()
-	for _, cand := range groups[h] {
-		if groupKeyEqual(cand.key, key) {
-			return cand, false
-		}
+// Workers reports how many ingest workers Open runs: Dop when the child is
+// a vector pipeline that can be pulled from several goroutines and every
+// aggregate merges exactly from per-worker partials, else 1 (row children
+// such as join output; MEDIAN/PERCENTILE). EXPLAIN prints it.
+func (g *GroupByOp) Workers() int {
+	if in := g.vecChild(); in != nil && g.Dop > 1 && concurrentPull(in) {
+		return g.Dop
 	}
-	st = &groupState{key: key, accs: make([]accumulator, naggs)}
-	groups[h] = append(groups[h], st)
-	*order = append(*order, st)
-	return st, true
+	return 1
 }
 
-// governedLookup is lookupGroup plus reservation accounting: when the
-// charge is denied, the whole partial table spills as one run and
-// ingestion restarts with an empty table.
-func (g *GroupByOp) governedLookup(groups map[uint64][]*groupState, order *[]*groupState, key types.Row, surcharge int64) (*groupState, error) {
-	st, created := lookupGroup(groups, order, key, len(g.Aggs))
-	if g.res == nil {
-		return st, nil
+// concurrentPull reports whether NextVec may be called on v from several
+// goroutines at once: a scan hands batches over a channel and filters and
+// projections keep no per-call state, but a limit counts rows and a boxed
+// row source is single-consumer.
+func concurrentPull(v VecOperator) bool {
+	switch o := v.(type) {
+	case *VecStatsOp:
+		return concurrentPull(o.Child)
+	case *VecFilterOp:
+		return concurrentPull(o.Child)
+	case *VecProjectOp:
+		return concurrentPull(o.Child)
+	case *VecScanOp:
+		return true
 	}
-	charge := surcharge
-	if created {
-		charge += groupCharge(key, len(g.Aggs))
+	return false
+}
+
+// ingest drains the child into the tables, one worker goroutine per table.
+// The first error stops the other workers at their next batch.
+func (g *GroupByOp) ingest(tables []*groupTable) error {
+	var stop atomic.Bool
+	consume := func(t *groupTable) error { return g.consumeRows(t) }
+	if in := g.vecChild(); in != nil {
+		consume = func(t *groupTable) error { return g.consumeVec(in, t, &stop) }
 	}
-	if charge == 0 || g.res.Grow(charge) {
-		g.memBytes += charge
-		return st, nil
+	errs := make([]error, len(tables))
+	var wg sync.WaitGroup
+	for w, t := range tables {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if errs[w] = consume(t); errs[w] != nil {
+				stop.Store(true)
+			}
+		}()
 	}
-	f, err := spillGroups(g.res, "agg", *order)
-	if err != nil {
-		return nil, err
+	wg.Wait()
+	return firstError(errs)
+}
+
+// firstError returns the first non-nil error of a per-goroutine error list.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	g.runs = append(g.runs, f)
-	g.res.Shrink(g.memBytes)
-	g.memBytes = 0
-	clear(groups)
-	*order = (*order)[:0]
-	st, _ = lookupGroup(groups, order, key, len(g.Aggs))
-	charge = surcharge + groupCharge(key, len(g.Aggs))
-	if !g.res.Grow(charge) {
-		// A single group bigger than the heap: over-grant for progress.
-		g.res.MustGrow(charge)
+	return nil
+}
+
+// merge combines the workers' tables into the final group list. The group
+// hash assigns every group to one partition in every table, so partitions
+// merge independently and in parallel: each goroutine folds one
+// partition's in-memory partials together and replays that partition's
+// spill runs. One table with nothing spilled already is the result.
+func (g *GroupByOp) merge(tables []*groupTable) ([]*groupState, error) {
+	merged := make([]map[uint64][]*groupState, aggPartitions)
+	if len(tables) == 1 && len(g.files) == 0 {
+		copy(merged, tables[0].parts[:])
+	} else {
+		errs := make([]error, aggPartitions)
+		var wg sync.WaitGroup
+		sem := make(chan struct{}, len(tables))
+		for p := range merged {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func() {
+				defer wg.Done()
+				defer func() { <-sem }()
+				merged[p], errs[p] = mergePartition(tables, p, g.res)
+			}()
+		}
+		wg.Wait()
+		if err := firstError(errs); err != nil {
+			return nil, err
+		}
+		for _, f := range g.files {
+			if err := f.Close(); err != nil {
+				return nil, err
+			}
+		}
+		g.files = nil
 	}
-	g.memBytes += charge
-	return st, nil
+	n := 0
+	for _, part := range merged {
+		n += len(part) // hash buckets: the group count but for collisions
+	}
+	groups := make([]*groupState, 0, n)
+	for _, part := range merged {
+		for _, states := range part {
+			groups = append(groups, states...)
+		}
+	}
+	return groups, nil
 }
 
 // consumeRows is the row-at-a-time aggregation loop.
-func (g *GroupByOp) consumeRows(groups map[uint64][]*groupState, order *[]*groupState) error {
-	surcharge := rowSurcharge(g.Aggs)
+func (g *GroupByOp) consumeRows(t *groupTable) error {
+	key := make(types.Row, len(g.GroupBy))
 	for {
 		ch, err := g.Child.Next()
 		if err != nil {
@@ -484,15 +559,12 @@ func (g *GroupByOp) consumeRows(groups map[uint64][]*groupState, order *[]*group
 			return nil
 		}
 		for _, row := range ch.Rows {
-			key := make(types.Row, len(g.GroupBy))
 			for i, e := range g.GroupBy {
-				v, err := e.Eval(row)
-				if err != nil {
+				if key[i], err = e.Eval(row); err != nil {
 					return err
 				}
-				key[i] = v
 			}
-			st, err := g.governedLookup(groups, order, key, surcharge)
+			st, err := t.lookup(key)
 			if err != nil {
 				return err
 			}
@@ -508,9 +580,34 @@ func (g *GroupByOp) consumeRows(groups map[uint64][]*groupState, order *[]*group
 // VecIngest reports whether Open will consume vector batches directly
 // (vectorized child and all expressions kernel-evaluable). EXPLAIN uses it
 // to label the node.
-func (g *GroupByOp) VecIngest() bool {
-	_, ok := g.Child.(*RowAdapter)
-	return ok && g.vecIngestable()
+func (g *GroupByOp) VecIngest() bool { return g.vecChild() != nil }
+
+// vecChild returns the vector pipeline Open ingests from, or nil when it
+// consumes the child row-at-a-time.
+func (g *GroupByOp) vecChild() VecOperator {
+	if ra, ok := g.Child.(*RowAdapter); ok && g.vecIngestable() {
+		return ra.Inner
+	}
+	return nil
+}
+
+// CodeKeyed reports whether vector ingest can group at least one key on
+// dictionary codes: a bare column key whose column flows encoded out of the
+// child pipeline. Advisory like CompressedCols (Open adopts dictionaries
+// from the batches); EXPLAIN uses it so the tag is the same before and
+// after execution.
+func (g *GroupByOp) CodeKeyed() bool {
+	in := g.vecChild()
+	if in == nil {
+		return false
+	}
+	flags := CompressedCols(in)
+	for _, e := range g.GroupBy {
+		if c, ok := e.(ColRef); ok && int(c) >= 0 && int(c) < len(flags) && flags[c] {
+			return true
+		}
+	}
+	return false
 }
 
 // CodeKeyCount reports how many group key positions ran in code space
@@ -527,20 +624,19 @@ func (g *GroupByOp) CodeKeyCount() int {
 }
 
 // vecIngestable reports whether every grouping expression and aggregate
-// argument can be evaluated through vector kernels.
+// argument can be evaluated through vector kernels. Holistic aggregates
+// (not MergeableAggs) buffer every input value, so vector ingestion buys
+// nothing; they stay on the row path.
 func (g *GroupByOp) vecIngestable() bool {
+	if !MergeableAggs(g.Aggs) {
+		return false
+	}
 	for _, e := range g.GroupBy {
 		if !Vectorizable(e) {
 			return false
 		}
 	}
 	for _, a := range g.Aggs {
-		switch a.Func {
-		case AggMedian, AggPercentileCont, AggPercentileDisc:
-			// Holistic aggregates buffer every input value, so vector
-			// ingestion buys nothing; keep them on the row path.
-			return false
-		}
 		if a.Arg != nil && !Vectorizable(a.Arg) {
 			return false
 		}
@@ -551,12 +647,35 @@ func (g *GroupByOp) vecIngestable() bool {
 	return true
 }
 
-// consumeVec aggregates straight from vector batches: group keys and
-// aggregate arguments are computed one column at a time over each batch,
-// then accumulated per selected position.
-func (g *GroupByOp) consumeVec(inner VecOperator, groups map[uint64][]*groupState, order *[]*groupState) error {
-	surcharge := rowSurcharge(g.Aggs)
-	for {
+// adopt fixes the grouping scheme per key position from the first batch's
+// key vectors; only a bare column reference can deliver an encoded vector.
+func (g *GroupByOp) adopt(keyVecs []*vec.Vector) {
+	g.keyCode = make([]bool, len(keyVecs))
+	g.keyDicts = make([]*encoding.Dict, len(keyVecs))
+	g.keyDoms = make([][]types.Value, len(keyVecs))
+	g.keyKinds = make([]types.Kind, len(keyVecs))
+	for k, kv := range keyVecs {
+		if kv.Encoded() {
+			g.keyCode[k] = true
+			g.anyKeyCode = true
+			g.keyDicts[k] = kv.Dict
+			g.keyDoms[k] = kv.Dom()
+			g.keyKinds[k] = kv.Kind
+		}
+	}
+}
+
+// consumeVec is one worker's ingest loop. It aggregates straight from
+// vector batches: group keys and aggregate arguments are computed one
+// column at a time over each batch, then accumulated per selected position.
+// Several workers may pull inner concurrently; each owns the batches it
+// receives and its table.
+func (g *GroupByOp) consumeVec(inner VecOperator, t *groupTable, stop *atomic.Bool) error {
+	key := make(types.Row, len(g.GroupBy))
+	keyVecs := make([]*vec.Vector, len(g.GroupBy))
+	argVecs := make([]*vec.Vector, len(g.Aggs))
+	arg2Vecs := make([]*vec.Vector, len(g.Aggs))
+	for !stop.Load() {
 		vb, err := inner.NextVec()
 		if err != nil {
 			return err
@@ -564,32 +683,12 @@ func (g *GroupByOp) consumeVec(inner VecOperator, groups map[uint64][]*groupStat
 		if vb == nil {
 			return nil
 		}
-		keyVecs := make([]*vec.Vector, len(g.GroupBy))
 		for i, e := range g.GroupBy {
 			if keyVecs[i], err = evalVec(e, vb); err != nil {
 				return err
 			}
 		}
-		// First batch fixes the grouping scheme per key position; only a
-		// bare column reference can deliver an encoded vector, and the
-		// scan latch guarantees the same dictionary for every batch.
-		if g.keyCode == nil {
-			g.keyCode = make([]bool, len(g.GroupBy))
-			g.keyDicts = make([]*encoding.Dict, len(g.GroupBy))
-			g.keyDoms = make([][]types.Value, len(g.GroupBy))
-			g.keyKinds = make([]types.Kind, len(g.GroupBy))
-			for k, kv := range keyVecs {
-				if kv.Encoded() {
-					g.keyCode[k] = true
-					g.anyKeyCode = true
-					g.keyDicts[k] = kv.Dict
-					g.keyDoms[k] = kv.Dom()
-					g.keyKinds[k] = kv.Kind
-				}
-			}
-		}
-		argVecs := make([]*vec.Vector, len(g.Aggs))
-		arg2Vecs := make([]*vec.Vector, len(g.Aggs))
+		g.adoptOnce.Do(func() { g.adopt(keyVecs) })
 		for ai, spec := range g.Aggs {
 			if spec.Arg != nil {
 				if argVecs[ai], err = evalVec(spec.Arg, vb); err != nil {
@@ -603,7 +702,6 @@ func (g *GroupByOp) consumeVec(inner VecOperator, groups map[uint64][]*groupStat
 			}
 		}
 		for _, i := range vb.Idx() {
-			key := make(types.Row, len(keyVecs))
 			for k, kv := range keyVecs {
 				if g.keyCode[k] {
 					switch {
@@ -624,7 +722,7 @@ func (g *GroupByOp) consumeVec(inner VecOperator, groups map[uint64][]*groupStat
 				}
 				key[k] = kv.Get(i)
 			}
-			st, err := g.governedLookup(groups, order, key, surcharge)
+			st, err := t.lookup(key)
 			if err != nil {
 				return err
 			}
@@ -644,6 +742,7 @@ func (g *GroupByOp) consumeVec(inner VecOperator, groups map[uint64][]*groupStat
 			}
 		}
 	}
+	return nil
 }
 
 // groupKeyEqual compares group keys with NULL == NULL (SQL GROUP BY puts
@@ -659,6 +758,17 @@ func groupKeyEqual(a, b types.Row) bool {
 		}
 	}
 	return true
+}
+
+// groupKeyCompare orders group keys column-by-column (the emit order);
+// types.Compare puts NULLs first and NaNs last.
+func groupKeyCompare(a, b types.Row) int {
+	for i := range a {
+		if c := types.Compare(a[i], b[i]); c != 0 {
+			return c
+		}
+	}
+	return 0
 }
 
 // Next implements Operator.
@@ -685,62 +795,13 @@ func (g *GroupByOp) SpillStats() (runs, bytes int64) {
 // open and releases the reservation.
 func (g *GroupByOp) Close() error {
 	var firstErr error
-	for _, f := range g.runs {
+	for _, f := range g.files {
 		if err := f.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	g.runs = nil
+	g.files = nil
 	g.res.Close()
 	g.results = nil
 	return firstErr
-}
-
-// DistinctOp removes duplicate rows (SELECT DISTINCT).
-type DistinctOp struct {
-	Child Operator
-	seen  map[uint64][]types.Row
-}
-
-// Schema implements Operator.
-func (d *DistinctOp) Schema() types.Schema { return d.Child.Schema() }
-
-// Open implements Operator.
-func (d *DistinctOp) Open() error {
-	d.seen = make(map[uint64][]types.Row)
-	return d.Child.Open()
-}
-
-// Next implements Operator.
-func (d *DistinctOp) Next() (*Chunk, error) {
-	for {
-		ch, err := d.Child.Next()
-		if err != nil || ch == nil {
-			return nil, err
-		}
-		var out []types.Row
-		for _, row := range ch.Rows {
-			h := row.Hash()
-			dup := false
-			for _, prev := range d.seen[h] {
-				if groupKeyEqual(prev, row) {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				d.seen[h] = append(d.seen[h], row)
-				out = append(out, row)
-			}
-		}
-		if len(out) > 0 {
-			return &Chunk{Schema: ch.Schema, Rows: out}, nil
-		}
-	}
-}
-
-// Close implements Operator.
-func (d *DistinctOp) Close() error {
-	d.seen = nil
-	return d.Child.Close()
 }

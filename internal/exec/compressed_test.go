@@ -131,7 +131,7 @@ func TestCompressedFilterParity(t *testing.T) {
 				requireEqualKeys(t, ctx, sortedKeys(t, mk(false)), sortedKeys(t, comp))
 				if name != "mixed-kind-falls-back" && name != "str-null-cmp" {
 					if ra, ok := comp.(*RowAdapter); ok {
-						if fo := findVecFilter(ra.Inner); fo != nil && fo.CodeRows == 0 {
+						if fo := findVecFilter(ra.Inner); fo != nil && fo.CodeRows.Load() == 0 {
 							t.Fatalf("%s: predicate never took the code path", ctx)
 						}
 					}
@@ -236,10 +236,10 @@ func TestCompressedJoinSpillParity(t *testing.T) {
 	}
 }
 
-// TestCompressedGroupByParity checks serial and parallel aggregation
-// grouping on codes against the decoded path, including NULL groups,
-// multi-key grouping, a mid-query spill, and dop 1/2/8. Emitted keys
-// must be the decoded values in decoded order.
+// TestCompressedGroupByParity checks aggregation grouping on codes
+// against the decoded path, including NULL groups, multi-key grouping, a
+// mid-query spill, and dop 1/2/8. Emitted keys must be the decoded values
+// in decoded order.
 func TestCompressedGroupByParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	rows := dictRows(rng, 8000, true)
@@ -284,17 +284,15 @@ func TestCompressedGroupByParity(t *testing.T) {
 	}
 	requireEqualKeys(t, "serial-spill", got, spilled)
 
-	// Parallel, grouping on codes read straight off the batches.
+	// Several workers, one code-key adoption shared by all of them.
 	for _, dop := range []int{1, 2, 8} {
-		mkPar := func(compressed bool) *ParallelGroupByOp {
-			return &ParallelGroupByOp{
-				Table:      tbl,
-				GroupBy:    []Expr{ColRef(0), ColRef(1)},
-				GroupCols:  gcols,
-				Aggs:       mkAggs(),
-				Dop:        dop,
-				Compressed: compressed,
-			}
+		mkPar := func(compressed bool) *GroupByOp {
+			return atDop(&GroupByOp{
+				Child:     NewScan(tbl, nil, nil),
+				GroupBy:   []Expr{ColRef(0), ColRef(1)},
+				GroupCols: gcols,
+				Aggs:      mkAggs(),
+			}, dop, compressed)
 		}
 		pc := mkPar(true)
 		pg := sortedKeys(t, pc)
@@ -302,8 +300,8 @@ func TestCompressedGroupByParity(t *testing.T) {
 		if pc.CodeKeyCount() != 2 {
 			t.Fatalf("parallel dop=%d: code keys = %d, want 2", dop, pc.CodeKeyCount())
 		}
-		// Parallel emit order is sorted by key; codes must have decoded
-		// before that sort, so the order must match the decoded plan's.
+		// Emit order is sorted by key; codes must have decoded before
+		// that sort, so the order must match the decoded plan's.
 		a, err := Drain(mkPar(true))
 		if err != nil {
 			t.Fatal(err)

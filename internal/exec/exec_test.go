@@ -396,10 +396,16 @@ func TestGroupByNullsFormOneGroup(t *testing.T) {
 	}
 }
 
+// TestDistinct is duplicate elimination as the planner lowers it: a
+// group-by on every column with no aggregates.
 func TestDistinct(t *testing.T) {
-	d := &DistinctOp{Child: NewValues(intSchema("a"), intRows(
-		[]int64{1}, []int64{2}, []int64{1}, []int64{3}, []int64{2},
-	))}
+	d := &GroupByOp{
+		Child: NewValues(intSchema("a"), intRows(
+			[]int64{1}, []int64{2}, []int64{1}, []int64{3}, []int64{2},
+		)),
+		GroupBy:   []Expr{ColRef(0)},
+		GroupCols: intSchema("a"),
+	}
 	rows, err := Drain(d)
 	if err != nil || len(rows) != 3 {
 		t.Fatalf("distinct: %v err %v", rows, err)
@@ -636,7 +642,6 @@ func TestErrorPropagation(t *testing.T) {
 			return &GroupByOp{Child: c, GroupBy: []Expr{ColRef(0)}, GroupCols: sch,
 				Aggs: []AggSpec{{Func: AggCountStar, Name: "n"}}}
 		}},
-		{"distinct", func(c Operator) Operator { return &DistinctOp{Child: c} }},
 		{"union", func(c Operator) Operator {
 			return &UnionAllOp{Children: []Operator{NewValues(sch, nil), c}}
 		}},

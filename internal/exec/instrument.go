@@ -15,8 +15,8 @@ import (
 // synopsis skips without touching a shared cache line. It runs AFTER
 // Vectorize (it must see the final node types) and never changes the shape
 // the rest of the engine relies on: RowAdapter and RowsToVecOp keep their
-// concrete types because GroupByOp.VecIngest and HashJoinOp's vectorized
-// build probe them with type assertions.
+// concrete types because GroupByOp's vector ingest and HashJoinOp's
+// vectorized build probe them with type assertions.
 
 // StatsOp decorates a row Operator with runtime counters. Open time is
 // charged as wall time (blocking operators like SORT do their work there);
@@ -53,8 +53,9 @@ func (s *StatsOp) Next() (*Chunk, error) {
 func (s *StatsOp) Close() error { return s.Child.Close() }
 
 // VecStatsOp is StatsOp for the vectorized contract. Rows are counted
-// through the selection vector (vb.Len()), matching what downstream
-// consumers actually see.
+// through the selection vector (vb.Rows()), matching what downstream
+// consumers actually see. NextVec may be called by several group-by
+// workers at once, so it charges wall time through Enter/Exit.
 type VecStatsOp struct {
 	Child VecOperator
 	S     telemetry.OpStats
@@ -73,12 +74,12 @@ func (s *VecStatsOp) Open() error {
 
 // NextVec implements VecOperator.
 func (s *VecStatsOp) NextVec() (*vec.Batch, error) {
-	start := time.Now()
+	s.S.Enter()
 	vb, err := s.Child.NextVec()
 	if vb != nil {
-		s.S.Observe(start, vb.Rows())
+		s.S.Exit(vb.Rows())
 	} else {
-		s.S.Observe(start, -1)
+		s.S.Exit(-1)
 	}
 	return vb, err
 }
@@ -95,7 +96,7 @@ func Instrument(op Operator) Operator {
 	case *StatsOp:
 		return o // already instrumented
 	case *RowAdapter:
-		// Keep the adapter's concrete type: GroupByOp.VecIngest and
+		// Keep the adapter's concrete type: GroupByOp's vector ingest and
 		// HashJoinOp's vectorized build assert on *RowAdapter.
 		o.Inner = InstrumentVec(o.Inner)
 		return o
@@ -120,18 +121,8 @@ func Instrument(op Operator) Operator {
 	case *SortOp:
 		o.Child = Instrument(o.Child)
 		return &StatsOp{Child: o}
-	case *DistinctOp:
-		o.Child = Instrument(o.Child)
-		return &StatsOp{Child: o}
 	case *GroupByOp:
 		o.Child = Instrument(o.Child)
-		return &StatsOp{Child: o}
-	case *ParallelGroupByOp:
-		dop := o.Dop
-		if dop < 1 {
-			dop = 1
-		}
-		o.ScanStats = telemetry.NewScanStats(dop)
 		return &StatsOp{Child: o}
 	case *HashJoinOp:
 		o.Left = Instrument(o.Left)

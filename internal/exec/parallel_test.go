@@ -1,13 +1,17 @@
 package exec
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"dashdb/internal/columnar"
 	"dashdb/internal/encoding"
+	"dashdb/internal/mem"
 	"dashdb/internal/page"
 	"dashdb/internal/types"
 )
@@ -77,10 +81,19 @@ func sortedRows(rows []types.Row) []types.Row {
 	return out
 }
 
+// atDop turns a row-ingest group-by over a bare ScanOp into the plan the
+// compiler builds at that degree: Dop on the operator and on its scan,
+// then vectorized (compressed or decoding at the scan).
+func atDop(g *GroupByOp, dop int, compressed bool) *GroupByOp {
+	g.Dop, g.Child.(*ScanOp).Dop = dop, dop
+	VectorizeMode(g, compressed)
+	return g
+}
+
 // TestParallelGroupByMatchesSerial is the aggregate-merge correctness
-// property: for random data (NULL groups, overflow-prone SUMs) the
-// parallel partitioned aggregation must produce exactly the serial
-// GroupByOp's rows at every dop.
+// property: for random data (NULL groups, overflow-prone SUMs) vector
+// ingest on Dop workers must produce exactly the row-ingest GroupByOp's
+// rows at every dop.
 func TestParallelGroupByMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -93,26 +106,24 @@ func TestParallelGroupByMatchesSerial(t *testing.T) {
 			preds = []columnar.Pred{{Col: 2, Op: encoding.OpGE, Val: types.NewFloat(100)}}
 		}
 
-		serial := &GroupByOp{
-			Child:     NewScan(tbl, preds, nil),
-			GroupBy:   groupBy,
-			GroupCols: groupCols,
-			Aggs:      aggSpecs(),
+		mk := func() *GroupByOp {
+			return &GroupByOp{
+				Child:     NewScan(tbl, preds, nil),
+				GroupBy:   groupBy,
+				GroupCols: groupCols,
+				Aggs:      aggSpecs(),
+			}
 		}
-		want, err := Drain(serial)
+		want, err := Drain(mk())
 		if err != nil {
 			t.Fatal(err)
 		}
 		want = sortedRows(want)
 
 		for _, dop := range []int{1, 2, 8} {
-			par := &ParallelGroupByOp{
-				Table:     tbl,
-				Preds:     preds,
-				GroupBy:   groupBy,
-				GroupCols: groupCols,
-				Aggs:      aggSpecs(),
-				Dop:       dop,
+			par := atDop(mk(), dop, true)
+			if w := par.Workers(); w != dop {
+				t.Fatalf("seed %d dop %d: %d ingest workers", seed, dop, w)
 			}
 			got, err := Drain(par)
 			if err != nil {
@@ -137,8 +148,7 @@ func TestParallelGroupByGlobal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par := &ParallelGroupByOp{Table: tbl, Aggs: aggSpecs(), Dop: dop}
-		got, err := Drain(par)
+		got, err := Drain(atDop(&GroupByOp{Child: NewScan(tbl, nil, nil), Aggs: aggSpecs()}, dop, true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,8 +158,7 @@ func TestParallelGroupByGlobal(t *testing.T) {
 	}
 
 	empty := columnar.NewTable(8, "empty", types.Schema{{Name: "x", Kind: types.KindInt}}, columnar.Config{})
-	par := &ParallelGroupByOp{Table: empty, Aggs: []AggSpec{{Func: AggCountStar, Name: "CNT"}}, Dop: 4}
-	got, err := Drain(par)
+	got, err := Drain(atDop(&GroupByOp{Child: NewScan(empty, nil, nil), Aggs: []AggSpec{{Func: AggCountStar, Name: "CNT"}}}, 4, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +167,7 @@ func TestParallelGroupByGlobal(t *testing.T) {
 	}
 }
 
-// TestMergeableAggs pins the serial-fallback set.
+// TestMergeableAggs pins the one-worker fallback set.
 func TestMergeableAggs(t *testing.T) {
 	ok := aggSpecs()
 	if !MergeableAggs(ok) {
@@ -167,6 +176,11 @@ func TestMergeableAggs(t *testing.T) {
 	for _, f := range []AggFunc{AggMedian, AggPercentileCont, AggPercentileDisc} {
 		if MergeableAggs([]AggSpec{{Func: f}}) {
 			t.Fatalf("agg func %d must fall back to the serial path", f)
+		}
+		g := atDop(&GroupByOp{Child: NewScan(columnar.NewTable(9, "m", types.Schema{{Name: "x", Kind: types.KindInt}}, columnar.Config{}), nil, nil),
+			Aggs: []AggSpec{{Func: f, Arg: ColRef(0)}}}, 4, true)
+		if g.Workers() != 1 || g.VecIngest() {
+			t.Fatalf("agg func %d must ingest row-at-a-time on one worker", f)
 		}
 	}
 }
@@ -189,5 +203,171 @@ func TestParallelScanOp(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sortedRows(got), sortedRows(want)) {
 		t.Fatalf("parallel ScanOp diverged: %d rows vs %d", len(got), len(want))
+	}
+}
+
+// sameRows requires two result sets to agree row for row, in order:
+// integers, strings and NULLs exactly, floats to 1e-9 relative (partial
+// float sums reassociate across workers) with NaN equal to NaN.
+func sameRows(t *testing.T, label string, got, want []types.Row) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
+	}
+	for r := range want {
+		for c, w := range want[r] {
+			g := got[r][c]
+			ok := g.IsNull() == w.IsNull() && g.Kind() == w.Kind()
+			if ok && !w.IsNull() {
+				if w.Kind() == types.KindFloat {
+					a, b := g.Float(), w.Float()
+					ok = (math.IsNaN(a) && math.IsNaN(b)) || math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
+				} else {
+					ok = types.Compare(g, w) == 0
+				}
+			}
+			if !ok {
+				t.Fatalf("%s: row %d col %d: got %v, want %v\n got %v\nwant %v", label, r, c, g, w, got[r], want[r])
+			}
+		}
+	}
+}
+
+// TestGroupByDopInvariance is the one-operator property: whatever the key
+// shape, whatever sits between scan and group-by, spilled or in memory,
+// the rows and their order at dop 1, 2 and 8 are those of the serial
+// row-ingest reference.
+func TestGroupByDopInvariance(t *testing.T) {
+	measure := &ArithExpr{Op: "*", L: ColRef(3), R: Const{V: types.NewFloat(0.37)}} // inexact, so sums reassociate
+	aggs := []AggSpec{
+		{Func: AggCountStar, Name: "cnt"},
+		{Func: AggSum, Arg: ColRef(3), Name: "sum_id"},
+		{Func: AggSum, Arg: measure, Name: "sum_m"},
+		{Func: AggAvg, Arg: measure, Name: "avg_m"},
+		{Func: AggMin, Arg: ColRef(3), Name: "min_id"},
+		{Func: AggMax, Arg: ColRef(0), Name: "max_g"},
+		{Func: AggCountDistinct, Arg: ColRef(1), Name: "cd_k"},
+	}
+	sch := dictSchema()
+	keys := []struct {
+		name  string
+		empty bool
+		exprs []Expr
+		cols  types.Schema
+	}{
+		{name: "int key", exprs: []Expr{&ArithExpr{Op: "%", L: ColRef(3), R: Const{V: types.NewInt(257)}}},
+			cols: types.Schema{{Name: "m", Kind: types.KindInt}}},
+		{name: "dictionary-string key", exprs: []Expr{ColRef(0)}, cols: sch[:1]},
+		{name: "NULL keys", exprs: []Expr{ColRef(0), ColRef(1)}, cols: sch[:2]},
+		{name: "NaN float key", exprs: []Expr{ColRef(2)}, cols: sch[2:3]},
+		{name: "empty input", empty: true, exprs: []Expr{ColRef(0)}, cols: sch[:1]},
+		{name: "global aggregate"},
+	}
+	filters := []struct {
+		name    string
+		workers bool // group-by ingests on Dop workers
+		build   func(tbl *columnar.Table) Operator
+	}{
+		{"pushdown only", true, func(tbl *columnar.Table) Operator {
+			return NewScan(tbl, []columnar.Pred{{Col: 3, Op: encoding.OpGE, Val: types.NewInt(100)}}, nil)
+		}},
+		{"residual vector filter", true, func(tbl *columnar.Table) Operator {
+			return &FilterOp{Child: NewScan(tbl, nil, nil), Pred: &CmpExpr{Op: encoding.OpGT,
+				L: &ArithExpr{Op: "+", L: ColRef(3), R: ColRef(1)}, R: Const{V: types.NewInt(100)}}}
+		}},
+		{"FuncExpr filter", false, func(tbl *columnar.Table) Operator {
+			return &FilterOp{Child: NewScan(tbl, nil, nil), Pred: FuncExpr(func(r types.Row) (types.Value, error) {
+				return types.NewBool(r[3].Int()%3 != 0), nil
+			})}
+		}},
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		full := dictTable(t, uint32(600+seed), dictRows(rng, 3*page.StrideSize+rng.Intn(page.StrideSize), true))
+		none := dictTable(t, uint32(610+seed), nil)
+		for _, k := range keys {
+			tbl := full
+			if k.empty {
+				tbl = none
+			}
+			for _, f := range filters {
+				mk := func(gov *mem.Governor) *GroupByOp {
+					return &GroupByOp{Child: f.build(tbl), GroupBy: k.exprs, GroupCols: k.cols, Aggs: aggs, Gov: gov}
+				}
+				want, err := Drain(mk(nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, budget := range []int64{0, 8 << 10} {
+					for _, dop := range []int{1, 2, 8} {
+						label := fmt.Sprintf("seed %d, %s, %s, heap %d, dop %d", seed, k.name, f.name, budget, dop)
+						var gov *mem.Governor
+						dir := ""
+						if budget > 0 {
+							gov, _, dir = tinyGov(t, budget)
+						}
+						g := mk(gov)
+						g.Dop = dop
+						scan := g.Child
+						if fo, ok := scan.(*FilterOp); ok {
+							scan = fo.Child
+						}
+						scan.(*ScanOp).Dop = dop
+						Vectorize(g)
+						if w := g.Workers(); f.workers && w != dop || !f.workers && w != 1 {
+							t.Fatalf("%s: %d ingest workers", label, w)
+						}
+						got, err := Drain(g)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						sameRows(t, label, got, want)
+						if budget > 0 {
+							if runs, _ := g.SpillStats(); runs == 0 && k.name == "int key" {
+								t.Fatalf("%s: expected a forced spill", label)
+							}
+							requireNoSpillFiles(t, dir)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGroupByWorkerErrorStopsOthers: an evaluation error in one worker
+// (division by zero late in the table) fails Open, stops the other
+// workers, and Close still removes every partition run file.
+func TestGroupByWorkerErrorStopsOthers(t *testing.T) {
+	schema := types.Schema{{Name: "k", Kind: types.KindInt}, {Name: "d", Kind: types.KindInt}}
+	tbl := columnar.NewTable(620, "div", schema, columnar.Config{})
+	n := 6 * page.StrideSize
+	rows := make([]types.Row, n)
+	for i := range rows {
+		d := int64(1)
+		if i == n-10 {
+			d = 0
+		}
+		rows[i] = types.Row{types.NewInt(int64(i)), types.NewInt(d)}
+	}
+	if err := tbl.InsertBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, dop := range []int{1, 2, 8} {
+		gov, _, dir := tinyGov(t, 8<<10)
+		g := atDop(&GroupByOp{
+			Child:     NewScan(tbl, nil, nil),
+			GroupBy:   []Expr{ColRef(0)},
+			GroupCols: schema[:1],
+			Aggs:      []AggSpec{{Func: AggSum, Arg: &ArithExpr{Op: "/", L: ColRef(0), R: ColRef(1)}, Name: "q"}},
+			Gov:       gov,
+		}, dop, true)
+		if _, err := Drain(g); err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Fatalf("dop %d: err = %v, want division by zero", dop, err)
+		}
+		if runs, _ := g.SpillStats(); runs == 0 {
+			t.Fatalf("dop %d: expected spill runs before the error", dop)
+		}
+		requireNoSpillFiles(t, dir)
 	}
 }

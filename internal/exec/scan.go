@@ -13,9 +13,8 @@ import (
 //
 // Dop > 1 switches to the morsel-driven ParallelScan: Dop workers pull
 // strides from a shared queue and chunks arrive in nondeterministic
-// order, so the planner only raises Dop under order-insensitive parents
-// (aggregation consumes the fused ParallelGroupByOp instead; this knob
-// serves library callers and benchmarks).
+// order, so the compiler only raises Dop under a group-by, whose
+// key-ordered emit makes arrival order irrelevant.
 type ScanOp struct {
 	Table      *columnar.Table
 	Preds      []columnar.Pred

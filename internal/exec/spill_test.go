@@ -260,9 +260,9 @@ func TestGroupBySpillMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestParallelGroupBySpillMatchesSerial forces the parallel partitioned
-// aggregation to spill at dop 1, 2 and 8 and checks it still matches the
-// ungoverned serial aggregation exactly.
+// TestParallelGroupBySpillMatchesSerial forces vector ingest to spill at
+// dop 1, 2 and 8 and checks it still matches the ungoverned row-ingest
+// aggregation exactly.
 func TestParallelGroupBySpillMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tbl := buildAggTable(t, rng, 3*page.StrideSize+500)
@@ -283,14 +283,13 @@ func TestParallelGroupBySpillMatchesSerial(t *testing.T) {
 
 	for _, dop := range []int{1, 2, 8} {
 		gov, _, dir := tinyGov(t, 4<<10)
-		par := &ParallelGroupByOp{
-			Table:     tbl,
+		par := atDop(&GroupByOp{
+			Child:     NewScan(tbl, nil, nil),
 			GroupBy:   groupBy,
 			GroupCols: groupCols,
 			Aggs:      aggSpecs(),
-			Dop:       dop,
 			Gov:       gov,
-		}
+		}, dop, true)
 		got, err := Drain(par)
 		if err != nil {
 			t.Fatalf("dop %d: %v", dop, err)

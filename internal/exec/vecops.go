@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"sync/atomic"
+
 	"dashdb/internal/columnar"
 	"dashdb/internal/encoding"
 	"dashdb/internal/telemetry"
@@ -190,8 +192,9 @@ type VecFilterOp struct {
 	Pred  Expr // must satisfy Vectorizable
 
 	// CodeRows counts live rows whose qualifying set was computed entirely
-	// in code space (no value decoded); EXPLAIN ANALYZE reports it.
-	CodeRows int64
+	// in code space (no value decoded); EXPLAIN ANALYZE reports it. Atomic:
+	// a parallel group-by pulls NextVec from several workers at once.
+	CodeRows atomic.Int64
 }
 
 // Schema implements VecOperator.
@@ -212,7 +215,7 @@ func (f *VecFilterOp) NextVec() (*vec.Batch, error) {
 		if sel, ok, err := compressedSel(f.Pred, vb, vb.Idx()); err != nil {
 			return nil, err
 		} else if ok {
-			f.CodeRows += int64(vb.Rows())
+			f.CodeRows.Add(int64(vb.Rows()))
 			if len(sel) == 0 {
 				continue
 			}
@@ -263,8 +266,9 @@ type VecProjectOp struct {
 
 	// EncodedRows counts live rows that arrived still dictionary-encoded
 	// in at least one column — i.e. rows late-materialized here rather
-	// than decoded upstream. EXPLAIN ANALYZE reports it.
-	EncodedRows int64
+	// than decoded upstream. EXPLAIN ANALYZE reports it. Atomic for the
+	// same reason as VecFilterOp.CodeRows.
+	EncodedRows atomic.Int64
 }
 
 // Schema implements VecOperator.
@@ -293,7 +297,7 @@ func (p *VecProjectOp) NextVec() (*vec.Batch, error) {
 	// Late materialization point: everything upstream ran on codes; the
 	// projection decodes each surviving output column exactly once.
 	if encoded {
-		p.EncodedRows += int64(vb.Rows())
+		p.EncodedRows.Add(int64(vb.Rows()))
 		for _, cv := range cols {
 			cv.Materialize()
 		}
@@ -455,7 +459,7 @@ func (r *RowsToVecOp) Close() error { return r.Child.Close() }
 // segment runs on the vectorized engine. Scans become VecScanOp;
 // Filter/Project/Limit directly above a vectorized segment move inside it
 // when their expressions compile to vector kernels; everything else
-// (Sort, Distinct, grouping, joins, UDF/func expressions) keeps the row
+// (Sort, grouping, joins, UDF/func expressions) keeps the row
 // contract and reads through a RowAdapter at the boundary. Unknown
 // operators (library extensions) pass through untouched.
 func Vectorize(op Operator) Operator { return VectorizeMode(op, true) }
@@ -499,9 +503,6 @@ func VectorizeMode(op Operator, compressed bool) Operator {
 		o.Child = child
 		return o
 	case *SortOp:
-		o.Child = VectorizeMode(o.Child, compressed)
-		return o
-	case *DistinctOp:
 		o.Child = VectorizeMode(o.Child, compressed)
 		return o
 	case *GroupByOp:

@@ -4,18 +4,17 @@ import (
 	"fmt"
 	"strings"
 
-	"dashdb/internal/core"
+	"dashdb/internal/catalog"
 	"dashdb/internal/exec"
 	"dashdb/internal/sql"
 	"dashdb/internal/types"
 )
 
 // evalInsertRows evaluates an INSERT's literal rows with a scratch
-// compiler and maps any column list onto the table schema.
+// compiler (constant folding needs a catalog but never looks a table up,
+// so an empty one serves) and maps any column list onto the table schema.
 func evalInsertRows(stmt *sql.InsertStmt, schema types.Schema, d sql.Dialect) ([]types.Row, error) {
-	scratch := core.Open(core.Config{BufferPoolBytes: 1 << 20})
-	defer scratch.Close()
-	comp := sql.NewCompiler(scratch.Catalog(), d, &sql.EvalEnv{Dialect: d})
+	comp := sql.NewCompiler(catalog.New(), d, &sql.EvalEnv{Dialect: d})
 	var rows []types.Row
 	for _, exprRow := range stmt.Rows {
 		row := make(types.Row, len(exprRow))

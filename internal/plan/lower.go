@@ -44,8 +44,16 @@ func lower(n Node, opts Options) (exec.Operator, float64) {
 		}
 		return &exec.LimitOp{Child: child, Offset: t.Offset, Limit: t.Limit}, est
 	case *Distinct:
+		// Duplicate elimination is a group-by on every column with no
+		// aggregates (NULLs form one group), so it runs on the governed,
+		// spilling hash table instead of one of its own.
 		child, est := lower(t.Child, opts)
-		return &exec.DistinctOp{Child: child}, est
+		sch := child.Schema()
+		keys := make([]exec.Expr, len(sch))
+		for i := range keys {
+			keys[i] = exec.ColRef(i)
+		}
+		return &exec.GroupByOp{Child: child, GroupBy: keys, GroupCols: sch, Gov: opts.Gov}, est
 	case *Join:
 		return lowerJoin(t, opts)
 	}

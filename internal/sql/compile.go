@@ -29,8 +29,8 @@ type Compiler struct {
 	Params []types.Value
 	// Parallelism is the session's effective intra-query parallelism
 	// degree (auto-configured, WLM-clamped, per-session overridable).
-	// Degrees above 1 let the compiler fuse scan+aggregate plans into the
-	// morsel-driven ParallelGroupByOp; 0/1 keeps every plan serial.
+	// Degrees above 1 become the Dop of every group-by whose aggregates
+	// merge exactly and of the scan feeding it; 0/1 keeps every plan serial.
 	Parallelism int
 	// Gov is the session's memory governor: blocking operators acquire
 	// heap reservations through it and spill when denied. Nil keeps the
@@ -194,11 +194,11 @@ func (c *Compiler) compileSelect(sel *SelectStmt) (*compiled, error) {
 		if len(right.op.Schema()) != len(cpl.op.Schema()) {
 			return nil, fmt.Errorf("sql: UNION operands have different arity")
 		}
-		var op exec.Operator = &exec.UnionAllOp{Children: []exec.Operator{cpl.op, right.op}}
+		var node plan.Node = &plan.Input{Op: &exec.UnionAllOp{Children: []exec.Operator{cpl.op, right.op}}}
 		if !sel.UnionAll {
-			op = &exec.DistinctOp{Child: op}
+			node = &plan.Distinct{Child: node}
 		}
-		return &compiled{op: op, scope: cpl.scope}, nil
+		return &compiled{op: plan.Lower(node, c.planOptions()), scope: cpl.scope}, nil
 	}
 	return cpl, nil
 }
@@ -279,9 +279,9 @@ func (c *Compiler) compileSelectCore(sel *SelectStmt) (*compiled, error) {
 	hiddenSort := 0 // extra projected sort-key columns, dropped after Sort
 	var sortKeys []exec.SortKey
 	if hasAgg {
-		// Aggregation still assembles its fused scan/group pipelines over
-		// physical operators, so lower the FROM tree first and hand the
-		// aggregate compiler a physical input.
+		// Aggregation still assembles its group-by over physical operators
+		// (and places dop on the scan beneath it), so lower the FROM tree
+		// first and hand the aggregate compiler a physical input.
 		fromCpl := &compiled{op: plan.Lower(cur.node, c.planOptions()), scope: cur.scope}
 		var outOp exec.Operator
 		outOp, outSchema, sortKeys, err = c.compileAggregateWithOrder(sel, items, fromCpl)

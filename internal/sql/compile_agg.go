@@ -240,25 +240,14 @@ func (c *Compiler) compileAggregate(sel *SelectStmt, items []SelectItem, cur *co
 
 	var op exec.Operator = g
 
-	// Parallel fusion: when the aggregation input is a bare columnar scan
-	// (all predicates pushed down, no residual filter or join) and every
-	// aggregate merges exactly, replace scan→group-by with the
-	// morsel-driven ParallelGroupByOp at the session's effective degree.
-	// MEDIAN/PERCENTILE keep the serial path (their state does not merge).
+	// Parallelism: a group-by whose aggregates merge exactly, fed by a
+	// columnar scan through filters and projections only, runs at the
+	// session's effective degree, and so does that scan. (The operator
+	// still ingests on one worker when a filter in between has no vector
+	// kernel; key-ordered emit makes the scan's arrival order irrelevant.)
 	if c.Parallelism > 1 && exec.MergeableAggs(g.Aggs) {
-		if scan, ok := cur.op.(*exec.ScanOp); ok {
-			op = &exec.ParallelGroupByOp{
-				Table:      scan.Table,
-				Snap:       scan.Snap,
-				Preds:      scan.Preds,
-				Projection: scan.Projection,
-				GroupBy:    g.GroupBy,
-				GroupCols:  g.GroupCols,
-				Aggs:       g.Aggs,
-				Dop:        c.Parallelism,
-				Gov:        c.Gov,
-				Compressed: !c.NoCompressedExec,
-			}
+		if scan := scanBelow(cur.op); scan != nil {
+			g.Dop, scan.Dop = c.Parallelism, c.Parallelism
 		}
 	}
 
@@ -284,6 +273,23 @@ func (c *Compiler) compileAggregate(sel *SelectStmt, items []SelectItem, cur *co
 	}
 	op = &exec.ProjectOp{Child: op, Exprs: exprs, Out: outSchema}
 	return op, outSchema, mapping, nil
+}
+
+// scanBelow returns the columnar scan at the bottom of a Filter/Project
+// chain, or nil when the chain ends in anything else.
+func scanBelow(op exec.Operator) *exec.ScanOp {
+	for {
+		switch o := op.(type) {
+		case *exec.ScanOp:
+			return o
+		case *exec.FilterOp:
+			op = o.Child
+		case *exec.ProjectOp:
+			op = o.Child
+		default:
+			return nil
+		}
+	}
 }
 
 // buildAggSpec converts an aggregate FuncCall into an executor AggSpec.

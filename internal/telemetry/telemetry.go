@@ -3,9 +3,11 @@
 // Two counter families cover the hot paths:
 //
 //   - OpStats: per-operator atomic counters (rows, batches, wall time).
-//     Operators are pulled from a single consumer goroutine, but scans hand
-//     batches across a channel from a producer goroutine, so atomics keep
-//     the accounting race-free without a lock.
+//     Row operators are pulled from a single consumer goroutine, but scans
+//     hand batches across a channel from a producer goroutine, so atomics
+//     keep the accounting race-free without a lock. A vector pipeline under
+//     a parallel group-by is pulled by several workers at once; its calls
+//     are bracketed with Enter/Exit so wall time stays elapsed time.
 //
 //   - ScanStats: per-worker sharded counters for parallel scans. Each morsel
 //     worker owns one cache-line-padded shard and bumps it with plain
@@ -18,6 +20,7 @@
 package telemetry
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -29,6 +32,45 @@ type OpStats struct {
 	rows      atomic.Int64
 	batches   atomic.Int64
 	wallNanos atomic.Int64
+
+	// Enter/Exit state: calls in flight and when the first of them began.
+	mu     sync.Mutex
+	active int
+	since  time.Time
+}
+
+// Enter and Exit bracket one NextVec call on an operator that several
+// goroutines may pull at once. Wall time is charged for the span during
+// which at least one call is in flight — the union of the calls'
+// intervals, not their sum — so a child's time stays elapsed time, no
+// larger than its parent's, whatever the number of workers. Exit counts
+// the batch like Observe (rows < 0: no batch produced).
+func (s *OpStats) Enter() {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	if s.active == 0 {
+		s.since = time.Now()
+	}
+	s.active++
+	s.mu.Unlock()
+}
+
+// Exit ends the call begun by the matching Enter.
+func (s *OpStats) Exit(rows int) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	if s.active--; s.active == 0 {
+		s.wallNanos.Add(int64(time.Since(s.since)))
+	}
+	s.mu.Unlock()
+	if rows >= 0 {
+		s.batches.Add(1)
+		s.rows.Add(int64(rows))
+	}
 }
 
 // Observe records one Next/NextVec call that took time.Since(start) and

@@ -24,10 +24,40 @@ func TestOpStatsObserve(t *testing.T) {
 	}
 }
 
+// TestOpStatsEnterExitIsElapsed pins the several-workers contract:
+// overlapping calls charge the span with a call in flight once, so wall
+// time never exceeds what elapsed (a per-call sum would be about twice it).
+func TestOpStatsEnterExitIsElapsed(t *testing.T) {
+	var s OpStats
+	start := time.Now()
+	s.Enter()
+	s.Enter()
+	time.Sleep(5 * time.Millisecond)
+	s.Exit(10)
+	s.Exit(-1)
+	elapsed := time.Since(start)
+	if w := s.Wall(); w < 5*time.Millisecond || w > elapsed {
+		t.Fatalf("wall %v, want the overlap counted once: within [5ms, %v]", w, elapsed)
+	}
+	if s.Rows() != 10 || s.Batches() != 1 {
+		t.Fatalf("rows %d batches %d", s.Rows(), s.Batches())
+	}
+	// A later, disjoint call adds its own span.
+	before := s.Wall()
+	s.Enter()
+	time.Sleep(time.Millisecond)
+	s.Exit(1)
+	if s.Wall() < before+time.Millisecond {
+		t.Fatalf("disjoint call not charged: %v after %v", s.Wall(), before)
+	}
+}
+
 func TestOpStatsNilSafe(t *testing.T) {
 	var s *OpStats
 	s.Observe(time.Now(), 5)
 	s.AddWall(time.Second)
+	s.Enter()
+	s.Exit(5)
 	if s.Rows() != 0 || s.Batches() != 0 || s.Wall() != 0 {
 		t.Fatal("nil OpStats must read as zero")
 	}
