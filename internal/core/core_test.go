@@ -229,6 +229,37 @@ func TestViewsRecordDialect(t *testing.T) {
 	}
 }
 
+// TestViewBodyInheritsSession: a view body is compiled as one more block of
+// the statement that references it, differing only in dialect — it resolves
+// the engine's registered UDFs and plans at the session's parallelism.
+// (Its governor is covered by TestJoinSpillsSQL.)
+func TestViewBodyInheritsSession(t *testing.T) {
+	db := Open(Config{BufferPoolBytes: 16 << 20, Parallelism: 2})
+	defer db.Close()
+	if err := db.RegisterFunction("TWICE", 1, 1, func(args []types.Value) (types.Value, error) {
+		return types.NewInt(2 * args[0].Int()), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s := db.NewSession()
+	seedSales(t, s, 400)
+	t.Run("udf", func(t *testing.T) {
+		mustExec(t, s, `CREATE VIEW v_twice AS SELECT id, TWICE(id) AS d FROM sales`)
+		if r := mustExec(t, s, `SELECT d FROM v_twice WHERE id = 21`); len(r.Rows) != 1 || r.Rows[0][0].Int() != 42 {
+			t.Fatalf("UDF inside a view: %v", r.Rows)
+		}
+	})
+	t.Run("parallelism", func(t *testing.T) {
+		mustExec(t, s, `CREATE VIEW v_regions AS SELECT region, COUNT(*) AS n, SUM(amount) AS total FROM sales GROUP BY region`)
+		if r := mustExec(t, s, `SELECT region, n FROM v_regions ORDER BY region`); len(r.Rows) != 4 || r.Rows[0][1].Int() != 100 {
+			t.Fatalf("group-by inside a view: %v", r.Rows)
+		}
+		if plan := planText(mustExec(t, s, `EXPLAIN SELECT region, n FROM v_regions`)); !strings.Contains(plan, "GROUP BY [1 keys, 2 aggregates] [vectorized] [compressed] [dop=2]") {
+			t.Fatalf("group-by inside a view lost the session's parallelism:\n%s", plan)
+		}
+	})
+}
+
 func TestOracleDialect(t *testing.T) {
 	s := newDB(t).NewSession()
 	mustExec(t, s, `SET SQL_DIALECT = 'ORACLE'`)

@@ -309,9 +309,6 @@ func collectVec(op exec.VecOperator, depth int, st *telemetry.OpStats, out *[]pl
 	case *exec.VecLimitOp:
 		add(fmt.Sprintf("LIMIT %d OFFSET %d [vectorized]", o.Limit, o.Offset), nil)
 		collectVec(o.Child, depth+1, nil, out)
-	case *exec.RowsToVecOp:
-		// Row source boxed into vectors: describe the row subtree directly.
-		collectOp(o.Child, depth, st, out)
 	default:
 		add(fmt.Sprintf("%T [vectorized]", op), nil)
 	}

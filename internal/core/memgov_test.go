@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -116,5 +117,69 @@ func TestMemoryGovernorEnvKnobs(t *testing.T) {
 		if h.BudgetBytes != 1<<20 {
 			t.Fatalf("%s budget %d, want %d", h.Heap, h.BudgetBytes, 1<<20)
 		}
+	}
+}
+
+// joinLine returns the plan's HASH JOIN line.
+func joinLine(plan string) string {
+	for _, line := range strings.Split(plan, "\n") {
+		if strings.Contains(line, "HASH JOIN") {
+			return line
+		}
+	}
+	return ""
+}
+
+// TestJoinSpillsSQL drives the Grace join through the SQL surface: an INNER
+// and a LEFT join whose build side exceeds an 8 KB HASHHEAP, inline and
+// behind a view (a view body is governed like any other block), spill,
+// return the default-heap rows, show up in EXPLAIN ANALYZE and MON_MEMORY,
+// and leave the temp dir empty.
+func TestJoinSpillsSQL(t *testing.T) {
+	dir := t.TempDir()
+	db := Open(Config{BufferPoolBytes: 16 << 20, Parallelism: 2, TempDir: dir})
+	defer db.Close()
+	s := db.NewSession()
+	seedSales(t, s, 6000)
+	mustExec(t, s, `CREATE TABLE reps (rep_id BIGINT NOT NULL, name VARCHAR(16))`)
+	var b strings.Builder
+	b.WriteString("INSERT INTO reps VALUES ")
+	for i := 0; i < 2000; i++ {
+		if i > 0 {
+			b.WriteString(",")
+		}
+		fmt.Fprintf(&b, "(%d, 'rep-%d')", 2*i, i)
+	}
+	mustExec(t, s, b.String())
+	mustExec(t, s, `CREATE VIEW sales_reps AS SELECT s.id, s.region, r.name FROM sales s JOIN reps r ON s.id = r.rep_id`)
+	queries := []string{
+		`SELECT s.id, s.region, r.name FROM sales s JOIN reps r ON s.id = r.rep_id ORDER BY s.id`,
+		`SELECT s.id, r.name FROM sales s LEFT JOIN reps r ON s.id = r.rep_id ORDER BY s.id`,
+		`SELECT region, COUNT(*), MIN(name) FROM sales_reps GROUP BY region ORDER BY region`,
+	}
+	var want []*Result
+	for _, q := range queries {
+		want = append(want, mustExec(t, s, q))
+		if line := joinLine(planText(mustExec(t, s, `EXPLAIN ANALYZE `+q))); line == "" || strings.Contains(line, "[spill:") {
+			t.Fatalf("%s: default heap must join in memory: %q", q, line)
+		}
+	}
+	mustExec(t, s, `SET HASHHEAP 8KB`)
+	for i, q := range queries {
+		got := mustExec(t, s, q)
+		if len(got.Rows) == 0 || !reflect.DeepEqual(got.Rows, want[i].Rows) {
+			t.Fatalf("%s: spilled result (%d rows) differs from in-memory (%d rows)", q, len(got.Rows), len(want[i].Rows))
+		}
+		plan := planText(mustExec(t, s, `EXPLAIN ANALYZE `+q))
+		if !strings.Contains(joinLine(plan), "[spill: runs=") {
+			t.Fatalf("%s: join did not spill:\n%s", q, plan)
+		}
+	}
+	r := mustExec(t, s, `SELECT spill_runs FROM mon_memory WHERE heap = 'HASHHEAP'`)
+	if len(r.Rows) != 1 || r.Rows[0][0].Int() == 0 {
+		t.Fatalf("MON_MEMORY shows no HASHHEAP spill: %v", r.Rows)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*"+mem.SpillSuffix)); len(left) > 0 {
+		t.Fatalf("spill files left behind: %v", left)
 	}
 }

@@ -452,8 +452,7 @@ func (g *GroupByOp) Workers() int {
 
 // concurrentPull reports whether NextVec may be called on v from several
 // goroutines at once: a scan hands batches over a channel and filters and
-// projections keep no per-call state, but a limit counts rows and a boxed
-// row source is single-consumer.
+// projections keep no per-call state, but a limit counts rows.
 func concurrentPull(v VecOperator) bool {
 	switch o := v.(type) {
 	case *VecStatsOp:
@@ -585,8 +584,8 @@ func (g *GroupByOp) VecIngest() bool { return g.vecChild() != nil }
 // vecChild returns the vector pipeline Open ingests from, or nil when it
 // consumes the child row-at-a-time.
 func (g *GroupByOp) vecChild() VecOperator {
-	if ra, ok := g.Child.(*RowAdapter); ok && g.vecIngestable() {
-		return ra.Inner
+	if g.vecIngestable() {
+		return vecPipeline(g.Child)
 	}
 	return nil
 }

@@ -165,8 +165,8 @@ func TestCompressedFilterEmptyTable(t *testing.T) {
 	}
 }
 
-// TestCompressedJoinParity checks code-keyed hash joins against the
-// decoded path: shared dictionaries (self-join, identity codes),
+// TestCompressedJoinParity checks code-keyed and decoded hash joins against
+// the nested-loop oracle: shared dictionaries (self-join, identity codes),
 // mismatched dictionaries (two tables, overlapping and disjoint domains,
 // exercising the remap cache and out-of-domain probe misses), both INNER
 // and LEFT (unmatched padding).
@@ -195,10 +195,10 @@ func TestCompressedJoinParity(t *testing.T) {
 				return j
 			}
 			comp := mk(true)
-			got := sortedKeys(t, comp)
-			want := sortedKeys(t, mk(false))
+			want := sortedRowKeys(nestedLoopJoin(tableRows(t, tc.left), tableRows(t, tc.right), []int{0, 1}, []int{0, 1}, jt, dictSchema()))
 			ctx := fmt.Sprintf("%s/%v", tc.name, jt)
-			requireEqualKeys(t, ctx, want, got)
+			requireEqualKeys(t, ctx+" compressed", want, sortedKeys(t, comp))
+			requireEqualKeys(t, ctx+" decoded", want, sortedKeys(t, mk(false)))
 			if n := comp.(*HashJoinOp).CodeKeyCount(); n != 2 {
 				t.Fatalf("%s: code keys = %d, want 2", ctx, n)
 			}
@@ -207,8 +207,9 @@ func TestCompressedJoinParity(t *testing.T) {
 }
 
 // TestCompressedJoinSpillParity forces a mid-query Grace spill under a
-// tiny hash heap and requires the compressed and decoded joins to stay
-// bit-identical (parked probe rows re-translate at drain).
+// tiny hash heap and requires the spilled compressed join and the decoded
+// in-memory join to both return the nested-loop oracle's rows (parked probe
+// rows re-translate at drain).
 func TestCompressedJoinSpillParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	build := dictTable(t, 540, dictRows(rng, 300, true))
@@ -224,7 +225,8 @@ func TestCompressedJoinSpillParity(t *testing.T) {
 				Gov:       gov,
 			}
 		}
-		want := sortedKeys(t, mk(false, nil))
+		want := sortedRowKeys(nestedLoopJoin(tableRows(t, probe), tableRows(t, build), []int{0}, []int{0}, jt, dictSchema()))
+		requireEqualKeys(t, fmt.Sprintf("decoded/%v", jt), want, sortedKeys(t, mk(false, nil)))
 
 		g, _, _ := tinyGov(t, 8<<10)
 		jo := mk(true, g)

@@ -1,9 +1,12 @@
 // Package exec is the query executor: a pull-based operator tree working
 // on batches of tuples ("strides", §II.B.7). Selection predicates are
 // pushed into the columnar scan, where they run over compressed codes;
-// joins and grouping use cache-conscious partitioned hash algorithms in
-// the style of Hybrid Hash Join and MonetDB, partitioning inputs into
-// chunks sized for the L2/L3 cache before building hash tables.
+// joins and grouping use partitioned hash algorithms in the style of
+// Hybrid Hash Join: inputs hash into a fixed fan-out of 64 partitions
+// charged against the session's hash heap, a partition spills when the
+// heap is exhausted, and an operator given no governor runs the same path
+// with nothing denied. Fan-out is not yet derived from the build estimate
+// or a cache size (ROADMAP, "Sort, Top-N and spill" 2(c)).
 package exec
 
 import (

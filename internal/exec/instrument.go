@@ -14,9 +14,9 @@ import (
 // per-worker-sharded ScanStats so morsel workers count stride visits and
 // synopsis skips without touching a shared cache line. It runs AFTER
 // Vectorize (it must see the final node types) and never changes the shape
-// the rest of the engine relies on: RowAdapter and RowsToVecOp keep their
-// concrete types because GroupByOp's vector ingest and HashJoinOp's
-// vectorized build probe them with type assertions.
+// the rest of the engine relies on: RowAdapter keeps its concrete type
+// because GroupByOp's ingest and both sides of HashJoinOp look through it
+// (vecPipeline) to pull batches.
 
 // StatsOp decorates a row Operator with runtime counters. Open time is
 // charged as wall time (blocking operators like SORT do their work there);
@@ -96,8 +96,7 @@ func Instrument(op Operator) Operator {
 	case *StatsOp:
 		return o // already instrumented
 	case *RowAdapter:
-		// Keep the adapter's concrete type: GroupByOp's vector ingest and
-		// HashJoinOp's vectorized build assert on *RowAdapter.
+		// Keep the adapter's concrete type: vecPipeline asserts on it.
 		o.Inner = InstrumentVec(o.Inner)
 		return o
 	case *ScanOp:
@@ -164,11 +163,6 @@ func InstrumentVec(op VecOperator) VecOperator {
 	case *VecLimitOp:
 		o.Child = InstrumentVec(o.Child)
 		return &VecStatsOp{Child: o}
-	case *RowsToVecOp:
-		// Keep the boxing adapter's concrete type for plan rendering; its
-		// row child carries the stats.
-		o.Child = Instrument(o.Child)
-		return o
 	}
 	return op
 }

@@ -21,32 +21,29 @@ const (
 	LeftJoin
 )
 
-// l2Budget is the target size of one build-side partition, approximating
-// an L2 cache slice. Partitioning the build input into chunks of this size
-// before building hash tables is the cache-efficient join strategy of
-// §II.B.7 ("partitioning data into L3 or L2 chunks for performing joins
-// and grouping, as pioneered in Hybrid Hash Join and MonetDB").
-const l2Budget = 256 << 10
-
-// graceParts is the fixed fan-out of the governed (Grace) join: enough
-// partitions that spilling one frees a useful slice of the heap, few
-// enough that every partition keeps a buffered file.
+// graceParts is the join's fixed fan-out: enough partitions that spilling
+// one frees a useful slice of the heap, few enough that every partition
+// keeps a buffered file.
 const graceParts = 64
 
-// HashJoinOp is a partitioned hash join. The right child is the build side
-// (the planner puts the smaller input there); the left child streams as
-// the probe side.
+// HashJoinOp is a Grace-style partitioned hash join (§II.B.7's partitioned
+// join, in the style of Hybrid Hash Join). The right child is the build
+// side (the planner puts the smaller input there); the left child streams
+// as the probe side.
 //
-// With a nil Gov the build side is fully materialized and partitioned into
-// L2-sized chunks, the historical in-memory behavior. With a governor it
-// becomes a Grace-style partitioned join: build rows hash into graceParts
-// partitions charged against a HASHHEAP reservation; when a Grow is denied
-// the largest resident partition spills to a mem.SpillFile and keeps
-// growing on disk. Probe rows that hash to a spilled partition are parked
-// in a per-partition probe file, and after the probe input is exhausted
-// each spilled partition is joined on its own: build rows reloaded, table
-// rebuilt, parked probe rows streamed through it (LEFT JOIN padding
-// included), so peak memory is one partition instead of the whole build.
+// Build rows hash into graceParts partitions charged against a HASHHEAP
+// reservation; when a Grow is denied the largest resident partition spills
+// to a mem.SpillFile and keeps growing on disk. Probe rows that hash to a
+// spilled partition are parked in a per-partition probe file, and after the
+// probe input is exhausted each spilled partition is joined on its own:
+// build rows reloaded, table rebuilt, parked probe rows streamed through it
+// (LEFT JOIN padding included), so peak memory is one partition instead of
+// the whole build. A nil Gov denies nothing, so the in-memory join is this
+// same path on a run in which no partition spilled.
+//
+// A child that is a vector pipeline is read batch-at-a-time: the build
+// drops NULL-key rows while the data is still columnar, and the probe boxes
+// a row only when it matches, parks or needs LEFT JOIN padding.
 type HashJoinOp struct {
 	Left, Right         Operator
 	LeftKeys, RightKeys []int
@@ -65,7 +62,6 @@ type HashJoinOp struct {
 
 	res     *mem.Reservation
 	parts   []joinPartition
-	mask    uint64
 	out     types.Schema
 	pending []types.Row
 
@@ -82,14 +78,15 @@ type HashJoinOp struct {
 	// latch guarantees one dictionary per column for the whole scan — and
 	// a probe value outside the build dictionary is a definite non-match
 	// (skipped, or NULL-padded under LeftJoin) without ever being hashed.
-	codeKeys    []bool           // per key position: build cells hold codes
-	anyCode     bool             // at least one code key adopted
-	buildDicts  []*encoding.Dict // per key position, nil unless codeKeys[k]
-	buildDoms   [][]types.Value  // decode snapshots for output emission
-	remaps      []map[*encoding.Dict]*dictRemap
-	probeVec    *RowAdapter // non-nil: probe reads vec batches directly
-	pkScratch   []types.Value
-	modeScratch []probeKeyMode
+	// Every probe key is translated into the build side's representation
+	// before it is hashed; a position that adopted no codes translates to
+	// itself, so plain keys and code keys share one hash and one equality.
+	codeKeys   []bool           // per key position: build cells hold codes
+	buildDicts []*encoding.Dict // per key position, nil unless codeKeys[k]
+	buildDoms  [][]types.Value  // decode snapshots for output emission
+	remaps     []map[*encoding.Dict]*dictRemap
+	pk         []types.Value  // scratch: one key in build representation
+	modes      []probeKeyMode // scratch: per-batch probe translation
 }
 
 // probeKeyMode is the per-batch translation strategy for one key column.
@@ -103,9 +100,8 @@ type joinPartition struct {
 	rows  []types.Row
 	table map[uint64][]int32 // key hash -> row indices in rows
 
-	// Governed-mode spill state.
 	bytes int64          // reservation charge held by rows
-	build *mem.SpillFile // non-nil once the partition spilled
+	build *mem.SpillFile // non-nil while the partition's build rows are on disk
 	bw    *encoding.RowWriter
 	probe *mem.SpillFile // parked probe rows for a spilled partition
 	pw    *encoding.RowWriter
@@ -119,88 +115,40 @@ func (j *HashJoinOp) Schema() types.Schema {
 	return j.out
 }
 
-// Open implements Operator: it drains and partitions the build side.
+// Open implements Operator: it resets the previous execution's state,
+// partitions the build side and opens the probe side.
 func (j *HashJoinOp) Open() error {
-	if len(j.LeftKeys) != len(j.RightKeys) || len(j.LeftKeys) == 0 {
+	nk := len(j.RightKeys)
+	if len(j.LeftKeys) != nk || nk == 0 {
 		return fmt.Errorf("exec: hash join needs matching non-empty key lists")
 	}
+	j.pending, j.probeDone, j.spillQueue = nil, false, nil
+	j.parts = make([]joinPartition, graceParts)
+	j.codeKeys, j.buildDicts, j.buildDoms, j.remaps = make([]bool, nk), nil, nil, nil
+	j.pk = make([]types.Value, nk)
+	j.modes = make([]probeKeyMode, nk)
 	j.res = j.Gov.Acquire(mem.HashHeap)
-	if j.res != nil {
-		if err := j.openGoverned(); err != nil {
-			return err
-		}
-		return j.openProbe()
-	}
-	var build []types.Row
-	var err error
-	if ra, ok := j.Right.(*RowAdapter); ok {
-		// Vectorized build side: drop NULL-key rows while the data is
-		// still columnar, so they are never materialized at all, and
-		// adopt dictionary codes for encoded key columns.
-		build, err = j.drainVecBuild(ra)
-	} else {
-		build, err = Drain(j.Right) // Drain opens and closes the build side
-	}
-	if err != nil {
+	if err := j.build(); err != nil {
 		return err
-	}
-	var totalBytes int64
-	for _, r := range build {
-		totalBytes += mem.RowBytes(r)
-	}
-	nParts := 1
-	for int64(nParts)*l2Budget < totalBytes {
-		nParts *= 2
-	}
-	j.mask = uint64(nParts - 1)
-	j.parts = make([]joinPartition, nParts)
-	for _, r := range build {
-		h, ok := keyHash(r, j.RightKeys)
-		if !ok {
-			continue // NULL join keys never match
-		}
-		p := &j.parts[h&j.mask]
-		p.rows = append(p.rows, r)
-	}
-	// Build one small hash table per partition; each fits the cache
-	// budget so probes stay cache-resident.
-	for pi := range j.parts {
-		p := &j.parts[pi]
-		p.table = make(map[uint64][]int32, len(p.rows))
-		for i, r := range p.rows {
-			h, _ := keyHash(r, j.RightKeys)
-			p.table[h] = append(p.table[h], int32(i))
-		}
-	}
-	return j.openProbe()
-}
-
-// openProbe opens the probe child and, when code keys are active and the
-// probe side is vectorized, arranges to read its vec batches directly so
-// probe-side dictionary codes are compared without materializing rows
-// that never match.
-func (j *HashJoinOp) openProbe() error {
-	if ra, ok := j.Left.(*RowAdapter); ok && j.anyCode {
-		j.probeVec = ra
 	}
 	return j.Left.Open()
 }
 
-// openGoverned streams the build side into graceParts partitions under the
-// hash heap reservation, spilling the largest partition on each denial.
-func (j *HashJoinOp) openGoverned() error {
-	j.mask = graceParts - 1
-	j.parts = make([]joinPartition, graceParts)
+// build streams the build side into the partitions under the hash heap
+// reservation. A vector pipeline is read as batches — code keys adopted
+// from the first one and key cells stored as codes, so the heap is charged
+// for, and spilled build runs round-trip, fixed-width codes — any other
+// child as row chunks.
+func (j *HashJoinOp) build() error {
 	if err := j.Right.Open(); err != nil {
 		return err
 	}
 	defer j.Right.Close()
-	if ra, ok := j.Right.(*RowAdapter); ok {
-		// Vectorized build: adopt code keys from the first batch and store
-		// key cells as codes, so spilled build runs round-trip fixed-width
-		// codes and the heap is charged for codes, not decoded values.
-		for {
-			vb, err := ra.Inner.NextVec()
+	in := vecPipeline(j.Right)
+	var rows []types.Row // the build rows of one child batch or chunk
+	for {
+		if in != nil {
+			vb, err := in.NextVec()
 			if err != nil {
 				return err
 			}
@@ -208,18 +156,13 @@ func (j *HashJoinOp) openGoverned() error {
 				break
 			}
 			j.adoptBuild(vb)
+			rows = rows[:0]
 			for _, i := range vb.Idx() {
-				r, ok := j.buildRow(vb, i)
-				if !ok {
-					continue // NULL join keys never match
-				}
-				if err := j.ingestBuildRow(r); err != nil {
-					return err
+				if r, ok := j.buildRow(vb, i); ok {
+					rows = append(rows, r)
 				}
 			}
-		}
-	} else {
-		for {
+		} else {
 			ch, err := j.Right.Next()
 			if err != nil {
 				return err
@@ -227,29 +170,23 @@ func (j *HashJoinOp) openGoverned() error {
 			if ch == nil {
 				break
 			}
-			for _, r := range ch.Rows {
-				if _, ok := keyHash(r, j.RightKeys); !ok {
-					continue // NULL join keys never match
-				}
-				if err := j.ingestBuildRow(r); err != nil {
-					return err
-				}
+			rows = ch.Rows
+		}
+		for _, r := range rows {
+			if err := j.ingestBuildRow(r); err != nil {
+				return err
 			}
 		}
 	}
 	// Resident partitions get their probe tables now; spilled partitions
-	// are sealed and accounted.
+	// are accounted.
 	for pi := range j.parts {
 		p := &j.parts[pi]
 		if p.build != nil {
 			j.res.NoteSpill(p.build.Size())
 			continue
 		}
-		p.table = make(map[uint64][]int32, len(p.rows))
-		for i, r := range p.rows {
-			h, _ := keyHash(r, j.RightKeys)
-			p.table[h] = append(p.table[h], int32(i))
-		}
+		j.index(p)
 	}
 	return nil
 }
@@ -258,8 +195,11 @@ func (j *HashJoinOp) openGoverned() error {
 // into its partition under the hash heap reservation, spilling the
 // largest partition when a Grow is denied.
 func (j *HashJoinOp) ingestBuildRow(r types.Row) error {
-	h, _ := keyHash(r, j.RightKeys)
-	p := &j.parts[h&j.mask]
+	h, ok := j.buildHash(r)
+	if !ok {
+		return nil // NULL join keys never match
+	}
+	p := &j.parts[h%graceParts]
 	if p.build != nil {
 		_, err := p.bw.WriteRow(r)
 		return err
@@ -313,29 +253,12 @@ func (j *HashJoinOp) spillVictim() error {
 	return nil
 }
 
-// drainVecBuild drains a vectorized build side into rows, skipping rows
-// whose join keys contain NULL (they can never match) before any row is
-// materialized, and storing encoded key cells as dictionary codes.
-func (j *HashJoinOp) drainVecBuild(ra *RowAdapter) ([]types.Row, error) {
-	if err := ra.Open(); err != nil {
-		return nil, err
-	}
-	defer ra.Close()
-	var out []types.Row
-	for {
-		vb, err := ra.Inner.NextVec()
-		if err != nil {
-			return nil, err
-		}
-		if vb == nil {
-			return out, nil
-		}
-		j.adoptBuild(vb)
-		for _, i := range vb.Idx() {
-			if r, ok := j.buildRow(vb, i); ok {
-				out = append(out, r)
-			}
-		}
+// index builds a resident partition's probe table over its rows.
+func (j *HashJoinOp) index(p *joinPartition) {
+	p.table = make(map[uint64][]int32, len(p.rows))
+	for i, r := range p.rows {
+		h, _ := j.buildHash(r)
+		p.table[h] = append(p.table[h], int32(i))
 	}
 }
 
@@ -346,24 +269,21 @@ func (j *HashJoinOp) drainVecBuild(ra *RowAdapter) ([]types.Row, error) {
 // build scan, so every later batch of the same scan carries the same
 // dictionary and the adopted decode snapshot covers all of its codes.
 func (j *HashJoinOp) adoptBuild(vb *vec.Batch) {
-	if j.codeKeys != nil {
+	if j.buildDicts != nil {
 		return
 	}
-	j.codeKeys = make([]bool, len(j.RightKeys))
-	j.buildDicts = make([]*encoding.Dict, len(j.RightKeys))
-	j.buildDoms = make([][]types.Value, len(j.RightKeys))
+	nk := len(j.RightKeys)
+	j.buildDicts = make([]*encoding.Dict, nk)
+	j.buildDoms = make([][]types.Value, nk)
+	j.remaps = make([]map[*encoding.Dict]*dictRemap, nk)
 	lsch := j.Left.Schema()
 	for k, rk := range j.RightKeys {
 		cv := vb.Cols[rk]
 		if cv.Encoded() && lsch[j.LeftKeys[k]].Kind == cv.Kind {
 			j.codeKeys[k] = true
-			j.anyCode = true
 			j.buildDicts[k] = cv.Dict
 			j.buildDoms[k] = cv.Dom()
 		}
-	}
-	if j.anyCode {
-		j.remaps = make([]map[*encoding.Dict]*dictRemap, len(j.RightKeys))
 	}
 }
 
@@ -399,15 +319,23 @@ func (j *HashJoinOp) buildRow(vb *vec.Batch, i int) (types.Row, bool) {
 	return row, true
 }
 
+// buildHash hashes a build row's key cells, which already hold the build
+// representation; ok is false when a key is NULL.
+func (j *HashJoinOp) buildHash(r types.Row) (uint64, bool) {
+	for k, rk := range j.RightKeys {
+		if r[rk].IsNull() {
+			return 0, false
+		}
+		j.pk[k] = r[rk]
+	}
+	return hashKeyVals(j.pk), true
+}
+
 // translateKeys maps a probe row's key columns into the build side's
 // representation (codes for code keys, values otherwise), reusing a
 // scratch slice. ok=false means the row can never match: a NULL key, or
 // a value absent from the build dictionary.
 func (j *HashJoinOp) translateKeys(lrow types.Row) ([]types.Value, bool) {
-	if cap(j.pkScratch) < len(j.LeftKeys) {
-		j.pkScratch = make([]types.Value, len(j.LeftKeys))
-	}
-	pk := j.pkScratch[:len(j.LeftKeys)]
 	for k, lk := range j.LeftKeys {
 		v := lrow[lk]
 		if v.IsNull() {
@@ -420,14 +348,14 @@ func (j *HashJoinOp) translateKeys(lrow types.Row) ([]types.Value, bool) {
 			}
 			v = types.NewInt(int64(code))
 		}
-		pk[k] = v
+		j.pk[k] = v
 	}
-	return pk, true
+	return j.pk, true
 }
 
-// hashKeyVals mixes translated key values with the same seed and stride
-// as keyHash, so probe hashes land in the partitions the (code-valued)
-// build rows were hashed into.
+// hashKeyVals is the join's one hash: a fold over a key in build
+// representation, so a translated probe key lands in the partition and
+// bucket its matching build rows were hashed into.
 func hashKeyVals(pk []types.Value) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, v := range pk {
@@ -436,7 +364,8 @@ func hashKeyVals(pk []types.Value) uint64 {
 	return h
 }
 
-// keysEqualVals verifies a candidate match against translated probe keys.
+// keysEqualVals verifies a candidate match (hash collisions) against a
+// translated probe key.
 func keysEqualVals(pk []types.Value, rrow types.Row, rk []int) bool {
 	for i := range pk {
 		if !types.Equal(pk[i], rrow[rk[i]]) {
@@ -452,38 +381,13 @@ func keysEqualVals(pk []types.Value, rrow types.Row, rk []int) bool {
 func (j *HashJoinOp) emitJoin(lrow, rrow types.Row) types.Row {
 	out := make(types.Row, 0, len(lrow)+len(rrow))
 	out = append(append(out, lrow...), rrow...)
-	if j.anyCode {
-		base := len(lrow)
-		for k, rk := range j.RightKeys {
-			if j.codeKeys[k] {
-				c, _ := out[base+rk].AsInt()
-				out[base+rk] = j.buildDoms[k][c]
-			}
+	for k, rk := range j.RightKeys {
+		if j.codeKeys[k] {
+			c, _ := out[len(lrow)+rk].AsInt()
+			out[len(lrow)+rk] = j.buildDoms[k][c]
 		}
 	}
 	return out
-}
-
-// keyHash hashes the join key columns; ok is false when any key is NULL.
-func keyHash(r types.Row, keys []int) (uint64, bool) {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, k := range keys {
-		if r[k].IsNull() {
-			return 0, false
-		}
-		h = h*0x100000001b3 ^ r[k].Hash()
-	}
-	return h, true
-}
-
-// keysEqual verifies candidate matches (hash collisions).
-func keysEqual(l types.Row, lk []int, r types.Row, rk []int) bool {
-	for i := range lk {
-		if !types.Equal(l[lk[i]], r[rk[i]]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Next implements Operator.
@@ -510,111 +414,53 @@ func (j *HashJoinOp) Next() (*Chunk, error) {
 			}
 			return nil, nil
 		}
-		if j.probeVec != nil {
-			vb, err := j.probeVec.Inner.NextVec()
-			if err != nil {
-				return nil, err
-			}
-			if vb == nil {
-				j.probeDone = true
-				j.sealProbeFiles()
-				continue
-			}
-			if err := j.probeBatch(vb); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		lch, err := j.Left.Next()
+		more, err := j.pullProbe()
 		if err != nil {
 			return nil, err
 		}
-		if lch == nil {
+		if !more {
 			j.probeDone = true
 			j.sealProbeFiles()
-			continue
-		}
-		rightWidth := len(j.Right.Schema())
-		for _, lrow := range lch.Rows {
-			if err := j.probeRow(lrow, rightWidth); err != nil {
-				return nil, err
-			}
 		}
 	}
 }
 
-// probeRow probes one materialized left row, translating its keys into
-// build representation when code keys are active. An untranslatable key
-// is a definite non-match: no hash, no parking, immediate NULL padding
-// under LeftJoin.
-func (j *HashJoinOp) probeRow(lrow types.Row, rightWidth int) error {
-	matched := false
-	var (
-		h  uint64
-		pk []types.Value
-		ok bool
-	)
-	if j.anyCode {
-		pk, ok = j.translateKeys(lrow)
-		if ok {
-			h = hashKeyVals(pk)
+// pullProbe joins the next batch (vector pipeline) or chunk (any other
+// child) of the probe side; it reports false once the probe input is
+// exhausted.
+func (j *HashJoinOp) pullProbe() (bool, error) {
+	if in := vecPipeline(j.Left); in != nil {
+		vb, err := in.NextVec()
+		if err != nil || vb == nil {
+			return false, err
 		}
-	} else {
-		h, ok = keyHash(lrow, j.LeftKeys)
+		return true, j.probeBatch(vb)
 	}
-	if ok {
-		p := &j.parts[h&j.mask]
-		if p.build != nil {
-			// Partition lives on disk: park the probe row (original
-			// values; keys re-translate deterministically at drain) and
-			// join it during the drain phase.
-			if p.probe == nil {
-				f, err := j.res.NewSpillFile("join-probe")
-				if err != nil {
-					return err
-				}
-				p.probe, p.pw = f, encoding.NewRowWriter(f)
-			}
-			_, err := p.pw.WriteRow(lrow)
-			return err
-		}
-		for _, ri := range p.table[h] {
-			rrow := p.rows[ri]
-			eq := false
-			if j.anyCode {
-				eq = keysEqualVals(pk, rrow, j.RightKeys)
-			} else {
-				eq = keysEqual(lrow, j.LeftKeys, rrow, j.RightKeys)
-			}
-			if eq {
-				matched = true
-				j.pending = append(j.pending, j.emitJoin(lrow, rrow))
-			}
+	lch, err := j.Left.Next()
+	if err != nil || lch == nil {
+		return false, err
+	}
+	for _, lrow := range lch.Rows {
+		pk, ok := j.translateKeys(lrow)
+		if err := j.probeKey(pk, ok, func() types.Row { return lrow }); err != nil {
+			return false, err
 		}
 	}
-	if !matched && j.Type == LeftJoin {
-		j.pending = append(j.pending, j.padRight(lrow, rightWidth))
-	}
-	return nil
+	return true, nil
 }
 
 // probeBatch probes a vec batch directly: per key column it fixes a
 // translation mode once per batch (identity when the probe dictionary IS
 // the build dictionary, a cached code→code remap when it differs, value
-// lookup otherwise) and materializes a probe row only when it matches,
-// parks, or needs LEFT JOIN padding.
+// lookup otherwise) and leaves the probe row unboxed until probeKey asks
+// for it.
 func (j *HashJoinOp) probeBatch(vb *vec.Batch) error {
-	nk := len(j.LeftKeys)
-	if cap(j.modeScratch) < nk {
-		j.modeScratch = make([]probeKeyMode, nk)
-	}
-	modes := j.modeScratch[:nk]
 	for k, lk := range j.LeftKeys {
 		cv := vb.Cols[lk]
-		modes[k] = probeKeyMode{cv: cv}
+		j.modes[k] = probeKeyMode{cv: cv}
 		if j.codeKeys[k] && cv.Encoded() {
 			if cv.Dict == j.buildDicts[k] {
-				modes[k].identity = true
+				j.modes[k].identity = true
 			} else {
 				if j.remaps[k] == nil {
 					j.remaps[k] = make(map[*encoding.Dict]*dictRemap)
@@ -624,56 +470,19 @@ func (j *HashJoinOp) probeBatch(vb *vec.Batch) error {
 					r = newDictRemap(j.buildDicts[k], cv.Dom())
 					j.remaps[k][cv.Dict] = r
 				}
-				modes[k].remap = r
+				j.modes[k].remap = r
 			}
 		}
 	}
-	if cap(j.pkScratch) < nk {
-		j.pkScratch = make([]types.Value, nk)
-	}
-	pk := j.pkScratch[:nk]
-	rightWidth := len(j.Right.Schema())
 	for _, i := range vb.Idx() {
 		ok := true
-		for k := range modes {
-			v, valid := j.probeKeyAt(&modes[k], k, i)
-			if !valid {
-				ok = false
+		for k := range j.modes {
+			if j.pk[k], ok = j.probeKeyAt(&j.modes[k], k, i); !ok {
 				break
 			}
-			pk[k] = v
 		}
-		matched := false
-		if ok {
-			h := hashKeyVals(pk)
-			p := &j.parts[h&j.mask]
-			if p.build != nil {
-				if p.probe == nil {
-					f, err := j.res.NewSpillFile("join-probe")
-					if err != nil {
-						return err
-					}
-					p.probe, p.pw = f, encoding.NewRowWriter(f)
-				}
-				if _, err := p.pw.WriteRow(vb.Row(i)); err != nil {
-					return err
-				}
-				continue
-			}
-			var lrow types.Row
-			for _, ri := range p.table[h] {
-				rrow := p.rows[ri]
-				if keysEqualVals(pk, rrow, j.RightKeys) {
-					matched = true
-					if lrow == nil {
-						lrow = vb.Row(i)
-					}
-					j.pending = append(j.pending, j.emitJoin(lrow, rrow))
-				}
-			}
-		}
-		if !matched && j.Type == LeftJoin {
-			j.pending = append(j.pending, j.padRight(vb.Row(i), rightWidth))
+		if err := j.probeKey(j.pk, ok, func() types.Row { return vb.Row(i) }); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -706,11 +515,52 @@ func (j *HashJoinOp) probeKeyAt(m *probeKeyMode, k, i int) (types.Value, bool) {
 	}
 }
 
-func (j *HashJoinOp) padRight(lrow types.Row, rightWidth int) types.Row {
-	out := make(types.Row, 0, len(lrow)+rightWidth)
+// probeKey is the probe kernel, shared by the batch pull, the row pull and
+// the spilled-partition drain. pk is one probe row's key in build
+// representation; ok=false (a NULL key, or a value absent from the build
+// dictionary) is a definite non-match that is never hashed. A key whose
+// partition lives on disk parks its row (original values; the key
+// re-translates deterministically at drain — the dictionaries are frozen
+// for the query's scans); otherwise the partition's table is probed. row
+// materializes the probe row and is called only when the row is emitted,
+// parked or NULL-padded.
+func (j *HashJoinOp) probeKey(pk []types.Value, ok bool, row func() types.Row) error {
+	var lrow types.Row
+	if ok {
+		h := hashKeyVals(pk)
+		p := &j.parts[h%graceParts]
+		if p.build != nil {
+			if p.probe == nil {
+				f, err := j.res.NewSpillFile("join-probe")
+				if err != nil {
+					return err
+				}
+				p.probe, p.pw = f, encoding.NewRowWriter(f)
+			}
+			_, err := p.pw.WriteRow(row())
+			return err
+		}
+		for _, ri := range p.table[h] {
+			if rrow := p.rows[ri]; keysEqualVals(pk, rrow, j.RightKeys) {
+				if lrow == nil {
+					lrow = row()
+				}
+				j.pending = append(j.pending, j.emitJoin(lrow, rrow))
+			}
+		}
+	}
+	if lrow == nil && j.Type == LeftJoin {
+		j.pending = append(j.pending, j.padRight(row()))
+	}
+	return nil
+}
+
+func (j *HashJoinOp) padRight(lrow types.Row) types.Row {
+	rs := j.Right.Schema()
+	out := make(types.Row, 0, len(lrow)+len(rs))
 	out = append(out, lrow...)
-	for i := 0; i < rightWidth; i++ {
-		out = append(out, types.NullOf(j.Right.Schema()[i].Kind))
+	for _, c := range rs {
+		out = append(out, types.NullOf(c.Kind))
 	}
 	return out
 }
@@ -730,8 +580,8 @@ func (j *HashJoinOp) sealProbeFiles() {
 	}
 }
 
-// drainSpilled joins one spilled partition: reload its build rows, rebuild
-// the table, stream the parked probe rows through it.
+// drainSpilled joins one spilled partition: reload its build rows, make it
+// resident, stream the parked probe rows through the probe kernel.
 func (j *HashJoinOp) drainSpilled(pi int) error {
 	p := &j.parts[pi]
 	defer func() {
@@ -761,11 +611,9 @@ func (j *HashJoinOp) drainSpilled(pi int) error {
 		p.rows = append(p.rows, r)
 		p.bytes += charge
 	}
-	p.table = make(map[uint64][]int32, len(p.rows))
-	for i, r := range p.rows {
-		h, _ := keyHash(r, j.RightKeys)
-		p.table[h] = append(p.table[h], int32(i))
-	}
+	p.build.Close()
+	p.build = nil // resident: probeKey now matches against it instead of parking
+	j.index(p)
 	if p.probe == nil {
 		return nil
 	}
@@ -773,52 +621,19 @@ func (j *HashJoinOp) drainSpilled(pi int) error {
 		return err
 	}
 	prd := encoding.NewRowReader(p.probe)
-	rightWidth := len(j.Right.Schema())
 	for {
 		lrow, err := prd.ReadRow()
 		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
 			return err
 		}
-		matched := false
-		var (
-			h  uint64
-			pk []types.Value
-			ok bool
-		)
-		if j.anyCode {
-			// Parked rows hold original values; keys re-translate
-			// deterministically (the dictionaries are frozen for the
-			// query's scans).
-			pk, ok = j.translateKeys(lrow)
-			if ok {
-				h = hashKeyVals(pk)
-			}
-		} else {
-			h, ok = keyHash(lrow, j.LeftKeys) // parked rows never have NULL keys
-		}
-		if ok {
-			for _, ri := range p.table[h] {
-				rrow := p.rows[ri]
-				eq := false
-				if j.anyCode {
-					eq = keysEqualVals(pk, rrow, j.RightKeys)
-				} else {
-					eq = keysEqual(lrow, j.LeftKeys, rrow, j.RightKeys)
-				}
-				if eq {
-					matched = true
-					j.pending = append(j.pending, j.emitJoin(lrow, rrow))
-				}
-			}
-		}
-		if !matched && j.Type == LeftJoin {
-			j.pending = append(j.pending, j.padRight(lrow, rightWidth))
+		pk, ok := j.translateKeys(lrow)
+		if err := j.probeKey(pk, ok, func() types.Row { return lrow }); err != nil {
+			return err
 		}
 	}
-	return nil
 }
 
 // CodeKeyCount reports how many join key positions ran in code space.

@@ -420,40 +420,18 @@ func (a *RowAdapter) Close() error {
 	return a.Inner.Close()
 }
 
-// RowsToVecOp adapts a row Operator into the vector contract by boxing
-// every column into an Any vector. It keeps library callers and tests
-// able to push arbitrary row sources through vector operators; the hot
-// path is VecScanOp, which produces typed vectors directly.
-type RowsToVecOp struct {
-	Child Operator
-}
-
-// Schema implements VecOperator.
-func (r *RowsToVecOp) Schema() types.Schema { return r.Child.Schema() }
-
-// Open implements VecOperator.
-func (r *RowsToVecOp) Open() error { return r.Child.Open() }
-
-// NextVec implements VecOperator.
-func (r *RowsToVecOp) NextVec() (*vec.Batch, error) {
-	ch, err := r.Child.Next()
-	if err != nil || ch == nil {
-		return nil, err
+// vecPipeline returns the vector pipeline behind op when op is the
+// RowAdapter bridge over one, else nil. It is the one place a row operator
+// looks through the bridge: a consumer that can take batches (group-by
+// ingest, both sides of the hash join) pulls them from the pipeline itself
+// instead of having the adapter box every row. The consumer still opens and
+// closes op, which opens and closes the pipeline.
+func vecPipeline(op Operator) VecOperator {
+	if ra, ok := op.(*RowAdapter); ok {
+		return ra.Inner
 	}
-	n := len(ch.Rows)
-	cols := make([]*vec.Vector, len(ch.Schema))
-	for j := range cols {
-		v := vec.New(types.KindNull, n)
-		for i, row := range ch.Rows {
-			v.Any[i] = row[j]
-		}
-		cols[j] = v
-	}
-	return &vec.Batch{Schema: ch.Schema, Cols: cols, N: n}, nil
+	return nil
 }
-
-// Close implements VecOperator.
-func (r *RowsToVecOp) Close() error { return r.Child.Close() }
 
 // Vectorize rewrites a row-oriented operator tree so that every eligible
 // segment runs on the vectorized engine. Scans become VecScanOp;

@@ -341,9 +341,11 @@ func TestVectorizeScalarFuncFallsBack(t *testing.T) {
 	requireEqualKeys(t, "udf-filter", sortedKeys(t, row), sortedKeys(t, vecd))
 }
 
-// TestRowsToVecRoundTrip pushes an arbitrary row source through the boxed
-// vector adapter and back.
-func TestRowsToVecRoundTrip(t *testing.T) {
+// TestValuesThroughRowOperators pushes a row source that is not a columnar
+// scan through Vectorize: nothing below it can run on vectors, so the
+// filter, projection and limit stay row operators and hand the rows — NULLs
+// included — through unchanged.
+func TestValuesThroughRowOperators(t *testing.T) {
 	data := []types.Row{
 		{types.NewInt(1), types.Null},
 		{types.Null, types.NewString("x")},
@@ -353,7 +355,13 @@ func TestRowsToVecRoundTrip(t *testing.T) {
 		{Name: "a", Kind: types.KindInt, Nullable: true},
 		{Name: "s", Kind: types.KindString, Nullable: true},
 	}
-	op := &RowAdapter{Inner: &RowsToVecOp{Child: NewValues(sch, data)}}
+	op := Vectorize(&LimitOp{Limit: -1, Child: &ProjectOp{
+		Child: &FilterOp{Child: NewValues(sch, data), Pred: Const{V: types.NewBool(true)}},
+		Exprs: []Expr{ColRef(0), ColRef(1)}, Out: sch,
+	}})
+	if _, ok := op.(*LimitOp); !ok {
+		t.Fatalf("a tree over VALUES must stay on the row operators, got %T", op)
+	}
 	rows, err := Drain(op)
 	if err != nil || len(rows) != 3 {
 		t.Fatalf("rows %d err %v", len(rows), err)

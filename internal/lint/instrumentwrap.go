@@ -6,20 +6,19 @@ import (
 )
 
 // AnalyzerInstrumentWrap enforces the telemetry-weave invariant from the
-// observability PR: the bridge adapters RowAdapter and RowsToVecOp must keep
-// their concrete types because GroupByOp.VecIngest and HashJoinOp's
-// vectorized build probe them with type assertions. Wrapping one in a
-// StatsOp/VecStatsOp (directly, or by handing one to Instrument/
-// InstrumentVec, which would if their adapter cases were ever dropped) hides
-// the concrete type and silently disables the vectorized fast paths.
+// observability PR: the bridge adapter RowAdapter must keep its concrete type
+// because GroupByOp's ingest and both sides of HashJoinOp look through it with
+// a type assertion to pull batches. Wrapping it in a StatsOp (directly, or by
+// handing it to Instrument, which would if its adapter case were ever dropped)
+// hides the concrete type and silently disables the vectorized fast paths.
 var AnalyzerInstrumentWrap = &Analyzer{
 	Name: "instrumentwrap",
-	Doc:  "Instrument/InstrumentVec and StatsOp/VecStatsOp must never wrap RowAdapter or RowsToVecOp",
+	Doc:  "Instrument and StatsOp must never wrap RowAdapter",
 	Run:  runInstrumentWrap,
 }
 
-// adapterName reports whether t is (a pointer to) one of the protected
-// bridge adapter types declared in a package named "exec".
+// adapterName reports whether t is (a pointer to) the protected bridge
+// adapter type declared in a package named "exec".
 func adapterName(t types.Type) string {
 	if t == nil {
 		return ""
@@ -32,15 +31,15 @@ func adapterName(t types.Type) string {
 	if obj.Pkg() == nil || obj.Pkg().Name() != "exec" {
 		return ""
 	}
-	switch obj.Name() {
-	case "RowAdapter", "RowsToVecOp":
+	if obj.Name() == "RowAdapter" {
 		return obj.Name()
 	}
 	return ""
 }
 
-// execFuncName returns the name of fn if it is one of the instrumenting
-// entry points declared in a package named "exec".
+// instrumentFuncName returns the name of fn if it is the row-tree
+// instrumenting entry point declared in a package named "exec". (RowAdapter
+// is not a VecOperator, so InstrumentVec and VecStatsOp cannot be handed one.)
 func instrumentFuncName(info *types.Info, fn ast.Expr) string {
 	var id *ast.Ident
 	switch e := fn.(type) {
@@ -55,15 +54,14 @@ func instrumentFuncName(info *types.Info, fn ast.Expr) string {
 	if obj == nil || obj.Pkg() == nil || obj.Pkg().Name() != "exec" {
 		return ""
 	}
-	switch obj.Name() {
-	case "Instrument", "InstrumentVec":
+	if obj.Name() == "Instrument" {
 		return obj.Name()
 	}
 	return ""
 }
 
-// statsOpName reports whether t is the StatsOp or VecStatsOp decorator type
-// from a package named "exec".
+// statsOpName reports whether t is the StatsOp decorator type from a package
+// named "exec".
 func statsOpName(t types.Type) string {
 	named, ok := deref(t).(*types.Named)
 	if !ok {
@@ -73,8 +71,7 @@ func statsOpName(t types.Type) string {
 	if obj.Pkg() == nil || obj.Pkg().Name() != "exec" {
 		return ""
 	}
-	switch obj.Name() {
-	case "StatsOp", "VecStatsOp":
+	if obj.Name() == "StatsOp" {
 		return obj.Name()
 	}
 	return ""

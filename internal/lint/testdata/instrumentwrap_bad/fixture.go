@@ -9,10 +9,6 @@ type RowAdapter struct{ Inner VecOperator }
 
 func (r *RowAdapter) Next() (int, error) { return r.Inner.NextVec() }
 
-type RowsToVecOp struct{ Child Operator }
-
-func (r *RowsToVecOp) NextVec() (int, error) { return r.Child.Next() }
-
 type ScanOp struct{}
 
 func (s *ScanOp) Next() (int, error) { return 0, nil }
@@ -34,11 +30,9 @@ func (s *VecStatsOp) NextVec() (int, error) { return s.Child.NextVec() }
 func Instrument(op Operator) Operator          { return &StatsOp{Child: op} }
 func InstrumentVec(op VecOperator) VecOperator { return &VecStatsOp{Child: op} }
 
-func bad(ra *RowAdapter, rv *RowsToVecOp) {
+func bad(ra *RowAdapter) {
 	_ = Instrument(ra)              //lint:expect instrumentwrap
-	_ = InstrumentVec(rv)           //lint:expect instrumentwrap
 	_ = &StatsOp{Child: ra}         //lint:expect instrumentwrap
-	_ = &VecStatsOp{Child: rv}      //lint:expect instrumentwrap
 	_ = StatsOp{Child: ra, rows: 0} //lint:expect instrumentwrap
 	_ = &StatsOp{&RowAdapter{}, 0}  //lint:expect instrumentwrap
 }

@@ -1,5 +1,5 @@
 // Package exec is the negative fixture: instrumenting ordinary operators
-// and keeping the adapters' concrete types is exactly what the invariant
+// and keeping the adapter's concrete type is exactly what the invariant
 // wants.
 package exec
 
@@ -9,10 +9,6 @@ type VecOperator interface{ NextVec() (int, error) }
 type RowAdapter struct{ Inner VecOperator }
 
 func (r *RowAdapter) Next() (int, error) { return r.Inner.NextVec() }
-
-type RowsToVecOp struct{ Child Operator }
-
-func (r *RowsToVecOp) NextVec() (int, error) { return r.Child.Next() }
 
 type ScanOp struct{}
 
@@ -31,7 +27,7 @@ type VecStatsOp struct{ Child VecOperator }
 func (s *VecStatsOp) NextVec() (int, error) { return s.Child.NextVec() }
 
 // Instrument decorates generic operators but recurses *through* the bridge
-// adapters, preserving their concrete types — the sanctioned pattern.
+// adapter, preserving its concrete type — the sanctioned pattern.
 func Instrument(op Operator) Operator {
 	switch o := op.(type) {
 	case *RowAdapter:
@@ -45,9 +41,6 @@ func Instrument(op Operator) Operator {
 
 func InstrumentVec(op VecOperator) VecOperator {
 	switch o := op.(type) {
-	case *RowsToVecOp:
-		o.Child = Instrument(o.Child)
-		return o
 	case *VecScanOp:
 		return &VecStatsOp{Child: o}
 	}

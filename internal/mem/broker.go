@@ -10,8 +10,9 @@
 // Shark's memory manager (PAPERS.md) rather than failure.
 //
 // Everything is nil-safe: a nil Broker, Governor or Reservation grants
-// everything and spills nothing, so library users who never configure a
-// governor keep the historical unbounded in-memory behavior.
+// everything, so an operator has one code path — the governed one — and a
+// library user who never configures a governor runs that same path with no
+// Grow ever denied and nothing spilled.
 package mem
 
 import (
@@ -221,7 +222,7 @@ func (b *Broker) Reserve(h Heap, limit int64) *Reservation {
 // claim; NoteSpill records a run written to disk; Close returns
 // everything. Methods are safe for concurrent use (parallel aggregation
 // workers share one reservation) and nil-safe (a nil reservation grants
-// everything, so ungoverned operators run exactly as before).
+// everything, so an operator never branches on having one).
 type Reservation struct {
 	b     *Broker
 	heap  Heap
@@ -379,8 +380,8 @@ func updatePeak(peak *atomic.Int64, v int64) {
 // Governor bundles what a session hands the compiler: the engine broker,
 // the session's per-operator heap caps (SET SORTHEAP / SET HASHHEAP), and
 // nothing else — operators acquire their reservation at Open and release
-// it at Close. A nil Governor (library users, tests) keeps every operator
-// on the ungoverned in-memory path.
+// it at Close. A nil Governor (library users, tests) hands out nil
+// reservations: the same operator code, never denied, never spilling.
 type Governor struct {
 	Broker *Broker
 	// SortLimit / HashLimit cap each operator's reservation in bytes;

@@ -33,8 +33,9 @@ type Compiler struct {
 	// merge exactly and of the scan feeding it; 0/1 keeps every plan serial.
 	Parallelism int
 	// Gov is the session's memory governor: blocking operators acquire
-	// heap reservations through it and spill when denied. Nil keeps the
-	// legacy unbounded in-memory paths.
+	// heap reservations through it and spill when denied — in every block
+	// of the statement, view bodies, CTEs and subqueries included. Nil
+	// runs the same operators with nothing ever denied.
 	Gov *mem.Governor
 	// NoCompressedExec disables operate-on-compressed-data execution:
 	// scans decode every dictionary column up front and predicates, join
@@ -154,21 +155,27 @@ func (c *Compiler) CompileSelect(sel *SelectStmt) (exec.Operator, error) {
 	return exec.VectorizeMode(cpl.op, !c.NoCompressedExec), nil
 }
 
+// drain runs a tree the compiler materializes itself — a CTE body, an
+// uncorrelated subquery. Such a tree comes from CompileSelect like the
+// statement's own, so it runs on the same engine under the same governor
+// and snapshot set. A variable so a test can see the trees drained.
+var drain = exec.Drain
+
 func (c *Compiler) compileSelect(sel *SelectStmt) (*compiled, error) {
 	// Materialize CTEs first; they shadow catalog tables for this query.
 	saved := make(map[string]*cteData)
 	for _, cte := range sel.With {
 		k := strings.ToLower(cte.Name)
 		saved[k] = c.ctes[k]
-		sub, err := c.compileSelect(cte.Sub)
+		sub, err := c.CompileSelect(cte.Sub)
 		if err != nil {
 			return nil, fmt.Errorf("sql: CTE %s: %w", cte.Name, err)
 		}
-		rows, err := exec.Drain(sub.op)
+		rows, err := drain(sub)
 		if err != nil {
 			return nil, fmt.Errorf("sql: CTE %s: %w", cte.Name, err)
 		}
-		c.ctes[k] = &cteData{schema: sub.op.Schema(), rows: rows}
+		c.ctes[k] = &cteData{schema: sub.Schema(), rows: rows}
 	}
 	defer func() {
 		for _, cte := range sel.With {
@@ -525,8 +532,11 @@ func (c *Compiler) compileTableRef(f *TableRef, conjuncts *[]Expr) (*compiled, e
 		if !ok {
 			return nil, fmt.Errorf("sql: view %s does not contain a query", f.Name)
 		}
-		vc := NewCompiler(c.Cat, vd, c.Env)
-		vc.viewDepth = c.viewDepth + 1
+		// The view body is one more block of this statement: it keeps the
+		// session's governor, snapshot set, parallelism, UDFs and planner
+		// settings, and differs only in dialect and CTE scope.
+		vc := *c
+		vc.Dialect, vc.ctes, vc.viewDepth = vd, make(map[string]*cteData), c.viewDepth+1
 		cpl, err := vc.compileSelect(selStmt)
 		if err != nil {
 			return nil, fmt.Errorf("sql: view %s: %w", f.Name, err)

@@ -527,14 +527,14 @@ func (c *Compiler) lazySubquery(sub *SelectStmt) func() ([]types.Row, types.Sche
 		sch  types.Schema
 		err  error
 	)
-	cpl, cerr := c.compileSelect(sub)
+	op, cerr := c.CompileSelect(sub)
 	return func() ([]types.Row, types.Schema, error) {
 		if cerr != nil {
 			return nil, nil, cerr
 		}
 		once.Do(func() {
-			rows, err = exec.Drain(cpl.op)
-			sch = cpl.op.Schema()
+			rows, err = drain(op)
+			sch = op.Schema()
 		})
 		return rows, sch, err
 	}
