@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all|test1|test2|test3|test4|colvsrow|deploy|compression|skipping|bufferpool|simd|parallel|vector|compressed|telemetry|spill|ingest|planner|ha|mpp|spark")
+	exp := flag.String("exp", "all", "experiment: all|test1|test2|test3|test4|colvsrow|deploy|compression|skipping|bufferpool|simd|parallel|compressed|telemetry|spill|ingest|planner|ha|mpp|spark")
 	scale := flag.Int("scale", 400_000, "fact-table rows for Tests 1-4")
 	queries := flag.Int("queries", 30, "analytic queries for Test 1 / F-C")
 	flag.Parse()
@@ -93,12 +93,6 @@ func main() {
 	}
 	if run("parallel") {
 		s, err := bench.FigureP(*scale, []int{1, 2, 4, 8})
-		fail(err)
-		fmt.Println()
-		fmt.Print(s)
-	}
-	if run("vector") {
-		s, err := bench.FigureV(*scale)
 		fail(err)
 		fmt.Println()
 		fmt.Print(s)

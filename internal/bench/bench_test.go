@@ -283,7 +283,7 @@ func BenchmarkCompressedFilter(b *testing.B) {
 	}{{"decoded", false}, {"compressed", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				op := exec.VectorizeMode(&exec.FilterOp{Child: exec.NewScan(fact, nil, nil), Pred: pred}, mode.compressed)
+				op := &exec.FilterOp{Child: ocScan(fact, mode.compressed), Pred: pred}
 				if err := drainOp(op); err != nil {
 					b.Fatal(err)
 				}

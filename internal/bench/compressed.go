@@ -80,10 +80,18 @@ func ocFilterPred(cats ...string) exec.Expr {
 // table's footprint — string keys decoded vs 8-byte codes — is what the
 // HASHHEAP peak measures.
 func governedJoin(fact, dim *columnar.Table, compressed bool, gov *mem.Governor) *exec.HashJoinOp {
-	return plan.HashJoin(
-		exec.VectorizeMode(exec.NewScan(dim, nil, nil), compressed),
-		exec.VectorizeMode(exec.NewScan(fact, nil, nil), compressed),
+	return plan.HashJoin(ocScan(dim, compressed), ocScan(fact, compressed),
 		[]int{0}, []int{0}, exec.InnerJoin, gov)
+}
+
+// ocScan is a full scan emitting dictionary columns as code vectors
+// (compressed) or decoding them at the scan.
+func ocScan(t *columnar.Table, compressed bool) *exec.ScanOp {
+	scan := exec.NewScan(t, nil, nil)
+	if compressed {
+		scan.EnableCompressed()
+	}
+	return scan
 }
 
 // joinPeak drains a fresh governed join (best of two runs, damping GC
@@ -131,7 +139,7 @@ func FigureOC(rows int) (string, error) {
 		"category-03-xxxxxxxxxxxx", "category-17-xxxxxxxxxxxx",
 		"category-31-xxxxxxxxxxxx", "category-45-xxxxxxxxxxxx")
 	mkFilter := func(compressed bool) exec.Operator {
-		return exec.VectorizeMode(&exec.FilterOp{Child: exec.NewScan(fact, nil, nil), Pred: pred}, compressed)
+		return &exec.FilterOp{Child: ocScan(fact, compressed), Pred: pred}
 	}
 	decF := bestOf(func() error { return drainOp(mkFilter(false)) })
 	cmpF := bestOf(func() error { return drainOp(mkFilter(true)) })
@@ -169,15 +177,15 @@ func FigureOC(rows int) (string, error) {
 // dictGroupBy is the dop-4 group-by on the fact table's dictionary key,
 // over code vectors or over values decoded at the scan.
 func dictGroupBy(fact *columnar.Table, compressed bool) exec.Operator {
-	scan := exec.NewScan(fact, nil, nil)
+	scan := ocScan(fact, compressed)
 	scan.Dop = 4
-	return exec.VectorizeMode(&exec.GroupByOp{
+	return &exec.GroupByOp{
 		Child:     scan,
 		GroupBy:   []exec.Expr{exec.ColRef(0)},
 		GroupCols: types.Schema{{Name: "cat", Kind: types.KindString}},
 		Aggs:      figAggSpecs(),
 		Dop:       4,
-	}, compressed)
+	}
 }
 
 func floorInt64(v, floor int64) int64 {

@@ -392,17 +392,18 @@ func figAggSpecs() []exec.AggSpec {
 }
 
 // groupByAt is the plan the compiler builds at SET PARALLELISM dop: the one
-// GroupByOp over a dop-way scan, vectorized. dop 1 is the serial plan.
+// GroupByOp over a dop-way scan. dop 1 is the serial plan.
 func groupByAt(tbl *columnar.Table, preds []columnar.Pred, dop int) exec.Operator {
 	scan := exec.NewScan(tbl, preds, nil)
 	scan.Dop = dop
-	return exec.Vectorize(&exec.GroupByOp{
+	scan.EnableCompressed()
+	return &exec.GroupByOp{
 		Child:     scan,
 		GroupBy:   []exec.Expr{exec.ColRef(0)},
 		GroupCols: types.Schema{{Name: "g", Kind: types.KindInt}},
 		Aggs:      figAggSpecs(),
 		Dop:       dop,
-	})
+	}
 }
 
 func drainOp(op exec.Operator) error {

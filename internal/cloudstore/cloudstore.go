@@ -21,6 +21,7 @@ import (
 	"dashdb/internal/columnar"
 	"dashdb/internal/exec"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 	"dashdb/internal/workload"
 )
 
@@ -105,17 +106,14 @@ func (n *naiveScanOp) Open() error {
 	})
 }
 
-func (n *naiveScanOp) Next() (*exec.Chunk, error) {
+func (n *naiveScanOp) Next() (*vec.Batch, error) {
 	if n.pos >= len(n.rows) {
 		return nil, nil
 	}
-	end := n.pos + exec.ChunkSize
-	if end > len(n.rows) {
-		end = len(n.rows)
-	}
-	ch := &exec.Chunk{Schema: n.t.Schema(), Rows: n.rows[n.pos:end]}
+	end := min(n.pos+exec.ChunkSize, len(n.rows))
+	vb := vec.FromRows(n.t.Schema(), n.rows[n.pos:end])
 	n.pos = end
-	return ch, nil
+	return vb, nil
 }
 
 func (n *naiveScanOp) Close() error {

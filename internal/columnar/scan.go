@@ -28,7 +28,7 @@ type Pred struct {
 // sequentially; ParallelScan gives every worker its own batches (each
 // with its own page map, so buffer-pool loads don't serialize on shared
 // mutable state). Callbacks that want to keep data past the callback must
-// copy values out (Row/Column materialize copies).
+// copy values out (Row and VectorsEnc materialize copies).
 type Batch struct {
 	t      *Table
 	st     *tableState
@@ -70,15 +70,6 @@ func (b *Batch) Value(ci, i int) types.Value {
 		return dom[pg.Codes.Get(off)]
 	}
 	return c.enc.Decode(pg.Codes.Get(off))
-}
-
-// Column materializes column ci for all selected tuples.
-func (b *Batch) Column(ci int) []types.Value {
-	out := make([]types.Value, len(b.sel))
-	for i := range b.sel {
-		out[i] = b.Value(ci, i)
-	}
-	return out
 }
 
 // Row materializes the full i'th selected tuple.

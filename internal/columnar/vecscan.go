@@ -9,25 +9,22 @@ import (
 	"dashdb/internal/vec"
 )
 
-// Vectors materializes the batch's selected tuples as typed column
+// VectorsEnc materializes the batch's selected tuples as typed column
 // vectors, decoding column-at-a-time: one page lookup per column and a
 // tight decode loop over the selected offsets, instead of the per-row
 // Value calls Row performs. projection lists the table-schema ordinals to
-// produce (nil = all columns). Like Row/Column, the returned vectors are
-// copies and stay valid after the scan callback returns.
-func (b *Batch) Vectors(projection []int) []*vec.Vector {
-	return b.VectorsEnc(projection, nil)
-}
-
-// VectorsEnc is Vectors with per-output-position control over compressed
-// emission: when encoded[j] is true the j'th output column is delivered as
-// a code-carrying vector (dictionary codes + *encoding.Dict reference)
-// instead of materialized values — the paper's operate-on-compressed-data
-// hand-off (§II.B.2). encoded positions must correspond to columns for
-// which ColumnDict reports a dictionary; nil encoded means decode
-// everything. The scan's pinned epoch guarantees the dictionary captured
-// inside each code vector assigned every code in the batch (dictionaries
-// are append-only, so later epochs can only extend it).
+// produce (nil = all columns). Like Row, the returned vectors are copies
+// and stay valid after the scan callback returns.
+//
+// encoded gives per-output-position control over compressed emission: when
+// encoded[j] is true the j'th output column is delivered as a code-carrying
+// vector (dictionary codes + *encoding.Dict reference) instead of
+// materialized values — the paper's operate-on-compressed-data hand-off
+// (§II.B.2). encoded positions must correspond to columns for which
+// ColumnDict reports a dictionary; nil encoded means decode everything. The
+// scan's pinned epoch guarantees the dictionary captured inside each code
+// vector assigned every code in the batch (dictionaries are append-only, so
+// later epochs can only extend it).
 func (b *Batch) VectorsEnc(projection []int, encoded []bool) []*vec.Vector {
 	if projection == nil {
 		out := make([]*vec.Vector, len(b.t.schema))

@@ -107,9 +107,9 @@ func (s *Session) executeSelect(stmt *sql.SelectStmt, text string) (*Result, err
 		s.recordQueryError(text, err)
 		return nil, err
 	}
-	// Weave telemetry through the compiled (post-Vectorize) tree: every
-	// known operator gets atomic row/batch/time counters and scans get
-	// per-worker sharded stride counters.
+	// Weave telemetry through the compiled tree: every known operator gets
+	// atomic row/batch/time counters and scans get per-worker sharded
+	// stride counters.
 	op = exec.Instrument(op)
 	start := time.Now()
 	rows, err := exec.Drain(op)

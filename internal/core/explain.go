@@ -79,7 +79,7 @@ type planEntry struct {
 }
 
 // collectPlan flattens an operator tree (instrumented or not) into plan
-// entries, unwrapping StatsOp/VecStatsOp decorators transparently.
+// entries, unwrapping StatsOp decorators transparently.
 func collectPlan(op exec.Operator) []planEntry {
 	var out []planEntry
 	collectOp(op, 0, nil, &out)
@@ -148,60 +148,73 @@ func freezeOps(entries []planEntry) []telemetry.OpRecord {
 	return out
 }
 
-// collectOp walks the row-operator tree producing plan entries. Vectorized
-// segments (reached through a RowAdapter) are tagged [vectorized];
-// row-at-a-time operators that could in principle vectorize are tagged
-// [row] so fallbacks (UDFs, MEDIAN, funcs) stay visible. st carries the
-// counters of the StatsOp decorator the walk just unwrapped, and lands on
-// the entry of the operator it decorates.
+// collectOp walks the operator tree producing plan entries. An operator is
+// tagged [vectorized] when vector kernels evaluate all of its expressions
+// and [row] when it holds an opaque one (UDFs, scalar functions, CASE, ...)
+// that runs per live position, or — SORT — keeps its input as rows, so
+// fallbacks stay visible. st carries the counters of the StatsOp decorator
+// the walk just unwrapped, and lands on the entry of the operator it
+// decorates.
 func collectOp(op exec.Operator, depth int, st *telemetry.OpStats, out *[]planEntry) {
-	add := func(text string, scan *telemetry.ScanStats) {
-		*out = append(*out, planEntry{depth: depth, text: text, stats: st, scan: scan})
+	// add appends the operator's entry and returns it for annotation.
+	add := func(text string) *planEntry {
+		*out = append(*out, planEntry{depth: depth, text: text, stats: st})
+		return &(*out)[len(*out)-1]
 	}
-	// addSpill tags the just-added entry with the operator's spill counters.
-	addSpill := func(runs, bytes int64) {
-		e := &(*out)[len(*out)-1]
-		e.spillRuns, e.spillBytes = runs, bytes
+	mode := func(exprs ...exec.Expr) string {
+		if exec.Vectorizable(exprs...) {
+			return " [vectorized]"
+		}
+		return " [row]"
 	}
 	switch o := op.(type) {
 	case *exec.StatsOp:
 		collectOp(o.Child, depth, &o.S, out)
-	case *exec.RowAdapter:
-		collectVec(o.Inner, depth, st, out)
 	case *exec.ScanOp:
-		kind := "COLUMNAR SCAN"
+		desc := "COLUMNAR SCAN " + o.Table.Name()
 		if o.Dop > 1 {
-			kind = "PARALLEL COLUMNAR SCAN"
+			desc = fmt.Sprintf("PARALLEL %s [dop=%d]", desc, o.Dop)
 		}
-		desc := fmt.Sprintf("%s %s", kind, o.Table.Name())
-		if o.Dop > 1 {
-			desc += fmt.Sprintf(" [dop=%d]", o.Dop)
+		desc += " [vectorized]"
+		if anyFlag(o.Compressed) {
+			desc += " [compressed]"
 		}
-		desc += " [row]"
 		if len(o.Preds) > 0 {
 			desc += " [pushdown: " + predString(o.Table, o.Preds) + "]"
 		}
-		add(desc, o.ScanStats)
-		(*out)[len(*out)-1].est = o.EstRows
+		e := add(desc)
+		e.scan, e.est = o.ScanStats, o.EstRows
 	case *exec.RowScanOp:
-		add(fmt.Sprintf("ROW SCAN %s", o.Table.Name()), nil)
+		add(fmt.Sprintf("ROW SCAN %s", o.Table.Name()))
 	case *exec.FilterOp:
-		add("FILTER [row]", nil)
+		text := "FILTER" + mode(o.Pred)
+		if exec.PredCompressible(o.Pred, exec.CompressedCols(o.Child)) {
+			text += " [compressed]"
+		}
+		e := add(text)
+		if n := o.CodeRows.Load(); n > 0 {
+			e.analyzeExtra = fmt.Sprintf(" [code-rows=%d]", n)
+		}
 		collectOp(o.Child, depth+1, nil, out)
 	case *exec.ProjectOp:
-		add(fmt.Sprintf("PROJECT %s [row]", strings.Join(o.Out.Names(), ", ")), nil)
+		text := "PROJECT " + strings.Join(o.Out.Names(), ", ") + mode(o.Exprs...)
+		if anyFlag(exec.CompressedCols(o.Child)) {
+			text += " [compressed]"
+		}
+		e := add(text)
+		if n := o.EncodedRows.Load(); n > 0 {
+			e.analyzeExtra = fmt.Sprintf(" [encoded-rows=%d]", n)
+		}
 		collectOp(o.Child, depth+1, nil, out)
 	case *exec.HashJoinOp:
-		add(fmt.Sprintf("HASH JOIN (%s)", joinName(o.Type)), nil)
-		addSpill(o.SpillStats())
+		e := add(fmt.Sprintf("HASH JOIN (%s)", joinName(o.Type)))
+		e.spillRuns, e.spillBytes = o.SpillStats()
 		if n := o.CodeKeyCount(); n > 0 {
-			e := &(*out)[len(*out)-1]
 			e.text += " [compressed]"
 			e.analyzeExtra = fmt.Sprintf(" [code-keys=%d]", n)
 		}
 		// Planner annotations follow the compressed tag so plan-reading
 		// tools keep matching "HASH JOIN (<type>) [compressed]".
-		e := &(*out)[len(*out)-1]
 		if o.BuildSide != "" {
 			e.text += " [build=" + o.BuildSide + "]"
 		}
@@ -212,8 +225,7 @@ func collectOp(op exec.Operator, depth int, st *telemetry.OpStats, out *[]planEn
 		collectOp(o.Left, depth+1, nil, out)
 		collectOp(o.Right, depth+1, nil, out)
 	case *exec.NestedLoopJoinOp:
-		add(fmt.Sprintf("NESTED LOOP JOIN (%s)", joinName(o.Type)), nil)
-		e := &(*out)[len(*out)-1]
+		e := add(fmt.Sprintf("NESTED LOOP JOIN (%s)", joinName(o.Type)))
 		if o.Reordered {
 			e.text += " [reordered]"
 		}
@@ -221,96 +233,35 @@ func collectOp(op exec.Operator, depth int, st *telemetry.OpStats, out *[]planEn
 		collectOp(o.Left, depth+1, nil, out)
 		collectOp(o.Right, depth+1, nil, out)
 	case *exec.GroupByOp:
-		text := fmt.Sprintf("GROUP BY [%d keys, %d aggregates]", len(o.GroupBy), len(o.Aggs))
-		if o.VecIngest() {
-			text += " [vectorized]"
-		} else {
-			text += " [row]"
-		}
+		text := fmt.Sprintf("GROUP BY [%d keys, %d aggregates]", len(o.GroupBy), len(o.Aggs)) + mode(o.Exprs()...)
 		if o.CodeKeyed() {
 			text += " [compressed]"
 		}
 		if w := o.Workers(); w > 1 {
 			text += fmt.Sprintf(" [dop=%d]", w)
 		}
-		add(text, nil)
-		addSpill(o.SpillStats())
+		e := add(text)
+		e.spillRuns, e.spillBytes = o.SpillStats()
 		if n := o.CodeKeyCount(); n > 0 {
-			(*out)[len(*out)-1].analyzeExtra = fmt.Sprintf(" [code-keys=%d]", n)
+			e.analyzeExtra = fmt.Sprintf(" [code-keys=%d]", n)
 		}
 		collectOp(o.Child, depth+1, nil, out)
 	case *exec.SortOp:
-		add(fmt.Sprintf("SORT [%d keys] [row]", len(o.Keys)), nil)
-		addSpill(o.SpillStats())
+		e := add(fmt.Sprintf("SORT [%d keys] [row]", len(o.Keys)))
+		e.spillRuns, e.spillBytes = o.SpillStats()
 		collectOp(o.Child, depth+1, nil, out)
 	case *exec.LimitOp:
-		add(fmt.Sprintf("LIMIT %d OFFSET %d [row]", o.Limit, o.Offset), nil)
+		add(fmt.Sprintf("LIMIT %d OFFSET %d [vectorized]", o.Limit, o.Offset))
 		collectOp(o.Child, depth+1, nil, out)
 	case *exec.UnionAllOp:
-		add("UNION ALL", nil)
+		add("UNION ALL")
 		for _, c := range o.Children {
 			collectOp(c, depth+1, nil, out)
 		}
 	case *exec.ValuesOp:
-		add(fmt.Sprintf("VALUES [%d rows]", len(o.Data)), nil)
+		add(fmt.Sprintf("VALUES [%d rows]", len(o.Data)))
 	default:
-		add(fmt.Sprintf("%T", op), nil)
-	}
-}
-
-// collectVec walks the vectorized segment of a plan. Every node gets a
-// [vectorized] tag; the scan line keeps the same shape as the row scan so
-// plan-reading tools (and tests) match on "COLUMNAR SCAN <name>".
-func collectVec(op exec.VecOperator, depth int, st *telemetry.OpStats, out *[]planEntry) {
-	add := func(text string, scan *telemetry.ScanStats) {
-		*out = append(*out, planEntry{depth: depth, text: text, stats: st, scan: scan})
-	}
-	switch o := op.(type) {
-	case *exec.VecStatsOp:
-		collectVec(o.Child, depth, &o.S, out)
-	case *exec.VecScanOp:
-		kind := "COLUMNAR SCAN"
-		if o.Dop > 1 {
-			kind = "PARALLEL COLUMNAR SCAN"
-		}
-		desc := fmt.Sprintf("%s %s", kind, o.Table.Name())
-		if o.Dop > 1 {
-			desc += fmt.Sprintf(" [dop=%d]", o.Dop)
-		}
-		desc += " [vectorized]"
-		if anyFlag(o.Compressed) {
-			desc += " [compressed]"
-		}
-		if len(o.Preds) > 0 {
-			desc += " [pushdown: " + predString(o.Table, o.Preds) + "]"
-		}
-		add(desc, o.ScanStats)
-		(*out)[len(*out)-1].est = o.EstRows
-	case *exec.VecFilterOp:
-		text := "FILTER [vectorized]"
-		if exec.PredCompressible(o.Pred, exec.CompressedCols(o.Child)) {
-			text += " [compressed]"
-		}
-		add(text, nil)
-		if n := o.CodeRows.Load(); n > 0 {
-			(*out)[len(*out)-1].analyzeExtra = fmt.Sprintf(" [code-rows=%d]", n)
-		}
-		collectVec(o.Child, depth+1, nil, out)
-	case *exec.VecProjectOp:
-		text := fmt.Sprintf("PROJECT %s [vectorized]", strings.Join(o.Out.Names(), ", "))
-		if anyFlag(exec.CompressedCols(o.Child)) {
-			text += " [compressed]"
-		}
-		add(text, nil)
-		if n := o.EncodedRows.Load(); n > 0 {
-			(*out)[len(*out)-1].analyzeExtra = fmt.Sprintf(" [encoded-rows=%d]", n)
-		}
-		collectVec(o.Child, depth+1, nil, out)
-	case *exec.VecLimitOp:
-		add(fmt.Sprintf("LIMIT %d OFFSET %d [vectorized]", o.Limit, o.Offset), nil)
-		collectVec(o.Child, depth+1, nil, out)
-	default:
-		add(fmt.Sprintf("%T [vectorized]", op), nil)
+		add(fmt.Sprintf("%T", op))
 	}
 }
 

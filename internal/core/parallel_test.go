@@ -60,7 +60,7 @@ func TestSetParallelism(t *testing.T) {
 // and returns exactly the serial result set, rows and order — with a
 // residual vector filter in between too; non-mergeable aggregates stay
 // serial, and a filter with no vector kernel keeps the group-by on one
-// worker.
+// worker without taking it, or the scan, off the batch engine.
 func TestParallelPlanAndResults(t *testing.T) {
 	db := Open(Config{BufferPoolBytes: 16 << 20, Parallelism: 1})
 	s := db.NewSession()
@@ -113,13 +113,16 @@ func TestParallelPlanAndResults(t *testing.T) {
 		!strings.Contains(rplan, "PARALLEL COLUMNAR SCAN M [dop=4]") {
 		t.Fatalf("residual vector filter must not serialize the plan:\n%s", rplan)
 	}
-	// A filter with no vector kernel leaves a row child: one ingest worker
-	// (no dop tag) over the parallel scan.
+	// A filter with no vector kernel evaluates per position inside the same
+	// pipeline: the group-by still ingests batches, on one worker (no dop
+	// tag — a scalar function is never called from two goroutines), over
+	// the parallel scan.
 	fq := `SELECT g, COUNT(*) FROM m WHERE ABS(v) > 200 GROUP BY g`
 	fplan := strings.Join(planLines(t, s, fq), "\n")
-	if !strings.Contains(fplan, "GROUP BY [1 keys, 1 aggregates] [row]\n") ||
-		!strings.Contains(fplan, "FILTER [row]") {
-		t.Fatalf("row filter must keep the group-by on one row-ingest worker:\n%s", fplan)
+	if !strings.Contains(fplan, "GROUP BY [1 keys, 1 aggregates] [vectorized]\n") ||
+		!strings.Contains(fplan, "FILTER [row]\n") ||
+		!strings.Contains(fplan, "PARALLEL COLUMNAR SCAN M [dop=4]") {
+		t.Fatalf("an opaque filter must keep the group-by on one batch-ingest worker:\n%s", fplan)
 	}
 	for _, q := range []string{rq, fq} {
 		mustExec(t, s, "SET PARALLELISM 4")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -48,10 +49,12 @@ func TestExplainVectorized(t *testing.T) {
 	}
 }
 
-// TestExplainRowFallbacks: scalar functions, UDXs and MEDIAN keep their
-// operators on the row path — and EXPLAIN says so.
+// TestExplainRowFallbacks: an operator holding a scalar function or a UDX
+// evaluates it per position and EXPLAIN says so with [row]; nothing around
+// it leaves the batch engine. MEDIAN ingests batches on one worker, and
+// SORT, whose state is rows, keeps its [row] tag.
 func TestExplainRowFallbacks(t *testing.T) {
-	db := newDB(t)
+	db := Open(Config{BufferPoolBytes: 16 << 20, Parallelism: 2})
 	if err := db.RegisterFunction("TRIPLE", 1, 1, func(args []types.Value) (types.Value, error) {
 		if args[0].IsNull() {
 			return types.Null, nil
@@ -63,32 +66,150 @@ func TestExplainRowFallbacks(t *testing.T) {
 	s := db.NewSession()
 	seedSales(t, s, 100)
 
-	// Scalar function in the WHERE clause: FILTER falls back to rows, the
-	// scan underneath still vectorizes.
+	// Scalar function in the WHERE clause: the FILTER is tagged [row], the
+	// scan underneath and the projection above are not.
 	plan := planOf(t, s, `EXPLAIN SELECT id FROM sales WHERE UPPER(region) = 'NORTH'`)
-	if !strings.Contains(plan, "FILTER [row]") {
-		t.Fatalf("scalar-func filter must be [row]:\n%s", plan)
-	}
-	if !strings.Contains(plan, "COLUMNAR SCAN SALES [vectorized]") {
-		t.Fatalf("scan under row filter should stay vectorized:\n%s", plan)
-	}
-
-	// UDX filter: same fallback.
-	plan = planOf(t, s, `EXPLAIN SELECT id FROM sales WHERE TRIPLE(id) > 30`)
-	if !strings.Contains(plan, "FILTER [row]") {
-		t.Fatalf("UDX filter must be [row]:\n%s", plan)
+	for _, want := range []string{"PROJECT ID [vectorized]", "FILTER [row]", "COLUMNAR SCAN SALES [vectorized]"} {
+		if !strings.Contains(plan, want) {
+			t.Fatalf("scalar-func filter: plan missing %q:\n%s", want, plan)
+		}
 	}
 
-	// MEDIAN is holistic: the GROUP BY stays on the row ingest path.
+	// UDX filter: same tag. A UDX in the select list tags the PROJECT.
+	plan = planOf(t, s, `EXPLAIN SELECT TRIPLE(id) FROM sales WHERE TRIPLE(id) > 30`)
+	if !strings.Contains(plan, "FILTER [row]") || !strings.Contains(plan, "PROJECT TRIPLE [row]") {
+		t.Fatalf("UDX filter and projection must be [row]:\n%s", plan)
+	}
+
+	// MEDIAN is holistic: one ingest worker whatever the session's degree,
+	// over the same batch ingest; an opaque argument tags the GROUP BY.
 	plan = planOf(t, s, `EXPLAIN SELECT MEDIAN(amount) FROM sales`)
-	if !strings.Contains(plan, "GROUP BY [0 keys, 1 aggregates] [row]") {
-		t.Fatalf("MEDIAN group-by must be [row]:\n%s", plan)
+	if !strings.Contains(plan, "GROUP BY [0 keys, 1 aggregates] [vectorized]\n") || strings.Contains(plan, "[dop=") {
+		t.Fatalf("MEDIAN group-by must ingest batches on one worker:\n%s", plan)
+	}
+	plan = planOf(t, s, `EXPLAIN SELECT region, SUM(TRIPLE(id)) FROM sales GROUP BY region`)
+	if !strings.Contains(plan, "GROUP BY [1 keys, 1 aggregates] [row] [compressed]\n") {
+		t.Fatalf("a UDX aggregate argument must tag the group-by [row], one worker:\n%s", plan)
 	}
 
-	// ORDER BY stays a row operator above the vectorized segment.
+	// ORDER BY keeps its input as rows.
 	plan = planOf(t, s, `EXPLAIN SELECT id FROM sales ORDER BY amount`)
 	if !strings.Contains(plan, "SORT [1 keys] [row]") {
 		t.Fatalf("sort must be [row]:\n%s", plan)
+	}
+}
+
+// TestPredicateCliffStaysClosed: a predicate with no vector kernel in the
+// WHERE of a GROUP BY on a dictionary column costs its own evaluation and
+// nothing else — the group-by above it still ingests batches and groups on
+// codes, on one worker (a scalar function or UDF is never called from two
+// goroutines) — and returns what a plain loop over the loaded rows does.
+func TestPredicateCliffStaysClosed(t *testing.T) {
+	db := Open(Config{BufferPoolBytes: 16 << 20, Parallelism: 2})
+	if err := db.RegisterFunction("TRIPLE", 1, 1, func(args []types.Value) (types.Value, error) {
+		return types.NewInt(args[0].Int() * 3), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s := db.NewSession()
+	mustExec(t, s, `CREATE TABLE txn (id BIGINT NOT NULL, status VARCHAR(16), amount DOUBLE)`)
+	type txn struct {
+		id     int64
+		status string // "" = NULL
+		amount float64
+		noAmt  bool
+	}
+	statuses := []string{"settled", "pending", "failed", "settling", ""}
+	rows := make([]txn, 3000)
+	var ins strings.Builder
+	ins.WriteString("INSERT INTO txn VALUES ")
+	for i := range rows {
+		// Quarters sum exactly, and CAST truncating or rounding agree on them.
+		r := txn{id: int64(i), status: statuses[(i*7)%len(statuses)], amount: float64(i%300) + 0.25, noAmt: i%11 == 0}
+		rows[i] = r
+		st, amt := "NULL", "NULL"
+		if r.status != "" {
+			st = "'" + r.status + "'"
+		}
+		if !r.noAmt {
+			amt = fmt.Sprintf("%.2f", r.amount)
+		}
+		if i > 0 {
+			ins.WriteString(",")
+		}
+		fmt.Fprintf(&ins, "(%d, %s, %s)", r.id, st, amt)
+	}
+	mustExec(t, s, ins.String())
+
+	big := func(r txn) bool { return !r.noAmt && r.amount > 100 }
+	for _, tc := range []struct {
+		pred string
+		keep func(r txn) bool
+	}{
+		{`status IS NOT NULL`, func(r txn) bool { return r.status != "" }},
+		{`status LIKE 'sett%'`, func(r txn) bool { return strings.HasPrefix(r.status, "sett") }},
+		{`status IN ('settled', 'pending')`, func(r txn) bool { return r.status == "settled" || r.status == "pending" }},
+		{`UPPER(status) = 'SETTLED'`, func(r txn) bool { return r.status == "settled" }},
+		{`CASE WHEN amount > 100 THEN 1 ELSE 0 END = 1`, big},
+		{`CAST(amount AS INTEGER) > 100`, func(r txn) bool { return !r.noAmt && int64(r.amount) > 100 }},
+		{`COALESCE(amount, 0) > 100`, big},
+		{`TRIPLE(id) > 3000`, func(r txn) bool { return r.id*3 > 3000 }},
+	} {
+		q := `SELECT status, COUNT(*), SUM(amount) FROM txn WHERE ` + tc.pred + ` GROUP BY status`
+		type agg struct {
+			n   int64
+			sum float64
+			any bool // a non-NULL amount was summed
+		}
+		want := map[string]*agg{}
+		for _, r := range rows {
+			if !tc.keep(r) {
+				continue
+			}
+			a := want[r.status]
+			if a == nil {
+				a = &agg{}
+				want[r.status] = a
+			}
+			a.n++
+			if !r.noAmt {
+				a.sum, a.any = a.sum+r.amount, true
+			}
+		}
+		res := mustExec(t, s, q)
+		if len(res.Rows) != len(want) || len(want) == 0 {
+			t.Fatalf("%s: %d groups, want %d", tc.pred, len(res.Rows), len(want))
+		}
+		for _, row := range res.Rows {
+			key := ""
+			if !row[0].IsNull() {
+				key = row[0].Str()
+			}
+			a := want[key]
+			if a == nil || row[1].Int() != a.n || row[2].IsNull() == a.any || a.any && row[2].Float() != a.sum {
+				t.Fatalf("%s: group %q = %v, want %+v", tc.pred, key, row, a)
+			}
+		}
+
+		lines := planLines(t, s, q)
+		plan := strings.Join(lines, "\n")
+		filter := -1
+		for i, l := range lines {
+			if strings.Contains(l, "FILTER [row]") {
+				filter = i
+			}
+		}
+		if filter < 0 || !strings.Contains(plan, "GROUP BY [1 keys, 2 aggregates] [vectorized] [compressed]\n") {
+			t.Fatalf("%s: want a [row] filter under a batch-ingesting, code-keyed group-by:\n%s", tc.pred, plan)
+		}
+		for _, l := range lines[:filter] {
+			if strings.Contains(l, "[dop=") {
+				t.Fatalf("%s: %q runs at dop above an opaque filter:\n%s", tc.pred, l, plan)
+			}
+		}
+		if !strings.Contains(lines[filter+1], "PARALLEL COLUMNAR SCAN TXN [dop=2] [vectorized] [compressed]") {
+			t.Fatalf("%s: the scan under the filter keeps its degree and its codes:\n%s", tc.pred, plan)
+		}
 	}
 }
 

@@ -80,27 +80,8 @@ type accumulator struct {
 	distinct map[types.Value]bool // for COUNT(DISTINCT)
 }
 
-// add evaluates the aggregate's arguments against a row and accumulates.
-func (a *accumulator) add(spec AggSpec, row types.Row) error {
-	if spec.Func == AggCountStar {
-		a.count++
-		return nil
-	}
-	v, err := spec.Arg.Eval(row)
-	if err != nil {
-		return err
-	}
-	var v2 types.Value
-	if spec.Func == AggCovarPop || spec.Func == AggCovarSamp {
-		if v2, err = spec.Arg2.Eval(row); err != nil {
-			return err
-		}
-	}
-	return a.addVals(spec, v, v2)
-}
-
-// addVals accumulates already-evaluated argument values; the vectorized
-// ingestion path evaluates arguments batch-at-a-time and feeds them here.
+// addVals accumulates one position's argument values; ingest evaluates the
+// arguments a batch at a time and feeds them here.
 func (a *accumulator) addVals(spec AggSpec, v, v2 types.Value) error {
 	switch spec.Func {
 	case AggCountStar:
@@ -197,8 +178,8 @@ func (a *accumulator) merge(o *accumulator) {
 
 // MergeableAggs reports whether every aggregate in the list merges
 // exactly from thread-local partials. MEDIAN and PERCENTILE_* keep the
-// full value list per group, so GroupByOp ingests them on one worker,
-// row-at-a-time, whatever its Dop.
+// full value list per group, so GroupByOp ingests them on one worker
+// whatever its Dop.
 func MergeableAggs(specs []AggSpec) bool {
 	for _, s := range specs {
 		switch s.Func {
@@ -308,15 +289,14 @@ func percentileDisc(vals []float64, p float64) types.Value {
 // With no group expressions it produces a single global group (one row
 // even over empty input, per SQL).
 //
-// Open consumes the whole child into per-worker groupTables. It runs Dop
-// workers when the child is a vector pipeline that tolerates concurrent
-// pulls and every aggregate merges exactly (MergeableAggs); otherwise one.
-// Workers ingest vector batches — keys and arguments are evaluated
-// column-at-a-time and only the group keys are materialized as rows, never
-// the input tuples; a row child is consumed row-at-a-time into the same
-// table type. The tables are then merged partition by partition and the
-// groups emitted in key order (NULLs first), so the output is a function
-// of the data, not of the worker count or batch arrival order.
+// Open consumes the whole child into per-worker groupTables: Dop workers
+// when the child tolerates concurrent pulls, every aggregate merges exactly
+// (MergeableAggs) and no expression is opaque; otherwise one. Keys and
+// arguments are evaluated column-at-a-time over each batch and only the
+// group keys are materialized as rows, never the input tuples. The tables
+// are then merged partition by partition and the groups emitted in key
+// order (NULLs first), so the output is a function of the data, not of the
+// worker count or batch arrival order.
 //
 // With a governor every table charges one shared HASHHEAP reservation;
 // when a Grow is denied the worker spills its largest partition (see
@@ -334,8 +314,7 @@ type GroupByOp struct {
 	files []*mem.SpillFile // every worker's partition run files
 
 	out     types.Schema
-	results []types.Row
-	pos     int
+	results rowQueue
 
 	// Operate-on-compressed group keys: a key position whose vector
 	// arrives dictionary-encoded groups on the code (stored as an INT
@@ -426,42 +405,58 @@ func (g *GroupByOp) Open() error {
 		}
 	}
 	slices.SortFunc(groups, func(a, b *groupState) int { return groupKeyCompare(a.key, b.key) })
-	g.results = g.results[:0]
+	g.results.rows = make([]types.Row, 0, len(groups))
 	for _, st := range groups {
 		row := make(types.Row, 0, len(st.key)+len(g.Aggs))
 		row = append(row, st.key...)
 		for i := range g.Aggs {
 			row = append(row, st.accs[i].result(g.Aggs[i]))
 		}
-		g.results = append(g.results, row)
+		g.results.rows = append(g.results.rows, row)
 	}
-	g.pos = 0
 	return nil
 }
 
-// Workers reports how many ingest workers Open runs: Dop when the child is
-// a vector pipeline that can be pulled from several goroutines and every
-// aggregate merges exactly from per-worker partials, else 1 (row children
-// such as join output; MEDIAN/PERCENTILE). EXPLAIN prints it.
+// Workers reports how many ingest workers Open runs: Dop when the child can
+// be pulled from several goroutines, every aggregate merges exactly from
+// per-worker partials and every key and argument is kernel-evaluated, else
+// 1 (join output, MEDIAN/PERCENTILE, an opaque expression here or in a
+// filter or projection below). EXPLAIN prints it.
 func (g *GroupByOp) Workers() int {
-	if in := g.vecChild(); in != nil && g.Dop > 1 && concurrentPull(in) {
+	if g.Dop > 1 && MergeableAggs(g.Aggs) && Vectorizable(g.Exprs()...) && concurrentPull(g.Child) {
 		return g.Dop
 	}
 	return 1
 }
 
-// concurrentPull reports whether NextVec may be called on v from several
+// Exprs lists every grouping expression and aggregate argument.
+func (g *GroupByOp) Exprs() []Expr {
+	exprs := append([]Expr{}, g.GroupBy...)
+	for _, a := range g.Aggs {
+		if a.Arg != nil {
+			exprs = append(exprs, a.Arg)
+		}
+		if a.Arg2 != nil {
+			exprs = append(exprs, a.Arg2)
+		}
+	}
+	return exprs
+}
+
+// concurrentPull reports whether Next may be called on op from several
 // goroutines at once: a scan hands batches over a channel and filters and
-// projections keep no per-call state, but a limit counts rows.
-func concurrentPull(v VecOperator) bool {
-	switch o := v.(type) {
-	case *VecStatsOp:
+// projections keep no per-call state, but a limit counts rows, a
+// row-state operator owns a cursor, and an opaque expression (UDF,
+// sequence, subquery) has never run on two goroutines and must not start.
+func concurrentPull(op Operator) bool {
+	switch o := op.(type) {
+	case *StatsOp:
 		return concurrentPull(o.Child)
-	case *VecFilterOp:
-		return concurrentPull(o.Child)
-	case *VecProjectOp:
-		return concurrentPull(o.Child)
-	case *VecScanOp:
+	case *FilterOp:
+		return Vectorizable(o.Pred) && concurrentPull(o.Child)
+	case *ProjectOp:
+		return Vectorizable(o.Exprs...) && concurrentPull(o.Child)
+	case *ScanOp:
 		return true
 	}
 	return false
@@ -471,17 +466,13 @@ func concurrentPull(v VecOperator) bool {
 // The first error stops the other workers at their next batch.
 func (g *GroupByOp) ingest(tables []*groupTable) error {
 	var stop atomic.Bool
-	consume := func(t *groupTable) error { return g.consumeRows(t) }
-	if in := g.vecChild(); in != nil {
-		consume = func(t *groupTable) error { return g.consumeVec(in, t, &stop) }
-	}
 	errs := make([]error, len(tables))
 	var wg sync.WaitGroup
 	for w, t := range tables {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if errs[w] = consume(t); errs[w] != nil {
+			if errs[w] = g.consume(t, &stop); errs[w] != nil {
 				stop.Store(true)
 			}
 		}()
@@ -546,61 +537,12 @@ func (g *GroupByOp) merge(tables []*groupTable) ([]*groupState, error) {
 	return groups, nil
 }
 
-// consumeRows is the row-at-a-time aggregation loop.
-func (g *GroupByOp) consumeRows(t *groupTable) error {
-	key := make(types.Row, len(g.GroupBy))
-	for {
-		ch, err := g.Child.Next()
-		if err != nil {
-			return err
-		}
-		if ch == nil {
-			return nil
-		}
-		for _, row := range ch.Rows {
-			for i, e := range g.GroupBy {
-				if key[i], err = e.Eval(row); err != nil {
-					return err
-				}
-			}
-			st, err := t.lookup(key)
-			if err != nil {
-				return err
-			}
-			for i := range g.Aggs {
-				if err := st.accs[i].add(g.Aggs[i], row); err != nil {
-					return err
-				}
-			}
-		}
-	}
-}
-
-// VecIngest reports whether Open will consume vector batches directly
-// (vectorized child and all expressions kernel-evaluable). EXPLAIN uses it
-// to label the node.
-func (g *GroupByOp) VecIngest() bool { return g.vecChild() != nil }
-
-// vecChild returns the vector pipeline Open ingests from, or nil when it
-// consumes the child row-at-a-time.
-func (g *GroupByOp) vecChild() VecOperator {
-	if g.vecIngestable() {
-		return vecPipeline(g.Child)
-	}
-	return nil
-}
-
-// CodeKeyed reports whether vector ingest can group at least one key on
-// dictionary codes: a bare column key whose column flows encoded out of the
-// child pipeline. Advisory like CompressedCols (Open adopts dictionaries
-// from the batches); EXPLAIN uses it so the tag is the same before and
-// after execution.
+// CodeKeyed reports whether ingest can group at least one key on dictionary
+// codes: a bare column key whose column flows encoded out of the child.
+// Advisory like CompressedCols (Open adopts dictionaries from the batches);
+// EXPLAIN uses it so the tag is the same before and after execution.
 func (g *GroupByOp) CodeKeyed() bool {
-	in := g.vecChild()
-	if in == nil {
-		return false
-	}
-	flags := CompressedCols(in)
+	flags := CompressedCols(g.Child)
 	for _, e := range g.GroupBy {
 		if c, ok := e.(ColRef); ok && int(c) >= 0 && int(c) < len(flags) && flags[c] {
 			return true
@@ -622,30 +564,6 @@ func (g *GroupByOp) CodeKeyCount() int {
 	return n
 }
 
-// vecIngestable reports whether every grouping expression and aggregate
-// argument can be evaluated through vector kernels. Holistic aggregates
-// (not MergeableAggs) buffer every input value, so vector ingestion buys
-// nothing; they stay on the row path.
-func (g *GroupByOp) vecIngestable() bool {
-	if !MergeableAggs(g.Aggs) {
-		return false
-	}
-	for _, e := range g.GroupBy {
-		if !Vectorizable(e) {
-			return false
-		}
-	}
-	for _, a := range g.Aggs {
-		if a.Arg != nil && !Vectorizable(a.Arg) {
-			return false
-		}
-		if a.Arg2 != nil && !Vectorizable(a.Arg2) {
-			return false
-		}
-	}
-	return true
-}
-
 // adopt fixes the grouping scheme per key position from the first batch's
 // key vectors; only a bare column reference can deliver an encoded vector.
 func (g *GroupByOp) adopt(keyVecs []*vec.Vector) {
@@ -664,18 +582,18 @@ func (g *GroupByOp) adopt(keyVecs []*vec.Vector) {
 	}
 }
 
-// consumeVec is one worker's ingest loop. It aggregates straight from
-// vector batches: group keys and aggregate arguments are computed one
+// consume is one worker's ingest loop, and the only one. It aggregates
+// straight from batches: group keys and aggregate arguments are computed one
 // column at a time over each batch, then accumulated per selected position.
-// Several workers may pull inner concurrently; each owns the batches it
+// Several workers may pull the child concurrently; each owns the batches it
 // receives and its table.
-func (g *GroupByOp) consumeVec(inner VecOperator, t *groupTable, stop *atomic.Bool) error {
+func (g *GroupByOp) consume(t *groupTable, stop *atomic.Bool) error {
 	key := make(types.Row, len(g.GroupBy))
 	keyVecs := make([]*vec.Vector, len(g.GroupBy))
 	argVecs := make([]*vec.Vector, len(g.Aggs))
 	arg2Vecs := make([]*vec.Vector, len(g.Aggs))
 	for !stop.Load() {
-		vb, err := inner.NextVec()
+		vb, err := g.Child.Next()
 		if err != nil {
 			return err
 		}
@@ -771,18 +689,7 @@ func groupKeyCompare(a, b types.Row) int {
 }
 
 // Next implements Operator.
-func (g *GroupByOp) Next() (*Chunk, error) {
-	if g.pos >= len(g.results) {
-		return nil, nil
-	}
-	end := g.pos + ChunkSize
-	if end > len(g.results) {
-		end = len(g.results)
-	}
-	ch := &Chunk{Schema: g.Schema(), Rows: g.results[g.pos:end]}
-	g.pos = end
-	return ch, nil
-}
+func (g *GroupByOp) Next() (*vec.Batch, error) { return g.results.next(g.Schema(), true), nil }
 
 // SpillStats reports runs and bytes spilled, for EXPLAIN ANALYZE. Valid
 // after Close (counters outlive the reservation's grant).
@@ -801,6 +708,6 @@ func (g *GroupByOp) Close() error {
 	}
 	g.files = nil
 	g.res.Close()
-	g.results = nil
+	g.results.rows = nil
 	return firstErr
 }

@@ -13,7 +13,7 @@ import (
 // genuinely needs them. The scan emits code-carrying vectors
 // (vec.Vector.Codes over a *encoding.Dict); compressedSel answers
 // filters entirely in code space; dictRemap bridges mismatched build and
-// probe dictionaries in the join; VecProjectOp is the single
+// probe dictionaries in the join; ProjectOp is the single
 // late-materialization point.
 
 // compressedSel evaluates pred over the batch's live positions idx using
@@ -32,10 +32,10 @@ func compressedSel(pred Expr, vb *vec.Batch, idx []int) ([]int, bool, error) {
 	switch p := pred.(type) {
 	case *CmpExpr:
 		col, cst, op, ok := colConstCmp(p)
-		if !ok || col < 0 || col >= len(vb.Cols) {
+		if !ok || col < 0 || col >= vb.NumCols() {
 			return nil, false, nil
 		}
-		v := vb.Cols[col]
+		v := vb.Col(col)
 		if !v.Encoded() {
 			return nil, false, nil
 		}
@@ -173,22 +173,21 @@ func flipCmp(op encoding.CmpOp) encoding.CmpOp {
 }
 
 // selTrue filters idx down to positions where the predicate vector is
-// definite TRUE, using the same truthiness rules as VecFilterOp.
+// definite TRUE: a typed BOOLEAN vector's set, non-NULL positions, or any
+// other vector's true BOOLEAN values (a non-boolean value passes nothing).
 func selTrue(pv *vec.Vector, idx []int) []int {
 	out := make([]int, 0, len(idx))
-	switch {
-	case pv.Kind == types.KindBool:
+	if pv.Kind == types.KindBool && pv.I64 != nil {
 		for _, i := range idx {
 			if !pv.IsNull(i) && pv.I64[pv.Ix(i)] != 0 {
 				out = append(out, i)
 			}
 		}
-	case pv.Any != nil:
-		for _, i := range idx {
-			x := pv.Any[pv.Ix(i)]
-			if !x.IsNull() && x.Kind() == types.KindBool && x.Bool() {
-				out = append(out, i)
-			}
+		return out
+	}
+	for _, i := range idx {
+		if x := pv.Get(i); !x.IsNull() && x.Kind() == types.KindBool && x.Bool() {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -255,35 +254,25 @@ func (m *dictRemap) lookup(c uint64) (uint64, bool) {
 	return uint64(e), true
 }
 
-// CompressedCols reports, per output column of a vectorized subtree,
-// whether that column can flow dictionary-encoded out of the underlying
-// scan. Selection-only operators (filter, limit, stats wrappers) pass
-// their child's layout through; projections and boxing adapters
-// materialize. Used by EXPLAIN to tag operators and by planners deciding
-// code-key eligibility; execution itself adopts dictionaries dynamically
-// from the batches, so this is advisory only.
-func CompressedCols(v VecOperator) []bool {
-	switch o := v.(type) {
-	case *VecStatsOp:
+// CompressedCols reports, per output column of a subtree, whether that
+// column can flow dictionary-encoded out of the underlying scan.
+// Selection-only operators (filter, limit, stats wrappers) pass their
+// child's layout through; everything else materializes. Used by EXPLAIN to
+// tag operators and by planners deciding code-key eligibility; execution
+// itself adopts dictionaries dynamically from the batches, so this is
+// advisory only.
+func CompressedCols(op Operator) []bool {
+	switch o := op.(type) {
+	case *StatsOp:
 		return CompressedCols(o.Child)
-	case *VecScanOp:
+	case *ScanOp:
 		return o.Compressed
-	case *VecFilterOp:
+	case *FilterOp:
 		return CompressedCols(o.Child)
-	case *VecLimitOp:
+	case *LimitOp:
 		return CompressedCols(o.Child)
 	}
 	return nil
-}
-
-// anyCompressed reports whether any flagged position is set.
-func anyCompressed(flags []bool) bool {
-	for _, f := range flags {
-		if f {
-			return true
-		}
-	}
-	return false
 }
 
 // PredCompressible reports whether a predicate tree would be answered in

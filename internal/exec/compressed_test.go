@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"dashdb/internal/columnar"
@@ -113,52 +112,35 @@ func compressedFilterPreds() map[string]Expr {
 	}
 }
 
-// TestCompressedFilterParity is the core row-vs-code property: every
+// TestCompressedFilterParity is the core code-space property: every
 // predicate shape, run compressed and decoded, across dop 1/2/8, must
-// select identical multisets — and the compressed plans must actually
-// have exercised the code path.
+// select the multiset a plain loop over Expr.Eval selects — and the
+// compressed plans must actually have exercised the code path.
 func TestCompressedFilterParity(t *testing.T) {
 	for _, seed := range []int64{3, 17} {
 		rng := rand.New(rand.NewSource(seed))
 		tbl := dictTable(t, uint32(500+seed), dictRows(rng, 6000, true))
+		rows := tableRows(t, tbl)
 		for name, pred := range compressedFilterPreds() {
+			want := sortedRowKeys(oracleFilter(t, rows, pred))
 			for _, dop := range []int{1, 2, 8} {
-				mk := func(compressed bool) Operator {
-					return VectorizeMode(&FilterOp{Child: scanDop(tbl, dop), Pred: pred}, compressed)
-				}
-				comp := mk(true)
 				ctx := fmt.Sprintf("seed=%d pred=%s dop=%d", seed, name, dop)
-				requireEqualKeys(t, ctx, sortedKeys(t, mk(false)), sortedKeys(t, comp))
-				if name != "mixed-kind-falls-back" && name != "str-null-cmp" {
-					if ra, ok := comp.(*RowAdapter); ok {
-						if fo := findVecFilter(ra.Inner); fo != nil && fo.CodeRows.Load() == 0 {
-							t.Fatalf("%s: predicate never took the code path", ctx)
-						}
-					}
+				requireEqualKeys(t, ctx+" decoded", want, sortedKeys(t, &FilterOp{Child: scanDop(tbl, dop), Pred: pred}))
+				comp := &FilterOp{Child: scanCodes(tbl, dop), Pred: pred}
+				requireEqualKeys(t, ctx+" compressed", want, sortedKeys(t, comp))
+				if name != "mixed-kind-falls-back" && name != "str-null-cmp" && comp.CodeRows.Load() == 0 {
+					t.Fatalf("%s: predicate never took the code path", ctx)
 				}
 			}
 		}
 	}
 }
 
-// findVecFilter digs the filter out of a vectorized plan.
-func findVecFilter(v VecOperator) *VecFilterOp {
-	switch o := v.(type) {
-	case *VecFilterOp:
-		return o
-	case *VecLimitOp:
-		return findVecFilter(o.Child)
-	case *VecStatsOp:
-		return findVecFilter(o.Child)
-	}
-	return nil
-}
-
 // TestCompressedFilterEmptyTable covers the zero-batch path.
 func TestCompressedFilterEmptyTable(t *testing.T) {
 	empty := dictTable(t, 520, nil)
-	op := VectorizeMode(&FilterOp{Child: NewScan(empty, nil, nil),
-		Pred: &CmpExpr{Op: encoding.OpEQ, L: ColRef(0), R: Const{V: types.NewString("north")}}}, true)
+	op := &FilterOp{Child: scanCodes(empty, 1),
+		Pred: &CmpExpr{Op: encoding.OpEQ, L: ColRef(0), R: Const{V: types.NewString("north")}}}
 	rows, err := Drain(op)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("empty table: rows=%d err=%v", len(rows), err)
@@ -184,21 +166,20 @@ func TestCompressedJoinParity(t *testing.T) {
 		{"mismatched-dict", probe, build},
 	} {
 		for _, jt := range []JoinType{InnerJoin, LeftJoin} {
-			mk := func(compressed bool) Operator {
-				j := &HashJoinOp{
-					Left:      VectorizeMode(NewScan(tc.left, nil, nil), compressed),
-					Right:     VectorizeMode(NewScan(tc.right, nil, nil), compressed),
+			mk := func(scan func(*columnar.Table, int) *ScanOp) Operator {
+				return &HashJoinOp{
+					Left:      scan(tc.left, 1),
+					Right:     scan(tc.right, 1),
 					LeftKeys:  []int{0, 1},
 					RightKeys: []int{0, 1},
 					Type:      jt,
 				}
-				return j
 			}
-			comp := mk(true)
+			comp := mk(scanCodes)
 			want := sortedRowKeys(nestedLoopJoin(tableRows(t, tc.left), tableRows(t, tc.right), []int{0, 1}, []int{0, 1}, jt, dictSchema()))
 			ctx := fmt.Sprintf("%s/%v", tc.name, jt)
 			requireEqualKeys(t, ctx+" compressed", want, sortedKeys(t, comp))
-			requireEqualKeys(t, ctx+" decoded", want, sortedKeys(t, mk(false)))
+			requireEqualKeys(t, ctx+" decoded", want, sortedKeys(t, mk(scanDop)))
 			if n := comp.(*HashJoinOp).CodeKeyCount(); n != 2 {
 				t.Fatalf("%s: code keys = %d, want 2", ctx, n)
 			}
@@ -215,10 +196,10 @@ func TestCompressedJoinSpillParity(t *testing.T) {
 	build := dictTable(t, 540, dictRows(rng, 300, true))
 	probe := dictTable(t, 541, dictRows(rng, 360, true))
 	for _, jt := range []JoinType{InnerJoin, LeftJoin} {
-		mk := func(compressed bool, gov *mem.Governor) *HashJoinOp {
+		mk := func(scan func(*columnar.Table, int) *ScanOp, gov *mem.Governor) *HashJoinOp {
 			return &HashJoinOp{
-				Left:      VectorizeMode(NewScan(probe, nil, nil), compressed),
-				Right:     VectorizeMode(NewScan(build, nil, nil), compressed),
+				Left:      scan(probe, 1),
+				Right:     scan(build, 1),
 				LeftKeys:  []int{0},
 				RightKeys: []int{0},
 				Type:      jt,
@@ -226,10 +207,10 @@ func TestCompressedJoinSpillParity(t *testing.T) {
 			}
 		}
 		want := sortedRowKeys(nestedLoopJoin(tableRows(t, probe), tableRows(t, build), []int{0}, []int{0}, jt, dictSchema()))
-		requireEqualKeys(t, fmt.Sprintf("decoded/%v", jt), want, sortedKeys(t, mk(false, nil)))
+		requireEqualKeys(t, fmt.Sprintf("decoded/%v", jt), want, sortedKeys(t, mk(scanDop, nil)))
 
 		g, _, _ := tinyGov(t, 8<<10)
-		jo := mk(true, g)
+		jo := mk(scanCodes, g)
 		got := sortedKeys(t, jo)
 		if runs, bytes := jo.SpillStats(); runs == 0 || bytes == 0 {
 			t.Fatalf("%v: expected forced spill, got runs=%d bytes=%d", jt, runs, bytes)
@@ -238,83 +219,52 @@ func TestCompressedJoinSpillParity(t *testing.T) {
 	}
 }
 
-// TestCompressedGroupByParity checks aggregation grouping on codes
-// against the decoded path, including NULL groups, multi-key grouping, a
-// mid-query spill, and dop 1/2/8. Emitted keys must be the decoded values
-// in decoded order.
+// TestCompressedGroupByParity checks aggregation grouping on codes and on
+// values decoded at the scan against the sort-based oracle, including NULL
+// groups, multi-key grouping, a mid-query spill, and dop 1/2/8. Emitted
+// keys must be the decoded values in decoded order.
 func TestCompressedGroupByParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	rows := dictRows(rng, 8000, true)
-	tbl := dictTable(t, 550, rows)
-	mkAggs := func() []AggSpec {
-		return []AggSpec{
-			{Func: AggCountStar, Name: "cnt"},
-			{Func: AggSum, Arg: ColRef(2), Name: "sum"},
-			{Func: AggMin, Arg: ColRef(3), Name: "min"},
-			{Func: AggMax, Arg: ColRef(3), Name: "max"},
-		}
+	tbl := dictTable(t, 550, dictRows(rng, 8000, true))
+	aggs := []AggSpec{
+		{Func: AggCountStar, Name: "cnt"},
+		{Func: AggSum, Arg: ColRef(2), Name: "sum"},
+		{Func: AggMin, Arg: ColRef(3), Name: "min"},
+		{Func: AggMax, Arg: ColRef(3), Name: "max"},
 	}
+	keys := []Expr{ColRef(0), ColRef(1)}
 	gcols := types.Schema{
 		{Name: "g", Kind: types.KindString, Nullable: true},
 		{Name: "k", Kind: types.KindInt, Nullable: true},
 	}
-
-	// Serial, vector-ingesting GroupBy over a compressed vs decoded scan.
-	mkSerial := func(compressed bool) *GroupByOp {
-		return &GroupByOp{
-			Child:     VectorizeMode(NewScan(tbl, nil, nil), compressed),
-			GroupBy:   []Expr{ColRef(0), ColRef(1)},
-			GroupCols: gcols,
-			Aggs:      mkAggs(),
+	want := oracleGroupBy(t, tableRows(t, tbl), keys, aggs)
+	mk := func(scan *ScanOp, gov *mem.Governor) *GroupByOp {
+		return &GroupByOp{Child: scan, GroupBy: keys, GroupCols: gcols, Aggs: aggs, Dop: scan.Dop, Gov: gov}
+	}
+	// The float SUM reassociates across workers and spill runs; everything
+	// else, and the emit order (codes decode before the emit sort), is exact.
+	check := func(label string, g *GroupByOp, codeKeys int) {
+		t.Helper()
+		got, err := Drain(g)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		sameRows(t, label, got, want)
+		if g.CodeKeyCount() != codeKeys {
+			t.Fatalf("%s: code keys = %d, want %d", label, g.CodeKeyCount(), codeKeys)
 		}
 	}
-	comp := mkSerial(true)
-	got := sortedKeys(t, comp)
-	requireEqualKeys(t, "serial", sortedKeys(t, mkSerial(false)), got)
-	if comp.CodeKeyCount() != 2 {
-		t.Fatalf("serial: code keys = %d, want 2", comp.CodeKeyCount())
+	for _, dop := range []int{1, 2, 8} {
+		check(fmt.Sprintf("compressed dop=%d", dop), mk(scanCodes(tbl, dop), nil), 2)
+		check(fmt.Sprintf("decoded dop=%d", dop), mk(scanDop(tbl, dop), nil), 0)
 	}
-
-	// Serial with a forced spill: group states carrying code-valued key
-	// cells round-trip through the spill codec as plain ints.
-	g, _, _ := tinyGov(t, 8<<10)
-	sp := mkSerial(true)
-	sp.Gov = g
-	spilled := sortedKeys(t, sp)
+	// A forced spill: group states carrying code-valued key cells
+	// round-trip through the spill codec as plain ints.
+	gov, _, _ := tinyGov(t, 8<<10)
+	sp := mk(scanCodes(tbl, 1), gov)
+	check("serial-spill", sp, 2)
 	if runs, _ := sp.SpillStats(); runs == 0 {
 		t.Fatal("expected forced group-by spill")
-	}
-	requireEqualKeys(t, "serial-spill", got, spilled)
-
-	// Several workers, one code-key adoption shared by all of them.
-	for _, dop := range []int{1, 2, 8} {
-		mkPar := func(compressed bool) *GroupByOp {
-			return atDop(&GroupByOp{
-				Child:     NewScan(tbl, nil, nil),
-				GroupBy:   []Expr{ColRef(0), ColRef(1)},
-				GroupCols: gcols,
-				Aggs:      mkAggs(),
-			}, dop, compressed)
-		}
-		pc := mkPar(true)
-		pg := sortedKeys(t, pc)
-		requireEqualKeys(t, fmt.Sprintf("parallel dop=%d", dop), got, pg)
-		if pc.CodeKeyCount() != 2 {
-			t.Fatalf("parallel dop=%d: code keys = %d, want 2", dop, pc.CodeKeyCount())
-		}
-		// Emit order is sorted by key; codes must have decoded before
-		// that sort, so the order must match the decoded plan's.
-		a, err := Drain(mkPar(true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Drain(mkPar(false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(rowsKeys(a), rowsKeys(b)) {
-			t.Fatalf("parallel dop=%d: emit order diverged", dop)
-		}
 	}
 }
 
@@ -345,18 +295,16 @@ func TestCompressedGroupByNaNFloatStaysDecoded(t *testing.T) {
 	if tbl.ColumnDict(2) != nil {
 		t.Fatal("NaN gate must reject float dictionaries")
 	}
-	mk := func(compressed bool) *GroupByOp {
-		return &GroupByOp{
-			Child:     VectorizeMode(NewScan(tbl, nil, nil), compressed),
-			GroupBy:   []Expr{ColRef(2)},
-			GroupCols: types.Schema{{Name: "f", Kind: types.KindFloat, Nullable: true}},
-			Aggs:      []AggSpec{{Func: AggCountStar, Name: "cnt"}},
-		}
+	keys, aggs := []Expr{ColRef(2)}, []AggSpec{{Func: AggCountStar, Name: "cnt"}}
+	comp := &GroupByOp{
+		Child:     scanCodes(tbl, 1),
+		GroupBy:   keys,
+		GroupCols: types.Schema{{Name: "f", Kind: types.KindFloat, Nullable: true}},
+		Aggs:      aggs,
 	}
-	comp := mk(true)
 	got := sortedKeys(t, comp)
 	if comp.CodeKeyCount() != 0 {
 		t.Fatal("float group key ran in code space")
 	}
-	requireEqualKeys(t, "nan-group", sortedKeys(t, mk(false)), got)
+	requireEqualKeys(t, "nan-group", sortedRowKeys(oracleGroupBy(t, rows, keys, aggs)), got)
 }

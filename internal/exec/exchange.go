@@ -4,13 +4,14 @@ import (
 	"fmt"
 
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // Shuffle exchange: the MPP repartitioning boundary (paper §II.E; Hespe
 // et al.'s cluster OLAP model in PAPERS.md). A ShuffleWriterOp drains
 // its child and routes every row to one of N partitions by the hash of
 // its key columns; a ShuffleReaderOp is the receiving edge that turns
-// the rows delivered for one partition back into a chunk stream.
+// the rows delivered for one partition back into a batch stream.
 //
 // The exec package defines only the operators and the transport
 // interfaces. The network transport (length-prefixed frames over TCP)
@@ -97,21 +98,23 @@ func (s *ShuffleWriterOp) Open() error {
 
 // Next implements Operator: drains the child, routing every row, then
 // flushes the sink and ends the stream.
-func (s *ShuffleWriterOp) Next() (*Chunk, error) {
+func (s *ShuffleWriterOp) Next() (*vec.Batch, error) {
 	if s.done {
 		return nil, nil
 	}
 	s.done = true
 	buckets := make([][]types.Row, s.Parts)
+	var in []types.Row // the rows of one child batch
 	for {
-		ch, err := s.Child.Next()
+		vb, err := s.Child.Next()
 		if err != nil {
 			return nil, err
 		}
-		if ch == nil {
+		if vb == nil {
 			break
 		}
-		for _, r := range ch.Rows {
+		in = vb.AppendRows(in[:0])
+		for _, r := range in {
 			p := HashPartition(r, s.Keys, s.Parts)
 			buckets[p] = append(buckets[p], r)
 			if len(buckets[p]) >= ChunkSize {
@@ -163,7 +166,7 @@ func (s *ShuffleReaderOp) Schema() types.Schema { return s.Sch }
 func (s *ShuffleReaderOp) Open() error { return nil }
 
 // Next implements Operator.
-func (s *ShuffleReaderOp) Next() (*Chunk, error) {
+func (s *ShuffleReaderOp) Next() (*vec.Batch, error) {
 	for {
 		rows, err := s.Src.Recv()
 		if err != nil {
@@ -176,7 +179,7 @@ func (s *ShuffleReaderOp) Next() (*Chunk, error) {
 			continue
 		}
 		s.Received += int64(len(rows))
-		return &Chunk{Schema: s.Sch, Rows: rows}, nil
+		return vec.FromRows(s.Sch, rows), nil
 	}
 }
 

@@ -1,50 +1,52 @@
-// Package exec is the query executor: a pull-based operator tree working
-// on batches of tuples ("strides", §II.B.7). Selection predicates are
-// pushed into the columnar scan, where they run over compressed codes;
-// joins and grouping use partitioned hash algorithms in the style of
-// Hybrid Hash Join: inputs hash into a fixed fan-out of 64 partitions
-// charged against the session's hash heap, a partition spills when the
-// heap is exhausted, and an operator given no governor runs the same path
-// with nothing denied. Fan-out is not yet derived from the build estimate
-// or a cache size (ROADMAP, "Sort, Top-N and spill" 2(c)).
+// Package exec is the query executor: a pull-based operator tree in which
+// every operator hands its parent a vec.Batch ("strides", §II.B.7) — there
+// is one operator contract and no row engine beside it. Selection predicates
+// are pushed into the columnar scan, where they run over compressed codes;
+// filters narrow a selection vector, projections evaluate a column at a
+// time, and an expression without a vector kernel is evaluated per live
+// position inside the same batch pipeline. Operators whose state is rows
+// (sort, joins, group results) box a row out of a batch only where they
+// keep it, and emit batches that wrap the rows they hold. Joins and grouping
+// use partitioned hash algorithms in the style of Hybrid Hash Join: inputs
+// hash into a fixed fan-out of 64 partitions charged against the session's
+// hash heap, a partition spills when the heap is exhausted, and an operator
+// given no governor runs the same path with nothing denied. Fan-out is not
+// yet derived from the build estimate or a cache size (ROADMAP, "Sort, Top-N
+// and spill" 2(c)).
 package exec
 
 import (
-	"fmt"
+	"sync/atomic"
 
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // ChunkSize is the executor's batch size in rows, matched to the storage
 // stride so scans hand over whole strides.
 const ChunkSize = 1024
 
-// Chunk is a batch of rows sharing a schema.
-//
-// Ownership invariant: once Next returns a chunk, the Rows slice and the
-// Row values it references belong to the consumer. A producer must not
-// rewrite previously returned rows or recycle their backing arrays on
-// later Next calls; consumers (Drain, buffering operators, clients) rely
-// on this to retain rows without deep-copying. Operators that reuse
-// internal buffers — in particular the vector-batch RowAdapter — must
-// materialize fresh rows before handing them out.
-type Chunk struct {
-	Schema types.Schema
-	Rows   []types.Row
-}
-
 // Operator is a pull-based executor node. Contract: Open before Next;
 // Next returns (nil, nil) at end of stream; Close releases resources and
 // is idempotent.
+//
+// Ownership: a returned batch belongs to the caller until its next Next
+// call; the caller may narrow its Sel. Rows taken out of a batch
+// (Batch.Row, Batch.AppendRows) belong to whoever took them — a producer
+// never rewrites a row it has handed out, so Drain, buffering operators
+// and clients retain rows without deep-copying — and are read-only, since
+// a row-built batch hands out the producer's own rows.
 type Operator interface {
 	Schema() types.Schema
 	Open() error
-	Next() (*Chunk, error)
+	Next() (*vec.Batch, error)
 	Close() error
 }
 
 // Expr is a scalar expression evaluated against one row. The SQL layer
 // compiles its AST into Exprs; library users can supply their own.
+// Operators evaluate expressions over whole batches (evalVec); an Expr that
+// is not also a VecExpr is evaluated per live position.
 type Expr interface {
 	Eval(row types.Row) (types.Value, error)
 }
@@ -55,7 +57,7 @@ type ColRef int
 // Eval implements Expr.
 func (c ColRef) Eval(row types.Row) (types.Value, error) {
 	if int(c) < 0 || int(c) >= len(row) {
-		return types.Null, fmt.Errorf("exec: column %d out of range", int(c))
+		return types.Null, errColumnRange(int(c))
 	}
 	return row[c], nil
 }
@@ -72,10 +74,9 @@ type FuncExpr func(row types.Row) (types.Value, error)
 // Eval implements Expr.
 func (f FuncExpr) Eval(row types.Row) (types.Value, error) { return f(row) }
 
-// Drain runs an operator tree to completion and returns all rows. It
-// copies each chunk's row headers into its own slice, which — together
-// with the Chunk ownership invariant (producers never rewrite returned
-// rows) — makes the result safe to hold after the operator is closed.
+// Drain runs an operator tree to completion and returns all rows. The rows
+// are the caller's (see Operator), so the result is safe to hold after the
+// operator is closed or run again.
 func Drain(op Operator) ([]types.Row, error) {
 	if err := op.Open(); err != nil {
 		// A failed Open can already hold resources: governed operators
@@ -90,22 +91,41 @@ func Drain(op Operator) ([]types.Row, error) {
 	defer op.Close()
 	var out []types.Row
 	for {
-		ch, err := op.Next()
+		vb, err := op.Next()
 		if err != nil {
 			return nil, err
 		}
-		if ch == nil {
+		if vb == nil {
 			return out, nil
 		}
-		out = append(out, ch.Rows...)
+		out = vb.AppendRows(out)
 	}
+}
+
+// rowQueue is the emit side of every operator whose output is rows it
+// holds: it hands them out ChunkSize at a time as row-built batches.
+type rowQueue struct{ rows []types.Row }
+
+// next returns the next batch, or nil when fewer than ChunkSize rows are
+// queued and flush is false (the producer has more to add) or none are.
+func (q *rowQueue) next(sch types.Schema, flush bool) *vec.Batch {
+	n := len(q.rows)
+	if n == 0 || (n < ChunkSize && !flush) {
+		return nil
+	}
+	if n > ChunkSize {
+		n = ChunkSize
+	}
+	vb := vec.FromRows(sch, q.rows[:n:n])
+	q.rows = q.rows[n:]
+	return vb
 }
 
 // ValuesOp streams literal rows (VALUES clause, catalog queries, tests).
 type ValuesOp struct {
 	Sch  types.Schema
 	Data []types.Row
-	pos  int
+	out  rowQueue
 }
 
 // NewValues creates a ValuesOp.
@@ -117,93 +137,78 @@ func NewValues(sch types.Schema, rows []types.Row) *ValuesOp {
 func (v *ValuesOp) Schema() types.Schema { return v.Sch }
 
 // Open implements Operator.
-func (v *ValuesOp) Open() error { v.pos = 0; return nil }
+func (v *ValuesOp) Open() error { v.out.rows = v.Data; return nil }
 
 // Next implements Operator.
-func (v *ValuesOp) Next() (*Chunk, error) {
-	if v.pos >= len(v.Data) {
-		return nil, nil
-	}
-	end := v.pos + ChunkSize
-	if end > len(v.Data) {
-		end = len(v.Data)
-	}
-	ch := &Chunk{Schema: v.Sch, Rows: v.Data[v.pos:end]}
-	v.pos = end
-	return ch, nil
-}
+func (v *ValuesOp) Next() (*vec.Batch, error) { return v.out.next(v.Sch, true), nil }
 
 // Close implements Operator.
 func (v *ValuesOp) Close() error { return nil }
 
 // FilterOp drops rows whose predicate does not evaluate to TRUE
-// (three-valued logic: NULL and false both drop the row). Survivors are
-// re-chunked toward ChunkSize so a selective predicate does not starve
-// downstream operators with degenerate tiny chunks.
+// (three-valued logic: NULL and false both drop the row) by narrowing the
+// batch's selection vector — no row is copied or moved.
 type FilterOp struct {
 	Child Operator
 	Pred  Expr
 
-	buf []types.Row
-	eos bool
+	// CodeRows counts live rows whose qualifying set was computed entirely
+	// in code space (no value decoded); EXPLAIN ANALYZE reports it. Atomic:
+	// a parallel group-by pulls Next from several workers at once.
+	CodeRows atomic.Int64
 }
 
 // Schema implements Operator.
 func (f *FilterOp) Schema() types.Schema { return f.Child.Schema() }
 
 // Open implements Operator.
-func (f *FilterOp) Open() error {
-	f.buf, f.eos = nil, false
-	return f.Child.Open()
-}
+func (f *FilterOp) Open() error { return f.Child.Open() }
 
 // Next implements Operator.
-func (f *FilterOp) Next() (*Chunk, error) {
+func (f *FilterOp) Next() (*vec.Batch, error) {
 	for {
-		if len(f.buf) >= ChunkSize {
-			rows := f.buf[:ChunkSize:ChunkSize]
-			f.buf = f.buf[ChunkSize:]
-			return &Chunk{Schema: f.Child.Schema(), Rows: rows}, nil
+		vb, err := f.Child.Next()
+		if err != nil || vb == nil {
+			return nil, err
 		}
-		if f.eos {
-			if len(f.buf) > 0 {
-				rows := f.buf
-				f.buf = nil
-				return &Chunk{Schema: f.Child.Schema(), Rows: rows}, nil
-			}
-			return nil, nil
-		}
-		ch, err := f.Child.Next()
+		// Operate-on-compressed fast path: dictionary-translated predicates
+		// narrow the selection by comparing codes, never touching values.
+		sel, ok, err := compressedSel(f.Pred, vb, vb.Idx())
 		if err != nil {
 			return nil, err
 		}
-		if ch == nil {
-			f.eos = true
-			continue
-		}
-		for _, row := range ch.Rows {
-			v, err := f.Pred.Eval(row)
+		if ok {
+			f.CodeRows.Add(int64(vb.Rows()))
+		} else {
+			pv, err := evalVec(f.Pred, vb)
 			if err != nil {
 				return nil, err
 			}
-			if !v.IsNull() && v.Kind() == types.KindBool && v.Bool() {
-				f.buf = append(f.buf, row)
-			}
+			sel = selTrue(pv, vb.Idx())
 		}
+		if len(sel) == 0 {
+			continue
+		}
+		vb.Sel = sel
+		return vb, nil
 	}
 }
 
 // Close implements Operator.
-func (f *FilterOp) Close() error {
-	f.buf = nil
-	return f.Child.Close()
-}
+func (f *FilterOp) Close() error { return f.Child.Close() }
 
-// ProjectOp computes output expressions per row.
+// ProjectOp evaluates output expressions one column at a time over the
+// whole batch, preserving the child's selection vector.
 type ProjectOp struct {
 	Child Operator
 	Exprs []Expr
 	Out   types.Schema
+
+	// EncodedRows counts live rows that arrived still dictionary-encoded
+	// in at least one column — i.e. rows late-materialized here rather
+	// than decoded upstream. EXPLAIN ANALYZE reports it. Atomic for the
+	// same reason as FilterOp.CodeRows.
+	EncodedRows atomic.Int64
 }
 
 // Schema implements Operator.
@@ -213,40 +218,46 @@ func (p *ProjectOp) Schema() types.Schema { return p.Out }
 func (p *ProjectOp) Open() error { return p.Child.Open() }
 
 // Next implements Operator.
-func (p *ProjectOp) Next() (*Chunk, error) {
-	ch, err := p.Child.Next()
-	if err != nil || ch == nil {
+func (p *ProjectOp) Next() (*vec.Batch, error) {
+	vb, err := p.Child.Next()
+	if err != nil || vb == nil {
 		return nil, err
 	}
-	rows := make([]types.Row, len(ch.Rows))
-	for i, in := range ch.Rows {
-		out := make(types.Row, len(p.Exprs))
-		for j, e := range p.Exprs {
-			v, err := e.Eval(in)
-			if err != nil {
-				return nil, err
-			}
-			out[j] = v
+	cols := make([]*vec.Vector, len(p.Exprs))
+	encoded := false
+	for j, e := range p.Exprs {
+		cols[j], err = evalVec(e, vb)
+		if err != nil {
+			return nil, err
 		}
-		rows[i] = out
+		if cols[j].Encoded() {
+			encoded = true
+		}
 	}
-	return &Chunk{Schema: p.Out, Rows: rows}, nil
+	// Late materialization point: everything upstream ran on codes; the
+	// projection decodes each surviving output column exactly once.
+	if encoded {
+		p.EncodedRows.Add(int64(vb.Rows()))
+		for _, cv := range cols {
+			cv.Materialize()
+		}
+	}
+	out := vec.NewBatch(p.Out, cols, vb.N)
+	out.Sel = vb.Sel
+	return out, nil
 }
 
 // Close implements Operator.
 func (p *ProjectOp) Close() error { return p.Child.Close() }
 
-// LimitOp implements LIMIT/OFFSET (and Oracle ROWNUM, Netezza LIMIT).
-// Output is re-chunked toward ChunkSize: offset trimming never produces
-// a degenerate sliver chunk followed by full ones.
+// LimitOp implements LIMIT/OFFSET (and Oracle ROWNUM, Netezza LIMIT) over
+// the selection vector.
 type LimitOp struct {
 	Child   Operator
 	Offset  int64
 	Limit   int64 // -1 = unlimited
 	skipped int64
 	sent    int64
-	buf     []types.Row
-	eos     bool
 }
 
 // Schema implements Operator.
@@ -255,66 +266,51 @@ func (l *LimitOp) Schema() types.Schema { return l.Child.Schema() }
 // Open implements Operator.
 func (l *LimitOp) Open() error {
 	l.skipped, l.sent = 0, 0
-	l.buf, l.eos = nil, false
 	return l.Child.Open()
 }
 
 // Next implements Operator.
-func (l *LimitOp) Next() (*Chunk, error) {
+func (l *LimitOp) Next() (*vec.Batch, error) {
 	for {
-		if len(l.buf) >= ChunkSize {
-			rows := l.buf[:ChunkSize:ChunkSize]
-			l.buf = l.buf[ChunkSize:]
-			return &Chunk{Schema: l.Child.Schema(), Rows: rows}, nil
-		}
-		if l.eos {
-			if len(l.buf) > 0 {
-				rows := l.buf
-				l.buf = nil
-				return &Chunk{Schema: l.Child.Schema(), Rows: rows}, nil
-			}
+		if l.Limit >= 0 && l.sent >= l.Limit {
 			return nil, nil
 		}
-		if l.Limit >= 0 && l.sent >= l.Limit {
-			l.eos = true
-			continue
-		}
-		ch, err := l.Child.Next()
-		if err != nil {
+		vb, err := l.Child.Next()
+		if err != nil || vb == nil {
 			return nil, err
 		}
-		if ch == nil {
-			l.eos = true
-			continue
-		}
-		rows := ch.Rows
+		idx := vb.Idx()
 		if l.skipped < l.Offset {
 			need := l.Offset - l.skipped
-			if int64(len(rows)) <= need {
-				l.skipped += int64(len(rows))
+			if int64(len(idx)) <= need {
+				l.skipped += int64(len(idx))
 				continue
 			}
-			rows = rows[need:]
+			idx = idx[need:]
 			l.skipped = l.Offset
 		}
 		if l.Limit >= 0 {
 			remain := l.Limit - l.sent
-			if int64(len(rows)) > remain {
-				rows = rows[:remain]
+			if int64(len(idx)) > remain {
+				idx = idx[:remain]
 			}
 		}
-		l.sent += int64(len(rows))
-		l.buf = append(l.buf, rows...)
+		if len(idx) == 0 {
+			continue
+		}
+		l.sent += int64(len(idx))
+		vb.Sel = idx
+		return vb, nil
 	}
 }
 
 // Close implements Operator.
-func (l *LimitOp) Close() error {
-	l.buf = nil
-	return l.Child.Close()
-}
+func (l *LimitOp) Close() error { return l.Child.Close() }
 
-// UnionAllOp concatenates children with identical arity.
+// UnionAllOp concatenates children with identical arity. It decodes
+// dictionary-encoded columns on the way through: a consumer that groups or
+// joins on codes adopts one dictionary per column from its first batch, and
+// two branches scan two tables.
 type UnionAllOp struct {
 	Children []Operator
 	cur      int
@@ -341,14 +337,15 @@ func (u *UnionAllOp) Open() error {
 }
 
 // Next implements Operator.
-func (u *UnionAllOp) Next() (*Chunk, error) {
+func (u *UnionAllOp) Next() (*vec.Batch, error) {
 	for u.cur < len(u.Children) {
-		ch, err := u.Children[u.cur].Next()
+		vb, err := u.Children[u.cur].Next()
 		if err != nil {
 			return nil, err
 		}
-		if ch != nil {
-			return ch, nil
+		if vb != nil {
+			vb.Decode()
+			return vb, nil
 		}
 		u.cur++
 	}

@@ -8,6 +8,7 @@ import (
 	"dashdb/internal/encoding"
 	"dashdb/internal/rowstore"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 func intSchema(names ...string) types.Schema {
@@ -200,14 +201,14 @@ func TestHashJoinPartitioned(t *testing.T) {
 	}
 	var rows []types.Row
 	for {
-		ch, err := j.Next()
+		vb, err := j.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ch == nil {
+		if vb == nil {
 			break
 		}
-		rows = append(rows, ch.Rows...)
+		rows = vb.AppendRows(rows)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -254,6 +255,63 @@ func TestNestedLoopJoin(t *testing.T) {
 	rows, _ = Drain(j2)
 	if len(rows) != 4 {
 		t.Fatalf("cross join: %d", len(rows))
+	}
+}
+
+// thetaJoin is an n × n nested-loop join on (l + r) % 100 = 0.
+func thetaJoin(n int64, jt JoinType) *NestedLoopJoinOp {
+	var side [][]int64
+	for i := int64(0); i < n; i++ {
+		side = append(side, []int64{i})
+	}
+	return &NestedLoopJoinOp{
+		Left: NewValues(intSchema("l"), intRows(side...)), Right: NewValues(intSchema("r"), intRows(side...)), Type: jt,
+		Pred: FuncExpr(func(p types.Row) (types.Value, error) {
+			return types.NewBool((p[0].Int()+p[1].Int())%100 == 0), nil
+		}),
+	}
+}
+
+// TestNestedLoopJoinReopen: an operator closed early (a LIMIT above it) and
+// opened again returns the full result, not the previous execution's
+// leftover rows first.
+func TestNestedLoopJoinReopen(t *testing.T) {
+	// 1000 × 1000: the one left batch yields 10 000 matches, so the first
+	// Next leaves most of them queued behind the batch it returns.
+	j := thetaJoin(1000, InnerJoin)
+	want, err := Drain(thetaJoin(1000, InnerJoin))
+	if err != nil || len(want) != 10000 {
+		t.Fatalf("%d rows, %v", len(want), err)
+	}
+	if err := j.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if vb, err := j.Next(); err != nil || vb == nil {
+		t.Fatalf("first batch: %v %v", vb, err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Drain(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireEqualKeys(t, "reopen after an early Close", rowsKeys(want), rowsKeys(got))
+}
+
+// TestNestedLoopJoinAllocsFollowMatches: a 200 × 200 theta join in which 1 %
+// of the 40 000 pairs match allocates per match, not per pair.
+func TestNestedLoopJoinAllocsFollowMatches(t *testing.T) {
+	for _, jt := range []JoinType{InnerJoin, LeftJoin} {
+		j := thetaJoin(200, jt)
+		var rows []types.Row
+		allocs := testing.AllocsPerRun(5, func() { rows, _ = Drain(j) })
+		if len(rows) != 400 {
+			t.Fatalf("%v: %d rows, want 400", jt, len(rows))
+		}
+		if allocs > 4*400 {
+			t.Fatalf("%v: %.0f allocations for 400 matches among 40 000 pairs", jt, allocs)
+		}
 	}
 }
 
@@ -611,7 +669,7 @@ func (e *errOp) Open() error {
 	}
 	return nil
 }
-func (e *errOp) Next() (*Chunk, error) {
+func (e *errOp) Next() (*vec.Batch, error) {
 	if e.failNext {
 		return nil, errTestFailure
 	}

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"dashdb/internal/encoding"
 	"dashdb/internal/mem"
@@ -41,9 +42,10 @@ const graceParts = 64
 // the whole build. A nil Gov denies nothing, so the in-memory join is this
 // same path on a run in which no partition spilled.
 //
-// A child that is a vector pipeline is read batch-at-a-time: the build
-// drops NULL-key rows while the data is still columnar, and the probe boxes
-// a row only when it matches, parks or needs LEFT JOIN padding.
+// Both children are read batch-at-a-time: the build drops NULL-key rows
+// while the data is still columnar, and the probe boxes a row only when it
+// matches, parks or needs LEFT JOIN padding (a row-built batch hands back
+// the row it already holds). Output is row-built batches.
 type HashJoinOp struct {
 	Left, Right         Operator
 	LeftKeys, RightKeys []int
@@ -63,7 +65,7 @@ type HashJoinOp struct {
 	res     *mem.Reservation
 	parts   []joinPartition
 	out     types.Schema
-	pending []types.Row
+	pending rowQueue
 
 	probeDone  bool
 	spillQueue []int // spilled partition indices awaiting drain
@@ -122,7 +124,7 @@ func (j *HashJoinOp) Open() error {
 	if len(j.LeftKeys) != nk || nk == 0 {
 		return fmt.Errorf("exec: hash join needs matching non-empty key lists")
 	}
-	j.pending, j.probeDone, j.spillQueue = nil, false, nil
+	j.pending.rows, j.probeDone, j.spillQueue = nil, false, nil
 	j.parts = make([]joinPartition, graceParts)
 	j.codeKeys, j.buildDicts, j.buildDoms, j.remaps = make([]bool, nk), nil, nil, nil
 	j.pk = make([]types.Value, nk)
@@ -135,44 +137,28 @@ func (j *HashJoinOp) Open() error {
 }
 
 // build streams the build side into the partitions under the hash heap
-// reservation. A vector pipeline is read as batches — code keys adopted
-// from the first one and key cells stored as codes, so the heap is charged
-// for, and spilled build runs round-trip, fixed-width codes — any other
-// child as row chunks.
+// reservation: code keys are adopted from the first batch and key cells
+// stored as codes, so the heap is charged for, and spilled build runs
+// round-trip, fixed-width codes.
 func (j *HashJoinOp) build() error {
 	if err := j.Right.Open(); err != nil {
 		return err
 	}
 	defer j.Right.Close()
-	in := vecPipeline(j.Right)
-	var rows []types.Row // the build rows of one child batch or chunk
 	for {
-		if in != nil {
-			vb, err := in.NextVec()
-			if err != nil {
-				return err
-			}
-			if vb == nil {
-				break
-			}
-			j.adoptBuild(vb)
-			rows = rows[:0]
-			for _, i := range vb.Idx() {
-				if r, ok := j.buildRow(vb, i); ok {
-					rows = append(rows, r)
-				}
-			}
-		} else {
-			ch, err := j.Right.Next()
-			if err != nil {
-				return err
-			}
-			if ch == nil {
-				break
-			}
-			rows = ch.Rows
+		vb, err := j.Right.Next()
+		if err != nil {
+			return err
 		}
-		for _, r := range rows {
+		if vb == nil {
+			break
+		}
+		j.adoptBuild(vb)
+		for _, i := range vb.Idx() {
+			r, ok := j.buildRow(vb, i)
+			if !ok {
+				continue
+			}
 			if err := j.ingestBuildRow(r); err != nil {
 				return err
 			}
@@ -191,15 +177,11 @@ func (j *HashJoinOp) build() error {
 	return nil
 }
 
-// ingestBuildRow places one build row (key cells already translated)
-// into its partition under the hash heap reservation, spilling the
-// largest partition when a Grow is denied.
+// ingestBuildRow places one build row (keys non-NULL, key cells already
+// translated) into its partition under the hash heap reservation, spilling
+// the largest partition when a Grow is denied.
 func (j *HashJoinOp) ingestBuildRow(r types.Row) error {
-	h, ok := j.buildHash(r)
-	if !ok {
-		return nil // NULL join keys never match
-	}
-	p := &j.parts[h%graceParts]
+	p := &j.parts[j.buildHash(r)%graceParts]
 	if p.build != nil {
 		_, err := p.bw.WriteRow(r)
 		return err
@@ -257,7 +239,7 @@ func (j *HashJoinOp) spillVictim() error {
 func (j *HashJoinOp) index(p *joinPartition) {
 	p.table = make(map[uint64][]int32, len(p.rows))
 	for i, r := range p.rows {
-		h, _ := j.buildHash(r)
+		h := j.buildHash(r)
 		p.table[h] = append(p.table[h], int32(i))
 	}
 }
@@ -278,7 +260,7 @@ func (j *HashJoinOp) adoptBuild(vb *vec.Batch) {
 	j.remaps = make([]map[*encoding.Dict]*dictRemap, nk)
 	lsch := j.Left.Schema()
 	for k, rk := range j.RightKeys {
-		cv := vb.Cols[rk]
+		cv := vb.Col(rk)
 		if cv.Encoded() && lsch[j.LeftKeys[k]].Kind == cv.Kind {
 			j.codeKeys[k] = true
 			j.buildDicts[k] = cv.Dict
@@ -287,25 +269,23 @@ func (j *HashJoinOp) adoptBuild(vb *vec.Batch) {
 	}
 }
 
-// buildRow materializes one build-side row with encoded key cells stored
-// as their dictionary codes; ok is false when a key is NULL (or, defensively,
-// when a key value falls outside the adopted dictionary — unreachable
-// within one scan).
+// buildRow takes one build-side row out of the batch with encoded key cells
+// stored as their dictionary codes; ok is false when a key is NULL (or,
+// defensively, when a key value falls outside the adopted dictionary —
+// unreachable within one scan). Only a scan's batches carry codes, and their
+// rows are boxed fresh, so the rows of a row-built batch are never written.
 func (j *HashJoinOp) buildRow(vb *vec.Batch, i int) (types.Row, bool) {
 	for _, rk := range j.RightKeys {
-		if vb.Cols[rk].IsNull(i) {
+		if vb.Col(rk).IsNull(i) {
 			return nil, false
 		}
 	}
-	row := make(types.Row, len(vb.Cols))
-	for c, cv := range vb.Cols {
-		row[c] = cv.Get(i)
-	}
+	row := vb.Row(i)
 	for k, rk := range j.RightKeys {
 		if !j.codeKeys[k] {
 			continue
 		}
-		cv := vb.Cols[rk]
+		cv := vb.Col(rk)
 		if cv.Encoded() && cv.Dict == j.buildDicts[k] {
 			row[rk] = types.NewInt(int64(cv.Codes[i]))
 			continue
@@ -320,37 +300,12 @@ func (j *HashJoinOp) buildRow(vb *vec.Batch, i int) (types.Row, bool) {
 }
 
 // buildHash hashes a build row's key cells, which already hold the build
-// representation; ok is false when a key is NULL.
-func (j *HashJoinOp) buildHash(r types.Row) (uint64, bool) {
+// representation.
+func (j *HashJoinOp) buildHash(r types.Row) uint64 {
 	for k, rk := range j.RightKeys {
-		if r[rk].IsNull() {
-			return 0, false
-		}
 		j.pk[k] = r[rk]
 	}
-	return hashKeyVals(j.pk), true
-}
-
-// translateKeys maps a probe row's key columns into the build side's
-// representation (codes for code keys, values otherwise), reusing a
-// scratch slice. ok=false means the row can never match: a NULL key, or
-// a value absent from the build dictionary.
-func (j *HashJoinOp) translateKeys(lrow types.Row) ([]types.Value, bool) {
-	for k, lk := range j.LeftKeys {
-		v := lrow[lk]
-		if v.IsNull() {
-			return nil, false
-		}
-		if j.codeKeys[k] {
-			code, ok := j.buildDicts[k].EncodeExisting(v)
-			if !ok {
-				return nil, false
-			}
-			v = types.NewInt(int64(code))
-		}
-		j.pk[k] = v
-	}
-	return j.pk, true
+	return hashKeyVals(j.pk)
 }
 
 // hashKeyVals is the join's one hash: a fold over a key in build
@@ -391,72 +346,44 @@ func (j *HashJoinOp) emitJoin(lrow, rrow types.Row) types.Row {
 }
 
 // Next implements Operator.
-func (j *HashJoinOp) Next() (*Chunk, error) {
+func (j *HashJoinOp) Next() (*vec.Batch, error) {
 	for {
-		if len(j.pending) >= ChunkSize {
-			ch := &Chunk{Schema: j.Schema(), Rows: j.pending[:ChunkSize]}
-			j.pending = j.pending[ChunkSize:]
-			return ch, nil
+		if vb := j.pending.next(j.Schema(), j.probeDone && len(j.spillQueue) == 0); vb != nil {
+			return vb, nil
 		}
 		if j.probeDone {
-			if len(j.spillQueue) > 0 {
-				pi := j.spillQueue[0]
-				j.spillQueue = j.spillQueue[1:]
-				if err := j.drainSpilled(pi); err != nil {
-					return nil, err
-				}
-				continue
+			if len(j.spillQueue) == 0 {
+				return nil, nil
 			}
-			if len(j.pending) > 0 {
-				ch := &Chunk{Schema: j.Schema(), Rows: j.pending}
-				j.pending = nil
-				return ch, nil
+			pi := j.spillQueue[0]
+			j.spillQueue = j.spillQueue[1:]
+			if err := j.drainSpilled(pi); err != nil {
+				return nil, err
 			}
-			return nil, nil
+			continue
 		}
-		more, err := j.pullProbe()
+		vb, err := j.Left.Next()
 		if err != nil {
 			return nil, err
 		}
-		if !more {
+		if vb == nil {
 			j.probeDone = true
 			j.sealProbeFiles()
+		} else if err := j.probeBatch(vb); err != nil {
+			return nil, err
 		}
 	}
 }
 
-// pullProbe joins the next batch (vector pipeline) or chunk (any other
-// child) of the probe side; it reports false once the probe input is
-// exhausted.
-func (j *HashJoinOp) pullProbe() (bool, error) {
-	if in := vecPipeline(j.Left); in != nil {
-		vb, err := in.NextVec()
-		if err != nil || vb == nil {
-			return false, err
-		}
-		return true, j.probeBatch(vb)
-	}
-	lch, err := j.Left.Next()
-	if err != nil || lch == nil {
-		return false, err
-	}
-	for _, lrow := range lch.Rows {
-		pk, ok := j.translateKeys(lrow)
-		if err := j.probeKey(pk, ok, func() types.Row { return lrow }); err != nil {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
-// probeBatch probes a vec batch directly: per key column it fixes a
+// probeBatch is the join's one probe pull, fed by the probe child and by
+// the parked rows of a spilled partition alike: per key column it fixes a
 // translation mode once per batch (identity when the probe dictionary IS
 // the build dictionary, a cached code→code remap when it differs, value
 // lookup otherwise) and leaves the probe row unboxed until probeKey asks
 // for it.
 func (j *HashJoinOp) probeBatch(vb *vec.Batch) error {
 	for k, lk := range j.LeftKeys {
-		cv := vb.Cols[lk]
+		cv := vb.Col(lk)
 		j.modes[k] = probeKeyMode{cv: cv}
 		if j.codeKeys[k] && cv.Encoded() {
 			if cv.Dict == j.buildDicts[k] {
@@ -515,8 +442,7 @@ func (j *HashJoinOp) probeKeyAt(m *probeKeyMode, k, i int) (types.Value, bool) {
 	}
 }
 
-// probeKey is the probe kernel, shared by the batch pull, the row pull and
-// the spilled-partition drain. pk is one probe row's key in build
+// probeKey is the probe kernel. pk is one probe row's key in build
 // representation; ok=false (a NULL key, or a value absent from the build
 // dictionary) is a definite non-match that is never hashed. A key whose
 // partition lives on disk parks its row (original values; the key
@@ -545,18 +471,19 @@ func (j *HashJoinOp) probeKey(pk []types.Value, ok bool, row func() types.Row) e
 				if lrow == nil {
 					lrow = row()
 				}
-				j.pending = append(j.pending, j.emitJoin(lrow, rrow))
+				j.pending.rows = append(j.pending.rows, j.emitJoin(lrow, rrow))
 			}
 		}
 	}
 	if lrow == nil && j.Type == LeftJoin {
-		j.pending = append(j.pending, j.padRight(row()))
+		j.pending.rows = append(j.pending.rows, padNulls(row(), j.Right.Schema()))
 	}
 	return nil
 }
 
-func (j *HashJoinOp) padRight(lrow types.Row) types.Row {
-	rs := j.Right.Schema()
+// padNulls returns lrow followed by one typed NULL per column of rs: the
+// LEFT JOIN output for an unmatched left row.
+func padNulls(lrow types.Row, rs types.Schema) types.Row {
 	out := make(types.Row, 0, len(lrow)+len(rs))
 	out = append(out, lrow...)
 	for _, c := range rs {
@@ -620,17 +547,26 @@ func (j *HashJoinOp) drainSpilled(pi int) error {
 	if err := p.probe.Rewind(); err != nil {
 		return err
 	}
+	// The parked rows go back through the probe pull a batch at a time; a
+	// key re-translates to what it was when the row was parked.
 	prd := encoding.NewRowReader(p.probe)
+	rows := make([]types.Row, 0, ChunkSize)
 	for {
-		lrow, err := prd.ReadRow()
-		if err == io.EOF {
+		rows = rows[:0]
+		for len(rows) < ChunkSize {
+			lrow, err := prd.ReadRow()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return err
+			}
+			rows = append(rows, lrow)
+		}
+		if len(rows) == 0 {
 			return nil
 		}
-		if err != nil {
-			return err
-		}
-		pk, ok := j.translateKeys(lrow)
-		if err := j.probeKey(pk, ok, func() types.Row { return lrow }); err != nil {
+		if err := j.probeBatch(vec.FromRows(j.Left.Schema(), rows)); err != nil {
 			return err
 		}
 	}
@@ -664,7 +600,7 @@ func (j *HashJoinOp) Close() error {
 		p.probe.Close()
 	}
 	j.parts = nil
-	j.pending = nil
+	j.pending.rows = nil
 	j.spillQueue = nil
 	j.res.Close()
 	if err1 != nil {
@@ -687,7 +623,9 @@ type NestedLoopJoinOp struct {
 
 	right   []types.Row
 	out     types.Schema
-	pending []types.Row
+	pending rowQueue
+	pair    types.Row // scratch: the pair Pred is looking at
+	eos     bool
 }
 
 // Schema implements Operator.
@@ -700,6 +638,7 @@ func (j *NestedLoopJoinOp) Schema() types.Schema {
 
 // Open implements Operator.
 func (j *NestedLoopJoinOp) Open() error {
+	j.pending.rows, j.eos = nil, false
 	var err error
 	j.right, err = Drain(j.Right) // Drain opens and closes the build side
 	if err != nil {
@@ -708,34 +647,29 @@ func (j *NestedLoopJoinOp) Open() error {
 	return j.Left.Open()
 }
 
-// Next implements Operator.
-func (j *NestedLoopJoinOp) Next() (*Chunk, error) {
+// Next implements Operator. Pred sees every (left, right) pair on one
+// scratch row; a pair is copied only when it matches.
+func (j *NestedLoopJoinOp) Next() (*vec.Batch, error) {
 	for {
-		if len(j.pending) >= ChunkSize {
-			ch := &Chunk{Schema: j.Schema(), Rows: j.pending[:ChunkSize]}
-			j.pending = j.pending[ChunkSize:]
-			return ch, nil
+		if vb := j.pending.next(j.Schema(), j.eos); vb != nil || j.eos {
+			return vb, nil
 		}
-		lch, err := j.Left.Next()
+		vb, err := j.Left.Next()
 		if err != nil {
 			return nil, err
 		}
-		if lch == nil {
-			if len(j.pending) > 0 {
-				ch := &Chunk{Schema: j.Schema(), Rows: j.pending}
-				j.pending = nil
-				return ch, nil
-			}
-			return nil, nil
+		if vb == nil {
+			j.eos = true
+			continue
 		}
-		rightWidth := len(j.Right.Schema())
-		for _, lrow := range lch.Rows {
+		var lrow types.Row // scratch, per batch: RowInto may hand back the batch's own row
+		for _, i := range vb.Idx() {
+			lrow = vb.RowInto(lrow, i)
 			matched := false
 			for _, rrow := range j.right {
-				out := make(types.Row, 0, len(lrow)+len(rrow))
-				out = append(append(out, lrow...), rrow...)
+				j.pair = append(append(j.pair[:0], lrow...), rrow...)
 				if j.Pred != nil {
-					v, err := j.Pred.Eval(out)
+					v, err := j.Pred.Eval(j.pair)
 					if err != nil {
 						return nil, err
 					}
@@ -744,15 +678,10 @@ func (j *NestedLoopJoinOp) Next() (*Chunk, error) {
 					}
 				}
 				matched = true
-				j.pending = append(j.pending, out)
+				j.pending.rows = append(j.pending.rows, slices.Clone(j.pair))
 			}
 			if !matched && j.Type == LeftJoin {
-				out := make(types.Row, 0, len(lrow)+rightWidth)
-				out = append(out, lrow...)
-				for i := 0; i < rightWidth; i++ {
-					out = append(out, types.NullOf(j.Right.Schema()[i].Kind))
-				}
-				j.pending = append(j.pending, out)
+				j.pending.rows = append(j.pending.rows, padNulls(lrow, j.Right.Schema()))
 			}
 		}
 	}
@@ -762,7 +691,7 @@ func (j *NestedLoopJoinOp) Next() (*Chunk, error) {
 func (j *NestedLoopJoinOp) Close() error {
 	err1 := j.Left.Close()
 	err2 := j.Right.Close()
-	j.right = nil
+	j.right, j.pending.rows = nil, nil
 	if err1 != nil {
 		return err1
 	}

@@ -43,16 +43,6 @@ func nestedLoopJoin(left, right []types.Row, lk, rk []int, jt JoinType, rightSch
 	return out
 }
 
-// tableRows reads a table back through the row scan, the oracle's input.
-func tableRows(t testing.TB, tbl *columnar.Table) []types.Row {
-	t.Helper()
-	rows, err := Drain(NewScan(tbl, nil, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rows
-}
-
 func sortedRowKeys(rows []types.Row) []string {
 	keys := rowsKeys(rows)
 	sort.Strings(keys)
@@ -102,7 +92,7 @@ func joinTable(t testing.TB, id uint32, rows []types.Row) *columnar.Table {
 }
 
 // TestHashJoinInputInvariance is the one-join property: whatever form the
-// children take (row chunks or vector batches, on either side), whatever
+// children's batches take (row-built or column vectors, on either side), whatever
 // the key (plain INT, dictionary string, both), and whether or not the
 // build fits the hash heap, HashJoinOp returns the nested-loop oracle's
 // multiset. The data carries NULL keys, duplicate keys on both sides and
@@ -112,10 +102,11 @@ func TestHashJoinInputInvariance(t *testing.T) {
 		rows []types.Row
 		tbl  *columnar.Table
 	}
-	// child builds one join input in row or vector form.
+	// child builds one join input as row-built batches (VALUES) or as a
+	// scan's column vectors, dictionary keys as codes.
 	child := func(s side, vector bool) Operator {
 		if vector {
-			return Vectorize(NewScan(s.tbl, nil, nil))
+			return scanCodes(s.tbl, 1)
 		}
 		return NewValues(joinSchema(), s.rows)
 	}
@@ -202,7 +193,7 @@ func TestHashJoinReopen(t *testing.T) {
 			}
 			var left, right Operator = NewValues(joinSchema(), tableRows(t, probe)), NewValues(joinSchema(), tableRows(t, build))
 			if vector {
-				left, right = Vectorize(NewScan(probe, nil, nil)), Vectorize(NewScan(build, nil, nil))
+				left, right = scanCodes(probe, 1), scanCodes(build, 1)
 			}
 			j := &HashJoinOp{Left: left, Right: right, LeftKeys: []int{0}, RightKeys: []int{0}, Type: LeftJoin, Gov: gov}
 			first := sortedKeys(t, j)

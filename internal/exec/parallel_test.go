@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -81,19 +80,29 @@ func sortedRows(rows []types.Row) []types.Row {
 	return out
 }
 
-// atDop turns a row-ingest group-by over a bare ScanOp into the plan the
-// compiler builds at that degree: Dop on the operator and on its scan,
-// then vectorized (compressed or decoding at the scan).
-func atDop(g *GroupByOp, dop int, compressed bool) *GroupByOp {
-	g.Dop, g.Child.(*ScanOp).Dop = dop, dop
-	VectorizeMode(g, compressed)
+// atDop turns a group-by over a bare ScanOp into the plan the compiler
+// builds at that degree: Dop on the operator and on its scan, dictionary
+// columns emitted as codes.
+func atDop(g *GroupByOp, dop int) *GroupByOp {
+	scan := g.Child.(*ScanOp)
+	g.Dop, scan.Dop = dop, dop
+	scan.EnableCompressed()
 	return g
 }
 
+// predExpr restates pushed-down scan predicates as the conjunction the
+// oracles evaluate.
+func predExpr(preds []columnar.Pred) Expr {
+	var e Expr = Const{V: types.NewBool(true)}
+	for _, p := range preds {
+		e = &AndExpr{L: e, R: cmpExpr(p.Col, p.Op, p.Val)}
+	}
+	return e
+}
+
 // TestParallelGroupByMatchesSerial is the aggregate-merge correctness
-// property: for random data (NULL groups, overflow-prone SUMs) vector
-// ingest on Dop workers must produce exactly the row-ingest GroupByOp's
-// rows at every dop.
+// property: for random data (NULL groups, overflow-prone SUMs) ingest on Dop
+// workers must produce exactly the sort-based oracle's rows at every dop.
 func TestParallelGroupByMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -114,14 +123,10 @@ func TestParallelGroupByMatchesSerial(t *testing.T) {
 				Aggs:      aggSpecs(),
 			}
 		}
-		want, err := Drain(mk())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = sortedRows(want)
+		want := oracleGroupBy(t, oracleFilter(t, tableRows(t, tbl), predExpr(preds)), groupBy, aggSpecs())
 
 		for _, dop := range []int{1, 2, 8} {
-			par := atDop(mk(), dop, true)
+			par := atDop(mk(), dop)
 			if w := par.Workers(); w != dop {
 				t.Fatalf("seed %d dop %d: %d ingest workers", seed, dop, w)
 			}
@@ -129,10 +134,7 @@ func TestParallelGroupByMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d dop %d: %v", seed, dop, err)
 			}
-			got = sortedRows(got)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d dop %d: parallel GROUP BY diverged\n got %v\nwant %v", seed, dop, got, want)
-			}
+			requireExactRows(t, fmt.Sprintf("seed %d dop %d", seed, dop), got, want)
 		}
 	}
 }
@@ -142,23 +144,17 @@ func TestParallelGroupByMatchesSerial(t *testing.T) {
 func TestParallelGroupByGlobal(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	tbl := buildAggTable(t, rng, 3*page.StrideSize+100)
+	want := oracleGroupBy(t, tableRows(t, tbl), nil, aggSpecs())
 	for _, dop := range []int{1, 2, 8} {
-		serial := &GroupByOp{Child: NewScan(tbl, nil, nil), Aggs: aggSpecs()}
-		want, err := Drain(serial)
+		got, err := Drain(atDop(&GroupByOp{Child: NewScan(tbl, nil, nil), Aggs: aggSpecs()}, dop))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Drain(atDop(&GroupByOp{Child: NewScan(tbl, nil, nil), Aggs: aggSpecs()}, dop, true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("dop %d: global aggregate diverged\n got %v\nwant %v", dop, got, want)
-		}
+		requireExactRows(t, fmt.Sprintf("global aggregate, dop %d", dop), got, want)
 	}
 
 	empty := columnar.NewTable(8, "empty", types.Schema{{Name: "x", Kind: types.KindInt}}, columnar.Config{})
-	got, err := Drain(atDop(&GroupByOp{Child: NewScan(empty, nil, nil), Aggs: []AggSpec{{Func: AggCountStar, Name: "CNT"}}}, 4, true))
+	got, err := Drain(atDop(&GroupByOp{Child: NewScan(empty, nil, nil), Aggs: []AggSpec{{Func: AggCountStar, Name: "CNT"}}}, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,31 +174,28 @@ func TestMergeableAggs(t *testing.T) {
 			t.Fatalf("agg func %d must fall back to the serial path", f)
 		}
 		g := atDop(&GroupByOp{Child: NewScan(columnar.NewTable(9, "m", types.Schema{{Name: "x", Kind: types.KindInt}}, columnar.Config{}), nil, nil),
-			Aggs: []AggSpec{{Func: f, Arg: ColRef(0)}}}, 4, true)
-		if g.Workers() != 1 || g.VecIngest() {
-			t.Fatalf("agg func %d must ingest row-at-a-time on one worker", f)
+			Aggs: []AggSpec{{Func: f, Arg: ColRef(0)}}}, 4)
+		if g.Workers() != 1 {
+			t.Fatalf("agg func %d must ingest on one worker", f)
 		}
 	}
 }
 
-// TestParallelScanOp checks the Dop>1 ScanOp produces the same multiset
-// of rows as the serial scan.
+// TestParallelScanOp checks the serial and the Dop>1 ScanOp produce the
+// multiset of rows the table holds under the pushed-down predicate.
 func TestParallelScanOp(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tbl := buildAggTable(t, rng, 4*page.StrideSize+50)
 	preds := []columnar.Pred{{Col: 2, Op: encoding.OpLT, Val: types.NewFloat(1000)}}
-	want, err := Drain(NewScan(tbl, preds, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parScan := NewScan(tbl, preds, nil)
-	parScan.Dop = 4
-	got, err := Drain(parScan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sortedRows(got), sortedRows(want)) {
-		t.Fatalf("parallel ScanOp diverged: %d rows vs %d", len(got), len(want))
+	want := sortedRows(oracleFilter(t, tableRows(t, tbl), predExpr(preds)))
+	for _, dop := range []int{1, 4} {
+		scan := NewScan(tbl, preds, nil)
+		scan.Dop = dop
+		got, err := Drain(scan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireExactRows(t, fmt.Sprintf("scan dop %d", dop), sortedRows(got), want)
 	}
 }
 
@@ -211,17 +204,28 @@ func TestParallelScanOp(t *testing.T) {
 // float sums reassociate across workers) with NaN equal to NaN.
 func sameRows(t *testing.T, label string, got, want []types.Row) {
 	t.Helper()
+	compareRows(t, label, got, want, 1e-9)
+}
+
+// requireExactRows is sameRows with floats compared exactly.
+func requireExactRows(t *testing.T, label string, got, want []types.Row) {
+	t.Helper()
+	compareRows(t, label, got, want, 0)
+}
+
+func compareRows(t *testing.T, label string, got, want []types.Row, tol float64) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
 	}
 	for r := range want {
 		for c, w := range want[r] {
 			g := got[r][c]
-			ok := g.IsNull() == w.IsNull() && g.Kind() == w.Kind()
+			ok := g.IsNull() == w.IsNull() && (w.IsNull() || g.Kind() == w.Kind())
 			if ok && !w.IsNull() {
 				if w.Kind() == types.KindFloat {
 					a, b := g.Float(), w.Float()
-					ok = (math.IsNaN(a) && math.IsNaN(b)) || math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
+					ok = (math.IsNaN(a) && math.IsNaN(b)) || math.Abs(a-b) <= tol*math.Max(math.Abs(a), math.Abs(b))
 				} else {
 					ok = types.Compare(g, w) == 0
 				}
@@ -235,8 +239,8 @@ func sameRows(t *testing.T, label string, got, want []types.Row) {
 
 // TestGroupByDopInvariance is the one-operator property: whatever the key
 // shape, whatever sits between scan and group-by, spilled or in memory,
-// the rows and their order at dop 1, 2 and 8 are those of the serial
-// row-ingest reference.
+// the rows and their order at dop 1, 2 and 8 are those of the sort-based
+// oracle over the rows a plain loop lets through.
 func TestGroupByDopInvariance(t *testing.T) {
 	measure := &ArithExpr{Op: "*", L: ColRef(3), R: Const{V: types.NewFloat(0.37)}} // inexact, so sums reassociate
 	aggs := []AggSpec{
@@ -263,22 +267,31 @@ func TestGroupByDopInvariance(t *testing.T) {
 		{name: "empty input", empty: true, exprs: []Expr{ColRef(0)}, cols: sch[:1]},
 		{name: "global aggregate"},
 	}
+	pushed := []columnar.Pred{{Col: 3, Op: encoding.OpGE, Val: types.NewInt(100)}}
+	residual := &CmpExpr{Op: encoding.OpGT,
+		L: &ArithExpr{Op: "+", L: ColRef(3), R: ColRef(1)}, R: Const{V: types.NewInt(100)}}
+	// The opaque filter writes unsynchronized state, as a UDF may: run from
+	// two ingest workers it is a data race the -race pass reports.
+	opaqueCalls := 0
+	opaque := FuncExpr(func(r types.Row) (types.Value, error) {
+		opaqueCalls++
+		return types.NewBool(r[3].Int()%3 != 0), nil
+	})
 	filters := []struct {
 		name    string
 		workers bool // group-by ingests on Dop workers
-		build   func(tbl *columnar.Table) Operator
+		pred    Expr // what the oracle filters by
+		build   func(scan *ScanOp) Operator
 	}{
-		{"pushdown only", true, func(tbl *columnar.Table) Operator {
-			return NewScan(tbl, []columnar.Pred{{Col: 3, Op: encoding.OpGE, Val: types.NewInt(100)}}, nil)
+		{"pushdown only", true, predExpr(pushed), func(scan *ScanOp) Operator {
+			scan.Preds = pushed
+			return scan
 		}},
-		{"residual vector filter", true, func(tbl *columnar.Table) Operator {
-			return &FilterOp{Child: NewScan(tbl, nil, nil), Pred: &CmpExpr{Op: encoding.OpGT,
-				L: &ArithExpr{Op: "+", L: ColRef(3), R: ColRef(1)}, R: Const{V: types.NewInt(100)}}}
+		{"residual vector filter", true, residual, func(scan *ScanOp) Operator {
+			return &FilterOp{Child: scan, Pred: residual}
 		}},
-		{"FuncExpr filter", false, func(tbl *columnar.Table) Operator {
-			return &FilterOp{Child: NewScan(tbl, nil, nil), Pred: FuncExpr(func(r types.Row) (types.Value, error) {
-				return types.NewBool(r[3].Int()%3 != 0), nil
-			})}
+		{"FuncExpr filter", false, opaque, func(scan *ScanOp) Operator {
+			return &FilterOp{Child: scan, Pred: opaque}
 		}},
 	}
 	for seed := int64(1); seed <= 3; seed++ {
@@ -290,14 +303,9 @@ func TestGroupByDopInvariance(t *testing.T) {
 			if k.empty {
 				tbl = none
 			}
+			rows := tableRows(t, tbl)
 			for _, f := range filters {
-				mk := func(gov *mem.Governor) *GroupByOp {
-					return &GroupByOp{Child: f.build(tbl), GroupBy: k.exprs, GroupCols: k.cols, Aggs: aggs, Gov: gov}
-				}
-				want, err := Drain(mk(nil))
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := oracleGroupBy(t, oracleFilter(t, rows, f.pred), k.exprs, aggs)
 				for _, budget := range []int64{0, 8 << 10} {
 					for _, dop := range []int{1, 2, 8} {
 						label := fmt.Sprintf("seed %d, %s, %s, heap %d, dop %d", seed, k.name, f.name, budget, dop)
@@ -306,14 +314,7 @@ func TestGroupByDopInvariance(t *testing.T) {
 						if budget > 0 {
 							gov, _, dir = tinyGov(t, budget)
 						}
-						g := mk(gov)
-						g.Dop = dop
-						scan := g.Child
-						if fo, ok := scan.(*FilterOp); ok {
-							scan = fo.Child
-						}
-						scan.(*ScanOp).Dop = dop
-						Vectorize(g)
+						g := &GroupByOp{Child: f.build(scanCodes(tbl, dop)), GroupBy: k.exprs, GroupCols: k.cols, Aggs: aggs, Gov: gov, Dop: dop}
 						if w := g.Workers(); f.workers && w != dop || !f.workers && w != 1 {
 							t.Fatalf("%s: %d ingest workers", label, w)
 						}
@@ -361,7 +362,7 @@ func TestGroupByWorkerErrorStopsOthers(t *testing.T) {
 			GroupCols: schema[:1],
 			Aggs:      []AggSpec{{Func: AggSum, Arg: &ArithExpr{Op: "/", L: ColRef(0), R: ColRef(1)}, Name: "q"}},
 			Gov:       gov,
-		}, dop, true)
+		}, dop)
 		if _, err := Drain(g); err == nil || !strings.Contains(err.Error(), "division by zero") {
 			t.Fatalf("dop %d: err = %v, want division by zero", dop, err)
 		}

@@ -5,14 +5,17 @@ import (
 	"dashdb/internal/rowstore"
 	"dashdb/internal/telemetry"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
-// ScanOp streams a columnar table with predicates pushed into the
-// compressed scan (data skipping + SWAR) and optional projection.
-// Projection ordinals refer to the table schema; nil projects all columns.
+// ScanOp streams a columnar table as typed vector batches: one batch per
+// stride, decoded column-at-a-time straight out of the stride pages with no
+// per-row materialization, with predicates pushed into the compressed scan
+// (data skipping + SWAR) and optional projection. Projection ordinals refer
+// to the table schema; nil projects all columns.
 //
 // Dop > 1 switches to the morsel-driven ParallelScan: Dop workers pull
-// strides from a shared queue and chunks arrive in nondeterministic
+// strides from a shared queue and batches arrive in nondeterministic
 // order, so the compiler only raises Dop under a group-by, whose
 // key-ordered emit makes arrival order irrelevant.
 type ScanOp struct {
@@ -28,6 +31,12 @@ type ScanOp struct {
 	// callers).
 	Snap *columnar.Snapshot
 
+	// Compressed, aligned to output positions, marks columns the scan
+	// emits as code-carrying vectors (dictionary codes + *Dict reference)
+	// instead of materialized values — the operate-on-compressed-data
+	// hand-off. Nil = decode everything. Set via EnableCompressed.
+	Compressed []bool
+
 	// EstRows is the planner's output-cardinality estimate, surfaced by
 	// EXPLAIN next to actuals. 0 = unplanned (library-built scans).
 	EstRows float64
@@ -37,7 +46,7 @@ type ScanOp struct {
 	ScanStats *telemetry.ScanStats
 
 	out    types.Schema
-	chunks chan *Chunk
+	chunks chan *vec.Batch
 	errc   chan error
 	stop   chan struct{}
 }
@@ -58,34 +67,63 @@ func NewScan(t *columnar.Table, preds []columnar.Pred, projection []int) *ScanOp
 // Schema implements Operator.
 func (s *ScanOp) Schema() types.Schema { return s.out }
 
-// Open implements Operator: the scan runs in a goroutine delivering one
-// chunk per stride; batches are materialized inside the scan callback
-// because a columnar.Batch is only valid during the callback. With Dop >
-// 1 the producer goroutine drives ParallelScan and all workers feed the
-// same chunk channel.
+// EnableCompressed marks every dictionary-encoded output column for
+// code-vector emission and reports whether any column qualified. The
+// planner's view of "dictionary-encoded" is advisory — an insert-triggered
+// re-analysis can swap encoders before Open — so downstream operators
+// always adopt dictionaries from the batches themselves, and VectorsEnc
+// falls back to decoding if a flagged column is no longer a Dict.
+func (s *ScanOp) EnableCompressed() bool {
+	// Eligibility is read from the pinned snapshot when one is set, so it
+	// matches what the scan will read, or the current epoch otherwise.
+	snap, release := s.PlanSnapshot()
+	defer release()
+	flags := make([]bool, len(s.out))
+	any := false
+	for j := range s.out {
+		ci := j
+		if s.Projection != nil {
+			ci = s.Projection[j]
+		}
+		if snap.ColumnDict(ci) != nil {
+			flags[j] = true
+			any = true
+		}
+	}
+	if any {
+		s.Compressed = flags
+	}
+	return any
+}
+
+// PlanSnapshot returns the scan's pinned snapshot when the compiler set
+// one, or the table's current epoch pinned transiently otherwise. The
+// release func must be called once the caller is done reading; for a
+// compiler-pinned snapshot it is a no-op (the statement owns the pin).
+func (s *ScanOp) PlanSnapshot() (*columnar.Snapshot, func()) {
+	if s.Snap != nil {
+		return s.Snap, func() {}
+	}
+	snap := s.Table.Snapshot()
+	return snap, snap.Release
+}
+
+// Open implements Operator: a producer goroutine runs the scan and
+// vectorizes each columnar.Batch inside the callback (batches are only
+// valid during the callback). With Dop > 1 the producer drives ParallelScan
+// and all workers feed the same channel.
 func (s *ScanOp) Open() error {
 	buf := 2
 	if s.Dop > buf {
 		buf = s.Dop
 	}
-	s.chunks = make(chan *Chunk, buf)
+	s.chunks = make(chan *vec.Batch, buf)
 	s.errc = make(chan error, 1)
 	s.stop = make(chan struct{})
 	deliver := func(b *columnar.Batch) bool {
-		rows := make([]types.Row, b.Len())
-		for i := 0; i < b.Len(); i++ {
-			if s.Projection == nil {
-				rows[i] = b.Row(i)
-			} else {
-				r := make(types.Row, len(s.Projection))
-				for j, ci := range s.Projection {
-					r[j] = b.Value(ci, i)
-				}
-				rows[i] = r
-			}
-		}
+		vb := vec.NewBatch(s.out, b.VectorsEnc(s.Projection, s.Compressed), b.Len())
 		select {
-		case s.chunks <- &Chunk{Schema: s.out, Rows: rows}:
+		case s.chunks <- vb:
 			return true
 		case <-s.stop:
 			return false
@@ -93,11 +131,8 @@ func (s *ScanOp) Open() error {
 	}
 	go func() {
 		defer close(s.chunks)
-		snap := s.Snap
-		if snap == nil {
-			snap = s.Table.Snapshot()
-			defer snap.Release()
-		}
+		snap, release := s.PlanSnapshot()
+		defer release()
 		var err error
 		if s.Dop > 1 {
 			err = snap.ParallelScanWithStats(s.Preds, s.Dop, s.ScanStats, func(_ int, b *columnar.Batch) bool {
@@ -113,21 +148,10 @@ func (s *ScanOp) Open() error {
 	return nil
 }
 
-// PlanSnapshot returns the scan's pinned snapshot when the compiler set
-// one, or the table's current epoch pinned transiently otherwise. The
-// release func must be called once the caller is done reading; for a
-// compiler-pinned snapshot it is a no-op (the statement owns the pin).
-func (s *ScanOp) PlanSnapshot() (*columnar.Snapshot, func()) {
-	if s.Snap != nil {
-		return s.Snap, func() {}
-	}
-	snap := s.Table.Snapshot()
-	return snap, snap.Release
-}
-
-// Next implements Operator.
-func (s *ScanOp) Next() (*Chunk, error) {
-	ch, ok := <-s.chunks
+// Next implements Operator. Several group-by workers may call it at once:
+// the channel hands each batch to exactly one of them.
+func (s *ScanOp) Next() (*vec.Batch, error) {
+	vb, ok := <-s.chunks
 	if !ok {
 		select {
 		case err := <-s.errc:
@@ -136,7 +160,7 @@ func (s *ScanOp) Next() (*Chunk, error) {
 			return nil, nil
 		}
 	}
-	return ch, nil
+	return vb, nil
 }
 
 // Close implements Operator.
@@ -160,8 +184,7 @@ func (s *ScanOp) Close() error {
 type RowScanOp struct {
 	Table *rowstore.Table
 	Pred  Expr // optional residual filter
-	rows  []types.Row
-	pos   int
+	out   rowQueue
 }
 
 // Schema implements Operator.
@@ -169,8 +192,7 @@ func (r *RowScanOp) Schema() types.Schema { return r.Table.Schema() }
 
 // Open implements Operator.
 func (r *RowScanOp) Open() error {
-	r.rows = r.rows[:0]
-	r.pos = 0
+	r.out.rows = nil
 	var err error
 	r.Table.Scan(func(_ int64, row types.Row) bool {
 		if r.Pred != nil {
@@ -183,25 +205,14 @@ func (r *RowScanOp) Open() error {
 				return true
 			}
 		}
-		r.rows = append(r.rows, row)
+		r.out.rows = append(r.out.rows, row)
 		return true
 	})
 	return err
 }
 
 // Next implements Operator.
-func (r *RowScanOp) Next() (*Chunk, error) {
-	if r.pos >= len(r.rows) {
-		return nil, nil
-	}
-	end := r.pos + ChunkSize
-	if end > len(r.rows) {
-		end = len(r.rows)
-	}
-	ch := &Chunk{Schema: r.Table.Schema(), Rows: r.rows[r.pos:end]}
-	r.pos = end
-	return ch, nil
-}
+func (r *RowScanOp) Next() (*vec.Batch, error) { return r.out.next(r.Table.Schema(), true), nil }
 
 // Close implements Operator.
 func (r *RowScanOp) Close() error { return nil }

@@ -8,6 +8,7 @@ import (
 	"dashdb/internal/encoding"
 	"dashdb/internal/mem"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // SortKey is one ORDER BY term.
@@ -17,10 +18,12 @@ type SortKey struct {
 }
 
 // SortOp emits its input ordered by the sort keys. NULLs sort first
-// ascending (types.Compare convention), last descending.
+// ascending (types.Compare convention), last descending. Its state is rows:
+// it boxes each live input position once, evaluates the keys on that row,
+// and emits row-built batches.
 //
-// With a nil Gov it buffers everything in memory, exactly the historical
-// behavior. With a governor it becomes an external merge sort: input rows
+// With a nil Gov it buffers everything in memory. With a governor it
+// becomes an external merge sort: input rows
 // accumulate in a buffer charged against a SORTHEAP reservation; when a
 // Grow is denied the buffer is sorted and spilled as one run (data row ++
 // precomputed key values, rowcodec-encoded into a mem.SpillFile), and
@@ -35,11 +38,10 @@ type SortOp struct {
 	res  *mem.Reservation
 	rows []types.Row
 	keys []types.Row
-	pos  int
+	out  rowQueue // the sorted buffer, when nothing spilled
 
 	runs   []*sortRun
 	merged *runHeap
-	out    []types.Row // reusable output buffer in merge mode
 }
 
 // sortRun is one spilled, sorted run being replayed during the merge.
@@ -76,15 +78,17 @@ func (s *SortOp) Open() error {
 	s.res = s.Gov.Acquire(mem.SortHeap)
 
 	var bufBytes int64
+	var in []types.Row // the rows of one child batch
 	for {
-		ch, err := s.Child.Next()
+		vb, err := s.Child.Next()
 		if err != nil {
 			return err
 		}
-		if ch == nil {
+		if vb == nil {
 			break
 		}
-		for _, r := range ch.Rows {
+		in = vb.AppendRows(in[:0])
+		for _, r := range in {
 			ks := make(types.Row, len(s.Keys))
 			for j, k := range s.Keys {
 				v, err := k.Expr.Eval(r)
@@ -117,7 +121,7 @@ func (s *SortOp) Open() error {
 	if len(s.runs) == 0 {
 		// Everything fit: plain in-memory sort.
 		s.sortBuffer()
-		s.pos = 0
+		s.out.rows = s.rows
 		return nil
 	}
 	// Spill the final run too and merge uniformly from disk.
@@ -210,31 +214,16 @@ func (s *SortOp) openMerge() error {
 }
 
 // Next implements Operator.
-func (s *SortOp) Next() (*Chunk, error) {
-	if s.merged != nil {
-		return s.nextMerged()
+func (s *SortOp) Next() (*vec.Batch, error) {
+	if s.merged == nil {
+		return s.out.next(s.Schema(), true), nil
 	}
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	end := s.pos + ChunkSize
-	if end > len(s.rows) {
-		end = len(s.rows)
-	}
-	ch := &Chunk{Schema: s.Schema(), Rows: s.rows[s.pos:end]}
-	s.pos = end
-	return ch, nil
-}
-
-func (s *SortOp) nextMerged() (*Chunk, error) {
 	if s.merged.Len() == 0 {
 		return nil, nil
 	}
 	nCols := len(s.Child.Schema())
-	if s.out == nil {
-		s.out = make([]types.Row, 0, ChunkSize)
-	}
-	out := s.out[:0]
+	// A fresh slice per batch: the rows go to the consumer.
+	out := make([]types.Row, 0, ChunkSize)
 	for len(out) < ChunkSize && s.merged.Len() > 0 {
 		run := s.merged.runs[0]
 		out = append(out, run.row)
@@ -251,10 +240,7 @@ func (s *SortOp) nextMerged() (*Chunk, error) {
 			}
 		}
 	}
-	// out is handed to the consumer; allocate a fresh buffer next call so
-	// the Chunk ownership invariant holds.
-	s.out = nil
-	return &Chunk{Schema: s.Schema(), Rows: out}, nil
+	return vec.FromRows(s.Schema(), out), nil
 }
 
 // SpillStats reports runs and bytes spilled, for EXPLAIN ANALYZE. Valid
@@ -273,7 +259,7 @@ func (s *SortOp) Close() error {
 		}
 	}
 	s.runs, s.merged = nil, nil
-	s.rows, s.keys, s.out = nil, nil, nil
+	s.rows, s.keys, s.out.rows = nil, nil, nil
 	s.res.Close()
 	return firstErr
 }

@@ -265,26 +265,15 @@ func TestGroupBySpillMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestParallelGroupBySpillMatchesSerial forces vector ingest to spill at
-// dop 1, 2 and 8 and checks it still matches the ungoverned row-ingest
-// aggregation exactly.
+// TestParallelGroupBySpillMatchesSerial forces ingest to spill at dop 1, 2
+// and 8 and checks it still matches the sort-based oracle exactly.
 func TestParallelGroupBySpillMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tbl := buildAggTable(t, rng, 3*page.StrideSize+500)
 	groupBy := []Expr{ColRef(0)}
 	groupCols := types.Schema{{Name: "g", Kind: types.KindInt, Nullable: true}}
 
-	serial := &GroupByOp{
-		Child:     NewScan(tbl, nil, nil),
-		GroupBy:   groupBy,
-		GroupCols: groupCols,
-		Aggs:      aggSpecs(),
-	}
-	want, err := Drain(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantFP := sortedFingerprints(want)
+	want := oracleGroupBy(t, tableRows(t, tbl), groupBy, aggSpecs())
 
 	for _, dop := range []int{1, 2, 8} {
 		gov, _, dir := tinyGov(t, 4<<10)
@@ -294,7 +283,7 @@ func TestParallelGroupBySpillMatchesSerial(t *testing.T) {
 			GroupCols: groupCols,
 			Aggs:      aggSpecs(),
 			Gov:       gov,
-		}, dop, true)
+		}, dop)
 		got, err := Drain(par)
 		if err != nil {
 			t.Fatalf("dop %d: %v", dop, err)
@@ -302,9 +291,7 @@ func TestParallelGroupBySpillMatchesSerial(t *testing.T) {
 		if runs, bytes := par.SpillStats(); runs == 0 || bytes == 0 {
 			t.Fatalf("dop %d: expected forced spill, got runs=%d bytes=%d", dop, runs, bytes)
 		}
-		if !reflect.DeepEqual(sortedFingerprints(got), wantFP) {
-			t.Fatalf("dop %d: spilled parallel GROUP BY diverged (%d vs %d groups)", dop, len(got), len(want))
-		}
+		requireExactRows(t, fmt.Sprintf("spilled parallel GROUP BY, dop %d", dop), got, want)
 		requireNoSpillFiles(t, dir)
 	}
 }

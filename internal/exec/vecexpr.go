@@ -34,13 +34,6 @@ func errBadArith(op string) error {
 	return fmt.Errorf("sql: unsupported arithmetic %q", op)
 }
 
-// errNotVectorizable reports an expression without a vector kernel.
-//
-//dashdb:coldpath error construction runs only on failing queries
-func errNotVectorizable(e Expr) error {
-	return fmt.Errorf("exec: expression %T is not vectorizable", e)
-}
-
 // errColumnRange reports a column reference outside the batch.
 //
 //dashdb:coldpath error construction runs only on failing queries
@@ -72,53 +65,76 @@ func checkArithOp(op string) error {
 	return errBadArith(op)
 }
 
-// VecExpr is an Expr that can also evaluate itself over a whole vector
-// batch at once. Every structured expression node implements both
-// interfaces, so the row path stays the correctness oracle for the
-// vectorized kernels.
+// VecExpr is an Expr that can also evaluate itself over a whole batch at
+// once. Every structured expression node implements both interfaces; Eval
+// is what DML and the opaque fallback below run, and the oracle the tests
+// hold every kernel to (TestEvalVecMatchesEval).
 type VecExpr interface {
 	Expr
 	EvalVec(b *vec.Batch) (*vec.Vector, error)
 }
 
-// evalVec dispatches to the vectorized kernel of e.
+// evalVec evaluates e over the live positions of b: through its kernel when
+// it has one, else by running Eval per live position on one reused scratch
+// row into a boxed vector — the row semantics (evaluation in position
+// order, first error wins) without a row allocated per tuple. So an opaque
+// expression (scalar function, UDF, CASE, subquery, ...) costs its own
+// evaluation and never moves the operators around it off the batch engine.
 func evalVec(e Expr, b *vec.Batch) (*vec.Vector, error) {
-	ve, ok := e.(VecExpr)
-	if !ok {
-		return nil, errNotVectorizable(e)
+	if ve, ok := e.(VecExpr); ok {
+		return ve.EvalVec(b)
 	}
-	return ve.EvalVec(b)
+	out := vec.New(types.KindNull, b.N)
+	var scratch types.Row
+	for _, i := range b.Idx() {
+		scratch = b.RowInto(scratch, i)
+		v, err := e.Eval(scratch)
+		if err != nil {
+			return nil, err
+		}
+		out.Any[i] = v
+	}
+	return out, nil
 }
 
-// Vectorizable reports whether the expression tree evaluates entirely
-// through vector kernels. Opaque FuncExprs (scalar functions, UDFs,
-// subqueries, CASE, ...) force the enclosing operator onto the row path.
-func Vectorizable(e Expr) bool {
-	switch x := e.(type) {
-	case ColRef, Const:
-		return true
-	case *CmpExpr:
-		return Vectorizable(x.L) && Vectorizable(x.R)
-	case *ArithExpr:
-		return Vectorizable(x.L) && Vectorizable(x.R)
-	case *AndExpr:
-		return Vectorizable(x.L) && Vectorizable(x.R)
-	case *OrExpr:
-		return Vectorizable(x.L) && Vectorizable(x.R)
-	case *NotExpr:
-		return Vectorizable(x.E)
-	case *NegExpr:
-		return Vectorizable(x.E)
+// Vectorizable reports whether every expression evaluates through vector
+// kernels all the way down. It no longer decides where an expression runs;
+// it is read by concurrentPull — opaque FuncExprs (scalar functions, UDFs,
+// sequences, subqueries, CASE, ...) have never been called from two
+// goroutines, so an operator holding one is pulled by a single worker —
+// and by EXPLAIN, which tags such an operator [row].
+func Vectorizable(exprs ...Expr) bool {
+	for _, e := range exprs {
+		ok := false
+		switch x := e.(type) {
+		case ColRef, Const:
+			ok = true
+		case *CmpExpr:
+			ok = Vectorizable(x.L, x.R)
+		case *ArithExpr:
+			ok = Vectorizable(x.L, x.R)
+		case *AndExpr:
+			ok = Vectorizable(x.L, x.R)
+		case *OrExpr:
+			ok = Vectorizable(x.L, x.R)
+		case *NotExpr:
+			ok = Vectorizable(x.E)
+		case *NegExpr:
+			ok = Vectorizable(x.E)
+		}
+		if !ok {
+			return false
+		}
 	}
-	return false
+	return true
 }
 
 // EvalVec implements VecExpr: a column reference is just the batch vector.
 func (c ColRef) EvalVec(b *vec.Batch) (*vec.Vector, error) {
-	if int(c) < 0 || int(c) >= len(b.Cols) {
+	if int(c) < 0 || int(c) >= b.NumCols() {
 		return nil, errColumnRange(int(c))
 	}
-	return b.Cols[c], nil
+	return b.Col(int(c)), nil
 }
 
 // EvalVec implements VecExpr: a literal broadcasts as a Const vector.
@@ -127,22 +143,19 @@ func (c Const) EvalVec(*vec.Batch) (*vec.Vector, error) {
 }
 
 // boolAt reads batch position i of a predicate result vector with the
-// row path's truthiness rules (Value.Bool: the integer payload != 0).
+// truthiness rules of Eval (Value.Bool: the integer payload != 0).
 //
 //dashdb:hotpath
 func boolAt(v *vec.Vector, i int) (val, null bool) {
 	if v.IsNull(i) {
 		return false, true
 	}
-	switch {
-	case v.I64 != nil:
+	if v.I64 != nil {
 		return v.I64[v.Ix(i)] != 0, false
-	case v.Any != nil:
-		return v.Any[v.Ix(i)].Bool(), false
-	default:
-		// Float/string payloads carry a zero integer payload.
-		return false, false
 	}
+	// Boxed, encoded and row-backed vectors answer through Get; a float or
+	// string value carries a zero integer payload, hence false.
+	return v.Get(i).Bool(), false
 }
 
 // numAt reads a numeric vector position as float64 (int promoted).
@@ -177,7 +190,7 @@ func cmpHolds(op encoding.CmpOp, c int) bool {
 }
 
 // cmpFloat64 mirrors types.Compare's float ordering, including NaN
-// sorting high, so the typed kernel agrees with the row path exactly.
+// sorting high, so the typed kernel agrees with Eval exactly.
 //
 //dashdb:hotpath
 func cmpFloat64(a, b float64) int {
@@ -540,8 +553,8 @@ func not3(a types.Value) types.Value {
 }
 
 // AndExpr is SQL AND with short-circuit evaluation: when the left operand
-// is definite FALSE the right operand is not evaluated, so errors the row
-// path would never raise stay suppressed on the vector path too.
+// is definite FALSE the right operand is not evaluated, so errors Eval
+// would never raise stay suppressed in the kernel too.
 type AndExpr struct{ L, R Expr }
 
 // Eval implements Expr.

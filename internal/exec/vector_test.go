@@ -59,10 +59,19 @@ func randVecTable(t testing.TB, id uint32, n int, seed int64) *columnar.Table {
 	return tbl
 }
 
-// scanDop builds a serial or parallel columnar scan for tests.
+// scanDop builds a serial or parallel columnar scan for tests, decoding
+// dictionary columns at the scan.
 func scanDop(t *columnar.Table, dop int) *ScanOp {
 	s := NewScan(t, nil, nil)
 	s.Dop = dop
+	return s
+}
+
+// scanCodes is scanDop emitting dictionary columns as code vectors, the
+// scan the SQL compiler builds.
+func scanCodes(t *columnar.Table, dop int) *ScanOp {
+	s := scanDop(t, dop)
+	s.EnableCompressed()
 	return s
 }
 
@@ -112,14 +121,14 @@ func sortedKeysPrec(t testing.TB, op Operator, ffmt string) []string {
 	return keys
 }
 
-func requireEqualKeys(t *testing.T, ctx string, row, vecd []string) {
+func requireEqualKeys(t *testing.T, ctx string, want, got []string) {
 	t.Helper()
-	if len(row) != len(vecd) {
-		t.Fatalf("%s: row path %d rows, vector path %d rows", ctx, len(row), len(vecd))
+	if len(want) != len(got) {
+		t.Fatalf("%s: want %d rows, got %d rows", ctx, len(want), len(got))
 	}
-	for i := range row {
-		if row[i] != vecd[i] {
-			t.Fatalf("%s: row %d differs:\n row: %s\n vec: %s", ctx, i, row[i], vecd[i])
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%s: row %d differs:\n want: %s\n  got: %s", ctx, i, want[i], got[i])
 		}
 	}
 }
@@ -158,32 +167,19 @@ func vecTestProjExprs() ([]Expr, types.Schema) {
 }
 
 // TestVectorFilterProjectEquivalence is the core property test: a
-// scan→filter→project plan run through the row operators and through
-// Vectorize must produce identical multisets, across degrees of
-// parallelism and random seeds.
+// scan→filter→project plan must produce the multiset a plain loop over
+// Expr.Eval produces, across degrees of parallelism and random seeds.
 func TestVectorFilterProjectEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 42} {
 		tbl := randVecTable(t, uint32(400+seed), 7000, seed)
+		exprs, out := vecTestProjExprs()
+		want := sortedRowKeys(oracleProject(t, oracleFilter(t, tableRows(t, tbl), vecTestPred()), exprs))
 		for _, dop := range []int{1, 2, 8} {
-			mk := func() (Operator, Operator) {
-				exprs, out := vecTestProjExprs()
-				row := &ProjectOp{
-					Child: &FilterOp{Child: scanDop(tbl, dop), Pred: vecTestPred()},
-					Exprs: exprs, Out: out,
-				}
-				exprs2, out2 := vecTestProjExprs()
-				vecd := Vectorize(&ProjectOp{
-					Child: &FilterOp{Child: scanDop(tbl, dop), Pred: vecTestPred()},
-					Exprs: exprs2, Out: out2,
-				})
-				return row, vecd
+			op := &ProjectOp{
+				Child: &FilterOp{Child: scanCodes(tbl, dop), Pred: vecTestPred()},
+				Exprs: exprs, Out: out,
 			}
-			row, vecd := mk()
-			if _, ok := vecd.(*RowAdapter); !ok {
-				t.Fatalf("plan did not vectorize: %T", vecd)
-			}
-			ctx := fmt.Sprintf("seed=%d dop=%d", seed, dop)
-			requireEqualKeys(t, ctx, sortedKeys(t, row), sortedKeys(t, vecd))
+			requireEqualKeys(t, fmt.Sprintf("seed=%d dop=%d", seed, dop), want, sortedKeys(t, op))
 		}
 	}
 }
@@ -200,42 +196,34 @@ func TestVectorFilterEmptyAndAllFalse(t *testing.T) {
 		{"empty-table", empty, vecTestPred()},
 		{"all-false", full, allFalse},
 	} {
-		row := &FilterOp{Child: NewScan(tc.tbl, nil, nil), Pred: tc.pred}
-		vecd := Vectorize(&FilterOp{Child: NewScan(tc.tbl, nil, nil), Pred: tc.pred})
-		rk, vk := sortedKeys(t, row), sortedKeys(t, vecd)
-		if len(rk) != 0 && tc.name == "all-false" {
-			t.Fatalf("%s: row path kept %d rows", tc.name, len(rk))
+		got := sortedKeys(t, &FilterOp{Child: scanCodes(tc.tbl, 1), Pred: tc.pred})
+		if len(got) != 0 {
+			t.Fatalf("%s: kept %d rows", tc.name, len(got))
 		}
-		requireEqualKeys(t, tc.name, rk, vk)
+		requireEqualKeys(t, tc.name, sortedRowKeys(oracleFilter(t, tableRows(t, tc.tbl), tc.pred)), got)
 	}
 }
 
-// TestVectorGroupByEquivalence checks the vector-ingesting GroupBy against
-// the row-at-a-time accumulate path, including NULL groups and NULL
-// aggregate inputs.
+// TestVectorGroupByEquivalence checks GroupByOp's batch ingest against the
+// sort-based oracle, including NULL groups, NULL aggregate inputs and an
+// opaque aggregate argument.
 func TestVectorGroupByEquivalence(t *testing.T) {
 	tbl := randVecTable(t, 430, 9000, 99)
-	mkAggs := func() []AggSpec {
-		return []AggSpec{
-			{Func: AggCountStar, Name: "cnt"},
-			{Func: AggSum, Arg: ColRef(1), Name: "sum"},
-			{Func: AggAvg, Arg: ColRef(2), Name: "avg"},
-			{Func: AggMin, Arg: ColRef(0), Name: "min"},
-			{Func: AggMax, Arg: ColRef(0), Name: "max"},
-			{Func: AggCount, Arg: ColRef(3), Name: "cs"},
-		}
+	rows := tableRows(t, tbl)
+	aggs := []AggSpec{
+		{Func: AggCountStar, Name: "cnt"},
+		{Func: AggSum, Arg: ColRef(1), Name: "sum"},
+		{Func: AggAvg, Arg: ColRef(2), Name: "avg"},
+		{Func: AggMin, Arg: ColRef(0), Name: "min"},
+		{Func: AggMax, Arg: ColRef(0), Name: "max"},
+		{Func: AggCount, Arg: ColRef(3), Name: "cs"},
 	}
 	gcols := types.Schema{{Name: "g", Kind: types.KindInt, Nullable: true}}
-	gkey := func() []Expr {
-		return []Expr{&ArithExpr{Op: "%", L: ColRef(0), R: Const{V: types.NewInt(5)}}}
-	}
+	gkey := []Expr{&ArithExpr{Op: "%", L: ColRef(0), R: Const{V: types.NewInt(5)}}}
 	for _, dop := range []int{1, 8} {
-		row := &GroupByOp{Child: scanDop(tbl, dop),
-			GroupBy: gkey(), GroupCols: gcols, Aggs: mkAggs()}
-		vecd := Vectorize(&GroupByOp{Child: scanDop(tbl, dop),
-			GroupBy: gkey(), GroupCols: gcols, Aggs: mkAggs()}).(*GroupByOp)
-		if !vecd.VecIngest() {
-			t.Fatal("vectorized GroupBy did not take the vector-ingest path")
+		g := &GroupByOp{Child: scanCodes(tbl, dop), GroupBy: gkey, GroupCols: gcols, Aggs: aggs, Dop: dop}
+		if g.Workers() != dop {
+			t.Fatalf("dop=%d: %d ingest workers", dop, g.Workers())
 		}
 		// dop>1: batch arrival order is nondeterministic, so float AVG
 		// sums in different orders — compare at 9 significant digits.
@@ -243,230 +231,166 @@ func TestVectorGroupByEquivalence(t *testing.T) {
 		if dop > 1 {
 			ffmt = "%.9g"
 		}
-		ctx := fmt.Sprintf("groupby dop=%d", dop)
-		requireEqualKeys(t, ctx, sortedKeysPrec(t, row, ffmt), sortedKeysPrec(t, vecd, ffmt))
+		want := make([]string, 0, 6)
+		for _, r := range oracleGroupBy(t, rows, gkey, aggs) {
+			want = append(want, rowKeyPrec(r, ffmt))
+		}
+		sort.Strings(want)
+		requireEqualKeys(t, fmt.Sprintf("groupby dop=%d", dop), want, sortedKeysPrec(t, g, ffmt))
 	}
-	// A non-vectorizable aggregate argument must fall back to row ingest
-	// and still agree.
-	udf := FuncExpr(func(r types.Row) (types.Value, error) {
+	// An aggregate argument with no kernel is evaluated per position inside
+	// the same ingest loop, on one worker, and still agrees.
+	udfAggs := []AggSpec{{Func: AggSum, Name: "s", Arg: FuncExpr(func(r types.Row) (types.Value, error) {
 		if r[1].IsNull() {
 			return types.Null, nil
 		}
 		return types.NewInt(r[1].Int() * 3), nil
-	})
-	row := &GroupByOp{Child: NewScan(tbl, nil, nil), GroupBy: gkey(), GroupCols: gcols,
-		Aggs: []AggSpec{{Func: AggSum, Arg: udf, Name: "s"}}}
-	vecd := Vectorize(&GroupByOp{Child: NewScan(tbl, nil, nil), GroupBy: gkey(), GroupCols: gcols,
-		Aggs: []AggSpec{{Func: AggSum, Arg: udf, Name: "s"}}}).(*GroupByOp)
-	if vecd.VecIngest() {
-		t.Fatal("UDF aggregate must not claim vector ingest")
+	})}}
+	g := &GroupByOp{Child: scanCodes(tbl, 4), GroupBy: gkey, GroupCols: gcols, Aggs: udfAggs, Dop: 4}
+	if g.Workers() != 1 {
+		t.Fatalf("an opaque aggregate argument must ingest on one worker, got %d", g.Workers())
 	}
-	requireEqualKeys(t, "groupby-udf-fallback", sortedKeys(t, row), sortedKeys(t, vecd))
+	requireEqualKeys(t, "groupby-udf", sortedRowKeys(oracleGroupBy(t, rows, gkey, udfAggs)), sortedKeys(t, g))
 }
 
 // TestVectorHashJoinBuildEquivalence checks the columnar NULL-key-skipping
-// build-side drain against the row build.
+// build-side pull against the nested-loop oracle.
 func TestVectorHashJoinBuildEquivalence(t *testing.T) {
 	left := randVecTable(t, 440, 4000, 5)
 	right := randVecTable(t, 441, 800, 6)
-	mk := func() *HashJoinOp {
-		return &HashJoinOp{
-			LeftKeys: []int{0}, RightKeys: []int{0}, Type: InnerJoin,
-		}
-	}
-	row := mk()
-	row.Left = NewScan(left, nil, nil)
-	row.Right = NewScan(right, nil, nil)
-	vecd := mk()
-	j := Vectorize(&HashJoinOp{
-		Left: NewScan(left, nil, nil), Right: NewScan(right, nil, nil),
+	j := &HashJoinOp{
+		Left: scanCodes(left, 1), Right: scanCodes(right, 1),
 		LeftKeys: []int{0}, RightKeys: []int{0}, Type: InnerJoin,
-	}).(*HashJoinOp)
-	if _, ok := j.Right.(*RowAdapter); !ok {
-		t.Fatalf("build side not vectorized: %T", j.Right)
 	}
-	_ = vecd
-	requireEqualKeys(t, "hashjoin", sortedKeys(t, row), sortedKeys(t, j))
+	want := nestedLoopJoin(tableRows(t, left), tableRows(t, right), []int{0}, []int{0}, InnerJoin, vecTestSchema())
+	requireEqualKeys(t, "hashjoin", sortedRowKeys(want), sortedKeys(t, j))
 }
 
 // TestVectorLimitEquivalence compares exact sequences (serial scans are
 // deterministic) across offsets that straddle batch boundaries.
 func TestVectorLimitEquivalence(t *testing.T) {
 	tbl := randVecTable(t, 450, 5000, 11)
+	all := tableRows(t, tbl)
 	for _, tc := range []struct{ off, lim int64 }{
 		{0, 10}, {4990, 100}, {5, -1}, {0, 0}, {1023, 2},
 	} {
-		row := &LimitOp{Child: NewScan(tbl, nil, nil), Offset: tc.off, Limit: tc.lim}
-		vecd := Vectorize(&LimitOp{Child: NewScan(tbl, nil, nil), Offset: tc.off, Limit: tc.lim})
-		rrows, err := Drain(row)
+		want := all[min(tc.off, int64(len(all))):]
+		if tc.lim >= 0 {
+			want = want[:min(tc.lim, int64(len(want)))]
+		}
+		got, err := Drain(&LimitOp{Child: NewScan(tbl, nil, nil), Offset: tc.off, Limit: tc.lim})
 		if err != nil {
 			t.Fatal(err)
 		}
-		vrows, err := Drain(vecd)
-		if err != nil {
-			t.Fatal(err)
+		if len(got) != len(want) {
+			t.Fatalf("off=%d lim=%d: %d rows, want %d", tc.off, tc.lim, len(got), len(want))
 		}
-		if len(rrows) != len(vrows) {
-			t.Fatalf("off=%d lim=%d: %d vs %d rows", tc.off, tc.lim, len(rrows), len(vrows))
-		}
-		for i := range rrows {
-			if rowKey(rrows[i]) != rowKey(vrows[i]) {
+		for i := range want {
+			if rowKey(got[i]) != rowKey(want[i]) {
 				t.Fatalf("off=%d lim=%d: row %d order differs", tc.off, tc.lim, i)
 			}
 		}
 	}
 }
 
-// TestVectorizeScalarFuncFallsBack: a predicate with a FuncExpr keeps the
-// row FilterOp (over a vectorized scan) and still computes correct results.
+// TestVectorizeScalarFuncFallsBack: a predicate with no kernel (a FuncExpr)
+// is evaluated per live position inside the same FilterOp — over a scan
+// still emitting code vectors — computes the plain loop's result, and marks
+// the pipeline as one that only a single goroutine may pull.
 func TestVectorizeScalarFuncFallsBack(t *testing.T) {
 	tbl := randVecTable(t, 460, 2000, 13)
-	pred := func() Expr {
-		return FuncExpr(func(r types.Row) (types.Value, error) {
-			if r[0].IsNull() {
-				return types.Null, nil
-			}
-			return types.NewBool(r[0].Int()%3 == 0), nil
-		})
+	pred := FuncExpr(func(r types.Row) (types.Value, error) {
+		if r[0].IsNull() {
+			return types.Null, nil
+		}
+		return types.NewBool(r[0].Int()%3 == 0), nil
+	})
+	f := &FilterOp{Child: scanCodes(tbl, 1), Pred: pred}
+	if Vectorizable(pred) || concurrentPull(f) {
+		t.Fatal("a FuncExpr filter must not count as kernel-only or allow concurrent pulls")
 	}
-	row := &FilterOp{Child: NewScan(tbl, nil, nil), Pred: pred()}
-	vecd := Vectorize(&FilterOp{Child: NewScan(tbl, nil, nil), Pred: pred()})
-	f, ok := vecd.(*FilterOp)
-	if !ok {
-		t.Fatalf("UDF filter must stay a row FilterOp, got %T", vecd)
+	if !concurrentPull(&FilterOp{Child: scanCodes(tbl, 1), Pred: vecTestPred()}) {
+		t.Fatal("a kernel-only filter over a scan allows concurrent pulls")
 	}
-	if _, ok := f.Child.(*RowAdapter); !ok {
-		t.Fatalf("scan under UDF filter should still vectorize, got %T", f.Child)
-	}
-	requireEqualKeys(t, "udf-filter", sortedKeys(t, row), sortedKeys(t, vecd))
+	requireEqualKeys(t, "udf-filter", sortedRowKeys(oracleFilter(t, tableRows(t, tbl), pred)), sortedKeys(t, f))
+	// Nested inside a kernel expression, and as a projection.
+	nested := &AndExpr{L: &CmpExpr{Op: encoding.OpLT, L: ColRef(1), R: Const{V: types.NewInt(10)}}, R: pred}
+	exprs := []Expr{&NotExpr{E: pred}, &ArithExpr{Op: "+", L: ColRef(0), R: ColRef(1)}}
+	p := &ProjectOp{Child: &FilterOp{Child: scanCodes(tbl, 1), Pred: nested}, Exprs: exprs, Out: intSchema("n", "s")}
+	requireEqualKeys(t, "udf-nested",
+		sortedRowKeys(oracleProject(t, oracleFilter(t, tableRows(t, tbl), nested), exprs)), sortedKeys(t, p))
 }
 
 // TestValuesThroughRowOperators pushes a row source that is not a columnar
-// scan through Vectorize: nothing below it can run on vectors, so the
-// filter, projection and limit stay row operators and hand the rows — NULLs
-// included — through unchanged.
+// scan through filter, projection and limit: the operators narrow and
+// project the row-built batches like any other and hand the rows — NULLs
+// and mixed kinds included — through unchanged, and a filter and limit
+// alone hand back the very rows VALUES holds.
 func TestValuesThroughRowOperators(t *testing.T) {
 	data := []types.Row{
 		{types.NewInt(1), types.Null},
 		{types.Null, types.NewString("x")},
 		{types.NewInt(3), types.NewString("y")},
+		{types.NewFloat(0.5), types.NullOf(types.KindString)},
 	}
 	sch := types.Schema{
 		{Name: "a", Kind: types.KindInt, Nullable: true},
 		{Name: "s", Kind: types.KindString, Nullable: true},
 	}
-	op := Vectorize(&LimitOp{Limit: -1, Child: &ProjectOp{
+	notOne := &NotExpr{E: &CmpExpr{Op: encoding.OpEQ, L: ColRef(0), R: Const{V: types.NewInt(1)}}}
+	rows, err := Drain(&LimitOp{Limit: -1, Child: &ProjectOp{
 		Child: &FilterOp{Child: NewValues(sch, data), Pred: Const{V: types.NewBool(true)}},
-		Exprs: []Expr{ColRef(0), ColRef(1)}, Out: sch,
+		Exprs: []Expr{ColRef(0), ColRef(1), notOne}, Out: append(sch, types.Column{Name: "n"}),
 	}})
-	if _, ok := op.(*LimitOp); !ok {
-		t.Fatalf("a tree over VALUES must stay on the row operators, got %T", op)
-	}
-	rows, err := Drain(op)
-	if err != nil || len(rows) != 3 {
+	if err != nil || len(rows) != len(data) {
 		t.Fatalf("rows %d err %v", len(rows), err)
 	}
+	want := oracleProject(t, data, []Expr{ColRef(0), ColRef(1), notOne})
 	for i := range data {
-		if rowKey(rows[i]) != rowKey(data[i]) {
-			t.Fatalf("row %d: %v != %v", i, rows[i], data[i])
+		if rowKey(rows[i]) != rowKey(want[i]) || rows[i][1].Kind() != data[i][1].Kind() {
+			t.Fatalf("row %d: %v != %v", i, rows[i], want[i])
 		}
+	}
+	rows, err = Drain(&LimitOp{Offset: 1, Limit: 1, Child: &FilterOp{Child: NewValues(sch, data), Pred: notOne}})
+	if err != nil || len(rows) != 1 || &rows[0][0] != &data[3][0] {
+		t.Fatalf("filter+limit over VALUES must hand back the rows it was given: %v %v", rows, err)
 	}
 }
 
-// TestFilterRechunks verifies the FilterOp re-chunking invariant: every
-// chunk except the last is exactly ChunkSize even under a selective
-// predicate.
-func TestFilterRechunks(t *testing.T) {
-	n := ChunkSize*3 + 100
-	rows := make([]types.Row, n)
-	for i := range rows {
-		rows[i] = types.Row{types.NewInt(int64(i))}
-	}
-	f := &FilterOp{
-		Child: NewValues(intSchema("a"), rows),
-		Pred:  cmpExpr(0, encoding.OpGE, types.NewInt(0)), // keeps all
-	}
-	checkChunks(t, f, n)
-	// ~50% selective: still full chunks until the tail.
-	f2 := &FilterOp{
-		Child: NewValues(intSchema("a"), rows),
-		Pred: FuncExpr(func(r types.Row) (types.Value, error) {
-			return types.NewBool(r[0].Int()%2 == 0), nil
-		}),
-	}
-	checkChunks(t, f2, (n+1)/2)
-}
-
-// TestLimitRechunks: LimitOp output comes in full chunks too.
-func TestLimitRechunks(t *testing.T) {
-	n := ChunkSize * 4
-	rows := make([]types.Row, n)
-	for i := range rows {
-		rows[i] = types.Row{types.NewInt(int64(i))}
-	}
-	l := &LimitOp{Child: NewValues(intSchema("a"), rows), Offset: 100, Limit: int64(ChunkSize*2 + 7)}
-	checkChunks(t, l, ChunkSize*2+7)
-}
-
-func checkChunks(t *testing.T, op Operator, want int) {
-	t.Helper()
-	if err := op.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer op.Close()
-	total := 0
-	for {
-		ch, err := op.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ch == nil {
-			break
-		}
-		if len(ch.Rows) != ChunkSize && total+len(ch.Rows) != want {
-			t.Fatalf("partial chunk of %d rows before end of stream (total %d of %d)",
-				len(ch.Rows), total+len(ch.Rows), want)
-		}
-		total += len(ch.Rows)
-	}
-	if total != want {
-		t.Fatalf("total rows %d want %d", total, want)
-	}
-}
-
-// TestChunkOwnership: rows returned by buffer-reusing operators must stay
-// intact after further Next calls and after Close (the Chunk invariant
-// that Drain relies on).
-func TestChunkOwnership(t *testing.T) {
+// TestDrainOwnership: rows Drain returned stay valid — the same values in
+// the same backing arrays — after the operator is closed and after it is
+// run again, whether an operator boxed them out of vectors (scan, filter),
+// holds them as state (sort, group-by, join) or was handed them (VALUES).
+func TestDrainOwnership(t *testing.T) {
 	tbl := randVecTable(t, 470, 4000, 17)
-	op := Vectorize(&FilterOp{Child: NewScan(tbl, nil, nil), Pred: vecTestPred()})
-	if err := op.Open(); err != nil {
-		t.Fatal(err)
-	}
-	ch, err := op.Next()
-	if err != nil || ch == nil {
-		t.Fatalf("first chunk: %v %v", ch, err)
-	}
-	saved := make([]string, len(ch.Rows))
-	for i, r := range ch.Rows {
-		saved[i] = rowKey(r)
-	}
-	held := ch.Rows
-	for {
-		nch, err := op.Next()
-		if err != nil {
-			t.Fatal(err)
+	data := tableRows(t, tbl)
+	for name, mk := range map[string]func() Operator{
+		"filter": func() Operator { return &FilterOp{Child: scanCodes(tbl, 1), Pred: vecTestPred()} },
+		"sort":   func() Operator { return &SortOp{Child: scanCodes(tbl, 1), Keys: []SortKey{{Expr: ColRef(2)}}} },
+		"group-by": func() Operator {
+			return &GroupByOp{Child: scanCodes(tbl, 1), GroupBy: []Expr{ColRef(3)}, GroupCols: vecTestSchema()[3:],
+				Aggs: []AggSpec{{Func: AggCountStar, Name: "n"}}}
+		},
+		"join": func() Operator {
+			return &HashJoinOp{Left: scanCodes(tbl, 1), Right: NewValues(vecTestSchema(), data[:50]),
+				LeftKeys: []int{0}, RightKeys: []int{0}}
+		},
+		"values": func() Operator { return &LimitOp{Child: NewValues(vecTestSchema(), data), Limit: 3000} },
+	} {
+		op := mk()
+		held, err := Drain(op)
+		if err != nil || len(held) == 0 {
+			t.Fatalf("%s: %d rows, %v", name, len(held), err)
 		}
-		if nch == nil {
-			break
+		saved := rowsKeys(held)
+		again, err := Drain(op)
+		if err != nil || len(again) != len(held) {
+			t.Fatalf("%s: second run %d rows, %v", name, len(again), err)
 		}
-	}
-	if err := op.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range held {
-		if rowKey(r) != saved[i] {
-			t.Fatalf("row %d mutated after Next/Close: %s != %s", i, rowKey(r), saved[i])
+		for i, r := range held {
+			if rowKey(r) != saved[i] {
+				t.Fatalf("%s: row %d changed after Close and a second run: %s != %s", name, i, rowKey(r), saved[i])
+			}
 		}
 	}
 }
@@ -499,49 +423,28 @@ func benchFilterPred() Expr {
 		R: Const{V: types.NewInt(900)}}
 }
 
-func BenchmarkRowFilter(b *testing.B) {
+func BenchmarkFilter(b *testing.B) {
 	tbl := benchVecTable(b, 200_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := &FilterOp{Child: NewScan(tbl, nil, []int{0, 1}), Pred: benchFilterPred()}
-		if err := f.Open(); err != nil {
-			b.Fatal(err)
-		}
-		n := 0
-		for {
-			ch, err := f.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if ch == nil {
-				break
-			}
-			n += len(ch.Rows)
-		}
-		f.Close()
+		benchPull(b, &FilterOp{Child: NewScan(tbl, nil, []int{0, 1}), Pred: benchFilterPred()})
 	}
 }
 
-func BenchmarkVectorFilter(b *testing.B) {
-	tbl := benchVecTable(b, 200_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := &VecFilterOp{Child: NewVecScan(tbl, nil, []int{0, 1}, 1), Pred: benchFilterPred()}
-		if err := f.Open(); err != nil {
+// benchPull exhausts op without boxing a row.
+func benchPull(b *testing.B, op Operator) {
+	if err := op.Open(); err != nil {
+		b.Fatal(err)
+	}
+	defer op.Close()
+	for {
+		vb, err := op.Next()
+		if err != nil {
 			b.Fatal(err)
 		}
-		n := 0
-		for {
-			vb, err := f.NextVec()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if vb == nil {
-				break
-			}
-			n += len(vb.Idx())
+		if vb == nil {
+			return
 		}
-		f.Close()
 	}
 }
 
@@ -557,46 +460,11 @@ func benchProjExprs() ([]Expr, types.Schema) {
 	return exprs, out
 }
 
-func BenchmarkRowProject(b *testing.B) {
+func BenchmarkProject(b *testing.B) {
 	tbl := benchVecTable(b, 200_000)
 	exprs, out := benchProjExprs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := &ProjectOp{Child: NewScan(tbl, nil, []int{0, 1, 2}), Exprs: exprs, Out: out}
-		if err := p.Open(); err != nil {
-			b.Fatal(err)
-		}
-		for {
-			ch, err := p.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if ch == nil {
-				break
-			}
-		}
-		p.Close()
-	}
-}
-
-func BenchmarkVectorProject(b *testing.B) {
-	tbl := benchVecTable(b, 200_000)
-	exprs, out := benchProjExprs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := &VecProjectOp{Child: NewVecScan(tbl, nil, []int{0, 1, 2}, 1), Exprs: exprs, Out: out}
-		if err := p.Open(); err != nil {
-			b.Fatal(err)
-		}
-		for {
-			vb, err := p.NextVec()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if vb == nil {
-				break
-			}
-		}
-		p.Close()
+		benchPull(b, &ProjectOp{Child: NewScan(tbl, nil, []int{0, 1, 2}), Exprs: exprs, Out: out})
 	}
 }

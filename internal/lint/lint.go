@@ -147,7 +147,6 @@ func matchPath(needles ...string) func(string) bool {
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AnalyzerInstrumentWrap,
 		AnalyzerHotPath,
 		AnalyzerAtomicAlign,
 		AnalyzerNoCopy,

@@ -143,16 +143,13 @@ type planned struct {
 	scope *scope
 }
 
-// CompileSelect compiles a query to an operator tree and rewrites it for
-// vectorized execution: eligible scan/filter/project/limit segments run
-// on the columnar vector engine, everything else keeps the row contract
-// behind a RowAdapter (see exec.Vectorize).
+// CompileSelect compiles a query to an operator tree.
 func (c *Compiler) CompileSelect(sel *SelectStmt) (exec.Operator, error) {
 	cpl, err := c.compileSelect(sel)
 	if err != nil {
 		return nil, err
 	}
-	return exec.VectorizeMode(cpl.op, !c.NoCompressedExec), nil
+	return cpl.op, nil
 }
 
 // drain runs a tree the compiler materializes itself — a CTE body, an
@@ -512,6 +509,9 @@ func (c *Compiler) compileTableRef(f *TableRef, conjuncts *[]Expr) (*compiled, e
 		scanOp := exec.NewScan(tbl, preds, projection)
 		if c.Snaps != nil {
 			scanOp.Snap = c.Snaps.Get(tbl)
+		}
+		if !c.NoCompressedExec {
+			scanOp.EnableCompressed()
 		}
 		return &compiled{op: scanOp, scope: sc}, nil
 	}

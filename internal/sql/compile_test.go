@@ -50,28 +50,13 @@ func compileText(t *testing.T, c *Compiler, text string) exec.Operator {
 	return op
 }
 
-// scans lists the columnar scans of a compiled tree by form.
-func scans(op exec.Operator) (row []*exec.ScanOp, vector []*exec.VecScanOp) {
-	var walkVec func(v exec.VecOperator)
-	walkVec = func(v exec.VecOperator) {
-		switch o := v.(type) {
-		case *exec.VecScanOp:
-			vector = append(vector, o)
-		case *exec.VecFilterOp:
-			walkVec(o.Child)
-		case *exec.VecProjectOp:
-			walkVec(o.Child)
-		case *exec.VecLimitOp:
-			walkVec(o.Child)
-		}
-	}
+// scans lists the columnar scans of a compiled tree.
+func scans(op exec.Operator) (out []*exec.ScanOp) {
 	var walk func(op exec.Operator)
 	walk = func(op exec.Operator) {
 		switch o := op.(type) {
 		case *exec.ScanOp:
-			row = append(row, o)
-		case *exec.RowAdapter:
-			walkVec(o.Inner)
+			out = append(out, o)
 		case *exec.FilterOp:
 			walk(o.Child)
 		case *exec.ProjectOp:
@@ -95,7 +80,7 @@ func scans(op exec.Operator) (row []*exec.ScanOp, vector []*exec.VecScanOp) {
 		}
 	}
 	walk(op)
-	return row, vector
+	return out
 }
 
 func drainedKeys(t *testing.T, op exec.Operator) []string {
@@ -122,11 +107,11 @@ func TestViewScansJoinTheSnapshotSet(t *testing.T) {
 	c := NewCompiler(cat, DialectANSI, &EvalEnv{Now: time.Now()})
 	c.Snaps = columnar.NewSnapshotSet()
 	defer c.Snaps.ReleaseAll()
-	row, vector := scans(compileText(t, c, "SELECT k, COUNT(*) FROM vj GROUP BY k"))
-	if len(row) != 0 || len(vector) != 2 {
-		t.Fatalf("want 2 vectorized scans under the view, got %d row / %d vector", len(row), len(vector))
+	under := scans(compileText(t, c, "SELECT k, COUNT(*) FROM vj GROUP BY k"))
+	if len(under) != 2 {
+		t.Fatalf("want 2 scans under the view, got %d", len(under))
 	}
-	for _, s := range vector {
+	for _, s := range under {
 		if s.Snap == nil {
 			t.Fatalf("scan of %s under the view left the statement's snapshot set", s.Table.Name())
 		}
@@ -134,8 +119,8 @@ func TestViewScansJoinTheSnapshotSet(t *testing.T) {
 }
 
 // TestCompilerDrainsVectorizedTrees: the trees the compiler drains itself
-// run on the vector engine like the statement's own tree, and return what
-// the inlined statement returns.
+// are compiled like the statement's own — their scans read the statement's
+// snapshot set — and return what the inlined statement returns.
 func TestCompilerDrainsVectorizedTrees(t *testing.T) {
 	cat := compileCatalog(t)
 	var drained []exec.Operator
@@ -156,12 +141,14 @@ func TestCompilerDrainsVectorizedTrees(t *testing.T) {
 	} {
 		drained = nil
 		c := NewCompiler(cat, DialectANSI, &EvalEnv{Now: time.Now()})
+		c.Snaps = columnar.NewSnapshotSet()
+		defer c.Snaps.ReleaseAll()
 		got := drainedKeys(t, compileText(t, c, tc.text))
 		if len(drained) != 1 {
 			t.Fatalf("%s: compiler drained %d trees, want 1", tc.name, len(drained))
 		}
-		if row, vector := scans(drained[0]); len(row) != 0 || len(vector) != 1 {
-			t.Fatalf("%s: drained tree has %d row / %d vector scans, want the one scan vectorized", tc.name, len(row), len(vector))
+		if under := scans(drained[0]); len(under) != 1 || under[0].Snap == nil {
+			t.Fatalf("%s: drained tree must scan the table once, inside the statement's snapshot set: %v", tc.name, under)
 		}
 		want := drainedKeys(t, compileText(t, c, tc.inlined))
 		if len(got) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {

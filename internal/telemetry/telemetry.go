@@ -3,11 +3,9 @@
 // Two counter families cover the hot paths:
 //
 //   - OpStats: per-operator atomic counters (rows, batches, wall time).
-//     Row operators are pulled from a single consumer goroutine, but scans
-//     hand batches across a channel from a producer goroutine, so atomics
-//     keep the accounting race-free without a lock. A vector pipeline under
-//     a parallel group-by is pulled by several workers at once; its calls
-//     are bracketed with Enter/Exit so wall time stays elapsed time.
+//     A pipeline under a parallel group-by is pulled by several workers at
+//     once, so every Next call is bracketed with Enter/Exit and wall time
+//     stays elapsed time.
 //
 //   - ScanStats: per-worker sharded counters for parallel scans. Each morsel
 //     worker owns one cache-line-padded shard and bumps it with plain
@@ -39,12 +37,13 @@ type OpStats struct {
 	since  time.Time
 }
 
-// Enter and Exit bracket one NextVec call on an operator that several
+// Enter and Exit bracket one Next call on an operator that several
 // goroutines may pull at once. Wall time is charged for the span during
 // which at least one call is in flight — the union of the calls'
 // intervals, not their sum — so a child's time stays elapsed time, no
 // larger than its parent's, whatever the number of workers. Exit counts
-// the batch like Observe (rows < 0: no batch produced).
+// the batch and its rows; rows < 0 means "no batch produced" (EOS or
+// error): wall time is still charged but batch/row counts are not.
 func (s *OpStats) Enter() {
 	if s == nil {
 		return
@@ -73,20 +72,6 @@ func (s *OpStats) Exit(rows int) {
 	}
 }
 
-// Observe records one Next/NextVec call that took time.Since(start) and
-// returned rows output rows. rows < 0 means "no batch produced" (EOS or
-// error): wall time is still charged but batch/row counts are not.
-func (s *OpStats) Observe(start time.Time, rows int) {
-	if s == nil {
-		return
-	}
-	s.wallNanos.Add(int64(time.Since(start)))
-	if rows >= 0 {
-		s.batches.Add(1)
-		s.rows.Add(int64(rows))
-	}
-}
-
 // AddWall charges wall time without a batch (used for Open, where blocking
 // operators like SORT do their real work).
 func (s *OpStats) AddWall(d time.Duration) {
@@ -104,7 +89,7 @@ func (s *OpStats) Rows() int64 {
 	return s.rows.Load()
 }
 
-// Batches returns the number of non-empty Next/NextVec calls observed.
+// Batches returns the number of Next calls that produced a batch.
 func (s *OpStats) Batches() int64 {
 	if s == nil {
 		return 0

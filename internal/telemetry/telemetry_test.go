@@ -9,10 +9,11 @@ import (
 
 func TestOpStatsObserve(t *testing.T) {
 	var s OpStats
-	start := time.Now().Add(-time.Millisecond)
-	s.Observe(start, 100)
-	s.Observe(start, 24)
-	s.Observe(start, -1) // EOS: time only
+	for _, rows := range []int{100, 24, -1} { // -1 = EOS: time only
+		s.Enter()
+		time.Sleep(time.Millisecond)
+		s.Exit(rows)
+	}
 	if s.Rows() != 124 {
 		t.Fatalf("rows %d", s.Rows())
 	}
@@ -54,7 +55,6 @@ func TestOpStatsEnterExitIsElapsed(t *testing.T) {
 
 func TestOpStatsNilSafe(t *testing.T) {
 	var s *OpStats
-	s.Observe(time.Now(), 5)
 	s.AddWall(time.Second)
 	s.Enter()
 	s.Exit(5)

@@ -1,5 +1,5 @@
-// Package vec defines the columnar vector batch exchanged by the
-// vectorized executor: typed column vectors (int64/float64/string plus a
+// Package vec defines the batch every executor operator exchanges: typed
+// column vectors (int64/float64/string plus a
 // boxed escape hatch) with null bitmaps, grouped into batches that carry
 // a selection vector. Operators filter by shrinking the selection vector
 // instead of copying rows, and expression kernels run over a whole batch
@@ -31,7 +31,8 @@ import (
 // Encoded vectors flow through filters, joins, and grouping without
 // decoding; Materialize converts to the value payload in place, and Get
 // decodes single rows on demand. Set must not be called on an encoded
-// vector.
+// vector. A third form has no payload of its own: the row-backed view
+// Batch.Col returns on a row-built batch (see the rows field).
 type Vector struct {
 	Kind  types.Kind
 	Const bool
@@ -47,6 +48,13 @@ type Vector struct {
 	Codes []uint64
 	Dict  *encoding.Dict
 	dom   []types.Value
+
+	// rows/col form the row-backed view Batch.Col returns on a row-built
+	// batch: position i is rows[i][col], nothing copied. Kind is KindNull
+	// and every payload slice nil, so such a vector is read through Get and
+	// IsNull only.
+	rows []types.Row
+	col  int
 }
 
 // New allocates a dense vector of n values of the given kind, all
@@ -103,7 +111,7 @@ func (v *Vector) Dom() []types.Value { return v.dom }
 // it is a no-op on already-materialized vectors. Batches share column
 // vectors across WithSel copies, so materialization is visible through
 // every view of the batch. This is the executor's single decode point:
-// VecProjectOp (and kernels that genuinely need values) call it; filters,
+// exec.ProjectOp (and kernels that genuinely need values) call it; filters,
 // joins, and grouping operate on Codes directly.
 func (v *Vector) Materialize() {
 	if v.Codes == nil {
@@ -154,6 +162,8 @@ func (v *Vector) Materialize() {
 // Len returns the payload length (1 for Const vectors).
 func (v *Vector) Len() int {
 	switch {
+	case v.rows != nil:
+		return len(v.rows)
 	case v.Codes != nil:
 		return len(v.Codes)
 	case v.I64 != nil:
@@ -188,7 +198,7 @@ func (v *Vector) IsNull(i int) bool {
 	if v.Any != nil {
 		return v.Any[i].IsNull()
 	}
-	return false
+	return v.rows != nil && v.rows[i][v.col].IsNull()
 }
 
 // SetNull marks payload position i NULL. Callers writing through SetNull
@@ -258,21 +268,60 @@ func (v *Vector) Get(i int) types.Value {
 	case types.KindTimestamp:
 		return types.NewTimestamp(v.I64[i])
 	}
+	if v.rows != nil {
+		return v.rows[i][v.col]
+	}
 	return types.Null
 }
 
-// Batch is the vectorized executor's unit of exchange: N aligned column
-// vectors plus a selection vector. Sel == nil means every position 0..N-1
-// is live; otherwise Sel lists the live positions in ascending order.
-// Filters narrow Sel; the column payloads are never compacted, so a batch
-// flows through a pipeline without copying.
+// Batch is the executor's unit of exchange: N aligned positions under a
+// selection vector. Sel == nil means every position 0..N-1 is live;
+// otherwise Sel lists the live positions in ascending order. Filters narrow
+// Sel; payloads are never compacted, so a batch flows through a pipeline
+// without copying.
+//
+// A batch has one of two backings. NewBatch wraps column vectors (a scan
+// stride, a projection's outputs). FromRows wraps rows an operator already
+// holds (join output, group results, sorted rows, VALUES): Row hands those
+// same rows back, and a kernel that asks for a column through Col gets a
+// view of them.
 type Batch struct {
 	Schema types.Schema
-	Cols   []*Vector
 	N      int
 	Sel    []int
 
-	dense []int // cached 0..N-1 for Idx when Sel is nil
+	cols  []*Vector   // column-built: all set; row-built: filled by Col on demand
+	rows  []types.Row // row-built: position i is rows[i]
+	dense []int       // cached 0..N-1 for Idx when Sel is nil
+}
+
+// NewBatch returns a batch of n positions over column vectors.
+func NewBatch(schema types.Schema, cols []*Vector, n int) *Batch {
+	return &Batch{Schema: schema, N: n, cols: cols}
+}
+
+// FromRows returns a batch whose position i is rows[i]. The batch shares
+// the rows; neither the caller nor any consumer may modify them afterwards.
+func FromRows(schema types.Schema, rows []types.Row) *Batch {
+	width := len(schema)
+	if len(rows) > 0 {
+		width = len(rows[0])
+	}
+	return &Batch{Schema: schema, N: len(rows), rows: rows, cols: make([]*Vector, width)}
+}
+
+// NumCols returns the number of columns.
+func (b *Batch) NumCols() int { return len(b.cols) }
+
+// Col returns column j as a vector. On a row-built batch it is a view of
+// the rows, made on the first call for that column: a KindNull vector, so
+// kernels take their generic arms and agree with Expr.Eval on every value
+// kind, and no value is copied. WithSel copies share it.
+func (b *Batch) Col(j int) *Vector {
+	if b.cols[j] == nil {
+		b.cols[j] = &Vector{rows: b.rows, col: j}
+	}
+	return b.cols[j]
 }
 
 // Rows returns the number of live positions.
@@ -301,18 +350,59 @@ func (b *Batch) Idx() []int {
 }
 
 // WithSel returns a shallow copy of the batch restricted to sel. The
-// column vectors are shared; only the selection changes.
+// backing is shared; only the selection changes.
 func (b *Batch) WithSel(sel []int) *Batch {
 	nb := *b
 	nb.Sel = sel
 	return &nb
 }
 
-// Row materializes a fresh row for batch position i.
-func (b *Batch) Row(i int) types.Row {
-	row := make(types.Row, len(b.Cols))
-	for j, cv := range b.Cols {
-		row[j] = cv.Get(i)
+// Row returns the row at batch position i: the producer's own row on a
+// row-built batch (no allocation; read-only), else a fresh row boxed out of
+// the column vectors.
+func (b *Batch) Row(i int) types.Row { return b.RowInto(nil, i) }
+
+// RowInto is Row boxing into dst when the batch is column-built, for
+// callers that look at one row at a time and keep none: dst is reused when
+// it has the capacity. A row-built batch ignores dst.
+func (b *Batch) RowInto(dst types.Row, i int) types.Row {
+	if b.rows != nil {
+		return b.rows[i]
 	}
-	return row
+	if cap(dst) < len(b.cols) {
+		dst = make(types.Row, len(b.cols))
+	}
+	dst = dst[:len(b.cols)]
+	for j, cv := range b.cols {
+		dst[j] = cv.Get(i)
+	}
+	return dst
+}
+
+// AppendRows appends the live rows to dst in position order, as Row would
+// return them.
+func (b *Batch) AppendRows(dst []types.Row) []types.Row {
+	switch {
+	case b.Sel != nil:
+		for _, i := range b.Sel {
+			dst = append(dst, b.Row(i))
+		}
+	case b.rows != nil:
+		dst = append(dst, b.rows...)
+	default:
+		for i := 0; i < b.N; i++ {
+			dst = append(dst, b.Row(i))
+		}
+	}
+	return dst
+}
+
+// Decode materializes every dictionary-encoded column in place (see
+// Vector.Materialize).
+func (b *Batch) Decode() {
+	for _, cv := range b.cols {
+		if cv != nil {
+			cv.Materialize()
+		}
+	}
 }

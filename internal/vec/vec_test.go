@@ -45,7 +45,7 @@ func testBatch(t *testing.T) (*Batch, *encoding.Dict) {
 	boxed.Set(4, types.Null)
 
 	sch := types.Schema{{Name: "i", Kind: types.KindInt}, {Name: "s", Kind: types.KindString}, {Name: "x"}}
-	return &Batch{Schema: sch, Cols: []*Vector{ints, codes, boxed}, N: 5}, dict
+	return NewBatch(sch, []*Vector{ints, codes, boxed}, 5), dict
 }
 
 func TestBatchIdxRowsWithSel(t *testing.T) {
@@ -70,7 +70,7 @@ func TestBatchIdxRowsWithSel(t *testing.T) {
 	if b.Sel != nil || b.Rows() != 5 {
 		t.Fatal("WithSel changed the original batch")
 	}
-	if sel.Cols[0] != b.Cols[0] {
+	if sel.Col(0) != b.Col(0) {
 		t.Fatal("WithSel must share the column vectors")
 	}
 	// An empty selection is a selection, not "all rows".
@@ -94,15 +94,99 @@ func TestBatchRow(t *testing.T) {
 			t.Fatalf("row %d: got %v, want %v", i, got, w)
 		}
 		got[0] = types.NewInt(-1) // rows are fresh: writing one must not reach the batch
-		if i != 3 && b.Cols[0].Get(i).Int() == -1 {
+		if i != 3 && b.Col(0).Get(i).Int() == -1 {
 			t.Fatal("Row aliases the batch")
 		}
 	}
 }
 
+// TestFromRows: a row-built batch hands back the rows it was given — same
+// backing arrays, typed NULLs intact, nothing allocated — under any
+// selection, and boxes a column only when asked, once, shared by WithSel
+// views and equal to the rows' values.
+func TestFromRows(t *testing.T) {
+	rows := []types.Row{
+		{types.NewInt(1), types.NewString("a")},
+		{types.NullOf(types.KindInt), types.NewString("b")},
+		{types.NewFloat(2.5), types.Null}, // mixed kinds in one column
+	}
+	b := FromRows(types.Schema{{Name: "x"}, {Name: "y"}}, rows)
+	if b.N != 3 || b.Rows() != 3 || b.NumCols() != 2 {
+		t.Fatalf("N %d rows %d cols %d", b.N, b.Rows(), b.NumCols())
+	}
+	for i := range rows {
+		if got := b.Row(i); &got[0] != &rows[i][0] {
+			t.Fatalf("Row(%d) is not the row the batch was built from", i)
+		}
+		if got := b.RowInto(make(types.Row, 2), i); &got[0] != &rows[i][0] {
+			t.Fatalf("RowInto(%d) copied a row the batch already holds", i)
+		}
+	}
+	if k := b.Row(1)[0]; !k.IsNull() || k.Kind() != types.KindInt {
+		t.Fatalf("typed NULL lost: %v", k)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = b.Row(2) }); n != 0 {
+		t.Fatalf("Row allocates %v times on a row-built batch", n)
+	}
+	if got := b.AppendRows(nil); len(got) != 3 || &got[2][0] != &rows[2][0] {
+		t.Fatalf("AppendRows: %v", got)
+	}
+	view := b.WithSel([]int{0, 2})
+	if got := view.AppendRows(nil); len(got) != 2 || &got[1][0] != &rows[2][0] {
+		t.Fatalf("AppendRows under a selection: %v", got)
+	}
+	col := view.Col(0)
+	if col != b.Col(0) || col != view.Col(0) {
+		t.Fatal("a boxed column must be built once and shared by every view")
+	}
+	if col.Kind != types.KindNull || col.Len() != 3 || !col.IsNull(1) || col.Get(1).Kind() != types.KindInt {
+		t.Fatalf("boxed column: kind %v len %d null(1) %v", col.Kind, col.Len(), col.IsNull(1))
+	}
+	for i, r := range rows {
+		for j := range r {
+			if got := b.Col(j).Get(i); !reflect.DeepEqual(got, r[j]) {
+				t.Fatalf("Col(%d).Get(%d) = %v, row holds %v", j, i, got, r[j])
+			}
+		}
+	}
+	b.Decode() // nothing encoded: a no-op
+	if &b.Row(0)[0] != &rows[0][0] {
+		t.Fatal("Decode disturbed a row-built batch")
+	}
+
+	// No rows: the width comes from the schema.
+	if e := FromRows(types.Schema{{Name: "x"}}, nil); e.N != 0 || e.NumCols() != 1 || len(e.AppendRows(nil)) != 0 || e.Col(0).Len() != 0 {
+		t.Fatal("empty row-built batch")
+	}
+}
+
+// TestBatchRowIntoAndDecode: on a column-built batch RowInto boxes into the
+// caller's scratch row, AppendRows boxes the live positions, and Decode
+// materializes every encoded column.
+func TestBatchRowIntoAndDecode(t *testing.T) {
+	b, _ := testBatch(t)
+	scratch := make(types.Row, 0, 3)
+	got := b.RowInto(scratch, 2)
+	if &got[0] != &scratch[:1][0] || !reflect.DeepEqual(got, b.Row(2)) {
+		t.Fatalf("RowInto: %v vs %v", got, b.Row(2))
+	}
+	if grown := b.RowInto(make(types.Row, 1), 2); !reflect.DeepEqual(grown, b.Row(2)) {
+		t.Fatalf("RowInto with a short scratch: %v", grown)
+	}
+	rows := b.WithSel([]int{1, 3}).AppendRows(nil)
+	if len(rows) != 2 || !reflect.DeepEqual(rows[0], b.Row(1)) || !reflect.DeepEqual(rows[1], b.Row(3)) {
+		t.Fatalf("AppendRows: %v", rows)
+	}
+	before := b.AppendRows(nil)
+	b.Decode()
+	if b.Col(1).Encoded() || !reflect.DeepEqual(b.AppendRows(nil), before) {
+		t.Fatal("Decode must materialize encoded columns without changing a value")
+	}
+}
+
 func TestVectorGetIsNull(t *testing.T) {
 	b, _ := testBatch(t)
-	ints, codes, boxed := b.Cols[0], b.Cols[1], b.Cols[2]
+	ints, codes, boxed := b.Col(0), b.Col(1), b.Col(2)
 	if !ints.IsNull(3) || ints.IsNull(2) || ints.Get(3).Kind() != types.KindInt || !ints.Get(3).IsNull() {
 		t.Fatalf("typed NULL: %v", ints.Get(3))
 	}
@@ -135,7 +219,7 @@ func TestVectorGetIsNull(t *testing.T) {
 
 func TestVectorEncodedDomMaterialize(t *testing.T) {
 	b, dict := testBatch(t)
-	ints, codes := b.Cols[0], b.Cols[1]
+	ints, codes := b.Col(0), b.Col(1)
 	if ints.Encoded() || ints.Dom() != nil {
 		t.Fatal("a value vector is not encoded")
 	}
@@ -164,7 +248,7 @@ func TestVectorEncodedDomMaterialize(t *testing.T) {
 	if !reflect.DeepEqual(codes.Str, []string{"b", "", "b", "c", "a"}) || !codes.IsNull(1) {
 		t.Fatalf("materialized payload %q, null(1)=%v", codes.Str, codes.IsNull(1))
 	}
-	if !reflect.DeepEqual(b.Row(0), before) || view.Cols[1].Encoded() {
+	if !reflect.DeepEqual(b.Row(0), before) || view.Col(1).Encoded() {
 		t.Fatal("materialization must be visible, unchanged in value, through every view")
 	}
 	codes.Materialize() // no-op on a value vector

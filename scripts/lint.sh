@@ -1,6 +1,6 @@
 #!/bin/sh
 # Static analysis gate: go vet plus the project's own invariant checkers
-# (cmd/dashdb-lint, all fourteen analyzers — AST matchers, the CFG
+# (cmd/dashdb-lint, all thirteen analyzers — AST matchers, the CFG
 # dataflow checkers mustrelease/lockpair, and the whole-program hotpathcg
 # call graph) in machine-readable form. Exits non-zero on any finding so
 # CI can fail the build. Use `go run ./cmd/dashdb-lint -analyzer <name>`

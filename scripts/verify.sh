@@ -3,14 +3,15 @@
 # (dashdb-lint), the full test suite, and a race-detector pass over every
 # package. Set DASHDB_FUZZ=1 to add a 10-second smoke run of each fuzz
 # target (SQL front end totality, encoder round-trip identity, bulk-append
-# atomicity under racing truncates, shard RPC frame decoding).
+# atomicity under racing truncates, shard RPC frame decoding, vector
+# kernels vs Expr.Eval on generated trees and batches).
 set -eux
 
 cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
-# The full fourteen-analyzer suite, including the dataflow checkers
+# The full thirteen-analyzer suite, including the dataflow checkers
 # (mustrelease, lockpair) and the whole-program hotpath call graph
 # (hotpathcg).
 go run ./cmd/dashdb-lint ./...
@@ -18,6 +19,9 @@ go run ./cmd/dashdb-lint ./...
 # (generous) wall-time budget, so CFG/dataflow never makes this loop
 # painful.
 DASHDB_LINT_BUDGET=1 go test -run TestLintBudget -count=1 ./internal/lint/
+# Both passes include TestEvalVecMatchesEval, the kernels' generated oracle,
+# over its fixed 400 seeds (under a second); the fuzz gate below keeps
+# drawing seeds for 10 s.
 go test ./...
 go test -race ./...
 
@@ -42,4 +46,5 @@ if [ "${DASHDB_FUZZ:-0}" = "1" ]; then
 	go test -run=NONE -fuzz=FuzzEncodingRoundTrip -fuzztime=10s ./internal/encoding/
 	go test -run=NONE -fuzz=FuzzBulkAppend -fuzztime=10s ./internal/columnar/
 	go test -run=NONE -fuzz=FuzzShuffleFrame -fuzztime=10s ./internal/shardrpc/
+	go test -run=NONE -fuzz=FuzzEvalVecMatchesEval -fuzztime=10s ./internal/exec/
 fi
