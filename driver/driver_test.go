@@ -152,3 +152,41 @@ func TestQueryNoResultSet(t *testing.T) {
 		t.Fatal("DDL has no rows")
 	}
 }
+
+// TestParametersAfterAggregation: a ? marker binds in HAVING and in a
+// select item over an aggregate exactly as it does in WHERE.
+func TestParametersAfterAggregation(t *testing.T) {
+	db := openDB(t, "mem://t_postagg")
+	if _, err := db.Exec(`CREATE TABLE t (g VARCHAR(4), name VARCHAR(10), x INT)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(`INSERT INTO t VALUES ('a','Sam',1),('a','Sue',2),('b','Bob',3),('b',NULL,4),('c',NULL,5)`); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := db.Query(`SELECT g FROM t GROUP BY g HAVING COUNT(*) > ? ORDER BY g`, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	var groups []string
+	for rows.Next() {
+		var g string
+		if err := rows.Scan(&g); err != nil {
+			t.Fatal(err)
+		}
+		groups = append(groups, g)
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(groups) != 2 || groups[0] != "a" || groups[1] != "b" {
+		t.Fatalf("HAVING COUNT(*) > ? with 1: %v, want [a b]", groups)
+	}
+	var total int64
+	if err := db.QueryRow(`SELECT SUM(x) * ? FROM t`, 2).Scan(&total); err != nil {
+		t.Fatal(err)
+	}
+	if total != 30 {
+		t.Fatalf("SUM(x) * ? with 2: %d, want 30", total)
+	}
+}

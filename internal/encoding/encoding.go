@@ -118,6 +118,21 @@ func (op CmpOp) String() string {
 	}
 }
 
+// Flip mirrors the operator across its operands: "5 < col" ⇔ "col > 5".
+func (op CmpOp) Flip() CmpOp {
+	switch op {
+	case OpLT:
+		return OpGT
+	case OpLE:
+		return OpGE
+	case OpGT:
+		return OpLT
+	case OpGE:
+		return OpLE
+	}
+	return op // EQ/NE are symmetric
+}
+
 // Eval applies the operator in value space; the reference semantics the
 // code-space translation must agree with. NULL operands yield false.
 func (op CmpOp) Eval(a, b types.Value) bool {

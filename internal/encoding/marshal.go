@@ -11,60 +11,8 @@ import (
 // Encoder persistence: dictionaries and frames of reference serialize so
 // a column-organized table can be closed and reopened from the clustered
 // filesystem (the §II.E portability/DR story). The format is gob over a
-// small DTO; codes are stable across a round trip, so existing pages stay
-// valid.
-
-// wireVal is the serializable form of types.Value.
-type wireVal struct {
-	K    uint8
-	Null bool
-	I    int64
-	F    float64
-	S    string
-}
-
-func toWireVal(v types.Value) wireVal {
-	w := wireVal{K: uint8(v.Kind()), Null: v.IsNull()}
-	if w.Null {
-		return w
-	}
-	switch v.Kind() {
-	case types.KindBool:
-		if v.Bool() {
-			w.I = 1
-		}
-	case types.KindInt, types.KindDate, types.KindTimestamp:
-		w.I = v.Int()
-	case types.KindFloat:
-		w.F = v.Float()
-	case types.KindString:
-		w.S = v.Str()
-	}
-	return w
-}
-
-func fromWireVal(w wireVal) types.Value {
-	k := types.Kind(w.K)
-	if w.Null {
-		return types.NullOf(k)
-	}
-	switch k {
-	case types.KindBool:
-		return types.NewBool(w.I != 0)
-	case types.KindInt:
-		return types.NewInt(w.I)
-	case types.KindDate:
-		return types.NewDate(w.I)
-	case types.KindTimestamp:
-		return types.NewTimestamp(w.I)
-	case types.KindFloat:
-		return types.NewFloat(w.F)
-	case types.KindString:
-		return types.NewString(w.S)
-	default:
-		return types.Null
-	}
-}
+// small DTO (values gob themselves, types/gob.go); codes are stable across
+// a round trip, so existing pages stay valid.
 
 // encSnapshot is the on-disk encoder state.
 type encSnapshot struct {
@@ -75,8 +23,8 @@ type encSnapshot struct {
 	Scale float64
 	// Dict state: partitions hold sorted values in code order; Ext holds
 	// extension-region values in code order.
-	Parts [][]wireVal
-	Ext   []wireVal
+	Parts [][]types.Value
+	Ext   []types.Value
 }
 
 // MarshalEncoder serializes any built-in encoder.
@@ -92,15 +40,13 @@ func MarshalEncoder(e Encoder) ([]byte, error) {
 		snap = encSnapshot{Tag: 2, Kind: uint8(enc.kind)}
 		for i := range enc.parts {
 			p := &enc.parts[i]
-			vals := make([]wireVal, p.len())
-			for j := 0; j < p.len(); j++ {
-				vals[j] = toWireVal(p.get(j, enc.kind))
+			vals := make([]types.Value, p.len())
+			for j := range vals {
+				vals[j] = p.get(j, enc.kind)
 			}
 			snap.Parts = append(snap.Parts, vals)
 		}
-		for _, v := range enc.extension {
-			snap.Ext = append(snap.Ext, toWireVal(v))
-		}
+		snap.Ext = append(snap.Ext, enc.extension...)
 		enc.mu.RUnlock()
 	default:
 		return nil, fmt.Errorf("encoding: cannot marshal encoder %T", e)
@@ -131,15 +77,11 @@ func UnmarshalEncoder(data []byte) (Encoder, error) {
 	case 2:
 		d := &Dict{kind: kind, lookup: make(map[types.Value]uint64)}
 		for _, part := range snap.Parts {
-			vals := make([]types.Value, len(part))
-			for i, w := range part {
-				vals[i] = fromWireVal(w)
-			}
-			d.addPartition(vals)
+			d.addPartition(part)
 		}
 		d.extStart = d.card
-		for _, w := range snap.Ext {
-			d.Encode(fromWireVal(w))
+		for _, v := range snap.Ext {
+			d.Encode(v)
 		}
 		return d, nil
 	default:

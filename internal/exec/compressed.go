@@ -151,25 +151,10 @@ func colConstCmp(p *CmpExpr) (int, types.Value, encoding.CmpOp, bool) {
 	}
 	if k, ok := p.L.(Const); ok {
 		if c, ok := p.R.(ColRef); ok {
-			return int(c), k.V, flipCmp(p.Op), true
+			return int(c), k.V, p.Op.Flip(), true
 		}
 	}
 	return 0, types.Null, 0, false
-}
-
-// flipCmp mirrors an operator across its operands: "5 < col" ⇔ "col > 5".
-func flipCmp(op encoding.CmpOp) encoding.CmpOp {
-	switch op {
-	case encoding.OpLT:
-		return encoding.OpGT
-	case encoding.OpLE:
-		return encoding.OpGE
-	case encoding.OpGT:
-		return encoding.OpLT
-	case encoding.OpGE:
-		return encoding.OpLE
-	}
-	return op // EQ/NE are symmetric
 }
 
 // selTrue filters idx down to positions where the predicate vector is

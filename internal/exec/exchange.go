@@ -10,8 +10,8 @@ import (
 // Shuffle exchange: the MPP repartitioning boundary (paper §II.E; Hespe
 // et al.'s cluster OLAP model in PAPERS.md). A ShuffleWriterOp drains
 // its child and routes every row to one of N partitions by the hash of
-// its key columns; a ShuffleReaderOp is the receiving edge that turns
-// the rows delivered for one partition back into a batch stream.
+// its key columns; a ShuffleSource is the receiving edge, yielding the
+// rows delivered for one partition.
 //
 // The exec package defines only the operators and the transport
 // interfaces. The network transport (length-prefixed frames over TCP)
@@ -149,39 +149,3 @@ func (s *ShuffleWriterOp) Close() error {
 	s.opened = false
 	return s.Child.Close()
 }
-
-// ShuffleReaderOp adapts a ShuffleSource into an Operator: the rows the
-// peers routed to this partition, in arrival order.
-type ShuffleReaderOp struct {
-	Sch types.Schema
-	Src ShuffleSource
-
-	Received int64 // rows delivered, for ANALYZE
-}
-
-// Schema implements Operator.
-func (s *ShuffleReaderOp) Schema() types.Schema { return s.Sch }
-
-// Open implements Operator.
-func (s *ShuffleReaderOp) Open() error { return nil }
-
-// Next implements Operator.
-func (s *ShuffleReaderOp) Next() (*vec.Batch, error) {
-	for {
-		rows, err := s.Src.Recv()
-		if err != nil {
-			return nil, err
-		}
-		if rows == nil {
-			return nil, nil
-		}
-		if len(rows) == 0 {
-			continue
-		}
-		s.Received += int64(len(rows))
-		return vec.FromRows(s.Sch, rows), nil
-	}
-}
-
-// Close implements Operator.
-func (s *ShuffleReaderOp) Close() error { return nil }

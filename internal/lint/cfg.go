@@ -74,7 +74,7 @@ func (g *CFG) String() string {
 // buildCFG constructs the CFG of one function body.
 func buildCFG(body *ast.BlockStmt) *CFG {
 	b := &cfgBuilder{
-		cfg: &CFG{},
+		cfg:    &CFG{},
 		labels: map[string]*labelInfo{},
 	}
 	b.cfg.Entry = b.newBlock("entry")
@@ -87,9 +87,9 @@ func buildCFG(body *ast.BlockStmt) *CFG {
 
 // loopFrame is one enclosing breakable/continuable construct.
 type loopFrame struct {
-	label     string // "" for unlabeled
-	breakTo   *Block
-	contTo    *Block // nil for switch/select (continue skips them)
+	label   string // "" for unlabeled
+	breakTo *Block
+	contTo  *Block // nil for switch/select (continue skips them)
 }
 
 // labelInfo tracks a declared label: goto lands on target; forward gotos

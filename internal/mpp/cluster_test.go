@@ -12,6 +12,7 @@ import (
 	"dashdb/internal/core"
 	"dashdb/internal/mem"
 	"dashdb/internal/shardrpc"
+	"dashdb/internal/sql"
 	"dashdb/internal/types"
 )
 
@@ -298,6 +299,87 @@ func TestGatherPathFallback(t *testing.T) {
 		}
 		if n := r.Rows[0][0].Int(); n == 0 || n == 1000 {
 			t.Fatalf("subquery count %d", n)
+		}
+	})
+}
+
+// TestWholeTableExpressionsGather: a subquery or Oracle's ROWNUM anywhere
+// in the statement — under a CAST, an IS TRUE, an IS NOT NULL, inside a
+// JOIN's ON — means a shard would answer it over its own slice, so the
+// statement must be gathered and answer as one engine does over the same
+// rows. (Scattered, the first three counts below come back 16, ROWNUM <= 5
+// returns five rows per shard.)
+func TestWholeTableExpressionsGather(t *testing.T) {
+	schema := types.Schema{{Name: "id", Kind: types.KindInt}, {Name: "x", Kind: types.KindInt}}
+	var tRows, dRows []types.Row
+	for i := int64(1); i <= 40; i++ {
+		tRows = append(tRows, types.Row{types.NewInt(i), types.NewInt(i * i)})
+		dRows = append(dRows, types.Row{types.NewInt(i)})
+	}
+	const avg = "(SELECT AVG(x) FROM t)"
+	cases := []struct {
+		d    sql.Dialect
+		q    string
+		want int64 // the one count, or the number of rows
+	}{
+		{sql.DialectANSI, "SELECT COUNT(*) FROM t WHERE x > " + avg, 17},
+		{sql.DialectANSI, "SELECT COUNT(*) FROM t WHERE x > CAST(" + avg + " AS DOUBLE)", 17},
+		{sql.DialectANSI, "SELECT COUNT(*) FROM t WHERE (x > " + avg + ") IS TRUE", 17},
+		{sql.DialectANSI, "SELECT COUNT(*) FROM t JOIN d ON t.id = d.id AND t.x > " + avg, 17},
+		{sql.DialectANSI, "SELECT COUNT(*) FROM t WHERE (SELECT MIN(x) FROM t WHERE id = 1) IS NOT NULL AND x = 1600", 1},
+		{sql.DialectOracle, "SELECT COUNT(*) FROM t WHERE ROWNUM <= 5", 5},
+		{sql.DialectOracle, "SELECT id FROM t WHERE ROWNUM <= 5", 5},
+	}
+
+	one := core.Open(core.Config{BufferPoolBytes: 4 << 20})
+	defer one.Close()
+	ref := one.NewSession()
+	for _, ddl := range []string{"CREATE TABLE t (id BIGINT, x BIGINT)", "CREATE TABLE d (id BIGINT)"} {
+		if _, err := ref.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, rows := range map[string][]types.Row{"t": tRows, "d": dRows} {
+		tbl, _ := one.Catalog().Table(name)
+		if err := tbl.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.form(fourNodes()[:2], 2, clusterfs.New())
+		if err := c.CreateTable("t", schema, TableOptions{DistributeBy: "id"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CreateTable("d", schema[:1], TableOptions{Replicated: true}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Insert("t", tRows); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Insert("d", dRows); err != nil {
+			t.Fatal(err)
+		}
+		for i, tc := range cases {
+			ref.SetDialect(tc.d)
+			want, err := ref.Exec(tc.q)
+			if err != nil {
+				t.Fatalf("one engine %q: %v", tc.q, err)
+			}
+			got, err := c.QueryDialect(tc.q, tc.d)
+			if err != nil {
+				t.Fatalf("%q: %v", tc.q, err)
+			}
+			if len(got.Rows) == 1 {
+				if renderRows(got.Rows) != renderRows(want.Rows) || got.Rows[0][0].Int() != tc.want {
+					t.Errorf("%q: cluster %v, one engine %v, want %d", tc.q, got.Rows, want.Rows, tc.want)
+				}
+			} else if len(got.Rows) != len(want.Rows) || int64(len(got.Rows)) != tc.want {
+				t.Errorf("%q: cluster %d rows, one engine %d, want %d", tc.q, len(got.Rows), len(want.Rows), tc.want)
+			}
+			if st := c.Stats(); st.GatherPathQueries != uint64(i+1) || st.FastPathQueries != 0 || st.ShuffleJoins != 0 {
+				t.Errorf("%q was not gathered: %+v", tc.q, st)
+			}
 		}
 	})
 }

@@ -64,47 +64,33 @@ type fastAgg struct {
 	name    string
 }
 
-// hasSubquery reports whether the expression tree contains a subquery.
-func hasSubquery(e sql.Expr) bool {
-	switch ex := e.(type) {
-	case *sql.SubqueryExpr, *sql.ExistsExpr:
-		return true
-	case *sql.InExpr:
-		if ex.Sub != nil {
-			return true
-		}
-		for _, le := range ex.List {
-			if hasSubquery(le) {
-				return true
-			}
-		}
-		return hasSubquery(ex.Expr)
-	case *sql.BinaryOp:
-		return hasSubquery(ex.Left) || hasSubquery(ex.Right)
-	case *sql.UnaryOp:
-		return hasSubquery(ex.Expr)
-	case *sql.BetweenExpr:
-		return hasSubquery(ex.Expr) || hasSubquery(ex.Lo) || hasSubquery(ex.Hi)
-	case *sql.FuncCall:
-		for _, a := range ex.Args {
-			if hasSubquery(a) {
-				return true
-			}
-		}
-	case *sql.CaseExpr:
-		if ex.Operand != nil && hasSubquery(ex.Operand) {
-			return true
-		}
-		for _, w := range ex.Whens {
-			if hasSubquery(w.When) || hasSubquery(w.Then) {
-				return true
-			}
-		}
-		if ex.Else != nil {
-			return hasSubquery(ex.Else)
+// needsWholeTable reports whether the statement holds a subquery or
+// Oracle's ROWNUM anywhere the scatter paths would hand an expression to
+// the shards: select items, WHERE, every JOIN's ON. A shard would answer
+// it over its own slice of the table, so such a statement is gathered.
+func needsWholeTable(sel *sql.SelectStmt) bool {
+	found := false
+	visit := func(e sql.Expr) bool {
+		_, rownum := e.(*sql.RownumExpr)
+		found = found || rownum || sql.SubqueryOf(e) != nil
+		return !found
+	}
+	var walkFrom func(fi sql.FromItem)
+	walkFrom = func(fi sql.FromItem) {
+		if j, ok := fi.(*sql.JoinRef); ok {
+			walkFrom(j.Left)
+			walkFrom(j.Right)
+			sql.WalkExpr(j.On, visit)
 		}
 	}
-	return false
+	for _, it := range sel.Items {
+		sql.WalkExpr(it.Expr, visit)
+	}
+	sql.WalkExpr(sel.Where, visit)
+	for _, fi := range sel.From {
+		walkFrom(fi)
+	}
+	return found
 }
 
 // countFromTables walks the FROM clause counting non-replicated cluster
@@ -146,7 +132,7 @@ func countFromTables(sel *sql.SelectStmt, lookup func(string) (replicated, known
 
 // classifySelect decides whether the statement's shape (everything but
 // the FROM placement) decomposes into partial aggregation: no
-// CTEs/UNION/DISTINCT/HAVING or subqueries, aggregates limited to
+// CTEs/UNION/DISTINCT/HAVING, subqueries or ROWNUM, aggregates limited to
 // COUNT/SUM/MIN/MAX/AVG, select items either group-by columns or
 // aggregate calls. Shared by the scatter fast path and the shuffle-join
 // path (partial aggregation is correct over ANY disjoint partitioning
@@ -155,7 +141,7 @@ func classifySelect(sel *sql.SelectStmt) (*fastPlan, bool) {
 	if len(sel.With) > 0 || sel.Union != nil || sel.Distinct || sel.Having != nil {
 		return nil, false
 	}
-	if sel.Where != nil && hasSubquery(sel.Where) {
+	if needsWholeTable(sel) {
 		return nil, false
 	}
 	groupKeys := make(map[string]bool)
@@ -183,9 +169,6 @@ func classifySelect(sel *sql.SelectStmt) (*fastPlan, bool) {
 				return nil, false // group cols must precede aggregates
 			}
 		case *sql.FuncCall:
-			if hasSubquery(it.Expr) {
-				return nil, false
-			}
 			fa, ok := decomposableAgg(e)
 			if !ok {
 				return nil, false

@@ -46,26 +46,26 @@ type FrameType uint8
 // request is answered by OK/Err or a typed response stream ending in
 // Done.
 const (
-	FrameInvalid FrameType = iota
-	FrameHello             // gob Hello: first frame on a connection
-	FrameOK                // gob payload or empty: generic success
-	FrameErr               // utf-8 error text
-	FramePing              // empty: liveness probe
-	FramePong              // gob PingInfo
-	FrameExec              // gob ExecReq: run one statement on a shard
-	FrameResultHdr         // gob ResultHdr: columns/affected/message
-	FrameRows              // row block: result rows
-	FrameStats             // gob telemetry.QueryRecord
-	FrameDone              // empty: end of a response stream
-	FrameInsert            // gob InsertHdr then row block in same payload
-	FrameFragment          // gob FragmentReq: scan fragment -> shuffle
-	FrameJoinFrag          // gob JoinFragReq: consume shuffles, run join
-	FrameShuffleData       // binary shuffle header + row block
-	FrameShuffleEOF        // binary shuffle header, sender is done
-	FrameAdopt             // gob AdoptReq: host these shards
-	FrameRelease           // gob ReleaseReq: stop hosting these shards
-	FrameRowCount          // gob RowCountReq
-	FrameShuffleDrop       // uvarint query id: discard that query's shuffle inboxes
+	FrameInvalid     FrameType = iota
+	FrameHello                 // gob Hello: first frame on a connection
+	FrameOK                    // gob payload or empty: generic success
+	FrameErr                   // utf-8 error text
+	FramePing                  // empty: liveness probe
+	FramePong                  // gob PingInfo
+	FrameExec                  // gob ExecReq: run one statement on a shard
+	FrameResultHdr             // gob ResultHdr: columns/affected/message
+	FrameRows                  // row block: result rows
+	FrameStats                 // gob telemetry.QueryRecord
+	FrameDone                  // empty: end of a response stream
+	FrameInsert                // gob InsertHdr then row block in same payload
+	FrameFragment              // gob FragmentReq: scan fragment -> shuffle
+	FrameJoinFrag              // gob JoinFragReq: consume shuffles, run join
+	FrameShuffleData           // binary shuffle header + row block
+	FrameShuffleEOF            // binary shuffle header, sender is done
+	FrameAdopt                 // gob AdoptReq: host these shards
+	FrameRelease               // gob ReleaseReq: stop hosting these shards
+	FrameRowCount              // gob RowCountReq
+	FrameShuffleDrop           // uvarint query id: discard that query's shuffle inboxes
 	frameTypeMax
 )
 

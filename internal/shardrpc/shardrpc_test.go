@@ -38,10 +38,10 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
-		{0x00, 1, 1, 0, 0, 0, 0, 0},        // bad magic
-		{frameMagic, 9, 1, 0, 0, 0, 0, 0},  // bad version
-		{frameMagic, 1, 0, 0, 0, 0, 0, 0},  // invalid type
-		{frameMagic, 1, 99, 0, 0, 0, 0, 0}, // type out of range
+		{0x00, 1, 1, 0, 0, 0, 0, 0},                   // bad magic
+		{frameMagic, 9, 1, 0, 0, 0, 0, 0},             // bad version
+		{frameMagic, 1, 0, 0, 0, 0, 0, 0},             // invalid type
+		{frameMagic, 1, 99, 0, 0, 0, 0, 0},            // type out of range
 		{frameMagic, 1, 1, 0, 0xFF, 0xFF, 0xFF, 0xFF}, // oversized
 	}
 	for i, c := range cases {

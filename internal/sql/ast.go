@@ -141,6 +141,71 @@ func (*RownumExpr) expr()   {}
 func (*ParamExpr) expr()    {}
 func (*OverlapsExpr) expr() {}
 
+// SubqueryOf returns the SELECT block a node holds (IN (subquery),
+// EXISTS, scalar subquery), nil for every other node.
+func SubqueryOf(e Expr) *SelectStmt {
+	switch ex := e.(type) {
+	case *InExpr:
+		return ex.Sub
+	case *ExistsExpr:
+		return ex.Sub
+	case *SubqueryExpr:
+		return ex.Sub
+	}
+	return nil
+}
+
+// WalkExpr calls visit on e and then, while visit returns true, on every
+// expression below it, parents first. It is the only place that
+// enumerates an expression's children, so a question asked through it
+// (holds an aggregate? a subquery? which columns?) sees every Expr kind
+// or none. A subquery is its own SELECT block: the node holding it is
+// handed to visit (see SubqueryOf) and the walk does not enter the block.
+func WalkExpr(e Expr, visit func(Expr) bool) {
+	if e == nil || !visit(e) {
+		return
+	}
+	switch ex := e.(type) {
+	case *BinaryOp:
+		WalkExpr(ex.Left, visit)
+		WalkExpr(ex.Right, visit)
+	case *UnaryOp:
+		WalkExpr(ex.Expr, visit)
+	case *FuncCall:
+		for _, a := range ex.Args {
+			WalkExpr(a, visit)
+		}
+		WalkExpr(ex.WithinGroupOrder, visit)
+	case *CaseExpr:
+		WalkExpr(ex.Operand, visit)
+		for _, w := range ex.Whens {
+			WalkExpr(w.When, visit)
+			WalkExpr(w.Then, visit)
+		}
+		WalkExpr(ex.Else, visit)
+	case *CastExpr:
+		WalkExpr(ex.Expr, visit)
+	case *IsNullExpr:
+		WalkExpr(ex.Expr, visit)
+	case *IsBoolExpr:
+		WalkExpr(ex.Expr, visit)
+	case *BetweenExpr:
+		WalkExpr(ex.Expr, visit)
+		WalkExpr(ex.Lo, visit)
+		WalkExpr(ex.Hi, visit)
+	case *InExpr:
+		WalkExpr(ex.Expr, visit)
+		for _, le := range ex.List {
+			WalkExpr(le, visit)
+		}
+	case *OverlapsExpr:
+		WalkExpr(ex.S1, visit)
+		WalkExpr(ex.E1, visit)
+		WalkExpr(ex.S2, visit)
+		WalkExpr(ex.E2, visit)
+	}
+}
+
 // --- FROM clause -----------------------------------------------------------
 
 // TableRef is a named relation (base table, view, nickname or DUAL) with

@@ -82,6 +82,17 @@ type scopeCol struct {
 // scope maps qualified names to ordinals in the current row layout.
 type scope struct {
 	cols []scopeCol
+	// agg marks the scope of an aggregated row (HAVING and the select
+	// items of an aggregating block): no input column is visible, and an
+	// expression that is a GROUP BY term or a collected aggregate call
+	// is a column of the group-by's output.
+	agg *aggScope
+}
+
+// aggScope is what a group-by exposes to the expressions above it.
+type aggScope struct {
+	in  *scope         // the group-by's input; exprKey binds names against it
+	out map[string]int // exprKey of a GROUP BY term or aggregate call → output ordinal
 }
 
 func (s *scope) add(table, name string, kind types.Kind) {
@@ -614,7 +625,7 @@ func (c *Compiler) asScanPred(e Expr, alias string, sch types.Schema) ([]columna
 		}
 		if ci, ok := colOf(ex.Right); ok {
 			if v, ok := litOf(ex.Left); ok {
-				return []columnar.Pred{{Col: ci, Op: flipCmp(op), Val: v}}, true
+				return []columnar.Pred{{Col: ci, Op: op.Flip(), Val: v}}, true
 			}
 		}
 	case *BetweenExpr:
@@ -653,21 +664,6 @@ func cmpOpFor(op string) (encoding.CmpOp, bool) {
 		return encoding.OpGE, true
 	}
 	return 0, false
-}
-
-func flipCmp(op encoding.CmpOp) encoding.CmpOp {
-	switch op {
-	case encoding.OpLT:
-		return encoding.OpGT
-	case encoding.OpLE:
-		return encoding.OpGE
-	case encoding.OpGT:
-		return encoding.OpLT
-	case encoding.OpGE:
-		return encoding.OpLE
-	default:
-		return op
-	}
 }
 
 // compileJoin handles explicit JOIN ... ON / USING, producing a logical
@@ -955,39 +951,27 @@ func (c *Compiler) compileConjuncts(conjuncts []Expr, sc *scope) (exec.Expr, err
 	return pred, nil
 }
 
+// aggregateCall returns the node as an aggregate function call, if it is one.
+func aggregateCall(e Expr) (*FuncCall, bool) {
+	fc, ok := e.(*FuncCall)
+	if !ok {
+		return nil, false
+	}
+	_, ok = aggFuncFor(fc.Name)
+	return fc, ok
+}
+
 // containsAggregate reports whether the expression tree contains an
 // aggregate function call.
 func containsAggregate(e Expr) bool {
-	switch ex := e.(type) {
-	case *FuncCall:
-		if _, ok := aggFuncFor(ex.Name); ok {
-			return true
+	found := false
+	WalkExpr(e, func(x Expr) bool {
+		if _, agg := aggregateCall(x); agg {
+			found = true
 		}
-		for _, a := range ex.Args {
-			if containsAggregate(a) {
-				return true
-			}
-		}
-	case *BinaryOp:
-		return containsAggregate(ex.Left) || containsAggregate(ex.Right)
-	case *UnaryOp:
-		return containsAggregate(ex.Expr)
-	case *CaseExpr:
-		if ex.Operand != nil && containsAggregate(ex.Operand) {
-			return true
-		}
-		for _, w := range ex.Whens {
-			if containsAggregate(w.When) || containsAggregate(w.Then) {
-				return true
-			}
-		}
-		if ex.Else != nil {
-			return containsAggregate(ex.Else)
-		}
-	case *CastExpr:
-		return containsAggregate(ex.Expr)
-	}
-	return false
+		return !found
+	})
+	return found
 }
 
 // aggFuncFor maps SQL aggregate names (across dialects) to executor

@@ -71,55 +71,14 @@ func exprKey(e Expr, sc *scope) string {
 	}
 }
 
-// collectAggregates walks the expression and appends distinct aggregate
-// calls to aggs (deduplicated via seen).
-func collectAggregates(e Expr, sc *scope, seen map[string]int, aggs *[]*FuncCall) {
-	switch ex := e.(type) {
-	case *FuncCall:
-		if _, ok := aggFuncFor(ex.Name); ok {
-			k := exprKey(ex, sc)
-			if _, dup := seen[k]; !dup {
-				seen[k] = len(*aggs)
-				*aggs = append(*aggs, ex)
-			}
-			return // no nested aggregates
-		}
-		for _, a := range ex.Args {
-			collectAggregates(a, sc, seen, aggs)
-		}
-	case *BinaryOp:
-		collectAggregates(ex.Left, sc, seen, aggs)
-		collectAggregates(ex.Right, sc, seen, aggs)
-	case *UnaryOp:
-		collectAggregates(ex.Expr, sc, seen, aggs)
-	case *CaseExpr:
-		if ex.Operand != nil {
-			collectAggregates(ex.Operand, sc, seen, aggs)
-		}
-		for _, w := range ex.Whens {
-			collectAggregates(w.When, sc, seen, aggs)
-			collectAggregates(w.Then, sc, seen, aggs)
-		}
-		if ex.Else != nil {
-			collectAggregates(ex.Else, sc, seen, aggs)
-		}
-	case *CastExpr:
-		collectAggregates(ex.Expr, sc, seen, aggs)
-	case *IsNullExpr:
-		collectAggregates(ex.Expr, sc, seen, aggs)
-	case *BetweenExpr:
-		collectAggregates(ex.Expr, sc, seen, aggs)
-		collectAggregates(ex.Lo, sc, seen, aggs)
-		collectAggregates(ex.Hi, sc, seen, aggs)
-	}
-}
-
 // compileAggregateWithOrder compiles the aggregation pipeline and the
-// ORDER BY keys of an aggregating SELECT: ordinals and output names bind
-// to the projection; other expressions (e.g. ORDER BY COUNT(*)) are
-// resolved against the aggregated row.
+// ORDER BY keys of an aggregating SELECT. The sort runs above the final
+// projection, so a key is an ordinal, an expression over output names,
+// or an expression that is itself a select item (ORDER BY COUNT(*) needs
+// COUNT(*) in the select list; an aggregate that is not selected would
+// need the sort below the projection and is not supported).
 func (c *Compiler) compileAggregateWithOrder(sel *SelectStmt, items []SelectItem, cur *compiled) (exec.Operator, types.Schema, []exec.SortKey, error) {
-	op, outSchema, mapping, err := c.compileAggregate(sel, items, cur)
+	op, outSchema, err := c.compileAggregate(sel, items, cur)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -163,13 +122,12 @@ func (c *Compiler) compileAggregateWithOrder(sel *SelectStmt, items []SelectItem
 		}
 		keys = append(keys, exec.SortKey{Expr: e, Desc: oi.Desc})
 	}
-	_ = mapping
 	return op, outSchema, keys, nil
 }
 
 // compileAggregate builds GroupBy → Having → Project for an aggregating
 // SELECT block.
-func (c *Compiler) compileAggregate(sel *SelectStmt, items []SelectItem, cur *compiled) (exec.Operator, types.Schema, map[string]int, error) {
+func (c *Compiler) compileAggregate(sel *SelectStmt, items []SelectItem, cur *compiled) (exec.Operator, types.Schema, error) {
 	inSc := cur.scope
 
 	// Resolve GROUP BY terms: ordinals and select-list aliases (Netezza's
@@ -179,7 +137,7 @@ func (c *Compiler) compileAggregate(sel *SelectStmt, items []SelectItem, cur *co
 		if lit, ok := g.(*Literal); ok {
 			if n, isInt := lit.Val.AsInt(); isInt && lit.Val.Kind() == types.KindInt {
 				if n < 1 || int(n) > len(items) {
-					return nil, nil, nil, fmt.Errorf("sql: GROUP BY ordinal %d out of range", n)
+					return nil, nil, fmt.Errorf("sql: GROUP BY ordinal %d out of range", n)
 				}
 				groupExprs = append(groupExprs, items[n-1].Expr)
 				continue
@@ -203,23 +161,14 @@ func (c *Compiler) compileAggregate(sel *SelectStmt, items []SelectItem, cur *co
 		groupExprs = append(groupExprs, g)
 	}
 
-	// Collect aggregate calls from the select list and HAVING.
-	seen := make(map[string]int)
-	var aggCalls []*FuncCall
-	for _, it := range items {
-		collectAggregates(it.Expr, inSc, seen, &aggCalls)
-	}
-	if sel.Having != nil {
-		collectAggregates(sel.Having, inSc, seen, &aggCalls)
-	}
-
-	// Build the GroupByOp.
+	// Build the GroupByOp; out maps the exprKey of each GROUP BY term and
+	// aggregate call to its ordinal in g's output.
 	g := &exec.GroupByOp{Child: cur.op, Gov: c.Gov}
-	mapping := make(map[string]int) // exprKey -> post-agg ordinal
+	out := make(map[string]int)
 	for gi, ge := range groupExprs {
 		ce, err := c.compileExpr(ge, inSc)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		g.GroupBy = append(g.GroupBy, ce)
 		name := fmt.Sprintf("GRP%d", gi+1)
@@ -227,15 +176,34 @@ func (c *Compiler) compileAggregate(sel *SelectStmt, items []SelectItem, cur *co
 			name = ref.Column
 		}
 		g.GroupCols = append(g.GroupCols, types.Column{Name: name, Kind: types.KindNull, Nullable: true})
-		mapping[exprKey(ge, inSc)] = gi
+		out[exprKey(ge, inSc)] = gi
 	}
-	for ai, fc := range aggCalls {
+	// The distinct aggregate calls of the select list and HAVING. A call's
+	// arguments are not entered: they compile against the group-by's
+	// input, where a nested aggregate is rejected.
+	var aggCalls []*FuncCall
+	collectAggregates := func(x Expr) bool {
+		fc, agg := aggregateCall(x)
+		if !agg {
+			return true
+		}
+		k := exprKey(fc, inSc)
+		if _, dup := out[k]; !dup {
+			out[k] = len(groupExprs) + len(aggCalls)
+			aggCalls = append(aggCalls, fc)
+		}
+		return false
+	}
+	for _, it := range items {
+		WalkExpr(it.Expr, collectAggregates)
+	}
+	WalkExpr(sel.Having, collectAggregates)
+	for _, fc := range aggCalls {
 		spec, err := c.buildAggSpec(fc, inSc)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		g.Aggs = append(g.Aggs, spec)
-		mapping[exprKey(fc, inSc)] = len(groupExprs) + ai
 	}
 
 	var op exec.Operator = g
@@ -251,28 +219,29 @@ func (c *Compiler) compileAggregate(sel *SelectStmt, items []SelectItem, cur *co
 		}
 	}
 
-	// HAVING, rewritten against the aggregated row.
+	// HAVING and the final projection compile like any other expression,
+	// in the scope of the aggregated row.
+	aggSc := &scope{agg: &aggScope{in: inSc, out: out}}
 	if sel.Having != nil {
-		pred, err := c.compilePostAgg(sel.Having, mapping, inSc)
+		pred, err := c.compileExpr(sel.Having, aggSc)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		op = &exec.FilterOp{Child: op, Pred: pred}
 	}
 
-	// Final projection, rewritten against the aggregated row.
 	exprs := make([]exec.Expr, len(items))
 	outSchema := make(types.Schema, len(items))
 	for i, it := range items {
-		e, err := c.compilePostAgg(it.Expr, mapping, inSc)
+		e, err := c.compileExpr(it.Expr, aggSc)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		exprs[i] = e
 		outSchema[i] = types.Column{Name: c.itemName(it, i), Kind: types.KindNull, Nullable: true}
 	}
 	op = &exec.ProjectOp{Child: op, Exprs: exprs, Out: outSchema}
-	return op, outSchema, mapping, nil
+	return op, outSchema, nil
 }
 
 // scanBelow returns the columnar scan at the bottom of a Filter/Project
@@ -357,244 +326,5 @@ func (c *Compiler) buildAggSpec(fc *FuncCall, sc *scope) (exec.AggSpec, error) {
 		}
 		spec.Arg = arg
 		return spec, nil
-	}
-}
-
-// compilePostAgg compiles an expression against the aggregated row:
-// subtrees matching a GROUP BY expression or an aggregate call become
-// column references into the group output; other column references are
-// illegal (not grouped).
-func (c *Compiler) compilePostAgg(e Expr, mapping map[string]int, inSc *scope) (exec.Expr, error) {
-	if i, ok := mapping[exprKey(e, inSc)]; ok {
-		return exec.ColRef(i), nil
-	}
-	switch ex := e.(type) {
-	case *Literal:
-		return exec.Const{V: ex.Val}, nil
-	case *ColumnRef:
-		return nil, fmt.Errorf("sql: column %s must appear in GROUP BY or inside an aggregate", ex.Column)
-	case *BinaryOp:
-		l, err := c.compilePostAgg(ex.Left, mapping, inSc)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.compilePostAgg(ex.Right, mapping, inSc)
-		if err != nil {
-			return nil, err
-		}
-		rebuilt := &BinaryOp{Op: ex.Op}
-		return c.compileBinaryPre(rebuilt, l, r)
-	case *UnaryOp:
-		inner, err := c.compilePostAgg(ex.Expr, mapping, inSc)
-		if err != nil {
-			return nil, err
-		}
-		op := ex.Op
-		return exec.FuncExpr(func(row types.Row) (types.Value, error) {
-			v, err := inner.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
-			switch op {
-			case "NOT":
-				return not3(v), nil
-			case "-":
-				if v.IsNull() {
-					return types.Null, nil
-				}
-				if v.Kind() == types.KindInt {
-					return types.NewInt(-v.Int()), nil
-				}
-				f, _ := v.AsFloat()
-				return types.NewFloat(-f), nil
-			}
-			return types.Null, fmt.Errorf("sql: unsupported unary %q", op)
-		}), nil
-	case *FuncCall:
-		// Scalar function over aggregated values.
-		fn, ok := c.UDX.Lookup(ex.Name)
-		if !ok {
-			var err error
-			fn, err = LookupFunc(ex.Name, c.Dialect)
-			if err != nil {
-				return nil, err
-			}
-		}
-		args := make([]exec.Expr, len(ex.Args))
-		for i, a := range ex.Args {
-			ce, err := c.compilePostAgg(a, mapping, inSc)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = ce
-		}
-		env := c.Env
-		return exec.FuncExpr(func(row types.Row) (types.Value, error) {
-			vals := make([]types.Value, len(args))
-			for i, a := range args {
-				v, err := a.Eval(row)
-				if err != nil {
-					return types.Null, err
-				}
-				vals[i] = v
-			}
-			return fn.Fn(env, vals)
-		}), nil
-	case *CastExpr:
-		kind, err := TypeKindFor(ex.Type)
-		if err != nil {
-			return nil, err
-		}
-		inner, err := c.compilePostAgg(ex.Expr, mapping, inSc)
-		if err != nil {
-			return nil, err
-		}
-		return exec.FuncExpr(func(row types.Row) (types.Value, error) {
-			v, err := inner.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
-			return types.Coerce(v, kind)
-		}), nil
-	case *CaseExpr:
-		// Compile arms via post-agg resolution.
-		rebuilt := &CaseExpr{}
-		var err error
-		var operand exec.Expr
-		if ex.Operand != nil {
-			operand, err = c.compilePostAgg(ex.Operand, mapping, inSc)
-			if err != nil {
-				return nil, err
-			}
-		}
-		type arm struct{ when, then exec.Expr }
-		arms := make([]arm, len(ex.Whens))
-		for i, w := range ex.Whens {
-			we, err := c.compilePostAgg(w.When, mapping, inSc)
-			if err != nil {
-				return nil, err
-			}
-			te, err := c.compilePostAgg(w.Then, mapping, inSc)
-			if err != nil {
-				return nil, err
-			}
-			arms[i] = arm{when: we, then: te}
-		}
-		var elseE exec.Expr
-		if ex.Else != nil {
-			elseE, err = c.compilePostAgg(ex.Else, mapping, inSc)
-			if err != nil {
-				return nil, err
-			}
-		}
-		_ = rebuilt
-		return exec.FuncExpr(func(row types.Row) (types.Value, error) {
-			var opv types.Value
-			if operand != nil {
-				var err error
-				opv, err = operand.Eval(row)
-				if err != nil {
-					return types.Null, err
-				}
-			}
-			for _, a := range arms {
-				w, err := a.when.Eval(row)
-				if err != nil {
-					return types.Null, err
-				}
-				hit := false
-				if operand != nil {
-					hit = types.Equal(opv, w)
-				} else {
-					hit = !w.IsNull() && w.Kind() == types.KindBool && w.Bool()
-				}
-				if hit {
-					return a.then.Eval(row)
-				}
-			}
-			if elseE != nil {
-				return elseE.Eval(row)
-			}
-			return types.Null, nil
-		}), nil
-	case *IsNullExpr:
-		inner, err := c.compilePostAgg(ex.Expr, mapping, inSc)
-		if err != nil {
-			return nil, err
-		}
-		not := ex.Not
-		return exec.FuncExpr(func(row types.Row) (types.Value, error) {
-			v, err := inner.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
-			return types.NewBool(v.IsNull() != not), nil
-		}), nil
-	case *BetweenExpr:
-		val, err := c.compilePostAgg(ex.Expr, mapping, inSc)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := c.compilePostAgg(ex.Lo, mapping, inSc)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := c.compilePostAgg(ex.Hi, mapping, inSc)
-		if err != nil {
-			return nil, err
-		}
-		not := ex.Not
-		return exec.FuncExpr(func(row types.Row) (types.Value, error) {
-			v, err := val.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
-			l, err := lo.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
-			h, err := hi.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
-			if v.IsNull() || l.IsNull() || h.IsNull() {
-				return types.Null, nil
-			}
-			in := types.Compare(v, l) >= 0 && types.Compare(v, h) <= 0
-			return types.NewBool(in != not), nil
-		}), nil
-	}
-	return nil, fmt.Errorf("sql: unsupported expression %T after aggregation", e)
-}
-
-// compileBinaryPre builds the runtime evaluator for a binary operator
-// whose operands are already compiled.
-func (c *Compiler) compileBinaryPre(ex *BinaryOp, left, right exec.Expr) (exec.Expr, error) {
-	op := ex.Op
-	switch op {
-	case "AND":
-		return &exec.AndExpr{L: left, R: right}, nil
-	case "OR":
-		return &exec.OrExpr{L: left, R: right}, nil
-	case "=", "<>", "<", "<=", ">", ">=":
-		cmp, _ := cmpOpFor(op)
-		return &exec.CmpExpr{Op: cmp, L: left, R: right}, nil
-	case "||":
-		return exec.FuncExpr(func(row types.Row) (types.Value, error) {
-			a, err := left.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
-			b, err := right.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
-			if a.IsNull() || b.IsNull() {
-				return types.Null, nil
-			}
-			return types.NewString(a.String() + b.String()), nil
-		}), nil
-	default:
-		return &exec.ArithExpr{Op: op, L: left, R: right}, nil
 	}
 }

@@ -9,37 +9,6 @@ import (
 	"dashdb/internal/types"
 )
 
-// and3 / or3 implement SQL three-valued logic over BOOLEAN values where
-// NULL stands for UNKNOWN.
-func and3(a, b types.Value) types.Value {
-	af, bf := !a.IsNull() && !a.Bool(), !b.IsNull() && !b.Bool()
-	if af || bf {
-		return types.NewBool(false)
-	}
-	if a.IsNull() || b.IsNull() {
-		return types.Null
-	}
-	return types.NewBool(true)
-}
-
-func or3(a, b types.Value) types.Value {
-	at, bt := !a.IsNull() && a.Bool(), !b.IsNull() && b.Bool()
-	if at || bt {
-		return types.NewBool(true)
-	}
-	if a.IsNull() || b.IsNull() {
-		return types.Null
-	}
-	return types.NewBool(false)
-}
-
-func not3(a types.Value) types.Value {
-	if a.IsNull() {
-		return types.Null
-	}
-	return types.NewBool(!a.Bool())
-}
-
 // TypeKindFor maps a SQL type name (any dialect) to the engine kind.
 func TypeKindFor(name string) (types.Kind, error) {
 	switch strings.ToUpper(name) {
@@ -61,13 +30,24 @@ func TypeKindFor(name string) (types.Kind, error) {
 }
 
 // compileExpr lowers an AST expression to an executor expression bound to
-// the given scope.
+// the given scope. It is the only expression compiler: in the scope of an
+// aggregated row (sc.agg) a subtree that is a GROUP BY term or a collected
+// aggregate call reads the group-by's output column, and everything
+// around it compiles exactly as it would before aggregation.
 func (c *Compiler) compileExpr(e Expr, sc *scope) (exec.Expr, error) {
+	if sc.agg != nil {
+		if i, ok := sc.agg.out[exprKey(e, sc.agg.in)]; ok {
+			return exec.ColRef(i), nil
+		}
+	}
 	switch ex := e.(type) {
 	case *Literal:
 		return exec.Const{V: ex.Val}, nil
 
 	case *ColumnRef:
+		if sc.agg != nil {
+			return nil, fmt.Errorf("sql: column %s must appear in GROUP BY or inside an aggregate", ex.Column)
+		}
 		i, err := sc.resolve(ex.Table, ex.Column)
 		if err != nil {
 			return nil, err

@@ -21,6 +21,21 @@ func FuzzParseSQL(f *testing.F) {
 		"SELECT 'it''s' || \"Quoted\" FROM t -- comment\n/* block */",
 		"SELECT NEXT VALUE FOR seq FROM t",
 		"SELECT * FROM a JOIN b USING (id) WHERE c ISTRUE",
+		// Expressions over aggregates, in HAVING and in the select list.
+		"SELECT SUBSTR(MAX(name)) FROM t",
+		"SELECT ROUND(SUM(x), 1, 2, 3) FROM t",
+		"SELECT g FROM t GROUP BY g HAVING MAX(name) LIKE 'S%'",
+		"SELECT g FROM t GROUP BY g HAVING COUNT(*) IN (1,3)",
+		"SELECT g FROM t GROUP BY g HAVING SUM(x) > (SELECT AVG(x) FROM t)",
+		"SELECT g FROM t GROUP BY g HAVING EXISTS (SELECT 1 FROM t WHERE x > 4)",
+		"SELECT g FROM t GROUP BY g HAVING (COUNT(*) > 1) IS TRUE",
+		"SELECT g FROM t GROUP BY g HAVING COUNT(*) > ? ORDER BY g",
+		"SELECT SUM(x) * ? FROM t",
+		"SELECT MAX(name) || 'z' FROM t WHERE g = 'c'",
+		"SELECT -MAX(name) FROM t",
+		"SELECT SUM(x) IS NULL FROM t",
+		"SELECT COUNT(*) BETWEEN 1 AND 10 FROM t",
+		"SELECT COUNT(*) IN (5,6) FROM t",
 		"SELECT 1 /* unterminated",
 		"'unterminated string",
 		"\"unterminated ident",

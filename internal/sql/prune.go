@@ -84,59 +84,17 @@ func collectFromUsage(fi FromItem, u *colUsage) {
 }
 
 func collectExprUsage(e Expr, u *colUsage) {
-	switch ex := e.(type) {
-	case nil:
-	case *ColumnRef:
-		u.addRef(ex.Table, ex.Column)
-	case *Star:
-		u.star[strings.ToLower(ex.Table)] = true
-	case *BinaryOp:
-		collectExprUsage(ex.Left, u)
-		collectExprUsage(ex.Right, u)
-	case *UnaryOp:
-		collectExprUsage(ex.Expr, u)
-	case *FuncCall:
-		if ex.Star {
-			// COUNT(*) needs no column data.
-			return
+	WalkExpr(e, func(x Expr) bool {
+		switch ex := x.(type) {
+		case *ColumnRef:
+			u.addRef(ex.Table, ex.Column)
+		case *Star:
+			u.star[strings.ToLower(ex.Table)] = true
+		default:
+			if sub := SubqueryOf(x); sub != nil {
+				collectUsage(sub, u)
+			}
 		}
-		for _, a := range ex.Args {
-			collectExprUsage(a, u)
-		}
-		collectExprUsage(ex.WithinGroupOrder, u)
-	case *CaseExpr:
-		collectExprUsage(ex.Operand, u)
-		for _, w := range ex.Whens {
-			collectExprUsage(w.When, u)
-			collectExprUsage(w.Then, u)
-		}
-		collectExprUsage(ex.Else, u)
-	case *CastExpr:
-		collectExprUsage(ex.Expr, u)
-	case *IsNullExpr:
-		collectExprUsage(ex.Expr, u)
-	case *IsBoolExpr:
-		collectExprUsage(ex.Expr, u)
-	case *BetweenExpr:
-		collectExprUsage(ex.Expr, u)
-		collectExprUsage(ex.Lo, u)
-		collectExprUsage(ex.Hi, u)
-	case *InExpr:
-		collectExprUsage(ex.Expr, u)
-		for _, le := range ex.List {
-			collectExprUsage(le, u)
-		}
-		if ex.Sub != nil {
-			collectUsage(ex.Sub, u)
-		}
-	case *ExistsExpr:
-		collectUsage(ex.Sub, u)
-	case *SubqueryExpr:
-		collectUsage(ex.Sub, u)
-	case *OverlapsExpr:
-		collectExprUsage(ex.S1, u)
-		collectExprUsage(ex.E1, u)
-		collectExprUsage(ex.S2, u)
-		collectExprUsage(ex.E2, u)
-	}
+		return true
+	})
 }

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Static analysis gate: go vet plus the project's own invariant checkers
+# Static analysis gate: gofmt, go vet and the project's own invariant checkers
 # (cmd/dashdb-lint, all thirteen analyzers — AST matchers, the CFG
 # dataflow checkers mustrelease/lockpair, and the whole-program hotpathcg
 # call graph) in machine-readable form. Exits non-zero on any finding so
@@ -9,5 +9,6 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+test -z "$(gofmt -l $(git ls-files '*.go' | grep -v /testdata/))"
 go vet ./...
 go run ./cmd/dashdb-lint -json ./...

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Tier-1 verification: build, vet, the project's own invariant analyzers
+# Tier-1 verification: build, gofmt, vet, the project's own invariant analyzers
 # (dashdb-lint), the full test suite, and a race-detector pass over every
 # package. Set DASHDB_FUZZ=1 to add a 10-second smoke run of each fuzz
 # target (SQL front end totality, encoder round-trip identity, bulk-append
@@ -10,6 +10,8 @@ set -eux
 cd "$(dirname "$0")/.."
 
 go build ./...
+# Formatting gate: every tracked Go file outside testdata is gofmt-clean.
+test -z "$(gofmt -l $(git ls-files '*.go' | grep -v /testdata/))"
 go vet ./...
 # The full thirteen-analyzer suite, including the dataflow checkers
 # (mustrelease, lockpair) and the whole-program hotpath call graph
