@@ -303,6 +303,166 @@ func TestGatherPathFallback(t *testing.T) {
 	})
 }
 
+// shardStatements sums the statements the shard engines of c have run.
+func (h *harness) shardStatements(c *NetCluster) uint64 {
+	h.t.Helper()
+	var n uint64
+	for s := 0; s < c.NShards(); s++ {
+		n += h.engine(c, s).Telemetry().Totals().Queries
+	}
+	return n
+}
+
+// TestStatementRunsOnce: the placement is decided before anything is
+// sent. A statement that fails on a shard fails there, once — it is not
+// run again through the next path, pulling the table on its way — and a
+// statement only gather can answer reaches gather without a scatter
+// having run first: either way every shard sees one statement.
+func TestStatementRunsOnce(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.salesCluster(1000)
+		before := h.shardStatements(c)
+		_, err := c.Query(`SELECT id, amount/(id-id) FROM sales`)
+		if err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Fatalf("err %v, want division by zero", err)
+		}
+		if st := c.Stats(); st.GatherPathQueries != 0 || st.ShuffleJoins != 0 || st.FastPathQueries != 1 {
+			t.Fatalf("failed statement took paths %+v, want one scatter and nothing after it", st)
+		}
+		if n := h.shardStatements(c) - before; n != 24 {
+			t.Fatalf("failed statement ran %d shard statements, want 24 (one per shard)", n)
+		}
+
+		before = h.shardStatements(c)
+		r, err := c.Query(`SELECT id FROM sales ORDER BY amount, id LIMIT 3`)
+		if err != nil || renderRows(r.Rows) != "0\n100\n200\n" {
+			t.Fatalf("rows %v err %v", r, err)
+		}
+		if st := c.Stats(); st.GatherPathQueries != 1 || st.ShuffleJoins != 0 || st.FastPathQueries != 1 {
+			t.Fatalf("ORDER BY a column not selected took paths %+v, want gather alone", st)
+		}
+		if n := h.shardStatements(c) - before; n != 24 {
+			t.Fatalf("gathered statement ran %d shard statements, want 24 (no scatter before the gather)", n)
+		}
+	})
+}
+
+// TestGatherShipsEachTableOnce: a gathered statement that names a table
+// twice — a self-join where there is no shuffle, a subquery beside the
+// outer block — binds one input for it and pulls it from every shard once.
+func TestGatherShipsEachTableOnce(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.salesCluster(240)
+		queries := map[string]int64{`SELECT COUNT(*) FROM sales WHERE amount > (SELECT AVG(amount) FROM sales)`: 110}
+		if !h.socket {
+			queries[`SELECT COUNT(*) FROM sales a JOIN sales b ON a.id = b.id`] = 240
+		}
+		gathered := uint64(0)
+		for q, want := range queries {
+			before := h.shardStatements(c)
+			r, err := c.Query(q)
+			if err != nil || r.Rows[0][0].Int() != want {
+				t.Fatalf("%s: %v err %v, want %d", q, r, err, want)
+			}
+			gathered++
+			if st := c.Stats(); st.GatherPathQueries != gathered || st.FastPathQueries != 0 || st.ShuffleJoins != 0 {
+				t.Fatalf("%s took paths %+v, want gather", q, st)
+			}
+			if n := h.shardStatements(c) - before; n != 24 {
+				t.Fatalf("%s ran %d shard statements, want 24: the table crosses the wire once", q, n)
+			}
+		}
+	})
+}
+
+// referenceOf loads a cluster's tables into one engine: the answer every
+// distributed statement must equal.
+func referenceOf(t *testing.T, c *NetCluster) *core.Session {
+	t.Helper()
+	one := core.Open(core.Config{BufferPoolBytes: 16 << 20})
+	t.Cleanup(func() { one.Close() })
+	for _, spec := range c.Tables() {
+		rows, err := c.TableRows(spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := one.CreateTable(spec.Name, spec.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return one.NewSession()
+}
+
+// sameAnswer requires a cluster result to equal the one-engine result:
+// column names, row order, and every value's kind and rendering.
+func sameAnswer(t *testing.T, q string, got, want *core.Result) {
+	t.Helper()
+	if strings.Join(got.Columns, ",") != strings.Join(want.Columns, ",") {
+		t.Errorf("%s\ncolumns %v, one engine %v", q, got.Columns, want.Columns)
+	}
+	if g, w := renderRows(got.Rows), renderRows(want.Rows); g != w {
+		t.Errorf("%s\ncluster:\n%sone engine:\n%s", q, g, w)
+		return
+	}
+	for i, row := range got.Rows {
+		for j, v := range row {
+			if w := want.Rows[i][j]; v.Kind() != w.Kind() {
+				t.Errorf("%s\nrow %d column %d is %v %v, one engine %v %v", q, i, j, v.Kind(), v, w.Kind(), w)
+			}
+		}
+	}
+}
+
+// TestAvgMergeCorners: AVG through the compiled merge statement —
+// CAST(SUM(sums) AS DOUBLE) / SUM(counts) — equals one engine bit for bit
+// where a hand-rolled merge tends not to: no integer division over INT,
+// NULL (not division by zero) over no rows and over an all-NULL group,
+// and COUNT(*) over no rows is one row holding 0.
+func TestAvgMergeCorners(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.salesCluster(1000)
+		var void []types.Row
+		for i := 0; i < 30; i++ {
+			void = append(void, types.Row{types.NewInt(int64(5000 + i)), types.NewString("void"), types.NullOf(types.KindFloat)})
+		}
+		if err := c.Insert("sales", void); err != nil {
+			t.Fatal(err)
+		}
+		ref := referenceOf(t, c)
+		queries := []string{
+			`SELECT AVG(id) FROM sales WHERE id < 1000`,
+			`SELECT AVG(amount) FROM sales WHERE id < 0`,
+			`SELECT AVG(amount), SUM(amount), MIN(amount), COUNT(amount), COUNT(*) FROM sales WHERE id < 0`,
+			`SELECT region, AVG(amount), SUM(amount), MAX(amount), COUNT(amount), COUNT(*) FROM sales GROUP BY region ORDER BY region`,
+			`SELECT COUNT(*) FROM sales WHERE id < 0`,
+		}
+		for _, q := range queries {
+			want, err := ref.Exec(q)
+			if err != nil {
+				t.Fatalf("one engine %s: %v", q, err)
+			}
+			got, err := c.Query(q)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			sameAnswer(t, q, got, want)
+		}
+		if r, _ := c.Query(queries[0]); r.Rows[0][0].Float() != 499.5 {
+			t.Errorf("AVG(id) = %v, want 499.5", r.Rows[0][0])
+		}
+		if r, _ := c.Query(queries[1]); !r.Rows[0][0].IsNull() {
+			t.Errorf("AVG over no rows = %v, want NULL", r.Rows[0][0])
+		}
+		if st := c.Stats(); st.FastPathQueries != uint64(len(queries))+2 || st.GatherPathQueries != 0 {
+			t.Errorf("paths %+v, want every statement scattered", st)
+		}
+	})
+}
+
 // TestWholeTableExpressionsGather: a subquery or Oracle's ROWNUM anywhere
 // in the statement — under a CAST, an IS TRUE, an IS NOT NULL, inside a
 // JOIN's ON — means a shard would answer it over its own slice, so the
@@ -1061,6 +1221,208 @@ func TestParitySingleNode(t *testing.T) {
 	if st := cols["3-shard-local"].Stats(); st.ShuffleJoins != 0 || st.FastPathQueries != 3 || st.GatherPathQueries != 3 {
 		t.Fatalf("in-process cluster took paths %+v, want 3 fast, 3 gather", st)
 	}
+}
+
+// genSelect draws one statement the substitution rule admits: group
+// columns and aggregates in any item order, aggregates under arithmetic,
+// HAVING, ORDER BY an alias, an ordinal or the aggregate itself, LIMIT and
+// OFFSET, qualified and aliased group columns, over one table, a
+// co-located join with the replicated zones, or (join = true) a join of
+// two distributed tables. Every ORDER BY ends in a unique key, so the
+// answer is one sequence of rows.
+func genSelect(rng *rand.Rand) (q string, join bool) {
+	pick := func(xs ...string) string { return xs[rng.Intn(len(xs))] }
+	var from, id, amount string
+	var groupable []string
+	switch rng.Intn(4) {
+	case 0:
+		from, id, amount, groupable = "sales", "id", "amount", []string{"region"}
+	case 1:
+		from, id, amount, groupable = "sales s", pick("id", "s.id"), pick("amount", "s.amount"), []string{pick("region", "s.region")}
+	case 2:
+		from, id, amount = "sales s JOIN zones z ON s.region = z.region", "s.id", pick("amount", "s.amount")
+		groupable = []string{"s.region", pick("zone", "z.zone")}
+	default:
+		from, id, amount = "sales s "+pick("INNER", "LEFT")+" JOIN regions r ON s.region = r.name", pick("id", "s.id"), "s.amount"
+		groupable, join = []string{"s.region", pick("manager", "r.manager")}, true
+	}
+	limit := ""
+	if rng.Intn(3) == 0 {
+		limit = fmt.Sprintf(" LIMIT %d OFFSET %d", 1+rng.Intn(5), rng.Intn(3))
+	}
+	type item struct{ expr, alias string }
+	render := func(items []item) string {
+		parts := make([]string, len(items))
+		for i, it := range items {
+			parts[i] = it.expr
+			if it.alias != "" {
+				parts[i] += " AS " + it.alias
+			}
+		}
+		return strings.Join(parts, ", ")
+	}
+	// orderTerm names item i by alias, by ordinal or by its expression.
+	orderTerm := func(items []item, i int) string {
+		switch k := rng.Intn(3); {
+		case k == 0 && items[i].alias != "":
+			return items[i].alias
+		case k == 1:
+			return fmt.Sprint(i + 1)
+		}
+		return items[i].expr
+	}
+
+	if rng.Intn(4) == 0 { // a plain block: expressions, top-k pushdown
+		items := []item{{id, ""}, {amount + " * 2", "d"}, {groupable[0], pick("", "g")}}
+		rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+		var order []string
+		idAt := 0
+		for i, it := range items {
+			if it.expr == id {
+				idAt = i + 1
+			} else if it.alias != "" && rng.Intn(2) == 0 {
+				order = append(order, it.alias+pick("", " DESC"))
+			}
+		}
+		order = append(order, fmt.Sprint(idAt)+pick("", " DESC")) // by ordinal: its name may be qualified
+		return fmt.Sprintf("SELECT %s FROM %s WHERE %s < %d ORDER BY %s%s",
+			render(items), from, id, 50+rng.Intn(500), strings.Join(order, ", "), limit), join
+	}
+
+	rng.Shuffle(len(groupable), func(i, j int) { groupable[i], groupable[j] = groupable[j], groupable[i] })
+	groupable = groupable[:rng.Intn(len(groupable)+1)]
+	var items []item
+	for i, g := range groupable {
+		items = append(items, item{g, pick("", fmt.Sprintf("g%d", i))})
+	}
+	aggs := []string{"COUNT(*)", "COUNT(" + amount + ")", "SUM(" + amount + ")", "MIN(" + id + ")", "MAX(" + amount + ")",
+		"AVG(" + amount + ")", "AVG(" + id + ")", "SUM(" + amount + ") + 1", "COUNT(*) * 2", "MAX(" + id + ") - MIN(" + id + ")",
+		"SUM(" + amount + ") / COUNT(*)"}
+	rng.Shuffle(len(aggs), func(i, j int) { aggs[i], aggs[j] = aggs[j], aggs[i] })
+	for i, a := range aggs[:1+rng.Intn(3)] {
+		items = append(items, item{a, pick("", fmt.Sprintf("a%d", i))})
+	}
+	rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+	q = fmt.Sprintf("SELECT %s FROM %s", render(items), from)
+	if rng.Intn(3) == 0 {
+		q += fmt.Sprintf(" WHERE %s >= %d", id, rng.Intn(300))
+	}
+	if len(groupable) > 0 {
+		q += " GROUP BY " + strings.Join(groupable, ", ")
+	}
+	if rng.Intn(3) == 0 {
+		q += " HAVING " + pick("COUNT(*) > 1", "SUM("+amount+") > 5000", "MIN("+id+") < 2 OR MAX("+id+") > 590")
+	}
+	if len(groupable) == 0 {
+		return q, join
+	}
+	var order []string
+	for i, it := range items { // maybe an aggregate first, then every group column
+		if strings.Contains(it.expr, "(") && len(order) == 0 && rng.Intn(2) == 0 {
+			order = append(order, orderTerm(items, i)+pick("", " DESC"))
+		}
+	}
+	for i, it := range items {
+		if !strings.Contains(it.expr, "(") {
+			order = append(order, orderTerm(items, i)+pick("", " DESC"))
+		}
+	}
+	return q + " ORDER BY " + strings.Join(order, ", ") + limit, join
+}
+
+// TestParityGenerated runs generated statements of every shape the
+// substitution rule admits, and a list of those it cannot express, on
+// both clients: each must equal one engine over the same rows and take
+// exactly the expected path — scatter; shuffle join where there is an
+// exchange and gather where there is none; gather, once, for the rest.
+func TestParityGenerated(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.form(fourNodes()[:3], 2, clusterfs.New())
+		seedSales(t, c, 600, 0.5)
+		// load creates a table of two string columns holding the given pairs.
+		load := func(name, key, val string, opts TableOptions, pairs ...string) {
+			t.Helper()
+			schema := types.Schema{{Name: key, Kind: types.KindString}, {Name: val, Kind: types.KindString, Nullable: true}}
+			if err := c.CreateTable(name, schema, opts); err != nil {
+				t.Fatal(err)
+			}
+			var rows []types.Row
+			for i := 0; i < len(pairs); i += 2 {
+				rows = append(rows, types.Row{types.NewString(pairs[i]), types.NewString(pairs[i+1])})
+			}
+			if err := c.Insert(name, rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// "west" has no region row: LEFT JOIN null-extends it. "nowhere" has
+		// no sales: a LEFT JOIN preserving zones must not scatter.
+		load("regions", "name", "manager", TableOptions{DistributeBy: "name"}, "north", "ada", "south", "bob", "east", "ada")
+		load("zones", "region", "zone", TableOptions{Replicated: true},
+			"north", "Z1", "south", "Z1", "east", "Z2", "west", "Z2", "nowhere", "Z3")
+		ref := referenceOf(t, c)
+
+		var want NetStats
+		check := func(q string, path *uint64) {
+			t.Helper()
+			one, err := ref.Exec(q)
+			if err != nil {
+				t.Fatalf("one engine %s: %v", q, err)
+			}
+			got, err := c.Query(q)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			sameAnswer(t, q, got, one)
+			*path++
+			if st := c.Stats(); st != want {
+				t.Fatalf("%s\ntook paths %+v, want %+v", q, st, want)
+			}
+		}
+		for _, q := range []string{ // corners of the rule the generator does not draw
+			"SELECT * FROM sales WHERE id < 5 ORDER BY id",
+			"SELECT s.*, z.zone FROM sales s JOIN zones z ON s.region = z.region WHERE s.id < 5 ORDER BY 1",
+			"SELECT region FROM sales GROUP BY region ORDER BY region",
+			"SELECT region, COUNT(*) AS id FROM sales WHERE id < 250 GROUP BY region ORDER BY id DESC, region", // the alias, not sales.id
+			"SELECT SUM(s.amount) AS t, s.region FROM sales s GROUP BY s.region ORDER BY SUM(amount) DESC, region",
+			"SELECT UPPER(region), COUNT(*) FROM sales GROUP BY region ORDER BY 1",
+			"SELECT region, CASE WHEN MIN(id) > 1 THEN 'late' ELSE 'early' END FROM sales GROUP BY region ORDER BY region",
+			"SELECT MEAN(amount), COUNT(*) FROM sales WHERE region IN ('north', 'east')",
+			"SELECT id, region FROM sales WHERE amount < 3 ORDER BY sales.region DESC, id LIMIT 4 OFFSET 2",
+		} {
+			check(q, &want.FastPathQueries)
+		}
+		rng := rand.New(rand.NewSource(21))
+		for i := 0; i < 120; i++ {
+			q, join := genSelect(rng)
+			switch {
+			case !join:
+				check(q, &want.FastPathQueries)
+			case h.socket:
+				check(q, &want.ShuffleJoins)
+			default:
+				check(q, &want.GatherPathQueries)
+			}
+		}
+		if want.ShuffleJoins+want.GatherPathQueries < 10 || want.FastPathQueries < 50 {
+			t.Fatalf("generator drew %+v: too few of one placement to mean anything", want)
+		}
+		for _, q := range []string{
+			"SELECT id / 100, COUNT(*) FROM sales GROUP BY id / 100 ORDER BY 1",
+			"SELECT COUNT(DISTINCT region) FROM sales",
+			"SELECT MEDIAN(amount) FROM sales",
+			"SELECT PERCENTILE_CONT(0.5) WITHIN GROUP (ORDER BY amount) FROM sales",
+			"SELECT region, COUNT(*) FROM sales GROUP BY region HAVING COUNT(*) > (SELECT COUNT(*) FROM regions) ORDER BY region",
+			"SELECT region, COUNT(*) FROM sales GROUP BY region ORDER BY (SELECT MAX(id) FROM sales), region",
+			"SELECT id FROM sales ORDER BY amount, id LIMIT 3",
+			"SELECT id + 1 FROM sales ORDER BY id + 1 LIMIT 3",
+			"SELECT DISTINCT region FROM sales ORDER BY region",
+			"SELECT region FROM sales WHERE id < 3 UNION ALL SELECT name FROM regions ORDER BY 1",
+			// Scattered, every shard would count Z3's unmatched row.
+			"SELECT z.zone, COUNT(*) FROM zones z LEFT JOIN sales s ON z.region = s.region GROUP BY z.zone ORDER BY z.zone",
+		} {
+			check(q, &want.GatherPathQueries)
+		}
+	})
 }
 
 // TestParityNullJoinKeys: NULL join keys hash to partition 0 but must

@@ -20,7 +20,8 @@ import (
 // shard server it does not save table metadata to clusterfs after every
 // write (nobody else will reopen the shard mid-run; Checkpoint does it
 // on demand), which is what lets Table 1 run at in-process speed, and
-// it has no shuffle exchange, so two-distributed-table joins gather.
+// it has no shuffle exchange: the planner never places a statement on
+// one here, so two-distributed-table joins gather.
 type localShards struct {
 	fs *clusterfs.FS
 
@@ -105,6 +106,9 @@ func (l *localShards) Adopt(_ string, req shardrpc.AdoptReq) error {
 func (l *localShards) Release(string, []int) error { return nil }
 
 func (l *localShards) Exec(_ string, req shardrpc.ExecReq) (*shardrpc.Result, error) {
+	if req.Exchange != nil {
+		return nil, errNoShuffle
+	}
 	db, err := l.engine(req.ShardID)
 	if err != nil {
 		return nil, err
@@ -138,12 +142,6 @@ func (l *localShards) RowCount(_ string, shardID int, table string) (int64, erro
 		return 0, err
 	}
 	return int64(tbl.Rows()), nil
-}
-
-func (l *localShards) Fragment(string, shardrpc.FragmentReq) error { return errNoShuffle }
-
-func (l *localShards) JoinFrag(string, shardrpc.JoinFragReq) (*shardrpc.Result, error) {
-	return nil, errNoShuffle
 }
 
 func (l *localShards) DropShuffle(string, uint64) error { return nil }

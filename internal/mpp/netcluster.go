@@ -26,11 +26,11 @@ import (
 )
 
 // NetCluster is the MPP coordinator: catalog, DDL, hash routing, the
-// scatter fast path, distributed equi-joins through the partitioned-hash
-// shuffle exchange, the coordinator gather fallback, and the HA story —
-// when a node dies, survivors adopt its shards with per-shard memory and
-// parallelism scaled down, and the in-flight statement is retried against
-// the new membership (Figure 9). It reaches the shard engines through a
+// distributed SELECT (plan.go: one plan cut at its exchanges, placed as
+// scatter, shuffle join or gather; netquery.go: one runner), and the HA
+// story — when a node dies, survivors adopt its shards with per-shard
+// memory and parallelism scaled down, and the in-flight statement is sent
+// again to the new owners (Figure 9). It reaches the shard engines through a
 // shardClient; which one is decided by the constructor: NewNetCluster and
 // OpenNetCluster dial shardrpc servers (separate OS processes sharing one
 // clustered filesystem, the paper's §II.E deployment), NewCluster and
@@ -59,8 +59,6 @@ type shardClient interface {
 	Exec(addr string, req shardrpc.ExecReq) (*shardrpc.Result, error)
 	Insert(addr string, shardID int, table string, token uint64, rows []types.Row) error
 	RowCount(addr string, shardID int, table string) (int64, error)
-	Fragment(addr string, req shardrpc.FragmentReq) error
-	JoinFrag(addr string, req shardrpc.JoinFragReq) (*shardrpc.Result, error)
 	DropShuffle(addr string, query uint64) error
 	Close()
 }
@@ -602,6 +600,58 @@ func (c *NetCluster) handleNodeDeath(addr string, err error) bool {
 	return c.FailNode(name) == nil
 }
 
+// round runs call once per listed shard, in parallel, against the shard's
+// owner in addrs. With failover, a call that died with its node fails the
+// node over and is not an error: died lists those shards, whose call may
+// go to the new owner. err is the first error otherwise.
+func (c *NetCluster) round(addrs []string, shards []int, failover bool, call func(shard int, addr string) error) (died []int, err error) {
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for i, s := range shards {
+		wg.Add(1)
+		go func(i, s int) {
+			defer wg.Done()
+			errs[i] = call(s, addrs[s])
+		}(i, s)
+	}
+	wg.Wait()
+	for i, s := range shards {
+		switch {
+		case errs[i] == nil:
+		case failover && c.handleNodeDeath(addrs[s], errs[i]):
+			died = append(died, s)
+		case err == nil:
+			err = errs[i]
+		}
+	}
+	return died, err
+}
+
+// eachShard is round with the one retry a failover earns: the calls that
+// died with their node — only those; the others are done — go to the new
+// owners. Broadcast DML, routed inserts and every shard statement of a
+// SELECT without an exchange fan out through it.
+func (c *NetCluster) eachShard(shards []int, call func(shard int, addr string) error) error {
+	for attempt := 0; ; attempt++ {
+		addrs, err := c.shardAddrs()
+		if err != nil {
+			return err
+		}
+		if shards, err = c.round(addrs, shards, attempt == 0, call); err != nil || len(shards) == 0 {
+			return err
+		}
+	}
+}
+
+// allShards lists every shard id.
+func (c *NetCluster) allShards() []int {
+	out := make([]int, c.nShards)
+	for s := range out {
+		out[s] = s
+	}
+	return out
+}
+
 // --- DDL and DML -------------------------------------------------------------
 
 // CreateTable registers a distributed table and creates its shard-local
@@ -684,40 +734,15 @@ func (c *NetCluster) Insert(table string, rows []types.Row) error {
 		}
 	}
 	token := c.mintID()
-	var pending []int
+	var loaded []int
 	for s := range buckets {
 		if len(buckets[s]) > 0 {
-			pending = append(pending, s)
+			loaded = append(loaded, s)
 		}
 	}
-	for attempt := 0; len(pending) > 0; attempt++ {
-		addrs, err := c.shardAddrs()
-		if err != nil {
-			return err
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, len(pending))
-		for i, s := range pending {
-			wg.Add(1)
-			go func(i, s int) {
-				defer wg.Done()
-				errs[i] = c.client.Insert(addrs[s], s, table, token, buckets[s])
-			}(i, s)
-		}
-		wg.Wait()
-		var retry []int
-		for i, s := range pending {
-			switch {
-			case errs[i] == nil:
-			case attempt == 0 && c.handleNodeDeath(addrs[s], errs[i]):
-				retry = append(retry, s)
-			default:
-				return errs[i]
-			}
-		}
-		pending = retry
-	}
-	return nil
+	return c.eachShard(loaded, func(s int, addr string) error {
+		return c.client.Insert(addr, s, table, token, buckets[s])
+	})
 }
 
 // Rows returns a table's cluster-wide live row count.

@@ -1,20 +1,25 @@
 package mpp
 
 import (
+	"errors"
 	"fmt"
-	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
 
+	"dashdb/internal/catalog"
 	"dashdb/internal/core"
+	"dashdb/internal/exec"
+	"dashdb/internal/mem"
 	"dashdb/internal/shardrpc"
 	"dashdb/internal/sql"
+	"dashdb/internal/telemetry"
 	"dashdb/internal/types"
 )
 
-// Query dispatch. The decision tree is scatter fast path, then shuffle
-// join, then coordinator gather; every shard interaction is a
-// shardClient call, and a node death anywhere in the tree triggers
-// failover plus one retry against the surviving membership.
+// Query dispatch and the one SELECT runner. Every shard interaction is a
+// shardClient call fanned out by round (netcluster.go), so a node death
+// anywhere fails the node over and sends the work again once.
 
 // Query parses and executes a statement cluster-wide (ANSI dialect).
 func (c *NetCluster) Query(text string) (*core.Result, error) {
@@ -50,18 +55,6 @@ func (c *NetCluster) QueryDialect(text string, d sql.Dialect) (*core.Result, err
 	}
 }
 
-// resultToCore converts a wire result into the engine's result shape so
-// the shared merge helpers apply unchanged.
-func resultToCore(r *shardrpc.Result) *core.Result {
-	return &core.Result{
-		Columns:      r.Columns,
-		Rows:         r.Rows,
-		RowsAffected: r.RowsAffected,
-		Message:      r.Message,
-		Stats:        r.Stats,
-	}
-}
-
 // netBroadcast runs a statement on every shard, summing affected rows.
 // After a failover only the failed shards re-execute, and the statement
 // token makes that re-execution idempotent: a shard that persisted the
@@ -70,46 +63,19 @@ func resultToCore(r *shardrpc.Result) *core.Result {
 // of applying twice — e.g. UPDATE balance = balance + x must not add 2x.
 func (c *NetCluster) netBroadcast(st sql.Statement, d sql.Dialect) (*core.Result, error) {
 	token := c.mintID()
-	pending := make([]int, 0, c.nShards)
-	for s := 0; s < c.nShards; s++ {
-		pending = append(pending, s)
+	var total atomic.Int64
+	err := c.eachShard(c.allShards(), func(s int, addr string) error {
+		res, err := c.client.Exec(addr, shardrpc.ExecReq{ShardID: s, Dialect: d, Stmt: st, Token: token})
+		if err == nil {
+			total.Add(res.RowsAffected)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	total := int64(0)
-	for attempt := 0; len(pending) > 0; attempt++ {
-		addrs, err := c.shardAddrs()
-		if err != nil {
-			return nil, err
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, len(pending))
-		affected := make([]int64, len(pending))
-		for i, s := range pending {
-			wg.Add(1)
-			go func(i, s int) {
-				defer wg.Done()
-				res, err := c.client.Exec(addrs[s], shardrpc.ExecReq{ShardID: s, Dialect: d, Stmt: st, Token: token})
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				affected[i] = res.RowsAffected
-			}(i, s)
-		}
-		wg.Wait()
-		var retry []int
-		for i, s := range pending {
-			switch {
-			case errs[i] == nil:
-				total += affected[i]
-			case attempt == 0 && c.handleNodeDeath(addrs[s], errs[i]):
-				retry = append(retry, s)
-			default:
-				return nil, errs[i]
-			}
-		}
-		pending = retry
-	}
-	return &core.Result{RowsAffected: total, Message: fmt.Sprintf("%d rows affected cluster-wide", total)}, nil
+	n := total.Load()
+	return &core.Result{RowsAffected: n, Message: fmt.Sprintf("%d rows affected cluster-wide", n)}, nil
 }
 
 // netInsertStmt evaluates INSERT rows at the coordinator and routes
@@ -160,253 +126,194 @@ func (c *NetCluster) netCreateTableStmt(stmt *sql.CreateTableStmt) (*core.Result
 	return &core.Result{Message: "TABLE CREATED"}, nil
 }
 
-// --- SELECT dispatch ---------------------------------------------------------
+// evalInsertRows evaluates an INSERT's literal rows with a scratch
+// compiler (constant folding needs a catalog but never looks a table up,
+// so an empty one serves) and maps any column list onto the table schema.
+func evalInsertRows(stmt *sql.InsertStmt, schema types.Schema, d sql.Dialect) ([]types.Row, error) {
+	comp := sql.NewCompiler(catalog.New(), d, &sql.EvalEnv{Dialect: d})
+	var rows []types.Row
+	for _, exprRow := range stmt.Rows {
+		row := make(types.Row, len(exprRow))
+		for i, e := range exprRow {
+			ce, err := comp.CompileConstExpr(e)
+			if err != nil {
+				return nil, err
+			}
+			v, err := ce.Eval(nil)
+			if err != nil {
+				return nil, err
+			}
+			row[i] = v
+		}
+		if len(stmt.Columns) > 0 {
+			full := make(types.Row, len(schema))
+			for i := range full {
+				full[i] = types.NullOf(schema[i].Kind)
+			}
+			for i, name := range stmt.Columns {
+				ci := schema.ColumnIndex(name)
+				if ci < 0 {
+					return nil, fmt.Errorf("mpp: column %s not in table %s", name, stmt.Table)
+				}
+				full[ci] = row[i]
+			}
+			row = full
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
+}
 
+// --- SELECT ------------------------------------------------------------------
+
+// netSelect plans the statement (plan.go), counts its placement and runs
+// it. Whatever fails after that is the statement's error.
 func (c *NetCluster) netSelect(sel *sql.SelectStmt, d sql.Dialect, text string) (*core.Result, error) {
-	if plan, ok := c.netDecompose(sel); ok {
-		res, err := c.netFastPath(sel, plan, d, text)
-		if err == nil {
-			c.mu.Lock()
-			c.stats.FastPathQueries++
-			c.mu.Unlock()
-			return res, nil
-		}
-	}
-	if jp, ok := c.shuffleJoinPlan(sel); ok {
-		res, err := c.netShuffleJoin(sel, jp, d, text)
-		if err == nil {
-			c.mu.Lock()
-			c.stats.ShuffleJoins++
-			c.mu.Unlock()
-			return res, nil
-		}
-	}
+	p := c.planSelect(sel)
 	c.mu.Lock()
-	c.stats.GatherPathQueries++
+	*p.path++
 	c.mu.Unlock()
-	return c.netGather(sel, d, text)
+	return c.run(p, d, text)
 }
 
-// netDecompose decides whether the query can run scatter/gather with
-// partial aggregation: every FROM table known to the cluster with at
-// most one non-replicated table (co-location), and a select shape
-// classifySelect accepts.
-func (c *NetCluster) netDecompose(sel *sql.SelectStmt) (*fastPlan, bool) {
-	lookup := func(name string) (replicated, known bool) {
-		meta, err := c.tableMeta(name)
-		if err != nil {
-			return false, false
+// run executes a placed SELECT: each pull becomes a nickname of a
+// throwaway catalog — fetched from the shards when the compiler first
+// binds it, once however often it is named, so gather ships only the
+// tables the statement reads — and final compiles and drains over them
+// like any statement, its sorts, joins and group-bys under a governor of
+// the default budgets.
+func (c *NetCluster) run(p *distSelect, d sql.Dialect, text string) (*core.Result, error) {
+	start := time.Now()
+	var pulled []*shardrpc.Result // every shard result behind the answer
+	cat := catalog.New()
+	for _, in := range p.pulls {
+		nick := &shardrpc.Nick{Sch: in.schema, From: "MPP-GATHER", Fetch: func() ([]types.Row, error) {
+			results, err := c.pull(p.stages, in, d, text)
+			pulled = append(pulled, results...)
+			return concatRows(results), err
+		}}
+		if err := cat.CreateNickname(in.name, nick); err != nil {
+			return nil, err
 		}
-		return meta.repl, true
 	}
-	nonRepl, ok := countFromTables(sel, lookup)
-	if !ok || nonRepl > 1 {
-		return nil, false
+	broker := mem.NewBroker(0, 0, "")
+	defer broker.Close() //nolint:errcheck — only removes the spill directory
+	comp := sql.NewCompiler(cat, d, &sql.EvalEnv{Now: start.UTC(), Dialect: d})
+	comp.Gov = &mem.Governor{Broker: broker}
+	op, err := comp.CompileSelect(p.final)
+	if err != nil {
+		return nil, err
 	}
-	plan, ok := classifySelect(sel)
-	if !ok {
-		return nil, false
+	rows, err := exec.Drain(op)
+	if err != nil {
+		return nil, err
 	}
-	plan.singleShard = nonRepl == 0
-	return plan, true
+	res := &core.Result{Columns: op.Schema().Names(), Rows: rows}
+
+	// One cluster-level history record per statement: the shard records
+	// folded (counters summed, elapsed = slowest shard; a shard whose
+	// result came back without instrumentation surfaces as a degraded
+	// merge, not an under-count), rows = what the user got.
+	rec := telemetry.QueryRecord{Start: start, Elapsed: time.Since(start), Status: "ok"}
+	var recs []telemetry.QueryRecord
+	for _, r := range pulled {
+		if r.Stats != nil {
+			recs = append(recs, *r.Stats)
+		}
+	}
+	if len(pulled) > 0 {
+		rec = telemetry.MergeShardRecords(recs, len(pulled))
+	}
+	rec.ID, rec.SQL, rec.Rows = c.reg.NextID(), text, int64(len(rows))
+	c.reg.Record(rec)
+	res.Stats = &rec
+	return res, nil
 }
 
-// netFastPath scatters the rewritten statement over RPC and merges the
-// partial results — Figure 2's model across OS processes.
-func (c *NetCluster) netFastPath(sel *sql.SelectStmt, plan *fastPlan, d sql.Dialect, text string) (*core.Result, error) {
-	shardSel, err := buildShardSel(sel, plan)
-	if err != nil {
-		return nil, err
+// concatRows appends the rows of shard results in shard order.
+func concatRows(results []*shardrpc.Result) []types.Row {
+	var rows []types.Row
+	for _, r := range results {
+		rows = append(rows, r.Rows...)
 	}
-	results, err := c.netScatter(shardSel, d, text, plan.singleShard)
-	if err != nil {
-		return nil, err
-	}
-	final, err := mergeFastResults(sel, plan, results)
-	if err != nil {
-		return nil, err
-	}
-	if rec, ok := foldShardStats(c.reg, final, results, text); ok {
-		final.Stats = rec
-	}
-	return final, nil
+	return rows
 }
 
-// netScatter runs the statement on every shard in parallel over RPC.
-// SELECTs are idempotent, so a node death fails the node over and
-// re-scatters once against the new assignment.
-func (c *NetCluster) netScatter(sel *sql.SelectStmt, d sql.Dialect, text string, singleShard bool) ([]*core.Result, error) {
-	n := c.nShards
-	if singleShard {
-		n = 1
+// pull runs one input's statement on every shard (one, for replicated
+// tables) and returns the results in shard order. Without stages each
+// shard answers over its own tables and a shard whose node dies is asked
+// again on its new owner. With stages the statement reads what the
+// stages shuffled, so a death abandons the whole exchange: its inboxes
+// are dropped everywhere and everything is sent once more under a new
+// query id.
+func (c *NetCluster) pull(stages []input, in input, d sql.Dialect, text string) ([]*shardrpc.Result, error) {
+	shards := c.allShards()
+	if in.one {
+		shards = shards[:1]
+	}
+	results := make([]*shardrpc.Result, len(shards))
+	var ex shardrpc.Exchange // of the statement, when there are stages
+	ask := func(s int, addr string) (err error) {
+		req := shardrpc.ExecReq{ShardID: s, Dialect: d, Stmt: in.sel, SQL: text, WithStats: true}
+		if len(stages) > 0 {
+			x := ex
+			x.Part = s
+			req.Exchange = &x
+		}
+		results[s], err = c.client.Exec(addr, req)
+		return err
+	}
+	if len(stages) == 0 {
+		if err := c.eachShard(shards, ask); err != nil {
+			return nil, err
+		}
+		return results, nil
+	}
+	ex.Senders = len(shards)
+	for i, st := range stages {
+		ex.Inputs = append(ex.Inputs, shardrpc.ShuffleInput{Name: st.name, Schema: st.schema, Stage: i})
 	}
 	for attempt := 0; ; attempt++ {
 		addrs, err := c.shardAddrs()
 		if err != nil {
 			return nil, err
 		}
-		results := make([]*core.Result, n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for s := 0; s < n; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				res, err := c.client.Exec(addrs[s], shardrpc.ExecReq{
-					ShardID: s, Dialect: d, Stmt: sel, SQL: text, WithStats: true,
-				})
-				if err != nil {
-					errs[s] = err
-					return
-				}
-				results[s] = resultToCore(res)
-			}(s)
+		parts := make([]shardrpc.PartLoc, len(shards))
+		for s := range parts {
+			parts[s] = shardrpc.PartLoc{Addr: addrs[s], ShardID: s}
 		}
-		wg.Wait()
-		retriable := false
-		for s, err := range errs {
-			if err == nil {
-				continue
+		ex.Query = c.mintID()
+		// Every shard scans its slice of each stage's table and shuffles it
+		// on the stage's key; a call returns once its rows are delivered.
+		died, err := c.round(addrs, shards, attempt == 0, func(s int, addr string) error {
+			errs := make([]error, len(stages))
+			var wg sync.WaitGroup
+			for i, st := range stages {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					out := &shardrpc.ShuffleOutput{Stage: i, Keys: st.keys, Parts: parts, Sender: s}
+					_, errs[i] = c.client.Exec(addr, shardrpc.ExecReq{ShardID: s, Dialect: d, Stmt: st.sel,
+						Exchange: &shardrpc.Exchange{Query: ex.Query, Output: out}})
+				}()
 			}
-			if attempt == 0 && c.handleNodeDeath(addrs[s], err) {
-				retriable = true
-				continue
+			wg.Wait()
+			return errors.Join(errs...)
+		})
+		if err == nil && len(died) == 0 {
+			// Then every shard runs the statement over its partition.
+			died, err = c.round(addrs, shards, attempt == 0, ask)
+			if err == nil && len(died) == 0 {
+				return results, nil
 			}
-			return nil, err
 		}
-		if !retriable {
-			return results, nil
-		}
-	}
-}
-
-// --- shuffle join ------------------------------------------------------------
-
-// Nickname names for the materialized shuffle partitions inside the
-// join fragment's scratch engine.
-const (
-	shuffleBuildName = "__shuf_l"
-	shuffleProbeName = "__shuf_r"
-)
-
-// shuffleJoin describes a two-table distributed equi-join that runs via
-// the partitioned-hash exchange: both tables hash-shuffle on their join
-// key, co-locating matching rows, and each shard joins one partition.
-type shuffleJoin struct {
-	left, right         *sql.TableRef
-	leftMeta, rightMeta *tableMeta
-	joinType            string
-	leftKey, rightKey   int // ordinals in the respective table schemas
-	on                  sql.Expr
-	plan                *fastPlan
-}
-
-// shuffleJoinPlan recognizes SELECT ... FROM a JOIN b ON a.x = b.y with
-// two non-replicated tables and a decomposable select shape. Partition-
-// wise joins are exact for INNER and LEFT joins (matching keys land in
-// the same partition; unmatched left rows null-extend within theirs),
-// and partial aggregation is correct over any disjoint partitioning, so
-// the shared classify/merge machinery applies verbatim.
-func (c *NetCluster) shuffleJoinPlan(sel *sql.SelectStmt) (*shuffleJoin, bool) {
-	if len(sel.From) != 1 {
-		return nil, false
-	}
-	jr, ok := sel.From[0].(*sql.JoinRef)
-	if !ok || (jr.Type != "INNER" && jr.Type != "LEFT") || jr.On == nil || len(jr.Using) > 0 {
-		return nil, false
-	}
-	lt, lok := jr.Left.(*sql.TableRef)
-	rt, rok := jr.Right.(*sql.TableRef)
-	if !lok || !rok {
-		return nil, false
-	}
-	c.mu.RLock()
-	lm, lknown := c.tables[strings.ToLower(lt.Name)]
-	rm, rknown := c.tables[strings.ToLower(rt.Name)]
-	c.mu.RUnlock()
-	if !lknown || !rknown || lm.repl || rm.repl {
-		return nil, false // replicated cases belong to the fast path
-	}
-	eq, ok := jr.On.(*sql.BinaryOp)
-	if !ok || eq.Op != "=" {
-		return nil, false
-	}
-	lref, lok := eq.Left.(*sql.ColumnRef)
-	rref, rok := eq.Right.(*sql.ColumnRef)
-	if !lok || !rok {
-		return nil, false
-	}
-	plan, ok := classifySelect(sel)
-	if !ok {
-		return nil, false
-	}
-	sj := &shuffleJoin{left: lt, right: rt, leftMeta: lm, rightMeta: rm, joinType: jr.Type, on: jr.On, plan: plan}
-	sj.leftKey, sj.rightKey = -1, -1
-	for _, ref := range []*sql.ColumnRef{lref, rref} {
-		side, idx, ok := resolveJoinRef(ref, lt, lm, rt, rm)
-		if !ok {
-			return nil, false
-		}
-		if side == 0 {
-			sj.leftKey = idx
-		} else {
-			sj.rightKey = idx
-		}
-	}
-	if sj.leftKey < 0 || sj.rightKey < 0 {
-		return nil, false // both refs resolved to the same side
-	}
-	return sj, true
-}
-
-// resolveJoinRef binds one ON-clause column reference to a join side
-// (0=left, 1=right) and its ordinal. Qualified refs match by alias or
-// table name; unqualified refs must be unambiguous across both schemas.
-func resolveJoinRef(ref *sql.ColumnRef, lt *sql.TableRef, lm *tableMeta, rt *sql.TableRef, rm *tableMeta) (side, idx int, ok bool) {
-	matches := func(t *sql.TableRef) bool {
-		if ref.Table == "" {
-			return true
-		}
-		if t.Alias != "" {
-			return strings.EqualFold(ref.Table, t.Alias)
-		}
-		return strings.EqualFold(ref.Table, t.Name)
-	}
-	li, ri := -1, -1
-	if matches(lt) {
-		li = lm.schema.ColumnIndex(ref.Column)
-	}
-	if matches(rt) {
-		ri = rm.schema.ColumnIndex(ref.Column)
-	}
-	switch {
-	case li >= 0 && ri < 0:
-		return 0, li, true
-	case ri >= 0 && li < 0:
-		return 1, ri, true
-	default:
-		return 0, 0, false // unresolved or ambiguous
-	}
-}
-
-// netShuffleJoin executes the distributed join: every shard scans its
-// slice of both tables and hash-shuffles the rows on the join key
-// across all shards (stage 0 = build side, stage 1 = probe side); then
-// every shard joins its partition and the coordinator merges the
-// partial results exactly as for a scatter.
-func (c *NetCluster) netShuffleJoin(sel *sql.SelectStmt, sj *shuffleJoin, d sql.Dialect, text string) (*core.Result, error) {
-	for attempt := 0; ; attempt++ {
-		qid := c.mintID()
-		res, failAddr, err := c.shuffleJoinOnce(qid, sel, sj, d, text)
-		if err == nil {
-			return res, nil
-		}
-		// Abandon the attempt's shuffle state everywhere: join fragments
-		// that never started would otherwise leave this qid's delivered
-		// batches in surviving servers' inboxes for the process lifetime
-		// (DropPart only runs inside fragments that actually execute).
-		c.dropShuffle(qid)
-		if attempt > 0 || !c.handleNodeDeath(failAddr, err) {
+		// Statements that never started would otherwise leave this query's
+		// delivered batches in surviving servers' inboxes for the process
+		// lifetime (a partition is dropped only by the statement reading it).
+		c.dropShuffle(ex.Query)
+		// With a node dead, the other errors of the round are most likely
+		// shards that could not deliver to it: everything is sent again.
+		if len(died) == 0 {
 			return nil, err
 		}
 	}
@@ -415,155 +322,9 @@ func (c *NetCluster) netShuffleJoin(sel *sql.SelectStmt, sj *shuffleJoin, d sql.
 // dropShuffle best-effort discards a distributed query's shuffle
 // inboxes on every alive server.
 func (c *NetCluster) dropShuffle(qid uint64) {
-	c.mu.RLock()
-	var addrs []string
-	for _, n := range c.nodes {
-		if n.alive {
-			addrs = append(addrs, n.spec.Addr)
-		}
+	for _, n := range c.Nodes() {
+		c.client.DropShuffle(n.Addr, qid) //nolint:errcheck — best effort; a dead node has no inboxes to free
 	}
-	c.mu.RUnlock()
-	for _, addr := range addrs {
-		c.client.DropShuffle(addr, qid) //nolint:errcheck — best effort; a dead node has no inboxes to free
-	}
-}
-
-func (c *NetCluster) shuffleJoinOnce(qid uint64, sel *sql.SelectStmt, sj *shuffleJoin, d sql.Dialect, text string) (*core.Result, string, error) {
-	addrs, err := c.shardAddrs()
-	if err != nil {
-		return nil, "", err
-	}
-	parts := make([]shardrpc.PartLoc, c.nShards)
-	for p := range parts {
-		parts[p] = shardrpc.PartLoc{Addr: addrs[p], ShardID: p}
-	}
-	scanOf := func(t *sql.TableRef) *sql.SelectStmt {
-		return &sql.SelectStmt{
-			Items: []sql.SelectItem{{Expr: &sql.Star{}}},
-			From:  []sql.FromItem{&sql.TableRef{Name: t.Name}},
-			Limit: -1,
-		}
-	}
-
-	// Phase 1: scan fragments on every shard for both stages. Each call
-	// returns only after that shard's rows are fully shuffled.
-	type frag struct {
-		shard int
-		req   shardrpc.FragmentReq
-	}
-	var frags []frag
-	for s := 0; s < c.nShards; s++ {
-		frags = append(frags,
-			frag{s, shardrpc.FragmentReq{Query: qid, Stage: 0, ShardID: s, Dialect: d,
-				Sel: scanOf(sj.left), Keys: []int{sj.leftKey}, Parts: parts, SenderID: s, Senders: c.nShards}},
-			frag{s, shardrpc.FragmentReq{Query: qid, Stage: 1, ShardID: s, Dialect: d,
-				Sel: scanOf(sj.right), Keys: []int{sj.rightKey}, Parts: parts, SenderID: s, Senders: c.nShards}},
-		)
-	}
-	var wg sync.WaitGroup
-	fragErrs := make([]error, len(frags))
-	for i, f := range frags {
-		wg.Add(1)
-		go func(i int, f frag) {
-			defer wg.Done()
-			fragErrs[i] = c.client.Fragment(addrs[f.shard], f.req)
-		}(i, f)
-	}
-	wg.Wait()
-	for i, err := range fragErrs {
-		if err != nil {
-			return nil, addrs[frags[i].shard], err
-		}
-	}
-
-	// Phase 2: per-partition join fragments, statement rewritten onto the
-	// shuffle nicknames (aliases preserved so qualified refs still bind).
-	aliasOf := func(t *sql.TableRef) string {
-		if t.Alias != "" {
-			return t.Alias
-		}
-		return t.Name
-	}
-	rewritten := *sel
-	rewritten.From = []sql.FromItem{&sql.JoinRef{
-		Left:  &sql.TableRef{Name: shuffleBuildName, Alias: aliasOf(sj.left)},
-		Right: &sql.TableRef{Name: shuffleProbeName, Alias: aliasOf(sj.right)},
-		Type:  sj.joinType,
-		On:    sj.on,
-	}}
-	shardSel, err := buildShardSel(&rewritten, sj.plan)
-	if err != nil {
-		return nil, "", err
-	}
-	results := make([]*core.Result, c.nShards)
-	joinErrs := make([]error, c.nShards)
-	for p := 0; p < c.nShards; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			res, err := c.client.JoinFrag(addrs[p], shardrpc.JoinFragReq{
-				Query: qid, ShardID: p, Part: p, Dialect: d,
-				BuildStage: 0, ProbeStage: 1,
-				BuildName: shuffleBuildName, ProbeName: shuffleProbeName,
-				BuildSchema: sj.leftMeta.schema, ProbeSchema: sj.rightMeta.schema,
-				Senders: c.nShards, Sel: shardSel, SQL: text, WithStats: true,
-			})
-			if err != nil {
-				joinErrs[p] = err
-				return
-			}
-			results[p] = resultToCore(res)
-		}(p)
-	}
-	wg.Wait()
-	for p, err := range joinErrs {
-		if err != nil {
-			return nil, addrs[p], err
-		}
-	}
-	final, err := mergeFastResults(&rewritten, sj.plan, results)
-	if err != nil {
-		return nil, "", err
-	}
-	if rec, ok := foldShardStats(c.reg, final, results, text); ok {
-		final.Stats = rec
-	}
-	return final, "", nil
-}
-
-// --- gather fallback ---------------------------------------------------------
-
-// netGatherSource streams a table's rows from every shard over RPC —
-// the universal path for statements outside the distributed fast paths.
-type netGatherSource struct {
-	c     *NetCluster
-	table string
-	meta  *tableMeta
-}
-
-func (g *netGatherSource) Schema() types.Schema { return g.meta.schema }
-func (g *netGatherSource) Origin() string       { return "MPP-GATHER" }
-
-func (g *netGatherSource) ScanAll() ([]types.Row, error) {
-	c := g.c
-	scan := &sql.SelectStmt{
-		Items: []sql.SelectItem{{Expr: &sql.Star{}}},
-		From:  []sql.FromItem{&sql.TableRef{Name: g.table}},
-		Limit: -1,
-	}
-	n := c.nShards
-	if g.meta.repl {
-		n = 1
-	}
-	var all []types.Row
-	for s := 0; s < n; s++ {
-		rows, err := c.scanShard(scan, s)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, rows...)
-	}
-	return all, nil
 }
 
 // TableRows gathers every live row of a table to the caller (hybrid sync
@@ -573,57 +334,6 @@ func (c *NetCluster) TableRows(name string) ([]types.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return (&netGatherSource{c: c, table: name, meta: meta}).ScanAll()
-}
-
-// scanShard pulls one shard's rows, failing the node over and retrying
-// once if it dies mid-scan.
-func (c *NetCluster) scanShard(scan *sql.SelectStmt, shard int) ([]types.Row, error) {
-	for attempt := 0; ; attempt++ {
-		addr, err := func() (string, error) {
-			c.mu.RLock()
-			defer c.mu.RUnlock()
-			return c.addrOfLocked(shard)
-		}()
-		if err != nil {
-			return nil, err
-		}
-		res, err := c.client.Exec(addr, shardrpc.ExecReq{ShardID: shard, Dialect: sql.DialectANSI, Stmt: scan})
-		if err == nil {
-			return res.Rows, nil
-		}
-		if attempt > 0 || !c.handleNodeDeath(addr, err) {
-			return nil, err
-		}
-	}
-}
-
-// netGather compiles the original query at a coordinator engine whose
-// tables are RPC gather-nicknames over the shard servers.
-func (c *NetCluster) netGather(sel *sql.SelectStmt, d sql.Dialect, text string) (*core.Result, error) {
-	coord := core.Open(core.Config{BufferPoolBytes: 4 << 20})
-	defer coord.Close()
-	c.mu.RLock()
-	for name, meta := range c.tables {
-		if err := coord.Catalog().CreateNickname(name, &netGatherSource{c: c, table: name, meta: meta}); err != nil {
-			c.mu.RUnlock()
-			return nil, err
-		}
-	}
-	c.mu.RUnlock()
-	sess := coord.NewSession()
-	sess.SetDialect(d)
-	res, err := sess.ExecParsed(sel)
-	if err != nil {
-		return nil, err
-	}
-	if res.Stats != nil {
-		rec := *res.Stats
-		rec.ID = c.reg.NextID()
-		rec.SQL = text
-		rec.Shards = c.nShards
-		c.reg.Record(rec)
-		res.Stats = &rec
-	}
-	return res, nil
+	results, err := c.pull(nil, scanInput(name, name, meta), sql.DialectANSI, "")
+	return concatRows(results), err
 }

@@ -438,44 +438,6 @@ func (p *Pool) RowCount(addr string, shardID int, table string) (int64, error) {
 	return n, err
 }
 
-// Fragment runs a scan fragment that shuffles its output. The call
-// returns once the shard has fully shuffled (FrameOK).
-func (p *Pool) Fragment(addr string, req FragmentReq) error {
-	payload, err := encodeGob(&req)
-	if err != nil {
-		return err
-	}
-	return p.Do(addr, 1, func(c *Conn) error {
-		t, _, err := c.call(FrameFragment, payload)
-		if err != nil {
-			return err
-		}
-		if t != FrameOK {
-			c.Fail()
-			return fmt.Errorf("shardrpc: %s: unexpected fragment reply %d", addr, t)
-		}
-		return nil
-	})
-}
-
-// JoinFrag runs the consuming side of a shuffle join on a shard and
-// returns its partial result.
-func (p *Pool) JoinFrag(addr string, req JoinFragReq) (*Result, error) {
-	var res *Result
-	err := p.Do(addr, 1, func(c *Conn) error {
-		payload, err := encodeGob(&req)
-		if err != nil {
-			return err
-		}
-		if err := c.write(FrameJoinFrag, payload); err != nil {
-			return err
-		}
-		res, err = c.readResultStream()
-		return err
-	})
-	return res, err
-}
-
 // DropShuffle asks a server to discard every shuffle inbox of a
 // distributed query: the coordinator broadcasts it after abandoning a
 // failed attempt, so partially delivered batches don't sit in server

@@ -10,7 +10,7 @@
 // Frame layout (all multi-byte integers big-endian):
 //
 //	byte    magic 0xD5
-//	byte    version 1
+//	byte    version 2
 //	byte    frame type
 //	byte    flags (reserved, 0)
 //	uint32  payload length (<= MaxFrame)
@@ -29,8 +29,10 @@ import (
 )
 
 const (
-	frameMagic   = 0xD5
-	frameVersion = 1
+	frameMagic = 0xD5
+	// frameVersion 2 renumbered the frame types: the two fragment frames
+	// of version 1 became ExecReq.Exchange.
+	frameVersion = 2
 
 	// MaxFrame bounds a single frame payload (64 MiB): a corrupt or
 	// hostile length prefix must not become an allocation.
@@ -58,8 +60,6 @@ const (
 	FrameStats                 // gob telemetry.QueryRecord
 	FrameDone                  // empty: end of a response stream
 	FrameInsert                // gob InsertHdr then row block in same payload
-	FrameFragment              // gob FragmentReq: scan fragment -> shuffle
-	FrameJoinFrag              // gob JoinFragReq: consume shuffles, run join
 	FrameShuffleData           // binary shuffle header + row block
 	FrameShuffleEOF            // binary shuffle header, sender is done
 	FrameAdopt                 // gob AdoptReq: host these shards

@@ -165,13 +165,19 @@ func (s *Server) Adopt(req AdoptReq) error {
 // OpenShard opens a shard's engine over its file-set on the clustered
 // filesystem with the resources the coordinator granted it.
 func OpenShard(fs *clusterfs.FS, a ShardAssign) *core.DB {
-	return core.Open(core.Config{
+	cfg := a.config()
+	cfg.Store = fs.ShardStore(a.ID)
+	return core.Open(cfg)
+}
+
+// config is the engine sizing of a grant, with no page store.
+func (a ShardAssign) config() core.Config {
+	return core.Config{
 		BufferPoolBytes: int(a.MemBytes),
 		Parallelism:     a.Parallelism,
 		SortHeapBytes:   a.SortHeap,
 		HashHeapBytes:   a.HashHeap,
-		Store:           fs.ShardStore(a.ID),
-	})
+	}
 }
 
 // EnsureTables opens (or creates empty) the shard-local slice of every
@@ -403,10 +409,6 @@ func (s *Server) dispatch(c *serverConn, t FrameType, payload []byte) error {
 		return s.handleExec(c, payload)
 	case FrameInsert:
 		return reply(s.handleInsert(payload))
-	case FrameFragment:
-		return reply(s.handleFragment(payload))
-	case FrameJoinFrag:
-		return s.handleJoinFrag(c, payload)
 	case FrameShuffleData, FrameShuffleEOF:
 		return reply(s.handleShuffle(t, payload))
 	case FrameShuffleDrop:
@@ -479,6 +481,9 @@ func isReadOnly(st sql.Statement) bool {
 	return false
 }
 
+// handleExec is the one statement entry point: DML under the applied-token
+// log, a SELECT over the shard's tables, and both sides of a shuffle
+// exchange (see Exchange).
 func (s *Server) handleExec(c *serverConn, payload []byte) error {
 	var req ExecReq
 	if _, err := decodeGob(payload, &req); err != nil {
@@ -488,7 +493,29 @@ func (s *Server) handleExec(c *serverConn, payload []byte) error {
 	if err != nil {
 		return c.write(FrameErr, []byte(err.Error()))
 	}
+	db := slot.db
 	write := !isReadOnly(req.Stmt)
+	x := req.Exchange
+	if x == nil {
+		x = &Exchange{}
+	} else if _, sel := req.Stmt.(*sql.SelectStmt); !sel {
+		return c.write(FrameErr, []byte("exchange on a statement that is not a SELECT"))
+	}
+	if len(x.Inputs) > 0 {
+		// The scratch engine inherits the shard's post-failover budgets, so
+		// reduced SORTHEAP/HASHHEAP and DOP govern the statement itself (and
+		// the 8KB-heap parity tests exercise mid-join spills here).
+		db = core.Open(slot.assign.config())
+		defer db.Close()
+		defer s.router.DropPart(x.Query, x.Part)
+		for _, in := range x.Inputs {
+			src := s.router.Source(x.Query, in.Stage, x.Part, x.Senders)
+			nick := &Nick{Sch: in.Schema, From: "MPP-SHUFFLE", Fetch: func() ([]types.Row, error) { return recvAll(src) }}
+			if err := db.Catalog().CreateNickname(in.Name, nick); err != nil {
+				return c.write(FrameErr, []byte(err.Error()))
+			}
+		}
+	}
 	if write {
 		if affected, ok := s.lookupApplied(req.ShardID, req.Token); ok {
 			// Lost-reply retry of a statement this shard already durably
@@ -496,7 +523,7 @@ func (s *Server) handleExec(c *serverConn, payload []byte) error {
 			return writeResultStream(c, &core.Result{RowsAffected: affected, Message: "OK"}, false)
 		}
 	}
-	sess := slot.db.NewSession()
+	sess := db.NewSession()
 	sess.SetDialect(req.Dialect)
 	res, err := sess.ExecParsed(req.Stmt)
 	if err != nil {
@@ -512,7 +539,28 @@ func (s *Server) handleExec(c *serverConn, payload []byte) error {
 		}
 		s.markApplied(req.ShardID, req.Token, res.RowsAffected)
 	}
+	if out := x.Output; out != nil {
+		w := &exec.ShuffleWriterOp{
+			Child: exec.NewValues(Untyped(res.Columns), res.Rows),
+			Keys:  out.Keys,
+			Parts: len(out.Parts),
+			Sink:  NewNetSink(s.pool, s.router, s.addr, x.Query, out.Stage, out.Sender, out.Parts),
+		}
+		if _, err := exec.Drain(w); err != nil {
+			return c.write(FrameErr, []byte(err.Error()))
+		}
+		res = &core.Result{Columns: res.Columns, RowsAffected: w.Sent, Stats: res.Stats}
+	}
 	return writeResultStream(c, res, req.WithStats)
+}
+
+// Untyped is the schema of a result known only by its column names.
+func Untyped(names []string) types.Schema {
+	sch := make(types.Schema, len(names))
+	for i, name := range names {
+		sch[i] = types.Column{Name: name, Nullable: true}
+	}
+	return sch
 }
 
 func (s *Server) handleInsert(payload []byte) error {
@@ -546,37 +594,6 @@ func (s *Server) handleInsert(payload []byte) error {
 	return nil
 }
 
-func (s *Server) handleFragment(payload []byte) error {
-	var req FragmentReq
-	if _, err := decodeGob(payload, &req); err != nil {
-		return err
-	}
-	slot, err := s.engine(req.ShardID)
-	if err != nil {
-		return err
-	}
-	sess := slot.db.NewSession()
-	sess.SetDialect(req.Dialect)
-	res, err := sess.ExecParsed(req.Sel)
-	if err != nil {
-		return err
-	}
-	sch := make(types.Schema, len(res.Columns))
-	for i, name := range res.Columns {
-		sch[i] = types.Column{Name: name, Nullable: true}
-	}
-	w := &exec.ShuffleWriterOp{
-		Child: exec.NewValues(sch, res.Rows),
-		Keys:  req.Keys,
-		Parts: len(req.Parts),
-		Sink:  NewNetSink(s.pool, s.router, s.addr, req.Query, req.Stage, req.SenderID, req.Parts),
-	}
-	if _, err := exec.Drain(w); err != nil {
-		return err
-	}
-	return nil
-}
-
 func (s *Server) handleShuffle(t FrameType, payload []byte) error {
 	h, rest, err := decodeShuffleHdr(payload)
 	if err != nil {
@@ -594,75 +611,40 @@ func (s *Server) handleShuffle(t FrameType, payload []byte) error {
 	return nil
 }
 
-// shuffleNick adapts one shuffle partition into a catalog nickname: the
-// join fragment's scratch engine scans it like any remote table. The
-// drain is cached so plan rescans see the same rows.
-type shuffleNick struct {
-	sch types.Schema
-	src exec.ShuffleSource
+// Nick is a catalog nickname over rows that arrive once per statement: a
+// shuffle partition on a shard, a shard statement's output at the
+// coordinator. The fetch is cached, so a plan that reads the name twice
+// sees the same rows and moves them once.
+type Nick struct {
+	Sch   types.Schema
+	From  string // Origin
+	Fetch func() ([]types.Row, error)
 
 	once sync.Once
 	rows []types.Row
 	err  error
 }
 
-func (n *shuffleNick) Schema() types.Schema { return n.sch }
-func (n *shuffleNick) Origin() string       { return "MPP-SHUFFLE" }
+var _ catalog.RemoteSource = (*Nick)(nil)
 
-func (n *shuffleNick) ScanAll() ([]types.Row, error) {
-	n.once.Do(func() {
-		for {
-			batch, err := n.src.Recv()
-			if err != nil {
-				n.err = err
-				return
-			}
-			if batch == nil {
-				return
-			}
-			n.rows = append(n.rows, batch...)
-		}
-	})
+func (n *Nick) Schema() types.Schema { return n.Sch }
+func (n *Nick) Origin() string       { return n.From }
+
+func (n *Nick) ScanAll() ([]types.Row, error) {
+	n.once.Do(func() { n.rows, n.err = n.Fetch() })
 	return n.rows, n.err
 }
 
-var _ catalog.RemoteSource = (*shuffleNick)(nil)
-
-func (s *Server) handleJoinFrag(c *serverConn, payload []byte) error {
-	var req JoinFragReq
-	if _, err := decodeGob(payload, &req); err != nil {
-		return c.write(FrameErr, []byte(err.Error()))
+// recvAll drains a shuffle partition.
+func recvAll(src exec.ShuffleSource) ([]types.Row, error) {
+	var rows []types.Row
+	for {
+		batch, err := src.Recv()
+		if err != nil || batch == nil {
+			return rows, err
+		}
+		rows = append(rows, batch...)
 	}
-	slot, err := s.engine(req.ShardID)
-	if err != nil {
-		return c.write(FrameErr, []byte(err.Error()))
-	}
-	// The scratch engine inherits the shard's post-failover budgets, so
-	// reduced SORTHEAP/HASHHEAP and DOP govern the join itself (and the
-	// 8KB-heap parity tests exercise mid-join spills here).
-	scratch := core.Open(core.Config{
-		BufferPoolBytes: int(slot.assign.MemBytes),
-		Parallelism:     slot.assign.Parallelism,
-		SortHeapBytes:   slot.assign.SortHeap,
-		HashHeapBytes:   slot.assign.HashHeap,
-	})
-	defer scratch.Close()
-	defer s.router.DropPart(req.Query, req.Part)
-	build := &shuffleNick{sch: req.BuildSchema, src: s.router.Source(req.Query, req.BuildStage, req.Part, req.Senders)}
-	probe := &shuffleNick{sch: req.ProbeSchema, src: s.router.Source(req.Query, req.ProbeStage, req.Part, req.Senders)}
-	if err := scratch.Catalog().CreateNickname(req.BuildName, build); err != nil {
-		return c.write(FrameErr, []byte(err.Error()))
-	}
-	if err := scratch.Catalog().CreateNickname(req.ProbeName, probe); err != nil {
-		return c.write(FrameErr, []byte(err.Error()))
-	}
-	sess := scratch.NewSession()
-	sess.SetDialect(req.Dialect)
-	res, err := sess.ExecParsed(req.Sel)
-	if err != nil {
-		return c.write(FrameErr, []byte(err.Error()))
-	}
-	return writeResultStream(c, res, req.WithStats)
 }
 
 func (s *Server) handleRowCount(c *serverConn, payload []byte) error {

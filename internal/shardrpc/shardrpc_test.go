@@ -38,11 +38,11 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
-		{0x00, 1, 1, 0, 0, 0, 0, 0},                   // bad magic
-		{frameMagic, 9, 1, 0, 0, 0, 0, 0},             // bad version
-		{frameMagic, 1, 0, 0, 0, 0, 0, 0},             // invalid type
-		{frameMagic, 1, 99, 0, 0, 0, 0, 0},            // type out of range
-		{frameMagic, 1, 1, 0, 0xFF, 0xFF, 0xFF, 0xFF}, // oversized
+		{0x00, frameVersion, 1, 0, 0, 0, 0, 0},                   // bad magic
+		{frameMagic, 1, 1, 0, 0, 0, 0, 0},                        // bad version (the one before the frame types were renumbered)
+		{frameMagic, frameVersion, 0, 0, 0, 0, 0, 0},             // invalid type
+		{frameMagic, frameVersion, 99, 0, 0, 0, 0, 0},            // type out of range
+		{frameMagic, frameVersion, 1, 0, 0xFF, 0xFF, 0xFF, 0xFF}, // oversized
 	}
 	for i, c := range cases {
 		if _, _, err := ReadFrame(bytes.NewReader(c)); err == nil {
@@ -525,6 +525,116 @@ func TestShuffleDropFrame(t *testing.T) {
 	}
 	if got := s.Router().InboxCount(); got != 1 {
 		t.Fatalf("inboxes after drop %d, want 1 (query 8 untouched)", got)
+	}
+}
+
+// waitNoInboxes waits out the deferred per-partition drop, which runs
+// after the reply is written.
+func waitNoInboxes(t *testing.T, s *Server, when string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for s.Router().InboxCount() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: server still holds %d shuffle inboxes", when, s.Router().InboxCount())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestExecShuffleExchange drives both sides of an exchange through the
+// one statement frame: an ExecReq whose Exchange has an Output
+// hash-partitions its rows to the partition owners instead of returning
+// them, one whose Exchange has Inputs reads its partition as a table. The reading statement runs under the
+// shard's current grant — after a failover re-adopts the shard with 8KB
+// heaps and DOP 1 the same sort spills and reports DOP 1 — and the
+// partition's inboxes are dropped when it ends, in error too.
+func TestExecShuffleExchange(t *testing.T) {
+	fs := clusterfs.New()
+	s := startTestServer(t, fs)
+	p := NewPool("coord")
+	defer p.Close()
+	schema := types.Schema{
+		{Name: "id", Kind: types.KindInt},
+		{Name: "region", Kind: types.KindString, Nullable: true},
+		{Name: "amount", Kind: types.KindFloat, Nullable: true},
+	}
+	var rows []types.Row
+	for i := 0; i < 3000; i++ {
+		rows = append(rows, types.Row{types.NewInt(int64(i)), types.NewString("r"), types.NewFloat(float64(i % 97))})
+	}
+	if err := p.Insert(s.Addr(), 0, "sales", 0, rows); err != nil {
+		t.Fatal(err)
+	}
+	scan, _ := sql.Parse("SELECT * FROM sales", sql.DialectANSI)
+	sorted, _ := sql.Parse("SELECT id, amount FROM part ORDER BY amount DESC, id", sql.DialectANSI)
+	parts := []PartLoc{{ShardID: 0}, {Addr: s.Addr(), ShardID: 1}} // one loopback, one through the socket
+
+	// exchange shuffles shard 0's table on id as query q and sorts each
+	// partition on the shard that owns it.
+	exchange := func(q uint64) (read int, spills int64, dop int) {
+		t.Helper()
+		sent, err := p.Exec(s.Addr(), ExecReq{ShardID: 0, Stmt: scan, Exchange: &Exchange{Query: q,
+			Output: &ShuffleOutput{Stage: 0, Keys: []int{0}, Parts: parts, Sender: 0}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sent.Rows) != 0 || sent.RowsAffected != int64(len(rows)) {
+			t.Fatalf("shuffling statement returned %d rows and reported %d shuffled, want 0 and %d", len(sent.Rows), sent.RowsAffected, len(rows))
+		}
+		for part := range parts {
+			res, err := p.Exec(s.Addr(), ExecReq{ShardID: part, Stmt: sorted, WithStats: true, Exchange: &Exchange{Query: q, Part: part,
+				Senders: 1, Inputs: []ShuffleInput{{Name: "part", Schema: schema, Stage: 0}}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i < len(res.Rows); i++ {
+				if res.Rows[i-1][1].Float() < res.Rows[i][1].Float() {
+					t.Fatalf("partition %d is not sorted at row %d", part, i)
+				}
+			}
+			read += len(res.Rows)
+			if part == 0 {
+				dop = res.Stats.Dop
+				for _, op := range res.Stats.Ops {
+					spills += op.SpillRuns
+				}
+			}
+		}
+		waitNoInboxes(t, s, "after the exchange")
+		return read, spills, dop
+	}
+	if read, spills, dop := exchange(41); read != len(rows) || spills != 0 || dop != 2 {
+		t.Fatalf("1MB heaps, DOP 2: read %d rows with %d spill runs at DOP %d, want %d, 0 and 2", read, spills, dop, len(rows))
+	}
+	starved := ShardAssign{ID: 0, MemBytes: 1 << 20, SortHeap: 8 << 10, HashHeap: 8 << 10, Parallelism: 1}
+	if err := s.Adopt(AdoptReq{Shards: []ShardAssign{starved}, Tables: []TableSpec{{Name: "sales", ID: 1, Schema: schema}}, Reason: "failover"}); err != nil {
+		t.Fatal(err)
+	}
+	if read, spills, dop := exchange(42); read != len(rows) || spills == 0 || dop != 1 {
+		t.Fatalf("8KB heaps, DOP 1: read %d rows with %d spill runs at DOP %d, want %d, some and 1", read, spills, dop, len(rows))
+	}
+
+	// A reading statement that fails still frees its partition.
+	for _, batch := range [][]types.Row{rows[:10], nil} { // rows, then the sender's EOF
+		if err := p.SendShuffle(s.Addr(), shuffleHdr{Query: 43, Stage: 0, Part: 0}, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad, _ := sql.Parse("SELECT nope FROM part", sql.DialectANSI)
+	_, err := p.Exec(s.Addr(), ExecReq{ShardID: 0, Stmt: bad, Exchange: &Exchange{Query: 43,
+		Senders: 1, Inputs: []ShuffleInput{{Name: "part", Schema: schema, Stage: 0}}}})
+	if err == nil || !strings.Contains(strings.ToLower(err.Error()), "nope") {
+		t.Fatalf("statement over a missing column: err %v", err)
+	}
+	waitNoInboxes(t, s, "after a failed reading statement")
+
+	// Shuffle fields belong to SELECTs only.
+	del, _ := sql.Parse("DELETE FROM sales", sql.DialectANSI)
+	if _, err := p.Exec(s.Addr(), ExecReq{ShardID: 0, Stmt: del, Exchange: &Exchange{Query: 44, Output: &ShuffleOutput{Parts: parts}}}); err == nil {
+		t.Fatal("DELETE with a shuffle output was accepted")
+	}
+	if n, err := p.RowCount(s.Addr(), 0, "sales"); err != nil || n != int64(len(rows)) {
+		t.Fatalf("rows after the refused DELETE: %d err %v", n, err)
 	}
 }
 

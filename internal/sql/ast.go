@@ -156,8 +156,8 @@ func SubqueryOf(e Expr) *SelectStmt {
 }
 
 // WalkExpr calls visit on e and then, while visit returns true, on every
-// expression below it, parents first. It is the only place that
-// enumerates an expression's children, so a question asked through it
+// expression below it, parents first. It and MapExpr are the only places
+// that enumerate an expression's children, so a question asked through it
 // (holds an aggregate? a subquery? which columns?) sees every Expr kind
 // or none. A subquery is its own SELECT block: the node holding it is
 // handed to visit (see SubqueryOf) and the walk does not enter the block.
@@ -204,6 +204,56 @@ func WalkExpr(e Expr, visit func(Expr) bool) {
 		WalkExpr(ex.S2, visit)
 		WalkExpr(ex.E2, visit)
 	}
+}
+
+// MapExpr rewrites an expression without touching the original: replace is
+// offered every node, parents first; a non-nil answer stands in for the
+// node and everything below it, nil copies the node and maps its
+// children. Leaves and subquery blocks are shared with the original.
+func MapExpr(e Expr, replace func(Expr) Expr) Expr {
+	if e == nil {
+		return nil
+	}
+	if r := replace(e); r != nil {
+		return r
+	}
+	m := func(x Expr) Expr { return MapExpr(x, replace) }
+	switch ex := e.(type) {
+	case *BinaryOp:
+		return &BinaryOp{Op: ex.Op, Left: m(ex.Left), Right: m(ex.Right)}
+	case *UnaryOp:
+		return &UnaryOp{Op: ex.Op, Expr: m(ex.Expr)}
+	case *FuncCall:
+		c := *ex
+		c.Args, c.WithinGroupOrder = nil, m(ex.WithinGroupOrder)
+		for _, a := range ex.Args {
+			c.Args = append(c.Args, m(a))
+		}
+		return &c
+	case *CaseExpr:
+		c := &CaseExpr{Operand: m(ex.Operand), Else: m(ex.Else)}
+		for _, w := range ex.Whens {
+			c.Whens = append(c.Whens, CaseWhen{When: m(w.When), Then: m(w.Then)})
+		}
+		return c
+	case *CastExpr:
+		return &CastExpr{Expr: m(ex.Expr), Type: ex.Type}
+	case *IsNullExpr:
+		return &IsNullExpr{Expr: m(ex.Expr), Not: ex.Not}
+	case *IsBoolExpr:
+		return &IsBoolExpr{Expr: m(ex.Expr), Want: ex.Want, Not: ex.Not}
+	case *BetweenExpr:
+		return &BetweenExpr{Expr: m(ex.Expr), Lo: m(ex.Lo), Hi: m(ex.Hi), Not: ex.Not}
+	case *InExpr:
+		c := &InExpr{Expr: m(ex.Expr), Sub: ex.Sub, Not: ex.Not}
+		for _, le := range ex.List {
+			c.List = append(c.List, m(le))
+		}
+		return c
+	case *OverlapsExpr:
+		return &OverlapsExpr{S1: m(ex.S1), E1: m(ex.E1), S2: m(ex.S2), E2: m(ex.E2)}
+	}
+	return e
 }
 
 // --- FROM clause -----------------------------------------------------------

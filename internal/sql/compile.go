@@ -313,7 +313,7 @@ func (c *Compiler) compileSelectCore(sel *SelectStmt) (*compiled, error) {
 				return nil, err
 			}
 			exprs[i] = e
-			outSchema[i] = types.Column{Name: c.itemName(it, i), Kind: types.KindNull, Nullable: true}
+			outSchema[i] = types.Column{Name: ItemName(it, i), Kind: types.KindNull, Nullable: true}
 		}
 		// ORDER BY resolution: output ordinal → output alias/name →
 		// input column (projected as a hidden sort key).
@@ -393,8 +393,9 @@ func (c *Compiler) compileSelectCore(sel *SelectStmt) (*compiled, error) {
 	return &compiled{op: plan.Lower(outNode, c.planOptions()), scope: outScope}, nil
 }
 
-// itemName derives an output column name.
-func (c *Compiler) itemName(it SelectItem, i int) string {
+// ItemName derives the output column name of the i-th select item (stars
+// expanded): its alias, else the column or function it is, else COL<i+1>.
+func ItemName(it SelectItem, i int) string {
 	if it.Alias != "" {
 		return it.Alias
 	}
@@ -951,8 +952,8 @@ func (c *Compiler) compileConjuncts(conjuncts []Expr, sc *scope) (exec.Expr, err
 	return pred, nil
 }
 
-// aggregateCall returns the node as an aggregate function call, if it is one.
-func aggregateCall(e Expr) (*FuncCall, bool) {
+// AggregateCall returns the node as an aggregate function call, if it is one.
+func AggregateCall(e Expr) (*FuncCall, bool) {
 	fc, ok := e.(*FuncCall)
 	if !ok {
 		return nil, false
@@ -966,7 +967,7 @@ func aggregateCall(e Expr) (*FuncCall, bool) {
 func containsAggregate(e Expr) bool {
 	found := false
 	WalkExpr(e, func(x Expr) bool {
-		if _, agg := aggregateCall(x); agg {
+		if _, agg := AggregateCall(x); agg {
 			found = true
 		}
 		return !found

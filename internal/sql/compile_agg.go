@@ -183,7 +183,7 @@ func (c *Compiler) compileAggregate(sel *SelectStmt, items []SelectItem, cur *co
 	// input, where a nested aggregate is rejected.
 	var aggCalls []*FuncCall
 	collectAggregates := func(x Expr) bool {
-		fc, agg := aggregateCall(x)
+		fc, agg := AggregateCall(x)
 		if !agg {
 			return true
 		}
@@ -238,7 +238,7 @@ func (c *Compiler) compileAggregate(sel *SelectStmt, items []SelectItem, cur *co
 			return nil, nil, err
 		}
 		exprs[i] = e
-		outSchema[i] = types.Column{Name: c.itemName(it, i), Kind: types.KindNull, Nullable: true}
+		outSchema[i] = types.Column{Name: ItemName(it, i), Kind: types.KindNull, Nullable: true}
 	}
 	op = &exec.ProjectOp{Child: op, Exprs: exprs, Out: outSchema}
 	return op, outSchema, nil

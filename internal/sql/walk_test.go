@@ -30,20 +30,18 @@ func exprKinds(t *testing.T) map[string]bool {
 	return kinds
 }
 
-// TestWalkExprVisitsEveryChildOnce builds one expression holding every
-// Expr kind, in every child position a kind has, and checks that WalkExpr
-// hands each node to the visitor exactly once, parents first, without
-// entering a subquery's block, and prunes below a node the visitor
-// declines.
-func TestWalkExprVisitsEveryChildOnce(t *testing.T) {
-	var all []Expr
+// everyKindTree builds one expression holding every Expr kind, in every
+// child position a kind has. all lists its nodes; inner sits inside the
+// subquery block three of them share.
+func everyKindTree(t *testing.T) (root Expr, all []Expr, inner Expr) {
+	t.Helper()
 	n := func(e Expr) Expr { all = append(all, e); return e }
 	leaf := func() Expr { return n(&Literal{Val: types.NewInt(int64(len(all)))}) }
 
-	inner := &ColumnRef{Column: "inside_a_subquery"}
+	inner = &ColumnRef{Column: "inside_a_subquery"}
 	sub := &SelectStmt{Items: []SelectItem{{Expr: inner}}, Where: inner, Limit: -1}
 
-	root := n(&FuncCall{
+	root = n(&FuncCall{
 		Name: "F",
 		Args: []Expr{
 			n(&BinaryOp{Op: "+", Left: n(&ColumnRef{Column: "a"}), Right: n(&UnaryOp{Op: "-", Expr: leaf()})}),
@@ -69,9 +67,18 @@ func TestWalkExprVisitsEveryChildOnce(t *testing.T) {
 	}
 	for k := range exprKinds(t) {
 		if !have[k] {
-			t.Errorf("Expr kind %s is not in this test's tree: add it, and its children to WalkExpr", k)
+			t.Errorf("Expr kind %s is not in this test's tree: add it, and its children to WalkExpr and MapExpr", k)
 		}
 	}
+	return root, all, inner
+}
+
+// TestWalkExprVisitsEveryChildOnce checks that WalkExpr hands each node of
+// the every-kind tree to the visitor exactly once, parents first, without
+// entering a subquery's block, and prunes below a node the visitor
+// declines.
+func TestWalkExprVisitsEveryChildOnce(t *testing.T) {
+	root, all, inner := everyKindTree(t)
 
 	visits := make(map[Expr]int)
 	var order []Expr
@@ -107,4 +114,55 @@ func TestWalkExprVisitsEveryChildOnce(t *testing.T) {
 	}
 
 	WalkExpr(nil, func(Expr) bool { t.Error("visited a nil expression"); return true })
+}
+
+// TestMapExprReachesEveryChild replaces every literal of the every-kind
+// tree: no original literal may survive in the copy (a kind MapExpr does
+// not enumerate would share its subtree), the original stays as built, and
+// a nil-answering replace yields an equal tree.
+func TestMapExprReachesEveryChild(t *testing.T) {
+	root, all, _ := everyKindTree(t)
+	original := make(map[Expr]bool)
+	for _, e := range all {
+		original[e] = true
+	}
+	marker := &Literal{Val: types.NewString("replaced")}
+	mapped := MapExpr(root, func(e Expr) Expr {
+		if _, lit := e.(*Literal); lit {
+			return marker
+		}
+		return nil
+	})
+	WalkExpr(mapped, func(e Expr) bool {
+		if _, lit := e.(*Literal); lit && e != marker {
+			t.Errorf("literal %+v of the original is reachable from the copy", e)
+		}
+		if _, leaf := e.(*Literal); !leaf && original[e] && hasChildren(e) {
+			t.Errorf("%T of the original is shared with the copy", e)
+		}
+		return true
+	})
+	seen := 0
+	WalkExpr(root, func(e Expr) bool {
+		if e == marker {
+			t.Errorf("MapExpr wrote into the original")
+		}
+		seen++
+		return true
+	})
+	if seen != len(all) {
+		t.Errorf("original now walks %d nodes, built %d", seen, len(all))
+	}
+	if same := MapExpr(root, func(Expr) Expr { return nil }); !reflect.DeepEqual(same, root) {
+		t.Errorf("a copy with nothing replaced differs from its original")
+	}
+	if MapExpr(nil, func(Expr) Expr { return marker }) != nil {
+		t.Errorf("mapped a nil expression to something")
+	}
+}
+
+func hasChildren(e Expr) bool {
+	n := 0
+	WalkExpr(e, func(Expr) bool { n++; return true })
+	return n > 1
 }

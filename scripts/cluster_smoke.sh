@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Two-process cluster smoke: boots two shard-server processes
 # (dashdb-local -shard-listen) over one shared clusterfs directory,
-# connects the coordinator CLI (dashdbctl -connect), loads rows, runs a
-# cluster-wide COUNT, then declares one node dead and checks the
-# survivors answer with nothing lost — the minimal end-to-end exercise
-# of the shard RPC boundary and HA failover across real processes.
+# connects the coordinator CLI (dashdbctl -connect), loads two tables and
+# runs one statement per placement of the distributed SELECT — a COUNT
+# (scatter), a two-table join (shuffle exchange) and a MEDIAN (gather) —
+# then declares one node dead and checks the survivors give the same
+# three answers: the minimal end-to-end exercise of the shard RPC
+# boundary, its one statement frame and HA failover across real processes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,17 +50,29 @@ done
 out=$("$BIN/dashdbctl" -connect 127.0.0.1:"$PORT1",127.0.0.1:"$PORT2" -clusterfs "$CFS" -shards 4 <<'EOF'
 status
 load sm 500
+load sm2 300
 sql SELECT COUNT(*) FROM sm
+sql SELECT COUNT(*), SUM(a.v) FROM sm a JOIN sm2 b ON a.v = b.v
+sql SELECT MEDIAN(v) FROM sm
 fail nodeB
 sql SELECT COUNT(*) FROM sm
+sql SELECT COUNT(*), SUM(a.v) FROM sm a JOIN sm2 b ON a.v = b.v
+sql SELECT MEDIAN(v) FROM sm
 quit
 EOF
 )
 echo "$out"
 
+# load fills v = id % 997 for id < rows, so v is unique in both tables and
+# the join on v (not the distribution key) matches sm2's 300 rows with
+# SUM(a.v) = 299*300/2; the median of sm's 0..499 is 249.5.
+TAB=$(printf '\t')
 echo "$out" | grep -q "nodeA:2 nodeB:2" || { echo "cluster_smoke: FAIL initial association" >&2; exit 1; }
 echo "$out" | grep -q "OK loaded 500 rows" || { echo "cluster_smoke: FAIL load" >&2; exit 1; }
-[ "$(echo "$out" | grep -cx '500')" -ge 2 ] || { echo "cluster_smoke: FAIL count (before/after failover)" >&2; exit 1; }
+echo "$out" | grep -q "OK loaded 300 rows" || { echo "cluster_smoke: FAIL load of the second table" >&2; exit 1; }
+[ "$(echo "$out" | grep -cx '500')" -eq 2 ] || { echo "cluster_smoke: FAIL count (before/after failover)" >&2; exit 1; }
+[ "$(echo "$out" | grep -cx "300${TAB}44850")" -eq 2 ] || { echo "cluster_smoke: FAIL two-table join (before/after failover)" >&2; exit 1; }
+[ "$(echo "$out" | grep -cx '249.5')" -eq 2 ] || { echo "cluster_smoke: FAIL median (before/after failover)" >&2; exit 1; }
 echo "$out" | grep -q "nodeA:4" || { echo "cluster_smoke: FAIL failover re-association" >&2; exit 1; }
 
-echo "cluster_smoke: PASS — 2-process cluster served queries and survived a node death"
+echo "cluster_smoke: PASS — 2-process cluster ran scatter, shuffle-join and gather statements and survived a node death"
