@@ -1,0 +1,208 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
+
+// seedFinancial loads the benchmark's two tables (benchmark/workload.go)
+// at a size the planner's estimates are stable on.
+func seedFinancial(t testing.TB, s *Session) {
+	t.Helper()
+	mustExec(t, s, `CREATE TABLE accounts (account_id BIGINT NOT NULL, customer VARCHAR(16), sector VARCHAR(16), open_date DATE, balance DOUBLE)`)
+	mustExec(t, s, `CREATE TABLE transactions (txn_id BIGINT NOT NULL, account_id BIGINT NOT NULL, txn_date DATE, amount DOUBLE, txn_type VARCHAR(4), status VARCHAR(8))`)
+	sectors := []string{"banking", "energy", "tech", "health"}
+	var b strings.Builder
+	b.WriteString("INSERT INTO accounts VALUES ")
+	for i := 0; i < 40; i++ {
+		if i > 0 {
+			b.WriteString(",")
+		}
+		fmt.Fprintf(&b, "(%d, 'C%d', '%s', DATE '2010-01-%02d', %d.25)", i, i, sectors[i%4], i%28+1, i*10)
+	}
+	mustExec(t, s, b.String())
+	kinds, status := []string{"BUY", "SELL", "DIV", "FEE"}, []string{"SETTLED", "PENDING", "FAILED"}
+	b.Reset()
+	b.WriteString("INSERT INTO transactions VALUES ")
+	for i := 0; i < 2000; i++ {
+		if i > 0 {
+			b.WriteString(",")
+		}
+		fmt.Fprintf(&b, "(%d, %d, DATE '2016-%02d-%02d', %d.5, '%s', '%s')", i, i%40, i%12+1, i%28+1, i%97, kinds[i%4], status[i%3])
+	}
+	mustExec(t, s, b.String())
+}
+
+// planShapes pins the physical tree of each benchmark statement class
+// (benchmark/workload.go) and of every block-tail shape. The entries were
+// recorded at e2dba3e, before a SELECT block became one plan tree, and
+// must not change — the tree is how "same plan" is checked — with two
+// exceptions: DISTINCT at Parallelism 2 was serial there (plan.Distinct
+// had a lowering of its own that placed no dop; it is now the aggregate's),
+// and the last statement did not compile.
+var planShapes = []struct {
+	name, q string
+	want    [2]string // EXPLAIN at Parallelism 1 and 2
+}{
+	{name: "point",
+		q: `SELECT amount FROM transactions WHERE txn_id = 1234`,
+		want: [2]string{`
+PROJECT AMOUNT [vectorized]
+  COLUMNAR SCAN TRANSACTIONS [vectorized] [pushdown: TXN_ID = 1234] (est rows=1)
+`, `
+PROJECT AMOUNT [vectorized]
+  COLUMNAR SCAN TRANSACTIONS [vectorized] [pushdown: TXN_ID = 1234] (est rows=1)
+`}},
+	{name: "scan",
+		q: `SELECT txn_type, COUNT(*), SUM(amount) FROM transactions WHERE txn_date >= DATE '2016-10-01' AND status = 'SETTLED' GROUP BY txn_type ORDER BY txn_type`,
+		want: [2]string{`
+SORT [1 keys] [row]
+  PROJECT TXN_TYPE, COUNT, SUM [vectorized]
+    GROUP BY [1 keys, 2 aggregates] [vectorized] [compressed]
+      COLUMNAR SCAN TRANSACTIONS [vectorized] [compressed] [pushdown: TXN_DATE >= 2016-10-01 AND STATUS = SETTLED] (est rows=162)
+`, `
+SORT [1 keys] [row]
+  PROJECT TXN_TYPE, COUNT, SUM [vectorized]
+    GROUP BY [1 keys, 2 aggregates] [vectorized] [compressed] [dop=2]
+      PARALLEL COLUMNAR SCAN TRANSACTIONS [dop=2] [vectorized] [compressed] [pushdown: TXN_DATE >= 2016-10-01 AND STATUS = SETTLED] (est rows=162)
+`}},
+	{name: "agg",
+		q: `SELECT status, COUNT(*), SUM(amount), AVG(amount) FROM transactions GROUP BY status ORDER BY status`,
+		want: [2]string{`
+SORT [1 keys] [row]
+  PROJECT STATUS, COUNT, SUM, AVG [vectorized]
+    GROUP BY [1 keys, 3 aggregates] [vectorized] [compressed]
+      COLUMNAR SCAN TRANSACTIONS [vectorized] [compressed] (est rows=2000)
+`, `
+SORT [1 keys] [row]
+  PROJECT STATUS, COUNT, SUM, AVG [vectorized]
+    GROUP BY [1 keys, 3 aggregates] [vectorized] [compressed] [dop=2]
+      PARALLEL COLUMNAR SCAN TRANSACTIONS [dop=2] [vectorized] [compressed] (est rows=2000)
+`}},
+	{name: "groupby",
+		q: `SELECT account_id, COUNT(*), SUM(amount) FROM transactions GROUP BY account_id ORDER BY account_id FETCH FIRST 10 ROWS ONLY`,
+		want: [2]string{`
+LIMIT 10 OFFSET 0 [vectorized]
+  SORT [1 keys] [row]
+    PROJECT ACCOUNT_ID, COUNT, SUM [vectorized]
+      GROUP BY [1 keys, 2 aggregates] [vectorized]
+        COLUMNAR SCAN TRANSACTIONS [vectorized] (est rows=2000)
+`, `
+LIMIT 10 OFFSET 0 [vectorized]
+  SORT [1 keys] [row]
+    PROJECT ACCOUNT_ID, COUNT, SUM [vectorized]
+      GROUP BY [1 keys, 2 aggregates] [vectorized] [dop=2]
+        PARALLEL COLUMNAR SCAN TRANSACTIONS [dop=2] [vectorized] (est rows=2000)
+`}},
+	{name: "join",
+		q: `SELECT transactions.status, COUNT(*), SUM(transactions.amount) FROM transactions JOIN accounts ON transactions.account_id = accounts.account_id WHERE transactions.txn_date >= DATE '2016-06-01' AND accounts.sector = 'tech' GROUP BY transactions.status ORDER BY transactions.status`,
+		want: [2]string{`
+SORT [1 keys] [row]
+  PROJECT STATUS, COUNT, SUM [vectorized]
+    GROUP BY [1 keys, 2 aggregates] [vectorized]
+      HASH JOIN (INNER) [build=left] [reordered] (est rows=331)
+        COLUMNAR SCAN TRANSACTIONS [vectorized] [compressed] [pushdown: TXN_DATE >= 2016-06-01] (est rows=1160)
+        COLUMNAR SCAN ACCOUNTS [vectorized] [compressed] [pushdown: SECTOR = tech] (est rows=10)
+`, `
+SORT [1 keys] [row]
+  PROJECT STATUS, COUNT, SUM [vectorized]
+    GROUP BY [1 keys, 2 aggregates] [vectorized]
+      HASH JOIN (INNER) [build=left] [reordered] (est rows=331)
+        COLUMNAR SCAN TRANSACTIONS [vectorized] [compressed] [pushdown: TXN_DATE >= 2016-06-01] (est rows=1160)
+        COLUMNAR SCAN ACCOUNTS [vectorized] [compressed] [pushdown: SECTOR = tech] (est rows=10)
+`}},
+	{name: "sort",
+		q: `SELECT txn_id, amount FROM transactions WHERE txn_date >= DATE '2016-11-01' ORDER BY amount DESC, txn_id`,
+		want: [2]string{`
+SORT [2 keys] [row]
+  PROJECT TXN_ID, AMOUNT [vectorized]
+    COLUMNAR SCAN TRANSACTIONS [vectorized] [pushdown: TXN_DATE >= 2016-11-01] (est rows=315)
+`, `
+SORT [2 keys] [row]
+  PROJECT TXN_ID, AMOUNT [vectorized]
+    COLUMNAR SCAN TRANSACTIONS [vectorized] [pushdown: TXN_DATE >= 2016-11-01] (est rows=315)
+`}},
+	{name: "topk",
+		q: `SELECT txn_id, amount FROM transactions WHERE txn_date >= DATE '2016-11-01' ORDER BY amount DESC, txn_id FETCH FIRST 100 ROWS ONLY`,
+		want: [2]string{`
+LIMIT 100 OFFSET 0 [vectorized]
+  SORT [2 keys] [row]
+    PROJECT TXN_ID, AMOUNT [vectorized]
+      COLUMNAR SCAN TRANSACTIONS [vectorized] [pushdown: TXN_DATE >= 2016-11-01] (est rows=315)
+`, `
+LIMIT 100 OFFSET 0 [vectorized]
+  SORT [2 keys] [row]
+    PROJECT TXN_ID, AMOUNT [vectorized]
+      COLUMNAR SCAN TRANSACTIONS [vectorized] [pushdown: TXN_DATE >= 2016-11-01] (est rows=315)
+`}},
+	{name: "distinct",
+		q: `SELECT DISTINCT status FROM transactions`,
+		want: [2]string{`
+GROUP BY [1 keys, 0 aggregates] [vectorized]
+  PROJECT STATUS [vectorized] [compressed]
+    COLUMNAR SCAN TRANSACTIONS [vectorized] [compressed] (est rows=2000)
+`, `
+GROUP BY [1 keys, 0 aggregates] [vectorized] [dop=2]
+  PROJECT STATUS [vectorized] [compressed]
+    PARALLEL COLUMNAR SCAN TRANSACTIONS [dop=2] [vectorized] [compressed] (est rows=2000)
+`}},
+	{name: "union",
+		q: `SELECT account_id FROM accounts UNION SELECT account_id FROM transactions`,
+		want: [2]string{`
+GROUP BY [1 keys, 0 aggregates] [vectorized]
+  UNION ALL
+    PROJECT ACCOUNT_ID [vectorized]
+      COLUMNAR SCAN ACCOUNTS [vectorized] (est rows=40)
+    PROJECT ACCOUNT_ID [vectorized]
+      COLUMNAR SCAN TRANSACTIONS [vectorized] (est rows=2000)
+`, `
+GROUP BY [1 keys, 0 aggregates] [vectorized]
+  UNION ALL
+    PROJECT ACCOUNT_ID [vectorized]
+      COLUMNAR SCAN ACCOUNTS [vectorized] (est rows=40)
+    PROJECT ACCOUNT_ID [vectorized]
+      COLUMNAR SCAN TRANSACTIONS [vectorized] (est rows=2000)
+`}},
+	{name: "hidden-key sort",
+		q: `SELECT txn_id FROM transactions WHERE txn_id < 50 ORDER BY amount`,
+		want: [2]string{`
+PROJECT TXN_ID [vectorized]
+  SORT [1 keys] [row]
+    PROJECT TXN_ID, __sort0 [vectorized]
+      COLUMNAR SCAN TRANSACTIONS [vectorized] [pushdown: TXN_ID < 50] (est rows=50)
+`, `
+PROJECT TXN_ID [vectorized]
+  SORT [1 keys] [row]
+    PROJECT TXN_ID, __sort0 [vectorized]
+      COLUMNAR SCAN TRANSACTIONS [vectorized] [pushdown: TXN_ID < 50] (est rows=50)
+`}},
+	{name: "hidden-key aggregate sort",
+		q: `SELECT status FROM transactions GROUP BY status ORDER BY SUM(amount) DESC`,
+		want: [2]string{`
+PROJECT STATUS [vectorized]
+  SORT [1 keys] [row]
+    PROJECT STATUS, __sort0 [vectorized]
+      GROUP BY [1 keys, 1 aggregates] [vectorized] [compressed]
+        COLUMNAR SCAN TRANSACTIONS [vectorized] [compressed] (est rows=2000)
+`, `
+PROJECT STATUS [vectorized]
+  SORT [1 keys] [row]
+    PROJECT STATUS, __sort0 [vectorized]
+      GROUP BY [1 keys, 1 aggregates] [vectorized] [compressed] [dop=2]
+        PARALLEL COLUMNAR SCAN TRANSACTIONS [dop=2] [vectorized] [compressed] (est rows=2000)
+`}},
+}
+
+func TestPlanShapes(t *testing.T) {
+	for pi, dop := range []int{1, 2} {
+		s := Open(Config{BufferPoolBytes: 16 << 20, Parallelism: dop}).NewSession()
+		seedFinancial(t, s)
+		for _, c := range planShapes {
+			got := planText(mustExec(t, s, "EXPLAIN "+c.q))
+			if want := strings.TrimPrefix(c.want[pi], "\n"); got != want {
+				t.Errorf("%s at parallelism %d:\n%s\nwant:\n%s", c.name, dop, got, want)
+			}
+		}
+	}
+}

@@ -15,9 +15,14 @@ import (
 // exactly why only a linter catches it. Library callers that assemble
 // executor trees directly (workload simulators, benchmarks) go through
 // plan.HashJoin / plan.NestedLoopJoin instead.
+//
+// On the statement path (internal/sql, core, mpp, shardrpc) the same holds
+// for exec.GroupByOp: a SELECT block is one plan tree, and plan.Aggregate's
+// lowering is where the group-by gets its governor and its dop. Library
+// callers keep building group-bys directly.
 var AnalyzerPlanLower = &Analyzer{
 	Name: "planlower",
-	Doc:  "exec join operators are constructed only in internal/plan and internal/exec; use plan.Lower or the plan constructors elsewhere",
+	Doc:  "exec join operators (and, on the statement path, exec.GroupByOp) are constructed only in internal/plan and internal/exec; use plan.Lower or the plan constructors elsewhere",
 	Match: func(path string) bool {
 		if strings.HasPrefix(path, "fixture/") {
 			return true
@@ -32,26 +37,33 @@ var AnalyzerPlanLower = &Analyzer{
 	Run: runPlanLower,
 }
 
-// isJoinOpType reports whether t is a *JoinOp-named operator type from
-// the executor package (or a fixture's local stand-in).
-func isJoinOpType(t gotypes.Type) bool {
+// statementPath matches the packages a SQL statement compiles and runs in.
+var statementPath = matchPath("internal/sql", "internal/core", "internal/mpp", "internal/shardrpc")
+
+// loweredOpName returns the name of t when it is an operator type from the
+// executor package (or a fixture's local stand-in) that only lowering may
+// construct: a *JoinOp anywhere, GroupByOp when groupBy is set.
+func loweredOpName(t gotypes.Type, groupBy bool) string {
 	if p, ok := t.(*gotypes.Pointer); ok {
 		t = p.Elem()
 	}
 	named, ok := t.(*gotypes.Named)
-	if !ok || !strings.HasSuffix(named.Obj().Name(), "JoinOp") {
-		return false
+	if !ok || named.Obj().Pkg() == nil {
+		return ""
 	}
-	pkg := named.Obj().Pkg()
-	if pkg == nil {
-		return false
+	name, path := named.Obj().Name(), named.Obj().Pkg().Path()
+	if !strings.HasSuffix(path, "internal/exec") && !strings.HasPrefix(path, "fixture/") {
+		return ""
 	}
-	return strings.HasSuffix(pkg.Path(), "internal/exec") ||
-		strings.HasPrefix(pkg.Path(), "fixture/")
+	if strings.HasSuffix(name, "JoinOp") || (groupBy && name == "GroupByOp") {
+		return name
+	}
+	return ""
 }
 
 func runPlanLower(pass *Pass) {
 	info := pass.Pkg.Info
+	groupBy := statementPath(pass.Pkg.Path)
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			cl, ok := n.(*ast.CompositeLit)
@@ -59,16 +71,14 @@ func runPlanLower(pass *Pass) {
 				return true
 			}
 			t := info.TypeOf(cl)
-			if t == nil || !isJoinOpType(t) {
+			if t == nil {
 				return true
 			}
-			name := t
-			if p, ok := name.(*gotypes.Pointer); ok {
-				name = p.Elem()
+			if name := loweredOpName(t, groupBy); name != "" {
+				pass.Reportf(cl.Pos(),
+					"%s constructed outside the physical-lowering package: route through plan.Lower (SQL) or plan.HashJoin/plan.NestedLoopJoin (library callers) so join ordering, build-side selection and dop placement apply",
+					name)
 			}
-			pass.Reportf(cl.Pos(),
-				"%s constructed outside the physical-lowering package: route through plan.Lower (SQL) or plan.HashJoin/plan.NestedLoopJoin (library callers) so join ordering and build-side selection apply",
-				name.(*gotypes.Named).Obj().Name())
 			return true
 		})
 	}

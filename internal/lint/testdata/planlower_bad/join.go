@@ -39,3 +39,18 @@ func crossProduct(l, r Operator) Operator {
 	j := NestedLoopJoinOp{Left: l, Right: r} //lint:expect planlower
 	return &j
 }
+
+// GroupByOp is a local stand-in for exec.GroupByOp.
+type GroupByOp struct {
+	Child Operator
+	Keys  []int
+}
+
+// Open implements Operator.
+func (g *GroupByOp) Open() error { return nil }
+
+// countByKey hand-assembles a group-by on the statement path: it runs,
+// ungoverned and serial, outside the block's plan tree.
+func countByKey(child Operator) Operator {
+	return &GroupByOp{Child: child, Keys: []int{0}} //lint:expect planlower
+}

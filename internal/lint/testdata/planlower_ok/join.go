@@ -39,3 +39,28 @@ func buildStarJoin(fact, dim Operator) Operator {
 func scanOnly() Operator {
 	return &ScanOp{Cols: []int{0, 1}}
 }
+
+// GroupByOp is a local stand-in for exec.GroupByOp.
+type GroupByOp struct {
+	Child Operator
+	Keys  []int
+}
+
+// Open implements Operator.
+func (g *GroupByOp) Open() error { return nil }
+
+// Aggregate is the fixture's stand-in for the plan node whose lowering
+// builds the group-by.
+type Aggregate struct {
+	Child Operator
+	Keys  []int
+}
+
+func lower(a *Aggregate) Operator {
+	return &GroupByOp{Child: a.Child, Keys: a.Keys} //dashdb:nolint planlower fixture stand-in for the exempt lowering package
+}
+
+// countByKey describes the aggregation as a plan node and has it lowered.
+func countByKey(child Operator) Operator {
+	return lower(&Aggregate{Child: child, Keys: []int{0}})
+}

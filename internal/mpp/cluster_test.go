@@ -1362,7 +1362,7 @@ func TestParityGenerated(t *testing.T) {
 		ref := referenceOf(t, c)
 
 		var want NetStats
-		check := func(q string, path *uint64) {
+		check := func(q string, path *uint64) *core.Result {
 			t.Helper()
 			one, err := ref.Exec(q)
 			if err != nil {
@@ -1377,6 +1377,7 @@ func TestParityGenerated(t *testing.T) {
 			if st := c.Stats(); st != want {
 				t.Fatalf("%s\ntook paths %+v, want %+v", q, st, want)
 			}
+			return got
 		}
 		for _, q := range []string{ // corners of the rule the generator does not draw
 			"SELECT * FROM sales WHERE id < 5 ORDER BY id",
@@ -1388,6 +1389,9 @@ func TestParityGenerated(t *testing.T) {
 			"SELECT region, CASE WHEN MIN(id) > 1 THEN 'late' ELSE 'early' END FROM sales GROUP BY region ORDER BY region",
 			"SELECT MEAN(amount), COUNT(*) FROM sales WHERE region IN ('north', 'east')",
 			"SELECT id, region FROM sales WHERE amount < 3 ORDER BY sales.region DESC, id LIMIT 4 OFFSET 2",
+			// Sort keys the block does not select: final sorts by a hidden column.
+			"SELECT region FROM sales GROUP BY region ORDER BY SUM(amount) + 1 DESC, COUNT(*)",
+			"SELECT UPPER(region) AS k, SUM(amount) FROM sales GROUP BY region HAVING COUNT(*) > 1 ORDER BY region DESC",
 		} {
 			check(q, &want.FastPathQueries)
 		}
@@ -1416,11 +1420,16 @@ func TestParityGenerated(t *testing.T) {
 			"SELECT id FROM sales ORDER BY amount, id LIMIT 3",
 			"SELECT id + 1 FROM sales ORDER BY id + 1 LIMIT 3",
 			"SELECT DISTINCT region FROM sales ORDER BY region",
-			"SELECT region FROM sales WHERE id < 3 UNION ALL SELECT name FROM regions ORDER BY 1",
 			// Scattered, every shard would count Z3's unmatched row.
 			"SELECT z.zone, COUNT(*) FROM zones z LEFT JOIN sales s ON z.region = s.region GROUP BY z.zone ORDER BY z.zone",
 		} {
 			check(q, &want.GatherPathQueries)
+		}
+		// ORDER BY after a set operation sorts the whole chain, which the
+		// cluster and one engine agreeing would not show.
+		const union = "SELECT region FROM sales WHERE id < 3 UNION ALL SELECT name FROM regions ORDER BY 1"
+		if got := renderRows(check(union, &want.GatherPathQueries).Rows); got != "east\neast\nnorth\nnorth\nsouth\nsouth\n" {
+			t.Errorf("%s\nnot the chain's rows in order:\n%s", union, got)
 		}
 	})
 }
@@ -1494,5 +1503,70 @@ func TestParityUnderSpill(t *testing.T) {
 		"SELECT region, COUNT(*) AS n, SUM(amount) AS s FROM sales GROUP BY region ORDER BY region",
 		"SELECT id, amount FROM sales ORDER BY amount DESC, id LIMIT 25",
 		"SELECT DISTINCT region FROM sales ORDER BY region",
+	})
+}
+
+// TestTailAnswers pins, on one engine and through both clients, the
+// statements whose ORDER BY bound wrongly or not at all while an
+// aggregating block resolved it with a resolver of its own and a set
+// operation had no tail: a sort key may be anything the block's own scope
+// computes, and ORDER BY / FETCH FIRST after a UNION apply to the chain.
+func TestTailAnswers(t *testing.T) {
+	const x = "SELECT a FROM t WHERE a = 1"
+	cases := []struct {
+		q, want string // the rows, or a fragment of the error
+		err     bool
+	}{
+		{q: "SELECT b FROM t GROUP BY b ORDER BY SUM(a)", want: "x z y"},
+		{q: "SELECT b FROM t GROUP BY b ORDER BY SUM(a) DESC", want: "y z x"},
+		{q: "SELECT b FROM t GROUP BY b ORDER BY COUNT(*) DESC, b", want: "x y z"},
+		{q: "SELECT b, SUM(a) s FROM t GROUP BY b ORDER BY SUM(a)+1 DESC", want: "y,7 z,5 x,3"},
+		{q: "SELECT b, SUM(a) s FROM t GROUP BY b ORDER BY -SUM(a)", want: "y,7 z,5 x,3"},
+		{q: "SELECT SUM(a) FROM t GROUP BY b ORDER BY b DESC", want: "5 7 3"},
+		{q: "SELECT UPPER(b) k, SUM(a) FROM t GROUP BY b ORDER BY b", want: "X,3 Y,7 Z,5"},
+		{q: "SELECT b FROM t GROUP BY b HAVING COUNT(*)>1 ORDER BY MAX(c)", want: "x y"},
+		{q: "SELECT DISTINCT a+1 FROM t ORDER BY a+1", want: "2 3 4 5 6"},
+		{q: "SELECT COUNT(*) AS a, b FROM t GROUP BY b ORDER BY a, b", want: "1,z 2,x 2,y"}, // the alias, not t.a
+		{q: "SELECT b, SUM(a) FROM t GROUP BY b ORDER BY a", want: "column A not found", err: true},
+		{q: "SELECT SUM(a) FROM t ORDER BY b", want: "column B not found", err: true},
+		{q: "SELECT DISTINCT b FROM t ORDER BY a", want: "cannot combine with DISTINCT", err: true},
+		{q: "SELECT b, SUM(a) FROM t GROUP BY b ORDER BY 3", want: "ORDER BY ordinal 3 out of range", err: true},
+		{q: "SELECT a AS k, c AS k FROM t ORDER BY k", want: `"K" is ambiguous`, err: true},
+		{q: "SELECT a FROM t UNION ALL SELECT a FROM t ORDER BY a DESC FETCH FIRST 2 ROWS ONLY", want: "5 5"},
+		{q: "SELECT a FROM t WHERE a<3 UNION ALL SELECT a FROM t WHERE a>3 ORDER BY 1 FETCH FIRST 1 ROWS ONLY", want: "1"},
+		{q: x + " UNION " + x + " UNION ALL " + x, want: "1 1"},
+		{q: x + " UNION ALL " + x + " UNION " + x, want: "1"},
+		{q: "SELECT a FROM t UNION ALL SELECT c FROM t ORDER BY c", want: "column C not found", err: true},
+	}
+	schema := types.Schema{{Name: "a", Kind: types.KindInt}, {Name: "b", Kind: types.KindString, Nullable: true}, {Name: "c", Kind: types.KindInt, Nullable: true}}
+	var rows []types.Row
+	for i, b := range []string{"x", "x", "y", "y", "z"} {
+		rows = append(rows, types.Row{types.NewInt(int64(i + 1)), types.NewString(b), types.NewInt([]int64{10, 20, 30, 5, 7}[i])})
+	}
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.form(fourNodes()[:2], 2, clusterfs.New())
+		if err := c.CreateTable("t", schema, TableOptions{DistributeBy: "a"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Insert("t", rows); err != nil {
+			t.Fatal(err)
+		}
+		surfaces := map[string]func(string) (*core.Result, error){"one engine": referenceOf(t, c).Exec, "cluster": c.Query}
+		for _, tc := range cases {
+			for name, exec := range surfaces {
+				r, err := exec(tc.q)
+				switch {
+				case tc.err && (err == nil || !strings.Contains(err.Error(), tc.want)):
+					t.Errorf("%s: %s: want error containing %q, got %v", name, tc.q, tc.want, err)
+				case !tc.err && err != nil:
+					t.Errorf("%s: %s: %v", name, tc.q, err)
+				case !tc.err:
+					got := strings.ReplaceAll(strings.ReplaceAll(strings.TrimSpace(renderRows(r.Rows)), "\t", ","), "\n", " ")
+					if got != tc.want {
+						t.Errorf("%s: %s: rows %s, want %s", name, tc.q, got, tc.want)
+					}
+				}
+			}
+		}
 	})
 }

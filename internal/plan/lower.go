@@ -53,11 +53,46 @@ func lower(n Node, opts Options) (exec.Operator, float64) {
 		for i := range keys {
 			keys[i] = exec.ColRef(i)
 		}
-		return &exec.GroupByOp{Child: child, GroupBy: keys, GroupCols: sch, Gov: opts.Gov}, est
+		return groupBy(child, keys, sch, nil, opts), est
+	case *Aggregate:
+		child, est := lower(t.Child, opts)
+		return groupBy(child, t.GroupBy, t.GroupCols, t.Aggs, opts), est
 	case *Join:
 		return lowerJoin(t, opts)
 	}
 	panic("plan: unknown node type")
+}
+
+// groupBy builds the one hash aggregation. A group-by whose aggregates
+// merge exactly, fed by a columnar scan through filters and projections
+// only, runs at the session's degree, and so does that scan. (The operator
+// still ingests on one worker when a filter in between has no vector
+// kernel; key-ordered emit makes the scan's arrival order irrelevant.)
+func groupBy(child exec.Operator, keys []exec.Expr, cols types.Schema, aggs []exec.AggSpec, opts Options) *exec.GroupByOp {
+	g := &exec.GroupByOp{Child: child, GroupBy: keys, GroupCols: cols, Aggs: aggs, Gov: opts.Gov}
+	if opts.Dop > 1 && exec.MergeableAggs(aggs) {
+		if scan := scanBelow(child); scan != nil {
+			g.Dop, scan.Dop = opts.Dop, opts.Dop
+		}
+	}
+	return g
+}
+
+// scanBelow returns the columnar scan at the bottom of a Filter/Project
+// chain, or nil when the chain ends in anything else.
+func scanBelow(op exec.Operator) *exec.ScanOp {
+	for {
+		switch o := op.(type) {
+		case *exec.ScanOp:
+			return o
+		case *exec.FilterOp:
+			op = o.Child
+		case *exec.ProjectOp:
+			op = o.Child
+		default:
+			return nil
+		}
+	}
 }
 
 // lowerJoin dispatches one join node: inner/cross regions reorder under

@@ -1,8 +1,9 @@
 // Package plan is the logical-plan layer between the SQL compiler and the
 // physical executor. The compiler translates a parsed SELECT into a small
-// relational-algebra tree (Scan/Filter/Join/Project/Sort/Limit/Distinct)
-// whose expressions are already bound; this package then runs the
-// optimizer passes and lowers the tree to exec operators:
+// relational-algebra tree per SELECT block
+// (Input/Filter/Join/Aggregate/Project/Distinct/Sort/Limit) whose
+// expressions are already bound; this package then runs the optimizer
+// passes and lowers the tree to exec operators:
 //
 //   - greedy multi-way join ordering: inner/cross join regions are
 //     flattened into a join graph and re-ordered by estimated output
@@ -21,9 +22,13 @@
 //     ordinary predicates, so stride skipping prunes rows that cannot
 //     have a join partner.
 //
-// Physical join operators are constructed only here (and inside
-// internal/exec itself); the planlower analyzer in internal/lint enforces
-// that every other package routes join construction through this package.
+// Lowering is also where intra-query parallelism is placed: a group-by
+// whose aggregates merge exactly, fed by a columnar scan through filters
+// and projections only, runs at Options.Dop, and so does that scan.
+//
+// Physical group-by and join operators are constructed only here (and
+// inside internal/exec itself); the planlower analyzer in internal/lint
+// enforces that the statement path routes both through this package.
 package plan
 
 import (
@@ -41,6 +46,9 @@ type Options struct {
 	Greedy bool
 	// Gov is the session memory governor handed to blocking operators.
 	Gov *mem.Governor
+	// Dop is the session's effective parallelism degree (the compiler's
+	// Parallelism, passed through); 0/1 keeps every plan serial.
+	Dop int
 }
 
 // Node is one logical-plan operator. Arity is the width of the node's
@@ -99,6 +107,18 @@ type Join struct {
 }
 
 func (n *Join) arity() int { return n.Left.arity() + n.Right.arity() }
+
+// Aggregate groups the child's rows on GroupBy (named by GroupCols) and
+// computes Aggs per group: its output is the group columns followed by
+// one column per aggregate. No GroupBy is one group over every row.
+type Aggregate struct {
+	Child     Node
+	GroupBy   []exec.Expr
+	GroupCols types.Schema
+	Aggs      []exec.AggSpec
+}
+
+func (n *Aggregate) arity() int { return len(n.GroupBy) + len(n.Aggs) }
 
 // Project computes the output expressions.
 type Project struct {

@@ -285,3 +285,58 @@ func TestGreedyOrderPrefersConnected(t *testing.T) {
 		t.Fatalf("order = %v, want connected big table (0) before disconnected mid", order)
 	}
 }
+
+// TestAggregateLowering: lowering is where a group-by gets its dop — iff
+// Options.Dop > 1, every aggregate merges exactly and the child lowers to
+// filters and projections over a columnar scan, which then runs at the
+// same degree — and Distinct is the same lowering with every column a key.
+func TestAggregateLowering(t *testing.T) {
+	sum := exec.AggSpec{Func: exec.AggSum, Arg: exec.ColRef(1), Name: "SUM"}
+	median := exec.AggSpec{Func: exec.AggMedian, Arg: exec.ColRef(1), Name: "MEDIAN"}
+	cols := intSchema("k")
+	var scan *exec.ScanOp
+	overScan := func() Node { // Project(Filter(scan))
+		scan = exec.NewScan(intTable(t, 1, "t", 0, 99), nil, nil)
+		return &Project{
+			Child: &Filter{Child: &Input{Op: scan}, Pred: exec.Const{V: types.NewBool(true)}},
+			Exprs: []exec.Expr{exec.ColRef(0), exec.ColRef(1)}, Out: intSchema("k", "v"),
+		}
+	}
+	overJoin := func() Node {
+		scan = exec.NewScan(intTable(t, 1, "t", 0, 99), nil, nil)
+		return &Join{Left: &Input{Op: scan}, Right: valuesLeaf("r", 8, 10), Kind: InnerJoin, LeftKeys: []int{0}, RightKeys: []int{0}}
+	}
+	for _, c := range []struct {
+		name  string
+		child func() Node
+		aggs  []exec.AggSpec
+		dop   int
+		want  int // the Dop of the group-by and of the scan beneath it
+	}{
+		{"serial", overScan, []exec.AggSpec{sum}, 1, 0},
+		{"parallel", overScan, []exec.AggSpec{sum}, 2, 2},
+		{"no aggregates", overScan, nil, 2, 2},
+		{"median", overScan, []exec.AggSpec{sum, median}, 2, 0},
+		{"join below", overJoin, []exec.AggSpec{sum}, 2, 0},
+	} {
+		agg := &Aggregate{Child: c.child(), GroupBy: []exec.Expr{exec.ColRef(0)}, GroupCols: cols, Aggs: c.aggs}
+		g := Lower(agg, Options{Greedy: true, Dop: c.dop}).(*exec.GroupByOp)
+		if g.Dop != c.want || scan.Dop != c.want {
+			t.Errorf("%s: group-by dop %d, scan dop %d, want %d", c.name, g.Dop, scan.Dop, c.want)
+		}
+		if len(g.Aggs) != len(c.aggs) || len(g.GroupBy) != 1 {
+			t.Errorf("%s: lowered %d keys, %d aggregates", c.name, len(g.GroupBy), len(g.Aggs))
+		}
+	}
+
+	for _, dop := range []int{1, 2} {
+		opts := Options{Dop: dop}
+		keys := &Project{Child: &Input{Op: exec.NewScan(intTable(t, 1, "t", 0, 99), nil, nil)}, Exprs: []exec.Expr{exec.ColRef(0)}, Out: cols}
+		d := Lower(&Distinct{Child: keys}, opts).(*exec.GroupByOp)
+		a := Lower(&Aggregate{Child: keys, GroupBy: []exec.Expr{exec.ColRef(0)}, GroupCols: cols}, opts).(*exec.GroupByOp)
+		if d.Dop != a.Dop || len(d.GroupBy) != len(a.GroupBy) || len(d.Aggs) != 0 || fmt.Sprint(d.Schema()) != fmt.Sprint(a.Schema()) {
+			t.Errorf("dop %d: Distinct lowered to %+v, Aggregate without aggregates to %+v", dop, d, a)
+		}
+		assertSame(t, sortedRows(t, d), sortedRows(t, a))
+	}
+}

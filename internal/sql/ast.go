@@ -307,7 +307,11 @@ type CTE struct {
 	Sub  *SelectStmt
 }
 
-// SelectStmt is a query, possibly with set operations chained via Union.
+// SelectStmt is a query expression: one SELECT block, or a set operation
+// whose first block it is. Set operands are chained through Union and
+// combine left to right — ((block op Union) op Union.Union) … — and carry
+// no With, OrderBy, Limit or Offset of their own: the first block's apply
+// to the whole chain.
 type SelectStmt struct {
 	With     []CTE
 	Distinct bool
@@ -319,7 +323,8 @@ type SelectStmt struct {
 	OrderBy  []OrderItem
 	Limit    int64 // -1 = none
 	Offset   int64
-	// Union chains the next set operand; UnionAll distinguishes ALL.
+	// Union is the next set operand; UnionAll says this block (or the
+	// chain up to it) and that operand combine as UNION ALL.
 	Union    *SelectStmt
 	UnionAll bool
 }

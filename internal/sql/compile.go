@@ -59,7 +59,7 @@ type Compiler struct {
 
 // planOptions translates compiler knobs into lowering options.
 func (c *Compiler) planOptions() plan.Options {
-	return plan.Options{Greedy: !c.DisableJoinReorder, Gov: c.Gov}
+	return plan.Options{Greedy: !c.DisableJoinReorder, Gov: c.Gov, Dop: c.Parallelism}
 }
 
 type cteData struct {
@@ -196,29 +196,38 @@ func (c *Compiler) compileSelect(sel *SelectStmt) (*compiled, error) {
 		}
 	}()
 
-	cpl, err := c.compileSelectCore(sel)
+	if sel.Union == nil {
+		return c.compileSelectCore(sel)
+	}
+	// A set operation: the operands are blocks with no tail of their own,
+	// folded left to right; the statement's ORDER BY, LIMIT and OFFSET
+	// apply to the whole chain.
+	head := *sel
+	head.OrderBy, head.Limit, head.Offset = nil, -1, 0
+	left, err := c.compileSelectCore(&head)
 	if err != nil {
 		return nil, err
 	}
-	// Set operations.
-	if sel.Union != nil {
-		right, err := c.compileSelect(sel.Union)
+	out := left.op.Schema()
+	var node plan.Node = &plan.Input{Op: left.op}
+	for u := sel; u.Union != nil; u = u.Union {
+		right, err := c.compileSelectCore(u.Union)
 		if err != nil {
 			return nil, err
 		}
-		if len(right.op.Schema()) != len(cpl.op.Schema()) {
+		if len(right.op.Schema()) != len(out) {
 			return nil, fmt.Errorf("sql: UNION operands have different arity")
 		}
-		var node plan.Node = &plan.Input{Op: &exec.UnionAllOp{Children: []exec.Operator{cpl.op, right.op}}}
-		if !sel.UnionAll {
+		node = &plan.Input{Op: &exec.UnionAllOp{Children: []exec.Operator{plan.Lower(node, c.planOptions()), right.op}}}
+		if !u.UnionAll {
 			node = &plan.Distinct{Child: node}
 		}
-		return &compiled{op: plan.Lower(node, c.planOptions()), scope: cpl.scope}, nil
 	}
-	return cpl, nil
+	return c.compileTail(&SelectStmt{OrderBy: sel.OrderBy, Limit: sel.Limit, Offset: sel.Offset}, node, nil, nil, out)
 }
 
-// compileSelectCore compiles one SELECT block (no set ops).
+// compileSelectCore compiles one SELECT block — sel's own fields, not the
+// set operands chained behind it — as one plan tree and lowers it once.
 func (c *Compiler) compileSelectCore(sel *SelectStmt) (*compiled, error) {
 	// Projection pruning: record every column the statement touches so
 	// base-table scans fetch only the columns of active interest
@@ -231,8 +240,8 @@ func (c *Compiler) compileSelectCore(sel *SelectStmt) (*compiled, error) {
 
 	// --- FROM ---
 	// The FROM clause compiles to a logical plan.Node tree; physical
-	// join operators are produced by plan.Lower below, after the
-	// planner's join-ordering and build-side passes.
+	// join operators are produced by plan.Lower, after the planner's
+	// join-ordering and build-side passes.
 	var cur *planned
 	var err error
 	if len(sel.From) == 0 {
@@ -282,115 +291,113 @@ func (c *Compiler) compileSelectCore(sel *SelectStmt) (*compiled, error) {
 		return nil, err
 	}
 
-	// --- aggregation ---
 	hasAgg := len(sel.GroupBy) > 0 || sel.Having != nil
 	for _, it := range items {
-		if containsAggregate(it.Expr) {
-			hasAgg = true
+		hasAgg = hasAgg || containsAggregate(it.Expr)
+	}
+	if hasAgg {
+		if cur, err = c.planAggregate(sel, items, cur); err != nil {
+			return nil, err
 		}
 	}
-	var outNode plan.Node
-	var outSchema types.Schema
-	hiddenSort := 0 // extra projected sort-key columns, dropped after Sort
-	var sortKeys []exec.SortKey
-	if hasAgg {
-		// Aggregation still assembles its group-by over physical operators
-		// (and places dop on the scan beneath it), so lower the FROM tree
-		// first and hand the aggregate compiler a physical input.
-		fromCpl := &compiled{op: plan.Lower(cur.node, c.planOptions()), scope: cur.scope}
-		var outOp exec.Operator
-		outOp, outSchema, sortKeys, err = c.compileAggregateWithOrder(sel, items, fromCpl)
+	return c.compileTail(sel, cur.node, items, cur.scope, nil)
+}
+
+// compileTail puts the part every query expression shares on top of node
+// and lowers the tree: Project(items + hidden sort keys) → [Distinct] →
+// [Sort] → [Project away hidden] → [Limit]. A block passes its select
+// items and the scope they compile in — the row scope, or the aggregated
+// row's; a set operation passes neither, only the output columns node
+// already has.
+//
+// An ORDER BY key resolves, in order, as an output ordinal; an expression
+// over output names; the select item it textually is; an expression in
+// the block's own scope, projected as a hidden __sort<i> column.
+func (c *Compiler) compileTail(sel *SelectStmt, node plan.Node, items []SelectItem, in *scope, out types.Schema) (*compiled, error) {
+	exprs := make([]exec.Expr, len(items))
+	for i, it := range items {
+		e, err := c.compileExpr(it.Expr, in)
 		if err != nil {
 			return nil, err
 		}
-		outNode = &plan.Input{Op: outOp}
-	} else {
-		exprs := make([]exec.Expr, len(items))
-		outSchema = make(types.Schema, len(items))
-		for i, it := range items {
-			e, err := c.compileExpr(it.Expr, cur.scope)
-			if err != nil {
-				return nil, err
-			}
-			exprs[i] = e
-			outSchema[i] = types.Column{Name: ItemName(it, i), Kind: types.KindNull, Nullable: true}
-		}
-		// ORDER BY resolution: output ordinal → output alias/name →
-		// input column (projected as a hidden sort key).
-		outScope := &scope{}
-		for _, col := range outSchema {
-			outScope.add("", col.Name, col.Kind)
-		}
-		for _, oi := range sel.OrderBy {
-			var e exec.Expr
-			switch {
-			case oi.Ordinal > 0:
-				if oi.Ordinal > len(items) {
-					return nil, fmt.Errorf("sql: ORDER BY ordinal %d out of range", oi.Ordinal)
-				}
-				e = exec.ColRef(oi.Ordinal - 1)
-			default:
-				// Try the output schema first (qualifier stripped: the
-				// projection renames columns unqualified).
-				probe := oi.Expr
-				if ref, ok := probe.(*ColumnRef); ok && ref.Table != "" {
-					if _, err := outScope.resolve("", ref.Column); err == nil {
-						probe = &ColumnRef{Column: ref.Column}
-					}
-				}
-				var cerr error
-				e, cerr = c.compileExpr(probe, outScope)
-				if cerr != nil {
-					// Fall back to the input scope with a hidden column.
-					ie, ierr := c.compileExpr(oi.Expr, cur.scope)
-					if ierr != nil {
-						return nil, cerr
-					}
-					exprs = append(exprs, ie)
-					name := fmt.Sprintf("__sort%d", hiddenSort)
-					outSchema = append(outSchema, types.Column{Name: name, Kind: types.KindNull, Nullable: true})
-					e = exec.ColRef(len(exprs) - 1)
-					hiddenSort++
-				}
-			}
-			sortKeys = append(sortKeys, exec.SortKey{Expr: e, Desc: oi.Desc})
-		}
-		outNode = &plan.Project{Child: cur.node, Exprs: exprs, Out: outSchema}
+		exprs[i] = e
+		out = append(out, types.Column{Name: ItemName(it, i), Kind: types.KindNull, Nullable: true})
 	}
-
-	if sel.Distinct {
-		if hiddenSort > 0 {
-			return nil, fmt.Errorf("sql: ORDER BY over non-selected columns cannot combine with DISTINCT")
-		}
-		outNode = &plan.Distinct{Child: outNode}
-	}
-
-	if len(sortKeys) > 0 {
-		outNode = &plan.Sort{Child: outNode, Keys: sortKeys}
-	}
-	if hiddenSort > 0 {
-		visible := len(outSchema) - hiddenSort
-		exprs := make([]exec.Expr, visible)
-		for i := range exprs {
-			exprs[i] = exec.ColRef(i)
-		}
-		outSchema = outSchema[:visible]
-		outNode = &plan.Project{Child: outNode, Exprs: exprs, Out: outSchema}
-	}
-
-	if sel.Limit >= 0 || sel.Offset > 0 {
-		limit := sel.Limit
-		if limit < 0 {
-			limit = -1
-		}
-		outNode = &plan.Limit{Child: outNode, Offset: sel.Offset, Limit: limit}
-	}
-
+	visible := len(out)
 	outScope := &scope{}
-	for _, col := range outSchema {
+	for _, col := range out {
 		outScope.add("", col.Name, col.Kind)
 	}
-	return &compiled{op: plan.Lower(outNode, c.planOptions()), scope: outScope}, nil
+	rows := in // the scope exprKey binds column names against
+	if in != nil && in.agg != nil {
+		rows = in.agg.in
+	}
+
+	var sortKeys []exec.SortKey
+	for _, oi := range sel.OrderBy {
+		var e exec.Expr
+		switch {
+		case oi.Ordinal > visible:
+			return nil, fmt.Errorf("sql: ORDER BY ordinal %d out of range", oi.Ordinal)
+		case oi.Ordinal > 0:
+			e = exec.ColRef(oi.Ordinal - 1)
+		default:
+			// The output schema first (qualifier stripped: the projection
+			// renames columns unqualified).
+			probe := oi.Expr
+			if ref, ok := probe.(*ColumnRef); ok && ref.Table != "" {
+				if _, err := outScope.resolve("", ref.Column); err == nil {
+					probe = &ColumnRef{Column: ref.Column}
+				}
+			}
+			var err error
+			if e, err = c.compileExpr(probe, outScope); err == nil {
+				break
+			}
+			if in == nil {
+				return nil, err
+			}
+			col, key := 0, exprKey(oi.Expr, rows)
+			for col < len(items) && exprKey(items[col].Expr, rows) != key {
+				col++
+			}
+			if col == len(items) {
+				hidden, herr := c.compileExpr(oi.Expr, in)
+				if herr != nil {
+					return nil, err
+				}
+				col = len(exprs)
+				exprs = append(exprs, hidden)
+				out = append(out, types.Column{Name: fmt.Sprintf("__sort%d", col-visible), Kind: types.KindNull, Nullable: true})
+			}
+			e = exec.ColRef(col)
+		}
+		sortKeys = append(sortKeys, exec.SortKey{Expr: e, Desc: oi.Desc})
+	}
+
+	if items != nil {
+		node = &plan.Project{Child: node, Exprs: exprs, Out: out}
+	}
+	if sel.Distinct {
+		if len(out) > visible {
+			return nil, fmt.Errorf("sql: ORDER BY over non-selected columns cannot combine with DISTINCT")
+		}
+		node = &plan.Distinct{Child: node}
+	}
+	if len(sortKeys) > 0 {
+		node = &plan.Sort{Child: node, Keys: sortKeys}
+	}
+	if len(out) > visible {
+		keep := make([]exec.Expr, visible)
+		for i := range keep {
+			keep[i] = exec.ColRef(i)
+		}
+		node = &plan.Project{Child: node, Exprs: keep, Out: out[:visible]}
+	}
+	if sel.Limit >= 0 || sel.Offset > 0 {
+		node = &plan.Limit{Child: node, Offset: sel.Offset, Limit: max(sel.Limit, -1)}
+	}
+	return &compiled{op: plan.Lower(node, c.planOptions()), scope: outScope}, nil
 }
 
 // ItemName derives the output column name of the i-th select item (stars

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"dashdb/internal/exec"
+	"dashdb/internal/plan"
 	"dashdb/internal/types"
 )
 
@@ -71,63 +72,11 @@ func exprKey(e Expr, sc *scope) string {
 	}
 }
 
-// compileAggregateWithOrder compiles the aggregation pipeline and the
-// ORDER BY keys of an aggregating SELECT. The sort runs above the final
-// projection, so a key is an ordinal, an expression over output names,
-// or an expression that is itself a select item (ORDER BY COUNT(*) needs
-// COUNT(*) in the select list; an aggregate that is not selected would
-// need the sort below the projection and is not supported).
-func (c *Compiler) compileAggregateWithOrder(sel *SelectStmt, items []SelectItem, cur *compiled) (exec.Operator, types.Schema, []exec.SortKey, error) {
-	op, outSchema, err := c.compileAggregate(sel, items, cur)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	outScope := &scope{}
-	for _, col := range outSchema {
-		outScope.add("", col.Name, col.Kind)
-	}
-	var keys []exec.SortKey
-	for _, oi := range sel.OrderBy {
-		var e exec.Expr
-		switch {
-		case oi.Ordinal > 0:
-			if oi.Ordinal > len(outSchema) {
-				return nil, nil, nil, fmt.Errorf("sql: ORDER BY ordinal %d out of range", oi.Ordinal)
-			}
-			e = exec.ColRef(oi.Ordinal - 1)
-		default:
-			probe := oi.Expr
-			if ref, ok := probe.(*ColumnRef); ok && ref.Table != "" {
-				if _, rerr := outScope.resolve("", ref.Column); rerr == nil {
-					probe = &ColumnRef{Column: ref.Column}
-				}
-			}
-			var cerr error
-			e, cerr = c.compileExpr(probe, outScope)
-			if cerr != nil {
-				// The post-projection schema does not have it; ORDER BY
-				// over select-item expressions: locate the matching item.
-				found := false
-				for i, it := range items {
-					if exprKey(it.Expr, cur.scope) == exprKey(oi.Expr, cur.scope) {
-						e = exec.ColRef(i)
-						found = true
-						break
-					}
-				}
-				if !found {
-					return nil, nil, nil, cerr
-				}
-			}
-		}
-		keys = append(keys, exec.SortKey{Expr: e, Desc: oi.Desc})
-	}
-	return op, outSchema, keys, nil
-}
-
-// compileAggregate builds GroupBy → Having → Project for an aggregating
-// SELECT block.
-func (c *Compiler) compileAggregate(sel *SelectStmt, items []SelectItem, cur *compiled) (exec.Operator, types.Schema, error) {
+// planAggregate puts Aggregate → [Filter(HAVING)] on top of an aggregating
+// block's FROM/WHERE tree and returns it with the scope of the aggregated
+// row, in which the select list and ORDER BY compile like any other
+// expression.
+func (c *Compiler) planAggregate(sel *SelectStmt, items []SelectItem, cur *planned) (*planned, error) {
 	inSc := cur.scope
 
 	// Resolve GROUP BY terms: ordinals and select-list aliases (Netezza's
@@ -137,7 +86,7 @@ func (c *Compiler) compileAggregate(sel *SelectStmt, items []SelectItem, cur *co
 		if lit, ok := g.(*Literal); ok {
 			if n, isInt := lit.Val.AsInt(); isInt && lit.Val.Kind() == types.KindInt {
 				if n < 1 || int(n) > len(items) {
-					return nil, nil, fmt.Errorf("sql: GROUP BY ordinal %d out of range", n)
+					return nil, fmt.Errorf("sql: GROUP BY ordinal %d out of range", n)
 				}
 				groupExprs = append(groupExprs, items[n-1].Expr)
 				continue
@@ -161,30 +110,30 @@ func (c *Compiler) compileAggregate(sel *SelectStmt, items []SelectItem, cur *co
 		groupExprs = append(groupExprs, g)
 	}
 
-	// Build the GroupByOp; out maps the exprKey of each GROUP BY term and
-	// aggregate call to its ordinal in g's output.
-	g := &exec.GroupByOp{Child: cur.op, Gov: c.Gov}
+	// out maps the exprKey of each GROUP BY term and aggregate call to its
+	// ordinal in the aggregate's output.
+	agg := &plan.Aggregate{Child: cur.node}
 	out := make(map[string]int)
 	for gi, ge := range groupExprs {
 		ce, err := c.compileExpr(ge, inSc)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		g.GroupBy = append(g.GroupBy, ce)
+		agg.GroupBy = append(agg.GroupBy, ce)
 		name := fmt.Sprintf("GRP%d", gi+1)
 		if ref, ok := ge.(*ColumnRef); ok {
 			name = ref.Column
 		}
-		g.GroupCols = append(g.GroupCols, types.Column{Name: name, Kind: types.KindNull, Nullable: true})
+		agg.GroupCols = append(agg.GroupCols, types.Column{Name: name, Kind: types.KindNull, Nullable: true})
 		out[exprKey(ge, inSc)] = gi
 	}
-	// The distinct aggregate calls of the select list and HAVING. A call's
-	// arguments are not entered: they compile against the group-by's
-	// input, where a nested aggregate is rejected.
+	// The distinct aggregate calls of the select list, HAVING and ORDER BY.
+	// A call's arguments are not entered: they compile against the
+	// aggregate's input, where a nested aggregate is rejected.
 	var aggCalls []*FuncCall
 	collectAggregates := func(x Expr) bool {
-		fc, agg := AggregateCall(x)
-		if !agg {
+		fc, isAgg := AggregateCall(x)
+		if !isAgg {
 			return true
 		}
 		k := exprKey(fc, inSc)
@@ -198,67 +147,26 @@ func (c *Compiler) compileAggregate(sel *SelectStmt, items []SelectItem, cur *co
 		WalkExpr(it.Expr, collectAggregates)
 	}
 	WalkExpr(sel.Having, collectAggregates)
+	for _, oi := range sel.OrderBy {
+		WalkExpr(oi.Expr, collectAggregates)
+	}
 	for _, fc := range aggCalls {
 		spec, err := c.buildAggSpec(fc, inSc)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		g.Aggs = append(g.Aggs, spec)
+		agg.Aggs = append(agg.Aggs, spec)
 	}
 
-	var op exec.Operator = g
-
-	// Parallelism: a group-by whose aggregates merge exactly, fed by a
-	// columnar scan through filters and projections only, runs at the
-	// session's effective degree, and so does that scan. (The operator
-	// still ingests on one worker when a filter in between has no vector
-	// kernel; key-ordered emit makes the scan's arrival order irrelevant.)
-	if c.Parallelism > 1 && exec.MergeableAggs(g.Aggs) {
-		if scan := scanBelow(cur.op); scan != nil {
-			g.Dop, scan.Dop = c.Parallelism, c.Parallelism
-		}
-	}
-
-	// HAVING and the final projection compile like any other expression,
-	// in the scope of the aggregated row.
-	aggSc := &scope{agg: &aggScope{in: inSc, out: out}}
+	res := &planned{node: agg, scope: &scope{agg: &aggScope{in: inSc, out: out}}}
 	if sel.Having != nil {
-		pred, err := c.compileExpr(sel.Having, aggSc)
+		pred, err := c.compileExpr(sel.Having, res.scope)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		op = &exec.FilterOp{Child: op, Pred: pred}
+		res.node = &plan.Filter{Child: agg, Pred: pred}
 	}
-
-	exprs := make([]exec.Expr, len(items))
-	outSchema := make(types.Schema, len(items))
-	for i, it := range items {
-		e, err := c.compileExpr(it.Expr, aggSc)
-		if err != nil {
-			return nil, nil, err
-		}
-		exprs[i] = e
-		outSchema[i] = types.Column{Name: ItemName(it, i), Kind: types.KindNull, Nullable: true}
-	}
-	op = &exec.ProjectOp{Child: op, Exprs: exprs, Out: outSchema}
-	return op, outSchema, nil
-}
-
-// scanBelow returns the columnar scan at the bottom of a Filter/Project
-// chain, or nil when the chain ends in anything else.
-func scanBelow(op exec.Operator) *exec.ScanOp {
-	for {
-		switch o := op.(type) {
-		case *exec.ScanOp:
-			return o
-		case *exec.FilterOp:
-			op = o.Child
-		case *exec.ProjectOp:
-			op = o.Child
-		default:
-			return nil
-		}
-	}
+	return res, nil
 }
 
 // buildAggSpec converts an aggregate FuncCall into an executor AggSpec.

@@ -36,6 +36,12 @@ func FuzzParseSQL(f *testing.F) {
 		"SELECT SUM(x) IS NULL FROM t",
 		"SELECT COUNT(*) BETWEEN 1 AND 10 FROM t",
 		"SELECT COUNT(*) IN (5,6) FROM t",
+		// Set-operation chains: one trailing ORDER BY / row limit.
+		"SELECT a FROM t UNION ALL SELECT a FROM t ORDER BY a DESC FETCH FIRST 2 ROWS ONLY",
+		"SELECT a FROM t UNION SELECT b FROM s UNION ALL SELECT c FROM u ORDER BY 1 LIMIT 3 OFFSET 1",
+		"WITH w AS (SELECT 1 UNION SELECT 2) SELECT * FROM w UNION ALL SELECT a FROM (SELECT a FROM t UNION SELECT a FROM t) q",
+		"SELECT a FROM t ORDER BY a UNION SELECT a FROM t",
+		"SELECT b FROM t GROUP BY b ORDER BY SUM(a) + 1 DESC, b",
 		"SELECT 1 /* unterminated",
 		"'unterminated string",
 		"\"unterminated ident",

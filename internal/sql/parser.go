@@ -213,75 +213,17 @@ func (p *Parser) parseSelect() (*SelectStmt, error) {
 			}
 		}
 	}
-	if err := p.expectKw("SELECT"); err != nil {
+	if err := p.parseSelectCore(st); err != nil {
 		return nil, err
 	}
-	if p.matchKw("DISTINCT") {
-		st.Distinct = true
-	} else {
-		p.matchKw("ALL")
-	}
-	// Select list.
-	for {
-		item, err := p.parseSelectItem()
-		if err != nil {
+	// A query expression is a left-associative chain of SELECT blocks; the
+	// ORDER BY and row limit that follow belong to the whole chain.
+	for last := st; p.matchKw("UNION"); last = last.Union {
+		last.UnionAll = p.matchKw("ALL")
+		last.Union = &SelectStmt{Limit: -1}
+		if err := p.parseSelectCore(last.Union); err != nil {
 			return nil, err
 		}
-		st.Items = append(st.Items, item)
-		if !p.matchOp(",") {
-			break
-		}
-	}
-	if p.matchKw("FROM") {
-		for {
-			fi, err := p.parseFromItem()
-			if err != nil {
-				return nil, err
-			}
-			st.From = append(st.From, fi)
-			if !p.matchOp(",") {
-				break
-			}
-		}
-	}
-	if p.matchKw("WHERE") {
-		w, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Where = w
-	}
-	if p.matchKw("GROUP") {
-		if err := p.expectKw("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			st.GroupBy = append(st.GroupBy, e)
-			if !p.matchOp(",") {
-				break
-			}
-		}
-	}
-	if p.matchKw("HAVING") {
-		h, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Having = h
-	}
-	if p.matchKw("UNION") {
-		all := p.matchKw("ALL")
-		next, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		st.Union = next
-		st.UnionAll = all
-		return st, nil
 	}
 	if p.matchKw("ORDER") {
 		if err := p.expectKw("BY"); err != nil {
@@ -362,6 +304,72 @@ func (p *Parser) parseSelect() (*SelectStmt, error) {
 		}
 	}
 	return st, nil
+}
+
+// parseSelectCore parses one SELECT block into st, up to and including
+// HAVING.
+func (p *Parser) parseSelectCore(st *SelectStmt) error {
+	if err := p.expectKw("SELECT"); err != nil {
+		return err
+	}
+	if p.matchKw("DISTINCT") {
+		st.Distinct = true
+	} else {
+		p.matchKw("ALL")
+	}
+	// Select list.
+	for {
+		item, err := p.parseSelectItem()
+		if err != nil {
+			return err
+		}
+		st.Items = append(st.Items, item)
+		if !p.matchOp(",") {
+			break
+		}
+	}
+	if p.matchKw("FROM") {
+		for {
+			fi, err := p.parseFromItem()
+			if err != nil {
+				return err
+			}
+			st.From = append(st.From, fi)
+			if !p.matchOp(",") {
+				break
+			}
+		}
+	}
+	if p.matchKw("WHERE") {
+		w, err := p.parseExpr()
+		if err != nil {
+			return err
+		}
+		st.Where = w
+	}
+	if p.matchKw("GROUP") {
+		if err := p.expectKw("BY"); err != nil {
+			return err
+		}
+		for {
+			e, err := p.parseExpr()
+			if err != nil {
+				return err
+			}
+			st.GroupBy = append(st.GroupBy, e)
+			if !p.matchOp(",") {
+				break
+			}
+		}
+	}
+	if p.matchKw("HAVING") {
+		h, err := p.parseExpr()
+		if err != nil {
+			return err
+		}
+		st.Having = h
+	}
+	return nil
 }
 
 func (p *Parser) parseInt() (int64, error) {

@@ -307,6 +307,22 @@ func TestParseUnion(t *testing.T) {
 	if sel.Union.Union == nil || sel.Union.UnionAll {
 		t.Fatal("second union distinct")
 	}
+
+	// One trailing ORDER BY and row limit, held by the first block for the
+	// whole chain; an operand cannot carry its own.
+	st = mustParse(t, `SELECT a FROM t UNION SELECT b FROM s UNION ALL SELECT c FROM u ORDER BY 1 DESC FETCH FIRST 2 ROWS ONLY`, DialectANSI)
+	sel = st.(*SelectStmt)
+	if len(sel.OrderBy) != 1 || !sel.OrderBy[0].Desc || sel.Limit != 2 || sel.UnionAll || !sel.Union.UnionAll {
+		t.Fatalf("chain tail: %+v", sel)
+	}
+	for u := sel.Union; u != nil; u = u.Union {
+		if len(u.OrderBy) != 0 || u.Limit != -1 || u.Offset != 0 {
+			t.Fatalf("operand carries a tail: %+v", u)
+		}
+	}
+	if _, err := Parse(`SELECT a FROM t ORDER BY a UNION SELECT a FROM t`, DialectANSI); err == nil {
+		t.Fatal("ORDER BY before UNION must not parse")
+	}
 }
 
 func TestParseOverlaps(t *testing.T) {
