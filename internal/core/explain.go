@@ -245,6 +245,8 @@ func collectOp(op exec.Operator, depth int, st *telemetry.OpStats, out *[]planEn
 		if n := o.CodeKeyCount(); n > 0 {
 			e.analyzeExtra = fmt.Sprintf(" [code-keys=%d]", n)
 		}
+		groups, state, ids := o.GroupStats()
+		e.analyzeExtra += fmt.Sprintf(" [groups=%d state=%d ids=%s]", groups, state, ids)
 		collectOp(o.Child, depth+1, nil, out)
 	case *exec.SortOp:
 		e := add(fmt.Sprintf("SORT [%d keys] [row]", len(o.Keys)))

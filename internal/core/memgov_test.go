@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"dashdb/internal/mem"
+	"dashdb/internal/types"
 )
 
 // TestMemoryGovernorSQL drives the memory governor through the SQL
@@ -181,5 +183,64 @@ func TestJoinSpillsSQL(t *testing.T) {
 	}
 	if left, _ := filepath.Glob(filepath.Join(dir, "*"+mem.SpillSuffix)); len(left) > 0 {
 		t.Fatalf("spill files left behind: %v", left)
+	}
+}
+
+// TestSumOverflowSQL: an integer SUM whose total does not fit BIGINT is an
+// error (it wrapped: these five rows read 1), whichever way the statement
+// runs; a total that fits is exact even when a prefix, a worker's partial or
+// a spilled partial did not, and AVG reads the same exact total.
+func TestSumOverflowSQL(t *testing.T) {
+	db := Open(Config{BufferPoolBytes: 16 << 20, Parallelism: 2, TempDir: t.TempDir()})
+	defer db.Close()
+	s := db.NewSession()
+	mustExec(t, s, `CREATE TABLE o (k INT, i BIGINT)`)
+	mustExec(t, s, `INSERT INTO o VALUES (1, 9223372036854775807), (1, 9223372036854775807), (1, 1), (1, 1), (1, 1),
+		(2, 9223372036854775807), (2, 9223372036854775807), (2, -9223372036854775807), (2, -9223372036854775807), (2, 5)`)
+	for _, heap := range []string{"", "SET HASHHEAP 4KB"} {
+		if heap != "" {
+			mustExec(t, s, heap)
+		}
+		for _, q := range []string{`SELECT SUM(i) FROM o`, `SELECT k, SUM(i) FROM o GROUP BY k`, `SELECT SUM(i) FROM o WHERE k = 1`} {
+			if _, err := s.Exec(q); err == nil || !strings.Contains(err.Error(), "exec: integer overflow in SUM") {
+				t.Fatalf("%s %s: err = %v, want exec: integer overflow in SUM", heap, q, err)
+			}
+		}
+		r := mustExec(t, s, `SELECT SUM(i), AVG(i), COUNT(*) FROM o WHERE k = 2`)
+		if got := r.Rows[0]; got[0].Kind() != types.KindInt || got[0].Int() != 5 || got[1].Float() != 1 || got[2].Int() != 5 {
+			t.Fatalf("%s: SUM, AVG, COUNT over k = 2: %v, want 5, 1, 5", heap, got)
+		}
+		r = mustExec(t, s, `SELECT AVG(i) FROM o WHERE k = 1`)
+		if got, want := r.Rows[0][0].Float(), 3689348814741910323.8; math.Abs(got-want) > 1e-9*want {
+			t.Fatalf("%s: AVG over the overflowing rows = %v, want %v", heap, got, want)
+		}
+	}
+}
+
+// TestAggregateOfLiteralSQL: a literal or `?` argument compiles to a constant
+// vector of one value; the float-family aggregates (moments, covariance,
+// MEDIAN, PERCENTILE) read it for every row of a batch, grouped or not.
+func TestAggregateOfLiteralSQL(t *testing.T) {
+	db := Open(Config{BufferPoolBytes: 16 << 20, Parallelism: 2, TempDir: t.TempDir()})
+	defer db.Close()
+	s := db.NewSession()
+	mustExec(t, s, `CREATE TABLE c (k INT, x DOUBLE)`)
+	mustExec(t, s, `INSERT INTO c VALUES (1, 1), (1, 2), (1, 3), (2, 4), (2, 6)`)
+	r := mustExec(t, s, `SELECT STDDEV(1), VAR_SAMP(7), MEDIAN(5), COVAR_POP(x, 2), SUM(2), COUNT(1), MIN(3), STDDEV(NULL) FROM c`)
+	want := []float64{0, 0, 5, 0, 10, 5, 3}
+	for i, w := range want {
+		if got, ok := r.Rows[0][i].AsFloat(); !ok || got != w {
+			t.Fatalf("column %d = %v, want %v (row %v)", i, r.Rows[0][i], w, r.Rows[0])
+		}
+	}
+	if !r.Rows[0][7].IsNull() {
+		t.Fatalf("STDDEV(NULL) = %v, want NULL", r.Rows[0][7])
+	}
+	r, err := s.ExecParams(`SELECT k, MEDIAN(?), STDDEV_POP(?) FROM c GROUP BY k ORDER BY k`, types.NewFloat(2.5), types.NewInt(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Rows) != 2 || r.Rows[0][1].Float() != 2.5 || r.Rows[1][1].Float() != 2.5 || r.Rows[0][2].Float() != 0 || r.Rows[1][2].Float() != 0 {
+		t.Fatalf("MEDIAN(?), STDDEV_POP(?) by k = %v, want 2.5 and 0 twice", r.Rows)
 	}
 }

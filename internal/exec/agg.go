@@ -1,14 +1,14 @@
 package exec
 
 import (
-	"fmt"
+	"cmp"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
-	"dashdb/internal/encoding"
 	"dashdb/internal/mem"
 	"dashdb/internal/types"
 	"dashdb/internal/vec"
@@ -64,118 +64,6 @@ type AggSpec struct {
 	Name  string  // output column name
 }
 
-// accumulator holds running state for one aggregate in one group.
-type accumulator struct {
-	count    int64
-	intSum   int64
-	floatSum float64
-	isFloat  bool
-	sumSq    float64
-	sumXY    float64
-	sumX     float64
-	sumY     float64
-	pairN    int64
-	min, max types.Value
-	vals     []float64            // for MEDIAN / PERCENTILE
-	distinct map[types.Value]bool // for COUNT(DISTINCT)
-}
-
-// addVals accumulates one position's argument values; ingest evaluates the
-// arguments a batch at a time and feeds them here.
-func (a *accumulator) addVals(spec AggSpec, v, v2 types.Value) error {
-	switch spec.Func {
-	case AggCountStar:
-		a.count++
-		return nil
-	case AggCovarPop, AggCovarSamp:
-		if v.IsNull() || v2.IsNull() {
-			return nil
-		}
-		x, _ := v.AsFloat()
-		y, _ := v2.AsFloat()
-		a.pairN++
-		a.sumX += x
-		a.sumY += y
-		a.sumXY += x * y
-		return nil
-	}
-	if v.IsNull() {
-		return nil
-	}
-	a.count++
-	switch spec.Func {
-	case AggCount:
-	case AggCountDistinct:
-		if a.distinct == nil {
-			a.distinct = make(map[types.Value]bool)
-		}
-		a.distinct[v] = true
-	case AggSum, AggAvg, AggStddevPop, AggStddevSamp, AggVarPop, AggVarSamp:
-		f, ok := v.AsFloat()
-		if !ok {
-			return fmt.Errorf("exec: non-numeric value %v in aggregate", v)
-		}
-		if v.Kind() == types.KindFloat {
-			a.isFloat = true
-		}
-		if i, ok := v.AsInt(); ok && v.Kind() == types.KindInt {
-			a.intSum += i
-		}
-		a.floatSum += f
-		a.sumSq += f * f
-	case AggMin:
-		if a.min.IsNull() || types.Compare(v, a.min) < 0 {
-			a.min = v
-		}
-	case AggMax:
-		if a.max.IsNull() || types.Compare(v, a.max) > 0 {
-			a.max = v
-		}
-	case AggMedian, AggPercentileCont, AggPercentileDisc:
-		f, ok := v.AsFloat()
-		if !ok {
-			return fmt.Errorf("exec: non-numeric value %v in percentile aggregate", v)
-		}
-		a.vals = append(a.vals, f)
-	}
-	return nil
-}
-
-// merge folds another accumulator for the same (spec, group) into a.
-// COUNT, integer SUM (wraparound addition is associative), MIN and MAX
-// merge exactly; AVG and the moment-based STDDEV/VARIANCE/COVARIANCE
-// families merge by summing running moments (float sums reassociate, so
-// results are exact whenever the serial sums are); COUNT(DISTINCT)
-// merges by set union. Percentile/median state merges by concatenation,
-// which is exact but unbounded — spilled runs merge that way, but
-// GroupByOp never splits those across workers (see MergeableAggs).
-func (a *accumulator) merge(o *accumulator) {
-	a.count += o.count
-	a.intSum += o.intSum
-	a.floatSum += o.floatSum
-	a.isFloat = a.isFloat || o.isFloat
-	a.sumSq += o.sumSq
-	a.sumXY += o.sumXY
-	a.sumX += o.sumX
-	a.sumY += o.sumY
-	a.pairN += o.pairN
-	if !o.min.IsNull() && (a.min.IsNull() || types.Compare(o.min, a.min) < 0) {
-		a.min = o.min
-	}
-	if !o.max.IsNull() && (a.max.IsNull() || types.Compare(o.max, a.max) > 0) {
-		a.max = o.max
-	}
-	a.vals = append(a.vals, o.vals...)
-	if len(o.distinct) > 0 {
-		if a.distinct == nil {
-			a.distinct = make(map[types.Value]bool, len(o.distinct))
-		}
-		for v := range o.distinct {
-			a.distinct[v] = true
-		}
-	}
-}
-
 // MergeableAggs reports whether every aggregate in the list merges
 // exactly from thread-local partials. MEDIAN and PERCENTILE_* keep the
 // full value list per group, so GroupByOp ingests them on one worker
@@ -188,73 +76,6 @@ func MergeableAggs(specs []AggSpec) bool {
 		}
 	}
 	return true
-}
-
-func (a *accumulator) result(spec AggSpec) types.Value {
-	switch spec.Func {
-	case AggCountStar, AggCount:
-		return types.NewInt(a.count)
-	case AggCountDistinct:
-		return types.NewInt(int64(len(a.distinct)))
-	case AggSum:
-		if a.count == 0 {
-			return types.Null
-		}
-		if !a.isFloat {
-			return types.NewInt(a.intSum)
-		}
-		return types.NewFloat(a.floatSum)
-	case AggAvg:
-		if a.count == 0 {
-			return types.Null
-		}
-		return types.NewFloat(a.floatSum / float64(a.count))
-	case AggMin:
-		return a.min
-	case AggMax:
-		return a.max
-	case AggVarPop, AggVarSamp, AggStddevPop, AggStddevSamp:
-		n := float64(a.count)
-		if a.count == 0 {
-			return types.Null
-		}
-		div := n
-		if spec.Func == AggVarSamp || spec.Func == AggStddevSamp {
-			if a.count < 2 {
-				return types.Null
-			}
-			div = n - 1
-		}
-		mean := a.floatSum / n
-		variance := (a.sumSq - n*mean*mean) / div
-		if variance < 0 {
-			variance = 0 // guard FP noise
-		}
-		if spec.Func == AggStddevPop || spec.Func == AggStddevSamp {
-			return types.NewFloat(math.Sqrt(variance))
-		}
-		return types.NewFloat(variance)
-	case AggMedian:
-		return percentileCont(a.vals, 0.5)
-	case AggPercentileCont:
-		return percentileCont(a.vals, spec.Param)
-	case AggPercentileDisc:
-		return percentileDisc(a.vals, spec.Param)
-	case AggCovarPop, AggCovarSamp:
-		if a.pairN == 0 {
-			return types.Null
-		}
-		n := float64(a.pairN)
-		div := n
-		if spec.Func == AggCovarSamp {
-			if a.pairN < 2 {
-				return types.Null
-			}
-			div = n - 1
-		}
-		return types.NewFloat((a.sumXY - a.sumX*a.sumY/n) / div)
-	}
-	return types.Null
 }
 
 func percentileCont(vals []float64, p float64) types.Value {
@@ -292,16 +113,18 @@ func percentileDisc(vals []float64, p float64) types.Value {
 // Open consumes the whole child into per-worker groupTables: Dop workers
 // when the child tolerates concurrent pulls, every aggregate merges exactly
 // (MergeableAggs) and no expression is opaque; otherwise one. Keys and
-// arguments are evaluated column-at-a-time over each batch and only the
-// group keys are materialized as rows, never the input tuples. The tables
-// are then merged partition by partition and the groups emitted in key
+// arguments are evaluated column-at-a-time over each batch; the table turns
+// the key vectors into a group-id vector and typed kernels update each
+// aggregate's state lane through it — no input tuple and no key is boxed
+// unless it arrives boxed. The workers' tables and spilled records are then
+// folded into one table, and the groups are emitted as typed vectors in key
 // order (NULLs first), so the output is a function of the data, not of the
 // worker count or batch arrival order.
 //
-// With a governor every table charges one shared HASHHEAP reservation;
-// when a Grow is denied the worker spills its largest partition (see
-// groupTable) and the merge folds the spilled states back in, so results
-// are identical to the in-memory path.
+// With a governor every table charges one shared HASHHEAP reservation for
+// what it allocates; when a Grow is denied the worker spills its largest
+// partition (see groupTable) and the merge folds the spilled groups back in,
+// so results are identical to the in-memory path.
 type GroupByOp struct {
 	Child     Operator
 	GroupBy   []Expr
@@ -313,22 +136,28 @@ type GroupByOp struct {
 	res   *mem.Reservation // shared by all workers; mem counters are atomic
 	files []*mem.SpillFile // every worker's partition run files
 
-	out     types.Schema
-	results rowQueue
+	out types.Schema
 
-	// Operate-on-compressed group keys: a key position whose vector
-	// arrives dictionary-encoded groups on the code (stored as an INT
-	// cell), so the hash tables and spill runs hold fixed-width codes
-	// instead of decoded values and key cells decode once per distinct
-	// group at emit, not once per row. Adopted from the first batch any
-	// worker sees; the scan latch fixes one dictionary per column for the
-	// whole scan, so every worker's batches carry the adopted dictionary.
-	adoptOnce  sync.Once
-	keyCode    []bool
-	anyKeyCode bool
-	keyDicts   []*encoding.Dict
-	keyDoms    [][]types.Value
-	keyKinds   []types.Kind
+	// The grouping scheme, fixed from the first batch any worker sees: a key
+	// position whose vector arrives dictionary-encoded groups on the code, so
+	// tables and spill records hold fixed-width codes and key cells decode
+	// once per distinct group at emit, not once per row. The scan latch fixes
+	// one dictionary per column for the whole scan, so every worker's batches
+	// carry the adopted dictionary.
+	adoptOnce sync.Once
+	shape     *keyShape
+
+	// What Open leaves for Next: the output columns indexed by group id, the
+	// ids in key order, and the emit cursor.
+	cols  []*vec.Vector
+	order []uint32
+	next  int
+	// For EXPLAIN ANALYZE, readable after Close: the number of groups, the
+	// bytes of group state the ingest tables held, and how the merged table
+	// found its ids.
+	groups int
+	state  int64
+	ids    idScheme
 }
 
 // Schema implements Operator: group columns then aggregate columns.
@@ -349,72 +178,37 @@ func (g *GroupByOp) Schema() types.Schema {
 	return g.out
 }
 
-type groupState struct {
-	key  types.Row
-	accs []accumulator
-}
-
 // Open implements Operator: it consumes the whole child, merges the
-// workers' tables and materializes the result rows.
+// workers' tables and builds the output columns.
 func (g *GroupByOp) Open() error {
 	if err := g.Child.Open(); err != nil {
 		return err
 	}
 	defer g.Child.Close()
 	g.adoptOnce = sync.Once{}
-	g.keyCode, g.keyDicts, g.keyDoms, g.keyKinds, g.anyKeyCode = nil, nil, nil, nil, false
+	g.shape, g.cols, g.order, g.next, g.groups, g.state, g.ids = nil, nil, nil, 0, 0, 0, idsDirect
 	g.res = g.Gov.Acquire(mem.HashHeap)
 	tables := make([]*groupTable, g.Workers())
-	for i := range tables {
-		tables[i] = &groupTable{res: g.res, naggs: len(g.Aggs), surcharge: rowSurcharge(g.Aggs)}
-	}
 	err := g.ingest(tables)
 	// Adopt every spill file before inspecting the error, so an error
 	// return still lets Close remove them from disk.
+	tables = slices.DeleteFunc(tables, func(t *groupTable) bool { return t == nil })
 	for _, t := range tables {
+		g.state += t.charged
 		for _, f := range t.spills {
 			if f != nil {
 				g.files = append(g.files, f)
 			}
 		}
 	}
+	if err != nil || (len(tables) == 0 && len(g.GroupBy) > 0) {
+		return err // failed, or no input and so no groups
+	}
+	final, err := g.merge(tables)
 	if err != nil {
 		return err
 	}
-	groups, err := g.merge(tables)
-	if err != nil {
-		return err
-	}
-	if len(groups) == 0 && len(g.GroupBy) == 0 {
-		groups = append(groups, &groupState{accs: make([]accumulator, len(g.Aggs))})
-	}
-	// Late materialization: code-valued key cells decode once per distinct
-	// group. This must happen BEFORE the emit sort — frequency-partitioned
-	// dictionary codes are not globally order-preserving, so sorting by
-	// code would not be sorting by value.
-	if g.anyKeyCode {
-		for _, st := range groups {
-			for k := range st.key {
-				if !g.keyCode[k] || st.key[k].IsNull() {
-					continue
-				}
-				if c, ok := st.key[k].AsInt(); ok && c >= 0 && int(c) < len(g.keyDoms[k]) {
-					st.key[k] = g.keyDoms[k][c]
-				}
-			}
-		}
-	}
-	slices.SortFunc(groups, func(a, b *groupState) int { return groupKeyCompare(a.key, b.key) })
-	g.results.rows = make([]types.Row, 0, len(groups))
-	for _, st := range groups {
-		row := make(types.Row, 0, len(st.key)+len(g.Aggs))
-		row = append(row, st.key...)
-		for i := range g.Aggs {
-			row = append(row, st.accs[i].result(g.Aggs[i]))
-		}
-		g.results.rows = append(g.results.rows, row)
-	}
-	return nil
+	return g.emit(final)
 }
 
 // Workers reports how many ingest workers Open runs: Dop when the child can
@@ -468,11 +262,11 @@ func (g *GroupByOp) ingest(tables []*groupTable) error {
 	var stop atomic.Bool
 	errs := make([]error, len(tables))
 	var wg sync.WaitGroup
-	for w, t := range tables {
+	for w := range tables {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if errs[w] = g.consume(t, &stop); errs[w] != nil {
+			if tables[w], errs[w] = g.consume(&stop); errs[w] != nil {
 				stop.Store(true)
 			}
 		}()
@@ -491,50 +285,194 @@ func firstError(errs []error) error {
 	return nil
 }
 
-// merge combines the workers' tables into the final group list. The group
-// hash assigns every group to one partition in every table, so partitions
-// merge independently and in parallel: each goroutine folds one
-// partition's in-memory partials together and replays that partition's
-// spill runs. One table with nothing spilled already is the result.
-func (g *GroupByOp) merge(tables []*groupTable) ([]*groupState, error) {
-	merged := make([]map[uint64][]*groupState, aggPartitions)
-	if len(tables) == 1 && len(g.files) == 0 {
-		copy(merged, tables[0].parts[:])
-	} else {
-		errs := make([]error, aggPartitions)
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, len(tables))
-		for p := range merged {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				merged[p], errs[p] = mergePartition(tables, p, g.res)
-			}()
+// consume is one worker's ingest loop, and the only one: group keys and
+// aggregate arguments are computed one column at a time over each batch and
+// handed to the worker's table, which it builds from its first batch.
+// Several workers may pull the child concurrently; each owns the batches it
+// receives and its table. The table is returned with an error too: it may
+// hold spill files.
+func (g *GroupByOp) consume(stop *atomic.Bool) (t *groupTable, err error) {
+	keyVecs := make([]*vec.Vector, len(g.GroupBy))
+	argVecs := make([]*vec.Vector, len(g.Aggs))
+	arg2Vecs := make([]*vec.Vector, len(g.Aggs))
+	for !stop.Load() {
+		vb, err := g.Child.Next()
+		if err != nil || vb == nil {
+			return t, err
 		}
-		wg.Wait()
-		if err := firstError(errs); err != nil {
-			return nil, err
+		for i, e := range g.GroupBy {
+			if keyVecs[i], err = evalVec(e, vb); err != nil {
+				return t, err
+			}
+		}
+		g.adoptOnce.Do(func() { g.shape = adoptKeys(keyVecs) })
+		for ai, spec := range g.Aggs {
+			if spec.Arg != nil {
+				if argVecs[ai], err = evalVec(spec.Arg, vb); err != nil {
+					return t, err
+				}
+			}
+			if spec.Arg2 != nil {
+				if arg2Vecs[ai], err = evalVec(spec.Arg2, vb); err != nil {
+					return t, err
+				}
+			}
+		}
+		if t == nil {
+			t = newGroupTable(g.shape, g.res, g.Aggs, argVecs)
+		}
+		if err := t.ingest(keyVecs, argVecs, arg2Vecs, vb.Sel, vb.Rows()); err != nil {
+			return t, err
+		}
+	}
+	return t, nil
+}
+
+// merge folds the workers' tables and every spilled record into one table,
+// group by group through the table's own lookup. One table with nothing
+// spilled already is the result; no table at all is a global aggregate over
+// empty input, whose one group every lane reports empty.
+func (g *GroupByOp) merge(tables []*groupTable) (*groupTable, error) {
+	if len(tables) == 0 {
+		tables = []*groupTable{newGroupTable(adoptKeys(nil), g.res, g.Aggs, nil)}
+	}
+	final := tables[0]
+	final.final = true
+	for _, t := range tables[1:] {
+		final.absorb(t)
+	}
+	if len(g.files) > 0 {
+		rec := newLanes(g.Aggs, nil)
+		for _, l := range rec {
+			l.grow(1)
 		}
 		for _, f := range g.files {
+			if err := final.replay(f, rec); err != nil {
+				return nil, err
+			}
 			if err := f.Close(); err != nil {
 				return nil, err
 			}
 		}
-		g.files = nil
 	}
-	n := 0
-	for _, part := range merged {
-		n += len(part) // hash buckets: the group count but for collisions
+	if len(g.GroupBy) == 0 {
+		final.lookupCells(nil) // the global group exists over empty input too
 	}
-	groups := make([]*groupState, 0, n)
-	for _, part := range merged {
-		for _, states := range part {
-			groups = append(groups, states...)
+	return final, nil
+}
+
+// emit builds the output columns, indexed by group id, and the order Next
+// hands the groups out in. Late materialization: code-valued key cells
+// decode here, once per distinct group, and BEFORE the sort —
+// frequency-partitioned dictionary codes are not globally order-preserving,
+// so sorting by code would not be sorting by value.
+func (g *GroupByOp) emit(t *groupTable) error {
+	nk := len(g.GroupBy)
+	g.ids = t.ids
+	g.cols = make([]*vec.Vector, nk, nk+len(g.Aggs))
+	doms := make([][]types.Value, nk)
+	for k := range g.cols {
+		kind := t.shape.kinds[k]
+		if t.ids == idsBytes && !t.shape.code[k] {
+			kind = types.KindNull // cells keep the kind they arrived with
+		}
+		g.cols[k] = vec.New(kind, t.n)
+		if t.shape.code[k] {
+			doms[k] = t.shape.dicts[k].Snapshot()
 		}
 	}
-	return groups, nil
+	var cells types.Row
+	g.order = make([]uint32, t.n)
+	for id := range g.order {
+		g.order[id] = uint32(id)
+		cells = t.keyCells(cells[:0], uint32(id))
+		for k, c := range cells {
+			if doms[k] != nil && !c.IsNull() {
+				c = doms[k][c.Int()]
+			}
+			g.cols[k].Set(id, c)
+		}
+	}
+	for _, l := range t.lanes {
+		col, err := l.result(t.n)
+		if err != nil {
+			return err
+		}
+		if col.Nulls != nil && col.Any == nil {
+			// An aggregate over no values is the untyped NULL: a cluster's
+			// final statement computes it by expression over the shards'
+			// partials (AVG is CAST(SUM(_S) AS DOUBLE)/SUM(_C), NULL/NULL),
+			// and mpp's parity tests hold one engine to the same value, kind
+			// included (TestAvgMergeCorners).
+			boxed := vec.New(types.KindNull, t.n)
+			for i := range boxed.Any {
+				if boxed.Any[i] = types.Null; !col.IsNull(i) {
+					boxed.Any[i] = col.Get(i)
+				}
+			}
+			col = boxed
+		}
+		g.cols = append(g.cols, col)
+	}
+	keys := g.cols[:nk]
+	g.groups = len(g.order)
+	slices.SortFunc(g.order, func(a, b uint32) int {
+		for _, kc := range keys {
+			if c := compareAt(kc, int(a), int(b)); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+	return nil
+}
+
+// compareAt orders two positions of a column as types.Compare orders their
+// values: NULLs first, NaNs last.
+func compareAt(v *vec.Vector, a, b int) int {
+	if an, bn := v.IsNull(a), v.IsNull(b); an || bn {
+		return btoi(bn) - btoi(an)
+	}
+	switch {
+	case v.I64 != nil:
+		return cmp.Compare(v.I64[a], v.I64[b])
+	case v.F64 != nil:
+		return btoi(lessF64(v.F64[b], v.F64[a])) - btoi(lessF64(v.F64[a], v.F64[b]))
+	case v.Str != nil:
+		return strings.Compare(v.Str[a], v.Str[b])
+	}
+	return types.Compare(v.Any[a], v.Any[b])
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// gather copies the listed positions of a column into a new vector.
+func gather(src *vec.Vector, ids []uint32) *vec.Vector {
+	kind := src.Kind
+	if src.Any != nil {
+		kind = types.KindNull
+	}
+	out := vec.New(kind, len(ids))
+	for j, id := range ids {
+		switch i := int(id); {
+		case src.IsNull(i):
+			out.SetNull(j)
+		case src.I64 != nil:
+			out.I64[j] = src.I64[i]
+		case src.F64 != nil:
+			out.F64[j] = src.F64[i]
+		case src.Str != nil:
+			out.Str[j] = src.Str[i]
+		default:
+			out.Any[j] = src.Any[i]
+		}
+	}
+	return out
 }
 
 // CodeKeyed reports whether ingest can group at least one key on dictionary
@@ -556,140 +494,35 @@ func (g *GroupByOp) CodeKeyed() bool {
 // operator has consumed its input; EXPLAIN ANALYZE reports it.
 func (g *GroupByOp) CodeKeyCount() int {
 	n := 0
-	for _, c := range g.keyCode {
-		if c {
-			n++
+	if g.shape != nil {
+		for _, c := range g.shape.code {
+			n += btoi(c)
 		}
 	}
 	return n
 }
 
-// adopt fixes the grouping scheme per key position from the first batch's
-// key vectors; only a bare column reference can deliver an encoded vector.
-func (g *GroupByOp) adopt(keyVecs []*vec.Vector) {
-	g.keyCode = make([]bool, len(keyVecs))
-	g.keyDicts = make([]*encoding.Dict, len(keyVecs))
-	g.keyDoms = make([][]types.Value, len(keyVecs))
-	g.keyKinds = make([]types.Kind, len(keyVecs))
-	for k, kv := range keyVecs {
-		if kv.Encoded() {
-			g.keyCode[k] = true
-			g.anyKeyCode = true
-			g.keyDicts[k] = kv.Dict
-			g.keyDoms[k] = kv.Dom()
-			g.keyKinds[k] = kv.Kind
-		}
-	}
+// GroupStats reports, once the operator has consumed its input, the number
+// of groups, the bytes of group state the ingest tables had allocated (keys,
+// slots and lanes at their capacity, plus side structures) and how group ids
+// were found — "direct", "words" or "bytes". EXPLAIN ANALYZE reports it.
+func (g *GroupByOp) GroupStats() (groups int, state int64, ids string) {
+	return g.groups, g.state, g.ids.String()
 }
 
-// consume is one worker's ingest loop, and the only one. It aggregates
-// straight from batches: group keys and aggregate arguments are computed one
-// column at a time over each batch, then accumulated per selected position.
-// Several workers may pull the child concurrently; each owns the batches it
-// receives and its table.
-func (g *GroupByOp) consume(t *groupTable, stop *atomic.Bool) error {
-	key := make(types.Row, len(g.GroupBy))
-	keyVecs := make([]*vec.Vector, len(g.GroupBy))
-	argVecs := make([]*vec.Vector, len(g.Aggs))
-	arg2Vecs := make([]*vec.Vector, len(g.Aggs))
-	for !stop.Load() {
-		vb, err := g.Child.Next()
-		if err != nil {
-			return err
-		}
-		if vb == nil {
-			return nil
-		}
-		for i, e := range g.GroupBy {
-			if keyVecs[i], err = evalVec(e, vb); err != nil {
-				return err
-			}
-		}
-		g.adoptOnce.Do(func() { g.adopt(keyVecs) })
-		for ai, spec := range g.Aggs {
-			if spec.Arg != nil {
-				if argVecs[ai], err = evalVec(spec.Arg, vb); err != nil {
-					return err
-				}
-			}
-			if spec.Arg2 != nil {
-				if arg2Vecs[ai], err = evalVec(spec.Arg2, vb); err != nil {
-					return err
-				}
-			}
-		}
-		for _, i := range vb.Idx() {
-			for k, kv := range keyVecs {
-				if g.keyCode[k] {
-					switch {
-					case kv.IsNull(i):
-						key[k] = types.NullOf(g.keyKinds[k])
-					case kv.Encoded() && kv.Dict == g.keyDicts[k]:
-						key[k] = types.NewInt(int64(kv.Codes[i]))
-					default:
-						// Defensive: a batch outside the adopted
-						// dictionary (unreachable within one scan).
-						code, ok := g.keyDicts[k].EncodeExisting(kv.Get(i))
-						if !ok {
-							return fmt.Errorf("exec: group key outside adopted dictionary")
-						}
-						key[k] = types.NewInt(int64(code))
-					}
-					continue
-				}
-				key[k] = kv.Get(i)
-			}
-			st, err := t.lookup(key)
-			if err != nil {
-				return err
-			}
-			for ai := range g.Aggs {
-				if g.Aggs[ai].Func == AggCountStar {
-					st.accs[ai].count++
-					continue
-				}
-				v := argVecs[ai].Get(i)
-				var v2 types.Value
-				if arg2Vecs[ai] != nil {
-					v2 = arg2Vecs[ai].Get(i)
-				}
-				if err := st.accs[ai].addVals(g.Aggs[ai], v, v2); err != nil {
-					return err
-				}
-			}
-		}
+// Next implements Operator: the next ChunkSize groups in key order.
+func (g *GroupByOp) Next() (*vec.Batch, error) {
+	if g.next >= len(g.order) {
+		return nil, nil
 	}
-	return nil
-}
-
-// groupKeyEqual compares group keys with NULL == NULL (SQL GROUP BY puts
-// NULLs into one group, unlike comparison semantics).
-func groupKeyEqual(a, b types.Row) bool {
-	for i := range a {
-		an, bn := a[i].IsNull(), b[i].IsNull()
-		if an != bn {
-			return false
-		}
-		if !an && types.Compare(a[i], b[i]) != 0 {
-			return false
-		}
+	ids := g.order[g.next:min(g.next+ChunkSize, len(g.order))]
+	g.next += len(ids)
+	cols := make([]*vec.Vector, len(g.cols))
+	for c, col := range g.cols {
+		cols[c] = gather(col, ids)
 	}
-	return true
+	return vec.NewBatch(g.Schema(), cols, len(ids)), nil
 }
-
-// groupKeyCompare orders group keys column-by-column (the emit order);
-// types.Compare puts NULLs first and NaNs last.
-func groupKeyCompare(a, b types.Row) int {
-	for i := range a {
-		if c := types.Compare(a[i], b[i]); c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
-// Next implements Operator.
-func (g *GroupByOp) Next() (*vec.Batch, error) { return g.results.next(g.Schema(), true), nil }
 
 // SpillStats reports runs and bytes spilled, for EXPLAIN ANALYZE. Valid
 // after Close (counters outlive the reservation's grant).
@@ -708,6 +541,6 @@ func (g *GroupByOp) Close() error {
 	}
 	g.files = nil
 	g.res.Close()
-	g.results.rows = nil
+	g.cols, g.order = nil, nil
 	return firstErr
 }

@@ -258,9 +258,10 @@ func TestCompressedGroupByParity(t *testing.T) {
 		check(fmt.Sprintf("compressed dop=%d", dop), mk(scanCodes(tbl, dop), nil), 2)
 		check(fmt.Sprintf("decoded dop=%d", dop), mk(scanDop(tbl, dop), nil), 0)
 	}
-	// A forced spill: group states carrying code-valued key cells
-	// round-trip through the spill codec as plain ints.
-	gov, _, _ := tinyGov(t, 8<<10)
+	// A forced spill: groups carrying code-valued key cells round-trip
+	// through the spill codec as plain ints. 2 KB denies the 63-id direct
+	// table (3.7 KB of lanes), so the table hashes its two code words.
+	gov, _, _ := tinyGov(t, 2<<10)
 	sp := mk(scanCodes(tbl, 1), gov)
 	check("serial-spill", sp, 2)
 	if runs, _ := sp.SpillStats(); runs == 0 {
@@ -307,4 +308,41 @@ func TestCompressedGroupByNaNFloatStaysDecoded(t *testing.T) {
 		t.Fatal("float group key ran in code space")
 	}
 	requireEqualKeys(t, "nan-group", sortedRowKeys(oracleGroupBy(t, rows, keys, aggs)), got)
+}
+
+// TestCountDistinctAgreesWithGroupBy: COUNT(DISTINCT f) keys its set on the
+// canonical cell form the group table keys a group on, so it counts exactly
+// the groups GROUP BY f makes — one NaN, +0 and -0 together, 3 and 3.0
+// together, NULL not at all — whether f arrives typed or boxed.
+func TestCountDistinctAgreesWithGroupBy(t *testing.T) {
+	nan := types.NewFloat(math.NaN())
+	vals := []types.Value{nan, nan, types.NewFloat(1.5), types.NewFloat(-2), types.NewFloat(7),
+		types.NewFloat(0), types.NewFloat(math.Copysign(0, -1)), types.NullOf(types.KindFloat), nan}
+	sch := types.Schema{{Name: "f", Kind: types.KindFloat, Nullable: true}}
+	var rows []types.Row
+	for _, v := range vals {
+		rows = append(rows, types.Row{v})
+	}
+	tbl := columnar.NewTable(561, "nan_distinct", sch, columnar.Config{})
+	if err := tbl.InsertBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	boxed := append([]types.Row{{types.NewInt(7)}}, rows...) // an INT 7 beside DOUBLE 7: one value
+	for name, child := range map[string]func() Operator{
+		"typed": func() Operator { return scanCodes(tbl, 1) },
+		"boxed": func() Operator { return NewValues(sch, boxed) },
+	} {
+		groups, err := Drain(&GroupByOp{Child: child(), GroupBy: []Expr{ColRef(0)}, GroupCols: sch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cd, err := Drain(&GroupByOp{Child: child(), Aggs: []AggSpec{{Func: AggCountDistinct, Arg: ColRef(0), Name: "cd"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// {NaN, 1.5, -2, 7, 0} and the NULL group, which COUNT skips.
+		if len(groups) != 6 || cd[0][0].Int() != 5 {
+			t.Fatalf("%s: GROUP BY f makes %d groups (want 6), COUNT(DISTINCT f) = %v (want 5)", name, len(groups), cd[0][0])
+		}
+	}
 }

@@ -5,14 +5,15 @@
 // filters narrow a selection vector, projections evaluate a column at a
 // time, and an expression without a vector kernel is evaluated per live
 // position inside the same batch pipeline. Operators whose state is rows
-// (sort, joins, group results) box a row out of a batch only where they
-// keep it, and emit batches that wrap the rows they hold. Joins and grouping
-// use partitioned hash algorithms in the style of Hybrid Hash Join: inputs
-// hash into a fixed fan-out of 64 partitions charged against the session's
-// hash heap, a partition spills when the heap is exhausted, and an operator
-// given no governor runs the same path with nothing denied. Fan-out is not
-// yet derived from the build estimate or a cache size (ROADMAP, "Sort, Top-N
-// and spill" 2(c)).
+// (sort, joins) box a row out of a batch only where they keep it, and emit
+// batches that wrap the rows they hold; grouping keeps typed columns indexed
+// by group id (agg_table.go, agg_lanes.go) and emits typed vectors. Joins and
+// grouping use partitioned hash algorithms in the style of Hybrid Hash Join:
+// state belongs to one of a fixed fan-out of 64 hash partitions charged
+// against the session's hash heap, a partition spills when the heap is
+// exhausted, and an operator given no governor runs the same path with
+// nothing denied. Fan-out is not yet derived from the build estimate or a
+// cache size (ROADMAP, "Sort, Top-N and spill" 2(c)).
 package exec
 
 import (

@@ -414,6 +414,24 @@ func TestStatisticalAggregates(t *testing.T) {
 	if r[6].Int() != 5 {
 		t.Errorf("count distinct %v want 5", r[6])
 	}
+
+	// A large common offset: Σx² - n·mean² cancels every significant digit
+	// (VAR_SAMP and STDDEV_POP both read 0), the running co-moment does not.
+	g.Child = NewValues(sch, []types.Row{{types.NewFloat(1e9 + 1)}, {types.NewFloat(1e9 + 2)}, {types.NewFloat(1e9 + 3)}})
+	g.Aggs = []AggSpec{
+		{Func: AggVarSamp, Arg: ColRef(0), Name: "vs"},
+		{Func: AggStddevPop, Arg: ColRef(0), Name: "sdp"},
+		{Func: AggVarPop, Arg: ColRef(0), Name: "vp"},
+		{Func: AggStddevSamp, Arg: ColRef(0), Name: "sds"},
+	}
+	if rows, err = Drain(g); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float64{1, math.Sqrt(2.0 / 3), 2.0 / 3, 1} {
+		if got := rows[0][i].Float(); math.Abs(got-want) > 1e-9*want {
+			t.Errorf("%s over {1e9+1, 1e9+2, 1e9+3} = %v, want %v", g.Aggs[i].Name, got, want)
+		}
+	}
 }
 
 func TestCovariance(t *testing.T) {
@@ -439,6 +457,20 @@ func TestCovariance(t *testing.T) {
 	}
 	if math.Abs(rows[0][1].Float()-16.5*10/9) > 1e-9 {
 		t.Errorf("covar_samp %v", rows[0][1])
+	}
+
+	// The same pairs moved out by 1e9: ΣXY - ΣX·ΣY/n no longer holds them
+	// apart (it read 0 or noise); the covariance is unchanged.
+	for _, r := range data {
+		r[0], r[1] = types.NewFloat(r[0].Float()+1e9), types.NewFloat(r[1].Float()+2e9)
+	}
+	if rows, err = Drain(g); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float64{16.5, 16.5 * 10 / 9} {
+		if got := rows[0][i].Float(); math.Abs(got-want) > 1e-9*want {
+			t.Errorf("%s at offset 1e9 = %v, want %v", g.Aggs[i].Name, got, want)
+		}
 	}
 }
 
@@ -633,24 +665,6 @@ func BenchmarkHashJoin(b *testing.B) {
 			LeftKeys: []int{0}, RightKeys: []int{0}, Type: InnerJoin,
 		}
 		if _, err := Drain(j); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGroupBy(b *testing.B) {
-	var data []types.Row
-	for i := int64(0); i < 50000; i++ {
-		data = append(data, types.Row{types.NewInt(i % 100), types.NewInt(i)})
-	}
-	for i := 0; i < b.N; i++ {
-		g := &GroupByOp{
-			Child:     NewValues(intSchema("g", "v"), data),
-			GroupBy:   []Expr{ColRef(0)},
-			GroupCols: intSchema("g"),
-			Aggs:      []AggSpec{{Func: AggSum, Arg: ColRef(1), Name: "s"}},
-		}
-		if _, err := Drain(g); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"errors"
+	"math"
+	"math/big"
 	"sort"
 	"testing"
 
@@ -64,14 +67,27 @@ func oracleProject(t testing.TB, rows []types.Row, exprs []Expr) []types.Row {
 	return out
 }
 
+// errOracleOverflow is what oracleGroupByErr reports when an integer SUM's
+// exact total leaves int64: the operator's answer is then an error too.
+var errOracleOverflow = errors.New("oracle: integer SUM total outside int64")
+
 // oracleGroupBy is GROUP BY by sorting: rows are stably ordered by their key
 // (types.Compare: NULLs first and equal to each other, NaN last and equal to
 // itself), each run of equal keys is one group, and every aggregate is
-// computed from the run's values in input order. Output is in key order,
-// key columns then aggregates, one row over empty input when there are no
-// keys — GroupByOp's contract. COUNT(*), COUNT, COUNT(DISTINCT), SUM, AVG,
-// MIN and MAX are enough for the suites that use it.
+// computed from the run's values in input order — sums, means and moments in
+// arbitrary precision, so the reference never rounds or wraps before the
+// end. Output is in key order, key columns then aggregates, one row over
+// empty input when there are no keys — GroupByOp's contract.
 func oracleGroupBy(t testing.TB, rows []types.Row, keys []Expr, aggs []AggSpec) []types.Row {
+	t.Helper()
+	out, err := oracleGroupByErr(t, rows, keys, aggs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func oracleGroupByErr(t testing.TB, rows []types.Row, keys []Expr, aggs []AggSpec) ([]types.Row, error) {
 	t.Helper()
 	type keyed struct{ key, row types.Row }
 	in := make([]keyed, len(rows))
@@ -88,22 +104,33 @@ func oracleGroupBy(t testing.TB, rows []types.Row, keys []Expr, aggs []AggSpec) 
 	}
 	sort.SliceStable(in, func(a, b int) bool { return cmp(in[a].key, in[b].key) < 0 })
 	var out []types.Row
+	var failed error
 	emit := func(group []keyed) {
 		var row types.Row
 		if len(group) > 0 {
 			row = append(row, group[0].key...)
 		}
 		for _, a := range aggs {
-			var vals []types.Value // the group's non-NULL argument values
+			// The group's argument values: NULLs dropped, for a two-argument
+			// aggregate the pairs with either side NULL.
+			var vals, vals2 []types.Value
 			for _, kr := range group {
 				if a.Func == AggCountStar {
 					break
 				}
-				if v := evalOrFatal(t, a.Arg, kr.row); !v.IsNull() {
-					vals = append(vals, v)
+				v, v2 := evalOrFatal(t, a.Arg, kr.row), types.NewInt(0)
+				if a.Arg2 != nil {
+					v2 = evalOrFatal(t, a.Arg2, kr.row)
+				}
+				if !v.IsNull() && !v2.IsNull() {
+					vals, vals2 = append(vals, v), append(vals2, v2)
 				}
 			}
-			row = append(row, oracleAgg(t, a.Func, len(group), vals))
+			v, err := oracleAgg(t, a, len(group), vals, vals2)
+			if err != nil {
+				failed = err
+			}
+			row = append(row, v)
 		}
 		out = append(out, row)
 	}
@@ -118,16 +145,19 @@ func oracleGroupBy(t testing.TB, rows []types.Row, keys []Expr, aggs []AggSpec) 
 		emit(in[lo:hi])
 		lo = hi
 	}
-	return out
+	return out, failed
 }
 
-func oracleAgg(t testing.TB, f AggFunc, n int, vals []types.Value) types.Value {
+// bigFloat is x in enough precision that no sum below rounds.
+func bigFloat(x float64) *big.Float { return new(big.Float).SetPrec(400).SetFloat64(x) }
+
+func oracleAgg(t testing.TB, a AggSpec, n int, vals, vals2 []types.Value) (types.Value, error) {
 	t.Helper()
-	switch f {
+	switch a.Func {
 	case AggCountStar:
-		return types.NewInt(int64(n))
+		return types.NewInt(int64(n)), nil
 	case AggCount:
-		return types.NewInt(int64(len(vals)))
+		return types.NewInt(int64(len(vals))), nil
 	case AggCountDistinct:
 		sorted := append([]types.Value{}, vals...)
 		sort.Slice(sorted, func(a, b int) bool { return types.Compare(sorted[a], sorted[b]) < 0 })
@@ -137,44 +167,99 @@ func oracleAgg(t testing.TB, f AggFunc, n int, vals []types.Value) types.Value {
 				d++
 			}
 		}
-		return types.NewInt(int64(d))
+		return types.NewInt(int64(d)), nil
 	}
 	if len(vals) == 0 {
-		return types.Null
+		return types.Null, nil
 	}
-	switch f {
-	case AggSum, AggAvg:
-		var isum int64 // wraps like int64 addition does
-		var fsum float64
-		float := f == AggAvg
-		for _, v := range vals {
+	floats := func(vs []types.Value) []float64 {
+		out := make([]float64, len(vs))
+		for i, v := range vs {
 			x, ok := v.AsFloat()
 			if !ok {
-				t.Fatalf("oracle: non-numeric %v in SUM/AVG", v)
+				t.Fatalf("oracle: non-numeric %v in aggregate %d", v, a.Func)
 			}
-			if v.Kind() == types.KindFloat {
+			out[i] = x
+		}
+		return out
+	}
+	switch a.Func {
+	case AggSum, AggAvg:
+		// BIGINT inputs total exactly; everything else is a float sum.
+		isum, fsum, float := new(big.Int), 0.0, false
+		for i, x := range floats(vals) {
+			switch vals[i].Kind() {
+			case types.KindInt:
+				isum.Add(isum, big.NewInt(vals[i].Int()))
+				continue
+			case types.KindFloat:
 				float = true
-			} else {
-				isum += v.Int()
 			}
 			fsum += x
 		}
-		switch {
-		case f == AggAvg:
-			return types.NewFloat(fsum / float64(len(vals)))
+		total, _ := new(big.Float).SetInt(isum).Float64()
+		switch total += fsum; {
+		case a.Func == AggAvg:
+			return types.NewFloat(total / float64(len(vals))), nil
 		case float:
-			return types.NewFloat(fsum)
+			return types.NewFloat(total), nil
+		case !isum.IsInt64():
+			return types.Null, errOracleOverflow
 		}
-		return types.NewInt(isum)
+		return types.NewInt(isum.Int64()), nil
 	case AggMin, AggMax:
 		best := vals[0]
 		for _, v := range vals[1:] {
-			if c := types.Compare(v, best); f == AggMin && c < 0 || f == AggMax && c > 0 {
+			if c := types.Compare(v, best); a.Func == AggMin && c < 0 || a.Func == AggMax && c > 0 {
 				best = v
 			}
 		}
-		return best
+		return best, nil
+	case AggMedian, AggPercentileCont, AggPercentileDisc:
+		xs := floats(vals)
+		sort.Float64s(xs)
+		p := a.Param
+		if a.Func == AggMedian {
+			p = 0.5
+		}
+		if a.Func == AggPercentileDisc {
+			return types.NewFloat(xs[max(int(math.Ceil(p*float64(len(xs))))-1, 0)]), nil
+		}
+		pos := p * float64(len(xs)-1)
+		lo, frac := int(pos), pos-math.Floor(pos)
+		if frac == 0 {
+			return types.NewFloat(xs[lo]), nil
+		}
+		return types.NewFloat(xs[lo]*(1-frac) + xs[lo+1]*frac), nil
 	}
-	t.Fatalf("oracle: aggregate %d not supported", f)
-	return types.Null
+	// The moment family, two passes: the co-moment about the exact means.
+	xs, ys := floats(vals), floats(vals)
+	covar := a.Func == AggCovarPop || a.Func == AggCovarSamp
+	if covar {
+		ys = floats(vals2)
+	}
+	div := float64(len(xs))
+	if a.Func == AggStddevSamp || a.Func == AggVarSamp || a.Func == AggCovarSamp {
+		div--
+	}
+	if div <= 0 {
+		return types.Null, nil
+	}
+	mx, my := new(big.Float).SetPrec(400), new(big.Float).SetPrec(400)
+	for i := range xs {
+		mx.Add(mx, bigFloat(xs[i]))
+		my.Add(my, bigFloat(ys[i]))
+	}
+	mx.Quo(mx, bigFloat(float64(len(xs))))
+	my.Quo(my, bigFloat(float64(len(xs))))
+	c := new(big.Float).SetPrec(400)
+	for i := range xs {
+		dx, dy := bigFloat(xs[i]), bigFloat(ys[i])
+		c.Add(c, dx.Mul(dx.Sub(dx, mx), dy.Sub(dy, my)))
+	}
+	v, _ := c.Quo(c, bigFloat(div)).Float64()
+	if a.Func == AggStddevPop || a.Func == AggStddevSamp {
+		v = math.Sqrt(v)
+	}
+	return types.NewFloat(v), nil
 }

@@ -15,8 +15,11 @@ import (
 	"dashdb/internal/types"
 )
 
-// buildAggTable loads rows with a NULL-bearing group column, an
-// overflow-prone integer measure and an exactly-representable float
+// buildAggTable loads rows with a NULL-bearing group column, an integer
+// measure whose running sum leaves int64 while every group's total fits
+// (runs of four rows of one group carry +2^62, +2^62, -2^62, -2^62 plus
+// noise, so a prefix, a worker's partial or a spilled partial overflows and
+// the 128-bit lane must carry it), and an exactly-representable float
 // measure (halves, so partial float sums reassociate without rounding).
 func buildAggTable(t testing.TB, rng *rand.Rand, n int) *columnar.Table {
 	t.Helper()
@@ -27,16 +30,25 @@ func buildAggTable(t testing.TB, rng *rand.Rand, n int) *columnar.Table {
 	}
 	tbl := columnar.NewTable(7, "agg_src", schema, columnar.Config{})
 	rows := make([]types.Row, 0, n)
+	var g, f types.Value
 	for i := 0; i < n; i++ {
-		g := types.NewInt(int64(rng.Intn(11)))
-		if rng.Intn(9) == 0 {
-			g = types.Null // NULL groups collapse into one group, per SQL
+		big := i < n/4*4 && (i/4)%2 == 0 // every other run of four: one group, one f, so a filter on f keeps or drops it whole
+		if !big || i%4 == 0 {
+			g = types.NewInt(int64(rng.Intn(11)))
+			if rng.Intn(9) == 0 {
+				g = types.Null // NULL groups collapse into one group, per SQL
+			}
+			f = types.NewFloat(float64(rng.Intn(4096)) * 0.5)
 		}
-		v := types.NewInt((int64(1) << 62) + int64(rng.Intn(1_000_000))) // SUM overflows int64 quickly
-		if rng.Intn(7) == 0 {
+		v := types.NewInt(int64(rng.Intn(1_000_000)))
+		switch {
+		case big && i%4 < 2:
+			v = types.NewInt(v.Int() + 1<<62)
+		case big:
+			v = types.NewInt(v.Int() - 1<<62)
+		case rng.Intn(7) == 0:
 			v = types.Null
 		}
-		f := types.NewFloat(float64(rng.Intn(4096)) * 0.5)
 		rows = append(rows, types.Row{g, v, f})
 	}
 	if err := tbl.InsertBatch(rows); err != nil {

@@ -15,10 +15,11 @@ const valueSize = int64(unsafe.Sizeof(types.Value{}))
 // rowHeaderSize is the slice header of a types.Row.
 const rowHeaderSize = int64(unsafe.Sizeof(types.Row{}))
 
-// RowBytes is the single row-sizing helper shared by the sort, join and
-// aggregation reservations. It charges the slice header, the full boxed
-// Value array (every element carries the union payload and string header
-// whether or not that arm is in use), and the out-of-line string bytes.
+// RowBytes is the single row-sizing helper shared by the sort and join
+// reservations (group-by charges the columns it allocates, not rows). It
+// charges the slice header, the full boxed Value array (every element
+// carries the union payload and string header whether or not that arm is in
+// use), and the out-of-line string bytes.
 func RowBytes(r types.Row) int64 {
 	sz := rowHeaderSize + valueSize*int64(cap(r))
 	for _, v := range r {

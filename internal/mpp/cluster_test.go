@@ -2,6 +2,7 @@ package mpp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -1566,6 +1567,63 @@ func TestTailAnswers(t *testing.T) {
 						t.Errorf("%s: %s: rows %s, want %s", name, tc.q, got, tc.want)
 					}
 				}
+			}
+		}
+	})
+}
+
+// TestAggregateProbes: the three aggregate answers PR 23 changed read the
+// same on one engine and through both cluster clients — an integer SUM whose
+// total leaves int64 is an error (it wrapped to 1) and one whose total fits is
+// exact; VAR_SAMP and STDDEV_POP survive a 1e9 offset (both read 0);
+// COUNT(DISTINCT f) counts NaN once, as GROUP BY f does (it counted every
+// NaN).
+func TestAggregateProbes(t *testing.T) {
+	schema := types.Schema{
+		{Name: "a", Kind: types.KindInt},
+		{Name: "i", Kind: types.KindInt},
+		{Name: "j", Kind: types.KindInt},
+		{Name: "x", Kind: types.KindFloat, Nullable: true},
+		{Name: "f", Kind: types.KindFloat},
+	}
+	i := []int64{math.MaxInt64, math.MaxInt64, 1, 1, 1}
+	j := []int64{math.MaxInt64 - 10, 3, 3, 3, 1} // total MaxInt64: no float holds it
+	x := []types.Value{types.NewFloat(1e9 + 1), types.NewFloat(1e9 + 2), types.NewFloat(1e9 + 3), types.NullOf(types.KindFloat), types.NullOf(types.KindFloat)}
+	f := []float64{math.NaN(), math.NaN(), 1.5, 2.5, 3.5}
+	var rows []types.Row
+	for k := range i {
+		rows = append(rows, types.Row{types.NewInt(int64(k + 1)), types.NewInt(i[k]), types.NewInt(j[k]), x[k], types.NewFloat(f[k])})
+	}
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.form(fourNodes()[:2], 2, clusterfs.New())
+		if err := c.CreateTable("p", schema, TableOptions{DistributeBy: "a"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Insert("p", rows); err != nil {
+			t.Fatal(err)
+		}
+		for name, exec := range map[string]func(string) (*core.Result, error){"one engine": referenceOf(t, c).Exec, "cluster": c.Query} {
+			if _, err := exec("SELECT SUM(i) FROM p"); err == nil || !strings.Contains(err.Error(), "integer overflow in SUM") {
+				t.Errorf("%s: SUM(i): err = %v, want integer overflow in SUM", name, err)
+			}
+			r, err := exec("SELECT SUM(j), AVG(i), VAR_SAMP(x), STDDEV_POP(x), COUNT(DISTINCT f) FROM p")
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got := r.Rows[0]
+			if got[0].Kind() != types.KindInt || got[0].Int() != math.MaxInt64 {
+				t.Errorf("%s: SUM(j) = %v, want %d", name, got[0], int64(math.MaxInt64))
+			}
+			for col, want := range map[int]float64{1: 3689348814741910323.8, 2: 1, 3: 0.816496580927726} {
+				if v := got[col].Float(); math.Abs(v-want) > 1e-9*want {
+					t.Errorf("%s: column %d = %v, want %v", name, col, got[col], want)
+				}
+			}
+			if got[4].Int() != 4 {
+				t.Errorf("%s: COUNT(DISTINCT f) = %v, want 4", name, got[4])
+			}
+			if groups, err := exec("SELECT f, COUNT(*) FROM p GROUP BY f"); err != nil || len(groups.Rows) != 4 {
+				t.Errorf("%s: GROUP BY f: %d groups, err %v", name, len(groups.Rows), err)
 			}
 		}
 	})
