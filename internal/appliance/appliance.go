@@ -176,21 +176,12 @@ func (a *Appliance) matchRids(t *rowstore.Table, preds []workload.Pred, fn func(
 		row types.Row
 	}
 	var matches []match
-	var evalErr error
 	t.Scan(func(rid int64, row types.Row) bool {
-		v, err := filter.Eval(row)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		if !v.IsNull() && v.Bool() {
+		if filter(row) {
 			matches = append(matches, match{rid, row})
 		}
 		return true
 	})
-	if evalErr != nil {
-		return 0, evalErr
-	}
 	for _, m := range matches {
 		if err := fn(m.rid, m.row); err != nil {
 			return 0, err

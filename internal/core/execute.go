@@ -12,6 +12,7 @@ import (
 	"dashdb/internal/sql"
 	"dashdb/internal/telemetry"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 func (s *Session) execStmt(st sql.Statement, text string) (*Result, error) {
@@ -173,11 +174,7 @@ func (s *Session) evalConstExprs(exprs []sql.Expr) (types.Row, error) {
 	c := s.compiler()
 	row := make(types.Row, len(exprs))
 	for i, e := range exprs {
-		ce, err := c.CompileConstExpr(e)
-		if err != nil {
-			return nil, err
-		}
-		v, err := ce.Eval(nil)
+		v, err := c.EvalConst(e)
 		if err != nil {
 			return nil, err
 		}
@@ -258,38 +255,38 @@ func (s *Session) executeInsert(stmt *sql.InsertStmt) (*Result, error) {
 	return &Result{RowsAffected: int64(len(rows)), Message: fmt.Sprintf("%d rows inserted", len(rows))}, nil
 }
 
-// matchingRows scans tbl with pushdown and residual filtering, calling fn
-// for each matching (rid, row).
-func (s *Session) matchingRows(tbl *columnar.Table, where sql.Expr, fn func(rid int64, row types.Row) error) error {
+// matchingRows scans tbl with pushdown and returns the ids of the rows the
+// residual predicate keeps, in scan order. each, when set, sees every scan
+// batch that holds a match as column vectors, the selection narrowed to the
+// matches; nothing is boxed here.
+func (s *Session) matchingRows(tbl *columnar.Table, where sql.Expr, each func(vb *vec.Batch) error) ([]int64, error) {
 	preds, residual, err := s.compiler().CompileTablePredicate(where, tbl.Schema())
 	if err != nil {
-		return err
+		return nil, err
 	}
+	var rids []int64
 	var inner error
 	scanErr := tbl.Scan(preds, func(b *columnar.Batch) bool {
-		for i := 0; i < b.Len(); i++ {
-			row := b.Row(i)
-			if residual != nil {
-				v, err := residual.Eval(row)
-				if err != nil {
-					inner = err
-					return false
-				}
-				if v.IsNull() || v.Kind() != types.KindBool || !v.Bool() {
-					continue
-				}
-			}
-			if err := fn(b.RowID(i), row); err != nil {
-				inner = err
+		vb := vec.NewBatch(tbl.Schema(), b.VectorsEnc(nil, nil), b.Len())
+		if residual != nil {
+			var pv *vec.Vector
+			if pv, inner = residual.EvalVec(vb); inner != nil {
 				return false
 			}
+			vb.Sel = exec.SelTrue(pv, vb.Idx())
 		}
-		return true
+		for _, i := range vb.Idx() {
+			rids = append(rids, b.RowID(i))
+		}
+		if each != nil && vb.Rows() > 0 {
+			inner = each(vb)
+		}
+		return inner == nil
 	})
 	if inner != nil {
-		return inner
+		return nil, inner
 	}
-	return scanErr
+	return rids, scanErr
 }
 
 func (s *Session) executeUpdate(stmt *sql.UpdateStmt) (*Result, error) {
@@ -315,19 +312,21 @@ func (s *Session) executeUpdate(stmt *sql.UpdateStmt) (*Result, error) {
 		}
 		sets = append(sets, setOp{ci: ci, e: ce})
 	}
-	var rids []int64
 	var newRows []types.Row
-	err := s.matchingRows(tbl, stmt.Where, func(rid int64, row types.Row) error {
-		updated := row.Clone()
+	rids, err := s.matchingRows(tbl, stmt.Where, func(vb *vec.Batch) error {
+		// Every SET expression reads the old values (the vectors), so the
+		// boxed rows can take the new ones in place.
+		first := len(newRows)
+		newRows = vb.AppendRows(newRows)
 		for _, so := range sets {
-			v, err := so.e.Eval(row)
+			v, err := so.e.EvalVec(vb)
 			if err != nil {
 				return err
 			}
-			updated[so.ci] = v
+			for n, i := range vb.Idx() {
+				newRows[first+n][so.ci] = v.Get(i)
+			}
 		}
-		rids = append(rids, rid)
-		newRows = append(newRows, updated)
 		return nil
 	})
 	if err != nil {
@@ -345,11 +344,7 @@ func (s *Session) executeDelete(stmt *sql.DeleteStmt) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: table %s does not exist", stmt.Table)
 	}
-	var rids []int64
-	err := s.matchingRows(tbl, stmt.Where, func(rid int64, _ types.Row) error {
-		rids = append(rids, rid)
-		return nil
-	})
+	rids, err := s.matchingRows(tbl, stmt.Where, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -148,13 +148,13 @@ func freezeOps(entries []planEntry) []telemetry.OpRecord {
 	return out
 }
 
-// collectOp walks the operator tree producing plan entries. An operator is
-// tagged [vectorized] when vector kernels evaluate all of its expressions
-// and [row] when it holds an opaque one (UDFs, scalar functions, CASE, ...)
-// that runs per live position, or — SORT — keeps its input as rows, so
-// fallbacks stay visible. st carries the counters of the StatsOp decorator
-// the walk just unwrapped, and lands on the entry of the operator it
-// decorates.
+// collectOp walks the operator tree producing plan entries. Every expression
+// runs a batch at a time; an operator is tagged [row] when it holds a
+// stateful one (UDX, sequence, ROWNUM, subquery), whose calls run one at a
+// time in position order and keep a group-by above it serial, or — SORT —
+// keeps its input as rows, and [vectorized] otherwise. st carries the
+// counters of the StatsOp decorator the walk just unwrapped, and lands on the
+// entry of the operator it decorates.
 func collectOp(op exec.Operator, depth int, st *telemetry.OpStats, out *[]planEntry) {
 	// add appends the operator's entry and returns it for annotation.
 	add := func(text string) *planEntry {
@@ -162,10 +162,10 @@ func collectOp(op exec.Operator, depth int, st *telemetry.OpStats, out *[]planEn
 		return &(*out)[len(*out)-1]
 	}
 	mode := func(exprs ...exec.Expr) string {
-		if exec.Vectorizable(exprs...) {
-			return " [vectorized]"
+		if exec.Stateful(exprs...) {
+			return " [row]"
 		}
-		return " [row]"
+		return " [vectorized]"
 	}
 	switch o := op.(type) {
 	case *exec.StatsOp:

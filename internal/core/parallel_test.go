@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"dashdb/internal/types"
 )
 
 // planLines runs EXPLAIN and returns the plan as strings.
@@ -58,11 +60,17 @@ func TestSetParallelism(t *testing.T) {
 // TestParallelPlanAndResults checks that a mergeable scan+aggregate query
 // runs its group-by and scan at the session's degree (visible in EXPLAIN)
 // and returns exactly the serial result set, rows and order — with a
-// residual vector filter in between too; non-mergeable aggregates stay
-// serial, and a filter with no vector kernel keeps the group-by on one
-// worker without taking it, or the scan, off the batch engine.
+// residual vector filter, or a pure scalar function with no kernel, in
+// between too; non-mergeable aggregates stay serial, and a stateful filter
+// (a UDX) keeps the group-by on one worker without taking it, or the scan,
+// off the batch engine.
 func TestParallelPlanAndResults(t *testing.T) {
 	db := Open(Config{BufferPoolBytes: 16 << 20, Parallelism: 1})
+	if err := db.RegisterFunction("MAGNITUDE", 1, 1, func(args []types.Value) (types.Value, error) {
+		return types.NewInt(max(args[0].Int(), -args[0].Int())), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	s := db.NewSession()
 	mustExec(t, s, `CREATE TABLE m (g BIGINT, v BIGINT, f DOUBLE)`)
 	var b strings.Builder
@@ -113,18 +121,29 @@ func TestParallelPlanAndResults(t *testing.T) {
 		!strings.Contains(rplan, "PARALLEL COLUMNAR SCAN M [dop=4]") {
 		t.Fatalf("residual vector filter must not serialize the plan:\n%s", rplan)
 	}
-	// A filter with no vector kernel evaluates per position inside the same
-	// pipeline: the group-by still ingests batches, on one worker (no dop
-	// tag — a scalar function is never called from two goroutines), over
-	// the parallel scan.
+	// A pure scalar function has no kernel of its own, yet runs over the
+	// batch on whichever worker pulled it: the group-by keeps its degree.
 	fq := `SELECT g, COUNT(*) FROM m WHERE ABS(v) > 200 GROUP BY g`
 	fplan := strings.Join(planLines(t, s, fq), "\n")
-	if !strings.Contains(fplan, "GROUP BY [1 keys, 1 aggregates] [vectorized]\n") ||
-		!strings.Contains(fplan, "FILTER [row]\n") ||
+	if !strings.Contains(fplan, "GROUP BY [1 keys, 1 aggregates] [vectorized] [dop=4]\n") ||
+		!strings.Contains(fplan, "FILTER [vectorized]\n") ||
 		!strings.Contains(fplan, "PARALLEL COLUMNAR SCAN M [dop=4]") {
-		t.Fatalf("an opaque filter must keep the group-by on one batch-ingest worker:\n%s", fplan)
+		t.Fatalf("a pure scalar-function filter must not serialize the plan:\n%s", fplan)
 	}
-	for _, q := range []string{rq, fq} {
+	// A stateful filter evaluates inside the same pipeline too: the group-by
+	// still ingests batches, on one worker (no dop tag — a UDX is never
+	// called from two goroutines), over the parallel scan.
+	uq := `SELECT g, COUNT(*) FROM m WHERE MAGNITUDE(v) > 200 GROUP BY g`
+	uplan := strings.Join(planLines(t, s, uq), "\n")
+	if !strings.Contains(uplan, "GROUP BY [1 keys, 1 aggregates] [vectorized]\n") ||
+		!strings.Contains(uplan, "FILTER [row]\n") ||
+		!strings.Contains(uplan, "PARALLEL COLUMNAR SCAN M [dop=4]") {
+		t.Fatalf("a stateful filter must keep the group-by on one batch-ingest worker:\n%s", uplan)
+	}
+	if pure, udx := mustExec(t, s, fq), mustExec(t, s, uq); !reflect.DeepEqual(pure.Rows, udx.Rows) {
+		t.Fatalf("ABS on four workers and the UDX on one disagree\n got %v\nwant %v", pure.Rows, udx.Rows)
+	}
+	for _, q := range []string{rq, fq, uq} {
 		mustExec(t, s, "SET PARALLELISM 4")
 		at4 := mustExec(t, s, q)
 		mustExec(t, s, "SET PARALLELISM AUTO")

@@ -192,6 +192,35 @@ PROJECT STATUS [vectorized]
       GROUP BY [1 keys, 1 aggregates] [vectorized] [compressed] [dop=2]
         PARALLEL COLUMNAR SCAN TRANSACTIONS [dop=2] [vectorized] [compressed] (est rows=2000)
 `}},
+	// A predicate with no typed kernel is an ApplyExpr over the batch: pure
+	// (LIKE) it keeps the group-by's workers, stateful (a subquery) it runs
+	// on one and is tagged [row].
+	{name: "group-by under a pure predicate",
+		q: `SELECT status, COUNT(*) FROM transactions WHERE txn_type LIKE 'S%' GROUP BY status`,
+		want: [2]string{`
+PROJECT STATUS, COUNT [vectorized]
+  GROUP BY [1 keys, 1 aggregates] [vectorized] [compressed]
+    FILTER [vectorized]
+      COLUMNAR SCAN TRANSACTIONS [vectorized] [compressed] (est rows=2000)
+`, `
+PROJECT STATUS, COUNT [vectorized]
+  GROUP BY [1 keys, 1 aggregates] [vectorized] [compressed] [dop=2]
+    FILTER [vectorized]
+      PARALLEL COLUMNAR SCAN TRANSACTIONS [dop=2] [vectorized] [compressed] (est rows=2000)
+`}},
+	{name: "group-by under a stateful predicate",
+		q: `SELECT status, COUNT(*) FROM transactions WHERE amount > (SELECT AVG(amount) FROM transactions) GROUP BY status`,
+		want: [2]string{`
+PROJECT STATUS, COUNT [vectorized]
+  GROUP BY [1 keys, 1 aggregates] [vectorized] [compressed]
+    FILTER [row]
+      COLUMNAR SCAN TRANSACTIONS [vectorized] [compressed] (est rows=2000)
+`, `
+PROJECT STATUS, COUNT [vectorized]
+  GROUP BY [1 keys, 1 aggregates] [vectorized] [compressed]
+    FILTER [row]
+      PARALLEL COLUMNAR SCAN TRANSACTIONS [dop=2] [vectorized] [compressed] (est rows=2000)
+`}},
 }
 
 func TestPlanShapes(t *testing.T) {

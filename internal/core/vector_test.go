@@ -49,10 +49,11 @@ func TestExplainVectorized(t *testing.T) {
 	}
 }
 
-// TestExplainRowFallbacks: an operator holding a scalar function or a UDX
-// evaluates it per position and EXPLAIN says so with [row]; nothing around
-// it leaves the batch engine. MEDIAN ingests batches on one worker, and
-// SORT, whose state is rows, keeps its [row] tag.
+// TestExplainRowFallbacks: an operator holding a stateful expression (a UDX)
+// calls it one position at a time and EXPLAIN says so with [row]; a pure
+// scalar function is [vectorized] like any kernel, and nothing around either
+// leaves the batch engine. MEDIAN ingests batches on one worker, and SORT,
+// whose state is rows, keeps its [row] tag.
 func TestExplainRowFallbacks(t *testing.T) {
 	db := Open(Config{BufferPoolBytes: 16 << 20, Parallelism: 2})
 	if err := db.RegisterFunction("TRIPLE", 1, 1, func(args []types.Value) (types.Value, error) {
@@ -66,23 +67,22 @@ func TestExplainRowFallbacks(t *testing.T) {
 	s := db.NewSession()
 	seedSales(t, s, 100)
 
-	// Scalar function in the WHERE clause: the FILTER is tagged [row], the
-	// scan underneath and the projection above are not.
+	// Pure scalar function in the WHERE clause: nothing is tagged [row].
 	plan := planOf(t, s, `EXPLAIN SELECT id FROM sales WHERE UPPER(region) = 'NORTH'`)
-	for _, want := range []string{"PROJECT ID [vectorized]", "FILTER [row]", "COLUMNAR SCAN SALES [vectorized]"} {
+	for _, want := range []string{"PROJECT ID [vectorized]", "FILTER [vectorized]", "COLUMNAR SCAN SALES [vectorized]"} {
 		if !strings.Contains(plan, want) {
 			t.Fatalf("scalar-func filter: plan missing %q:\n%s", want, plan)
 		}
 	}
 
-	// UDX filter: same tag. A UDX in the select list tags the PROJECT.
+	// UDX filter: [row]. A UDX in the select list tags the PROJECT.
 	plan = planOf(t, s, `EXPLAIN SELECT TRIPLE(id) FROM sales WHERE TRIPLE(id) > 30`)
 	if !strings.Contains(plan, "FILTER [row]") || !strings.Contains(plan, "PROJECT TRIPLE [row]") {
 		t.Fatalf("UDX filter and projection must be [row]:\n%s", plan)
 	}
 
 	// MEDIAN is holistic: one ingest worker whatever the session's degree,
-	// over the same batch ingest; an opaque argument tags the GROUP BY.
+	// over the same batch ingest; a stateful argument tags the GROUP BY.
 	plan = planOf(t, s, `EXPLAIN SELECT MEDIAN(amount) FROM sales`)
 	if !strings.Contains(plan, "GROUP BY [0 keys, 1 aggregates] [vectorized]\n") || strings.Contains(plan, "[dop=") {
 		t.Fatalf("MEDIAN group-by must ingest batches on one worker:\n%s", plan)
@@ -102,8 +102,10 @@ func TestExplainRowFallbacks(t *testing.T) {
 // TestPredicateCliffStaysClosed: a predicate with no vector kernel in the
 // WHERE of a GROUP BY on a dictionary column costs its own evaluation and
 // nothing else — the group-by above it still ingests batches and groups on
-// codes, on one worker (a scalar function or UDF is never called from two
-// goroutines) — and returns what a plain loop over the loaded rows does.
+// codes, at the session's degree when the predicate is pure (IS NULL, LIKE,
+// IN, a scalar function, CASE, CAST) and on one worker when it is stateful
+// (a UDX is never called from two goroutines) — and returns what a plain
+// loop over the loaded rows does.
 func TestPredicateCliffStaysClosed(t *testing.T) {
 	db := Open(Config{BufferPoolBytes: 16 << 20, Parallelism: 2})
 	if err := db.RegisterFunction("TRIPLE", 1, 1, func(args []types.Value) (types.Value, error) {
@@ -143,17 +145,20 @@ func TestPredicateCliffStaysClosed(t *testing.T) {
 
 	big := func(r txn) bool { return !r.noAmt && r.amount > 100 }
 	for _, tc := range []struct {
-		pred string
-		keep func(r txn) bool
+		pred     string
+		stateful bool
+		keep     func(r txn) bool
 	}{
-		{`status IS NOT NULL`, func(r txn) bool { return r.status != "" }},
-		{`status LIKE 'sett%'`, func(r txn) bool { return strings.HasPrefix(r.status, "sett") }},
-		{`status IN ('settled', 'pending')`, func(r txn) bool { return r.status == "settled" || r.status == "pending" }},
-		{`UPPER(status) = 'SETTLED'`, func(r txn) bool { return r.status == "settled" }},
-		{`CASE WHEN amount > 100 THEN 1 ELSE 0 END = 1`, big},
-		{`CAST(amount AS INTEGER) > 100`, func(r txn) bool { return !r.noAmt && int64(r.amount) > 100 }},
-		{`COALESCE(amount, 0) > 100`, big},
-		{`TRIPLE(id) > 3000`, func(r txn) bool { return r.id*3 > 3000 }},
+		{`status IS NOT NULL`, false, func(r txn) bool { return r.status != "" }},
+		{`status LIKE 'sett%'`, false, func(r txn) bool { return strings.HasPrefix(r.status, "sett") }},
+		{`status IN ('settled', 'pending')`, false, func(r txn) bool { return r.status == "settled" || r.status == "pending" }},
+		{`UPPER(status) = 'SETTLED'`, false, func(r txn) bool { return r.status == "settled" }},
+		{`CASE WHEN amount > 100 THEN 1 ELSE 0 END = 1`, false, big},
+		{`CAST(amount AS INTEGER) > 100`, false, func(r txn) bool { return !r.noAmt && int64(r.amount) > 100 }},
+		{`COALESCE(amount, 0) > 100`, false, big},
+		{`amount + 0 BETWEEN 100.25 AND 1000`, false, big},
+		{`TRIPLE(id) > 3000`, true, func(r txn) bool { return r.id*3 > 3000 }},
+		{`id > (SELECT MIN(id) + 1000 FROM txn)`, true, func(r txn) bool { return r.id > 1000 }},
 	} {
 		q := `SELECT status, COUNT(*), SUM(amount) FROM txn WHERE ` + tc.pred + ` GROUP BY status`
 		type agg struct {
@@ -193,19 +198,18 @@ func TestPredicateCliffStaysClosed(t *testing.T) {
 
 		lines := planLines(t, s, q)
 		plan := strings.Join(lines, "\n")
+		tag, dop := "FILTER [vectorized]", " [dop=2]"
+		if tc.stateful {
+			tag, dop = "FILTER [row]", ""
+		}
 		filter := -1
 		for i, l := range lines {
-			if strings.Contains(l, "FILTER [row]") {
+			if strings.Contains(l, tag) {
 				filter = i
 			}
 		}
-		if filter < 0 || !strings.Contains(plan, "GROUP BY [1 keys, 2 aggregates] [vectorized] [compressed]\n") {
-			t.Fatalf("%s: want a [row] filter under a batch-ingesting, code-keyed group-by:\n%s", tc.pred, plan)
-		}
-		for _, l := range lines[:filter] {
-			if strings.Contains(l, "[dop=") {
-				t.Fatalf("%s: %q runs at dop above an opaque filter:\n%s", tc.pred, l, plan)
-			}
+		if filter < 0 || !strings.Contains(plan, "GROUP BY [1 keys, 2 aggregates] [vectorized] [compressed]"+dop+"\n") {
+			t.Fatalf("%s: want a %s under a batch-ingesting, code-keyed group-by%s:\n%s", tc.pred, tag, dop, plan)
 		}
 		if !strings.Contains(lines[filter+1], "PARALLEL COLUMNAR SCAN TXN [dop=2] [vectorized] [compressed]") {
 			t.Fatalf("%s: the scan under the filter keeps its degree and its codes:\n%s", tc.pred, plan)

@@ -112,7 +112,7 @@ func percentileDisc(vals []float64, p float64) types.Value {
 //
 // Open consumes the whole child into per-worker groupTables: Dop workers
 // when the child tolerates concurrent pulls, every aggregate merges exactly
-// (MergeableAggs) and no expression is opaque; otherwise one. Keys and
+// (MergeableAggs) and no expression is stateful; otherwise one. Keys and
 // arguments are evaluated column-at-a-time over each batch; the table turns
 // the key vectors into a group-id vector and typed kernels update each
 // aggregate's state lane through it — no input tuple and no key is boxed
@@ -213,11 +213,11 @@ func (g *GroupByOp) Open() error {
 
 // Workers reports how many ingest workers Open runs: Dop when the child can
 // be pulled from several goroutines, every aggregate merges exactly from
-// per-worker partials and every key and argument is kernel-evaluated, else
-// 1 (join output, MEDIAN/PERCENTILE, an opaque expression here or in a
-// filter or projection below). EXPLAIN prints it.
+// per-worker partials and no key or argument is stateful, else 1 (join
+// output, MEDIAN/PERCENTILE, a stateful expression here or in a filter or
+// projection below). EXPLAIN prints it.
 func (g *GroupByOp) Workers() int {
-	if g.Dop > 1 && MergeableAggs(g.Aggs) && Vectorizable(g.Exprs()...) && concurrentPull(g.Child) {
+	if g.Dop > 1 && MergeableAggs(g.Aggs) && !Stateful(g.Exprs()...) && concurrentPull(g.Child) {
 		return g.Dop
 	}
 	return 1
@@ -240,16 +240,16 @@ func (g *GroupByOp) Exprs() []Expr {
 // concurrentPull reports whether Next may be called on op from several
 // goroutines at once: a scan hands batches over a channel and filters and
 // projections keep no per-call state, but a limit counts rows, a
-// row-state operator owns a cursor, and an opaque expression (UDF,
-// sequence, subquery) has never run on two goroutines and must not start.
+// row-state operator owns a cursor, and a stateful expression (UDX,
+// sequence, ROWNUM, subquery) must see its calls one at a time, in order.
 func concurrentPull(op Operator) bool {
 	switch o := op.(type) {
 	case *StatsOp:
 		return concurrentPull(o.Child)
 	case *FilterOp:
-		return Vectorizable(o.Pred) && concurrentPull(o.Child)
+		return !Stateful(o.Pred) && concurrentPull(o.Child)
 	case *ProjectOp:
-		return Vectorizable(o.Exprs...) && concurrentPull(o.Child)
+		return !Stateful(o.Exprs...) && concurrentPull(o.Child)
 	case *ScanOp:
 		return true
 	}
@@ -301,19 +301,19 @@ func (g *GroupByOp) consume(stop *atomic.Bool) (t *groupTable, err error) {
 			return t, err
 		}
 		for i, e := range g.GroupBy {
-			if keyVecs[i], err = evalVec(e, vb); err != nil {
+			if keyVecs[i], err = e.EvalVec(vb); err != nil {
 				return t, err
 			}
 		}
 		g.adoptOnce.Do(func() { g.shape = adoptKeys(keyVecs) })
 		for ai, spec := range g.Aggs {
 			if spec.Arg != nil {
-				if argVecs[ai], err = evalVec(spec.Arg, vb); err != nil {
+				if argVecs[ai], err = spec.Arg.EvalVec(vb); err != nil {
 					return t, err
 				}
 			}
 			if spec.Arg2 != nil {
-				if arg2Vecs[ai], err = evalVec(spec.Arg2, vb); err != nil {
+				if arg2Vecs[ai], err = spec.Arg2.EvalVec(vb); err != nil {
 					return t, err
 				}
 			}

@@ -481,6 +481,31 @@ func TestGroupByHeapStepping(t *testing.T) {
 // BenchmarkGroupBy: the row-backed VALUES input it always measured, then a
 // scan per id scheme, and groups ≈ rows (DISTINCT), where emit — decode,
 // sort, gather — is the cost.
+// benchGroupByTable is the 200 000-row table the group-by benchmarks scan: a
+// five-value string d, an int k and a string s of 3 000 values each, a unique
+// int u and a float v.
+func benchGroupByTable(b *testing.B) (*columnar.Table, types.Schema) {
+	const n = 200_000
+	schema := types.Schema{
+		{Name: "d", Kind: types.KindString},
+		{Name: "k", Kind: types.KindInt},
+		{Name: "s", Kind: types.KindString},
+		{Name: "u", Kind: types.KindInt},
+		{Name: "v", Kind: types.KindFloat},
+	}
+	tbl := columnar.NewTable(740, "bench", schema, columnar.Config{})
+	rng := rand.New(rand.NewSource(1))
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = types.Row{types.NewString(dictRegions[rng.Intn(len(dictRegions))]), types.NewInt(int64(rng.Intn(3000))),
+			types.NewString(fmt.Sprintf("name-%04d", rng.Intn(3000))), types.NewInt(int64(i) * 7919 % n), types.NewFloat(float64(i % 1000))}
+	}
+	if err := tbl.InsertBatch(rows); err != nil {
+		b.Fatal(err)
+	}
+	return tbl, schema
+}
+
 func BenchmarkGroupBy(b *testing.B) {
 	b.Run("values", func(b *testing.B) {
 		var data []types.Row
@@ -500,24 +525,7 @@ func BenchmarkGroupBy(b *testing.B) {
 			}
 		}
 	})
-	const n = 200_000
-	schema := types.Schema{
-		{Name: "d", Kind: types.KindString},
-		{Name: "k", Kind: types.KindInt},
-		{Name: "s", Kind: types.KindString},
-		{Name: "u", Kind: types.KindInt},
-		{Name: "v", Kind: types.KindFloat},
-	}
-	tbl := columnar.NewTable(740, "bench", schema, columnar.Config{})
-	rng := rand.New(rand.NewSource(1))
-	rows := make([]types.Row, n)
-	for i := range rows {
-		rows[i] = types.Row{types.NewString(dictRegions[rng.Intn(len(dictRegions))]), types.NewInt(int64(rng.Intn(3000))),
-			types.NewString(fmt.Sprintf("name-%04d", rng.Intn(3000))), types.NewInt(int64(i) * 7919 % n), types.NewFloat(float64(i % 1000))}
-	}
-	if err := tbl.InsertBatch(rows); err != nil {
-		b.Fatal(err)
-	}
+	tbl, schema := benchGroupByTable(b)
 	aggs := []AggSpec{{Func: AggCountStar, Name: "cnt"}, {Func: AggSum, Arg: ColRef(1), Name: "sum"}}
 	for _, bc := range []struct {
 		name    string
@@ -557,5 +565,82 @@ func BenchmarkGroupBy(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkGroupByUnderPredicate is BenchmarkGroupBy/words (GROUP BY k,
+// COUNT(*), SUM(k) over the scan of k and v) under a filter the scan cannot
+// take: the seven predicate shapes with no typed kernel, built as the SQL
+// compiler builds them, at dop 1 and 2. A pure predicate leaves the group-by
+// its workers; the numbers are recorded in EXPERIMENTS.md.
+func BenchmarkGroupByUnderPredicate(b *testing.B) {
+	tbl, schema := benchGroupByTable(b)
+	// The scan's columns: k, v, d, s.
+	k, v, d, s := ColRef(0), ColRef(1), ColRef(2), ColRef(3)
+	num := func(x int64) Expr { return Const{V: types.NewInt(x)} }
+	pure := func(fn func(a []types.Value) (types.Value, error), args ...Expr) Expr {
+		return &ApplyExpr{Args: args, Fn: fn}
+	}
+	gt := func(l Expr, x int64) Expr { return &CmpExpr{Op: encoding.OpGT, L: l, R: num(x)} }
+	preds := []struct {
+		name string
+		pred Expr
+	}{
+		{"like", pure(func(a []types.Value) (types.Value, error) {
+			return types.NewBool(strings.HasPrefix(a[0].String(), "name-1")), nil
+		}, s)},
+		{"in", &InExpr{E: k, List: []Expr{num(7), num(1500), num(2999)}}},
+		{"isnotnull", pure(func(a []types.Value) (types.Value, error) { return types.NewBool(!a[0].IsNull()), nil }, d)},
+		{"case", gt(&CaseExpr{Whens: []CaseWhen{{When: gt(v, 100), Then: num(1)}}, Else: num(0)}, 0)},
+		{"cast", gt(pure(func(a []types.Value) (types.Value, error) { return types.Coerce(a[0], types.KindInt) }, v), 100)},
+		{"between", pure(func(a []types.Value) (types.Value, error) {
+			return types.NewBool(types.Compare(a[0], a[1]) >= 0 && types.Compare(a[0], a[2]) <= 0), nil
+		}, &ArithExpr{Op: "+", L: k, R: num(0)}, num(100), num(2000))},
+		{"call", &CmpExpr{Op: encoding.OpEQ, R: Const{V: types.NewString("NORTH")}, L: pure(func(a []types.Value) (types.Value, error) {
+			return types.NewString(strings.ToUpper(a[0].String())), nil
+		}, d)}},
+	}
+	aggs := []AggSpec{{Func: AggCountStar, Name: "cnt"}, {Func: AggSum, Arg: ColRef(0), Name: "sum"}}
+	for _, p := range preds {
+		for _, dop := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/dop=%d", p.name, dop), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					scan := NewScan(tbl, nil, []int{1, 4, 0, 2})
+					scan.Dop = dop
+					scan.EnableCompressed()
+					g := &GroupByOp{Child: &FilterOp{Child: scan, Pred: p.pred}, GroupBy: []Expr{ColRef(0)},
+						GroupCols: schema[1:2], Aggs: aggs, Dop: dop}
+					if rows, err := Drain(g); err != nil || len(rows) == 0 {
+						b.Fatalf("%d groups, %v", len(rows), err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkNestedLoopPred is a 1 000 × 1 000 theta join on
+// l.a < r.a AND r.s LIKE 'x%': the predicate runs once per left row over
+// the right side as one batch.
+func BenchmarkNestedLoopPred(b *testing.B) {
+	left, right := make([]types.Row, 1000), make([]types.Row, 1000)
+	for i := range left {
+		left[i] = types.Row{types.NewInt(int64(i))}
+		right[i] = types.Row{types.NewInt(int64(i * 7 % 1000)), types.NewString([]string{"xa", "yb", "xc", "zd"}[i%4])}
+	}
+	rs := types.Schema{{Name: "a", Kind: types.KindInt}, {Name: "s", Kind: types.KindString}}
+	pred := &AndExpr{
+		L: &CmpExpr{Op: encoding.OpLT, L: ColRef(0), R: ColRef(1)},
+		R: &ApplyExpr{Args: []Expr{ColRef(2)}, Fn: func(a []types.Value) (types.Value, error) {
+			return types.NewBool(strings.HasPrefix(a[0].String(), "x")), nil
+		}},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		j := &NestedLoopJoinOp{Left: NewValues(intSchema("a"), left), Right: NewValues(rs, right), Pred: pred}
+		if rows, err := Drain(j); err != nil || len(rows) == 0 {
+			b.Fatalf("%d rows, %v", len(rows), err)
+		}
 	}
 }

@@ -121,11 +121,11 @@ func compressedSel(pred Expr, vb *vec.Batch, idx []int) ([]int, bool, error) {
 		// Right side needs value kernels: evaluate it generically over the
 		// already-narrowed selection — the code-space left side still paid
 		// for itself.
-		pv, err := evalVec(p.R, vb.WithSel(lsel))
+		pv, err := p.R.EvalVec(vb.WithSel(lsel))
 		if err != nil {
 			return nil, false, err
 		}
-		return selTrue(pv, lsel), true, nil
+		return SelTrue(pv, lsel), true, nil
 
 	case *OrExpr:
 		lsel, lok, err := compressedSel(p.L, vb, idx)
@@ -157,10 +157,14 @@ func colConstCmp(p *CmpExpr) (int, types.Value, encoding.CmpOp, bool) {
 	return 0, types.Null, 0, false
 }
 
-// selTrue filters idx down to positions where the predicate vector is
+// SelTrue filters idx down to positions where the predicate vector is
 // definite TRUE: a typed BOOLEAN vector's set, non-NULL positions, or any
 // other vector's true BOOLEAN values (a non-boolean value passes nothing).
-func selTrue(pv *vec.Vector, idx []int) []int {
+// It is the one truth test: filters, HAVING, join predicates, CASE arms and
+// DML residuals all keep a row through it.
+//
+//dashdb:hotpath
+func SelTrue(pv *vec.Vector, idx []int) []int {
 	out := make([]int, 0, len(idx))
 	if pv.Kind == types.KindBool && pv.I64 != nil {
 		for _, i := range idx {

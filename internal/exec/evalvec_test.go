@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dashdb/internal/encoding"
@@ -12,10 +13,11 @@ import (
 	"dashdb/internal/vec"
 )
 
-// This file is the kernels' one oracle: for generated expression trees over
-// generated batches, evaluating the tree a batch at a time (evalVec — typed
-// kernels, generic arms, the opaque per-position fallback) must equal
-// evaluating Expr.Eval on every live row, values and errors both.
+// This file holds every expression node to the one oracle: for generated
+// expression trees over generated batches, evaluating the tree a batch at a
+// time (EvalVec — typed kernels, generic arms, ApplyExpr, lazy CASE and IN)
+// must equal rowEval (oracle_test.go) on every live row, values and errors
+// both.
 
 // evalCols is the generated row shape: small ints with many zeros (division
 // by zero), wide ints, floats with NaN/±0/±Inf, low-cardinality strings,
@@ -155,10 +157,27 @@ func (d evalData) batches(rng *rand.Rand) map[string]*vec.Batch {
 
 var errOpaque = errors.New("opaque function refuses this row")
 
+// identity is a pure one-argument ApplyExpr: its argument, boxed and back.
+func identity(sub Expr) Expr {
+	return &ApplyExpr{Args: []Expr{sub}, Fn: func(a []types.Value) (types.Value, error) { return a[0], nil }}
+}
+
+// failOnZ is a pure ApplyExpr that returns sub's value, except that it fails
+// on rows whose z is k — wherever it sits in the tree.
+func failOnZ(k int64, sub Expr) Expr {
+	return &ApplyExpr{Args: []Expr{ColRef(0), sub}, Fn: func(a []types.Value) (types.Value, error) {
+		if !a[0].IsNull() && a[0].Int() == k {
+			return types.Null, errOpaque
+		}
+		return a[1], nil
+	}}
+}
+
 // randExpr draws an expression tree: numeric-shaped (arithmetic over numeric
-// leaves) or boolean-shaped (comparisons under AND/OR/NOT), with an opaque
-// FuncExpr wrapped around some subtrees and an off-shape operand now and
-// then so type errors and non-boolean truthiness are exercised too.
+// leaves) or boolean-shaped (comparisons and IN lists under AND/OR/NOT),
+// with pure ApplyExprs wrapped around some subtrees, searched and simple
+// CASE of either shape, and an off-shape operand now and then so type errors
+// and non-boolean truthiness are exercised too.
 func randExpr(rng *rand.Rand, depth int, boolean bool) Expr {
 	if rng.Intn(10) == 0 {
 		boolean = !boolean
@@ -166,15 +185,9 @@ func randExpr(rng *rand.Rand, depth int, boolean bool) Expr {
 	if rng.Intn(7) == 0 && depth > 0 {
 		sub := randExpr(rng, depth-1, boolean)
 		if rng.Intn(4) == 0 {
-			// Fails on rows whose z is 2, wherever it sits in the tree.
-			return FuncExpr(func(r types.Row) (types.Value, error) {
-				if !r[0].IsNull() && r[0].Int() == 2 {
-					return types.Null, errOpaque
-				}
-				return sub.Eval(r)
-			})
+			return failOnZ(2, sub)
 		}
-		return FuncExpr(sub.Eval)
+		return identity(sub)
 	}
 	if depth == 0 || rng.Intn(4) == 0 {
 		numeric := []int{0, 1, 2, 5, evalMixedCol}
@@ -190,13 +203,16 @@ func randExpr(rng *rand.Rand, depth int, boolean bool) Expr {
 		return ColRef(c)
 	}
 	sub := func(boolean bool) Expr { return randExpr(rng, depth-1, boolean) }
+	if rng.Intn(6) == 0 {
+		return randCase(rng, boolean, sub)
+	}
 	if !boolean {
 		if rng.Intn(5) == 0 {
 			return &NegExpr{E: sub(false)}
 		}
 		return &ArithExpr{Op: []string{"+", "-", "*", "/", "%"}[rng.Intn(5)], L: sub(false), R: sub(false)}
 	}
-	switch rng.Intn(5) {
+	switch rng.Intn(6) {
 	case 0:
 		return &AndExpr{L: sub(true), R: sub(true)}
 	case 1:
@@ -205,8 +221,80 @@ func randExpr(rng *rand.Rand, depth int, boolean bool) Expr {
 		return &NotExpr{E: sub(true)}
 	case 3:
 		return &CmpExpr{Op: encoding.CmpOp(rng.Intn(6)), L: ColRef(3), R: Const{V: randValue(rng, 3)}}
+	case 4:
+		return randIn(rng, sub)
 	}
 	return &CmpExpr{Op: encoding.CmpOp(rng.Intn(6)), L: sub(false), R: sub(false)}
+}
+
+// randCase draws a searched or simple CASE whose results have the given
+// shape. Half the draws guard an arm that fails on z = k behind a WHEN that
+// takes exactly those rows first, so only a lazy evaluation succeeds; the
+// other arms are random subtrees, failures included.
+func randCase(rng *rand.Rand, boolean bool, sub func(bool) Expr) Expr {
+	k := int64(rng.Intn(5) - 2)
+	kc := Const{V: types.NewInt(k)}
+	c := &CaseExpr{}
+	simple := rng.Intn(2) == 0
+	if simple {
+		c.Operand = ColRef(0)
+	}
+	when := func(v Const) Expr {
+		if simple {
+			return v
+		}
+		return &CmpExpr{Op: encoding.OpEQ, L: ColRef(0), R: v}
+	}
+	guarded := rng.Intn(2) == 0
+	if guarded {
+		c.Whens = append(c.Whens, CaseWhen{When: when(kc), Then: sub(boolean)})
+	}
+	for n := rng.Intn(3); n > 0; n-- {
+		w := sub(true)
+		if simple {
+			w = Const{V: randValue(rng, 0)}
+		}
+		then := sub(boolean)
+		if guarded {
+			then = failOnZ(k, then) // never reached on a z = k row
+		}
+		c.Whens = append(c.Whens, CaseWhen{When: w, Then: then})
+	}
+	switch {
+	case guarded:
+		c.Else = failOnZ(k, sub(boolean))
+	case rng.Intn(3) > 0:
+		c.Else = sub(boolean)
+	}
+	if len(c.Whens) == 0 {
+		c.Whens = []CaseWhen{{When: when(kc), Then: sub(boolean)}}
+	}
+	return c
+}
+
+// randIn draws an IN list over a numeric operand: constants, NULLs and
+// subtrees, and in half the draws an item that fails on z = k placed after
+// the constant k in a list over z itself — reached only if items stay
+// evaluated after the first match.
+func randIn(rng *rand.Rand, sub func(bool) Expr) Expr {
+	in := &InExpr{E: sub(false), Not: rng.Intn(2) == 0}
+	for n := 1 + rng.Intn(3); n > 0; n-- {
+		switch rng.Intn(4) {
+		case 0:
+			in.List = append(in.List, Const{V: types.Null})
+		case 1:
+			in.List = append(in.List, sub(false))
+		default:
+			in.List = append(in.List, Const{V: randValue(rng, 0)})
+		}
+	}
+	if rng.Intn(2) == 0 {
+		k := int64(rng.Intn(5) - 2)
+		in.E = ColRef(0)
+		in.List = append([]Expr{Const{V: types.NewInt(k)}}, in.List...)
+		in.List = append(in.List, failOnZ(k, ColRef(1)))
+	}
+	return in
 }
 
 // exprString renders a generated tree for failure messages.
@@ -228,8 +316,32 @@ func exprString(e Expr) string {
 		return "NOT " + exprString(x.E)
 	case *NegExpr:
 		return "-" + exprString(x.E)
+	case *ApplyExpr:
+		return "apply" + exprList(x.Args)
+	case *InExpr:
+		return fmt.Sprintf("(%s IN[not=%v] %s)", exprString(x.E), x.Not, exprList(x.List))
+	case *CaseExpr:
+		s := "CASE"
+		if x.Operand != nil {
+			s += " " + exprString(x.Operand)
+		}
+		for _, w := range x.Whens {
+			s += fmt.Sprintf(" WHEN %s THEN %s", exprString(w.When), exprString(w.Then))
+		}
+		if x.Else != nil {
+			s += " ELSE " + exprString(x.Else)
+		}
+		return s + " END"
 	}
-	return "opaque(...)"
+	return fmt.Sprintf("%T", e)
+}
+
+func exprList(es []Expr) string {
+	parts := make([]string, len(es))
+	for i, e := range es {
+		parts[i] = exprString(e)
+	}
+	return "(" + strings.Join(parts, ", ") + ")"
 }
 
 // sameValue is exact equality: NULL equals NULL of any kind; otherwise kind
@@ -249,7 +361,7 @@ func sameValue(a, b types.Value) bool {
 }
 
 // checkEvalVecSeed generates one row set and a batch of expressions from
-// seed and holds evalVec to Eval on every batch form.
+// seed and holds EvalVec to rowEval on every batch form.
 func checkEvalVecSeed(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	data := randEvalData(rng)
@@ -261,25 +373,25 @@ func checkEvalVecSeed(t *testing.T, seed int64) {
 			want := make(map[int]types.Value)
 			failures := make(map[string]bool)
 			for _, i := range b.Idx() {
-				v, err := e.Eval(data.rows[i])
+				v, err := rowEval(e, data.rows[i])
 				if err != nil {
 					failures[err.Error()] = true
 				}
 				want[i] = v
 			}
-			got, err := evalVec(e, b)
+			got, err := e.EvalVec(b)
 			if err != nil {
 				if !failures[err.Error()] {
-					t.Fatalf("%s: evalVec failed with %q; Eval fails with %v", ctx, err, failures)
+					t.Fatalf("%s: EvalVec failed with %q; rowEval fails with %v", ctx, err, failures)
 				}
 				continue
 			}
 			if len(failures) > 0 {
-				t.Fatalf("%s: evalVec succeeded; Eval fails with %v", ctx, failures)
+				t.Fatalf("%s: EvalVec succeeded; rowEval fails with %v", ctx, failures)
 			}
 			for _, i := range b.Idx() {
 				if g := got.Get(i); !sameValue(g, want[i]) || got.IsNull(i) != want[i].IsNull() {
-					t.Fatalf("%s: position %d (row %v): evalVec %v (%v), Eval %v (%v)",
+					t.Fatalf("%s: position %d (row %v): EvalVec %v (%v), rowEval %v (%v)",
 						ctx, i, data.rows[i], g, g.Kind(), want[i], want[i].Kind())
 				}
 			}
@@ -287,7 +399,7 @@ func checkEvalVecSeed(t *testing.T, seed int64) {
 	}
 
 	// A row-built batch through the operators: VALUES hands Drain the very
-	// rows it holds, and a projection over it returns Eval's values.
+	// rows it holds, and a projection over it returns rowEval's values.
 	out, err := Drain(NewValues(evalCols, data.rows))
 	if err != nil || len(out) != len(data.rows) {
 		t.Fatalf("seed %d: VALUES: %d rows, %v", seed, len(out), err)
@@ -302,7 +414,7 @@ func checkEvalVecSeed(t *testing.T, seed int64) {
 	for i, r := range data.rows {
 		want[i] = make(types.Row, len(exprs))
 		for j, e := range exprs {
-			if want[i][j], err = e.Eval(r); err != nil {
+			if want[i][j], err = rowEval(e, r); err != nil {
 				return // this draw fails somewhere; the loop above covers errors
 			}
 		}
@@ -314,7 +426,7 @@ func checkEvalVecSeed(t *testing.T, seed int64) {
 	for i := range want {
 		for j := range want[i] {
 			if !sameValue(out[i][j], want[i][j]) {
-				t.Fatalf("seed %d: project over VALUES: row %d col %d: %v, Eval %v", seed, i, j, out[i][j], want[i][j])
+				t.Fatalf("seed %d: project over VALUES: row %d col %d: %v, rowEval %v", seed, i, j, out[i][j], want[i][j])
 			}
 		}
 	}

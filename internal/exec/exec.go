@@ -3,8 +3,9 @@
 // is one operator contract and no row engine beside it. Selection predicates
 // are pushed into the columnar scan, where they run over compressed codes;
 // filters narrow a selection vector, projections evaluate a column at a
-// time, and an expression without a vector kernel is evaluated per live
-// position inside the same batch pipeline. Operators whose state is rows
+// time, and every expression runs over whole batches (Expr is EvalVec alone):
+// one without a typed kernel is an ApplyExpr, whose arguments are vectors and
+// whose function runs once per live position. Operators whose state is rows
 // (sort, joins) box a row out of a batch only where they keep it, and emit
 // batches that wrap the rows they hold; grouping keeps typed columns indexed
 // by group id (agg_table.go, agg_lanes.go) and emits typed vectors. Joins and
@@ -44,36 +45,20 @@ type Operator interface {
 	Close() error
 }
 
-// Expr is a scalar expression evaluated against one row. The SQL layer
-// compiles its AST into Exprs; library users can supply their own.
-// Operators evaluate expressions over whole batches (evalVec); an Expr that
-// is not also a VecExpr is evaluated per live position.
+// Expr is a scalar expression, evaluated a batch at a time: EvalVec returns
+// one value per live position of b (other positions of the result are
+// unspecified). It is the only way an expression runs — there is no per-row
+// entry point. The SQL layer compiles its AST into the nodes of vecexpr.go;
+// library users can supply their own through ApplyExpr.
 type Expr interface {
-	Eval(row types.Row) (types.Value, error)
+	EvalVec(b *vec.Batch) (*vec.Vector, error)
 }
 
 // ColRef references a column by ordinal.
 type ColRef int
 
-// Eval implements Expr.
-func (c ColRef) Eval(row types.Row) (types.Value, error) {
-	if int(c) < 0 || int(c) >= len(row) {
-		return types.Null, errColumnRange(int(c))
-	}
-	return row[c], nil
-}
-
 // Const is a literal value.
 type Const struct{ V types.Value }
-
-// Eval implements Expr.
-func (c Const) Eval(types.Row) (types.Value, error) { return c.V, nil }
-
-// FuncExpr adapts an arbitrary function to Expr.
-type FuncExpr func(row types.Row) (types.Value, error)
-
-// Eval implements Expr.
-func (f FuncExpr) Eval(row types.Row) (types.Value, error) { return f(row) }
 
 // Drain runs an operator tree to completion and returns all rows. The rows
 // are the caller's (see Operator), so the result is safe to hold after the
@@ -181,11 +166,11 @@ func (f *FilterOp) Next() (*vec.Batch, error) {
 		if ok {
 			f.CodeRows.Add(int64(vb.Rows()))
 		} else {
-			pv, err := evalVec(f.Pred, vb)
+			pv, err := f.Pred.EvalVec(vb)
 			if err != nil {
 				return nil, err
 			}
-			sel = selTrue(pv, vb.Idx())
+			sel = SelTrue(pv, vb.Idx())
 		}
 		if len(sel) == 0 {
 			continue
@@ -227,7 +212,7 @@ func (p *ProjectOp) Next() (*vec.Batch, error) {
 	cols := make([]*vec.Vector, len(p.Exprs))
 	encoded := false
 	for j, e := range p.Exprs {
-		cols[j], err = evalVec(e, vb)
+		cols[j], err = e.EvalVec(vb)
 		if err != nil {
 			return nil, err
 		}

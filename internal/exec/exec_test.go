@@ -31,9 +31,19 @@ func intRows(vals ...[]int64) []types.Row {
 	return rows
 }
 
+// rowFunc is a pure ApplyExpr over the first n columns, which fn sees as a
+// row: the tests' stand-in for a scalar function with no kernel.
+func rowFunc(n int, fn func(r types.Row) (types.Value, error)) *ApplyExpr {
+	args := make([]Expr, n)
+	for i := range args {
+		args[i] = ColRef(i)
+	}
+	return &ApplyExpr{Args: args, Fn: func(a []types.Value) (types.Value, error) { return fn(a) }}
+}
+
 // cmpExpr builds a comparison Expr for tests.
 func cmpExpr(col int, op encoding.CmpOp, v types.Value) Expr {
-	return FuncExpr(func(row types.Row) (types.Value, error) {
+	return rowFunc(col+1, func(row types.Row) (types.Value, error) {
 		return types.NewBool(op.Eval(row[col], v)), nil
 	})
 }
@@ -72,7 +82,7 @@ func TestProject(t *testing.T) {
 	op := &ProjectOp{
 		Child: NewValues(intSchema("a", "b"), intRows([]int64{2, 3})),
 		Exprs: []Expr{
-			FuncExpr(func(r types.Row) (types.Value, error) {
+			rowFunc(2, func(r types.Row) (types.Value, error) {
 				return types.NewInt(r[0].Int() + r[1].Int()), nil
 			}),
 			ColRef(0),
@@ -239,7 +249,7 @@ func TestNestedLoopJoin(t *testing.T) {
 	right := NewValues(intSchema("b"), intRows([]int64{3}, []int64{7}))
 	j := &NestedLoopJoinOp{
 		Left: left, Right: right, Type: InnerJoin,
-		Pred: FuncExpr(func(r types.Row) (types.Value, error) {
+		Pred: rowFunc(2, func(r types.Row) (types.Value, error) {
 			return types.NewBool(r[0].Int() < r[1].Int()), nil
 		}),
 	}
@@ -266,7 +276,7 @@ func thetaJoin(n int64, jt JoinType) *NestedLoopJoinOp {
 	}
 	return &NestedLoopJoinOp{
 		Left: NewValues(intSchema("l"), intRows(side...)), Right: NewValues(intSchema("r"), intRows(side...)), Type: jt,
-		Pred: FuncExpr(func(p types.Row) (types.Value, error) {
+		Pred: rowFunc(2, func(p types.Row) (types.Value, error) {
 			return types.NewBool((p[0].Int()+p[1].Int())%100 == 0), nil
 		}),
 	}
@@ -300,7 +310,8 @@ func TestNestedLoopJoinReopen(t *testing.T) {
 }
 
 // TestNestedLoopJoinAllocsFollowMatches: a 200 × 200 theta join in which 1 %
-// of the 40 000 pairs match allocates per match, not per pair.
+// of the 40 000 pairs match allocates per left row (the predicate's vectors
+// over the right side) and per match, not per pair.
 func TestNestedLoopJoinAllocsFollowMatches(t *testing.T) {
 	for _, jt := range []JoinType{InnerJoin, LeftJoin} {
 		j := thetaJoin(200, jt)
@@ -310,7 +321,7 @@ func TestNestedLoopJoinAllocsFollowMatches(t *testing.T) {
 			t.Fatalf("%v: %d rows, want 400", jt, len(rows))
 		}
 		if allocs > 4*400 {
-			t.Fatalf("%v: %.0f allocations for 400 matches among 40 000 pairs", jt, allocs)
+			t.Fatalf("%v: %.0f allocations for 200 left rows and 400 matches among 40 000 pairs", jt, allocs)
 		}
 	}
 }
@@ -598,7 +609,7 @@ func TestRowScanOp(t *testing.T) {
 	for i := int64(0); i < 100; i++ {
 		tbl.Insert(types.Row{types.NewInt(i)})
 	}
-	op := &RowScanOp{Table: tbl, Pred: cmpExpr(0, encoding.OpLT, types.NewInt(10))}
+	op := &RowScanOp{Table: tbl, Pred: func(r types.Row) bool { return r[0].Int() < 10 }}
 	rows, err := Drain(op)
 	if err != nil || len(rows) != 10 {
 		t.Fatalf("rowscan %d err %v", len(rows), err)
@@ -741,7 +752,7 @@ func TestErrorPropagation(t *testing.T) {
 		}
 	}
 	// Expression evaluation errors propagate too.
-	boom := FuncExpr(func(types.Row) (types.Value, error) { return types.Null, errTestFailure })
+	boom := rowFunc(0, func(types.Row) (types.Value, error) { return types.Null, errTestFailure })
 	if _, err := Drain(&FilterOp{Child: NewValues(sch, intRows([]int64{1})), Pred: boom}); err == nil {
 		t.Error("filter expression error swallowed")
 	}

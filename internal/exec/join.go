@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"io"
-	"slices"
 
 	"dashdb/internal/encoding"
 	"dashdb/internal/mem"
@@ -614,7 +613,7 @@ func (j *HashJoinOp) Close() error {
 // picks it when no equi-keys exist.
 type NestedLoopJoinOp struct {
 	Left, Right Operator
-	Pred        Expr // evaluated on the concatenated row; nil = cross join
+	Pred        Expr // over the concatenated columns; nil = cross join
 	Type        JoinType
 
 	// Planner annotations, surfaced by EXPLAIN (see HashJoinOp).
@@ -622,9 +621,10 @@ type NestedLoopJoinOp struct {
 	Reordered bool
 
 	right   []types.Row
+	pairs   *vec.Batch    // one left row beside every right row: Pred's input
+	lcells  []*vec.Vector // the pairs' left-hand columns, one constant each
 	out     types.Schema
 	pending rowQueue
-	pair    types.Row // scratch: the pair Pred is looking at
 	eos     bool
 }
 
@@ -644,11 +644,26 @@ func (j *NestedLoopJoinOp) Open() error {
 	if err != nil {
 		return err
 	}
+	// The pair batch is built once: its right-hand columns are views of the
+	// held rows, its left-hand ones boxed constants that Next overwrites for
+	// each left row.
+	rb := vec.FromRows(j.Right.Schema(), j.right)
+	j.lcells = make([]*vec.Vector, len(j.Left.Schema()))
+	cols := make([]*vec.Vector, 0, len(j.lcells)+rb.NumCols())
+	for c := range j.lcells {
+		j.lcells[c] = &vec.Vector{Const: true, Any: make([]types.Value, 1)}
+		cols = append(cols, j.lcells[c])
+	}
+	for c := 0; c < rb.NumCols(); c++ {
+		cols = append(cols, rb.Col(c))
+	}
+	j.pairs = vec.NewBatch(j.Schema(), cols, len(j.right))
 	return j.Left.Open()
 }
 
-// Next implements Operator. Pred sees every (left, right) pair on one
-// scratch row; a pair is copied only when it matches.
+// Next implements Operator. Pred runs once per left row, over one batch
+// that holds the row's cells as constant vectors beside the whole right
+// side; a pair is built only when it matches.
 func (j *NestedLoopJoinOp) Next() (*vec.Batch, error) {
 	for {
 		if vb := j.pending.next(j.Schema(), j.eos); vb != nil || j.eos {
@@ -665,22 +680,22 @@ func (j *NestedLoopJoinOp) Next() (*vec.Batch, error) {
 		var lrow types.Row // scratch, per batch: RowInto may hand back the batch's own row
 		for _, i := range vb.Idx() {
 			lrow = vb.RowInto(lrow, i)
-			matched := false
-			for _, rrow := range j.right {
-				j.pair = append(append(j.pair[:0], lrow...), rrow...)
-				if j.Pred != nil {
-					v, err := j.Pred.Eval(j.pair)
-					if err != nil {
-						return nil, err
-					}
-					if v.IsNull() || v.Kind() != types.KindBool || !v.Bool() {
-						continue
-					}
+			sel := j.pairs.Idx()
+			if j.Pred != nil {
+				for c, cell := range j.lcells {
+					cell.Any[0] = lrow[c]
 				}
-				matched = true
-				j.pending.rows = append(j.pending.rows, slices.Clone(j.pair))
+				pv, err := j.Pred.EvalVec(j.pairs)
+				if err != nil {
+					return nil, err
+				}
+				sel = SelTrue(pv, sel)
 			}
-			if !matched && j.Type == LeftJoin {
+			for _, r := range sel {
+				pair := make(types.Row, 0, len(lrow)+len(j.right[r]))
+				j.pending.rows = append(j.pending.rows, append(append(pair, lrow...), j.right[r]...))
+			}
+			if len(sel) == 0 && j.Type == LeftJoin {
 				j.pending.rows = append(j.pending.rows, padNulls(lrow, j.Right.Schema()))
 			}
 		}
@@ -691,7 +706,7 @@ func (j *NestedLoopJoinOp) Next() (*vec.Batch, error) {
 func (j *NestedLoopJoinOp) Close() error {
 	err1 := j.Left.Close()
 	err2 := j.Right.Close()
-	j.right, j.pending.rows = nil, nil
+	j.right, j.pairs, j.lcells, j.pending.rows = nil, nil, nil, nil
 	if err1 != nil {
 		return err1
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/big"
 	"sort"
@@ -12,8 +13,129 @@ import (
 )
 
 // Plain-Go reference implementations the operator tests compare against.
-// They walk materialized rows with Expr.Eval, one row at a time, and share
+// They walk materialized rows with rowEval, one row at a time, and share
 // no code with the operators (nestedLoopJoin in join_test.go is the join's).
+
+// rowEval is the expression oracle: e on one row, through the scalar helpers
+// the kernels' boxed arms use (ArithValue, and3/or3/not3, negValue,
+// CmpOp.Eval, ApplyExpr.Fn), with the short circuits of AND/OR and the
+// laziness of CASE and IN written out row-wise. Production code has no such
+// entry point; every kernel is held to this one (TestEvalVecMatchesEval).
+func rowEval(e Expr, row types.Row) (types.Value, error) {
+	// both evaluates two strict operands, left first.
+	both := func(l, r Expr) (a, b types.Value, err error) {
+		if a, err = rowEval(l, row); err == nil {
+			b, err = rowEval(r, row)
+		}
+		return a, b, err
+	}
+	switch x := e.(type) {
+	case ColRef:
+		if int(x) < 0 || int(x) >= len(row) {
+			return types.Null, errColumnRange(int(x))
+		}
+		return row[x], nil
+	case Const:
+		return x.V, nil
+	case *CmpExpr:
+		a, b, err := both(x.L, x.R)
+		if err != nil || a.IsNull() || b.IsNull() {
+			return types.Null, err
+		}
+		return types.NewBool(x.Op.Eval(a, b)), nil
+	case *ArithExpr:
+		a, b, err := both(x.L, x.R)
+		if err != nil {
+			return types.Null, err
+		}
+		return ArithValue(x.Op, a, b)
+	case *AndExpr:
+		a, err := rowEval(x.L, row)
+		if err != nil {
+			return types.Null, err
+		}
+		if !a.IsNull() && !a.Bool() {
+			return types.NewBool(false), nil
+		}
+		b, err := rowEval(x.R, row)
+		return and3(a, b), err
+	case *OrExpr:
+		a, err := rowEval(x.L, row)
+		if err != nil {
+			return types.Null, err
+		}
+		if !a.IsNull() && a.Bool() {
+			return types.NewBool(true), nil
+		}
+		b, err := rowEval(x.R, row)
+		return or3(a, b), err
+	case *NotExpr:
+		v, err := rowEval(x.E, row)
+		return not3(v), err
+	case *NegExpr:
+		v, err := rowEval(x.E, row)
+		if err != nil {
+			return types.Null, err
+		}
+		return negValue(v)
+	case *ApplyExpr:
+		args := make([]types.Value, len(x.Args))
+		for i, a := range x.Args {
+			var err error
+			if args[i], err = rowEval(a, row); err != nil {
+				return types.Null, err
+			}
+		}
+		return x.Fn(args)
+	case *CaseExpr:
+		var opv types.Value
+		if x.Operand != nil {
+			var err error
+			if opv, err = rowEval(x.Operand, row); err != nil {
+				return types.Null, err
+			}
+		}
+		for _, arm := range x.Whens {
+			w, err := rowEval(arm.When, row)
+			if err != nil {
+				return types.Null, err
+			}
+			hit := !w.IsNull() && w.Kind() == types.KindBool && w.Bool()
+			if x.Operand != nil {
+				hit = types.Equal(opv, w)
+			}
+			if hit {
+				return rowEval(arm.Then, row)
+			}
+		}
+		if x.Else != nil {
+			return rowEval(x.Else, row)
+		}
+		return types.Null, nil
+	case *InExpr:
+		v, err := rowEval(x.E, row)
+		if err != nil || v.IsNull() {
+			return types.Null, err
+		}
+		sawNull := false
+		for _, item := range x.List {
+			iv, err := rowEval(item, row)
+			switch {
+			case err != nil:
+				return types.Null, err
+			case iv.IsNull():
+				sawNull = true
+			case types.Equal(v, iv):
+				return types.NewBool(!x.Not), nil
+			}
+		}
+		if sawNull {
+			return types.Null, nil
+		}
+		return types.NewBool(x.Not), nil
+	}
+	return types.Null, fmt.Errorf("oracle: no row semantics for %T", e)
+}
 
 // tableRows reads a table back in row-id order through columnar's own
 // per-row materialization — not through ScanOp or the vector decode it
@@ -35,7 +157,7 @@ func tableRows(t testing.TB, tbl *columnar.Table) []types.Row {
 
 func evalOrFatal(t testing.TB, e Expr, r types.Row) types.Value {
 	t.Helper()
-	v, err := e.Eval(r)
+	v, err := rowEval(e, r)
 	if err != nil {
 		t.Fatal(err)
 	}

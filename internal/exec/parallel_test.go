@@ -282,13 +282,17 @@ func TestGroupByDopInvariance(t *testing.T) {
 	pushed := []columnar.Pred{{Col: 3, Op: encoding.OpGE, Val: types.NewInt(100)}}
 	residual := &CmpExpr{Op: encoding.OpGT,
 		L: &ArithExpr{Op: "+", L: ColRef(3), R: ColRef(1)}, R: Const{V: types.NewInt(100)}}
-	// The opaque filter writes unsynchronized state, as a UDF may: run from
-	// two ingest workers it is a data race the -race pass reports.
+	// The stateful filter writes unsynchronized state, as a UDX may: run from
+	// two ingest workers it is a data race the -race pass reports. The pure
+	// one is the same function without the state, and keeps the workers.
 	opaqueCalls := 0
-	opaque := FuncExpr(func(r types.Row) (types.Value, error) {
-		opaqueCalls++
+	pure := rowFunc(4, func(r types.Row) (types.Value, error) {
 		return types.NewBool(r[3].Int()%3 != 0), nil
 	})
+	opaque := &ApplyExpr{Args: pure.Args, Stateful: true, Fn: func(a []types.Value) (types.Value, error) {
+		opaqueCalls++
+		return pure.Fn(a)
+	}}
 	filters := []struct {
 		name    string
 		workers bool // group-by ingests on Dop workers
@@ -302,7 +306,10 @@ func TestGroupByDopInvariance(t *testing.T) {
 		{"residual vector filter", true, residual, func(scan *ScanOp) Operator {
 			return &FilterOp{Child: scan, Pred: residual}
 		}},
-		{"FuncExpr filter", false, opaque, func(scan *ScanOp) Operator {
+		{"pure ApplyExpr filter", true, pure, func(scan *ScanOp) Operator {
+			return &FilterOp{Child: scan, Pred: pure}
+		}},
+		{"stateful ApplyExpr filter", false, opaque, func(scan *ScanOp) Operator {
 			return &FilterOp{Child: scan, Pred: opaque}
 		}},
 	}

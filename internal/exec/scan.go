@@ -180,10 +180,12 @@ func (s *ScanOp) Close() error {
 }
 
 // RowScanOp streams a row-store table (the baseline engine's access path:
-// row-at-a-time with a residual predicate, no skipping, no SIMD).
+// row-at-a-time with a residual predicate, no skipping, no SIMD). Pred is a
+// plain row function, not an Expr: the baseline is meant to look at one row
+// at a time.
 type RowScanOp struct {
 	Table *rowstore.Table
-	Pred  Expr // optional residual filter
+	Pred  func(types.Row) bool // optional residual filter
 	out   rowQueue
 }
 
@@ -193,22 +195,13 @@ func (r *RowScanOp) Schema() types.Schema { return r.Table.Schema() }
 // Open implements Operator.
 func (r *RowScanOp) Open() error {
 	r.out.rows = nil
-	var err error
 	r.Table.Scan(func(_ int64, row types.Row) bool {
-		if r.Pred != nil {
-			v, e := r.Pred.Eval(row)
-			if e != nil {
-				err = e
-				return false
-			}
-			if v.IsNull() || v.Kind() != types.KindBool || !v.Bool() {
-				return true
-			}
+		if r.Pred == nil || r.Pred(row) {
+			r.out.rows = append(r.out.rows, row)
 		}
-		r.out.rows = append(r.out.rows, row)
 		return true
 	})
-	return err
+	return nil
 }
 
 // Next implements Operator.

@@ -19,8 +19,8 @@ type SortKey struct {
 
 // SortOp emits its input ordered by the sort keys. NULLs sort first
 // ascending (types.Compare convention), last descending. Its state is rows:
-// it boxes each live input position once, evaluates the keys on that row,
-// and emits row-built batches.
+// it evaluates the keys over each input batch, boxes each live position once
+// beside its key values, and emits row-built batches.
 //
 // With a nil Gov it buffers everything in memory. With a governor it
 // becomes an external merge sort: input rows
@@ -79,6 +79,7 @@ func (s *SortOp) Open() error {
 
 	var bufBytes int64
 	var in []types.Row // the rows of one child batch
+	keyVecs := make([]*vec.Vector, len(s.Keys))
 	for {
 		vb, err := s.Child.Next()
 		if err != nil {
@@ -87,15 +88,17 @@ func (s *SortOp) Open() error {
 		if vb == nil {
 			break
 		}
+		for j, k := range s.Keys {
+			if keyVecs[j], err = k.Expr.EvalVec(vb); err != nil {
+				return err
+			}
+		}
 		in = vb.AppendRows(in[:0])
-		for _, r := range in {
+		for n, i := range vb.Idx() {
+			r := in[n]
 			ks := make(types.Row, len(s.Keys))
-			for j, k := range s.Keys {
-				v, err := k.Expr.Eval(r)
-				if err != nil {
-					return err
-				}
-				ks[j] = v
+			for j, kv := range keyVecs {
+				ks[j] = kv.Get(i)
 			}
 			charge := mem.RowBytes(r) + mem.RowBytes(ks)
 			if !s.res.Grow(charge) {

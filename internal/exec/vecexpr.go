@@ -20,7 +20,7 @@ var (
 )
 
 // Formatted error constructors for the vector dispatch path. Each is
-// //dashdb:coldpath: helpers like evalVec, ArithValue, and checkArithOp
+// //dashdb:coldpath: helpers like ArithValue and checkArithOp
 // run per batch (or per element on the scalar fallback) from hotpath
 // kernels, and an inline fmt.Errorf would both allocate eagerly at the
 // call site and push the helper past the inlining budget. Moving the
@@ -65,71 +65,7 @@ func checkArithOp(op string) error {
 	return errBadArith(op)
 }
 
-// VecExpr is an Expr that can also evaluate itself over a whole batch at
-// once. Every structured expression node implements both interfaces; Eval
-// is what DML and the opaque fallback below run, and the oracle the tests
-// hold every kernel to (TestEvalVecMatchesEval).
-type VecExpr interface {
-	Expr
-	EvalVec(b *vec.Batch) (*vec.Vector, error)
-}
-
-// evalVec evaluates e over the live positions of b: through its kernel when
-// it has one, else by running Eval per live position on one reused scratch
-// row into a boxed vector — the row semantics (evaluation in position
-// order, first error wins) without a row allocated per tuple. So an opaque
-// expression (scalar function, UDF, CASE, subquery, ...) costs its own
-// evaluation and never moves the operators around it off the batch engine.
-func evalVec(e Expr, b *vec.Batch) (*vec.Vector, error) {
-	if ve, ok := e.(VecExpr); ok {
-		return ve.EvalVec(b)
-	}
-	out := vec.New(types.KindNull, b.N)
-	var scratch types.Row
-	for _, i := range b.Idx() {
-		scratch = b.RowInto(scratch, i)
-		v, err := e.Eval(scratch)
-		if err != nil {
-			return nil, err
-		}
-		out.Any[i] = v
-	}
-	return out, nil
-}
-
-// Vectorizable reports whether every expression evaluates through vector
-// kernels all the way down. It no longer decides where an expression runs;
-// it is read by concurrentPull — opaque FuncExprs (scalar functions, UDFs,
-// sequences, subqueries, CASE, ...) have never been called from two
-// goroutines, so an operator holding one is pulled by a single worker —
-// and by EXPLAIN, which tags such an operator [row].
-func Vectorizable(exprs ...Expr) bool {
-	for _, e := range exprs {
-		ok := false
-		switch x := e.(type) {
-		case ColRef, Const:
-			ok = true
-		case *CmpExpr:
-			ok = Vectorizable(x.L, x.R)
-		case *ArithExpr:
-			ok = Vectorizable(x.L, x.R)
-		case *AndExpr:
-			ok = Vectorizable(x.L, x.R)
-		case *OrExpr:
-			ok = Vectorizable(x.L, x.R)
-		case *NotExpr:
-			ok = Vectorizable(x.E)
-		case *NegExpr:
-			ok = Vectorizable(x.E)
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// EvalVec implements VecExpr: a column reference is just the batch vector.
+// EvalVec implements Expr: a column reference is just the batch vector.
 func (c ColRef) EvalVec(b *vec.Batch) (*vec.Vector, error) {
 	if int(c) < 0 || int(c) >= b.NumCols() {
 		return nil, errColumnRange(int(c))
@@ -137,13 +73,13 @@ func (c ColRef) EvalVec(b *vec.Batch) (*vec.Vector, error) {
 	return b.Col(int(c)), nil
 }
 
-// EvalVec implements VecExpr: a literal broadcasts as a Const vector.
+// EvalVec implements Expr: a literal broadcasts as a Const vector.
 func (c Const) EvalVec(*vec.Batch) (*vec.Vector, error) {
 	return vec.NewConst(c.V), nil
 }
 
 // boolAt reads batch position i of a predicate result vector with the
-// truthiness rules of Eval (Value.Bool: the integer payload != 0).
+// truthiness rule of and3/or3/not3 (Value.Bool: the integer payload != 0).
 //
 //dashdb:hotpath
 func boolAt(v *vec.Vector, i int) (val, null bool) {
@@ -190,7 +126,7 @@ func cmpHolds(op encoding.CmpOp, c int) bool {
 }
 
 // cmpFloat64 mirrors types.Compare's float ordering, including NaN
-// sorting high, so the typed kernel agrees with Eval exactly.
+// sorting high, so the typed kernel agrees with CmpOp.Eval exactly.
 //
 //dashdb:hotpath
 func cmpFloat64(a, b float64) int {
@@ -217,33 +153,17 @@ type CmpExpr struct {
 	L, R Expr
 }
 
-// Eval implements Expr.
-func (e *CmpExpr) Eval(row types.Row) (types.Value, error) {
-	a, err := e.L.Eval(row)
-	if err != nil {
-		return types.Null, err
-	}
-	b, err := e.R.Eval(row)
-	if err != nil {
-		return types.Null, err
-	}
-	if a.IsNull() || b.IsNull() {
-		return types.Null, nil
-	}
-	return types.NewBool(e.Op.Eval(a, b)), nil
-}
-
-// EvalVec implements VecExpr with typed fast paths matching
+// EvalVec implements Expr with typed fast paths matching
 // types.Compare's promotion rules; mixed or boxed operands fall back to a
 // per-element generic loop with identical semantics.
 //
 //dashdb:hotpath
 func (e *CmpExpr) EvalVec(b *vec.Batch) (*vec.Vector, error) {
-	lv, err := evalVec(e.L, b)
+	lv, err := e.L.EvalVec(b)
 	if err != nil {
 		return nil, err
 	}
-	rv, err := evalVec(e.R, b)
+	rv, err := e.R.EvalVec(b)
 	if err != nil {
 		return nil, err
 	}
@@ -317,19 +237,6 @@ type ArithExpr struct {
 	L, R Expr
 }
 
-// Eval implements Expr.
-func (e *ArithExpr) Eval(row types.Row) (types.Value, error) {
-	a, err := e.L.Eval(row)
-	if err != nil {
-		return types.Null, err
-	}
-	b, err := e.R.Eval(row)
-	if err != nil {
-		return types.Null, err
-	}
-	return ArithValue(e.Op, a, b)
-}
-
 // ArithValue evaluates arithmetic with SQL numeric promotion; date ± int
 // is day arithmetic. It is the scalar reference the vector kernels must
 // agree with.
@@ -397,18 +304,18 @@ func ArithValue(op string, a, b types.Value) (types.Value, error) {
 	return types.Null, errBadArith(op)
 }
 
-// EvalVec implements VecExpr.
+// EvalVec implements Expr.
 //
 //dashdb:hotpath
 func (e *ArithExpr) EvalVec(b *vec.Batch) (*vec.Vector, error) {
 	if err := checkArithOp(e.Op); err != nil {
 		return nil, err
 	}
-	lv, err := evalVec(e.L, b)
+	lv, err := e.L.EvalVec(b)
 	if err != nil {
 		return nil, err
 	}
-	rv, err := evalVec(e.R, b)
+	rv, err := e.R.EvalVec(b)
 	if err != nil {
 		return nil, err
 	}
@@ -552,33 +459,17 @@ func not3(a types.Value) types.Value {
 	return types.NewBool(!a.Bool())
 }
 
-// AndExpr is SQL AND with short-circuit evaluation: when the left operand
-// is definite FALSE the right operand is not evaluated, so errors Eval
-// would never raise stay suppressed in the kernel too.
+// AndExpr is SQL AND with short-circuit evaluation: where the left operand
+// is definite FALSE the right operand is not evaluated, so an error it would
+// raise on such a row is never seen.
 type AndExpr struct{ L, R Expr }
 
-// Eval implements Expr.
-func (e *AndExpr) Eval(row types.Row) (types.Value, error) {
-	a, err := e.L.Eval(row)
-	if err != nil {
-		return types.Null, err
-	}
-	if !a.IsNull() && !a.Bool() {
-		return types.NewBool(false), nil
-	}
-	b, err := e.R.Eval(row)
-	if err != nil {
-		return types.Null, err
-	}
-	return and3(a, b), nil
-}
-
-// EvalVec implements VecExpr: the right operand is evaluated over a
+// EvalVec implements Expr: the right operand is evaluated over a
 // sub-selection restricted to rows the left side did not short-circuit.
 //
 //dashdb:hotpath
 func (e *AndExpr) EvalVec(b *vec.Batch) (*vec.Vector, error) {
-	lv, err := evalVec(e.L, b)
+	lv, err := e.L.EvalVec(b)
 	if err != nil {
 		return nil, err
 	}
@@ -594,7 +485,7 @@ func (e *AndExpr) EvalVec(b *vec.Batch) (*vec.Vector, error) {
 	if len(sub) == 0 {
 		return out, nil // every live row is definite FALSE
 	}
-	rv, err := evalVec(e.R, b.WithSel(sub))
+	rv, err := e.R.EvalVec(b.WithSel(sub))
 	if err != nil {
 		return nil, err
 	}
@@ -617,27 +508,11 @@ func (e *AndExpr) EvalVec(b *vec.Batch) (*vec.Vector, error) {
 // OrExpr is SQL OR with short-circuit evaluation (dual of AndExpr).
 type OrExpr struct{ L, R Expr }
 
-// Eval implements Expr.
-func (e *OrExpr) Eval(row types.Row) (types.Value, error) {
-	a, err := e.L.Eval(row)
-	if err != nil {
-		return types.Null, err
-	}
-	if !a.IsNull() && a.Bool() {
-		return types.NewBool(true), nil
-	}
-	b, err := e.R.Eval(row)
-	if err != nil {
-		return types.Null, err
-	}
-	return or3(a, b), nil
-}
-
-// EvalVec implements VecExpr.
+// EvalVec implements Expr.
 //
 //dashdb:hotpath
 func (e *OrExpr) EvalVec(b *vec.Batch) (*vec.Vector, error) {
-	lv, err := evalVec(e.L, b)
+	lv, err := e.L.EvalVec(b)
 	if err != nil {
 		return nil, err
 	}
@@ -655,7 +530,7 @@ func (e *OrExpr) EvalVec(b *vec.Batch) (*vec.Vector, error) {
 	if len(sub) == 0 {
 		return out, nil
 	}
-	rv, err := evalVec(e.R, b.WithSel(sub))
+	rv, err := e.R.EvalVec(b.WithSel(sub))
 	if err != nil {
 		return nil, err
 	}
@@ -678,20 +553,11 @@ func (e *OrExpr) EvalVec(b *vec.Batch) (*vec.Vector, error) {
 // NotExpr is SQL NOT under three-valued logic.
 type NotExpr struct{ E Expr }
 
-// Eval implements Expr.
-func (e *NotExpr) Eval(row types.Row) (types.Value, error) {
-	v, err := e.E.Eval(row)
-	if err != nil {
-		return types.Null, err
-	}
-	return not3(v), nil
-}
-
-// EvalVec implements VecExpr.
+// EvalVec implements Expr.
 //
 //dashdb:hotpath
 func (e *NotExpr) EvalVec(b *vec.Batch) (*vec.Vector, error) {
-	ev, err := evalVec(e.E, b)
+	ev, err := e.E.EvalVec(b)
 	if err != nil {
 		return nil, err
 	}
@@ -725,20 +591,11 @@ func negValue(v types.Value) (types.Value, error) {
 	return types.NewFloat(-f), nil
 }
 
-// Eval implements Expr.
-func (e *NegExpr) Eval(row types.Row) (types.Value, error) {
-	v, err := e.E.Eval(row)
-	if err != nil {
-		return types.Null, err
-	}
-	return negValue(v)
-}
-
-// EvalVec implements VecExpr.
+// EvalVec implements Expr.
 //
 //dashdb:hotpath
 func (e *NegExpr) EvalVec(b *vec.Batch) (*vec.Vector, error) {
-	ev, err := evalVec(e.E, b)
+	ev, err := e.E.EvalVec(b)
 	if err != nil {
 		return nil, err
 	}
@@ -776,4 +633,261 @@ func (e *NegExpr) EvalVec(b *vec.Batch) (*vec.Vector, error) {
 		}
 		return out, nil
 	}
+}
+
+// ApplyExpr calls a scalar function once per live position. It is the form
+// of every expression without a typed kernel (CAST, LIKE, BETWEEN, IS NULL,
+// scalar functions, UDXs, subqueries, sequences): Args are evaluated as
+// vectors over the batch — arithmetic under a CAST runs as a kernel, and only
+// the argument cells are boxed, never the row — then Fn runs on each live
+// position's argument values, in position order. Fn is strict: every argument
+// is evaluated before it is called. args is reused from call to call and Fn
+// must not retain it.
+//
+// Stateful marks an Fn whose calls are not independent of each other — a
+// sequence, ROWNUM, a subquery materialized on first use, user code. An
+// operator holding one is pulled by a single goroutine (concurrentPull) and
+// EXPLAIN tags it [row]; nothing else reads the flag. The SQL compiler sets it
+// from the kind of AST node it lowers.
+type ApplyExpr struct {
+	Args     []Expr
+	Fn       func(args []types.Value) (types.Value, error)
+	Stateful bool
+}
+
+// EvalVec implements Expr.
+//
+//dashdb:hotpath
+func (e *ApplyExpr) EvalVec(b *vec.Batch) (*vec.Vector, error) {
+	argv := make([]*vec.Vector, len(e.Args))
+	for j, a := range e.Args {
+		av, err := a.EvalVec(b)
+		if err != nil {
+			return nil, err
+		}
+		argv[j] = av
+	}
+	out := vec.New(types.KindNull, b.N)
+	args := make([]types.Value, len(argv))
+	for _, i := range b.Idx() {
+		for j, av := range argv {
+			args[j] = av.Get(i)
+		}
+		v, err := e.Fn(args)
+		if err != nil {
+			return nil, err
+		}
+		out.Any[i] = v
+	}
+	return out, nil
+}
+
+// CaseWhen is one WHEN … THEN … arm of a CaseExpr.
+type CaseWhen struct{ When, Then Expr }
+
+// CaseExpr is CASE: searched (Operand nil: the first arm whose When is TRUE)
+// or simple (the first arm whose When equals Operand under types.Equal). It
+// is lazy the way AND and OR are: each When runs only over the positions no
+// earlier arm took, each Then only over the positions its arm took and Else
+// over what is left, so an arm that would fail on a row it does not decide
+// never sees that row. A nil Else is NULL.
+type CaseExpr struct {
+	Operand Expr
+	Whens   []CaseWhen
+	Else    Expr
+}
+
+// EvalVec implements Expr.
+//
+//dashdb:hotpath
+func (e *CaseExpr) EvalVec(b *vec.Batch) (*vec.Vector, error) {
+	var opv *vec.Vector
+	if e.Operand != nil {
+		var err error
+		if opv, err = e.Operand.EvalVec(b); err != nil {
+			return nil, err
+		}
+	}
+	out := vec.New(types.KindNull, b.N)
+	rest := b.Idx() // positions no arm has taken yet
+	for _, arm := range e.Whens {
+		if len(rest) == 0 {
+			return out, nil
+		}
+		wv, err := arm.When.EvalVec(b.WithSel(rest))
+		if err != nil {
+			return nil, err
+		}
+		var hit []int
+		if opv == nil {
+			hit = SelTrue(wv, rest)
+		} else {
+			for _, i := range rest {
+				if types.Equal(opv.Get(i), wv.Get(i)) {
+					hit = append(hit, i)
+				}
+			}
+		}
+		if err := assignSel(out, arm.Then, b, hit); err != nil {
+			return nil, err
+		}
+		rest = diffSorted(rest, hit)
+	}
+	els := e.Else
+	if els == nil {
+		els = Const{V: types.Null}
+	}
+	return out, assignSel(out, els, b, rest)
+}
+
+// assignSel evaluates e over the positions sel of b and stores the values
+// into the boxed vector out.
+//
+//dashdb:hotpath
+func assignSel(out *vec.Vector, e Expr, b *vec.Batch, sel []int) error {
+	if len(sel) == 0 {
+		return nil
+	}
+	v, err := e.EvalVec(b.WithSel(sel))
+	if err != nil {
+		return err
+	}
+	for _, i := range sel {
+		out.Any[i] = v.Get(i)
+	}
+	return nil
+}
+
+// diffSorted returns the positions of a that are not in b; both ascending,
+// b a subset of a.
+//
+//dashdb:hotpath
+func diffSorted(a, b []int) []int {
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]int, 0, len(a)-len(b))
+	for _, i := range a {
+		if len(b) > 0 && b[0] == i {
+			b = b[1:]
+			continue
+		}
+		out = append(out, i)
+	}
+	return out
+}
+
+// InExpr is "E [NOT] IN (List…)" under three-valued logic: TRUE on the first
+// item equal to E, NULL when E is NULL or no item matched and one was NULL,
+// else FALSE. Items are lazy: each runs only over the positions no earlier
+// item matched (and where E is not NULL), so an item after the first match
+// stays unevaluated on that row.
+type InExpr struct {
+	E    Expr
+	List []Expr
+	Not  bool
+}
+
+// EvalVec implements Expr.
+//
+//dashdb:hotpath
+func (e *InExpr) EvalVec(b *vec.Batch) (*vec.Vector, error) {
+	ev, err := e.E.EvalVec(b)
+	if err != nil {
+		return nil, err
+	}
+	out := vec.New(types.KindBool, b.N)
+	rest := make([]int, 0, b.Rows()) // E not NULL, no item matched yet
+	for _, i := range b.Idx() {
+		if ev.IsNull(i) {
+			out.SetNull(i)
+		} else {
+			rest = append(rest, i)
+		}
+	}
+	var hit int64 // the payload of a match: TRUE, or FALSE under NOT
+	if !e.Not {
+		hit = 1
+	}
+	for _, item := range e.List {
+		if len(rest) == 0 {
+			break
+		}
+		iv, err := item.EvalVec(b.WithSel(rest))
+		if err != nil {
+			return nil, err
+		}
+		open := rest[:0] // compacted in place: rest is this call's own list
+		for _, i := range rest {
+			switch x := iv.Get(i); {
+			case x.IsNull():
+				out.SetNull(i) // stands unless a later item matches
+				open = append(open, i)
+			case types.Equal(ev.Get(i), x):
+				out.I64[i] = hit
+				if out.Nulls != nil {
+					out.Nulls.Clear(i)
+				}
+			default:
+				open = append(open, i)
+			}
+		}
+		rest = open
+	}
+	for _, i := range rest {
+		if !out.IsNull(i) {
+			out.I64[i] = 1 - hit
+		}
+	}
+	return out, nil
+}
+
+// Stateful reports whether any of the expression trees holds an ApplyExpr
+// marked Stateful (see there for who asks).
+func Stateful(exprs ...Expr) bool {
+	for _, e := range exprs {
+		if a, ok := e.(*ApplyExpr); ok && a.Stateful {
+			return true
+		}
+		if Stateful(operands(e)...) {
+			return true
+		}
+	}
+	return false
+}
+
+// operands lists a node's operand expressions; a leaf, or a node type defined
+// outside this package, has none.
+func operands(e Expr) []Expr {
+	switch x := e.(type) {
+	case *CmpExpr:
+		return []Expr{x.L, x.R}
+	case *ArithExpr:
+		return []Expr{x.L, x.R}
+	case *AndExpr:
+		return []Expr{x.L, x.R}
+	case *OrExpr:
+		return []Expr{x.L, x.R}
+	case *NotExpr:
+		return []Expr{x.E}
+	case *NegExpr:
+		return []Expr{x.E}
+	case *ApplyExpr:
+		return x.Args
+	case *InExpr:
+		return append([]Expr{x.E}, x.List...)
+	case *CaseExpr:
+		var out []Expr
+		if x.Operand != nil {
+			out = append(out, x.Operand)
+		}
+		for _, w := range x.Whens {
+			out = append(out, w.When, w.Then)
+		}
+		if x.Else != nil {
+			out = append(out, x.Else)
+		}
+		return out
+	}
+	return nil
 }

@@ -238,19 +238,25 @@ func TestVectorGroupByEquivalence(t *testing.T) {
 		sort.Strings(want)
 		requireEqualKeys(t, fmt.Sprintf("groupby dop=%d", dop), want, sortedKeysPrec(t, g, ffmt))
 	}
-	// An aggregate argument with no kernel is evaluated per position inside
-	// the same ingest loop, on one worker, and still agrees.
-	udfAggs := []AggSpec{{Func: AggSum, Name: "s", Arg: FuncExpr(func(r types.Row) (types.Value, error) {
+	// An aggregate argument with no kernel is an ApplyExpr inside the same
+	// ingest loop: on every worker when it is pure, on one when it is
+	// stateful, and it agrees either way.
+	triple := rowFunc(2, func(r types.Row) (types.Value, error) {
 		if r[1].IsNull() {
 			return types.Null, nil
 		}
 		return types.NewInt(r[1].Int() * 3), nil
-	})}}
-	g := &GroupByOp{Child: scanCodes(tbl, 4), GroupBy: gkey, GroupCols: gcols, Aggs: udfAggs, Dop: 4}
-	if g.Workers() != 1 {
-		t.Fatalf("an opaque aggregate argument must ingest on one worker, got %d", g.Workers())
+	})
+	for _, stateful := range []bool{false, true} {
+		arg := *triple
+		arg.Stateful = stateful
+		udfAggs := []AggSpec{{Func: AggSum, Name: "s", Arg: &arg}}
+		g := &GroupByOp{Child: scanCodes(tbl, 4), GroupBy: gkey, GroupCols: gcols, Aggs: udfAggs, Dop: 4}
+		if want := map[bool]int{false: 4, true: 1}[stateful]; g.Workers() != want {
+			t.Fatalf("aggregate argument stateful=%v: %d ingest workers, want %d", stateful, g.Workers(), want)
+		}
+		requireEqualKeys(t, "groupby-udf", sortedRowKeys(oracleGroupBy(t, rows, gkey, udfAggs)), sortedKeys(t, g))
 	}
-	requireEqualKeys(t, "groupby-udf", sortedRowKeys(oracleGroupBy(t, rows, gkey, udfAggs)), sortedKeys(t, g))
 }
 
 // TestVectorHashJoinBuildEquivalence checks the columnar NULL-key-skipping
@@ -293,21 +299,26 @@ func TestVectorLimitEquivalence(t *testing.T) {
 	}
 }
 
-// TestVectorizeScalarFuncFallsBack: a predicate with no kernel (a FuncExpr)
-// is evaluated per live position inside the same FilterOp — over a scan
-// still emitting code vectors — computes the plain loop's result, and marks
-// the pipeline as one that only a single goroutine may pull.
+// TestVectorizeScalarFuncFallsBack: a predicate with no kernel (an
+// ApplyExpr) runs inside the same FilterOp — over a scan still emitting code
+// vectors — and computes the plain loop's result; a pure one leaves the
+// pipeline open to concurrent pulls, a stateful one marks it as one that only
+// a single goroutine may pull.
 func TestVectorizeScalarFuncFallsBack(t *testing.T) {
 	tbl := randVecTable(t, 460, 2000, 13)
-	pred := FuncExpr(func(r types.Row) (types.Value, error) {
+	pred := rowFunc(1, func(r types.Row) (types.Value, error) {
 		if r[0].IsNull() {
 			return types.Null, nil
 		}
 		return types.NewBool(r[0].Int()%3 == 0), nil
 	})
 	f := &FilterOp{Child: scanCodes(tbl, 1), Pred: pred}
-	if Vectorizable(pred) || concurrentPull(f) {
-		t.Fatal("a FuncExpr filter must not count as kernel-only or allow concurrent pulls")
+	if Stateful(pred) || !concurrentPull(f) {
+		t.Fatal("a pure ApplyExpr filter over a scan allows concurrent pulls")
+	}
+	stateful := &ApplyExpr{Args: pred.Args, Fn: pred.Fn, Stateful: true}
+	if nested := (&NotExpr{E: stateful}); !Stateful(nested) || concurrentPull(&FilterOp{Child: scanCodes(tbl, 1), Pred: nested}) {
+		t.Fatal("a stateful ApplyExpr, however deep, must not allow concurrent pulls")
 	}
 	if !concurrentPull(&FilterOp{Child: scanCodes(tbl, 1), Pred: vecTestPred()}) {
 		t.Fatal("a kernel-only filter over a scan allows concurrent pulls")

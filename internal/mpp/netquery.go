@@ -135,11 +135,7 @@ func evalInsertRows(stmt *sql.InsertStmt, schema types.Schema, d sql.Dialect) ([
 	for _, exprRow := range stmt.Rows {
 		row := make(types.Row, len(exprRow))
 		for i, e := range exprRow {
-			ce, err := comp.CompileConstExpr(e)
-			if err != nil {
-				return nil, err
-			}
-			v, err := ce.Eval(nil)
+			v, err := comp.EvalConst(e)
 			if err != nil {
 				return nil, err
 			}

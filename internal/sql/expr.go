@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -88,13 +89,7 @@ func (c *Compiler) compileExpr(e Expr, sc *scope) (exec.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return exec.FuncExpr(func(row types.Row) (types.Value, error) {
-			v, err := inner.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
-			return types.Coerce(v, kind)
-		}), nil
+		return apply(func(a []types.Value) (types.Value, error) { return types.Coerce(a[0], kind) }, inner), nil
 
 	case *IsNullExpr:
 		inner, err := c.compileExpr(ex.Expr, sc)
@@ -102,13 +97,9 @@ func (c *Compiler) compileExpr(e Expr, sc *scope) (exec.Expr, error) {
 			return nil, err
 		}
 		not := ex.Not
-		return exec.FuncExpr(func(row types.Row) (types.Value, error) {
-			v, err := inner.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
-			return types.NewBool(v.IsNull() != not), nil
-		}), nil
+		return apply(func(a []types.Value) (types.Value, error) {
+			return types.NewBool(a[0].IsNull() != not), nil
+		}, inner), nil
 
 	case *IsBoolExpr:
 		inner, err := c.compileExpr(ex.Expr, sc)
@@ -116,48 +107,24 @@ func (c *Compiler) compileExpr(e Expr, sc *scope) (exec.Expr, error) {
 			return nil, err
 		}
 		want, not := ex.Want, ex.Not
-		return exec.FuncExpr(func(row types.Row) (types.Value, error) {
-			v, err := inner.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
-			res := !v.IsNull() && v.Bool() == want
+		return apply(func(a []types.Value) (types.Value, error) {
+			res := !a[0].IsNull() && a[0].Bool() == want
 			return types.NewBool(res != not), nil
-		}), nil
+		}, inner), nil
 
 	case *BetweenExpr:
-		val, err := c.compileExpr(ex.Expr, sc)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := c.compileExpr(ex.Lo, sc)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := c.compileExpr(ex.Hi, sc)
+		args, err := c.compileExprs(sc, ex.Expr, ex.Lo, ex.Hi)
 		if err != nil {
 			return nil, err
 		}
 		not := ex.Not
-		return exec.FuncExpr(func(row types.Row) (types.Value, error) {
-			v, err := val.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
-			l, err := lo.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
-			h, err := hi.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
-			if v.IsNull() || l.IsNull() || h.IsNull() {
+		return apply(func(a []types.Value) (types.Value, error) {
+			if anyNull(a) {
 				return types.Null, nil
 			}
-			in := types.Compare(v, l) >= 0 && types.Compare(v, h) <= 0
+			in := types.Compare(a[0], a[1]) >= 0 && types.Compare(a[0], a[2]) <= 0
 			return types.NewBool(in != not), nil
-		}), nil
+		}, args...), nil
 
 	case *InExpr:
 		return c.compileIn(ex, sc)
@@ -165,7 +132,7 @@ func (c *Compiler) compileExpr(e Expr, sc *scope) (exec.Expr, error) {
 	case *ExistsExpr:
 		rowsFn := c.lazySubquery(ex.Sub)
 		not := ex.Not
-		return exec.FuncExpr(func(types.Row) (types.Value, error) {
+		return stateful(func([]types.Value) (types.Value, error) {
 			rows, _, err := rowsFn()
 			if err != nil {
 				return types.Null, err
@@ -175,7 +142,7 @@ func (c *Compiler) compileExpr(e Expr, sc *scope) (exec.Expr, error) {
 
 	case *SubqueryExpr:
 		rowsFn := c.lazySubquery(ex.Sub)
-		return exec.FuncExpr(func(types.Row) (types.Value, error) {
+		return stateful(func([]types.Value) (types.Value, error) {
 			rows, _, err := rowsFn()
 			if err != nil {
 				return types.Null, err
@@ -198,7 +165,7 @@ func (c *Compiler) compileExpr(e Expr, sc *scope) (exec.Expr, error) {
 			return nil, fmt.Errorf("sql: sequence %s does not exist", ex.Seq)
 		}
 		next := ex.Next
-		return exec.FuncExpr(func(types.Row) (types.Value, error) {
+		return stateful(func([]types.Value) (types.Value, error) {
 			if next {
 				return types.NewInt(seq.NextVal()), nil
 			}
@@ -220,33 +187,21 @@ func (c *Compiler) compileExpr(e Expr, sc *scope) (exec.Expr, error) {
 	case *RownumExpr:
 		// ROWNUM as an expression: a per-plan running counter.
 		n := new(int64)
-		return exec.FuncExpr(func(types.Row) (types.Value, error) {
+		return stateful(func([]types.Value) (types.Value, error) {
 			*n++
 			return types.NewInt(*n), nil
 		}), nil
 
 	case *OverlapsExpr:
-		args := make([]exec.Expr, 4)
-		for i, sub := range []Expr{ex.S1, ex.E1, ex.S2, ex.E2} {
-			ce, err := c.compileExpr(sub, sc)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = ce
+		args, err := c.compileExprs(sc, ex.S1, ex.E1, ex.S2, ex.E2)
+		if err != nil {
+			return nil, err
 		}
-		return exec.FuncExpr(func(row types.Row) (types.Value, error) {
-			vals := make([]types.Value, 4)
-			for i, a := range args {
-				v, err := a.Eval(row)
-				if err != nil {
-					return types.Null, err
-				}
-				if v.IsNull() {
-					return types.Null, nil
-				}
-				vals[i] = v
+		return apply(func(a []types.Value) (types.Value, error) {
+			if anyNull(a) {
+				return types.Null, nil
 			}
-			s1, e1, s2, e2 := vals[0], vals[1], vals[2], vals[3]
+			s1, e1, s2, e2 := a[0], a[1], a[2], a[3]
 			if types.Compare(s1, e1) > 0 {
 				s1, e1 = e1, s1
 			}
@@ -255,7 +210,7 @@ func (c *Compiler) compileExpr(e Expr, sc *scope) (exec.Expr, error) {
 			}
 			// SQL standard: (s1,e1) OVERLAPS (s2,e2) ⇔ s1 < e2 AND s2 < e1.
 			return types.NewBool(types.Compare(s1, e2) < 0 && types.Compare(s2, e1) < 0), nil
-		}), nil
+		}, args...), nil
 
 	case *Star:
 		return nil, fmt.Errorf("sql: * is only allowed in the select list")
@@ -282,44 +237,28 @@ func (c *Compiler) compileBinary(ex *BinaryOp, sc *scope) (exec.Expr, error) {
 		cmp, _ := cmpOpFor(op)
 		return &exec.CmpExpr{Op: cmp, L: left, R: right}, nil
 	case "LIKE":
-		return exec.FuncExpr(func(row types.Row) (types.Value, error) {
-			a, err := left.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
-			b, err := right.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
-			if a.IsNull() || b.IsNull() {
+		return apply(func(a []types.Value) (types.Value, error) {
+			if anyNull(a) {
 				return types.Null, nil
 			}
-			return types.NewBool(LikeMatch(a.String(), b.String())), nil
-		}), nil
+			return types.NewBool(LikeMatch(a[0].String(), a[1].String())), nil
+		}, left, right), nil
 	case "||":
 		oracle := c.Dialect == DialectOracle
-		return exec.FuncExpr(func(row types.Row) (types.Value, error) {
-			a, err := left.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
-			b, err := right.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
+		return apply(func(a []types.Value) (types.Value, error) {
 			// Oracle treats NULL as '' in concatenation; ANSI yields NULL.
-			if !oracle && (a.IsNull() || b.IsNull()) {
+			if !oracle && anyNull(a) {
 				return types.Null, nil
 			}
 			as, bs := "", ""
-			if !a.IsNull() {
-				as = a.String()
+			if !a[0].IsNull() {
+				as = a[0].String()
 			}
-			if !b.IsNull() {
-				bs = b.String()
+			if !a[1].IsNull() {
+				bs = a[1].String()
 			}
 			return types.NewString(as + bs), nil
-		}), nil
+		}, left, right), nil
 	case "+", "-", "*", "/", "%":
 		// Structured arithmetic nodes vectorize; exec.ArithValue is the
 		// scalar semantics (numeric promotion, date ± int day arithmetic).
@@ -329,37 +268,27 @@ func (c *Compiler) compileBinary(ex *BinaryOp, sc *scope) (exec.Expr, error) {
 }
 
 func (c *Compiler) compileScalarCall(ex *FuncCall, sc *scope) (exec.Expr, error) {
-	fn, ok := c.UDX.Lookup(ex.Name)
-	if !ok {
+	fn, udx := c.UDX.Lookup(ex.Name)
+	if !udx {
 		var err error
-		fn, err = LookupFunc(ex.Name, c.Dialect)
-		if err != nil {
+		if fn, err = LookupFunc(ex.Name, c.Dialect); err != nil {
 			return nil, err
 		}
 	}
 	if len(ex.Args) < fn.MinArgs || (fn.MaxArgs >= 0 && len(ex.Args) > fn.MaxArgs) {
 		return nil, fmt.Errorf("sql: %s expects %d..%d arguments, got %d", fn.Name, fn.MinArgs, fn.MaxArgs, len(ex.Args))
 	}
-	args := make([]exec.Expr, len(ex.Args))
-	for i, a := range ex.Args {
-		ce, err := c.compileExpr(a, sc)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = ce
+	args, err := c.compileExprs(sc, ex.Args...)
+	if err != nil {
+		return nil, err
 	}
-	env := c.Env
-	return exec.FuncExpr(func(row types.Row) (types.Value, error) {
-		vals := make([]types.Value, len(args))
-		for i, a := range args {
-			v, err := a.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
-			vals[i] = v
-		}
-		return fn.Fn(env, vals)
-	}), nil
+	env, call := c.Env, fn.Fn
+	if udx {
+		// User code: it may keep its argument slice, and it has never been
+		// entered by two goroutines at once.
+		return stateful(func(a []types.Value) (types.Value, error) { return call(env, slices.Clone(a)) }, args...), nil
+	}
+	return apply(func(a []types.Value) (types.Value, error) { return call(env, a) }, args...), nil
 }
 
 func (c *Compiler) compileCase(ex *CaseExpr, sc *scope) (exec.Expr, error) {
@@ -371,55 +300,21 @@ func (c *Compiler) compileCase(ex *CaseExpr, sc *scope) (exec.Expr, error) {
 			return nil, err
 		}
 	}
-	type arm struct{ when, then exec.Expr }
-	arms := make([]arm, len(ex.Whens))
+	out := &exec.CaseExpr{Operand: operand, Whens: make([]exec.CaseWhen, len(ex.Whens))}
 	for i, w := range ex.Whens {
-		we, err := c.compileExpr(w.When, sc)
-		if err != nil {
+		if out.Whens[i].When, err = c.compileExpr(w.When, sc); err != nil {
 			return nil, err
 		}
-		te, err := c.compileExpr(w.Then, sc)
-		if err != nil {
+		if out.Whens[i].Then, err = c.compileExpr(w.Then, sc); err != nil {
 			return nil, err
 		}
-		arms[i] = arm{when: we, then: te}
 	}
-	var elseE exec.Expr
 	if ex.Else != nil {
-		elseE, err = c.compileExpr(ex.Else, sc)
-		if err != nil {
+		if out.Else, err = c.compileExpr(ex.Else, sc); err != nil {
 			return nil, err
 		}
 	}
-	return exec.FuncExpr(func(row types.Row) (types.Value, error) {
-		var opv types.Value
-		if operand != nil {
-			var err error
-			opv, err = operand.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
-		}
-		for _, a := range arms {
-			w, err := a.when.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
-			hit := false
-			if operand != nil {
-				hit = types.Equal(opv, w)
-			} else {
-				hit = !w.IsNull() && w.Kind() == types.KindBool && w.Bool()
-			}
-			if hit {
-				return a.then.Eval(row)
-			}
-		}
-		if elseE != nil {
-			return elseE.Eval(row)
-		}
-		return types.Null, nil
-	}), nil
+	return out, nil
 }
 
 func (c *Compiler) compileIn(ex *InExpr, sc *scope) (exec.Expr, error) {
@@ -430,11 +325,8 @@ func (c *Compiler) compileIn(ex *InExpr, sc *scope) (exec.Expr, error) {
 	not := ex.Not
 	if ex.Sub != nil {
 		rowsFn := c.lazySubquery(ex.Sub)
-		return exec.FuncExpr(func(row types.Row) (types.Value, error) {
-			v, err := val.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
+		return stateful(func(a []types.Value) (types.Value, error) {
+			v := a[0]
 			if v.IsNull() {
 				return types.Null, nil
 			}
@@ -459,43 +351,38 @@ func (c *Compiler) compileIn(ex *InExpr, sc *scope) (exec.Expr, error) {
 				return types.Null, nil
 			}
 			return types.NewBool(not), nil
-		}), nil
+		}, val), nil
 	}
-	list := make([]exec.Expr, len(ex.List))
-	for i, le := range ex.List {
-		ce, err := c.compileExpr(le, sc)
-		if err != nil {
+	list, err := c.compileExprs(sc, ex.List...)
+	if err != nil {
+		return nil, err
+	}
+	return &exec.InExpr{E: val, List: list, Not: not}, nil
+}
+
+// compileExprs compiles a list of operands in one scope.
+func (c *Compiler) compileExprs(sc *scope, exprs ...Expr) ([]exec.Expr, error) {
+	out := make([]exec.Expr, len(exprs))
+	for i, e := range exprs {
+		var err error
+		if out[i], err = c.compileExpr(e, sc); err != nil {
 			return nil, err
 		}
-		list[i] = ce
 	}
-	return exec.FuncExpr(func(row types.Row) (types.Value, error) {
-		v, err := val.Eval(row)
-		if err != nil {
-			return types.Null, err
-		}
-		if v.IsNull() {
-			return types.Null, nil
-		}
-		sawNull := false
-		for _, le := range list {
-			lv, err := le.Eval(row)
-			if err != nil {
-				return types.Null, err
-			}
-			if lv.IsNull() {
-				sawNull = true
-				continue
-			}
-			if types.Equal(v, lv) {
-				return types.NewBool(!not), nil
-			}
-		}
-		if sawNull {
-			return types.Null, nil
-		}
-		return types.NewBool(not), nil
-	}), nil
+	return out, nil
+}
+
+// apply is a pure function of its argument expressions: exec evaluates args
+// as vectors and calls fn once per live position, on any worker.
+func apply(fn func(a []types.Value) (types.Value, error), args ...exec.Expr) exec.Expr {
+	return &exec.ApplyExpr{Args: args, Fn: fn}
+}
+
+// stateful is an apply whose calls depend on each other — a sequence,
+// ROWNUM, a subquery materialized on first use — so exec keeps the operator
+// holding it on one goroutine, evaluating in position order.
+func stateful(fn func(a []types.Value) (types.Value, error), args ...exec.Expr) exec.Expr {
+	return &exec.ApplyExpr{Args: args, Fn: fn, Stateful: true}
 }
 
 // lazySubquery compiles an uncorrelated subquery now and materializes it

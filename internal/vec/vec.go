@@ -315,8 +315,8 @@ func (b *Batch) NumCols() int { return len(b.cols) }
 
 // Col returns column j as a vector. On a row-built batch it is a view of
 // the rows, made on the first call for that column: a KindNull vector, so
-// kernels take their generic arms and agree with Expr.Eval on every value
-// kind, and no value is copied. WithSel copies share it.
+// kernels take their generic arms, which handle every value kind, and no
+// value is copied. WithSel copies share it.
 func (b *Batch) Col(j int) *Vector {
 	if b.cols[j] == nil {
 		b.cols[j] = &Vector{rows: b.rows, col: j}

@@ -121,9 +121,10 @@ func BuildPlan(q *QuerySpec, scan ScanFactory) (exec.Operator, error) {
 	return op, nil
 }
 
-// PredFilter compiles the predicate list into a residual row filter for
-// engines that cannot push predicates into their scans.
-func PredFilter(preds []Pred, schema types.Schema) (exec.Expr, error) {
+// PredFilter binds the predicate list to a schema as a row filter, for
+// engines that look at one row at a time and cannot push predicates into
+// their scans.
+func PredFilter(preds []Pred, schema types.Schema) (func(types.Row) bool, error) {
 	type bound struct {
 		ci int
 		p  Pred
@@ -136,12 +137,12 @@ func PredFilter(preds []Pred, schema types.Schema) (exec.Expr, error) {
 		}
 		bounds[i] = bound{ci: ci, p: p}
 	}
-	return exec.FuncExpr(func(row types.Row) (types.Value, error) {
+	return func(row types.Row) bool {
 		for _, b := range bounds {
 			if !b.p.Op.Eval(row[b.ci], b.p.Val) {
-				return types.NewBool(false), nil
+				return false
 			}
 		}
-		return types.NewBool(true), nil
-	}), nil
+		return true
+	}, nil
 }

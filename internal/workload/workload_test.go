@@ -184,7 +184,13 @@ func TestBuildPlanAndPredFilter(t *testing.T) {
 		if err != nil {
 			return nil, nil, err
 		}
-		return &exec.FilterOp{Child: exec.NewValues(schema, data), Pred: filter}, schema, nil
+		var kept []types.Row
+		for _, r := range data {
+			if filter(r) {
+				kept = append(kept, r)
+			}
+		}
+		return exec.NewValues(schema, kept), schema, nil
 	}
 	q := &QuerySpec{
 		Table: "t",

@@ -3,8 +3,9 @@
 # (dashdb-lint), the full test suite, and a race-detector pass over every
 # package. Set DASHDB_FUZZ=1 to add a 10-second smoke run of each fuzz
 # target (SQL front end totality, encoder round-trip identity, bulk-append
-# atomicity under racing truncates, shard RPC frame decoding, vector
-# kernels vs Expr.Eval on generated trees and batches).
+# atomicity under racing truncates, shard RPC frame decoding, every
+# expression node's EvalVec vs the row-at-a-time oracle in
+# internal/exec/oracle_test.go on generated trees and batches).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -21,9 +22,9 @@ go run ./cmd/dashdb-lint ./...
 # (generous) wall-time budget, so CFG/dataflow never makes this loop
 # painful.
 DASHDB_LINT_BUDGET=1 go test -run TestLintBudget -count=1 ./internal/lint/
-# Both passes include TestEvalVecMatchesEval, the kernels' generated oracle,
-# over its fixed 400 seeds (under a second); the fuzz gate below keeps
-# drawing seeds for 10 s.
+# Both passes include TestEvalVecMatchesEval, which holds EvalVec to rowEval
+# — the expression oracle, which lives only in _test.go — over its fixed 400
+# seeds (under a second); the fuzz gate below keeps drawing seeds for 10 s.
 go test ./...
 go test -race ./...
 
