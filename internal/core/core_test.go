@@ -148,6 +148,18 @@ func TestJoin(t *testing.T) {
 	if len(r.Rows) != 3 {
 		t.Fatalf("right join rows %d: %v", len(r.Rows), r.Rows)
 	}
+	// A WHERE conjunct over an outer join's null-supplying side filters the
+	// joined rows. Pushed into that side's scan it let south and west
+	// through null-extended (100 rows), and every region through with no
+	// sale (3 rows).
+	for q, want := range map[string]int64{
+		`SELECT COUNT(*) FROM sales s LEFT JOIN regions r ON s.region = r.name WHERE r.manager <> 'bob'`: 50,
+		`SELECT COUNT(*) FROM sales s RIGHT JOIN regions r ON s.region = r.name WHERE s.id >= 1000`:      0,
+	} {
+		if r = mustExec(t, s, q); r.Rows[0][0].Int() != want {
+			t.Errorf("%s: %v, want %d", q, r.Rows[0][0], want)
+		}
+	}
 }
 
 func TestUpdateDelete(t *testing.T) {

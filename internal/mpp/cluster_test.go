@@ -680,7 +680,15 @@ func TestSQLSurface(t *testing.T) {
 		if err != nil || r.Rows[0][0].Int() != 3 {
 			t.Fatalf("ddl roundtrip %v err %v", r, err)
 		}
-		if _, err := c.Query(`DELETE FROM t1 WHERE a = 2`); err != nil {
+		// A value of another kind is placed by the value the shard stores (the
+		// INT 12, not the string '12'), where a lookup pinned to 12 asks.
+		if _, err := c.Query(`INSERT INTO t1 VALUES ('12', 'w')`); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := c.Query(`SELECT b FROM t1 WHERE a = 12`); err != nil || renderRows(r.Rows) != "w\n" {
+			t.Fatalf("pinned lookup of a coerced key: %v err %v", r, err)
+		}
+		if _, err := c.Query(`DELETE FROM t1 WHERE a = 2 OR a = 12`); err != nil {
 			t.Fatal(err)
 		}
 		r, err = c.Query(`SELECT COUNT(*) FROM t1`)
@@ -713,6 +721,19 @@ func TestQueryErrors(t *testing.T) {
 		}
 		if err := c.Insert("missing", nil); err == nil {
 			t.Fatal("insert into missing table must error")
+		}
+		// A row stays on the shard its distribution value hashed to, where
+		// a statement pinned to its new value would not look.
+		for q, d := range map[string]sql.Dialect{
+			`UPDATE sales SET amount = 1, id = id + 1 WHERE id = 3`: sql.DialectANSI,
+			`BEGIN UPDATE sales SET ID = 1; END`:                    sql.DialectOracle,
+		} {
+			if _, err := c.QueryDialect(q, d); err == nil || !strings.Contains(err.Error(), "distribution column") {
+				t.Fatalf("%s: err %v, want the distribution column refused", q, err)
+			}
+		}
+		if r, err := c.Query(`SELECT COUNT(*) FROM sales WHERE id = 3 AND amount = 3`); err != nil || r.Rows[0][0].Int() != 1 {
+			t.Fatalf("refused UPDATE changed rows: %v err %v", r, err)
 		}
 	})
 }
@@ -1215,12 +1236,23 @@ func TestParitySingleNode(t *testing.T) {
 		"SELECT s.region, COUNT(*) AS n FROM sales s LEFT JOIN regions r ON s.region = r.name GROUP BY s.region ORDER BY s.region",
 		// Gather path: DISTINCT disqualifies the fast paths.
 		"SELECT DISTINCT region FROM sales ORDER BY region",
+		// Scatter pinned to the shard owning the key: present, absent, a
+		// string key; NULL and a float against the INT key ask every shard.
+		"SELECT id, amount FROM sales WHERE id = 17",
+		"SELECT COUNT(*) AS n, SUM(amount) AS s FROM sales WHERE id = 1000",
+		"SELECT manager FROM regions WHERE name = 'north'",
+		"SELECT COUNT(*) AS n FROM sales WHERE id = NULL",
+		"SELECT region FROM sales WHERE id = 17.0",
+		// Shuffle joins whose single-table conjuncts run in the stages, and
+		// one whose null-supplying side's test stays above the join.
+		"SELECT s.region, COUNT(*) AS n FROM sales s INNER JOIN regions r ON s.region = r.name WHERE s.amount < 30 AND r.manager <> 'bob' GROUP BY s.region ORDER BY s.region",
+		"SELECT COUNT(*) AS n FROM sales s LEFT JOIN regions r ON s.region = r.name WHERE r.manager IS NULL",
 	})
-	if st := cols["3-shard"].Stats(); st.ShuffleJoins != 2 || st.FastPathQueries != 3 || st.GatherPathQueries != 1 {
-		t.Fatalf("socket cluster took paths %+v, want 3 fast, 2 shuffle, 1 gather", st)
+	if st := cols["3-shard"].Stats(); st.ShuffleJoins != 4 || st.FastPathQueries != 8 || st.GatherPathQueries != 1 {
+		t.Fatalf("socket cluster took paths %+v, want 8 fast, 4 shuffle, 1 gather", st)
 	}
-	if st := cols["3-shard-local"].Stats(); st.ShuffleJoins != 0 || st.FastPathQueries != 3 || st.GatherPathQueries != 3 {
-		t.Fatalf("in-process cluster took paths %+v, want 3 fast, 3 gather", st)
+	if st := cols["3-shard-local"].Stats(); st.ShuffleJoins != 0 || st.FastPathQueries != 8 || st.GatherPathQueries != 5 {
+		t.Fatalf("in-process cluster took paths %+v, want 8 fast, 5 gather", st)
 	}
 }
 
@@ -1229,12 +1261,14 @@ func TestParitySingleNode(t *testing.T) {
 // HAVING, ORDER BY an alias, an ordinal or the aggregate itself, LIMIT and
 // OFFSET, qualified and aliased group columns, over one table, a
 // co-located join with the replicated zones, or (join = true) a join of
-// two distributed tables. Every ORDER BY ends in a unique key, so the
-// answer is one sequence of rows.
+// two distributed tables, whose WHERE may hold conjuncts over either side,
+// both, an OR across them or — under LEFT — the null-supplying side's IS
+// NULL. Every ORDER BY ends in a unique key, so the answer is one sequence
+// of rows.
 func genSelect(rng *rand.Rand) (q string, join bool) {
 	pick := func(xs ...string) string { return xs[rng.Intn(len(xs))] }
 	var from, id, amount string
-	var groupable []string
+	var groupable, where []string
 	switch rng.Intn(4) {
 	case 0:
 		from, id, amount, groupable = "sales", "id", "amount", []string{"region"}
@@ -1244,8 +1278,17 @@ func genSelect(rng *rand.Rand) (q string, join bool) {
 		from, id, amount = "sales s JOIN zones z ON s.region = z.region", "s.id", pick("amount", "s.amount")
 		groupable = []string{"s.region", pick("zone", "z.zone")}
 	default:
-		from, id, amount = "sales s "+pick("INNER", "LEFT")+" JOIN regions r ON s.region = r.name", pick("id", "s.id"), "s.amount"
+		kind := pick("INNER", "LEFT")
+		from, id, amount = "sales s "+kind+" JOIN regions r ON s.region = r.name", pick("id", "s.id"), "s.amount"
 		groupable, join = []string{"s.region", pick("manager", "r.manager")}, true
+		conds := []string{"", "s.amount < 40", "r.manager = 'ada'", "UPPER(r.name) <> 'EAST'",
+			"s.amount >= 20 AND r.manager <> 'bob'", "(s.amount < 10 OR r.manager = 'bob')"}
+		if kind == "LEFT" {
+			conds = append(conds, "r.manager IS NULL", "r.manager IS NULL AND s.amount > 50")
+		}
+		if c := pick(conds...); c != "" {
+			where = append(where, c)
+		}
 	}
 	limit := ""
 	if rng.Intn(3) == 0 {
@@ -1286,8 +1329,9 @@ func genSelect(rng *rand.Rand) (q string, join bool) {
 			}
 		}
 		order = append(order, fmt.Sprint(idAt)+pick("", " DESC")) // by ordinal: its name may be qualified
-		return fmt.Sprintf("SELECT %s FROM %s WHERE %s < %d ORDER BY %s%s",
-			render(items), from, id, 50+rng.Intn(500), strings.Join(order, ", "), limit), join
+		where = append(where, fmt.Sprintf("%s < %d", id, 50+rng.Intn(500)))
+		return fmt.Sprintf("SELECT %s FROM %s WHERE %s ORDER BY %s%s",
+			render(items), from, strings.Join(where, " AND "), strings.Join(order, ", "), limit), join
 	}
 
 	rng.Shuffle(len(groupable), func(i, j int) { groupable[i], groupable[j] = groupable[j], groupable[i] })
@@ -1306,7 +1350,10 @@ func genSelect(rng *rand.Rand) (q string, join bool) {
 	rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
 	q = fmt.Sprintf("SELECT %s FROM %s", render(items), from)
 	if rng.Intn(3) == 0 {
-		q += fmt.Sprintf(" WHERE %s >= %d", id, rng.Intn(300))
+		where = append(where, fmt.Sprintf("%s >= %d", id, rng.Intn(300)))
+	}
+	if len(where) > 0 {
+		q += " WHERE " + strings.Join(where, " AND ")
 	}
 	if len(groupable) > 0 {
 		q += " GROUP BY " + strings.Join(groupable, ", ")
@@ -1375,7 +1422,12 @@ func TestParityGenerated(t *testing.T) {
 			}
 			sameAnswer(t, q, got, one)
 			*path++
-			if st := c.Stats(); st != want {
+			// A shuffle ships at most both tables whole; nothing else ships.
+			st := c.Stats()
+			if shipped := st.ShuffledRows - want.ShuffledRows; shipped > 0 && (path != &want.ShuffleJoins || shipped > 600+3) {
+				t.Fatalf("%s\nshuffled %d rows", q, shipped)
+			}
+			if want.ShuffledRows = st.ShuffledRows; st != want {
 				t.Fatalf("%s\ntook paths %+v, want %+v", q, st, want)
 			}
 			return got
@@ -1432,7 +1484,102 @@ func TestParityGenerated(t *testing.T) {
 		if got := renderRows(check(union, &want.GatherPathQueries).Rows); got != "east\neast\nnorth\nnorth\nsouth\nsouth\n" {
 			t.Errorf("%s\nnot the chain's rows in order:\n%s", union, got)
 		}
+
+		// A WHERE that pins the distribution key to a literal of its kind is
+		// asked of the one shard holding the key — scattered all the same —
+		// before and after a failover moves that shard.
+		routed := []struct {
+			q      string
+			pinned bool
+		}{
+			{"SELECT id, region, amount FROM sales WHERE id = 17", true},
+			{"SELECT amount FROM sales WHERE id = 100000", true}, // absent
+			{"SELECT COUNT(*), SUM(amount), AVG(amount), MIN(region) FROM sales WHERE 42 = id", true},
+			{"SELECT COUNT(*), AVG(amount) FROM sales WHERE id = 100001", true}, // absent: one shard's empty partials
+			{"SELECT COUNT(*) FROM sales WHERE id = -3", false},                 // a negation, not a literal
+			{"SELECT s.id, z.zone FROM sales s JOIN zones z ON s.region = z.region WHERE s.id = 7 AND s.amount > 1", true},
+			{"SELECT manager FROM regions WHERE name = 'north'", true}, // a string key
+			{"SELECT COUNT(*) FROM regions WHERE name = 'nowhere'", true},
+			{"SELECT COUNT(*) FROM sales WHERE id = NULL", false},
+			{"SELECT region FROM sales WHERE id = 17.0", false}, // not the key's kind: every shard, same answer
+			{"SELECT region FROM sales WHERE id = 17 OR id = 18 ORDER BY region", false},
+		}
+		for _, failed := range []bool{false, true} {
+			if failed {
+				if err := c.FailNode("B"); err != nil {
+					t.Fatal(err)
+				}
+				want.Failovers++
+			}
+			for _, r := range routed {
+				shards := c.NShards()
+				if r.pinned {
+					shards = 1
+				}
+				if got := check(r.q, &want.FastPathQueries); got.Stats.Shards != shards {
+					t.Errorf("%s (failed over: %v): asked %d shards, want %d", r.q, failed, got.Stats.Shards, shards)
+				}
+			}
+		}
 	})
+}
+
+// TestShuffleShipsFilteredStages: on a fixture shaped like the benchmark's
+// join — a date cut on the fact, one sector of the dimension — the stages
+// ship exactly the rows that pass their own conjuncts, where shipping both
+// tables whole would send 1 200 + 40, and the answer is one engine's.
+func TestShuffleShipsFilteredStages(t *testing.T) {
+	c := (&harness{t: t, socket: true}).form(fourNodes()[:3], 2, clusterfs.New())
+	const day0, cut = 14610, 14610 + 330
+	if err := c.CreateTable("txns", types.Schema{
+		{Name: "txn_id", Kind: types.KindInt},
+		{Name: "account_id", Kind: types.KindInt},
+		{Name: "txn_date", Kind: types.KindDate, Nullable: true},
+		{Name: "amount", Kind: types.KindFloat, Nullable: true},
+		{Name: "status", Kind: types.KindString, Nullable: true},
+	}, TableOptions{DistributeBy: "txn_id"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateTable("accts", types.Schema{
+		{Name: "account_id", Kind: types.KindInt},
+		{Name: "sector", Kind: types.KindString, Nullable: true},
+	}, TableOptions{DistributeBy: "account_id"}); err != nil {
+		t.Fatal(err)
+	}
+	var txns, accts []types.Row
+	recent := uint64(0)
+	for i := int64(0); i < 1200; i++ {
+		day := day0 + i%365
+		if day >= cut {
+			recent++
+		}
+		txns = append(txns, types.Row{types.NewInt(i), types.NewInt(i % 40), types.NewDate(day),
+			types.NewFloat(float64(i % 50)), types.NewString([]string{"booked", "settled", "void"}[i%3])})
+	}
+	for i := int64(0); i < 40; i++ {
+		accts = append(accts, types.Row{types.NewInt(i), types.NewString(fmt.Sprintf("s%d", i%8))})
+	}
+	if err := c.Insert("txns", txns); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Insert("accts", accts); err != nil {
+		t.Fatal(err)
+	}
+	q := "SELECT t.status, COUNT(*), SUM(t.amount) FROM txns t JOIN accts a ON t.account_id = a.account_id" +
+		" WHERE t.txn_date >= DATE '" + types.NewDate(cut).String() + "' AND a.sector = 's3'" +
+		" GROUP BY t.status ORDER BY t.status"
+	one, err := referenceOf(t, c).Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAnswer(t, q, got, one)
+	if st := c.Stats(); st.ShuffleJoins != 1 || st.ShuffledRows != recent+40/8 {
+		t.Fatalf("took %+v, want one shuffle of %d fact rows and %d dimension rows", st, recent, 40/8)
+	}
 }
 
 // TestParityNullJoinKeys: NULL join keys hash to partition 0 but must

@@ -108,13 +108,14 @@ const (
 // idempotency tokens) off the randomly seeded counter.
 func (c *NetCluster) mintID() uint64 { return c.qid.Add(1) }
 
-// NetStats counts coordinator path selections.
+// NetStats counts coordinator path selections and rows shuffle stages sent.
 type NetStats struct {
 	FastPathQueries   uint64
 	ShuffleJoins      uint64
 	GatherPathQueries uint64
 	Failovers         uint64
 	Reshards          uint64
+	ShuffledRows      uint64
 }
 
 // NewNetCluster connects to running shard servers and bootstraps
@@ -729,8 +730,8 @@ func (c *NetCluster) Insert(table string, rows []types.Row) error {
 		}
 	} else {
 		for _, r := range rows {
-			h := r[meta.distCol].Hash()
-			buckets[h%uint64(c.nShards)] = append(buckets[h%uint64(c.nShards)], r)
+			s := c.shardOf(meta, r[meta.distCol])
+			buckets[s] = append(buckets[s], r)
 		}
 	}
 	token := c.mintID()
@@ -745,27 +746,30 @@ func (c *NetCluster) Insert(table string, rows []types.Row) error {
 	})
 }
 
+// shardOf is the shard a row whose distribution column holds v lives on:
+// the hash of v as the shard stores it, coerced to the column's kind.
+func (c *NetCluster) shardOf(meta *tableMeta, v types.Value) int {
+	if cv, err := types.Coerce(v, meta.schema[meta.distCol].Kind); err == nil {
+		v = cv
+	}
+	return int(v.Hash() % uint64(c.nShards))
+}
+
 // Rows returns a table's cluster-wide live row count.
 func (c *NetCluster) Rows(table string) (int, error) {
 	meta, err := c.tableMeta(table)
 	if err != nil {
 		return 0, err
 	}
-	addrs, err := c.shardAddrs()
-	if err != nil {
-		return 0, err
-	}
+	shards := c.allShards()
 	if meta.repl {
-		n, err := c.client.RowCount(addrs[0], 0, table)
-		return int(n), err
+		shards = shards[:1]
 	}
-	total := 0
-	for s := 0; s < c.nShards; s++ {
-		n, err := c.client.RowCount(addrs[s], s, table)
-		if err != nil {
-			return 0, err
-		}
-		total += int(n)
-	}
-	return total, nil
+	var total atomic.Int64
+	err = c.eachShard(shards, func(s int, addr string) error {
+		n, err := c.client.RowCount(addr, s, table)
+		total.Add(n)
+		return err
+	})
+	return int(total.Load()), err
 }

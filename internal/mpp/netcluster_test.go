@@ -90,6 +90,20 @@ func TestNetClusterFailover(t *testing.T) {
 	}
 }
 
+// TestNetClusterRowsFailover: a row count that meets a dead node fails the
+// node over and asks the shards' new owners, like every other shard call.
+func TestNetClusterRowsFailover(t *testing.T) {
+	c, servers, _ := startNetCluster(t, 3, 6)
+	seedSales(t, c, 600, 0.5)
+	servers[1].Close()
+	if n, err := c.Rows("sales"); err != nil || n != 600 {
+		t.Fatalf("rows=%d err=%v across a node death, want 600", n, err)
+	}
+	if st := c.Stats(); st.Failovers != 1 {
+		t.Fatalf("failovers %d, want 1", st.Failovers)
+	}
+}
+
 // TestNetClusterInsertFailoverNoDuplicates kills a node WITHOUT telling
 // the coordinator, then inserts: the first attempt lands on the live
 // nodes and fails against the dead one, and the failover retry must

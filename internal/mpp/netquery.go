@@ -3,6 +3,8 @@ package mpp
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,8 +53,27 @@ func (c *NetCluster) QueryDialect(text string, d sql.Dialect) (*core.Result, err
 		}
 		return c.netBroadcast(st, d)
 	default:
+		if c.movesRows(st) {
+			return nil, fmt.Errorf("mpp: cannot UPDATE a distribution column cluster-wide; DELETE and INSERT the rows")
+		}
 		return c.netBroadcast(st, d)
 	}
+}
+
+// movesRows reports an UPDATE, alone or in a block, that assigns a
+// distributed table's distribution column: the row would stay on the shard
+// its old value hashed to, unseen by a statement pinned to the new value.
+func (c *NetCluster) movesRows(st sql.Statement) bool {
+	switch stmt := st.(type) {
+	case *sql.BeginBlockStmt:
+		return slices.ContainsFunc(stmt.Body, c.movesRows)
+	case *sql.UpdateStmt:
+		meta, err := c.tableMeta(stmt.Table)
+		return err == nil && !meta.repl && slices.ContainsFunc(stmt.Set, func(set sql.SetClause) bool {
+			return strings.EqualFold(set.Column, meta.schema[meta.distCol].Name)
+		})
+	}
+	return false
 }
 
 // netBroadcast runs a statement on every shard, summing affected rows.
@@ -165,7 +186,7 @@ func evalInsertRows(stmt *sql.InsertStmt, schema types.Schema, d sql.Dialect) ([
 // netSelect plans the statement (plan.go), counts its placement and runs
 // it. Whatever fails after that is the statement's error.
 func (c *NetCluster) netSelect(sel *sql.SelectStmt, d sql.Dialect, text string) (*core.Result, error) {
-	p := c.planSelect(sel)
+	p := c.planSelect(sel, d)
 	c.mu.Lock()
 	*p.path++
 	c.mu.Unlock()
@@ -235,19 +256,19 @@ func concatRows(results []*shardrpc.Result) []types.Row {
 	return rows
 }
 
-// pull runs one input's statement on every shard (one, for replicated
-// tables) and returns the results in shard order. Without stages each
-// shard answers over its own tables and a shard whose node dies is asked
-// again on its new owner. With stages the statement reads what the
+// pull runs one input's statement on its shards (every one unless the
+// plan names them) and returns the results in shard order. Without stages
+// each shard answers over its own tables and a shard whose node dies is
+// asked again on its new owner. With stages the statement reads what the
 // stages shuffled, so a death abandons the whole exchange: its inboxes
 // are dropped everywhere and everything is sent once more under a new
 // query id.
 func (c *NetCluster) pull(stages []input, in input, d sql.Dialect, text string) ([]*shardrpc.Result, error) {
-	shards := c.allShards()
-	if in.one {
-		shards = shards[:1]
+	shards := in.shards
+	if shards == nil {
+		shards = c.allShards()
 	}
-	results := make([]*shardrpc.Result, len(shards))
+	results := make([]*shardrpc.Result, c.nShards)
 	var ex shardrpc.Exchange // of the statement, when there are stages
 	ask := func(s int, addr string) (err error) {
 		req := shardrpc.ExecReq{ShardID: s, Dialect: d, Stmt: in.sel, SQL: text, WithStats: true}
@@ -263,7 +284,7 @@ func (c *NetCluster) pull(stages []input, in input, d sql.Dialect, text string) 
 		if err := c.eachShard(shards, ask); err != nil {
 			return nil, err
 		}
-		return results, nil
+		return slices.DeleteFunc(results, func(r *shardrpc.Result) bool { return r == nil }), nil
 	}
 	ex.Senders = len(shards)
 	for i, st := range stages {
@@ -289,8 +310,13 @@ func (c *NetCluster) pull(stages []input, in input, d sql.Dialect, text string) 
 				go func() {
 					defer wg.Done()
 					out := &shardrpc.ShuffleOutput{Stage: i, Keys: st.keys, Parts: parts, Sender: s}
-					_, errs[i] = c.client.Exec(addr, shardrpc.ExecReq{ShardID: s, Dialect: d, Stmt: st.sel,
+					res, err := c.client.Exec(addr, shardrpc.ExecReq{ShardID: s, Dialect: d, Stmt: st.sel,
 						Exchange: &shardrpc.Exchange{Query: ex.Query, Output: out}})
+					if errs[i] = err; err == nil {
+						c.mu.Lock()
+						c.stats.ShuffledRows += uint64(res.RowsAffected)
+						c.mu.Unlock()
+					}
 				}()
 			}
 			wg.Wait()

@@ -3,6 +3,7 @@ package mpp
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 
 	"dashdb/internal/shardrpc"
@@ -18,10 +19,13 @@ import (
 // are three placements of that one shape:
 //
 //	scatter       no stages; one pull running the partial statement over
-//	              the base tables; final merges the partials
-//	shuffle join  one stage per joined table, each SELECT * hash-shuffled
-//	              on its join key; the same pull over the two shuffle
-//	              inputs; the same final
+//	              the base tables — on the one shard that holds them when
+//	              the WHERE pins the distribution key; final merges the
+//	              partials
+//	shuffle join  one stage per joined table, each selecting its
+//	              single-table conjuncts and the columns the rest reads,
+//	              hash-shuffled on its join key; the same pull over the two
+//	              shuffle inputs; the same final
 //	gather        no stages; one SELECT * pull per table; the user's
 //	              statement as final
 //
@@ -39,7 +43,7 @@ type input struct {
 	name   string
 	schema types.Schema
 	sel    *sql.SelectStmt
-	one    bool  // every FROM table is replicated: shard 0 answers for all
+	shards []int // the shards that answer, nil for every one
 	keys   []int // stage: the ordinals its rows are hash-partitioned on
 }
 
@@ -54,22 +58,21 @@ const (
 // distributed, shuffle join for an equi-join of two distributed tables on
 // a client that has the exchange, gather for everything else — anything
 // cutSelect cannot express, any FROM item that is not a cluster table.
-func (c *NetCluster) planSelect(sel *sql.SelectStmt) *distSelect {
+func (c *NetCluster) planSelect(sel *sql.SelectStmt, d sql.Dialect) *distSelect {
 	if from, distributed, ok := c.fromTables(sel.From); ok {
 		if shard, final, ok := cutSelect(sel, from); ok {
 			names := make([]string, len(shard.Items))
 			for i, it := range shard.Items {
 				names[i] = it.Alias
 			}
-			partial := input{name: partialName, schema: shardrpc.Untyped(names), sel: shard, one: distributed == 0}
+			partial := input{name: partialName, schema: shardrpc.Untyped(names), sel: shard}
 			p := &distSelect{pulls: []input{partial}, final: final}
 			if distributed <= 1 {
-				p.path = &c.stats.FastPathQueries
+				p.pulls[0].shards, p.path = c.pin(shard.Where, from), &c.stats.FastPathQueries
 				return p
 			}
 			if _, local := c.client.(*localShards); !local {
-				if join, stages, ok := shuffleStages(sel, from); ok {
-					shard.From = []sql.FromItem{join}
+				if stages, ok := shuffleStages(shard, from, d); ok {
 					p.stages, p.path = stages, &c.stats.ShuffleJoins
 					return p
 				}
@@ -87,11 +90,47 @@ func (c *NetCluster) planSelect(sel *sql.SelectStmt) *distSelect {
 
 // scanInput is SELECT * FROM table, read by its consumer as name.
 func scanInput(name, table string, meta *tableMeta) input {
-	return input{name: name, schema: meta.schema, one: meta.repl, sel: &sql.SelectStmt{
+	in := input{name: name, schema: meta.schema, sel: &sql.SelectStmt{
 		Items: []sql.SelectItem{{Expr: &sql.Star{}}},
 		From:  []sql.FromItem{&sql.TableRef{Name: table}},
 		Limit: -1,
 	}}
+	if meta.repl {
+		in.shards = []int{0}
+	}
+	return in
+}
+
+// pin lists the shards a statement over at most one distributed table
+// must ask: the one Insert placed every row it can read on when a
+// top-level conjunct pins that table's distribution column to a non-NULL
+// literal of the column's kind; shard 0 when every table is replicated
+// (each shard holds them whole); nil, every shard, otherwise.
+func (c *NetCluster) pin(where sql.Expr, from fromScope) []int {
+	for _, cj := range sql.Conjuncts(where) {
+		eq, ok := cj.(*sql.BinaryOp)
+		if !ok || eq.Op != "=" {
+			continue
+		}
+		for _, side := range [][2]sql.Expr{{eq.Left, eq.Right}, {eq.Right, eq.Left}} {
+			ref, isRef := side[0].(*sql.ColumnRef)
+			lit, isLit := side[1].(*sql.Literal)
+			if !isRef || !isLit || ref.OuterJoin || lit.Val.IsNull() {
+				continue
+			}
+			if ti, ci, ok := from.resolve(ref); ok {
+				if meta := from[ti].meta; !meta.repl && ci == meta.distCol && lit.Val.Kind() == meta.schema[ci].Kind {
+					return []int{c.shardOf(meta, lit.Val)}
+				}
+			}
+		}
+	}
+	for _, t := range from {
+		if !t.meta.repl {
+			return nil
+		}
+	}
+	return []int{0}
 }
 
 // fromTable is one base table of a FROM clause.
@@ -200,37 +239,41 @@ func (f fromScope) expandStars(items []sql.SelectItem) (out []sql.SelectItem, ok
 // sequence read (every shard has its own counter).
 func needsWholeTable(sel *sql.SelectStmt) bool {
 	found := false
-	visit := func(e sql.Expr) bool {
+	walkSelect(sel, func(e sql.Expr) bool {
 		switch e.(type) {
 		case *sql.RownumExpr, *sql.SeqValExpr:
 			found = true
 		}
 		found = found || sql.SubqueryOf(e) != nil
 		return !found
+	})
+	return found
+}
+
+// walkSelect is sql.WalkExpr over every expression of one SELECT block:
+// items, WHERE, GROUP BY, HAVING, ORDER BY and each join's ON.
+func walkSelect(sel *sql.SelectStmt, visit func(sql.Expr) bool) {
+	exprs := append([]sql.Expr{sel.Where, sel.Having}, sel.GroupBy...)
+	for _, it := range sel.Items {
+		exprs = append(exprs, it.Expr)
+	}
+	for _, o := range sel.OrderBy {
+		exprs = append(exprs, o.Expr)
 	}
 	var walkFrom func(fi sql.FromItem)
 	walkFrom = func(fi sql.FromItem) {
 		if j, ok := fi.(*sql.JoinRef); ok {
 			walkFrom(j.Left)
 			walkFrom(j.Right)
-			sql.WalkExpr(j.On, visit)
+			exprs = append(exprs, j.On)
 		}
-	}
-	for _, it := range sel.Items {
-		sql.WalkExpr(it.Expr, visit)
-	}
-	sql.WalkExpr(sel.Where, visit)
-	sql.WalkExpr(sel.Having, visit)
-	for _, g := range sel.GroupBy {
-		sql.WalkExpr(g, visit)
-	}
-	for _, o := range sel.OrderBy {
-		sql.WalkExpr(o.Expr, visit)
 	}
 	for _, fi := range sel.From {
 		walkFrom(fi)
 	}
-	return found
+	for _, e := range exprs {
+		sql.WalkExpr(e, visit)
+	}
 }
 
 // cutSelect is the one statement builder: it cuts a SELECT into the
@@ -442,43 +485,126 @@ func (m *merger) mergeCall(fc *sql.FuncCall) sql.Expr {
 // shard joins one partition. Partition-wise joins are exact for INNER and
 // LEFT joins (matching keys land in the same partition; unmatched left
 // rows null-extend within theirs), and partial aggregation is correct
-// over any disjoint partitioning, so the cut statement runs unchanged
-// over join, the same join reading the two shuffle inputs (aliases
-// preserved so qualified references still bind).
-func shuffleStages(sel *sql.SelectStmt, from fromScope) (join *sql.JoinRef, stages []input, ok bool) {
-	if len(sel.From) != 1 || len(from) != 2 {
-		return nil, nil, false
+// over any disjoint partitioning, so the cut statement runs over the same
+// join reading the two shuffle inputs (aliases preserved so qualified
+// references still bind), less what the stages did for it.
+//
+// A stage ships only what the shard statement reads: a WHERE conjunct over
+// one table (readsOne) moves into its stage — either side of INNER, the
+// preserved side of LEFT — and each stage selects, in table order, its
+// join key and the columns the rest of shard reads (every column when a
+// reference may be its own but resolves to no single one).
+func shuffleStages(shard *sql.SelectStmt, from fromScope, d sql.Dialect) (stages []input, ok bool) {
+	if len(shard.From) != 1 || len(from) != 2 {
+		return nil, false
 	}
-	jr, ok := sel.From[0].(*sql.JoinRef)
+	jr, ok := shard.From[0].(*sql.JoinRef)
 	if !ok || (jr.Type != "INNER" && jr.Type != "LEFT") || len(jr.Using) > 0 {
-		return nil, nil, false
+		return nil, false
 	}
 	eq, ok := jr.On.(*sql.BinaryOp)
 	if !ok || eq.Op != "=" {
-		return nil, nil, false
+		return nil, false
 	}
 	keys := [2]int{-1, -1}
 	for _, side := range []sql.Expr{eq.Left, eq.Right} {
 		ref, isRef := side.(*sql.ColumnRef)
 		if !isRef {
-			return nil, nil, false
+			return nil, false
 		}
 		ti, ci, ok := from.resolve(ref)
 		if !ok {
-			return nil, nil, false
+			return nil, false
 		}
 		keys[ti] = ci
 	}
 	if keys[0] < 0 || keys[1] < 0 {
-		return nil, nil, false // both references name the same side
+		return nil, false // both references name the same side
 	}
-	join = &sql.JoinRef{Type: jr.Type, On: jr.On}
-	for i, name := range []string{shuffleBuildName, shuffleProbeName} {
-		st := scanInput(name, from[i].name, from[i].meta)
-		st.keys = []int{keys[i]}
+
+	var pushed [2][]sql.Expr
+	var kept []sql.Expr
+	for _, cj := range sql.Conjuncts(shard.Where) {
+		if ti := readsOne(cj, from, d); ti == 0 || (ti == 1 && jr.Type == "INNER") {
+			pushed[ti] = append(pushed[ti], cj)
+		} else {
+			kept = append(kept, cj)
+		}
+	}
+	shard.Where = and(kept)
+	shard.From = []sql.FromItem{&sql.JoinRef{Type: jr.Type, On: jr.On,
+		Left:  &sql.TableRef{Name: shuffleBuildName, Alias: from[0].alias},
+		Right: &sql.TableRef{Name: shuffleProbeName, Alias: from[1].alias}}}
+
+	var used [2][]bool // used[t][c]: the shard statement reads column c of table t
+	for ti, t := range from {
+		used[ti] = make([]bool, len(t.meta.schema))
+		used[ti][keys[ti]] = true
+	}
+	walkSelect(shard, func(x sql.Expr) bool {
+		if ref, isRef := x.(*sql.ColumnRef); isRef {
+			ti, ci, ok := from.resolve(ref)
+			for t := range from {
+				if !ok && (ref.Table == "" || strings.EqualFold(ref.Table, from[t].alias)) {
+					used[t] = slices.Repeat([]bool{true}, len(used[t]))
+				}
+			}
+			if ok {
+				used[ti][ci] = true
+			}
+		}
+		return true
+	})
+
+	for ti, name := range []string{shuffleBuildName, shuffleProbeName} {
+		t := from[ti]
+		st := input{name: name, sel: &sql.SelectStmt{Where: and(pushed[ti]), Limit: -1,
+			From: []sql.FromItem{&sql.TableRef{Name: t.name, Alias: t.alias}}}}
+		for ci, col := range t.meta.schema {
+			if ci == keys[ti] {
+				st.keys = []int{len(st.schema)}
+			}
+			if used[ti][ci] {
+				st.schema = append(st.schema, col)
+				st.sel.Items = append(st.sel.Items, sql.SelectItem{Expr: &sql.ColumnRef{Column: col.Name}})
+			}
+		}
 		stages = append(stages, st)
 	}
-	join.Left = &sql.TableRef{Name: shuffleBuildName, Alias: from[0].alias}
-	join.Right = &sql.TableRef{Name: shuffleProbeName, Alias: from[1].alias}
-	return join, stages, true
+	return stages, true
+}
+
+// readsOne is the one FROM table a conjunct reads, or -1: it reads no
+// column or both tables, a reference resolves to no single column, or it
+// holds a call that is not one of d's built-in scalar functions — a UDX
+// (user code, stateful) or an aggregate keeps its place.
+func readsOne(e sql.Expr, from fromScope, d sql.Dialect) int {
+	side, ok := -1, true
+	sql.WalkExpr(e, func(x sql.Expr) bool {
+		switch ex := x.(type) {
+		case *sql.ColumnRef:
+			ti, _, found := from.resolve(ex)
+			ok = ok && found && !ex.OuterJoin && (side < 0 || side == ti)
+			side = ti
+		case *sql.FuncCall:
+			_, err := sql.LookupFunc(ex.Name, d)
+			ok = ok && err == nil
+		}
+		return ok
+	})
+	if !ok {
+		return -1
+	}
+	return side
+}
+
+// and is the conjunction of cjs, nil for none.
+func and(cjs []sql.Expr) (out sql.Expr) {
+	for _, cj := range cjs {
+		if out != nil {
+			cj = &sql.BinaryOp{Op: "AND", Left: out, Right: cj}
+		}
+		out = cj
+	}
+	return out
 }

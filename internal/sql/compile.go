@@ -253,7 +253,7 @@ func (c *Compiler) compileSelectCore(sel *SelectStmt) (*compiled, error) {
 	}
 
 	// Split WHERE into conjuncts for pushdown and join detection.
-	conjuncts := splitConjuncts(sel.Where)
+	conjuncts := Conjuncts(sel.Where)
 	// Oracle ROWNUM <= n in WHERE becomes a limit.
 	rownumLimit := int64(-1)
 	conjuncts, rownumLimit = extractRownumLimit(conjuncts)
@@ -679,11 +679,21 @@ func cmpOpFor(op string) (encoding.CmpOp, bool) {
 // joins onto the executor's left-preserving operators and the planner
 // picks build sides and join order.
 func (c *Compiler) compileJoin(j *JoinRef, conjuncts *[]Expr) (*planned, error) {
-	left, err := c.compileFromItem(j.Left, conjuncts)
+	// A WHERE conjunct filters joined rows: pushed into the scan of an
+	// outer join's null-supplying side it would filter before the join, and
+	// the rows it rejects would come back null-extended instead of removed.
+	leftCj, rightCj, none := conjuncts, conjuncts, []Expr(nil)
+	switch j.Type {
+	case "LEFT":
+		rightCj = &none
+	case "RIGHT":
+		leftCj = &none
+	}
+	left, err := c.compileFromItem(j.Left, leftCj)
 	if err != nil {
 		return nil, err
 	}
-	right, err := c.compileFromItem(j.Right, conjuncts)
+	right, err := c.compileFromItem(j.Right, rightCj)
 	if err != nil {
 		return nil, err
 	}
@@ -720,7 +730,7 @@ func (c *Compiler) compileJoin(j *JoinRef, conjuncts *[]Expr) (*planned, error) 
 		kind = plan.RightOuterJoin
 	}
 
-	lk, rk, residual, err := c.extractEquiKeys(splitConjuncts(on), left.scope, right.scope)
+	lk, rk, residual, err := c.extractEquiKeys(Conjuncts(on), left.scope, right.scope)
 	if err != nil {
 		return nil, err
 	}
@@ -894,13 +904,14 @@ func (c *Compiler) combineComma(left, right *planned, conjuncts *[]Expr) (*plann
 
 // --- helpers ----------------------------------------------------------------
 
-// splitConjuncts flattens nested ANDs.
-func splitConjuncts(e Expr) []Expr {
+// Conjuncts flattens nested ANDs: the terms a predicate's rows must all
+// pass (nil for no predicate).
+func Conjuncts(e Expr) []Expr {
 	if e == nil {
 		return nil
 	}
 	if bo, ok := e.(*BinaryOp); ok && bo.Op == "AND" {
-		return append(splitConjuncts(bo.Left), splitConjuncts(bo.Right)...)
+		return append(Conjuncts(bo.Left), Conjuncts(bo.Right)...)
 	}
 	return []Expr{e}
 }

@@ -47,7 +47,7 @@ func (c *Compiler) CompileTablePredicate(where Expr, sch types.Schema) ([]column
 	if where == nil {
 		return nil, nil, nil
 	}
-	conjuncts := splitConjuncts(where)
+	conjuncts := Conjuncts(where)
 	var preds []columnar.Pred
 	var rest []Expr
 	for _, cj := range conjuncts {
