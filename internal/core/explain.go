@@ -151,10 +151,10 @@ func freezeOps(entries []planEntry) []telemetry.OpRecord {
 // collectOp walks the operator tree producing plan entries. Every expression
 // runs a batch at a time; an operator is tagged [row] when it holds a
 // stateful one (UDX, sequence, ROWNUM, subquery), whose calls run one at a
-// time in position order and keep a group-by above it serial, or — SORT —
-// keeps its input as rows, and [vectorized] otherwise. st carries the
-// counters of the StatsOp decorator the walk just unwrapped, and lands on the
-// entry of the operator it decorates.
+// time in position order and keep a group-by above it serial, and
+// [vectorized] otherwise. st carries the counters of the StatsOp decorator
+// the walk just unwrapped, and lands on the entry of the operator it
+// decorates.
 func collectOp(op exec.Operator, depth int, st *telemetry.OpStats, out *[]planEntry) {
 	// add appends the operator's entry and returns it for annotation.
 	add := func(text string) *planEntry {
@@ -249,7 +249,11 @@ func collectOp(op exec.Operator, depth int, st *telemetry.OpStats, out *[]planEn
 		e.analyzeExtra += fmt.Sprintf(" [groups=%d state=%d ids=%s]", groups, state, ids)
 		collectOp(o.Child, depth+1, nil, out)
 	case *exec.SortOp:
-		e := add(fmt.Sprintf("SORT [%d keys] [row]", len(o.Keys)))
+		keys := make([]exec.Expr, len(o.Keys))
+		for i, k := range o.Keys {
+			keys[i] = k.Expr
+		}
+		e := add(fmt.Sprintf("SORT [%d keys]", len(o.Keys)) + mode(keys...))
 		e.spillRuns, e.spillBytes = o.SpillStats()
 		collectOp(o.Child, depth+1, nil, out)
 	case *exec.LimitOp:

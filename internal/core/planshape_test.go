@@ -37,10 +37,12 @@ func seedFinancial(t testing.TB, s *Session) {
 // planShapes pins the physical tree of each benchmark statement class
 // (benchmark/workload.go) and of every block-tail shape. The entries were
 // recorded at e2dba3e, before a SELECT block became one plan tree, and
-// must not change — the tree is how "same plan" is checked — with two
+// must not change — the tree is how "same plan" is checked — with three
 // exceptions: DISTINCT at Parallelism 2 was serial there (plan.Distinct
 // had a lowering of its own that placed no dop; it is now the aggregate's),
-// and the last statement did not compile.
+// the last statement did not compile, and every SORT line read [row], the
+// tag of a sort whose state was rows (only the tag changed: SORT is [row]
+// now only over a stateful key).
 var planShapes = []struct {
 	name, q string
 	want    [2]string // EXPLAIN at Parallelism 1 and 2
@@ -57,12 +59,12 @@ PROJECT AMOUNT [vectorized]
 	{name: "scan",
 		q: `SELECT txn_type, COUNT(*), SUM(amount) FROM transactions WHERE txn_date >= DATE '2016-10-01' AND status = 'SETTLED' GROUP BY txn_type ORDER BY txn_type`,
 		want: [2]string{`
-SORT [1 keys] [row]
+SORT [1 keys] [vectorized]
   PROJECT TXN_TYPE, COUNT, SUM [vectorized]
     GROUP BY [1 keys, 2 aggregates] [vectorized] [compressed]
       COLUMNAR SCAN TRANSACTIONS [vectorized] [compressed] [pushdown: TXN_DATE >= 2016-10-01 AND STATUS = SETTLED] (est rows=162)
 `, `
-SORT [1 keys] [row]
+SORT [1 keys] [vectorized]
   PROJECT TXN_TYPE, COUNT, SUM [vectorized]
     GROUP BY [1 keys, 2 aggregates] [vectorized] [compressed] [dop=2]
       PARALLEL COLUMNAR SCAN TRANSACTIONS [dop=2] [vectorized] [compressed] [pushdown: TXN_DATE >= 2016-10-01 AND STATUS = SETTLED] (est rows=162)
@@ -70,12 +72,12 @@ SORT [1 keys] [row]
 	{name: "agg",
 		q: `SELECT status, COUNT(*), SUM(amount), AVG(amount) FROM transactions GROUP BY status ORDER BY status`,
 		want: [2]string{`
-SORT [1 keys] [row]
+SORT [1 keys] [vectorized]
   PROJECT STATUS, COUNT, SUM, AVG [vectorized]
     GROUP BY [1 keys, 3 aggregates] [vectorized] [compressed]
       COLUMNAR SCAN TRANSACTIONS [vectorized] [compressed] (est rows=2000)
 `, `
-SORT [1 keys] [row]
+SORT [1 keys] [vectorized]
   PROJECT STATUS, COUNT, SUM, AVG [vectorized]
     GROUP BY [1 keys, 3 aggregates] [vectorized] [compressed] [dop=2]
       PARALLEL COLUMNAR SCAN TRANSACTIONS [dop=2] [vectorized] [compressed] (est rows=2000)
@@ -84,13 +86,13 @@ SORT [1 keys] [row]
 		q: `SELECT account_id, COUNT(*), SUM(amount) FROM transactions GROUP BY account_id ORDER BY account_id FETCH FIRST 10 ROWS ONLY`,
 		want: [2]string{`
 LIMIT 10 OFFSET 0 [vectorized]
-  SORT [1 keys] [row]
+  SORT [1 keys] [vectorized]
     PROJECT ACCOUNT_ID, COUNT, SUM [vectorized]
       GROUP BY [1 keys, 2 aggregates] [vectorized]
         COLUMNAR SCAN TRANSACTIONS [vectorized] (est rows=2000)
 `, `
 LIMIT 10 OFFSET 0 [vectorized]
-  SORT [1 keys] [row]
+  SORT [1 keys] [vectorized]
     PROJECT ACCOUNT_ID, COUNT, SUM [vectorized]
       GROUP BY [1 keys, 2 aggregates] [vectorized] [dop=2]
         PARALLEL COLUMNAR SCAN TRANSACTIONS [dop=2] [vectorized] (est rows=2000)
@@ -98,14 +100,14 @@ LIMIT 10 OFFSET 0 [vectorized]
 	{name: "join",
 		q: `SELECT transactions.status, COUNT(*), SUM(transactions.amount) FROM transactions JOIN accounts ON transactions.account_id = accounts.account_id WHERE transactions.txn_date >= DATE '2016-06-01' AND accounts.sector = 'tech' GROUP BY transactions.status ORDER BY transactions.status`,
 		want: [2]string{`
-SORT [1 keys] [row]
+SORT [1 keys] [vectorized]
   PROJECT STATUS, COUNT, SUM [vectorized]
     GROUP BY [1 keys, 2 aggregates] [vectorized]
       HASH JOIN (INNER) [build=left] [reordered] (est rows=331)
         COLUMNAR SCAN TRANSACTIONS [vectorized] [compressed] [pushdown: TXN_DATE >= 2016-06-01] (est rows=1160)
         COLUMNAR SCAN ACCOUNTS [vectorized] [compressed] [pushdown: SECTOR = tech] (est rows=10)
 `, `
-SORT [1 keys] [row]
+SORT [1 keys] [vectorized]
   PROJECT STATUS, COUNT, SUM [vectorized]
     GROUP BY [1 keys, 2 aggregates] [vectorized]
       HASH JOIN (INNER) [build=left] [reordered] (est rows=331)
@@ -115,11 +117,11 @@ SORT [1 keys] [row]
 	{name: "sort",
 		q: `SELECT txn_id, amount FROM transactions WHERE txn_date >= DATE '2016-11-01' ORDER BY amount DESC, txn_id`,
 		want: [2]string{`
-SORT [2 keys] [row]
+SORT [2 keys] [vectorized]
   PROJECT TXN_ID, AMOUNT [vectorized]
     COLUMNAR SCAN TRANSACTIONS [vectorized] [pushdown: TXN_DATE >= 2016-11-01] (est rows=315)
 `, `
-SORT [2 keys] [row]
+SORT [2 keys] [vectorized]
   PROJECT TXN_ID, AMOUNT [vectorized]
     COLUMNAR SCAN TRANSACTIONS [vectorized] [pushdown: TXN_DATE >= 2016-11-01] (est rows=315)
 `}},
@@ -127,12 +129,12 @@ SORT [2 keys] [row]
 		q: `SELECT txn_id, amount FROM transactions WHERE txn_date >= DATE '2016-11-01' ORDER BY amount DESC, txn_id FETCH FIRST 100 ROWS ONLY`,
 		want: [2]string{`
 LIMIT 100 OFFSET 0 [vectorized]
-  SORT [2 keys] [row]
+  SORT [2 keys] [vectorized]
     PROJECT TXN_ID, AMOUNT [vectorized]
       COLUMNAR SCAN TRANSACTIONS [vectorized] [pushdown: TXN_DATE >= 2016-11-01] (est rows=315)
 `, `
 LIMIT 100 OFFSET 0 [vectorized]
-  SORT [2 keys] [row]
+  SORT [2 keys] [vectorized]
     PROJECT TXN_ID, AMOUNT [vectorized]
       COLUMNAR SCAN TRANSACTIONS [vectorized] [pushdown: TXN_DATE >= 2016-11-01] (est rows=315)
 `}},
@@ -168,12 +170,12 @@ GROUP BY [1 keys, 0 aggregates] [vectorized]
 		q: `SELECT txn_id FROM transactions WHERE txn_id < 50 ORDER BY amount`,
 		want: [2]string{`
 PROJECT TXN_ID [vectorized]
-  SORT [1 keys] [row]
+  SORT [1 keys] [vectorized]
     PROJECT TXN_ID, __sort0 [vectorized]
       COLUMNAR SCAN TRANSACTIONS [vectorized] [pushdown: TXN_ID < 50] (est rows=50)
 `, `
 PROJECT TXN_ID [vectorized]
-  SORT [1 keys] [row]
+  SORT [1 keys] [vectorized]
     PROJECT TXN_ID, __sort0 [vectorized]
       COLUMNAR SCAN TRANSACTIONS [vectorized] [pushdown: TXN_ID < 50] (est rows=50)
 `}},
@@ -181,13 +183,13 @@ PROJECT TXN_ID [vectorized]
 		q: `SELECT status FROM transactions GROUP BY status ORDER BY SUM(amount) DESC`,
 		want: [2]string{`
 PROJECT STATUS [vectorized]
-  SORT [1 keys] [row]
+  SORT [1 keys] [vectorized]
     PROJECT STATUS, __sort0 [vectorized]
       GROUP BY [1 keys, 1 aggregates] [vectorized] [compressed]
         COLUMNAR SCAN TRANSACTIONS [vectorized] [compressed] (est rows=2000)
 `, `
 PROJECT STATUS [vectorized]
-  SORT [1 keys] [row]
+  SORT [1 keys] [vectorized]
     PROJECT STATUS, __sort0 [vectorized]
       GROUP BY [1 keys, 1 aggregates] [vectorized] [compressed] [dop=2]
         PARALLEL COLUMNAR SCAN TRANSACTIONS [dop=2] [vectorized] [compressed] (est rows=2000)

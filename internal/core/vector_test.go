@@ -52,8 +52,8 @@ func TestExplainVectorized(t *testing.T) {
 // TestExplainRowFallbacks: an operator holding a stateful expression (a UDX)
 // calls it one position at a time and EXPLAIN says so with [row]; a pure
 // scalar function is [vectorized] like any kernel, and nothing around either
-// leaves the batch engine. MEDIAN ingests batches on one worker, and SORT,
-// whose state is rows, keeps its [row] tag.
+// leaves the batch engine. MEDIAN ingests batches on one worker, and SORT
+// is [row] only over a stateful key.
 func TestExplainRowFallbacks(t *testing.T) {
 	db := Open(Config{BufferPoolBytes: 16 << 20, Parallelism: 2})
 	if err := db.RegisterFunction("TRIPLE", 1, 1, func(args []types.Value) (types.Value, error) {
@@ -92,10 +92,21 @@ func TestExplainRowFallbacks(t *testing.T) {
 		t.Fatalf("a UDX aggregate argument must tag the group-by [row], one worker:\n%s", plan)
 	}
 
-	// ORDER BY keeps its input as rows.
+	// SORT keeps typed columns: [vectorized] over a bare or hidden column
+	// key, [row] when a key is stateful, which it evaluates once per batch.
 	plan = planOf(t, s, `EXPLAIN SELECT id FROM sales ORDER BY amount`)
+	if !strings.Contains(plan, "SORT [1 keys] [vectorized]") {
+		t.Fatalf("sort on a hidden column key must be [vectorized]:\n%s", plan)
+	}
+	plan = planOf(t, s, `EXPLAIN SELECT id FROM sales ORDER BY TRIPLE(id) DESC`)
 	if !strings.Contains(plan, "SORT [1 keys] [row]") {
-		t.Fatalf("sort must be [row]:\n%s", plan)
+		t.Fatalf("sort on a UDX key must be [row]:\n%s", plan)
+	}
+	r := mustExec(t, s, `SELECT id FROM sales ORDER BY TRIPLE(id) DESC`)
+	for i := 1; i < len(r.Rows); i++ {
+		if r.Rows[i-1][0].Int() < r.Rows[i][0].Int() {
+			t.Fatalf("ORDER BY TRIPLE(id) DESC out of order at %d: %v", i, r.Rows[i-1:i+1])
+		}
 	}
 }
 

@@ -1,11 +1,9 @@
 package exec
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -147,11 +145,9 @@ type GroupByOp struct {
 	adoptOnce sync.Once
 	shape     *keyShape
 
-	// What Open leaves for Next: the output columns indexed by group id, the
-	// ids in key order, and the emit cursor.
-	cols  []*vec.Vector
-	order []uint32
-	next  int
+	// What Open leaves for Next: the output columns indexed by group id, in
+	// key order.
+	sorted sortedCols
 	// For EXPLAIN ANALYZE, readable after Close: the number of groups, the
 	// bytes of group state the ingest tables held, and how the merged table
 	// found its ids.
@@ -186,7 +182,7 @@ func (g *GroupByOp) Open() error {
 	}
 	defer g.Child.Close()
 	g.adoptOnce = sync.Once{}
-	g.shape, g.cols, g.order, g.next, g.groups, g.state, g.ids = nil, nil, nil, 0, 0, 0, idsDirect
+	g.shape, g.sorted, g.groups, g.state, g.ids = nil, sortedCols{}, 0, 0, idsDirect
 	g.res = g.Gov.Acquire(mem.HashHeap)
 	tables := make([]*groupTable, g.Workers())
 	err := g.ingest(tables)
@@ -361,36 +357,36 @@ func (g *GroupByOp) merge(tables []*groupTable) (*groupTable, error) {
 	return final, nil
 }
 
-// emit builds the output columns, indexed by group id, and the order Next
-// hands the groups out in. Late materialization: code-valued key cells
-// decode here, once per distinct group, and BEFORE the sort —
-// frequency-partitioned dictionary codes are not globally order-preserving,
-// so sorting by code would not be sorting by value.
+// emit builds the output columns, indexed by group id, and puts the ids in
+// key order for Next. Late materialization: code-valued key cells decode
+// here, once per distinct group, and BEFORE the sort — frequency-partitioned
+// dictionary codes are not globally order-preserving, so sorting by code
+// would not be sorting by value.
 func (g *GroupByOp) emit(t *groupTable) error {
 	nk := len(g.GroupBy)
 	g.ids = t.ids
-	g.cols = make([]*vec.Vector, nk, nk+len(g.Aggs))
+	cols := make([]*vec.Vector, nk, nk+len(g.Aggs))
+	keys := make([]sortCol, nk)
 	doms := make([][]types.Value, nk)
-	for k := range g.cols {
+	for k := range cols {
 		kind := t.shape.kinds[k]
 		if t.ids == idsBytes && !t.shape.code[k] {
 			kind = types.KindNull // cells keep the kind they arrived with
 		}
-		g.cols[k] = vec.New(kind, t.n)
+		cols[k] = vec.New(kind, t.n)
+		keys[k] = sortCol{v: cols[k]}
 		if t.shape.code[k] {
 			doms[k] = t.shape.dicts[k].Snapshot()
 		}
 	}
 	var cells types.Row
-	g.order = make([]uint32, t.n)
-	for id := range g.order {
-		g.order[id] = uint32(id)
+	for id := 0; id < t.n; id++ {
 		cells = t.keyCells(cells[:0], uint32(id))
 		for k, c := range cells {
 			if doms[k] != nil && !c.IsNull() {
 				c = doms[k][c.Int()]
 			}
-			g.cols[k].Set(id, c)
+			cols[k].Set(id, c)
 		}
 	}
 	for _, l := range t.lanes {
@@ -412,67 +408,12 @@ func (g *GroupByOp) emit(t *groupTable) error {
 			}
 			col = boxed
 		}
-		g.cols = append(g.cols, col)
+		cols = append(cols, col)
 	}
-	keys := g.cols[:nk]
-	g.groups = len(g.order)
-	slices.SortFunc(g.order, func(a, b uint32) int {
-		for _, kc := range keys {
-			if c := compareAt(kc, int(a), int(b)); c != 0 {
-				return c
-			}
-		}
-		return 0
-	})
+	g.groups = t.n
+	g.sorted = sortedCols{cols: cols}
+	g.sorted.sort(keys, t.n) // the keys are unique: the id tiebreak never decides
 	return nil
-}
-
-// compareAt orders two positions of a column as types.Compare orders their
-// values: NULLs first, NaNs last.
-func compareAt(v *vec.Vector, a, b int) int {
-	if an, bn := v.IsNull(a), v.IsNull(b); an || bn {
-		return btoi(bn) - btoi(an)
-	}
-	switch {
-	case v.I64 != nil:
-		return cmp.Compare(v.I64[a], v.I64[b])
-	case v.F64 != nil:
-		return btoi(lessF64(v.F64[b], v.F64[a])) - btoi(lessF64(v.F64[a], v.F64[b]))
-	case v.Str != nil:
-		return strings.Compare(v.Str[a], v.Str[b])
-	}
-	return types.Compare(v.Any[a], v.Any[b])
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// gather copies the listed positions of a column into a new vector.
-func gather(src *vec.Vector, ids []uint32) *vec.Vector {
-	kind := src.Kind
-	if src.Any != nil {
-		kind = types.KindNull
-	}
-	out := vec.New(kind, len(ids))
-	for j, id := range ids {
-		switch i := int(id); {
-		case src.IsNull(i):
-			out.SetNull(j)
-		case src.I64 != nil:
-			out.I64[j] = src.I64[i]
-		case src.F64 != nil:
-			out.F64[j] = src.F64[i]
-		case src.Str != nil:
-			out.Str[j] = src.Str[i]
-		default:
-			out.Any[j] = src.Any[i]
-		}
-	}
-	return out
 }
 
 // CodeKeyed reports whether ingest can group at least one key on dictionary
@@ -511,18 +452,7 @@ func (g *GroupByOp) GroupStats() (groups int, state int64, ids string) {
 }
 
 // Next implements Operator: the next ChunkSize groups in key order.
-func (g *GroupByOp) Next() (*vec.Batch, error) {
-	if g.next >= len(g.order) {
-		return nil, nil
-	}
-	ids := g.order[g.next:min(g.next+ChunkSize, len(g.order))]
-	g.next += len(ids)
-	cols := make([]*vec.Vector, len(g.cols))
-	for c, col := range g.cols {
-		cols[c] = gather(col, ids)
-	}
-	return vec.NewBatch(g.Schema(), cols, len(ids)), nil
-}
+func (g *GroupByOp) Next() (*vec.Batch, error) { return g.sorted.batch(g.Schema()), nil }
 
 // SpillStats reports runs and bytes spilled, for EXPLAIN ANALYZE. Valid
 // after Close (counters outlive the reservation's grant).
@@ -541,6 +471,6 @@ func (g *GroupByOp) Close() error {
 	}
 	g.files = nil
 	g.res.Close()
-	g.cols, g.order = nil, nil
+	g.sorted = sortedCols{}
 	return firstErr
 }

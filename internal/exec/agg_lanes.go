@@ -433,12 +433,7 @@ type minmaxLane struct {
 	seen bitset
 }
 
-func (l *minmaxLane) width() int64 {
-	if l.kind == types.KindNull {
-		return 49
-	}
-	return 9
-}
+func (l *minmaxLane) width() int64 { return kindWidth[l.kind] }
 
 func (l *minmaxLane) grow(n int) {
 	switch l.kind {

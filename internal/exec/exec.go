@@ -5,10 +5,11 @@
 // filters narrow a selection vector, projections evaluate a column at a
 // time, and every expression runs over whole batches (Expr is EvalVec alone):
 // one without a typed kernel is an ApplyExpr, whose arguments are vectors and
-// whose function runs once per live position. Operators whose state is rows
-// (sort, joins) box a row out of a batch only where they keep it, and emit
-// batches that wrap the rows they hold; grouping keeps typed columns indexed
-// by group id (agg_table.go, agg_lanes.go) and emits typed vectors. Joins and
+// whose function runs once per live position. The joins, whose state is rows,
+// box a row out of a batch only where they keep it, and emit batches that
+// wrap the rows they hold; grouping and sorting keep typed columns indexed by
+// id (agg_table.go, agg_lanes.go, sort.go) and emit typed vectors through one
+// order-and-gather (sortedCols). Joins and
 // grouping use partitioned hash algorithms in the style of Hybrid Hash Join:
 // state belongs to one of a fixed fan-out of 64 hash partitions charged
 // against the session's hash heap, a partition spills when the heap is

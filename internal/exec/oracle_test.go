@@ -189,6 +189,41 @@ func oracleProject(t testing.TB, rows []types.Row, exprs []Expr) []types.Row {
 	return out
 }
 
+// oracleSort is ORDER BY row by row, the way SortOp once ran it: every
+// row's key values boxed into a key row of their own, sort.SliceStable over
+// the row positions with types.Compare key by key, a DESC key's comparison
+// flipped. Equal keys keep input order.
+func oracleSort(t testing.TB, rows []types.Row, keys []SortKey) []types.Row {
+	t.Helper()
+	exprs := make([]Expr, len(keys))
+	for j, k := range keys {
+		exprs[j] = k.Expr
+	}
+	keyRows := oracleProject(t, rows, exprs)
+	idx := make([]int, len(rows))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		for j, k := range keys {
+			c := types.Compare(keyRows[idx[a]][j], keyRows[idx[b]][j])
+			if c == 0 {
+				continue
+			}
+			if k.Desc {
+				return c > 0
+			}
+			return c < 0
+		}
+		return false
+	})
+	out := make([]types.Row, len(rows))
+	for i, ix := range idx {
+		out[i] = rows[ix]
+	}
+	return out
+}
+
 // errOracleOverflow is what oracleGroupByErr reports when an integer SUM's
 // exact total leaves int64: the operator's answer is then an error too.
 var errOracleOverflow = errors.New("oracle: integer SUM total outside int64")

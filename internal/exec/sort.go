@@ -1,9 +1,10 @@
 package exec
 
 import (
-	"container/heap"
+	"cmp"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 
 	"dashdb/internal/encoding"
 	"dashdb/internal/mem"
@@ -17,31 +18,155 @@ type SortKey struct {
 	Desc bool
 }
 
-// SortOp emits its input ordered by the sort keys. NULLs sort first
-// ascending (types.Compare convention), last descending. Its state is rows:
-// it evaluates the keys over each input batch, boxes each live position once
-// beside its key values, and emits row-built batches.
+// sortCol is one key of an order: a column indexed by id, and its direction.
+type sortCol struct {
+	v    *vec.Vector
+	desc bool
+}
+
+// keyOrder orders ids a and b by the keys — compareAt per key, DESC applied
+// here and nowhere else — and then by id, so equal keys keep id order.
+func keyOrder(keys []sortCol, a, b int) int {
+	for _, k := range keys {
+		if c := compareAt(k.v, a, b); c != 0 {
+			if k.desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return cmp.Compare(a, b)
+}
+
+// sortedCols is the executor's one order-and-gather emit, shared by SortOp
+// and GroupByOp: output columns indexed by id, the ids in key order, and the
+// emit cursor.
+type sortedCols struct {
+	cols  []*vec.Vector
+	order []uint32
+	next  int
+}
+
+// sort puts ids 0..n-1 in key order and rewinds the cursor.
+func (s *sortedCols) sort(keys []sortCol, n int) {
+	s.order, s.next = make([]uint32, n), 0
+	for id := range s.order {
+		s.order[id] = uint32(id)
+	}
+	slices.SortFunc(s.order, func(a, b uint32) int { return keyOrder(keys, int(a), int(b)) })
+}
+
+// batch gathers the next ChunkSize ids in order into typed vectors; nil
+// after the last.
+func (s *sortedCols) batch(sch types.Schema) *vec.Batch {
+	if s.next >= len(s.order) {
+		return nil
+	}
+	ids := s.order[s.next:min(s.next+ChunkSize, len(s.order))]
+	s.next += len(ids)
+	cols := make([]*vec.Vector, len(s.cols))
+	for c, col := range s.cols {
+		cols[c] = vec.New(col.Kind, len(ids))
+		put(cols[c], col, 0, ids, 0, len(ids))
+	}
+	return vec.NewBatch(sch, cols, len(ids))
+}
+
+// compareAt orders two positions of a column as types.Compare orders their
+// values: NULLs first, NaNs last.
+func compareAt(v *vec.Vector, a, b int) int {
+	if an, bn := v.IsNull(a), v.IsNull(b); an || bn {
+		return btoi(bn) - btoi(an)
+	}
+	switch {
+	case v.I64 != nil:
+		return cmp.Compare(v.I64[a], v.I64[b])
+	case v.F64 != nil:
+		return btoi(lessF64(v.F64[b], v.F64[a])) - btoi(lessF64(v.F64[a], v.F64[b]))
+	case v.Str != nil:
+		return strings.Compare(v.Str[a], v.Str[b])
+	}
+	return types.Compare(v.Any[a], v.Any[b])
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// put copies rows j0..j1-1 of src — positions through sel, nil for the
+// dense range — to dst from row to: the executor's one typed row copy, which
+// sort ingest, buffer growth and the emit gather run through. dst is boxed
+// or has src's payload (bufKind); src is not a code vector.
+func put[I int | uint32](dst, src *vec.Vector, to int, sel []I, j0, j1 int) {
+	for j := j0; j < j1; j, to = j+1, to+1 {
+		i := j
+		if sel != nil {
+			i = int(sel[j])
+		}
+		switch {
+		case dst.Any != nil:
+			dst.Any[to] = src.Get(i)
+		case src.IsNull(i):
+			dst.SetNull(to)
+		case dst.I64 != nil:
+			dst.I64[to] = src.I64[i]
+		case dst.F64 != nil:
+			dst.F64[to] = src.F64[i]
+		default:
+			dst.Str[to] = src.Str[i]
+		}
+	}
+}
+
+// bufKind is the kind of a buffer that holds buf's rows and then v's: buf's
+// own, or boxed (KindNull) when v's payload is not buf's — a UNION ALL of
+// BIGINT and DOUBLE, a row-built batch, a constant. Boxing keeps every cell
+// as it is, typed NULLs included.
+func bufKind(buf, v *vec.Vector) types.Kind {
+	if buf.Any != nil || (v.Kind == buf.Kind && typedVec(v)) {
+		return buf.Kind
+	}
+	return types.KindNull
+}
+
+// kindWidth is the bytes charged a row of capacity of a column of kind k
+// (KindNull: boxed): its payload and a null bit, rounded up. Strings' bytes
+// are charged apart, as they arrive.
+var kindWidth = [...]int64{types.KindNull: 49, types.KindBool: 9, types.KindInt: 9, types.KindFloat: 9,
+	types.KindString: 17, types.KindDate: 9, types.KindTimestamp: 9}
+
+// SortOp emits its input stably ordered by the sort keys: NULLs first
+// ascending (types.Compare convention), last descending. Its state is typed
+// columns — one buffer per output column and per key that is not a bare
+// column, rows appended a batch at a time through put — and it emits through
+// sortedCols, as GroupByOp does.
 //
-// With a nil Gov it buffers everything in memory. With a governor it
-// becomes an external merge sort: input rows
-// accumulate in a buffer charged against a SORTHEAP reservation; when a
-// Grow is denied the buffer is sorted and spilled as one run (data row ++
-// precomputed key values, rowcodec-encoded into a mem.SpillFile), and
-// after the input is drained the runs are k-way merged on Next. Keys are
-// computed once at ingest and carried through the spill, so merge
-// comparisons never re-evaluate expressions.
+// With a governor the buffers charge a SORTHEAP reservation, before rows are
+// copied, for every buffer they allocate — each capacity doubling in full
+// (kindWidth a column, 4 B of order) and a buffer boxed in place — and for
+// the strings the rows bring; nothing is credited back until a spill drops
+// the buffers. A denied charge sorts the buffered rows and spills them as one
+// rowcodec run — the data cells, then the cells of the keys that are not
+// bare columns — and Next k-way merges the runs, comparing their key cells
+// through keyOrder, never re-evaluating a key.
 type SortOp struct {
 	Child Operator
 	Keys  []SortKey
 	Gov   *mem.Governor
 
-	res  *mem.Reservation
-	rows []types.Row
-	keys []types.Row
-	out  rowQueue // the sorted buffer, when nothing spilled
+	res    *mem.Reservation
+	keyCol []int         // the buffer each key reads
+	bufs   []*vec.Vector // output columns, then computed keys; rows 0..n-1 of cap
+	n, cap int
+	out    sortedCols // the buffered rows in key order, when nothing spilled
 
-	runs   []*sortRun
-	merged *runHeap
+	runs    []*sortRun
+	runKeys []sortCol  // every run's current key cells, at the run's seq
+	live    []*sortRun // the runs not at their end, in merge order (push)
+	merged  rowQueue
 }
 
 // sortRun is one spilled, sorted run being replayed during the merge.
@@ -50,19 +175,6 @@ type sortRun struct {
 	rd   *encoding.RowReader
 	seq  int       // run creation order, the stability tiebreak
 	row  types.Row // current data row
-	key  types.Row // current key values
-}
-
-func (r *sortRun) advance(nCols int) (bool, error) {
-	combined, err := r.rd.ReadRow()
-	if err == io.EOF {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	r.row, r.key = combined[:nCols:nCols], combined[nCols:]
-	return true, nil
 }
 
 // Schema implements Operator.
@@ -76,10 +188,18 @@ func (s *SortOp) Open() error {
 	}
 	defer s.Child.Close()
 	s.res = s.Gov.Acquire(mem.SortHeap)
-
-	var bufBytes int64
-	var in []types.Row // the rows of one child batch
-	keyVecs := make([]*vec.Vector, len(s.Keys))
+	nCols := len(s.Schema())
+	var computed []Expr
+	s.keyCol = make([]int, len(s.Keys))
+	for j, k := range s.Keys {
+		c, ok := k.Expr.(ColRef)
+		if !ok || int(c) < 0 || int(c) >= nCols {
+			c = ColRef(nCols + len(computed))
+			computed = append(computed, k.Expr)
+		}
+		s.keyCol[j] = int(c)
+	}
+	in := make([]*vec.Vector, nCols+len(computed))
 	for {
 		vb, err := s.Child.Next()
 		if err != nil {
@@ -88,162 +208,180 @@ func (s *SortOp) Open() error {
 		if vb == nil {
 			break
 		}
-		for j, k := range s.Keys {
-			if keyVecs[j], err = k.Expr.EvalVec(vb); err != nil {
+		for j, e := range computed {
+			if in[nCols+j], err = e.EvalVec(vb); err != nil {
 				return err
 			}
 		}
-		in = vb.AppendRows(in[:0])
-		for n, i := range vb.Idx() {
-			r := in[n]
-			ks := make(types.Row, len(s.Keys))
-			for j, kv := range keyVecs {
-				ks[j] = kv.Get(i)
-			}
-			charge := mem.RowBytes(r) + mem.RowBytes(ks)
-			if !s.res.Grow(charge) {
-				if len(s.rows) > 0 {
-					if err := s.spillRun(); err != nil {
-						return err
-					}
-					s.res.Shrink(bufBytes)
-					bufBytes = 0
-				}
-				if !s.res.Grow(charge) {
-					// A single row larger than the heap: over-grant
-					// rather than fail.
-					s.res.MustGrow(charge)
-				}
-			}
-			bufBytes += charge
-			s.rows = append(s.rows, r)
-			s.keys = append(s.keys, ks)
+		for c := range nCols {
+			in[c] = vb.Col(c)
 		}
-	}
-
-	if len(s.runs) == 0 {
-		// Everything fit: plain in-memory sort.
-		s.sortBuffer()
-		s.out.rows = s.rows
-		return nil
-	}
-	// Spill the final run too and merge uniformly from disk.
-	if len(s.rows) > 0 {
-		if err := s.spillRun(); err != nil {
+		if err := s.add(in, vb.Sel, vb.Rows()); err != nil {
 			return err
 		}
-		s.res.Shrink(bufBytes)
+	}
+	if len(s.runs) == 0 {
+		s.sortBuf()
+		return nil
+	}
+	if s.n > 0 {
+		if err := s.spill(); err != nil {
+			return err
+		}
 	}
 	return s.openMerge()
 }
 
-// sortBuffer stably sorts s.rows/s.keys in place by the sort keys.
-func (s *SortOp) sortBuffer() {
-	idx := make([]int, len(s.rows))
-	for i := range idx {
-		idx[i] = i
+// add appends the live rows of a batch's vectors to the buffers, which take
+// their payload kinds from the batch that starts them. Each chunk of rows is
+// charged before it is copied: the buffers it allocates — a doubling, or a
+// buffer it boxes — and its strings. A denied charge spills what is
+// buffered. A chunk at most doubles the rows held, so the row that starts
+// the buffers comes alone: it alone is over-granted rather than failed.
+func (s *SortOp) add(in []*vec.Vector, sel []int, rows int) error {
+	for done := 0; done < rows; {
+		if s.bufs == nil {
+			s.bufs = make([]*vec.Vector, len(in))
+			for c, v := range in {
+				s.bufs[c] = vec.New(v.Kind, 0)
+			}
+		}
+		n := s.cap
+		if s.n == n {
+			n = max(minGroups, 2*n)
+		}
+		m := min(rows-done, n-s.n, max(s.n, 1)) // at most doubling the rows held
+		var need int64
+		if n > s.cap {
+			need = 4 * int64(n) // the rows' places in the order
+		}
+		for c, v := range in {
+			if k := bufKind(s.bufs[c], v); k != s.bufs[c].Kind || n > s.cap {
+				need += kindWidth[k] * int64(n) // a new buffer
+			}
+			if v.Materialize(); v.I64 == nil && v.F64 == nil {
+				for j := done; j < done+m; j++ {
+					if x := v.Get(at(sel, j)); x.Kind() == types.KindString && !x.IsNull() {
+						need += int64(len(x.Str()))
+					}
+				}
+			}
+		}
+		if need > 0 && !s.res.Grow(need) {
+			if s.n > 0 {
+				if err := s.spill(); err != nil {
+					return err
+				}
+				continue
+			}
+			s.res.MustGrow(need)
+		}
+		for c, v := range in {
+			if buf, k := s.bufs[c], bufKind(s.bufs[c], v); k != buf.Kind || n > s.cap {
+				grown := vec.New(k, n)
+				put(grown, buf, 0, []int(nil), 0, s.n)
+				*buf = *grown
+			}
+			put(s.bufs[c], v, s.n, sel, done, done+m)
+		}
+		s.n, s.cap, done = s.n+m, n, done+m
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return s.keyLess(s.keys[idx[a]], s.keys[idx[b]])
-	})
-	rows := make([]types.Row, len(s.rows))
-	keys := make([]types.Row, len(s.keys))
-	for i, ix := range idx {
-		rows[i] = s.rows[ix]
-		keys[i] = s.keys[ix]
-	}
-	s.rows, s.keys = rows, keys
+	return nil
 }
 
-func (s *SortOp) keyLess(ka, kb types.Row) bool {
-	for j := range s.Keys {
-		c := types.Compare(ka[j], kb[j])
-		if c == 0 {
-			continue
-		}
-		if s.Keys[j].Desc {
-			return c > 0
-		}
-		return c < 0
+// sortBuf puts the buffered rows in key order.
+func (s *SortOp) sortBuf() {
+	if s.n == 0 {
+		return
 	}
-	return false
+	keys := make([]sortCol, len(s.Keys))
+	for j, k := range s.Keys {
+		keys[j] = sortCol{v: s.bufs[s.keyCol[j]], desc: k.Desc}
+	}
+	s.out = sortedCols{cols: s.bufs[:len(s.Schema())]}
+	s.out.sort(keys, s.n)
 }
 
-// spillRun sorts the current buffer and writes it to a fresh spill file as
-// combined rows (data ++ keys), then resets the buffer.
-func (s *SortOp) spillRun() error {
-	s.sortBuffer()
+// spill writes the buffered rows to a fresh spill file as one sorted run,
+// every buffer's cells a row, and drops the buffers and their charge.
+func (s *SortOp) spill() error {
+	s.sortBuf()
 	f, err := s.res.NewSpillFile("sort")
 	if err != nil {
 		return err
 	}
+	s.runs = append(s.runs, &sortRun{file: f, seq: len(s.runs)})
 	w := encoding.NewRowWriter(f)
-	combined := make(types.Row, 0, len(s.Schema())+len(s.Keys))
-	for i, r := range s.rows {
-		combined = append(combined[:0], r...)
-		combined = append(combined, s.keys[i]...)
-		if _, err := w.WriteRow(combined); err != nil {
-			f.Close()
+	row := make(types.Row, len(s.bufs))
+	for _, id := range s.out.order {
+		for c, v := range s.bufs {
+			row[c] = v.Get(int(id))
+		}
+		if _, err := w.WriteRow(row); err != nil {
 			return err
 		}
 	}
 	s.res.NoteSpill(f.Size())
-	s.runs = append(s.runs, &sortRun{file: f, seq: len(s.runs)})
-	s.rows = s.rows[:0]
-	s.keys = s.keys[:0]
+	s.res.Shrink(s.res.Used())
+	s.bufs, s.n, s.cap, s.out = nil, 0, 0, sortedCols{}
 	return nil
 }
 
-// openMerge rewinds every run and primes the k-way merge heap.
+// openMerge rewinds every run and files each in the merge.
 func (s *SortOp) openMerge() error {
-	nCols := len(s.Child.Schema())
-	s.merged = &runHeap{op: s}
+	s.runKeys = make([]sortCol, len(s.Keys))
+	for j, k := range s.Keys {
+		s.runKeys[j] = sortCol{v: vec.New(types.KindNull, len(s.runs)), desc: k.Desc}
+	}
 	for _, run := range s.runs {
 		if err := run.file.Rewind(); err != nil {
 			return err
 		}
 		run.rd = encoding.NewRowReader(run.file)
-		ok, err := run.advance(nCols)
-		if err != nil {
+		if err := s.push(run); err != nil {
 			return err
 		}
-		if ok {
-			s.merged.runs = append(s.merged.runs, run)
-		}
 	}
-	heap.Init(s.merged)
-	s.rows, s.keys = nil, nil
+	return nil
+}
+
+// push reads run's next row, files its key cells at the run's seq in
+// runKeys and the run in live, or closes the run at its end. live holds the
+// runs last-first by keyOrder over those cells, the run seq as the id: among
+// equal keys the earlier run (earlier input rows) comes first, so the merge
+// is stable.
+func (s *SortOp) push(run *sortRun) error {
+	row, err := run.rd.ReadRow()
+	if err == io.EOF {
+		return run.file.Close()
+	}
+	if err != nil {
+		return err
+	}
+	nCols := len(s.Schema())
+	run.row = row[:nCols:nCols]
+	for j, c := range s.keyCol {
+		s.runKeys[j].v.Any[run.seq] = row[c]
+	}
+	i, _ := slices.BinarySearchFunc(s.live, run, func(a, b *sortRun) int { return keyOrder(s.runKeys, b.seq, a.seq) })
+	s.live = slices.Insert(s.live, i, run)
 	return nil
 }
 
 // Next implements Operator.
 func (s *SortOp) Next() (*vec.Batch, error) {
-	if s.merged == nil {
-		return s.out.next(s.Schema(), true), nil
+	if len(s.runs) == 0 {
+		return s.out.batch(s.Schema()), nil
 	}
-	if s.merged.Len() == 0 {
-		return nil, nil
-	}
-	nCols := len(s.Child.Schema())
-	// A fresh slice per batch: the rows go to the consumer.
-	out := make([]types.Row, 0, ChunkSize)
-	for len(out) < ChunkSize && s.merged.Len() > 0 {
-		run := s.merged.runs[0]
-		out = append(out, run.row)
-		ok, err := run.advance(nCols)
-		if err != nil {
+	for len(s.merged.rows) < ChunkSize && len(s.live) > 0 {
+		run := s.live[len(s.live)-1]
+		s.live = s.live[:len(s.live)-1]
+		s.merged.rows = append(s.merged.rows, run.row)
+		if err := s.push(run); err != nil {
 			return nil, err
 		}
-		if ok {
-			heap.Fix(s.merged, 0)
-		} else {
-			heap.Pop(s.merged)
-			if err := run.file.Close(); err != nil {
-				return nil, err
-			}
-		}
 	}
-	return vec.FromRows(s.Schema(), out), nil
+	return s.merged.next(s.Schema(), true), nil
 }
 
 // SpillStats reports runs and bytes spilled, for EXPLAIN ANALYZE. Valid
@@ -261,41 +399,8 @@ func (s *SortOp) Close() error {
 			firstErr = err
 		}
 	}
-	s.runs, s.merged = nil, nil
-	s.rows, s.keys, s.out.rows = nil, nil, nil
+	s.runs, s.live, s.merged = nil, nil, rowQueue{}
+	s.bufs, s.n, s.cap, s.out = nil, 0, 0, sortedCols{}
 	s.res.Close()
 	return firstErr
-}
-
-// runHeap is the k-way merge priority queue, ordered by sort keys with the
-// run sequence number as tiebreak (earlier run = earlier input rows, which
-// preserves the stability of the in-memory path).
-type runHeap struct {
-	op   *SortOp
-	runs []*sortRun
-}
-
-func (h *runHeap) Len() int { return len(h.runs) }
-func (h *runHeap) Less(i, j int) bool {
-	a, b := h.runs[i], h.runs[j]
-	if h.op.keyLess(a.key, b.key) {
-		return true
-	}
-	if h.op.keyLess(b.key, a.key) {
-		return false
-	}
-	return a.seq < b.seq
-}
-func (h *runHeap) Swap(i, j int) { h.runs[i], h.runs[j] = h.runs[j], h.runs[i] }
-
-func (h *runHeap) Push(x any) {
-	if run, ok := x.(*sortRun); ok {
-		h.runs = append(h.runs, run)
-	}
-}
-func (h *runHeap) Pop() any {
-	n := len(h.runs)
-	r := h.runs[n-1]
-	h.runs = h.runs[:n-1]
-	return r
 }

@@ -130,11 +130,12 @@ func TestExternalSortMatchesInMemory(t *testing.T) {
 			n = 0 // empty input under a governor must still work
 		}
 		rows := mixedRows(rng, n)
-		// Sort key is the duplicate-heavy NULL-bearing int column only: NaN
-		// is not totally ordered, so a NaN key would let two correct sorts
-		// order rows differently. NaN still rides through the codec as
-		// payload, which is the bit-exactness property under test.
-		keys := []SortKey{{Expr: ColRef(0)}}
+		// The duplicate-heavy NULL-bearing int column, then the float column
+		// descending: types.Compare orders NaN above every number and equal
+		// to itself (TestNaNSortsHigh), so a NaN key is as total as any
+		// other. NaN rides through the codec in a cell the merge compares,
+		// which is the bit-exactness property under test.
+		keys := []SortKey{{Expr: ColRef(0)}, {Expr: ColRef(2), Desc: true}}
 
 		want, err := Drain(&SortOp{Child: NewValues(mixedSchema(), rows), Keys: keys})
 		if err != nil {

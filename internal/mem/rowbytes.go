@@ -15,8 +15,8 @@ const valueSize = int64(unsafe.Sizeof(types.Value{}))
 // rowHeaderSize is the slice header of a types.Row.
 const rowHeaderSize = int64(unsafe.Sizeof(types.Row{}))
 
-// RowBytes is the single row-sizing helper shared by the sort and join
-// reservations (group-by charges the columns it allocates, not rows). It
+// RowBytes is the row-sizing helper of the join reservations, whose state
+// is rows (group-by and sort charge the columns they allocate). It
 // charges the slice header, the full boxed Value array (every element
 // carries the union payload and string header whether or not that arm is in
 // use), and the out-of-line string bytes.

@@ -31,6 +31,12 @@ go test -race ./...
 # Low-memory gate: cap SORTHEAP at 1 MiB and HASHHEAP at 64 KB, which forces
 # the external sort and the group-by partition spill under the engine suites'
 # larger queries, and re-run the spill-parity property tests under race.
+# Sort buffers are typed columns charged as allocated (22 B a row of every
+# capacity reached for two numeric columns), so a 1 MiB sort spills past
+# 16 384 rows:
+# TestMemoryGovernorSQL's default-heap `SELECT id FROM sales ORDER BY amount,
+# id` over 20 000 rows shows `SORT [2 keys] [vectorized] ... [spill: runs=2,
+# ...]` in EXPLAIN ANALYZE.
 # Group state is charged as allocated (16-100 B a group), so the suites'
 # largest group-by — TestDistinctSpills' `SELECT id, region ... UNION ...`,
 # 6 000 groups, 237 KB of state — fits 1 MiB; at 64 KB its EXPLAIN ANALYZE
