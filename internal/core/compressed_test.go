@@ -104,8 +104,13 @@ func TestExplainAnalyzeCompressedCounters(t *testing.T) {
 	mustExec(t, s, `CREATE TABLE regions (name VARCHAR(16), zone VARCHAR(8))`)
 	mustExec(t, s, `INSERT INTO regions VALUES ('north','cold'),('south','warm'),('east','mild'),('west','mild')`)
 	r = mustExec(t, s, `EXPLAIN ANALYZE SELECT r.zone, COUNT(*) FROM sales s JOIN regions r ON s.region = r.name GROUP BY r.zone`)
-	if plan = planText(r); !strings.Contains(plan, "HASH JOIN (INNER) [compressed]") || !strings.Contains(plan, "[code-keys=1]") {
+	if plan = planText(r); !strings.Contains(plan, "HASH JOIN (INNER) [compressed]") || !strings.Contains(plan, "[code-keys=1] [ids=direct]") {
 		t.Fatalf("join analyze plan missing code-key annotations:\n%s", plan)
+	}
+	// An INT key has no dictionary: its key ids come from hashing words.
+	r = mustExec(t, s, `EXPLAIN ANALYZE SELECT COUNT(*) FROM sales a JOIN sales b ON a.id = b.id`)
+	if plan = planText(r); !strings.Contains(plan, "[ids=words]") || strings.Contains(plan, "[code-keys=") {
+		t.Fatalf("INT-key join analyze plan missing [ids=words]:\n%s", plan)
 	}
 }
 

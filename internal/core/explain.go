@@ -213,6 +213,8 @@ func collectOp(op exec.Operator, depth int, st *telemetry.OpStats, out *[]planEn
 			e.text += " [compressed]"
 			e.analyzeExtra = fmt.Sprintf(" [code-keys=%d]", n)
 		}
+		_, _, ids := o.GroupStats()
+		e.analyzeExtra += " [ids=" + ids + "]"
 		// Planner annotations follow the compressed tag so plan-reading
 		// tools keep matching "HASH JOIN (<type>) [compressed]".
 		if o.BuildSide != "" {

@@ -433,15 +433,7 @@ func (g *GroupByOp) CodeKeyed() bool {
 // CodeKeyCount reports how many group key positions ran in code space
 // (adopted a dictionary from the first input batch). Valid after the
 // operator has consumed its input; EXPLAIN ANALYZE reports it.
-func (g *GroupByOp) CodeKeyCount() int {
-	n := 0
-	if g.shape != nil {
-		for _, c := range g.shape.code {
-			n += btoi(c)
-		}
-	}
-	return n
-}
+func (g *GroupByOp) CodeKeyCount() int { return g.shape.codeKeys() }
 
 // GroupStats reports, once the operator has consumed its input, the number
 // of groups, the bytes of group state the ingest tables had allocated (keys,

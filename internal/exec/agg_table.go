@@ -90,6 +90,15 @@ func adoptKeys(keyVecs []*vec.Vector) *keyShape {
 	return s
 }
 
+// codeKeys is how many key positions are keyed on codes; 0 before a shape
+// is adopted.
+func (s *keyShape) codeKeys() (n int) {
+	for k := 0; s != nil && k < len(s.code); k++ {
+		n += btoi(s.code[k])
+	}
+	return n
+}
+
 // groupTable is one ingest worker's groups, or the merge's. Group ids are
 // dense, 0..n-1 in insertion order, under every scheme. The table is
 // thread-local; the reservation it charges — for what it allocates, when it
@@ -298,29 +307,37 @@ const (
 )
 
 func appendKeyCell(b []byte, v types.Value) []byte {
-	if v.IsNull() {
+	switch {
+	case v.IsNull():
 		return append(b, tagNull)
-	}
-	switch v.Kind() {
-	case types.KindInt:
-		return binary.LittleEndian.AppendUint64(append(b, tagNum), uint64(v.Int()))
-	case types.KindFloat:
-		f := v.Float()
-		if f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64 {
-			return binary.LittleEndian.AppendUint64(append(b, tagNum), uint64(int64(f)))
-		}
-		return binary.LittleEndian.AppendUint64(append(b, tagFloat), floatWord(f))
-	case types.KindString:
+	case v.Kind() == types.KindString:
 		s := v.Str()
 		return append(binary.AppendUvarint(append(b, tagString), uint64(len(s))), s...)
-	case types.KindBool:
-		b = append(b, tagBool)
-	case types.KindDate:
-		b = append(b, tagDate)
-	default:
-		b = append(b, tagTimestamp)
+	case v.Kind() == types.KindFloat:
+		return appendKeyWord(b, types.KindFloat, math.Float64bits(v.Float()))
 	}
-	return binary.LittleEndian.AppendUint64(b, uint64(v.Int()))
+	return appendKeyWord(b, v.Kind(), uint64(v.Int()))
+}
+
+// appendKeyWord is appendKeyCell for a non-NULL fixed-width payload word of
+// kind k (a float's bits).
+func appendKeyWord(b []byte, k types.Kind, w uint64) []byte {
+	tag := tagTimestamp
+	switch k {
+	case types.KindInt:
+		tag = tagNum
+	case types.KindFloat:
+		f := math.Float64frombits(w)
+		if f != math.Trunc(f) || f < math.MinInt64 || f >= math.MaxInt64 {
+			return binary.LittleEndian.AppendUint64(append(b, tagFloat), floatWord(f))
+		}
+		tag, w = tagNum, uint64(int64(f))
+	case types.KindBool:
+		tag = tagBool
+	case types.KindDate:
+		tag = tagDate
+	}
+	return binary.LittleEndian.AppendUint64(append(b, tag), w)
 }
 
 // readKeyCell decodes the cell at the head of b as a value of the kind it
@@ -386,6 +403,27 @@ func (t *groupTable) keyCells(row types.Row, g uint32) types.Row {
 		}
 	}
 	return row
+}
+
+// partOf is the spill partition of a key of words: the one its canonical
+// cells hash to, as findBytes has it, so a key keeps its partition whatever
+// scheme the table is in when the key is inserted or looked up.
+//
+//dashdb:hotpath
+func (t *groupTable) partOf(key []uint64) uint8 {
+	t.kbuf = t.kbuf[:0]
+	nk := len(t.shape.code)
+	for k := range nk {
+		switch {
+		case key[nk+k>>6]>>(k&63)&1 != 0:
+			t.kbuf = append(t.kbuf, tagNull)
+		case t.shape.code[k]:
+			t.kbuf = appendKeyWord(t.kbuf, types.KindInt, key[k])
+		default:
+			t.kbuf = appendKeyWord(t.kbuf, t.shape.kinds[k], key[k])
+		}
+	}
+	return uint8(hashBytes(t.kbuf) >> 58)
 }
 
 // cellWords writes a key's cells as words into t.kw; false when a cell is
@@ -487,30 +525,31 @@ func (t *groupTable) findBytes(key []byte) (g uint32, slot int, part uint8, foun
 	}
 }
 
-// findWords is findBytes for a key of words. Under idsDirect the slot is the
-// key's position in the product of its dictionaries: nothing is hashed,
-// probed or compared.
+// findWords is findBytes for a key of words, less the partition (partOf
+// has it). Under idsDirect the slot is the key's position in the product of
+// its dictionaries: nothing is hashed, probed or compared — and slot is -1
+// for a code past the adopted dictionary sizes, which no group has.
 //
 //dashdb:hotpath
-func (t *groupTable) findWords(key []uint64) (g uint32, slot int, part uint8, found bool) {
+func (t *groupTable) findWords(key []uint64) (g uint32, slot int, found bool) {
 	if t.ids == idsDirect {
-		if idx, ok := t.directSlot(key); ok {
-			id := t.slots[idx]
-			return id - 1, idx, uint8(idx & (aggPartitions - 1)), id != 0
+		idx, ok := t.directSlot(key)
+		if !ok {
+			return 0, -1, false
 		}
-		t.hashKeys()
+		id := t.slots[idx]
+		return id - 1, idx, id != 0
 	}
 	h := hashWords(key)
-	part = uint8(h >> 58)
 	if len(t.slots) == 0 {
-		return 0, 0, part, false
+		return 0, 0, false
 	}
 	st, mask := len(key), len(t.slots)-1
 probe:
 	for slot = int(h) & mask; ; slot = (slot + 1) & mask {
 		id := t.slots[slot]
 		if id == 0 {
-			return 0, slot, part, false
+			return 0, slot, false
 		}
 		have := t.keys[int(id-1)*st:][:st]
 		for w := range key {
@@ -518,7 +557,7 @@ probe:
 				continue probe
 			}
 		}
-		return id - 1, slot, part, true
+		return id - 1, slot, true
 	}
 }
 
@@ -559,18 +598,22 @@ func (t *groupTable) hashKeys() {
 //
 //dashdb:hotpath
 func (t *groupTable) lookupWords(key []uint64) (uint32, bool) {
-	g, slot, part, found := t.findWords(key)
+	g, slot, found := t.findWords(key)
 	if found {
 		return g, true
+	}
+	if slot < 0 { // a direct table has no slot for this code: hash instead
+		t.hashKeys()
+		_, slot, _ = t.findWords(key)
 	}
 	if t.n == t.cap {
 		if !t.room() {
 			return 0, false
 		}
-		_, slot, _, _ = t.findWords(key) // the slots may have been rebuilt
+		_, slot, _ = t.findWords(key) // the slots may have been rebuilt
 	}
 	copy(t.keys[t.n*len(key):], key)
-	return t.insert(slot, part), true
+	return t.insert(slot, t.partOf(key)), true
 }
 
 // rehash rebuilds the slots from the stored keys.
@@ -582,7 +625,7 @@ func (t *groupTable) rehash() {
 		if t.ids == idsBytes {
 			_, slot, _, _ = t.findBytes(t.arena[t.koff[g] : t.koff[g+1]-nk])
 		} else {
-			_, slot, _, _ = t.findWords(t.keys[g*t.stride:][:t.stride])
+			_, slot, _ = t.findWords(t.keys[g*t.stride:][:t.stride])
 		}
 		t.slots[slot] = uint32(g) + 1
 	}
@@ -617,10 +660,7 @@ func (t *groupTable) demote() {
 // follow. Aggregates whose state grows with input are charged their row
 // surcharge ahead of every sideQuantum bytes' worth of rows.
 func (t *groupTable) ingest(keys, args, arg2s []*vec.Vector, sel []int, rows int) error {
-	t.gids = grown(t.gids, rows)
-	if t.ids != idsBytes && !t.keyWords(keys, sel, rows) {
-		t.demote()
-	}
+	t.keysFor(keys, sel, rows)
 	step := rows
 	if t.surcharge > 0 {
 		step = int(max(1, sideQuantum/t.surcharge))
@@ -667,6 +707,16 @@ func (t *groupTable) ingest(keys, args, arg2s []*vec.Vector, sel []int, rows int
 		}
 	}
 	return nil
+}
+
+// keysFor readies the table to assign a batch's live rows: their key words,
+// when every key vector is in the fixed-width form its position adopted, or
+// else the table demotes itself to idsBytes.
+func (t *groupTable) keysFor(keys []*vec.Vector, sel []int, rows int) {
+	t.gids = grown(t.gids, rows)
+	if t.ids != idsBytes && !t.keyWords(keys, sel, rows) {
+		t.demote()
+	}
 }
 
 // keyWords fills t.words for the batch's live rows; false when a key vector
@@ -762,20 +812,56 @@ func (t *groupTable) assignWords(from, rows int) int {
 	return rows - from
 }
 
+// noGroup is find's answer for a key no group has.
+const noGroup = ^uint32(0)
+
+// find is assign without inserting, a hash join's probe: after keysFor, for
+// live rows 0..rows-1 it sets t.gids[j] to the group of the row's key, or
+// noGroup, and, when parts is not nil, parts[j] to the partition the key is,
+// or would be, filed under. It never charges.
+//
+//dashdb:hotpath
+func (t *groupTable) find(keys []*vec.Vector, sel []int, rows int, parts []uint8) error {
+	for j := range rows {
+		var g uint32
+		var part uint8
+		found := false
+		if t.ids != idsBytes {
+			key := t.words[j*t.stride:][:t.stride]
+			if g, _, found = t.findWords(key); !found && parts != nil {
+				part = t.partOf(key)
+			}
+		} else {
+			t.kbuf = t.kbuf[:0]
+			for k, kv := range keys {
+				c, err := t.keyCell(k, kv, at(sel, j))
+				if err != nil {
+					return err
+				}
+				t.kbuf = appendKeyCell(t.kbuf, c)
+			}
+			g, _, part, found = t.findBytes(t.kbuf)
+		}
+		if found {
+			part = t.parts[g]
+		} else {
+			g = noGroup
+		}
+		t.gids[j] = g
+		if parts != nil {
+			parts[j] = part
+		}
+	}
+	return nil
+}
+
 // --- spill and merge
 
 // spillLargest appends the groups of the table's biggest partition to that
 // partition's run file, one record a group — key cells, then every lane's
-// cells — and drops them from the table: survivors move down to keep ids
-// dense. Capacity stays allocated and charged; what returns to the
-// reservation is the victims' surcharge.
+// cells — and drops them from the table.
 func (t *groupTable) spillLargest() error {
-	victim, worst := -1, int64(0)
-	for p, c := range t.count {
-		if w := c*t.perGroup + t.side[p]; c > 0 && w > worst {
-			victim, worst = p, w
-		}
-	}
+	victim := t.largest(&t.side)
 	if victim < 0 {
 		return nil // nothing resident; charge over-grants
 	}
@@ -787,11 +873,8 @@ func (t *groupTable) spillLargest() error {
 		t.spills[victim], t.writers[victim] = f, encoding.NewRowWriter(f)
 	}
 	before := t.spills[victim].Size()
-	keep := 0
 	for g := 0; g < t.n; g++ {
 		if int(t.parts[g]) != victim {
-			t.move(keep, g)
-			keep++
 			continue
 		}
 		row := t.keyCells(t.cells[:0], uint32(g))
@@ -803,6 +886,35 @@ func (t *groupTable) spillLargest() error {
 		}
 		t.cells = row
 	}
+	t.res.NoteSpill(t.spills[victim].Size() - before)
+	t.drop(victim)
+	return nil
+}
+
+// largest is the partition holding the most: its groups at perGroup each,
+// plus side[p], what the owner keeps beside them. -1 when no group is
+// resident.
+func (t *groupTable) largest(side *[aggPartitions]int64) int {
+	victim, worst := -1, int64(-1)
+	for p, c := range t.count {
+		if w := c*t.perGroup + side[p]; c > 0 && w > worst {
+			victim, worst = p, w
+		}
+	}
+	return victim
+}
+
+// drop removes partition p's groups from the table: the survivors move down,
+// keeping their order, so ids stay dense. Capacity stays allocated and
+// charged; what returns to the reservation is p's surcharge.
+func (t *groupTable) drop(p int) {
+	keep := 0
+	for g := 0; g < t.n; g++ {
+		if int(t.parts[g]) != p {
+			t.move(keep, g)
+			keep++
+		}
+	}
 	for g := keep; g < t.n; g++ {
 		for _, l := range t.lanes {
 			l.clear(uint32(g))
@@ -813,11 +925,9 @@ func (t *groupTable) spillLargest() error {
 	}
 	t.n = keep
 	t.rehash()
-	t.res.NoteSpill(t.spills[victim].Size() - before)
-	t.res.Shrink(t.side[victim])
-	t.charged -= t.side[victim]
-	t.count[victim], t.side[victim] = 0, 0
-	return nil
+	t.res.Shrink(t.side[p])
+	t.charged -= t.side[p]
+	t.count[p], t.side[p] = 0, 0
 }
 
 // move renumbers group src as dst ≤ src: key, partition and lanes.

@@ -206,11 +206,12 @@ func unionSorted(a, b []int) []int {
 }
 
 // dictRemap lazily translates probe-side dictionary codes into build-side
-// codes when the two sides of a join are encoded by different
-// dictionaries (e.g. a self-join after a re-analysis, or two tables with
-// their own dictionaries over the same domain). Entries are computed on
-// first use and cached per probe code; -1 records "absent from the build
-// dictionary", which is a definite non-match.
+// codes when the two sides of a join are encoded by different dictionaries
+// (e.g. a self-join after a re-analysis, or two tables with their own
+// dictionaries over the same domain): the hash join's probe keys reach its
+// key table as build codes. Entries are computed on first use and cached per
+// probe code; -1 records "absent from the build dictionary", which is a
+// definite non-match.
 type dictRemap struct {
 	build *encoding.Dict
 	dom   []types.Value // probe-side snapshot

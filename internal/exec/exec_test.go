@@ -201,8 +201,8 @@ func TestHashJoinPartitioned(t *testing.T) {
 		t.Fatal(err)
 	}
 	filled := 0
-	for _, p := range j.parts {
-		if len(p.rows) > 0 {
+	for _, keys := range j.table.count {
+		if keys > 0 {
 			filled++
 		}
 	}

@@ -21,30 +21,27 @@ const (
 	LeftJoin
 )
 
-// graceParts is the join's fixed fan-out: enough partitions that spilling
-// one frees a useful slice of the heap, few enough that every partition
-// keeps a buffered file.
-const graceParts = 64
-
 // HashJoinOp is a Grace-style partitioned hash join (§II.B.7's partitioned
 // join, in the style of Hybrid Hash Join). The right child is the build
 // side (the planner puts the smaller input there); the left child streams
 // as the probe side.
 //
-// Build rows hash into graceParts partitions charged against a HASHHEAP
-// reservation; when a Grow is denied the largest resident partition spills
-// to a mem.SpillFile and keeps growing on disk. Probe rows that hash to a
-// spilled partition are parked in a per-partition probe file, and after the
-// probe input is exhausted each spilled partition is joined on its own:
-// build rows reloaded, table rebuilt, parked probe rows streamed through it
-// (LEFT JOIN padding included), so peak memory is one partition instead of
-// the whole build. A nil Gov denies nothing, so the in-memory join is this
-// same path on a run in which no partition spilled.
+// The build gives every row with non-NULL keys the id of its distinct key
+// in a groupTable with no aggregates — on dictionary codes where the scan
+// delivers them, under the group-by's direct, words or bytes ids — and keeps
+// its columns in typedRows, as SortOp does, beside the id and a chain
+// through the rows of one key. The probe puts its keys in the table's form
+// and finds them without inserting. The output is gathered a column at a
+// time; codes decode only there.
 //
-// Both children are read batch-at-a-time: the build drops NULL-key rows
-// while the data is still columnar, and the probe boxes a row only when it
-// matches, parks or needs LEFT JOIN padding (a row-built batch hands back
-// the row it already holds). Output is row-built batches.
+// Table and buffers charge a HASHHEAP reservation. A key belongs to one of
+// the table's aggPartitions partitions; a denied charge spills the one
+// holding the most to its build file, and once the build is read a
+// partition with a file is wholly on disk. A probe row whose key may be
+// there is parked in the partition's probe file. After the probe input each
+// such partition is loaded alone, never denied (over-granted, not split
+// again), and its parked rows probe it. A nil Gov denies nothing, so the
+// in-memory join is this same path with no partition spilled.
 type HashJoinOp struct {
 	Left, Right         Operator
 	LeftKeys, RightKeys []int
@@ -62,51 +59,50 @@ type HashJoinOp struct {
 	Reordered bool
 
 	res     *mem.Reservation
-	parts   []joinPartition
 	out     types.Schema
-	pending rowQueue
+	shape   *keyShape                       // adopted from the first build batch
+	remaps  []map[*encoding.Dict]*dictRemap // per key position: other dictionaries' codes
+	table   *groupTable                     // the resident build keys; nil before a build batch
+	rows    typedRows                       // the resident build rows
+	gid     []uint32                        // per build row: its key's id
+	next    []uint32                        // per build row: the next row of its key, +1 (0 ends)
+	head    []uint32                        // per key id: its first row, +1
+	parts   [aggPartitions]joinPartition
+	spilled bool
+	// EXPLAIN ANALYZE: the build table's keys, state and id scheme.
+	keyIDs   int
+	keyState int64
+	ids      idScheme
 
-	probeDone  bool
-	spillQueue []int // spilled partition indices awaiting drain
+	probeDone bool
+	queue     []int               // spilled partitions with parked rows, to drain
+	drained   int                 // the partition whose parked rows are probing
+	parked    *encoding.RowReader // its parked rows
 
-	// Operate-on-compressed join keys. When the vectorized build side
-	// delivers a key column dictionary-encoded, build rows store that
-	// cell as its dictionary code (an INT value) instead of the decoded
-	// value: hashing and equality run in code space, the hash heap is
-	// charged for fixed-width codes instead of strings, and the code
-	// decodes back to the original value only when a match reaches the
-	// output. The scheme is adopted from the FIRST build batch — the scan
-	// latch guarantees one dictionary per column for the whole scan — and
-	// a probe value outside the build dictionary is a definite non-match
-	// (skipped, or NULL-padded under LeftJoin) without ever being hashed.
-	// Every probe key is translated into the build side's representation
-	// before it is hashed; a position that adopted no codes translates to
-	// itself, so plain keys and code keys share one hash and one equality.
-	codeKeys   []bool           // per key position: build cells hold codes
-	buildDicts []*encoding.Dict // per key position, nil unless codeKeys[k]
-	buildDoms  [][]types.Value  // decode snapshots for output emission
-	remaps     []map[*encoding.Dict]*dictRemap
-	pk         []types.Value  // scratch: one key in build representation
-	modes      []probeKeyMode // scratch: per-batch probe translation
+	// The current probe batch's output pairs: probe position and build row
+	// (-1: LEFT JOIN padding), emitted ChunkSize at a time.
+	cur        *vec.Batch
+	lpos, rrow []int
+	emitted    int
+
+	keys                  []*vec.Vector // scratch
+	sel, keep, park, pads []int
+	renum                 []uint32
+	pp                    []uint8
+	cells                 types.Row
 }
 
-// probeKeyMode is the per-batch translation strategy for one key column.
-type probeKeyMode struct {
-	cv       *vec.Vector
-	identity bool       // probe codes ARE build codes (same dictionary)
-	remap    *dictRemap // probe codes remap into build codes
-}
-
+// joinPartition is one partition's spill files.
 type joinPartition struct {
-	rows  []types.Row
-	table map[uint64][]int32 // key hash -> row indices in rows
-
-	bytes int64          // reservation charge held by rows
 	build *mem.SpillFile // non-nil while the partition's build rows are on disk
 	bw    *encoding.RowWriter
 	probe *mem.SpillFile // parked probe rows for a spilled partition
 	pw    *encoding.RowWriter
 }
+
+// joinRowBytes is what a build row of capacity costs beside its columns:
+// its key id, its chain link, and at most one chain head.
+const joinRowBytes = 12
 
 // Schema implements Operator: left columns followed by right columns.
 func (j *HashJoinOp) Schema() types.Schema {
@@ -117,228 +113,262 @@ func (j *HashJoinOp) Schema() types.Schema {
 }
 
 // Open implements Operator: it resets the previous execution's state,
-// partitions the build side and opens the probe side.
+// builds and opens the probe side.
 func (j *HashJoinOp) Open() error {
 	nk := len(j.RightKeys)
 	if len(j.LeftKeys) != nk || nk == 0 {
 		return fmt.Errorf("exec: hash join needs matching non-empty key lists")
 	}
-	j.pending.rows, j.probeDone, j.spillQueue = nil, false, nil
-	j.parts = make([]joinPartition, graceParts)
-	j.codeKeys, j.buildDicts, j.buildDoms, j.remaps = make([]bool, nk), nil, nil, nil
-	j.pk = make([]types.Value, nk)
-	j.modes = make([]probeKeyMode, nk)
 	j.res = j.Gov.Acquire(mem.HashHeap)
+	j.shape, j.remaps, j.spilled = nil, make([]map[*encoding.Dict]*dictRemap, nk), false
+	j.reset(false)
+	j.parts, j.keyIDs, j.keyState, j.ids = [aggPartitions]joinPartition{}, 0, 0, idsDirect
+	j.probeDone, j.queue, j.parked = false, nil, nil
+	j.cur, j.lpos, j.rrow, j.emitted = nil, j.lpos[:0], j.rrow[:0], 0
 	if err := j.build(); err != nil {
 		return err
 	}
 	return j.Left.Open()
 }
 
-// build streams the build side into the partitions under the hash heap
-// reservation: code keys are adopted from the first batch and key cells
-// stored as codes, so the heap is charged for, and spilled build runs
-// round-trip, fixed-width codes.
+// reset drops the resident build state, and its charge, and starts an empty
+// table over the adopted key scheme. A final table and buffers are never
+// denied.
+func (j *HashJoinOp) reset(final bool) {
+	j.res.Shrink(j.res.Used())
+	j.rows = typedRows{res: j.res, perRow: joinRowBytes, final: final}
+	j.gid, j.next, j.head, j.table = j.gid[:0], nil, nil, nil
+	if j.shape != nil {
+		j.table = newGroupTable(j.shape, j.res, nil, nil)
+		j.table.final = final
+	}
+}
+
+// build reads the build side into the table and the buffers, spilling
+// partitions as charges are denied, and leaves every partition with a build
+// file wholly on disk.
 func (j *HashJoinOp) build() error {
 	if err := j.Right.Open(); err != nil {
 		return err
 	}
 	defer j.Right.Close()
+	if err := j.fill(j.Right.Next); err != nil {
+		return err
+	}
+	for pi := range j.parts {
+		if p := &j.parts[pi]; p.build != nil {
+			if err := j.spill(pi); err != nil { // rows that came after its first spill
+				return err
+			}
+			j.res.NoteSpill(p.build.Size())
+		}
+	}
+	if t := j.table; t != nil {
+		j.keyIDs, j.keyState, j.ids = t.n, t.charged, t.ids
+	}
+	j.link()
+	return nil
+}
+
+// fill ingests build batches until next returns nil, adopting the key scheme
+// from the first.
+func (j *HashJoinOp) fill(next func() (*vec.Batch, error)) error {
 	for {
-		vb, err := j.Right.Next()
+		vb, err := next()
+		if err != nil || vb == nil {
+			return err
+		}
+		if j.shape == nil {
+			// A position keys on codes only where the probe column is of the
+			// build's kind: keys of two kinds meet as canonical bytes.
+			raw := make([]*vec.Vector, len(j.RightKeys))
+			for k, c := range j.RightKeys {
+				if raw[k] = vb.Col(c); raw[k].Encoded() && raw[k].Kind != j.Left.Schema()[j.LeftKeys[k]].Kind {
+					d := *raw[k]
+					d.Materialize()
+					raw[k] = &d
+				}
+			}
+			j.shape = adoptKeys(raw)
+			j.reset(false)
+		}
+		if err := j.ingest(vb); err != nil {
+			return err
+		}
+	}
+}
+
+// ingest files the build rows of vb whose keys are not NULL: each gets a
+// place in the buffers, then its key's id. A denied charge spills the
+// partition holding the most; rows buffered but not yet given an id stay
+// buffered, so every key has a row.
+func (j *HashJoinOp) ingest(vb *vec.Batch) error {
+	keys := j.keysOf(vb, j.RightKeys)
+	j.sel = j.sel[:0]
+	for _, i := range vb.Idx() {
+		if !nullKey(keys, i) {
+			j.sel = append(j.sel, i)
+		}
+	}
+	data := make([]*vec.Vector, vb.NumCols())
+	for c := range data {
+		data[c] = vb.Col(c)
+	}
+	t, rows := j.table, len(j.sel)
+	t.keysFor(keys, j.sel, rows)
+	for done, added := 0, 0; done < rows; {
+		if added == done {
+			added += j.rows.add(data, j.sel, done, rows)
+		}
+		m, err := t.assign(keys, j.sel, done, added)
 		if err != nil {
 			return err
 		}
-		if vb == nil {
-			break
-		}
-		j.adoptBuild(vb)
-		for _, i := range vb.Idx() {
-			r, ok := j.buildRow(vb, i)
-			if !ok {
-				continue
-			}
-			if err := j.ingestBuildRow(r); err != nil {
+		j.gid = append(j.gid, t.gids[done:done+m]...)
+		if done += m; done < rows {
+			if err := j.spill(j.victim()); err != nil {
 				return err
 			}
 		}
 	}
-	// Resident partitions get their probe tables now; spilled partitions
-	// are accounted.
-	for pi := range j.parts {
-		p := &j.parts[pi]
-		if p.build != nil {
-			j.res.NoteSpill(p.build.Size())
+	return nil
+}
+
+// victim is the partition holding the most: its keys, and its rows at the
+// buffers' width a row. -1 when nothing is resident.
+//
+//dashdb:hotpath
+func (j *HashJoinOp) victim() int {
+	var side [aggPartitions]int64
+	w := j.rows.width()
+	for _, g := range j.gid {
+		side[j.table.parts[g]] += w
+	}
+	return j.table.largest(&side)
+}
+
+// nullKey reports whether a key cell of position i is NULL.
+//
+//dashdb:hotpath
+func nullKey(keys []*vec.Vector, i int) bool {
+	for _, kv := range keys {
+		if kv.IsNull(i) {
+			return true
+		}
+	}
+	return false
+}
+
+// spill appends partition pi's resident build rows to its build file as
+// rowcodec cells and drops them: their keys leave the table, the surviving
+// rows — then those buffered without an id yet — move down in order, and
+// the strings of the rows written return to the reservation (capacity stays
+// charged). It does nothing for -1 or a partition with nothing resident.
+func (j *HashJoinOp) spill(pi int) error {
+	t := j.table
+	if pi < 0 || t.count[pi] == 0 {
+		return nil
+	}
+	p := &j.parts[pi]
+	if p.build == nil {
+		f, err := j.res.NewSpillFile("join-build")
+		if err != nil {
+			return err
+		}
+		p.build, p.bw, j.spilled = f, encoding.NewRowWriter(f), true
+	}
+	j.renum = grown(j.renum, t.n) // the survivors' ids once drop compacts them
+	id := uint32(0)
+	for g := range t.n {
+		j.renum[g] = id
+		id += uint32(btoi(int(t.parts[g]) != pi))
+	}
+	keep, freed, ided := j.keep[:0], int64(0), len(j.gid)
+	for r, g := range j.gid {
+		if int(t.parts[g]) != pi {
+			j.gid[len(keep)] = j.renum[g]
+			keep = append(keep, r)
 			continue
 		}
-		j.index(p)
-	}
-	return nil
-}
-
-// ingestBuildRow places one build row (keys non-NULL, key cells already
-// translated) into its partition under the hash heap reservation, spilling
-// the largest partition when a Grow is denied.
-func (j *HashJoinOp) ingestBuildRow(r types.Row) error {
-	p := &j.parts[j.buildHash(r)%graceParts]
-	if p.build != nil {
-		_, err := p.bw.WriteRow(r)
-		return err
-	}
-	charge := mem.RowBytes(r)
-	if !j.res.Grow(charge) {
-		if err := j.spillVictim(); err != nil {
-			return err
+		j.cells = j.rows.row(j.cells[:0], r)
+		for _, c := range j.cells {
+			if c.Kind() == types.KindString && !c.IsNull() {
+				freed += int64(len(c.Str()))
+			}
 		}
-		if p.build != nil {
-			_, err := p.bw.WriteRow(r)
-			return err
-		}
-		if !j.res.Grow(charge) {
-			// Single row past the heap: over-grant for progress.
-			j.res.MustGrow(charge)
-		}
-	}
-	p.rows = append(p.rows, r)
-	p.bytes += charge
-	return nil
-}
-
-// spillVictim moves the largest resident partition to disk and releases
-// its reservation charge.
-func (j *HashJoinOp) spillVictim() error {
-	victim := -1
-	var worst int64 = -1
-	for pi := range j.parts {
-		p := &j.parts[pi]
-		if p.build == nil && p.bytes > worst {
-			victim, worst = pi, p.bytes
-		}
-	}
-	if victim < 0 {
-		return nil // everything already on disk; caller over-grants
-	}
-	p := &j.parts[victim]
-	f, err := j.res.NewSpillFile("join-build")
-	if err != nil {
-		return err
-	}
-	p.build, p.bw = f, encoding.NewRowWriter(f)
-	for _, r := range p.rows {
-		if _, err := p.bw.WriteRow(r); err != nil {
+		if _, err := p.bw.WriteRow(j.cells); err != nil {
 			return err
 		}
 	}
-	j.res.Shrink(p.bytes)
-	p.rows, p.bytes = nil, 0
+	j.gid = j.gid[:len(keep)]
+	for r := ided; r < j.rows.n; r++ {
+		keep = append(keep, r)
+	}
+	j.keep = keep
+	j.rows.keep(keep)
+	t.drop(pi)
+	j.res.Shrink(freed)
 	return nil
 }
 
-// index builds a resident partition's probe table over its rows.
-func (j *HashJoinOp) index(p *joinPartition) {
-	p.table = make(map[uint64][]int32, len(p.rows))
-	for i, r := range p.rows {
-		h := j.buildHash(r)
-		p.table[h] = append(p.table[h], int32(i))
-	}
-}
-
-// adoptBuild fixes the code-key scheme from the first build batch: a key
-// position whose build vector is encoded (and whose probe column has the
-// same kind, so dictionary translation cannot change comparison
-// semantics) switches to code space. The scan latch holds for the whole
-// build scan, so every later batch of the same scan carries the same
-// dictionary and the adopted decode snapshot covers all of its codes.
-func (j *HashJoinOp) adoptBuild(vb *vec.Batch) {
-	if j.buildDicts != nil {
+// link threads every resident build row onto its key's chain, in row order.
+func (j *HashJoinOp) link() {
+	if j.table == nil {
 		return
 	}
-	nk := len(j.RightKeys)
-	j.buildDicts = make([]*encoding.Dict, nk)
-	j.buildDoms = make([][]types.Value, nk)
-	j.remaps = make([]map[*encoding.Dict]*dictRemap, nk)
-	lsch := j.Left.Schema()
-	for k, rk := range j.RightKeys {
-		cv := vb.Col(rk)
-		if cv.Encoded() && lsch[j.LeftKeys[k]].Kind == cv.Kind {
-			j.codeKeys[k] = true
-			j.buildDicts[k] = cv.Dict
-			j.buildDoms[k] = cv.Dom()
-		}
+	j.head, j.next = make([]uint32, j.table.n), make([]uint32, len(j.gid))
+	for r := len(j.gid) - 1; r >= 0; r-- {
+		g := j.gid[r]
+		j.next[r], j.head[g] = j.head[g], uint32(r)+1
 	}
 }
 
-// buildRow takes one build-side row out of the batch with encoded key cells
-// stored as their dictionary codes; ok is false when a key is NULL (or,
-// defensively, when a key value falls outside the adopted dictionary —
-// unreachable within one scan). Only a scan's batches carry codes, and their
-// rows are boxed fresh, so the rows of a row-built batch are never written.
-func (j *HashJoinOp) buildRow(vb *vec.Batch, i int) (types.Row, bool) {
-	for _, rk := range j.RightKeys {
-		if vb.Col(rk).IsNull(i) {
-			return nil, false
+// keysOf returns vb's columns cols with every code position as codes of the
+// adopted dictionary: the column's own, another dictionary's remapped, or
+// values looked up one by one, NULL for a value the dictionary lacks, which
+// no key equals.
+func (j *HashJoinOp) keysOf(vb *vec.Batch, cols []int) []*vec.Vector {
+	j.keys = j.keys[:0]
+	for k, c := range cols {
+		kv := vb.Col(c)
+		if j.shape.code[k] && !(kv.Encoded() && !kv.Const && kv.Dict == j.shape.dicts[k]) {
+			kv = j.codesOf(k, kv, vb)
 		}
+		j.keys = append(j.keys, kv)
 	}
-	row := vb.Row(i)
-	for k, rk := range j.RightKeys {
-		if !j.codeKeys[k] {
-			continue
-		}
-		cv := vb.Col(rk)
-		if cv.Encoded() && cv.Dict == j.buildDicts[k] {
-			row[rk] = types.NewInt(int64(cv.Codes[i]))
-			continue
-		}
-		code, ok := j.buildDicts[k].EncodeExisting(row[rk])
-		if !ok {
-			return nil, false
-		}
-		row[rk] = types.NewInt(int64(code))
-	}
-	return row, true
+	return j.keys
 }
 
-// buildHash hashes a build row's key cells, which already hold the build
-// representation.
-func (j *HashJoinOp) buildHash(r types.Row) uint64 {
-	for k, rk := range j.RightKeys {
-		j.pk[k] = r[rk]
-	}
-	return hashKeyVals(j.pk)
-}
-
-// hashKeyVals is the join's one hash: a fold over a key in build
-// representation, so a translated probe key lands in the partition and
-// bucket its matching build rows were hashed into.
-func hashKeyVals(pk []types.Value) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, v := range pk {
-		h = h*0x100000001b3 ^ v.Hash()
-	}
-	return h
-}
-
-// keysEqualVals verifies a candidate match (hash collisions) against a
-// translated probe key.
-func keysEqualVals(pk []types.Value, rrow types.Row, rk []int) bool {
-	for i := range pk {
-		if !types.Equal(pk[i], rrow[rk[i]]) {
-			return false
+// codesOf is kv as codes of key position k's dictionary.
+//
+//dashdb:hotpath
+func (j *HashJoinOp) codesOf(k int, kv *vec.Vector, vb *vec.Batch) *vec.Vector {
+	d := j.shape.dicts[k]
+	var remap *dictRemap
+	if kv.Encoded() {
+		if j.remaps[k] == nil {
+			j.remaps[k] = make(map[*encoding.Dict]*dictRemap)
+		}
+		if remap = j.remaps[k][kv.Dict]; remap == nil {
+			remap = newDictRemap(d, kv.Dom())
+			j.remaps[k][kv.Dict] = remap
 		}
 	}
-	return true
-}
-
-// emitJoin concatenates a matched pair, decoding code-valued build key
-// cells back to their dictionary values — the join's late
-// materialization point.
-func (j *HashJoinOp) emitJoin(lrow, rrow types.Row) types.Row {
-	out := make(types.Row, 0, len(lrow)+len(rrow))
-	out = append(append(out, lrow...), rrow...)
-	for k, rk := range j.RightKeys {
-		if j.codeKeys[k] {
-			c, _ := out[len(lrow)+rk].AsInt()
-			out[len(lrow)+rk] = j.buildDoms[k][c]
+	out := &vec.Vector{Kind: j.shape.kinds[k], Codes: make([]uint64, vb.N), Dict: d}
+	for _, i := range vb.Idx() {
+		var code uint64
+		ok := false
+		switch {
+		case kv.IsNull(i):
+		case remap != nil:
+			code, ok = remap.lookup(kv.Codes[kv.Ix(i)])
+		default:
+			code, ok = d.EncodeExisting(kv.Get(i))
+		}
+		if ok {
+			out.Codes[i] = code
+		} else {
+			out.SetNull(i)
 		}
 	}
 	return out
@@ -347,240 +377,220 @@ func (j *HashJoinOp) emitJoin(lrow, rrow types.Row) types.Row {
 // Next implements Operator.
 func (j *HashJoinOp) Next() (*vec.Batch, error) {
 	for {
-		if vb := j.pending.next(j.Schema(), j.probeDone && len(j.spillQueue) == 0); vb != nil {
-			return vb, nil
+		if out := j.emit(); out != nil {
+			return out, nil
 		}
-		if j.probeDone {
-			if len(j.spillQueue) == 0 {
-				return nil, nil
+		vb, err := j.nextProbe()
+		if err != nil || vb == nil {
+			return nil, err
+		}
+		if err := j.probeBatch(vb); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// nextProbe is the next batch of probe rows: the probe child's, then, once
+// its build rows are the resident ones, each spilled partition's parked
+// rows. nil after the last.
+func (j *HashJoinOp) nextProbe() (*vec.Batch, error) {
+	for {
+		if j.parked != nil {
+			if vb, err := readBatch(j.parked, j.Left.Schema()); err != nil || vb != nil {
+				return vb, err
 			}
-			pi := j.spillQueue[0]
-			j.spillQueue = j.spillQueue[1:]
-			if err := j.drainSpilled(pi); err != nil {
+			j.parked = nil
+			if err := j.parts[j.drained].probe.Close(); err != nil {
 				return nil, err
 			}
-			continue
 		}
-		vb, err := j.Left.Next()
-		if err != nil {
-			return nil, err
-		}
-		if vb == nil {
+		if !j.probeDone {
+			vb, err := j.Left.Next()
+			if err != nil || vb != nil {
+				return vb, err
+			}
+			// The spilled partitions that parked rows are drained; one that
+			// parked none has no output left.
 			j.probeDone = true
-			j.sealProbeFiles()
-		} else if err := j.probeBatch(vb); err != nil {
+			for pi := range j.parts {
+				if p := &j.parts[pi]; p.probe != nil {
+					j.queue = append(j.queue, pi)
+					j.res.NoteSpill(p.probe.Size())
+				}
+			}
+		}
+		if len(j.queue) == 0 {
+			return nil, nil
+		}
+		pi := j.queue[0]
+		j.queue = j.queue[1:]
+		if err := j.load(pi); err != nil {
 			return nil, err
 		}
 	}
 }
 
-// probeBatch is the join's one probe pull, fed by the probe child and by
-// the parked rows of a spilled partition alike: per key column it fixes a
-// translation mode once per batch (identity when the probe dictionary IS
-// the build dictionary, a cached code→code remap when it differs, value
-// lookup otherwise) and leaves the probe row unboxed until probeKey asks
-// for it.
-func (j *HashJoinOp) probeBatch(vb *vec.Batch) error {
-	for k, lk := range j.LeftKeys {
-		cv := vb.Col(lk)
-		j.modes[k] = probeKeyMode{cv: cv}
-		if j.codeKeys[k] && cv.Encoded() {
-			if cv.Dict == j.buildDicts[k] {
-				j.modes[k].identity = true
-			} else {
-				if j.remaps[k] == nil {
-					j.remaps[k] = make(map[*encoding.Dict]*dictRemap)
-				}
-				r := j.remaps[k][cv.Dict]
-				if r == nil {
-					r = newDictRemap(j.buildDicts[k], cv.Dom())
-					j.remaps[k][cv.Dict] = r
-				}
-				j.modes[k].remap = r
-			}
-		}
-	}
-	for _, i := range vb.Idx() {
-		ok := true
-		for k := range j.modes {
-			if j.pk[k], ok = j.probeKeyAt(&j.modes[k], k, i); !ok {
-				break
-			}
-		}
-		if err := j.probeKey(j.pk, ok, func() types.Row { return vb.Row(i) }); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// probeKeyAt translates one probe key position of batch row i.
-func (j *HashJoinOp) probeKeyAt(m *probeKeyMode, k, i int) (types.Value, bool) {
-	cv := m.cv
-	if cv.IsNull(i) {
-		return types.Null, false
-	}
-	if !j.codeKeys[k] {
-		return cv.Get(i), true
-	}
-	switch {
-	case m.identity:
-		return types.NewInt(int64(cv.Codes[i])), true
-	case m.remap != nil:
-		bc, ok := m.remap.lookup(cv.Codes[i])
-		if !ok {
-			return types.Null, false
-		}
-		return types.NewInt(int64(bc)), true
-	default:
-		bc, ok := j.buildDicts[k].EncodeExisting(cv.Get(i))
-		if !ok {
-			return types.Null, false
-		}
-		return types.NewInt(int64(bc)), true
-	}
-}
-
-// probeKey is the probe kernel. pk is one probe row's key in build
-// representation; ok=false (a NULL key, or a value absent from the build
-// dictionary) is a definite non-match that is never hashed. A key whose
-// partition lives on disk parks its row (original values; the key
-// re-translates deterministically at drain — the dictionaries are frozen
-// for the query's scans); otherwise the partition's table is probed. row
-// materializes the probe row and is called only when the row is emitted,
-// parked or NULL-padded.
-func (j *HashJoinOp) probeKey(pk []types.Value, ok bool, row func() types.Row) error {
-	var lrow types.Row
-	if ok {
-		h := hashKeyVals(pk)
-		p := &j.parts[h%graceParts]
-		if p.build != nil {
-			if p.probe == nil {
-				f, err := j.res.NewSpillFile("join-probe")
-				if err != nil {
-					return err
-				}
-				p.probe, p.pw = f, encoding.NewRowWriter(f)
-			}
-			_, err := p.pw.WriteRow(row())
-			return err
-		}
-		for _, ri := range p.table[h] {
-			if rrow := p.rows[ri]; keysEqualVals(pk, rrow, j.RightKeys) {
-				if lrow == nil {
-					lrow = row()
-				}
-				j.pending.rows = append(j.pending.rows, j.emitJoin(lrow, rrow))
-			}
-		}
-	}
-	if lrow == nil && j.Type == LeftJoin {
-		j.pending.rows = append(j.pending.rows, padNulls(row(), j.Right.Schema()))
-	}
-	return nil
-}
-
-// padNulls returns lrow followed by one typed NULL per column of rs: the
-// LEFT JOIN output for an unmatched left row.
-func padNulls(lrow types.Row, rs types.Schema) types.Row {
-	out := make(types.Row, 0, len(lrow)+len(rs))
-	out = append(out, lrow...)
-	for _, c := range rs {
-		out = append(out, types.NullOf(c.Kind))
-	}
-	return out
-}
-
-// sealProbeFiles queues spilled partitions for the drain phase and
-// accounts their probe files as spill runs.
-func (j *HashJoinOp) sealProbeFiles() {
-	for pi := range j.parts {
-		p := &j.parts[pi]
-		if p.build == nil {
-			continue
-		}
-		j.spillQueue = append(j.spillQueue, pi)
-		if p.probe != nil {
-			j.res.NoteSpill(p.probe.Size())
-		}
-	}
-}
-
-// drainSpilled joins one spilled partition: reload its build rows, make it
-// resident, stream the parked probe rows through the probe kernel.
-func (j *HashJoinOp) drainSpilled(pi int) error {
-	p := &j.parts[pi]
-	defer func() {
-		p.build.Close()
-		p.probe.Close()
-		j.res.Shrink(p.bytes)
-		*p = joinPartition{}
-	}()
-	if err := p.build.Rewind(); err != nil {
-		return err
-	}
-	rd := encoding.NewRowReader(p.build)
-	for {
+// readBatch reads up to ChunkSize rows of schema sch; nil at the end.
+func readBatch(rd *encoding.RowReader, sch types.Schema) (*vec.Batch, error) {
+	var rows []types.Row
+	for len(rows) < ChunkSize {
 		r, err := rd.ReadRow()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
-		charge := mem.RowBytes(r)
-		if !j.res.Grow(charge) {
-			// One partition is 1/graceParts of the build; if even that
-			// exceeds the heap, over-grant rather than recurse.
-			j.res.MustGrow(charge)
-		}
-		p.rows = append(p.rows, r)
-		p.bytes += charge
+		rows = append(rows, r)
 	}
-	p.build.Close()
-	p.build = nil // resident: probeKey now matches against it instead of parking
-	j.index(p)
-	if p.probe == nil {
+	if len(rows) == 0 {
+		return nil, nil
+	}
+	return vec.FromRows(sch, rows), nil
+}
+
+// probeBatch finds the key of every live probe row and lines up the batch's
+// output pairs; a row whose key may be in a partition on disk is parked in
+// that partition's probe file instead.
+func (j *HashJoinOp) probeBatch(vb *vec.Batch) error {
+	j.cur, j.lpos, j.rrow, j.emitted = vb, j.lpos[:0], j.rrow[:0], 0
+	idx := vb.Idx()
+	if j.table == nil { // no build rows: nothing matches
+		if j.Type == LeftJoin {
+			for _, i := range idx {
+				j.lpos, j.rrow = append(j.lpos, i), append(j.rrow, -1)
+			}
+		}
 		return nil
 	}
-	if err := p.probe.Rewind(); err != nil {
+	keys := j.keysOf(vb, j.LeftKeys)
+	j.table.keysFor(keys, vb.Sel, len(idx))
+	var parts []uint8
+	if j.spilled {
+		j.pp = grown(j.pp, len(idx))
+		parts = j.pp
+	}
+	if err := j.table.find(keys, vb.Sel, len(idx), parts); err != nil {
 		return err
 	}
-	// The parked rows go back through the probe pull a batch at a time; a
-	// key re-translates to what it was when the row was parked.
-	prd := encoding.NewRowReader(p.probe)
-	rows := make([]types.Row, 0, ChunkSize)
-	for {
-		rows = rows[:0]
-		for len(rows) < ChunkSize {
-			lrow, err := prd.ReadRow()
-			if err == io.EOF {
-				break
-			}
+	j.park = j.park[:0]
+	j.match(keys, idx, parts)
+	for _, x := range j.park {
+		p := &j.parts[parts[x]]
+		if p.probe == nil {
+			f, err := j.res.NewSpillFile("join-probe")
 			if err != nil {
 				return err
 			}
-			rows = append(rows, lrow)
+			p.probe, p.pw = f, encoding.NewRowWriter(f)
 		}
-		if len(rows) == 0 {
-			return nil
-		}
-		if err := j.probeBatch(vec.FromRows(j.Left.Schema(), rows)); err != nil {
+		if _, err := p.pw.WriteRow(vb.Row(idx[x])); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// match lines up the output pairs of probe rows idx from the rows of their
+// keys, in build order. A row whose key no resident key equals is
+// NULL-padded under LEFT JOIN — or, when its key's partition is on disk,
+// parked: its index in idx goes to j.park.
+//
+//dashdb:hotpath
+func (j *HashJoinOp) match(keys []*vec.Vector, idx []int, parts []uint8) {
+	gids := j.table.gids
+	for x, i := range idx {
+		if g := gids[x]; g != noGroup {
+			for r := j.head[g]; r != 0; r = j.next[r-1] {
+				j.lpos, j.rrow = append(j.lpos, i), append(j.rrow, int(r-1))
+			}
+			continue
+		}
+		switch {
+		case parts != nil && j.parts[parts[x]].build != nil && !nullKey(keys, i):
+			j.park = append(j.park, x)
+		case j.Type == LeftJoin:
+			j.lpos, j.rrow = append(j.lpos, i), append(j.rrow, -1)
 		}
 	}
 }
 
-// CodeKeyCount reports how many join key positions ran in code space.
-// Valid after Open; EXPLAIN ANALYZE reports it.
-func (j *HashJoinOp) CodeKeyCount() int {
-	n := 0
-	for _, c := range j.codeKeys {
-		if c {
-			n++
+// emit is the join's materialization point: the next ChunkSize pairs of the
+// current probe batch gathered into typed vectors — probe columns by probe
+// position, build columns by build row — with typed NULL build cells where
+// a LEFT JOIN row matched nothing. nil when no pair is left.
+//
+//dashdb:hotpath
+func (j *HashJoinOp) emit() *vec.Batch {
+	a, b := j.emitted, min(j.emitted+ChunkSize, len(j.lpos))
+	if a >= b {
+		return nil
+	}
+	j.emitted = b
+	cols := make([]*vec.Vector, 0, len(j.Schema()))
+	for c := 0; c < j.cur.NumCols(); c++ {
+		cols = append(cols, gather(j.cur.Col(c), j.lpos, a, b))
+	}
+	j.pads = j.pads[:0]
+	for x := a; x < b; x++ {
+		if j.rrow[x] < 0 {
+			j.rrow[x] = 0 // gathered, then overwritten with NULL
+			j.pads = append(j.pads, x-a)
 		}
 	}
-	return n
+	for c, col := range j.Right.Schema() {
+		var v *vec.Vector
+		if j.rows.cap > 0 {
+			v = gather(j.rows.cols[c], j.rrow, a, b)
+		} else {
+			v = vec.New(col.Kind, b-a)
+		}
+		for _, x := range j.pads {
+			v.SetNull(x)
+			if v.Any != nil {
+				v.Any[x] = types.NullOf(col.Kind)
+			}
+		}
+		cols = append(cols, v)
+	}
+	return vec.NewBatch(j.Schema(), cols, b-a)
+}
+
+// load makes spilled partition pi the only resident one: its build rows are
+// read back into a fresh table and buffers that are never denied, and its
+// parked rows become the probe input.
+func (j *HashJoinOp) load(pi int) error {
+	j.reset(true)
+	p := &j.parts[pi]
+	if err := p.build.Rewind(); err != nil {
+		return err
+	}
+	rd := encoding.NewRowReader(p.build)
+	if err := j.fill(func() (*vec.Batch, error) { return readBatch(rd, j.Right.Schema()) }); err != nil {
+		return err
+	}
+	if err := p.build.Close(); err != nil {
+		return err
+	}
+	p.build = nil // resident: its keys match now instead of parking
+	j.link()
+	if err := p.probe.Rewind(); err != nil {
+		return err
+	}
+	j.drained, j.parked = pi, encoding.NewRowReader(p.probe)
+	return nil
+}
+
+// CodeKeyCount reports how many join key positions ran in code space.
+// Valid after Open; EXPLAIN ANALYZE reports it.
+func (j *HashJoinOp) CodeKeyCount() int { return j.shape.codeKeys() }
+
+// GroupStats reports, after Open, the build's key table as GroupByOp
+// reports its groups: the distinct keys resident at the end of the build,
+// the bytes the table had allocated, and how key ids were found —
+// "direct", "words" or "bytes". EXPLAIN ANALYZE prints the scheme.
+func (j *HashJoinOp) GroupStats() (keys int, state int64, ids string) {
+	return j.keyIDs, j.keyState, j.ids.String()
 }
 
 // SpillStats reports runs and bytes spilled, for EXPLAIN ANALYZE. Valid
@@ -598,9 +608,9 @@ func (j *HashJoinOp) Close() error {
 		p.build.Close()
 		p.probe.Close()
 	}
-	j.parts = nil
-	j.pending.rows = nil
-	j.spillQueue = nil
+	j.parts = [aggPartitions]joinPartition{}
+	j.table, j.rows, j.gid, j.next, j.head = nil, typedRows{}, nil, nil, nil
+	j.cur, j.lpos, j.rrow, j.queue, j.parked = nil, nil, nil, nil, nil
 	j.res.Close()
 	if err1 != nil {
 		return err1
@@ -711,4 +721,15 @@ func (j *NestedLoopJoinOp) Close() error {
 		return err1
 	}
 	return err2
+}
+
+// padNulls returns lrow followed by one typed NULL per column of rs: the
+// LEFT JOIN output for an unmatched left row.
+func padNulls(lrow types.Row, rs types.Schema) types.Row {
+	out := make(types.Row, 0, len(lrow)+len(rs))
+	out = append(out, lrow...)
+	for _, c := range rs {
+		out = append(out, types.NullOf(c.Kind))
+	}
+	return out
 }

@@ -2,13 +2,18 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"dashdb/internal/columnar"
+	"dashdb/internal/encoding"
 	"dashdb/internal/mem"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // nestedLoopJoin is the join oracle: a plain nested loop over materialized
@@ -50,31 +55,49 @@ func sortedRowKeys(rows []types.Row) []string {
 }
 
 // joinSchema is the input-invariance row shape: a low-cardinality string
-// the scan delivers dictionary-encoded, a plain INT key with duplicates,
-// and a unique payload.
+// the scan delivers dictionary-encoded, a plain INT key with duplicates, a
+// unique payload, a DOUBLE holding NaN, +0, -0, integral and fractional
+// values, and a DATE.
 func joinSchema() types.Schema {
 	return types.Schema{
 		{Name: "g", Kind: types.KindString, Nullable: true},
 		{Name: "k", Kind: types.KindInt, Nullable: true},
 		{Name: "id", Kind: types.KindInt},
+		{Name: "f", Kind: types.KindFloat, Nullable: true},
+		{Name: "d", Kind: types.KindDate, Nullable: true},
 	}
 }
 
 // joinRows draws n rows with ~10% NULLs in each key column, g from
-// gDomain distinct strings and k from 50 integers, so both keys repeat
-// heavily on either side of a join.
+// gDomain distinct strings, k from 50 integers, f from those integers as
+// DOUBLEs, their halves past them, NaN and both zeros, and d from 30 days,
+// so every key repeats heavily on either side of a join and an INT k meets
+// the DOUBLE f it equals.
 func joinRows(rng *rand.Rand, n, gDomain int) []types.Row {
+	null := func(v types.Value) types.Value {
+		if rng.Intn(10) == 0 {
+			return types.Null
+		}
+		return v
+	}
 	rows := make([]types.Row, n)
 	for i := range rows {
-		g := types.NewString(fmt.Sprintf("r%02d", rng.Intn(gDomain)))
-		if rng.Intn(10) == 0 {
-			g = types.Null
+		f := float64(rng.Intn(50))
+		switch rng.Intn(5) {
+		case 0:
+			f += 0.5
+		case 1:
+			f = math.NaN()
+		case 2:
+			f = math.Copysign(0, -float64(rng.Intn(2)))
 		}
-		k := types.NewInt(int64(rng.Intn(50)))
-		if rng.Intn(10) == 0 {
-			k = types.Null
+		rows[i] = types.Row{
+			null(types.NewString(fmt.Sprintf("r%02d", rng.Intn(gDomain)))),
+			null(types.NewInt(int64(rng.Intn(50)))),
+			types.NewInt(int64(i)),
+			null(types.NewFloat(f)),
+			null(types.NewDate(int64(rng.Intn(30)))),
 		}
-		rows[i] = types.Row{g, k, types.NewInt(int64(i))}
 	}
 	return rows
 }
@@ -122,17 +145,28 @@ func TestHashJoinInputInvariance(t *testing.T) {
 		for _, shape := range []struct {
 			name         string
 			probe, build side
-			keys         []int
-			codeKeys     int // key positions a vector build adopts codes for
+			pkeys, bkeys []int
 		}{
-			{"int-key", probe, build, []int{1}, 0},
-			{"dict-string-key", probe, build, []int{0}, 1},
-			{"two-column-key", probe, build, []int{0, 1}, 1},
-			{"empty-build", probe, empty, []int{0, 1}, 0},
-			{"empty-probe", empty, build, []int{0}, 1},
+			{"int-key", probe, build, []int{1}, []int{1}},
+			{"dict-string-key", probe, build, []int{0}, []int{0}},
+			{"two-column-key", probe, build, []int{0, 1}, []int{0, 1}},
+			{"double-key", probe, build, []int{3}, []int{3}},
+			{"int-probe-double-build", probe, build, []int{1}, []int{3}},
+			{"double-probe-int-build", probe, build, []int{3}, []int{1}},
+			{"date-key", probe, build, []int{4}, []int{4}},
+			{"empty-build", probe, empty, []int{0, 1}, []int{0, 1}},
+			{"empty-probe", empty, build, []int{0}, []int{0}},
 		} {
+			// A vector build adopts codes for the key positions its scan
+			// delivers dictionary-encoded.
+			codeKeys := 0
+			for _, c := range shape.bkeys {
+				if shape.build.tbl.ColumnDict(c) != nil {
+					codeKeys++
+				}
+			}
 			for _, jt := range []JoinType{InnerJoin, LeftJoin} {
-				want := sortedRowKeys(nestedLoopJoin(shape.probe.rows, shape.build.rows, shape.keys, shape.keys, jt, joinSchema()))
+				want := sortedRowKeys(nestedLoopJoin(shape.probe.rows, shape.build.rows, shape.pkeys, shape.bkeys, jt, joinSchema()))
 				for _, form := range []struct {
 					name               string
 					vecProbe, vecBuild bool
@@ -152,7 +186,7 @@ func TestHashJoinInputInvariance(t *testing.T) {
 						j := &HashJoinOp{
 							Left:     child(shape.probe, form.vecProbe),
 							Right:    child(shape.build, form.vecBuild),
-							LeftKeys: shape.keys, RightKeys: shape.keys,
+							LeftKeys: shape.pkeys, RightKeys: shape.bkeys,
 							Type: jt, Gov: gov,
 						}
 						requireEqualKeys(t, ctx, want, sortedKeys(t, j))
@@ -162,7 +196,7 @@ func TestHashJoinInputInvariance(t *testing.T) {
 						}
 						wantCodes := 0
 						if form.vecBuild && len(shape.build.rows) > 0 {
-							wantCodes = shape.codeKeys
+							wantCodes = codeKeys
 						}
 						if j.CodeKeyCount() != wantCodes {
 							t.Fatalf("%s: code keys = %d, want %d", ctx, j.CodeKeyCount(), wantCodes)
@@ -202,5 +236,145 @@ func TestHashJoinReopen(t *testing.T) {
 			}
 			requireEqualKeys(t, fmt.Sprintf("reopen vector=%v heap=%d", vector, heap), first, sortedKeys(t, j))
 		}
+	}
+}
+
+// joinFileCount notes how many spill files a hash join wrote: the build
+// files are known once Open returns, the probe files once the last batch is
+// out, and both stay listed until Close.
+type joinFileCount struct {
+	*HashJoinOp
+	files int
+}
+
+func (c *joinFileCount) Next() (*vec.Batch, error) {
+	vb, err := c.HashJoinOp.Next()
+	if vb == nil && err == nil {
+		for _, p := range c.parts {
+			c.files += btoi(p.probe != nil)
+		}
+	}
+	return vb, err
+}
+
+func (c *joinFileCount) Open() error {
+	err := c.HashJoinOp.Open()
+	c.files = 0
+	for _, p := range c.parts {
+		c.files += btoi(p.build != nil)
+	}
+	return err
+}
+
+// TestHashJoinHeapStepping lowers HASHHEAP from 1 MiB to 4 KB in halving
+// steps under a LEFT JOIN of 150 000 probe rows with a 4 000-row build of
+// 3 500 keys — 500 of them twice, and 500 probe keys missing: every step
+// returns the oracle's rows, a spill writes at most one build and one probe
+// file a partition, and no step spills more bytes than both inputs encode
+// to, since a row is written at most once. The per-step times are logged.
+func TestHashJoinHeapStepping(t *testing.T) {
+	probeTbl, _ := accountsTable(t, 732, 150_000, 4000)
+	buildSch := types.Schema{
+		{Name: "bid", Kind: types.KindInt},
+		{Name: "account_id", Kind: types.KindInt},
+		{Name: "name", Kind: types.KindString},
+	}
+	buildTbl := columnar.NewTable(733, "accounts", buildSch, columnar.Config{})
+	build := make([]types.Row, 4000)
+	for i := range build {
+		build[i] = types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 3500)), types.NewString(fmt.Sprintf("acct-%04d", i%3500))}
+	}
+	if err := buildTbl.InsertBatch(build); err != nil {
+		t.Fatal(err)
+	}
+	probe := tableRows(t, probeTbl)
+
+	// The oracle: each probe row's txn_id beside the bid of every build row
+	// with its key, or -1, as one sorted number a pair.
+	var input countingWriter
+	rw := encoding.NewRowWriter(&input)
+	byKey := map[int64][]int64{}
+	for _, r := range build {
+		byKey[r[1].Int()] = append(byKey[r[1].Int()], r[0].Int())
+		if _, err := rw.WriteRow(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	byTxn := map[int64]types.Row{}
+	var want []int64
+	for _, r := range probe {
+		if _, err := rw.WriteRow(r); err != nil {
+			t.Fatal(err)
+		}
+		byTxn[r[0].Int()] = r
+		bids := byKey[r[1].Int()]
+		if len(bids) == 0 {
+			bids = []int64{-1}
+		}
+		for _, b := range bids {
+			want = append(want, r[0].Int()<<13|(b+1))
+		}
+	}
+	slices.Sort(want)
+
+	spilled := false
+	for heap := int64(1 << 20); heap >= 4<<10; heap /= 2 {
+		gov, _, dir := tinyGov(t, heap)
+		j := &joinFileCount{HashJoinOp: &HashJoinOp{
+			Left: scanCodes(probeTbl, 1), Right: scanCodes(buildTbl, 1),
+			LeftKeys: []int{1}, RightKeys: []int{1}, Type: LeftJoin, Gov: gov,
+		}}
+		start := time.Now()
+		if err := j.Open(); err != nil {
+			t.Fatalf("heap %d: %v", heap, err)
+		}
+		var got []int64
+		for {
+			vb, err := j.Next()
+			if err != nil {
+				t.Fatalf("heap %d: %v", heap, err)
+			}
+			if vb == nil {
+				break
+			}
+			for _, i := range vb.Idx() {
+				row := vb.Row(i)
+				p, bid := byTxn[row[0].Int()], int64(-1)
+				if !row[4].IsNull() {
+					bid = row[4].Int()
+				}
+				b := types.Row{types.Null, types.Null, types.Null}
+				if bid >= 0 {
+					b = build[bid]
+				}
+				for c, v := range append(append(types.Row{}, p...), b...) {
+					if v.IsNull() != row[c].IsNull() || !v.IsNull() && types.Compare(v, row[c]) != 0 {
+						t.Fatalf("heap %d: row %v, want %v ++ %v", heap, row, p, b)
+					}
+				}
+				got = append(got, row[0].Int()<<13|(bid+1))
+			}
+		}
+		elapsed := time.Since(start)
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("heap %d: %d output pairs differ from the oracle's %d", heap, len(got), len(want))
+		}
+		runs, bytes := j.SpillStats()
+		t.Logf("heap %7d: %v, %4d runs in %3d files, %8d B spilled (input %d B)", heap, elapsed.Round(time.Millisecond), runs, j.files, bytes, input.n)
+		if j.files > 2*aggPartitions || (runs > 0) != (j.files > 0) {
+			t.Fatalf("heap %d: %d spill files for %d runs", heap, j.files, runs)
+		}
+		if bytes > input.n {
+			t.Fatalf("heap %d: spilled %d B, the inputs encode to %d B", heap, bytes, input.n)
+		}
+		spilled = spilled || runs > 0
+		requireNoSpillFiles(t, dir)
+	}
+	if !spilled {
+		t.Fatal("no step spilled")
 	}
 }

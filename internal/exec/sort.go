@@ -62,14 +62,13 @@ func (s *sortedCols) batch(sch types.Schema) *vec.Batch {
 	if s.next >= len(s.order) {
 		return nil
 	}
-	ids := s.order[s.next:min(s.next+ChunkSize, len(s.order))]
-	s.next += len(ids)
+	a, b := s.next, min(s.next+ChunkSize, len(s.order))
+	s.next = b
 	cols := make([]*vec.Vector, len(s.cols))
 	for c, col := range s.cols {
-		cols[c] = vec.New(col.Kind, len(ids))
-		put(cols[c], col, 0, ids, 0, len(ids))
+		cols[c] = gather(col, s.order, a, b)
 	}
-	return vec.NewBatch(sch, cols, len(ids))
+	return vec.NewBatch(sch, cols, b-a)
 }
 
 // compareAt orders two positions of a column as types.Compare orders their
@@ -121,6 +120,20 @@ func put[I int | uint32](dst, src *vec.Vector, to int, sel []I, j0, j1 int) {
 	}
 }
 
+// gather copies rows sel[a:b] of src into a new vector, typed like src or
+// boxed when src has no typed payload (a constant, a row-built batch's
+// column); a code vector decodes first.
+func gather[I int | uint32](src *vec.Vector, sel []I, a, b int) *vec.Vector {
+	src.Materialize()
+	kind := src.Kind
+	if !typedVec(src) {
+		kind = types.KindNull
+	}
+	dst := vec.New(kind, b-a)
+	put(dst, src, 0, sel, a, b)
+	return dst
+}
+
 // bufKind is the kind of a buffer that holds buf's rows and then v's: buf's
 // own, or boxed (KindNull) when v's payload is not buf's — a UNION ALL of
 // BIGINT and DOUBLE, a row-built batch, a constant. Boxing keeps every cell
@@ -138,17 +151,123 @@ func bufKind(buf, v *vec.Vector) types.Kind {
 var kindWidth = [...]int64{types.KindNull: 49, types.KindBool: 9, types.KindInt: 9, types.KindFloat: 9,
 	types.KindString: 17, types.KindDate: 9, types.KindTimestamp: 9}
 
-// SortOp emits its input stably ordered by the sort keys: NULLs first
-// ascending (types.Compare convention), last descending. Its state is typed
-// columns — one buffer per output column and per key that is not a bare
-// column, rows appended a batch at a time through put — and it emits through
-// sortedCols, as GroupByOp does.
+// typedRows is row state held as typed columns, SortOp's and HashJoinOp's:
+// one buffer per column, taking its payload kind from the batch that starts
+// it and boxed in place when a later batch disagrees, rows appended a chunk
+// at a time through put.
 //
-// With a governor the buffers charge a SORTHEAP reservation, before rows are
-// copied, for every buffer they allocate — each capacity doubling in full
-// (kindWidth a column, 4 B of order) and a buffer boxed in place — and for
-// the strings the rows bring; nothing is credited back until a spill drops
-// the buffers. A denied charge sorts the buffered rows and spills them as one
+// It charges its reservation, before rows are copied, for every buffer it
+// allocates — each capacity doubling in full (kindWidth a column, plus
+// perRow, what its owner keeps a row beside the columns) and a buffer boxed
+// in place — and for the strings the rows bring. Nothing is credited back
+// here: the owner shrinks the reservation by what it drops.
+type typedRows struct {
+	res    *mem.Reservation
+	perRow int64
+	final  bool // never denied: a denied charge is over-granted
+	cols   []*vec.Vector
+	n, cap int
+}
+
+// add appends live rows from..to-1 of in — a code vector decodes into a
+// copy first — in chunks that at most double the rows held, each charged
+// before it is copied. It returns how many rows it took: fewer than asked
+// means a charge was denied, and the owner spills before it asks again. With
+// no rows held (the row that starts the buffers comes alone) a denied charge
+// is over-granted instead.
+func (b *typedRows) add(in []*vec.Vector, sel []int, from, to int) int {
+	for c, v := range in {
+		if v.Encoded() {
+			d := *v
+			d.Materialize()
+			in[c] = &d
+		}
+	}
+	done := from
+	for done < to {
+		if b.cols == nil {
+			b.cols = make([]*vec.Vector, len(in))
+			for c, v := range in {
+				b.cols[c] = vec.New(v.Kind, 0)
+			}
+		}
+		n := b.cap
+		if b.n == n {
+			n = max(minGroups, 2*n)
+		}
+		m := min(to-done, n-b.n, max(b.n, 1)) // at most doubling the rows held
+		var need int64
+		if n > b.cap {
+			need = b.perRow * int64(n)
+		}
+		for c, v := range in {
+			if k := bufKind(b.cols[c], v); k != b.cols[c].Kind || n > b.cap {
+				need += kindWidth[k] * int64(n) // a new buffer
+			}
+			if v.I64 == nil && v.F64 == nil {
+				for j := done; j < done+m; j++ {
+					if x := v.Get(at(sel, j)); x.Kind() == types.KindString && !x.IsNull() {
+						need += int64(len(x.Str()))
+					}
+				}
+			}
+		}
+		if need > 0 && !b.res.Grow(need) {
+			if b.n > 0 && !b.final {
+				break
+			}
+			b.res.MustGrow(need)
+		}
+		for c, v := range in {
+			if buf, k := b.cols[c], bufKind(b.cols[c], v); k != buf.Kind || n > b.cap {
+				grown := vec.New(k, n)
+				put(grown, buf, 0, []int(nil), 0, b.n)
+				*buf = *grown
+			}
+			put(b.cols[c], v, b.n, sel, done, done+m)
+		}
+		b.n, b.cap, done = b.n+m, n, done+m
+	}
+	return done - from
+}
+
+// width is the bytes charged a row of capacity: perRow and every buffer's
+// kindWidth.
+func (b *typedRows) width() int64 {
+	w := b.perRow
+	for _, c := range b.cols {
+		w += kindWidth[c.Kind]
+	}
+	return w
+}
+
+// row appends row r's cells to dst.
+func (b *typedRows) row(dst types.Row, r int) types.Row {
+	for _, c := range b.cols {
+		dst = append(dst, c.Get(r))
+	}
+	return dst
+}
+
+// keep moves rows ids[i], ascending, down to i and drops the others in
+// place; capacity stays allocated.
+func (b *typedRows) keep(ids []int) {
+	for _, c := range b.cols {
+		src := *c
+		c.Nulls = nil // the survivors' NULLs are set afresh
+		put(c, &src, 0, ids, 0, len(ids))
+	}
+	b.n = len(ids)
+}
+
+// SortOp emits its input stably ordered by the sort keys: NULLs first
+// ascending (types.Compare convention), last descending. Its state is
+// typedRows — a buffer per output column and per key that is not a bare
+// column — and it emits through sortedCols, as GroupByOp does.
+//
+// With a governor the buffers charge a SORTHEAP reservation, 4 B a row of
+// capacity for the order beside them; nothing is credited back until a spill
+// drops them. A denied charge sorts the buffered rows and spills them as one
 // rowcodec run — the data cells, then the cells of the keys that are not
 // bare columns — and Next k-way merges the runs, comparing their key cells
 // through keyOrder, never re-evaluating a key.
@@ -158,9 +277,8 @@ type SortOp struct {
 	Gov   *mem.Governor
 
 	res    *mem.Reservation
-	keyCol []int         // the buffer each key reads
-	bufs   []*vec.Vector // output columns, then computed keys; rows 0..n-1 of cap
-	n, cap int
+	keyCol []int      // the buffer each key reads
+	rows   typedRows  // output columns, then computed keys
 	out    sortedCols // the buffered rows in key order, when nothing spilled
 
 	runs    []*sortRun
@@ -188,6 +306,7 @@ func (s *SortOp) Open() error {
 	}
 	defer s.Child.Close()
 	s.res = s.Gov.Acquire(mem.SortHeap)
+	s.rows = typedRows{res: s.res, perRow: 4}
 	nCols := len(s.Schema())
 	var computed []Expr
 	s.keyCol = make([]int, len(s.Keys))
@@ -216,15 +335,19 @@ func (s *SortOp) Open() error {
 		for c := range nCols {
 			in[c] = vb.Col(c)
 		}
-		if err := s.add(in, vb.Sel, vb.Rows()); err != nil {
-			return err
+		for done, rows := 0, vb.Rows(); done < rows; {
+			if done += s.rows.add(in, vb.Sel, done, rows); done < rows {
+				if err := s.spill(); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	if len(s.runs) == 0 {
 		s.sortBuf()
 		return nil
 	}
-	if s.n > 0 {
+	if s.rows.n > 0 {
 		if err := s.spill(); err != nil {
 			return err
 		}
@@ -232,74 +355,17 @@ func (s *SortOp) Open() error {
 	return s.openMerge()
 }
 
-// add appends the live rows of a batch's vectors to the buffers, which take
-// their payload kinds from the batch that starts them. Each chunk of rows is
-// charged before it is copied: the buffers it allocates — a doubling, or a
-// buffer it boxes — and its strings. A denied charge spills what is
-// buffered. A chunk at most doubles the rows held, so the row that starts
-// the buffers comes alone: it alone is over-granted rather than failed.
-func (s *SortOp) add(in []*vec.Vector, sel []int, rows int) error {
-	for done := 0; done < rows; {
-		if s.bufs == nil {
-			s.bufs = make([]*vec.Vector, len(in))
-			for c, v := range in {
-				s.bufs[c] = vec.New(v.Kind, 0)
-			}
-		}
-		n := s.cap
-		if s.n == n {
-			n = max(minGroups, 2*n)
-		}
-		m := min(rows-done, n-s.n, max(s.n, 1)) // at most doubling the rows held
-		var need int64
-		if n > s.cap {
-			need = 4 * int64(n) // the rows' places in the order
-		}
-		for c, v := range in {
-			if k := bufKind(s.bufs[c], v); k != s.bufs[c].Kind || n > s.cap {
-				need += kindWidth[k] * int64(n) // a new buffer
-			}
-			if v.Materialize(); v.I64 == nil && v.F64 == nil {
-				for j := done; j < done+m; j++ {
-					if x := v.Get(at(sel, j)); x.Kind() == types.KindString && !x.IsNull() {
-						need += int64(len(x.Str()))
-					}
-				}
-			}
-		}
-		if need > 0 && !s.res.Grow(need) {
-			if s.n > 0 {
-				if err := s.spill(); err != nil {
-					return err
-				}
-				continue
-			}
-			s.res.MustGrow(need)
-		}
-		for c, v := range in {
-			if buf, k := s.bufs[c], bufKind(s.bufs[c], v); k != buf.Kind || n > s.cap {
-				grown := vec.New(k, n)
-				put(grown, buf, 0, []int(nil), 0, s.n)
-				*buf = *grown
-			}
-			put(s.bufs[c], v, s.n, sel, done, done+m)
-		}
-		s.n, s.cap, done = s.n+m, n, done+m
-	}
-	return nil
-}
-
 // sortBuf puts the buffered rows in key order.
 func (s *SortOp) sortBuf() {
-	if s.n == 0 {
+	if s.rows.n == 0 {
 		return
 	}
 	keys := make([]sortCol, len(s.Keys))
 	for j, k := range s.Keys {
-		keys[j] = sortCol{v: s.bufs[s.keyCol[j]], desc: k.Desc}
+		keys[j] = sortCol{v: s.rows.cols[s.keyCol[j]], desc: k.Desc}
 	}
-	s.out = sortedCols{cols: s.bufs[:len(s.Schema())]}
-	s.out.sort(keys, s.n)
+	s.out = sortedCols{cols: s.rows.cols[:len(s.Schema())]}
+	s.out.sort(keys, s.rows.n)
 }
 
 // spill writes the buffered rows to a fresh spill file as one sorted run,
@@ -312,18 +378,16 @@ func (s *SortOp) spill() error {
 	}
 	s.runs = append(s.runs, &sortRun{file: f, seq: len(s.runs)})
 	w := encoding.NewRowWriter(f)
-	row := make(types.Row, len(s.bufs))
+	var row types.Row
 	for _, id := range s.out.order {
-		for c, v := range s.bufs {
-			row[c] = v.Get(int(id))
-		}
+		row = s.rows.row(row[:0], int(id))
 		if _, err := w.WriteRow(row); err != nil {
 			return err
 		}
 	}
 	s.res.NoteSpill(f.Size())
 	s.res.Shrink(s.res.Used())
-	s.bufs, s.n, s.cap, s.out = nil, 0, 0, sortedCols{}
+	s.rows.cols, s.rows.n, s.rows.cap, s.out = nil, 0, 0, sortedCols{}
 	return nil
 }
 
@@ -400,7 +464,7 @@ func (s *SortOp) Close() error {
 		}
 	}
 	s.runs, s.live, s.merged = nil, nil, rowQueue{}
-	s.bufs, s.n, s.cap, s.out = nil, 0, 0, sortedCols{}
+	s.rows.cols, s.rows.n, s.rows.cap, s.out = nil, 0, 0, sortedCols{}
 	s.res.Close()
 	return firstErr
 }

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-
-	"dashdb/internal/types"
 )
 
 func TestBrokerGrowDenyRelease(t *testing.T) {
@@ -292,20 +290,5 @@ func TestParseBytes(t *testing.T) {
 		if err != nil || got != c.want {
 			t.Errorf("ParseBytes(%q) = %d, %v; want %d", c.in, got, err, c.want)
 		}
-	}
-}
-
-func TestRowBytes(t *testing.T) {
-	small := types.Row{types.NewInt(1), types.Null}
-	big := types.Row{types.NewString("0123456789"), types.Null}
-	d := RowBytes(big) - RowBytes(small)
-	if d != 10 {
-		t.Fatalf("string payload delta = %d, want 10", d)
-	}
-	if RowBytes(small) < int64(2*16) {
-		t.Fatal("RowBytes must charge at least the boxed Value array")
-	}
-	if RowsBytes([]types.Row{small, small}) != 2*RowBytes(small) {
-		t.Fatal("RowsBytes must sum RowBytes")
 	}
 }

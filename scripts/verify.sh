@@ -40,10 +40,11 @@ go test -race ./...
 # Group state is charged as allocated (16-100 B a group), so the suites'
 # largest group-by — TestDistinctSpills' `SELECT id, region ... UNION ...`,
 # 6 000 groups, 237 KB of state — fits 1 MiB; at 64 KB its EXPLAIN ANALYZE
-# shows `[spill: runs=86, ...]`. The Grace join's spill does not depend on
-# this gate: it is covered by tests that set their own heap
-# (TestJoinSpillsSQL in internal/core, TestHashJoinInputInvariance in
-# internal/exec). Same package list and values as .github/workflows/ci.yml.
+# shows `[spill: runs=86, ...]`. The Grace join charges the same key table
+# plus typed build buffers (about 12 B a row beside its columns), so its
+# spill does not depend on this gate either: tests that set their own heap
+# cover it (TestJoinSpillsSQL in internal/core; TestHashJoinInputInvariance
+# and TestHashJoinHeapStepping in internal/exec). Same package list and values as .github/workflows/ci.yml.
 DASHDB_SORTHEAP=1MB DASHDB_HASHHEAP=64KB go test -race -count=1 ./internal/core/ ./internal/exec/ ./driver/
 
 # Writers-active gate: the snapshot-isolation property suites — trickle
