@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"bytes"
 	"math"
 	"sort"
 	"testing"
@@ -11,7 +12,8 @@ import (
 // FuzzEncodingRoundTrip drives the three §II.B.1 encoders with arbitrary
 // data and checks their core identity: every value admitted into an
 // encoder's domain decodes back to itself (dictionary and minus/FOR
-// codes), and front-coded lists reproduce and re-find every entry.
+// codes), and front-coded lists reproduce and re-find every entry. The
+// value codec's spill stream and gob cells return the same values too.
 func FuzzEncodingRoundTrip(f *testing.F) {
 	f.Add(int64(0), int64(100), int64(7), "alpha", "alphabet", "beta", 1.5)
 	f.Add(int64(-50), int64(50), int64(0), "", "a", "aa", -123.75)
@@ -22,7 +24,43 @@ func FuzzEncodingRoundTrip(f *testing.F) {
 		fuzzIntFOR(t, a, b, c)
 		fuzzFloatFOR(t, x)
 		fuzzFrontCode(t, s1, s2, s3)
+		fuzzValueCodec(t, a, s1, x)
 	})
+}
+
+func fuzzValueCodec(t *testing.T, a int64, s string, x float64) {
+	row := types.Row{
+		types.NewInt(a), types.NewString(s), types.NewFloat(x),
+		types.NullOf(types.KindInt), types.NullOf(types.KindString), types.NullOf(types.KindFloat),
+	}
+	// identical: same kind, same NULL-ness, same payload bits.
+	identical := func(p, q types.Value) bool {
+		return p.Kind() == q.Kind() && p.IsNull() == q.IsNull() && p.Int() == q.Int() && p.Str() == q.Str() &&
+			math.Float64bits(p.Float()) == math.Float64bits(q.Float())
+	}
+	for _, v := range row {
+		b, err := v.GobEncode()
+		var got types.Value
+		if err == nil {
+			err = got.GobDecode(b)
+		}
+		if err != nil || !identical(got, v) {
+			t.Fatalf("gob: %v of %v -> % x -> %v of %v (err %v)", v, v.Kind(), b, got, got.Kind(), err)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := NewRowWriter(&buf).WriteRow(row); err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewRowReader(&buf).ReadRow()
+	if err != nil || len(got) != len(row) {
+		t.Fatalf("spill stream: %v -> %v (err %v)", row, got, err)
+	}
+	for i := range row {
+		if !identical(got[i], row[i]) {
+			t.Fatalf("spill stream: cell %d %v of %v -> %v of %v", i, row[i], row[i].Kind(), got[i], got[i].Kind())
+		}
+	}
 }
 
 func fuzzDict(t *testing.T, a, b, c int64, s1, s2, s3 string) {

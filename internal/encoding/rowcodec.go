@@ -1,42 +1,23 @@
-// Row spill codec: a compact, self-delimiting binary format used by the
-// memory governor's spill paths (external sort runs, Grace join
-// partitions, aggregate run files). Unlike the gob wire format in
-// marshal.go — which favours cross-version robustness for client
-// traffic — this codec favours raw write/read throughput: a one-byte
-// kind/null tag per value, varint integers, raw 8-byte float bits and
-// length-prefixed strings.
-//
-// Layout per row:
-//
-//	uvarint  column count
-//	per column:
-//	  byte   tag = kind (low 7 bits) | 0x80 if NULL
-//	  varint           KindBool/KindInt/KindDate/KindTimestamp payload
-//	  8 bytes LE       KindFloat bits (NaN round-trips exactly)
-//	  uvarint + bytes  KindString payload
-//
-// NULLs carry the kind so a typed NULL survives the round trip.
-//
-// Compressed execution (DESIGN.md §11) stores dictionary-code key cells
-// as plain KindInt values, so code-carrying group and join state spills
-// through this codec unchanged — a deliberate policy: codes are varint
-// ints here (cheaper than the strings they stand for, which is why the
-// HASHHEAP footprint shrinks under compressed flow), and the reader
-// cannot tell a code cell from an ordinary int, so operators must
-// decode codes back to values before results leave them.
 package encoding
+
+// Spill row stream: the memory governor's spill paths (external sort runs,
+// Grace join partitions, aggregate run files) write rows as the frames of
+// the value codec, whose format internal/types/codec.go describes.
+//
+// Compressed execution (DESIGN.md §11) stores dictionary-code key cells as
+// plain KindInt values, so code-carrying group and join state spills
+// through this stream unchanged: the reader cannot tell a code cell from an
+// ordinary int, so operators must decode codes back to values before
+// results leave them.
 
 import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"dashdb/internal/types"
 )
-
-const nullBit = 0x80
 
 // RowWriter streams rows into an io.Writer in spill format.
 type RowWriter struct {
@@ -52,27 +33,9 @@ func NewRowWriter(w io.Writer) *RowWriter {
 
 // WriteRow appends one row and returns the encoded size in bytes.
 func (rw *RowWriter) WriteRow(r types.Row) (int, error) {
-	b := rw.buf[:0]
-	b = binary.AppendUvarint(b, uint64(len(r)))
-	for _, v := range r {
-		tag := byte(v.Kind())
-		if v.IsNull() {
-			b = append(b, tag|nullBit)
-			continue
-		}
-		b = append(b, tag)
-		switch v.Kind() {
-		case types.KindBool, types.KindInt, types.KindDate, types.KindTimestamp:
-			b = binary.AppendVarint(b, v.Int())
-		case types.KindFloat:
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Float()))
-		case types.KindString:
-			s := v.Str()
-			b = binary.AppendUvarint(b, uint64(len(s)))
-			b = append(b, s...)
-		default:
-			return 0, fmt.Errorf("encoding: cannot spill %v value", v.Kind())
-		}
+	b, err := types.AppendRow(rw.buf[:0], r, nil)
+	if err != nil {
+		return 0, fmt.Errorf("encoding: spill write: %w", err)
 	}
 	rw.buf = b
 	n, err := rw.w.Write(b)
@@ -84,8 +47,9 @@ func (rw *RowWriter) WriteRow(r types.Row) (int, error) {
 
 // RowReader streams rows back out of spill format.
 type RowReader struct {
-	r   *bufio.Reader
-	str []byte
+	r     *bufio.Reader
+	frame []byte // the current row's cells, reused
+	width int    // cells in the last row, the next row's capacity
 }
 
 // NewRowReader reads rows from r (wrapped in a bufio.Reader unless it
@@ -95,76 +59,50 @@ func NewRowReader(r io.Reader) *RowReader {
 	if !ok {
 		br = bufio.NewReader(r)
 	}
-	return &RowReader{r: br}
+	return &RowReader{r: br, frame: make([]byte, 0, 256)}
 }
 
 // ReadRow decodes the next row, returning io.EOF cleanly at end of stream.
 func (rr *RowReader) ReadRow() (types.Row, error) {
 	n, err := binary.ReadUvarint(rr.r)
+	if err == io.EOF {
+		return nil, io.EOF
+	}
+	if err == nil {
+		err = rr.fill(n)
+	}
+	var row types.Row
+	if err == nil {
+		row, err = types.DecodeCells(make(types.Row, 0, rr.width), rr.frame, nil)
+	}
 	if err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
 		return nil, fmt.Errorf("encoding: spill read: %w", err)
 	}
-	row := make(types.Row, n)
-	for i := range row {
-		tag, err := rr.r.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("encoding: spill read: truncated row: %w", err)
-		}
-		kind := types.Kind(tag &^ nullBit)
-		if tag&nullBit != 0 {
-			row[i] = types.NullOf(kind)
-			continue
-		}
-		switch kind {
-		case types.KindBool:
-			x, err := binary.ReadVarint(rr.r)
-			if err != nil {
-				return nil, fmt.Errorf("encoding: spill read: %w", err)
-			}
-			row[i] = types.NewBool(x != 0)
-		case types.KindInt:
-			x, err := binary.ReadVarint(rr.r)
-			if err != nil {
-				return nil, fmt.Errorf("encoding: spill read: %w", err)
-			}
-			row[i] = types.NewInt(x)
-		case types.KindDate:
-			x, err := binary.ReadVarint(rr.r)
-			if err != nil {
-				return nil, fmt.Errorf("encoding: spill read: %w", err)
-			}
-			row[i] = types.NewDate(x)
-		case types.KindTimestamp:
-			x, err := binary.ReadVarint(rr.r)
-			if err != nil {
-				return nil, fmt.Errorf("encoding: spill read: %w", err)
-			}
-			row[i] = types.NewTimestamp(x)
-		case types.KindFloat:
-			var bits [8]byte
-			if _, err := io.ReadFull(rr.r, bits[:]); err != nil {
-				return nil, fmt.Errorf("encoding: spill read: %w", err)
-			}
-			row[i] = types.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(bits[:])))
-		case types.KindString:
-			ln, err := binary.ReadUvarint(rr.r)
-			if err != nil {
-				return nil, fmt.Errorf("encoding: spill read: %w", err)
-			}
-			if uint64(cap(rr.str)) < ln {
-				rr.str = make([]byte, ln)
-			}
-			buf := rr.str[:ln]
-			if _, err := io.ReadFull(rr.r, buf); err != nil {
-				return nil, fmt.Errorf("encoding: spill read: %w", err)
-			}
-			row[i] = types.NewString(string(buf))
-		default:
-			return nil, fmt.Errorf("encoding: spill read: bad tag %#x", tag)
-		}
-	}
+	rr.width = len(row)
 	return row, nil
+}
+
+// fill reads the next n bytes into the frame buffer. The buffer grows only
+// as bytes arrive, so a corrupt length cannot demand memory the stream does
+// not hold.
+func (rr *RowReader) fill(n uint64) error {
+	buf := rr.frame[:0]
+	for uint64(len(buf)) < n {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		end := cap(buf)
+		if left := n - uint64(len(buf)); left < uint64(end-len(buf)) {
+			end = len(buf) + int(left)
+		}
+		if _, err := io.ReadFull(rr.r, buf[len(buf):end]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		buf = buf[:end]
+	}
+	rr.frame = buf
+	return nil
 }

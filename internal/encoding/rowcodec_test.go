@@ -3,67 +3,13 @@ package encoding
 import (
 	"bytes"
 	"io"
-	"math"
 	"testing"
 
 	"dashdb/internal/types"
 )
 
-func TestRowCodecRoundTrip(t *testing.T) {
-	rows := []types.Row{
-		{types.NewInt(42), types.NewString("hello"), types.NewFloat(3.5)},
-		{types.NewInt(-1), types.NewString(""), types.NewFloat(math.NaN())},
-		{types.Null, types.NullOf(types.KindString), types.NullOf(types.KindFloat)},
-		{types.NewBool(true), types.NewDate(19000), types.NewTimestamp(1700000000000000)},
-		{types.NewInt(math.MaxInt64), types.NewString("日本語 ♥"), types.NewFloat(math.Inf(-1))},
-		{},
-	}
-	var buf bytes.Buffer
-	w := NewRowWriter(&buf)
-	total := 0
-	for _, r := range rows {
-		n, err := w.WriteRow(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += n
-	}
-	if total != buf.Len() {
-		t.Fatalf("reported %d bytes, wrote %d", total, buf.Len())
-	}
-	rd := NewRowReader(&buf)
-	for i, want := range rows {
-		got, err := rd.ReadRow()
-		if err != nil {
-			t.Fatalf("row %d: %v", i, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("row %d: %d cols, want %d", i, len(got), len(want))
-		}
-		for c := range want {
-			wv, gv := want[c], got[c]
-			if gv.Kind() != wv.Kind() || gv.IsNull() != wv.IsNull() {
-				t.Fatalf("row %d col %d: got %v/%v, want %v/%v", i, c, gv.Kind(), gv.IsNull(), wv.Kind(), wv.IsNull())
-			}
-			if wv.IsNull() {
-				continue
-			}
-			if wv.Kind() == types.KindFloat {
-				wb, gb := math.Float64bits(wv.Float()), math.Float64bits(gv.Float())
-				if wb != gb {
-					t.Fatalf("row %d col %d: float bits %x, want %x (NaN must round-trip)", i, c, gb, wb)
-				}
-				continue
-			}
-			if types.Compare(gv, wv) != 0 {
-				t.Fatalf("row %d col %d: got %v, want %v", i, c, gv, wv)
-			}
-		}
-	}
-	if _, err := rd.ReadRow(); err != io.EOF {
-		t.Fatalf("want io.EOF at stream end, got %v", err)
-	}
-}
+// The round trip of the spill stream is a case of TestRowBlockRoundTrip in
+// internal/shardrpc, beside the row block and gob.
 
 func TestRowCodecTruncated(t *testing.T) {
 	var buf bytes.Buffer

@@ -10,16 +10,14 @@
 // Frame layout (all multi-byte integers big-endian):
 //
 //	byte    magic 0xD5
-//	byte    version 2
+//	byte    version 3
 //	byte    frame type
 //	byte    flags (reserved, 0)
 //	uint32  payload length (<= MaxFrame)
 //	...     payload
 //
-// Control/meta payloads are gob (messages.go); bulk row payloads use the
-// block codec in rowblock.go, which extends the encoding/rowcodec spill
-// layout with a per-block string dictionary so repeated strings ship as
-// dict codes.
+// Control/meta payloads are gob (messages.go); bulk row payloads are row
+// blocks (rowblock.go).
 package shardrpc
 
 import (
@@ -31,8 +29,9 @@ import (
 const (
 	frameMagic = 0xD5
 	// frameVersion 2 renumbered the frame types: the two fragment frames
-	// of version 1 became ExecReq.Exchange.
-	frameVersion = 2
+	// of version 1 became ExecReq.Exchange. Version 3 frames a block's rows
+	// by byte length instead of column count (types/codec.go).
+	frameVersion = 3
 
 	// MaxFrame bounds a single frame payload (64 MiB): a corrupt or
 	// hostile length prefix must not become an allocation.

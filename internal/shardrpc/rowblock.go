@@ -3,252 +3,89 @@ package shardrpc
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"dashdb/internal/types"
 )
 
-// Row block codec: the bulk-row payload inside FrameRows, FrameInsert
-// and FrameShuffleData frames. It extends the encoding/rowcodec spill
-// layout (tag byte = kind | 0x80-null, varint ints, 8-byte LE floats,
-// length-prefixed strings) with a per-block string dictionary: strings
-// that repeat within the block are written once up front and every
-// occurrence ships as a dict code (tag bit 0x40 + uvarint index). This
-// is the wire-level analogue of the engine's code-carrying vectors —
-// shards cannot assume their column dictionaries agree (each shard
-// builds its own domains), so the block is its own dictionary scope and
-// the codes are always decodable by the receiver alone.
-//
-// Layout:
-//
-//	uvarint  row count
-//	uvarint  dictionary size
-//	per entry: uvarint length + bytes
-//	per row:
-//	  uvarint column count
-//	  per column:
-//	    byte   tag = kind (low 5 bits) | 0x80 NULL | 0x40 dict code
-//	    varint            bool/int/date/timestamp payload
-//	    8 bytes LE        float bits
-//	    uvarint           dict code (0x40 set)
-//	    uvarint + bytes   inline string (0x40 clear)
-const (
-	blockNullBit = 0x80
-	blockDictBit = 0x40
-	blockKindMax = 0x3F
-)
+// Row block: the bulk-row payload of FrameRows, FrameInsert and
+// FrameShuffleData frames and of the Spark data server's chunks; its
+// format is in internal/types/codec.go. Shards build their own column
+// dictionaries, so a block is its own dictionary scope and its codes are
+// decodable by the receiver alone.
 
 // EncodeRowBlock appends the block encoding of rows to dst.
 func EncodeRowBlock(dst []byte, rows []types.Row) ([]byte, error) {
-	// First pass: count string occurrences; strings seen twice or more
-	// earn a dictionary slot.
 	counts := make(map[string]int)
+	var seen []string // distinct strings in order of first occurrence
 	for _, r := range rows {
 		for _, v := range r {
 			if v.Kind() == types.KindString && !v.IsNull() {
-				counts[v.Str()]++
+				n := counts[v.Str()] + 1
+				if counts[v.Str()] = n; n == 1 {
+					seen = append(seen, v.Str())
+				}
 			}
 		}
 	}
 	dict := make(map[string]uint64)
-	var entries []string
-	for _, r := range rows {
-		for _, v := range r {
-			if v.Kind() != types.KindString || v.IsNull() {
-				continue
-			}
-			s := v.Str()
-			if counts[s] < 2 {
-				continue
-			}
-			if _, ok := dict[s]; !ok {
-				dict[s] = uint64(len(entries))
-				entries = append(entries, s)
-			}
+	for _, s := range seen {
+		if counts[s] > 1 {
+			dict[s] = uint64(len(dict))
 		}
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(rows)))
-	dst = binary.AppendUvarint(dst, uint64(len(entries)))
-	for _, s := range entries {
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		dst = append(dst, s...)
+	dst = binary.AppendUvarint(dst, uint64(len(dict)))
+	for _, s := range seen {
+		if counts[s] > 1 {
+			dst = append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+		}
 	}
 	for _, r := range rows {
-		dst = binary.AppendUvarint(dst, uint64(len(r)))
-		for _, v := range r {
-			k := v.Kind()
-			if k > blockKindMax {
-				return nil, fmt.Errorf("shardrpc: cannot encode %v value", k)
-			}
-			tag := byte(k)
-			if v.IsNull() {
-				dst = append(dst, tag|blockNullBit)
-				continue
-			}
-			switch k {
-			case types.KindBool, types.KindInt, types.KindDate, types.KindTimestamp:
-				dst = append(dst, tag)
-				dst = binary.AppendVarint(dst, v.Int())
-			case types.KindFloat:
-				dst = append(dst, tag)
-				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float()))
-			case types.KindString:
-				s := v.Str()
-				if code, ok := dict[s]; ok {
-					dst = append(dst, tag|blockDictBit)
-					dst = binary.AppendUvarint(dst, code)
-				} else {
-					dst = append(dst, tag)
-					dst = binary.AppendUvarint(dst, uint64(len(s)))
-					dst = append(dst, s...)
-				}
-			default:
-				return nil, fmt.Errorf("shardrpc: cannot encode %v value", k)
-			}
+		var err error
+		if dst, err = types.AppendRow(dst, r, dict); err != nil {
+			return nil, fmt.Errorf("shardrpc: %w", err)
 		}
 	}
 	return dst, nil
 }
 
-// blockReader decodes a row block from a byte slice with allocation
-// guards: every length read is checked against the remaining input
-// before any allocation, so a hostile block cannot demand more memory
-// than its own size.
-type blockReader struct {
-	b   []byte
-	pos int
-}
-
-func (br *blockReader) uvarint() (uint64, error) {
-	x, n := binary.Uvarint(br.b[br.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("shardrpc: row block: truncated uvarint")
-	}
-	br.pos += n
-	return x, nil
-}
-
-func (br *blockReader) varint() (int64, error) {
-	x, n := binary.Varint(br.b[br.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("shardrpc: row block: truncated varint")
-	}
-	br.pos += n
-	return x, nil
-}
-
-func (br *blockReader) bytes(n uint64) ([]byte, error) {
-	if n > uint64(len(br.b)-br.pos) {
-		return nil, fmt.Errorf("shardrpc: row block: %d bytes wanted, %d left", n, len(br.b)-br.pos)
-	}
-	out := br.b[br.pos : br.pos+int(n)]
-	br.pos += int(n)
-	return out, nil
-}
-
 // DecodeRowBlock decodes one row block.
 func DecodeRowBlock(data []byte) ([]types.Row, error) {
-	br := &blockReader{b: data}
-	nRows, err := br.uvarint()
+	pos := 0
+	// count reads a uvarint counting things of at least one byte each, so
+	// it cannot exceed the bytes left.
+	count := func() (int, error) {
+		x, n := binary.Uvarint(data[pos:])
+		if n <= 0 || x > uint64(len(data)-pos-n) {
+			return 0, fmt.Errorf("shardrpc: row block: bad count at byte %d of %d", pos, len(data))
+		}
+		pos += n
+		return int(x), nil
+	}
+	nRows, err := count()
 	if err != nil {
 		return nil, err
 	}
-	nDict, err := br.uvarint()
+	nDict, err := count()
 	if err != nil {
 		return nil, err
 	}
-	if nDict > uint64(len(data)) {
-		return nil, fmt.Errorf("shardrpc: row block: dict size %d exceeds block", nDict)
-	}
-	dict := make([]string, 0, nDict)
-	for i := uint64(0); i < nDict; i++ {
-		ln, err := br.uvarint()
+	dict := make([]string, nDict)
+	for i := range dict {
+		ln, err := count()
 		if err != nil {
 			return nil, err
 		}
-		b, err := br.bytes(ln)
-		if err != nil {
-			return nil, err
-		}
-		dict = append(dict, string(b))
+		dict[i], pos = string(data[pos:pos+ln]), pos+ln
 	}
-	// Each row costs at least one byte of input; same for each column.
-	if nRows > uint64(len(data)) {
-		return nil, fmt.Errorf("shardrpc: row block: row count %d exceeds block", nRows)
-	}
-	rows := make([]types.Row, 0, nRows)
-	for i := uint64(0); i < nRows; i++ {
-		nCols, err := br.uvarint()
+	rows := make([]types.Row, nRows)
+	width := 0
+	for i := range rows {
+		row, n, err := types.DecodeRow(make(types.Row, 0, width), data[pos:], dict)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("shardrpc: row block: %w", err)
 		}
-		if nCols > uint64(len(data)-br.pos) {
-			return nil, fmt.Errorf("shardrpc: row block: column count %d exceeds block", nCols)
-		}
-		row := make(types.Row, 0, nCols)
-		for c := uint64(0); c < nCols; c++ {
-			if br.pos >= len(br.b) {
-				return nil, fmt.Errorf("shardrpc: row block: truncated row")
-			}
-			tag := br.b[br.pos]
-			br.pos++
-			kind := types.Kind(tag & blockKindMax)
-			if tag&blockNullBit != 0 {
-				row = append(row, types.NullOf(kind))
-				continue
-			}
-			switch kind {
-			case types.KindBool:
-				x, err := br.varint()
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, types.NewBool(x != 0))
-			case types.KindInt, types.KindDate, types.KindTimestamp:
-				x, err := br.varint()
-				if err != nil {
-					return nil, err
-				}
-				switch kind {
-				case types.KindInt:
-					row = append(row, types.NewInt(x))
-				case types.KindDate:
-					row = append(row, types.NewDate(x))
-				default:
-					row = append(row, types.NewTimestamp(x))
-				}
-			case types.KindFloat:
-				b, err := br.bytes(8)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, types.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b))))
-			case types.KindString:
-				if tag&blockDictBit != 0 {
-					code, err := br.uvarint()
-					if err != nil {
-						return nil, err
-					}
-					if code >= uint64(len(dict)) {
-						return nil, fmt.Errorf("shardrpc: row block: dict code %d of %d", code, len(dict))
-					}
-					row = append(row, types.NewString(dict[code]))
-				} else {
-					ln, err := br.uvarint()
-					if err != nil {
-						return nil, err
-					}
-					b, err := br.bytes(ln)
-					if err != nil {
-						return nil, err
-					}
-					row = append(row, types.NewString(string(b)))
-				}
-			default:
-				return nil, fmt.Errorf("shardrpc: row block: bad tag %#x", tag)
-			}
-		}
-		rows = append(rows, row)
+		rows[i], width, pos = row, len(row), pos+n
 	}
 	return rows, nil
 }

@@ -2,6 +2,8 @@ package shardrpc
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"dashdb/internal/clusterfs"
+	"dashdb/internal/encoding"
 	"dashdb/internal/sql"
 	"dashdb/internal/types"
 )
@@ -40,6 +43,7 @@ func TestFrameRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		{0x00, frameVersion, 1, 0, 0, 0, 0, 0},                   // bad magic
 		{frameMagic, 1, 1, 0, 0, 0, 0, 0},                        // bad version (the one before the frame types were renumbered)
+		{frameMagic, 2, byte(FrameRows), 0, 0, 0, 0, 4},          // bad version (row blocks framed by column count)
 		{frameMagic, frameVersion, 0, 0, 0, 0, 0, 0},             // invalid type
 		{frameMagic, frameVersion, 99, 0, 0, 0, 0, 0},            // type out of range
 		{frameMagic, frameVersion, 1, 0, 0xFF, 0xFF, 0xFF, 0xFF}, // oversized
@@ -58,45 +62,110 @@ func sampleRows() []types.Row {
 		{types.NullOf(types.KindInt), types.NewString("south"), types.NullOf(types.KindFloat), types.NullOf(types.KindBool)},
 		{types.NewInt(1 << 40), types.NewString("unique-once"), types.NewFloat(-0.0), types.NewBool(true)},
 		{types.NewInt(0), types.NewString("north"), types.NewDate(19000), types.NewTimestamp(1e9)},
+		// A 4 KB string makes a frame whose length takes several bytes.
+		{types.NewString(""), types.NewString(strings.Repeat("4k", 2048)), types.Null, types.NullOf(types.KindString)},
+		{types.NewInt(math.MaxInt64), types.NewString("日本語 ♥"), types.NewFloat(math.Inf(-1)), types.NullOf(types.KindTimestamp)},
+		{},
 	}
+}
+
+// sameRows reports whether two row sets hold identical cells: kinds,
+// typed NULLs and exact float bits.
+func sameRows(a, b []types.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j, x := range a[i] {
+			y := b[i][j]
+			if x.Kind() != y.Kind() || x.IsNull() != y.IsNull() || x.Int() != y.Int() || x.Str() != y.Str() ||
+				math.Float64bits(x.Float()) != math.Float64bits(y.Float()) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// codecTrips are the three framings of the value codec (types/codec.go),
+// each as an encode-then-decode of a row set.
+var codecTrips = []struct {
+	name string
+	trip func([]types.Row) ([]types.Row, error)
+}{
+	{"block", func(rows []types.Row) ([]types.Row, error) {
+		block, err := EncodeRowBlock(nil, rows)
+		if err != nil {
+			return nil, err
+		}
+		return DecodeRowBlock(block)
+	}},
+	{"stream", func(rows []types.Row) ([]types.Row, error) {
+		var buf bytes.Buffer
+		w := encoding.NewRowWriter(&buf)
+		total := 0
+		for _, r := range rows {
+			n, err := w.WriteRow(r)
+			if err != nil {
+				return nil, err
+			}
+			total += n
+		}
+		if total != buf.Len() {
+			return nil, fmt.Errorf("WriteRow reported %d bytes, wrote %d", total, buf.Len())
+		}
+		var got []types.Row
+		for rd := encoding.NewRowReader(&buf); ; {
+			r, err := rd.ReadRow()
+			if err == io.EOF {
+				return got, nil
+			}
+			if err != nil {
+				return nil, err
+			}
+			got = append(got, r)
+		}
+	}},
+	{"gob", func(rows []types.Row) ([]types.Row, error) {
+		got := make([]types.Row, len(rows))
+		for i, r := range rows {
+			got[i] = make(types.Row, len(r))
+			for j, v := range r {
+				b, err := v.GobEncode()
+				if err == nil {
+					err = got[i][j].GobDecode(b)
+				}
+				if err != nil {
+					return nil, err
+				}
+			}
+		}
+		return got, nil
+	}},
 }
 
 func TestRowBlockRoundTrip(t *testing.T) {
 	rows := sampleRows()
+	for _, c := range codecTrips {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := c.trip(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameRows(got, rows) {
+				t.Fatalf("got %v, want %v", got, rows)
+			}
+		})
+	}
+	// The repeated "north" strings must have earned a dictionary slot:
+	// the block stores the literal once plus codes.
 	block, err := EncodeRowBlock(nil, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeRowBlock(block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(rows) {
-		t.Fatalf("%d rows, want %d", len(got), len(rows))
-	}
-	for i := range rows {
-		for j := range rows[i] {
-			a, b := rows[i][j], got[i][j]
-			if a.Kind() != b.Kind() || a.IsNull() != b.IsNull() {
-				t.Fatalf("row %d col %d: %v vs %v", i, j, a, b)
-			}
-			if a.IsNull() {
-				continue
-			}
-			if a.Kind() == types.KindFloat {
-				if math.Float64bits(a.Float()) != math.Float64bits(b.Float()) {
-					t.Fatalf("row %d col %d: float bits differ", i, j)
-				}
-				continue
-			}
-			if types.Compare(a, b) != 0 {
-				t.Fatalf("row %d col %d: %v vs %v", i, j, a, b)
-			}
-		}
-	}
-	// The repeated "north" strings must have earned a dictionary slot:
-	// the block stores the literal once plus codes, so it must be
-	// smaller than inline encoding of 3x "north" + the rest.
 	if n := bytes.Count(block, []byte("north")); n != 1 {
 		t.Fatalf("dictionary not applied: %d inline copies of repeated string", n)
 	}
@@ -116,22 +185,69 @@ func TestRowBlockEmpty(t *testing.T) {
 	}
 }
 
-// FuzzShuffleFrame fuzzes the two network-facing decoders with raw
-// bytes: they must never panic or over-allocate, only return errors.
+// TestDecodersRejectBadCells: the cell decoder refuses what the encoder
+// never writes, through gob, a row block and a spill stream alike.
+func TestDecodersRejectBadCells(t *testing.T) {
+	for _, cell := range [][]byte{
+		{0xFF},                             // NULL, dictionary code, Kind(63)
+		{0xBF},                             // NULL of Kind(63)
+		{byte(types.KindBool), 10},         // BOOLEAN payload 5
+		{byte(types.KindString) | 0x40, 0}, // dictionary code outside a block
+	} {
+		var v types.Value
+		if err := v.GobDecode(cell); err == nil {
+			t.Errorf("gob % x: accepted %v of %v", cell, v, v.Kind())
+		}
+		frame := append([]byte{byte(len(cell))}, cell...)
+		if rows, err := DecodeRowBlock(append([]byte{1, 0}, frame...)); err == nil {
+			t.Errorf("block of % x: accepted %v", cell, rows)
+		}
+		if row, err := encoding.NewRowReader(bytes.NewReader(frame)).ReadRow(); err == nil {
+			t.Errorf("stream of % x: accepted %v", cell, row)
+		}
+	}
+}
+
+// FuzzShuffleFrame fuzzes the network-facing decoders with raw bytes:
+// they must never panic or over-allocate, only return errors, and whatever
+// the block, stream and gob decoders accept must survive a round trip.
 func FuzzShuffleFrame(f *testing.F) {
-	block, _ := EncodeRowBlock(nil, sampleRows())
+	// Not the 4 KB row: the fuzzer minimizes every new input it finds, and
+	// minimizing kilobytes leaves a 10-second run no time to fuzz.
+	block, _ := EncodeRowBlock(nil, sampleRows()[:5])
 	f.Add(block)
 	var buf bytes.Buffer
 	WriteFrame(&buf, FrameShuffleData, appendShuffleHdr(nil, shuffleHdr{Query: 9, Stage: 1, Part: 2, Sender: 3}))
 	f.Add(buf.Bytes())
 	f.Add([]byte{frameMagic, frameVersion, byte(FrameRows), 0, 0, 0, 0, 4, 1, 2, 3, 4})
+	f.Add([]byte{0xFF})
+	f.Add([]byte{byte(types.KindBool), 10})
+	f.Add([]byte{1, 0, 1, 0xBF})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		DecodeRowBlock(data)
-		if h, rest, err := decodeShuffleHdr(data); err == nil {
-			_ = h
+		ReadFrame(bytes.NewReader(data))
+		if _, rest, err := decodeShuffleHdr(data); err == nil {
 			DecodeRowBlock(rest)
 		}
-		ReadFrame(bytes.NewReader(data))
+		var accepted [3][]types.Row // in codecTrips order
+		if rows, err := DecodeRowBlock(data); err == nil {
+			accepted[0] = rows
+		}
+		for rd := encoding.NewRowReader(bytes.NewReader(data)); ; {
+			row, err := rd.ReadRow()
+			if err != nil {
+				break
+			}
+			accepted[1] = append(accepted[1], row)
+		}
+		var v types.Value
+		if v.GobDecode(data) == nil {
+			accepted[2] = []types.Row{{v}}
+		}
+		for i, c := range codecTrips {
+			if got, err := c.trip(accepted[i]); err != nil || !sameRows(got, accepted[i]) {
+				t.Fatalf("%s: accepted %v, round trip gives %v (err %v)", c.name, accepted[i], got, err)
+			}
+		}
 	})
 }
 

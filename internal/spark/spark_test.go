@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dashdb/internal/mpp"
+	"dashdb/internal/shardrpc"
 	"dashdb/internal/types"
 )
 
@@ -116,6 +117,38 @@ func TestPushdownReducesTransfer(t *testing.T) {
 	}
 	if pushed != 100 {
 		t.Fatalf("pushdown transfer rows %d, want 100", pushed)
+	}
+}
+
+// TestDataServerBytesSent: BytesSent counts the row blocks written, one
+// per chunk of at most chunkRows (512) rows.
+func TestDataServerBytesSent(t *testing.T) {
+	c := testCluster(t, 4000)
+	srv, err := NewDataServer(c.ShardEngines()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	rows, err := fetch(srv.Addr(), fetchRequest{Table: "points"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) <= chunkRows {
+		t.Fatalf("fetched %d rows, want more than one chunk", len(rows))
+	}
+	want := 0
+	for off := 0; off < len(rows); off += chunkRows {
+		block, err := shardrpc.EncodeRowBlock(nil, rows[off:min(off+chunkRows, len(rows))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += len(block)
+	}
+	if got := srv.BytesSent(); got != int64(want) {
+		t.Fatalf("BytesSent %d, want %d: the blocks of %d rows", got, want, len(rows))
+	}
+	if got := srv.RowsSent(); got != int64(len(rows)) {
+		t.Fatalf("RowsSent %d, want %d", got, len(rows))
 	}
 }
 

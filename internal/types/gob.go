@@ -1,68 +1,24 @@
 package types
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// Value is a tagged union with unexported fields, so it implements
-// gob.GobEncoder/GobDecoder explicitly. The wire layout mirrors the spill
-// rowcodec (encoding/rowcodec.go): one tag byte carrying the kind with a
-// high null bit, then a kind-specific payload. This is what lets the MPP
-// wire protocol gob-ship parsed statements (whose Literal nodes hold
-// Values) between coordinator and shard servers without a SQL renderer.
-
-const gobNullBit = 0x80
+// Value's fields are unexported, so it implements gob.GobEncoder and
+// gob.GobDecoder itself: a gob Value is one cell of the codec in codec.go.
+// This is what lets the MPP wire protocol gob-ship parsed statements,
+// whose Literal nodes hold Values, without a SQL renderer.
 
 // GobEncode implements gob.GobEncoder.
-func (v Value) GobEncode() ([]byte, error) {
-	tag := byte(v.kind)
-	if v.IsNull() {
-		return []byte{tag | gobNullBit}, nil
-	}
-	b := make([]byte, 1, 12)
-	b[0] = tag
-	switch v.kind {
-	case KindBool, KindInt, KindDate, KindTimestamp:
-		b = binary.AppendVarint(b, v.i)
-	case KindFloat:
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.f))
-	case KindString:
-		b = append(b, v.s...)
-	default:
-		return nil, fmt.Errorf("types: cannot gob-encode %v value", v.kind)
-	}
-	return b, nil
-}
+func (v Value) GobEncode() ([]byte, error) { return appendCells(make([]byte, 0, 12), Row{v}, nil) }
 
 // GobDecode implements gob.GobDecoder.
 func (v *Value) GobDecode(b []byte) error {
-	if len(b) == 0 {
-		return fmt.Errorf("types: gob-decode empty value")
+	var one [1]Value
+	row, err := DecodeCells(one[:0], b, nil)
+	if err == nil && len(row) != 1 {
+		err = fmt.Errorf("types: gob value of %d cells", len(row))
 	}
-	kind := Kind(b[0] &^ gobNullBit)
-	if b[0]&gobNullBit != 0 {
-		*v = NullOf(kind)
-		return nil
+	if err == nil {
+		*v = row[0]
 	}
-	payload := b[1:]
-	switch kind {
-	case KindBool, KindInt, KindDate, KindTimestamp:
-		x, n := binary.Varint(payload)
-		if n <= 0 {
-			return fmt.Errorf("types: gob-decode truncated %v", kind)
-		}
-		*v = Value{kind: kind, i: x}
-	case KindFloat:
-		if len(payload) != 8 {
-			return fmt.Errorf("types: gob-decode float payload %d bytes", len(payload))
-		}
-		*v = Value{kind: KindFloat, f: math.Float64frombits(binary.LittleEndian.Uint64(payload))}
-	case KindString:
-		*v = Value{kind: KindString, s: string(payload)}
-	default:
-		return fmt.Errorf("types: gob-decode bad kind %d", kind)
-	}
-	return nil
+	return err
 }
