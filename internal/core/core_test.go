@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -158,6 +159,39 @@ func TestJoin(t *testing.T) {
 	} {
 		if r = mustExec(t, s, q); r.Rows[0][0].Int() != want {
 			t.Errorf("%s: %v, want %d", q, r.Rows[0][0], want)
+		}
+	}
+}
+
+// TestOuterJoinResidual: an outer join's ON conjuncts beyond its keys run
+// inside the join, so a preserved row is padded only when none of its key
+// matches passes them — keyed or keyless, LEFT or RIGHT.
+func TestOuterJoinResidual(t *testing.T) {
+	s := newDB(t).NewSession()
+	mustExec(t, s, `CREATE TABLE a (k BIGINT, x BIGINT)`)
+	mustExec(t, s, `CREATE TABLE b (k BIGINT, y BIGINT)`)
+	mustExec(t, s, `INSERT INTO a VALUES (1, 1), (2, 5), (3, 9)`)
+	mustExec(t, s, `INSERT INTO b VALUES (1, 3), (2, 2), (2, 7)`)
+	left := "1 1 1 3|2 5 2 7|3 9 NULL NULL"
+	for _, c := range []struct{ q, want, plan string }{
+		{`SELECT * FROM a LEFT JOIN b ON a.k = b.k AND a.x < b.y`, left, "HASH JOIN (LEFT OUTER) [residual]"},
+		{`SELECT * FROM a RIGHT JOIN b ON a.k = b.k AND a.x < b.y`, "1 1 1 3|2 5 2 7|NULL NULL 2 2", "HASH JOIN (LEFT OUTER) [build=left] [residual]"},
+		{`SELECT * FROM a LEFT JOIN b ON a.k + 0 = b.k AND a.x < b.y`, left, "HASH JOIN (LEFT OUTER) [no keys] [residual]"},
+	} {
+		var got []string
+		for _, row := range mustExec(t, s, c.q).Rows {
+			cells := make([]string, len(row))
+			for i, v := range row {
+				cells[i] = v.String()
+			}
+			got = append(got, strings.Join(cells, " "))
+		}
+		sort.Strings(got)
+		if strings.Join(got, "|") != c.want {
+			t.Errorf("%s: %q, want %q", c.q, strings.Join(got, "|"), c.want)
+		}
+		if plan := planText(mustExec(t, s, `EXPLAIN `+c.q)); !strings.Contains(plan, c.plan) {
+			t.Errorf("%s: no %q in\n%s", c.q, c.plan, plan)
 		}
 	}
 }

@@ -208,6 +208,9 @@ func collectOp(op exec.Operator, depth int, st *telemetry.OpStats, out *[]planEn
 		collectOp(o.Child, depth+1, nil, out)
 	case *exec.HashJoinOp:
 		e := add(fmt.Sprintf("HASH JOIN (%s)", joinName(o.Type)))
+		if len(o.LeftKeys) == 0 {
+			e.text += " [no keys]"
+		}
 		e.spillRuns, e.spillBytes = o.SpillStats()
 		if n := o.CodeKeyCount(); n > 0 {
 			e.text += " [compressed]"
@@ -223,13 +226,8 @@ func collectOp(op exec.Operator, depth int, st *telemetry.OpStats, out *[]planEn
 		if o.Reordered {
 			e.text += " [reordered]"
 		}
-		e.est = o.EstRows
-		collectOp(o.Left, depth+1, nil, out)
-		collectOp(o.Right, depth+1, nil, out)
-	case *exec.NestedLoopJoinOp:
-		e := add(fmt.Sprintf("NESTED LOOP JOIN (%s)", joinName(o.Type)))
-		if o.Reordered {
-			e.text += " [reordered]"
+		if o.Residual != nil {
+			e.text += " [residual]"
 		}
 		e.est = o.EstRows
 		collectOp(o.Left, depth+1, nil, out)

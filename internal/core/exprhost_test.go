@@ -82,7 +82,7 @@ var hostShapes = []struct {
 
 // TestExpressionHostPositions runs every compiled expression shape in every
 // position an expression can sit in — WHERE, the select list, HAVING, ORDER
-// BY, a nested-loop ON, UPDATE … SET, DELETE … WHERE — at dop 1, 2 and 8,
+// BY, a keyless join ON, UPDATE … SET, DELETE … WHERE — at dop 1, 2 and 8,
 // and checks each answer against the truth table above, row by row. All of
 // them evaluate through exec.Expr.EvalVec; the lazy arms of CASE and IN
 // (divisions that would fail on the rows an earlier arm takes) must stay
@@ -156,7 +156,7 @@ func TestExpressionHostPositions(t *testing.T) {
 			flags("select list", `SELECT a, `+sh.pred+` FROM t ORDER BY a`)
 			same("HAVING", ids(`SELECT a FROM t GROUP BY a, n, s, d HAVING `+sh.pred+` ORDER BY a`), kept)
 			same("ORDER BY", ids(`SELECT a FROM t ORDER BY `+sh.pred+`, a`), ordered)
-			same("nested-loop ON", ids(`SELECT a FROM t JOIN one ON `+sh.pred+` ORDER BY a`), kept)
+			same("keyless ON", ids(`SELECT a FROM t JOIN one ON `+sh.pred+` ORDER BY a`), kept)
 			if r := mustExec(t, s, `UPDATE t SET r = `+sh.pred); r.RowsAffected != hostN {
 				t.Fatalf("%s, UPDATE SET: %d rows affected", ctx, r.RowsAffected)
 			}

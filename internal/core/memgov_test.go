@@ -134,9 +134,10 @@ func joinLine(plan string) string {
 
 // TestJoinSpillsSQL drives the Grace join through the SQL surface: an INNER
 // and a LEFT join whose build side exceeds an 8 KB HASHHEAP, inline and
-// behind a view (a view body is governed like any other block), spill,
-// return the default-heap rows, show up in EXPLAIN ANALYZE and MON_MEMORY,
-// and leave the temp dir empty.
+// behind a view (a view body is governed like any other block), and a
+// keyless theta join, whose build is charged like any other, spill, return
+// the default-heap rows, show up in EXPLAIN ANALYZE and MON_MEMORY, and
+// leave the temp dir empty.
 func TestJoinSpillsSQL(t *testing.T) {
 	dir := t.TempDir()
 	db := Open(Config{BufferPoolBytes: 16 << 20, Parallelism: 2, TempDir: dir})
@@ -158,6 +159,7 @@ func TestJoinSpillsSQL(t *testing.T) {
 		`SELECT s.id, s.region, r.name FROM sales s JOIN reps r ON s.id = r.rep_id ORDER BY s.id`,
 		`SELECT s.id, r.name FROM sales s LEFT JOIN reps r ON s.id = r.rep_id ORDER BY s.id`,
 		`SELECT region, COUNT(*), MIN(name) FROM sales_reps GROUP BY region ORDER BY region`,
+		`SELECT a.rep_id, b.name FROM reps a JOIN reps b ON b.rep_id BETWEEN a.rep_id - 2 AND a.rep_id + 2 WHERE a.rep_id < 400 ORDER BY 1, 2`,
 	}
 	var want []*Result
 	for _, q := range queries {

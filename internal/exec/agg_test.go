@@ -620,10 +620,10 @@ func BenchmarkGroupByUnderPredicate(b *testing.B) {
 	}
 }
 
-// BenchmarkNestedLoopPred is a 1 000 × 1 000 theta join on
-// l.a < r.a AND r.s LIKE 'x%': the predicate runs once per left row over
-// the right side as one batch.
-func BenchmarkNestedLoopPred(b *testing.B) {
+// BenchmarkThetaJoin is a 1 000 × 1 000 keyless join on
+// l.a < r.a AND r.s LIKE 'x%': the residual runs over each chunk of the
+// million candidate pairs.
+func BenchmarkThetaJoin(b *testing.B) {
 	left, right := make([]types.Row, 1000), make([]types.Row, 1000)
 	for i := range left {
 		left[i] = types.Row{types.NewInt(int64(i))}
@@ -638,7 +638,7 @@ func BenchmarkNestedLoopPred(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		j := &NestedLoopJoinOp{Left: NewValues(intSchema("a"), left), Right: NewValues(rs, right), Pred: pred}
+		j := &HashJoinOp{Left: NewValues(intSchema("a"), left), Right: NewValues(rs, right), Residual: pred}
 		if rows, err := Drain(j); err != nil || len(rows) == 0 {
 			b.Fatalf("%d rows, %v", len(rows), err)
 		}

@@ -176,7 +176,7 @@ func TestCompressedJoinParity(t *testing.T) {
 				}
 			}
 			comp := mk(scanCodes)
-			want := sortedRowKeys(nestedLoopJoin(tableRows(t, tc.left), tableRows(t, tc.right), []int{0, 1}, []int{0, 1}, jt, dictSchema()))
+			want := sortedRowKeys(nestedLoopJoin(tableRows(t, tc.left), tableRows(t, tc.right), []int{0, 1}, []int{0, 1}, jt, dictSchema(), nil))
 			ctx := fmt.Sprintf("%s/%v", tc.name, jt)
 			requireEqualKeys(t, ctx+" compressed", want, sortedKeys(t, comp))
 			requireEqualKeys(t, ctx+" decoded", want, sortedKeys(t, mk(scanDop)))
@@ -206,7 +206,7 @@ func TestCompressedJoinSpillParity(t *testing.T) {
 				Gov:       gov,
 			}
 		}
-		want := sortedRowKeys(nestedLoopJoin(tableRows(t, probe), tableRows(t, build), []int{0}, []int{0}, jt, dictSchema()))
+		want := sortedRowKeys(nestedLoopJoin(tableRows(t, probe), tableRows(t, build), []int{0}, []int{0}, jt, dictSchema(), nil))
 		requireEqualKeys(t, fmt.Sprintf("decoded/%v", jt), want, sortedKeys(t, mk(scanDop, nil)))
 
 		g, _, _ := tinyGov(t, 8<<10)

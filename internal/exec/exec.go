@@ -5,13 +5,14 @@
 // filters narrow a selection vector, projections evaluate a column at a
 // time, and every expression runs over whole batches (Expr is EvalVec alone):
 // one without a typed kernel is an ApplyExpr, whose arguments are vectors and
-// whose function runs once per live position. The joins, whose state is rows,
-// box a row out of a batch only where they keep it, and emit batches that
-// wrap the rows they hold; grouping and sorting keep typed columns indexed by
-// id (agg_table.go, agg_lanes.go, sort.go) and emit typed vectors through one
-// order-and-gather (sortedCols). Joins and
-// grouping use partitioned hash algorithms in the style of Hybrid Hash Join:
-// state belongs to one of a fixed fan-out of 64 hash partitions charged
+// whose function runs once per live position. Grouping, sorting and the one
+// join keep typed columns indexed by id (agg_table.go, agg_lanes.go, sort.go)
+// and emit typed vectors: grouping and sorting through one order-and-gather
+// (sortedCols), the join by gathering a chunk of candidate pairs at a time,
+// keyed or not, and narrowing it by its residual. Rows remain only where
+// state is written to or read from a spill file, in VALUES and in the row
+// scan. The join and grouping use partitioned hash algorithms in the style
+// of Hybrid Hash Join: state belongs to one of a fixed fan-out of 64 hash partitions charged
 // against the session's hash heap, a partition spills when the heap is
 // exhausted, and an operator given no governor runs the same path with
 // nothing denied. Fan-out is not yet derived from the build estimate or a
@@ -89,8 +90,9 @@ func Drain(op Operator) ([]types.Row, error) {
 	}
 }
 
-// rowQueue is the emit side of every operator whose output is rows it
-// holds: it hands them out ChunkSize at a time as row-built batches.
+// rowQueue is the emit side of the operators whose output is rows they hold
+// — VALUES, the row scan and the sort's merge of spilled runs: it hands them
+// out ChunkSize at a time as row-built batches.
 type rowQueue struct{ rows []types.Row }
 
 // next returns the next batch, or nil when fewer than ChunkSize rows are

@@ -234,94 +234,44 @@ func TestHashJoinPartitioned(t *testing.T) {
 	}
 }
 
+// TestHashJoinBadKeys: key lists of two lengths are an error; no keys at
+// all is a cross join.
 func TestHashJoinBadKeys(t *testing.T) {
 	j := &HashJoinOp{
-		Left:  NewValues(intSchema("a"), nil),
-		Right: NewValues(intSchema("b"), nil),
+		Left:  NewValues(intSchema("a"), intRows([]int64{1}, []int64{2}, []int64{3})),
+		Right: NewValues(intSchema("b"), intRows([]int64{4}, []int64{5})),
 	}
-	if err := j.Open(); err == nil {
-		t.Fatal("empty key lists must error")
+	if rows, err := Drain(j); err != nil || len(rows) != 6 {
+		t.Fatalf("cross join: %d rows, %v; want 6", len(rows), err)
 	}
-}
-
-func TestNestedLoopJoin(t *testing.T) {
-	left := NewValues(intSchema("a"), intRows([]int64{1}, []int64{5}))
-	right := NewValues(intSchema("b"), intRows([]int64{3}, []int64{7}))
-	j := &NestedLoopJoinOp{
-		Left: left, Right: right, Type: InnerJoin,
-		Pred: rowFunc(2, func(r types.Row) (types.Value, error) {
-			return types.NewBool(r[0].Int() < r[1].Int()), nil
-		}),
-	}
-	rows, err := Drain(j)
-	if err != nil || len(rows) != 3 { // (1,3),(1,7),(5,7)
-		t.Fatalf("theta join: %v err %v", rows, err)
-	}
-	// Cross join (nil pred).
-	j2 := &NestedLoopJoinOp{
-		Left:  NewValues(intSchema("a"), intRows([]int64{1}, []int64{2})),
-		Right: NewValues(intSchema("b"), intRows([]int64{3}, []int64{4})),
-	}
-	rows, _ = Drain(j2)
-	if len(rows) != 4 {
-		t.Fatalf("cross join: %d", len(rows))
+	j.LeftKeys = []int{0}
+	if _, err := Drain(j); err == nil {
+		t.Fatal("key lists of two lengths must error")
 	}
 }
 
-// thetaJoin is an n × n nested-loop join on (l + r) % 100 = 0.
-func thetaJoin(n int64, jt JoinType) *NestedLoopJoinOp {
+// TestThetaJoinAllocsFollowMatches: a 200 × 200 keyless join on
+// (l + r) % 100 = 0, in which 1 % of the 40 000 pairs match, allocates per
+// chunk of pairs and per match, not per pair.
+func TestThetaJoinAllocsFollowMatches(t *testing.T) {
 	var side [][]int64
-	for i := int64(0); i < n; i++ {
+	for i := int64(0); i < 200; i++ {
 		side = append(side, []int64{i})
 	}
-	return &NestedLoopJoinOp{
-		Left: NewValues(intSchema("l"), intRows(side...)), Right: NewValues(intSchema("r"), intRows(side...)), Type: jt,
-		Pred: rowFunc(2, func(p types.Row) (types.Value, error) {
-			return types.NewBool((p[0].Int()+p[1].Int())%100 == 0), nil
-		}),
-	}
-}
-
-// TestNestedLoopJoinReopen: an operator closed early (a LIMIT above it) and
-// opened again returns the full result, not the previous execution's
-// leftover rows first.
-func TestNestedLoopJoinReopen(t *testing.T) {
-	// 1000 × 1000: the one left batch yields 10 000 matches, so the first
-	// Next leaves most of them queued behind the batch it returns.
-	j := thetaJoin(1000, InnerJoin)
-	want, err := Drain(thetaJoin(1000, InnerJoin))
-	if err != nil || len(want) != 10000 {
-		t.Fatalf("%d rows, %v", len(want), err)
-	}
-	if err := j.Open(); err != nil {
-		t.Fatal(err)
-	}
-	if vb, err := j.Next(); err != nil || vb == nil {
-		t.Fatalf("first batch: %v %v", vb, err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Drain(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualKeys(t, "reopen after an early Close", rowsKeys(want), rowsKeys(got))
-}
-
-// TestNestedLoopJoinAllocsFollowMatches: a 200 × 200 theta join in which 1 %
-// of the 40 000 pairs match allocates per left row (the predicate's vectors
-// over the right side) and per match, not per pair.
-func TestNestedLoopJoinAllocsFollowMatches(t *testing.T) {
 	for _, jt := range []JoinType{InnerJoin, LeftJoin} {
-		j := thetaJoin(200, jt)
+		j := &HashJoinOp{
+			Left: NewValues(intSchema("l"), intRows(side...)), Right: NewValues(intSchema("r"), intRows(side...)), Type: jt,
+			Residual: &CmpExpr{Op: encoding.OpEQ,
+				L: &ArithExpr{Op: "%", L: &ArithExpr{Op: "+", L: ColRef(0), R: ColRef(1)}, R: Const{V: types.NewInt(100)}},
+				R: Const{V: types.NewInt(0)}},
+		}
 		var rows []types.Row
 		allocs := testing.AllocsPerRun(5, func() { rows, _ = Drain(j) })
 		if len(rows) != 400 {
 			t.Fatalf("%v: %d rows, want 400", jt, len(rows))
 		}
 		if allocs > 4*400 {
-			t.Fatalf("%v: %.0f allocations for 200 left rows and 400 matches among 40 000 pairs", jt, allocs)
+			t.Fatalf("%v: %.0f allocations for 400 matches among 40 000 pairs", jt, allocs)
 		}
 	}
 }
@@ -740,8 +690,8 @@ func TestErrorPropagation(t *testing.T) {
 		{"hashjoin-probe", func(c Operator) Operator {
 			return &HashJoinOp{Left: c, Right: NewValues(sch, nil), LeftKeys: []int{0}, RightKeys: []int{0}}
 		}},
-		{"nljoin", func(c Operator) Operator {
-			return &NestedLoopJoinOp{Left: NewValues(sch, intRows([]int64{1})), Right: c}
+		{"keyless-join", func(c Operator) Operator {
+			return &HashJoinOp{Left: NewValues(sch, intRows([]int64{1})), Right: c}
 		}},
 	}
 	for _, b := range build {

@@ -74,9 +74,6 @@ func Instrument(op Operator) Operator {
 	case *HashJoinOp:
 		o.Left = Instrument(o.Left)
 		o.Right = Instrument(o.Right)
-	case *NestedLoopJoinOp:
-		o.Left = Instrument(o.Left)
-		o.Right = Instrument(o.Right)
 	case *UnionAllOp:
 		for i := range o.Children {
 			o.Children[i] = Instrument(o.Children[i])

@@ -21,18 +21,23 @@ const (
 	LeftJoin
 )
 
-// HashJoinOp is a Grace-style partitioned hash join (§II.B.7's partitioned
-// join, in the style of Hybrid Hash Join). The right child is the build
-// side (the planner puts the smaller input there); the left child streams
-// as the probe side.
+// HashJoinOp is the executor's join: a Grace-style partitioned hash join
+// (§II.B.7's partitioned join, in the style of Hybrid Hash Join). The right
+// child is the build side (the planner puts the smaller input there); the
+// left child streams as the probe side.
 //
 // The build gives every row with non-NULL keys the id of its distinct key
 // in a groupTable with no aggregates — on dictionary codes where the scan
 // delivers them, under the group-by's direct, words or bytes ids — and keeps
 // its columns in typedRows, as SortOp does, beside the id and a chain
-// through the rows of one key. The probe puts its keys in the table's form
-// and finds them without inserting. The output is gathered a column at a
-// time; codes decode only there.
+// through the rows of one key. With no keys the table has one key, as a
+// GROUP BY without keys has one group, so a cross or theta join is the same
+// operator with every build row on one chain. The probe puts its keys in
+// the table's form and finds them without inserting. A cursor walks each
+// probe row's chain and hands out at most ChunkSize candidate pairs at a
+// time; they are gathered a column at a time (codes decode only there) and
+// the Residual keeps those it passes. Under LEFT JOIN a probe row none of
+// whose pairs passed is padded with NULLs once all of them were evaluated.
 //
 // Table and buffers charge a HASHHEAP reservation. A key belongs to one of
 // the table's aggPartitions partitions; a denied charge spills the one
@@ -44,9 +49,12 @@ const (
 // in-memory join is this same path with no partition spilled.
 type HashJoinOp struct {
 	Left, Right         Operator
-	LeftKeys, RightKeys []int
-	Type                JoinType
-	Gov                 *mem.Governor
+	LeftKeys, RightKeys []int // equal lengths; none pairs every probe row with every build row
+	// Residual is the rest of the join condition, over the output layout
+	// (probe columns, then build columns); nil keeps every key match.
+	Residual Expr
+	Type     JoinType
+	Gov      *mem.Governor
 
 	// Planner annotations, surfaced by EXPLAIN. EstRows is the estimated
 	// output cardinality (0 = unplanned). BuildSide names the join's
@@ -79,11 +87,20 @@ type HashJoinOp struct {
 	drained   int                 // the partition whose parked rows are probing
 	parked    *encoding.RowReader // its parked rows
 
-	// The current probe batch's output pairs: probe position and build row
-	// (-1: LEFT JOIN padding), emitted ChunkSize at a time.
-	cur        *vec.Batch
+	// The cursor over the current probe batch's pairs: the positions of its
+	// rows that can have output and their chains' first build rows (+1, 0
+	// for none), the row it is at and that row's next build row (+1, 0 once
+	// its chain is done). hit marks, by batch position, the rows a pair of
+	// which passed the residual.
+	cur    *vec.Batch
+	probes []int
+	heads  []uint32
+	at     int
+	chain  uint32
+	hit    []bool
+	// The chunk of pairs the cursor handed out: probe position and build
+	// row (-1: LEFT JOIN padding).
 	lpos, rrow []int
-	emitted    int
 
 	keys                  []*vec.Vector // scratch
 	sel, keep, park, pads []int
@@ -116,15 +133,15 @@ func (j *HashJoinOp) Schema() types.Schema {
 // builds and opens the probe side.
 func (j *HashJoinOp) Open() error {
 	nk := len(j.RightKeys)
-	if len(j.LeftKeys) != nk || nk == 0 {
-		return fmt.Errorf("exec: hash join needs matching non-empty key lists")
+	if len(j.LeftKeys) != nk {
+		return fmt.Errorf("exec: hash join needs matching key lists")
 	}
 	j.res = j.Gov.Acquire(mem.HashHeap)
 	j.shape, j.remaps, j.spilled = nil, make([]map[*encoding.Dict]*dictRemap, nk), false
 	j.reset(false)
 	j.parts, j.keyIDs, j.keyState, j.ids = [aggPartitions]joinPartition{}, 0, 0, idsDirect
 	j.probeDone, j.queue, j.parked = false, nil, nil
-	j.cur, j.lpos, j.rrow, j.emitted = nil, j.lpos[:0], j.rrow[:0], 0
+	j.cur, j.probes = nil, j.probes[:0] // no pairs pending
 	if err := j.build(); err != nil {
 		return err
 	}
@@ -377,8 +394,8 @@ func (j *HashJoinOp) codesOf(k int, kv *vec.Vector, vb *vec.Batch) *vec.Vector {
 // Next implements Operator.
 func (j *HashJoinOp) Next() (*vec.Batch, error) {
 	for {
-		if out := j.emit(); out != nil {
-			return out, nil
+		if out, err := j.emit(); err != nil || out != nil {
+			return out, err
 		}
 		vb, err := j.nextProbe()
 		if err != nil || vb == nil {
@@ -449,32 +466,51 @@ func readBatch(rd *encoding.RowReader, sch types.Schema) (*vec.Batch, error) {
 	return vec.FromRows(sch, rows), nil
 }
 
-// probeBatch finds the key of every live probe row and lines up the batch's
-// output pairs; a row whose key may be in a partition on disk is parked in
-// that partition's probe file instead.
+// probeBatch finds the key of every live probe row and starts the cursor
+// over the batch: a row with build rows of its key, or any row under LEFT
+// JOIN, gets its chain's head. A row whose key no resident key equals but
+// whose partition is on disk is parked in that partition's probe file
+// instead.
 func (j *HashJoinOp) probeBatch(vb *vec.Batch) error {
-	j.cur, j.lpos, j.rrow, j.emitted = vb, j.lpos[:0], j.rrow[:0], 0
 	idx := vb.Idx()
-	if j.table == nil { // no build rows: nothing matches
-		if j.Type == LeftJoin {
-			for _, i := range idx {
-				j.lpos, j.rrow = append(j.lpos, i), append(j.rrow, -1)
-			}
-		}
-		return nil
-	}
-	keys := j.keysOf(vb, j.LeftKeys)
-	j.table.keysFor(keys, vb.Sel, len(idx))
+	j.cur, j.probes, j.heads, j.park = vb, j.probes[:0], j.heads[:0], j.park[:0]
+	var keys []*vec.Vector
+	var gids []uint32
 	var parts []uint8
-	if j.spilled {
-		j.pp = grown(j.pp, len(idx))
-		parts = j.pp
+	if j.table != nil { // else no build rows: nothing matches
+		keys = j.keysOf(vb, j.LeftKeys)
+		j.table.keysFor(keys, vb.Sel, len(idx))
+		if j.spilled {
+			j.pp = grown(j.pp, len(idx))
+			parts = j.pp
+		}
+		if err := j.table.find(keys, vb.Sel, len(idx), parts); err != nil {
+			return err
+		}
+		gids = j.table.gids
 	}
-	if err := j.table.find(keys, vb.Sel, len(idx), parts); err != nil {
-		return err
+	for x, i := range idx {
+		var head uint32
+		switch {
+		case gids == nil:
+		case gids[x] != noGroup:
+			head = j.head[gids[x]]
+		case parts != nil && j.parts[parts[x]].build != nil && !nullKey(keys, i):
+			j.park = append(j.park, x)
+			continue
+		}
+		if head != 0 || j.Type == LeftJoin {
+			j.probes, j.heads = append(j.probes, i), append(j.heads, head)
+		}
 	}
-	j.park = j.park[:0]
-	j.match(keys, idx, parts)
+	j.at, j.chain = 0, 0
+	if len(j.heads) > 0 {
+		j.chain = j.heads[0]
+	}
+	if j.Residual != nil && j.Type == LeftJoin {
+		j.hit = grown(j.hit, vb.N)
+		clear(j.hit[:vb.N])
+	}
 	for _, x := range j.park {
 		p := &j.parts[parts[x]]
 		if p.probe == nil {
@@ -491,69 +527,111 @@ func (j *HashJoinOp) probeBatch(vb *vec.Batch) error {
 	return nil
 }
 
-// match lines up the output pairs of probe rows idx from the rows of their
-// keys, in build order. A row whose key no resident key equals is
-// NULL-padded under LEFT JOIN — or, when its key's partition is on disk,
-// parked: its index in idx goes to j.park.
+// pairs hands out the cursor's next at most ChunkSize candidate pairs in
+// lpos and rrow, resuming where the last call stopped: each row's build rows
+// in chain order, then, under LEFT JOIN, its pad when it has none or the
+// residual may reject them all.
 //
 //dashdb:hotpath
-func (j *HashJoinOp) match(keys []*vec.Vector, idx []int, parts []uint8) {
-	gids := j.table.gids
-	for x, i := range idx {
-		if g := gids[x]; g != noGroup {
-			for r := j.head[g]; r != 0; r = j.next[r-1] {
-				j.lpos, j.rrow = append(j.lpos, i), append(j.rrow, int(r-1))
-			}
+func (j *HashJoinOp) pairs() {
+	if j.lpos == nil {
+		j.lpos, j.rrow = make([]int, 0, ChunkSize), make([]int, 0, ChunkSize)
+	}
+	j.lpos, j.rrow = j.lpos[:0], j.rrow[:0]
+	for j.at < len(j.probes) && len(j.lpos) < ChunkSize {
+		i := j.probes[j.at]
+		if j.chain != 0 {
+			j.lpos, j.rrow = append(j.lpos, i), append(j.rrow, int(j.chain-1))
+			j.chain = j.next[j.chain-1]
 			continue
 		}
-		switch {
-		case parts != nil && j.parts[parts[x]].build != nil && !nullKey(keys, i):
-			j.park = append(j.park, x)
-		case j.Type == LeftJoin:
+		if j.Type == LeftJoin && (j.heads[j.at] == 0 || j.Residual != nil) {
 			j.lpos, j.rrow = append(j.lpos, i), append(j.rrow, -1)
+		}
+		if j.at++; j.at < len(j.probes) {
+			j.chain = j.heads[j.at]
 		}
 	}
 }
 
-// emit is the join's materialization point: the next ChunkSize pairs of the
-// current probe batch gathered into typed vectors — probe columns by probe
-// position, build columns by build row — with typed NULL build cells where
-// a LEFT JOIN row matched nothing. nil when no pair is left.
+// emit is the join's materialization point: the cursor's next chunk of
+// pairs gathered into typed vectors — probe columns by probe position, build
+// columns by build row, typed NULL build cells on a pad — and narrowed to
+// what the residual keeps. nil when no pair is left.
 //
 //dashdb:hotpath
-func (j *HashJoinOp) emit() *vec.Batch {
-	a, b := j.emitted, min(j.emitted+ChunkSize, len(j.lpos))
-	if a >= b {
-		return nil
-	}
-	j.emitted = b
-	cols := make([]*vec.Vector, 0, len(j.Schema()))
-	for c := 0; c < j.cur.NumCols(); c++ {
-		cols = append(cols, gather(j.cur.Col(c), j.lpos, a, b))
-	}
-	j.pads = j.pads[:0]
-	for x := a; x < b; x++ {
-		if j.rrow[x] < 0 {
-			j.rrow[x] = 0 // gathered, then overwritten with NULL
-			j.pads = append(j.pads, x-a)
+func (j *HashJoinOp) emit() (*vec.Batch, error) {
+	for {
+		j.pairs()
+		n := len(j.lpos)
+		if n == 0 {
+			return nil, nil
 		}
-	}
-	for c, col := range j.Right.Schema() {
-		var v *vec.Vector
-		if j.rows.cap > 0 {
-			v = gather(j.rows.cols[c], j.rrow, a, b)
-		} else {
-			v = vec.New(col.Kind, b-a)
+		cols := make([]*vec.Vector, 0, len(j.Schema()))
+		for c := 0; c < j.cur.NumCols(); c++ {
+			cols = append(cols, gather(j.cur.Col(c), j.lpos, 0, n))
 		}
-		for _, x := range j.pads {
-			v.SetNull(x)
-			if v.Any != nil {
-				v.Any[x] = types.NullOf(col.Kind)
+		j.pads = j.pads[:0]
+		for x, r := range j.rrow {
+			if r < 0 {
+				j.rrow[x] = 0 // gathered, then overwritten with NULL
+				j.pads = append(j.pads, x)
 			}
 		}
-		cols = append(cols, v)
+		for c, col := range j.Right.Schema() {
+			var v *vec.Vector
+			if j.rows.cap > 0 {
+				v = gather(j.rows.cols[c], j.rrow, 0, n)
+			} else {
+				v = vec.New(col.Kind, n)
+			}
+			for _, x := range j.pads {
+				v.SetNull(x)
+				if v.Any != nil {
+					v.Any[x] = types.NullOf(col.Kind)
+				}
+			}
+			cols = append(cols, v)
+		}
+		out := vec.NewBatch(j.Schema(), cols, n)
+		if j.Residual == nil {
+			return out, nil
+		}
+		if err := j.check(out); err != nil || len(out.Sel) > 0 {
+			return out, err
+		}
 	}
-	return vec.NewBatch(j.Schema(), cols, b-a)
+}
+
+// check narrows a chunk to the pairs the residual passes — pads skip it —
+// and, under LEFT JOIN, the pads of rows none of whose pairs passed: the
+// cursor hands out a row's pad after its pairs, so hit is final there.
+func (j *HashJoinOp) check(out *vec.Batch) error {
+	in := diffSorted(out.Idx(), j.pads)
+	pv, err := j.Residual.EvalVec(out.WithSel(in))
+	if err != nil {
+		return err
+	}
+	out.Sel = SelTrue(pv, in)
+	if j.Type != LeftJoin {
+		return nil
+	}
+	pass, keep := out.Sel, make([]int, 0, len(out.Sel)+len(j.pads))
+	for x, p, q := 0, 0, 0; x < out.N; x++ {
+		switch {
+		case p < len(pass) && pass[p] == x:
+			p++
+			j.hit[j.lpos[x]] = true
+			keep = append(keep, x)
+		case q < len(j.pads) && j.pads[q] == x:
+			q++
+			if !j.hit[j.lpos[x]] {
+				keep = append(keep, x)
+			}
+		}
+	}
+	out.Sel = keep
+	return nil
 }
 
 // load makes spilled partition pi the only resident one: its build rows are
@@ -610,126 +688,11 @@ func (j *HashJoinOp) Close() error {
 	}
 	j.parts = [aggPartitions]joinPartition{}
 	j.table, j.rows, j.gid, j.next, j.head = nil, typedRows{}, nil, nil, nil
-	j.cur, j.lpos, j.rrow, j.queue, j.parked = nil, nil, nil, nil, nil
+	j.cur, j.probes, j.heads, j.hit, j.lpos, j.rrow = nil, nil, nil, nil, nil, nil
+	j.queue, j.parked = nil, nil
 	j.res.Close()
 	if err1 != nil {
 		return err1
 	}
 	return err2
-}
-
-// NestedLoopJoinOp joins on an arbitrary predicate (non-equi joins,
-// e.g. Oracle hierarchical or theta joins). Quadratic; the planner only
-// picks it when no equi-keys exist.
-type NestedLoopJoinOp struct {
-	Left, Right Operator
-	Pred        Expr // over the concatenated columns; nil = cross join
-	Type        JoinType
-
-	// Planner annotations, surfaced by EXPLAIN (see HashJoinOp).
-	EstRows   float64
-	Reordered bool
-
-	right   []types.Row
-	pairs   *vec.Batch    // one left row beside every right row: Pred's input
-	lcells  []*vec.Vector // the pairs' left-hand columns, one constant each
-	out     types.Schema
-	pending rowQueue
-	eos     bool
-}
-
-// Schema implements Operator.
-func (j *NestedLoopJoinOp) Schema() types.Schema {
-	if j.out == nil {
-		j.out = append(append(types.Schema{}, j.Left.Schema()...), j.Right.Schema()...)
-	}
-	return j.out
-}
-
-// Open implements Operator.
-func (j *NestedLoopJoinOp) Open() error {
-	j.pending.rows, j.eos = nil, false
-	var err error
-	j.right, err = Drain(j.Right) // Drain opens and closes the build side
-	if err != nil {
-		return err
-	}
-	// The pair batch is built once: its right-hand columns are views of the
-	// held rows, its left-hand ones boxed constants that Next overwrites for
-	// each left row.
-	rb := vec.FromRows(j.Right.Schema(), j.right)
-	j.lcells = make([]*vec.Vector, len(j.Left.Schema()))
-	cols := make([]*vec.Vector, 0, len(j.lcells)+rb.NumCols())
-	for c := range j.lcells {
-		j.lcells[c] = &vec.Vector{Const: true, Any: make([]types.Value, 1)}
-		cols = append(cols, j.lcells[c])
-	}
-	for c := 0; c < rb.NumCols(); c++ {
-		cols = append(cols, rb.Col(c))
-	}
-	j.pairs = vec.NewBatch(j.Schema(), cols, len(j.right))
-	return j.Left.Open()
-}
-
-// Next implements Operator. Pred runs once per left row, over one batch
-// that holds the row's cells as constant vectors beside the whole right
-// side; a pair is built only when it matches.
-func (j *NestedLoopJoinOp) Next() (*vec.Batch, error) {
-	for {
-		if vb := j.pending.next(j.Schema(), j.eos); vb != nil || j.eos {
-			return vb, nil
-		}
-		vb, err := j.Left.Next()
-		if err != nil {
-			return nil, err
-		}
-		if vb == nil {
-			j.eos = true
-			continue
-		}
-		var lrow types.Row // scratch, per batch: RowInto may hand back the batch's own row
-		for _, i := range vb.Idx() {
-			lrow = vb.RowInto(lrow, i)
-			sel := j.pairs.Idx()
-			if j.Pred != nil {
-				for c, cell := range j.lcells {
-					cell.Any[0] = lrow[c]
-				}
-				pv, err := j.Pred.EvalVec(j.pairs)
-				if err != nil {
-					return nil, err
-				}
-				sel = SelTrue(pv, sel)
-			}
-			for _, r := range sel {
-				pair := make(types.Row, 0, len(lrow)+len(j.right[r]))
-				j.pending.rows = append(j.pending.rows, append(append(pair, lrow...), j.right[r]...))
-			}
-			if len(sel) == 0 && j.Type == LeftJoin {
-				j.pending.rows = append(j.pending.rows, padNulls(lrow, j.Right.Schema()))
-			}
-		}
-	}
-}
-
-// Close implements Operator.
-func (j *NestedLoopJoinOp) Close() error {
-	err1 := j.Left.Close()
-	err2 := j.Right.Close()
-	j.right, j.pairs, j.lcells, j.pending.rows = nil, nil, nil, nil
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-// padNulls returns lrow followed by one typed NULL per column of rs: the
-// LEFT JOIN output for an unmatched left row.
-func padNulls(lrow types.Row, rs types.Schema) types.Row {
-	out := make(types.Row, 0, len(lrow)+len(rs))
-	out = append(out, lrow...)
-	for _, c := range rs {
-		out = append(out, types.NullOf(c.Kind))
-	}
-	return out
 }

@@ -17,9 +17,10 @@ import (
 )
 
 // nestedLoopJoin is the join oracle: a plain nested loop over materialized
-// rows with SQL key equality (a NULL key never matches). It shares no
-// hashing, partitioning, spill or dictionary code with HashJoinOp.
-func nestedLoopJoin(left, right []types.Row, lk, rk []int, jt JoinType, rightSch types.Schema) []types.Row {
+// rows with SQL key equality (a NULL key never matches), keeping a joined
+// row when residual, if any, holds for it. It shares no hashing,
+// partitioning, spill, dictionary or expression code with HashJoinOp.
+func nestedLoopJoin(left, right []types.Row, lk, rk []int, jt JoinType, rightSch types.Schema, residual func(types.Row) bool) []types.Row {
 	var out []types.Row
 	for _, l := range left {
 		matched := false
@@ -32,9 +33,12 @@ func nestedLoopJoin(left, right []types.Row, lk, rk []int, jt JoinType, rightSch
 					break
 				}
 			}
-			if eq {
+			if !eq {
+				continue
+			}
+			if row := append(append(types.Row{}, l...), r...); residual == nil || residual(row) {
 				matched = true
-				out = append(out, append(append(types.Row{}, l...), r...))
+				out = append(out, row)
 			}
 		}
 		if !matched && jt == LeftJoin {
@@ -114,12 +118,22 @@ func joinTable(t testing.TB, id uint32, rows []types.Row) *columnar.Table {
 	return tbl
 }
 
+// thetaResidual is (l.id + r.id) % 7 = 0 over two joinSchema rows side by
+// side, and thetaHolds its oracle.
+var thetaResidual = &CmpExpr{Op: encoding.OpEQ,
+	L: &ArithExpr{Op: "%", L: &ArithExpr{Op: "+", L: ColRef(2), R: ColRef(7)}, R: Const{V: types.NewInt(7)}},
+	R: Const{V: types.NewInt(0)}}
+
+func thetaHolds(r types.Row) bool { return (r[2].Int()+r[7].Int())%7 == 0 }
+
 // TestHashJoinInputInvariance is the one-join property: whatever form the
 // children's batches take (row-built or column vectors, on either side), whatever
-// the key (plain INT, dictionary string, both), and whether or not the
-// build fits the hash heap, HashJoinOp returns the nested-loop oracle's
-// multiset. The data carries NULL keys, duplicate keys on both sides and
-// probe strings absent from the build dictionary; empty inputs ride along.
+// the key (plain INT, dictionary string, both, none), with or without a
+// residual, and whether or not the build fits the hash heap, HashJoinOp
+// returns the nested-loop oracle's multiset. The data carries NULL keys,
+// duplicate keys on both sides and probe strings absent from the build
+// dictionary; empty inputs ride along. A keyless build is one partition, so
+// at 16 KB it spills whole.
 func TestHashJoinInputInvariance(t *testing.T) {
 	type side struct {
 		rows []types.Row
@@ -142,20 +156,31 @@ func TestHashJoinInputInvariance(t *testing.T) {
 		build := mk(uint32(600+10*seed), 300+rng.Intn(60), 40)
 		probe := mk(uint32(601+10*seed), 420+rng.Intn(60), 50) // r40..r49 are not in the build dictionary
 		empty := mk(uint32(602+10*seed), 0, 1)
+		few := mk(uint32(603+10*seed), 40+rng.Intn(20), 50)
+		// l.f < r.f reads both sides and meets NaN, which sorts high.
+		fLess := &CmpExpr{Op: encoding.OpLT, L: ColRef(3), R: ColRef(8)}
+		fHolds := func(r types.Row) bool {
+			return !r[3].IsNull() && !r[8].IsNull() && types.Compare(r[3], r[8]) < 0
+		}
 		for _, shape := range []struct {
 			name         string
 			probe, build side
 			pkeys, bkeys []int
+			residual     Expr
+			holds        func(types.Row) bool
 		}{
-			{"int-key", probe, build, []int{1}, []int{1}},
-			{"dict-string-key", probe, build, []int{0}, []int{0}},
-			{"two-column-key", probe, build, []int{0, 1}, []int{0, 1}},
-			{"double-key", probe, build, []int{3}, []int{3}},
-			{"int-probe-double-build", probe, build, []int{1}, []int{3}},
-			{"double-probe-int-build", probe, build, []int{3}, []int{1}},
-			{"date-key", probe, build, []int{4}, []int{4}},
-			{"empty-build", probe, empty, []int{0, 1}, []int{0, 1}},
-			{"empty-probe", empty, build, []int{0}, []int{0}},
+			{"int-key", probe, build, []int{1}, []int{1}, nil, nil},
+			{"dict-string-key", probe, build, []int{0}, []int{0}, nil, nil},
+			{"two-column-key", probe, build, []int{0, 1}, []int{0, 1}, nil, nil},
+			{"double-key", probe, build, []int{3}, []int{3}, nil, nil},
+			{"int-probe-double-build", probe, build, []int{1}, []int{3}, nil, nil},
+			{"double-probe-int-build", probe, build, []int{3}, []int{1}, nil, nil},
+			{"date-key", probe, build, []int{4}, []int{4}, nil, nil},
+			{"empty-build", probe, empty, []int{0, 1}, []int{0, 1}, nil, nil},
+			{"empty-probe", empty, build, []int{0}, []int{0}, nil, nil},
+			{"cross", few, build, nil, nil, nil, nil},
+			{"theta", few, build, nil, nil, thetaResidual, thetaHolds},
+			{"int-key+residual", probe, build, []int{1}, []int{1}, fLess, fHolds},
 		} {
 			// A vector build adopts codes for the key positions its scan
 			// delivers dictionary-encoded.
@@ -166,7 +191,7 @@ func TestHashJoinInputInvariance(t *testing.T) {
 				}
 			}
 			for _, jt := range []JoinType{InnerJoin, LeftJoin} {
-				want := sortedRowKeys(nestedLoopJoin(shape.probe.rows, shape.build.rows, shape.pkeys, shape.bkeys, jt, joinSchema()))
+				want := sortedRowKeys(nestedLoopJoin(shape.probe.rows, shape.build.rows, shape.pkeys, shape.bkeys, jt, joinSchema(), shape.holds))
 				for _, form := range []struct {
 					name               string
 					vecProbe, vecBuild bool
@@ -186,7 +211,7 @@ func TestHashJoinInputInvariance(t *testing.T) {
 						j := &HashJoinOp{
 							Left:     child(shape.probe, form.vecProbe),
 							Right:    child(shape.build, form.vecBuild),
-							LeftKeys: shape.pkeys, RightKeys: shape.bkeys,
+							LeftKeys: shape.pkeys, RightKeys: shape.bkeys, Residual: shape.residual,
 							Type: jt, Gov: gov,
 						}
 						requireEqualKeys(t, ctx, want, sortedKeys(t, j))
@@ -212,30 +237,88 @@ func TestHashJoinInputInvariance(t *testing.T) {
 }
 
 // TestHashJoinReopen drains the same operator twice: Open resets every
-// piece of per-execution state (probe progress, adopted code keys, spill
-// queue), so the second execution returns the first one's rows — in
-// memory and spilled, over row and vector children.
+// piece of per-execution state (the pair cursor, adopted code keys, spill
+// queue), so the second execution returns the first one's rows — in memory
+// and spilled, over row and vector children, keyed and keyless — and so does
+// one after an early Close (a LIMIT above it) that left most of a probe
+// batch's pairs unread.
 func TestHashJoinReopen(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	build := joinTable(t, 650, joinRows(rng, 300, 40))
 	probe := joinTable(t, 651, joinRows(rng, 400, 50))
-	for _, vector := range []bool{false, true} {
-		for _, heap := range []int64{0, 16 << 10} {
-			var gov *mem.Governor
-			if heap > 0 {
-				gov, _, _ = tinyGov(t, heap)
+	for _, keyed := range []bool{true, false} {
+		for _, vector := range []bool{false, true} {
+			for _, heap := range []int64{0, 16 << 10} {
+				var gov *mem.Governor
+				if heap > 0 {
+					gov, _, _ = tinyGov(t, heap)
+				}
+				var left, right Operator = NewValues(joinSchema(), tableRows(t, probe)), NewValues(joinSchema(), tableRows(t, build))
+				if vector {
+					left, right = scanCodes(probe, 1), scanCodes(build, 1)
+				}
+				j := &HashJoinOp{Left: left, Right: right, Residual: thetaResidual, Type: LeftJoin, Gov: gov}
+				if keyed {
+					j.LeftKeys, j.RightKeys, j.Residual = []int{0}, []int{0}, nil
+				}
+				ctx := fmt.Sprintf("reopen keyed=%v vector=%v heap=%d", keyed, vector, heap)
+				first := sortedKeys(t, j)
+				if len(first) <= ChunkSize {
+					t.Fatalf("%s: %d rows, want more than a chunk", ctx, len(first))
+				}
+				requireEqualKeys(t, ctx, first, sortedKeys(t, j))
+				if err := j.Open(); err != nil {
+					t.Fatal(err)
+				}
+				if vb, err := j.Next(); err != nil || vb == nil {
+					t.Fatalf("%s: first batch: %v %v", ctx, vb, err)
+				}
+				if err := j.Close(); err != nil {
+					t.Fatal(err)
+				}
+				requireEqualKeys(t, ctx+" after an early Close", first, sortedKeys(t, j))
 			}
-			var left, right Operator = NewValues(joinSchema(), tableRows(t, probe)), NewValues(joinSchema(), tableRows(t, build))
-			if vector {
-				left, right = scanCodes(probe, 1), scanCodes(build, 1)
-			}
-			j := &HashJoinOp{Left: left, Right: right, LeftKeys: []int{0}, RightKeys: []int{0}, Type: LeftJoin, Gov: gov}
-			first := sortedKeys(t, j)
-			if len(first) == 0 {
-				t.Fatal("join returned no rows")
-			}
-			requireEqualKeys(t, fmt.Sprintf("reopen vector=%v heap=%d", vector, heap), first, sortedKeys(t, j))
 		}
+	}
+}
+
+// TestHashJoinPairsBounded: 1 024 probe rows and 4 000 build rows on one
+// key are 4 096 000 pairs, which the cursor hands out ChunkSize at a time —
+// the first Next holds no more than one chunk of them.
+func TestHashJoinPairsBounded(t *testing.T) {
+	var l, r [][]int64
+	for range 1024 {
+		l = append(l, []int64{1})
+	}
+	for range 4000 {
+		r = append(r, []int64{1})
+	}
+	j := &HashJoinOp{Left: NewValues(intSchema("k"), intRows(l...)), Right: NewValues(intSchema("k"), intRows(r...)),
+		LeftKeys: []int{0}, RightKeys: []int{0}}
+	if err := j.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	vb, err := j.Next()
+	if err != nil || vb == nil || vb.Rows() != ChunkSize {
+		t.Fatalf("first batch: %v %v", vb, err)
+	}
+	if cap(j.lpos) > ChunkSize || cap(j.rrow) > ChunkSize {
+		t.Fatalf("pair buffers hold %d and %d pairs, want at most %d", cap(j.lpos), cap(j.rrow), ChunkSize)
+	}
+	n := vb.Rows()
+	for {
+		vb, err := j.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vb == nil {
+			break
+		}
+		n += vb.Rows()
+	}
+	if n != 4_096_000 {
+		t.Fatalf("%d rows, want 4 096 000", n)
 	}
 }
 

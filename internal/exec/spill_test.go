@@ -184,7 +184,7 @@ func TestGraceJoinMatchesInMemory(t *testing.T) {
 					Gov:       gov,
 				}
 			}
-			want := nestedLoopJoin(left, right, []int{0}, []int{0}, jt, mixedSchema())
+			want := nestedLoopJoin(left, right, []int{0}, []int{0}, jt, mixedSchema(), nil)
 			inMem, err := Drain(mk(nil))
 			if err != nil {
 				t.Fatal(err)

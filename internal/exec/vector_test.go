@@ -268,7 +268,7 @@ func TestVectorHashJoinBuildEquivalence(t *testing.T) {
 		Left: scanCodes(left, 1), Right: scanCodes(right, 1),
 		LeftKeys: []int{0}, RightKeys: []int{0}, Type: InnerJoin,
 	}
-	want := nestedLoopJoin(tableRows(t, left), tableRows(t, right), []int{0}, []int{0}, InnerJoin, vecTestSchema())
+	want := nestedLoopJoin(tableRows(t, left), tableRows(t, right), []int{0}, []int{0}, InnerJoin, vecTestSchema(), nil)
 	requireEqualKeys(t, "hashjoin", sortedRowKeys(want), sortedKeys(t, j))
 }
 

@@ -6,15 +6,15 @@ import (
 	"strings"
 )
 
-// AnalyzerPlanLower enforces the logical-plan layering invariant: physical
-// join operators (exec.HashJoinOp, exec.NestedLoopJoinOp) are constructed
+// AnalyzerPlanLower enforces the logical-plan layering invariant: the
+// physical join operator (exec.HashJoinOp; any exec *JoinOp) is constructed
 // only by the lowering pass in internal/plan — which owns join ordering,
 // build/probe side selection, and the column-order restore projection —
 // and by internal/exec itself. A composite literal elsewhere silently
 // bypasses those passes: the join still returns correct rows, which is
 // exactly why only a linter catches it. Library callers that assemble
 // executor trees directly (workload simulators, benchmarks) go through
-// plan.HashJoin / plan.NestedLoopJoin instead.
+// plan.HashJoin instead.
 //
 // On the statement path (internal/sql, core, mpp, shardrpc) the same holds
 // for exec.GroupByOp: a SELECT block is one plan tree, and plan.Aggregate's
@@ -76,7 +76,7 @@ func runPlanLower(pass *Pass) {
 			}
 			if name := loweredOpName(t, groupBy); name != "" {
 				pass.Reportf(cl.Pos(),
-					"%s constructed outside the physical-lowering package: route through plan.Lower (SQL) or plan.HashJoin/plan.NestedLoopJoin (library callers) so join ordering, build-side selection and dop placement apply",
+					"%s constructed outside the physical-lowering package: route through plan.Lower (SQL) or plan.HashJoin (library callers) so join ordering, build-side selection and dop placement apply",
 					name)
 			}
 			return true

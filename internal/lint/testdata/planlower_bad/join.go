@@ -16,14 +16,6 @@ type HashJoinOp struct {
 // Open implements Operator.
 func (j *HashJoinOp) Open() error { return nil }
 
-// NestedLoopJoinOp is a local stand-in for exec.NestedLoopJoinOp.
-type NestedLoopJoinOp struct {
-	Left, Right Operator
-}
-
-// Open implements Operator.
-func (j *NestedLoopJoinOp) Open() error { return nil }
-
 // buildStarJoin hand-assembles a hash join, bypassing build-side
 // selection — the exact anti-pattern the invariant forbids.
 func buildStarJoin(fact, dim Operator) Operator {
@@ -34,9 +26,9 @@ func buildStarJoin(fact, dim Operator) Operator {
 	}
 }
 
-// crossProduct hand-assembles a nested-loop join.
+// crossProduct hand-assembles a keyless join as a value.
 func crossProduct(l, r Operator) Operator {
-	j := NestedLoopJoinOp{Left: l, Right: r} //lint:expect planlower
+	j := HashJoinOp{Left: l, Right: r} //lint:expect planlower
 	return &j
 }
 

@@ -97,7 +97,7 @@ func scanBelow(op exec.Operator) *exec.ScanOp {
 
 // lowerJoin dispatches one join node: inner/cross regions reorder under
 // the greedy pass; outer joins (and residual-carrying inner joins) have
-// a fixed shape and lower directly.
+// a fixed shape and lower directly, the residual inside the join.
 func lowerJoin(j *Join, opts Options) (exec.Operator, float64) {
 	if _, ok := flattenable(j); ok && opts.Greedy {
 		leaves, edges := flatten(j)
@@ -135,66 +135,28 @@ func lowerJoin(j *Join, opts Options) (exec.Operator, float64) {
 		}
 	}
 
-	switch j.Kind {
-	case CrossJoin:
-		op := &exec.NestedLoopJoinOp{Left: l, Right: r, Type: exec.InnerJoin, EstRows: est}
-		return op, est
-	case InnerJoin:
-		if len(j.LeftKeys) == 0 {
-			op := &exec.NestedLoopJoinOp{Left: l, Right: r, Pred: j.Residual, Type: exec.InnerJoin, EstRows: est}
-			return op, est
-		}
-		var op exec.Operator = &exec.HashJoinOp{
-			Left: l, Right: r,
-			LeftKeys: j.LeftKeys, RightKeys: j.RightKeys,
-			Type: exec.InnerJoin, Gov: opts.Gov, EstRows: est,
-		}
-		if j.Residual != nil {
-			op = &exec.FilterOp{Child: op, Pred: j.Residual}
-		}
-		return op, est
-	case LeftOuterJoin:
-		if len(j.LeftKeys) == 0 {
-			op := &exec.NestedLoopJoinOp{Left: l, Right: r, Pred: j.Residual, Type: exec.LeftJoin, EstRows: est}
-			return op, est
-		}
-		var op exec.Operator = &exec.HashJoinOp{
-			Left: l, Right: r,
-			LeftKeys: j.LeftKeys, RightKeys: j.RightKeys,
-			Type: exec.LeftJoin, Gov: opts.Gov, EstRows: est,
-		}
-		if j.Residual != nil {
-			op = &exec.FilterOp{Child: op, Pred: j.Residual}
-		}
-		return op, est
-	case RightOuterJoin:
+	if j.Kind == RightOuterJoin {
 		// The executor has no right-outer operator: preserve the right
 		// input by swapping sides into a LEFT join, then restore the
 		// user-visible column order. The swapped build side is the
 		// syntactic left relation.
-		var op exec.Operator
-		if len(j.LeftKeys) == 0 {
-			// Keyless residual predicates for outer joins are bound
-			// against the execution layout (preserved side first) by the
-			// compiler, so the NLJ evaluates them directly.
-			op = &exec.NestedLoopJoinOp{Left: r, Right: l, Pred: j.Residual, Type: exec.LeftJoin, EstRows: est}
-			return restoreOrder(op, []exec.Operator{l, r}, []int{ri.arity, 0}), est
-		}
-		op = &exec.HashJoinOp{
+		op := &exec.HashJoinOp{
 			Left: r, Right: l,
-			LeftKeys: j.RightKeys, RightKeys: j.LeftKeys,
+			LeftKeys: j.RightKeys, RightKeys: j.LeftKeys, Residual: j.Residual,
 			Type: exec.LeftJoin, Gov: opts.Gov, EstRows: est,
 			BuildSide: buildTag(opts, "left"),
 		}
-		// Keyed residuals are bound against the syntactic layout, so
-		// they apply above the order-restoring projection.
-		op = restoreOrder(op, []exec.Operator{l, r}, []int{ri.arity, 0})
-		if j.Residual != nil {
-			op = &exec.FilterOp{Child: op, Pred: j.Residual}
-		}
-		return op, est
+		return restoreOrder(op, []exec.Operator{l, r}, []int{ri.arity, 0}), est
 	}
-	panic("plan: unknown join kind")
+	jt := exec.InnerJoin
+	if j.Kind == LeftOuterJoin {
+		jt = exec.LeftJoin
+	}
+	return &exec.HashJoinOp{
+		Left: l, Right: r,
+		LeftKeys: j.LeftKeys, RightKeys: j.RightKeys, Residual: j.Residual,
+		Type: jt, Gov: opts.Gov, EstRows: est,
+	}, est
 }
 
 // buildTag returns the EXPLAIN build-side tag when the planner is active;
@@ -263,7 +225,7 @@ func lowerRegion(leaves []*leafInfo, edges []edge, opts Options) (exec.Operator,
 			if est < 1 {
 				est = 1
 			}
-			cur = &exec.NestedLoopJoinOp{Left: cur, Right: cand.op, Type: exec.InnerJoin, EstRows: est, Reordered: reordered}
+			cur = &exec.HashJoinOp{Left: cur, Right: cand.op, Type: exec.InnerJoin, Gov: opts.Gov, EstRows: est, Reordered: reordered}
 			pos[k] = curArity
 		case opts.Greedy && curEst < cand.est:
 			// The accumulated side is smaller: make it the build (right)
@@ -381,10 +343,4 @@ func HashJoin(left, right exec.Operator, leftKeys, rightKeys []int, jt exec.Join
 		LeftKeys: leftKeys, RightKeys: rightKeys,
 		Type: jt, Gov: gov,
 	}
-}
-
-// NestedLoopJoin is the sanctioned nested-loop constructor for library
-// callers (see HashJoin).
-func NestedLoopJoin(left, right exec.Operator, pred exec.Expr, jt exec.JoinType) *exec.NestedLoopJoinOp {
-	return &exec.NestedLoopJoinOp{Left: left, Right: right, Pred: pred, Type: jt}
 }

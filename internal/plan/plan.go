@@ -75,9 +75,9 @@ type Filter struct {
 
 func (n *Filter) arity() int { return n.Child.arity() }
 
-// JoinKind is the logical join type. The physical executor only knows
-// inner and left-outer hash/nested-loop joins; lowering maps RightOuter
-// onto LeftOuter by swapping inputs and restoring column order.
+// JoinKind is the logical join type. The physical executor's one join
+// operator knows inner and left-outer joins; lowering maps RightOuter onto
+// LeftOuter by swapping inputs and restoring column order.
 type JoinKind uint8
 
 const (
@@ -92,13 +92,13 @@ const (
 )
 
 // Join combines two subtrees. LeftKeys/RightKeys are equi-join column
-// ordinals relative to each child's output; empty keys mean a cross or
-// nested-loop join. Residual is an extra predicate evaluated on the
-// joined row. Binding convention: with equi keys the residual runs as a
-// filter above the join and is bound against the syntactic layout (left
-// columns then right columns); without keys it becomes the nested-loop
-// join predicate and is bound against the execution layout (preserved
-// side first for outer joins). The compiler builds residuals to match.
+// ordinals relative to each child's output; empty keys pair every row
+// with every row. Residual is the rest of the join condition, evaluated
+// inside the join on each candidate pair. It has one binding rule, keys
+// or none: the join operator's output layout, probe columns then build
+// columns — left then right for inner and left-outer joins, right then
+// left for a right-outer join, which runs as a swapped left-outer one. The
+// compiler builds residuals to match.
 type Join struct {
 	Left, Right         Node
 	Kind                JoinKind

@@ -676,8 +676,8 @@ func cmpOpFor(op string) (encoding.CmpOp, bool) {
 
 // compileJoin handles explicit JOIN ... ON / USING, producing a logical
 // plan.Join. Join orientation stays syntactic here: lowering maps RIGHT
-// joins onto the executor's left-preserving operators and the planner
-// picks build sides and join order.
+// joins onto the executor's left-preserving join and the planner picks
+// build sides and join order.
 func (c *Compiler) compileJoin(j *JoinRef, conjuncts *[]Expr) (*planned, error) {
 	// A WHERE conjunct filters joined rows: pushed into the scan of an
 	// outer join's null-supplying side it would filter before the join, and
@@ -698,13 +698,6 @@ func (c *Compiler) compileJoin(j *JoinRef, conjuncts *[]Expr) (*planned, error) 
 		return nil, err
 	}
 	merged := left.scope.merge(right.scope)
-
-	if j.Type == "CROSS" {
-		return &planned{
-			node:  &plan.Join{Left: left.node, Right: right.node, Kind: plan.CrossJoin},
-			scope: merged,
-		}, nil
-	}
 
 	// USING(cols) → equi-keys by shared column name.
 	var on Expr = j.On
@@ -730,43 +723,28 @@ func (c *Compiler) compileJoin(j *JoinRef, conjuncts *[]Expr) (*planned, error) 
 		kind = plan.RightOuterJoin
 	}
 
-	lk, rk, residual, err := c.extractEquiKeys(Conjuncts(on), left.scope, right.scope)
-	if err != nil {
+	lk, rk, residual := extractEquiKeys(Conjuncts(on), left.scope, right.scope)
+	jn := &plan.Join{Left: left.node, Right: right.node, Kind: kind, LeftKeys: lk, RightKeys: rk}
+	if jn.Residual, err = c.joinResidual(kind, residual, left.scope, right.scope); err != nil {
 		return nil, err
 	}
-
-	jn := &plan.Join{Left: left.node, Right: right.node, Kind: kind, LeftKeys: lk, RightKeys: rk}
-	if len(lk) > 0 {
-		if len(residual) > 0 {
-			if kind != plan.InnerJoin {
-				return nil, fmt.Errorf("sql: non-equi residual on outer join is not supported")
-			}
-			pred, err := c.compileConjuncts(residual, merged)
-			if err != nil {
-				return nil, err
-			}
-			jn.Residual = pred
-		}
-	} else {
-		// No equi keys: the whole ON predicate drives a nested-loop
-		// join, bound against the execution layout (preserved side
-		// first — see plan.Join).
-		sc := merged
-		if kind == plan.RightOuterJoin {
-			sc = right.scope.merge(left.scope)
-		}
-		if on != nil {
-			pred, perr := c.compileExpr(on, sc)
-			if perr != nil {
-				return nil, perr
-			}
-			jn.Residual = pred
-		}
-		if kind == plan.InnerJoin && jn.Residual == nil {
-			jn.Kind = plan.CrossJoin
-		}
+	if kind == plan.InnerJoin && len(lk) == 0 && jn.Residual == nil {
+		jn.Kind = plan.CrossJoin
 	}
 	return &planned{node: jn, scope: merged}, nil
+}
+
+// joinResidual compiles a join's ON conjuncts that are not equi-keys
+// against the join operator's output layout (see plan.Join): right then
+// left for a RIGHT join, left then right otherwise. nil for none.
+func (c *Compiler) joinResidual(kind plan.JoinKind, conjuncts []Expr, left, right *scope) (exec.Expr, error) {
+	if len(conjuncts) == 0 {
+		return nil, nil
+	}
+	if kind == plan.RightOuterJoin {
+		left, right = right, left
+	}
+	return c.compileConjuncts(conjuncts, left.merge(right))
 }
 
 // tableOfScope finds which alias exposes the column (for USING).
@@ -783,7 +761,7 @@ func tableOfScope(s *scope, col string) string {
 // extractEquiKeys pulls equality conjuncts joining left and right scopes;
 // remaining conjuncts are returned as residual. Oracle (+) markers are
 // tolerated here (join type was already decided).
-func (c *Compiler) extractEquiKeys(conjuncts []Expr, left, right *scope) (lk, rk []int, residual []Expr, err error) {
+func extractEquiKeys(conjuncts []Expr, left, right *scope) (lk, rk []int, residual []Expr) {
 	for _, cj := range conjuncts {
 		bo, ok := cj.(*BinaryOp)
 		if !ok || bo.Op != "=" {
@@ -813,7 +791,7 @@ func (c *Compiler) extractEquiKeys(conjuncts []Expr, left, right *scope) (lk, rk
 		}
 		residual = append(residual, cj)
 	}
-	return lk, rk, residual, nil
+	return lk, rk, residual
 }
 
 // combineComma joins two comma-separated FROM items, using WHERE
@@ -877,10 +855,7 @@ func (c *Compiler) combineComma(left, right *planned, conjuncts *[]Expr) (*plann
 			scope: merged,
 		}, nil
 	}
-	lk, rk, residual, err := c.extractEquiKeys(joinCjs, left.scope, right.scope)
-	if err != nil {
-		return nil, err
-	}
+	lk, rk, residual := extractEquiKeys(joinCjs, left.scope, right.scope)
 	kind := plan.InnerJoin
 	if outerRight && !outerLeft {
 		// (+) on the right side: preserve the left input.
@@ -891,14 +866,11 @@ func (c *Compiler) combineComma(left, right *planned, conjuncts *[]Expr) (*plann
 		// this onto a swapped LEFT join and restores column order.
 		kind = plan.RightOuterJoin
 	}
-	jn := &plan.Join{Left: left.node, Right: right.node, Kind: kind, LeftKeys: lk, RightKeys: rk}
-	if len(residual) > 0 {
-		pred, perr := c.compileConjuncts(residual, merged)
-		if perr != nil {
-			return nil, perr
-		}
-		jn.Residual = pred
+	pred, err := c.joinResidual(kind, residual, left.scope, right.scope)
+	if err != nil {
+		return nil, err
 	}
+	jn := &plan.Join{Left: left.node, Right: right.node, Kind: kind, LeftKeys: lk, RightKeys: rk, Residual: pred}
 	return &planned{node: jn, scope: merged}, nil
 }
 

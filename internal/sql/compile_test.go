@@ -70,9 +70,6 @@ func scans(op exec.Operator) (out []*exec.ScanOp) {
 		case *exec.HashJoinOp:
 			walk(o.Left)
 			walk(o.Right)
-		case *exec.NestedLoopJoinOp:
-			walk(o.Left)
-			walk(o.Right)
 		case *exec.UnionAllOp:
 			for _, c := range o.Children {
 				walk(c)

@@ -44,7 +44,11 @@ go test -race ./...
 # plus typed build buffers (about 12 B a row beside its columns), so its
 # spill does not depend on this gate either: tests that set their own heap
 # cover it (TestJoinSpillsSQL in internal/core; TestHashJoinInputInvariance
-# and TestHashJoinHeapStepping in internal/exec). Same package list and values as .github/workflows/ci.yml.
+# and TestHashJoinHeapStepping in internal/exec). Keyless joins (cross and
+# theta) are charged to HASHHEAP too, one partition for the whole build, and
+# are pinned by the same test: TestJoinSpillsSQL's BETWEEN self-join of reps
+# joins in memory at the default heap and spills at 8 KB. Same package list
+# and values as .github/workflows/ci.yml.
 DASHDB_SORTHEAP=1MB DASHDB_HASHHEAP=64KB go test -race -count=1 ./internal/core/ ./internal/exec/ ./driver/
 
 # Writers-active gate: the snapshot-isolation property suites — trickle
