@@ -91,7 +91,9 @@ func (b *Bulk) Flush() error {
 	if len(b.rows) == 0 {
 		return nil
 	}
-	n, err := b.tbl.BulkAppend(b.rows)
+	// Add validated and copied every buffered row; the table stores them
+	// as they are.
+	n, err := b.tbl.BulkAppendValidated(b.rows)
 	if err != nil {
 		// A failed flush may have torn the engine-side append mid-batch
 		// only in the writer's private buffers — published epochs are

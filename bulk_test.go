@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dashdb"
+	"dashdb/internal/workload"
 )
 
 func TestBulkLoader(t *testing.T) {
@@ -131,4 +132,71 @@ func TestBulkLoaderRacingQueries(t *testing.T) {
 	if r.Rows[0][0].Int() != total {
 		t.Fatalf("final count %d, want %d", r.Rows[0][0].Int(), total)
 	}
+}
+
+// loadFinancial creates the financial schema in db and loads its accounts
+// and transactions through DB.Bulk with the default flush thresholds,
+// which is how the benchmark harness sets up its single-node workloads.
+func loadFinancial(tb testing.TB, db *dashdb.DB, defs []workload.TableDef, data [][]dashdb.Row) {
+	tb.Helper()
+	for ti, td := range defs {
+		if _, err := db.Engine().CreateTable(td.Name, td.Schema); err != nil {
+			tb.Fatal(err)
+		}
+		bl, err := db.Bulk(td.Name, dashdb.BulkOptions{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, r := range data[ti] {
+			if err := bl.Add(r); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if _, err := bl.Finish(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestBulkLoadGrowsFramesInPlace: the 150 000 date-clustered transactions
+// arrive in three flushes, each reaching past the frames of reference of
+// txn_id and txn_date. The frames grow upward in place, so the load
+// rebuilds nothing and the widths follow the data's own spans: 7 years of
+// days in 12 bits, 150 000 ids in 18.
+func TestBulkLoadGrowsFramesInPlace(t *testing.T) {
+	fin := workload.NewFinancial(150_000, 1)
+	db := dashdb.Open(dashdb.Options{})
+	defer db.Close()
+	loadFinancial(t, db, fin.Tables(), [][]dashdb.Row{fin.Accounts(), fin.Transactions()})
+	tbl, ok := db.Engine().Table("transactions")
+	if !ok {
+		t.Fatal("transactions missing")
+	}
+	if n := tbl.Stats().Rebuilds; n != 0 {
+		t.Errorf("load rebuilt %d columns, want 0", n)
+	}
+	want := map[string]uint{"txn_id": 18, "txn_date": 12}
+	for _, c := range tbl.ColumnCompressionReport() {
+		if w, ok := want[c.Name]; ok && (c.Encoding != "MINUS" || c.WidthBits != w) {
+			t.Errorf("%s: %s at %d bits, want MINUS at %d", c.Name, c.Encoding, c.WidthBits, w)
+		}
+	}
+}
+
+// BenchmarkBulkLoad loads the financial dataset (3 000 accounts and 150 000
+// transactions) as TestBulkLoadGrowsFramesInPlace does; rows/s counts both
+// tables.
+func BenchmarkBulkLoad(b *testing.B) {
+	fin := workload.NewFinancial(150_000, 1)
+	defs := fin.Tables()
+	data := [][]dashdb.Row{fin.Accounts(), fin.Transactions()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db := dashdb.Open(dashdb.Options{})
+		loadFinancial(b, db, defs, data)
+		db.Close()
+	}
+	rows := len(data[0]) + len(data[1])
+	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }

@@ -255,33 +255,6 @@ func TestDataSkipping(t *testing.T) {
 	t.Logf("skipping: visited=%d skipped=%d", st.StridesVisited, st.StridesSkipped)
 }
 
-func TestFrameOfReferenceRebuild(t *testing.T) {
-	tbl := NewTable(3, "r", types.Schema{{Name: "v", Kind: types.KindInt}}, Config{})
-	var rows []types.Row
-	for i := 0; i < 2000; i++ {
-		rows = append(rows, types.Row{types.NewInt(int64(i % 50))})
-	}
-	if err := tbl.InsertBatch(rows); err != nil {
-		t.Fatal(err)
-	}
-	// Far outside the analyzed domain → forces a column rebuild.
-	if err := tbl.Insert(types.Row{types.NewInt(1_000_000)}); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Stats().Rebuilds == 0 {
-		t.Fatal("expected a rebuild")
-	}
-	n, err := tbl.CountWhere([]Pred{{Col: 0, Op: encoding.OpEQ, Val: types.NewInt(1_000_000)}})
-	if err != nil || n != 1 {
-		t.Fatalf("outlier lookup: %d %v", n, err)
-	}
-	// Old data still intact after re-encode.
-	n, _ = tbl.CountWhere([]Pred{{Col: 0, Op: encoding.OpEQ, Val: types.NewInt(7)}})
-	if n != 40 {
-		t.Fatalf("old value count after rebuild: %d", n)
-	}
-}
-
 // TestDoubleColumnIsLossless: a DOUBLE column analyzed as fixed-point
 // cents must not round a later value that is merely close to a cent —
 // 861.99999999999989 used to come back as 862, match "= 862" and lose

@@ -116,23 +116,23 @@ func OpenTable(id uint32, schema types.Schema, cfg Config) (*Table, error) {
 			return nil, fmt.Errorf("columnar: open table %d column %d: %w", id, ci, err)
 		}
 		t.cols[ci].enc = enc
-		t.cols[ci].analyzed = true
 		t.cols[ci].gen = cm.Gen
 		for s, e := range cm.Synopsis {
 			t.cols[ci].syn.Set(s, e)
 		}
 	}
-	t.growDeletedLocked()
-	// Re-append the open stride through the normal insert path (codes are
+	t.growDeletedLocked(t.rows)
+	// Re-append the open stride through the normal append path (codes are
 	// stable because the encoders' domains were restored).
-	for _, row := range blob.OpenRows {
-		if err := t.insertLocked(row); err != nil {
-			return nil, fmt.Errorf("columnar: open table %d: replay open stride: %w", id, err)
-		}
+	open, err := t.validateAll(blob.OpenRows)
+	if err == nil {
+		err = t.appendRowsLocked(open)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("columnar: open table %d: replay open stride: %w", id, err)
 	}
 	t.rawBytes = blob.RawBytes
-	// Tombstones last (insertLocked grew the bitmap).
-	t.growDeletedLocked()
+	// Tombstones last (the append grew the bitmap).
 	for _, pos := range blob.Deleted {
 		if pos < t.rows && !t.deleted.Get(pos) {
 			t.deleted.Set(pos)

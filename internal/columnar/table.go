@@ -20,6 +20,7 @@ package columnar
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -97,7 +98,7 @@ type Stats struct {
 	StridesSkipped uint64
 	PagesRead      uint64
 	RowsScanned    uint64
-	Rebuilds       uint64 // column re-encodes after domain overflow
+	Rebuilds       uint64 // column re-encodes: a frame of reference that could not be extended
 }
 
 // statCounters is the lock-free backing store: scans run concurrently
@@ -145,10 +146,9 @@ const genShift = 24
 // clamped views below every index the writer touches), and sealing
 // allocates fresh buffers so drained epochs keep the old backing arrays.
 type column struct {
-	enc      encoding.Encoder
-	syn      synopsis.Column
-	analyzed bool
-	gen      uint32 // current page generation (0 for never-rebuilt columns)
+	enc encoding.Encoder
+	syn synopsis.Column
+	gen uint32 // current page generation (0 for never-rebuilt columns)
 	// open stride buffers (not yet packed):
 	openCodes []uint64
 	openNulls []bool
@@ -314,7 +314,9 @@ func (t *Table) nextGenLocked() uint32 {
 	return g
 }
 
-// Insert validates and appends one row, publishing a new epoch.
+// Insert validates and appends one row, publishing a new epoch. An INSERT
+// into a table no load has analyzed gives its columns growable
+// dictionaries (the page-level dictionary path).
 func (t *Table) Insert(row types.Row) error {
 	checked, err := t.schema.Validate(row)
 	if err != nil {
@@ -323,13 +325,14 @@ func (t *Table) Insert(row types.Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	defer t.publishLocked()
-	return t.insertLocked(checked)
+	t.ensureEncodersLocked()
+	return t.appendRowsLocked([]types.Row{checked})
 }
 
 // InsertBatch bulk-loads rows; the first batch triggers encoding analysis
-// over a leading sample (the LOAD-time "compression optimized globally per
-// column" of §II.B.1). The whole batch becomes visible in one epoch:
-// concurrent readers observe either none of it or all of it.
+// (the LOAD-time "compression optimized globally per column" of §II.B.1).
+// The whole batch becomes visible in one epoch: concurrent readers observe
+// either none of it or all of it.
 func (t *Table) InsertBatch(rows []types.Row) error {
 	checked, err := t.validateAll(rows)
 	if err != nil {
@@ -349,17 +352,25 @@ func (t *Table) BulkAppend(rows []types.Row) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	return t.BulkAppendValidated(checked)
+}
+
+// BulkAppendValidated is BulkAppend for rows that already are the output
+// of Schema().Validate: a dashdb.Bulk loader validates and copies each row
+// at its Add, so its flush stores those rows as they are instead of
+// validating and copying every one a second time.
+func (t *Table) BulkAppendValidated(rows []types.Row) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	defer t.publishLocked()
 	before := t.rawBytes
-	if err := t.appendRowsLocked(checked); err != nil {
+	if err := t.appendRowsLocked(rows); err != nil {
 		return 0, err
 	}
 	t.bulk.flushes.Add(1)
-	t.bulk.rows.Add(uint64(len(checked)))
+	t.bulk.rows.Add(uint64(len(rows)))
 	t.bulk.bytes.Add(uint64(t.rawBytes - before))
-	return len(checked), nil
+	return len(rows), nil
 }
 
 // validateAll schema-checks every row up front, so a batch that fails
@@ -376,36 +387,81 @@ func (t *Table) validateAll(rows []types.Row) ([]types.Row, error) {
 	return checked, nil
 }
 
-// appendRowsLocked appends pre-validated rows, running load-time encoding
-// analysis when the table is empty. Caller holds mu and publishes after.
-func (t *Table) appendRowsLocked(checked []types.Row) error {
-	if t.rows == 0 && len(checked) > 0 {
-		t.analyzeLocked(checked)
+// appendRowsLocked appends validated rows. Columns without an encoder get
+// one analyzed from the batch; then every column's encoder is fitted to
+// the whole batch (the only domain work that can fail, and it runs before
+// any column is touched, so columns never go out of step). The rows are
+// then encoded a column at a time, as many per step as the open stride
+// has room for. Caller holds mu and publishes after.
+func (t *Table) appendRowsLocked(rows []types.Row) error {
+	if len(rows) == 0 {
+		return nil
 	}
-	for _, r := range checked {
-		if err := t.insertLocked(r); err != nil {
+	t.analyzeLocked(rows)
+	for ci := range t.cols {
+		if err := t.fitDomainLocked(ci, rows); err != nil {
 			return err
 		}
+	}
+	t.growDeletedLocked(t.rows + len(rows))
+	for len(rows) > 0 {
+		chunk := rows[:min(page.StrideSize-t.openLen(), len(rows))]
+		for ci, c := range t.cols {
+			t.rawBytes += c.appendOpen(chunk, ci)
+		}
+		t.rows += len(chunk)
+		t.live += len(chunk)
+		if t.openLen() == 0 { // stride just filled
+			if err := t.sealStrideLocked(t.sealedStrides() - 1); err != nil {
+				return err
+			}
+		}
+		rows = rows[len(chunk):]
 	}
 	return nil
 }
 
-// analyzeLocked chooses encoders from a sample of the incoming load.
+// analyzeLocked chooses an encoder for every column that has none from
+// the batch about to be loaded. A dictionary is built from a leading
+// sample; a frame of reference spans the whole batch, because the batch's
+// extremes, found in one pass, join the sample.
 func (t *Table) analyzeLocked(rows []types.Row) {
-	n := len(rows)
-	if n > t.analyzeSample {
-		n = t.analyzeSample
-	}
-	for ci := range t.cols {
-		sample := make([]types.Value, 0, n)
-		for _, r := range rows[:n] {
-			if ci < len(r) {
-				sample = append(sample, r[ci])
-			}
+	n := min(len(rows), t.analyzeSample)
+	for ci, c := range t.cols {
+		if c.enc != nil {
+			continue
 		}
-		t.cols[ci].enc = encoding.ChooseEncoder(t.schema[ci].Kind, sample)
-		t.cols[ci].analyzed = true
+		kind := t.schema[ci].Kind
+		sample := make([]types.Value, n, n+2)
+		for i, r := range rows[:n] {
+			sample[i] = r[ci]
+		}
+		if lo, hi, ok := extremes(rows, ci, kind); ok {
+			sample = append(sample, lo, hi)
+		}
+		c.enc = encoding.ChooseEncoder(kind, sample)
 	}
+}
+
+// extremes returns the smallest and largest non-NULL values of column ci
+// in rows when its kind can take a frame of reference.
+func extremes(rows []types.Row, ci int, kind types.Kind) (lo, hi types.Value, ok bool) {
+	var mk func(int64) types.Value
+	switch kind {
+	case types.KindFloat:
+		l, h := floatSpan(rows, ci)
+		return types.NewFloat(l), types.NewFloat(h), l <= h
+	case types.KindInt:
+		mk = types.NewInt
+	case types.KindDate:
+		mk = types.NewDate
+	case types.KindTimestamp:
+		mk = types.NewTimestamp
+	default:
+		return lo, hi, false
+	}
+	l, h := intSpan(rows, ci)
+	return mk(l), mk(h), l <= h
 }
 
 // ensureEncodersLocked gives un-analyzed columns growable dictionaries
@@ -418,109 +474,156 @@ func (t *Table) ensureEncodersLocked() {
 	}
 }
 
-func (t *Table) insertLocked(checked types.Row) error {
-	t.ensureEncodersLocked()
-	t.rawBytes += encoding.EstimateRawBytes(checked)
-	for ci, c := range t.cols {
-		v := checked[ci]
-		if v.IsNull() {
-			c.openCodes = append(c.openCodes, 0)
-			c.openNulls = append(c.openNulls, true)
-			c.openVals = append(c.openVals, types.NullOf(t.schema[ci].Kind))
-			continue
-		}
-		code, err := t.encodeValueLocked(ci, v)
-		if err != nil {
-			return err
-		}
-		// Appends land at indexes no published epoch's clamped view can
-		// reach; capacity is exactly StrideSize, so the backing array is
-		// never reallocated mid-stride.
-		c.openCodes = append(c.openCodes, code)
-		c.openNulls = append(c.openNulls, false)
-		c.openVals = append(c.openVals, v)
-	}
-	t.rows++
-	t.live++
-	t.growDeletedLocked()
-	if t.openLen() == 0 { // stride just filled
-		if err := t.sealStrideLocked(t.sealedStrides() - 1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// encodeValueLocked encodes v for column ci, rebuilding the column's
-// encoding when the value falls outside a fixed frame of reference.
-func (t *Table) encodeValueLocked(ci int, v types.Value) (uint64, error) {
+// fitDomainLocked makes column ci's encoder able to encode every value of
+// column ci in rows. A dictionary takes any value. A frame of reference
+// that the values overflow only upward is extended in place: same base,
+// so existing codes, pages, synopsis entries and the page generation stay
+// valid. Anything else — a value below the base, a float not exact at the
+// column's scale, a span past 32 bits — rebuilds the column, once for the
+// whole batch.
+func (t *Table) fitDomainLocked(ci int, rows []types.Row) error {
 	c := t.cols[ci]
-	switch f := c.enc.(type) {
+	switch e := c.enc.(type) {
 	case *encoding.IntFOR:
-		raw, isInt := v.AsInt()
-		if !isInt {
-			return 0, fmt.Errorf("columnar: non-integral value %v in column %s", v, t.schema[ci].Name)
-		}
-		if !f.Contains(raw) {
-			if err := t.rebuildColumnLocked(ci, v); err != nil {
-				return 0, err
-			}
+		if ext, ok := e.Extend(intSpan(rows, ci)); ok {
+			c.enc = ext
+			return nil
 		}
 	case *encoding.FloatFOR:
-		fv, isNum := v.AsFloat()
-		if !isNum {
-			return 0, fmt.Errorf("columnar: non-numeric value %v in column %s", v, t.schema[ci].Name)
-		}
-		if !f.Contains(fv) {
-			if err := t.rebuildColumnLocked(ci, v); err != nil {
-				return 0, err
+		if lo, hi, exact := scaledSpan(e, rows, ci); exact {
+			if ext, ok := e.Extend(lo, hi); ok {
+				c.enc = ext
+				return nil
 			}
 		}
+	default:
+		return nil
 	}
-	return t.cols[ci].enc.Encode(v), nil
+	return t.rebuildColumnLocked(ci, rows)
 }
 
-// growDeletedLocked extends the tombstone bitmap to cover all rows. The
+// intSpan returns the smallest and largest raw value of column ci in rows,
+// NULLs skipped; lo > hi when every value is NULL.
+//
+//dashdb:hotpath
+func intSpan(rows []types.Row, ci int) (lo, hi int64) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	for _, r := range rows {
+		if v := r[ci]; !v.IsNull() {
+			lo, hi = min(lo, v.Int()), max(hi, v.Int())
+		}
+	}
+	return lo, hi
+}
+
+// floatSpan is intSpan over a DOUBLE column; a NaN makes both ends NaN.
+//
+//dashdb:hotpath
+func floatSpan(rows []types.Row, ci int) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, r := range rows {
+		if v := r[ci]; !v.IsNull() {
+			lo, hi = min(lo, v.Float()), max(hi, v.Float())
+		}
+	}
+	return lo, hi
+}
+
+// scaledSpan is intSpan over e's fixed-point values; exact is false when
+// some value is not exact at e's scale.
+//
+//dashdb:hotpath
+func scaledSpan(e *encoding.FloatFOR, rows []types.Row, ci int) (lo, hi int64, exact bool) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	for _, r := range rows {
+		v := r[ci]
+		if v.IsNull() {
+			continue
+		}
+		s, ok := e.Scaled(v.Float())
+		if !ok {
+			return lo, hi, false
+		}
+		lo, hi = min(lo, s), max(hi, s)
+	}
+	return lo, hi, true
+}
+
+// appendOpen encodes column ci of rows, which fit in the open stride,
+// onto the open buffers — one gather loop and one encode loop (a
+// dictionary locks once for the run) — and returns the values' raw
+// bytes. The buffers' capacity is exactly StrideSize, so the writes land
+// past every published epoch's clamped view and never reallocate
+// mid-stride.
+func (c *column) appendOpen(rows []types.Row, ci int) int {
+	n, m := len(c.openCodes), len(c.openCodes)+len(rows)
+	c.openCodes, c.openNulls, c.openVals = c.openCodes[:m], c.openNulls[:m], c.openVals[:m]
+	gatherColumn(rows, ci, c.openVals[n:], c.openNulls[n:])
+	c.enc.EncodeAll(c.openVals[n:], c.openCodes[n:])
+	return encoding.EstimateRawBytes(c.openVals[n:])
+}
+
+// gatherColumn copies column ci of rows into vals and its NULL flags into
+// nulls.
+//
+//dashdb:hotpath
+func gatherColumn(rows []types.Row, ci int, vals []types.Value, nulls []bool) {
+	vals, nulls = vals[:len(rows)], nulls[:len(rows)]
+	for i, r := range rows {
+		v := r[ci]
+		vals[i] = v
+		nulls[i] = v.IsNull()
+	}
+}
+
+// growDeletedLocked extends the tombstone bitmap to cover n rows. The
 // grown bitmap is a fresh copy, so published epochs keep their shorter
 // view untouched.
-func (t *Table) growDeletedLocked() {
-	if t.deleted.Len() < t.rows {
-		nb := bitpack.NewBitmap(((t.rows / page.StrideSize) + 1) * page.StrideSize)
+func (t *Table) growDeletedLocked(n int) {
+	if t.deleted.Len() < n {
+		nb := bitpack.NewBitmap(((n / page.StrideSize) + 1) * page.StrideSize)
 		t.deleted.ForEach(func(i int) { nb.Set(i) })
 		t.deleted = nb
 	}
 }
 
 // sealStrideLocked packs every column's open buffers for stride s into
-// pages at the narrowest width that fits the stride's codes (seal-time
-// repack: this is where frequency encoding pays — strides of hot values
-// pack at very narrow widths), writes them to the store, records the
-// synopsis entries, and hands each column fresh open buffers (published
-// epochs keep the sealed buffers' backing arrays).
+// pages, writes them to the store, records the synopsis entries, and
+// hands each column fresh open buffers (published epochs keep the sealed
+// buffers' backing arrays).
 func (t *Table) sealStrideLocked(s int) error {
 	for ci, c := range t.cols {
-		maxCode := uint64(0)
-		for i, code := range c.openCodes {
-			if !c.openNulls[i] && code > maxCode {
-				maxCode = code
-			}
-		}
-		pg := page.New(t.pageID(ci, s), bitpack.WidthFor(maxCode))
-		for i, code := range c.openCodes {
-			if c.openNulls[i] {
-				pg.Nulls.Set(i)
-				pg.Codes.Append(0)
-				continue
-			}
-			pg.Codes.Append(code)
-		}
-		nulls := c.openNulls
-		c.syn.Set(s, synopsis.Summarize(c.openCodes, func(i int) bool { return nulls[i] }))
-		c.syn.Observe(c.openCodes, func(i int) bool { return nulls[i] })
-		if err := t.store.WritePage(pg.ID, pg.Marshal()); err != nil {
-			return fmt.Errorf("columnar: seal %v: %w", pg.ID, err)
+		if err := t.writeStrideLocked(ci, s, c.openCodes, c.openNulls); err != nil {
+			return err
 		}
 		c.newOpenBuffers()
+	}
+	return nil
+}
+
+// writeStrideLocked packs column ci's codes for stride s into a page at
+// the narrowest width that fits them (seal-time repack: this is where
+// frequency encoding pays — strides of hot values pack at very narrow
+// widths), writes it under the column's current generation and records
+// the stride's synopsis entry. A NULL's code is 0.
+func (t *Table) writeStrideLocked(ci, s int, codes []uint64, nulls []bool) error {
+	c := t.cols[ci]
+	maxCode := uint64(0)
+	for _, code := range codes {
+		maxCode = max(maxCode, code)
+	}
+	pg := page.New(t.pageID(ci, s), bitpack.WidthFor(maxCode))
+	pg.Codes.AppendAll(codes)
+	for i, null := range nulls {
+		if null {
+			pg.Nulls.Set(i)
+		}
+	}
+	isNull := func(i int) bool { return nulls[i] }
+	c.syn.Set(s, synopsis.Summarize(codes, isNull))
+	c.syn.Observe(codes, isNull)
+	if err := t.store.WritePage(pg.ID, pg.Marshal()); err != nil {
+		return fmt.Errorf("columnar: seal %v: %w", pg.ID, err)
 	}
 	return nil
 }
@@ -552,19 +655,21 @@ func (t *Table) loadPageGen(ci int, gen uint32, stride int) (*page.Page, error) 
 	})
 }
 
-// rebuildColumnLocked re-encodes a whole column after a frame-of-reference
-// overflow, widening the domain to include extra. New pages are written
-// under a fresh generation; the old generation's pages are reclaimed only
-// after every epoch that references them drains. This is rare and counted
-// in Stats.Rebuilds.
-func (t *Table) rebuildColumnLocked(ci int, extra types.Value) error {
+// rebuildColumnLocked re-encodes column ci when rows hold values its frame
+// of reference cannot take by extension. The new encoder is chosen over
+// every value of the column plus the batch's, so one rebuild covers the
+// whole batch. Sealed strides are rewritten under a fresh generation; the
+// old generation's pages are reclaimed once every epoch that references
+// them has drained. Counted in Stats.Rebuilds.
+func (t *Table) rebuildColumnLocked(ci int, rows []types.Row) error {
 	t.stats.rebuilds.Add(1)
 	c := t.cols[ci]
+	kind := t.schema[ci].Kind
 	oldGen := c.gen
-	// Gather every live value of the column (including tombstoned rows:
-	// codes must stay positionally aligned).
-	var vals []types.Value
+	// Every sealed value of the column, tombstoned rows included (codes
+	// must stay positionally aligned).
 	sealed := t.sealedStrides()
+	vals := make([]types.Value, 0, t.rows+len(rows))
 	for s := 0; s < sealed; s++ {
 		pg, err := t.loadPageGen(ci, oldGen, s)
 		if err != nil {
@@ -572,82 +677,40 @@ func (t *Table) rebuildColumnLocked(ci int, extra types.Value) error {
 		}
 		for i := 0; i < pg.Rows(); i++ {
 			if pg.Nulls.Get(i) {
-				vals = append(vals, types.NullOf(t.schema[ci].Kind))
+				vals = append(vals, types.NullOf(kind))
 			} else {
 				vals = append(vals, c.enc.Decode(pg.Codes.Get(i)))
 			}
 		}
 	}
-	vals = append(vals, c.openVals...)
-
-	// Re-analyze over the full column plus the overflowing value, with
-	// widened bounds so repeated drift amortizes.
-	sample := append(append([]types.Value(nil), vals...), extra)
-	if raw, ok := extra.AsFloat(); ok {
-		sample = append(sample,
-			types.NewFloat(raw+raw/2+1),
-			types.NewFloat(raw-raw/2-1))
-		if t.schema[ci].Kind != types.KindFloat {
-			sample = sample[:len(sample)-2]
-			i, _ := extra.AsInt()
-			sample = append(sample, types.NewInt(i+i/2+1), types.NewInt(i-i/2-1))
-		}
+	sample := append(vals, c.openVals...)
+	for _, r := range rows {
+		sample = append(sample, r[ci])
 	}
-	c.enc = encoding.ChooseEncoder(t.schema[ci].Kind, sample)
+	c.enc = encoding.ChooseEncoder(kind, sample)
 	// Fresh synopsis: resetting in place would tear the entry slices
 	// published epochs hold.
 	c.syn = synopsis.Column{}
 	c.gen = t.nextGenLocked()
 
-	// Re-encode sealed strides under the new generation.
+	codes := make([]uint64, page.StrideSize)
+	nulls := make([]bool, page.StrideSize)
 	for s := 0; s < sealed; s++ {
-		lo, hi := s*page.StrideSize, (s+1)*page.StrideSize
-		codes := make([]uint64, 0, page.StrideSize)
-		nulls := make([]bool, 0, page.StrideSize)
-		maxCode := uint64(0)
-		for _, v := range vals[lo:hi] {
-			if v.IsNull() {
-				codes = append(codes, 0)
-				nulls = append(nulls, true)
-				continue
-			}
-			code := c.enc.Encode(v)
-			codes = append(codes, code)
-			nulls = append(nulls, false)
-			if code > maxCode {
-				maxCode = code
-			}
+		run := vals[s*page.StrideSize : (s+1)*page.StrideSize]
+		for i, v := range run {
+			nulls[i] = v.IsNull()
 		}
-		pg := page.New(t.pageID(ci, s), bitpack.WidthFor(maxCode))
-		for i, code := range codes {
-			if nulls[i] {
-				pg.Nulls.Set(i)
-				pg.Codes.Append(0)
-			} else {
-				pg.Codes.Append(code)
-			}
-		}
-		ns := nulls
-		c.syn.Set(s, synopsis.Summarize(codes, func(i int) bool { return ns[i] }))
-		c.syn.Observe(codes, func(i int) bool { return ns[i] })
-		if err := t.store.WritePage(pg.ID, pg.Marshal()); err != nil {
+		c.enc.EncodeAll(run, codes)
+		if err := t.writeStrideLocked(ci, s, codes, nulls); err != nil {
 			return err
 		}
 	}
-	// Re-encode the open stride into fresh code buffers (values and null
-	// flags are unchanged by a re-encode, so those arrays stay shared
-	// with published epochs).
-	newCodes := make([]uint64, 0, page.StrideSize)
-	for i, v := range c.openVals {
-		if c.openNulls[i] {
-			newCodes = append(newCodes, 0)
-			continue
-		}
-		newCodes = append(newCodes, c.enc.Encode(v))
-	}
-	c.openCodes = newCodes
-	// Reclaim the old generation's pages once every epoch that could
-	// reach them has drained.
+	// The open stride gets a fresh code buffer; its values and NULL flags
+	// are unchanged by a re-encode, so those arrays stay shared with
+	// published epochs.
+	open := make([]uint64, len(c.openVals), page.StrideSize)
+	c.enc.EncodeAll(c.openVals, open)
+	c.openCodes = open
 	t.deferPageDelete(ci, oldGen, sealed)
 	return nil
 }
@@ -682,7 +745,6 @@ func (t *Table) Truncate() error {
 		c.newOpenBuffers()
 		c.syn = synopsis.Column{}
 		c.enc = nil
-		c.analyzed = false
 		c.gen = t.nextGenLocked()
 	}
 	t.rows, t.live = 0, 0
@@ -701,7 +763,6 @@ func (t *Table) Drop() error {
 		c.newOpenBuffers()
 		c.syn = synopsis.Column{}
 		c.enc = nil
-		c.analyzed = false
 	}
 	t.rows, t.live = 0, 0
 	t.rawBytes = 0

@@ -12,6 +12,29 @@ const (
 	forHeadroomDen = 4
 )
 
+// headroom is the padding a frame of reference leaves beyond an observed
+// span: on both sides when the analyzer fixes a frame, above the top when
+// a frame is extended. It is a quarter of the span plus one unit (1 for
+// integers, the scale for fixed-point floats).
+func headroom(span uint64, unit int64) uint64 {
+	return span/forHeadroomDen*forHeadroomNum + uint64(unit)
+}
+
+// padFrame widens the observed range [min, max] by the headroom on both
+// sides, clamping against overflow; fits is false when the padded span is
+// too wide to bit-pack.
+func padFrame(min, max, unit int64) (lo, hi int64, fits bool) {
+	pad := int64(headroom(uint64(max-min), unit))
+	lo, hi = min, max
+	if lo > lo-pad {
+		lo -= pad
+	}
+	if hi < hi+pad {
+		hi += pad
+	}
+	return lo, hi, uint64(hi-lo) < 1<<maxFORWidth
+}
+
 // maxFORWidth is the widest span IntFOR will accept before the analyzer
 // falls back to a dictionary; spans wider than the packer's MaxWidth
 // cannot be bit-packed.
@@ -45,40 +68,18 @@ func ChooseEncoder(kind types.Kind, sample []types.Value) Encoder {
 		// Fixed-point floats (prices, amounts) become scaled minus codes;
 		// other floats fall back to the dictionary.
 		if scale := fixedPointScale(nonNull); scale > 0 {
-			min, max, ok := scaledRange(nonNull, scale)
-			if ok {
-				span := uint64(max - min)
-				pad := int64(span/uint64(forHeadroomDen)*uint64(forHeadroomNum)) + int64(scale)
-				lo, hi := min, max
-				if lo > lo-pad {
-					lo -= pad
-				}
-				if hi < hi+pad {
-					hi += pad
-				}
-				if uint64(hi-lo) < 1<<maxFORWidth {
+			if min, max, ok := scaledRange(nonNull, scale); ok {
+				if lo, hi, fits := padFrame(min, max, int64(scale)); fits {
 					return NewFloatFOR(lo, hi, scale)
 				}
 			}
 		}
 		return BuildDict(kind, nonNull)
 	case types.KindInt, types.KindDate, types.KindTimestamp:
-		min, max, ok := intRange(nonNull)
-		if !ok {
-			return BuildDict(kind, nonNull)
-		}
-		span := uint64(max - min)
-		// Add headroom on both sides, clamping against overflow.
-		pad := int64(span/uint64(forHeadroomDen)*uint64(forHeadroomNum)) + 1
-		lo, hi := min, max
-		if lo > lo-pad {
-			lo -= pad
-		}
-		if hi < hi+pad {
-			hi += pad
-		}
-		if uint64(hi-lo) < 1<<maxFORWidth {
-			return NewIntFOR(lo, hi, kind)
+		if min, max, ok := intRange(nonNull); ok {
+			if lo, hi, fits := padFrame(min, max, 1); fits {
+				return NewIntFOR(lo, hi, kind)
+			}
 		}
 		return BuildDict(kind, nonNull)
 	default:

@@ -232,6 +232,32 @@ func (d *Dict) Encode(v types.Value) uint64 {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.encodeLocked(cv)
+}
+
+// EncodeAll writes the code of each value in vals to codes, 0 for a NULL,
+// admitting unseen values into the extension region. It takes the lock
+// once for the whole run.
+func (d *Dict) EncodeAll(vals []types.Value, codes []uint64) {
+	codes = codes[:len(vals)]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i, v := range vals {
+		if v.IsNull() {
+			codes[i] = 0
+			continue
+		}
+		cv, ok := d.normalize(v)
+		if !ok {
+			panic("encoding: Dict.EncodeAll value not coercible to dictionary kind")
+		}
+		codes[i] = d.encodeLocked(cv)
+	}
+}
+
+// encodeLocked returns the code of the normalized value cv, appending it
+// to the extension region when it is new. Caller holds mu.
+func (d *Dict) encodeLocked(cv types.Value) uint64 {
 	if code, ok := d.lookup[cv]; ok {
 		return code
 	}

@@ -168,6 +168,11 @@ type Encoder interface {
 	// Encode maps a non-NULL value to its code, extending the encoder's
 	// domain if needed. The returned width is the current code width.
 	Encode(v types.Value) uint64
+	// EncodeAll encodes a run of values into codes (len(vals) of them),
+	// writing 0 for a NULL: the load path encodes a column a stride chunk
+	// at a time. Frame-of-reference encoders require every value inside
+	// their frame; dictionaries extend as Encode does.
+	EncodeAll(vals []types.Value, codes []uint64)
 	// Decode maps a code back to its value.
 	Decode(code uint64) types.Value
 	// Width returns the current code width in bits.

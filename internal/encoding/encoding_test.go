@@ -301,6 +301,86 @@ func TestFloatFORIsLossless(t *testing.T) {
 	}
 }
 
+// TestFrameExtend: Extend keeps the base, so codes handed out before stay
+// valid, reaches the new top with the analyzer's headroom, leaves the
+// extended encoder as it was, and refuses what only a rebuild can hold.
+func TestFrameExtend(t *testing.T) {
+	e := NewIntFOR(100, 200, types.KindDate)
+	if got, ok := e.Extend(150, 180); !ok || got != e {
+		t.Fatal("a span inside the frame must return the frame itself")
+	}
+	if got, ok := e.Extend(1, 0); !ok || got != e {
+		t.Fatal("an empty span must return the frame itself")
+	}
+	ext, ok := e.Extend(120, 1100)
+	if !ok || ext.Base() != 100 || e.Contains(1100) {
+		t.Fatalf("extension %+v ok=%v; the original must stay as it was", ext, ok)
+	}
+	if span := uint64(1000); ext.Cardinality() != int(span+headroom(span, 1))+1 || ext.Width() != 11 {
+		t.Fatalf("extended frame has %d codes at %d bits", ext.Cardinality(), ext.Width())
+	}
+	v := types.NewDate(150)
+	if ext.Encode(v) != e.Encode(v) || ext.Decode(50).Kind() != types.KindDate {
+		t.Fatal("extension changed a code or the decode kind")
+	}
+	if _, ok := e.Extend(99, 150); ok {
+		t.Fatal("a value below the base needs a rebuild")
+	}
+	if _, ok := e.Extend(100, 100+1<<32); ok {
+		t.Fatal("a span past 32 bits needs a rebuild")
+	}
+	if top, ok := e.Extend(100, 100+1<<32-1); !ok || top.Width() != 32 {
+		t.Fatal("the headroom must clamp to 32 bits rather than refuse")
+	}
+	f := NewFloatFOR(-100, 100, 100)
+	fx, ok := f.Extend(0, 10_000)
+	if !ok || !fx.Contains(100) || fx.Encode(types.NewFloat(0.5)) != f.Encode(types.NewFloat(0.5)) {
+		t.Fatal("FloatFOR extension must reach 100.00 and keep 0.50's code")
+	}
+}
+
+// TestEncodeAllMatchesEncode: the run encoder every load uses agrees with
+// Encode value by value, writing 0 for a NULL.
+func TestEncodeAllMatchesEncode(t *testing.T) {
+	vals := []types.Value{types.NewInt(7), types.NullOf(types.KindInt), types.NewInt(-3), types.NewInt(40)}
+	fvals := []types.Value{types.NewFloat(0.07), types.NullOf(types.KindFloat), types.NewFloat(-3.5)}
+	for _, c := range []struct {
+		enc  Encoder
+		vals []types.Value
+	}{
+		{NewIntFOR(-10, 50, types.KindInt), vals},
+		{NewFloatFOR(-1000, 1000, 100), fvals},
+		{BuildDict(types.KindInt, vals[:1]), vals}, // -3 and 40 join the extension
+	} {
+		codes := make([]uint64, len(c.vals))
+		c.enc.EncodeAll(c.vals, codes)
+		for i, v := range c.vals {
+			want := uint64(0)
+			if !v.IsNull() {
+				want = c.enc.Encode(v)
+			}
+			if codes[i] != want {
+				t.Errorf("%T: %v encodes to %d in a run, %d alone", c.enc, v, codes[i], want)
+			}
+		}
+	}
+}
+
+// TestFloatFORTranslateExactConstant: 0.07·100 is 7.000000000000001 in
+// floating point, so scaling the constant by multiplication made
+// "amount = 0.07" match nothing on a cents column.
+func TestFloatFORTranslateExactConstant(t *testing.T) {
+	e := NewFloatFOR(0, 10_000, 100)
+	code := e.Encode(types.NewFloat(0.07))
+	p := e.Translate(OpEQ, types.NewFloat(0.07))
+	if p.None || len(p.Ranges) != 1 || p.Ranges[0] != (CodeRange{code, code}) {
+		t.Fatalf("= 0.07 translates to %+v, want code %d", p, code)
+	}
+	if p := e.Translate(OpLT, types.NewFloat(0.07)); len(p.Ranges) != 1 || p.Ranges[0].Hi != code-1 {
+		t.Fatalf("< 0.07 translates to %+v, want codes below %d", p, code)
+	}
+}
+
 func TestFrontCodedList(t *testing.T) {
 	words := []string{
 		"", "app", "apple", "apple pie", "apples", "application",

@@ -88,7 +88,7 @@ func (e *FloatFOR) Contains(f float64) bool {
 }
 
 // Encode maps a value to its code; the value must be in-domain (the
-// columnar layer re-analyzes on overflow, as with IntFOR).
+// columnar layer extends or rebuilds on overflow, as with IntFOR).
 func (e *FloatFOR) Encode(v types.Value) uint64 {
 	f, ok := v.AsFloat()
 	if !ok {
@@ -101,13 +101,52 @@ func (e *FloatFOR) Encode(v types.Value) uint64 {
 	return e.inner.Encode(types.NewInt(raw))
 }
 
+// Extend is IntFOR.Extend over scaled values: lo and hi are value·scale,
+// and the headroom unit is one scale step, as at analysis.
+//
+//dashdb:hotpath
+func (e *FloatFOR) Extend(lo, hi int64) (*FloatFOR, bool) {
+	inner, ok := e.inner.extend(lo, hi, int64(e.scale))
+	switch {
+	case !ok:
+		return nil, false
+	case inner == e.inner:
+		return e, true
+	}
+	return &FloatFOR{inner: inner, scale: e.scale}, true
+}
+
+// EncodeAll writes the code of each value in vals to codes, 0 for a NULL.
+// Every non-NULL value must be exact at the scale and inside the frame,
+// which the columnar layer checks (Scaled) over a whole batch before it
+// encodes any of it.
+//
+//dashdb:hotpath
+func (e *FloatFOR) EncodeAll(vals []types.Value, codes []uint64) {
+	codes = codes[:len(vals)]
+	base, limit, scale := e.inner.base, e.inner.limit, e.scale
+	for i, v := range vals {
+		if v.IsNull() {
+			codes[i] = 0
+			continue
+		}
+		code := uint64(int64(math.Round(v.Float()*scale)) - base)
+		if code > limit {
+			panic("encoding: FloatFOR.EncodeAll outside domain; caller must fit the frame first")
+		}
+		codes[i] = code
+	}
+}
+
 // Decode maps a code back to its float value.
 func (e *FloatFOR) Decode(code uint64) types.Value {
 	return types.NewFloat(float64(e.inner.Decode(code).Int()) / e.scale)
 }
 
 // Translate converts "column OP v" into code space by scaling the
-// constant; fractional scaled constants reuse IntFOR's floor/ceil logic.
+// constant. A constant exact at the scale is its own fixed-point integer
+// (0.07·100 is 7.000000000000001 in floating point, which would match no
+// code); other scaled constants reuse IntFOR's floor/ceil logic.
 func (e *FloatFOR) Translate(op CmpOp, v types.Value) Predicate {
 	if v.IsNull() {
 		return NonePredicate()
@@ -118,6 +157,9 @@ func (e *FloatFOR) Translate(op CmpOp, v types.Value) Predicate {
 			return AllPredicate()
 		}
 		return NonePredicate()
+	}
+	if raw, exact := e.Scaled(f); exact {
+		return e.inner.Translate(op, types.NewInt(raw))
 	}
 	return e.inner.Translate(op, types.NewFloat(f*e.scale))
 }

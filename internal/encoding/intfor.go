@@ -23,7 +23,8 @@ type IntFOR struct {
 // NewIntFOR creates a minus encoder for values known to lie in [min, max].
 // The width is fixed by that range; Encode panics on values outside it
 // (the analyzer widens the range before construction; the columnar layer
-// re-analyzes when a batch falls outside the domain).
+// extends the frame, or rebuilds the column, when a batch falls outside
+// it).
 func NewIntFOR(min, max int64, kind types.Kind) *IntFOR {
 	if max < min {
 		max = min
@@ -70,6 +71,36 @@ func (e *IntFOR) Contains(raw int64) bool {
 	return raw >= e.base && uint64(raw-e.base) <= e.limit
 }
 
+// Extend returns an encoder whose frame also holds every raw value in
+// [lo, hi]: e itself when it already does (an empty span, lo > hi, needs
+// nothing), otherwise an IntFOR with e's base whose limit reaches hi plus
+// the analyzer's headroom. Codes are raw − base under both, so every code
+// e handed out — sealed pages, synopsis entries, the open stride — keeps
+// its meaning, and e itself stays as it is for the epochs that published
+// it. ok is false when only a rebuild can hold the span: lo lies below
+// the base, or hi − base does not fit 32 bits.
+//
+//dashdb:hotpath
+func (e *IntFOR) Extend(lo, hi int64) (*IntFOR, bool) {
+	return e.extend(lo, hi, 1)
+}
+
+// extend is Extend with the headroom unit of the caller's value domain.
+func (e *IntFOR) extend(lo, hi, unit int64) (*IntFOR, bool) {
+	if lo > hi || e.Contains(lo) && e.Contains(hi) {
+		return e, true
+	}
+	if lo < e.base {
+		return nil, false
+	}
+	span := uint64(hi) - uint64(e.base)
+	if span >= 1<<maxFORWidth {
+		return nil, false
+	}
+	limit := min(span+headroom(span, unit), 1<<maxFORWidth-1)
+	return &IntFOR{base: e.base, limit: limit, width: widthForSpan(limit), kind: e.kind}, true
+}
+
 // Encode maps a value to its code. The value must be integral-kinded and
 // inside the analyzed domain.
 func (e *IntFOR) Encode(v types.Value) uint64 {
@@ -78,6 +109,27 @@ func (e *IntFOR) Encode(v types.Value) uint64 {
 		panic("encoding: IntFOR.Encode outside domain; caller must re-analyze")
 	}
 	return uint64(raw - e.base)
+}
+
+// EncodeAll writes the code of each value in vals to codes, 0 for a NULL.
+// Every non-NULL value must be of an integral kind and inside the frame:
+// the columnar layer extends or rebuilds the frame over a whole batch
+// before it encodes any of it.
+//
+//dashdb:hotpath
+func (e *IntFOR) EncodeAll(vals []types.Value, codes []uint64) {
+	codes = codes[:len(vals)]
+	for i, v := range vals {
+		if v.IsNull() {
+			codes[i] = 0
+			continue
+		}
+		code := uint64(v.Int() - e.base)
+		if code > e.limit {
+			panic("encoding: IntFOR.EncodeAll outside domain; caller must fit the frame first")
+		}
+		codes[i] = code
+	}
 }
 
 // Decode maps a code back to a value of the encoder's kind.
