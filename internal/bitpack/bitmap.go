@@ -108,6 +108,25 @@ func (b *Bitmap) Indices(dst []int) []int {
 	return dst
 }
 
+// Gather returns the bits of b at the positions in sel as a bitmap over
+// selection positions (bit k is b's bit sel[k]), or nil when none of them
+// is set.
+func (b *Bitmap) Gather(sel []int) *Bitmap {
+	if !b.Any() {
+		return nil
+	}
+	var out *Bitmap
+	for k, i := range sel {
+		if b.Get(i) {
+			if out == nil {
+				out = NewBitmap(len(sel))
+			}
+			out.Set(k)
+		}
+	}
+	return out
+}
+
 // Clone returns a deep copy.
 func (b *Bitmap) Clone() *Bitmap {
 	return &Bitmap{words: append([]uint64(nil), b.words...), n: b.n}

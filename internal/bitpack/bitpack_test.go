@@ -48,6 +48,44 @@ func TestVectorAppendGet(t *testing.T) {
 	}
 }
 
+// TestAppendAllGather: runs appended with AppendAll, starting at every
+// slot of a word, read back by Get; Gather of ascending selections,
+// dense, sparse and empty, equals Get at each selected position.
+func TestAppendAllGather(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, width := range []uint{1, 3, 7, 8, 13, 21, 32} {
+		v := NewVector(width)
+		var want []uint64
+		for len(want) < 1000 {
+			run := make([]uint64, rng.Intn(70))
+			for i := range run {
+				run[i] = rng.Uint64() & (1<<width - 1)
+			}
+			v.AppendAll(run)
+			want = append(want, run...)
+		}
+		for i, w := range want {
+			if got := v.Get(i); got != w {
+				t.Fatalf("width %d: AppendAll then Get(%d)=%d want %d", width, i, got, w)
+			}
+		}
+		for _, p := range []float64{1, 0.9, 0.3, 0.01, 0} {
+			var sel []int
+			for i := range want {
+				if rng.Float64() < p {
+					sel = append(sel, i)
+				}
+			}
+			got := v.Gather(sel, nil)
+			for k, i := range sel {
+				if got[k] != want[i] {
+					t.Fatalf("width %d, %d selected: Gather[%d]=%d want code %d's %d", width, len(sel), k, got[k], i, want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestVectorSet(t *testing.T) {
 	v := NewVector(5)
 	v.AppendAll([]uint64{1, 2, 3, 4, 5})

@@ -76,6 +76,29 @@ func NewVector(width uint) *Vector {
 	}
 }
 
+// FromWords returns a vector of n codes of the given width over words,
+// packed as Append packs them, and takes ownership of words: bits outside
+// the n cells' payloads are cleared a word at a time. It fails when the
+// width is out of range or the word count does not hold exactly n codes.
+func FromWords(width uint, n int, words []uint64) (*Vector, error) {
+	if width < 1 || width > MaxWidth {
+		return nil, fmt.Errorf("bitpack: width %d out of range [1,%d]", width, MaxWidth)
+	}
+	v := NewVector(width)
+	if n < 0 || len(words) != (n+v.perWord-1)/v.perWord {
+		return nil, fmt.Errorf("bitpack: %d words do not hold %d codes of width %d", len(words), n, width)
+	}
+	payload := v.replicate(v.maxCode())
+	for i := range words {
+		words[i] &= payload
+	}
+	if tail := n % v.perWord; tail != 0 {
+		words[len(words)-1] &= 1<<(uint(tail)*v.cell) - 1
+	}
+	v.words, v.n = words, n
+	return v, nil
+}
+
 // Width returns the payload width k in bits.
 func (v *Vector) Width() uint { return v.width }
 
@@ -150,16 +173,39 @@ func (v *Vector) Unpack(dst []uint64) []uint64 {
 		dst = make([]uint64, v.n)
 	}
 	dst = dst[:v.n]
-	mask := v.maxCode()
-	cell := v.cell
-	per := v.perWord
-	i := 0
-	for _, w := range v.words {
-		for s := 0; s < per && i < v.n; s++ {
-			dst[i] = w & mask
+	mask, cell, per := v.maxCode(), v.cell, v.perWord
+	for wi, w := range v.words {
+		cells := dst[wi*per : min(wi*per+per, v.n)]
+		for s := range cells {
+			cells[s] = w & mask
 			w >>= cell
-			i++
 		}
+	}
+	return dst
+}
+
+// Gather is Unpack restricted to the positions in sel, which must ascend:
+// dst[k] becomes the code at sel[k]. dst is grown as needed and returned.
+// A selection of every position is a plain Unpack; otherwise the words
+// are walked in step with sel, so no position costs a division.
+//
+//dashdb:hotpath
+func (v *Vector) Gather(sel []int, dst []uint64) []uint64 {
+	if len(sel) == v.n {
+		return v.Unpack(dst) // ascending and distinct: sel is 0..n-1
+	}
+	if cap(dst) < len(sel) {
+		dst = make([]uint64, len(sel))
+	}
+	dst = dst[:len(sel)]
+	mask, cell, per := v.maxCode(), v.cell, v.perWord
+	wi, first := 0, 0 // the current word and the position of its first cell
+	for k, i := range sel {
+		for i >= first+per {
+			wi++
+			first += per
+		}
+		dst[k] = v.words[wi] >> (uint(i-first) * cell) & mask
 	}
 	return dst
 }

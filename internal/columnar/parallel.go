@@ -17,9 +17,10 @@ type encPredicates []encoding.Predicate
 // machine cores): sealed strides are morsels on a shared work queue, and
 // dop workers pull morsel indexes, run data skipping and SWAR predicate
 // evaluation independently, and deliver their batches to fn. The open
-// (unsealed) stride is one additional morsel, so the effective degree of
-// parallelism is capped at sealedStrides+1 — a table that is all open
-// stride degenerates to a serial scan.
+// (unsealed) stride is one additional morsel, evaluated in code space like
+// the others, so the effective degree of parallelism is capped at
+// sealedStrides+1 — a table that is all open stride degenerates to a
+// serial scan.
 //
 // Contract: fn is invoked concurrently from up to dop goroutines. The
 // worker argument (0 <= worker < dop) identifies the calling worker so
@@ -58,11 +59,7 @@ func (s *Snapshot) ParallelScanWithStats(preds []Pred, dop int, ss *telemetry.Sc
 		return nil
 	}
 
-	sealed := st.sealedStrides()
-	morsels := sealed
-	if st.openLen() > 0 {
-		morsels++
-	}
+	morsels := st.strides()
 	if dop > morsels {
 		dop = morsels
 	}
@@ -105,36 +102,13 @@ func (s *Snapshot) ParallelScanWithStats(preds []Pred, dop int, ss *telemetry.Sc
 				if m >= morsels {
 					return
 				}
-				if m == sealed {
-					// The open-stride morsel.
-					t.stats.stridesVisited.Add(1)
-					sh.Visit()
-					b := evalOpenStride(t, st, preds)
-					if b.Len() > 0 {
-						sh.Rows(b.Len())
-						if !fn(worker, b) {
-							stop.Store(true)
-						}
-					}
-					continue
-				}
-				if st.skipStride(m, preds, trans) {
-					t.stats.stridesSkipped.Add(1)
-					sh.Skip()
-					continue
-				}
-				t.stats.stridesVisited.Add(1)
-				sh.Visit()
-				b, err := evalSealedStride(t, st, m, preds, trans)
+				b, err := st.visit(t, m, preds, trans, sh)
 				if err != nil {
 					fail(err)
 					return
 				}
-				if b.Len() > 0 {
-					sh.Rows(b.Len())
-					if !fn(worker, b) {
-						stop.Store(true)
-					}
+				if b != nil && !fn(worker, b) {
+					stop.Store(true)
 				}
 			}
 		}(w)
@@ -172,8 +146,12 @@ func (st *tableState) translatePreds(preds []Pred) (encPredicates, bool) {
 }
 
 // skipStride applies data skipping: the stride can be skipped when any
-// conjunct is unsatisfiable in the stride's synopsis span.
+// conjunct is unsatisfiable in the stride's synopsis span. The open stride
+// has no synopsis entry and is never skipped.
 func (st *tableState) skipStride(s int, preds []Pred, trans encPredicates) bool {
+	if s == st.sealedStrides() {
+		return false
+	}
 	for i, p := range preds {
 		if !synopsis.MayMatch(trans[i], st.cols[p.Col].syn[s]) {
 			return true

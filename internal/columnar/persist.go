@@ -13,7 +13,7 @@ import (
 
 // Table persistence: SaveMeta writes everything that is not already in
 // sealed pages — encoders (dictionaries), synopses, the open stride's
-// rows, tombstones and counters — as a metadata blob in the page store.
+// codes, tombstones and counters — as a metadata blob in the page store.
 // OpenTable reconstructs the table from that blob plus the existing
 // pages. Together with the clustered filesystem this realizes §II.E's
 // portability claim: copy the filesystem, reopen the tables anywhere.
@@ -31,6 +31,10 @@ type colMeta struct {
 	Encoder  []byte
 	Synopsis []synopsis.Entry
 	Gen      uint32 // page generation the sealed strides live under
+	// The open stride as the column holds it: one code per row (0 for a
+	// NULL), and the rows' NULL flags as a bitmap, bit i in word i/64.
+	OpenCodes []uint64
+	OpenNulls []uint64
 }
 
 // tableMetaBlob is the serialized table state.
@@ -42,7 +46,6 @@ type tableMetaBlob struct {
 	GenSeq   uint32 // page-generation allocator position
 	Deleted  []int  // set tombstone positions
 	Cols     []colMeta
-	OpenRows []types.Row // open-stride rows, row-major
 }
 
 // SaveMeta persists the table's non-page state into the page store.
@@ -63,20 +66,16 @@ func (t *Table) SaveMeta() error {
 		if err != nil {
 			return fmt.Errorf("columnar: save %s: %w", t.name, err)
 		}
-		cm := colMeta{Encoder: encBytes, Gen: c.gen}
+		cm := colMeta{Encoder: encBytes, Gen: c.gen, OpenCodes: c.openCodes, OpenNulls: make([]uint64, (len(c.openNulls)+63)/64)}
 		for s := 0; s < c.syn.Strides(); s++ {
 			cm.Synopsis = append(cm.Synopsis, c.syn.Entry(s))
 		}
-		blob.Cols = append(blob.Cols, cm)
-	}
-	// Open-stride rows, reconstructed row-major from the column buffers.
-	open := t.openLen()
-	for i := 0; i < open; i++ {
-		row := make(types.Row, len(t.cols))
-		for ci, c := range t.cols {
-			row[ci] = c.openVals[i]
+		for i, null := range c.openNulls {
+			if null {
+				cm.OpenNulls[i/64] |= 1 << (i % 64)
+			}
 		}
-		blob.OpenRows = append(blob.OpenRows, row)
+		blob.Cols = append(blob.Cols, cm)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(blob); err != nil {
@@ -85,9 +84,9 @@ func (t *Table) SaveMeta() error {
 	return t.store.WritePage(metaID(t.id), buf.Bytes())
 }
 
-// OpenTable reopens a table previously persisted with SaveMeta: encoders
-// and synopses come from the metadata blob, sealed pages stay where they
-// are in the store.
+// OpenTable reopens a table previously persisted with SaveMeta: encoders,
+// synopses and the open stride's codes come from the metadata blob,
+// sealed pages stay where they are in the store. Nothing is re-encoded.
 func OpenTable(id uint32, schema types.Schema, cfg Config) (*Table, error) {
 	store := cfg.Store
 	if store == nil {
@@ -105,9 +104,7 @@ func OpenTable(id uint32, schema types.Schema, cfg Config) (*Table, error) {
 		return nil, fmt.Errorf("columnar: open table %d: schema has %d columns, meta has %d", id, len(schema), len(blob.Cols))
 	}
 	t := NewTable(id, blob.Name, schema, cfg)
-	sealedRows := blob.Rows - len(blob.OpenRows)
-	t.rows = sealedRows
-	t.live = sealedRows // adjusted below by tombstones and open rows
+	t.rows, t.live = blob.Rows, blob.Rows // live is adjusted below by tombstones
 	t.rawBytes = blob.RawBytes
 	t.genSeq = blob.GenSeq
 	for ci, cm := range blob.Cols {
@@ -115,24 +112,16 @@ func OpenTable(id uint32, schema types.Schema, cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("columnar: open table %d column %d: %w", id, ci, err)
 		}
-		t.cols[ci].enc = enc
-		t.cols[ci].gen = cm.Gen
+		c := t.cols[ci]
+		c.enc, c.gen = enc, cm.Gen
 		for s, e := range cm.Synopsis {
-			t.cols[ci].syn.Set(s, e)
+			c.syn.Set(s, e)
+		}
+		if err := c.installOpen(cm, t.openLen()); err != nil {
+			return nil, fmt.Errorf("columnar: open table %d column %d: %w", id, ci, err)
 		}
 	}
 	t.growDeletedLocked(t.rows)
-	// Re-append the open stride through the normal append path (codes are
-	// stable because the encoders' domains were restored).
-	open, err := t.validateAll(blob.OpenRows)
-	if err == nil {
-		err = t.appendRowsLocked(open)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("columnar: open table %d: replay open stride: %w", id, err)
-	}
-	t.rawBytes = blob.RawBytes
-	// Tombstones last (the append grew the bitmap).
 	for _, pos := range blob.Deleted {
 		if pos < t.rows && !t.deleted.Get(pos) {
 			t.deleted.Set(pos)
@@ -143,7 +132,30 @@ func OpenTable(id uint32, schema types.Schema, cfg Config) (*Table, error) {
 		return nil, fmt.Errorf("columnar: open table %d: live count mismatch (%d vs %d)", id, t.live, blob.Live)
 	}
 	// Publish the restored state as the table's first real epoch (the
-	// constructor published an empty one before the rows were replayed).
+	// constructor published an empty one).
 	t.publishLocked()
 	return t, nil
+}
+
+// installOpen restores the column's open stride of open rows from cm.
+// Every non-NULL code must lie inside the encoder's domain. A blob that
+// holds no codes for a non-empty open stride — one written before the
+// open stride was persisted as codes — is refused, not read as a table
+// without its open rows.
+func (c *column) installOpen(cm colMeta, open int) error {
+	if len(cm.OpenCodes) != open || len(cm.OpenNulls) != (open+63)/64 {
+		return fmt.Errorf("meta holds %d open codes and %d NULL words for an open stride of %d rows", len(cm.OpenCodes), len(cm.OpenNulls), open)
+	}
+	card := uint64(c.enc.Cardinality())
+	for i, code := range cm.OpenCodes {
+		null := cm.OpenNulls[i/64]>>(i%64)&1 != 0
+		if null {
+			code = 0
+		} else if code >= card {
+			return fmt.Errorf("open stride code %d outside its encoder's %d codes", code, card)
+		}
+		c.openCodes = append(c.openCodes, code)
+		c.openNulls = append(c.openNulls, null)
+	}
+	return nil
 }

@@ -32,11 +32,16 @@ type Pred struct {
 type Batch struct {
 	t      *Table
 	st     *tableState
-	stride int   // stride index; -1 for the open stride
+	stride int   // stride index; st.sealedStrides() for the open stride
 	base   int   // global row id of stride start
 	sel    []int // selected offsets within the stride, ascending
 	pages  map[int]*page.Page
 	doms   map[int][]types.Value // per-column dictionary snapshots for Value
+}
+
+// newBatch returns an empty batch over stride s of st.
+func newBatch(t *Table, st *tableState, s, preds int) *Batch {
+	return &Batch{t: t, st: st, stride: s, base: s * page.StrideSize, pages: make(map[int]*page.Page, preds)}
 }
 
 // Len returns the number of selected tuples.
@@ -45,17 +50,28 @@ func (b *Batch) Len() int { return len(b.sel) }
 // RowID returns the global row id of the i'th selected tuple.
 func (b *Batch) RowID(i int) int64 { return int64(b.base + b.sel[i]) }
 
-// Value returns column ci of the i'th selected tuple, decoding lazily.
-func (b *Batch) Value(ci, i int) types.Value {
-	off := b.sel[i]
-	c := &b.st.cols[ci]
-	if b.stride < 0 {
-		return c.openVals[off]
+// open reports whether the batch is over the open stride, whose codes are
+// not packed on a page.
+func (b *Batch) open() bool { return b.stride == b.st.sealedStrides() }
+
+// cell returns column ci's code at offset off of the stride and whether
+// the cell is NULL.
+func (b *Batch) cell(ci, off int) (uint64, bool) {
+	if b.open() {
+		c := &b.st.cols[ci]
+		return c.openCodes[off], c.openNulls[off]
 	}
 	pg := b.page(ci)
-	if pg.Nulls.Get(off) {
+	return pg.Codes.Get(off), pg.Nulls.Get(off)
+}
+
+// Value returns column ci of the i'th selected tuple, decoding lazily.
+func (b *Batch) Value(ci, i int) types.Value {
+	code, null := b.cell(ci, b.sel[i])
+	if null {
 		return types.NullOf(b.t.schema[ci].Kind)
 	}
+	c := &b.st.cols[ci]
 	if d, ok := c.enc.(*encoding.Dict); ok {
 		// Decode through a per-batch snapshot: one dictionary lock per
 		// (batch, column) instead of one per row.
@@ -67,9 +83,9 @@ func (b *Batch) Value(ci, i int) types.Value {
 			}
 			b.doms[ci] = dom
 		}
-		return dom[pg.Codes.Get(off)]
+		return dom[code]
 	}
-	return c.enc.Decode(pg.Codes.Get(off))
+	return c.enc.Decode(code)
 }
 
 // Row materializes the full i'th selected tuple.
@@ -150,65 +166,64 @@ func (s *Snapshot) scanState(preds []Pred, sh *telemetry.ScanShard, fn func(b *B
 		return nil // a false conjunct kills the whole scan
 	}
 
-	sealed := st.sealedStrides()
-	for strideIdx := 0; strideIdx < sealed; strideIdx++ {
-		// Data skipping: every conjunct must be satisfiable in this
-		// stride's code span.
-		if st.skipStride(strideIdx, preds, translated) {
-			t.stats.stridesSkipped.Add(1)
-			sh.Skip()
-			continue
-		}
-		t.stats.stridesVisited.Add(1)
-		sh.Visit()
-		b, err := evalSealedStride(t, st, strideIdx, preds, translated)
+	for strideIdx := 0; strideIdx < st.strides(); strideIdx++ {
+		b, err := st.visit(t, strideIdx, preds, translated, sh)
 		if err != nil {
 			return err
 		}
-		if b.Len() > 0 {
-			sh.Rows(b.Len())
-			if !fn(b) {
-				return nil
-			}
-		}
-	}
-	// Open stride: value-space evaluation over the unpacked buffers.
-	if n := st.openLen(); n > 0 {
-		t.stats.stridesVisited.Add(1)
-		sh.Visit()
-		b := evalOpenStride(t, st, preds)
-		if b.Len() > 0 {
-			sh.Rows(b.Len())
-			if !fn(b) {
-				return nil
-			}
+		if b != nil && !fn(b) {
+			return nil
 		}
 	}
 	return nil
 }
 
-// evalSealedStride evaluates the conjunction over one sealed stride using
-// the SWAR kernels, returning the selected offsets.
+// visit scans stride s for Scan and ParallelScan: data skipping over the
+// synopsis, then the conjunction in code space. It counts the skip or the
+// visit and the delivered rows into t's counters and sh, and returns the
+// selected tuples, or nil when the stride was skipped or nothing matched.
+func (st *tableState) visit(t *Table, s int, preds []Pred, trans encPredicates, sh *telemetry.ScanShard) (*Batch, error) {
+	if st.skipStride(s, preds, trans) {
+		t.stats.stridesSkipped.Add(1)
+		sh.Skip()
+		return nil, nil
+	}
+	t.stats.stridesVisited.Add(1)
+	sh.Visit()
+	b := newBatch(t, st, s, len(preds))
+	var err error
+	if b.open() {
+		b.sel = b.selectOpen(preds, trans)
+	} else {
+		b.sel, err = b.selectSealed(preds, trans)
+	}
+	if err != nil || b.Len() == 0 {
+		return nil, err
+	}
+	sh.Rows(b.Len())
+	return b, nil
+}
+
+// selectSealed evaluates the conjunction over a sealed stride with the
+// SWAR kernels over its packed pages, returning the selected offsets with
+// tombstones masked.
 //
 //dashdb:hotpath
-func evalSealedStride(t *Table, st *tableState, s int, preds []Pred, translated []encoding.Predicate) (*Batch, error) {
-	base := s * page.StrideSize
+func (b *Batch) selectSealed(preds []Pred, translated encPredicates) ([]int, error) {
 	var sel *bitpack.Bitmap
-	pages := make(map[int]*page.Page, len(preds))
-
 	for i, p := range preds {
-		pg, ok := pages[p.Col]
+		pg, ok := b.pages[p.Col]
 		if !ok {
 			var err error
-			pg, err = t.loadPageGen(p.Col, st.cols[p.Col].gen, s)
+			pg, err = b.t.loadPageGen(p.Col, b.st.cols[p.Col].gen, b.stride)
 			if err != nil {
 				return nil, err
 			}
-			pages[p.Col] = pg
-			t.stats.pagesRead.Add(1)
+			b.pages[p.Col] = pg
+			b.t.stats.pagesRead.Add(1)
 		}
 		match := bitpack.NewBitmap(pg.Rows())
-		applyPredicate(pg, st.cols[p.Col].enc, translated[i], preds[i], match)
+		applyPredicate(pg, b.st.cols[p.Col].enc, translated[i], p, match)
 		// Comparison predicates never match NULL.
 		match.AndNot(pg.Nulls)
 		if sel == nil {
@@ -217,7 +232,7 @@ func evalSealedStride(t *Table, st *tableState, s int, preds []Pred, translated 
 			sel.And(match)
 		}
 		if !sel.Any() {
-			return &Batch{t: t, st: st, stride: s, base: base, pages: pages}, nil
+			return nil, nil
 		}
 	}
 	rows := page.StrideSize
@@ -226,15 +241,14 @@ func evalSealedStride(t *Table, st *tableState, s int, preds []Pred, translated 
 	} else {
 		rows = sel.Len()
 	}
-	t.stats.rowsScanned.Add(uint64(rows))
-	// Mask tombstones.
+	b.t.stats.rowsScanned.Add(uint64(rows))
 	selIdx := make([]int, 0, sel.Count())
 	sel.ForEach(func(off int) {
-		if !st.deleted.Get(base + off) {
+		if !b.st.deleted.Get(b.base + off) {
 			selIdx = append(selIdx, off)
 		}
 	})
-	return &Batch{t: t, st: st, stride: s, base: base, sel: selIdx, pages: pages}, nil
+	return selIdx, nil
 }
 
 // applyPredicate ORs matching positions into match: SWAR range kernels for
@@ -276,36 +290,78 @@ func applyPredicate(pg *page.Page, enc encoding.Encoder, tp encoding.Predicate, 
 	}
 }
 
-// evalOpenStride evaluates predicates over the open stride's buffered
-// values in value space.
-func evalOpenStride(t *Table, st *tableState, preds []Pred) *Batch {
-	n := st.openLen()
-	base := st.sealedStrides() * page.StrideSize
+// selectOpen evaluates the conjunction over the open stride's codes, with
+// the same translated predicates as a sealed stride: the selection starts
+// as the stride's live rows and every conjunct narrows it.
+func (b *Batch) selectOpen(preds []Pred, translated encPredicates) []int {
+	n := b.st.openLen()
 	sel := make([]int, 0, n)
 	for off := 0; off < n; off++ {
-		if st.deleted.Get(base + off) {
-			continue
-		}
-		ok := true
-		for _, p := range preds {
-			c := &st.cols[p.Col]
-			if c.openNulls[off] || !p.Op.Eval(c.openVals[off], p.Val) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if !b.st.deleted.Get(b.base + off) {
 			sel = append(sel, off)
 		}
 	}
-	t.stats.rowsScanned.Add(uint64(n))
-	return &Batch{t: t, st: st, stride: -1, base: base, sel: sel}
+	for i, p := range preds {
+		c := &b.st.cols[p.Col]
+		sel = selectCodes(c.openCodes, c.openNulls, c.enc, translated[i], p, sel)
+	}
+	b.t.stats.rowsScanned.Add(uint64(n))
+	return sel
+}
+
+// selectCodes narrows sel, ascending offsets into codes, in place to the
+// cells that are not NULL and satisfy tp: exact ranges select in code
+// space, and a code in a residual range is decoded and rechecked against
+// p, as applyPredicate does on a page.
+//
+//dashdb:hotpath
+func selectCodes(codes []uint64, nulls []bool, enc encoding.Encoder, tp encoding.Predicate, p Pred, sel []int) []int {
+	live := sel[:0]
+	for _, off := range sel {
+		if !nulls[off] {
+			live = append(live, off)
+		}
+	}
+	if tp.All {
+		return live
+	}
+	ranges := make([][2]uint64, 0, len(tp.Ranges)+len(tp.Residual))
+	for _, r := range tp.Ranges {
+		ranges = append(ranges, [2]uint64{r.Lo, r.Hi})
+	}
+	exact := len(ranges)
+	for _, r := range tp.Residual {
+		ranges = append(ranges, [2]uint64{r.Lo, r.Hi})
+	}
+	live = bitpack.SelectCodesInRanges(codes, ranges, nil, live, live[:0])
+	if exact == len(ranges) {
+		return live
+	}
+	out := live[:0]
+	for _, off := range live {
+		if c := codes[off]; inRanges(c, ranges[:exact]) || p.Op.Eval(enc.Decode(c), p.Val) {
+			out = append(out, off)
+		}
+	}
+	return out
+}
+
+// inRanges reports whether c lies in one of the closed ranges.
+//
+//dashdb:hotpath
+func inRanges(c uint64, ranges [][2]uint64) bool {
+	for _, r := range ranges {
+		if c-r[0] <= r[1]-r[0] {
+			return true
+		}
+	}
+	return false
 }
 
 // ScanNaive is the decode-then-evaluate ablation (DESIGN.md §6): it
-// visits every stride (no data skipping), decodes every code back to a
-// value and compares in value space (no SWAR, no operating on compressed
-// data). The cloud column-store baseline of Test 4 runs its scans through
+// visits every stride (no data skipping), the open one included, decodes
+// every code back to a value and compares in value space (no SWAR, no
+// operating on compressed data). The cloud column-store baseline of Test 4 runs its scans through
 // this path; benchmarking it against Scan isolates exactly the techniques
 // of §II.B.2/4/6.
 func (s *Snapshot) ScanNaive(preds []Pred, fn func(b *Batch) bool) (err error) {
@@ -317,58 +373,38 @@ func (s *Snapshot) ScanNaive(preds []Pred, fn func(b *Batch) bool) (err error) {
 	if err := t.checkPreds(preds); err != nil {
 		return err
 	}
-	sealed := st.sealedStrides()
-	for strideIdx := 0; strideIdx < sealed; strideIdx++ {
+	for strideIdx := 0; strideIdx < st.strides(); strideIdx++ {
 		t.stats.stridesVisited.Add(1)
-		base := strideIdx * page.StrideSize
-		pages := make(map[int]*page.Page, len(preds))
-		sel := make([]int, 0, page.StrideSize)
-		for off := 0; off < page.StrideSize; off++ {
-			if st.deleted.Get(base + off) {
-				continue
-			}
-			ok := true
-			for _, p := range preds {
-				pg, have := pages[p.Col]
-				if !have {
-					var err error
-					pg, err = t.loadPageGen(p.Col, st.cols[p.Col].gen, strideIdx)
-					if err != nil {
-						return err
-					}
-					pages[p.Col] = pg
-					t.stats.pagesRead.Add(1)
-				}
-				if pg.Nulls.Get(off) {
-					ok = false
-					break
-				}
-				v := st.cols[p.Col].enc.Decode(pg.Codes.Get(off))
-				if !p.Op.Eval(v, p.Val) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				sel = append(sel, off)
+		b := newBatch(t, st, strideIdx, len(preds))
+		n := page.StrideSize
+		if b.open() {
+			n = st.openLen()
+		}
+		b.sel = make([]int, 0, n)
+		for off := 0; off < n; off++ {
+			if !st.deleted.Get(b.base+off) && b.matchesDecoded(preds, off) {
+				b.sel = append(b.sel, off)
 			}
 		}
-		t.stats.rowsScanned.Add(page.StrideSize)
-		if len(sel) > 0 {
-			b := &Batch{t: t, st: st, stride: strideIdx, base: base, sel: sel, pages: pages}
-			if !fn(b) {
-				return nil
-			}
-		}
-	}
-	if n := st.openLen(); n > 0 {
-		t.stats.stridesVisited.Add(1)
-		b := evalOpenStride(t, st, preds)
+		t.stats.rowsScanned.Add(uint64(n))
 		if b.Len() > 0 && !fn(b) {
 			return nil
 		}
 	}
 	return nil
+}
+
+// matchesDecoded reports whether the tuple at offset off satisfies every
+// predicate, decoding each predicate column's code to its value and
+// comparing in value space.
+func (b *Batch) matchesDecoded(preds []Pred, off int) bool {
+	for _, p := range preds {
+		code, null := b.cell(p.Col, off)
+		if null || !p.Op.Eval(b.st.cols[p.Col].enc.Decode(code), p.Val) {
+			return false
+		}
+	}
+	return true
 }
 
 // ScanNaive runs the ablation scan over a freshly pinned epoch.

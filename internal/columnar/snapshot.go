@@ -16,8 +16,8 @@ import (
 // sharing one across epochs is safe; frame-of-reference encoders are
 // immutable and replaced wholesale on rebuild), the page generation its
 // sealed strides were written under, capacity-clamped views of the
-// synopsis entries and open-stride buffers, and a value copy of the
-// distinct-count sketch.
+// synopsis entries and open-stride codes and NULL flags, and a value copy
+// of the distinct-count sketch.
 type colView struct {
 	enc       encoding.Encoder
 	gen       uint32
@@ -25,7 +25,6 @@ type colView struct {
 	sketch    synopsis.Sketch
 	openCodes []uint64
 	openNulls []bool
-	openVals  []types.Value
 }
 
 // tableState is one published epoch's worth of table state. Everything
@@ -49,6 +48,11 @@ func (st *tableState) sealedStrides() int { return st.rows / page.StrideSize }
 
 // openLen returns how many rows this epoch's open stride holds.
 func (st *tableState) openLen() int { return st.rows % page.StrideSize }
+
+// strides returns how many strides a scan of this epoch visits: the
+// sealed ones, then the open stride when it holds rows. The open stride's
+// index is sealedStrides().
+func (st *tableState) strides() int { return (st.rows + page.StrideSize - 1) / page.StrideSize }
 
 // columnDict applies the compressed-execution eligibility gate to column
 // ci's encoder in this state.

@@ -140,19 +140,19 @@ const defaultAnalyzeSample = 8192
 const genShift = 24
 
 // column holds one column's writer-side state: the encoder, synopsis,
-// current page generation and the open-stride buffers. The open buffers
+// current page generation and the open stride. The open stride is what a
+// seal packs, not yet bit-packed: one code per row (0 for a NULL) and the
+// rows' NULL flags; no value is kept beside its code. The open buffers
 // are copy-on-seal: they always have exactly page.StrideSize capacity, the
 // writer appends in place (published epochs hold length-and-capacity
 // clamped views below every index the writer touches), and sealing
 // allocates fresh buffers so drained epochs keep the old backing arrays.
 type column struct {
-	enc encoding.Encoder
-	syn synopsis.Column
-	gen uint32 // current page generation (0 for never-rebuilt columns)
-	// open stride buffers (not yet packed):
+	enc       encoding.Encoder
+	syn       synopsis.Column
+	gen       uint32 // current page generation (0 for never-rebuilt columns)
 	openCodes []uint64
 	openNulls []bool
-	openVals  []types.Value // retained for reseal/re-analyze of open stride
 }
 
 // newOpenBuffers gives c fresh open-stride arrays so previously published
@@ -160,7 +160,6 @@ type column struct {
 func (c *column) newOpenBuffers() {
 	c.openCodes = make([]uint64, 0, page.StrideSize)
 	c.openNulls = make([]bool, 0, page.StrideSize)
-	c.openVals = make([]types.Value, 0, page.StrideSize)
 }
 
 // Table is a column-organized table.
@@ -178,6 +177,9 @@ type Table struct {
 	rawBytes int             // naive row-format bytes, for compression accounting
 	genSeq   uint32          // allocator for page generations
 	pending  []func()        // cleanups to attach to the next publish
+	// scratch holds one column of the chunk being appended while it is
+	// encoded; it is reused for every column and chunk.
+	scratch []types.Value
 
 	epochs *snapshot.Manager[*tableState]
 
@@ -284,7 +286,6 @@ func (t *Table) buildState() *tableState {
 			sketch:    c.syn.SketchCopy(),
 			openCodes: c.openCodes[:n:n],
 			openNulls: c.openNulls[:n:n],
-			openVals:  c.openVals[:n:n],
 		}
 	}
 	return st
@@ -404,10 +405,13 @@ func (t *Table) appendRowsLocked(rows []types.Row) error {
 		}
 	}
 	t.growDeletedLocked(t.rows + len(rows))
+	if t.scratch == nil {
+		t.scratch = make([]types.Value, page.StrideSize)
+	}
 	for len(rows) > 0 {
 		chunk := rows[:min(page.StrideSize-t.openLen(), len(rows))]
 		for ci, c := range t.cols {
-			t.rawBytes += c.appendOpen(chunk, ci)
+			t.rawBytes += c.appendOpen(chunk, ci, t.scratch)
 		}
 		t.rows += len(chunk)
 		t.live += len(chunk)
@@ -550,17 +554,18 @@ func scaledSpan(e *encoding.FloatFOR, rows []types.Row, ci int) (lo, hi int64, e
 }
 
 // appendOpen encodes column ci of rows, which fit in the open stride,
-// onto the open buffers — one gather loop and one encode loop (a
-// dictionary locks once for the run) — and returns the values' raw
-// bytes. The buffers' capacity is exactly StrideSize, so the writes land
-// past every published epoch's clamped view and never reallocate
-// mid-stride.
-func (c *column) appendOpen(rows []types.Row, ci int) int {
+// onto the open buffers — one gather loop into scratch and one encode
+// loop (a dictionary locks once for the run) — and returns the values'
+// raw bytes. Only the codes and NULL flags are kept. The buffers'
+// capacity is exactly StrideSize, so the writes land past every published
+// epoch's clamped view and never reallocate mid-stride.
+func (c *column) appendOpen(rows []types.Row, ci int, scratch []types.Value) int {
 	n, m := len(c.openCodes), len(c.openCodes)+len(rows)
-	c.openCodes, c.openNulls, c.openVals = c.openCodes[:m], c.openNulls[:m], c.openVals[:m]
-	gatherColumn(rows, ci, c.openVals[n:], c.openNulls[n:])
-	c.enc.EncodeAll(c.openVals[n:], c.openCodes[n:])
-	return encoding.EstimateRawBytes(c.openVals[n:])
+	c.openCodes, c.openNulls = c.openCodes[:m], c.openNulls[:m]
+	vals := scratch[:len(rows)]
+	gatherColumn(rows, ci, vals, c.openNulls[n:])
+	c.enc.EncodeAll(vals, c.openCodes[n:])
+	return encoding.EstimateRawBytes(vals)
 }
 
 // gatherColumn copies column ci of rows into vals and its NULL flags into
@@ -666,8 +671,9 @@ func (t *Table) rebuildColumnLocked(ci int, rows []types.Row) error {
 	c := t.cols[ci]
 	kind := t.schema[ci].Kind
 	oldGen := c.gen
-	// Every sealed value of the column, tombstoned rows included (codes
-	// must stay positionally aligned).
+	// Every value of the column, sealed strides then the open one,
+	// decoded through the encoder being replaced; tombstoned rows are
+	// included (codes must stay positionally aligned).
 	sealed := t.sealedStrides()
 	vals := make([]types.Value, 0, t.rows+len(rows))
 	for s := 0; s < sealed; s++ {
@@ -676,14 +682,13 @@ func (t *Table) rebuildColumnLocked(ci int, rows []types.Row) error {
 			return err
 		}
 		for i := 0; i < pg.Rows(); i++ {
-			if pg.Nulls.Get(i) {
-				vals = append(vals, types.NullOf(kind))
-			} else {
-				vals = append(vals, c.enc.Decode(pg.Codes.Get(i)))
-			}
+			vals = appendDecoded(vals, c.enc, kind, pg.Codes.Get(i), pg.Nulls.Get(i))
 		}
 	}
-	sample := append(vals, c.openVals...)
+	for i, code := range c.openCodes {
+		vals = appendDecoded(vals, c.enc, kind, code, c.openNulls[i])
+	}
+	sample := vals
 	for _, r := range rows {
 		sample = append(sample, r[ci])
 	}
@@ -705,14 +710,23 @@ func (t *Table) rebuildColumnLocked(ci int, rows []types.Row) error {
 			return err
 		}
 	}
-	// The open stride gets a fresh code buffer; its values and NULL flags
-	// are unchanged by a re-encode, so those arrays stay shared with
-	// published epochs.
-	open := make([]uint64, len(c.openVals), page.StrideSize)
-	c.enc.EncodeAll(c.openVals, open)
+	// The open stride gets a fresh code buffer; its NULL flags are
+	// unchanged by a re-encode, so that array stays shared with published
+	// epochs.
+	open := make([]uint64, len(c.openCodes), page.StrideSize)
+	c.enc.EncodeAll(vals[sealed*page.StrideSize:], open)
 	c.openCodes = open
 	t.deferPageDelete(ci, oldGen, sealed)
 	return nil
+}
+
+// appendDecoded appends the value of code under enc to vals, or a NULL of
+// kind.
+func appendDecoded(vals []types.Value, enc encoding.Encoder, kind types.Kind, code uint64, null bool) []types.Value {
+	if null {
+		return append(vals, types.NullOf(kind))
+	}
+	return append(vals, enc.Decode(code))
 }
 
 // deferPageDelete queues deletion of one column generation's sealed pages

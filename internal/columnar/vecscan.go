@@ -2,10 +2,11 @@ package columnar
 
 import (
 	"fmt"
+	"sync"
 
+	"dashdb/internal/bitpack"
 	"dashdb/internal/encoding"
 	"dashdb/internal/page"
-	"dashdb/internal/types"
 	"dashdb/internal/vec"
 )
 
@@ -41,105 +42,64 @@ func (b *Batch) VectorsEnc(projection []int, encoded []bool) []*vec.Vector {
 }
 
 // vector decodes one column of the batch's selected tuples, or gathers
-// its raw dictionary codes when wantCodes is set.
+// its raw dictionary codes when wantCodes is set. Either way the codes are
+// gathered once, a page word at a time or from the open stride's codes,
+// and a decoded column goes through its encoder's one typed kernel.
 func (b *Batch) vector(ci int, wantCodes bool) *vec.Vector {
 	kind := b.t.schema[ci].Kind
-	c := &b.st.cols[ci]
-	if wantCodes {
-		if d, ok := c.enc.(*encoding.Dict); ok {
-			return b.codeVector(ci, kind, d)
-		}
-		// Defensive: the planner thought this column was dict-encoded but
-		// the encoder changed (e.g. truncate + reload); decode instead.
+	enc := b.st.cols[ci].enc
+	if d, ok := enc.(*encoding.Dict); ok && wantCodes {
+		v := vec.NewCodes(kind, len(b.sel), d)
+		_, v.Nulls = b.gather(ci, v.Codes)
+		return v
 	}
+	// A column the planner thought dictionary-encoded may have been
+	// re-encoded since (e.g. truncate + reload): it is decoded instead.
 	v := vec.New(kind, len(b.sel))
-	if b.stride < 0 {
-		// Open stride: values are buffered unencoded.
-		for k, off := range b.sel {
-			if c.openNulls[off] {
-				v.SetNull(k)
-			} else {
-				v.Set(k, c.openVals[off])
-			}
-		}
-		return v
-	}
-	pg := b.page(ci)
-	codes, nulls := pg.Codes, pg.Nulls
-	if f, ok := c.enc.(*encoding.IntFOR); ok && v.I64 != nil {
-		// Frame-of-reference fast path: raw = base + code, written straight
-		// into the int64 payload without boxing a types.Value per tuple.
-		base := f.Base()
-		for k, off := range b.sel {
-			if nulls.Get(off) {
-				v.SetNull(k)
-				continue
-			}
-			v.I64[k] = base + int64(codes.Get(off))
-		}
-		return v
-	}
-	if d, ok := c.enc.(*encoding.Dict); ok {
-		// Dictionary fast path: decode through a single snapshot instead of
-		// a per-row Decode call (which takes the dictionary lock each time),
-		// writing strings straight into the string payload with no per-row
-		// types.Value boxing.
-		dom := d.Snapshot()
-		if v.Str != nil {
-			for k, off := range b.sel {
-				if nulls.Get(off) {
-					v.SetNull(k)
-					continue
-				}
-				v.Str[k] = dom[codes.Get(off)].Str()
-			}
-			return v
-		}
-		for k, off := range b.sel {
-			if nulls.Get(off) {
-				v.SetNull(k)
-				continue
-			}
-			v.Set(k, dom[codes.Get(off)])
-		}
-		return v
-	}
-	enc := c.enc
-	for k, off := range b.sel {
-		if nulls.Get(off) {
-			v.SetNull(k)
-			continue
-		}
-		v.Set(k, enc.Decode(codes.Get(off)))
-	}
+	buf := codeScratch.Get().(*[page.StrideSize]uint64)
+	codes, nulls := b.gather(ci, buf[:0])
+	v.Nulls = nulls
+	enc.DecodeAll(codes, nulls, encoding.Decoded{I64: v.I64, F64: v.F64, Str: v.Str, Any: v.Any})
+	codeScratch.Put(buf)
 	return v
 }
 
-// codeVector gathers column ci's dictionary codes for the selected tuples
-// into a code-carrying vector over dict.
-func (b *Batch) codeVector(ci int, kind types.Kind, dict *encoding.Dict) *vec.Vector {
-	v := vec.NewCodes(kind, len(b.sel), dict)
-	if b.stride < 0 {
-		c := &b.st.cols[ci]
-		for k, off := range b.sel {
-			if c.openNulls[off] {
-				v.SetNull(k)
-				continue
+// codeScratch recycles the buffers vector gathers a column's codes into
+// before it decodes them, so a decoded batch allocates its vectors and no
+// more.
+var codeScratch = sync.Pool{New: func() any { return new([page.StrideSize]uint64) }}
+
+// gather writes column ci's codes for the selected tuples into dst (grown
+// as needed), in selection order, and returns them with their NULL flags
+// as a bitmap over selection positions, nil when none is NULL.
+func (b *Batch) gather(ci int, dst []uint64) ([]uint64, *bitpack.Bitmap) {
+	if !b.open() {
+		pg := b.page(ci)
+		return pg.Codes.Gather(b.sel, dst), pg.Nulls.Gather(b.sel)
+	}
+	c := &b.st.cols[ci]
+	return gatherOpen(c.openCodes, c.openNulls, b.sel, dst)
+}
+
+// gatherOpen is Batch.gather over the open stride's codes and NULL flags.
+//
+//dashdb:hotpath
+func gatherOpen(codes []uint64, nulls []bool, sel []int, dst []uint64) ([]uint64, *bitpack.Bitmap) {
+	if cap(dst) < len(sel) {
+		dst = make([]uint64, len(sel))
+	}
+	dst = dst[:len(sel)]
+	var nb *bitpack.Bitmap
+	for k, off := range sel {
+		dst[k] = codes[off]
+		if nulls[off] {
+			if nb == nil {
+				nb = bitpack.NewBitmap(len(sel))
 			}
-			v.Codes[k] = c.openCodes[off]
+			nb.Set(k)
 		}
-		return v
 	}
-	pg := b.page(ci)
-	codes, nulls := pg.Codes, pg.Nulls
-	for k, off := range b.sel {
-		if nulls.Get(off) {
-			v.SetNull(k)
-			continue
-		}
-		v.Codes[k] = codes.Get(off)
-	}
-	return v
+	return dst, nb
 }
 
 // page loads (and caches) the batch's page for column ci.

@@ -247,11 +247,13 @@ func (d *Dict) EncodeAll(vals []types.Value, codes []uint64) {
 			codes[i] = 0
 			continue
 		}
-		cv, ok := d.normalize(v)
-		if !ok {
-			panic("encoding: Dict.EncodeAll value not coercible to dictionary kind")
+		if v.Kind() != d.kind { // a value of the column's kind is its own normal form
+			var ok bool
+			if v, ok = d.normalize(v); !ok {
+				panic("encoding: Dict.EncodeAll value not coercible to dictionary kind")
+			}
 		}
-		codes[i] = d.encodeLocked(cv)
+		codes[i] = d.encodeLocked(v)
 	}
 }
 

@@ -19,6 +19,7 @@
 package encoding
 
 import (
+	"dashdb/internal/bitpack"
 	"dashdb/internal/types"
 )
 
@@ -175,6 +176,11 @@ type Encoder interface {
 	EncodeAll(vals []types.Value, codes []uint64)
 	// Decode maps a code back to its value.
 	Decode(code uint64) types.Value
+	// DecodeAll decodes a run of codes into out's payload, slot k from
+	// codes[k]: the scan's decode, one typed loop per encoder and no
+	// boxed value per cell. A slot set in nulls (nil: none) is NULL and
+	// reads as its payload's zero value, whatever its code.
+	DecodeAll(codes []uint64, nulls *bitpack.Bitmap, out Decoded)
 	// Width returns the current code width in bits.
 	Width() uint
 	// Cardinality returns the number of distinct codes in the domain.

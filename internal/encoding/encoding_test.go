@@ -313,7 +313,7 @@ func TestFrameExtend(t *testing.T) {
 		t.Fatal("an empty span must return the frame itself")
 	}
 	ext, ok := e.Extend(120, 1100)
-	if !ok || ext.Base() != 100 || e.Contains(1100) {
+	if !ok || ext.Decode(0).Int() != 100 || e.Contains(1100) {
 		t.Fatalf("extension %+v ok=%v; the original must stay as it was", ext, ok)
 	}
 	if span := uint64(1000); ext.Cardinality() != int(span+headroom(span, 1))+1 || ext.Width() != 11 {

@@ -63,9 +63,6 @@ func (e *IntFOR) Cardinality() int { return int(e.limit) + 1 }
 // MemSize is constant: minus encoding has no dictionary.
 func (e *IntFOR) MemSize() int { return 32 }
 
-// Base returns the frame-of-reference base value.
-func (e *IntFOR) Base() int64 { return e.base }
-
 // Contains reports whether raw lies inside the encodable domain.
 func (e *IntFOR) Contains(raw int64) bool {
 	return raw >= e.base && uint64(raw-e.base) <= e.limit

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 
 	"dashdb/internal/bitpack"
 )
@@ -117,31 +118,22 @@ func Unmarshal(data []byte) (*Page, error) {
 	if len(body) < off+8*(nullWordCount+nWords) {
 		return nil, fmt.Errorf("page: body shorter than header claims")
 	}
-	p := New(id, width)
+	p := &Page{ID: id, Nulls: bitpack.NewBitmap(StrideSize)}
 	for wi := 0; wi < nullWordCount; wi++ {
-		w := binary.LittleEndian.Uint64(body[off:])
-		off += 8
-		for b := 0; b < 64; b++ {
-			if w&(1<<uint(b)) != 0 {
-				p.Nulls.Set(wi*64 + b)
-			}
+		for w := binary.LittleEndian.Uint64(body[off:]); w != 0; w &= w - 1 {
+			p.Nulls.Set(wi*64 + bits.TrailingZeros64(w))
 		}
+		off += 8
 	}
-	// Rebuild the vector by appending codes; Append validates width.
 	raw := make([]uint64, nWords)
 	for i := range raw {
 		raw[i] = binary.LittleEndian.Uint64(body[off:])
 		off += 8
 	}
-	tmp := bitpack.NewVector(width)
-	per := tmp.PerWord()
-	mask := uint64(1)<<width - 1
-	cell := width + 1
-	for i := 0; i < n; i++ {
-		w := raw[i/per]
-		shift := uint(i%per) * cell
-		tmp.Append((w >> shift) & mask)
+	codes, err := bitpack.FromWords(width, n, raw)
+	if err != nil {
+		return nil, fmt.Errorf("page: %w", err)
 	}
-	p.Codes = tmp
+	p.Codes = codes
 	return p, nil
 }

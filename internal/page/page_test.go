@@ -1,6 +1,8 @@
 package page
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -62,6 +64,20 @@ func TestPageUnmarshalTruncated(t *testing.T) {
 	data := p.Marshal()
 	if _, err := Unmarshal(data[:len(data)-20]); err == nil {
 		t.Fatal("truncated body must error")
+	}
+}
+
+// TestPageUnmarshalInconsistentHeader: a header whose code count the
+// packed words cannot hold is an error even under a valid checksum.
+func TestPageUnmarshalInconsistentHeader(t *testing.T) {
+	p := New(ID{}, 8)
+	p.Codes.AppendAll([]uint64{1, 2, 3, 4, 5, 6, 7, 8})
+	data := p.Marshal()
+	body := data[:len(data)-4]
+	binary.LittleEndian.PutUint32(body[14:], 100) // 100 codes in 2 words of 7
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(body))
+	if _, err := Unmarshal(data); err == nil {
+		t.Fatal("a code count past the packed words must error")
 	}
 }
 

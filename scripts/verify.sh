@@ -2,7 +2,8 @@
 # Tier-1 verification: build, gofmt, vet, the project's own invariant analyzers
 # (dashdb-lint), the full test suite, and a race-detector pass over every
 # package. Set DASHDB_FUZZ=1 to add a 10-second smoke run of each fuzz
-# target (SQL front end totality, encoder round-trip identity, bulk-append
+# target (SQL front end totality, encoder round-trip identity, every
+# encoder's typed stride decode vs the boxed per-cell oracle, bulk-append
 # atomicity under racing truncates, shard RPC frame decoding, every
 # expression node's EvalVec vs the row-at-a-time oracle in
 # internal/exec/oracle_test.go on generated trees and batches).
@@ -61,6 +62,7 @@ go test -race -count=1 \
 if [ "${DASHDB_FUZZ:-0}" = "1" ]; then
 	go test -run=NONE -fuzz=FuzzParseSQL -fuzztime=10s ./internal/sql/
 	go test -run=NONE -fuzz=FuzzEncodingRoundTrip -fuzztime=10s ./internal/encoding/
+	go test -run=NONE -fuzz=FuzzVectorDecode -fuzztime=10s ./internal/columnar/
 	go test -run=NONE -fuzz=FuzzBulkAppend -fuzztime=10s ./internal/columnar/
 	go test -run=NONE -fuzz=FuzzShuffleFrame -fuzztime=10s ./internal/shardrpc/
 	go test -run=NONE -fuzz=FuzzEvalVecMatchesEval -fuzztime=10s ./internal/exec/
