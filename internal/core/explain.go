@@ -253,7 +253,11 @@ func collectOp(op exec.Operator, depth int, st *telemetry.OpStats, out *[]planEn
 		for i, k := range o.Keys {
 			keys[i] = k.Expr
 		}
-		e := add(fmt.Sprintf("SORT [%d keys]", len(o.Keys)) + mode(keys...))
+		text := fmt.Sprintf("SORT [%d keys]", len(o.Keys))
+		if o.Bound > 0 {
+			text += fmt.Sprintf(" [top %d]", o.Bound)
+		}
+		e := add(text + mode(keys...))
 		e.spillRuns, e.spillBytes = o.SpillStats()
 		collectOp(o.Child, depth+1, nil, out)
 	case *exec.LimitOp:

@@ -70,6 +70,52 @@ func TestMemoryGovernorSQL(t *testing.T) {
 	}
 }
 
+// TestTopKDoesNotSpill runs the benchmark's topk shape — 22 000
+// transactions, ORDER BY amount DESC, txn_id FETCH FIRST 100 ROWS ONLY —
+// under a 1 MiB SORTHEAP. The same sort without the limit spills there
+// (TestSortHeapStepping has the arithmetic). The limit bounds the sort to
+// 100 rows, so it never buffers more than 4 096 and spills nothing, and it
+// returns the unbounded sort's first 100 rows.
+func TestTopKDoesNotSpill(t *testing.T) {
+	db := Open(Config{BufferPoolBytes: 16 << 20, TempDir: t.TempDir()})
+	defer db.Close()
+	s := db.NewSession()
+	mustExec(t, s, `CREATE TABLE transactions (txn_id BIGINT NOT NULL, amount DOUBLE)`)
+	var b strings.Builder
+	b.WriteString("INSERT INTO transactions VALUES ")
+	const n = 22_000
+	for i := range n {
+		if i > 0 {
+			b.WriteString(",")
+		}
+		fmt.Fprintf(&b, "(%d, %d.%02d)", i*7919%n, i*104729%2000, i%100)
+	}
+	mustExec(t, s, b.String())
+	mustExec(t, s, `SET SORTHEAP 1MB`)
+
+	const full = `SELECT txn_id, amount FROM transactions ORDER BY amount DESC, txn_id`
+	const topk = full + ` FETCH FIRST 100 ROWS ONLY`
+	want, got := mustExec(t, s, full).Rows[:100], mustExec(t, s, topk).Rows
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("top 100 differ from the full sort's first 100:\n%v\n%v", got, want)
+	}
+	sortLine := func(q string) string {
+		for _, line := range strings.Split(planText(mustExec(t, s, "EXPLAIN ANALYZE "+q)), "\n") {
+			if strings.Contains(line, "SORT [") {
+				return line
+			}
+		}
+		t.Fatalf("no SORT line for %s", q)
+		return ""
+	}
+	if line := sortLine(full); !strings.Contains(line, "[spill: runs=") {
+		t.Fatalf("the unbounded sort does not spill under a 1 MiB SORTHEAP: %s", line)
+	}
+	if line := sortLine(topk); !strings.Contains(line, "SORT [2 keys] [top 100]") || strings.Contains(line, "[spill:") {
+		t.Fatalf("the bounded sort must spill nothing: %s", line)
+	}
+}
+
 // TestDistinctSpills checks duplicate elimination under the governor:
 // SELECT DISTINCT and UNION run on the group-by's hash table, so an 8 KB
 // HASHHEAP makes them spill, return the in-memory rows and leave the temp

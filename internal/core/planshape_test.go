@@ -37,12 +37,13 @@ func seedFinancial(t testing.TB, s *Session) {
 // planShapes pins the physical tree of each benchmark statement class
 // (benchmark/workload.go) and of every block-tail shape. The entries were
 // recorded at e2dba3e, before a SELECT block became one plan tree, and
-// must not change — the tree is how "same plan" is checked — with three
+// must not change — the tree is how "same plan" is checked — with four
 // exceptions: DISTINCT at Parallelism 2 was serial there (plan.Distinct
 // had a lowering of its own that placed no dop; it is now the aggregate's),
-// the last statement did not compile, and every SORT line read [row], the
+// the last statement did not compile, every SORT line read [row], the
 // tag of a sort whose state was rows (only the tag changed: SORT is [row]
-// now only over a stateful key).
+// now only over a stateful key), and a SORT under a LIMIT did not show the
+// bound the LIMIT gives it ([top n]).
 var planShapes = []struct {
 	name, q string
 	want    [2]string // EXPLAIN at Parallelism 1 and 2
@@ -86,13 +87,13 @@ SORT [1 keys] [vectorized]
 		q: `SELECT account_id, COUNT(*), SUM(amount) FROM transactions GROUP BY account_id ORDER BY account_id FETCH FIRST 10 ROWS ONLY`,
 		want: [2]string{`
 LIMIT 10 OFFSET 0 [vectorized]
-  SORT [1 keys] [vectorized]
+  SORT [1 keys] [top 10] [vectorized]
     PROJECT ACCOUNT_ID, COUNT, SUM [vectorized]
       GROUP BY [1 keys, 2 aggregates] [vectorized]
         COLUMNAR SCAN TRANSACTIONS [vectorized] (est rows=2000)
 `, `
 LIMIT 10 OFFSET 0 [vectorized]
-  SORT [1 keys] [vectorized]
+  SORT [1 keys] [top 10] [vectorized]
     PROJECT ACCOUNT_ID, COUNT, SUM [vectorized]
       GROUP BY [1 keys, 2 aggregates] [vectorized] [dop=2]
         PARALLEL COLUMNAR SCAN TRANSACTIONS [dop=2] [vectorized] (est rows=2000)
@@ -129,12 +130,12 @@ SORT [2 keys] [vectorized]
 		q: `SELECT txn_id, amount FROM transactions WHERE txn_date >= DATE '2016-11-01' ORDER BY amount DESC, txn_id FETCH FIRST 100 ROWS ONLY`,
 		want: [2]string{`
 LIMIT 100 OFFSET 0 [vectorized]
-  SORT [2 keys] [vectorized]
+  SORT [2 keys] [top 100] [vectorized]
     PROJECT TXN_ID, AMOUNT [vectorized]
       COLUMNAR SCAN TRANSACTIONS [vectorized] [pushdown: TXN_DATE >= 2016-11-01] (est rows=315)
 `, `
 LIMIT 100 OFFSET 0 [vectorized]
-  SORT [2 keys] [vectorized]
+  SORT [2 keys] [top 100] [vectorized]
     PROJECT TXN_ID, AMOUNT [vectorized]
       COLUMNAR SCAN TRANSACTIONS [vectorized] [pushdown: TXN_DATE >= 2016-11-01] (est rows=315)
 `}},
@@ -223,6 +224,27 @@ PROJECT STATUS, COUNT [vectorized]
     FILTER [row]
       PARALLEL COLUMNAR SCAN TRANSACTIONS [dop=2] [vectorized] [compressed] (est rows=2000)
 `}},
+}
+
+// TestSortBoundFromSQL checks which statements bound their sort: a row
+// limit over ORDER BY, hidden sort key or not, bounds it by OFFSET + LIMIT;
+// an OFFSET alone and Oracle's ROWNUM, which limits before the sort, do
+// not.
+func TestSortBoundFromSQL(t *testing.T) {
+	s := Open(Config{BufferPoolBytes: 16 << 20}).NewSession()
+	seedSales(t, s, 100)
+	for _, c := range []struct{ dialect, q, want string }{
+		{"DB2", `SELECT id FROM sales ORDER BY amount FETCH FIRST 5 ROWS ONLY`, "SORT [1 keys] [top 5] [vectorized]"},
+		{"NETEZZA", `SELECT id, amount FROM sales ORDER BY amount LIMIT 5 OFFSET 3`, "SORT [1 keys] [top 8] [vectorized]"},
+		{"DB2", `SELECT id FROM sales ORDER BY region DESC, amount FETCH FIRST 1 ROWS ONLY`, "SORT [2 keys] [top 1] [vectorized]"},
+		{"DB2", `SELECT id FROM sales ORDER BY amount OFFSET 3`, "SORT [1 keys] [vectorized]"},
+		{"ORACLE", `SELECT id FROM sales WHERE ROWNUM <= 7 ORDER BY amount`, "SORT [1 keys] [vectorized]"},
+	} {
+		mustExec(t, s, `SET SQL_DIALECT = '`+c.dialect+`'`)
+		if plan := planText(mustExec(t, s, "EXPLAIN "+c.q)); !strings.Contains(plan, c.want+"\n") {
+			t.Errorf("%s: want %q in\n%s", c.q, c.want, plan)
+		}
+	}
 }
 
 func TestPlanShapes(t *testing.T) {

@@ -209,12 +209,15 @@ func TestSortGenerated(t *testing.T) {
 // TestSortHeapStepping runs the benchmark's sort shape — BIGINT txn_id and
 // DOUBLE amount, ORDER BY amount DESC, txn_id — over 22 000 rows while
 // SORTHEAP steps down from 2 MiB to 4 KB. Every step returns the oracle's
-// rows. The buffers charge every allocation in full, 22 B a row of each
-// capacity they reach (9 B a number column, 4 B of order), so 2 MiB holds all
-// of them (32 768 rows of capacity, 1.4 MB charged) and 1 MiB spills once at
-// 16 384 rows, then the rest. A run holds the data cells only (both keys are
-// bare columns), so a step that spills writes the rowcodec size of the data
-// columns and no more.
+// rows. The buffers charge every allocation in full, 62 B a row of each
+// capacity they reach: 9 B a number column and keyRowBytes(2) = 44 B, the
+// widest record two keys take (five words) and 4 B of order. Reaching a
+// capacity of C rows has charged 62 × (16 + 32 + … + C) = 62 × (2C − 16) B.
+// So 2 MiB holds 16 384 rows (2 030 624 B) but not 32 768, and spills once at
+// 16 384 rows, then the rest: 2 runs. 1 MiB holds 8 192 (1 014 816 B): 8 192
+// + 8 192 + 5 616, 3 runs. 512 KiB holds 4 096 (506 912 B): 6 runs. A run
+// holds the data cells only (both keys are bare columns), so a step that
+// spills writes the rowcodec size of the data columns and no more.
 func TestSortHeapStepping(t *testing.T) {
 	const n = 22_000
 	sch := types.Schema{{Name: "txn_id", Kind: types.KindInt}, {Name: "amount", Kind: types.KindFloat}}
@@ -237,6 +240,7 @@ func TestSortHeapStepping(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	wantRuns := map[int64]int64{2 << 20: 2, 1 << 20: 3, 512 << 10: 6}
 	for heap := int64(2 << 20); heap >= 4<<10; heap /= 2 {
 		gov, _, dir := tinyGov(t, heap)
 		op := &SortOp{Child: scanDop(tbl, 1), Keys: keys, Gov: gov}
@@ -248,11 +252,9 @@ func TestSortHeapStepping(t *testing.T) {
 		runs, bytes := op.SpillStats()
 		t.Logf("heap %7d: %4d runs, %7d B spilled (data columns encode to %d B)", heap, runs, bytes, data.n)
 		switch {
-		case heap == 2<<20 && runs != 0:
-			t.Fatalf("heap %d: %d runs, want none", heap, runs)
-		case heap == 1<<20 && runs != 2:
-			t.Fatalf("heap %d: %d runs, want 2", heap, runs)
-		case heap < 1<<20 && runs < 2:
+		case wantRuns[heap] > 0 && runs != wantRuns[heap]:
+			t.Fatalf("heap %d: %d runs, want %d", heap, runs, wantRuns[heap])
+		case heap < 512<<10 && runs < 6:
 			t.Fatalf("heap %d: %d runs", heap, runs)
 		case bytes > data.n:
 			t.Fatalf("heap %d: spilled %d B, the data columns encode to %d B", heap, bytes, data.n)

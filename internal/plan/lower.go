@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"math"
+
 	"dashdb/internal/columnar"
 	"dashdb/internal/encoding"
 	"dashdb/internal/exec"
@@ -41,6 +43,9 @@ func lower(n Node, opts Options) (exec.Operator, float64) {
 		child, est := lower(t.Child, opts)
 		if t.Limit >= 0 && float64(t.Limit) < est {
 			est = float64(t.Limit)
+		}
+		if s := sortBelow(child); s != nil && t.Limit >= 0 && t.Offset+t.Limit <= math.MaxInt32 {
+			s.Bound = int(t.Offset + t.Limit)
 		}
 		return &exec.LimitOp{Child: child, Offset: t.Offset, Limit: t.Limit}, est
 	case *Distinct:
@@ -93,6 +98,22 @@ func scanBelow(op exec.Operator) *exec.ScanOp {
 			return nil
 		}
 	}
+}
+
+// sortBelow returns the sort a limit reads: op itself, or the sort under
+// the projection of bare columns that drops hidden sort keys. Nil for
+// anything else.
+func sortBelow(op exec.Operator) *exec.SortOp {
+	if p, ok := op.(*exec.ProjectOp); ok {
+		for _, e := range p.Exprs {
+			if _, bare := e.(exec.ColRef); !bare {
+				return nil
+			}
+		}
+		op = p.Child
+	}
+	s, _ := op.(*exec.SortOp)
+	return s
 }
 
 // lowerJoin dispatches one join node: inner/cross regions reorder under

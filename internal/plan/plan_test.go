@@ -340,3 +340,70 @@ func TestAggregateLowering(t *testing.T) {
 		assertSame(t, sortedRows(t, d), sortedRows(t, a))
 	}
 }
+
+// TestLimitBoundsSort checks which limits bound the sort they read: a Limit
+// over a Sort, or over the projection of bare columns that drops hidden
+// sort keys, sets SortOp.Bound to OFFSET + LIMIT. An OFFSET alone, a Limit
+// below the Sort (Oracle's ROWNUM), a Limit over a projection that computes
+// and a Limit with no Sort below set none. Every plan returns the rows the
+// unbounded sort does.
+func TestLimitBoundsSort(t *testing.T) {
+	keys := []exec.SortKey{{Expr: exec.ColRef(0), Desc: true}}
+	sorted := func() Node { return &Sort{Child: valuesLeaf("t", 5000, 7), Keys: keys} }
+	hidden := func(child Node) Node {
+		return &Project{Child: child, Exprs: []exec.Expr{exec.ColRef(1)}, Out: intSchema("t_v")}
+	}
+	computed := func(child Node) Node {
+		return &Project{Child: child, Exprs: []exec.Expr{&exec.ArithExpr{Op: "+", L: exec.ColRef(1), R: exec.ColRef(0)}}, Out: intSchema("x")}
+	}
+	cases := []struct {
+		name   string
+		node   Node
+		bound  int
+		sorted bool
+	}{
+		{"limit over sort", &Limit{Child: sorted(), Offset: 3, Limit: 10}, 13, true},
+		{"limit over hidden-key projection", &Limit{Child: hidden(sorted()), Limit: 10}, 10, true},
+		{"offset only", &Limit{Child: sorted(), Offset: 3, Limit: -1}, 0, true},
+		{"limit below the sort", &Sort{Child: &Limit{Child: valuesLeaf("t", 5000, 7), Limit: 10}, Keys: keys}, 0, true},
+		{"limit over a computing projection", &Limit{Child: computed(sorted()), Limit: 10}, 0, true},
+		{"limit over no sort", &Limit{Child: valuesLeaf("t", 5000, 7), Limit: 10}, 0, false},
+	}
+	for _, c := range cases {
+		op := Lower(c.node, Options{})
+		s := findSort(op)
+		if (s != nil) != c.sorted || (s != nil && s.Bound != c.bound) {
+			t.Fatalf("%s: sort %v, want bound %d", c.name, s, c.bound)
+		}
+		got, err := exec.Drain(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s != nil {
+			s.Bound = 0
+		}
+		want, err := exec.Drain(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: bounded rows differ from the unbounded sort's", c.name)
+		}
+	}
+}
+
+// findSort returns the first SortOp down a chain of single-child operators.
+func findSort(op exec.Operator) *exec.SortOp {
+	for {
+		switch o := op.(type) {
+		case *exec.SortOp:
+			return o
+		case *exec.LimitOp:
+			op = o.Child
+		case *exec.ProjectOp:
+			op = o.Child
+		default:
+			return nil
+		}
+	}
+}

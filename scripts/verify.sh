@@ -6,7 +6,8 @@
 # encoder's typed stride decode vs the boxed per-cell oracle, bulk-append
 # atomicity under racing truncates, shard RPC frame decoding, every
 # expression node's EvalVec vs the row-at-a-time oracle in
-# internal/exec/oracle_test.go on generated trees and batches).
+# internal/exec/oracle_test.go on generated trees and batches, the sort's
+# normalized-key order vs a stable types.Compare oracle).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -32,11 +33,11 @@ go test -race ./...
 # Low-memory gate: cap SORTHEAP at 1 MiB and HASHHEAP at 64 KB, which forces
 # the external sort and the group-by partition spill under the engine suites'
 # larger queries, and re-run the spill-parity property tests under race.
-# Sort buffers are typed columns charged as allocated (22 B a row of every
-# capacity reached for two numeric columns), so a 1 MiB sort spills past
-# 16 384 rows:
+# Sort buffers are typed columns charged as allocated, with each row's
+# widest normalized key (62 B a row of every capacity reached for two numeric
+# columns sorted by both), so a 1 MiB sort spills past 8 192 rows:
 # TestMemoryGovernorSQL's default-heap `SELECT id FROM sales ORDER BY amount,
-# id` over 20 000 rows shows `SORT [2 keys] [vectorized] ... [spill: runs=2,
+# id` over 20 000 rows shows `SORT [2 keys] [vectorized] ... [spill: runs=3,
 # ...]` in EXPLAIN ANALYZE.
 # Group state is charged as allocated (16-100 B a group), so the suites'
 # largest group-by — TestDistinctSpills' `SELECT id, region ... UNION ...`,
@@ -66,4 +67,5 @@ if [ "${DASHDB_FUZZ:-0}" = "1" ]; then
 	go test -run=NONE -fuzz=FuzzBulkAppend -fuzztime=10s ./internal/columnar/
 	go test -run=NONE -fuzz=FuzzShuffleFrame -fuzztime=10s ./internal/shardrpc/
 	go test -run=NONE -fuzz=FuzzEvalVecMatchesEval -fuzztime=10s ./internal/exec/
+	go test -run=NONE -fuzz=FuzzSortOrder -fuzztime=10s ./internal/exec/
 fi
