@@ -138,15 +138,14 @@ func BenchmarkAblationDecimalFixedPoint(b *testing.B) {
 	for i := range vals {
 		vals[i] = types.NewFloat(float64(i%90_000) / 100)
 	}
+	codes := make([]uint64, len(vals))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		enc := encoding.ChooseEncoder(types.KindFloat, vals)
 		if enc.Kind() != encoding.KindIntFOR {
 			b.Fatal("expected fixed-point FOR")
 		}
-		for _, v := range vals {
-			enc.Encode(v)
-		}
+		enc.EncodeAll(vals, codes)
 		b.ReportMetric(float64(enc.MemSize()), "dict-bytes")
 	}
 }
@@ -156,12 +155,11 @@ func BenchmarkAblationDecimalDictionary(b *testing.B) {
 	for i := range vals {
 		vals[i] = types.NewFloat(float64(i%90_000) / 100)
 	}
+	codes := make([]uint64, len(vals))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		enc := encoding.BuildDict(types.KindFloat, vals)
-		for _, v := range vals {
-			enc.Encode(v)
-		}
+		enc.EncodeAll(vals, codes)
 		b.ReportMetric(float64(enc.MemSize()), "dict-bytes")
 	}
 }

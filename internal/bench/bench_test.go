@@ -183,7 +183,10 @@ func BenchmarkInstrumentedScan(b *testing.B) {
 				ss := telemetry.NewScanStats(dop)
 				if dop == 1 {
 					n := 0
-					if err := tbl.ScanWithStats(preds, ss, func(bt *columnar.Batch) bool { n += bt.Len(); return true }); err != nil {
+					snap := tbl.Snapshot()
+					err := snap.ScanWithStats(preds, ss, func(bt *columnar.Batch) bool { n += bt.Len(); return true })
+					snap.Release()
+					if err != nil {
 						b.Fatal(err)
 					}
 				} else {

@@ -76,14 +76,6 @@ func (b *Bitmap) AndNot(other *Bitmap) {
 	}
 }
 
-// Not inverts b in place.
-func (b *Bitmap) Not() {
-	for i := range b.words {
-		b.words[i] = ^b.words[i]
-	}
-	b.trimTail()
-}
-
 // trimTail zeroes bits at positions >= n in the last word.
 func (b *Bitmap) trimTail() {
 	if tail := uint(b.n) % 64; tail != 0 && len(b.words) > 0 {
@@ -100,12 +92,6 @@ func (b *Bitmap) ForEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// Indices appends the indices of all set bits to dst and returns it.
-func (b *Bitmap) Indices(dst []int) []int {
-	b.ForEach(func(i int) { dst = append(dst, i) })
-	return dst
 }
 
 // Gather returns the bits of b at the positions in sel as a bitmap over

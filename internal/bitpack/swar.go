@@ -194,16 +194,6 @@ func (v *Vector) CompareScalar(op CmpOp, c uint64, out *Bitmap) {
 	}
 }
 
-// CountCompare returns the number of codes satisfying "code OP c" without
-// materializing a bitmap; used by COUNT(*) fast paths.
-//
-//dashdb:hotpath
-func (v *Vector) CountCompare(op CmpOp, c uint64) int {
-	out := NewBitmap(v.n)
-	v.Compare(op, c, out)
-	return out.Count()
-}
-
 // The kernels below operate on unpacked code lanes ([]uint64, one code per
 // row) as carried by the executor's code vectors, rather than on packed
 // words. They evaluate dictionary-translated predicates entirely in code
@@ -211,27 +201,6 @@ func (v *Vector) CountCompare(op CmpOp, c uint64) int {
 // ranges, and these loops select the qualifying positions of a batch
 // without decoding a single value. Ranges arrive as plain [2]uint64
 // lo/hi pairs so this package stays dependency-free.
-
-// SelectCodesEQ appends to out the members of idx whose code equals
-// target, skipping NULL positions, and returns the extended slice.
-//
-//dashdb:hotpath
-func SelectCodesEQ(codes []uint64, target uint64, nulls *Bitmap, idx []int, out []int) []int {
-	if nulls == nil {
-		for _, i := range idx {
-			if codes[i] == target {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	for _, i := range idx {
-		if codes[i] == target && !nulls.Get(i) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
 
 // SelectCodesRange appends to out the members of idx whose code lies in
 // [lo, hi], skipping NULL positions. The containment test is the

@@ -150,20 +150,6 @@ func (v *Vector) Get(i int) uint64 {
 	return (word >> shift) & v.maxCode()
 }
 
-// Set overwrites the i'th code in place.
-func (v *Vector) Set(i int, code uint64) {
-	if i < 0 || i >= v.n {
-		panicIndexRange(i, v.n)
-	}
-	if code > v.maxCode() {
-		panicCodeOverflow(code, v.width)
-	}
-	shift := uint(i%v.perWord) * v.cell
-	w := &v.words[i/v.perWord]
-	*w &^= v.maxCode() << shift
-	*w |= code << shift
-}
-
 // Unpack decodes all codes into dst, which is grown as needed, and
 // returns it. Useful for operators that must leave code space.
 //
@@ -208,18 +194,4 @@ func (v *Vector) Gather(sel []int, dst []uint64) []uint64 {
 		dst[k] = v.words[wi] >> (uint(i-first) * cell) & mask
 	}
 	return dst
-}
-
-// Clone returns a deep copy.
-func (v *Vector) Clone() *Vector {
-	out := NewVector(v.width)
-	out.words = append([]uint64(nil), v.words...)
-	out.n = v.n
-	return out
-}
-
-// Reset empties the vector, retaining capacity.
-func (v *Vector) Reset() {
-	v.words = v.words[:0]
-	v.n = 0
 }

@@ -34,16 +34,12 @@ type node struct {
 // It is not safe for concurrent mutation; the row store serializes writes.
 type Tree struct {
 	root *node
-	size int // number of (key,rid) pairs
 }
 
 // New returns an empty tree.
 func New() *Tree {
 	return &Tree{root: &node{leaf: true}}
 }
-
-// Len returns the number of (key, rowID) pairs stored.
-func (t *Tree) Len() int { return t.size }
 
 // search returns the index of the first item in n with key >= k.
 func search(n *node, k types.Value) int {
@@ -73,13 +69,11 @@ func (t *Tree) insertNonFull(n *node, key types.Value, rid int64) {
 					}
 				}
 				n.items[i].rids = append(n.items[i].rids, rid)
-				t.size++
 				return
 			}
 			n.items = append(n.items, item{})
 			copy(n.items[i+1:], n.items[i:])
 			n.items[i] = item{key: key, rids: []int64{rid}}
-			t.size++
 			return
 		}
 		// Internal: descend; separator keys equal to the search key go
@@ -162,7 +156,6 @@ func (t *Tree) Delete(key types.Value, rid int64) bool {
 	for j, r := range rids {
 		if r == rid {
 			n.items[i].rids = append(rids[:j], rids[j+1:]...)
-			t.size--
 			if len(n.items[i].rids) == 0 {
 				n.items = append(n.items[:i], n.items[i+1:]...)
 			}
@@ -199,17 +192,4 @@ func (t *Tree) Range(lo, hi *types.Value, fn func(key types.Value, rid int64) bo
 			}
 		}
 	}
-}
-
-// Keys returns the number of distinct keys (test and stats hook).
-func (t *Tree) Keys() int {
-	count := 0
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
-	}
-	for ; n != nil; n = n.next {
-		count += len(n.items)
-	}
-	return count
 }

@@ -115,14 +115,6 @@ func (p *Pool) Get(id page.ID, load Loader) (*page.Page, error) {
 	return pg, nil
 }
 
-// Contains reports whether the page is currently cached (test hook).
-func (p *Pool) Contains(id page.ID) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, ok := p.frames[id]
-	return ok
-}
-
 // Len returns the number of cached pages.
 func (p *Pool) Len() int {
 	p.mu.Lock()

@@ -73,7 +73,6 @@ func (s *Sequence) CurrVal() (int64, error) {
 type RemoteSource interface {
 	Schema() types.Schema
 	ScanAll() ([]types.Row, error)
-	Origin() string // e.g. "ORACLE", "SQLSERVER", "IMPALA"
 }
 
 // Nickname points at a remote object.
@@ -90,7 +89,6 @@ type Catalog struct {
 	seqs      map[string]*Sequence
 	nicknames map[string]*Nickname
 	aliases   map[string]string
-	temp      map[string]bool // table name -> is temporary
 	nextID    uint32
 }
 
@@ -102,7 +100,6 @@ func New() *Catalog {
 		seqs:      make(map[string]*Sequence),
 		nicknames: make(map[string]*Nickname),
 		aliases:   make(map[string]string),
-		temp:      make(map[string]bool),
 		nextID:    1,
 	}
 }
@@ -128,9 +125,10 @@ func (c *Catalog) EnsureNextID(min uint32) {
 	}
 }
 
-// CreateTable registers a table; temp marks session-temporary tables
-// (CREATE TEMP TABLE / GLOBAL TEMPORARY TABLE variants).
-func (c *Catalog) CreateTable(t *columnar.Table, temp bool) error {
+// CreateTable registers a table. A temporary table (CREATE TEMP TABLE /
+// DECLARE GLOBAL TEMPORARY TABLE) is registered like any other: it lives
+// until it is dropped.
+func (c *Catalog) CreateTable(t *columnar.Table) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	k := key(t.Name())
@@ -138,9 +136,6 @@ func (c *Catalog) CreateTable(t *columnar.Table, temp bool) error {
 		return fmt.Errorf("catalog: object %s already exists", t.Name())
 	}
 	c.tables[k] = t
-	if temp {
-		c.temp[k] = true
-	}
 	return nil
 }
 
@@ -183,7 +178,6 @@ func (c *Catalog) DropTable(name string) error {
 		return fmt.Errorf("catalog: table %s does not exist", name)
 	}
 	delete(c.tables, k)
-	delete(c.temp, k)
 	c.mu.Unlock()
 	return t.Drop()
 }
@@ -315,28 +309,4 @@ func (c *Catalog) TableNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// IsTemp reports whether the named table is temporary.
-func (c *Catalog) IsTemp(name string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.temp[key(name)]
-}
-
-// DropTempTables removes every temporary table (session end).
-func (c *Catalog) DropTempTables() {
-	c.mu.Lock()
-	var victims []*columnar.Table
-	for k := range c.temp {
-		if t, ok := c.tables[k]; ok {
-			victims = append(victims, t)
-			delete(c.tables, k)
-		}
-		delete(c.temp, k)
-	}
-	c.mu.Unlock()
-	for _, t := range victims {
-		t.Drop()
-	}
 }

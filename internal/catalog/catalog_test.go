@@ -16,10 +16,10 @@ func newTable(c *Catalog, name string) *columnar.Table {
 func TestTableLifecycle(t *testing.T) {
 	c := New()
 	tbl := newTable(c, "t1")
-	if err := c.CreateTable(tbl, false); err != nil {
+	if err := c.CreateTable(tbl); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateTable(newTable(c, "t1"), false); err == nil {
+	if err := c.CreateTable(newTable(c, "t1")); err == nil {
 		t.Fatal("duplicate create must fail")
 	}
 	got, ok := c.Table("T1") // case-insensitive
@@ -94,7 +94,6 @@ type fakeSource struct{ rows []types.Row }
 
 func (f *fakeSource) Schema() types.Schema          { return types.Schema{{Name: "x", Kind: types.KindInt}} }
 func (f *fakeSource) ScanAll() ([]types.Row, error) { return f.rows, nil }
-func (f *fakeSource) Origin() string                { return "TEST" }
 
 func TestNicknames(t *testing.T) {
 	c := New()
@@ -103,11 +102,11 @@ func TestNicknames(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, ok := c.Nickname("REMOTE")
-	if !ok || n.Source.Origin() != "TEST" {
+	if !ok || n.Source != RemoteSource(src) {
 		t.Fatal("nickname lookup")
 	}
 	// Name collision with a table.
-	if err := c.CreateTable(newTable(c, "remote"), false); err == nil {
+	if err := c.CreateTable(newTable(c, "remote")); err == nil {
 		t.Fatal("nickname/table collision must fail")
 	}
 	if err := c.DropNickname("remote"); err != nil {
@@ -117,7 +116,7 @@ func TestNicknames(t *testing.T) {
 
 func TestAliases(t *testing.T) {
 	c := New()
-	c.CreateTable(newTable(c, "base"), false)
+	c.CreateTable(newTable(c, "base"))
 	if err := c.CreateAlias("syn", "base"); err != nil {
 		t.Fatal(err)
 	}
@@ -133,23 +132,6 @@ func TestAliases(t *testing.T) {
 	}
 	if _, ok := c.Table("syn2"); !ok {
 		t.Fatal("chained alias failed")
-	}
-}
-
-func TestTempTables(t *testing.T) {
-	c := New()
-	c.CreateTable(newTable(c, "keep"), false)
-	c.CreateTable(newTable(c, "tmp1"), true)
-	c.CreateTable(newTable(c, "tmp2"), true)
-	if !c.IsTemp("tmp1") || c.IsTemp("keep") {
-		t.Fatal("temp flags")
-	}
-	c.DropTempTables()
-	if _, ok := c.Table("tmp1"); ok {
-		t.Fatal("temp table survived")
-	}
-	if _, ok := c.Table("keep"); !ok {
-		t.Fatal("permanent table dropped")
 	}
 }
 

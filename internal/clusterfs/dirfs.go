@@ -37,12 +37,6 @@ func OpenDir(dir string) (*FS, error) {
 	return &FS{dir: abs}, nil
 }
 
-// IsDir reports whether the FS is disk-backed (shared between processes).
-func (fs *FS) IsDir() bool { return fs.dir != "" }
-
-// Dir returns the backing directory ("" for the in-memory backend).
-func (fs *FS) Dir() string { return fs.dir }
-
 // hostPath maps a clusterfs path to its on-disk location, rejecting
 // escapes from the root: the namespace is flat keys like
 // "shards/0004/pages/T00000001/C0001/S00000012".

@@ -13,6 +13,9 @@ import (
 	"dashdb/internal/types"
 )
 
+// insert adds one row the way an INSERT statement does: as a batch of one.
+func insert(tbl *Table, row types.Row) error { return tbl.InsertBatch([]types.Row{row}) }
+
 func salesSchema() types.Schema {
 	return types.Schema{
 		{Name: "id", Kind: types.KindInt},
@@ -165,7 +168,7 @@ func TestNullHandling(t *testing.T) {
 		if i%10 == 0 {
 			amount = types.Null
 		}
-		err := tbl.Insert(types.Row{
+		err := insert(tbl, types.Row{
 			types.NewInt(int64(i)), types.Null, types.NewDate(0), amount,
 		})
 		if err != nil {
@@ -274,7 +277,7 @@ func TestDoubleColumnIsLossless(t *testing.T) {
 		late = append(late, float64(i)/2)
 	}
 	for _, f := range late {
-		if err := tbl.Insert(types.Row{types.NewFloat(f)}); err != nil {
+		if err := insert(tbl, types.Row{types.NewFloat(f)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,7 +316,7 @@ func TestCompressionReport(t *testing.T) {
 func TestLateInsertDictionaryExtension(t *testing.T) {
 	tbl := newTestTable(t, 2048)
 	// A region never seen at load time lands in the dictionary extension.
-	err := tbl.Insert(types.Row{
+	err := insert(tbl, types.Row{
 		types.NewInt(99999), types.NewString("central"),
 		types.NewDate(0), types.NewFloat(1),
 	})

@@ -135,7 +135,7 @@ func TestSaveAndOpenTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A late value lands in the dictionary extension region.
-	if err := orig.Insert(types.Row{
+	if err := insert(orig, types.Row{
 		types.NewInt(99999), types.NewString("central"), types.NewDate(0), types.NewFloat(1),
 	}); err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestSaveAndOpenTable(t *testing.T) {
 		}
 	}
 	// The reopened table accepts further writes.
-	if err := reopened.Insert(types.Row{
+	if err := insert(reopened, types.Row{
 		types.NewInt(100000), types.NewString("north"), types.NewDate(1), types.NewFloat(2),
 	}); err != nil {
 		t.Fatal(err)

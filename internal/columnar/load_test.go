@@ -26,7 +26,7 @@ func TestFrameOfReferenceExtend(t *testing.T) {
 	}
 	before := tbl.Snapshot()
 	defer before.Release()
-	if err := tbl.Insert(types.Row{types.NewInt(1_000_000)}); err != nil {
+	if err := insert(tbl, types.Row{types.NewInt(1_000_000)}); err != nil {
 		t.Fatal(err)
 	}
 	if n := tbl.Stats().Rebuilds; n != 0 {
@@ -41,7 +41,7 @@ func TestFrameOfReferenceExtend(t *testing.T) {
 	if cur.enc == old.enc {
 		t.Fatal("the extension changed the pinned epoch's encoder instead of publishing a new one")
 	}
-	for _, c := range []struct {
+	for i, c := range []struct {
 		snap *Snapshot
 		val  int64
 		want int
@@ -53,7 +53,7 @@ func TestFrameOfReferenceExtend(t *testing.T) {
 	} {
 		n, err := c.snap.CountWhere([]Pred{{Col: 0, Op: encoding.OpEQ, Val: types.NewInt(c.val)}})
 		if err != nil || n != c.want {
-			t.Fatalf("epoch %d: v = %d matches %d (err %v), want %d", c.snap.Epoch(), c.val, n, err, c.want)
+			t.Fatalf("case %d: v = %d matches %d (err %v), want %d", i, c.val, n, err, c.want)
 		}
 	}
 	if n, _ := before.CountWhere(nil); n != 2000 {

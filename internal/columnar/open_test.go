@@ -188,7 +188,7 @@ func TestOpenStrideMatchesReference(t *testing.T) {
 			checkAgainstReference(t, tbl, rows)
 			for i := 0; i < 40; i++ {
 				row := lateRow(split+i, i)
-				if err := tbl.Insert(row); err != nil {
+				if err := insert(tbl, row); err != nil {
 					t.Fatal(err)
 				}
 				rows = append(rows, row)
@@ -234,7 +234,7 @@ func TestOpenStrideNegativeZero(t *testing.T) {
 		}
 		return bits
 	}
-	if err := tbl.Insert(types.Row{types.NewInt(100), types.NewFloat(0)}); err != nil {
+	if err := insert(tbl, types.Row{types.NewInt(100), types.NewFloat(0)}); err != nil {
 		t.Fatal(err)
 	}
 	want := []uint64{math.Float64bits(negZero), math.Float64bits(negZero)}

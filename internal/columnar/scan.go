@@ -126,14 +126,6 @@ func (t *Table) Scan(preds []Pred, fn func(b *Batch) bool) error {
 	return snap.Scan(preds, fn)
 }
 
-// ScanWithStats is Scan with a per-query telemetry sink, over a
-// freshly pinned epoch.
-func (t *Table) ScanWithStats(preds []Pred, ss *telemetry.ScanStats, fn func(b *Batch) bool) error {
-	snap := t.Snapshot()
-	defer snap.Release()
-	return snap.ScanWithStats(preds, ss, fn)
-}
-
 // recoverScanPanic converts page-load panics raised inside batch
 // materialization into scan errors, so storage faults surface cleanly.
 func recoverScanPanic(err *error) {
@@ -303,7 +295,11 @@ func (b *Batch) selectOpen(preds []Pred, translated encPredicates) []int {
 	}
 	for i, p := range preds {
 		c := &b.st.cols[p.Col]
-		sel = selectCodes(c.openCodes, c.openNulls, c.enc, translated[i], p, sel)
+		var dom []types.Value
+		if d, ok := c.enc.(*encoding.Dict); ok && len(translated[i].Residual) > 0 {
+			dom = d.Snapshot() // one dictionary lock per conjunct, not one per residual row
+		}
+		sel = selectCodes(c.openCodes, c.openNulls, dom, translated[i], p, sel)
 	}
 	b.t.stats.rowsScanned.Add(uint64(n))
 	return sel
@@ -311,11 +307,13 @@ func (b *Batch) selectOpen(preds []Pred, translated encPredicates) []int {
 
 // selectCodes narrows sel, ascending offsets into codes, in place to the
 // cells that are not NULL and satisfy tp: exact ranges select in code
-// space, and a code in a residual range is decoded and rechecked against
-// p, as applyPredicate does on a page.
+// space, and a code in a residual range is decoded through dom and
+// rechecked against p, as applyPredicate does on a page. Only a
+// dictionary's extension is residual, so dom is that dictionary's
+// Snapshot (nil when tp has no residual ranges).
 //
 //dashdb:hotpath
-func selectCodes(codes []uint64, nulls []bool, enc encoding.Encoder, tp encoding.Predicate, p Pred, sel []int) []int {
+func selectCodes(codes []uint64, nulls []bool, dom []types.Value, tp encoding.Predicate, p Pred, sel []int) []int {
 	live := sel[:0]
 	for _, off := range sel {
 		if !nulls[off] {
@@ -339,7 +337,7 @@ func selectCodes(codes []uint64, nulls []bool, enc encoding.Encoder, tp encoding
 	}
 	out := live[:0]
 	for _, off := range live {
-		if c := codes[off]; inRanges(c, ranges[:exact]) || p.Op.Eval(enc.Decode(c), p.Val) {
+		if c := codes[off]; inRanges(c, ranges[:exact]) || p.Op.Eval(dom[c], p.Val) {
 			out = append(out, off)
 		}
 	}

@@ -89,34 +89,15 @@ func (s *Snapshot) Release() { s.e.Release() }
 // state returns the pinned epoch's payload.
 func (s *Snapshot) state() *tableState { return s.e.State() }
 
-// Table returns the table this snapshot was taken from.
-func (s *Snapshot) Table() *Table { return s.t }
-
-// Epoch returns the pinned epoch's sequence number: queries planned and
-// executed against equal epochs see byte-identical data.
-func (s *Snapshot) Epoch() uint64 { return s.e.Seq() }
-
 // Rows returns the snapshot's live row count — stable for the snapshot's
 // lifetime no matter how many writers commit meanwhile.
 func (s *Snapshot) Rows() int { return s.state().live }
-
-// Schema returns the table schema.
-func (s *Snapshot) Schema() types.Schema { return s.t.schema }
 
 // ColumnDict returns column ci's dictionary as pinned by this snapshot
 // when the column is eligible for compressed execution, or nil (same gate
 // as Table.ColumnDict).
 func (s *Snapshot) ColumnDict(ci int) *encoding.Dict {
 	return s.state().columnDict(ci)
-}
-
-// ColumnEncoding names column ci's encoder in the pinned epoch.
-func (s *Snapshot) ColumnEncoding(ci int) string {
-	st := s.state()
-	if ci < 0 || ci >= len(st.cols) || st.cols[ci].enc == nil {
-		return ""
-	}
-	return st.cols[ci].enc.Kind().String()
 }
 
 // SnapshotSet pins at most one snapshot per table and releases them all

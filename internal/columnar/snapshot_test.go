@@ -230,7 +230,7 @@ func TestTruncateDrainsBehindPinnedReader(t *testing.T) {
 		t.Fatal("release of last pin should drain the superseded epoch")
 	}
 	// New ingest into the truncated table works and is isolated.
-	if err := tbl.Insert(types.Row{types.NewInt(9), types.NewInt(9), types.NewFloat(9)}); err != nil {
+	if err := insert(tbl, types.Row{types.NewInt(9), types.NewInt(9), types.NewFloat(9)}); err != nil {
 		t.Fatal(err)
 	}
 	if tbl.Rows() != 1 {

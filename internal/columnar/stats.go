@@ -37,13 +37,6 @@ func (s *Snapshot) ColumnStats(ci int) ColumnStats {
 	return s.state().columnStats(ci)
 }
 
-// ColumnStats gathers planner statistics for column ci in the current
-// epoch. The epoch state is immutable, so no pin is needed: a result is
-// internally consistent even if a writer publishes mid-call.
-func (t *Table) ColumnStats(ci int) ColumnStats {
-	return t.epochs.Current().State().columnStats(ci)
-}
-
 // columnStats serves column ci's statistics from the state's lazy cache.
 // The cache needs no version stamp: the state it describes can never
 // change, so planning every query of an epoch costs one computation per

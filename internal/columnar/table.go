@@ -226,9 +226,6 @@ func NewTable(id uint32, name string, schema types.Schema, cfg Config) *Table {
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
 
-// ID returns the table's storage id.
-func (t *Table) ID() uint32 { return t.id }
-
 // Schema returns the table schema.
 func (t *Table) Schema() types.Schema { return t.schema }
 
@@ -313,21 +310,6 @@ func (t *Table) nextGenLocked() uint32 {
 		g = t.genSeq & 0xFF
 	}
 	return g
-}
-
-// Insert validates and appends one row, publishing a new epoch. An INSERT
-// into a table no load has analyzed gives its columns growable
-// dictionaries (the page-level dictionary path).
-func (t *Table) Insert(row types.Row) error {
-	checked, err := t.schema.Validate(row)
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	defer t.publishLocked()
-	t.ensureEncodersLocked()
-	return t.appendRowsLocked([]types.Row{checked})
 }
 
 // InsertBatch bulk-loads rows; the first batch triggers encoding analysis
@@ -468,8 +450,8 @@ func extremes(rows []types.Row, ci int, kind types.Kind) (lo, hi types.Value, ok
 	return mk(l), mk(h), l <= h
 }
 
-// ensureEncodersLocked gives un-analyzed columns growable dictionaries
-// (the INSERT-before-LOAD path).
+// ensureEncodersLocked gives un-analyzed columns growable dictionaries, so
+// a table saved before its first load still persists an encoder per column.
 func (t *Table) ensureEncodersLocked() {
 	for ci, c := range t.cols {
 		if c.enc == nil {
@@ -648,7 +630,11 @@ func (t *Table) pageID(ci, stride int) page.ID {
 // loadPageGen fetches a sealed page of a specific generation through the
 // buffer pool. Generation-qualified IDs are what let pinned epochs keep
 // reading superseded pages while the writer rebuilds under a new
-// generation.
+// generation. A scan calls it once per column per stride (the batch keeps
+// the page), so the pool's locks and its error on a failed read are paid
+// per page, off the per-row loops of the kernels that reach it.
+//
+//dashdb:coldpath runs once per column per stride, through the buffer pool's lookup and miss path
 func (t *Table) loadPageGen(ci int, gen uint32, stride int) (*page.Page, error) {
 	id := pageIDFor(t.id, ci, gen, stride)
 	return t.pool.Get(id, func(id page.ID) (*page.Page, error) {
@@ -800,16 +786,6 @@ func (t *Table) Drop() error {
 // Snapshot.ColumnDict on the pinned snapshot.
 func (t *Table) ColumnDict(ci int) *encoding.Dict {
 	return t.epochs.Current().State().columnDict(ci)
-}
-
-// ColumnEncoding names column ci's encoder ("RAW", "MINUS", "FREQ-DICT",
-// or "" before analysis).
-func (t *Table) ColumnEncoding(ci int) string {
-	st := t.epochs.Current().State()
-	if ci < 0 || ci >= len(st.cols) || st.cols[ci].enc == nil {
-		return ""
-	}
-	return st.cols[ci].enc.Kind().String()
 }
 
 // ColumnCompression is one column's entry in the compression report,

@@ -647,10 +647,10 @@ func TestSessionDialectIsolation(t *testing.T) {
 	db := newDB(t)
 	s1, s2 := db.NewSession(), db.NewSession()
 	mustExec(t, s1, `SET SQL_DIALECT = 'ORACLE'`)
-	if s2.Dialect() != sql.DialectANSI {
+	if s2.dialect != sql.DialectANSI {
 		t.Fatal("dialect leaked across sessions")
 	}
-	if s1.Dialect() != sql.DialectOracle {
+	if s1.dialect != sql.DialectOracle {
 		t.Fatal("dialect not set")
 	}
 }

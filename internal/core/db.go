@@ -198,6 +198,8 @@ func (db *DB) WLM() *wlm.Manager { return db.wlm }
 
 // Telemetry exposes the engine's query-history registry (MPP stat merging
 // and monitoring tools).
+//
+//dashdb:nolint deadcode cross-package test hook: mpp's cluster tests and telemetry's race test read per-engine totals
 func (db *DB) Telemetry() *telemetry.Registry { return db.reg }
 
 // RegisterFunction installs a user-defined scalar function (UDX,
@@ -226,7 +228,7 @@ func (db *DB) CreateTable(name string, schema types.Schema) (*columnar.Table, er
 		Pool:  db.pool,
 		Store: db.store,
 	})
-	if err := db.cat.CreateTable(t, false); err != nil {
+	if err := db.cat.CreateTable(t); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -293,14 +295,8 @@ func (s *Session) SetUser(u string) { s.user = u }
 // User returns the session user.
 func (s *Session) User() string { return s.user }
 
-// Dialect returns the active SQL dialect.
-func (s *Session) Dialect() sql.Dialect { return s.dialect }
-
 // SetDialect switches the session's SQL dialect.
 func (s *Session) SetDialect(d sql.Dialect) { s.dialect = d }
-
-// DB returns the owning engine.
-func (s *Session) DB() *DB { return s.db }
 
 // Result is the outcome of one statement.
 type Result struct {
@@ -401,7 +397,6 @@ func (s *Session) ExecParams(text string, args ...types.Value) (*Result, error) 
 type Stmt struct {
 	sess *Session
 	st   sql.Statement
-	text string
 }
 
 // Prepare parses a statement for repeated execution.
@@ -410,16 +405,13 @@ func (s *Session) Prepare(text string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{sess: s, st: st, text: text}, nil
+	return &Stmt{sess: s, st: st}, nil
 }
 
 // Exec runs the prepared statement with the given parameter bindings.
 func (st *Stmt) Exec(args ...types.Value) (*Result, error) {
 	return st.sess.execStmtParams(st.st, args)
 }
-
-// Text returns the statement's original SQL.
-func (st *Stmt) Text() string { return st.text }
 
 // execStmtParams executes with parameters carried via the session for the
 // duration of the statement.

@@ -390,7 +390,7 @@ func (s *Session) executeCreateTable(stmt *sql.CreateTableStmt) (*Result, error)
 		Pool:  s.db.pool,
 		Store: s.db.store,
 	})
-	if err := s.db.cat.CreateTable(t, stmt.Temp); err != nil {
+	if err := s.db.cat.CreateTable(t); err != nil {
 		return nil, err
 	}
 	if len(initial) > 0 {

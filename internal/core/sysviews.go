@@ -27,8 +27,6 @@ import (
 // syscatTables lists base tables with row counts and storage.
 type syscatTables struct{ db *DB }
 
-func (s *syscatTables) Origin() string { return "SYSCAT" }
-
 func (s *syscatTables) Schema() types.Schema {
 	return types.Schema{
 		{Name: "table_name", Kind: types.KindString},
@@ -60,8 +58,6 @@ func (s *syscatTables) ScanAll() ([]types.Row, error) {
 
 // syscatConfig exposes the engine's (auto-derived) configuration.
 type syscatConfig struct{ db *DB }
-
-func (s *syscatConfig) Origin() string { return "SYSCAT" }
 
 func (s *syscatConfig) Schema() types.Schema {
 	return types.Schema{
@@ -99,8 +95,6 @@ func (s *syscatConfig) ScanAll() ([]types.Row, error) {
 // syscatBufferPool exposes cache effectiveness counters.
 type syscatBufferPool struct{ db *DB }
 
-func (s *syscatBufferPool) Origin() string { return "SYSCAT" }
-
 func (s *syscatBufferPool) Schema() types.Schema {
 	return types.Schema{
 		{Name: "metric", Kind: types.KindString},
@@ -126,8 +120,6 @@ func (s *syscatBufferPool) ScanAll() ([]types.Row, error) {
 // completed query, newest last. Slow queries carry their full EXPLAIN
 // ANALYZE text in the plan column.
 type monQueryHistory struct{ db *DB }
-
-func (m *monQueryHistory) Origin() string { return "MON" }
 
 func (m *monQueryHistory) Schema() types.Schema {
 	return types.Schema{
@@ -170,8 +162,6 @@ func (m *monQueryHistory) ScanAll() ([]types.Row, error) {
 // where the rows and the time went, per query.
 type monOperatorStats struct{ db *DB }
 
-func (m *monOperatorStats) Origin() string { return "MON" }
-
 func (m *monOperatorStats) Schema() types.Schema {
 	return types.Schema{
 		{Name: "query_id", Kind: types.KindInt},
@@ -212,8 +202,6 @@ func (m *monOperatorStats) ScanAll() ([]types.Row, error) {
 // (the SYSCAT metric/value view remains for compatibility).
 type monBufferPool struct{ db *DB }
 
-func (m *monBufferPool) Origin() string { return "MON" }
-
 func (m *monBufferPool) Schema() types.Schema {
 	return types.Schema{
 		{Name: "hits", Kind: types.KindInt},
@@ -243,8 +231,6 @@ func (m *monBufferPool) ScanAll() ([]types.Row, error) {
 
 // monWLM is the workload manager's admission counters as a single row.
 type monWLM struct{ db *DB }
-
-func (m *monWLM) Origin() string { return "MON" }
 
 func (m *monWLM) Schema() types.Schema {
 	return types.Schema{
@@ -277,8 +263,6 @@ func (m *monWLM) ScanAll() ([]types.Row, error) {
 // (SORTHEAP, HASHHEAP) with budget, live usage, peak, grant/denial counts
 // and cumulative spill activity, plus the active-reservation count.
 type monMemory struct{ db *DB }
-
-func (m *monMemory) Origin() string { return "MON" }
 
 func (m *monMemory) Schema() types.Schema {
 	return types.Schema{
@@ -323,8 +307,6 @@ func (m *monMemory) ScanAll() ([]types.Row, error) {
 // non-zero cardinality are exactly those eligible for
 // operate-on-compressed-data execution (floats excepted).
 type monCompression struct{ db *DB }
-
-func (m *monCompression) Origin() string { return "MON" }
 
 func (m *monCompression) Schema() types.Schema {
 	return types.Schema{
@@ -377,8 +359,6 @@ func (m *monCompression) ScanAll() ([]types.Row, error) {
 // an old epoch alive; bulk counters separate the bulk path from trickle
 // INSERTs.
 type monSnapshots struct{ db *DB }
-
-func (m *monSnapshots) Origin() string { return "MON" }
 
 func (m *monSnapshots) Schema() types.Schema {
 	return types.Schema{

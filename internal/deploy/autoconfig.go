@@ -13,7 +13,6 @@
 package deploy
 
 import (
-	"fmt"
 	"runtime"
 )
 
@@ -117,23 +116,6 @@ func AutoConfigure(hw Hardware) EngineConfig {
 // the morsel-parallelism cap, even for hand-edited configurations.
 func (c EngineConfig) QueryParallelism() int {
 	return clampInt(c.Parallelism, 1, maxQueryParallelism)
-}
-
-// TotalReserved returns the sum of all memory heaps; always strictly
-// below the host RAM (property-tested).
-func (c EngineConfig) TotalReserved() int64 {
-	return c.BufferPoolBytes + c.SortHeapBytes + c.HashHeapBytes + c.LockListBytes + c.LogBufferBytes
-}
-
-// Validate sanity-checks a configuration against its hardware.
-func (c EngineConfig) Validate(hw Hardware) error {
-	if c.TotalReserved() > hw.RAMBytes {
-		return fmt.Errorf("deploy: configuration reserves %d bytes on a %d-byte host", c.TotalReserved(), hw.RAMBytes)
-	}
-	if c.Parallelism < 1 || c.MaxConcurrency < 1 || c.ShardsPerNode < 1 {
-		return fmt.Errorf("deploy: degenerate configuration %+v", c)
-	}
-	return nil
 }
 
 func maxInt(a, b int) int {

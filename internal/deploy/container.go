@@ -2,7 +2,6 @@ package deploy
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -42,20 +41,6 @@ func (r *Registry) Pull(name, version string) (Image, error) {
 		return Image{}, fmt.Errorf("deploy: image %s:%s not found", name, version)
 	}
 	return img, nil
-}
-
-// Versions lists the published versions of an image name, sorted.
-func (r *Registry) Versions(name string) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []string
-	for k := range r.images {
-		if img := r.images[k]; img.Name == name {
-			out = append(out, img.Version)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ContainerState is the lifecycle state.
@@ -122,13 +107,6 @@ type Host struct {
 // NewHost creates a host.
 func NewHost(name string, hw Hardware) *Host {
 	return &Host{Name: name, HW: hw, pulled: make(map[string]bool)}
-}
-
-// Container returns the host's container, if any.
-func (h *Host) Container() *Container {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.current
 }
 
 // Phase is one step of a deployment timeline.
@@ -201,29 +179,4 @@ func (h *Host) Run(reg *Registry, name, version string) (*Container, Timeline, e
 	}
 	h.current = c
 	return c, tl, nil
-}
-
-// Stop stops the container; state on the clustered filesystem persists.
-func (h *Host) Stop() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.current == nil || h.current.State != StateRunning {
-		return fmt.Errorf("deploy: no running container on %s", h.Name)
-	}
-	h.current.State = StateStopped
-	return nil
-}
-
-// Update performs the paper's stack-update flow: stop-and-rename the
-// current container, then run a new container from the new image version
-// against the same mounted data. It returns the new container and the
-// update timeline.
-func (h *Host) Update(reg *Registry, name, newVersion string) (*Container, Timeline, error) {
-	if err := h.Stop(); err != nil {
-		return nil, Timeline{}, err
-	}
-	h.mu.Lock()
-	h.current = nil // old container renamed aside
-	h.mu.Unlock()
-	return h.Run(reg, name, newVersion)
 }

@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode F-G: the heartbeat detector is wired into no binary (dashdbctl fail is manual); its tests drive it as F-G's failure detection
+
 package deploy
 
 import (
@@ -79,10 +81,10 @@ func (m *Monitor) Start() {
 		m.mu.Unlock()
 		return
 	}
-	m.stop = make(chan struct{})
-	m.done = make(chan struct{})
+	stop, done := make(chan struct{}), make(chan struct{})
+	m.stop, m.done = stop, done
 	m.mu.Unlock()
-	go m.run()
+	go m.run(stop, done)
 }
 
 // Stop halts the loop and waits for it to exit.
@@ -132,13 +134,15 @@ func (m *Monitor) Add(n MonitoredNode) {
 	m.nodes = append(m.nodes, n)
 }
 
-func (m *Monitor) run() {
-	defer close(m.done)
+// run sweeps every interval until stop closes. It takes its channels from
+// Start rather than reading the fields Stop clears.
+func (m *Monitor) run(stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
 	t := time.NewTicker(m.cfg.Interval)
 	defer t.Stop()
 	for {
 		select {
-		case <-m.stop:
+		case <-stop:
 			return
 		case <-t.C:
 			m.sweep()

@@ -3,6 +3,7 @@ package deploy
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,6 +48,47 @@ func TestMonitorDeclaresDeathAfterConsecutiveMisses(t *testing.T) {
 	}
 	if !m.Dead("b") || m.Dead("a") {
 		t.Fatal("death flags wrong")
+	}
+}
+
+// TestMonitorStartDetectsFailure runs the real heartbeat loop: Start
+// sweeps on its own ticker, a node that keeps failing its pings is
+// declared dead once, and the loop keeps sweeping the survivors after.
+func TestMonitorStartDetectsFailure(t *testing.T) {
+	var pingsA, fails atomic.Int64
+	failed := make(chan string, 2) // onFail sends at most once per node
+	m := NewMonitor(
+		[]MonitoredNode{{Name: "a", Addr: "x"}, {Name: "b", Addr: "y"}},
+		PingerFunc(func(name, addr string) error {
+			if name == "b" {
+				return fmt.Errorf("down")
+			}
+			pingsA.Add(1)
+			return nil
+		}),
+		MonitorConfig{Interval: time.Millisecond, Misses: 2},
+		func(name string) {
+			fails.Add(1)
+			failed <- name
+		},
+	)
+	m.Start()
+	defer m.Stop()
+	select {
+	case name := <-failed:
+		if name != "b" {
+			t.Fatalf("declared %s dead, want b", name)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the heartbeat loop never declared b dead")
+	}
+	// Ten more sweeps of the survivor: b stays dead, and onFail stays fired once.
+	for seen := pingsA.Load(); pingsA.Load() < seen+10; {
+		time.Sleep(time.Millisecond)
+	}
+	m.Stop()
+	if n := fails.Load(); n != 1 || !m.Dead("b") || m.Dead("a") {
+		t.Fatalf("onFail fired %d times (dead a=%v b=%v), want once for b", n, m.Dead("a"), m.Dead("b"))
 	}
 }
 

@@ -211,15 +211,37 @@ func (d *Dict) normalize(v types.Value) (types.Value, bool) {
 	return cv, true
 }
 
-// EncodeExisting returns the code of v if it is already in the domain.
-func (d *Dict) EncodeExisting(v types.Value) (uint64, bool) {
+// ExistingCodes looks a batch of values up in the domain under one read
+// lock: codes[k] is vals[k]'s code where found[k]. A NULL, or a value
+// that does not coerce to the dictionary's kind, is not found. The hash
+// join probes its dictionary-keyed build a batch at a time through it.
+//
+//dashdb:hotpath
+func (d *Dict) ExistingCodes(vals []types.Value, codes []uint64, found []bool) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	for k, v := range vals {
+		switch {
+		case v.IsNull():
+			found[k] = false
+		case v.Kind() != d.kind:
+			codes[k], found[k] = d.coercedLocked(v)
+		default:
+			codes[k], found[k] = d.lookup[v]
+		}
+	}
+}
+
+// coercedLocked is ExistingCodes' lookup of a value of another kind than
+// the dictionary's. The caller holds mu.
+//
+//dashdb:coldpath join keys of two kinds: a dictionary-keyed build is probed with its own kind
+func (d *Dict) coercedLocked(v types.Value) (uint64, bool) {
 	cv, ok := d.normalize(v)
 	if !ok {
 		return 0, false
 	}
-	d.mu.RLock()
 	code, ok := d.lookup[cv]
-	d.mu.RUnlock()
 	return code, ok
 }
 

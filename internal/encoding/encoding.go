@@ -166,13 +166,10 @@ func (op CmpOp) Eval(a, b types.Value) bool {
 type Encoder interface {
 	// Kind reports the scheme.
 	Kind() Kind
-	// Encode maps a non-NULL value to its code, extending the encoder's
-	// domain if needed. The returned width is the current code width.
-	Encode(v types.Value) uint64
 	// EncodeAll encodes a run of values into codes (len(vals) of them),
 	// writing 0 for a NULL: the load path encodes a column a stride chunk
 	// at a time. Frame-of-reference encoders require every value inside
-	// their frame; dictionaries extend as Encode does.
+	// their frame; dictionaries extend their domain.
 	EncodeAll(vals []types.Value, codes []uint64)
 	// Decode maps a code back to its value.
 	Decode(code uint64) types.Value
@@ -181,8 +178,6 @@ type Encoder interface {
 	// boxed value per cell. A slot set in nulls (nil: none) is NULL and
 	// reads as its payload's zero value, whatever its code.
 	DecodeAll(codes []uint64, nulls *bitpack.Bitmap, out Decoded)
-	// Width returns the current code width in bits.
-	Width() uint
 	// Cardinality returns the number of distinct codes in the domain.
 	Cardinality() int
 	// Translate converts a value-space predicate into code space.

@@ -134,11 +134,11 @@ func TestDictBuildAndRoundTrip(t *testing.T) {
 		t.Fatalf("cardinality %d want 9", d.Cardinality())
 	}
 	// The dominant value must receive the smallest code (partition 0).
-	if code, ok := d.EncodeExisting(types.NewString("apple")); !ok || code != 0 {
+	if code, ok := existing(d, types.NewString("apple")); !ok || code != 0 {
 		t.Errorf("hot value code = %d, %v; want 0", code, ok)
 	}
 	for _, s := range []string{"apple", "banana", "kiwi"} {
-		code, ok := d.EncodeExisting(types.NewString(s))
+		code, ok := existing(d, types.NewString(s))
 		if !ok {
 			t.Fatalf("missing %s", s)
 		}
@@ -161,7 +161,7 @@ func TestDictOrderPreservingWithinPartition(t *testing.T) {
 	sort.Strings(sorted)
 	var prev uint64
 	for i, w := range sorted {
-		code, ok := d.EncodeExisting(types.NewString(w))
+		code, ok := existing(d, types.NewString(w))
 		if !ok {
 			t.Fatalf("missing %s", w)
 		}
@@ -197,7 +197,7 @@ func TestDictExtensionRegion(t *testing.T) {
 
 func (d *Dict) mustCode(t *testing.T, v types.Value) uint64 {
 	t.Helper()
-	code, ok := d.EncodeExisting(v)
+	code, ok := existing(d, v)
 	if !ok {
 		t.Fatalf("value %v missing from dictionary", v)
 	}
@@ -345,7 +345,10 @@ func TestEncodeAllMatchesEncode(t *testing.T) {
 	vals := []types.Value{types.NewInt(7), types.NullOf(types.KindInt), types.NewInt(-3), types.NewInt(40)}
 	fvals := []types.Value{types.NewFloat(0.07), types.NullOf(types.KindFloat), types.NewFloat(-3.5)}
 	for _, c := range []struct {
-		enc  Encoder
+		enc interface {
+			Encoder
+			Encode(types.Value) uint64
+		}
 		vals []types.Value
 	}{
 		{NewIntFOR(-10, 50, types.KindInt), vals},
@@ -468,7 +471,7 @@ func TestDictRoundTripProperty(t *testing.T) {
 		}
 		d := BuildDict(types.KindString, sample)
 		for _, v := range sample {
-			code, ok := d.EncodeExisting(v)
+			code, ok := existing(d, v)
 			if !ok || types.Compare(d.Decode(code), v) != 0 {
 				return false
 			}

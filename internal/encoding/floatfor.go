@@ -81,26 +81,6 @@ func (e *FloatFOR) Scaled(f float64) (int64, bool) {
 	return exactFixedPoint(f, e.scale)
 }
 
-// Contains reports whether the value lies in the encodable domain.
-func (e *FloatFOR) Contains(f float64) bool {
-	raw, ok := e.Scaled(f)
-	return ok && e.inner.Contains(raw)
-}
-
-// Encode maps a value to its code; the value must be in-domain (the
-// columnar layer extends or rebuilds on overflow, as with IntFOR).
-func (e *FloatFOR) Encode(v types.Value) uint64 {
-	f, ok := v.AsFloat()
-	if !ok {
-		panic("encoding: FloatFOR.Encode non-numeric value")
-	}
-	raw, exact := e.Scaled(f)
-	if !exact || !e.inner.Contains(raw) {
-		panic("encoding: FloatFOR.Encode outside domain; caller must re-analyze")
-	}
-	return e.inner.Encode(types.NewInt(raw))
-}
-
 // Extend is IntFOR.Extend over scaled values: lo and hi are value·scale,
 // and the headroom unit is one scale step, as at analysis.
 //

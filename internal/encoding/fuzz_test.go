@@ -80,7 +80,7 @@ func fuzzDict(t *testing.T, a, b, c int64, s1, s2, s3 string) {
 			if v.IsNull() {
 				continue
 			}
-			code, ok := d.EncodeExisting(v)
+			code, ok := existing(d, v)
 			if !ok {
 				t.Fatalf("dict(%v): sample value %v missing from domain", kind, v)
 			}

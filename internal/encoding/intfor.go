@@ -98,16 +98,6 @@ func (e *IntFOR) extend(lo, hi, unit int64) (*IntFOR, bool) {
 	return &IntFOR{base: e.base, limit: limit, width: widthForSpan(limit), kind: e.kind}, true
 }
 
-// Encode maps a value to its code. The value must be integral-kinded and
-// inside the analyzed domain.
-func (e *IntFOR) Encode(v types.Value) uint64 {
-	raw, ok := v.AsInt()
-	if !ok || !e.Contains(raw) {
-		panic("encoding: IntFOR.Encode outside domain; caller must re-analyze")
-	}
-	return uint64(raw - e.base)
-}
-
 // EncodeAll writes the code of each value in vals to codes, 0 for a NULL.
 // Every non-NULL value must be of an integral kind and inside the frame:
 // the columnar layer extends or rebuilds the frame over a whole batch

@@ -175,7 +175,7 @@ func TestGroupByGenerated(t *testing.T) {
 			t.Fatal(err)
 		}
 		if tbl.ColumnDict(0) == nil || tbl.ColumnDict(1) == nil || tbl.ColumnDict(4) != nil {
-			t.Fatalf("encodings: d1=%s d2=%s f=%s", tbl.ColumnEncoding(0), tbl.ColumnEncoding(1), tbl.ColumnEncoding(4))
+			t.Fatalf("encodings: %+v", tbl.ColumnCompressionReport())
 		}
 		rows = tableRows(t, tbl)
 		for _, sh := range shapes {

@@ -226,22 +226,37 @@ func newDictRemap(build *encoding.Dict, probeDom []types.Value) *dictRemap {
 	return &dictRemap{build: build, dom: probeDom, table: t}
 }
 
-// lookup returns the build-side code for probe code c, or ok=false when
-// the probed value does not exist in the build dictionary.
-func (m *dictRemap) lookup(c uint64) (uint64, bool) {
-	e := m.table[c]
-	if e == -2 {
-		if bc, ok := m.build.EncodeExisting(m.dom[c]); ok {
-			e = int64(bc)
-		} else {
-			e = -1
+// translate turns probe codes into build codes in place: codes[p] becomes
+// the build code where found[p] stays set, and a probe value absent from
+// the build dictionary clears found[p]. Codes the table has not seen are
+// looked up together, under one lock of the build dictionary.
+func (m *dictRemap) translate(codes []uint64, found []bool) {
+	var miss []uint64
+	for p, c := range codes {
+		if found[p] && m.table[c] == -2 {
+			m.table[c] = -1 // absent until the lookup below finds it
+			miss = append(miss, c)
 		}
-		m.table[c] = e
 	}
-	if e < 0 {
-		return 0, false
+	if len(miss) > 0 {
+		vals := make([]types.Value, len(miss))
+		for k, c := range miss {
+			vals[k] = m.dom[c]
+		}
+		bcs, hits := make([]uint64, len(miss)), make([]bool, len(miss))
+		m.build.ExistingCodes(vals, bcs, hits)
+		for k, c := range miss {
+			if hits[k] {
+				m.table[c] = int64(bcs[k])
+			}
+		}
 	}
-	return uint64(e), true
+	for p, c := range codes {
+		if found[p] {
+			e := m.table[c]
+			codes[p], found[p] = uint64(e), e >= 0
+		}
+	}
 }
 
 // CompressedCols reports, per output column of a subtree, whether that

@@ -72,7 +72,7 @@ func dictTable(t testing.TB, id uint32, rows []types.Row) *columnar.Table {
 	}
 	if len(rows) > 0 {
 		if tbl.ColumnDict(0) == nil || tbl.ColumnDict(1) == nil {
-			t.Fatalf("analysis did not pick FREQ-DICT: g=%s k=%s", tbl.ColumnEncoding(0), tbl.ColumnEncoding(1))
+			t.Fatalf("analysis did not pick FREQ-DICT: %+v", tbl.ColumnCompressionReport())
 		}
 		if tbl.ColumnDict(2) != nil {
 			t.Fatal("float column must never be code-eligible (NaN gate)")

@@ -108,7 +108,7 @@ func (d evalData) batches(rng *rand.Rand) map[string]*vec.Batch {
 			if r[c].IsNull() {
 				v.SetNull(i)
 			} else {
-				v.Codes[i], _ = dict.EncodeExisting(r[c])
+				v.Codes[i] = dict.Encode(r[c]) // already in the domain: its code
 			}
 		}
 		return v

@@ -103,6 +103,9 @@ type HashJoinOp struct {
 	lpos, rrow []int
 
 	keys                  []*vec.Vector // scratch
+	keyVals               []types.Value // codesOf's batch of key values, their codes and hits
+	keyCodes              []uint64
+	keyFound              []bool
 	sel, keep, park, pads []int
 	renum                 []uint32
 	pp                    []uint8
@@ -372,18 +375,29 @@ func (j *HashJoinOp) codesOf(k int, kv *vec.Vector, vb *vec.Batch) *vec.Vector {
 		}
 	}
 	out := &vec.Vector{Kind: j.shape.kinds[k], Codes: make([]uint64, vb.N), Dict: d}
-	for _, i := range vb.Idx() {
-		var code uint64
-		ok := false
-		switch {
-		case kv.IsNull(i):
-		case remap != nil:
-			code, ok = remap.lookup(kv.Codes[kv.Ix(i)])
-		default:
-			code, ok = d.EncodeExisting(kv.Get(i))
+	idx := vb.Idx()
+	if cap(j.keyCodes) < len(idx) {
+		j.keyCodes, j.keyFound = make([]uint64, len(idx)), make([]bool, len(idx))
+	}
+	codes, found := j.keyCodes[:len(idx)], j.keyFound[:len(idx)]
+	if remap != nil {
+		for p, i := range idx {
+			if found[p] = !kv.IsNull(i); found[p] {
+				codes[p] = kv.Codes[kv.Ix(i)]
+			}
 		}
-		if ok {
-			out.Codes[i] = code
+		remap.translate(codes, found)
+	} else {
+		// Values: the whole batch is looked up under one dictionary lock.
+		j.keyVals = j.keyVals[:0]
+		for _, i := range idx {
+			j.keyVals = append(j.keyVals, kv.Get(i))
+		}
+		d.ExistingCodes(j.keyVals, codes, found)
+	}
+	for p, i := range idx {
+		if found[p] {
+			out.Codes[i] = codes[p]
 		} else {
 			out.SetNull(i)
 		}

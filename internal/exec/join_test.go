@@ -113,7 +113,7 @@ func joinTable(t testing.TB, id uint32, rows []types.Row) *columnar.Table {
 		t.Fatal(err)
 	}
 	if len(rows) > 0 && (tbl.ColumnDict(0) == nil || tbl.ColumnDict(1) != nil) {
-		t.Fatalf("want g dictionary-encoded and k plain, got g=%s k=%s", tbl.ColumnEncoding(0), tbl.ColumnEncoding(1))
+		t.Fatalf("want g dictionary-encoded and k plain, got %+v", tbl.ColumnCompressionReport())
 	}
 	return tbl
 }

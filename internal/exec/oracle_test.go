@@ -17,10 +17,11 @@ import (
 // no code with the operators (nestedLoopJoin in join_test.go is the join's).
 
 // rowEval is the expression oracle: e on one row, through the scalar helpers
-// the kernels' boxed arms use (ArithValue, and3/or3/not3, negValue,
-// CmpOp.Eval, ApplyExpr.Fn), with the short circuits of AND/OR and the
-// laziness of CASE and IN written out row-wise. Production code has no such
-// entry point; every kernel is held to this one (TestEvalVecMatchesEval).
+// the kernels' boxed arms use (ArithValue, negValue, CmpOp.Eval,
+// ApplyExpr.Fn) and its own three-valued and3/or3/not3, with the short
+// circuits of AND/OR and the laziness of CASE and IN written out row-wise.
+// Production code has no such entry point; every kernel is held to this
+// one (TestEvalVecMatchesEval).
 func rowEval(e Expr, row types.Row) (types.Value, error) {
 	// both evaluates two strict operands, left first.
 	both := func(l, r Expr) (a, b types.Value, err error) {
@@ -419,4 +420,36 @@ func oracleAgg(t testing.TB, a AggSpec, n int, vals, vals2 []types.Value) (types
 		v = math.Sqrt(v)
 	}
 	return types.NewFloat(v), nil
+}
+
+// and3 / or3 / not3 are SQL three-valued logic over BOOLEAN values where
+// NULL stands for UNKNOWN (truthiness via Value.Bool), one pair of values
+// at a time: the oracle's AND, OR and NOT.
+func and3(a, b types.Value) types.Value {
+	af, bf := !a.IsNull() && !a.Bool(), !b.IsNull() && !b.Bool()
+	if af || bf {
+		return types.NewBool(false)
+	}
+	if a.IsNull() || b.IsNull() {
+		return types.Null
+	}
+	return types.NewBool(true)
+}
+
+func or3(a, b types.Value) types.Value {
+	at, bt := !a.IsNull() && a.Bool(), !b.IsNull() && b.Bool()
+	if at || bt {
+		return types.NewBool(true)
+	}
+	if a.IsNull() || b.IsNull() {
+		return types.Null
+	}
+	return types.NewBool(false)
+}
+
+func not3(a types.Value) types.Value {
+	if a.IsNull() {
+		return types.Null
+	}
+	return types.NewBool(!a.Bool())
 }

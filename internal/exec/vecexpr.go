@@ -427,38 +427,6 @@ func (e *ArithExpr) EvalVec(b *vec.Batch) (*vec.Vector, error) {
 	}
 }
 
-// and3 / or3 / not3 implement SQL three-valued logic over BOOLEAN values
-// where NULL stands for UNKNOWN (truthiness via Value.Bool, matching the
-// SQL layer's closures).
-func and3(a, b types.Value) types.Value {
-	af, bf := !a.IsNull() && !a.Bool(), !b.IsNull() && !b.Bool()
-	if af || bf {
-		return types.NewBool(false)
-	}
-	if a.IsNull() || b.IsNull() {
-		return types.Null
-	}
-	return types.NewBool(true)
-}
-
-func or3(a, b types.Value) types.Value {
-	at, bt := !a.IsNull() && a.Bool(), !b.IsNull() && b.Bool()
-	if at || bt {
-		return types.NewBool(true)
-	}
-	if a.IsNull() || b.IsNull() {
-		return types.Null
-	}
-	return types.NewBool(false)
-}
-
-func not3(a types.Value) types.Value {
-	if a.IsNull() {
-		return types.Null
-	}
-	return types.NewBool(!a.Bool())
-}
-
 // AndExpr is SQL AND with short-circuit evaluation: where the left operand
 // is definite FALSE the right operand is not evaluated, so an error it would
 // raise on such a row is never seen.

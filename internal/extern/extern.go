@@ -132,9 +132,6 @@ func (t *CSVTable) Schema() types.Schema { return t.schema }
 // ScanAll implements catalog.RemoteSource.
 func (t *CSVTable) ScanAll() ([]types.Row, error) { return t.rows, nil }
 
-// Origin implements catalog.RemoteSource.
-func (t *CSVTable) Origin() string { return "CSV" }
-
 // --- JSON lines -----------------------------------------------------------------
 
 // JSONTable is a schema-on-read external table over JSON-lines text: one
@@ -258,9 +255,6 @@ func (t *JSONTable) Schema() types.Schema { return t.schema }
 
 // ScanAll implements catalog.RemoteSource.
 func (t *JSONTable) ScanAll() ([]types.Row, error) { return t.rows, nil }
-
-// Origin implements catalog.RemoteSource.
-func (t *JSONTable) Origin() string { return "JSON" }
 
 // RegisterCSV registers CSV text as an external table nickname.
 func RegisterCSV(cat *catalog.Catalog, name, data string) error {

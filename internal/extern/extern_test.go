@@ -39,9 +39,6 @@ func TestCSVSchemaInference(t *testing.T) {
 	if rows[0][3].String() != "1820-05-01" {
 		t.Errorf("date parse %v", rows[0][3])
 	}
-	if tbl.Origin() != "CSV" {
-		t.Error("origin")
-	}
 }
 
 func TestCSVErrors(t *testing.T) {
@@ -87,7 +84,7 @@ func TestJSONSchemaOnRead(t *testing.T) {
 		t.Fatalf("schema %v", sch.Names())
 	}
 	if sch[0].Kind != types.KindInt || sch[2].Kind != types.KindBool || sch[3].Kind != types.KindFloat {
-		t.Fatalf("kinds %v", sch.Kinds())
+		t.Fatalf("kinds of %v", sch)
 	}
 	rows, _ := tbl.ScanAll()
 	if len(rows) != 3 {

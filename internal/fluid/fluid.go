@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dashdb/internal/catalog"
@@ -48,8 +47,6 @@ type RemoteServer struct {
 	name   string
 	mu     sync.RWMutex
 	tables map[string]*remoteTable
-	// RowsServed counts federation traffic.
-	rowsServed atomic.Int64
 }
 
 type remoteTable struct {
@@ -61,15 +58,6 @@ type remoteTable struct {
 func NewRemoteServer(origin Origin, name string) *RemoteServer {
 	return &RemoteServer{origin: origin, name: name, tables: make(map[string]*remoteTable)}
 }
-
-// Origin returns the server's system family.
-func (s *RemoteServer) Origin() Origin { return s.origin }
-
-// Name returns the server's identifier.
-func (s *RemoteServer) Name() string { return s.name }
-
-// RowsServed returns cumulative rows served to nicknames.
-func (s *RemoteServer) RowsServed() int64 { return s.rowsServed.Load() }
 
 // CreateTable defines a remote table.
 func (s *RemoteServer) CreateTable(name string, schema types.Schema) error {
@@ -117,9 +105,6 @@ func (n *nickname) Schema() types.Schema {
 	return nil
 }
 
-// Origin implements catalog.RemoteSource.
-func (n *nickname) Origin() string { return string(n.server.origin) }
-
 // ScanAll implements catalog.RemoteSource: a full remote scan with the
 // origin's per-row latency applied in aggregate.
 func (n *nickname) ScanAll() ([]types.Row, error) {
@@ -133,7 +118,6 @@ func (n *nickname) ScanAll() ([]types.Row, error) {
 	copy(out, t.rows)
 	n.server.mu.RUnlock()
 
-	n.server.rowsServed.Add(int64(len(out)))
 	if lat, ok := perRowLatency[n.server.origin]; ok && len(out) > 0 {
 		time.Sleep(time.Duration(len(out)) * lat)
 	}

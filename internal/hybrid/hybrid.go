@@ -43,8 +43,7 @@ var planConfig = map[Plan]core.Config{
 // CloudService is a managed dashDB instance: the same query engine,
 // IBM-operated.
 type CloudService struct {
-	db   *core.DB
-	plan Plan
+	db *core.DB
 }
 
 // NewCloudService provisions a managed instance.
@@ -53,18 +52,11 @@ func NewCloudService(plan Plan) (*CloudService, error) {
 	if !ok {
 		return nil, fmt.Errorf("hybrid: unknown plan %q", plan)
 	}
-	return &CloudService{db: core.Open(cfg), plan: plan}, nil
+	return &CloudService{db: core.Open(cfg)}, nil
 }
-
-// Plan returns the instance tier.
-func (c *CloudService) Plan() Plan { return c.plan }
 
 // Session opens a connection to the cloud instance.
 func (c *CloudService) Session() *core.Session { return c.db.NewSession() }
-
-// Engine exposes the underlying engine (the point of §II.F: it is the
-// same engine as on-premises).
-func (c *CloudService) Engine() *core.DB { return c.db }
 
 // SyncToCloud replicates the on-premises cluster into the cloud instance:
 // schemas are re-created and all live rows copied (the hot-backup / DR

@@ -58,8 +58,7 @@ func TestPlans(t *testing.T) {
 	if _, err := NewCloudService("mainframe"); err == nil {
 		t.Fatal("unknown plan must fail")
 	}
-	c, err := NewCloudService(PlanEntry)
-	if err != nil || c.Plan() != PlanEntry {
+	if _, err := NewCloudService(PlanEntry); err != nil {
 		t.Fatal(err)
 	}
 }

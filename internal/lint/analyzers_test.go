@@ -174,12 +174,12 @@ func TestNolintScopes(t *testing.T) {
 	}
 
 	lineScoped := filepath.Join(dir, "fixture.go")
-	// Line 12 carries a trailing droppederr directive; neighboring lines
+	// Line 14 carries a trailing droppederr directive; neighboring lines
 	// must stay unsuppressed.
-	if !set.covers(Diagnostic{File: lineScoped, Line: 12, Analyzer: "droppederr"}) {
+	if !set.covers(Diagnostic{File: lineScoped, Line: 14, Analyzer: "droppederr"}) {
 		t.Error("trailing directive does not suppress its own line")
 	}
-	for _, line := range []int{11, 15} {
+	for _, line := range []int{13, 17} {
 		if set.covers(Diagnostic{File: lineScoped, Line: line, Analyzer: "droppederr"}) {
 			t.Errorf("line directive leaked to line %d: line scope must stay line-sized", line)
 		}

@@ -11,13 +11,20 @@ import (
 // Whole-program static call graph over the loaded module packages. The
 // hotpathcg analyzer needs transitivity that per-package AST matching
 // cannot give: a //dashdb:hotpath kernel is only as allocation-free as
-// everything it calls, and after PR 6/7 the kernels lean on helpers in
+// everything it calls, and the kernels lean on helpers in internal/vec,
 // internal/bitpack and internal/encoding that the local hotpath analyzer
-// never looks inside. Edges come from go/types call resolution; calls
-// through an interface method are widened to every in-module named type
-// that implements the interface (sound for the module, which is the
-// scope lint guards). Generic instantiations are canonicalized with
-// types.Func.Origin so one node represents all instantiations.
+// never looks inside. The Loader checks every module package in one type
+// universe, so a *types.Func is the same object in its own package and in
+// every caller's, and nodes are keyed by it. Edges come from go/types
+// call resolution; calls through an interface method are widened to
+// every in-module named type that implements the interface (sound for
+// the module, which is the scope lint guards). Generic instantiations are
+// canonicalized with types.Func.Origin so one node represents all
+// instantiations.
+//
+// Each node carries two edge lists. edges are the calls the body makes on
+// its own path (what hotpathcg follows); refs are every function the body
+// uses in any position, closures included (what deadcode follows).
 
 // cgHazard is one hot-path hazard found directly inside a function body:
 // a banned-stdlib call (the hotpathBanned table — allocating formatters,
@@ -51,11 +58,13 @@ type cgNode struct {
 	cold    bool // carries //dashdb:coldpath: declared off the steady-state path
 	aborts  bool // body starts with panic: an abort/unimplemented stub
 	edges   []cgEdge
+	refs    []*types.Func // every function used: calls, method values, callbacks, closures
 	hazards []cgHazard
 }
 
 type callGraph struct {
 	nodes map[*types.Func]*cgNode
+	impl  *implementerSet
 }
 
 // node returns the graph node for fn (nil for out-of-module functions).
@@ -100,11 +109,11 @@ func buildCallGraph(pkgs []*Package) *callGraph {
 		}
 	}
 
-	impl := collectImplementers(pkgs)
+	g.impl = collectImplementers(pkgs)
 
-	// Pass 2: edges and direct hazards.
+	// Pass 2: edges, refs and direct hazards.
 	for _, n := range g.nodes {
-		cw := &callWalker{node: n, impl: impl, edges: map[*types.Func]cgEdge{}}
+		cw := &callWalker{node: n, impl: g.impl, edges: map[*types.Func]cgEdge{}}
 		cw.stmts(n.decl.Body.List, false)
 		n.edges = make([]cgEdge, 0, len(cw.edges))
 		for _, e := range cw.edges {
@@ -113,19 +122,21 @@ func buildCallGraph(pkgs []*Package) *callGraph {
 		sort.Slice(n.edges, func(i, j int) bool {
 			return n.edges[i].to.FullName() < n.edges[j].to.FullName()
 		})
+		g.impl.refsIn(n.pkg.Info, n.decl.Body, func(fn *types.Func) { n.refs = append(n.refs, fn) })
 	}
 	return g
 }
 
 // implementerSet indexes in-module named types for interface widening.
 type implementerSet struct {
-	named []*types.Named
+	named    []*types.Named
+	dispatch map[*types.Func][]*types.Func // interface method -> widen result
 }
 
 // collectImplementers gathers every named (non-interface) type declared
 // in the loaded packages.
 func collectImplementers(pkgs []*Package) *implementerSet {
-	s := &implementerSet{}
+	s := &implementerSet{dispatch: map[*types.Func][]*types.Func{}}
 	seen := map[*types.TypeName]bool{}
 	for _, pkg := range pkgs {
 		for _, obj := range pkg.Info.Defs {
@@ -147,20 +158,51 @@ func collectImplementers(pkgs []*Package) *implementerSet {
 	return s
 }
 
-// widen returns the concrete in-module methods an interface-method call
-// can dispatch to.
-func (s *implementerSet) widen(iface *types.Interface, method string) []*types.Func {
-	var out []*types.Func
+// targets returns the concrete in-module methods a call of interface
+// method fn can dispatch to, or nil when fn is not an interface method.
+func (s *implementerSet) targets(fn *types.Func) []*types.Func {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return nil
+	}
+	iface, ok := sig.Recv().Type().Underlying().(*types.Interface)
+	if !ok {
+		return nil
+	}
+	if out, ok := s.dispatch[fn]; ok {
+		return out
+	}
+	out := []*types.Func{}
 	for _, named := range s.named {
 		if !types.Implements(named, iface) && !types.Implements(types.NewPointer(named), iface) {
 			continue
 		}
-		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, nil, method)
-		if fn, ok := obj.(*types.Func); ok {
-			out = append(out, fn.Origin())
+		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, fn.Pkg(), fn.Name())
+		if m, ok := obj.(*types.Func); ok {
+			out = append(out, m.Origin())
 		}
 	}
+	s.dispatch[fn] = out
 	return out
+}
+
+// refsIn calls add for every function node uses, in any position and
+// inside function literals too. An interface method counts as itself and
+// as every in-module method it can dispatch to.
+func (s *implementerSet) refsIn(info *types.Info, node ast.Node, add func(*types.Func)) {
+	ast.Inspect(node, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		if fn, ok := info.Uses[id].(*types.Func); ok {
+			add(fn.Origin())
+			for _, m := range s.targets(fn) {
+				add(m)
+			}
+		}
+		return true
+	})
 }
 
 // callWalker records call edges and direct hazards for one function
@@ -313,13 +355,11 @@ func (w *callWalker) call(call *ast.CallExpr, guarded bool) {
 		if h := lockHazard(call, fun, fn, info); h != nil {
 			w.node.hazards = append(w.node.hazards, *h)
 		}
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			if iface, ok := sig.Recv().Type().Underlying().(*types.Interface); ok {
-				for _, m := range w.impl.widen(iface, fn.Name()) {
-					w.addEdge(m, call.Pos(), guarded)
-				}
-				return
+		if ms := w.impl.targets(fn); ms != nil {
+			for _, m := range ms {
+				w.addEdge(m, call.Pos(), guarded)
 			}
+			return
 		}
 		w.addEdge(fn.Origin(), call.Pos(), guarded)
 	}

@@ -40,7 +40,7 @@ var AnalyzerHotPathCG = &Analyzer{
 const hotPathCGBudget = 3
 
 func runHotPathCG(pp *ProgramPass) {
-	g := buildCallGraph(pp.Pkgs)
+	g := pp.callGraph()
 	var roots []*cgNode
 	for _, n := range g.nodes {
 		if n.hot {

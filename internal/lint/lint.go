@@ -50,6 +50,9 @@ type Facts struct {
 	// HotPath holds the set of functions annotated //dashdb:hotpath,
 	// keyed by "<pkg path>.<func name>" (methods as "<pkg>.<recv>.<name>").
 	HotPath map[string]bool
+
+	graph  *callGraph // built by the first RunAll analyzer that asks
+	nolint nolintSet  // the //dashdb:nolint directives of every package
 }
 
 func newFacts() *Facts {
@@ -115,6 +118,14 @@ type ProgramPass struct {
 	sink     *[]Diagnostic
 }
 
+// callGraph returns the whole-program call graph, built once per Run.
+func (p *ProgramPass) callGraph() *callGraph {
+	if p.Facts.graph == nil {
+		p.Facts.graph = buildCallGraph(p.Pkgs)
+	}
+	return p.Facts.graph
+}
+
 // Reportf records a diagnostic at pos, resolved through pkg's FileSet.
 func (p *ProgramPass) Reportf(pkg *Package, pos token.Pos, format string, args ...any) {
 	position := pkg.Fset.Position(pos)
@@ -160,6 +171,7 @@ func All() []*Analyzer {
 		AnalyzerMustRelease,
 		AnalyzerLockPair,
 		AnalyzerHotPathCG,
+		AnalyzerDeadCode,
 	}
 }
 
@@ -192,6 +204,7 @@ func ByName(names string) ([]*Analyzer, error) {
 // deduplication happen here.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	facts := newFacts()
+	facts.nolint = collectNolint(pkgs)
 	var diags []Diagnostic
 
 	for _, a := range analyzers {
@@ -220,11 +233,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		a.RunAll(&ProgramPass{Pkgs: pkgs, Facts: facts, analyzer: a.Name, sink: &diags})
 	}
 
-	suppress := collectNolint(pkgs)
 	var out []Diagnostic
 	seen := map[string]bool{}
 	for _, d := range diags {
-		if suppress.covers(d) {
+		if facts.nolint.covers(d) {
 			continue
 		}
 		key := fmt.Sprintf("%s:%d:%d:%s:%s", d.File, d.Line, d.Col, d.Analyzer, d.Message)

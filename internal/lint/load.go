@@ -46,9 +46,12 @@ type listedPackage struct {
 }
 
 // Loader turns package patterns into typed Packages using only the standard
-// library: `go list -export` supplies compiled export data for imports, and
-// the target packages themselves are parsed and type-checked from source so
-// analyzers get full *types.Info for their own files.
+// library. The module's packages are parsed and type-checked from source
+// so analyzers get full *types.Info for their own files, and the Loader is
+// its own importer: an import of a package it has already checked returns
+// that *types.Package, so the whole module shares one type universe and
+// one *types.Func per function. Only packages it does not check (the
+// standard library) come from `go list -export` data.
 type Loader struct {
 	// ModuleDir is the directory `go list` runs in (the module root).
 	ModuleDir string
@@ -58,8 +61,11 @@ type Loader struct {
 	fset *token.FileSet
 
 	mu      sync.Mutex
-	exports map[string]string // import path -> export data file
-	imp     types.ImporterFrom
+	exports map[string]string  // import path -> export data file
+	imp     types.ImporterFrom // export data, for packages not checked here
+
+	checked map[string]*Package       // import path -> package checked from source
+	pending map[string]*listedPackage // module packages of the running Load not checked yet
 }
 
 // NewLoader returns a Loader rooted at moduleDir.
@@ -68,13 +74,34 @@ func NewLoader(moduleDir string) *Loader {
 		ModuleDir: moduleDir,
 		fset:      token.NewFileSet(),
 		exports:   map[string]string{},
+		checked:   map[string]*Package{},
 	}
 	l.imp = importer.ForCompiler(l.fset, "gc", l.lookup).(types.ImporterFrom)
 	return l
 }
 
-// Fset exposes the loader's shared FileSet (all Packages use it).
-func (l *Loader) Fset() *token.FileSet { return l.fset }
+// Import implements types.Importer.
+func (l *Loader) Import(path string) (*types.Package, error) {
+	return l.ImportFrom(path, "", 0)
+}
+
+// ImportFrom implements types.ImporterFrom: a package checked from source
+// is returned as is. A module package not checked yet (an in-package test
+// may import one that `go list -deps` orders after it) is checked first.
+// Anything else comes from export data.
+func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if p := l.checked[path]; p != nil {
+		return p.Types, nil
+	}
+	if t := l.pending[path]; t != nil {
+		p, err := l.checkTarget(t)
+		if err != nil {
+			return nil, err
+		}
+		return p.Types, nil
+	}
+	return l.imp.ImportFrom(path, dir, mode)
+}
 
 // lookup feeds gcimporter the export data for one import path, resolving
 // through the `go list -export` results and falling back to a one-off
@@ -116,7 +143,9 @@ func (l *Loader) goList(args ...string) ([]byte, error) {
 }
 
 // Load expands patterns (e.g. "./...") and returns the matched packages,
-// parsed and type-checked. Dependencies are consumed as export data only.
+// parsed and type-checked in dependency order with their module
+// dependencies, so each one imports the checked packages it depends on.
+// The standard library is export data.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	args := append([]string{"-deps", "-export", "-json"}, patterns...)
 	out, err := l.goList(args...)
@@ -124,7 +153,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		return nil, err
 	}
 	dec := json.NewDecoder(bytes.NewReader(out))
-	var targets []*listedPackage
+	var listed []*listedPackage // module packages, dependencies first
 	for {
 		var p listedPackage
 		if err := dec.Decode(&p); err == io.EOF {
@@ -137,27 +166,48 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 			l.exports[p.ImportPath] = p.Export
 			l.mu.Unlock()
 		}
-		if !p.DepOnly && !p.Standard {
-			if p.Error != nil {
-				return nil, fmt.Errorf("lint: %s: %s", p.ImportPath, p.Error.Err)
-			}
-			cp := p
-			targets = append(targets, &cp)
+		if p.Standard {
+			continue
 		}
+		if p.Error != nil && !p.DepOnly {
+			return nil, fmt.Errorf("lint: %s: %s", p.ImportPath, p.Error.Err)
+		}
+		cp := p
+		listed = append(listed, &cp)
+	}
+	// Every module package is checked from source, the targets' module
+	// dependencies too: a dependency read from export data would bring a
+	// second copy of each package it imports.
+	l.pending = map[string]*listedPackage{}
+	for _, t := range listed {
+		l.pending[t.ImportPath] = t
 	}
 	var pkgs []*Package
-	for _, t := range targets {
-		files := t.GoFiles
-		if l.IncludeTests {
-			files = append(append([]string{}, files...), testFilesIn(t.Dir, t.Name)...)
+	for _, t := range listed {
+		pkg := l.checked[t.ImportPath]
+		if pkg == nil {
+			if pkg, err = l.checkTarget(t); err != nil {
+				return nil, err
+			}
 		}
-		pkg, err := l.check(t.ImportPath, t.Dir, files)
-		if err != nil {
-			return nil, err
+		if !t.DepOnly {
+			pkgs = append(pkgs, pkg)
 		}
-		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
+}
+
+// checkTarget checks one listed package, plus its in-package tests when it
+// is a target and IncludeTests is set. It leaves pending first, so an
+// import cycle that only tests close falls back to export data instead of
+// recursing.
+func (l *Loader) checkTarget(t *listedPackage) (*Package, error) {
+	delete(l.pending, t.ImportPath)
+	files := t.GoFiles
+	if l.IncludeTests && !t.DepOnly {
+		files = append(append([]string{}, files...), testFilesIn(t.Dir, t.Name)...)
+	}
+	return l.check(t.ImportPath, t.Dir, files)
 }
 
 // testFilesIn lists in-package _test.go files (external _test packages are
@@ -180,26 +230,6 @@ func testFilesIn(dir, pkgName string) []string {
 		out = append(out, name)
 	}
 	return out
-}
-
-// LoadFixtureDir loads one directory as the package "fixture/<base>". Used
-// by the analyzer tests: fixtures live under testdata (invisible to the go
-// tool) and may import only the standard library.
-func (l *Loader) LoadFixtureDir(dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".go") {
-			files = append(files, e.Name())
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no .go files in %s", dir)
-	}
-	return l.check("fixture/"+filepath.Base(dir), dir, files)
 }
 
 func (l *Loader) check(importPath, dir string, fileNames []string) (*Package, error) {
@@ -230,7 +260,7 @@ func (l *Loader) check(importPath, dir string, fileNames []string) (*Package, er
 		pkg.Name = files[0].Name.Name
 	}
 	conf := types.Config{
-		Importer: l.imp,
+		Importer: l,
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
 	tpkg, err := conf.Check(importPath, l.fset, files, pkg.Info)
@@ -238,5 +268,6 @@ func (l *Loader) check(importPath, dir string, fileNames []string) (*Package, er
 		return nil, fmt.Errorf("lint: type-check %s: %v", importPath, err)
 	}
 	pkg.Types = tpkg
+	l.checked[importPath] = pkg
 	return pkg, nil
 }

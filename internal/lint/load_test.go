@@ -1,10 +1,32 @@
 package lint
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
+
+// LoadFixtureDir loads one directory as the package "fixture/<base>".
+// Fixtures live under testdata (invisible to the go tool) and may import
+// only the standard library.
+func (l *Loader) LoadFixtureDir(dir string) (*Package, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []string
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".go") {
+			files = append(files, e.Name())
+		}
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("lint: no .go files in %s", dir)
+	}
+	return l.check("fixture/"+filepath.Base(dir), dir, files)
+}
 
 func moduleRoot(t testing.TB) string {
 	t.Helper()

@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package counters exercises the atomicalign analyzer: 64-bit atomics on
 // fields that 32-bit targets cannot align.
 package counters

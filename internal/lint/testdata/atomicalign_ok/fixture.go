@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package counters is the negative atomicalign fixture: 64-bit counters
 // first in their struct, explicitly padded, or using the self-aligning
 // atomic wrapper types.

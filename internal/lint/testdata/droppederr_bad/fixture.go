@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package store exercises the droppederr analyzer: errors silenced with _
 // must not pass review unseen.
 package store

@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package store is the negative droppederr fixture: handled errors,
 // genuinely boolean blanks, and justified drops.
 package store

@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package pinning exercises the epochpin analyzer: executor/planner code
 // calling the Table convenience methods pins a fresh epoch per call, so
 // two calls in one statement can observe different data versions.

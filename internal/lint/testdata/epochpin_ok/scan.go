@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package pinning holds the negative epochpin fixtures: reads go through
 // a pinned Snapshot, so every access in a statement sees one epoch.
 package pinning

@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package pool exercises the goroutine analyzer: library goroutines with no
 // join and no cancellation leak past their caller.
 package pool

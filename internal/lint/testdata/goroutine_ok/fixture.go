@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package pool is the negative goroutine fixture: joined, channel-fed, and
 // context-cancelled goroutines all have an ending.
 package pool

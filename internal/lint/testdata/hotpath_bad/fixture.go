@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package kernels exercises the hotpath analyzer: annotated functions must
 // stay free of timers, formatters, and reflection.
 package kernels

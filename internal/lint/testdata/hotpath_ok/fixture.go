@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package kernels is the negative hotpath fixture: clean annotated kernels,
 // and formatters outside any annotation.
 package kernels

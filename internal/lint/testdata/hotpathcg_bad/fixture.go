@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package hotcg exercises the hotpathcg analyzer: //dashdb:hotpath
 // kernels reaching allocating, locking, or immediately-panicking code
 // through in-module helpers the local hotpath analyzer never looks

@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package hotcgok is the negative hotpathcg fixture: kernels whose
 // helpers are clean, //dashdb:coldpath-annotated, hotpath kernels
 // themselves, or abort stubs reached only through guards.

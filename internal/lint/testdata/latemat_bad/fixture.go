@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package kernels exercises the latemat analyzer: hotpath executor
 // kernels must keep dictionary codes encoded instead of decoding per
 // element.

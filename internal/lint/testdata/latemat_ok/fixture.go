@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package kernels holds the negative latemat fixtures: code-space
 // kernels, sanctioned materialization sites, non-hotpath helpers, and an
 // explicitly suppressed decode.

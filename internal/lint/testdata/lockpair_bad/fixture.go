@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package lockbad exercises the lockpair analyzer: lock paths that leak
 // the lock on an early return, mismatch acquisition/release flavors, or
 // double-lock the same mutex along one path.

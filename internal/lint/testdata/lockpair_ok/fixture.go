@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package lockok is the negative lockpair fixture: every acquisition is
 // released on all paths with matching flavor, via defer, explicit
 // unlocks on each branch, deferred closures, or a deliberate panic.

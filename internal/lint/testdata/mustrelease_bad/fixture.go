@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package release exercises the mustrelease analyzer: protocol-acquired
 // values that can reach function exit unreleased on some path. The types
 // are local stand-ins for snapshot.Manager / mem.Governor /

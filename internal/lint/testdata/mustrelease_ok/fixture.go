@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package release is the negative mustrelease fixture: every acquire is
 // released on all paths, deferred, or escapes into a new owner.
 package release

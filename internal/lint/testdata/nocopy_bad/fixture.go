@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package shards exercises the nocopy analyzer: padded counter shards
 // copied by value fork their counters.
 package shards

@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package shards is the negative nocopy fixture: construction, pointer
 // access, and by-index iteration never duplicate a shard.
 package shards

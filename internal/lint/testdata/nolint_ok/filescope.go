@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 //dashdb:nolint droppederr typeassert file-wide: fallback shims ignore parse errors by design
 package quiet
 

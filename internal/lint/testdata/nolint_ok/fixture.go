@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package quiet proves //dashdb:nolint suppression works in both placements
 // (trailing the line, and on the line above) and with analyzer lists.
 package quiet

@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package lowering exercises the planlower analyzer: physical join
 // operators must not be constructed outside the lowering package, or the
 // planner's join-ordering and build-side passes silently stop applying.

@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package lowering holds the negative planlower fixtures: callers route
 // join construction through the sanctioned constructors, and non-join
 // operator literals stay unflagged.

@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package spill exercises the spillfile analyzer: executor packages must
 // not mint temp files directly, and operator structs that hold run files
 // must release them on their Close path.

@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package spill is the negative spillfile fixture: run files created
 // through the governed type, Close paths that release every field, and
 // structs whose spill state is owned by an enclosing operator.

@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package ops exercises the typeassert analyzer: unchecked assertions in
 // operator-style code are latent panics.
 package ops

@@ -1,3 +1,5 @@
+//dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
+
 // Package ops is the negative typeassert fixture: comma-ok assertions and
 // type switches fail soft with typed errors.
 package ops

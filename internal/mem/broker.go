@@ -106,35 +106,6 @@ func (b *Broker) Budget(h Heap) int64 {
 	return b.heaps[h].budget.Load()
 }
 
-// InUse returns a heap's currently reserved bytes.
-func (b *Broker) InUse(h Heap) int64 {
-	if b == nil {
-		return 0
-	}
-	return b.heaps[h].used.Load()
-}
-
-// Pressure returns the worst heap's used/budget fraction. It can exceed
-// 1.0 transiently: MustGrow over-grants to guarantee operator progress
-// when a single row exceeds the remaining budget.
-func (b *Broker) Pressure() float64 {
-	if b == nil {
-		return 0
-	}
-	worst := 0.0
-	for h := range b.heaps {
-		hs := &b.heaps[h]
-		budget := hs.budget.Load()
-		if budget <= 0 {
-			continue
-		}
-		if p := float64(hs.used.Load()) / float64(budget); p > worst {
-			worst = p
-		}
-	}
-	return worst
-}
-
 // Exhausted reports whether any heap is fully reserved. The workload
 // manager consults it at admission: a query arriving while reservations
 // are exhausted queues until running operators spill or finish, rather
@@ -271,7 +242,7 @@ func (r *Reservation) Grow(n int64) bool {
 // after a spill has emptied their buffers and a single item still does
 // not fit (a row larger than the remaining heap): over-granting is the
 // only alternative to failing the query, which is exactly what the
-// governor exists to prevent. The overage shows up as Pressure() > 1.
+// governor exists to prevent. The overage shows up as Exhausted().
 func (r *Reservation) MustGrow(n int64) {
 	if r == nil {
 		return

@@ -9,6 +9,9 @@ import (
 	"testing"
 )
 
+// inUse returns a heap's currently reserved bytes.
+func inUse(b *Broker, h Heap) int64 { return b.heaps[h].used.Load() }
+
 func TestBrokerGrowDenyRelease(t *testing.T) {
 	b := NewBroker(1000, 1000, "")
 	defer b.Close()
@@ -19,7 +22,7 @@ func TestBrokerGrowDenyRelease(t *testing.T) {
 	if r.Grow(600) {
 		t.Fatal("grow past budget granted")
 	}
-	if got := b.InUse(SortHeap); got != 600 {
+	if got := inUse(b, SortHeap); got != 600 {
 		t.Fatalf("InUse = %d, want 600 (denied grow must roll back)", got)
 	}
 	r.Shrink(200)
@@ -27,11 +30,11 @@ func TestBrokerGrowDenyRelease(t *testing.T) {
 		t.Fatal("grow after shrink denied")
 	}
 	r.Close()
-	if got := b.InUse(SortHeap); got != 0 {
+	if got := inUse(b, SortHeap); got != 0 {
 		t.Fatalf("InUse after Close = %d, want 0", got)
 	}
 	r.Close() // idempotent
-	if got := b.InUse(SortHeap); got != 0 {
+	if got := inUse(b, SortHeap); got != 0 {
 		t.Fatalf("InUse after double Close = %d, want 0", got)
 	}
 }
@@ -54,8 +57,8 @@ func TestMustGrowOvercommits(t *testing.T) {
 	defer b.Close()
 	r := b.Reserve(SortHeap, 0)
 	r.MustGrow(500)
-	if p := b.Pressure(); p < 1.0 {
-		t.Fatalf("Pressure = %v, want >= 1 after overcommit", p)
+	if used, budget := inUse(b, SortHeap), b.Budget(SortHeap); used <= budget {
+		t.Fatalf("sort heap holds %d of %d bytes, want more after overcommit", used, budget)
 	}
 	if !b.Exhausted() {
 		t.Fatal("Exhausted = false after overcommit")
@@ -84,7 +87,7 @@ func TestBrokerConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := b.InUse(SortHeap); got != 0 {
+	if got := inUse(b, SortHeap); got != 0 {
 		t.Fatalf("InUse after concurrent churn = %d, want 0", got)
 	}
 }

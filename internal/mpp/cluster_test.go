@@ -1101,7 +1101,7 @@ func TestClusterQueryHistoryMergesShardStats(t *testing.T) {
 		if _, err := c.Query(`SELECT MEDIAN(amount) FROM sales`); err != nil {
 			t.Fatal(err)
 		}
-		hist := c.Registry().History()
+		hist := c.reg.History()
 		if len(hist) != 2 {
 			t.Fatalf("history has %d records, want 2", len(hist))
 		}

@@ -251,10 +251,6 @@ func (c *NetCluster) Stats() NetStats {
 	return c.stats
 }
 
-// Registry exposes the cluster-level query history (MON_* views over
-// merged shard records).
-func (c *NetCluster) Registry() *telemetry.Registry { return c.reg }
-
 // NShards returns the shard count (fixed for the cluster's life).
 func (c *NetCluster) NShards() int { return c.nShards }
 

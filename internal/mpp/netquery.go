@@ -204,7 +204,7 @@ func (c *NetCluster) run(p *distSelect, d sql.Dialect, text string) (*core.Resul
 	var pulled []*shardrpc.Result // every shard result behind the answer
 	cat := catalog.New()
 	for _, in := range p.pulls {
-		nick := &shardrpc.Nick{Sch: in.schema, From: "MPP-GATHER", Fetch: func() ([]types.Row, error) {
+		nick := &shardrpc.Nick{Sch: in.schema, Fetch: func() ([]types.Row, error) {
 			results, err := c.pull(p.stages, in, d, text)
 			pulled = append(pulled, results...)
 			return concatRows(results), err

@@ -61,7 +61,9 @@ func NewServer(node string, fs *clusterfs.FS) *Server {
 	}
 }
 
-// Router exposes the shuffle router (tests and in-process coordinators).
+// Router exposes the shuffle router.
+//
+//dashdb:nolint deadcode cross-package test hook: mpp's shuffle tests check a server's inboxes drain
 func (s *Server) Router() *ShuffleRouter { return s.router }
 
 // Start listens on addr ("host:0" picks a free port) and serves until
@@ -80,9 +82,6 @@ func (s *Server) Start(addr string) error {
 
 // Addr returns the listening address.
 func (s *Server) Addr() string { return s.addr }
-
-// Node returns the server's node name.
-func (s *Server) Node() string { return s.node }
 
 // Shards returns the sorted IDs of the shards this server hosts.
 func (s *Server) Shards() []int {
@@ -197,7 +196,7 @@ func EnsureTables(db *core.DB, tables []TableSpec) error {
 			// No persisted meta yet: a freshly created shard slice.
 			tbl = columnar.NewTable(t.ID, t.Name, t.Schema, cfg)
 		}
-		if err := db.Catalog().CreateTable(tbl, false); err != nil {
+		if err := db.Catalog().CreateTable(tbl); err != nil {
 			return fmt.Errorf("table %s: %w", t.Name, err)
 		}
 	}
@@ -510,7 +509,7 @@ func (s *Server) handleExec(c *serverConn, payload []byte) error {
 		defer s.router.DropPart(x.Query, x.Part)
 		for _, in := range x.Inputs {
 			src := s.router.Source(x.Query, in.Stage, x.Part, x.Senders)
-			nick := &Nick{Sch: in.Schema, From: "MPP-SHUFFLE", Fetch: func() ([]types.Row, error) { return recvAll(src) }}
+			nick := &Nick{Sch: in.Schema, Fetch: func() ([]types.Row, error) { return recvAll(src) }}
 			if err := db.Catalog().CreateNickname(in.Name, nick); err != nil {
 				return c.write(FrameErr, []byte(err.Error()))
 			}
@@ -617,7 +616,6 @@ func (s *Server) handleShuffle(t FrameType, payload []byte) error {
 // sees the same rows and moves them once.
 type Nick struct {
 	Sch   types.Schema
-	From  string // Origin
 	Fetch func() ([]types.Row, error)
 
 	once sync.Once
@@ -628,7 +626,6 @@ type Nick struct {
 var _ catalog.RemoteSource = (*Nick)(nil)
 
 func (n *Nick) Schema() types.Schema { return n.Sch }
-func (n *Nick) Origin() string       { return n.From }
 
 func (n *Nick) ScanAll() ([]types.Row, error) {
 	n.once.Do(func() { n.rows, n.err = n.Fetch() })

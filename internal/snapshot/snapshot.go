@@ -44,10 +44,6 @@ type Epoch[S any] struct {
 	cleanups []func()
 }
 
-// Seq returns the epoch's sequence number (monotonically increasing from
-// 1; 1 is the manager's initial state).
-func (e *Epoch[S]) Seq() uint64 { return e.seq }
-
 // State returns the epoch's immutable payload.
 func (e *Epoch[S]) State() S { return e.state }
 

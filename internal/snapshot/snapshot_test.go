@@ -9,8 +9,8 @@ import (
 func TestPinSeesPublishedState(t *testing.T) {
 	m := NewManager(10)
 	e := m.Pin()
-	if e.State() != 10 || e.Seq() != 1 {
-		t.Fatalf("initial epoch = (%d, seq %d), want (10, 1)", e.State(), e.Seq())
+	if e.State() != 10 || e.seq != 1 {
+		t.Fatalf("initial epoch = (%d, seq %d), want (10, 1)", e.State(), e.seq)
 	}
 	m.Publish(20)
 	// The pinned epoch keeps its state; a fresh pin sees the new one.
@@ -18,8 +18,8 @@ func TestPinSeesPublishedState(t *testing.T) {
 		t.Fatalf("pinned epoch mutated: %d", e.State())
 	}
 	e2 := m.Pin()
-	if e2.State() != 20 || e2.Seq() != 2 {
-		t.Fatalf("after publish = (%d, seq %d), want (20, 2)", e2.State(), e2.Seq())
+	if e2.State() != 20 || e2.seq != 2 {
+		t.Fatalf("after publish = (%d, seq %d), want (20, 2)", e2.State(), e2.seq)
 	}
 	e.Release()
 	e2.Release()

@@ -2,7 +2,6 @@ package spark
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"dashdb/internal/types"
@@ -14,9 +13,6 @@ type Context struct {
 	cm  *ClusterManager
 	job *Job
 }
-
-// User returns the submitting user.
-func (c *Context) User() string { return c.cm.user }
 
 // checkCancelled aborts the application when its job was cancelled.
 func (c *Context) checkCancelled() {
@@ -63,6 +59,8 @@ func (c *Context) Table(table, where string, cols ...string) (*Dataset, error) {
 }
 
 // Parallelize distributes in-memory rows across the workers.
+//
+//dashdb:nolint deadcode F-H: the Dataset API Spark applications use, exercised by its tests
 func (c *Context) Parallelize(rows []types.Row) *Dataset {
 	n := len(c.cm.workers)
 	if n == 0 {
@@ -88,17 +86,9 @@ func (d *Dataset) Count() int {
 	return n
 }
 
-// Collect gathers every row to the driver, in partition order.
-func (d *Dataset) Collect() []types.Row {
-	d.ctx.checkCancelled()
-	var out []types.Row
-	for _, p := range d.partitions {
-		out = append(out, p...)
-	}
-	return out
-}
-
 // Map applies fn to every row, partition-parallel.
+//
+//dashdb:nolint deadcode F-H: the Dataset API Spark applications use, exercised by its tests
 func (d *Dataset) Map(fn func(types.Row) types.Row) *Dataset {
 	return d.transform(func(part []types.Row) []types.Row {
 		out := make([]types.Row, len(part))
@@ -110,6 +100,8 @@ func (d *Dataset) Map(fn func(types.Row) types.Row) *Dataset {
 }
 
 // Filter keeps rows where fn returns true, partition-parallel.
+//
+//dashdb:nolint deadcode F-H: the Dataset API Spark applications use, exercised by its tests
 func (d *Dataset) Filter(fn func(types.Row) bool) *Dataset {
 	return d.transform(func(part []types.Row) []types.Row {
 		var out []types.Row
@@ -215,6 +207,8 @@ func AggregateTyped[T any](d *Dataset, zero func() T, seqOp func(T, types.Row) T
 
 // ReduceByKey groups rows by the key column ordinal and reduces the value
 // column ordinal with fn (a minimal shuffle).
+//
+//dashdb:nolint deadcode F-H: the Dataset API Spark applications use, exercised by its tests
 func (d *Dataset) ReduceByKey(keyCol, valCol int, fn func(a, b types.Value) types.Value) map[types.Value]types.Value {
 	d.ctx.checkCancelled()
 	out := make(map[types.Value]types.Value)
@@ -231,18 +225,10 @@ func (d *Dataset) ReduceByKey(keyCol, valCol int, fn func(a, b types.Value) type
 	return out
 }
 
-// SortedKeys renders a ReduceByKey result deterministically for reports.
-func SortedKeys(m map[types.Value]types.Value) []types.Value {
-	keys := make([]types.Value, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return types.Compare(keys[i], keys[j]) < 0 })
-	return keys
-}
-
 // Features extracts float feature vectors plus a label column for the ML
 // algorithms; rows with NULL in any used column are skipped.
+//
+//dashdb:nolint deadcode F-H: the ML feature extraction Spark applications use, exercised by its tests
 func (d *Dataset) Features(labelCol int, featureCols ...int) (X [][]float64, y []float64, err error) {
 	d.ctx.checkCancelled()
 	for _, p := range d.partitions {

@@ -126,13 +126,6 @@ func (d *Dispatcher) managerFor(user string) *ClusterManager {
 	return cm
 }
 
-// Managers returns the number of live per-user cluster managers.
-func (d *Dispatcher) Managers() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.managers)
-}
-
 // Submit runs a registered application asynchronously for the user and
 // returns its job ID (the REST submit).
 func (d *Dispatcher) Submit(user, appName string) (int64, error) {
@@ -290,9 +283,6 @@ func newClusterManager(user string, d *Dispatcher) *ClusterManager {
 	}
 	return cm
 }
-
-// Workers returns the manager's worker count (== shard count).
-func (cm *ClusterManager) Workers() int { return len(cm.workers) }
 
 // Worker executes partition tasks against one shard's data server.
 type Worker struct {

@@ -199,6 +199,8 @@ type KMeansModel struct {
 
 // KMeans clusters the feature columns into k groups using Lloyd's
 // algorithm with distributed assignment (per-partition partial sums).
+//
+//dashdb:nolint deadcode F-H: the integrated Spark ML surface, exercised by its tests
 func (d *Dataset) KMeans(featureCols []int, k, maxIter int) (*KMeansModel, error) {
 	X, _, err := d.Features(featureCols[0], featureCols...)
 	if err != nil {
@@ -286,6 +288,8 @@ func (d *Dataset) KMeans(featureCols []int, k, maxIter int) (*KMeansModel, error
 }
 
 // Assign returns the index of the nearest center.
+//
+//dashdb:nolint deadcode F-H: the integrated Spark ML surface, exercised by its tests
 func (m *KMeansModel) Assign(x []float64) int {
 	best, bestD := 0, math.Inf(1)
 	for ci, c := range m.Centers {

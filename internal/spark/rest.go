@@ -70,9 +70,6 @@ func NewRESTServer(d *Dispatcher) (*RESTServer, error) {
 	return s, nil
 }
 
-// URL returns the server's base address, e.g. "http://127.0.0.1:43210".
-func (s *RESTServer) URL() string { return "http://" + s.ln.Addr().String() }
-
 // Close stops the server and joins its serve loop.
 func (s *RESTServer) Close() error {
 	err := s.ln.Close()

@@ -9,6 +9,9 @@ import (
 	"time"
 )
 
+// baseURL returns the server's base address, e.g. "http://127.0.0.1:43210".
+func baseURL(s *RESTServer) string { return "http://" + s.ln.Addr().String() }
+
 func restFixture(t *testing.T) (*Dispatcher, *RESTServer) {
 	t.Helper()
 	_, d := newDispatcher(t, 500)
@@ -37,7 +40,7 @@ func restFixture(t *testing.T) (*Dispatcher, *RESTServer) {
 func postJob(t *testing.T, srv *RESTServer, user, app string) (int64, int) {
 	t.Helper()
 	body, _ := json.Marshal(map[string]string{"user": user, "app": app})
-	resp, err := http.Post(srv.URL()+"/spark/jobs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(baseURL(srv)+"/spark/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +60,7 @@ func TestRESTSubmitStatusList(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Status.
-	resp, err := http.Get(fmt.Sprintf("%s/spark/jobs/%d?user=ana", srv.URL(), id))
+	resp, err := http.Get(fmt.Sprintf("%s/spark/jobs/%d?user=ana", baseURL(srv), id))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +71,7 @@ func TestRESTSubmitStatusList(t *testing.T) {
 		t.Fatalf("status %+v", job)
 	}
 	// List.
-	resp, err = http.Get(srv.URL() + "/spark/jobs?user=ana")
+	resp, err = http.Get(baseURL(srv) + "/spark/jobs?user=ana")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,19 +87,19 @@ func TestRESTIsolationAndCancel(t *testing.T) {
 	_, srv := restFixture(t)
 	id, _ := postJob(t, srv, "ana", "slow")
 	// Another user cannot see or cancel it.
-	resp, _ := http.Get(fmt.Sprintf("%s/spark/jobs/%d?user=bob", srv.URL(), id))
+	resp, _ := http.Get(fmt.Sprintf("%s/spark/jobs/%d?user=bob", baseURL(srv), id))
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("cross-user status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/spark/jobs/%d?user=bob", srv.URL(), id), nil)
+	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/spark/jobs/%d?user=bob", baseURL(srv), id), nil)
 	resp, _ = http.DefaultClient.Do(req)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("cross-user cancel %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 	// The owner cancels.
-	req, _ = http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/spark/jobs/%d?user=ana", srv.URL(), id), nil)
+	req, _ = http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/spark/jobs/%d?user=ana", baseURL(srv), id), nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -116,19 +119,19 @@ func TestRESTErrors(t *testing.T) {
 		t.Fatalf("unknown app: %d", code)
 	}
 	// Missing user on list.
-	resp, _ := http.Get(srv.URL() + "/spark/jobs")
+	resp, _ := http.Get(baseURL(srv) + "/spark/jobs")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing user: %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 	// Bad job id.
-	resp, _ = http.Get(srv.URL() + "/spark/jobs/not-a-number?user=ana")
+	resp, _ = http.Get(baseURL(srv) + "/spark/jobs/not-a-number?user=ana")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad id: %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 	// Bad method.
-	req, _ := http.NewRequest(http.MethodPut, srv.URL()+"/spark/jobs", nil)
+	req, _ := http.NewRequest(http.MethodPut, baseURL(srv)+"/spark/jobs", nil)
 	resp, _ = http.DefaultClient.Do(req)
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("bad method: %d", resp.StatusCode)

@@ -281,8 +281,11 @@ func TestPerUserIsolation(t *testing.T) {
 	idB := d.SubmitFunc("bob", "b", func(ctx *Context) (interface{}, error) { return 2, nil })
 	d.Wait(idA)
 	d.Wait(idB)
-	if d.Managers() != 2 {
-		t.Fatalf("managers %d, want one per user", d.Managers())
+	d.mu.Lock()
+	managers := len(d.managers)
+	d.mu.Unlock()
+	if managers != 2 {
+		t.Fatalf("managers %d, want one per user", managers)
 	}
 	// Users cannot see each other's jobs.
 	if _, err := d.Status("alice", idB); err == nil {

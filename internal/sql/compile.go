@@ -124,15 +124,6 @@ func (s *scope) resolve(table, column string) (int, error) {
 	return found, nil
 }
 
-// schema converts the scope to an output schema with unqualified names.
-func (s *scope) schema() types.Schema {
-	out := make(types.Schema, len(s.cols))
-	for i, c := range s.cols {
-		out[i] = types.Column{Name: c.name, Kind: c.kind, Nullable: true}
-	}
-	return out
-}
-
 // merge concatenates two scopes (join output).
 func (s *scope) merge(other *scope) *scope {
 	m := &scope{}

@@ -31,7 +31,7 @@ func compileCatalog(t *testing.T) *catalog.Catalog {
 	if err := tbl.InsertBatch(rows); err != nil {
 		t.Fatal(err)
 	}
-	if err := cat.CreateTable(tbl, false); err != nil {
+	if err := cat.CreateTable(tbl); err != nil {
 		t.Fatal(err)
 	}
 	return cat

@@ -60,9 +60,6 @@ func (s Sketch) Estimate() float64 {
 	return est
 }
 
-// Reset clears the sketch.
-func (s *Sketch) Reset() { s.reg = [sketchRegisters]uint8{} }
-
 // mix64 is the splitmix64 finalizer: a cheap, well-distributed 64-bit
 // mixer, so dense code domains spread evenly over the registers.
 func mix64(x uint64) uint64 {

@@ -28,9 +28,6 @@ type Column struct {
 	sketch  Sketch
 }
 
-// Add appends the entry for the next stride.
-func (c *Column) Add(e Entry) { c.entries = append(c.entries, e) }
-
 // Set overwrites the entry for stride s, extending the synopsis if the
 // stride is new (used when the open stride is re-summarized at seal time).
 func (c *Column) Set(s int, e Entry) {
@@ -55,14 +52,9 @@ func (c *Column) Strides() int { return len(c.entries) }
 
 // MemSize returns the synopsis footprint in bytes: this is what makes the
 // "three orders of magnitude smaller" claim measurable (experiment F-D).
+//
+//dashdb:nolint deadcode F-D: the synopsis-size figure, which TestSynopsisMuchSmallerThanData measures
 func (c *Column) MemSize() int { return len(c.entries)*24 + 24 + sketchRegisters }
-
-// Reset drops all entries and the distinct sketch (TRUNCATE and encoder
-// rebuilds, which re-observe every stride they re-seal).
-func (c *Column) Reset() {
-	c.entries = c.entries[:0]
-	c.sketch.Reset()
-}
 
 // Observe feeds a sealed stride's codes into the distinct-count sketch.
 // Called alongside Set at seal time; NULL positions are skipped (NULL

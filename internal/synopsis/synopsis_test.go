@@ -80,7 +80,7 @@ func TestSynopsisMuchSmallerThanData(t *testing.T) {
 	// three orders of magnitude smaller than 8-byte-per-value data.
 	var c Column
 	for i := 0; i < 1024; i++ {
-		c.Add(Entry{MinCode: uint64(i), MaxCode: uint64(i + 1), RowCnt: 1024})
+		c.Set(i, Entry{MinCode: uint64(i), MaxCode: uint64(i + 1), RowCnt: 1024})
 	}
 	dataBytes := 1024 * 1024 * 8
 	ratio := float64(dataBytes) / float64(c.MemSize())

@@ -37,15 +37,6 @@ func (s Schema) Names() []string {
 	return names
 }
 
-// Kinds returns the column kinds in order.
-func (s Schema) Kinds() []Kind {
-	kinds := make([]Kind, len(s))
-	for i := range s {
-		kinds[i] = s[i].Kind
-	}
-	return kinds
-}
-
 // Validate checks a row against the schema: arity, kind compatibility and
 // nullability. It returns a coerced copy of the row on success.
 func (s Schema) Validate(row Row) (Row, error) {

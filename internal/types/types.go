@@ -62,9 +62,6 @@ func (k Kind) String() string {
 // Numeric reports whether values of this kind participate in arithmetic.
 func (k Kind) Numeric() bool { return k == KindInt || k == KindFloat }
 
-// Orderable reports whether values of this kind have a total order.
-func (k Kind) Orderable() bool { return k != KindNull }
-
 // Value is a single SQL datum. The zero Value is SQL NULL.
 type Value struct {
 	kind Kind
@@ -432,30 +429,4 @@ func Coerce(v Value, k Kind) (Value, error) {
 		}
 	}
 	return Null, fmt.Errorf("types: cannot coerce %s value %q to %s", v.kind, v.String(), k)
-}
-
-// CommonKind returns the kind two operands should be compared or combined
-// in, following the usual numeric promotion ladder.
-func CommonKind(a, b Kind) Kind {
-	if a == b {
-		return a
-	}
-	if a == KindNull {
-		return b
-	}
-	if b == KindNull {
-		return a
-	}
-	if a.Numeric() && b.Numeric() {
-		if a == KindFloat || b == KindFloat {
-			return KindFloat
-		}
-		return KindInt
-	}
-	if (a == KindDate && b == KindTimestamp) || (a == KindTimestamp && b == KindDate) {
-		return KindTimestamp
-	}
-	// Strings act as the universal donor: compare in the other type's
-	// domain when it parses, otherwise as strings.
-	return KindString
 }

@@ -142,21 +142,6 @@ func TestCoerce(t *testing.T) {
 	}
 }
 
-func TestCommonKind(t *testing.T) {
-	cases := []struct{ a, b, want Kind }{
-		{KindInt, KindInt, KindInt},
-		{KindInt, KindFloat, KindFloat},
-		{KindNull, KindString, KindString},
-		{KindDate, KindTimestamp, KindTimestamp},
-		{KindInt, KindString, KindString},
-	}
-	for _, c := range cases {
-		if got := CommonKind(c.a, c.b); got != c.want {
-			t.Errorf("CommonKind(%v,%v)=%v want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestSchemaValidate(t *testing.T) {
 	s := Schema{
 		{Name: "id", Kind: KindInt},

@@ -30,11 +30,7 @@ func testBatch(t *testing.T) (*Batch, *encoding.Dict) {
 	}
 	codes = NewCodes(types.KindString, 5, dict)
 	for i, w := range words {
-		c, ok := dict.EncodeExisting(types.NewString(w))
-		if !ok {
-			t.Fatalf("%q missing from dictionary", w)
-		}
-		codes.Codes[i] = c
+		codes.Codes[i] = dict.Encode(types.NewString(w)) // already in the domain: its code
 	}
 	codes.SetNull(1)
 

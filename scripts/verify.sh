@@ -16,9 +16,9 @@ go build ./...
 # Formatting gate: every tracked Go file outside testdata is gofmt-clean.
 test -z "$(gofmt -l $(git ls-files '*.go' | grep -v /testdata/))"
 go vet ./...
-# The full thirteen-analyzer suite, including the dataflow checkers
-# (mustrelease, lockpair) and the whole-program hotpath call graph
-# (hotpathcg).
+# The full fourteen-analyzer suite, including the dataflow checkers
+# (mustrelease, lockpair) and the whole-program call graph (hotpathcg,
+# deadcode).
 go run ./cmd/dashdb-lint ./...
 # Budget gate: one full-repo analysis-only run must stay inside the
 # (generous) wall-time budget, so CFG/dataflow never makes this loop
