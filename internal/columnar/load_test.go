@@ -282,3 +282,76 @@ func TestFailedValidationLeavesTableUntouched(t *testing.T) {
 		t.Fatalf("a rejected batch rebuilt %d columns", n)
 	}
 }
+
+// typedSales is n sales rows holding exactly their columns' kinds, with
+// a typed NULL region on every seventh.
+func typedSales(n int) []types.Row {
+	rows := make([]types.Row, n)
+	for i := range rows {
+		region := types.NewString(regions[i%len(regions)])
+		if i%7 == 0 {
+			region = types.NullOf(types.KindString)
+		}
+		rows[i] = types.Row{types.NewInt(int64(i)), region, types.NewDate(int64(16800 + i%365)), types.NewFloat(float64(i%1000) / 4)}
+	}
+	return rows
+}
+
+// TestInsertBatchCopiesNoTypedRow: rows that already hold their columns'
+// kinds go to the column encoders as the caller built them. Validation
+// copies none, so inserting a batch allocates fewer times than the batch
+// has rows.
+func TestInsertBatchCopiesNoTypedRow(t *testing.T) {
+	const n = 8192
+	rows := typedSales(n)
+	tbl := NewTable(90, "typed", salesSchema(), Config{})
+	allocs := testing.AllocsPerRun(4, func() {
+		if err := tbl.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per %d-row batch", allocs, n)
+	if allocs >= n {
+		t.Fatalf("InsertBatch of %d typed rows allocated %.0f times", n, allocs)
+	}
+}
+
+// TestRefusedBatchChangesNothing: a batch whose rows need coercing is
+// validated into a copy, so a refused batch leaves both the table and the
+// caller's rows as they were, and an accepted one stores the coerced
+// values without writing the caller's.
+func TestRefusedBatchChangesNothing(t *testing.T) {
+	tbl := NewTable(91, "refused", salesSchema(), Config{})
+	if err := tbl.InsertBatch(typedSales(100)); err != nil {
+		t.Fatal(err)
+	}
+	day := types.NewDate(17000)
+	batch := []types.Row{
+		{types.NewInt(1000), types.NewString("north"), day, types.NewInt(7)}, // INT in the DOUBLE column
+		{types.NewInt(1001), types.Null, day, types.Null},                    // untyped NULLs
+		{types.NewInt(1002), types.NewString("east"), day, types.NewFloat(1)},
+		{types.Null, types.NewString("west"), day, types.NewFloat(2)}, // NULL in NOT NULL id
+	}
+	if err := tbl.InsertBatch(batch); err == nil {
+		t.Fatal("a batch with a NULL id was accepted")
+	}
+	if n, err := tbl.CountWhere(nil); err != nil || n != 100 || tbl.Rows() != 100 {
+		t.Fatalf("after the refused batch: count %d (err %v), rows %d; want 100", n, err, tbl.Rows())
+	}
+	if v := batch[0][3]; v.Kind() != types.KindInt || v.Int() != 7 {
+		t.Fatalf("the caller's INT became %v of %v", v, v.Kind())
+	}
+	if batch[1][1] != types.Null {
+		t.Fatalf("the caller's untyped NULL became %v", batch[1][1].Kind())
+	}
+	if err := tbl.InsertBatch(batch[:3]); err != nil {
+		t.Fatal(err)
+	}
+	if v := batch[0][3]; v.Kind() != types.KindInt {
+		t.Fatalf("an accepted batch rewrote the caller's INT as %v", v.Kind())
+	}
+	got, err := tbl.SelectWhere([]Pred{{Col: 0, Op: encoding.OpEQ, Val: types.NewInt(1000)}})
+	if err != nil || len(got) != 1 || got[0][3].Kind() != types.KindFloat || got[0][3].Float() != 7 {
+		t.Fatalf("stored row %v (err %v), want amount 7 as DOUBLE", got, err)
+	}
+}

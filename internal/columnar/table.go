@@ -21,6 +21,7 @@ package columnar
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -357,13 +358,21 @@ func (t *Table) BulkAppendValidated(rows []types.Row) (int, error) {
 }
 
 // validateAll schema-checks every row up front, so a batch that fails
-// validation mutates nothing.
+// validation mutates nothing. A row Validate would not change is used as
+// it is — the table keeps codes, never rows — and the batch is copied
+// only once a row needs coercing, so the caller's rows are never written.
 func (t *Table) validateAll(rows []types.Row) ([]types.Row, error) {
-	checked := make([]types.Row, len(rows))
+	checked, copied := rows, false
 	for i, r := range rows {
+		if t.schema.Conforms(r) {
+			continue
+		}
 		c, err := t.schema.Validate(r)
 		if err != nil {
 			return nil, err
+		}
+		if !copied {
+			checked, copied = slices.Clone(rows), true
 		}
 		checked[i] = c
 	}

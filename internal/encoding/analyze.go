@@ -52,10 +52,19 @@ const maxFORWidth = 32
 // An empty sample yields an extension-only dictionary that grows with the
 // data (the page-level dictionary path for tables populated by INSERT).
 func ChooseEncoder(kind types.Kind, sample []types.Value) Encoder {
-	nonNull := sample[:0:0]
+	nulls := 0
 	for _, v := range sample {
-		if !v.IsNull() {
-			nonNull = append(nonNull, v)
+		if v.IsNull() {
+			nulls++
+		}
+	}
+	nonNull := sample
+	if nulls > 0 {
+		nonNull = make([]types.Value, 0, len(sample)-nulls)
+		for _, v := range sample {
+			if !v.IsNull() {
+				nonNull = append(nonNull, v)
+			}
 		}
 	}
 	if len(nonNull) == 0 {

@@ -2,6 +2,7 @@ package shardrpc
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,13 +35,14 @@ const (
 	retryBackoff    = 25 * time.Millisecond
 )
 
-// Conn is one pooled protocol connection.
+// Conn is one pooled protocol connection and its gob stream.
 type Conn struct {
 	pool   *Pool
 	addr   string
 	c      net.Conn
 	br     *bufio.Reader
 	bw     *bufio.Writer
+	gs     *stream
 	broken bool
 }
 
@@ -96,13 +98,9 @@ func (p *Pool) dial(addr string) (*Conn, error) {
 		c:    nc,
 		br:   bufio.NewReaderSize(nc, 64<<10),
 		bw:   bufio.NewWriterSize(nc, 64<<10),
+		gs:   newStream(),
 	}
-	hello, err := encodeGob(&Hello{Node: p.Node})
-	if err != nil {
-		nc.Close()
-		return nil, err
-	}
-	if err := c.write(FrameHello, hello); err != nil {
+	if err := c.writeGob(FrameHello, &Hello{Node: p.Node}); err != nil {
 		nc.Close()
 		return nil, err
 	}
@@ -169,6 +167,35 @@ func (c *Conn) write(t FrameType, payload []byte) error {
 	return nil
 }
 
+// encode encodes msg on the connection's stream for a request frame. The
+// payload is valid until the next encode.
+func (c *Conn) encode(msg any) ([]byte, error) {
+	payload, err := c.gs.encode(msg)
+	if err != nil {
+		c.broken = true
+	}
+	return payload, err
+}
+
+// writeGob sends msg as one frame of type t.
+func (c *Conn) writeGob(t FrameType, msg any) error {
+	payload, err := c.encode(msg)
+	if err != nil {
+		return err
+	}
+	return c.write(t, payload)
+}
+
+// readGob decodes a reply payload from the connection's stream into msg,
+// a fresh zero value.
+func (c *Conn) readGob(payload []byte, msg any) error {
+	if _, err := c.gs.decode(payload, msg); err != nil {
+		c.broken = true
+		return err
+	}
+	return nil
+}
+
 // read receives one frame under the read deadline.
 func (c *Conn) read() (FrameType, []byte, error) {
 	c.c.SetReadDeadline(time.Now().Add(c.pool.IOTimeout))
@@ -190,9 +217,38 @@ func (c *Conn) call(t FrameType, payload []byte) (FrameType, []byte, error) {
 		return FrameInvalid, nil, err
 	}
 	if rt == FrameErr {
-		return FrameInvalid, nil, &RemoteError{Addr: c.addr, Msg: string(rp)}
+		return FrameInvalid, nil, c.remote(rp)
 	}
 	return rt, rp, nil
+}
+
+// callOK is call for a request answered by FrameOK.
+func (c *Conn) callOK(t FrameType, payload []byte) ([]byte, error) {
+	rt, rp, err := c.call(t, payload)
+	if err == nil && rt != FrameOK {
+		c.broken = true
+		err = fmt.Errorf("shardrpc: %s: unexpected reply %d to frame %d", c.addr, rt, t)
+	}
+	return rp, err
+}
+
+// callGob sends msg as a request frame of type t answered by FrameOK.
+func (c *Conn) callGob(t FrameType, msg any) error {
+	payload, err := c.encode(msg)
+	if err == nil {
+		_, err = c.callOK(t, payload)
+	}
+	return err
+}
+
+// remote is the error a FrameErr reply reports. A server that saw its
+// stream fail closes the connection after the reply, so this side drops
+// it too.
+func (c *Conn) remote(msg []byte) error {
+	if bytes.HasPrefix(msg, []byte(gobErrPrefix)) {
+		c.broken = true
+	}
+	return &RemoteError{Addr: c.addr, Msg: string(msg)}
 }
 
 // RemoteError is an error reported by the far side: the request reached
@@ -267,8 +323,7 @@ func (p *Pool) Ping(addr string) (PingInfo, error) {
 			c.Fail()
 			return fmt.Errorf("shardrpc: %s: unexpected ping reply %d", addr, t)
 		}
-		_, err = decodeGob(payload, &info)
-		return err
+		return c.readGob(payload, &info)
 	})
 	return info, err
 }
@@ -294,11 +349,10 @@ func (c *Conn) readResultStream() (*Result, error) {
 		}
 		switch t {
 		case FrameErr:
-			return nil, &RemoteError{Addr: c.addr, Msg: string(payload)}
+			return nil, c.remote(payload)
 		case FrameResultHdr:
 			var hdr ResultHdr
-			if _, err := decodeGob(payload, &hdr); err != nil {
-				c.Fail()
+			if err := c.readGob(payload, &hdr); err != nil {
 				return nil, err
 			}
 			res.Columns = hdr.Columns
@@ -314,8 +368,7 @@ func (c *Conn) readResultStream() (*Result, error) {
 			res.Rows = append(res.Rows, rows...)
 		case FrameStats:
 			var sm StatsMsg
-			if _, err := decodeGob(payload, &sm); err != nil {
-				c.Fail()
+			if err := c.readGob(payload, &sm); err != nil {
 				return nil, err
 			}
 			rec := sm.Record
@@ -338,13 +391,10 @@ func (c *Conn) readResultStream() (*Result, error) {
 func (p *Pool) Exec(addr string, req ExecReq) (*Result, error) {
 	var res *Result
 	err := p.Do(addr, 1, func(c *Conn) error {
-		payload, err := encodeGob(&req)
-		if err != nil {
+		if err := c.writeGob(FrameExec, &req); err != nil {
 			return err
 		}
-		if err := c.write(FrameExec, payload); err != nil {
-			return err
-		}
+		var err error
 		res, err = c.readResultStream()
 		return err
 	})
@@ -356,84 +406,48 @@ func (p *Pool) Exec(addr string, req ExecReq) (*Result, error) {
 // reply was lost to a node death — acknowledge a coordinator retry
 // without inserting the rows twice.
 func (p *Pool) Insert(addr string, shardID int, table string, token uint64, rows []types.Row) error {
-	hdr, err := encodeGob(&InsertHdr{ShardID: shardID, Table: table, NRows: len(rows), Token: token})
-	if err != nil {
-		return err
-	}
-	payload, err := EncodeRowBlock(hdr, rows)
+	block, err := EncodeRowBlock(nil, rows)
 	if err != nil {
 		return err
 	}
 	return p.Do(addr, 1, func(c *Conn) error {
-		t, _, err := c.call(FrameInsert, payload)
+		hdr, err := c.encode(&InsertHdr{ShardID: shardID, Table: table, NRows: len(rows), Token: token})
 		if err != nil {
 			return err
 		}
-		if t != FrameOK {
-			c.Fail()
-			return fmt.Errorf("shardrpc: %s: unexpected insert reply %d", addr, t)
-		}
-		return nil
+		_, err = c.callOK(FrameInsert, append(hdr, block...))
+		return err
 	})
 }
 
 // Adopt asks a server to host shards. Level-triggered and idempotent,
 // so transient failures retry.
 func (p *Pool) Adopt(addr string, req AdoptReq) error {
-	payload, err := encodeGob(&req)
-	if err != nil {
-		return err
-	}
 	return p.Do(addr, DefaultAttempts, func(c *Conn) error {
-		t, _, err := c.call(FrameAdopt, payload)
-		if err != nil {
-			return err
-		}
-		if t != FrameOK {
-			c.Fail()
-			return fmt.Errorf("shardrpc: %s: unexpected adopt reply %d", addr, t)
-		}
-		return nil
+		return c.callGob(FrameAdopt, &req)
 	})
 }
 
 // Release asks a server to stop hosting shards.
 func (p *Pool) Release(addr string, shards []int) error {
-	payload, err := encodeGob(&ReleaseReq{Shards: shards})
-	if err != nil {
-		return err
-	}
 	return p.Do(addr, DefaultAttempts, func(c *Conn) error {
-		t, _, err := c.call(FrameRelease, payload)
-		if err != nil {
-			return err
-		}
-		if t != FrameOK {
-			c.Fail()
-			return fmt.Errorf("shardrpc: %s: unexpected release reply %d", addr, t)
-		}
-		return nil
+		return c.callGob(FrameRelease, &ReleaseReq{Shards: shards})
 	})
 }
 
 // RowCount returns a shard table's live row count. Read-only, retried.
 func (p *Pool) RowCount(addr string, shardID int, table string) (int64, error) {
-	payload, err := encodeGob(&RowCountReq{ShardID: shardID, Table: table})
-	if err != nil {
-		return 0, err
-	}
 	var n int64
-	err = p.Do(addr, DefaultAttempts, func(c *Conn) error {
-		t, rp, err := c.call(FrameRowCount, payload)
+	err := p.Do(addr, DefaultAttempts, func(c *Conn) error {
+		payload, err := c.encode(&RowCountReq{ShardID: shardID, Table: table})
 		if err != nil {
 			return err
 		}
-		if t != FrameOK {
-			c.Fail()
-			return fmt.Errorf("shardrpc: %s: unexpected rowcount reply %d", addr, t)
+		rp, err := c.callOK(FrameRowCount, payload)
+		if err != nil {
+			return err
 		}
-		_, err = decodeGob(rp, &n)
-		return err
+		return c.readGob(rp, &n)
 	})
 	return n, err
 }
@@ -445,15 +459,8 @@ func (p *Pool) RowCount(addr string, shardID int, table string) (int64, error) {
 func (p *Pool) DropShuffle(addr string, query uint64) error {
 	payload := binary.AppendUvarint(nil, query)
 	return p.Do(addr, 1, func(c *Conn) error {
-		t, _, err := c.call(FrameShuffleDrop, payload)
-		if err != nil {
-			return err
-		}
-		if t != FrameOK {
-			c.Fail()
-			return fmt.Errorf("shardrpc: %s: unexpected shuffle drop reply %d", addr, t)
-		}
-		return nil
+		_, err := c.callOK(FrameShuffleDrop, payload)
+		return err
 	})
 }
 
@@ -471,14 +478,7 @@ func (p *Pool) SendShuffle(addr string, h shuffleHdr, rows []types.Row) error {
 		}
 	}
 	return p.Do(addr, 1, func(c *Conn) error {
-		t, _, err := c.call(ft, payload)
-		if err != nil {
-			return err
-		}
-		if t != FrameOK {
-			c.Fail()
-			return fmt.Errorf("shardrpc: %s: unexpected shuffle reply %d", addr, t)
-		}
-		return nil
+		_, err := c.callOK(ft, payload)
+		return err
 	})
 }

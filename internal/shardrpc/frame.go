@@ -10,14 +10,14 @@
 // Frame layout (all multi-byte integers big-endian):
 //
 //	byte    magic 0xD5
-//	byte    version 3
+//	byte    version 4
 //	byte    frame type
 //	byte    flags (reserved, 0)
 //	uint32  payload length (<= MaxFrame)
 //	...     payload
 //
-// Control/meta payloads are gob (messages.go); bulk row payloads are row
-// blocks (rowblock.go).
+// Control/meta payloads are gob, one stream per connection and direction
+// (messages.go, conn.go); bulk row payloads are row blocks (rowblock.go).
 package shardrpc
 
 import (
@@ -30,8 +30,12 @@ const (
 	frameMagic = 0xD5
 	// frameVersion 2 renumbered the frame types: the two fragment frames
 	// of version 1 became ExecReq.Exchange. Version 3 frames a block's rows
-	// by byte length instead of column count (types/codec.go).
-	frameVersion = 3
+	// by byte length instead of column count (types/codec.go). Version 4
+	// makes a gob payload part of its connection's stream: a frame omits
+	// the type descriptors an earlier frame on the connection carried, so
+	// a version-3 peer, which decodes every frame as a stream of its own,
+	// would misread it.
+	frameVersion = 4
 
 	// MaxFrame bounds a single frame payload (64 MiB): a corrupt or
 	// hostile length prefix must not become an allocation.
@@ -49,14 +53,14 @@ type FrameType uint8
 const (
 	FrameInvalid     FrameType = iota
 	FrameHello                 // gob Hello: first frame on a connection
-	FrameOK                    // gob payload or empty: generic success
+	FrameOK                    // gob payload (RowCount's int64) or empty: generic success
 	FrameErr                   // utf-8 error text
 	FramePing                  // empty: liveness probe
 	FramePong                  // gob PingInfo
 	FrameExec                  // gob ExecReq: run one statement on a shard
 	FrameResultHdr             // gob ResultHdr: columns/affected/message
 	FrameRows                  // row block: result rows
-	FrameStats                 // gob telemetry.QueryRecord
+	FrameStats                 // gob StatsMsg
 	FrameDone                  // empty: end of a response stream
 	FrameInsert                // gob InsertHdr then row block in same payload
 	FrameShuffleData           // binary shuffle header + row block

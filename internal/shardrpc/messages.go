@@ -1,9 +1,7 @@
 package shardrpc
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 
 	"dashdb/internal/sql"
@@ -11,11 +9,15 @@ import (
 	"dashdb/internal/types"
 )
 
-// Control-plane messages, gob-encoded into frame payloads. Statements
-// travel as parsed ASTs (sql.RegisterWire + types.Value's gob codec):
-// the coordinator builds trees — shard statements with partial-aggregate
-// select lists over base tables or shuffle inputs — and ships them, so no
-// SQL renderer exists anywhere in the protocol.
+// Control-plane messages, the gob half of the protocol. Each connection
+// carries one gob stream per direction (conn.go): a message's type
+// descriptors cross a connection once, before its first value, and every
+// later frame holds only the value, which the peer decodes into a fresh
+// zero value. Statements travel as parsed ASTs (sql.RegisterWire +
+// types.Value's gob codec): the coordinator builds trees — shard
+// statements with partial-aggregate select lists over base tables or
+// shuffle inputs — and ships them, so no SQL renderer exists anywhere in
+// the protocol.
 
 // Hello opens a connection; the server answers FrameOK.
 type Hello struct {
@@ -61,22 +63,6 @@ type Exchange struct {
 	Output  *ShuffleOutput
 }
 
-// An Exchange travels as one opaque gob value, so that decoding a request
-// without one does not build decoders for its types. encodeGob starts a
-// gob stream per frame, which describes every type a message could hold
-// in every message: encoding and decoding an ordinary point SELECT's
-// request took 107 µs before the exchange fields existed, 156 µs with
-// them as plain fields of ExecReq and 122 µs this way — per shard of every
-// scattered statement.
-type exchangeWire Exchange
-
-func (x *Exchange) GobEncode() ([]byte, error) { return encodeGob((*exchangeWire)(x)) }
-
-func (x *Exchange) GobDecode(b []byte) error {
-	_, err := decodeGob(b, (*exchangeWire)(x))
-	return err
-}
-
 // ShuffleInput binds one shuffle stage's partition as a table of the
 // statement.
 type ShuffleInput struct {
@@ -101,8 +87,8 @@ type ResultHdr struct {
 	Message      string
 }
 
-// InsertHdr prefixes a FrameInsert payload; the row block follows
-// immediately after the gob stream (see appendGob/splitGob).
+// InsertHdr prefixes a FrameInsert payload; the row block is what the
+// peer's decoder leaves of the payload after the header.
 type InsertHdr struct {
 	ShardID int
 	Table   string
@@ -210,25 +196,4 @@ func decodeShuffleHdr(b []byte) (shuffleHdr, []byte, error) {
 	b = b[n:]
 	h.Stage, h.Part, h.Sender = int(stage), int(part), int(sender)
 	return h, b, nil
-}
-
-// encodeGob gob-encodes a message for a frame payload.
-func encodeGob(msg any) ([]byte, error) {
-	sql.RegisterWire()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
-		return nil, fmt.Errorf("shardrpc: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeGob decodes a frame payload into msg, returning any trailing
-// bytes after the gob stream (FrameInsert carries a row block there).
-func decodeGob(payload []byte, msg any) ([]byte, error) {
-	sql.RegisterWire()
-	r := bytes.NewReader(payload)
-	if err := gob.NewDecoder(r).Decode(msg); err != nil {
-		return nil, fmt.Errorf("shardrpc: decode: %w", err)
-	}
-	return payload[len(payload)-r.Len():], nil
 }

@@ -1,7 +1,9 @@
 package shardrpc
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"fmt"
 	"net"
 	"sort"
@@ -283,6 +285,24 @@ type appliedLog struct {
 	Recent []appliedEntry // newest last, at most appliedKeep
 }
 
+// encodeGob gob-encodes a blob as a stream of its own: the applied log
+// outlives every connection.
+func encodeGob(msg any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
+		return nil, fmt.Errorf("shardrpc: encode: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeGob decodes a blob encodeGob wrote.
+func decodeGob(data []byte, msg any) error {
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(msg); err != nil {
+		return fmt.Errorf("shardrpc: decode: %w", err)
+	}
+	return nil
+}
+
 func appliedPath(shardID int) string {
 	return fmt.Sprintf("shards/%04d/applied", shardID)
 }
@@ -359,7 +379,8 @@ func (s *Server) acceptLoop() {
 // handleConn serves one protocol connection: Hello first, then a
 // request/response loop. Request handling errors answer FrameErr and
 // keep the connection (framing stays intact because payloads are always
-// fully read); transport errors end it.
+// fully read); a gob stream error answers FrameErr and ends it, as do
+// transport errors.
 func (s *Server) handleConn(nc net.Conn) {
 	s.connMu.Lock()
 	s.conns[nc] = struct{}{}
@@ -372,8 +393,13 @@ func (s *Server) handleConn(nc net.Conn) {
 	}()
 	c := serverConn{nc: nc}
 	c.init()
-	t, _, err := c.read()
+	t, payload, err := c.read()
 	if err != nil || t != FrameHello {
+		return
+	}
+	var hello Hello // unused, but a stream's frames are decoded in order
+	if _, err := c.decode(payload, &hello); err != nil {
+		c.fail(err)
 		return
 	}
 	if err := c.write(FrameOK, nil); err != nil {
@@ -399,15 +425,20 @@ func (s *Server) dispatch(c *serverConn, t FrameType, payload []byte) error {
 	}
 	switch t {
 	case FramePing:
-		info, err := encodeGob(&PingInfo{Node: s.node, Shards: s.Shards()})
-		if err != nil {
-			return reply(err)
-		}
-		return c.write(FramePong, info)
+		return c.writeGob(FramePong, &PingInfo{Node: s.node, Shards: s.Shards()})
 	case FrameExec:
-		return s.handleExec(c, payload)
+		var req ExecReq
+		if _, err := c.decode(payload, &req); err != nil {
+			return c.fail(err)
+		}
+		return s.handleExec(c, req)
 	case FrameInsert:
-		return reply(s.handleInsert(payload))
+		var hdr InsertHdr
+		block, err := c.decode(payload, &hdr)
+		if err != nil {
+			return c.fail(err)
+		}
+		return reply(s.handleInsert(hdr, block))
 	case FrameShuffleData, FrameShuffleEOF:
 		return reply(s.handleShuffle(t, payload))
 	case FrameShuffleDrop:
@@ -419,19 +450,27 @@ func (s *Server) dispatch(c *serverConn, t FrameType, payload []byte) error {
 		return reply(nil)
 	case FrameAdopt:
 		var req AdoptReq
-		if _, err := decodeGob(payload, &req); err != nil {
-			return reply(err)
+		if _, err := c.decode(payload, &req); err != nil {
+			return c.fail(err)
 		}
 		return reply(s.Adopt(req))
 	case FrameRelease:
 		var req ReleaseReq
-		if _, err := decodeGob(payload, &req); err != nil {
-			return reply(err)
+		if _, err := c.decode(payload, &req); err != nil {
+			return c.fail(err)
 		}
 		s.Release(req.Shards)
 		return reply(nil)
 	case FrameRowCount:
-		return s.handleRowCount(c, payload)
+		var req RowCountReq
+		if _, err := c.decode(payload, &req); err != nil {
+			return c.fail(err)
+		}
+		n, err := s.rowCount(req)
+		if err != nil {
+			return reply(err)
+		}
+		return c.writeGob(FrameOK, n)
 	default:
 		return reply(fmt.Errorf("unexpected frame type %d", t))
 	}
@@ -440,11 +479,7 @@ func (s *Server) dispatch(c *serverConn, t FrameType, payload []byte) error {
 // writeResultStream streams a core.Result: header, row blocks, optional
 // stats, done.
 func writeResultStream(c *serverConn, res *core.Result, withStats bool) error {
-	hdr, err := encodeGob(&ResultHdr{Columns: res.Columns, RowsAffected: res.RowsAffected, Message: res.Message})
-	if err != nil {
-		return c.write(FrameErr, []byte(err.Error()))
-	}
-	if err := c.write(FrameResultHdr, hdr); err != nil {
+	if err := c.writeGob(FrameResultHdr, &ResultHdr{Columns: res.Columns, RowsAffected: res.RowsAffected, Message: res.Message}); err != nil {
 		return err
 	}
 	const blockRows = 4096
@@ -459,11 +494,7 @@ func writeResultStream(c *serverConn, res *core.Result, withStats bool) error {
 		}
 	}
 	if withStats && res.Stats != nil {
-		sm, err := encodeGob(&StatsMsg{Record: *res.Stats})
-		if err != nil {
-			return c.write(FrameErr, []byte(err.Error()))
-		}
-		if err := c.write(FrameStats, sm); err != nil {
+		if err := c.writeGob(FrameStats, &StatsMsg{Record: *res.Stats}); err != nil {
 			return err
 		}
 	}
@@ -483,11 +514,7 @@ func isReadOnly(st sql.Statement) bool {
 // handleExec is the one statement entry point: DML under the applied-token
 // log, a SELECT over the shard's tables, and both sides of a shuffle
 // exchange (see Exchange).
-func (s *Server) handleExec(c *serverConn, payload []byte) error {
-	var req ExecReq
-	if _, err := decodeGob(payload, &req); err != nil {
-		return c.write(FrameErr, []byte(err.Error()))
-	}
+func (s *Server) handleExec(c *serverConn, req ExecReq) error {
 	slot, err := s.engine(req.ShardID)
 	if err != nil {
 		return c.write(FrameErr, []byte(err.Error()))
@@ -562,13 +589,8 @@ func Untyped(names []string) types.Schema {
 	return sch
 }
 
-func (s *Server) handleInsert(payload []byte) error {
-	var hdr InsertHdr
-	rest, err := decodeGob(payload, &hdr)
-	if err != nil {
-		return err
-	}
-	rows, err := DecodeRowBlock(rest)
+func (s *Server) handleInsert(hdr InsertHdr, block []byte) error {
+	rows, err := DecodeRowBlock(block)
 	if err != nil {
 		return err
 	}
@@ -644,22 +666,14 @@ func recvAll(src exec.ShuffleSource) ([]types.Row, error) {
 	}
 }
 
-func (s *Server) handleRowCount(c *serverConn, payload []byte) error {
-	var req RowCountReq
-	if _, err := decodeGob(payload, &req); err != nil {
-		return c.write(FrameErr, []byte(err.Error()))
-	}
+func (s *Server) rowCount(req RowCountReq) (int64, error) {
 	slot, err := s.engine(req.ShardID)
 	if err != nil {
-		return c.write(FrameErr, []byte(err.Error()))
+		return 0, err
 	}
 	tbl, ok := slot.db.Table(req.Table)
 	if !ok {
-		return c.write(FrameErr, []byte(fmt.Sprintf("shard %d missing table %s", req.ShardID, req.Table)))
+		return 0, fmt.Errorf("shard %d missing table %s", req.ShardID, req.Table)
 	}
-	n, err := encodeGob(int64(tbl.Rows()))
-	if err != nil {
-		return c.write(FrameErr, []byte(err.Error()))
-	}
-	return c.write(FrameOK, n)
+	return int64(tbl.Rows()), nil
 }

@@ -44,6 +44,7 @@ func TestFrameRejectsGarbage(t *testing.T) {
 		{0x00, frameVersion, 1, 0, 0, 0, 0, 0},                   // bad magic
 		{frameMagic, 1, 1, 0, 0, 0, 0, 0},                        // bad version (the one before the frame types were renumbered)
 		{frameMagic, 2, byte(FrameRows), 0, 0, 0, 0, 4},          // bad version (row blocks framed by column count)
+		{frameMagic, 3, byte(FrameExec), 0, 0, 0, 0, 4},          // bad version (a fresh gob stream per frame)
 		{frameMagic, frameVersion, 0, 0, 0, 0, 0, 0},             // invalid type
 		{frameMagic, frameVersion, 99, 0, 0, 0, 0, 0},            // type out of range
 		{frameMagic, frameVersion, 1, 0, 0xFF, 0xFF, 0xFF, 0xFF}, // oversized
@@ -251,9 +252,9 @@ func FuzzShuffleFrame(f *testing.F) {
 	})
 }
 
-// TestWireStatementRoundTrip gob-ships a rewritten AST the way the
-// coordinator does and checks the tree survives (the types.Value gob
-// codec carries the literals).
+// TestWireStatementRoundTrip gob-ships rewritten ASTs the way the
+// coordinator does, one connection stream carrying them all, and checks
+// every tree survives (the types.Value gob codec carries the literals).
 func TestWireStatementRoundTrip(t *testing.T) {
 	stmts := []string{
 		"SELECT region, SUM(amount), COUNT(*) FROM sales WHERE amount > 10.5 AND region <> 'x' GROUP BY region ORDER BY 2 DESC",
@@ -261,17 +262,18 @@ func TestWireStatementRoundTrip(t *testing.T) {
 		"SELECT CASE WHEN x IS NULL THEN 0 ELSE x + 1 END FROM t",
 		"INSERT INTO t (a, b) VALUES (1, 'x'), (2, NULL)",
 	}
+	out, in := newStream(), newStream()
 	for _, src := range stmts {
 		st, err := sql.Parse(src, sql.DialectANSI)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		payload, err := encodeGob(&ExecReq{ShardID: 3, Stmt: st, SQL: src})
+		payload, err := out.encode(&ExecReq{ShardID: 3, Stmt: st, SQL: src})
 		if err != nil {
 			t.Fatalf("%s: encode: %v", src, err)
 		}
 		var got ExecReq
-		rest, err := decodeGob(payload, &got)
+		rest, err := in.decode(payload, &got)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", src, err)
 		}
@@ -284,31 +286,38 @@ func TestWireStatementRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeGobTrailingBytes: a FrameInsert payload is an InsertHdr as
+// one Encode on the connection's stream wrote it, then a row block; the
+// decoder stops where the header ends, whether or not the frame carries
+// the header's type descriptors.
 func TestDecodeGobTrailingBytes(t *testing.T) {
-	hdr, err := encodeGob(&InsertHdr{ShardID: 1, Table: "t", NRows: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	block, err := EncodeRowBlock(hdr, sampleRows()[:2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got InsertHdr
-	rest, err := decodeGob(block, &got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Table != "t" || got.NRows != 2 {
-		t.Fatalf("header %+v", got)
-	}
-	rows, err := DecodeRowBlock(rest)
-	if err != nil || len(rows) != 2 {
-		t.Fatalf("rows=%d err=%v", len(rows), err)
+	out, in := newStream(), newStream()
+	for i, want := range []InsertHdr{{ShardID: 1, Table: "t", NRows: 2, Token: 9}, {Table: "u", NRows: 1}} {
+		hdr, err := out.encode(&want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := EncodeRowBlock(hdr, sampleRows()[:want.NRows])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got InsertHdr
+		rest, err := in.decode(payload, &got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("frame %d: header %+v, want %+v", i, got, want)
+		}
+		rows, err := DecodeRowBlock(rest)
+		if err != nil || len(rows) != want.NRows {
+			t.Fatalf("frame %d: rows=%d err=%v", i, len(rows), err)
+		}
 	}
 }
 
 // startTestServer brings up a server hosting two shards with one table.
-func startTestServer(t *testing.T, fs *clusterfs.FS) *Server {
+func startTestServer(t testing.TB, fs *clusterfs.FS) *Server {
 	t.Helper()
 	s := NewServer("testnode", fs)
 	if err := s.Start("127.0.0.1:0"); err != nil {

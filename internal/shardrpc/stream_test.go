@@ -1,0 +1,343 @@
+package shardrpc
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"net"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"dashdb/internal/clusterfs"
+	"dashdb/internal/sql"
+	"dashdb/internal/types"
+)
+
+func mustParse(t testing.TB, src string) sql.Statement {
+	t.Helper()
+	st, err := sql.Parse(src, sql.DialectANSI)
+	if err != nil {
+		t.Fatalf("%s: %v", src, err)
+	}
+	return st
+}
+
+// TestConnStreamCarriesEveryMessage drives every gob message through one
+// pooled connection's streams, in an order where a message's zero fields
+// follow the same message with them set: a decoder that reused the last
+// value would carry a Token into a statement without one (which would
+// then be acknowledged as a replay instead of applied) or a StatsMsg into
+// a response that asked for none. The exchange's request types appear
+// only after 200 requests.
+func TestConnStreamCarriesEveryMessage(t *testing.T) {
+	fs := clusterfs.New()
+	s := startTestServer(t, fs)
+	seed := NewPool("seed")
+	defer seed.Close()
+	if err := seed.Insert(s.Addr(), 0, "sales", 0, []types.Row{{types.NewInt(1), types.NewString("north"), types.NewFloat(10)}}); err != nil {
+		t.Fatal(err)
+	}
+
+	p := NewPool("coord")
+	defer p.Close()
+	conn, err := p.Get(s.Addr()) // Hello
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.Release()
+	upd := mustParse(t, "UPDATE sales SET amount = amount + 1 WHERE id = 1")
+	sel := mustParse(t, "SELECT amount FROM sales WHERE id = 1")
+	for i := 0; i < 200; i++ {
+		req := ExecReq{ShardID: 0, Stmt: upd}
+		switch i % 4 {
+		case 0:
+			req.Token = uint64(1000 + i)
+		case 1, 3:
+			req.Stmt, req.WithStats = sel, i%4 == 1
+		}
+		res, err := p.Exec(s.Addr(), req)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if req.Stmt == upd {
+			if res.RowsAffected != 1 || len(res.Columns) != 0 || res.Stats != nil {
+				t.Fatalf("request %d (UPDATE, token %d): %+v", i, req.Token, res)
+			}
+			continue
+		}
+		if len(res.Columns) != 1 || len(res.Rows) != 1 || res.RowsAffected != 0 || (res.Stats != nil) != req.WithStats {
+			t.Fatalf("request %d (SELECT, stats %v): %+v", i, req.WithStats, res)
+		}
+		if got, want := res.Rows[0][0].Float(), float64(10+(i+1)/2); got != want {
+			t.Fatalf("request %d: amount %v, want %v (an UPDATE was not applied)", i, got, want)
+		}
+	}
+
+	schema := types.Schema{
+		{Name: "id", Kind: types.KindInt},
+		{Name: "region", Kind: types.KindString, Nullable: true},
+		{Name: "amount", Kind: types.KindFloat, Nullable: true},
+	}
+	sent, err := p.Exec(s.Addr(), ExecReq{ShardID: 0, Stmt: mustParse(t, "SELECT * FROM sales"),
+		Exchange: &Exchange{Query: 5, Output: &ShuffleOutput{Keys: []int{0}, Parts: []PartLoc{{ShardID: 0}}}}})
+	if err != nil || sent.RowsAffected != 1 {
+		t.Fatalf("shuffle output: %+v, err %v", sent, err)
+	}
+	read, err := p.Exec(s.Addr(), ExecReq{ShardID: 0, Stmt: mustParse(t, "SELECT amount FROM part"), WithStats: true,
+		Exchange: &Exchange{Query: 5, Senders: 1, Inputs: []ShuffleInput{{Name: "part", Schema: schema}}}})
+	if err != nil || len(read.Rows) != 1 || read.Rows[0][0].Float() != 110 || read.Stats == nil {
+		t.Fatalf("shuffle input: %+v, err %v", read, err)
+	}
+	if err := p.Insert(s.Addr(), 1, "sales", 77, []types.Row{{types.NewInt(2), types.Null, types.NewFloat(1)}}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := p.RowCount(s.Addr(), 1, "sales"); err != nil || n != 1 {
+		t.Fatalf("rowcount %d, err %v", n, err)
+	}
+	if err := p.Adopt(s.Addr(), AdoptReq{Shards: []ShardAssign{{ID: 2, MemBytes: 4 << 20, SortHeap: 1 << 20, HashHeap: 1 << 20, Parallelism: 1}},
+		Tables: []TableSpec{{Name: "sales", ID: 1, Schema: schema}}, Reason: "grow"}); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := p.Ping(s.Addr()); err != nil || len(info.Shards) != 3 {
+		t.Fatalf("ping %+v, err %v", info, err)
+	}
+	for _, withStats := range []bool{true, false, true} {
+		res, err := p.Exec(s.Addr(), ExecReq{ShardID: 1, Stmt: mustParse(t, "SELECT id, region FROM sales"), WithStats: withStats})
+		if err != nil || len(res.Rows) != 1 || !res.Rows[0][1].IsNull() || (res.Stats != nil) != withStats {
+			t.Fatalf("stats %v: %+v, err %v", withStats, res, err)
+		}
+	}
+	again, err := p.Get(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Release()
+	if again != conn {
+		t.Fatal("the requests did not share one connection")
+	}
+}
+
+// TestGobFailureClosesConn: a stream error drops the connection on the
+// side that saw it — the server after answering FrameErr, the client by
+// not pooling it — and the next call dials afresh.
+func TestGobFailureClosesConn(t *testing.T) {
+	s := startTestServer(t, clusterfs.New())
+	nc, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	hello, err := newStream().encode(&Hello{Node: "raw"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(nc, FrameHello, hello); err != nil {
+		t.Fatal(err)
+	}
+	if ft, _, err := ReadFrame(nc); err != nil || ft != FrameOK {
+		t.Fatalf("hello reply %d, err %v", ft, err)
+	}
+	if err := WriteFrame(nc, FrameExec, []byte{0x05, 0xff, 0x81, 0x03, 0x01, 0x01}); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if ft, msg, err := ReadFrame(nc); err != nil || ft != FrameErr || !strings.HasPrefix(string(msg), gobErrPrefix) {
+		t.Fatalf("garbage request answered %d %q, err %v", ft, msg, err)
+	}
+	if ft, _, err := ReadFrame(nc); err != io.EOF {
+		t.Fatalf("after a stream error the server sent frame %d (err %v), want EOF", ft, err)
+	}
+
+	// A server whose odd-numbered connections answer with garbage.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var accepted atomic.Int32
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go fakeServe(nc, accepted.Add(1)%2 == 1)
+		}
+	}()
+	addr := ln.Addr().String()
+	calls := []struct {
+		name string
+		call func(*Pool) error
+	}{
+		{"ping", func(p *Pool) error { _, err := p.Ping(addr); return err }},
+		{"rowcount", func(p *Pool) error { _, err := p.RowCount(addr, 0, "t"); return err }},
+	}
+	for i, c := range calls {
+		p := NewPool("coord")
+		if err := c.call(p); err == nil || !strings.Contains(err.Error(), gobErrPrefix) {
+			t.Fatalf("%s over a garbage reply: err %v", c.name, err)
+		}
+		if n := len(p.idle[addr]); n != 0 {
+			t.Fatalf("%s: %d connections pooled after a failed decode", c.name, n)
+		}
+		if err := c.call(p); err != nil {
+			t.Fatalf("%s after a failed decode: %v", c.name, err)
+		}
+		if got, want := accepted.Load(), int32(2*i+2); got != want {
+			t.Fatalf("%s: %d connections dialed, want %d", c.name, got, want)
+		}
+		p.Close()
+	}
+}
+
+// fakeServe answers Hello, then FramePing and FrameRowCount, with a
+// well-formed reply or, when garbage is set, with a reply gob cannot
+// decode.
+func fakeServe(nc net.Conn, garbage bool) {
+	defer nc.Close()
+	gs := newStream()
+	for {
+		ft, payload, err := ReadFrame(nc)
+		if err != nil {
+			return
+		}
+		var reply any
+		rt := FrameOK
+		switch ft {
+		case FrameHello:
+			var h Hello
+			if _, err := gs.decode(payload, &h); err != nil {
+				return
+			}
+			WriteFrame(nc, FrameOK, nil)
+			continue
+		case FramePing:
+			rt, reply = FramePong, &PingInfo{Node: "fake"}
+		case FrameRowCount:
+			var req RowCountReq
+			if _, err := gs.decode(payload, &req); err != nil {
+				return
+			}
+			reply = int64(7)
+		default:
+			return
+		}
+		out := []byte{0x02, 0x99, 0x99}
+		if !garbage {
+			if out, err = gs.encode(reply); err != nil {
+				return
+			}
+		}
+		if WriteFrame(nc, rt, out) != nil {
+			return
+		}
+	}
+}
+
+// TestPoolConcurrentStreams: goroutines sharing one pool each hold a
+// connection's streams alone while they use it (run it under -race).
+func TestPoolConcurrentStreams(t *testing.T) {
+	s := startTestServer(t, clusterfs.New())
+	p := NewPool("coord")
+	defer p.Close()
+	sel := mustParse(t, "SELECT COUNT(*), SUM(amount) FROM sales")
+	const workers, rounds = 8, 25
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				row := types.Row{types.NewInt(int64(w*rounds + r)), types.NewString(fmt.Sprint("w", w)), types.NewFloat(1)}
+				if err := p.Insert(s.Addr(), w%2, "sales", 0, []types.Row{row}); err != nil {
+					errs <- err
+					return
+				}
+				res, err := p.Exec(s.Addr(), ExecReq{ShardID: w % 2, Stmt: sel, WithStats: r%2 == 0})
+				if err != nil || len(res.Rows) != 1 || (res.Stats != nil) != (r%2 == 0) {
+					errs <- fmt.Errorf("worker %d round %d: %+v, err %v", w, r, res, err)
+					return
+				}
+				if _, err := p.Ping(s.Addr()); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	total := int64(0)
+	for shard := 0; shard < 2; shard++ {
+		n, err := p.RowCount(s.Addr(), shard, "sales")
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += n
+	}
+	if total != workers*rounds {
+		t.Fatalf("%d rows, want %d", total, workers*rounds)
+	}
+}
+
+// FuzzGobStream feeds raw bytes to a fresh server stream as an ExecReq
+// and as a FrameInsert payload: a hostile or corrupt request may only
+// fail to decode, never panic.
+func FuzzGobStream(f *testing.F) {
+	// No statement: its type descriptors alone take 800 bytes, and the
+	// fuzzer minimizes every new input it finds, which for kilobytes leaves
+	// a 10-second run no time to fuzz.
+	req, err := newStream().encode(&ExecReq{ShardID: 1, Token: 3, Exchange: &Exchange{Query: 4, Output: &ShuffleOutput{Keys: []int{0}, Parts: []PartLoc{{Addr: "h:1", ShardID: 2}}}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Clone(req))
+	hdr, err := newStream().encode(&InsertHdr{ShardID: 1, Table: "t", NRows: 2, Token: 5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	block, _ := EncodeRowBlock(hdr, sampleRows()[:2])
+	f.Add(block)
+	f.Add([]byte{})
+	f.Add([]byte{0x05, 0xff, 0x81, 0x03, 0x01, 0x01})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req ExecReq
+		newStream().decode(data, &req)
+		var hdr InsertHdr
+		if rest, err := newStream().decode(data, &hdr); err == nil {
+			DecodeRowBlock(rest)
+		}
+	})
+}
+
+// BenchmarkExecRoundTrip times one point SELECT with its ANALYZE record
+// through Pool.Exec against a loopback server: request encode, frame,
+// decode, execute, and the result header, rows and stats back.
+func BenchmarkExecRoundTrip(b *testing.B) {
+	s := startTestServer(b, clusterfs.New())
+	p := NewPool("coord")
+	defer p.Close()
+	var rows []types.Row
+	for i := 0; i < 1000; i++ {
+		rows = append(rows, types.Row{types.NewInt(int64(i)), types.NewString("r"), types.NewFloat(float64(i))})
+	}
+	if err := p.Insert(s.Addr(), 0, "sales", 0, rows); err != nil {
+		b.Fatal(err)
+	}
+	req := ExecReq{ShardID: 0, Stmt: mustParse(b, "SELECT id, amount FROM sales WHERE id = 417"), WithStats: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := p.Exec(s.Addr(), req)
+		if err != nil || len(res.Rows) != 1 {
+			b.Fatalf("%+v, err %v", res, err)
+		}
+	}
+}

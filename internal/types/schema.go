@@ -61,6 +61,25 @@ func (s Schema) Validate(row Row) (Row, error) {
 	return out, nil
 }
 
+// Conforms reports whether Validate would return row unchanged: it has
+// the schema's width, and each value is of its column's kind or is that
+// kind's NULL in a nullable column.
+func (s Schema) Conforms(row Row) bool {
+	if len(row) != len(s) {
+		return false
+	}
+	for i, v := range row {
+		if v.IsNull() {
+			if !s[i].Nullable || v != NullOf(s[i].Kind) {
+				return false
+			}
+		} else if v.kind != s[i].Kind {
+			return false
+		}
+	}
+	return true
+}
+
 // String renders the schema as "(name TYPE [NOT NULL], ...)".
 func (s Schema) String() string {
 	var b strings.Builder

@@ -2,6 +2,7 @@ package types
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -165,6 +166,23 @@ func TestSchemaValidate(t *testing.T) {
 	}
 	if s.ColumnIndex("missing") != -1 {
 		t.Error("ColumnIndex for missing column must be -1")
+	}
+	// Conforms is exactly "Validate returns the row unchanged".
+	for _, r := range []Row{
+		{NewInt(7), NewString("x")},
+		{NewInt(7), NullOf(KindString)},
+		{NewInt(7), Null},
+		{NewInt(7), NullOf(KindInt)},
+		{NewString("7"), NewString("x")},
+		{NewFloat(7), NewString("x")},
+		{NullOf(KindInt), NewString("x")},
+		{NewInt(7)},
+	} {
+		out, err := s.Validate(r)
+		same := err == nil && slices.Equal(out, r)
+		if got := s.Conforms(r); got != same {
+			t.Errorf("Conforms(%v) = %v, but Validate gives %v (err %v)", r, got, out, err)
+		}
 	}
 }
 

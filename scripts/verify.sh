@@ -66,6 +66,7 @@ if [ "${DASHDB_FUZZ:-0}" = "1" ]; then
 	go test -run=NONE -fuzz=FuzzVectorDecode -fuzztime=10s ./internal/columnar/
 	go test -run=NONE -fuzz=FuzzBulkAppend -fuzztime=10s ./internal/columnar/
 	go test -run=NONE -fuzz=FuzzShuffleFrame -fuzztime=10s ./internal/shardrpc/
+	go test -run=NONE -fuzz=FuzzGobStream -fuzztime=10s ./internal/shardrpc/
 	go test -run=NONE -fuzz=FuzzEvalVecMatchesEval -fuzztime=10s ./internal/exec/
 	go test -run=NONE -fuzz=FuzzSortOrder -fuzztime=10s ./internal/exec/
 fi
