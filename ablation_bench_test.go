@@ -34,7 +34,14 @@ var ablationPred = []columnar.Pred{{Col: 1, Op: encoding.OpLT, Val: types.NewInt
 
 func BenchmarkAblationCompressedPredicates(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := ablationTable.CountWhere(ablationPred); err != nil {
+		snap := ablationTable.Snapshot()
+		n := 0
+		err := snap.Scan(ablationPred, 1, nil, func(_ int, batch *columnar.Batch) bool {
+			n += batch.Len()
+			return true
+		})
+		snap.Release()
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -42,11 +49,13 @@ func BenchmarkAblationCompressedPredicates(b *testing.B) {
 
 func BenchmarkAblationDecodeThenEvaluate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		snap := ablationTable.Snapshot()
 		n := 0
-		err := ablationTable.ScanNaive(ablationPred, func(batch *columnar.Batch) bool {
+		err := snap.ScanNaive(ablationPred, func(batch *columnar.Batch) bool {
 			n += batch.Len()
 			return true
 		})
+		snap.Release()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -130,7 +130,10 @@ func BenchmarkFigDDataSkipping(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t.ResetStats()
-		if _, err := t.CountWhere([]columnar.Pred{{Col: 2, Op: encoding.OpGE, Val: lo}}); err != nil {
+		snap := t.Snapshot()
+		err := snap.Scan([]columnar.Pred{{Col: 2, Op: encoding.OpGE, Val: lo}}, 1, nil, func(int, *columnar.Batch) bool { return true })
+		snap.Release()
+		if err != nil {
 			b.Fatal(err)
 		}
 		st := t.Stats()
@@ -145,9 +148,10 @@ func BenchmarkFigDNoSkippingBaseline(b *testing.B) {
 	lo := types.NewDate(end.Int() - 30)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := 0
-		err := t.ScanNaive([]columnar.Pred{{Col: 2, Op: encoding.OpGE, Val: lo}},
-			func(batch *columnar.Batch) bool { n += batch.Len(); return true })
+		snap := t.Snapshot()
+		err := snap.ScanNaive([]columnar.Pred{{Col: 2, Op: encoding.OpGE, Val: lo}},
+			func(*columnar.Batch) bool { return true })
+		snap.Release()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -91,9 +91,9 @@ func (b *Bulk) Flush() error {
 	if len(b.rows) == 0 {
 		return nil
 	}
-	// Add validated and copied every buffered row; the table stores them
-	// as they are.
-	n, err := b.tbl.BulkAppendValidated(b.rows)
+	// Add validated and copied every buffered row, so the table's own
+	// validation finds them conforming and stores them as they are.
+	n, err := b.tbl.BulkAppend(b.rows)
 	if err != nil {
 		// A failed flush may have torn the engine-side append mid-batch
 		// only in the writer's private buffers — published epochs are

@@ -4,7 +4,6 @@ import (
 	stdsql "database/sql"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"dashdb/driver"
@@ -129,19 +128,8 @@ func BenchmarkParallelScan(b *testing.B) {
 	for _, dop := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("dop=%d", dop), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if dop == 1 {
-					n := 0
-					if err := tbl.Scan(preds, func(bt *columnar.Batch) bool { n += bt.Len(); return true }); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					var n atomic.Int64
-					if err := tbl.ParallelScan(preds, dop, func(_ int, bt *columnar.Batch) bool {
-						n.Add(int64(bt.Len()))
-						return true
-					}); err != nil {
-						b.Fatal(err)
-					}
+				if _, err := scanCount(tbl, preds, dop, nil); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})
@@ -181,22 +169,8 @@ func BenchmarkInstrumentedScan(b *testing.B) {
 		b.Run(fmt.Sprintf("dop=%d", dop), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ss := telemetry.NewScanStats(dop)
-				if dop == 1 {
-					n := 0
-					snap := tbl.Snapshot()
-					err := snap.ScanWithStats(preds, ss, func(bt *columnar.Batch) bool { n += bt.Len(); return true })
-					snap.Release()
-					if err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					var n atomic.Int64
-					if err := tbl.ParallelScanWithStats(preds, dop, ss, func(_ int, bt *columnar.Batch) bool {
-						n.Add(int64(bt.Len()))
-						return true
-					}); err != nil {
-						b.Fatal(err)
-					}
+				if _, err := scanCount(tbl, preds, dop, ss); err != nil {
+					b.Fatal(err)
 				}
 				if ss.RowsScanned() == 0 {
 					b.Fatal("instrumented scan recorded no rows")

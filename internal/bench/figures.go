@@ -18,6 +18,7 @@ import (
 	"dashdb/internal/mpp"
 	"dashdb/internal/page"
 	"dashdb/internal/spark"
+	"dashdb/internal/telemetry"
 	"dashdb/internal/types"
 	"dashdb/internal/workload"
 )
@@ -91,7 +92,7 @@ func FigureD(scale int) (string, error) {
 	for _, windowDays := range []int{7 * 365, 365, 90, 7} {
 		t.ResetStats()
 		lo := types.NewDate(end.Int() - int64(windowDays))
-		n, err := t.CountWhere([]columnar.Pred{{Col: dateCol, Op: encoding.OpGE, Val: lo}})
+		n, err := scanCount(t, []columnar.Pred{{Col: dateCol, Op: encoding.OpGE, Val: lo}}, 1, nil)
 		if err != nil {
 			return "", err
 		}
@@ -331,9 +332,7 @@ func FigureP(rows int, dops []int) (string, error) {
 	preds := []columnar.Pred{{Col: 2, Op: encoding.OpGE, Val: types.NewFloat(64)}}
 
 	serialScan := timeIt(func() error {
-		n := 0
-		err := tbl.Scan(preds, func(bt *columnar.Batch) bool { n += bt.Len(); return true })
-		_ = n
+		_, err := scanCount(tbl, preds, 1, nil)
 		return err
 	})
 	serialAgg := timeIt(func() error { return drainOp(groupByAt(tbl, preds, 1)) })
@@ -341,11 +340,8 @@ func FigureP(rows int, dops []int) (string, error) {
 	for _, dop := range dops {
 		d := dop
 		parScan := timeIt(func() error {
-			var n atomic.Int64
-			return tbl.ParallelScan(preds, d, func(_ int, bt *columnar.Batch) bool {
-				n.Add(int64(bt.Len()))
-				return true
-			})
+			_, err := scanCount(tbl, preds, d, nil)
+			return err
 		})
 		parAgg := timeIt(func() error { return drainOp(groupByAt(tbl, preds, d)) })
 		fmt.Fprintf(&b, "  dop %2d: scan %8v vs %8v (%.2fx)   group-by %8v vs %8v (%.2fx)\n",
@@ -355,6 +351,20 @@ func FigureP(rows int, dops []int) (string, error) {
 			float64(serialAgg)/float64(maxDuration(parAgg, 1)))
 	}
 	return b.String(), nil
+}
+
+// scanCount pins t's current epoch and counts the rows matching preds
+// with dop scan workers, recording scan telemetry into ss when it is not
+// nil.
+func scanCount(t *columnar.Table, preds []columnar.Pred, dop int, ss *telemetry.ScanStats) (int, error) {
+	snap := t.Snapshot()
+	defer snap.Release()
+	var n atomic.Int64
+	err := snap.Scan(preds, dop, ss, func(_ int, b *columnar.Batch) bool {
+		n.Add(int64(b.Len()))
+		return true
+	})
+	return int(n.Load()), err
 }
 
 // parallelBenchTable builds the synthetic scan/aggregation input: a

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"dashdb/internal/columnar"
@@ -36,19 +35,12 @@ func FigureT(rows int) (string, error) {
 	for _, dop := range []int{1, 4} {
 		d := dop
 		raw := bestOf(func() error {
-			var n atomic.Int64
-			return tbl.ParallelScan(preds, d, func(_ int, bt *columnar.Batch) bool {
-				n.Add(int64(bt.Len()))
-				return true
-			})
+			_, err := scanCount(tbl, preds, d, nil)
+			return err
 		})
 		inst := bestOf(func() error {
-			ss := telemetry.NewScanStats(d)
-			var n atomic.Int64
-			return tbl.ParallelScanWithStats(preds, d, ss, func(_ int, bt *columnar.Batch) bool {
-				n.Add(int64(bt.Len()))
-				return true
-			})
+			_, err := scanCount(tbl, preds, d, telemetry.NewScanStats(d))
+			return err
 		})
 		report(fmt.Sprintf("scan dop=%d", d), raw, inst)
 	}

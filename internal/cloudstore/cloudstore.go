@@ -84,7 +84,7 @@ func (s *Store) table(name string) (*columnar.Table, error) {
 	return t, nil
 }
 
-// naiveScanOp adapts columnar.Table.ScanNaive to the executor: the
+// naiveScanOp adapts columnar.Snapshot.ScanNaive to the executor: the
 // decode-then-evaluate access path.
 type naiveScanOp struct {
 	t     *columnar.Table
@@ -98,7 +98,9 @@ func (n *naiveScanOp) Schema() types.Schema { return n.t.Schema() }
 func (n *naiveScanOp) Open() error {
 	n.rows = n.rows[:0]
 	n.pos = 0
-	return n.t.ScanNaive(n.preds, func(b *columnar.Batch) bool {
+	snap := n.t.Snapshot()
+	defer snap.Release()
+	return snap.ScanNaive(n.preds, func(b *columnar.Batch) bool {
 		for i := 0; i < b.Len(); i++ {
 			n.rows = append(n.rows, b.Row(i))
 		}
@@ -175,7 +177,7 @@ func (s *Store) Execute(st *workload.Statement) (int, error) {
 			}
 			set[ci] = v
 		}
-		return t.UpdateWhere(preds, set)
+		return changeWhere(t, preds, set)
 	case workload.KindDelete:
 		t, err := s.table(st.Table)
 		if err != nil {
@@ -185,7 +187,7 @@ func (s *Store) Execute(st *workload.Statement) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		return t.DeleteWhere(preds)
+		return changeWhere(t, preds, nil)
 	case workload.KindCreate:
 		return 0, s.CreateTable(*st.Def)
 	case workload.KindDrop:
@@ -204,6 +206,28 @@ func (s *Store) Execute(st *workload.Statement) (int, error) {
 		return 0, t.Truncate()
 	}
 	return 0, fmt.Errorf("cloudstore: unsupported statement kind %v", st.Kind)
+}
+
+// changeWhere deletes the rows of t matching preds and, when set is not
+// nil, re-inserts each with the columns of set replaced: an UPDATE or a
+// DELETE as one columnar Change.
+func changeWhere(t *columnar.Table, preds []columnar.Pred, set map[int]types.Value) (int, error) {
+	return t.Change(func(snap *columnar.Snapshot) (del []int64, add []types.Row, err error) {
+		err = snap.Scan(preds, 1, nil, func(_ int, b *columnar.Batch) bool {
+			for i := 0; i < b.Len(); i++ {
+				del = append(del, b.RowID(i))
+				if set != nil {
+					row := b.Row(i)
+					for ci, v := range set {
+						row[ci] = v
+					}
+					add = append(add, row)
+				}
+			}
+			return true
+		})
+		return del, add, err
+	})
 }
 
 func (s *Store) toColumnarPreds(t *columnar.Table, preds []workload.Pred) ([]columnar.Pred, error) {

@@ -57,7 +57,7 @@ func TestInsertAndCount(t *testing.T) {
 	if tbl.Rows() != 5000 {
 		t.Fatalf("rows %d", tbl.Rows())
 	}
-	n, err := tbl.CountWhere(nil)
+	n, err := countWhere(tbl, nil)
 	if err != nil || n != 5000 {
 		t.Fatalf("count %d err %v", n, err)
 	}
@@ -65,7 +65,7 @@ func TestInsertAndCount(t *testing.T) {
 
 func TestScanEquality(t *testing.T) {
 	tbl := newTestTable(t, 4096)
-	rows, err := tbl.SelectWhere([]Pred{{Col: 0, Op: encoding.OpEQ, Val: types.NewInt(1234)}})
+	rows, err := selectWhere(tbl, []Pred{{Col: 0, Op: encoding.OpEQ, Val: types.NewInt(1234)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,15 +79,15 @@ func TestScanEquality(t *testing.T) {
 
 func TestScanStringPredicate(t *testing.T) {
 	tbl := newTestTable(t, 4000)
-	n, err := tbl.CountWhere([]Pred{{Col: 1, Op: encoding.OpEQ, Val: types.NewString("north")}})
+	n, err := countWhere(tbl, []Pred{{Col: 1, Op: encoding.OpEQ, Val: types.NewString("north")}})
 	if err != nil || n != 1000 {
 		t.Fatalf("north count %d err %v", n, err)
 	}
-	n, _ = tbl.CountWhere([]Pred{{Col: 1, Op: encoding.OpNE, Val: types.NewString("north")}})
+	n, _ = countWhere(tbl, []Pred{{Col: 1, Op: encoding.OpNE, Val: types.NewString("north")}})
 	if n != 3000 {
 		t.Fatalf("!north count %d", n)
 	}
-	n, _ = tbl.CountWhere([]Pred{{Col: 1, Op: encoding.OpEQ, Val: types.NewString("atlantis")}})
+	n, _ = countWhere(tbl, []Pred{{Col: 1, Op: encoding.OpEQ, Val: types.NewString("atlantis")}})
 	if n != 0 {
 		t.Fatalf("phantom region matched %d", n)
 	}
@@ -99,7 +99,7 @@ func TestScanConjunction(t *testing.T) {
 		{Col: 0, Op: encoding.OpLT, Val: types.NewInt(100)},
 		{Col: 1, Op: encoding.OpEQ, Val: types.NewString("south")},
 	}
-	rows, err := tbl.SelectWhere(preds)
+	rows, err := selectWhere(tbl, preds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestScanAgainstRowReference(t *testing.T) {
 	}
 	for _, c := range consts {
 		for _, op := range ops {
-			got, err := tbl.CountWhere([]Pred{{Col: c.col, Op: op, Val: c.val}})
+			got, err := countWhere(tbl, []Pred{{Col: c.col, Op: op, Val: c.val}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,11 +176,11 @@ func TestNullHandling(t *testing.T) {
 		}
 	}
 	// Comparisons never match NULL.
-	n, _ := tbl.CountWhere([]Pred{{Col: 3, Op: encoding.OpGE, Val: types.NewFloat(0)}})
+	n, _ := countWhere(tbl, []Pred{{Col: 3, Op: encoding.OpGE, Val: types.NewFloat(0)}})
 	if n != 90 {
 		t.Fatalf("GE over nullable column: %d want 90", n)
 	}
-	rows, _ := tbl.SelectWhere([]Pred{{Col: 0, Op: encoding.OpEQ, Val: types.NewInt(10)}})
+	rows, _ := selectWhere(tbl, []Pred{{Col: 0, Op: encoding.OpEQ, Val: types.NewInt(10)}})
 	if len(rows) != 1 || !rows[0][3].IsNull() {
 		t.Fatalf("NULL did not round-trip: %v", rows)
 	}
@@ -188,19 +188,19 @@ func TestNullHandling(t *testing.T) {
 
 func TestDeleteWhere(t *testing.T) {
 	tbl := newTestTable(t, 2000)
-	n, err := tbl.DeleteWhere([]Pred{{Col: 0, Op: encoding.OpLT, Val: types.NewInt(500)}})
+	n, err := deleteWhere(tbl, []Pred{{Col: 0, Op: encoding.OpLT, Val: types.NewInt(500)}})
 	if err != nil || n != 500 {
 		t.Fatalf("deleted %d err %v", n, err)
 	}
 	if tbl.Rows() != 1500 {
 		t.Fatalf("live %d", tbl.Rows())
 	}
-	c, _ := tbl.CountWhere(nil)
+	c, _ := countWhere(tbl, nil)
 	if c != 1500 {
 		t.Fatalf("scan sees %d", c)
 	}
 	// Deleting again is a no-op.
-	n, _ = tbl.DeleteWhere([]Pred{{Col: 0, Op: encoding.OpLT, Val: types.NewInt(500)}})
+	n, _ = deleteWhere(tbl, []Pred{{Col: 0, Op: encoding.OpLT, Val: types.NewInt(500)}})
 	if n != 0 {
 		t.Fatalf("re-delete found %d", n)
 	}
@@ -208,7 +208,7 @@ func TestDeleteWhere(t *testing.T) {
 
 func TestUpdateWhere(t *testing.T) {
 	tbl := newTestTable(t, 1000)
-	n, err := tbl.UpdateWhere(
+	n, err := updateWhere(tbl,
 		[]Pred{{Col: 1, Op: encoding.OpEQ, Val: types.NewString("west")}},
 		map[int]types.Value{3: types.NewFloat(-1)},
 	)
@@ -218,7 +218,7 @@ func TestUpdateWhere(t *testing.T) {
 	if tbl.Rows() != 1000 {
 		t.Fatalf("live %d", tbl.Rows())
 	}
-	c, _ := tbl.CountWhere([]Pred{{Col: 3, Op: encoding.OpEQ, Val: types.NewFloat(-1)}})
+	c, _ := countWhere(tbl, []Pred{{Col: 3, Op: encoding.OpEQ, Val: types.NewFloat(-1)}})
 	if c != 250 {
 		t.Fatalf("updated rows visible: %d", c)
 	}
@@ -233,7 +233,7 @@ func TestTruncateAndReuse(t *testing.T) {
 		t.Fatal("rows after truncate")
 	}
 	loadSales(t, tbl, 100)
-	if n, _ := tbl.CountWhere(nil); n != 100 {
+	if n, _ := countWhere(tbl, nil); n != 100 {
 		t.Fatalf("after reuse: %d", n)
 	}
 }
@@ -243,7 +243,7 @@ func TestDataSkipping(t *testing.T) {
 	// range predicate must skip nearly every stride.
 	tbl := newTestTable(t, 64*page.StrideSize)
 	tbl.ResetStats()
-	n, err := tbl.CountWhere([]Pred{
+	n, err := countWhere(tbl, []Pred{
 		{Col: 0, Op: encoding.OpGE, Val: types.NewInt(10 * page.StrideSize)},
 		{Col: 0, Op: encoding.OpLT, Val: types.NewInt(11 * page.StrideSize)},
 	})
@@ -281,11 +281,11 @@ func TestDoubleColumnIsLossless(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, err := tbl.CountWhere([]Pred{{Col: 0, Op: encoding.OpEQ, Val: types.NewFloat(862)}})
+	n, err := countWhere(tbl, []Pred{{Col: 0, Op: encoding.OpEQ, Val: types.NewFloat(862)}})
 	if err != nil || n != 2 { // row 1724 of the load, and the insert
 		t.Fatalf("amount = 862 matches %d rows (err %v), want 2", n, err)
 	}
-	got, err := tbl.SelectWhere([]Pred{{Col: 0, Op: encoding.OpGT, Val: types.NewFloat(861.75)}, {Col: 0, Op: encoding.OpLT, Val: types.NewFloat(862.75)}})
+	got, err := selectWhere(tbl, []Pred{{Col: 0, Op: encoding.OpGT, Val: types.NewFloat(861.75)}, {Col: 0, Op: encoding.OpLT, Val: types.NewFloat(862.75)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,12 +323,12 @@ func TestLateInsertDictionaryExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _ := tbl.CountWhere([]Pred{{Col: 1, Op: encoding.OpEQ, Val: types.NewString("central")}})
+	n, _ := countWhere(tbl, []Pred{{Col: 1, Op: encoding.OpEQ, Val: types.NewString("central")}})
 	if n != 1 {
 		t.Fatalf("extension value not found: %d", n)
 	}
 	// Range predicates must still be correct with extension codes.
-	n, _ = tbl.CountWhere([]Pred{{Col: 1, Op: encoding.OpLT, Val: types.NewString("east")}})
+	n, _ = countWhere(tbl, []Pred{{Col: 1, Op: encoding.OpLT, Val: types.NewString("east")}})
 	if n != 1 { // only "central" < "east"
 		t.Fatalf("range over extension: %d", n)
 	}
@@ -337,7 +337,7 @@ func TestLateInsertDictionaryExtension(t *testing.T) {
 func TestScanEarlyStop(t *testing.T) {
 	tbl := newTestTable(t, 10*page.StrideSize)
 	batches := 0
-	err := tbl.Scan(nil, func(b *Batch) bool {
+	err := scanSerial(tbl, nil, func(b *Batch) bool {
 		batches++
 		return batches < 3
 	})
@@ -348,7 +348,7 @@ func TestScanEarlyStop(t *testing.T) {
 
 func TestScanBadPredicateColumn(t *testing.T) {
 	tbl := newTestTable(t, 10)
-	err := tbl.Scan([]Pred{{Col: 9, Op: encoding.OpEQ, Val: types.NewInt(1)}}, func(*Batch) bool { return true })
+	err := scanSerial(tbl, []Pred{{Col: 9, Op: encoding.OpEQ, Val: types.NewInt(1)}}, func(*Batch) bool { return true })
 	if err == nil {
 		t.Fatal("out-of-range predicate column must error")
 	}
@@ -357,7 +357,7 @@ func TestScanBadPredicateColumn(t *testing.T) {
 func TestBatchRowIDsAscending(t *testing.T) {
 	tbl := newTestTable(t, 3000)
 	last := int64(-1)
-	tbl.Scan(nil, func(b *Batch) bool {
+	scanSerial(tbl, nil, func(b *Batch) bool {
 		for i := 0; i < b.Len(); i++ {
 			if b.RowID(i) <= last {
 				t.Fatalf("row ids not ascending: %d after %d", b.RowID(i), last)
@@ -396,7 +396,7 @@ func TestScanEquivalenceProperty(t *testing.T) {
 			{Col: 0, Op: ops[rng.Intn(len(ops))], Val: types.NewInt(int64(rng.Intn(120) - 10))},
 			{Col: 1, Op: ops[rng.Intn(len(ops))], Val: types.NewString(fmt.Sprintf("s%d", rng.Intn(12)))},
 		}
-		got, err := tbl.CountWhere(preds)
+		got, err := countWhere(tbl, preds)
 		if err != nil {
 			return false
 		}
@@ -417,7 +417,7 @@ func BenchmarkColumnarScanSelective(b *testing.B) {
 	tbl := newTestTable(b, 64*page.StrideSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl.CountWhere([]Pred{
+		countWhere(tbl, []Pred{
 			{Col: 0, Op: encoding.OpGE, Val: types.NewInt(1000)},
 			{Col: 0, Op: encoding.OpLT, Val: types.NewInt(2000)},
 		})
@@ -428,6 +428,6 @@ func BenchmarkColumnarScanFull(b *testing.B) {
 	tbl := newTestTable(b, 64*page.StrideSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl.CountWhere([]Pred{{Col: 1, Op: encoding.OpEQ, Val: types.NewString("north")}})
+		countWhere(tbl, []Pred{{Col: 1, Op: encoding.OpEQ, Val: types.NewString("north")}})
 	}
 }

@@ -298,7 +298,7 @@ func BenchmarkBatchVector(b *testing.B) {
 	snap := tbl.Snapshot()
 	defer snap.Release()
 	var strides []*Batch // stride 0 (sealed) and the open stride
-	if err := snap.Scan(nil, func(bt *Batch) bool {
+	if err := scanSerial(snap, nil, func(bt *Batch) bool {
 		if bt.base == 0 || bt.Len() < page.StrideSize {
 			strides = append(strides, bt)
 		}

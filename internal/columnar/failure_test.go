@@ -61,13 +61,13 @@ func TestReadFailureSurfacesOnScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.failReads = true
-	err := tbl.Scan([]Pred{{Col: 0, Op: encoding.OpGE, Val: types.NewInt(0)}}, func(*Batch) bool { return true })
+	err := scanSerial(tbl, []Pred{{Col: 0, Op: encoding.OpGE, Val: types.NewInt(0)}}, func(*Batch) bool { return true })
 	if err == nil {
 		t.Fatal("read failure during scan must surface")
 	}
 	// Without predicates the scan touches no pages until materialization:
 	// the failure surfaces when the batch decodes values.
-	err = tbl.Scan(nil, func(b *Batch) bool {
+	err = scanSerial(tbl, nil, func(b *Batch) bool {
 		b.Row(0)
 		return true
 	})
@@ -75,7 +75,7 @@ func TestReadFailureSurfacesOnScan(t *testing.T) {
 		t.Fatal("read failure during materialization must surface as error, not panic")
 	}
 	// The naive path surfaces it too.
-	if err := tbl.ScanNaive([]Pred{{Col: 0, Op: encoding.OpGE, Val: types.NewInt(0)}}, func(*Batch) bool { return true }); err == nil {
+	if err := scanNaive(tbl, []Pred{{Col: 0, Op: encoding.OpGE, Val: types.NewInt(0)}}, func(*Batch) bool { return true }); err == nil {
 		t.Fatal("read failure during naive scan must surface")
 	}
 }
@@ -99,7 +99,7 @@ func TestCorruptPageDetectedOnLoad(t *testing.T) {
 	corrupt := append([]byte(nil), data...)
 	corrupt[40] ^= 0xFF
 	store.WritePage(id, corrupt)
-	err = tbl.Scan([]Pred{{Col: 0, Op: encoding.OpGE, Val: types.NewInt(0)}}, func(*Batch) bool { return true })
+	err = scanSerial(tbl, []Pred{{Col: 0, Op: encoding.OpGE, Val: types.NewInt(0)}}, func(*Batch) bool { return true })
 	if err == nil {
 		t.Fatal("checksum mismatch must surface as a scan error")
 	}
@@ -110,7 +110,7 @@ func TestConcurrentScansShareTable(t *testing.T) {
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
-			n, err := tbl.CountWhere([]Pred{{Col: 0, Op: encoding.OpLT, Val: types.NewInt(int64(1000 * (g + 1)))}})
+			n, err := countWhere(tbl, []Pred{{Col: 0, Op: encoding.OpLT, Val: types.NewInt(int64(1000 * (g + 1)))}})
 			if err == nil && n != 1000*(g+1) {
 				err = fmt.Errorf("goroutine %d saw %d rows", g, n)
 			}
@@ -131,7 +131,7 @@ func TestSaveAndOpenTable(t *testing.T) {
 	store := NewMemStore()
 	orig := NewTable(60, "sales", salesSchema(), Config{Store: store})
 	loadSales(t, orig, 3000) // 2 sealed strides + open stride
-	if _, err := orig.DeleteWhere([]Pred{{Col: 0, Op: encoding.OpLT, Val: types.NewInt(100)}}); err != nil {
+	if _, err := deleteWhere(orig, []Pred{{Col: 0, Op: encoding.OpLT, Val: types.NewInt(100)}}); err != nil {
 		t.Fatal(err)
 	}
 	// A late value lands in the dictionary extension region.
@@ -160,11 +160,11 @@ func TestSaveAndOpenTable(t *testing.T) {
 		{{Col: 3, Op: encoding.OpGT, Val: types.NewFloat(100)}},
 	}
 	for _, preds := range queries {
-		want, err := orig.CountWhere(preds)
+		want, err := countWhere(orig, preds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := reopened.CountWhere(preds)
+		got, err := countWhere(reopened, preds)
 		if err != nil {
 			t.Fatal(err)
 		}

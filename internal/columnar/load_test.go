@@ -51,12 +51,12 @@ func TestFrameOfReferenceExtend(t *testing.T) {
 		{before, 1_000_000, 0},
 		{before, 7, 40},
 	} {
-		n, err := c.snap.CountWhere([]Pred{{Col: 0, Op: encoding.OpEQ, Val: types.NewInt(c.val)}})
+		n, err := countWhere(c.snap, []Pred{{Col: 0, Op: encoding.OpEQ, Val: types.NewInt(c.val)}})
 		if err != nil || n != c.want {
 			t.Fatalf("case %d: v = %d matches %d (err %v), want %d", i, c.val, n, err, c.want)
 		}
 	}
-	if n, _ := before.CountWhere(nil); n != 2000 {
+	if n, _ := countWhere(before, nil); n != 2000 {
 		t.Fatalf("pinned epoch counts %d rows, want 2000", n)
 	}
 }
@@ -107,12 +107,12 @@ func TestFrameOfReferenceRebuild(t *testing.T) {
 		{Pred{Col: 1, Op: encoding.OpEQ, Val: types.NewFloat(0.0007)}, 0 + 1},     // k = 7 of the second
 		{Pred{Col: 1, Op: encoding.OpLT, Val: types.NewFloat(1)}, 40 + 99 + 3000}, // zeros, k < 100, all
 	} {
-		if n, err := tbl.CountWhere([]Pred{c.p}); err != nil || n != c.want {
+		if n, err := countWhere(tbl, []Pred{c.p}); err != nil || n != c.want {
 			t.Errorf("%v: %d rows (err %v), want %d", c.p, n, err, c.want)
 		}
 	}
 	// The epoch pinned before the rebuilds still reads its own generation.
-	if n, err := pinned.CountWhere([]Pred{{Col: 1, Op: encoding.OpEQ, Val: types.NewFloat(7)}}); err != nil || n != 40 {
+	if n, err := countWhere(pinned, []Pred{{Col: 1, Op: encoding.OpEQ, Val: types.NewFloat(7)}}); err != nil || n != 40 {
 		t.Fatalf("pinned epoch: %d rows (err %v), want 40", n, err)
 	}
 }
@@ -197,12 +197,12 @@ func TestLoadOrderProperty(t *testing.T) {
 							want++
 						}
 					}
-					if got, err := tbl.CountWhere([]Pred{p}); err != nil || got != want {
+					if got, err := countWhere(tbl, []Pred{p}); err != nil || got != want {
 						t.Errorf("%s %v %v: %d rows (err %v), want %d", schema[p.Col].Name, p.Op, p.Val, got, err, want)
 					}
 				}
 				seen := 0
-				err := tbl.Scan(nil, func(b *Batch) bool {
+				err := scanSerial(tbl, nil, func(b *Batch) bool {
 					vs := b.VectorsEnc(nil, nil)
 					for i := 0; i < b.Len(); i++ {
 						got := make(types.Row, len(vs))
@@ -335,7 +335,7 @@ func TestRefusedBatchChangesNothing(t *testing.T) {
 	if err := tbl.InsertBatch(batch); err == nil {
 		t.Fatal("a batch with a NULL id was accepted")
 	}
-	if n, err := tbl.CountWhere(nil); err != nil || n != 100 || tbl.Rows() != 100 {
+	if n, err := countWhere(tbl, nil); err != nil || n != 100 || tbl.Rows() != 100 {
 		t.Fatalf("after the refused batch: count %d (err %v), rows %d; want 100", n, err, tbl.Rows())
 	}
 	if v := batch[0][3]; v.Kind() != types.KindInt || v.Int() != 7 {
@@ -350,7 +350,7 @@ func TestRefusedBatchChangesNothing(t *testing.T) {
 	if v := batch[0][3]; v.Kind() != types.KindInt {
 		t.Fatalf("an accepted batch rewrote the caller's INT as %v", v.Kind())
 	}
-	got, err := tbl.SelectWhere([]Pred{{Col: 0, Op: encoding.OpEQ, Val: types.NewInt(1000)}})
+	got, err := selectWhere(tbl, []Pred{{Col: 0, Op: encoding.OpEQ, Val: types.NewInt(1000)}})
 	if err != nil || len(got) != 1 || got[0][3].Kind() != types.KindFloat || got[0][3].Float() != 7 {
 		t.Fatalf("stored row %v (err %v), want amount 7 as DOUBLE", got, err)
 	}

@@ -111,14 +111,14 @@ func scanIDs(t *testing.T, tbl *Table, preds []Pred) map[string][]int64 {
 		}
 	}
 	var scan, naive, parallel []int64
-	if err := tbl.Scan(preds, collect(&scan)); err != nil {
+	if err := scanSerial(tbl, preds, collect(&scan)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.ScanNaive(preds, collect(&naive)); err != nil {
+	if err := scanNaive(tbl, preds, collect(&naive)); err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
-	if err := tbl.ParallelScan(preds, 2, func(_ int, b *Batch) bool {
+	if err := scanDop(tbl, preds, 2, func(_ int, b *Batch) bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return collect(&parallel)(b)
@@ -126,18 +126,18 @@ func scanIDs(t *testing.T, tbl *Table, preds []Pred) map[string][]int64 {
 		t.Fatal(err)
 	}
 	slices.Sort(parallel)
-	out["Scan"], out["ScanNaive"], out["ParallelScan"] = scan, naive, parallel
+	out["Scan dop=1"], out["ScanNaive"], out["Scan dop=2"] = scan, naive, parallel
 	return out
 }
 
-// checkAgainstReference compares every scan path, CountWhere and the
+// checkAgainstReference compares every scan path, a count and the
 // vector decode of every row with the rows themselves.
 func checkAgainstReference(t *testing.T, tbl *Table, rows []types.Row) {
 	t.Helper()
 	for _, preds := range openPreds() {
 		want := referenceIDs(rows, preds)
-		if n, err := tbl.CountWhere(preds); err != nil || n != len(want) {
-			t.Errorf("%v: CountWhere %d (err %v), want %d", preds, n, err, len(want))
+		if n, err := countWhere(tbl, preds); err != nil || n != len(want) {
+			t.Errorf("%v: count %d (err %v), want %d", preds, n, err, len(want))
 		}
 		for name, got := range scanIDs(t, tbl, preds) {
 			if !slices.Equal(got, want) {
@@ -150,7 +150,7 @@ func checkAgainstReference(t *testing.T, tbl *Table, rows []types.Row) {
 		byID[r[0].Int()] = r
 	}
 	seen := 0
-	if err := tbl.Scan(nil, func(b *Batch) bool {
+	if err := scanSerial(tbl, nil, func(b *Batch) bool {
 		vs := b.VectorsEnc(nil, nil)
 		for i := 0; i < b.Len(); i++ {
 			want := byID[vs[0].Get(i).Int()]
@@ -220,7 +220,7 @@ func TestOpenStrideNegativeZero(t *testing.T) {
 		t.Fatal("x is not dictionary-encoded")
 	}
 	readZeros := func() (bits []uint64) {
-		if err := tbl.Scan([]Pred{{Col: 1, Op: encoding.OpEQ, Val: types.NewFloat(0)}}, func(b *Batch) bool {
+		if err := scanSerial(tbl, []Pred{{Col: 1, Op: encoding.OpEQ, Val: types.NewFloat(0)}}, func(b *Batch) bool {
 			for i := 0; i < b.Len(); i++ {
 				bits = append(bits, math.Float64bits(b.Value(1, i).Float()))
 			}
@@ -296,7 +296,7 @@ func TestSaveMetaPersistsOpenCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows = append(rows, late...)
-	if _, err := orig.DeleteWhere([]Pred{{Col: 0, Op: encoding.OpEQ, Val: types.NewInt(1400)}}); err != nil {
+	if _, err := deleteWhere(orig, []Pred{{Col: 0, Op: encoding.OpEQ, Val: types.NewInt(1400)}}); err != nil {
 		t.Fatal(err)
 	}
 	if orig.Stats().Rebuilds == 0 {
@@ -321,8 +321,8 @@ func TestSaveMetaPersistsOpenCodes(t *testing.T) {
 	same := func(stage string) {
 		t.Helper()
 		for _, preds := range openPreds() {
-			a, errA := orig.SelectWhere(preds)
-			b, errB := reopened.SelectWhere(preds)
+			a, errA := selectWhere(orig, preds)
+			b, errB := selectWhere(reopened, preds)
 			if errA != nil || errB != nil || !slices.EqualFunc(a, b, slices.Equal[types.Row]) {
 				t.Fatalf("%s, %v: reopened selects %d rows (err %v), original %d (err %v)", stage, preds, len(b), errB, len(a), errA)
 			}

@@ -44,7 +44,7 @@ func buildParallelTable(t testing.TB, n int) *Table {
 func collectScan(t *testing.T, tbl *Table, preds []Pred) map[int64]int64 {
 	t.Helper()
 	got := map[int64]int64{}
-	err := tbl.Scan(preds, func(b *Batch) bool {
+	err := scanSerial(tbl, preds, func(b *Batch) bool {
 		for i := 0; i < b.Len(); i++ {
 			got[b.RowID(i)] = b.Value(0, i).Int()
 		}
@@ -71,7 +71,7 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 		for _, dop := range []int{1, 2, 3, 8, 64} {
 			var mu sync.Mutex
 			got := map[int64]int64{}
-			err := tbl.ParallelScan(preds, dop, func(_ int, b *Batch) bool {
+			err := scanDop(tbl, preds, dop, func(_ int, b *Batch) bool {
 				local := make(map[int64]int64, b.Len())
 				for i := 0; i < b.Len(); i++ {
 					local[b.RowID(i)] = b.Value(0, i).Int()
@@ -101,10 +101,10 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 func TestParallelScanPerWorkerState(t *testing.T) {
 	tbl := buildParallelTable(t, 3*page.StrideSize+10)
 	const dop = 4
-	// Per-worker tallies written without locks: ParallelScan guarantees a
+	// Per-worker tallies written without locks: Scan guarantees a
 	// worker never runs its callback concurrently with itself.
 	counts := make([]int, dop)
-	err := tbl.ParallelScan(nil, dop, func(w int, b *Batch) bool {
+	err := scanDop(tbl, nil, dop, func(w int, b *Batch) bool {
 		if w < 0 || w >= dop {
 			t.Errorf("worker index %d out of range", w)
 			return false
@@ -127,7 +127,7 @@ func TestParallelScanPerWorkerState(t *testing.T) {
 func TestParallelScanCancel(t *testing.T) {
 	tbl := buildParallelTable(t, 8*page.StrideSize)
 	var delivered atomic.Int64
-	err := tbl.ParallelScan(nil, 4, func(_ int, b *Batch) bool {
+	err := scanDop(tbl, nil, 4, func(_ int, b *Batch) bool {
 		return delivered.Add(1) < 2 // cancel after two batches
 	})
 	if err != nil {
@@ -140,7 +140,7 @@ func TestParallelScanCancel(t *testing.T) {
 
 func TestParallelScanDeletesAndSkipping(t *testing.T) {
 	tbl := buildParallelTable(t, 4*page.StrideSize)
-	if _, err := tbl.DeleteWhere([]Pred{{Col: 0, Op: encoding.OpLT, Val: types.NewInt(100)}}); err != nil {
+	if _, err := deleteWhere(tbl, []Pred{{Col: 0, Op: encoding.OpLT, Val: types.NewInt(100)}}); err != nil {
 		t.Fatal(err)
 	}
 	preds := []Pred{{Col: 0, Op: encoding.OpLT, Val: types.NewInt(int64(page.StrideSize))}}
@@ -150,7 +150,7 @@ func TestParallelScanDeletesAndSkipping(t *testing.T) {
 	tbl.ResetStats()
 	var mu sync.Mutex
 	var ids []int64
-	err := tbl.ParallelScan(preds, 4, func(_ int, b *Batch) bool {
+	err := scanDop(tbl, preds, 4, func(_ int, b *Batch) bool {
 		mu.Lock()
 		for i := 0; i < b.Len(); i++ {
 			ids = append(ids, b.RowID(i))
@@ -208,7 +208,7 @@ func TestParallelScanStorageFault(t *testing.T) {
 	}
 	// Tiny pool so reads go to the store, then make the store fail.
 	store.limit = store.reads.Load() // every further read fails
-	err := tbl.ParallelScan(nil, 4, func(_ int, b *Batch) bool {
+	err := scanDop(tbl, nil, 4, func(_ int, b *Batch) bool {
 		for i := 0; i < b.Len(); i++ {
 			_ = b.Value(0, i)
 		}

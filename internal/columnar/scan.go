@@ -2,10 +2,13 @@ package columnar
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"dashdb/internal/bitpack"
 	"dashdb/internal/encoding"
 	"dashdb/internal/page"
+	"dashdb/internal/synopsis"
 	"dashdb/internal/telemetry"
 	"dashdb/internal/types"
 )
@@ -24,11 +27,11 @@ type Pred struct {
 //
 // Concurrency invariant: a Batch is confined to a single goroutine. Value
 // populates the batch's private pages map lazily and without locking, so
-// sharing one batch across goroutines would race. Scan delivers batches
-// sequentially; ParallelScan gives every worker its own batches (each
-// with its own page map, so buffer-pool loads don't serialize on shared
-// mutable state). Callbacks that want to keep data past the callback must
-// copy values out (Row and VectorsEnc materialize copies).
+// sharing one batch across goroutines would race. Scan gives every worker
+// its own batches (each with its own page map, so buffer-pool loads don't
+// serialize on shared mutable state). Callbacks that want to keep data
+// past the callback must copy values out (Row and VectorsEnc materialize
+// copies).
 type Batch struct {
 	t      *Table
 	st     *tableState
@@ -97,33 +100,110 @@ func (b *Batch) Row(i int) types.Row {
 	return row
 }
 
-// Scan streams batches of tuples satisfying the conjunction of preds to
-// fn, in row-id order, applying data skipping and SWAR evaluation over
-// compressed codes. fn returning false stops the scan. The scan reads the
-// snapshot's pinned epoch only: concurrent INSERT/bulk-load/TRUNCATE are
-// invisible to it. Storage failures during lazy batch materialization are
-// converted into a returned error.
-func (s *Snapshot) Scan(preds []Pred, fn func(b *Batch) bool) (err error) {
-	return s.ScanWithStats(preds, nil, fn)
+// encPredicates is a predicate list translated to code space.
+type encPredicates []encoding.Predicate
+
+// Scan is the table's one scan: it streams the batches of tuples
+// satisfying the conjunction of preds to fn, applying data skipping over
+// the synopsis (§II.B.4) and SWAR evaluation over compressed codes
+// (§II.B.6). It reads the snapshot's pinned epoch only: concurrent
+// INSERT, bulk load, UPDATE, DELETE and TRUNCATE are invisible to it, and
+// writing the table from inside fn is allowed (it affects later epochs,
+// not this scan).
+//
+// The scan is morsel-driven (§II.B.7 strides × machine cores): every
+// stride, the open one included, is a morsel on a shared queue, and
+// min(dop, strides) workers pull morsels, skip and select independently
+// and deliver their batches to fn. With one worker — dop ≤ 1, or a table
+// of one stride — fn runs on the calling goroutine as worker 0 and the
+// batches arrive in row-id order. Otherwise fn is invoked concurrently:
+// worker (0 ≤ worker < dop) identifies the caller so callers can keep
+// per-worker state without locking, one worker never runs fn
+// concurrently with itself, and batches arrive in ascending stride order
+// within a worker but in no particular order across workers. Every Batch
+// is confined to the worker that delivered it and must not outlive the
+// snapshot.
+//
+// fn returning false stops the scan; other workers stop at their next
+// morsel boundary. ss, when not nil, receives each worker's stride
+// visits, synopsis skips and delivered rows in that worker's ScanShard
+// with plain increments — Scan returns only after every worker has.
+// Storage failures in any worker, including page-load panics raised by
+// lazy materialization inside fn, abort the scan and are returned.
+func (s *Snapshot) Scan(preds []Pred, dop int, ss *telemetry.ScanStats, fn func(worker int, b *Batch) bool) error {
+	t, st := s.t, s.state()
+	if st.rows == 0 {
+		return nil
+	}
+	if err := t.checkPreds(preds); err != nil {
+		return err
+	}
+	trans, none := st.translatePreds(preds)
+	if none {
+		return nil // a false conjunct kills the whole scan
+	}
+
+	r := &scanRun{t: t, st: st, preds: preds, trans: trans, ss: ss, fn: fn, morsels: st.strides()}
+	if dop = min(dop, r.morsels); dop <= 1 {
+		r.work(0)
+		return r.err
+	}
+	var wg sync.WaitGroup
+	for w := range dop {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.work(w)
+		}()
+	}
+	wg.Wait()
+	return r.err
 }
 
-// ScanWithStats is Scan with a per-query telemetry sink: stride visits,
-// synopsis skips and delivered rows are additionally recorded into ss
-// (shard 0, since the serial scan is one worker). ss may be nil, which
-// makes this identical to Scan.
-func (s *Snapshot) ScanWithStats(preds []Pred, ss *telemetry.ScanStats, fn func(b *Batch) bool) (err error) {
+// scanRun is one Scan's shared morsel queue and outcome.
+type scanRun struct {
+	t       *Table
+	st      *tableState
+	preds   []Pred
+	trans   encPredicates
+	ss      *telemetry.ScanStats
+	fn      func(worker int, b *Batch) bool
+	morsels int
+
+	next    atomic.Int64 // queue head: the next morsel to take
+	stop    atomic.Bool
+	errOnce sync.Once
+	err     error // the first worker's error
+}
+
+// work runs one worker to the end of the queue, a stop or an error; the
+// first error stops every worker and becomes the scan's.
+func (r *scanRun) work(worker int) {
+	if err := r.drain(worker); err != nil {
+		r.errOnce.Do(func() { r.err = err })
+		r.stop.Store(true)
+	}
+}
+
+// drain takes morsels in queue order, skips or selects each and delivers
+// what it selected.
+func (r *scanRun) drain(worker int) (err error) {
 	defer recoverScanPanic(&err)
-	return s.scanState(preds, ss.Shard(0), fn)
-}
-
-// Scan pins the current epoch for the scan's duration and delegates to
-// Snapshot.Scan. Query execution should scan an explicitly pinned
-// Snapshot instead, so that planning and multiple operators of one query
-// agree on the epoch.
-func (t *Table) Scan(preds []Pred, fn func(b *Batch) bool) error {
-	snap := t.Snapshot()
-	defer snap.Release()
-	return snap.Scan(preds, fn)
+	sh := r.ss.Shard(worker)
+	for !r.stop.Load() {
+		m := int(r.next.Add(1)) - 1
+		if m >= r.morsels {
+			return nil
+		}
+		b, err := r.st.visit(r.t, m, r.preds, r.trans, sh)
+		if err != nil {
+			return err
+		}
+		if b != nil && !r.fn(worker, b) {
+			r.stop.Store(true)
+		}
+	}
+	return nil
 }
 
 // recoverScanPanic converts page-load panics raised inside batch
@@ -144,33 +224,35 @@ func (t *Table) checkPreds(preds []Pred) error {
 	return nil
 }
 
-func (s *Snapshot) scanState(preds []Pred, sh *telemetry.ScanShard, fn func(b *Batch) bool) error {
-	t, st := s.t, s.state()
-	if st.rows == 0 {
-		return nil
-	}
-	if err := t.checkPreds(preds); err != nil {
-		return err
-	}
-	// Translate every predicate to code space once.
-	translated, none := st.translatePreds(preds)
-	if none {
-		return nil // a false conjunct kills the whole scan
-	}
-
-	for strideIdx := 0; strideIdx < st.strides(); strideIdx++ {
-		b, err := st.visit(t, strideIdx, preds, translated, sh)
-		if err != nil {
-			return err
-		}
-		if b != nil && !fn(b) {
-			return nil
+// translatePreds translates predicates to code space once per scan.
+// none is true when some conjunct can never match (empty result).
+func (st *tableState) translatePreds(preds []Pred) (encPredicates, bool) {
+	trans := make(encPredicates, len(preds))
+	for i, p := range preds {
+		trans[i] = st.cols[p.Col].enc.Translate(p.Op, p.Val)
+		if trans[i].None {
+			return nil, true
 		}
 	}
-	return nil
+	return trans, false
 }
 
-// visit scans stride s for Scan and ParallelScan: data skipping over the
+// skipStride applies data skipping: the stride can be skipped when any
+// conjunct is unsatisfiable in the stride's synopsis span. The open stride
+// has no synopsis entry and is never skipped.
+func (st *tableState) skipStride(s int, preds []Pred, trans encPredicates) bool {
+	if s == st.sealedStrides() {
+		return false
+	}
+	for i, p := range preds {
+		if !synopsis.MayMatch(trans[i], st.cols[p.Col].syn[s]) {
+			return true
+		}
+	}
+	return false
+}
+
+// visit scans stride s for Scan: data skipping over the
 // synopsis, then the conjunction in code space. It counts the skip or the
 // visit and the delivered rows into t's counters and sh, and returns the
 // selected tuples, or nil when the stride was skipped or nothing matched.
@@ -403,138 +485,4 @@ func (b *Batch) matchesDecoded(preds []Pred, off int) bool {
 		}
 	}
 	return true
-}
-
-// ScanNaive runs the ablation scan over a freshly pinned epoch.
-func (t *Table) ScanNaive(preds []Pred, fn func(b *Batch) bool) error {
-	snap := t.Snapshot()
-	defer snap.Release()
-	return snap.ScanNaive(preds, fn)
-}
-
-// CountWhere returns the number of live rows satisfying the conjunction,
-// without materializing values (COUNT(*) fast path).
-func (s *Snapshot) CountWhere(preds []Pred) (int, error) {
-	total := 0
-	err := s.Scan(preds, func(b *Batch) bool {
-		total += b.Len()
-		return true
-	})
-	return total, err
-}
-
-// CountWhere counts matching rows in a freshly pinned epoch.
-func (t *Table) CountWhere(preds []Pred) (int, error) {
-	snap := t.Snapshot()
-	defer snap.Release()
-	return snap.CountWhere(preds)
-}
-
-// SelectWhere materializes all matching rows (convenience for small
-// results and tests; the executor streams batches instead).
-func (s *Snapshot) SelectWhere(preds []Pred) ([]types.Row, error) {
-	var out []types.Row
-	err := s.Scan(preds, func(b *Batch) bool {
-		for i := 0; i < b.Len(); i++ {
-			out = append(out, b.Row(i))
-		}
-		return true
-	})
-	return out, err
-}
-
-// SelectWhere materializes matching rows from a freshly pinned epoch.
-func (t *Table) SelectWhere(preds []Pred) ([]types.Row, error) {
-	snap := t.Snapshot()
-	defer snap.Release()
-	return snap.SelectWhere(preds)
-}
-
-// tombstoneLocked sets tombstones for the given row ids on a private copy
-// of the bitmap (copy-on-write: published epochs keep the old bitmap) and
-// returns how many were live. Caller holds mu and publishes after.
-func (t *Table) tombstoneLocked(rids []int64) int {
-	nb := t.deleted.Clone()
-	n := 0
-	for _, rid := range rids {
-		if rid < 0 || int(rid) >= t.rows {
-			continue // e.g. the table was truncated since the rids were collected
-		}
-		if !nb.Get(int(rid)) {
-			nb.Set(int(rid))
-			t.live--
-			n++
-		}
-	}
-	t.deleted = nb
-	return n
-}
-
-// DeleteWhere tombstones matching rows, returning how many were deleted.
-// Matches are collected against a pinned snapshot; the tombstones commit
-// as one epoch.
-func (t *Table) DeleteWhere(preds []Pred) (int, error) {
-	var rids []int64
-	err := t.Scan(preds, func(b *Batch) bool {
-		for i := 0; i < b.Len(); i++ {
-			rids = append(rids, b.RowID(i))
-		}
-		return true
-	})
-	if err != nil {
-		return 0, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.tombstoneLocked(rids)
-	t.publishLocked()
-	return len(rids), nil
-}
-
-// DeleteRows tombstones the given row ids, returning how many were live.
-// The general DML path uses it after evaluating residual predicates the
-// scan could not push down.
-func (t *Table) DeleteRows(rids []int64) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := t.tombstoneLocked(rids)
-	t.publishLocked()
-	return n
-}
-
-// UpdateWhere rewrites matching rows: columnar updates are implemented as
-// delete + re-insert of the modified row, the standard approach for
-// column-organized storage. set maps column ordinals to new values. The
-// delete and the re-insert commit together in a single epoch, so readers
-// never observe the in-between state where rows have vanished but their
-// replacements are not yet visible.
-func (t *Table) UpdateWhere(preds []Pred, set map[int]types.Value) (int, error) {
-	var updated []types.Row
-	var rids []int64
-	err := t.Scan(preds, func(b *Batch) bool {
-		for i := 0; i < b.Len(); i++ {
-			row := b.Row(i)
-			for ci, v := range set {
-				row[ci] = v
-			}
-			updated = append(updated, row)
-			rids = append(rids, b.RowID(i))
-		}
-		return true
-	})
-	if err != nil {
-		return 0, err
-	}
-	checked, err := t.validateAll(updated)
-	if err != nil {
-		return 0, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	defer t.publishLocked()
-	t.tombstoneLocked(rids)
-	if err := t.appendRowsLocked(checked); err != nil {
-		return 0, err
-	}
-	return len(updated), nil
 }

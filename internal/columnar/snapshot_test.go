@@ -85,7 +85,7 @@ func TestSnapshotBatchAtomicity(t *testing.T) {
 			default:
 			}
 			counts := map[int64]int{}
-			err := tbl.Scan(nil, func(b *Batch) bool {
+			err := scanSerial(tbl, nil, func(b *Batch) bool {
 				for i := 0; i < b.Len(); i++ {
 					counts[b.Value(0, i).Int()]++
 				}
@@ -110,7 +110,7 @@ func TestSnapshotBatchAtomicity(t *testing.T) {
 			}
 			var mu sync.Mutex
 			counts := map[int64]int{}
-			err := tbl.ParallelScan(nil, 8, func(_ int, b *Batch) bool {
+			err := scanDop(tbl, nil, 8, func(_ int, b *Batch) bool {
 				local := map[int64]int{}
 				for i := 0; i < b.Len(); i++ {
 					local[b.Value(0, i).Int()]++
@@ -156,7 +156,7 @@ func TestSnapshotRepeatableCount(t *testing.T) {
 	defer snap.Release()
 	count := func() int {
 		n := 0
-		err := snap.Scan(nil, func(b *Batch) bool { n += b.Len(); return true })
+		err := scanSerial(snap, nil, func(b *Batch) bool { n += b.Len(); return true })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestSnapshotRepeatableCount(t *testing.T) {
 	if _, err := tbl.BulkAppend(batchRows(1, 2*page.StrideSize)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.DeleteWhere([]Pred{{Col: 1, Op: encoding.OpLT, Val: types.NewInt(50)}}); err != nil {
+	if _, err := deleteWhere(tbl, []Pred{{Col: 1, Op: encoding.OpLT, Val: types.NewInt(50)}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := count(); got != want {
@@ -209,7 +209,7 @@ func TestTruncateDrainsBehindPinnedReader(t *testing.T) {
 	}
 	// The pinned reader still scans the pre-truncate data, pages intact.
 	n := 0
-	if err := snap.Scan([]Pred{{Col: 1, Op: encoding.OpGE, Val: types.NewInt(0)}}, func(b *Batch) bool {
+	if err := scanSerial(snap, []Pred{{Col: 1, Op: encoding.OpGE, Val: types.NewInt(0)}}, func(b *Batch) bool {
 		for i := 0; i < b.Len(); i++ {
 			_ = b.Row(i)
 		}
@@ -286,7 +286,7 @@ func TestSnapshotRacingTruncateAndRebuild(t *testing.T) {
 				counts := map[int64]int{}
 				var err error
 				if r%2 == 0 {
-					err = tbl.Scan(nil, func(b *Batch) bool {
+					err = scanSerial(tbl, nil, func(b *Batch) bool {
 						for i := 0; i < b.Len(); i++ {
 							counts[b.Value(0, i).Int()]++
 						}
@@ -294,7 +294,7 @@ func TestSnapshotRacingTruncateAndRebuild(t *testing.T) {
 					})
 				} else {
 					var mu sync.Mutex
-					err = tbl.ParallelScan(nil, 8, func(_ int, b *Batch) bool {
+					err = scanDop(tbl, nil, 8, func(_ int, b *Batch) bool {
 						mu.Lock()
 						for i := 0; i < b.Len(); i++ {
 							counts[b.Value(0, i).Int()]++
@@ -353,11 +353,17 @@ func TestSnapshotSetPinsOncePerTable(t *testing.T) {
 
 // FuzzBulkAppend drives BulkAppend with schema-randomized batch shapes
 // racing a mid-flight Truncate and a concurrent scan, checking the 0-or-K
-// visibility invariant and that validation failures mutate nothing.
+// visibility invariant and that validation failures mutate nothing. When
+// shape has bit 2 set, a Change races them too: it replaces the 50 seed
+// rows (batch 0) with 50 rows of batch 2, so the reader's live count is a
+// sum of whole statements only if it sees the seed rows or their
+// replacements, never both and never part of either.
 func FuzzBulkAppend(f *testing.F) {
 	f.Add(uint16(10), uint8(3), false, int64(42))
 	f.Add(uint16(1500), uint8(1), true, int64(-7))
 	f.Add(uint16(0), uint8(9), true, int64(0))
+	f.Add(uint16(1100), uint8(4), false, int64(5))
+	f.Add(uint16(700), uint8(6), true, int64(11))
 	f.Fuzz(func(t *testing.T, nRows uint16, shape uint8, truncate bool, seed int64) {
 		k := int(nRows)
 		tbl := NewTable(75, "fuzz", ingestSchema(), Config{})
@@ -391,11 +397,21 @@ func FuzzBulkAppend(f *testing.F) {
 				}
 			}()
 		}
+		if shape&4 != 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := updateWhere(tbl, []Pred{{Col: 0, Op: encoding.OpEQ, Val: types.NewInt(0)}},
+					map[int]types.Value{0: types.NewInt(2)}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			counts := map[int64]int{}
-			err := tbl.Scan(nil, func(b *Batch) bool {
+			err := scanSerial(tbl, nil, func(b *Batch) bool {
 				for i := 0; i < b.Len(); i++ {
 					counts[b.Value(0, i).Int()]++
 				}
@@ -405,8 +421,8 @@ func FuzzBulkAppend(f *testing.F) {
 				t.Error(err)
 				return
 			}
-			if n := counts[0]; n != 0 && n != 50 {
-				t.Errorf("seed batch torn: %d rows", n)
+			if n := counts[0] + counts[2]; (n != 0 && n != 50) || (counts[0] != 0 && counts[2] != 0) {
+				t.Errorf("seed batch torn: %d seed rows, %d replacements", counts[0], counts[2])
 			}
 			if n := counts[1]; n != 0 && n != k {
 				t.Errorf("bulk batch torn: %d of %d rows", n, k)
@@ -425,7 +441,7 @@ func FuzzBulkAppend(f *testing.F) {
 		}
 		// Post-race: the final state is consistent and fully scannable.
 		final := 0
-		if err := tbl.Scan(nil, func(b *Batch) bool {
+		if err := scanSerial(tbl, nil, func(b *Batch) bool {
 			for i := 0; i < b.Len(); i++ {
 				_ = b.Row(i)
 			}

@@ -6,12 +6,18 @@
 // pool (§II.B.5), and scanned with word-parallel SWAR predicate kernels
 // (§II.B.6) a stride at a time (§II.B.7).
 //
+// A reader pins an epoch with Table.Snapshot and reads it through
+// Snapshot.Scan, the one scan (Snapshot.ScanNaive is the
+// decode-then-evaluate ablation). A writer calls InsertBatch or BulkAppend
+// to append a batch, Change to delete and add rows in one step (UPDATE
+// and DELETE), or Truncate.
+//
 // Concurrency model (DESIGN.md §13): the table is split into a
 // writer-private build side and immutable published epochs. All mutation
 // runs under the writer mutex, accumulates in private buffers, and ends by
 // publishing a fresh immutable tableState through an epoch manager —
-// one atomic pointer swap. Readers pin an epoch and scan it without any
-// lock on the table: sealed pages are immutable, the open tail is
+// one atomic pointer swap, one per write. Readers pin an epoch and scan
+// it without any lock on the table: sealed pages are immutable, the open tail is
 // copy-on-seal (published epochs hold capacity-clamped views the writer
 // never writes into), tombstones are copy-on-write, and page reclamation
 // after TRUNCATE or an encoder rebuild is deferred until every epoch that
@@ -336,25 +342,74 @@ func (t *Table) BulkAppend(rows []types.Row) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return t.BulkAppendValidated(checked)
-}
-
-// BulkAppendValidated is BulkAppend for rows that already are the output
-// of Schema().Validate: a dashdb.Bulk loader validates and copies each row
-// at its Add, so its flush stores those rows as they are instead of
-// validating and copying every one a second time.
-func (t *Table) BulkAppendValidated(rows []types.Row) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	defer t.publishLocked()
 	before := t.rawBytes
-	if err := t.appendRowsLocked(rows); err != nil {
+	if err := t.appendRowsLocked(checked); err != nil {
 		return 0, err
 	}
 	t.bulk.flushes.Add(1)
 	t.bulk.rows.Add(uint64(len(rows)))
 	t.bulk.bytes.Add(uint64(t.rawBytes - before))
 	return len(rows), nil
+}
+
+// Change is the table's one read-modify-write (UPDATE and DELETE): match
+// picks the row ids to delete and the rows to add, and Change makes both
+// visible in one published epoch, so a reader sees the table before the
+// change or after it, never between. It holds the writer lock from match
+// to publish, so match reads the latest epoch and changes to one table
+// run one after another: a row one change replaced is gone before the
+// next change's match runs. add is validated before anything changes; a
+// refused add, or an error from match, changes nothing. Change returns
+// how many rows del removed.
+//
+// match runs under the writer lock: it may scan any table, this one's
+// snapshot included, but it must not write this table (InsertBatch,
+// BulkAppend, Change or Truncate would deadlock). Compile predicates and
+// expressions before calling Change, so the lock covers only the match.
+func (t *Table) Change(match func(*Snapshot) (del []int64, add []types.Row, err error)) (int, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	snap := t.Snapshot()
+	del, add, err := match(snap)
+	snap.Release()
+	if err != nil {
+		return 0, err
+	}
+	checked, err := t.validateAll(add)
+	if err != nil {
+		return 0, err
+	}
+	defer t.publishLocked()
+	if err := t.appendRowsLocked(checked); err != nil {
+		return 0, err
+	}
+	return t.tombstoneLocked(del), nil
+}
+
+// tombstoneLocked sets tombstones for the given row ids on a private copy
+// of the bitmap (copy-on-write: published epochs keep the old bitmap) and
+// returns how many were live. Caller holds mu and publishes after.
+func (t *Table) tombstoneLocked(rids []int64) int {
+	if len(rids) == 0 {
+		return 0
+	}
+	nb := t.deleted.Clone()
+	n := 0
+	for _, rid := range rids {
+		if rid < 0 || int(rid) >= t.rows {
+			continue
+		}
+		if !nb.Get(int(rid)) {
+			nb.Set(int(rid))
+			t.live--
+			n++
+		}
+	}
+	t.deleted = nb
+	return n
 }
 
 // validateAll schema-checks every row up front, so a batch that fails

@@ -255,38 +255,41 @@ func (s *Session) executeInsert(stmt *sql.InsertStmt) (*Result, error) {
 	return &Result{RowsAffected: int64(len(rows)), Message: fmt.Sprintf("%d rows inserted", len(rows))}, nil
 }
 
-// matchingRows scans tbl with pushdown and returns the ids of the rows the
-// residual predicate keeps, in scan order. each, when set, sees every scan
-// batch that holds a match as column vectors, the selection narrowed to the
-// matches; nothing is boxed here.
-func (s *Session) matchingRows(tbl *columnar.Table, where sql.Expr, each func(vb *vec.Batch) error) ([]int64, error) {
+// change runs an UPDATE or a DELETE on tbl as one columnar Change: the
+// WHERE clause is compiled first, then, under the table's writer lock, the
+// latest epoch is scanned with pushdown, the residual predicate narrows
+// each batch, and the matches are deleted. set, when not nil, sees every
+// scan batch that holds a match as column vectors, the selection narrowed
+// to the matches, and appends the rows that replace them; nothing is
+// boxed here.
+func (s *Session) change(tbl *columnar.Table, where sql.Expr, set func(vb *vec.Batch, add []types.Row) ([]types.Row, error)) (int, error) {
 	preds, residual, err := s.compiler().CompileTablePredicate(where, tbl.Schema())
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	var rids []int64
-	var inner error
-	scanErr := tbl.Scan(preds, func(b *columnar.Batch) bool {
-		vb := vec.NewBatch(tbl.Schema(), b.VectorsEnc(nil, nil), b.Len())
-		if residual != nil {
-			var pv *vec.Vector
-			if pv, inner = residual.EvalVec(vb); inner != nil {
-				return false
+	return tbl.Change(func(snap *columnar.Snapshot) (del []int64, add []types.Row, err error) {
+		scanErr := snap.Scan(preds, 1, nil, func(_ int, b *columnar.Batch) bool {
+			vb := vec.NewBatch(tbl.Schema(), b.VectorsEnc(nil, nil), b.Len())
+			if residual != nil {
+				var pv *vec.Vector
+				if pv, err = residual.EvalVec(vb); err != nil {
+					return false
+				}
+				vb.Sel = exec.SelTrue(pv, vb.Idx())
 			}
-			vb.Sel = exec.SelTrue(pv, vb.Idx())
+			for _, i := range vb.Idx() {
+				del = append(del, b.RowID(i))
+			}
+			if set != nil && vb.Rows() > 0 {
+				add, err = set(vb, add)
+			}
+			return err == nil
+		})
+		if err == nil {
+			err = scanErr
 		}
-		for _, i := range vb.Idx() {
-			rids = append(rids, b.RowID(i))
-		}
-		if each != nil && vb.Rows() > 0 {
-			inner = each(vb)
-		}
-		return inner == nil
+		return del, add, err
 	})
-	if inner != nil {
-		return nil, inner
-	}
-	return rids, scanErr
 }
 
 func (s *Session) executeUpdate(stmt *sql.UpdateStmt) (*Result, error) {
@@ -312,31 +315,26 @@ func (s *Session) executeUpdate(stmt *sql.UpdateStmt) (*Result, error) {
 		}
 		sets = append(sets, setOp{ci: ci, e: ce})
 	}
-	var newRows []types.Row
-	rids, err := s.matchingRows(tbl, stmt.Where, func(vb *vec.Batch) error {
+	n, err := s.change(tbl, stmt.Where, func(vb *vec.Batch, add []types.Row) ([]types.Row, error) {
 		// Every SET expression reads the old values (the vectors), so the
 		// boxed rows can take the new ones in place.
-		first := len(newRows)
-		newRows = vb.AppendRows(newRows)
+		first := len(add)
+		add = vb.AppendRows(add)
 		for _, so := range sets {
 			v, err := so.e.EvalVec(vb)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			for n, i := range vb.Idx() {
-				newRows[first+n][so.ci] = v.Get(i)
+				add[first+n][so.ci] = v.Get(i)
 			}
 		}
-		return nil
+		return add, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	tbl.DeleteRows(rids)
-	if err := tbl.InsertBatch(newRows); err != nil {
-		return nil, err
-	}
-	return &Result{RowsAffected: int64(len(rids)), Message: fmt.Sprintf("%d rows updated", len(rids))}, nil
+	return &Result{RowsAffected: int64(n), Message: fmt.Sprintf("%d rows updated", n)}, nil
 }
 
 func (s *Session) executeDelete(stmt *sql.DeleteStmt) (*Result, error) {
@@ -344,11 +342,10 @@ func (s *Session) executeDelete(stmt *sql.DeleteStmt) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: table %s does not exist", stmt.Table)
 	}
-	rids, err := s.matchingRows(tbl, stmt.Where, nil)
+	n, err := s.change(tbl, stmt.Where, nil)
 	if err != nil {
 		return nil, err
 	}
-	n := tbl.DeleteRows(rids)
 	return &Result{RowsAffected: int64(n), Message: fmt.Sprintf("%d rows deleted", n)}, nil
 }
 

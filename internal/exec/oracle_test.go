@@ -144,7 +144,9 @@ func rowEval(e Expr, row types.Row) (types.Value, error) {
 func tableRows(t testing.TB, tbl *columnar.Table) []types.Row {
 	t.Helper()
 	var rows []types.Row
-	err := tbl.Scan(nil, func(b *columnar.Batch) bool {
+	snap := tbl.Snapshot()
+	defer snap.Release()
+	err := snap.Scan(nil, 1, nil, func(_ int, b *columnar.Batch) bool {
 		for i := 0; i < b.Len(); i++ {
 			rows = append(rows, b.Row(i))
 		}

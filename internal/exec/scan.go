@@ -14,10 +14,10 @@ import (
 // (data skipping + SWAR) and optional projection. Projection ordinals refer
 // to the table schema; nil projects all columns.
 //
-// Dop > 1 switches to the morsel-driven ParallelScan: Dop workers pull
-// strides from a shared queue and batches arrive in nondeterministic
-// order, so the compiler only raises Dop under a group-by, whose
-// key-ordered emit makes arrival order irrelevant.
+// Dop > 1 runs the scan with Dop morsel workers: they pull strides from a
+// shared queue and batches arrive in nondeterministic order, so the
+// compiler only raises Dop under a group-by, whose key-ordered emit makes
+// arrival order irrelevant.
 type ScanOp struct {
 	Table      *columnar.Table
 	Preds      []columnar.Pred
@@ -110,8 +110,8 @@ func (s *ScanOp) PlanSnapshot() (*columnar.Snapshot, func()) {
 
 // Open implements Operator: a producer goroutine runs the scan and
 // vectorizes each columnar.Batch inside the callback (batches are only
-// valid during the callback). With Dop > 1 the producer drives ParallelScan
-// and all workers feed the same channel.
+// valid during the callback). With Dop > 1 the scan's workers all feed
+// the same channel.
 func (s *ScanOp) Open() error {
 	buf := 2
 	if s.Dop > buf {
@@ -120,7 +120,7 @@ func (s *ScanOp) Open() error {
 	s.chunks = make(chan *vec.Batch, buf)
 	s.errc = make(chan error, 1)
 	s.stop = make(chan struct{})
-	deliver := func(b *columnar.Batch) bool {
+	deliver := func(_ int, b *columnar.Batch) bool {
 		vb := vec.NewBatch(s.out, b.VectorsEnc(s.Projection, s.Compressed), b.Len())
 		select {
 		case s.chunks <- vb:
@@ -133,15 +133,7 @@ func (s *ScanOp) Open() error {
 		defer close(s.chunks)
 		snap, release := s.PlanSnapshot()
 		defer release()
-		var err error
-		if s.Dop > 1 {
-			err = snap.ParallelScanWithStats(s.Preds, s.Dop, s.ScanStats, func(_ int, b *columnar.Batch) bool {
-				return deliver(b)
-			})
-		} else {
-			err = snap.ScanWithStats(s.Preds, s.ScanStats, deliver)
-		}
-		if err != nil {
+		if err := snap.Scan(s.Preds, s.Dop, s.ScanStats, deliver); err != nil {
 			s.errc <- err
 		}
 	}()

@@ -17,6 +17,7 @@ package hybrid
 import (
 	"fmt"
 
+	"dashdb/internal/columnar"
 	"dashdb/internal/core"
 	"dashdb/internal/mpp"
 	"dashdb/internal/types"
@@ -93,7 +94,15 @@ func SyncFromCloud(cloud *CloudService, cl *mpp.NetCluster, table string, opts m
 	if !ok {
 		return 0, fmt.Errorf("hybrid: cloud table %s does not exist", table)
 	}
-	rows, err := t.SelectWhere(nil)
+	var rows []types.Row
+	snap := t.Snapshot()
+	err := snap.Scan(nil, 1, nil, func(_ int, b *columnar.Batch) bool {
+		for i := 0; i < b.Len(); i++ {
+			rows = append(rows, b.Row(i))
+		}
+		return true
+	})
+	snap.Release()
 	if err != nil {
 		return 0, err
 	}

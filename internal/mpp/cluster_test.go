@@ -634,6 +634,46 @@ func TestDMLBroadcast(t *testing.T) {
 	})
 }
 
+// TestUpdateRefusedOnShards: an UPDATE every shard refuses (NULL into a
+// NOT NULL column) is the statement's error and leaves every shard's rows
+// in place; a valid UPDATE after it applies exactly once.
+func TestUpdateRefusedOnShards(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.form(fourNodes(), 6, clusterfs.New())
+		schema := types.Schema{{Name: "id", Kind: types.KindInt}, {Name: "v", Kind: types.KindInt}}
+		if err := c.CreateTable("t", schema, TableOptions{DistributeBy: "id"}); err != nil {
+			t.Fatal(err)
+		}
+		var rows []types.Row
+		for i := range 1000 {
+			rows = append(rows, types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 10))})
+		}
+		if err := c.Insert("t", rows); err != nil {
+			t.Fatal(err)
+		}
+		totals := func() string {
+			r, err := c.Query(`SELECT COUNT(*), SUM(v) FROM t`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprint(r.Rows)
+		}
+		if _, err := c.Query(`UPDATE t SET v = NULL WHERE id < 100`); err == nil {
+			t.Fatal("UPDATE of a NOT NULL column to NULL succeeded")
+		}
+		if got := totals(); got != "[(1000, 4500)]" {
+			t.Fatalf("after the refused UPDATE: COUNT(*), SUM(v) = %s, want [(1000, 4500)]", got)
+		}
+		r, err := c.Query(`UPDATE t SET v = v + 1 WHERE id < 100`)
+		if err != nil || r.RowsAffected != 100 {
+			t.Fatalf("update %v err %v, want 100 rows affected", r, err)
+		}
+		if got := totals(); got != "[(1000, 4600)]" {
+			t.Fatalf("after the UPDATE: COUNT(*), SUM(v) = %s, want [(1000, 4600)]", got)
+		}
+	})
+}
+
 // TestWritePathClusterfsWrites pins the one deliberate difference
 // between the shard clients: a shard server saves the written table's
 // metadata to the clustered filesystem after every statement (another

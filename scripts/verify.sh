@@ -57,7 +57,7 @@ DASHDB_SORTHEAP=1MB DASHDB_HASHHEAP=64KB go test -race -count=1 ./internal/core/
 # INSERTs, bulk flushes, TRUNCATE and DROP racing the full query mix at
 # dop 1/2/8 — re-run under the race detector.
 go test -race -count=1 \
-	-run 'TestSnapshot|TestPin|TestCleanup|TestDrainOrder|TestReleaseIsExact|TestConcurrentPinPublish|TestTruncateDrains|TestConcurrentIngest|TestTruncateRacing|TestDropRacing|TestMultiRowInsert|TestBulk' \
+	-run 'TestSnapshot|TestPin|TestCleanup|TestDrainOrder|TestReleaseIsExact|TestConcurrentPinPublish|TestTruncateDrains|TestConcurrentIngest|TestTruncateRacing|TestDropRacing|TestMultiRowInsert|TestBulk|TestUpdate|TestChange' \
 	./internal/snapshot/ ./internal/columnar/ ./internal/core/ ./. ./driver/
 
 if [ "${DASHDB_FUZZ:-0}" = "1" ]; then
