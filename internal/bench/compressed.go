@@ -53,7 +53,11 @@ func dictBenchTables(rows int) (fact, dim *columnar.Table, err error) {
 	if err = dim.InsertBatch(dimRows); err != nil {
 		return nil, nil, err
 	}
-	if fact.ColumnDict(0) == nil || dim.ColumnDict(0) == nil {
+	fs, ds := fact.Snapshot(), dim.Snapshot()
+	adopted := fs.ColumnDict(0) != nil && ds.ColumnDict(0) != nil
+	fs.Release()
+	ds.Release()
+	if !adopted {
 		return nil, nil, fmt.Errorf("bench: analysis did not adopt FREQ-DICT for the key column")
 	}
 	return fact, dim, nil

@@ -29,7 +29,7 @@ const MaxWidth = 32
 // inline in Get/Set/Append pushes those per-element accessors past the
 // compiler's inlining budget, so every SWAR kernel pays an outlined call
 // per element for a message that is never built. The helpers panic as
-// their first statement, which hotpathcg recognizes as abort stubs.
+// their first statement, which the hotpath analyzer recognizes as abort stubs.
 
 func panicIndexRange(i, n int) {
 	panic(fmt.Sprintf("bitpack: index %d out of range [0,%d)", i, n))

@@ -73,8 +73,8 @@ func TestChangeRefusedAddChangesNothing(t *testing.T) {
 	if got := tbl.SnapshotInfo().Epoch; got != epoch+1 {
 		t.Fatalf("epoch %d -> %d, want one publish", epoch, got)
 	}
-	if c, _ := countWhere(tbl, []Pred{{Col: 0, Op: encoding.OpEQ, Val: types.NewInt(1)}}); c != 3 || tbl.Rows() != 3 {
-		t.Fatalf("after the change: %d version-1 rows of %d, want 3 of 3", c, tbl.Rows())
+	if c, _ := countWhere(tbl, []Pred{{Col: 0, Op: encoding.OpEQ, Val: types.NewInt(1)}}); c != 3 || tbl.SnapshotInfo().Rows != 3 {
+		t.Fatalf("after the change: %d version-1 rows of %d, want 3 of 3", c, tbl.SnapshotInfo().Rows)
 	}
 }
 

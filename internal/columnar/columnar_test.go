@@ -54,8 +54,8 @@ func newTestTable(t testing.TB, n int) *Table {
 
 func TestInsertAndCount(t *testing.T) {
 	tbl := newTestTable(t, 5000)
-	if tbl.Rows() != 5000 {
-		t.Fatalf("rows %d", tbl.Rows())
+	if tbl.SnapshotInfo().Rows != 5000 {
+		t.Fatalf("rows %d", tbl.SnapshotInfo().Rows)
 	}
 	n, err := countWhere(tbl, nil)
 	if err != nil || n != 5000 {
@@ -192,8 +192,8 @@ func TestDeleteWhere(t *testing.T) {
 	if err != nil || n != 500 {
 		t.Fatalf("deleted %d err %v", n, err)
 	}
-	if tbl.Rows() != 1500 {
-		t.Fatalf("live %d", tbl.Rows())
+	if tbl.SnapshotInfo().Rows != 1500 {
+		t.Fatalf("live %d", tbl.SnapshotInfo().Rows)
 	}
 	c, _ := countWhere(tbl, nil)
 	if c != 1500 {
@@ -215,8 +215,8 @@ func TestUpdateWhere(t *testing.T) {
 	if err != nil || n != 250 {
 		t.Fatalf("updated %d err %v", n, err)
 	}
-	if tbl.Rows() != 1000 {
-		t.Fatalf("live %d", tbl.Rows())
+	if tbl.SnapshotInfo().Rows != 1000 {
+		t.Fatalf("live %d", tbl.SnapshotInfo().Rows)
 	}
 	c, _ := countWhere(tbl, []Pred{{Col: 3, Op: encoding.OpEQ, Val: types.NewFloat(-1)}})
 	if c != 250 {
@@ -229,7 +229,7 @@ func TestTruncateAndReuse(t *testing.T) {
 	if err := tbl.Truncate(); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Rows() != 0 {
+	if tbl.SnapshotInfo().Rows != 0 {
 		t.Fatal("rows after truncate")
 	}
 	loadSales(t, tbl, 100)

@@ -148,8 +148,8 @@ func TestSaveAndOpenTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reopened.Rows() != orig.Rows() {
-		t.Fatalf("rows %d vs %d", reopened.Rows(), orig.Rows())
+	if reopened.SnapshotInfo().Rows != orig.SnapshotInfo().Rows {
+		t.Fatalf("rows %d vs %d", reopened.SnapshotInfo().Rows, orig.SnapshotInfo().Rows)
 	}
 	queries := [][]Pred{
 		nil,

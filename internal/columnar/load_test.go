@@ -269,8 +269,8 @@ func TestFailedValidationLeavesTableUntouched(t *testing.T) {
 		}
 	}
 	rows1, cols1 := state()
-	if rows1 != rows0 || tbl.Rows() != len(load) {
-		t.Fatalf("rows %d → %d (Rows() %d)", rows0, rows1, tbl.Rows())
+	if rows1 != rows0 || tbl.SnapshotInfo().Rows != len(load) {
+		t.Fatalf("rows %d → %d (SnapshotInfo %d)", rows0, rows1, tbl.SnapshotInfo().Rows)
 	}
 	for ci := range cols0 {
 		a, b := cols0[ci], cols1[ci]
@@ -335,8 +335,8 @@ func TestRefusedBatchChangesNothing(t *testing.T) {
 	if err := tbl.InsertBatch(batch); err == nil {
 		t.Fatal("a batch with a NULL id was accepted")
 	}
-	if n, err := countWhere(tbl, nil); err != nil || n != 100 || tbl.Rows() != 100 {
-		t.Fatalf("after the refused batch: count %d (err %v), rows %d; want 100", n, err, tbl.Rows())
+	if n, err := countWhere(tbl, nil); err != nil || n != 100 || tbl.SnapshotInfo().Rows != 100 {
+		t.Fatalf("after the refused batch: count %d (err %v), rows %d; want 100", n, err, tbl.SnapshotInfo().Rows)
 	}
 	if v := batch[0][3]; v.Kind() != types.KindInt || v.Int() != 7 {
 		t.Fatalf("the caller's INT became %v of %v", v, v.Kind())

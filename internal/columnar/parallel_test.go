@@ -119,8 +119,8 @@ func TestParallelScanPerWorkerState(t *testing.T) {
 	for _, c := range counts {
 		total += c
 	}
-	if total != tbl.Rows() {
-		t.Fatalf("workers saw %d rows, want %d", total, tbl.Rows())
+	if total != tbl.SnapshotInfo().Rows {
+		t.Fatalf("workers saw %d rows, want %d", total, tbl.SnapshotInfo().Rows)
 	}
 }
 

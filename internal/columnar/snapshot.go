@@ -54,19 +54,6 @@ func (st *tableState) openLen() int { return st.rows % page.StrideSize }
 // index is sealedStrides().
 func (st *tableState) strides() int { return (st.rows + page.StrideSize - 1) / page.StrideSize }
 
-// columnDict applies the compressed-execution eligibility gate to column
-// ci's encoder in this state.
-func (st *tableState) columnDict(ci int) *encoding.Dict {
-	if ci < 0 || ci >= len(st.cols) {
-		return nil
-	}
-	if st.schema[ci].Kind == types.KindFloat {
-		return nil
-	}
-	d, _ := st.cols[ci].enc.(*encoding.Dict)
-	return d
-}
-
 // Snapshot is a pinned, immutable view of a table: one epoch held for the
 // lifetime of a query. All scan entry points on Snapshot read only the
 // pinned state — concurrent writers publish new epochs without ever
@@ -94,10 +81,19 @@ func (s *Snapshot) state() *tableState { return s.e.State() }
 func (s *Snapshot) Rows() int { return s.state().live }
 
 // ColumnDict returns column ci's dictionary as pinned by this snapshot
-// when the column is eligible for compressed execution, or nil (same gate
-// as Table.ColumnDict).
+// when the column is eligible for compressed (code-space) execution, or
+// nil. Eligibility requires an analyzed frequency-dictionary encoder on a
+// non-float column: float dictionaries are excluded centrally here
+// because NaN keys break the value↔code bijection the executor's
+// code-keyed joins and group-bys rely on (NaN != NaN, so NaN rows can
+// occupy several codes).
 func (s *Snapshot) ColumnDict(ci int) *encoding.Dict {
-	return s.state().columnDict(ci)
+	st := s.state()
+	if ci < 0 || ci >= len(st.cols) || st.schema[ci].Kind == types.KindFloat {
+		return nil
+	}
+	d, _ := st.cols[ci].enc.(*encoding.Dict)
+	return d
 }
 
 // SnapshotSet pins at most one snapshot per table and releases them all
@@ -139,10 +135,14 @@ func (ss *SnapshotSet) ReleaseAll() {
 }
 
 // SnapshotInfo is the table's epoch and bulk-ingest telemetry
-// (MON_SNAPSHOTS).
+// (MON_SNAPSHOTS). It reads the current epoch unpinned, so a racing
+// writer can make it momentarily stale, never torn: a reader whose
+// answer must agree with a scan pins a Snapshot instead.
 type SnapshotInfo struct {
 	// Epoch is the current epoch's sequence number.
 	Epoch uint64
+	// Rows is the live row count of the current epoch.
+	Rows int
 	// PinnedReaders counts reader pins across current and superseded
 	// epochs.
 	PinnedReaders int64
@@ -162,6 +162,7 @@ func (t *Table) SnapshotInfo() SnapshotInfo {
 	info := t.epochs.Info()
 	return SnapshotInfo{
 		Epoch:         info.Seq,
+		Rows:          t.epochs.Current().State().live,
 		PinnedReaders: info.PinnedReaders,
 		Behind:        info.Behind,
 		Drained:       info.Drained,

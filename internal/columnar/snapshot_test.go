@@ -139,7 +139,7 @@ func TestSnapshotBatchAtomicity(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	if got := tbl.Rows(); got != writers*batchesPer*k {
+	if got := tbl.SnapshotInfo().Rows; got != writers*batchesPer*k {
 		t.Fatalf("final rows %d, want %d", got, writers*batchesPer*k)
 	}
 }
@@ -186,8 +186,8 @@ func TestSnapshotRepeatableCount(t *testing.T) {
 		t.Fatalf("snapshot Rows %d, want %d", snap.Rows(), want)
 	}
 	// The table itself reports the new epoch.
-	if tbl.Rows() != 0 {
-		t.Fatalf("table rows after truncate %d, want 0", tbl.Rows())
+	if tbl.SnapshotInfo().Rows != 0 {
+		t.Fatalf("table rows after truncate %d, want 0", tbl.SnapshotInfo().Rows)
 	}
 }
 
@@ -233,8 +233,8 @@ func TestTruncateDrainsBehindPinnedReader(t *testing.T) {
 	if err := insert(tbl, types.Row{types.NewInt(9), types.NewInt(9), types.NewFloat(9)}); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Rows() != 1 {
-		t.Fatalf("rows after truncate+insert: %d", tbl.Rows())
+	if tbl.SnapshotInfo().Rows != 1 {
+		t.Fatalf("rows after truncate+insert: %d", tbl.SnapshotInfo().Rows)
 	}
 }
 
@@ -450,8 +450,8 @@ func FuzzBulkAppend(f *testing.F) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if final != tbl.Rows() {
-			t.Fatalf("scan saw %d rows, Rows() reports %d", final, tbl.Rows())
+		if final != tbl.SnapshotInfo().Rows {
+			t.Fatalf("scan saw %d rows, SnapshotInfo reports %d", final, tbl.SnapshotInfo().Rows)
 		}
 	})
 }

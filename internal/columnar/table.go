@@ -236,13 +236,6 @@ func (t *Table) Name() string { return t.name }
 // Schema returns the table schema.
 func (t *Table) Schema() types.Schema { return t.schema }
 
-// Rows returns the number of live rows in the current epoch. It takes no
-// lock: the epoch state is immutable, so a racing writer can only make
-// the answer momentarily stale, never torn.
-func (t *Table) Rows() int {
-	return t.epochs.Current().State().live
-}
-
 // Stats returns a snapshot of scan counters.
 func (t *Table) Stats() Stats {
 	return Stats{
@@ -838,18 +831,6 @@ func (t *Table) Drop() error {
 	})
 	t.publishLocked()
 	return nil
-}
-
-// ColumnDict returns column ci's dictionary in the current epoch when the
-// column is eligible for compressed (code-space) execution, or nil.
-// Eligibility requires an analyzed frequency-dictionary encoder on a
-// non-float column: float dictionaries are excluded centrally here because
-// NaN keys break the value↔code bijection the executor's code-keyed joins
-// and group-bys rely on (NaN != NaN, so NaN rows can occupy several
-// codes). Compiled plans that must agree with their scan should prefer
-// Snapshot.ColumnDict on the pinned snapshot.
-func (t *Table) ColumnDict(ci int) *encoding.Dict {
-	return t.epochs.Current().State().columnDict(ci)
 }
 
 // ColumnCompression is one column's entry in the compression report,

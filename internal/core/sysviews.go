@@ -47,7 +47,7 @@ func (s *syscatTables) ScanAll() ([]types.Row, error) {
 		c := t.Compression()
 		out = append(out, types.Row{
 			types.NewString(name),
-			types.NewInt(int64(t.Rows())),
+			types.NewInt(int64(t.SnapshotInfo().Rows)),
 			types.NewInt(int64(c.RawBytes)),
 			types.NewInt(int64(c.CompressedBytes)),
 			types.NewFloat(c.Ratio),

@@ -218,7 +218,7 @@ func (d *Dict) normalize(v types.Value) (types.Value, bool) {
 //
 //dashdb:hotpath
 func (d *Dict) ExistingCodes(vals []types.Value, codes []uint64, found []bool) {
-	d.mu.RLock()
+	d.mu.RLock() //dashdb:nolint hotpath one read lock per batch, not per value: a concurrent load may grow the domain
 	defer d.mu.RUnlock()
 	for k, v := range vals {
 		switch {

@@ -174,7 +174,7 @@ func TestGroupByGenerated(t *testing.T) {
 		if err := tbl.InsertBatch(rows); err != nil {
 			t.Fatal(err)
 		}
-		if tbl.ColumnDict(0) == nil || tbl.ColumnDict(1) == nil || tbl.ColumnDict(4) != nil {
+		if !hasDict(tbl, 0) || !hasDict(tbl, 1) || hasDict(tbl, 4) {
 			t.Fatalf("encodings: %+v", tbl.ColumnCompressionReport())
 		}
 		rows = tableRows(t, tbl)

@@ -61,6 +61,14 @@ func dictRows(rng *rand.Rand, n int, extend bool) []types.Row {
 	return rows
 }
 
+// hasDict reports whether column ci of tbl's current epoch is eligible
+// for code-space execution.
+func hasDict(tbl *columnar.Table, ci int) bool {
+	snap := tbl.Snapshot()
+	defer snap.Release()
+	return snap.ColumnDict(ci) != nil
+}
+
 // dictTable loads rows batch-first so analysis adopts dictionary encoders
 // for g and k, and fails the test if it did not (the whole point of this
 // suite is the code path).
@@ -71,10 +79,10 @@ func dictTable(t testing.TB, id uint32, rows []types.Row) *columnar.Table {
 		t.Fatal(err)
 	}
 	if len(rows) > 0 {
-		if tbl.ColumnDict(0) == nil || tbl.ColumnDict(1) == nil {
+		if !hasDict(tbl, 0) || !hasDict(tbl, 1) {
 			t.Fatalf("analysis did not pick FREQ-DICT: %+v", tbl.ColumnCompressionReport())
 		}
-		if tbl.ColumnDict(2) != nil {
+		if hasDict(tbl, 2) {
 			t.Fatal("float column must never be code-eligible (NaN gate)")
 		}
 	}
@@ -293,7 +301,7 @@ func TestCompressedGroupByNaNFloatStaysDecoded(t *testing.T) {
 	if err := tbl.InsertBatch(rows); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.ColumnDict(2) != nil {
+	if hasDict(tbl, 2) {
 		t.Fatal("NaN gate must reject float dictionaries")
 	}
 	keys, aggs := []Expr{ColRef(2)}, []AggSpec{{Func: AggCountStar, Name: "cnt"}}

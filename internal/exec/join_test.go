@@ -112,7 +112,7 @@ func joinTable(t testing.TB, id uint32, rows []types.Row) *columnar.Table {
 	if err := tbl.InsertBatch(rows); err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) > 0 && (tbl.ColumnDict(0) == nil || tbl.ColumnDict(1) != nil) {
+	if len(rows) > 0 && (!hasDict(tbl, 0) || hasDict(tbl, 1)) {
 		t.Fatalf("want g dictionary-encoded and k plain, got %+v", tbl.ColumnCompressionReport())
 	}
 	return tbl
@@ -186,7 +186,7 @@ func TestHashJoinInputInvariance(t *testing.T) {
 			// delivers dictionary-encoded.
 			codeKeys := 0
 			for _, c := range shape.bkeys {
-				if shape.build.tbl.ColumnDict(c) != nil {
+				if hasDict(shape.build.tbl, c) {
 					codeKeys++
 				}
 			}

@@ -65,7 +65,8 @@ func readExpectations(t *testing.T, dir string) []expectation {
 // TestFixtures runs the FULL analyzer suite over every fixture directory
 // and requires the findings to match the //lint:expect markers exactly.
 // *_ok fixtures carry no markers, so they double as negative tests for
-// every analyzer at once.
+// every analyzer at once; nolint_ok's one marker is the misspelled
+// directive it exists to show.
 func TestFixtures(t *testing.T) {
 	root := moduleRoot(t)
 	testdata := filepath.Join(root, "internal", "lint", "testdata")
@@ -125,8 +126,9 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// TestAnalyzerRoster pins the suite: the PR's acceptance criteria require
-// at least 6 distinct invariants, each with positive and negative fixtures.
+// TestAnalyzerRoster pins the suite in both directions: every analyzer
+// has positive and negative fixtures, and every <name>_ok / <name>_bad
+// fixture names an analyzer, so a retired analyzer leaves none behind.
 func TestAnalyzerRoster(t *testing.T) {
 	all := All()
 	if len(all) < 6 {
@@ -134,17 +136,32 @@ func TestAnalyzerRoster(t *testing.T) {
 	}
 	root := moduleRoot(t)
 	testdata := filepath.Join(root, "internal", "lint", "testdata")
+	known := map[string]bool{
+		"nolint":    true, // nolint_ok: the directive's own fixture
+		"hotpathcg": true, // hotpathcg_*: the call-graph half of hotpath
+	}
 	for _, a := range all {
+		known[a.Name] = true
 		pos := a.Name + "_bad"
-		if a.Name == "droppederr" || a.Name == "typeassert" || a.Name == "goroutine" {
-			// These also have dedicated suppression coverage in nolint_ok.
-		}
 		if _, err := os.Stat(filepath.Join(testdata, pos)); err != nil {
 			t.Errorf("analyzer %s has no positive fixture %s", a.Name, pos)
 		}
 		neg := a.Name + "_ok"
 		if _, err := os.Stat(filepath.Join(testdata, neg)); err != nil {
 			t.Errorf("analyzer %s has no negative fixture %s", a.Name, neg)
+		}
+	}
+	entries, err := os.ReadDir(testdata)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		name, ok := strings.CutSuffix(e.Name(), "_ok")
+		if !ok {
+			name, ok = strings.CutSuffix(e.Name(), "_bad")
+		}
+		if ok && !known[name] {
+			t.Errorf("fixture %s names no analyzer in All()", e.Name())
 		}
 	}
 }
@@ -183,6 +200,17 @@ func TestNolintScopes(t *testing.T) {
 		if set.covers(Diagnostic{File: lineScoped, Line: line, Analyzer: "droppederr"}) {
 			t.Errorf("line directive leaked to line %d: line scope must stay line-sized", line)
 		}
+	}
+
+	// Line 36's directive misspells its analyzer: it is reported and
+	// suppresses nothing, not every analyzer.
+	for _, name := range []string{"droppederr", "typeassert", "goroutine"} {
+		if set.covers(Diagnostic{File: lineScoped, Line: 36, Analyzer: name}) {
+			t.Errorf("a directive naming no analyzer suppressed %s", name)
+		}
+	}
+	if len(set.malformed) != 1 || set.malformed[0].Line != 36 || set.malformed[0].Analyzer != "nolint" {
+		t.Errorf("malformed directives = %v, want one [nolint] finding at line 36", set.malformed)
 	}
 }
 

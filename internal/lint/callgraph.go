@@ -9,11 +9,10 @@ import (
 )
 
 // Whole-program static call graph over the loaded module packages. The
-// hotpathcg analyzer needs transitivity that per-package AST matching
+// hotpath analyzer needs transitivity that per-package AST matching
 // cannot give: a //dashdb:hotpath kernel is only as allocation-free as
 // everything it calls, and the kernels lean on helpers in internal/vec,
-// internal/bitpack and internal/encoding that the local hotpath analyzer
-// never looks inside. The Loader checks every module package in one type
+// internal/bitpack and internal/encoding. The Loader checks every module package in one type
 // universe, so a *types.Func is the same object in its own package and in
 // every caller's, and nodes are keyed by it. Edges come from go/types
 // call resolution; calls through an interface method are widened to
@@ -23,7 +22,7 @@ import (
 // instantiations.
 //
 // Each node carries two edge lists. edges are the calls the body makes on
-// its own path (what hotpathcg follows); refs are every function the body
+// its own path (what hotpath follows); refs are every function the body
 // uses in any position, closures included (what deadcode follows).
 
 // cgHazard is one hot-path hazard found directly inside a function body:
@@ -377,8 +376,7 @@ func (w *callWalker) addEdge(fn *types.Func, pos token.Pos, guarded bool) {
 	}
 }
 
-// bannedCallHazard classifies calls into the hotpathBanned table
-// (shared with the local hotpath analyzer, so the two stay consistent).
+// bannedCallHazard classifies calls into the hotpathBanned table.
 func bannedCallHazard(call *ast.CallExpr, fn *types.Func) *cgHazard {
 	if fn.Pkg() == nil {
 		return nil
@@ -392,7 +390,7 @@ func bannedCallHazard(call *ast.CallExpr, fn *types.Func) *cgHazard {
 	}
 	return &cgHazard{
 		pos:  call.Pos(),
-		desc: fmt.Sprintf("calls %s.%s (allocates, and defeats inlining even on a panic-only path)", fn.Pkg().Name(), fn.Name()),
+		desc: fmt.Sprintf("calls %s.%s", fn.Pkg().Name(), fn.Name()),
 	}
 }
 

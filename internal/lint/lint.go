@@ -1,15 +1,17 @@
 // Package lint is dashDB Local's project-specific static-analysis suite.
 //
-// The engine's correctness rests on invariants that ordinary Go tooling
-// cannot see: the telemetry weave must never hide the concrete type of the
-// row/vector bridge adapters, cache-line-padded counter shards must never be
-// copied by value, 64-bit atomics must sit at 64-bit-aligned offsets, and
-// hot per-stride loops must not call allocating formatters. Those rules used
-// to live only in comments; this package turns each one into an Analyzer
-// that walks the typed AST of every package in the repository and reports
-// file:line diagnostics, so `scripts/verify.sh` can enforce them
-// mechanically (paper §II.A: the system polices its own configuration
-// instead of relying on expert operators).
+// The engine's correctness rests on invariants that neither the compiler
+// nor `go vet` can see: hot per-stride kernels must not allocate, lock or
+// format, acquired pins and reservations must reach their release on
+// every path, executor temp files must come from the memory governor,
+// and nothing outside a main or the public API may be unreachable. This
+// package turns each such rule into an Analyzer that walks the typed AST
+// of every package in the repository and reports file:line diagnostics,
+// so `scripts/verify.sh` can enforce them mechanically (paper §II.A: the
+// system polices its own configuration instead of relying on expert
+// operators). A rule the language or `go vet` can hold is held there
+// instead: statement-scoped snapshot reads by columnar.Table's API, and
+// uncopyable counter shards by vet's copylocks.
 //
 // The suite is deliberately stdlib-only — go/ast, go/parser, go/types, and
 // export data obtained from `go list -export` — so it adds no module
@@ -39,30 +41,16 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.File, d.Line, d.Col, d.Analyzer, d.Message)
 }
 
-// Facts is cross-package state gathered before any analyzer runs. Analyzers
-// that enforce rules about types declared elsewhere (e.g. "never copy a
-// //dashdb:nocopy struct by value") consult it instead of re-walking the
-// whole program.
+// Facts is whole-program state the RunAll analyzers share instead of
+// re-walking the program.
 type Facts struct {
-	// NoCopy holds the set of struct types annotated //dashdb:nocopy,
-	// keyed by "<pkg path>.<type name>".
-	NoCopy map[string]bool
-	// HotPath holds the set of functions annotated //dashdb:hotpath,
-	// keyed by "<pkg path>.<func name>" (methods as "<pkg>.<recv>.<name>").
-	HotPath map[string]bool
-
 	graph  *callGraph // built by the first RunAll analyzer that asks
 	nolint nolintSet  // the //dashdb:nolint directives of every package
 }
 
-func newFacts() *Facts {
-	return &Facts{NoCopy: map[string]bool{}, HotPath: map[string]bool{}}
-}
-
 // Pass carries everything one analyzer needs to examine one package.
 type Pass struct {
-	Pkg   *Package
-	Facts *Facts
+	Pkg *Package
 
 	analyzer string
 	sink     *[]Diagnostic
@@ -93,17 +81,13 @@ type Analyzer struct {
 	// implementations are expected to accept (matchPath does).
 	Match func(pkgPath string) bool
 
-	// Collect, if set, runs over every package before any Run so the
-	// analyzer can publish cross-package Facts.
-	Collect func(pass *Pass)
-
 	// Run performs the per-package analysis. Nil for whole-program
 	// analyzers that only implement RunAll.
 	Run func(pass *Pass)
 
 	// RunAll, if set, runs once over the whole loaded program after every
 	// per-package Run. Analyzers that need cross-package reachability
-	// (the hotpath call graph) implement this instead of Run.
+	// (hotpath, deadcode) implement this instead of Run.
 	RunAll func(pass *ProgramPass)
 }
 
@@ -159,18 +143,14 @@ func matchPath(needles ...string) func(string) bool {
 func All() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerHotPath,
-		AnalyzerAtomicAlign,
-		AnalyzerNoCopy,
 		AnalyzerTypeAssert,
 		AnalyzerDroppedErr,
 		AnalyzerGoroutine,
 		AnalyzerSpillFile,
 		AnalyzerLateMat,
 		AnalyzerPlanLower,
-		AnalyzerEpochPin,
 		AnalyzerMustRelease,
 		AnalyzerLockPair,
-		AnalyzerHotPathCG,
 		AnalyzerDeadCode,
 	}
 }
@@ -203,18 +183,8 @@ func ByName(names string) ([]*Analyzer, error) {
 // diagnostics sorted by position. //dashdb:nolint suppression and
 // deduplication happen here.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	facts := newFacts()
-	facts.nolint = collectNolint(pkgs)
-	var diags []Diagnostic
-
-	for _, a := range analyzers {
-		if a.Collect == nil {
-			continue
-		}
-		for _, pkg := range pkgs {
-			a.Collect(&Pass{Pkg: pkg, Facts: facts, analyzer: a.Name, sink: &diags})
-		}
-	}
+	facts := &Facts{nolint: collectNolint(pkgs)}
+	diags := facts.nolint.malformed
 	for _, a := range analyzers {
 		if a.Run == nil {
 			continue
@@ -223,7 +193,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			if a.Match != nil && !a.Match(pkg.Path) {
 				continue
 			}
-			a.Run(&Pass{Pkg: pkg, Facts: facts, analyzer: a.Name, sink: &diags})
+			a.Run(&Pass{Pkg: pkg, analyzer: a.Name, sink: &diags})
 		}
 	}
 	for _, a := range analyzers {
@@ -263,14 +233,16 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 
 // nolintSet records //dashdb:nolint suppression at two scopes: per line
 // (directive on or before the offending line) and per file (directive
-// above the package clause). "*" suppresses every analyzer.
+// above the package clause). A directive that names no analyzer
+// suppresses nothing and is itself a finding, kept in malformed.
 type nolintSet struct {
-	byLine map[string]map[int]map[string]bool
-	byFile map[string]map[string]bool
+	byLine    map[string]map[int]map[string]bool
+	byFile    map[string]map[string]bool
+	malformed []Diagnostic
 }
 
 func (s nolintSet) covers(d Diagnostic) bool {
-	if names, ok := s.byFile[d.File]; ok && (names["*"] || names[d.Analyzer]) {
+	if s.byFile[d.File][d.Analyzer] {
 		return true
 	}
 	byLine, ok := s.byLine[d.File]
@@ -281,18 +253,21 @@ func (s nolintSet) covers(d Diagnostic) bool {
 	if !ok {
 		return false
 	}
-	return names["*"] || names[d.Analyzer]
+	return names[d.Analyzer]
 }
 
 // collectNolint gathers //dashdb:nolint directives. A directive trailing a
 // statement suppresses its own line; a directive on a line of its own
 // suppresses the next line; a directive above the package clause
 // suppresses the named analyzers for the entire file. The directive takes
-// a space-separated list of analyzer names (empty list = all), e.g.
+// a space-separated list of analyzer names, e.g.
 //
 //	_ = w.Close() //dashdb:nolint droppederr best-effort cleanup
 //
 // Words after the first non-analyzer token are treated as justification.
+// A directive whose first word names no analyzer — a typo, or an
+// analyzer since retired — is reported under the name "nolint" rather
+// than read as "every analyzer".
 func collectNolint(pkgs []*Package) nolintSet {
 	known := map[string]bool{}
 	for _, a := range All() {
@@ -317,10 +292,15 @@ func collectNolint(pkgs []*Package) nolintSet {
 						}
 						names[w] = true
 					}
-					if len(names) == 0 {
-						names["*"] = true
-					}
 					pos := pkg.Fset.Position(c.Slash)
+					if len(names) == 0 {
+						set.malformed = append(set.malformed, Diagnostic{
+							Pos: pos, File: pos.Filename, Line: pos.Line, Col: pos.Column,
+							Analyzer: "nolint",
+							Message:  "//dashdb:nolint must start with an analyzer name (dashdb-lint -list): this directive suppresses nothing",
+						})
+						continue
+					}
 					if c.Slash < f.Package {
 						// Above the package clause: whole-file scope.
 						byFile := set.byFile[pos.Filename]
@@ -382,7 +362,7 @@ func onOwnLine(fset *token.FileSet, f *ast.File, c *ast.Comment) bool {
 }
 
 // hasDirective reports whether a doc comment group carries the given
-// //dashdb:<name> directive (e.g. "hotpath", "nocopy").
+// //dashdb:<name> directive (e.g. "hotpath", "coldpath").
 func hasDirective(doc *ast.CommentGroup, name string) bool {
 	if doc == nil {
 		return false

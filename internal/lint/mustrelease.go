@@ -56,9 +56,9 @@ var protocols = []protoEntry{
 	{"internal/shardrpc", "Pool", "Get", "Release", "pooled shard connection"},
 }
 
-// protoFor resolves a method call to its protocol entry, matching the
-// epochpin idiom: real packages by path suffix, fixtures by the
-// "fixture/" prefix so testdata stand-ins exercise the same code.
+// protoFor resolves a method call to its protocol entry: real packages
+// by path suffix, fixtures by the "fixture/" prefix so testdata
+// stand-ins exercise the same code.
 func protoFor(fn *types.Func) *protoEntry {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {

@@ -1,11 +1,13 @@
 //dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
 
-// Package kernels exercises the hotpath analyzer: annotated functions must
-// stay free of timers, formatters, and reflection.
+// Package kernels exercises the hotpath analyzer on the kernels' own
+// bodies: annotated functions must stay free of timers, formatters,
+// reflection and locks.
 package kernels
 
 import (
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -30,4 +32,21 @@ func decodeRow(ids []int64) []string {
 		out = append(out, fmt.Sprintf("row-%d", id)) //lint:expect hotpath
 	}
 	return out
+}
+
+// counter is shared by every caller of countLocked.
+type counter struct {
+	mu sync.Mutex
+	n  int
+}
+
+// countLocked takes a mutex in the kernel itself, once per element.
+//
+//dashdb:hotpath
+func countLocked(c *counter, xs []int) {
+	for range xs {
+		c.mu.Lock() //lint:expect hotpath
+		c.n++
+		c.mu.Unlock()
+	}
 }

@@ -1,9 +1,8 @@
 //dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
 
-// Package hotcg exercises the hotpathcg analyzer: //dashdb:hotpath
-// kernels reaching allocating, locking, or immediately-panicking code
-// through in-module helpers the local hotpath analyzer never looks
-// inside.
+// Package hotcg exercises the call-graph half of the hotpath analyzer:
+// //dashdb:hotpath kernels reaching allocating, locking, or
+// immediately-panicking code through in-module helpers.
 package hotcg
 
 import (
@@ -33,7 +32,7 @@ func tally(n *int) {
 
 // unimplemented is an abort stub: its body is a bare panic.
 func unimplemented() {
-	panic("hotcg: unimplemented")
+	panic("kernels: unimplemented")
 }
 
 // kernelAlloc reaches fmt.Sprintf through two in-module hops.
@@ -42,7 +41,7 @@ func unimplemented() {
 func kernelAlloc(xs []int) int {
 	total := 0
 	for _, x := range xs {
-		total += len(render(x)) //lint:expect hotpathcg
+		total += len(render(x)) //lint:expect hotpath
 	}
 	return total
 }
@@ -53,7 +52,7 @@ func kernelAlloc(xs []int) int {
 func kernelLock(xs []int) int {
 	n := 0
 	for range xs {
-		tally(&n) //lint:expect hotpathcg
+		tally(&n) //lint:expect hotpath
 	}
 	return n
 }
@@ -63,6 +62,6 @@ func kernelLock(xs []int) int {
 //
 //dashdb:hotpath
 func kernelAbort(xs []int) int {
-	unimplemented() //lint:expect hotpathcg
+	unimplemented() //lint:expect hotpath
 	return len(xs)
 }

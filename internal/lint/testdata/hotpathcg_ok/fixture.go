@@ -1,8 +1,9 @@
 //dashdb:nolint deadcode fixture: its functions are inputs to the other analyzers, not a program
 
-// Package hotcgok is the negative hotpathcg fixture: kernels whose
-// helpers are clean, //dashdb:coldpath-annotated, hotpath kernels
-// themselves, or abort stubs reached only through guards.
+// Package hotcgok is the negative call-graph fixture of the hotpath
+// analyzer: kernels whose helpers are clean, //dashdb:coldpath
+// annotated, hotpath kernels themselves, or abort stubs reached only
+// through guards.
 package hotcgok
 
 import "fmt"
@@ -15,7 +16,7 @@ func double(x int) int { return x * 2 }
 // (the fmt.Sprintf below never runs on the hot path — and never
 // outlines the caller, because the whole helper is already a call).
 func boundsPanic(i, n int) {
-	panic(fmt.Sprintf("hotcgok: index %d out of range [0,%d)", i, n))
+	panic(fmt.Sprintf("kernels: index %d out of range [0,%d)", i, n))
 }
 
 // errNegative builds the failure error off the steady-state path; the
@@ -23,7 +24,7 @@ func boundsPanic(i, n int) {
 //
 //dashdb:coldpath error construction runs only on failing inputs
 func errNegative(x int) error {
-	return fmt.Errorf("hotcgok: negative value %d", x)
+	return fmt.Errorf("kernels: negative value %d", x)
 }
 
 // inner is itself a hotpath kernel: audited as its own root, never

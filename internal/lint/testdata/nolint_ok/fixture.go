@@ -29,3 +29,10 @@ func loop() {
 	for {
 	}
 }
+
+// misspelled's directive names no analyzer: it is reported, and
+// suppresses nothing.
+func misspelled(s string) int {
+	n, _ := strconv.Atoi(s) //dashdb:nolint droppederrr misspelled //lint:expect droppederr nolint
+	return n
+}

@@ -193,7 +193,7 @@ func TestInsertRouting(t *testing.T) {
 		// Hash distribution should put data on every shard, roughly evenly.
 		for s := 0; s < c.NShards(); s++ {
 			tbl, _ := h.engine(c, s).Table("sales")
-			if n := tbl.Rows(); n < 100 || n > 300 {
+			if n := tbl.SnapshotInfo().Rows; n < 100 || n > 300 {
 				t.Fatalf("shard %d has %d rows: skewed distribution", s, n)
 			}
 		}
@@ -1020,7 +1020,7 @@ func TestRoutingConservationProperty(t *testing.T) {
 				total := 0
 				for s := 0; s < c.NShards(); s++ {
 					tbl, _ := h.engine(c, s).Table("t")
-					total += tbl.Rows()
+					total += tbl.SnapshotInfo().Rows
 				}
 				if total != n {
 					return false

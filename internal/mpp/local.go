@@ -141,7 +141,7 @@ func (l *localShards) RowCount(_ string, shardID int, table string) (int64, erro
 	if err != nil {
 		return 0, err
 	}
-	return int64(tbl.Rows()), nil
+	return int64(tbl.SnapshotInfo().Rows), nil
 }
 
 func (l *localShards) DropShuffle(string, uint64) error { return nil }

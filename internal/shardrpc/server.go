@@ -675,5 +675,5 @@ func (s *Server) rowCount(req RowCountReq) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("shard %d missing table %s", req.ShardID, req.Table)
 	}
-	return int64(tbl.Rows()), nil
+	return int64(tbl.SnapshotInfo().Rows), nil
 }

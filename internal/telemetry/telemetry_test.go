@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestOpStatsObserve(t *testing.T) {
@@ -92,6 +93,14 @@ func TestScanStatsSharding(t *testing.T) {
 	}
 	if r := ss.SkipRatio(); r < 0.33 || r > 0.34 {
 		t.Fatalf("skip ratio %f", r)
+	}
+}
+
+// TestScanShardFillsOneCacheLine pins a shard at one 64-byte line: the
+// zero-size noCopy field takes no space only while it comes first.
+func TestScanShardFillsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(ScanShard{}); got != 64 {
+		t.Fatalf("ScanShard is %d bytes, want 64", got)
 	}
 }
 

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Static analysis gate: gofmt, go vet and the project's own invariant checkers
-# (cmd/dashdb-lint, all fourteen analyzers — AST matchers, the CFG
+# (cmd/dashdb-lint, all ten analyzers — AST matchers, the CFG
 # dataflow checkers mustrelease/lockpair, and the whole-program call graph
-# behind hotpathcg and deadcode) in machine-readable form. Exits non-zero on any finding so
+# behind hotpath and deadcode) in machine-readable form. Exits non-zero on any finding so
 # CI can fail the build. Use `go run ./cmd/dashdb-lint -analyzer <name>`
 # for fast single-analyzer iteration while fixing findings.
 set -eu

@@ -16,8 +16,8 @@ go build ./...
 # Formatting gate: every tracked Go file outside testdata is gofmt-clean.
 test -z "$(gofmt -l $(git ls-files '*.go' | grep -v /testdata/))"
 go vet ./...
-# The full fourteen-analyzer suite, including the dataflow checkers
-# (mustrelease, lockpair) and the whole-program call graph (hotpathcg,
+# The full ten-analyzer suite, including the dataflow checkers
+# (mustrelease, lockpair) and the whole-program call graph (hotpath,
 # deadcode).
 go run ./cmd/dashdb-lint ./...
 # Budget gate: one full-repo analysis-only run must stay inside the
