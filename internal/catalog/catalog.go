@@ -14,6 +14,7 @@ import (
 
 	"dashdb/internal/columnar"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // ObjectKind distinguishes catalog entries.
@@ -68,11 +69,14 @@ func (s *Sequence) CurrVal() (int64, error) {
 	return s.current, nil
 }
 
-// RemoteSource is the interface nicknames resolve to; the fluid package
-// provides connectors implementing it.
+// RemoteSource is the interface nicknames resolve to: the fluid and
+// extern connectors, the system views, and the batches a shard statement
+// or a shuffle partition delivers. The compiler calls ScanAll once per
+// reference and then reads Schema, whose kinds the batches' vectors
+// carry.
 type RemoteSource interface {
 	Schema() types.Schema
-	ScanAll() ([]types.Row, error)
+	ScanAll() ([]*vec.Batch, error)
 }
 
 // Nickname points at a remote object.

@@ -5,6 +5,7 @@ import (
 
 	"dashdb/internal/columnar"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 func newTable(c *Catalog, name string) *columnar.Table {
@@ -92,8 +93,10 @@ func TestSequences(t *testing.T) {
 
 type fakeSource struct{ rows []types.Row }
 
-func (f *fakeSource) Schema() types.Schema          { return types.Schema{{Name: "x", Kind: types.KindInt}} }
-func (f *fakeSource) ScanAll() ([]types.Row, error) { return f.rows, nil }
+func (f *fakeSource) Schema() types.Schema { return types.Schema{{Name: "x", Kind: types.KindInt}} }
+func (f *fakeSource) ScanAll() ([]*vec.Batch, error) {
+	return []*vec.Batch{vec.FromRows(f.Schema(), f.rows)}, nil
+}
 
 func TestNicknames(t *testing.T) {
 	c := New()

@@ -18,6 +18,7 @@ import (
 	"dashdb/internal/sql"
 	"dashdb/internal/telemetry"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 	"dashdb/internal/wlm"
 )
 
@@ -300,7 +301,10 @@ func (s *Session) SetDialect(d sql.Dialect) { s.dialect = d }
 
 // Result is the outcome of one statement.
 type Result struct {
-	Columns      []string
+	Columns []string
+	// Kinds are the Columns' kinds when the statement ran a plan (a
+	// SELECT), nil otherwise.
+	Kinds        []types.Kind
 	Rows         []types.Row
 	RowsAffected int64
 	Message      string
@@ -316,13 +320,41 @@ func (s *Session) Exec(text string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.execStmt(st, text)
+	return s.execStmt(st, text, nil)
 }
 
-// ExecParsed executes an already-parsed statement (the MPP coordinator
-// ships rewritten ASTs to shard engines through this entry point).
+// ExecParsed executes an already-parsed statement: StreamParsed with the
+// rows collected into the Result.
 func (s *Session) ExecParsed(st sql.Statement) (*Result, error) {
-	return s.execStmt(st, "")
+	var rows []types.Row
+	res, err := s.StreamParsed(st, func(b *vec.Batch) error {
+		rows = b.AppendRows(rows)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = rows
+	return res, nil
+}
+
+// StreamParsed executes an already-parsed statement (the MPP coordinator
+// ships rewritten ASTs to shard engines through this entry point), handing
+// its result to emit a batch at a time: a SELECT's batches as its plan
+// produces them, any other statement's rows as one row-built batch. emit
+// may keep the batches; an error from it ends the statement with that
+// error. The Result carries everything but the rows.
+func (s *Session) StreamParsed(st sql.Statement, emit func(*vec.Batch) error) (*Result, error) {
+	res, err := s.execStmt(st, "", emit)
+	if err != nil || res.Rows == nil {
+		return res, err
+	}
+	rows := res.Rows
+	res.Rows = nil
+	if err := emit(vec.FromRows(nil, rows)); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // ExecScript executes a ';'-separated script, returning the last result.
@@ -333,7 +365,7 @@ func (s *Session) ExecScript(text string) (*Result, error) {
 	}
 	var last *Result
 	for _, st := range stmts {
-		last, err = s.execStmt(st, text)
+		last, err = s.execStmt(st, text, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -425,5 +457,5 @@ func (s *Session) execStmtParams(st sql.Statement, args []types.Value) (*Result,
 		s.params = saved
 		s.mu.Unlock()
 	}()
-	return s.execStmt(st, "")
+	return s.execStmt(st, "", nil)
 }

@@ -15,7 +15,9 @@ import (
 	"dashdb/internal/vec"
 )
 
-func (s *Session) execStmt(st sql.Statement, text string) (*Result, error) {
+// execStmt runs one statement. A SELECT hands its batches to emit when it
+// is set and collects its rows into the Result when it is nil.
+func (s *Session) execStmt(st sql.Statement, text string, emit func(*vec.Batch) error) (*Result, error) {
 	release, err := s.db.wlm.Admit()
 	if err != nil {
 		return nil, err
@@ -40,7 +42,7 @@ func (s *Session) execStmt(st sql.Statement, text string) (*Result, error) {
 	}()
 	switch stmt := st.(type) {
 	case *sql.SelectStmt:
-		return s.executeSelect(stmt, text)
+		return s.executeSelect(stmt, text, emit)
 	case *sql.InsertStmt:
 		return s.executeInsert(stmt)
 	case *sql.UpdateStmt:
@@ -89,7 +91,7 @@ func (s *Session) execStmt(st sql.Statement, text string) (*Result, error) {
 		var last *Result
 		for _, inner := range stmt.Body {
 			var err error
-			last, err = s.execStmt(inner, text)
+			last, err = s.execStmt(inner, text, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -102,7 +104,7 @@ func (s *Session) execStmt(st sql.Statement, text string) (*Result, error) {
 	return nil, fmt.Errorf("core: unsupported statement %T", st)
 }
 
-func (s *Session) executeSelect(stmt *sql.SelectStmt, text string) (*Result, error) {
+func (s *Session) executeSelect(stmt *sql.SelectStmt, text string, emit func(*vec.Batch) error) (*Result, error) {
 	op, err := s.compiler().CompileSelect(stmt)
 	if err != nil {
 		s.recordQueryError(text, err)
@@ -112,14 +114,30 @@ func (s *Session) executeSelect(stmt *sql.SelectStmt, text string) (*Result, err
 	// atomic row/batch/time counters and scans get per-worker sharded
 	// stride counters.
 	op = exec.Instrument(op)
+	var rows []types.Row
+	var n int64
+	if emit == nil {
+		emit = func(b *vec.Batch) error {
+			rows = b.AppendRows(rows)
+			return nil
+		}
+	}
 	start := time.Now()
-	rows, err := exec.Drain(op)
+	err = exec.Stream(op, func(b *vec.Batch) error {
+		n += int64(b.Rows())
+		return emit(b)
+	})
 	elapsed := time.Since(start)
-	rec := s.recordQueryPlan(text, op, start, elapsed, int64(len(rows)), err, false)
+	rec := s.recordQueryPlan(text, op, start, elapsed, n, err, false)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Columns: op.Schema().Names(), Rows: rows, Stats: rec}, nil
+	sch := op.Schema()
+	kinds := make([]types.Kind, len(sch))
+	for i, col := range sch {
+		kinds[i] = col.Kind
+	}
+	return &Result{Columns: sch.Names(), Kinds: kinds, Rows: rows, Stats: rec}, nil
 }
 
 // recordQueryPlan freezes the instrumented plan into a

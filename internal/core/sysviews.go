@@ -2,6 +2,7 @@ package core
 
 import (
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // System catalog views, in the spirit of the product's web console and
@@ -37,7 +38,7 @@ func (s *syscatTables) Schema() types.Schema {
 	}
 }
 
-func (s *syscatTables) ScanAll() ([]types.Row, error) {
+func (s *syscatTables) rows() ([]types.Row, error) {
 	var out []types.Row
 	for _, name := range s.db.cat.TableNames() {
 		t, ok := s.db.cat.Table(name)
@@ -66,7 +67,7 @@ func (s *syscatConfig) Schema() types.Schema {
 	}
 }
 
-func (s *syscatConfig) ScanAll() ([]types.Row, error) {
+func (s *syscatConfig) rows() ([]types.Row, error) {
 	cfg := s.db.Config()
 	wlmStats := s.db.wlm.Stats()
 	tot := s.db.reg.Totals()
@@ -102,7 +103,7 @@ func (s *syscatBufferPool) Schema() types.Schema {
 	}
 }
 
-func (s *syscatBufferPool) ScanAll() ([]types.Row, error) {
+func (s *syscatBufferPool) rows() ([]types.Row, error) {
 	st := s.db.pool.Stats()
 	return []types.Row{
 		{types.NewString("hits"), types.NewFloat(float64(st.Hits))},
@@ -137,7 +138,7 @@ func (m *monQueryHistory) Schema() types.Schema {
 	}
 }
 
-func (m *monQueryHistory) ScanAll() ([]types.Row, error) {
+func (m *monQueryHistory) rows() ([]types.Row, error) {
 	hist := m.db.reg.History()
 	out := make([]types.Row, 0, len(hist))
 	for _, q := range hist {
@@ -177,7 +178,7 @@ func (m *monOperatorStats) Schema() types.Schema {
 	}
 }
 
-func (m *monOperatorStats) ScanAll() ([]types.Row, error) {
+func (m *monOperatorStats) rows() ([]types.Row, error) {
 	var out []types.Row
 	for _, q := range m.db.reg.History() {
 		for _, op := range q.Ops {
@@ -215,7 +216,7 @@ func (m *monBufferPool) Schema() types.Schema {
 	}
 }
 
-func (m *monBufferPool) ScanAll() ([]types.Row, error) {
+func (m *monBufferPool) rows() ([]types.Row, error) {
 	st := m.db.pool.Stats()
 	return []types.Row{{
 		types.NewInt(int64(st.Hits)),
@@ -245,7 +246,7 @@ func (m *monWLM) Schema() types.Schema {
 	}
 }
 
-func (m *monWLM) ScanAll() ([]types.Row, error) {
+func (m *monWLM) rows() ([]types.Row, error) {
 	st := m.db.wlm.Stats()
 	return []types.Row{{
 		types.NewInt(int64(st.Admitted)),
@@ -279,7 +280,7 @@ func (m *monMemory) Schema() types.Schema {
 	}
 }
 
-func (m *monMemory) ScanAll() ([]types.Row, error) {
+func (m *monMemory) rows() ([]types.Row, error) {
 	heaps, active := m.db.broker.Stats()
 	stalls := int64(m.db.wlm.Stats().MemoryStalls)
 	out := make([]types.Row, 0, len(heaps))
@@ -324,7 +325,7 @@ func (m *monCompression) Schema() types.Schema {
 	}
 }
 
-func (m *monCompression) ScanAll() ([]types.Row, error) {
+func (m *monCompression) rows() ([]types.Row, error) {
 	var out []types.Row
 	for _, name := range m.db.cat.TableNames() {
 		t, ok := m.db.cat.Table(name)
@@ -373,7 +374,7 @@ func (m *monSnapshots) Schema() types.Schema {
 	}
 }
 
-func (m *monSnapshots) ScanAll() ([]types.Row, error) {
+func (m *monSnapshots) rows() ([]types.Row, error) {
 	var out []types.Row
 	for _, name := range m.db.cat.TableNames() {
 		t, ok := m.db.cat.Table(name)
@@ -395,17 +396,35 @@ func (m *monSnapshots) ScanAll() ([]types.Row, error) {
 	return out, nil
 }
 
+// sysView is one system view: its schema and its rows, computed per scan.
+type sysView interface {
+	Schema() types.Schema
+	rows() ([]types.Row, error)
+}
+
+// rowView is a system view as a catalog.RemoteSource: its few rows,
+// wrapped once as one row-built batch.
+type rowView struct{ sysView }
+
+func (v rowView) ScanAll() ([]*vec.Batch, error) {
+	rows, err := v.rows()
+	if err != nil {
+		return nil, err
+	}
+	return []*vec.Batch{vec.FromRows(v.Schema(), rows)}, nil
+}
+
 // registerSystemViews installs the SYSCAT nicknames; failures are
 // impossible on a fresh catalog and ignored defensively.
 func (db *DB) registerSystemViews() {
-	db.cat.CreateNickname("syscat_tables", &syscatTables{db: db})
-	db.cat.CreateNickname("syscat_config", &syscatConfig{db: db})
-	db.cat.CreateNickname("syscat_bufferpool", &syscatBufferPool{db: db})
-	db.cat.CreateNickname("mon_query_history", &monQueryHistory{db: db})
-	db.cat.CreateNickname("mon_operator_stats", &monOperatorStats{db: db})
-	db.cat.CreateNickname("mon_bufferpool", &monBufferPool{db: db})
-	db.cat.CreateNickname("mon_wlm", &monWLM{db: db})
-	db.cat.CreateNickname("mon_memory", &monMemory{db: db})
-	db.cat.CreateNickname("mon_compression", &monCompression{db: db})
-	db.cat.CreateNickname("mon_snapshots", &monSnapshots{db: db})
+	db.cat.CreateNickname("syscat_tables", rowView{&syscatTables{db: db}})
+	db.cat.CreateNickname("syscat_config", rowView{&syscatConfig{db: db}})
+	db.cat.CreateNickname("syscat_bufferpool", rowView{&syscatBufferPool{db: db}})
+	db.cat.CreateNickname("mon_query_history", rowView{&monQueryHistory{db: db}})
+	db.cat.CreateNickname("mon_operator_stats", rowView{&monOperatorStats{db: db}})
+	db.cat.CreateNickname("mon_bufferpool", rowView{&monBufferPool{db: db}})
+	db.cat.CreateNickname("mon_wlm", rowView{&monWLM{db: db}})
+	db.cat.CreateNickname("mon_memory", rowView{&monMemory{db: db}})
+	db.cat.CreateNickname("mon_compression", rowView{&monCompression{db: db}})
+	db.cat.CreateNickname("mon_snapshots", rowView{&monSnapshots{db: db}})
 }

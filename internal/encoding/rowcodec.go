@@ -33,7 +33,7 @@ func NewRowWriter(w io.Writer) *RowWriter {
 
 // WriteRow appends one row and returns the encoded size in bytes.
 func (rw *RowWriter) WriteRow(r types.Row) (int, error) {
-	b, err := types.AppendRow(rw.buf[:0], r, nil)
+	b, err := types.AppendRow(rw.buf[:0], r)
 	if err != nil {
 		return 0, fmt.Errorf("encoding: spill write: %w", err)
 	}
@@ -73,7 +73,7 @@ func (rr *RowReader) ReadRow() (types.Row, error) {
 	}
 	var row types.Row
 	if err == nil {
-		row, err = types.DecodeCells(make(types.Row, 0, rr.width), rr.frame, nil)
+		row, err = types.DecodeCells(make(types.Row, 0, rr.width), rr.frame)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("encoding: spill read: %w", err)

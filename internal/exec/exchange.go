@@ -3,149 +3,140 @@ package exec
 import (
 	"fmt"
 
-	"dashdb/internal/types"
 	"dashdb/internal/vec"
 )
 
 // Shuffle exchange: the MPP repartitioning boundary (paper §II.E; Hespe
-// et al.'s cluster OLAP model in PAPERS.md). A ShuffleWriterOp drains
-// its child and routes every row to one of N partitions by the hash of
-// its key columns; a ShuffleSource is the receiving edge, yielding the
-// rows delivered for one partition.
+// et al.'s cluster OLAP model in PAPERS.md). A ShuffleWriter takes a
+// statement's batches and routes every live row to one of N partitions by
+// the hash of its key columns, as a view of the batch under a selection
+// vector — no row is boxed or copied; a ShuffleSource is the receiving
+// edge, yielding the batches delivered for one partition.
 //
-// The exec package defines only the operators and the transport
-// interfaces. The network transport (length-prefixed frames over TCP)
-// lives in internal/shardrpc, which imports core and therefore exec —
-// the interfaces here keep the dependency pointing one way.
+// The exec package defines only the writer and the transport interfaces.
+// The network transport (length-prefixed frames over TCP) lives in
+// internal/shardrpc, which imports core and therefore exec — the
+// interfaces here keep the dependency pointing one way.
 
 // ShuffleSink receives the writer's partitioned batches. Send may be
 // called concurrently for different partitions by different writer
-// instances but a single ShuffleWriterOp calls it sequentially. Flush
-// signals that this sender will produce no more rows for any partition
-// (the transport forwards it as a per-sender EOF so readers can count
-// senders down).
+// instances but a single ShuffleWriter calls it sequentially; it may keep
+// the batches. Flush signals that this sender will produce no more rows
+// for any partition (the transport forwards it as a per-sender EOF so
+// readers can count senders down).
 type ShuffleSink interface {
-	Send(part int, rows []types.Row) error
+	Send(part int, batches []*vec.Batch) error
 	Flush() error
 }
 
-// ShuffleSource yields the rows delivered to one partition. Recv blocks
-// until a batch arrives and returns (nil, nil) once every sender has
+// ShuffleSource yields the batches delivered to one partition. Recv
+// blocks until some arrive and returns (nil, nil) once every sender has
 // flushed.
 type ShuffleSource interface {
-	Recv() ([]types.Row, error)
+	Recv() ([]*vec.Batch, error)
 }
 
-// HashPartition returns the partition for a row's key columns. Single
-// keys use Value.Hash directly so the shuffle placement matches the
-// cluster's insert routing (hash(distkey) mod nShards) and co-located
-// data re-shuffles to the shard it already lives on; composite keys mix
-// with an FNV-1a fold. Rows with any NULL key go to partition 0: NULL
-// never equals anything, so any fixed home keeps joins correct while
-// staying deterministic.
-func HashPartition(row types.Row, keys []int, parts int) int {
+// Partition returns the partition of the row at batch position i of the
+// key vectors. Single keys use the value's Hash directly so the shuffle
+// placement matches the cluster's insert routing (hash(distkey) mod
+// nShards) and co-located data re-shuffles to the shard it already lives
+// on; composite keys mix with an FNV-1a fold. Rows with any NULL key go to
+// partition 0: NULL never equals anything, so any fixed home keeps joins
+// correct while staying deterministic. Vector.Hash reads a typed lane
+// without boxing and equals Value.Hash, so this is the partition of the
+// boxed row too.
+//
+//dashdb:hotpath
+func Partition(keys []*vec.Vector, i, parts int) int {
 	if parts <= 1 {
 		return 0
 	}
-	for _, k := range keys {
-		if row[k].IsNull() {
+	for _, v := range keys {
+		if v.IsNull(i) {
 			return 0
 		}
 	}
 	var h uint64
 	if len(keys) == 1 {
-		h = row[keys[0]].Hash()
+		h = keys[0].Hash(i)
 	} else {
 		h = 1469598103934665603 // FNV-64 offset basis
-		for _, k := range keys {
-			h ^= row[k].Hash()
+		for _, v := range keys {
+			h ^= v.Hash(i)
 			h *= 1099511628211
 		}
 	}
 	return int(h % uint64(parts))
 }
 
-// ShuffleWriterOp drains Child, partitions rows by the hash of Keys
-// across Parts peers, and hands batches to the Sink. It produces no
-// rows itself: the first Next call does all the work and returns end of
-// stream (the fragment's "output" travels through the transport).
-type ShuffleWriterOp struct {
-	Child Operator
+// ShuffleWriter partitions a stream of batches by the hash of Keys across
+// Parts peers and hands each partition's share to the Sink once it holds
+// ChunkSize rows; Flush sends the rest and ends the stream.
+type ShuffleWriter struct {
 	Keys  []int
 	Parts int
 	Sink  ShuffleSink
 
 	Sent int64 // rows routed, for ANALYZE
 
-	opened bool
-	done   bool
+	pending [][]*vec.Batch // per partition, views not yet sent
+	rows    []int          // live rows of pending[p]
 }
 
-// Schema implements Operator; the writer emits no rows.
-func (s *ShuffleWriterOp) Schema() types.Schema { return nil }
-
-// Open implements Operator.
-func (s *ShuffleWriterOp) Open() error {
-	if s.Parts <= 0 {
-		return fmt.Errorf("exec: shuffle writer with %d partitions", s.Parts)
+// Write routes the live rows of b. Its column vectors are materialized
+// and, on a row-built batch, made once here, so the views that reach
+// readers running at once share them without writing to them.
+func (w *ShuffleWriter) Write(b *vec.Batch) error {
+	if w.Parts <= 0 {
+		return fmt.Errorf("exec: shuffle writer with %d partitions", w.Parts)
 	}
-	if err := s.Child.Open(); err != nil {
-		return err
+	if w.pending == nil {
+		w.pending, w.rows = make([][]*vec.Batch, w.Parts), make([]int, w.Parts)
 	}
-	s.opened = true
-	return nil
-}
-
-// Next implements Operator: drains the child, routing every row, then
-// flushes the sink and ends the stream.
-func (s *ShuffleWriterOp) Next() (*vec.Batch, error) {
-	if s.done {
-		return nil, nil
+	b.Decode()
+	keys := make([]*vec.Vector, len(w.Keys))
+	for k, c := range w.Keys {
+		keys[k] = b.Col(c)
 	}
-	s.done = true
-	buckets := make([][]types.Row, s.Parts)
-	var in []types.Row // the rows of one child batch
-	for {
-		vb, err := s.Child.Next()
-		if err != nil {
-			return nil, err
+	for j := 0; j < b.NumCols(); j++ {
+		b.Col(j)
+	}
+	sels := make([][]int, w.Parts)
+	for _, i := range b.Idx() {
+		p := Partition(keys, i, w.Parts)
+		sels[p] = append(sels[p], i)
+	}
+	for p, sel := range sels {
+		if len(sel) == 0 {
+			continue
 		}
-		if vb == nil {
-			break
-		}
-		in = vb.AppendRows(in[:0])
-		for _, r := range in {
-			p := HashPartition(r, s.Keys, s.Parts)
-			buckets[p] = append(buckets[p], r)
-			if len(buckets[p]) >= ChunkSize {
-				if err := s.Sink.Send(p, buckets[p]); err != nil {
-					return nil, err
-				}
-				s.Sent += int64(len(buckets[p]))
-				buckets[p] = nil
+		w.pending[p] = append(w.pending[p], b.WithSel(sel))
+		if w.rows[p] += len(sel); w.rows[p] >= ChunkSize {
+			if err := w.send(p); err != nil {
+				return err
 			}
 		}
 	}
-	for p, rows := range buckets {
-		if len(rows) == 0 {
-			continue
-		}
-		if err := s.Sink.Send(p, rows); err != nil {
-			return nil, err
-		}
-		s.Sent += int64(len(rows))
-	}
-	if err := s.Sink.Flush(); err != nil {
-		return nil, err
-	}
-	return nil, nil
+	return nil
 }
 
-// Close implements Operator.
-func (s *ShuffleWriterOp) Close() error {
-	if !s.opened {
-		return nil
+func (w *ShuffleWriter) send(p int) error {
+	if err := w.Sink.Send(p, w.pending[p]); err != nil {
+		return err
 	}
-	s.opened = false
-	return s.Child.Close()
+	w.Sent += int64(w.rows[p])
+	w.pending[p], w.rows[p] = nil, 0
+	return nil
+}
+
+// Flush sends every partition's remaining rows and flushes the sink.
+func (w *ShuffleWriter) Flush() error {
+	for p := range w.pending {
+		if w.rows[p] > 0 {
+			if err := w.send(p); err != nil {
+				return err
+			}
+		}
+	}
+	return w.Sink.Flush()
 }

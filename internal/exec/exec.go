@@ -34,8 +34,11 @@ const ChunkSize = 1024
 // Next returns (nil, nil) at end of stream; Close releases resources and
 // is idempotent.
 //
-// Ownership: a returned batch belongs to the caller until its next Next
-// call; the caller may narrow its Sel. Rows taken out of a batch
+// Ownership: a returned batch belongs to the caller, who may narrow its
+// Sel and keep it past the next Next call — a producer builds a fresh batch
+// for every Next and never rewrites a batch or vector it has handed out, so
+// the shard server frames several batches at once and a nickname holds the
+// batches it fetched. Rows taken out of a batch
 // (Batch.Row, Batch.AppendRows) belong to whoever took them — a producer
 // never rewrites a row it has handed out, so Drain, buffering operators
 // and clients retain rows without deep-copying — and are read-only, since
@@ -66,6 +69,20 @@ type Const struct{ V types.Value }
 // are the caller's (see Operator), so the result is safe to hold after the
 // operator is closed or run again.
 func Drain(op Operator) ([]types.Row, error) {
+	var out []types.Row
+	err := Stream(op, func(b *vec.Batch) error {
+		out = b.AppendRows(out)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Stream runs an operator tree to completion, handing every non-empty batch
+// to emit; an error from emit stops the tree and is returned.
+func Stream(op Operator, emit func(*vec.Batch) error) error {
 	if err := op.Open(); err != nil {
 		// A failed Open can already hold resources: governed operators
 		// acquire their heap reservation before streaming children, so a
@@ -74,19 +91,20 @@ func Drain(op Operator) ([]types.Row, error) {
 		// WLM admission. Every operator's Close is idempotent and
 		// nil-safe, so closing after a failed Open is always safe.
 		op.Close()
-		return nil, err
+		return err
 	}
 	defer op.Close()
-	var out []types.Row
 	for {
 		vb, err := op.Next()
-		if err != nil {
-			return nil, err
+		if err != nil || vb == nil {
+			return err
 		}
-		if vb == nil {
-			return out, nil
+		if vb.Rows() == 0 {
+			continue
 		}
-		out = vb.AppendRows(out)
+		if err := emit(vb); err != nil {
+			return err
+		}
 	}
 }
 
@@ -133,6 +151,47 @@ func (v *ValuesOp) Next() (*vec.Batch, error) { return v.out.next(v.Sch, true), 
 
 // Close implements Operator.
 func (v *ValuesOp) Close() error { return nil }
+
+// BatchesOp streams batches a source already holds: a nickname's scan. It
+// hands out a copy of each, so a parent that narrows Sel leaves the source
+// as it was for the next reader.
+type BatchesOp struct {
+	Sch  types.Schema
+	Data []*vec.Batch
+	next int
+}
+
+// NewBatches creates a BatchesOp over batches of sch's width. Every column
+// of a row-built batch gets its view now, so readers running at once share
+// the batch without writing to it.
+func NewBatches(sch types.Schema, batches []*vec.Batch) *BatchesOp {
+	for _, b := range batches {
+		for j := 0; j < b.NumCols(); j++ {
+			b.Col(j)
+		}
+	}
+	return &BatchesOp{Sch: sch, Data: batches}
+}
+
+// Schema implements Operator.
+func (o *BatchesOp) Schema() types.Schema { return o.Sch }
+
+// Open implements Operator.
+func (o *BatchesOp) Open() error { o.next = 0; return nil }
+
+// Next implements Operator.
+func (o *BatchesOp) Next() (*vec.Batch, error) {
+	if o.next == len(o.Data) {
+		return nil, nil
+	}
+	b := o.Data[o.next].WithSel(o.Data[o.next].Sel)
+	b.Schema = o.Sch
+	o.next++
+	return b, nil
+}
+
+// Close implements Operator.
+func (o *BatchesOp) Close() error { return nil }
 
 // FilterOp drops rows whose predicate does not evaluate to TRUE
 // (three-valued logic: NULL and false both drop the row) by narrowing the

@@ -17,6 +17,7 @@ import (
 
 	"dashdb/internal/catalog"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // inferKind guesses a column type from sample strings: BIGINT if every
@@ -130,7 +131,9 @@ func NewCSVTable(name, data string) (*CSVTable, error) {
 func (t *CSVTable) Schema() types.Schema { return t.schema }
 
 // ScanAll implements catalog.RemoteSource.
-func (t *CSVTable) ScanAll() ([]types.Row, error) { return t.rows, nil }
+func (t *CSVTable) ScanAll() ([]*vec.Batch, error) {
+	return []*vec.Batch{vec.FromRows(t.schema, t.rows)}, nil
+}
 
 // --- JSON lines -----------------------------------------------------------------
 
@@ -254,7 +257,9 @@ func jsonToValue(v interface{}, kind types.Kind) types.Value {
 func (t *JSONTable) Schema() types.Schema { return t.schema }
 
 // ScanAll implements catalog.RemoteSource.
-func (t *JSONTable) ScanAll() ([]types.Row, error) { return t.rows, nil }
+func (t *JSONTable) ScanAll() ([]*vec.Batch, error) {
+	return []*vec.Batch{vec.FromRows(t.schema, t.rows)}, nil
+}
 
 // RegisterCSV registers CSV text as an external table nickname.
 func RegisterCSV(cat *catalog.Catalog, name, data string) error {

@@ -29,7 +29,8 @@ func TestCSVSchemaInference(t *testing.T) {
 			t.Errorf("col %s kind %v want %v", sch[i].Name, sch[i].Kind, k)
 		}
 	}
-	rows, _ := tbl.ScanAll()
+	batches, _ := tbl.ScanAll()
+	rows := batches[0].AppendRows(nil)
 	if len(rows) != 3 {
 		t.Fatalf("rows %d", len(rows))
 	}
@@ -86,7 +87,8 @@ func TestJSONSchemaOnRead(t *testing.T) {
 	if sch[0].Kind != types.KindInt || sch[2].Kind != types.KindBool || sch[3].Kind != types.KindFloat {
 		t.Fatalf("kinds of %v", sch)
 	}
-	rows, _ := tbl.ScanAll()
+	batches, _ := tbl.ScanAll()
+	rows := batches[0].AppendRows(nil)
 	if len(rows) != 3 {
 		t.Fatalf("rows %d", len(rows))
 	}

@@ -18,6 +18,7 @@ import (
 
 	"dashdb/internal/catalog"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // Origin identifies the remote system family.
@@ -107,7 +108,7 @@ func (n *nickname) Schema() types.Schema {
 
 // ScanAll implements catalog.RemoteSource: a full remote scan with the
 // origin's per-row latency applied in aggregate.
-func (n *nickname) ScanAll() ([]types.Row, error) {
+func (n *nickname) ScanAll() ([]*vec.Batch, error) {
 	n.server.mu.RLock()
 	t, ok := n.server.tables[n.table]
 	if !ok {
@@ -121,7 +122,7 @@ func (n *nickname) ScanAll() ([]types.Row, error) {
 	if lat, ok := perRowLatency[n.server.origin]; ok && len(out) > 0 {
 		time.Sleep(time.Duration(len(out)) * lat)
 	}
-	return out, nil
+	return []*vec.Batch{vec.FromRows(t.schema, out)}, nil
 }
 
 // CreateNickname registers local access to a remote table (Figure 5's

@@ -1470,7 +1470,9 @@ func TestParityGenerated(t *testing.T) {
 			if shipped := st.ShuffledRows - want.ShuffledRows; shipped > 0 && (path != &want.ShuffleJoins || shipped > 600+3) {
 				t.Fatalf("%s\nshuffled %d rows", q, shipped)
 			}
-			if want.ShuffledRows = st.ShuffledRows; st != want {
+			// The wire counters are pinned by TestWireCounters.
+			want.ShuffledRows, want.ShuffledBytes = st.ShuffledRows, st.ShuffledBytes
+			if want.PulledRows, want.PulledBytes = st.PulledRows, st.PulledBytes; st != want {
 				t.Fatalf("%s\ntook paths %+v, want %+v", q, st, want)
 			}
 			return got
@@ -1815,6 +1817,143 @@ func TestAggregateProbes(t *testing.T) {
 			if groups, err := exec("SELECT f, COUNT(*) FROM p GROUP BY f"); err != nil || len(groups.Rows) != 4 {
 				t.Errorf("%s: GROUP BY f: %d groups, err %v", name, len(groups.Rows), err)
 			}
+		}
+	})
+}
+
+// TestWireCounters pins what crosses the wire for the benchmark's
+// groupby and join shapes on a 6-shard socket cluster: the groupby pulls
+// at most its LIMIT of groups from each shard (pulling every group would
+// be about 6 × 400), the join shuffles exactly the rows that pass its
+// stages' conjuncts, and the block bytes of both are fixed per seed.
+func TestWireCounters(t *testing.T) {
+	wantBytes := map[int64][2]uint64{ // seed → pulled, shuffled
+		1: {774, 7751},
+		2: {774, 7006},
+	}
+	for seed, want := range wantBytes {
+		c := (&harness{t: t, socket: true}).form(fourNodes()[:3], 2, clusterfs.New())
+		if err := c.CreateTable("txns", types.Schema{
+			{Name: "txn_id", Kind: types.KindInt},
+			{Name: "account_id", Kind: types.KindInt},
+			{Name: "amount", Kind: types.KindFloat, Nullable: true},
+			{Name: "status", Kind: types.KindString, Nullable: true},
+		}, TableOptions{DistributeBy: "txn_id"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CreateTable("accts", types.Schema{
+			{Name: "account_id", Kind: types.KindInt},
+			{Name: "sector", Kind: types.KindString, Nullable: true},
+		}, TableOptions{DistributeBy: "account_id"}); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var txns, accts []types.Row
+		settled := uint64(0)
+		for i := int64(0); i < 3000; i++ {
+			status := []string{"booked", "settled", "void"}[rng.Intn(3)]
+			if status == "settled" {
+				settled++
+			}
+			txns = append(txns, types.Row{types.NewInt(i), types.NewInt(rng.Int63n(400)),
+				types.NewFloat(float64(rng.Intn(5000)) / 4), types.NewString(status)})
+		}
+		for i := int64(0); i < 400; i++ {
+			accts = append(accts, types.Row{types.NewInt(i), types.NewString(fmt.Sprintf("s%d", i%8))})
+		}
+		if err := c.Insert("txns", txns); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Insert("accts", accts); err != nil {
+			t.Fatal(err)
+		}
+		ref := referenceOf(t, c)
+		before := c.Stats()
+		for i, q := range []string{
+			"SELECT account_id, COUNT(*), SUM(amount) FROM txns GROUP BY account_id ORDER BY account_id FETCH FIRST 10 ROWS ONLY",
+			"SELECT t.status, COUNT(*), SUM(t.amount) FROM txns t JOIN accts a ON t.account_id = a.account_id" +
+				" WHERE t.status = 'settled' AND a.sector = 's3' GROUP BY t.status ORDER BY t.status",
+		} {
+			prev := c.Stats()
+			one, err := ref.Exec(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAnswer(t, q, got, one)
+			st := c.Stats()
+			if pulled := st.PulledRows - prev.PulledRows; i == 0 && pulled > 6*10 {
+				t.Errorf("seed %d: %s\npulled %d rows, want at most 60", seed, q, pulled)
+			}
+			if i == 1 && (st.ShuffleJoins != 1 || st.ShuffledRows != settled+400/8) {
+				t.Errorf("seed %d: %s\ntook %+v, want one shuffle of %d rows", seed, q, st, settled+400/8)
+			}
+		}
+		st := c.Stats()
+		if got := [2]uint64{st.PulledBytes - before.PulledBytes, st.ShuffledBytes}; got != want {
+			t.Errorf("seed %d: pulled and shuffled %v block bytes, want %v", seed, got, want)
+		}
+	}
+}
+
+// TestParityGroupLimit holds the shard-side ORDER BY and LIMIT of an
+// aggregating block to one engine on both clients: the shapes that push
+// (every group key, reordered, either direction, with OFFSET, over NULL
+// keys and ties in the other columns) and the shapes that must not
+// (HAVING, ORDER BY an aggregate, a strict subset of the keys, an
+// expression over a key).
+func TestParityGroupLimit(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.form(fourNodes()[:3], 2, clusterfs.New())
+		if err := c.CreateTable("g", types.Schema{
+			{Name: "id", Kind: types.KindInt},
+			{Name: "k1", Kind: types.KindString, Nullable: true},
+			{Name: "k2", Kind: types.KindInt, Nullable: true},
+			{Name: "v", Kind: types.KindFloat, Nullable: true},
+		}, TableOptions{DistributeBy: "id"}); err != nil {
+			t.Fatal(err)
+		}
+		var rows []types.Row
+		for i := int64(0); i < 500; i++ {
+			k1, k2 := types.NewString(fmt.Sprintf("k%d", i%7)), types.NewInt(i%11)
+			if i%13 == 0 {
+				k1 = types.NullOf(types.KindString)
+			}
+			if i%17 == 0 {
+				k2 = types.NullOf(types.KindInt)
+			}
+			rows = append(rows, types.Row{types.NewInt(i), k1, k2, types.NewFloat(float64(i % 3))}) // v ties
+		}
+		if err := c.Insert("g", rows); err != nil {
+			t.Fatal(err)
+		}
+		ref := referenceOf(t, c)
+		for _, q := range []string{
+			"SELECT k1, k2, COUNT(*), SUM(v) FROM g GROUP BY k1, k2 ORDER BY k2 DESC, k1 LIMIT 5 OFFSET 3",
+			"SELECT k1, k2, COUNT(*), MAX(v) FROM g GROUP BY k1, k2 ORDER BY k1, k2 LIMIT 4",
+			"SELECT k2, k1, AVG(v) FROM g GROUP BY k1, k2 ORDER BY 2 DESC, 1 LIMIT 6 OFFSET 1",
+			"SELECT k1, MIN(v), MAX(id) FROM g GROUP BY k1 ORDER BY k1 DESC LIMIT 3",
+			"SELECT k1 AS k, COUNT(*) FROM g GROUP BY k1 ORDER BY k LIMIT 2 OFFSET 1",
+			"SELECT SUM(v), COUNT(*) FROM g GROUP BY k2 ORDER BY k2 LIMIT 3",
+			"SELECT k2, SUM(v) AS s FROM g GROUP BY k2 ORDER BY k2 DESC LIMIT 0",
+			// None of these may push.
+			"SELECT k1, COUNT(*) FROM g GROUP BY k1 HAVING COUNT(*) > 70 ORDER BY k1 LIMIT 2",
+			"SELECT k2, SUM(v) FROM g GROUP BY k2 ORDER BY SUM(v) DESC, k2 LIMIT 3",
+			"SELECT k1, k2, COUNT(*) FROM g GROUP BY k1, k2 ORDER BY k1, SUM(id) LIMIT 4",
+			"SELECT k2, COUNT(*) FROM g GROUP BY k2 ORDER BY -k2 LIMIT 3",
+		} {
+			one, err := ref.Exec(q)
+			if err != nil {
+				t.Fatalf("one engine %s: %v", q, err)
+			}
+			got, err := c.Query(q)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			sameAnswer(t, q, got, one)
 		}
 	})
 }

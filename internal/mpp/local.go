@@ -11,6 +11,7 @@ import (
 	"dashdb/internal/core"
 	"dashdb/internal/shardrpc"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // localShards is the in-process shard client: shard id -> engine opened
@@ -115,13 +116,18 @@ func (l *localShards) Exec(_ string, req shardrpc.ExecReq) (*shardrpc.Result, er
 	}
 	sess := db.NewSession()
 	sess.SetDialect(req.Dialect)
-	res, err := sess.ExecParsed(req.Stmt)
+	var batches []*vec.Batch
+	res, err := sess.StreamParsed(req.Stmt, func(b *vec.Batch) error {
+		batches = append(batches, b)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	return &shardrpc.Result{
 		Columns:      res.Columns,
-		Rows:         res.Rows,
+		Kinds:        res.Kinds,
+		Batches:      batches,
 		RowsAffected: res.RowsAffected,
 		Message:      res.Message,
 		Stats:        res.Stats,

@@ -108,7 +108,10 @@ const (
 // idempotency tokens) off the randomly seeded counter.
 func (c *NetCluster) mintID() uint64 { return c.qid.Add(1) }
 
-// NetStats counts coordinator path selections and rows shuffle stages sent.
+// NetStats counts coordinator path selections and what crossed the wire:
+// the rows shuffle stages sent and the bytes of the blocks they sent to
+// other servers, and the rows and block bytes the coordinator pulled from
+// the shards (no bytes from in-process shards).
 type NetStats struct {
 	FastPathQueries   uint64
 	ShuffleJoins      uint64
@@ -116,6 +119,9 @@ type NetStats struct {
 	Failovers         uint64
 	Reshards          uint64
 	ShuffledRows      uint64
+	ShuffledBytes     uint64
+	PulledRows        uint64
+	PulledBytes       uint64
 }
 
 // NewNetCluster connects to running shard servers and bootstraps

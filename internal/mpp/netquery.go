@@ -17,6 +17,7 @@ import (
 	"dashdb/internal/sql"
 	"dashdb/internal/telemetry"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // Query dispatch and the one SELECT runner. Every shard interaction is a
@@ -204,10 +205,15 @@ func (c *NetCluster) run(p *distSelect, d sql.Dialect, text string) (*core.Resul
 	var pulled []*shardrpc.Result // every shard result behind the answer
 	cat := catalog.New()
 	for _, in := range p.pulls {
-		nick := &shardrpc.Nick{Sch: in.schema, Fetch: func() ([]types.Row, error) {
+		nick := &shardrpc.Nick{Sch: in.schema, Fetch: func() ([]*vec.Batch, []types.Kind, error) {
 			results, err := c.pull(p.stages, in, d, text)
 			pulled = append(pulled, results...)
-			return concatRows(results), err
+			var batches []*vec.Batch
+			var kinds []types.Kind
+			for _, r := range results {
+				batches, kinds = append(batches, r.Batches...), r.Kinds
+			}
+			return batches, kinds, err
 		}}
 		if err := cat.CreateNickname(in.name, nick); err != nil {
 			return nil, err
@@ -247,15 +253,6 @@ func (c *NetCluster) run(p *distSelect, d sql.Dialect, text string) (*core.Resul
 	return res, nil
 }
 
-// concatRows appends the rows of shard results in shard order.
-func concatRows(results []*shardrpc.Result) []types.Row {
-	var rows []types.Row
-	for _, r := range results {
-		rows = append(rows, r.Rows...)
-	}
-	return rows
-}
-
 // pull runs one input's statement on its shards (every one unless the
 // plan names them) and returns the results in shard order. Without stages
 // each shard answers over its own tables and a shard whose node dies is
@@ -284,7 +281,7 @@ func (c *NetCluster) pull(stages []input, in input, d sql.Dialect, text string) 
 		if err := c.eachShard(shards, ask); err != nil {
 			return nil, err
 		}
-		return slices.DeleteFunc(results, func(r *shardrpc.Result) bool { return r == nil }), nil
+		return c.pulled(results), nil
 	}
 	ex.Senders = len(shards)
 	for i, st := range stages {
@@ -315,6 +312,7 @@ func (c *NetCluster) pull(stages []input, in input, d sql.Dialect, text string) 
 					if errs[i] = err; err == nil {
 						c.mu.Lock()
 						c.stats.ShuffledRows += uint64(res.RowsAffected)
+						c.stats.ShuffledBytes += uint64(res.SentBytes)
 						c.mu.Unlock()
 					}
 				}()
@@ -326,7 +324,7 @@ func (c *NetCluster) pull(stages []input, in input, d sql.Dialect, text string) 
 			// Then every shard runs the statement over its partition.
 			died, err = c.round(addrs, shards, attempt == 0, ask)
 			if err == nil && len(died) == 0 {
-				return results, nil
+				return c.pulled(results), nil
 			}
 		}
 		// Statements that never started would otherwise leave this query's
@@ -339,6 +337,21 @@ func (c *NetCluster) pull(stages []input, in input, d sql.Dialect, text string) 
 			return nil, err
 		}
 	}
+}
+
+// pulled counts what the shards answered with and returns their results
+// in shard order.
+func (c *NetCluster) pulled(results []*shardrpc.Result) []*shardrpc.Result {
+	results = slices.DeleteFunc(results, func(r *shardrpc.Result) bool { return r == nil })
+	var rows, bytes uint64
+	for _, r := range results {
+		rows, bytes = rows+uint64(r.NumRows()), bytes+uint64(r.WireBytes)
+	}
+	c.mu.Lock()
+	c.stats.PulledRows += rows
+	c.stats.PulledBytes += bytes
+	c.mu.Unlock()
+	return results
 }
 
 // dropShuffle best-effort discards a distributed query's shuffle
@@ -357,5 +370,9 @@ func (c *NetCluster) TableRows(name string) ([]types.Row, error) {
 		return nil, err
 	}
 	results, err := c.pull(nil, scanInput(name, name, meta), sql.DialectANSI, "")
-	return concatRows(results), err
+	var rows []types.Row
+	for _, r := range results {
+		rows = append(rows, r.Rows()...)
+	}
+	return rows, err
 }

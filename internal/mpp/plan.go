@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 
-	"dashdb/internal/shardrpc"
 	"dashdb/internal/sql"
 	"dashdb/internal/types"
 )
@@ -61,11 +60,11 @@ const (
 func (c *NetCluster) planSelect(sel *sql.SelectStmt, d sql.Dialect) *distSelect {
 	if from, distributed, ok := c.fromTables(sel.From); ok {
 		if shard, final, ok := cutSelect(sel, from); ok {
-			names := make([]string, len(shard.Items))
+			// The kinds are the shards' to report (shardrpc.Nick).
+			partial := input{name: partialName, schema: make(types.Schema, len(shard.Items)), sel: shard}
 			for i, it := range shard.Items {
-				names[i] = it.Alias
+				partial.schema[i] = types.Column{Name: it.Alias, Nullable: true}
 			}
-			partial := input{name: partialName, schema: shardrpc.Untyped(names), sel: shard}
 			p := &distSelect{pulls: []input{partial}, final: final}
 			if distributed <= 1 {
 				p.pulls[0].shards, p.path = c.pin(shard.Where, from), &c.stats.FastPathQueries
@@ -293,6 +292,13 @@ func walkSelect(sel *sql.SelectStmt, visit func(sql.Expr) bool) {
 // final re-sort the concatenation. Either way final keeps the user's
 // output names, LIMIT and OFFSET.
 //
+// An aggregating block with a LIMIT, no HAVING and an ORDER BY that names
+// exactly the full set of its group columns — by output name, ordinal or
+// column, in any order and either direction — also has the shards keep
+// only their first OFFSET+LIMIT groups in that order. Group keys order
+// the groups totally, and a group's rank on a shard is at most its rank
+// over the union, so every partial of every group final keeps arrives.
+//
 // ok is false for what the substitution cannot express — CTEs, UNION,
 // DISTINCT, expressions that need the whole table, other group terms and
 // aggregates, a column that is neither grouped nor aggregated, ORDER BY a
@@ -391,7 +397,64 @@ func cutSelect(sel *sql.SelectStmt, from fromScope) (shard, final *sql.SelectStm
 		final.OrderBy = append(final.OrderBy, o)
 	}
 	shard.Items = append(shard.Items, m.partials...)
+	if order, ok := groupOrder(sel.OrderBy, items, names, from, m.groups); ok && sel.Limit >= 0 && sel.Having == nil {
+		shard.OrderBy, shard.Limit = order, sel.Offset+sel.Limit
+	}
 	return shard, final, !m.failed
+}
+
+// groupOrder is the shard statement's ORDER BY for an ORDER BY that sorts
+// by exactly the full set of group columns, by the ordinals of their _G<i>
+// items; ok is false for any other ORDER BY. A bare reference names an
+// output column first, as the compiler has it, and that item must be a
+// group column itself; a name several outputs share does not push.
+func groupOrder(order []sql.OrderItem, items []sql.SelectItem, names []string, from fromScope, groups []groupColumn) ([]sql.OrderItem, bool) {
+	if len(order) == 0 {
+		return nil, false
+	}
+	covered := make([]bool, len(groups))
+	var out []sql.OrderItem
+	for _, o := range order {
+		e := o.Expr
+		if o.Ordinal > 0 && o.Ordinal <= len(items) {
+			e = items[o.Ordinal-1].Expr
+		} else if ref, isRef := e.(*sql.ColumnRef); isRef {
+			var named []int
+			for i, name := range names {
+				if strings.EqualFold(name, ref.Column) {
+					named = append(named, i)
+				}
+			}
+			switch len(named) {
+			case 0:
+			case 1:
+				e = items[named[0]].Expr
+			default:
+				return nil, false
+			}
+		}
+		ref, isRef := e.(*sql.ColumnRef)
+		if !isRef || ref.OuterJoin {
+			return nil, false
+		}
+		ti, ci, ok := from.resolve(ref)
+		hit := false
+		for g, gc := range groups {
+			if ok && gc.ti == ti && gc.ci == ci {
+				if !hit {
+					out = append(out, sql.OrderItem{Ordinal: g + 1, Desc: o.Desc})
+				}
+				covered[g], hit = true, true
+			}
+		}
+		if !hit {
+			return nil, false
+		}
+	}
+	if slices.Contains(covered, false) {
+		return nil, false
+	}
+	return out, true
 }
 
 // merger substitutes merge expressions for the group columns and

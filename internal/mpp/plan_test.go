@@ -186,3 +186,50 @@ func TestPinnedPull(t *testing.T) {
 		t.Errorf("shuffle pull lists shards %v, want every shard", p.pulls[0].shards)
 	}
 }
+
+// TestGroupLimitPlan pins which aggregating blocks hand the shards their
+// ORDER BY and OFFSET + LIMIT: only an ORDER BY that sorts by exactly the
+// full set of group columns — by name, ordinal or column, in any order and
+// either direction — with no HAVING. The shard's ORDER BY names the _G<i>
+// items by ordinal.
+func TestGroupLimitPlan(t *testing.T) {
+	c := planCluster()
+	pushes := map[string][]sql.OrderItem{
+		// The benchmark's groupby class.
+		"SELECT account_id, COUNT(*), SUM(amount) FROM transactions GROUP BY account_id ORDER BY account_id FETCH FIRST 10 ROWS ONLY": {{Ordinal: 1}},
+		"SELECT status, txn_type, COUNT(*) FROM transactions GROUP BY status, txn_type ORDER BY txn_type DESC, 1 LIMIT 3 OFFSET 2":    {{Ordinal: 2, Desc: true}, {Ordinal: 1}},
+		"SELECT COUNT(*) AS n FROM transactions GROUP BY status, txn_type ORDER BY transactions.txn_type, status LIMIT 5":             {{Ordinal: 2}, {Ordinal: 1}},
+		"SELECT status AS s, COUNT(*) FROM transactions GROUP BY status ORDER BY s DESC LIMIT 2":                                      {{Ordinal: 1, Desc: true}},
+	}
+	for q, want := range pushes {
+		p, _ := plan(t, c, q)
+		shard := p.pulls[0].sel
+		if !reflect.DeepEqual(shard.OrderBy, want) {
+			t.Errorf("%s: shard ORDER BY %+v, want %+v", q, shard.OrderBy, want)
+		}
+		final := p.final
+		if shard.Limit != final.Offset+final.Limit || shard.Offset != 0 {
+			t.Errorf("%s: shard LIMIT %d OFFSET %d, want %d and 0", q, shard.Limit, shard.Offset, final.Offset+final.Limit)
+		}
+	}
+	for _, q := range []string{
+		"SELECT status, COUNT(*) FROM transactions GROUP BY status HAVING COUNT(*) > 1 ORDER BY status LIMIT 2",
+		"SELECT status, COUNT(*) FROM transactions GROUP BY status ORDER BY COUNT(*) LIMIT 2",
+		"SELECT status, COUNT(*) FROM transactions GROUP BY status ORDER BY 2 LIMIT 2",
+		"SELECT status, txn_type, COUNT(*) FROM transactions GROUP BY status, txn_type ORDER BY status LIMIT 2",
+		"SELECT status, COUNT(*) FROM transactions GROUP BY status ORDER BY UPPER(status) LIMIT 2",
+		"SELECT UPPER(status), COUNT(*) FROM transactions GROUP BY status ORDER BY 1 LIMIT 2",
+		"SELECT status, COUNT(*) AS status FROM transactions GROUP BY status ORDER BY status LIMIT 2", // names two outputs
+		"SELECT txn_type, COUNT(*) AS status FROM transactions GROUP BY status, txn_type ORDER BY status, txn_type LIMIT 2",
+		"SELECT status, COUNT(*) FROM transactions GROUP BY status ORDER BY status", // no LIMIT
+		"SELECT status, COUNT(*) FROM transactions GROUP BY status LIMIT 2",         // no ORDER BY
+	} {
+		p, _ := plan(t, c, q)
+		if p.path != &c.stats.FastPathQueries {
+			t.Fatalf("%s: not scattered", q)
+		}
+		if shard := p.pulls[0].sel; shard.OrderBy != nil || shard.Limit != -1 {
+			t.Errorf("%s: pushed ORDER BY %+v LIMIT %d to the shards", q, shard.OrderBy, shard.Limit)
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 
 	"dashdb/internal/telemetry"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // Connection pool. Get hands out a *Conn (dialing if no idle connection
@@ -328,17 +329,40 @@ func (p *Pool) Ping(addr string) (PingInfo, error) {
 	return info, err
 }
 
-// Result is a decoded response stream: header, rows and the optional
+// Result is a decoded response stream: header, batches and the optional
 // per-shard ANALYZE record.
 type Result struct {
 	Columns      []string
-	Rows         []types.Row
+	Kinds        []types.Kind
+	Batches      []*vec.Batch
 	RowsAffected int64
 	Message      string
 	Stats        *telemetry.QueryRecord
+	// WireBytes is the bytes of the blocks the batches arrived in (0 from
+	// an in-process shard); SentBytes is ResultHdr's.
+	WireBytes int64
+	SentBytes int64
 }
 
-// readResultStream consumes ResultHdr/Rows/Stats frames until Done.
+// NumRows returns the number of rows the result holds.
+func (r *Result) NumRows() int {
+	n := 0
+	for _, b := range r.Batches {
+		n += b.Rows()
+	}
+	return n
+}
+
+// Rows boxes the result's rows.
+func (r *Result) Rows() []types.Row {
+	var rows []types.Row
+	for _, b := range r.Batches {
+		rows = appendRows(rows, b)
+	}
+	return rows
+}
+
+// readResultStream consumes Rows/ResultHdr/Stats frames until Done.
 func (c *Conn) readResultStream() (*Result, error) {
 	res := &Result{}
 	sawHdr := false
@@ -355,17 +379,17 @@ func (c *Conn) readResultStream() (*Result, error) {
 			if err := c.readGob(payload, &hdr); err != nil {
 				return nil, err
 			}
-			res.Columns = hdr.Columns
-			res.RowsAffected = hdr.RowsAffected
-			res.Message = hdr.Message
+			res.Columns, res.Kinds = hdr.Columns, hdr.Kinds
+			res.RowsAffected, res.Message, res.SentBytes = hdr.RowsAffected, hdr.Message, hdr.SentBytes
 			sawHdr = true
 		case FrameRows:
-			rows, err := DecodeRowBlock(payload)
+			b, err := vec.DecodeBlock(payload)
 			if err != nil {
 				c.Fail()
 				return nil, err
 			}
-			res.Rows = append(res.Rows, rows...)
+			res.Batches = append(res.Batches, b)
+			res.WireBytes += int64(len(payload))
 		case FrameStats:
 			var sm StatsMsg
 			if err := c.readGob(payload, &sm); err != nil {
@@ -464,20 +488,19 @@ func (p *Pool) DropShuffle(addr string, query uint64) error {
 	})
 }
 
-// SendShuffle ships one shuffle batch (or EOF when rows is nil) to the
-// partition owner's server.
-func (p *Pool) SendShuffle(addr string, h shuffleHdr, rows []types.Row) error {
+// SendShuffle ships batches as one block (or EOF when batches is nil) to
+// the partition owner's server and returns the block's bytes.
+func (p *Pool) SendShuffle(addr string, h shuffleHdr, batches []*vec.Batch) (int, error) {
 	payload := appendShuffleHdr(nil, h)
-	ft := FrameShuffleEOF
-	if rows != nil {
+	ft, hdr := FrameShuffleEOF, len(payload)
+	if batches != nil {
 		ft = FrameShuffleData
 		var err error
-		payload, err = EncodeRowBlock(payload, rows)
-		if err != nil {
-			return err
+		if payload, err = vec.AppendBlock(payload, batches...); err != nil {
+			return 0, err
 		}
 	}
-	return p.Do(addr, 1, func(c *Conn) error {
+	return len(payload) - hdr, p.Do(addr, 1, func(c *Conn) error {
 		_, err := c.callOK(ft, payload)
 		return err
 	})

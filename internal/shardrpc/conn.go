@@ -51,7 +51,7 @@ func (s *stream) encode(msg any) ([]byte, error) {
 
 // decode decodes one frame's payload into msg, which must be a fresh zero
 // value (gob leaves zero fields unwritten), and returns the bytes the
-// message did not use: FrameInsert's row block.
+// message did not use: FrameInsert's batch block.
 func (s *stream) decode(payload []byte, msg any) ([]byte, error) {
 	s.in.Reset(payload)
 	err := s.dec.Decode(msg)

@@ -10,20 +10,26 @@
 // Frame layout (all multi-byte integers big-endian):
 //
 //	byte    magic 0xD5
-//	byte    version 4
+//	byte    version 5
 //	byte    frame type
 //	byte    flags (reserved, 0)
 //	uint32  payload length (<= MaxFrame)
 //	...     payload
 //
 // Control/meta payloads are gob, one stream per connection and direction
-// (messages.go, conn.go); bulk row payloads are row blocks (rowblock.go).
+// (messages.go, conn.go). Rows travel as batch blocks (vec/block.go):
+// FrameRows is one block, FrameInsert a gob InsertHdr and a block, and
+// FrameShuffleData a binary shuffle header and a block.
 package shardrpc
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
+
+	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 const (
@@ -34,8 +40,10 @@ const (
 	// makes a gob payload part of its connection's stream: a frame omits
 	// the type descriptors an earlier frame on the connection carried, so
 	// a version-3 peer, which decodes every frame as a stream of its own,
-	// would misread it.
-	frameVersion = 4
+	// would misread it. Version 5 replaces the row block with the typed
+	// batch block (vec/block.go), sends a statement's FrameRows before its
+	// FrameResultHdr, and gives ResultHdr the column kinds.
+	frameVersion = 5
 
 	// MaxFrame bounds a single frame payload (64 MiB): a corrupt or
 	// hostile length prefix must not become an allocation.
@@ -58,12 +66,12 @@ const (
 	FramePing                  // empty: liveness probe
 	FramePong                  // gob PingInfo
 	FrameExec                  // gob ExecReq: run one statement on a shard
-	FrameResultHdr             // gob ResultHdr: columns/affected/message
-	FrameRows                  // row block: result rows
+	FrameResultHdr             // gob ResultHdr: columns, kinds, affected, message
+	FrameRows                  // batch block: result rows, before the header
 	FrameStats                 // gob StatsMsg
 	FrameDone                  // empty: end of a response stream
-	FrameInsert                // gob InsertHdr then row block in same payload
-	FrameShuffleData           // binary shuffle header + row block
+	FrameInsert                // gob InsertHdr then batch block in same payload
+	FrameShuffleData           // binary shuffle header + batch block
 	FrameShuffleEOF            // binary shuffle header, sender is done
 	FrameAdopt                 // gob AdoptReq: host these shards
 	FrameRelease               // gob ReleaseReq: stop hosting these shards
@@ -130,4 +138,46 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 		return FrameInvalid, nil, fmt.Errorf("shardrpc: read frame payload: %w", err)
 	}
 	return t, payload, nil
+}
+
+// EncodeRowBlock appends the block of rows to dst: the row adapter over
+// vec.AppendBlock for callers that hold rows (the Spark data server's
+// chunks, the benchmark's wire probe, Pool.Insert). A column whose cells
+// all have one kind takes that kind's lane.
+func EncodeRowBlock(dst []byte, rows []types.Row) ([]byte, error) {
+	for _, r := range rows {
+		if len(r) != len(rows[0]) {
+			return dst, fmt.Errorf("shardrpc: block of rows %d and %d cells wide", len(rows[0]), len(r))
+		}
+	}
+	return vec.AppendBlock(dst, vec.FromRows(nil, rows))
+}
+
+// DecodeRowBlock decodes one block into rows.
+func DecodeRowBlock(data []byte) ([]types.Row, error) {
+	b, err := vec.DecodeBlock(data)
+	if err != nil {
+		return nil, err
+	}
+	return appendRows(nil, b), nil
+}
+
+// appendRows appends the live rows of b to dst, boxed into one backing
+// array for the whole batch rather than one per row.
+func appendRows(dst []types.Row, b *vec.Batch) []types.Row {
+	idx, w := b.Idx(), b.NumCols()
+	cols := make([]*vec.Vector, w)
+	for j := range cols {
+		cols[j] = b.Col(j)
+	}
+	cells := make([]types.Value, len(idx)*w)
+	dst = slices.Grow(dst, len(idx))
+	for r, i := range idx {
+		row := cells[r*w : (r+1)*w : (r+1)*w]
+		for j, v := range cols {
+			row[j] = v.Get(i)
+		}
+		dst = append(dst, row)
+	}
+	return dst
 }

@@ -31,7 +31,7 @@ type PingInfo struct {
 }
 
 // ExecReq runs one parsed statement on one hosted shard. The response is
-// FrameResultHdr, zero or more FrameRows, an optional FrameStats, then
+// zero or more FrameRows, FrameResultHdr, an optional FrameStats, then
 // FrameDone — or FrameErr.
 type ExecReq struct {
 	ShardID   int
@@ -80,14 +80,19 @@ type ShuffleOutput struct {
 	Sender int
 }
 
-// ResultHdr carries the non-row part of a core.Result.
+// ResultHdr carries the non-row part of a core.Result. It follows the
+// statement's FrameRows, so it can carry what is known only at the end.
 type ResultHdr struct {
 	Columns      []string
+	Kinds        []types.Kind // of Columns; nil when the statement ran no plan
 	RowsAffected int64
 	Message      string
+	// SentBytes is the bytes of the blocks a shuffle stage sent to other
+	// servers (a partition this server owns takes no wire).
+	SentBytes int64
 }
 
-// InsertHdr prefixes a FrameInsert payload; the row block is what the
+// InsertHdr prefixes a FrameInsert payload; the batch block is what the
 // peer's decoder leaves of the payload after the header.
 type InsertHdr struct {
 	ShardID int
@@ -155,7 +160,7 @@ type StatsMsg struct {
 
 // shuffleHdr is the binary prefix of FrameShuffleData/FrameShuffleEOF
 // payloads: uvarint query, stage, partition, sender; data frames append
-// a row block. Kept binary (not gob) because it is the per-batch hot
+// a batch block. Kept binary (not gob) because it is the per-batch hot
 // path.
 type shuffleHdr struct {
 	Query  uint64

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,6 +18,7 @@ import (
 	"dashdb/internal/exec"
 	"dashdb/internal/sql"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // Server hosts shard engines behind the frame protocol: one OS process
@@ -476,22 +478,12 @@ func (s *Server) dispatch(c *serverConn, t FrameType, payload []byte) error {
 	}
 }
 
-// writeResultStream streams a core.Result: header, row blocks, optional
-// stats, done.
-func writeResultStream(c *serverConn, res *core.Result, withStats bool) error {
-	if err := c.writeGob(FrameResultHdr, &ResultHdr{Columns: res.Columns, RowsAffected: res.RowsAffected, Message: res.Message}); err != nil {
+// writeResultTail ends a response stream whose rows went out as the
+// statement produced them: header, optional stats, done.
+func writeResultTail(c *serverConn, res *core.Result, sentBytes int64, withStats bool) error {
+	hdr := ResultHdr{Columns: res.Columns, Kinds: res.Kinds, RowsAffected: res.RowsAffected, Message: res.Message, SentBytes: sentBytes}
+	if err := c.writeGob(FrameResultHdr, &hdr); err != nil {
 		return err
-	}
-	const blockRows = 4096
-	for off := 0; off < len(res.Rows); off += blockRows {
-		end := min(off+blockRows, len(res.Rows))
-		block, err := EncodeRowBlock(nil, res.Rows[off:end])
-		if err != nil {
-			return c.write(FrameErr, []byte(err.Error()))
-		}
-		if err := c.write(FrameRows, block); err != nil {
-			return err
-		}
 	}
 	if withStats && res.Stats != nil {
 		if err := c.writeGob(FrameStats, &StatsMsg{Record: *res.Stats}); err != nil {
@@ -499,6 +491,47 @@ func writeResultStream(c *serverConn, res *core.Result, withStats bool) error {
 		}
 	}
 	return c.write(FrameDone, nil)
+}
+
+// blockRows is about how many rows a FrameRows block holds: a statement's
+// batches are framed a few at a time.
+const blockRows = 4096
+
+// rowFramer frames a statement's batches as FrameRows blocks while it
+// runs. A failed write is the connection's, kept apart from the
+// statement's errors.
+type rowFramer struct {
+	c       *serverConn
+	pending []*vec.Batch
+	rows    int
+	buf     []byte
+	lost    error // the connection failed
+}
+
+func (f *rowFramer) add(b *vec.Batch) error {
+	f.pending = append(f.pending, b)
+	if f.rows += b.Rows(); f.rows >= blockRows {
+		return f.flush()
+	}
+	return nil
+}
+
+func (f *rowFramer) flush() error {
+	if len(f.pending) == 0 {
+		return nil
+	}
+	block, err := vec.AppendBlock(f.buf[:0], f.pending...)
+	clear(f.pending)
+	f.pending, f.rows = f.pending[:0], 0
+	if err != nil {
+		return err
+	}
+	f.buf = block
+	if err := f.c.write(FrameRows, block); err != nil {
+		f.lost = err
+		return err
+	}
+	return nil
 }
 
 // isReadOnly reports whether a statement mutates shard state (used to
@@ -536,7 +569,10 @@ func (s *Server) handleExec(c *serverConn, req ExecReq) error {
 		defer s.router.DropPart(x.Query, x.Part)
 		for _, in := range x.Inputs {
 			src := s.router.Source(x.Query, in.Stage, x.Part, x.Senders)
-			nick := &Nick{Sch: in.Schema, Fetch: func() ([]types.Row, error) { return recvAll(src) }}
+			nick := &Nick{Sch: in.Schema, Fetch: func() ([]*vec.Batch, []types.Kind, error) {
+				batches, err := recvAll(src)
+				return batches, nil, err
+			}}
 			if err := db.Catalog().CreateNickname(in.Name, nick); err != nil {
 				return c.write(FrameErr, []byte(err.Error()))
 			}
@@ -546,12 +582,31 @@ func (s *Server) handleExec(c *serverConn, req ExecReq) error {
 		if affected, ok := s.lookupApplied(req.ShardID, req.Token); ok {
 			// Lost-reply retry of a statement this shard already durably
 			// applied: acknowledge without re-executing it.
-			return writeResultStream(c, &core.Result{RowsAffected: affected, Message: "OK"}, false)
+			return writeResultTail(c, &core.Result{RowsAffected: affected, Message: "OK"}, 0, false)
 		}
 	}
 	sess := db.NewSession()
 	sess.SetDialect(req.Dialect)
-	res, err := sess.ExecParsed(req.Stmt)
+	frames := rowFramer{c: c}
+	var res *core.Result
+	var sentBytes int64
+	if out := x.Output; out != nil {
+		// The statement's rows go to their partitions' owners instead.
+		sink := newNetSink(s.pool, s.router, s.addr, x.Query, out.Stage, out.Sender, out.Parts)
+		w := &exec.ShuffleWriter{Keys: out.Keys, Parts: len(out.Parts), Sink: sink}
+		if res, err = sess.StreamParsed(req.Stmt, w.Write); err == nil {
+			err = w.Flush()
+		}
+		if err == nil {
+			res = &core.Result{Columns: res.Columns, Kinds: res.Kinds, RowsAffected: w.Sent, Stats: res.Stats}
+		}
+		sentBytes = sink.sentBytes
+	} else if res, err = sess.StreamParsed(req.Stmt, frames.add); err == nil {
+		err = frames.flush()
+	}
+	if frames.lost != nil {
+		return frames.lost
+	}
 	if err != nil {
 		return c.write(FrameErr, []byte(err.Error()))
 	}
@@ -565,28 +620,7 @@ func (s *Server) handleExec(c *serverConn, req ExecReq) error {
 		}
 		s.markApplied(req.ShardID, req.Token, res.RowsAffected)
 	}
-	if out := x.Output; out != nil {
-		w := &exec.ShuffleWriterOp{
-			Child: exec.NewValues(Untyped(res.Columns), res.Rows),
-			Keys:  out.Keys,
-			Parts: len(out.Parts),
-			Sink:  NewNetSink(s.pool, s.router, s.addr, x.Query, out.Stage, out.Sender, out.Parts),
-		}
-		if _, err := exec.Drain(w); err != nil {
-			return c.write(FrameErr, []byte(err.Error()))
-		}
-		res = &core.Result{Columns: res.Columns, RowsAffected: w.Sent, Stats: res.Stats}
-	}
-	return writeResultStream(c, res, req.WithStats)
-}
-
-// Untyped is the schema of a result known only by its column names.
-func Untyped(names []string) types.Schema {
-	sch := make(types.Schema, len(names))
-	for i, name := range names {
-		sch[i] = types.Column{Name: name, Nullable: true}
-	}
-	return sch
+	return writeResultTail(c, res, sentBytes, req.WithStats)
 }
 
 func (s *Server) handleInsert(hdr InsertHdr, block []byte) error {
@@ -624,45 +658,57 @@ func (s *Server) handleShuffle(t FrameType, payload []byte) error {
 		s.router.EOF(h.Query, h.Stage, h.Part)
 		return nil
 	}
-	rows, err := DecodeRowBlock(rest)
+	b, err := vec.DecodeBlock(rest)
 	if err != nil {
 		return err
 	}
-	s.router.Deliver(h.Query, h.Stage, h.Part, rows)
+	s.router.Deliver(h.Query, h.Stage, h.Part, []*vec.Batch{b})
 	return nil
 }
 
-// Nick is a catalog nickname over rows that arrive once per statement: a
-// shuffle partition on a shard, a shard statement's output at the
+// Nick is a catalog nickname over batches that arrive once per statement:
+// a shuffle partition on a shard, a shard statement's output at the
 // coordinator. The fetch is cached, so a plan that reads the name twice
-// sees the same rows and moves them once.
+// sees the same batches and moves them once. Sch names the columns; kinds
+// the fetch reports replace Sch's, since only the shards know what their
+// statement's columns hold.
 type Nick struct {
 	Sch   types.Schema
-	Fetch func() ([]types.Row, error)
+	Fetch func() ([]*vec.Batch, []types.Kind, error)
 
-	once sync.Once
-	rows []types.Row
-	err  error
+	once    sync.Once
+	batches []*vec.Batch
+	err     error
 }
 
 var _ catalog.RemoteSource = (*Nick)(nil)
 
 func (n *Nick) Schema() types.Schema { return n.Sch }
 
-func (n *Nick) ScanAll() ([]types.Row, error) {
-	n.once.Do(func() { n.rows, n.err = n.Fetch() })
-	return n.rows, n.err
+func (n *Nick) ScanAll() ([]*vec.Batch, error) {
+	n.once.Do(func() {
+		var kinds []types.Kind
+		n.batches, kinds, n.err = n.Fetch()
+		if len(kinds) == len(n.Sch) && n.err == nil {
+			sch := slices.Clone(n.Sch)
+			for i, k := range kinds {
+				sch[i].Kind = k
+			}
+			n.Sch = sch
+		}
+	})
+	return n.batches, n.err
 }
 
 // recvAll drains a shuffle partition.
-func recvAll(src exec.ShuffleSource) ([]types.Row, error) {
-	var rows []types.Row
+func recvAll(src exec.ShuffleSource) ([]*vec.Batch, error) {
+	var all []*vec.Batch
 	for {
-		batch, err := src.Recv()
-		if err != nil || batch == nil {
-			return rows, err
+		batches, err := src.Recv()
+		if err != nil || batches == nil {
+			return all, err
 		}
-		rows = append(rows, batch...)
+		all = append(all, batches...)
 	}
 }
 

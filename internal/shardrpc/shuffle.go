@@ -6,12 +6,12 @@ import (
 	"time"
 
 	"dashdb/internal/exec"
-	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // Shuffle transport. Each server owns a ShuffleRouter holding one inbox
-// per (query, stage, partition). Sending shards deliver row batches
-// with FrameShuffleData and announce completion with FrameShuffleEOF;
+// per (query, stage, partition). Sending shards deliver batches (one
+// block each) with FrameShuffleData and announce completion with FrameShuffleEOF;
 // an inbox is drained once it has seen one EOF from every sender. The
 // router is created before any fragment runs, so batches that arrive
 // before the consuming join fragment starts simply queue in the inbox.
@@ -30,7 +30,7 @@ type inboxKey struct {
 type inbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	batches [][]types.Row
+	batches [][]*vec.Batch
 	eofs    int
 	senders int // 0 until the consumer declares the expected count
 	armed   bool
@@ -67,12 +67,12 @@ func (r *ShuffleRouter) inbox(k inboxKey) *inbox {
 	return in
 }
 
-// Deliver queues one batch for a partition (called by the server on
+// Deliver queues batches for a partition (called by the server on
 // FrameShuffleData and by the loopback sink).
-func (r *ShuffleRouter) Deliver(query uint64, stage, part int, rows []types.Row) {
+func (r *ShuffleRouter) Deliver(query uint64, stage, part int, batches []*vec.Batch) {
 	in := r.inbox(inboxKey{query, stage, part})
 	in.mu.Lock()
-	in.batches = append(in.batches, rows)
+	in.batches = append(in.batches, batches)
 	in.mu.Unlock()
 	in.cond.Broadcast()
 }
@@ -145,7 +145,7 @@ type inboxSource struct {
 }
 
 // Recv implements exec.ShuffleSource.
-func (s *inboxSource) Recv() ([]types.Row, error) {
+func (s *inboxSource) Recv() ([]*vec.Batch, error) {
 	in := s.in
 	deadline := time.Now().Add(s.wait)
 	// The timer callback must hold in.mu before broadcasting: a bare
@@ -165,9 +165,9 @@ func (s *inboxSource) Recv() ([]types.Row, error) {
 			return nil, in.err
 		}
 		if len(in.batches) > 0 {
-			rows := in.batches[0]
+			batches := in.batches[0]
 			in.batches = in.batches[1:]
-			return rows, nil
+			return batches, nil
 		}
 		if in.armed && in.eofs >= in.senders {
 			return nil, nil
@@ -190,10 +190,12 @@ type netSink struct {
 	stage  int
 	sender int
 	parts  []PartLoc
+
+	sentBytes int64 // block bytes sent to other servers
 }
 
-// NewNetSink builds the sink a fragment writes its shuffle output to.
-func NewNetSink(pool *Pool, router *ShuffleRouter, self string, query uint64, stage, sender int, parts []PartLoc) exec.ShuffleSink {
+// newNetSink builds the sink a stage writes its shuffle output to.
+func newNetSink(pool *Pool, router *ShuffleRouter, self string, query uint64, stage, sender int, parts []PartLoc) *netSink {
 	return &netSink{pool: pool, router: router, self: self, query: query, stage: stage, sender: sender, parts: parts}
 }
 
@@ -202,15 +204,17 @@ func (s *netSink) local(p int) bool {
 }
 
 // Send implements exec.ShuffleSink.
-func (s *netSink) Send(part int, rows []types.Row) error {
+func (s *netSink) Send(part int, batches []*vec.Batch) error {
 	if part < 0 || part >= len(s.parts) {
 		return fmt.Errorf("shardrpc: shuffle partition %d of %d", part, len(s.parts))
 	}
 	if s.local(part) {
-		s.router.Deliver(s.query, s.stage, part, rows)
+		s.router.Deliver(s.query, s.stage, part, batches)
 		return nil
 	}
-	return s.pool.SendShuffle(s.parts[part].Addr, shuffleHdr{Query: s.query, Stage: s.stage, Part: part, Sender: s.sender}, rows)
+	n, err := s.pool.SendShuffle(s.parts[part].Addr, shuffleHdr{Query: s.query, Stage: s.stage, Part: part, Sender: s.sender}, batches)
+	s.sentBytes += int64(n)
+	return err
 }
 
 // Flush implements exec.ShuffleSink: one EOF per partition.
@@ -220,7 +224,7 @@ func (s *netSink) Flush() error {
 			s.router.EOF(s.query, s.stage, p)
 			continue
 		}
-		if err := s.pool.SendShuffle(s.parts[p].Addr, shuffleHdr{Query: s.query, Stage: s.stage, Part: p, Sender: s.sender}, nil); err != nil {
+		if _, err := s.pool.SendShuffle(s.parts[p].Addr, shuffleHdr{Query: s.query, Stage: s.stage, Part: p, Sender: s.sender}, nil); err != nil {
 			return err
 		}
 	}

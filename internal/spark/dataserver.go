@@ -34,7 +34,8 @@ type fetchRequest struct {
 	Cols  []string
 }
 
-// fetchChunk is one streamed batch of rows, as one shardrpc row block.
+// fetchChunk is one streamed batch of rows, as one batch block
+// (shardrpc.EncodeRowBlock).
 type fetchChunk struct {
 	Rows []byte
 	Last bool
@@ -73,7 +74,7 @@ func NewDataServer(db *core.DB) (*DataServer, error) {
 // Addr returns the server's dial address.
 func (s *DataServer) Addr() string { return s.ln.Addr().String() }
 
-// BytesSent returns the cumulative bytes of the row blocks sent — the
+// BytesSent returns the cumulative bytes of the blocks sent — the
 // transfer metric for the pushdown experiment F-H.
 func (s *DataServer) BytesSent() int64 { return s.bytesOut.Load() }
 

@@ -559,7 +559,7 @@ func (c *Compiler) compileTableRef(f *TableRef, conjuncts *[]Expr) (*compiled, e
 	}
 	// Nickname (remote table via Fluid Query).
 	if nick, ok := c.Cat.Nickname(f.Name); ok {
-		rows, err := nick.Source.ScanAll()
+		batches, err := nick.Source.ScanAll()
 		if err != nil {
 			return nil, fmt.Errorf("sql: nickname %s: %w", f.Name, err)
 		}
@@ -568,7 +568,7 @@ func (c *Compiler) compileTableRef(f *TableRef, conjuncts *[]Expr) (*compiled, e
 		for _, col := range sch {
 			sc.add(alias, col.Name, col.Kind)
 		}
-		return &compiled{op: exec.NewValues(sch, rows), scope: sc}, nil
+		return &compiled{op: exec.NewBatches(sch, batches), scope: sc}, nil
 	}
 	return nil, fmt.Errorf("sql: table or view %s does not exist", f.Name)
 }

@@ -8,17 +8,16 @@ import "fmt"
 // whose Literal nodes hold Values, without a SQL renderer.
 
 // GobEncode implements gob.GobEncoder.
-func (v Value) GobEncode() ([]byte, error) { return appendCells(make([]byte, 0, 12), Row{v}, nil) }
+func (v Value) GobEncode() ([]byte, error) { return AppendCell(make([]byte, 0, 12), v) }
 
 // GobDecode implements gob.GobDecoder.
 func (v *Value) GobDecode(b []byte) error {
-	var one [1]Value
-	row, err := DecodeCells(one[:0], b, nil)
-	if err == nil && len(row) != 1 {
-		err = fmt.Errorf("types: gob value of %d cells", len(row))
+	val, n, err := DecodeCell(b)
+	if err == nil && n != len(b) {
+		err = fmt.Errorf("types: gob value with %d trailing bytes", len(b)-n)
 	}
 	if err == nil {
-		*v = row[0]
+		*v = val
 	}
 	return err
 }

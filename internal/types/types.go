@@ -298,24 +298,39 @@ func cmpFloat(a, b float64) int {
 // including int/float values that compare equal.
 func (v Value) Hash() uint64 {
 	if v.IsNull() {
-		return 0x9e3779b97f4a7c15
+		return NullHash
 	}
 	switch v.kind {
 	case KindInt, KindBool, KindDate, KindTimestamp:
-		return mix64(uint64(v.i))
+		return HashInt(v.i)
 	case KindFloat:
-		f := v.f
-		if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
-			// Hash integral floats as their integer value so that
-			// NewInt(3) and NewFloat(3.0) land in the same bucket.
-			return mix64(uint64(int64(f)))
-		}
-		return mix64(math.Float64bits(f))
+		return HashFloat(v.f)
 	case KindString:
-		return hashString(v.s)
+		return HashString(v.s)
 	default:
 		return 0
 	}
+}
+
+// NullHash is the hash of every NULL.
+const NullHash = 0x9e3779b97f4a7c15
+
+// HashInt is Hash of a non-NULL BOOLEAN, BIGINT, DATE or TIMESTAMP
+// payload, for kernels that hold the payload unboxed.
+//
+//dashdb:hotpath
+func HashInt(x int64) uint64 { return mix64(uint64(x)) }
+
+// HashFloat is Hash of a non-NULL DOUBLE.
+//
+//dashdb:hotpath
+func HashFloat(f float64) uint64 {
+	if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
+		// Hash integral floats as their integer value so that
+		// NewInt(3) and NewFloat(3.0) land in the same bucket.
+		return mix64(uint64(int64(f)))
+	}
+	return mix64(math.Float64bits(f))
 }
 
 // mix64 is the finalizer from SplitMix64; a fast, well-distributed
@@ -329,8 +344,11 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// hashString is FNV-1a 64-bit, inlined to avoid allocating a hash.Hash.
-func hashString(s string) uint64 {
+// HashString is Hash of a non-NULL VARCHAR: FNV-1a 64-bit, inlined to
+// avoid allocating a hash.Hash.
+//
+//dashdb:hotpath
+func HashString(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

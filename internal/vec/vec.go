@@ -223,6 +223,10 @@ func (v *Vector) Set(i int, val types.Value) {
 		panic("vec: Set on an encoded vector (Materialize first)")
 	}
 	if val.IsNull() {
+		if v.Any != nil {
+			v.Any[i] = val // a boxed NULL keeps its kind
+			return
+		}
 		v.SetNull(i)
 		return
 	}

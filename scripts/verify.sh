@@ -4,7 +4,8 @@
 # package. Set DASHDB_FUZZ=1 to add a 10-second smoke run of each fuzz
 # target (SQL front end totality, encoder round-trip identity, every
 # encoder's typed stride decode vs the boxed per-cell oracle, bulk-append
-# atomicity under racing truncates, shard RPC frame decoding, every
+# atomicity under racing truncates, the shard wire's frame, batch block and
+# gob stream decoding, every
 # expression node's EvalVec vs the row-at-a-time oracle in
 # internal/exec/oracle_test.go on generated trees and batches, the sort's
 # normalized-key order vs a stable types.Compare oracle).
