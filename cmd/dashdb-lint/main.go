@@ -3,11 +3,11 @@
 //
 // Usage:
 //
-//	dashdb-lint [-json] [-tests] [-analyzer name] [-analyzers a,b,c] [-list] [packages...]
+//	dashdb-lint [-json] [-tests] [-analyzers a,b,c] [-list] [packages...]
 //
-// With no patterns it checks ./... from the module root. -analyzer runs a
-// single analyzer (fast iteration while fixing one class of finding);
-// -analyzers takes a comma-separated subset.
+// With no patterns it checks ./... from the module root. -analyzers takes a
+// comma-separated subset; one name runs a single analyzer (fast iteration
+// while fixing one class of finding).
 //
 // Exit status:
 //
@@ -45,18 +45,9 @@ func run() int {
 		jsonOut   = flag.Bool("json", false, "emit diagnostics as a JSON array")
 		withTests = flag.Bool("tests", false, "also analyze in-package _test.go files")
 		names     = flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-		name      = flag.String("analyzer", "", "run a single analyzer (shorthand for -analyzers with one name)")
 		list      = flag.Bool("list", false, "list analyzers and exit")
 	)
 	flag.Parse()
-
-	if *name != "" {
-		if *names != "" {
-			fmt.Fprintln(os.Stderr, "dashdb-lint: -analyzer and -analyzers are mutually exclusive")
-			return 2
-		}
-		*names = *name
-	}
 
 	if *list {
 		for _, a := range lint.All() {

@@ -85,7 +85,8 @@ func (a *Appliance) table(name string) (*rowstore.Table, error) {
 }
 
 // scanFactory is the appliance access path: a full row scan with the
-// predicate evaluated per row (the FPGA restriction stage).
+// predicate evaluated per row (the FPGA restriction stage), its survivors
+// handed to the host as held rows.
 func (a *Appliance) scanFactory(table string, preds []workload.Pred) (exec.Operator, types.Schema, error) {
 	t, err := a.table(table)
 	if err != nil {
@@ -95,7 +96,14 @@ func (a *Appliance) scanFactory(table string, preds []workload.Pred) (exec.Opera
 	if err != nil {
 		return nil, nil, err
 	}
-	return &exec.RowScanOp{Table: t, Pred: filter}, t.Schema(), nil
+	var rows []types.Row
+	t.Scan(func(_ int64, row types.Row) bool {
+		if filter(row) {
+			rows = append(rows, row)
+		}
+		return true
+	})
+	return exec.NewValues(t.Schema(), rows), t.Schema(), nil
 }
 
 // Query executes a read query, returning its result rows.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dashdb/internal/encoding"
+	"dashdb/internal/exec"
 	"dashdb/internal/types"
 	"dashdb/internal/workload"
 )
@@ -126,5 +127,34 @@ func TestErrors(t *testing.T) {
 	}
 	if _, err := a.Query(&workload.QuerySpec{Table: "t", Preds: []workload.Pred{{Col: "ghost"}}}); err == nil {
 		t.Fatal("unknown predicate column must fail")
+	}
+}
+
+// TestRowScan: the appliance's access path reads every row of its row
+// table, keeps those the restriction passes, and hands them to the host
+// operators in batches of the executor's size.
+func TestRowScan(t *testing.T) {
+	a := New("scan")
+	schema := types.Schema{{Name: "a", Kind: types.KindInt}}
+	if err := a.CreateTable(workload.TableDef{Name: "r", Schema: schema}); err != nil {
+		t.Fatal(err)
+	}
+	var rows []types.Row
+	for i := int64(0); i < 3000; i++ {
+		rows = append(rows, types.Row{types.NewInt(i)})
+	}
+	if err := a.Load("r", rows); err != nil {
+		t.Fatal(err)
+	}
+	op, _, err := a.scanFactory("r", []workload.Pred{{Col: "a", Op: encoding.OpLT, Val: types.NewInt(2500)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := exec.Drain(op)
+	if err != nil || len(got) != 2500 || got[2499][0].Int() != 2499 {
+		t.Fatalf("row scan kept %d rows (err %v), want 2500 in row order", len(got), err)
+	}
+	if held, ok := op.(*exec.BatchesOp); !ok || len(held.Data) != 3 {
+		t.Fatalf("row scan output %T is not 3 batches of %d rows", op, exec.ChunkSize)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"dashdb/internal/sql"
 )
 
 // TestMonCompressionView checks the MON_COMPRESSION monitoring view: one
@@ -144,6 +146,42 @@ func TestCompressedParityQueries(t *testing.T) {
 		a, b := mustExec(t, on, q), mustExec(t, off, q)
 		if got, want := fmt.Sprint(a.Rows), fmt.Sprint(b.Rows); got != want {
 			t.Fatalf("parity violation for %q:\ncompressed: %s\ndecoded:    %s", q, got, want)
+		}
+	}
+}
+
+// TestHeldLeavesCompressedParity: the held leaves — a CTE read twice and
+// from inside a subquery, DUAL, a FROM-less SELECT — answer alike with
+// compressed execution on and off, and as the statement with each CTE
+// written out in place.
+func TestHeldLeavesCompressedParity(t *testing.T) {
+	mk := func(disable bool) *Session {
+		s := Open(Config{BufferPoolBytes: 16 << 20, Parallelism: 2, DisableCompressedExec: disable}).NewSession()
+		seedSales(t, s, 3_000)
+		s.SetDialect(sql.DialectOracle) // for DUAL
+		return s
+	}
+	on, off := mk(false), mk(true)
+	const n = `(SELECT region, COUNT(*) AS c FROM sales WHERE region <> 'west' GROUP BY region)`
+	const few = `(SELECT id, region FROM sales WHERE amount > 95)`
+	cases := []struct{ q, inlined string }{
+		{`WITH n AS ` + n + ` SELECT a.region, a.c + b.c FROM n a JOIN n b ON a.region = b.region ORDER BY a.region`,
+			`SELECT a.region, a.c + b.c FROM ` + n + ` a JOIN ` + n + ` b ON a.region = b.region ORDER BY a.region`},
+		{`WITH f AS ` + few + ` SELECT region, COUNT(*) FROM sales WHERE region IN (SELECT region FROM f WHERE id < 500) GROUP BY region ORDER BY region`,
+			`SELECT region, COUNT(*) FROM sales WHERE region IN (SELECT region FROM ` + few + ` f WHERE id < 500) GROUP BY region ORDER BY region`},
+		{`WITH f AS ` + few + ` SELECT (SELECT COUNT(*) FROM f WHERE region = 'north'), COUNT(*) FROM f`,
+			`SELECT (SELECT COUNT(*) FROM ` + few + ` f WHERE region = 'north'), COUNT(*) FROM ` + few + ` f`},
+		{`SELECT 1 + 2, UPPER(dummy) FROM dual`, `SELECT 3, 'X'`},
+		{`WITH f AS ` + few + ` SELECT (SELECT MAX(id) FROM f), 7 * 6`,
+			`SELECT (SELECT MAX(id) FROM ` + few + ` f), 42`},
+	}
+	for _, tc := range cases {
+		got := fmt.Sprint(mustExec(t, on, tc.q).Rows)
+		if off := fmt.Sprint(mustExec(t, off, tc.q).Rows); got != off {
+			t.Errorf("parity violation for %q:\ncompressed: %s\ndecoded:    %s", tc.q, got, off)
+		}
+		if want := fmt.Sprint(mustExec(t, on, tc.inlined).Rows); got != want || got == "[]" {
+			t.Errorf("%q: %s, inlined %s", tc.q, got, want)
 		}
 	}
 }

@@ -244,6 +244,7 @@ func (db *DB) NewSession() *Session {
 		db:      db,
 		dialect: sql.DialectANSI,
 		user:    "default",
+		bound:   make(map[string]catalog.RemoteSource),
 	}
 }
 
@@ -275,6 +276,17 @@ type Session struct {
 	// session (SET JOIN_ORDER): "GREEDY", "SYNTACTIC", or "" for the
 	// engine default from Config.DisableJoinReorder.
 	joinOrder string
+	// bound holds the names Bind gave this session's statements.
+	bound map[string]catalog.RemoteSource
+}
+
+// Bind names src for every statement of this session: the statement reads
+// its batches under that name, ahead of any catalog object (a shard binds
+// its shuffle partitions so, on a session it makes per request).
+func (s *Session) Bind(name string, src catalog.RemoteSource) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.bound[name] = src
 }
 
 // Parallelism returns the session's effective intra-query parallelism
@@ -409,6 +421,9 @@ func (s *Session) compiler() *sql.Compiler {
 	s.mu.Lock()
 	c.Params = s.params
 	c.Snaps = s.snaps
+	for name, src := range s.bound {
+		c.Bind(name, src)
+	}
 	s.mu.Unlock()
 	return c
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"time"
@@ -184,8 +185,6 @@ func collectOp(op exec.Operator, depth int, st *telemetry.OpStats, out *[]planEn
 		}
 		e := add(desc)
 		e.scan, e.est = o.ScanStats, o.EstRows
-	case *exec.RowScanOp:
-		add(fmt.Sprintf("ROW SCAN %s", o.Table.Name()))
 	case *exec.FilterOp:
 		text := "FILTER" + mode(o.Pred)
 		if exec.PredCompressible(o.Pred, exec.CompressedCols(o.Child)) {
@@ -268,8 +267,8 @@ func collectOp(op exec.Operator, depth int, st *telemetry.OpStats, out *[]planEn
 		for _, c := range o.Children {
 			collectOp(c, depth+1, nil, out)
 		}
-	case *exec.ValuesOp:
-		add(fmt.Sprintf("VALUES [%d rows]", len(o.Data)))
+	case *exec.BatchesOp:
+		add(fmt.Sprintf("HELD %s [%d rows]", cmp.Or(o.Name, "VALUES"), o.Rows())).est = o.EstRows
 	default:
 		add(fmt.Sprintf("%T", op))
 	}

@@ -4,18 +4,21 @@
 // value-space comparison predicate into code space, so that the executor
 // can evaluate predicates over bit-packed codes without decoding.
 //
-// Three encodings are provided:
+// Three encoders are provided; every column is coded by one of them:
 //
 //   - IntFOR: "minus encoding" (frame of reference) for high-cardinality
-//     numerics: code = value − min, packed at bits(max−min).
+//     integers, booleans, dates and timestamps: code = value − min, packed at
+//     bits(max−min).
+//   - FloatFOR: minus encoding of fixed-point DOUBLEs (amounts, prices) as
+//     integers scaled by 1, 100 or 10 000, used only when every value
+//     reads back bit for bit.
 //   - Dict: frequency-partitioned, order-preserving dictionary for strings
 //     and low-cardinality columns. The hottest values form partition 0 and
 //     receive the shortest codes; within every partition codes are assigned
 //     in value order, so codes are binary-comparable inside a partition
 //     (the paper's "order preserving codes"). Dictionary strings are stored
-//     front-coded (prefix compression).
-//   - Raw: fallback for incompressible data; predicates are evaluated in
-//     value space (the "residual" path).
+//     front-coded (prefix compression). It is also the fallback for a
+//     column neither frame of reference fits.
 package encoding
 
 import (
@@ -27,11 +30,9 @@ import (
 type Kind uint8
 
 const (
-	// KindRaw stores values unencoded.
-	KindRaw Kind = iota
-	// KindIntFOR is minus / frame-of-reference encoding for integers,
-	// dates and timestamps.
-	KindIntFOR
+	// KindIntFOR is minus / frame-of-reference encoding: IntFOR, and
+	// FloatFOR over scaled values.
+	KindIntFOR Kind = iota
 	// KindDict is the frequency-partitioned order-preserving dictionary.
 	KindDict
 )
@@ -39,8 +40,6 @@ const (
 // String names the encoding.
 func (k Kind) String() string {
 	switch k {
-	case KindRaw:
-		return "RAW"
 	case KindIntFOR:
 		return "MINUS"
 	case KindDict:

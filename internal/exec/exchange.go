@@ -10,13 +10,12 @@ import (
 // et al.'s cluster OLAP model in PAPERS.md). A ShuffleWriter takes a
 // statement's batches and routes every live row to one of N partitions by
 // the hash of its key columns, as a view of the batch under a selection
-// vector — no row is boxed or copied; a ShuffleSource is the receiving
-// edge, yielding the batches delivered for one partition.
+// vector — no row is boxed or copied.
 //
-// The exec package defines only the writer and the transport interfaces.
-// The network transport (length-prefixed frames over TCP) lives in
-// internal/shardrpc, which imports core and therefore exec — the
-// interfaces here keep the dependency pointing one way.
+// The exec package defines only the writer and the sink it writes to. The
+// network transport (length-prefixed frames over TCP) and the receiving
+// edge live in internal/shardrpc, which imports core and therefore exec —
+// the interface here keeps the dependency pointing one way.
 
 // ShuffleSink receives the writer's partitioned batches. Send may be
 // called concurrently for different partitions by different writer
@@ -29,32 +28,20 @@ type ShuffleSink interface {
 	Flush() error
 }
 
-// ShuffleSource yields the batches delivered to one partition. Recv
-// blocks until some arrive and returns (nil, nil) once every sender has
-// flushed.
-type ShuffleSource interface {
-	Recv() ([]*vec.Batch, error)
-}
-
 // Partition returns the partition of the row at batch position i of the
 // key vectors. Single keys use the value's Hash directly so the shuffle
 // placement matches the cluster's insert routing (hash(distkey) mod
 // nShards) and co-located data re-shuffles to the shard it already lives
-// on; composite keys mix with an FNV-1a fold. Rows with any NULL key go to
-// partition 0: NULL never equals anything, so any fixed home keeps joins
-// correct while staying deterministic. Vector.Hash reads a typed lane
-// without boxing and equals Value.Hash, so this is the partition of the
-// boxed row too.
+// on; composite keys mix with an FNV-1a fold. A NULL key hashes like any
+// value (types.NullHash), so a row lands where the insert routing would
+// put it; NULL never joins, so any deterministic home is correct.
+// Vector.Hash reads a typed lane without boxing and equals Value.Hash, so
+// this is the partition of the boxed row too.
 //
 //dashdb:hotpath
 func Partition(keys []*vec.Vector, i, parts int) int {
 	if parts <= 1 {
 		return 0
-	}
-	for _, v := range keys {
-		if v.IsNull(i) {
-			return 0
-		}
 	}
 	var h uint64
 	if len(keys) == 1 {

@@ -11,16 +11,12 @@ import (
 )
 
 // HashPartition is the partition of a boxed row's key columns: Value.Hash
-// of a single key, an FNV-1a fold of several, NULL keys to partition 0.
+// of a single key, an FNV-1a fold of several; a NULL hashes as
+// types.NullHash like any value, as the cluster's insert routing places it.
 // Partition must place every row where this does.
 func HashPartition(row types.Row, keys []int, parts int) int {
 	if parts <= 1 {
 		return 0
-	}
-	for _, k := range keys {
-		if row[k].IsNull() {
-			return 0
-		}
 	}
 	var h uint64
 	if len(keys) == 1 {

@@ -10,9 +10,9 @@
 // and emit typed vectors: grouping and sorting through one order-and-gather
 // (sortedCols), the join by gathering a chunk of candidate pairs at a time,
 // keyed or not, and narrowing it by its residual. Rows remain only where
-// state is written to or read from a spill file, in VALUES and in the row
-// scan. The join and grouping use partitioned hash algorithms in the style
-// of Hybrid Hash Join: state belongs to one of a fixed fan-out of 64 hash partitions charged
+// state is written to or read from a spill file and in VALUES. The join
+// and grouping use partitioned hash algorithms in the style of Hybrid
+// Hash Join: state belongs to one of a fixed fan-out of 64 hash partitions charged
 // against the session's hash heap, a partition spills when the heap is
 // exhausted, and an operator given no governor runs the same path with
 // nothing denied. Fan-out is not yet derived from the build estimate or a
@@ -108,57 +108,47 @@ func Stream(op Operator, emit func(*vec.Batch) error) error {
 	}
 }
 
-// rowQueue is the emit side of the operators whose output is rows they hold
-// — VALUES, the row scan and the sort's merge of spilled runs: it hands them
-// out ChunkSize at a time as row-built batches.
+// rowQueue hands out rows an operator holds ChunkSize at a time as
+// row-built batches: the sort's merge of spilled runs, and VALUES when it
+// is cut into batches.
 type rowQueue struct{ rows []types.Row }
 
-// next returns the next batch, or nil when fewer than ChunkSize rows are
-// queued and flush is false (the producer has more to add) or none are.
-func (q *rowQueue) next(sch types.Schema, flush bool) *vec.Batch {
-	n := len(q.rows)
-	if n == 0 || (n < ChunkSize && !flush) {
+// next returns the next batch, or nil when no rows are queued.
+func (q *rowQueue) next(sch types.Schema) *vec.Batch {
+	n := min(len(q.rows), ChunkSize)
+	if n == 0 {
 		return nil
-	}
-	if n > ChunkSize {
-		n = ChunkSize
 	}
 	vb := vec.FromRows(sch, q.rows[:n:n])
 	q.rows = q.rows[n:]
 	return vb
 }
 
-// ValuesOp streams literal rows (VALUES clause, catalog queries, tests).
-type ValuesOp struct {
-	Sch  types.Schema
-	Data []types.Row
-	out  rowQueue
+// NewValues is the leaf over literal rows (VALUES, DUAL, a FROM-less
+// SELECT, tests): a BatchesOp over the rows cut into row-built batches of
+// ChunkSize.
+func NewValues(sch types.Schema, rows []types.Row) *BatchesOp {
+	q := rowQueue{rows: rows}
+	var batches []*vec.Batch
+	for b := q.next(sch); b != nil; b = q.next(sch) {
+		batches = append(batches, b)
+	}
+	return NewBatches(sch, batches)
 }
 
-// NewValues creates a ValuesOp.
-func NewValues(sch types.Schema, rows []types.Row) *ValuesOp {
-	return &ValuesOp{Sch: sch, Data: rows}
-}
-
-// Schema implements Operator.
-func (v *ValuesOp) Schema() types.Schema { return v.Sch }
-
-// Open implements Operator.
-func (v *ValuesOp) Open() error { v.out.rows = v.Data; return nil }
-
-// Next implements Operator.
-func (v *ValuesOp) Next() (*vec.Batch, error) { return v.out.next(v.Sch, true), nil }
-
-// Close implements Operator.
-func (v *ValuesOp) Close() error { return nil }
-
-// BatchesOp streams batches a source already holds: a nickname's scan. It
-// hands out a copy of each, so a parent that narrows Sel leaves the source
-// as it was for the next reader.
+// BatchesOp is the one leaf over data a statement already holds: literal
+// rows, a CTE's output, a nickname's scan, the coordinator's pulls and a
+// shard's shuffle partitions. It hands out a copy of each batch, so a
+// parent that narrows Sel leaves the data as it was for the next reader.
 type BatchesOp struct {
 	Sch  types.Schema
 	Data []*vec.Batch
-	next int
+	// Name is the bound name the batches were read under ("" for VALUES),
+	// for EXPLAIN.
+	Name string
+	// EstRows is the planner's estimate, which is exact here: Rows.
+	EstRows float64
+	next    int
 }
 
 // NewBatches creates a BatchesOp over batches of sch's width. Every column
@@ -173,8 +163,21 @@ func NewBatches(sch types.Schema, batches []*vec.Batch) *BatchesOp {
 	return &BatchesOp{Sch: sch, Data: batches}
 }
 
+// Rows returns the number of live rows the operator holds.
+func (o *BatchesOp) Rows() int {
+	n := 0
+	for _, b := range o.Data {
+		n += b.Rows()
+	}
+	return n
+}
+
 // Schema implements Operator.
 func (o *BatchesOp) Schema() types.Schema { return o.Sch }
+
+// ScanAll returns the batches, so held data can itself be bound as a
+// source (a CTE's output, DUAL).
+func (o *BatchesOp) ScanAll() ([]*vec.Batch, error) { return o.Data, nil }
 
 // Open implements Operator.
 func (o *BatchesOp) Open() error { o.next = 0; return nil }

@@ -6,7 +6,6 @@ import (
 
 	"dashdb/internal/columnar"
 	"dashdb/internal/encoding"
-	"dashdb/internal/rowstore"
 	"dashdb/internal/types"
 	"dashdb/internal/vec"
 )
@@ -551,18 +550,6 @@ func TestScanOpEarlyClose(t *testing.T) {
 	// Double close is safe.
 	if err := scan.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRowScanOp(t *testing.T) {
-	tbl := rowstore.NewTable("r", intSchema("a"))
-	for i := int64(0); i < 100; i++ {
-		tbl.Insert(types.Row{types.NewInt(i)})
-	}
-	op := &RowScanOp{Table: tbl, Pred: func(r types.Row) bool { return r[0].Int() < 10 }}
-	rows, err := Drain(op)
-	if err != nil || len(rows) != 10 {
-		t.Fatalf("rowscan %d err %v", len(rows), err)
 	}
 }
 

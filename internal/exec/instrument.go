@@ -60,7 +60,7 @@ func Instrument(op Operator) Operator {
 		return o // already instrumented
 	case *ScanOp:
 		o.ScanStats = telemetry.NewScanStats(max(o.Dop, 1))
-	case *RowScanOp, *ValuesOp:
+	case *BatchesOp:
 	case *FilterOp:
 		o.Child = Instrument(o.Child)
 	case *ProjectOp:

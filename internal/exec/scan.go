@@ -2,7 +2,6 @@ package exec
 
 import (
 	"dashdb/internal/columnar"
-	"dashdb/internal/rowstore"
 	"dashdb/internal/telemetry"
 	"dashdb/internal/types"
 	"dashdb/internal/vec"
@@ -170,34 +169,3 @@ func (s *ScanOp) Close() error {
 	}
 	return nil
 }
-
-// RowScanOp streams a row-store table (the baseline engine's access path:
-// row-at-a-time with a residual predicate, no skipping, no SIMD). Pred is a
-// plain row function, not an Expr: the baseline is meant to look at one row
-// at a time.
-type RowScanOp struct {
-	Table *rowstore.Table
-	Pred  func(types.Row) bool // optional residual filter
-	out   rowQueue
-}
-
-// Schema implements Operator.
-func (r *RowScanOp) Schema() types.Schema { return r.Table.Schema() }
-
-// Open implements Operator.
-func (r *RowScanOp) Open() error {
-	r.out.rows = nil
-	r.Table.Scan(func(_ int64, row types.Row) bool {
-		if r.Pred == nil || r.Pred(row) {
-			r.out.rows = append(r.out.rows, row)
-		}
-		return true
-	})
-	return nil
-}
-
-// Next implements Operator.
-func (r *RowScanOp) Next() (*vec.Batch, error) { return r.out.next(r.Table.Schema(), true), nil }
-
-// Close implements Operator.
-func (r *RowScanOp) Close() error { return nil }

@@ -891,7 +891,7 @@ func (s *SortOp) Next() (*vec.Batch, error) {
 			return nil, err
 		}
 	}
-	return s.merged.next(s.Schema(), true), nil
+	return s.merged.next(s.Schema()), nil
 }
 
 // SpillStats reports runs and bytes spilled, for EXPLAIN ANALYZE. Valid

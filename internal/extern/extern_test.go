@@ -1,6 +1,7 @@
 package extern
 
 import (
+	"strings"
 	"testing"
 
 	"dashdb/internal/core"
@@ -65,6 +66,40 @@ func TestCSVThroughSQL(t *testing.T) {
 	r, err = sess.Exec(`SELECT SUM(population), MIN(founded) FROM cities`)
 	if err != nil || r.Rows[0][0].Int() != 55000 {
 		t.Fatalf("%v err %v", r, err)
+	}
+}
+
+// TestHeldLeafEstimateIsExact: the planner's estimate of a held leaf is its
+// row count — an extern table read through its nickname, and a source bound
+// for a session's statements, as a shard binds its shuffle partitions and
+// the coordinator its pulls — so EXPLAIN ANALYZE prints the same number as
+// estimate and actual.
+func TestHeldLeafEstimateIsExact(t *testing.T) {
+	db := core.Open(core.Config{BufferPoolBytes: 4 << 20})
+	if err := RegisterCSV(db.Catalog(), "cities", sampleCSV); err != nil {
+		t.Fatal(err)
+	}
+	pulled, err := NewCSVTable("pulled", sampleCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := db.NewSession()
+	sess.Bind("pulled", pulled)
+	r, err := sess.Exec("EXPLAIN ANALYZE SELECT p.city, c.population FROM pulled p JOIN cities c ON p.id = c.id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []string
+	for _, row := range r.Rows {
+		if line := row[0].Str(); strings.Contains(line, "HELD ") {
+			held = append(held, line)
+			if !strings.Contains(line, "[3 rows] (est rows=3) (actual rows=3 ") {
+				t.Errorf("held leaf without an exact estimate: %s", line)
+			}
+		}
+	}
+	if len(held) != 2 || !strings.Contains(held[0]+held[1], "HELD CITIES") || !strings.Contains(held[0]+held[1], "HELD PULLED") {
+		t.Fatalf("want the nickname and the bound source as held leaves, got %q", held)
 	}
 }
 

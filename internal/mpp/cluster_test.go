@@ -1699,6 +1699,91 @@ func TestParityUnderSpill(t *testing.T) {
 	})
 }
 
+// TestShuffleJoinRunsInShardEngine: the reading side of a socket shuffle
+// join runs in each shard's own engine. Under starved heaps its build
+// reserves from (and spills through) the shard's broker, it is admitted by
+// the shard's WLM after the two stage statements, and its HASH JOIN is in
+// the shard's query history.
+func TestShuffleJoinRunsInShardEngine(t *testing.T) {
+	h := &harness{t: t, socket: true}
+	// ~56KB per shard slice → ~8KB SORTHEAP/HASHHEAP per shard.
+	c := h.form([]NetNode{{Name: "A", Cores: 2, MemBytes: 112 << 10}, {Name: "B", Cores: 2, MemBytes: 112 << 10}}, 2, clusterfs.New())
+	seedSales(t, c, 2000, 0.5)
+	if err := c.CreateTable("ledger", types.Schema{{Name: "lid", Kind: types.KindInt}, {Name: "sale", Kind: types.KindInt}}, TableOptions{DistributeBy: "lid"}); err != nil {
+		t.Fatal(err)
+	}
+	var ledger []types.Row
+	for i := int64(0); i < 2000; i++ {
+		ledger = append(ledger, types.Row{types.NewInt(i), types.NewInt(i * 7 % 2000)})
+	}
+	if err := c.Insert("ledger", ledger); err != nil {
+		t.Fatal(err)
+	}
+	type counters struct {
+		hash     mem.HeapStat
+		admitted uint64
+	}
+	read := func() []counters {
+		out := make([]counters, c.NShards())
+		for s := range out {
+			db := h.engine(c, s)
+			heaps, _ := db.MemBroker().Stats()
+			if a := db.Config().HashHeapBytes; a > 16<<10 {
+				t.Fatalf("shard %d hash heap %d: test needs starved heaps", s, a)
+			}
+			out[s] = counters{hash: heaps[mem.HashHeap], admitted: db.WLM().Stats().Admitted}
+		}
+		return out
+	}
+	before := read()
+	res, err := c.Query("SELECT COUNT(*) AS n FROM sales s INNER JOIN ledger l ON s.id = l.sale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Rows[0][0].Int(); n != 2000 {
+		t.Fatalf("join count %d, want 2000", n)
+	}
+	if st := c.Stats(); st.ShuffleJoins != 1 {
+		t.Fatalf("paths %+v, want one shuffle join", st)
+	}
+	after := read()
+	for s := range after {
+		b, a := before[s], after[s]
+		if a.hash.Grants == b.hash.Grants && a.hash.SpillRuns == b.hash.SpillRuns {
+			t.Errorf("shard %d: the join reserved nothing from the shard's hash heap: %+v", s, a.hash)
+		}
+		if got := a.admitted - b.admitted; got != 3 {
+			t.Errorf("shard %d: WLM admitted %d statements, want 3 (two stages and the join)", s, got)
+		}
+		hist, err := h.engine(c, s).NewSession().Query("SELECT COUNT(*) FROM mon_operator_stats WHERE operator LIKE 'HASH JOIN%'")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := hist.Rows[0][0].Int(); n != 1 {
+			t.Errorf("shard %d: %d HASH JOIN operators in the shard's history, want 1", s, n)
+		}
+	}
+}
+
+// TestInsertReadsStatementClock: the coordinator folds an INSERT's literal
+// rows with the compiler its SELECTs use, so CURRENT_DATE is the
+// statement's date, not the zero time.
+func TestInsertReadsStatementClock(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.form(fourNodes()[:2], 1, clusterfs.New())
+		if err := c.CreateTable("d", types.Schema{{Name: "k", Kind: types.KindInt}, {Name: "v", Kind: types.KindDate}}, TableOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Query("INSERT INTO d VALUES (1, CURRENT_DATE)"); err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.Query("SELECT COUNT(*) FROM d WHERE v >= DATE '2000-01-01'")
+		if err != nil || r.Rows[0][0].Int() != 1 {
+			t.Fatalf("CURRENT_DATE in a cluster INSERT: %v err %v", r, err)
+		}
+	})
+}
+
 // TestTailAnswers pins, on one engine and through both clients, the
 // statements whose ORDER BY bound wrongly or not at all while an
 // aggregating block resolved it with a resolver of its own and a set

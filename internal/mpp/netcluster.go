@@ -19,6 +19,7 @@ import (
 
 	"dashdb/internal/clusterfs"
 	"dashdb/internal/core"
+	"dashdb/internal/mem"
 	"dashdb/internal/shardrpc"
 	"dashdb/internal/sql"
 	"dashdb/internal/telemetry"
@@ -45,6 +46,7 @@ type NetCluster struct {
 	tables  map[string]*tableMeta
 	nextID  uint32
 	reg     *telemetry.Registry
+	broker  *mem.Broker // the heaps of the coordinator's final statements
 	stats   NetStats
 	qid     atomic.Uint64 // randomly seeded; see newCluster
 }
@@ -195,6 +197,7 @@ func newCluster(client shardClient, nodes []NetNode, m manifest, fs *clusterfs.F
 		tables:  make(map[string]*tableMeta),
 		nextID:  1,
 		reg:     telemetry.NewRegistry(telemetry.DefaultHistorySize),
+		broker:  mem.NewBroker(0, 0, ""),
 	}
 	// Seed the ID counter with 64 random bits. The IDs key shuffle
 	// inboxes and the DML applied log on shard servers that outlive this
@@ -233,9 +236,13 @@ func newCluster(client shardClient, nodes []NetNode, m manifest, fs *clusterfs.F
 	return c, nil
 }
 
-// Close shuts the shard client: the connection pool of a socket cluster
-// (its servers keep running), the engines of an in-process one.
-func (c *NetCluster) Close() { c.client.Close() }
+// Close shuts the shard client — the connection pool of a socket cluster
+// (its servers keep running), the engines of an in-process one — and the
+// coordinator's broker.
+func (c *NetCluster) Close() {
+	c.client.Close()
+	c.broker.Close() //nolint:errcheck — only removes the spill directory
+}
 
 // FS exposes the clustered filesystem.
 func (c *NetCluster) FS() *clusterfs.FS { return c.fs }

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dashdb/internal/catalog"
 	"dashdb/internal/core"
 	"dashdb/internal/exec"
 	"dashdb/internal/mem"
@@ -117,7 +116,7 @@ func (c *NetCluster) netInsertStmt(stmt *sql.InsertStmt, d sql.Dialect) (*core.R
 		}
 		return &core.Result{RowsAffected: int64(len(res.Rows))}, nil
 	}
-	rows, err := evalInsertRows(stmt, meta.schema, d)
+	rows, err := c.evalInsertRows(stmt, meta.schema, d)
 	if err != nil {
 		return nil, err
 	}
@@ -148,11 +147,10 @@ func (c *NetCluster) netCreateTableStmt(stmt *sql.CreateTableStmt) (*core.Result
 	return &core.Result{Message: "TABLE CREATED"}, nil
 }
 
-// evalInsertRows evaluates an INSERT's literal rows with a scratch
-// compiler (constant folding needs a catalog but never looks a table up,
-// so an empty one serves) and maps any column list onto the table schema.
-func evalInsertRows(stmt *sql.InsertStmt, schema types.Schema, d sql.Dialect) ([]types.Row, error) {
-	comp := sql.NewCompiler(catalog.New(), d, &sql.EvalEnv{Dialect: d})
+// evalInsertRows evaluates an INSERT's literal rows with a coordinator
+// compiler and maps any column list onto the table schema.
+func (c *NetCluster) evalInsertRows(stmt *sql.InsertStmt, schema types.Schema, d sql.Dialect) ([]types.Row, error) {
+	comp := c.compiler(d, time.Now())
 	var rows []types.Row
 	for _, exprRow := range stmt.Rows {
 		row := make(types.Row, len(exprRow))
@@ -194,18 +192,26 @@ func (c *NetCluster) netSelect(sel *sql.SelectStmt, d sql.Dialect, text string) 
 	return c.run(p, d, text)
 }
 
-// run executes a placed SELECT: each pull becomes a nickname of a
-// throwaway catalog — fetched from the shards when the compiler first
-// binds it, once however often it is named, so gather ships only the
+// compiler is the one compiler of a coordinator statement. It has no
+// catalog: what it reads is bound to it. Its sorts, joins and group-bys run
+// under the cluster's broker.
+func (c *NetCluster) compiler(d sql.Dialect, now time.Time) *sql.Compiler {
+	comp := sql.NewCompiler(nil, d, &sql.EvalEnv{Now: now.UTC(), Dialect: d})
+	comp.Gov = &mem.Governor{Broker: c.broker}
+	return comp
+}
+
+// run executes a placed SELECT: each pull is bound to the final
+// statement's compiler — fetched from the shards when the compiler first
+// reads it, once however often it is named, so gather ships only the
 // tables the statement reads — and final compiles and drains over them
-// like any statement, its sorts, joins and group-bys under a governor of
-// the default budgets.
+// like any statement.
 func (c *NetCluster) run(p *distSelect, d sql.Dialect, text string) (*core.Result, error) {
 	start := time.Now()
 	var pulled []*shardrpc.Result // every shard result behind the answer
-	cat := catalog.New()
+	comp := c.compiler(d, start)
 	for _, in := range p.pulls {
-		nick := &shardrpc.Nick{Sch: in.schema, Fetch: func() ([]*vec.Batch, []types.Kind, error) {
+		comp.Bind(in.name, &shardrpc.Nick{Sch: in.schema, Fetch: func() ([]*vec.Batch, []types.Kind, error) {
 			results, err := c.pull(p.stages, in, d, text)
 			pulled = append(pulled, results...)
 			var batches []*vec.Batch
@@ -214,15 +220,8 @@ func (c *NetCluster) run(p *distSelect, d sql.Dialect, text string) (*core.Resul
 				batches, kinds = append(batches, r.Batches...), r.Kinds
 			}
 			return batches, kinds, err
-		}}
-		if err := cat.CreateNickname(in.name, nick); err != nil {
-			return nil, err
-		}
+		}})
 	}
-	broker := mem.NewBroker(0, 0, "")
-	defer broker.Close() //nolint:errcheck — only removes the spill directory
-	comp := sql.NewCompiler(cat, d, &sql.EvalEnv{Now: start.UTC(), Dialect: d})
-	comp.Gov = &mem.Governor{Broker: broker}
 	op, err := comp.CompileSelect(p.final)
 	if err != nil {
 		return nil, err

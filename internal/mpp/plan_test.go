@@ -5,8 +5,10 @@ import (
 	"slices"
 	"testing"
 
+	"dashdb/internal/exec"
 	"dashdb/internal/sql"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // planCluster is a coordinator over the benchmark's two tables, both
@@ -230,6 +232,51 @@ func TestGroupLimitPlan(t *testing.T) {
 		}
 		if shard := p.pulls[0].sel; shard.OrderBy != nil || shard.Limit != -1 {
 			t.Errorf("%s: pushed ORDER BY %+v LIMIT %d to the shards", q, shard.OrderBy, shard.Limit)
+		}
+	}
+}
+
+// TestShardOfMatchesPartition: the insert routing and pin (shardOf) and the
+// shuffle (exec.Partition) place a key alike — for every kind, for NULL,
+// and for a literal coerced to the column's kind — so a co-located row
+// re-shuffles to the shard it already lives on.
+func TestShardOfMatchesPartition(t *testing.T) {
+	date, err := types.ParseDate("2016-10-01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		kind   types.Kind
+		stored types.Value // as the shard holds it
+		lit    types.Value // as an INSERT or a WHERE names it
+	}{
+		{types.KindBool, types.NewBool(true), types.NewBool(true)},
+		{types.KindInt, types.NewInt(-17), types.NewInt(-17)},
+		{types.KindFloat, types.NewFloat(2.5), types.NewFloat(2.5)},
+		{types.KindFloat, types.NewFloat(42), types.NewInt(42)},
+		{types.KindString, types.NewString("north"), types.NewString("north")},
+		{types.KindDate, date, types.NewString("2016-10-01")},
+		{types.KindTimestamp, types.NewTimestamp(1_475_280_000_000_000), types.NewTimestamp(1_475_280_000_000_000)},
+	}
+	for _, k := range []types.Kind{types.KindBool, types.KindInt, types.KindFloat, types.KindString, types.KindDate, types.KindTimestamp} {
+		cases = append(cases, struct {
+			kind        types.Kind
+			stored, lit types.Value
+		}{k, types.NullOf(k), types.Null})
+	}
+	for _, n := range []int{6, 8} {
+		c := &NetCluster{nShards: n}
+		for _, tc := range cases {
+			meta := &tableMeta{schema: types.Schema{{Name: "k", Kind: tc.kind, Nullable: true}}}
+			typed := vec.New(tc.kind, 1)
+			typed.Set(0, tc.stored)
+			boxed := vec.FromRows(meta.schema, []types.Row{{tc.stored}}).Col(0)
+			want := c.shardOf(meta, tc.lit)
+			for name, v := range map[string]*vec.Vector{"typed": typed, "const": vec.NewConst(tc.stored), "boxed": boxed} {
+				if got := exec.Partition([]*vec.Vector{v}, 0, n); got != want {
+					t.Errorf("%d parts, %s %v (%s vector): partition %d, shardOf %v says %d", n, tc.kind, tc.stored, name, got, tc.lit, want)
+				}
+			}
 		}
 	}
 }

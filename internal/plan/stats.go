@@ -6,8 +6,8 @@ import (
 	"dashdb/internal/exec"
 )
 
-// defaultEstRows is the cardinality guess for opaque inputs (subqueries,
-// views, remote nicknames) that expose no statistics.
+// defaultEstRows is the cardinality guess for the inputs that expose no
+// size: views and subqueries. A held leaf knows its size exactly.
 const defaultEstRows = 1000
 
 // leafInfo is one join-graph relation during lowering: the physical
@@ -39,8 +39,10 @@ func (l *leafInfo) distinct(col int) float64 {
 }
 
 // analyzeLeaf builds the leafInfo for a lowered region leaf, attaching
-// statistics when the operator is a bare columnar scan and recording the
-// cardinality estimate on the operator for EXPLAIN.
+// statistics when the operator is a bare columnar scan, taking the exact
+// row count of a held leaf (VALUES, a CTE, a nickname, a pull, a shuffle
+// partition), and recording the cardinality estimate on the operator for
+// EXPLAIN.
 func analyzeLeaf(op exec.Operator, est float64) *leafInfo {
 	l := &leafInfo{op: op, arity: len(op.Schema()), est: est}
 	switch o := op.(type) {
@@ -86,8 +88,10 @@ func analyzeLeaf(op exec.Operator, est float64) *leafInfo {
 			l.est = 1
 		}
 		o.EstRows = l.est
-	case *exec.ValuesOp:
-		l.est = float64(len(o.Data))
+	case *exec.BatchesOp:
+		l.est = float64(o.Rows())
+		o.EstRows = l.est
+		return l
 	}
 	if l.est <= 0 {
 		l.est = defaultEstRows

@@ -34,9 +34,6 @@ func NewTable(name string, schema types.Schema) *Table {
 	}
 }
 
-// Name returns the table name.
-func (t *Table) Name() string { return t.name }
-
 // Schema returns the table schema.
 func (t *Table) Schema() types.Schema { return t.schema }
 

@@ -552,31 +552,12 @@ func (s *Server) handleExec(c *serverConn, req ExecReq) error {
 	if err != nil {
 		return c.write(FrameErr, []byte(err.Error()))
 	}
-	db := slot.db
 	write := !isReadOnly(req.Stmt)
 	x := req.Exchange
 	if x == nil {
 		x = &Exchange{}
 	} else if _, sel := req.Stmt.(*sql.SelectStmt); !sel {
 		return c.write(FrameErr, []byte("exchange on a statement that is not a SELECT"))
-	}
-	if len(x.Inputs) > 0 {
-		// The scratch engine inherits the shard's post-failover budgets, so
-		// reduced SORTHEAP/HASHHEAP and DOP govern the statement itself (and
-		// the 8KB-heap parity tests exercise mid-join spills here).
-		db = core.Open(slot.assign.config())
-		defer db.Close()
-		defer s.router.DropPart(x.Query, x.Part)
-		for _, in := range x.Inputs {
-			src := s.router.Source(x.Query, in.Stage, x.Part, x.Senders)
-			nick := &Nick{Sch: in.Schema, Fetch: func() ([]*vec.Batch, []types.Kind, error) {
-				batches, err := recvAll(src)
-				return batches, nil, err
-			}}
-			if err := db.Catalog().CreateNickname(in.Name, nick); err != nil {
-				return c.write(FrameErr, []byte(err.Error()))
-			}
-		}
 	}
 	if write {
 		if affected, ok := s.lookupApplied(req.ShardID, req.Token); ok {
@@ -585,8 +566,21 @@ func (s *Server) handleExec(c *serverConn, req ExecReq) error {
 			return writeResultTail(c, &core.Result{RowsAffected: affected, Message: "OK"}, 0, false)
 		}
 	}
-	sess := db.NewSession()
+	sess := slot.db.NewSession()
 	sess.SetDialect(req.Dialect)
+	if len(x.Inputs) > 0 {
+		// Each input is this partition's share of a stage, bound on the
+		// request's session: the statement runs in the shard's own engine,
+		// under its current heaps, DOP and WLM, into its query history.
+		defer s.router.DropPart(x.Query, x.Part)
+		for _, in := range x.Inputs {
+			src := s.router.Source(x.Query, in.Stage, x.Part, x.Senders)
+			sess.Bind(in.Name, &Nick{Sch: in.Schema, Fetch: func() ([]*vec.Batch, []types.Kind, error) {
+				batches, err := src.all()
+				return batches, nil, err
+			}})
+		}
+	}
 	frames := rowFramer{c: c}
 	var res *core.Result
 	var sentBytes int64
@@ -666,9 +660,9 @@ func (s *Server) handleShuffle(t FrameType, payload []byte) error {
 	return nil
 }
 
-// Nick is a catalog nickname over batches that arrive once per statement:
-// a shuffle partition on a shard, a shard statement's output at the
-// coordinator. The fetch is cached, so a plan that reads the name twice
+// Nick is a source bound for one statement over batches that arrive once
+// per statement: a shuffle partition on a shard, a shard statement's output
+// at the coordinator. The fetch is cached, so a plan that reads the name twice
 // sees the same batches and moves them once. Sch names the columns; kinds
 // the fetch reports replace Sch's, since only the shards know what their
 // statement's columns hold.
@@ -698,18 +692,6 @@ func (n *Nick) ScanAll() ([]*vec.Batch, error) {
 		}
 	})
 	return n.batches, n.err
-}
-
-// recvAll drains a shuffle partition.
-func recvAll(src exec.ShuffleSource) ([]*vec.Batch, error) {
-	var all []*vec.Batch
-	for {
-		batches, err := src.Recv()
-		if err != nil || batches == nil {
-			return all, err
-		}
-		all = append(all, batches...)
-	}
 }
 
 func (s *Server) rowCount(req RowCountReq) (int64, error) {

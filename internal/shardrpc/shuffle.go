@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"dashdb/internal/exec"
 	"dashdb/internal/vec"
 )
 
@@ -86,9 +85,9 @@ func (r *ShuffleRouter) EOF(query uint64, stage, part int) {
 	in.cond.Broadcast()
 }
 
-// Source returns the exec.ShuffleSource for one partition, declaring
-// how many senders must EOF before the stream ends.
-func (r *ShuffleRouter) Source(query uint64, stage, part, senders int) exec.ShuffleSource {
+// Source returns the receiving edge of one partition, declaring how many
+// senders must EOF before the stream ends.
+func (r *ShuffleRouter) Source(query uint64, stage, part, senders int) *inboxSource {
 	in := r.inbox(inboxKey{query, stage, part})
 	in.mu.Lock()
 	in.senders = senders
@@ -144,7 +143,8 @@ type inboxSource struct {
 	wait time.Duration
 }
 
-// Recv implements exec.ShuffleSource.
+// Recv blocks until batches arrive for the partition and returns (nil,
+// nil) once every sender has flushed.
 func (s *inboxSource) Recv() ([]*vec.Batch, error) {
 	in := s.in
 	deadline := time.Now().Add(s.wait)
@@ -176,6 +176,18 @@ func (s *inboxSource) Recv() ([]*vec.Batch, error) {
 			return nil, fmt.Errorf("shardrpc: shuffle read timed out after %v (%d/%d senders done)", s.wait, in.eofs, in.senders)
 		}
 		in.cond.Wait()
+	}
+}
+
+// all drains the partition.
+func (s *inboxSource) all() ([]*vec.Batch, error) {
+	var all []*vec.Batch
+	for {
+		batches, err := s.Recv()
+		if err != nil || batches == nil {
+			return all, err
+		}
+		all = append(all, batches...)
 	}
 }
 

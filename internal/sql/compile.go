@@ -11,16 +11,24 @@ import (
 	"dashdb/internal/mem"
 	"dashdb/internal/plan"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // Compiler binds ASTs to a catalog and produces executor plans. One
-// Compiler serves one session (it carries the session dialect and clock).
+// Compiler serves one statement (it carries the session dialect and clock).
 type Compiler struct {
+	// Cat resolves tables, views, nicknames and sequences. Nil resolves
+	// nothing: such a compiler reads only what is bound (the MPP
+	// coordinator's).
 	Cat     *catalog.Catalog
 	Dialect Dialect
 	Env     *EvalEnv
 
-	ctes      map[string]*cteData
+	// bound is the table of names bound for this statement alone: its
+	// CTEs, and what the caller bound with Bind (the coordinator's pulls, a
+	// shard's shuffle partitions). A bound name shadows a catalog object
+	// and is read as the batches its source holds.
+	bound     map[string]catalog.RemoteSource
 	viewDepth int
 	usage     *colUsage
 	// UDX resolves user-defined functions before the built-in library.
@@ -62,14 +70,15 @@ func (c *Compiler) planOptions() plan.Options {
 	return plan.Options{Greedy: !c.DisableJoinReorder, Gov: c.Gov, Dop: c.Parallelism}
 }
 
-type cteData struct {
-	schema types.Schema
-	rows   []types.Row
-}
-
 // NewCompiler creates a compiler for the given catalog and dialect.
 func NewCompiler(cat *catalog.Catalog, d Dialect, env *EvalEnv) *Compiler {
-	return &Compiler{Cat: cat, Dialect: d, Env: env, ctes: make(map[string]*cteData)}
+	return &Compiler{Cat: cat, Dialect: d, Env: env, bound: make(map[string]catalog.RemoteSource)}
+}
+
+// Bind names src for this compiler's statement. The compiler calls
+// ScanAll once per reference to the name.
+func (c *Compiler) Bind(name string, src catalog.RemoteSource) {
+	c.bound[strings.ToLower(name)] = src
 }
 
 // scopeCol is one resolvable column: its source alias and name.
@@ -154,35 +163,39 @@ func (c *Compiler) CompileSelect(sel *SelectStmt) (exec.Operator, error) {
 	return cpl.op, nil
 }
 
-// drain runs a tree the compiler materializes itself — a CTE body, an
+// stream runs a tree the compiler materializes itself — a CTE body, an
 // uncorrelated subquery. Such a tree comes from CompileSelect like the
 // statement's own, so it runs on the same engine under the same governor
-// and snapshot set. A variable so a test can see the trees drained.
-var drain = exec.Drain
+// and snapshot set. A variable so a test can see the trees run.
+var stream = exec.Stream
 
 func (c *Compiler) compileSelect(sel *SelectStmt) (*compiled, error) {
-	// Materialize CTEs first; they shadow catalog tables for this query.
-	saved := make(map[string]*cteData)
+	// Run CTEs first; they are bound for the rest of this query, shadowing
+	// catalog objects and any outer binding of the same name.
+	saved := make(map[string]catalog.RemoteSource)
 	for _, cte := range sel.With {
 		k := strings.ToLower(cte.Name)
-		saved[k] = c.ctes[k]
+		saved[k] = c.bound[k]
 		sub, err := c.CompileSelect(cte.Sub)
 		if err != nil {
 			return nil, fmt.Errorf("sql: CTE %s: %w", cte.Name, err)
 		}
-		rows, err := drain(sub)
-		if err != nil {
+		var batches []*vec.Batch
+		if err := stream(sub, func(b *vec.Batch) error {
+			batches = append(batches, b)
+			return nil
+		}); err != nil {
 			return nil, fmt.Errorf("sql: CTE %s: %w", cte.Name, err)
 		}
-		c.ctes[k] = &cteData{schema: sub.Schema(), rows: rows}
+		c.bound[k] = exec.NewBatches(sub.Schema(), batches)
 	}
 	defer func() {
 		for _, cte := range sel.With {
 			k := strings.ToLower(cte.Name)
 			if saved[k] == nil {
-				delete(c.ctes, k)
+				delete(c.bound, k)
 			} else {
-				c.ctes[k] = saved[k]
+				c.bound[k] = saved[k]
 			}
 		}
 	}()
@@ -451,12 +464,7 @@ func (c *Compiler) compileFromItem(fi FromItem, conjuncts *[]Expr) (*planned, er
 		if err != nil {
 			return nil, err
 		}
-		alias := f.Alias
-		sc := &scope{}
-		for _, col := range sub.op.Schema() {
-			sc.add(alias, col.Name, col.Kind)
-		}
-		return &planned{node: &plan.Input{Op: sub.op, Name: alias}, scope: sc}, nil
+		return &planned{node: &plan.Input{Op: sub.op, Name: f.Alias}, scope: aliased(f.Alias, sub.op).scope}, nil
 	case *JoinRef:
 		return c.compileJoin(f, conjuncts)
 	}
@@ -472,20 +480,14 @@ func (c *Compiler) compileTableRef(f *TableRef, conjuncts *[]Expr) (*compiled, e
 
 	// DUAL (Oracle).
 	if lname == "dual" {
-		sc := &scope{}
-		sc.add(alias, "dummy", types.KindString)
-		return &compiled{
-			op:    exec.NewValues(types.Schema{{Name: "DUMMY", Kind: types.KindString}}, []types.Row{{types.NewString("X")}}),
-			scope: sc,
-		}, nil
+		return heldItem(f.Name, alias, exec.NewValues(types.Schema{{Name: "DUMMY", Kind: types.KindString}}, []types.Row{{types.NewString("X")}}))
 	}
-	// CTE reference.
-	if cte, ok := c.ctes[lname]; ok {
-		sc := &scope{}
-		for _, col := range cte.schema {
-			sc.add(alias, col.Name, col.Kind)
-		}
-		return &compiled{op: exec.NewValues(cte.schema, cte.rows), scope: sc}, nil
+	// A name bound for this statement: a CTE, a pull, a shuffle partition.
+	if src, ok := c.bound[lname]; ok {
+		return heldItem(f.Name, alias, src)
+	}
+	if c.Cat == nil {
+		return nil, fmt.Errorf("sql: table or view %s does not exist", f.Name)
 	}
 	// Base table: push applicable conjuncts into the compressed scan and
 	// prune the projection to the referenced columns.
@@ -506,16 +508,6 @@ func (c *Compiler) compileTableRef(f *TableRef, conjuncts *[]Expr) (*compiled, e
 				projection = nil
 			}
 		}
-		sc := &scope{}
-		if projection == nil {
-			for _, col := range schema {
-				sc.add(alias, col.Name, col.Kind)
-			}
-		} else {
-			for _, ci := range projection {
-				sc.add(alias, schema[ci].Name, schema[ci].Kind)
-			}
-		}
 		scanOp := exec.NewScan(tbl, preds, projection)
 		if c.Snaps != nil {
 			scanOp.Snap = c.Snaps.Get(tbl)
@@ -523,7 +515,7 @@ func (c *Compiler) compileTableRef(f *TableRef, conjuncts *[]Expr) (*compiled, e
 		if !c.NoCompressedExec {
 			scanOp.EnableCompressed()
 		}
-		return &compiled{op: scanOp, scope: sc}, nil
+		return aliased(alias, scanOp), nil
 	}
 	// View: compile its stored query under its creation dialect.
 	if view, ok := c.Cat.View(f.Name); ok {
@@ -546,31 +538,38 @@ func (c *Compiler) compileTableRef(f *TableRef, conjuncts *[]Expr) (*compiled, e
 		// session's governor, snapshot set, parallelism, UDFs and planner
 		// settings, and differs only in dialect and CTE scope.
 		vc := *c
-		vc.Dialect, vc.ctes, vc.viewDepth = vd, make(map[string]*cteData), c.viewDepth+1
+		vc.Dialect, vc.bound, vc.viewDepth = vd, make(map[string]catalog.RemoteSource), c.viewDepth+1
 		cpl, err := vc.compileSelect(selStmt)
 		if err != nil {
 			return nil, fmt.Errorf("sql: view %s: %w", f.Name, err)
 		}
-		sc := &scope{}
-		for _, col := range cpl.op.Schema() {
-			sc.add(alias, col.Name, col.Kind)
-		}
-		return &compiled{op: cpl.op, scope: sc}, nil
+		return aliased(alias, cpl.op), nil
 	}
-	// Nickname (remote table via Fluid Query).
+	// Nickname (remote table via Fluid Query, a system view).
 	if nick, ok := c.Cat.Nickname(f.Name); ok {
-		batches, err := nick.Source.ScanAll()
-		if err != nil {
-			return nil, fmt.Errorf("sql: nickname %s: %w", f.Name, err)
-		}
-		sch := nick.Source.Schema()
-		sc := &scope{}
-		for _, col := range sch {
-			sc.add(alias, col.Name, col.Kind)
-		}
-		return &compiled{op: exec.NewBatches(sch, batches), scope: sc}, nil
+		return heldItem(f.Name, alias, nick.Source)
 	}
 	return nil, fmt.Errorf("sql: table or view %s does not exist", f.Name)
+}
+
+// heldItem reads a source's batches once for this reference.
+func heldItem(name, alias string, src catalog.RemoteSource) (*compiled, error) {
+	batches, err := src.ScanAll()
+	if err != nil {
+		return nil, fmt.Errorf("sql: %s: %w", name, err)
+	}
+	op := exec.NewBatches(src.Schema(), batches)
+	op.Name = strings.ToUpper(name)
+	return aliased(alias, op), nil
+}
+
+// aliased scopes every column of op under alias.
+func aliased(alias string, op exec.Operator) *compiled {
+	sc := &scope{}
+	for _, col := range op.Schema() {
+		sc.add(alias, col.Name, col.Kind)
+	}
+	return &compiled{op: op, scope: sc}
 }
 
 // extractScanPreds removes conjuncts of the form <alias.col OP literal>

@@ -14,6 +14,7 @@ import (
 	"dashdb/internal/columnar"
 	"dashdb/internal/exec"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // compileCatalog holds one table T(K, V) of 300 rows: K = i % 20, V = i.
@@ -115,18 +116,18 @@ func TestViewScansJoinTheSnapshotSet(t *testing.T) {
 	}
 }
 
-// TestCompilerDrainsVectorizedTrees: the trees the compiler drains itself
+// TestCompilerDrainsVectorizedTrees: the trees the compiler runs itself
 // are compiled like the statement's own — their scans read the statement's
 // snapshot set — and return what the inlined statement returns.
 func TestCompilerDrainsVectorizedTrees(t *testing.T) {
 	cat := compileCatalog(t)
 	var drained []exec.Operator
-	realDrain := drain
-	drain = func(op exec.Operator) ([]types.Row, error) {
+	realStream := stream
+	stream = func(op exec.Operator, emit func(*vec.Batch) error) error {
 		drained = append(drained, op)
-		return realDrain(op)
+		return realStream(op, emit)
 	}
-	defer func() { drain = realDrain }()
+	defer func() { stream = realStream }()
 
 	for _, tc := range []struct{ name, text, inlined string }{
 		{"CTE body",

@@ -6,8 +6,10 @@ import (
 	"strings"
 	"sync"
 
+	"dashdb/internal/catalog"
 	"dashdb/internal/exec"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // TypeKindFor maps a SQL type name (any dialect) to the engine kind.
@@ -160,8 +162,11 @@ func (c *Compiler) compileExpr(e Expr, sc *scope) (exec.Expr, error) {
 		}), nil
 
 	case *SeqValExpr:
-		seq, ok := c.Cat.Sequence(ex.Seq)
-		if !ok {
+		var seq *catalog.Sequence
+		if c.Cat != nil {
+			seq, _ = c.Cat.Sequence(ex.Seq)
+		}
+		if seq == nil {
 			return nil, fmt.Errorf("sql: sequence %s does not exist", ex.Seq)
 		}
 		next := ex.Next
@@ -400,7 +405,10 @@ func (c *Compiler) lazySubquery(sub *SelectStmt) func() ([]types.Row, types.Sche
 			return nil, nil, cerr
 		}
 		once.Do(func() {
-			rows, err = drain(op)
+			err = stream(op, func(b *vec.Batch) error {
+				rows = b.AppendRows(rows)
+				return nil
+			})
 			sch = op.Schema()
 		})
 		return rows, sch, err

@@ -3,7 +3,7 @@
 # (cmd/dashdb-lint, all ten analyzers — AST matchers, the CFG
 # dataflow checkers mustrelease/lockpair, and the whole-program call graph
 # behind hotpath and deadcode) in machine-readable form. Exits non-zero on any finding so
-# CI can fail the build. Use `go run ./cmd/dashdb-lint -analyzer <name>`
+# CI can fail the build. Use `go run ./cmd/dashdb-lint -analyzers <name>`
 # for fast single-analyzer iteration while fixing findings.
 set -eu
 
