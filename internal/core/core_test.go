@@ -196,6 +196,54 @@ func TestOuterJoinResidual(t *testing.T) {
 	}
 }
 
+// TestJoinUsingNeedsTheColumnOnBothSides: USING names a column each side
+// of the join has (the first of that name, when a side is itself a join).
+// A name one side lacks is an error naming the column and the side, not a
+// join on the other side's column with itself (which ran as a cross join:
+// 9 rows for 3 × 3).
+func TestJoinUsingNeedsTheColumnOnBothSides(t *testing.T) {
+	s := newDB(t).NewSession()
+	mustExec(t, s, `CREATE TABLE t (a BIGINT, x BIGINT)`)
+	mustExec(t, s, `CREATE TABLE u (b BIGINT, x BIGINT)`)
+	mustExec(t, s, `INSERT INTO t VALUES (1, 1), (2, 2), (3, 3)`)
+	mustExec(t, s, `INSERT INTO u VALUES (1, 1), (2, 2), (3, 4)`)
+	for q, side := range map[string]string{
+		`SELECT * FROM t JOIN u USING (a)`:       "right",
+		`SELECT * FROM u LEFT JOIN t USING (a)`:  "left",
+		`SELECT * FROM t RIGHT JOIN u USING (b)`: "left",
+	} {
+		r, err := s.Exec(q)
+		if err == nil || !strings.Contains(err.Error(), "USING column") || !strings.Contains(err.Error(), " "+side+" side") {
+			t.Errorf("%s: %v, %v; want an error naming the column and the %s side", q, r, err, side)
+		}
+	}
+	for _, q := range []string{`SELECT COUNT(*) FROM t JOIN u USING (x)`, `SELECT COUNT(*) FROM t JOIN u USING (x) JOIN t t2 USING (x)`} {
+		if r := mustExec(t, s, q); r.Rows[0][0].Int() != 2 {
+			t.Errorf("%s: %v rows, want 2", q, r.Rows[0][0])
+		}
+	}
+}
+
+// TestJoinOnResolvesInItsJoin: an inner join's ON conjuncts join the
+// WHERE's, but their names still resolve in the join's own scope: a name a
+// later comma item also has is not ambiguous, and a table outside the join
+// is not visible.
+func TestJoinOnResolvesInItsJoin(t *testing.T) {
+	s := newDB(t).NewSession()
+	mustExec(t, s, `CREATE TABLE a (x BIGINT, k BIGINT)`)
+	mustExec(t, s, `CREATE TABLE b (x BIGINT, k2 BIGINT)`)
+	mustExec(t, s, `CREATE TABLE c (x BIGINT, k BIGINT)`)
+	for _, tbl := range []string{"a", "b", "c"} {
+		mustExec(t, s, `INSERT INTO `+tbl+` VALUES (1, 1), (2, 2)`)
+	}
+	if r := mustExec(t, s, `SELECT COUNT(*) FROM a JOIN b ON k = k2 AND k > 1, c`); r.Rows[0][0].Int() != 2 {
+		t.Errorf("ON k = k2 beside c: %v rows, want 2", r.Rows[0][0])
+	}
+	if _, err := s.Exec(`SELECT COUNT(*) FROM a, b JOIN c ON a.x = c.x`); err == nil || !strings.Contains(err.Error(), "A.X not found") {
+		t.Errorf("ON naming a table outside its join: %v, want A.X not found", err)
+	}
+}
+
 func TestUpdateDelete(t *testing.T) {
 	s := newDB(t).NewSession()
 	seedSales(t, s, 100)

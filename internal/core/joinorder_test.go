@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sort"
 	"strings"
 	"testing"
@@ -60,15 +61,34 @@ func seedStarSchema(t testing.TB, s *Session, factRows int) {
 }
 
 // joinOrderQueries are the invariance subjects: fact-first and
-// dimension-first multi-joins, outer joins on both sides, comma joins
-// with equi-predicates in WHERE, and a genuine cross join.
-var joinOrderQueries = []string{
-	`SELECT a_name, b_name, v FROM fact JOIN dima ON fk_a = a_id JOIN dimb ON fk_b = b_id WHERE v < 500`,
-	`SELECT a_name, v FROM dima JOIN fact ON a_id = fk_a JOIN dimb ON fk_b = b_id`,
-	`SELECT a_name, b_name, v FROM fact JOIN dima ON fk_a = a_id LEFT JOIN dimb ON fk_b = b_id`,
-	`SELECT a_name, v FROM fact RIGHT JOIN dima ON fk_a = a_id`,
-	`SELECT a_name, b_name, COUNT(*), SUM(v) FROM fact, dima, dimb WHERE fk_a = a_id AND fk_b = b_id GROUP BY a_name, b_name`,
-	`SELECT COUNT(*) FROM dima, dimb`,
+// dimension-first multi-joins, outer joins on both sides with inner joins
+// below and above them, theta conditions, and a genuine cross join. Each is
+// written three ways — its conditions in ON, in WHERE over comma or CROSS
+// JOIN items, and mixed — which must plan and answer alike: an inner join's
+// ON is a WHERE (a genuine cross join has no condition to move, so its
+// spellings are the comma, CROSS JOIN and a parenthesized CROSS JOIN).
+var joinOrderQueries = [][3]string{
+	{`SELECT a_name, b_name, v FROM fact JOIN dima ON fk_a = a_id JOIN dimb ON fk_b = b_id WHERE v < 500`,
+		`SELECT a_name, b_name, v FROM fact, dima, dimb WHERE fk_a = a_id AND fk_b = b_id AND v < 500`,
+		`SELECT a_name, b_name, v FROM fact JOIN dima ON fk_a = a_id AND v < 500, dimb WHERE fk_b = b_id`},
+	{`SELECT a_name, v FROM dima JOIN fact ON a_id = fk_a JOIN dimb ON fk_b = b_id`,
+		`SELECT a_name, v FROM dima, fact, dimb WHERE a_id = fk_a AND fk_b = b_id`,
+		`SELECT a_name, v FROM dima, fact JOIN dimb ON fk_b = b_id WHERE a_id = fk_a`},
+	{`SELECT a_name, b_name, v FROM fact JOIN dima ON fk_a = a_id AND a_id + v > 40 LEFT JOIN dimb ON fk_b = b_id`,
+		`SELECT a_name, b_name, v FROM fact CROSS JOIN dima LEFT JOIN dimb ON fk_b = b_id WHERE fk_a = a_id AND a_id + v > 40`,
+		`SELECT a_name, b_name, v FROM fact JOIN dima ON fk_a = a_id LEFT JOIN dimb ON fk_b = b_id WHERE a_id + v > 40`},
+	{`SELECT a_name, b_name, v FROM fact RIGHT JOIN dima ON fk_a = a_id JOIN dimb ON fk_b = b_id AND b_id < a_id`,
+		`SELECT a_name, b_name, v FROM fact RIGHT JOIN dima ON fk_a = a_id, dimb WHERE fk_b = b_id AND b_id < a_id`,
+		`SELECT a_name, b_name, v FROM fact RIGHT JOIN dima ON fk_a = a_id JOIN dimb ON b_id < a_id WHERE fk_b = b_id`},
+	{`SELECT a_name, b_name, COUNT(*), SUM(v) FROM fact JOIN dima ON fk_a = a_id JOIN dimb ON fk_b = b_id GROUP BY a_name, b_name`,
+		`SELECT a_name, b_name, COUNT(*), SUM(v) FROM fact, dima, dimb WHERE fk_a = a_id AND fk_b = b_id GROUP BY a_name, b_name`,
+		`SELECT a_name, b_name, COUNT(*), SUM(v) FROM fact JOIN dima ON fk_a = a_id, dimb WHERE fk_b = b_id GROUP BY a_name, b_name`},
+	{`SELECT COUNT(*) FROM dima JOIN dimb ON b_id < a_id AND b_id * 2 > 10`,
+		`SELECT COUNT(*) FROM dima, dimb WHERE b_id < a_id AND b_id * 2 > 10`,
+		`SELECT COUNT(*) FROM dima JOIN dimb ON b_id < a_id WHERE b_id * 2 > 10`},
+	{`SELECT COUNT(*) FROM dima, dimb`,
+		`SELECT COUNT(*) FROM dima CROSS JOIN dimb`,
+		`SELECT COUNT(*) FROM (dima CROSS JOIN dimb)`},
 }
 
 // canonicalRows renders a result set order-independently.
@@ -94,9 +114,8 @@ func TestJoinOrderInvariance(t *testing.T) {
 		seedStarSchema(t, e.db.NewSession(), factRows)
 	}
 
-	for qi, q := range joinOrderQueries {
-		ref := mustExec(t, engines[0].db.NewSession(), q)
-		want := canonicalRows(ref)
+	for qi, spellings := range joinOrderQueries {
+		want := canonicalRows(mustExec(t, engines[0].db.NewSession(), spellings[0]))
 		for _, e := range engines {
 			for _, order := range []string{"SYNTACTIC", "GREEDY"} {
 				for _, dop := range []int{1, 2, 8} {
@@ -105,15 +124,23 @@ func TestJoinOrderInvariance(t *testing.T) {
 						mustExec(t, s, "SET JOIN_ORDER "+order)
 						mustExec(t, s, fmt.Sprintf("SET PARALLELISM %d", dop))
 						mustExec(t, s, "SET HASHHEAP "+heap)
-						got := canonicalRows(mustExec(t, s, q))
-						if len(got) != len(want) {
-							t.Fatalf("q%d [%s %s dop=%d heap=%s]: %d rows, want %d\n%s",
-								qi+1, e.name, order, dop, heap, len(got), len(want), q)
-						}
-						for i := range got {
-							if got[i] != want[i] {
-								t.Fatalf("q%d [%s %s dop=%d heap=%s] row %d: %s != %s\n%s",
-									qi+1, e.name, order, dop, heap, i, got[i], want[i], q)
+						var plan0 string
+						for si, q := range spellings {
+							at := fmt.Sprintf("q%d spelling %d [%s %s dop=%d heap=%s]", qi+1, si+1, e.name, order, dop, heap)
+							got := canonicalRows(mustExec(t, s, q))
+							if len(got) != len(want) {
+								t.Fatalf("%s: %d rows, want %d\n%s", at, len(got), len(want), q)
+							}
+							for i := range got {
+								if got[i] != want[i] {
+									t.Fatalf("%s row %d: %s != %s\n%s", at, i, got[i], want[i], q)
+								}
+							}
+							plan := strings.Join(explainLines(t, s, "EXPLAIN "+q), "\n")
+							if si == 0 {
+								plan0 = plan
+							} else if plan != plan0 {
+								t.Fatalf("%s: plan\n%s\nwant, as %s plans,\n%s", at, plan, spellings[0], plan0)
 							}
 						}
 					}
@@ -183,4 +210,108 @@ func explainLines(t testing.TB, s *Session, q string) []string {
 		lines[i] = row[0].Str()
 	}
 	return lines
+}
+
+// FuzzJoinSpellings draws a 2–4 table inner join over the star schema (a
+// table may appear more than once): a tree of equalities, each joining a
+// table to an earlier one, plus theta conditions, one-table predicates a
+// scan takes and ones it does not. It writes the join three ways — every
+// condition in the ON of the join where its last table enters, every one in
+// WHERE over comma items, and each drawn between the two (CROSS JOIN where
+// an ON would be empty) — which must answer alike and EXPLAIN alike.
+func FuzzJoinSpellings(f *testing.F) {
+	for _, seed := range []uint64{1, 2, 3, 5, 8, 13, 42} {
+		f.Add(seed)
+	}
+	db := Open(Config{BufferPoolBytes: 16 << 20})
+	seedStarSchema(f, db.NewSession(), 100)
+	tables := []string{"fact", "dima", "dimb"}
+	keys := map[string][]string{"fact": {"fk_a", "fk_b", "v"}, "dima": {"a_id"}, "dimb": {"b_id"}}
+	shown := map[string]string{"fact": "v", "dima": "a_name", "dimb": "b_name"}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		r := rand.New(rand.NewPCG(seed, 0x5eed))
+		n := 2 + r.IntN(3)
+		from := make([]string, n)
+		for i := range from {
+			from[i] = tables[r.IntN(len(tables))]
+		}
+		col := func(i int) string { return fmt.Sprintf("t%d.%s", i, keys[from[i]][r.IntN(len(keys[from[i]]))]) }
+		type cond struct {
+			text string
+			at   int // the join whose ON may hold it: where its last table enters
+		}
+		var conds []cond
+		pushable := make([]bool, n) // the table already has a predicate its scan takes
+		for i := 1; i < n; i++ {
+			a, b := col(r.IntN(i)), col(i)
+			if r.IntN(2) == 0 {
+				a, b = b, a
+			}
+			conds = append(conds, cond{a + " = " + b, i})
+			k := r.IntN(i + 1)
+			switch r.IntN(4) {
+			case 0:
+				conds = append(conds, cond{fmt.Sprintf("%s < %s + %d", col(i), col(r.IntN(i)), r.IntN(30)), i})
+			case 1:
+				if !pushable[k] {
+					pushable[k] = true
+					conds = append(conds, cond{fmt.Sprintf("%s < %d", col(k), 5+r.IntN(40)), max(k, 1)})
+				}
+			case 2:
+				conds = append(conds, cond{fmt.Sprintf("%s * 2 > %d", col(k), r.IntN(40)), max(k, 1)})
+			}
+		}
+		var items []string
+		for i, tbl := range from {
+			items = append(items, fmt.Sprintf("t%d.%s", i, shown[tbl]))
+		}
+		// spell writes the join with each condition in ON when inON says so.
+		// The all-WHERE spelling (nil) joins with commas, the mixed one with
+		// CROSS JOIN where an ON would be empty.
+		spell := func(inON func() bool) string {
+			q := fmt.Sprintf("SELECT %s FROM %s t0", strings.Join(items, ", "), from[0])
+			var where []string
+			for i := 1; i < n; i++ {
+				var on []string
+				for _, c := range conds {
+					switch {
+					case c.at != i:
+					case inON != nil && inON():
+						on = append(on, c.text)
+					default:
+						where = append(where, c.text)
+					}
+				}
+				switch {
+				case len(on) > 0:
+					q += fmt.Sprintf(" JOIN %s t%d ON %s", from[i], i, strings.Join(on, " AND "))
+				case inON == nil:
+					q += fmt.Sprintf(", %s t%d", from[i], i)
+				default:
+					q += fmt.Sprintf(" CROSS JOIN %s t%d", from[i], i)
+				}
+			}
+			if len(where) > 0 {
+				q += " WHERE " + strings.Join(where, " AND ")
+			}
+			return q
+		}
+		spellings := []string{
+			spell(func() bool { return true }),
+			spell(nil),
+			spell(func() bool { return r.IntN(2) == 0 }),
+		}
+		s := db.NewSession()
+		mustExec(t, s, "SET JOIN_ORDER "+[]string{"GREEDY", "SYNTACTIC"}[r.IntN(2)])
+		want := canonicalRows(mustExec(t, s, spellings[0]))
+		plan := strings.Join(explainLines(t, s, "EXPLAIN "+spellings[0]), "\n")
+		for _, q := range spellings[1:] {
+			if got := canonicalRows(mustExec(t, s, q)); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s\nanswers %d rows, %s answers %d", q, len(got), spellings[0], len(want))
+			}
+			if got := strings.Join(explainLines(t, s, "EXPLAIN "+q), "\n"); got != plan {
+				t.Fatalf("%s\nplans\n%s\n%s plans\n%s", q, got, spellings[0], plan)
+			}
+		}
+	})
 }

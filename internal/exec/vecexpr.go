@@ -814,48 +814,60 @@ func (e *InExpr) EvalVec(b *vec.Batch) (*vec.Vector, error) {
 // marked Stateful (see there for who asks).
 func Stateful(exprs ...Expr) bool {
 	for _, e := range exprs {
-		if a, ok := e.(*ApplyExpr); ok && a.Stateful {
-			return true
-		}
-		if Stateful(operands(e)...) {
+		held := false
+		mapOperands(e, func(o Expr) Expr { held = held || Stateful(o); return o })
+		if a, ok := e.(*ApplyExpr); held || ok && a.Stateful {
 			return true
 		}
 	}
 	return false
 }
 
-// operands lists a node's operand expressions; a leaf, or a node type defined
-// outside this package, has none.
-func operands(e Expr) []Expr {
-	switch x := e.(type) {
-	case *CmpExpr:
-		return []Expr{x.L, x.R}
-	case *ArithExpr:
-		return []Expr{x.L, x.R}
-	case *AndExpr:
-		return []Expr{x.L, x.R}
-	case *OrExpr:
-		return []Expr{x.L, x.R}
-	case *NotExpr:
-		return []Expr{x.E}
-	case *NegExpr:
-		return []Expr{x.E}
-	case *ApplyExpr:
-		return x.Args
-	case *InExpr:
-		return append([]Expr{x.E}, x.List...)
-	case *CaseExpr:
-		var out []Expr
-		if x.Operand != nil {
-			out = append(out, x.Operand)
-		}
-		for _, w := range x.Whens {
-			out = append(out, w.When, w.Then)
-		}
-		if x.Else != nil {
-			out = append(out, x.Else)
+// Rebind returns e reading column col(c) wherever it reads column c: the
+// same expression over another layout of its columns. It copies the nodes it
+// passes and leaves e as it was.
+func Rebind(e Expr, col func(int) int) Expr {
+	if c, ok := e.(ColRef); ok {
+		return ColRef(col(int(c)))
+	}
+	return mapOperands(e, func(o Expr) Expr { return Rebind(o, col) })
+}
+
+// mapOperands returns a copy of e with every operand o replaced by f(o), in
+// evaluation order; a leaf, or a node type defined outside this package, is
+// e itself. f sees a CASE's missing operand or ELSE as nil.
+func mapOperands(e Expr, f func(Expr) Expr) Expr {
+	all := func(list []Expr) []Expr {
+		out := make([]Expr, len(list))
+		for i, o := range list {
+			out[i] = f(o)
 		}
 		return out
 	}
-	return nil
+	switch x := e.(type) {
+	case *CmpExpr:
+		return &CmpExpr{Op: x.Op, L: f(x.L), R: f(x.R)}
+	case *ArithExpr:
+		return &ArithExpr{Op: x.Op, L: f(x.L), R: f(x.R)}
+	case *AndExpr:
+		return &AndExpr{L: f(x.L), R: f(x.R)}
+	case *OrExpr:
+		return &OrExpr{L: f(x.L), R: f(x.R)}
+	case *NotExpr:
+		return &NotExpr{E: f(x.E)}
+	case *NegExpr:
+		return &NegExpr{E: f(x.E)}
+	case *ApplyExpr:
+		return &ApplyExpr{Args: all(x.Args), Fn: x.Fn, Stateful: x.Stateful}
+	case *InExpr:
+		return &InExpr{E: f(x.E), List: all(x.List), Not: x.Not}
+	case *CaseExpr:
+		c := &CaseExpr{Operand: f(x.Operand), Whens: make([]CaseWhen, len(x.Whens))}
+		for i, w := range x.Whens {
+			c.Whens[i] = CaseWhen{When: f(w.When), Then: f(w.Then)}
+		}
+		c.Else = f(x.Else)
+		return c
+	}
+	return e
 }

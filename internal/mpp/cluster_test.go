@@ -1287,12 +1287,12 @@ func TestParitySingleNode(t *testing.T) {
 		// one whose null-supplying side's test stays above the join.
 		"SELECT s.region, COUNT(*) AS n FROM sales s INNER JOIN regions r ON s.region = r.name WHERE s.amount < 30 AND r.manager <> 'bob' GROUP BY s.region ORDER BY s.region",
 		"SELECT COUNT(*) AS n FROM sales s LEFT JOIN regions r ON s.region = r.name WHERE r.manager IS NULL",
-		// An outer join with a residual in its ON gathers: a shuffle stage
-		// takes a single = ON only.
+		// An outer join with a residual in its ON shuffles on the ON's
+		// equality; the residual stays in the shard statement's ON.
 		"SELECT s.region, COUNT(*) AS n FROM sales s LEFT JOIN regions r ON s.region = r.name AND s.amount < 30 GROUP BY s.region ORDER BY s.region",
 	})
-	if st := cols["3-shard"].Stats(); st.ShuffleJoins != 4 || st.FastPathQueries != 8 || st.GatherPathQueries != 2 {
-		t.Fatalf("socket cluster took paths %+v, want 8 fast, 4 shuffle, 2 gather", st)
+	if st := cols["3-shard"].Stats(); st.ShuffleJoins != 5 || st.FastPathQueries != 8 || st.GatherPathQueries != 1 {
+		t.Fatalf("socket cluster took paths %+v, want 8 fast, 5 shuffle, 1 gather", st)
 	}
 	if st := cols["3-shard-local"].Stats(); st.ShuffleJoins != 0 || st.FastPathQueries != 8 || st.GatherPathQueries != 6 {
 		t.Fatalf("in-process cluster took paths %+v, want 8 fast, 6 gather", st)
@@ -2039,6 +2039,92 @@ func TestParityGroupLimit(t *testing.T) {
 				t.Fatalf("%s: %v", q, err)
 			}
 			sameAnswer(t, q, got, one)
+		}
+	})
+}
+
+// joinCluster forms a cluster holding t(id, k, a) and u(id, k), both
+// distributed on id, so a join on k needs an exchange.
+func joinCluster(t *testing.T, h *harness, trows, urows []types.Row) *NetCluster {
+	c := h.form(fourNodes()[:3], 1, clusterfs.New())
+	for name, sch := range map[string]types.Schema{
+		"t": {{Name: "id", Kind: types.KindInt}, {Name: "k", Kind: types.KindInt}, {Name: "a", Kind: types.KindInt}},
+		"u": {{Name: "id", Kind: types.KindInt}, {Name: "k", Kind: types.KindInt}},
+	} {
+		if err := c.CreateTable(name, sch, TableOptions{DistributeBy: "id"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Insert("t", trows); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Insert("u", urows); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// ints is one row of BIGINTs.
+func ints(vs ...int64) types.Row {
+	r := make(types.Row, len(vs))
+	for i, v := range vs {
+		r[i] = types.NewInt(v)
+	}
+	return r
+}
+
+// TestShuffleKeyAnySpelling: a socket cluster shuffles a join of two
+// distributed tables on any column = column conjunct between them — a comma
+// join's WHERE, an INNER join's ON beside other conjuncts, a LEFT join's ON
+// beside a residual — shipping each table once through the exchange and
+// pulling only the answer's rows, where gathering pulls both tables whole.
+func TestShuffleKeyAnySpelling(t *testing.T) {
+	var trows, urows []types.Row
+	for i := int64(1); i <= 5; i++ {
+		trows = append(trows, ints(i, i%3, i*10))
+		urows = append(urows, ints(i, i%4))
+	}
+	c := joinCluster(t, &harness{t: t, socket: true}, trows, urows)
+	ref := referenceOf(t, c)
+	for _, q := range []string{
+		"SELECT t.id, u.id FROM t, u WHERE t.k = u.k ORDER BY 1, 2",
+		"SELECT t.id, u.id FROM t JOIN u ON t.k = u.k ORDER BY 1, 2",
+		"SELECT t.id, u.id FROM t JOIN u ON t.k = u.k AND t.a < u.id * 20 ORDER BY 1, 2",
+		"SELECT t.id, u.id FROM t LEFT JOIN u ON t.k = u.k AND t.a < u.id * 20 ORDER BY 1, 2",
+	} {
+		one, err := ref.Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := c.Stats()
+		got, err := c.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		sameAnswer(t, q, got, one)
+		st := c.Stats()
+		if st.ShuffleJoins-prev.ShuffleJoins != 1 || st.ShuffledRows-prev.ShuffledRows != 10 || st.PulledRows-prev.PulledRows != uint64(len(one.Rows)) {
+			t.Errorf("%s\ntook %d shuffle joins, shuffled %d rows, pulled %d; want 1, 10 (both tables once), %d (the answer)",
+				q, st.ShuffleJoins-prev.ShuffleJoins, st.ShuffledRows-prev.ShuffledRows, st.PulledRows-prev.PulledRows, len(one.Rows))
+		}
+	}
+}
+
+// TestConjunctRunsBelowTheJoin: every path evaluates a conjunct at the
+// lowest node that reads its columns, so a conjunct over t alone sees t's
+// row whose key no row of u matches (k = 2 lies inside u's key range, so
+// no key-bounds pushdown drops it first): one engine, the in-process
+// cluster (which gathers) and the socket cluster (which runs it in t's
+// shuffle stage) all fail on its division by zero.
+func TestConjunctRunsBelowTheJoin(t *testing.T) {
+	const q = "SELECT t.id FROM t JOIN u ON t.k = u.k WHERE 10 / t.a > 1 ORDER BY t.id"
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := joinCluster(t, h, []types.Row{ints(1, 1, 2), ints(2, 3, 4), ints(3, 2, 0)}, []types.Row{ints(1, 1), ints(2, 3), ints(3, 4)})
+		if _, err := referenceOf(t, c).Exec(q); err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Errorf("one engine: %v, want division by zero", err)
+		}
+		if _, err := c.Query(q); err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Errorf("cluster: %v, want division by zero", err)
 		}
 	})
 }

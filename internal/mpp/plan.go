@@ -543,61 +543,81 @@ func (m *merger) mergeCall(fc *sql.FuncCall) sql.Expr {
 	return merged
 }
 
-// shuffleStages recognizes FROM a JOIN b ON a.x = b.y over two tables:
-// both hash-shuffle on their join key, co-locating matching rows, and each
-// shard joins one partition. Partition-wise joins are exact for INNER and
-// LEFT joins (matching keys land in the same partition; unmatched left
-// rows null-extend within theirs), and partial aggregation is correct
-// over any disjoint partitioning, so the cut statement runs over the same
-// join reading the two shuffle inputs (aliases preserved so qualified
-// references still bind), less what the stages did for it.
+// shuffleStages recognizes a join of two tables with an a.x = b.y
+// conjunct between them — in an INNER join's ON or a comma join's WHERE,
+// which are one list of conjuncts, and for a LEFT join in its ON: both
+// hash-shuffle on that key, co-locating matching rows, and each shard joins
+// one partition. Partition-wise joins are exact for INNER and LEFT joins
+// (matching keys land in the same partition; unmatched left rows
+// null-extend within theirs), and partial aggregation is correct over any
+// disjoint partitioning, so the cut statement runs over the same join
+// reading the two shuffle inputs (aliases preserved so qualified references
+// still bind), less what the stages did for it.
 //
 // A stage ships only what the shard statement reads: a WHERE conjunct over
 // one table (readsOne) moves into its stage — either side of INNER, the
 // preserved side of LEFT — and each stage selects, in table order, its
 // join key and the columns the rest of shard reads (every column when a
-// reference may be its own but resolves to no single one).
+// reference may be its own but resolves to no single one). Every other
+// conjunct stays in the shard statement. Oracle's (+) gathers.
 func shuffleStages(shard *sql.SelectStmt, from fromScope, d sql.Dialect) (stages []input, ok bool) {
-	if len(shard.From) != 1 || len(from) != 2 {
+	if len(from) != 2 {
 		return nil, false
 	}
-	jr, ok := shard.From[0].(*sql.JoinRef)
-	if !ok || (jr.Type != "INNER" && jr.Type != "LEFT") || len(jr.Using) > 0 {
+	where := sql.Conjuncts(shard.Where)
+	jr, _ := shard.From[0].(*sql.JoinRef)
+	left := jr != nil && jr.Type == "LEFT"
+	cond := where
+	switch {
+	case jr != nil && len(jr.Using) > 0:
 		return nil, false
-	}
-	eq, ok := jr.On.(*sql.BinaryOp)
-	if !ok || eq.Op != "=" {
-		return nil, false
+	case left:
+		cond = sql.Conjuncts(jr.On)
+	case jr != nil:
+		cond = append(sql.Conjuncts(jr.On), where...)
 	}
 	keys := [2]int{-1, -1}
-	for _, side := range []sql.Expr{eq.Left, eq.Right} {
-		ref, isRef := side.(*sql.ColumnRef)
-		if !isRef {
-			return nil, false
+	for _, cj := range cond {
+		eq, isEq := cj.(*sql.BinaryOp)
+		if !isEq || eq.Op != "=" || keys[0] >= 0 {
+			continue
 		}
-		ti, ci, ok := from.resolve(ref)
-		if !ok {
-			return nil, false
+		l, lok := eq.Left.(*sql.ColumnRef)
+		r, rok := eq.Right.(*sql.ColumnRef)
+		if lok && rok {
+			lt, lc, lok := from.resolve(l)
+			rt, rc, rok := from.resolve(r)
+			if lok && rok && lt != rt {
+				keys[lt], keys[rt] = lc, rc
+			}
 		}
-		keys[ti] = ci
 	}
-	if keys[0] < 0 || keys[1] < 0 {
-		return nil, false // both references name the same side
+	outer := false
+	sql.WalkExpr(shard.Where, func(x sql.Expr) bool {
+		ref, isRef := x.(*sql.ColumnRef)
+		outer = outer || isRef && ref.OuterJoin
+		return true
+	})
+	if keys[0] < 0 || outer {
+		return nil, false
 	}
 
 	var pushed [2][]sql.Expr
 	var kept []sql.Expr
-	for _, cj := range sql.Conjuncts(shard.Where) {
-		if ti := readsOne(cj, from, d); ti == 0 || (ti == 1 && jr.Type == "INNER") {
+	for _, cj := range where {
+		if ti := readsOne(cj, from, d); ti == 0 || (ti == 1 && !left) {
 			pushed[ti] = append(pushed[ti], cj)
 		} else {
 			kept = append(kept, cj)
 		}
 	}
 	shard.Where = and(kept)
-	shard.From = []sql.FromItem{&sql.JoinRef{Type: jr.Type, On: jr.On,
-		Left:  &sql.TableRef{Name: shuffleBuildName, Alias: from[0].alias},
-		Right: &sql.TableRef{Name: shuffleProbeName, Alias: from[1].alias}}}
+	shard.From = []sql.FromItem{
+		&sql.TableRef{Name: shuffleBuildName, Alias: from[0].alias},
+		&sql.TableRef{Name: shuffleProbeName, Alias: from[1].alias}}
+	if jr != nil {
+		shard.From = []sql.FromItem{&sql.JoinRef{Type: jr.Type, On: jr.On, Left: shard.From[0], Right: shard.From[1]}}
+	}
 
 	var used [2][]bool // used[t][c]: the shard statement reads column c of table t
 	for ti, t := range from {

@@ -1,67 +1,112 @@
 package plan
 
+import (
+	"slices"
+	"sort"
+
+	"dashdb/internal/encoding"
+	"dashdb/internal/exec"
+)
+
 // edge is one equi-join key pair between two region leaves, with
 // leaf-local column ordinals.
 type edge struct {
-	a, b   int // leaf indices
+	a, b   int // leaf indices, a < b
 	ac, bc int // column ordinal within each leaf's output
 }
 
-// flattenable reports whether a join node can dissolve into its region:
-// inner and cross joins with no residual predicate. Outer joins and
-// residual-carrying joins are barriers that lower as self-contained
-// leaves (their own subtrees flatten independently).
-func flattenable(n Node) (*Join, bool) {
-	j, ok := n.(*Join)
-	if !ok {
-		return nil, false
-	}
-	if (j.Kind == InnerJoin || j.Kind == CrossJoin) && j.Residual == nil {
-		return j, true
-	}
-	return nil, false
-}
-
-// flatten dissolves a tree of inner/cross joins into its region: leaves
-// in syntactic order and equi-join edges with leaf-local columns. Key
-// ordinals stored on Join nodes are child-relative; because a flattened
-// subtree's output is the concatenation of its leaves in order, a
-// child-relative ordinal plus the subtree's base offset is the absolute
-// region ordinal, which then maps into (leaf, local column).
-func flatten(root *Join) (leaves []Node, edges []edge) {
-	type absEdge struct{ l, r int }
-	var bases []int
-	var abs []absEdge
+// flatten dissolves a tree of inner joins into its region: the leaves in
+// written order, the offset of each one's columns in the region's layout
+// (every leaf's, in that order), and the conjuncts of each join's Cond
+// bound to that layout. Outer joins are leaves; their subtrees lower as
+// regions of their own.
+func flatten(root *Join) (leaves []Node, bases []int, conds []exec.Expr) {
 	var gather func(n Node, base int) int
 	gather = func(n Node, base int) int {
-		if j, ok := flattenable(n); ok {
-			al := gather(j.Left, base)
-			ar := gather(j.Right, base+al)
-			for i := range j.LeftKeys {
-				abs = append(abs, absEdge{base + j.LeftKeys[i], base + al + j.RightKeys[i]})
-			}
-			return al + ar
+		j, ok := n.(*Join)
+		if !ok || j.Kind != InnerJoin {
+			leaves, bases = append(leaves, n), append(bases, base)
+			return n.arity()
 		}
-		leaves = append(leaves, n)
-		bases = append(bases, base)
-		return n.arity()
+		w := gather(j.Left, base)
+		w += gather(j.Right, base+w)
+		for _, c := range conjuncts(j.Cond) {
+			conds = append(conds, exec.Rebind(c, func(col int) int { return col + base }))
+		}
+		return w
 	}
 	gather(root, 0)
+	return leaves, bases, conds
+}
 
-	locate := func(col int) (leaf, local int) {
-		for i := len(bases) - 1; i >= 0; i-- {
-			if col >= bases[i] {
-				return i, col - bases[i]
-			}
+// term is one conjunct over a row made of leaves, whose columns start at
+// bases: the leaves it reads, ascending — none when it is stateful or reads
+// no column, so it must stay where it was written — and, when it is a
+// column = column equality across two leaves, that edge.
+type term struct {
+	e      exec.Expr
+	leaves []int
+	edge   *edge
+}
+
+// classify is the one rule that splits a join condition, a region's or an
+// outer join's (two leaves: its sides).
+func classify(exprs []exec.Expr, bases []int) []term {
+	out := make([]term, len(exprs))
+	for i, e := range exprs {
+		t := &out[i]
+		t.e = e
+		if exec.Stateful(e) {
+			continue
 		}
-		return 0, col
+		exec.Rebind(e, func(c int) int {
+			if l := leafOf(bases, c); !slices.Contains(t.leaves, l) {
+				t.leaves = append(t.leaves, l)
+			}
+			return c
+		})
+		slices.Sort(t.leaves)
+		eq, ok := e.(*exec.CmpExpr)
+		if !ok || eq.Op != encoding.OpEQ || len(t.leaves) != 2 {
+			continue
+		}
+		x, xok := eq.L.(exec.ColRef)
+		y, yok := eq.R.(exec.ColRef)
+		if xok && yok {
+			if x > y {
+				x, y = y, x
+			}
+			t.edge = &edge{a: t.leaves[0], ac: int(x) - bases[t.leaves[0]], b: t.leaves[1], bc: int(y) - bases[t.leaves[1]]}
+		}
 	}
-	for _, e := range abs {
-		la, ca := locate(e.l)
-		lb, cb := locate(e.r)
-		edges = append(edges, edge{a: la, ac: ca, b: lb, bc: cb})
+	return out
+}
+
+// leafOf is the leaf that holds column col of a row whose leaves' columns
+// start at bases: the last to start at or before it.
+func leafOf(bases []int, col int) int { return sort.SearchInts(bases, col+1) - 1 }
+
+// conjuncts flattens nested ANDs: the terms a predicate's rows must all
+// pass (none for nil).
+func conjuncts(e exec.Expr) []exec.Expr {
+	if a, ok := e.(*exec.AndExpr); ok {
+		return append(conjuncts(a.L), conjuncts(a.R)...)
 	}
-	return leaves, edges
+	if e == nil {
+		return nil
+	}
+	return []exec.Expr{e}
+}
+
+// and is the conjunction of terms, nil for none.
+func and(terms []exec.Expr) (out exec.Expr) {
+	for _, t := range terms {
+		if out != nil {
+			t = &exec.AndExpr{L: out, R: t}
+		}
+		out = t
+	}
+	return out
 }
 
 // greedyOrder picks the join order for a region: start from the smallest
@@ -92,14 +137,9 @@ func greedyOrder(leaves []*leafInfo, edges []edge) []int {
 			if inSet[cand] {
 				continue
 			}
-			setDs, candCols := connectingKeys(leaves, edges, inSet, cand)
-			connected := len(candCols) > 0
-			var est float64
-			if connected {
-				est = joinEst(curEst, leaves[cand], setDs, candCols)
-			} else {
-				est = curEst * leaves[cand].est
-			}
+			keys := joining(edges, inSet, cand)
+			connected := len(keys) > 0
+			est := joinEst(curEst, leaves, cand, keys)
 			if best < 0 ||
 				(connected && !bestConnected) ||
 				(connected == bestConnected && est < bestEst) {
@@ -113,19 +153,16 @@ func greedyOrder(leaves []*leafInfo, edges []edge) []int {
 	return order
 }
 
-// connectingKeys collects the key columns of every edge between the
-// current set and candidate leaf cand: the set-side distinct estimates
-// and the candidate-local key ordinals, aligned by index.
-func connectingKeys(leaves []*leafInfo, edges []edge, inSet []bool, cand int) (setDistincts []float64, candCols []int) {
+// joining returns the edges between the joined set and leaf cand, each
+// turned so its b end is cand.
+func joining(edges []edge, inSet []bool, cand int) (keys []edge) {
 	for _, e := range edges {
-		switch {
-		case e.a == cand && inSet[e.b]:
-			setDistincts = append(setDistincts, leaves[e.b].distinct(e.bc))
-			candCols = append(candCols, e.ac)
-		case e.b == cand && inSet[e.a]:
-			setDistincts = append(setDistincts, leaves[e.a].distinct(e.ac))
-			candCols = append(candCols, e.bc)
+		if e.a == cand {
+			e = edge{a: e.b, ac: e.bc, b: e.a, bc: e.ac}
+		}
+		if e.b == cand && inSet[e.a] {
+			keys = append(keys, e)
 		}
 	}
-	return setDistincts, candCols
+	return keys
 }

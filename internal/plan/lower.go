@@ -1,7 +1,9 @@
 package plan
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"dashdb/internal/columnar"
 	"dashdb/internal/encoding"
@@ -24,15 +26,8 @@ func lower(n Node, opts Options) (exec.Operator, float64) {
 	case *Input:
 		l := analyzeLeaf(t.Op, 0)
 		return t.Op, l.est
-	case *Filter:
-		child, est := lower(t.Child, opts)
-		// Residual predicates are opaque expressions; the classic 1/3
-		// guess keeps estimates monotone without pretending precision.
-		est /= 3
-		if est < 1 {
-			est = 1
-		}
-		return &exec.FilterOp{Child: child, Pred: t.Pred}, est
+	case *Filter, *Join:
+		return place(n, nil, opts)
 	case *Project:
 		child, est := lower(t.Child, opts)
 		return &exec.ProjectOp{Child: child, Exprs: t.Exprs, Out: t.Out}, est
@@ -62,8 +57,6 @@ func lower(n Node, opts Options) (exec.Operator, float64) {
 	case *Aggregate:
 		child, est := lower(t.Child, opts)
 		return groupBy(child, t.GroupBy, t.GroupCols, t.Aggs, opts), est
-	case *Join:
-		return lowerJoin(t, opts)
 	}
 	panic("plan: unknown node type")
 }
@@ -116,187 +109,193 @@ func sortBelow(op exec.Operator) *exec.SortOp {
 	return s
 }
 
-// lowerJoin dispatches one join node: inner/cross regions reorder under
-// the greedy pass; outer joins (and residual-carrying inner joins) have
-// a fixed shape and lower directly, the residual inside the join.
-func lowerJoin(j *Join, opts Options) (exec.Operator, float64) {
-	if _, ok := flattenable(j); ok && opts.Greedy {
-		leaves, edges := flatten(j)
-		infos := make([]*leafInfo, len(leaves))
-		for i, leaf := range leaves {
-			op, est := lower(leaf, opts)
-			infos[i] = analyzeLeaf(op, est)
+// place lowers n under the conjuncts terms, bound to n's output. A Filter
+// joins its predicate's conjuncts to them; over an inner join each runs at
+// the lowest node that reads it (lowerRegion), over an outer join below it
+// when it reads only the preserved side (lowerOuter), and over anything
+// else they are one filter.
+func place(n Node, terms []exec.Expr, opts Options) (exec.Operator, float64) {
+	switch t := n.(type) {
+	case *Filter:
+		return place(t.Child, append(conjuncts(t.Pred), terms...), opts)
+	case *Join:
+		if t.Kind == InnerJoin {
+			return lowerRegion(t, terms, opts)
 		}
-		pushJoinKeyBounds(infos, edges)
-		return lowerRegion(infos, edges, opts)
+		return lowerOuter(t, terms, opts)
 	}
-
-	l, lest := lower(j.Left, opts)
-	r, rest := lower(j.Right, opts)
-	li := analyzeLeaf(l, lest)
-	ri := analyzeLeaf(r, rest)
-
-	// Inner estimate over the equi keys; outer joins additionally keep
-	// every preserved-side row.
-	var setDs []float64
-	for _, k := range j.LeftKeys {
-		setDs = append(setDs, li.distinct(k))
-	}
-	est := joinEst(li.est, ri, setDs, j.RightKeys)
-	switch j.Kind {
-	case CrossJoin:
-		est = li.est * ri.est
-	case LeftOuterJoin:
-		if est < li.est {
-			est = li.est
-		}
-	case RightOuterJoin:
-		if est < ri.est {
-			est = ri.est
-		}
-	}
-
-	if j.Kind == RightOuterJoin {
-		// The executor has no right-outer operator: preserve the right
-		// input by swapping sides into a LEFT join, then restore the
-		// user-visible column order. The swapped build side is the
-		// syntactic left relation.
-		op := &exec.HashJoinOp{
-			Left: r, Right: l,
-			LeftKeys: j.RightKeys, RightKeys: j.LeftKeys, Residual: j.Residual,
-			Type: exec.LeftJoin, Gov: opts.Gov, EstRows: est,
-			BuildSide: buildTag(opts, "left"),
-		}
-		return restoreOrder(op, []exec.Operator{l, r}, []int{ri.arity, 0}), est
-	}
-	jt := exec.InnerJoin
-	if j.Kind == LeftOuterJoin {
-		jt = exec.LeftJoin
-	}
-	return &exec.HashJoinOp{
-		Left: l, Right: r,
-		LeftKeys: j.LeftKeys, RightKeys: j.RightKeys, Residual: j.Residual,
-		Type: jt, Gov: opts.Gov, EstRows: est,
-	}, est
+	op, est := lower(n, opts)
+	return filter(op, est, terms)
 }
 
-// buildTag returns the EXPLAIN build-side tag when the planner is active;
-// syntactic lowering leaves operators untagged (historical plan text).
-func buildTag(opts Options, side string) string {
-	if !opts.Greedy {
-		return ""
+// filter puts the conjuncts terms over op as one FilterOp. They are opaque
+// expressions; the classic 1/3 guess keeps estimates monotone without
+// pretending precision.
+func filter(op exec.Operator, est float64, terms []exec.Expr) (exec.Operator, float64) {
+	if len(terms) == 0 {
+		return op, est
 	}
-	return side
+	return &exec.FilterOp{Child: op, Pred: and(terms)}, max(est/3, 1)
 }
 
-// lowerRegion joins a flattened region's leaves. Greedy mode reorders and
-// picks build sides; syntactic mode replays the leaves left-to-right with
-// the historical fixed build side. One projection at the region root
-// restores the syntactic column order whenever lowering perturbed it.
-func lowerRegion(leaves []*leafInfo, edges []edge, opts Options) (exec.Operator, float64) {
-	n := len(leaves)
-	if n == 1 {
-		return leaves[0].op, leaves[0].est
+// lowerOuter lowers an outer join under the conjuncts terms, bound to its
+// output. classify splits both: a term that reads only the preserved side
+// filters that side before the join, any other the join's output; a
+// condition conjunct that is an edge between the sides is a key, any other
+// is in the residual. The executor has no right-outer operator: a RIGHT
+// join runs as the swapped LEFT join, whose build side is the written left
+// input, and a projection restores the written column order.
+func lowerOuter(j *Join, terms []exec.Expr, opts Options) (exec.Operator, float64) {
+	bases := []int{0, j.Left.arity()}
+	kept := int(j.Kind - LeftOuterJoin) // the preserved side: 0 LEFT, 1 RIGHT
+	var pushed [2][]exec.Expr
+	var up []exec.Expr
+	for _, t := range classify(terms, bases) {
+		if len(t.leaves) == 1 && t.leaves[0] == kept {
+			pushed[kept] = append(pushed[kept], moved(t.e, bases, []int{0, 0}))
+		} else {
+			up = append(up, t.e)
+		}
+	}
+	sides := make([]*leafInfo, 2)
+	for i, side := range []Node{j.Left, j.Right} {
+		sides[i] = analyzeLeaf(place(side, pushed[i], opts))
+	}
+
+	hj := &exec.HashJoinOp{Left: sides[0].op, Right: sides[1].op, Type: exec.LeftJoin, Gov: opts.Gov}
+	var keys []edge
+	var residual []exec.Expr
+	for _, t := range classify(conjuncts(j.Cond), bases) {
+		if t.edge == nil {
+			residual = append(residual, t.e)
+			continue
+		}
+		keys = append(keys, *t.edge)
+		hj.LeftKeys, hj.RightKeys = append(hj.LeftKeys, t.edge.ac), append(hj.RightKeys, t.edge.bc)
+	}
+	// The inner estimate over the keys; every preserved row is kept.
+	hj.EstRows = max(joinEst(sides[0].est, sides, 1, keys), sides[kept].est)
+	pos := bases
+	if kept == 1 {
+		hj.Left, hj.Right, hj.LeftKeys, hj.RightKeys = hj.Right, hj.Left, hj.RightKeys, hj.LeftKeys
+		if opts.Greedy {
+			hj.BuildSide = "left"
+		}
+		pos = []int{sides[1].arity, 0}
+	}
+	hj.Residual = moved(and(residual), bases, pos)
+	return filter(restoreOrder(hj, sides, pos), hj.EstRows, up)
+}
+
+// moved rebinds e, over a row whose leaves' columns start at bases, to
+// one where they start at pos.
+func moved(e exec.Expr, bases, pos []int) exec.Expr {
+	return exec.Rebind(e, func(c int) int {
+		l := leafOf(bases, c)
+		return pos[l] + c - bases[l]
+	})
+}
+
+// lowerRegion lowers the region under root (see flatten) under the
+// conjuncts terms, bound to its output. classify places each conjunct,
+// root's and the region's inner Conds alike: an edge joins two leaves; a
+// conjunct reading one leaf filters that leaf (whose scan still feeds
+// statistics and key-bounds pushdown); one reading several is the residual
+// of the first join that holds them all; a stateful or column-free one
+// filters the region's output. Greedy mode then orders the joins and picks
+// build sides; syntactic mode joins the leaves in written order, each
+// building on the right. One projection at the region root restores the
+// written column order whenever lowering perturbed it.
+func lowerRegion(root *Join, terms []exec.Expr, opts Options) (exec.Operator, float64) {
+	nodes, bases, conds := flatten(root)
+	n := len(nodes)
+	local, own := make([][]exec.Expr, n), make([]int, n) // own: each leaf's row alone
+	var edges []edge
+	var multi []term
+	var top []exec.Expr
+	for _, t := range classify(append(conds, terms...), bases) {
+		switch {
+		case len(t.leaves) == 0:
+			top = append(top, t.e)
+		case len(t.leaves) == 1:
+			local[t.leaves[0]] = append(local[t.leaves[0]], moved(t.e, bases, own))
+		case t.edge != nil:
+			edges = append(edges, *t.edge)
+		default:
+			multi = append(multi, t)
+		}
+	}
+	// However the conditions were spelled, the edges go in one order.
+	slices.SortFunc(edges, func(x, y edge) int { return cmp.Or(x.a-y.a, x.b-y.b, x.ac-y.ac, x.bc-y.bc) })
+	leaves := make([]*leafInfo, n)
+	for i, node := range nodes {
+		leaves[i] = analyzeLeaf(place(node, local[i], opts))
 	}
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
 	if opts.Greedy {
+		pushJoinKeyBounds(leaves, edges)
 		order = greedyOrder(leaves, edges)
 	}
-	reordered := false
-	for i, k := range order {
-		if i != k {
-			reordered = true
-			break
-		}
-	}
+	reordered := !slices.IsSorted(order)
 
 	inSet := make([]bool, n)
 	pos := make([]int, n) // leaf output offset within the current intermediate
-
-	first := order[0]
-	cur := leaves[first].op
-	curEst := leaves[first].est
-	curArity := leaves[first].arity
-	inSet[first] = true
+	first := leaves[order[0]]
+	cur, curEst, curArity := exec.Operator(first.op), first.est, first.arity
+	inSet[order[0]] = true
 
 	for _, k := range order[1:] {
 		cand := leaves[k]
-		// Keys of every edge between the joined set and this leaf.
-		var lkAbs, rkLocal []int
-		var setDs []float64
-		for _, e := range edges {
-			switch {
-			case e.b == k && inSet[e.a]:
-				lkAbs = append(lkAbs, pos[e.a]+e.ac)
-				rkLocal = append(rkLocal, e.bc)
-				setDs = append(setDs, leaves[e.a].distinct(e.ac))
-			case e.a == k && inSet[e.b]:
-				lkAbs = append(lkAbs, pos[e.b]+e.bc)
-				rkLocal = append(rkLocal, e.ac)
-				setDs = append(setDs, leaves[e.b].distinct(e.bc))
-			}
+		keys := joining(edges, inSet, k)
+		est := joinEst(curEst, leaves, k, keys)
+		hj := &exec.HashJoinOp{Left: cur, Right: cand.op, Type: exec.InnerJoin, Gov: opts.Gov, EstRows: est, Reordered: reordered}
+		for _, e := range keys {
+			hj.LeftKeys, hj.RightKeys = append(hj.LeftKeys, pos[e.a]+e.ac), append(hj.RightKeys, e.bc)
 		}
-		var est float64
+		pos[k] = curArity
 		switch {
-		case len(lkAbs) == 0:
-			est = curEst * cand.est
-			if est < 1 {
-				est = 1
-			}
-			cur = &exec.HashJoinOp{Left: cur, Right: cand.op, Type: exec.InnerJoin, Gov: opts.Gov, EstRows: est, Reordered: reordered}
-			pos[k] = curArity
+		case len(keys) == 0:
 		case opts.Greedy && curEst < cand.est:
 			// The accumulated side is smaller: make it the build (right)
 			// input and shift every joined leaf past the new probe side.
-			est = joinEst(curEst, cand, setDs, rkLocal)
-			cur = &exec.HashJoinOp{
-				Left: cand.op, Right: cur,
-				LeftKeys: rkLocal, RightKeys: lkAbs,
-				Type: exec.InnerJoin, Gov: opts.Gov,
-				EstRows: est, BuildSide: "left", Reordered: reordered,
-			}
+			hj.Left, hj.Right, hj.LeftKeys, hj.RightKeys, hj.BuildSide = cand.op, cur, hj.RightKeys, hj.LeftKeys, "left"
 			for i := range pos {
 				if inSet[i] {
 					pos[i] += cand.arity
 				}
 			}
 			pos[k] = 0
-		default:
-			est = joinEst(curEst, cand, setDs, rkLocal)
-			cur = &exec.HashJoinOp{
-				Left: cur, Right: cand.op,
-				LeftKeys: lkAbs, RightKeys: rkLocal,
-				Type: exec.InnerJoin, Gov: opts.Gov,
-				EstRows: est, BuildSide: buildTag(opts, "right"), Reordered: reordered,
-			}
-			pos[k] = curArity
+		case opts.Greedy: // syntactic lowering leaves joins untagged
+			hj.BuildSide = "right"
 		}
-		curArity += cand.arity
-		curEst = est
 		inSet[k] = true
+		var residual []exec.Expr
+		for _, t := range multi {
+			if slices.Contains(t.leaves, k) && !slices.ContainsFunc(t.leaves, func(l int) bool { return !inSet[l] }) {
+				residual = append(residual, moved(t.e, bases, pos))
+			}
+		}
+		hj.Residual = and(residual)
+		cur, curEst, curArity = hj, est, curArity+cand.arity
 	}
 
-	ops := make([]exec.Operator, n)
-	for i, l := range leaves {
-		ops[i] = l.op
-	}
-	return restoreOrder(cur, ops, pos), curEst
+	return filter(restoreOrder(cur, leaves, pos), curEst, top)
 }
 
 // restoreOrder projects the joined output back into syntactic column
 // order: leaf i's columns currently sit at offset pos[i] and must appear
 // after every earlier leaf's columns. Identity permutations skip the
 // projection entirely, so unreordered plans keep their historical shape.
-func restoreOrder(op exec.Operator, leaves []exec.Operator, pos []int) exec.Operator {
+func restoreOrder(op exec.Operator, leaves []*leafInfo, pos []int) exec.Operator {
 	var out types.Schema
 	var exprs []exec.Expr
 	identity := true
 	off := 0
 	for i, l := range leaves {
-		sch := l.Schema()
+		sch := l.op.Schema()
 		for j := range sch {
 			src := pos[i] + j
 			if src != off+j {

@@ -5,12 +5,19 @@
 // expressions are already bound; this package then runs the optimizer
 // passes and lowers the tree to exec operators:
 //
-//   - greedy multi-way join ordering: inner/cross join regions are
-//     flattened into a join graph and re-ordered by estimated output
-//     cardinality (smallest intermediate first, cross joins only when
-//     forced) — the statistics-free "greedy beats optimal" recipe, with
-//     cardinalities derived from the per-stride synopses and the
-//     seal-time distinct-count sketch the storage layer already keeps;
+//   - conjunct placement: a Filter directly above an inner join dissolves
+//     into the join's region (a tree of inner joins and the leaves under
+//     it), and each conjunct runs at the lowest node that reads its
+//     columns — a column = column equality across two leaves is an edge of
+//     the join graph, a conjunct over one leaf filters that leaf, one over
+//     several is the residual of the first join that holds them all, and a
+//     stateful or column-free one stays above the region; over an outer
+//     join a conjunct reading only the preserved side filters that side;
+//   - greedy multi-way join ordering: a region's leaves are re-ordered by
+//     estimated output cardinality (smallest intermediate first, cross
+//     joins only when forced) — the statistics-free "greedy beats optimal"
+//     recipe, with cardinalities derived from the per-stride synopses and
+//     the seal-time distinct-count sketch the storage layer already keeps;
 //   - build/probe side selection: exec.HashJoinOp always builds its
 //     right input, so the planner swaps inputs when the left side is
 //     estimated smaller (inner joins only — outer joins have a forced
@@ -81,29 +88,25 @@ func (n *Filter) arity() int { return n.Child.arity() }
 type JoinKind uint8
 
 const (
-	// CrossJoin is a join with no predicate (comma join, CROSS JOIN).
-	CrossJoin JoinKind = iota
-	// InnerJoin emits matching pairs.
-	InnerJoin
+	// InnerJoin emits the pairs its condition holds for (every pair for
+	// none: a cross join).
+	InnerJoin JoinKind = iota
 	// LeftOuterJoin preserves unmatched left rows.
 	LeftOuterJoin
 	// RightOuterJoin preserves unmatched right rows.
 	RightOuterJoin
 )
 
-// Join combines two subtrees. LeftKeys/RightKeys are equi-join column
-// ordinals relative to each child's output; empty keys pair every row
-// with every row. Residual is the rest of the join condition, evaluated
-// inside the join on each candidate pair. It has one binding rule, keys
-// or none: the join operator's output layout, probe columns then build
-// columns — left then right for inner and left-outer joins, right then
-// left for a right-outer join, which runs as a swapped left-outer one. The
-// compiler builds residuals to match.
+// Join combines two subtrees. Cond is the join condition, bound to the
+// left columns then the right ones for every kind; nil pairs every row with
+// every row. Only an outer join needs one: an inner join's condition is
+// conjuncts like WHERE's, a Filter over it, and lowering treats an inner
+// Cond as such. Lowering splits a condition itself (see lowerRegion and
+// lowerOuter).
 type Join struct {
-	Left, Right         Node
-	Kind                JoinKind
-	LeftKeys, RightKeys []int
-	Residual            exec.Expr
+	Left, Right Node
+	Kind        JoinKind
+	Cond        exec.Expr
 }
 
 func (n *Join) arity() int { return n.Left.arity() + n.Right.arity() }

@@ -29,6 +29,11 @@ func valuesLeaf(name string, n, mod int) *Input {
 	return &Input{Op: exec.NewValues(intSchema(name+"_k", name+"_v"), rows), Name: name}
 }
 
+// eq is the join condition "column l = column r".
+func eq(l, r int) exec.Expr {
+	return &exec.CmpExpr{Op: encoding.OpEQ, L: exec.ColRef(l), R: exec.ColRef(r)}
+}
+
 func sortedRows(t *testing.T, op exec.Operator) []string {
 	t.Helper()
 	rows, err := exec.Drain(op)
@@ -62,12 +67,8 @@ func chain3() *Join {
 	mid := valuesLeaf("mid", 40, 20)
 	small := valuesLeaf("small", 5, 20)
 	return &Join{
-		Left: &Join{
-			Left: big, Right: mid, Kind: InnerJoin,
-			LeftKeys: []int{0}, RightKeys: []int{0},
-		},
-		Right: small, Kind: InnerJoin,
-		LeftKeys: []int{0}, RightKeys: []int{0},
+		Left:  &Join{Left: big, Right: mid, Kind: InnerJoin, Cond: eq(0, 2)},
+		Right: small, Kind: InnerJoin, Cond: eq(0, 4),
 	}
 }
 
@@ -77,7 +78,7 @@ func TestGreedyMatchesSyntactic(t *testing.T) {
 		"two-way": func() Node {
 			return &Join{
 				Left: valuesLeaf("l", 100, 10), Right: valuesLeaf("r", 8, 10),
-				Kind: InnerJoin, LeftKeys: []int{0}, RightKeys: []int{0},
+				Kind: InnerJoin, Cond: eq(0, 2),
 			}
 		},
 		"cross-then-join": func() Node {
@@ -85,26 +86,24 @@ func TestGreedyMatchesSyntactic(t *testing.T) {
 			return &Join{
 				Left: &Join{
 					Left: valuesLeaf("a", 6, 6), Right: valuesLeaf("b", 4, 4),
-					Kind: CrossJoin,
+					Kind: InnerJoin,
 				},
-				Right: valuesLeaf("c", 30, 6), Kind: InnerJoin,
-				LeftKeys: []int{0}, RightKeys: []int{0},
+				Right: valuesLeaf("c", 30, 6), Kind: InnerJoin, Cond: eq(0, 4),
 			}
 		},
 		"right-outer": func() Node {
 			return &Join{
 				Left: valuesLeaf("l", 12, 30), Right: valuesLeaf("r", 25, 9),
-				Kind: RightOuterJoin, LeftKeys: []int{0}, RightKeys: []int{0},
+				Kind: RightOuterJoin, Cond: eq(0, 2),
 			}
 		},
 		"left-outer-over-inner": func() Node {
 			return &Join{
 				Left: &Join{
 					Left: valuesLeaf("big", 300, 15), Right: valuesLeaf("tiny", 3, 15),
-					Kind: InnerJoin, LeftKeys: []int{0}, RightKeys: []int{0},
+					Kind: InnerJoin, Cond: eq(0, 2),
 				},
-				Right: valuesLeaf("pad", 7, 40), Kind: LeftOuterJoin,
-				LeftKeys: []int{0}, RightKeys: []int{0},
+				Right: valuesLeaf("pad", 7, 40), Kind: LeftOuterJoin, Cond: eq(0, 4),
 			}
 		},
 	}
@@ -161,7 +160,7 @@ func TestBuildSideSwap(t *testing.T) {
 	mk := func() Node {
 		return &Join{
 			Left: valuesLeaf("small", 4, 4), Right: valuesLeaf("big", 200, 4),
-			Kind: InnerJoin, LeftKeys: []int{0}, RightKeys: []int{0},
+			Kind: InnerJoin, Cond: eq(0, 2),
 		}
 	}
 	op := Lower(mk(), Options{Greedy: true})
@@ -195,58 +194,78 @@ func intTable(t *testing.T, id uint32, name string, lo, hi int) *columnar.Table 
 }
 
 // TestJoinKeyBoundsPushdown: joining a wide-range table with a
-// narrow-range one must push the narrow [min,max] into the wide scan.
+// narrow-range one must push the narrow [min,max] into the wide scan — also
+// when a conjunct over the wide table alone is placed as a filter on it,
+// which keeps the scan's estimate from its statistics.
 func TestJoinKeyBoundsPushdown(t *testing.T) {
 	wide := intTable(t, 1, "wide", 0, 4999)
 	narrow := intTable(t, 2, "narrow", 2000, 2100)
-	mk := func() *Join {
+	join := func() *Join {
 		return &Join{
 			Left:  &Input{Op: exec.NewScan(wide, nil, nil), Name: "wide"},
 			Right: &Input{Op: exec.NewScan(narrow, nil, nil), Name: "narrow"},
-			Kind:  InnerJoin, LeftKeys: []int{0}, RightKeys: []int{0},
+			Kind:  InnerJoin, Cond: eq(0, 2),
 		}
 	}
-	op := Lower(mk(), Options{Greedy: true})
-	var wideScan *exec.ScanOp
-	var walk func(o exec.Operator)
-	walk = func(o exec.Operator) {
-		switch t := o.(type) {
-		case *exec.ScanOp:
-			if t.Table == wide {
-				wideScan = t
+	// wide_v + 0 > 20500: a conjunct no scan takes, true for wide_k > 2050.
+	over := &exec.CmpExpr{Op: encoding.OpGT, L: &exec.ArithExpr{Op: "+", L: exec.ColRef(1), R: exec.Const{V: types.NewInt(0)}}, R: exec.Const{V: types.NewInt(20500)}}
+	for _, c := range []struct {
+		name     string
+		mk       func() Node
+		filtered bool
+		rows     int
+	}{
+		{"bare", func() Node { return join() }, false, 101},
+		{"placed filter", func() Node { return &Filter{Child: join(), Pred: over} }, true, 50},
+	} {
+		op := Lower(c.mk(), Options{Greedy: true})
+		var wideScan *exec.ScanOp
+		var filtered bool
+		var walk func(o exec.Operator, underFilter bool)
+		walk = func(o exec.Operator, underFilter bool) {
+			switch t := o.(type) {
+			case *exec.ScanOp:
+				if t.Table == wide {
+					wideScan, filtered = t, underFilter
+				}
+			case *exec.HashJoinOp:
+				walk(t.Left, false)
+				walk(t.Right, false)
+			case *exec.ProjectOp:
+				walk(t.Child, false)
+			case *exec.FilterOp:
+				walk(t.Child, true)
 			}
-		case *exec.HashJoinOp:
-			walk(t.Left)
-			walk(t.Right)
-		case *exec.ProjectOp:
-			walk(t.Child)
 		}
-	}
-	walk(op)
-	if wideScan == nil {
-		t.Fatal("wide scan not found in lowered plan")
-	}
-	var ge, le bool
-	for _, p := range wideScan.Preds {
-		if p.Col != 0 {
-			continue
+		walk(op, false)
+		if wideScan == nil {
+			t.Fatalf("%s: wide scan not found in lowered plan", c.name)
 		}
-		switch p.Op {
-		case encoding.OpGE:
-			ge = true
-		case encoding.OpLE:
-			le = true
+		if filtered != c.filtered || wideScan.EstRows != 5000 {
+			t.Errorf("%s: wide scan under a filter %v (want %v), estimated %v rows (want its 5000)", c.name, filtered, c.filtered, wideScan.EstRows)
 		}
+		var ge, le bool
+		for _, p := range wideScan.Preds {
+			if p.Col != 0 {
+				continue
+			}
+			switch p.Op {
+			case encoding.OpGE:
+				ge = true
+			case encoding.OpLE:
+				le = true
+			}
+		}
+		if !ge || !le {
+			t.Fatalf("%s: wide scan preds = %v, want pushed GE and LE join-key bounds", c.name, wideScan.Preds)
+		}
+		syn := sortedRows(t, Lower(c.mk(), Options{Greedy: false}))
+		gr := sortedRows(t, Lower(c.mk(), Options{Greedy: true}))
+		if len(syn) != c.rows {
+			t.Fatalf("%s: expected %d matching rows, got %d", c.name, c.rows, len(syn))
+		}
+		assertSame(t, syn, gr)
 	}
-	if !ge || !le {
-		t.Fatalf("wide scan preds = %v, want pushed GE and LE join-key bounds", wideScan.Preds)
-	}
-	syn := sortedRows(t, Lower(mk(), Options{Greedy: false}))
-	gr := sortedRows(t, Lower(mk(), Options{Greedy: true}))
-	if len(syn) != 101 {
-		t.Fatalf("expected 101 matching rows, got %d", len(syn))
-	}
-	assertSame(t, syn, gr)
 }
 
 // TestScanEstimateUsesStats: the leaf estimate must come from table
@@ -304,7 +323,7 @@ func TestAggregateLowering(t *testing.T) {
 	}
 	overJoin := func() Node {
 		scan = exec.NewScan(intTable(t, 1, "t", 0, 99), nil, nil)
-		return &Join{Left: &Input{Op: scan}, Right: valuesLeaf("r", 8, 10), Kind: InnerJoin, LeftKeys: []int{0}, RightKeys: []int{0}}
+		return &Join{Left: &Input{Op: scan}, Right: valuesLeaf("r", 8, 10), Kind: InnerJoin, Cond: eq(0, 2)}
 	}
 	for _, c := range []struct {
 		name  string
@@ -405,5 +424,72 @@ func findSort(op exec.Operator) *exec.SortOp {
 		default:
 			return nil
 		}
+	}
+}
+
+// TestConjunctPlacement: each conjunct of a Filter over an inner region
+// runs at the lowest node that reads it — edges become keys, a one-leaf
+// conjunct filters its leaf, a conjunct over two leaves is the residual of
+// the join that brings them together, and a stateful one stays above —
+// and the rows are the ones the conjuncts select from the cross product.
+func TestConjunctPlacement(t *testing.T) {
+	cmp := func(op encoding.CmpOp, l, r exec.Expr) exec.Expr { return &exec.CmpExpr{Op: op, L: l, R: r} }
+	every := &exec.ApplyExpr{Args: []exec.Expr{exec.ColRef(3)}, Stateful: true,
+		Fn: func([]types.Value) (types.Value, error) { return types.NewBool(true), nil }}
+	terms := []exec.Expr{
+		eq(0, 2), // a.k = b.k
+		cmp(encoding.OpLT, exec.ColRef(1), exec.ColRef(5)),                 // a.v < c.v
+		cmp(encoding.OpGT, exec.ColRef(5), exec.Const{V: types.NewInt(3)}), // c.v > 3
+		every,    // stateful, over b
+		eq(2, 4), // b.k = c.k
+	}
+	mk := func() Node {
+		return &Filter{Child: &Join{
+			Left:  &Join{Left: valuesLeaf("a", 20, 5), Right: valuesLeaf("b", 10, 5), Kind: InnerJoin},
+			Right: valuesLeaf("c", 8, 5), Kind: InnerJoin,
+		}, Pred: and(terms)}
+	}
+	var want []string
+	for i := 0; i < 20; i++ {
+		for j := 0; j < 10; j++ {
+			for l := 0; l < 8; l++ {
+				if i%5 == j%5 && j%5 == l%5 && i < l && l > 3 {
+					want = append(want, fmt.Sprint(types.Row{types.NewInt(int64(i % 5)), types.NewInt(int64(i)),
+						types.NewInt(int64(j % 5)), types.NewInt(int64(j)), types.NewInt(int64(l % 5)), types.NewInt(int64(l))}))
+				}
+			}
+		}
+	}
+	sort.Strings(want)
+	for _, greedy := range []bool{false, true} {
+		op := Lower(mk(), Options{Greedy: greedy})
+		top, ok := op.(*exec.FilterOp)
+		if !ok || top.Pred != every {
+			t.Fatalf("greedy=%v: root %T, want the filter holding the stateful conjunct alone", greedy, op)
+		}
+		var residuals, keys, leafFilters int
+		var walk func(o exec.Operator)
+		walk = func(o exec.Operator) {
+			switch o := o.(type) {
+			case *exec.HashJoinOp:
+				if o.Residual != nil {
+					residuals++
+				}
+				keys += len(o.LeftKeys)
+				walk(o.Left)
+				walk(o.Right)
+			case *exec.ProjectOp:
+				walk(o.Child)
+			case *exec.FilterOp:
+				if _, leaf := o.Child.(*exec.BatchesOp); leaf {
+					leafFilters++
+				}
+			}
+		}
+		walk(top.Child)
+		if residuals != 1 || keys != 2 || leafFilters != 1 {
+			t.Errorf("greedy=%v: %d residuals, %d keys, %d leaf filters; want 1, 2, 1", greedy, residuals, keys, leafFilters)
+		}
+		assertSame(t, want, sortedRows(t, op))
 	}
 }

@@ -39,11 +39,17 @@ func (l *leafInfo) distinct(col int) float64 {
 }
 
 // analyzeLeaf builds the leafInfo for a lowered region leaf, attaching
-// statistics when the operator is a bare columnar scan, taking the exact
-// row count of a held leaf (VALUES, a CTE, a nickname, a pull, a shuffle
+// statistics when the operator is a columnar scan, taking the exact row
+// count of a held leaf (VALUES, a CTE, a nickname, a pull, a shuffle
 // partition), and recording the cardinality estimate on the operator for
-// EXPLAIN.
+// EXPLAIN. Under a filter placed on the leaf, which comes with its
+// estimate, the scan's statistics still serve.
 func analyzeLeaf(op exec.Operator, est float64) *leafInfo {
+	if f, ok := op.(*exec.FilterOp); ok && est > 0 {
+		l := analyzeLeaf(f.Child, 0)
+		l.op, l.est = op, est
+		return l
+	}
 	l := &leafInfo{op: op, arity: len(op.Schema()), est: est}
 	switch o := op.(type) {
 	case *exec.ScanOp:
@@ -83,10 +89,7 @@ func analyzeLeaf(op exec.Operator, est float64) *leafInfo {
 			}
 			sel *= predSelectivity(p, st)
 		}
-		l.est = rows * sel
-		if rows >= 1 && l.est < 1 {
-			l.est = 1
-		}
+		l.est = max(rows*sel, min(rows, 1))
 		o.EstRows = l.est
 	case *exec.BatchesOp:
 		l.est = float64(o.Rows())
@@ -136,32 +139,14 @@ func predSelectivity(p columnar.Pred, st columnar.ColumnStats) float64 {
 }
 
 // joinEst estimates the output of joining the current intermediate
-// (cardinality curEst) with leaf cand over the given key pairs, using the
-// classic |L|·|R| / max(d_L, d_R) formula per key. setDistinct supplies
-// the distinct count of the set-side key column (already capped by the
-// intermediate's cardinality).
-func joinEst(curEst float64, cand *leafInfo, setDistincts []float64, candCols []int) float64 {
-	est := curEst * cand.est
-	for i, sc := range setDistincts {
-		dl := sc
-		if dl > curEst {
-			dl = curEst
-		}
-		dr := cand.distinct(candCols[i])
-		if dr > cand.est {
-			dr = cand.est
-		}
-		d := dl
-		if dr > d {
-			d = dr
-		}
-		if d < 1 {
-			d = 1
-		}
-		est /= d
+// (cardinality curEst) with leaf cand over keys (see joining), using the
+// classic |L|·|R| / max(d_L, d_R) formula per key, each distinct count
+// capped by its side's cardinality.
+func joinEst(curEst float64, leaves []*leafInfo, cand int, keys []edge) float64 {
+	c := leaves[cand]
+	est := curEst * c.est
+	for _, k := range keys {
+		est /= max(min(leaves[k.a].distinct(k.ac), curEst), min(c.distinct(k.bc), c.est), 1)
 	}
-	if est < 1 {
-		est = 1
-	}
-	return est
+	return max(est, 1)
 }

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dashdb/internal/catalog"
@@ -133,6 +134,24 @@ func (s *scope) resolve(table, column string) (int, error) {
 	return found, nil
 }
 
+// qualified returns e with each column reference qualified by the table
+// that holds it in s, or the error of one s does not resolve.
+func (s *scope) qualified(e Expr) (Expr, error) {
+	var err error
+	out := MapExpr(e, func(x Expr) Expr {
+		ref, ok := x.(*ColumnRef)
+		if !ok || err != nil {
+			return nil
+		}
+		i, rerr := s.resolve(ref.Table, ref.Column)
+		if err = rerr; err != nil {
+			return x
+		}
+		return &ColumnRef{Table: s.cols[i].table, Column: ref.Column, OuterJoin: ref.OuterJoin}
+	})
+	return out, err
+}
+
 // merge concatenates two scopes (join output).
 func (s *scope) merge(other *scope) *scope {
 	m := &scope{}
@@ -256,7 +275,8 @@ func (c *Compiler) compileSelectCore(sel *SelectStmt) (*compiled, error) {
 		}
 	}
 
-	// Split WHERE into conjuncts for pushdown and join detection.
+	// Split WHERE into conjuncts: the list scans take pushdown predicates
+	// from, which every inner join's ON joins (compileJoin).
 	conjuncts := Conjuncts(sel.Where)
 	// Oracle ROWNUM <= n in WHERE becomes a limit.
 	rownumLimit := int64(-1)
@@ -277,7 +297,7 @@ func (c *Compiler) compileSelectCore(sel *SelectStmt) (*compiled, error) {
 		}
 	}
 
-	// Residual WHERE.
+	// What the scans left: the planner places each conjunct (plan.Filter).
 	if len(conjuncts) > 0 {
 		pred, err := c.compileConjuncts(conjuncts, cur.scope)
 		if err != nil {
@@ -665,132 +685,85 @@ func cmpOpFor(op string) (encoding.CmpOp, bool) {
 }
 
 // compileJoin handles explicit JOIN ... ON / USING, producing a logical
-// plan.Join. Join orientation stays syntactic here: lowering maps RIGHT
-// joins onto the executor's left-preserving join and the planner picks
-// build sides and join order.
+// plan.Join. An inner join's condition is WHERE conjuncts: they join the
+// list it compiles in before its inputs compile, so a conjunct over one
+// base table reaches that table's scan, and the planner places the rest.
+// An outer join keeps its condition, and its null-supplying side compiles
+// in a list of its own: a WHERE conjunct filters joined rows — pushed into
+// that side's scan it would filter before the join, and the rows it rejects
+// would come back null-extended instead of removed — while what the side's
+// own inner joins leave there filters the side. Join orientation stays
+// syntactic here: lowering maps RIGHT joins onto the executor's
+// left-preserving join and the planner picks build sides and join order.
 func (c *Compiler) compileJoin(j *JoinRef, conjuncts *[]Expr) (*planned, error) {
-	// A WHERE conjunct filters joined rows: pushed into the scan of an
-	// outer join's null-supplying side it would filter before the join, and
-	// the rows it rejects would come back null-extended instead of removed.
-	leftCj, rightCj, none := conjuncts, conjuncts, []Expr(nil)
+	var kind plan.JoinKind
+	cond := conjuncts
+	lists := [2]*[]Expr{conjuncts, conjuncts}
 	switch j.Type {
 	case "LEFT":
-		rightCj = &none
+		kind, cond, lists[1] = plan.LeftOuterJoin, &[]Expr{}, &[]Expr{}
 	case "RIGHT":
-		leftCj = &none
+		kind, cond, lists[0] = plan.RightOuterJoin, &[]Expr{}, &[]Expr{}
 	}
-	left, err := c.compileFromItem(j.Left, leftCj)
-	if err != nil {
-		return nil, err
-	}
-	right, err := c.compileFromItem(j.Right, rightCj)
-	if err != nil {
-		return nil, err
-	}
-	merged := left.scope.merge(right.scope)
-
-	// USING(cols) → equi-keys by shared column name.
-	var on Expr = j.On
-	if len(j.Using) > 0 {
-		for _, col := range j.Using {
-			eq := &BinaryOp{Op: "=",
-				Left:  &ColumnRef{Table: tableOfScope(left.scope, col), Column: col},
-				Right: &ColumnRef{Table: tableOfScope(right.scope, col), Column: col},
+	on := Conjuncts(j.On)
+	*cond = append(*cond, on...)
+	var sides [2]*planned
+	for i, fi := range []FromItem{j.Left, j.Right} {
+		side, err := c.compileFromItem(fi, lists[i])
+		if err != nil {
+			return nil, err
+		}
+		if lists[i] != conjuncts && len(*lists[i]) > 0 {
+			pred, err := c.compileConjuncts(*lists[i], side.scope)
+			if err != nil {
+				return nil, err
 			}
-			if on == nil {
-				on = eq
-			} else {
-				on = &BinaryOp{Op: "AND", Left: on, Right: eq}
+			side.node = &plan.Filter{Child: side.node, Pred: pred}
+		}
+		sides[i] = side
+	}
+	merged := sides[0].scope.merge(sides[1].scope)
+	// The ON's names resolve in the join's own scope; qualified by it, the
+	// conjuncts the scans left read the same in the list's wider one.
+	var err error
+	for i, cj := range *cond {
+		if slices.Contains(on, cj) {
+			if (*cond)[i], err = merged.qualified(cj); err != nil {
+				return nil, err
 			}
 		}
 	}
 
-	kind := plan.InnerJoin
-	switch j.Type {
-	case "LEFT":
-		kind = plan.LeftOuterJoin
-	case "RIGHT":
-		kind = plan.RightOuterJoin
+	// USING(cols) → an equality per column, between the first column of
+	// that name on each side.
+	for _, col := range j.Using {
+		var refs [2]Expr
+		for i, side := range []string{"left", "right"} {
+			ci := slices.IndexFunc(sides[i].scope.cols, func(sc scopeCol) bool { return sc.name == strings.ToLower(col) })
+			if ci < 0 {
+				return nil, fmt.Errorf("sql: USING column %s is not a column of the join's %s side", col, side)
+			}
+			refs[i] = &ColumnRef{Table: sides[i].scope.cols[ci].table, Column: col}
+		}
+		*cond = append(*cond, &BinaryOp{Op: "=", Left: refs[0], Right: refs[1]})
 	}
 
-	lk, rk, residual := extractEquiKeys(Conjuncts(on), left.scope, right.scope)
-	jn := &plan.Join{Left: left.node, Right: right.node, Kind: kind, LeftKeys: lk, RightKeys: rk}
-	if jn.Residual, err = c.joinResidual(kind, residual, left.scope, right.scope); err != nil {
-		return nil, err
-	}
-	if kind == plan.InnerJoin && len(lk) == 0 && jn.Residual == nil {
-		jn.Kind = plan.CrossJoin
+	jn := &plan.Join{Left: sides[0].node, Right: sides[1].node, Kind: kind}
+	if cond != conjuncts && len(*cond) > 0 {
+		if jn.Cond, err = c.compileConjuncts(*cond, merged); err != nil {
+			return nil, err
+		}
 	}
 	return &planned{node: jn, scope: merged}, nil
 }
 
-// joinResidual compiles a join's ON conjuncts that are not equi-keys
-// against the join operator's output layout (see plan.Join): right then
-// left for a RIGHT join, left then right otherwise. nil for none.
-func (c *Compiler) joinResidual(kind plan.JoinKind, conjuncts []Expr, left, right *scope) (exec.Expr, error) {
-	if len(conjuncts) == 0 {
-		return nil, nil
-	}
-	if kind == plan.RightOuterJoin {
-		left, right = right, left
-	}
-	return c.compileConjuncts(conjuncts, left.merge(right))
-}
-
-// tableOfScope finds which alias exposes the column (for USING).
-func tableOfScope(s *scope, col string) string {
-	lc := strings.ToLower(col)
-	for _, c := range s.cols {
-		if c.name == lc {
-			return c.table
-		}
-	}
-	return ""
-}
-
-// extractEquiKeys pulls equality conjuncts joining left and right scopes;
-// remaining conjuncts are returned as residual. Oracle (+) markers are
-// tolerated here (join type was already decided).
-func extractEquiKeys(conjuncts []Expr, left, right *scope) (lk, rk []int, residual []Expr) {
-	for _, cj := range conjuncts {
-		bo, ok := cj.(*BinaryOp)
-		if !ok || bo.Op != "=" {
-			residual = append(residual, cj)
-			continue
-		}
-		lref, lok := bo.Left.(*ColumnRef)
-		rref, rok := bo.Right.(*ColumnRef)
-		if !lok || !rok {
-			residual = append(residual, cj)
-			continue
-		}
-		li, lerr := left.resolve(lref.Table, lref.Column)
-		ri, rerr := right.resolve(rref.Table, rref.Column)
-		if lerr == nil && rerr == nil {
-			lk = append(lk, li)
-			rk = append(rk, ri)
-			continue
-		}
-		// Try swapped sides.
-		li2, lerr2 := left.resolve(rref.Table, rref.Column)
-		ri2, rerr2 := right.resolve(lref.Table, lref.Column)
-		if lerr2 == nil && rerr2 == nil {
-			lk = append(lk, li2)
-			rk = append(rk, ri2)
-			continue
-		}
-		residual = append(residual, cj)
-	}
-	return lk, rk, residual
-}
-
-// combineComma joins two comma-separated FROM items, using WHERE
-// conjuncts as join predicates (including Oracle (+) outer joins).
+// combineComma joins two comma-separated FROM items: an inner join whose
+// condition stays with the WHERE conjuncts, unless an equality between the
+// two carries Oracle's (+). The equalities between them are then an outer
+// join's condition, preserving the side without the marker.
 func (c *Compiler) combineComma(left, right *planned, conjuncts *[]Expr) (*planned, error) {
-	// Find join conjuncts connecting the two scopes; detect (+).
-	var joinCjs, rest []Expr
-	outerRight := false // (+) on right side → LEFT JOIN
-	outerLeft := false  // (+) on left side → RIGHT-style
+	var cond, rest []Expr
+	var outerLeft, outerRight bool // (+) on that side: RIGHT-style, LEFT JOIN
 	for _, cj := range *conjuncts {
 		bo, ok := cj.(*BinaryOp)
 		if !ok || bo.Op != "=" {
@@ -799,69 +772,39 @@ func (c *Compiler) combineComma(left, right *planned, conjuncts *[]Expr) (*plann
 		}
 		lref, lok := bo.Left.(*ColumnRef)
 		rref, rok := bo.Right.(*ColumnRef)
-		if !lok || !rok {
+		if lok && rok && !resolves(left.scope, lref) {
+			lref, rref = rref, lref
+		}
+		if !lok || !rok || !resolves(left.scope, lref) || !resolves(right.scope, rref) {
 			rest = append(rest, cj)
 			continue
 		}
-		connects := false
-		if _, err := left.scope.resolve(lref.Table, lref.Column); err == nil {
-			if _, err := right.scope.resolve(rref.Table, rref.Column); err == nil {
-				connects = true
-				if rref.OuterJoin {
-					outerRight = true
-				}
-				if lref.OuterJoin {
-					outerLeft = true
-				}
-			}
-		}
-		if !connects {
-			if _, err := left.scope.resolve(rref.Table, rref.Column); err == nil {
-				if _, err := right.scope.resolve(lref.Table, lref.Column); err == nil {
-					connects = true
-					if lref.OuterJoin {
-						outerRight = true
-					}
-					if rref.OuterJoin {
-						outerLeft = true
-					}
-				}
-			}
-		}
-		if connects {
-			joinCjs = append(joinCjs, cj)
-		} else {
-			rest = append(rest, cj)
-		}
+		outerRight, outerLeft = outerRight || rref.OuterJoin, outerLeft || lref.OuterJoin
+		cond = append(cond, cj)
 	}
-	*conjuncts = rest
 
 	merged := left.scope.merge(right.scope)
-	if len(joinCjs) == 0 {
-		// Pure cross join (the planner may still connect the two sides
-		// transitively once later comma items bring join conjuncts).
-		return &planned{
-			node:  &plan.Join{Left: left.node, Right: right.node, Kind: plan.CrossJoin},
-			scope: merged,
-		}, nil
+	jn := &plan.Join{Left: left.node, Right: right.node, Kind: plan.InnerJoin}
+	switch {
+	case outerRight && !outerLeft:
+		jn.Kind = plan.LeftOuterJoin
+	case outerLeft && !outerRight:
+		// Lowering maps this onto a swapped LEFT join and restores column
+		// order.
+		jn.Kind = plan.RightOuterJoin
+	default:
+		return &planned{node: jn, scope: merged}, nil
 	}
-	lk, rk, residual := extractEquiKeys(joinCjs, left.scope, right.scope)
-	kind := plan.InnerJoin
-	if outerRight && !outerLeft {
-		// (+) on the right side: preserve the left input.
-		kind = plan.LeftOuterJoin
-	}
-	if outerLeft && !outerRight {
-		// (+) on the left side: preserve the right input. Lowering maps
-		// this onto a swapped LEFT join and restores column order.
-		kind = plan.RightOuterJoin
-	}
-	pred, err := c.joinResidual(kind, residual, left.scope, right.scope)
-	if err != nil {
-		return nil, err
-	}
-	jn := &plan.Join{Left: left.node, Right: right.node, Kind: kind, LeftKeys: lk, RightKeys: rk, Residual: pred}
-	return &planned{node: jn, scope: merged}, nil
+	*conjuncts = rest
+	var err error
+	jn.Cond, err = c.compileConjuncts(cond, merged)
+	return &planned{node: jn, scope: merged}, err
+}
+
+// resolves reports whether ref names one column of s.
+func resolves(s *scope, ref *ColumnRef) bool {
+	_, err := s.resolve(ref.Table, ref.Column)
+	return err == nil
 }
 
 // --- helpers ----------------------------------------------------------------

@@ -8,7 +8,8 @@
 # gob stream decoding, every
 # expression node's EvalVec vs the row-at-a-time oracle in
 # internal/exec/oracle_test.go on generated trees and batches, the sort's
-# normalized-key order vs a stable types.Compare oracle).
+# normalized-key order vs a stable types.Compare oracle, one answer and one
+# plan for a drawn inner join however its conditions are spelled).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -70,4 +71,5 @@ if [ "${DASHDB_FUZZ:-0}" = "1" ]; then
 	go test -run=NONE -fuzz=FuzzGobStream -fuzztime=10s ./internal/shardrpc/
 	go test -run=NONE -fuzz=FuzzEvalVecMatchesEval -fuzztime=10s ./internal/exec/
 	go test -run=NONE -fuzz=FuzzSortOrder -fuzztime=10s ./internal/exec/
+	go test -run=NONE -fuzz=FuzzJoinSpellings -fuzztime=10s ./internal/core/
 fi
