@@ -17,10 +17,7 @@ func NewBitmap(n int) *Bitmap {
 // NewBitmapFull returns an all-one bitmap of length n.
 func NewBitmapFull(n int) *Bitmap {
 	b := NewBitmap(n)
-	for i := range b.words {
-		b.words[i] = ^uint64(0)
-	}
-	b.trimTail()
+	b.SetAll()
 	return b
 }
 
@@ -29,6 +26,14 @@ func (b *Bitmap) Len() int { return b.n }
 
 // Set sets bit i.
 func (b *Bitmap) Set(i int) { b.words[i/64] |= 1 << (uint(i) % 64) }
+
+// SetAll sets every bit, a word at a time.
+func (b *Bitmap) SetAll() {
+	for i := range b.words {
+		b.words[i] = ^uint64(0)
+	}
+	b.trimTail()
+}
 
 // Clear clears bit i.
 func (b *Bitmap) Clear(i int) { b.words[i/64] &^= 1 << (uint(i) % 64) }
@@ -62,17 +67,24 @@ func (b *Bitmap) And(other *Bitmap) {
 	}
 }
 
-// Or unions other into b. Both bitmaps must have equal length.
-func (b *Bitmap) Or(other *Bitmap) {
-	for i := range b.words {
-		b.words[i] |= other.words[i]
-	}
-}
-
 // AndNot removes other's bits from b.
 func (b *Bitmap) AndNot(other *Bitmap) {
 	for i := range b.words {
 		b.words[i] &^= other.words[i]
+	}
+}
+
+// AndNotAt removes from b the bits of other at positions off through
+// off+b.Len()-1, a word at a time: bit i of b is cleared when bit off+i of
+// other is set. off must be a multiple of 64, and other must cover the
+// whole range.
+func (b *Bitmap) AndNotAt(other *Bitmap, off int) {
+	if off%64 != 0 || off+b.n > other.n {
+		panic("bitpack: AndNotAt range is unaligned or out of bounds")
+	}
+	src := other.words[off/64:]
+	for i := range b.words {
+		b.words[i] &^= src[i]
 	}
 }
 

@@ -2,6 +2,7 @@ package bitpack
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -116,7 +117,7 @@ var allOps = []CmpOp{CmpEQ, CmpNE, CmpLT, CmpLE, CmpGT, CmpGE}
 // including boundary constants 0 and max.
 func TestSWARMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, width := range []uint{1, 2, 3, 4, 6, 9, 12, 16, 21, 32} {
+	for width := uint(1); width <= MaxWidth; width++ {
 		max := uint64(1)<<width - 1
 		for _, n := range []int{1, 7, 63, 64, 65, 1000} {
 			v := NewVector(width)
@@ -168,7 +169,8 @@ func TestCompareRange(t *testing.T) {
 
 func TestTailCellsDoNotMatch(t *testing.T) {
 	// 3 codes of width 20 → one word holds 3 cells; a second word holds
-	// 2 live cells and a zero tail. EQ 0 must not match the tail.
+	// 2 live cells and a zero tail. EQ 0 and a range from 0 must not match
+	// the tail.
 	v := NewVector(20)
 	v.AppendAll([]uint64{5, 0, 9, 0, 7})
 	out := NewBitmap(5)
@@ -176,6 +178,122 @@ func TestTailCellsDoNotMatch(t *testing.T) {
 	if out.Count() != 2 || !out.Get(1) || !out.Get(3) {
 		t.Fatalf("EQ 0 matched wrong set: count=%d", out.Count())
 	}
+	for _, c := range []struct {
+		lo, hi uint64
+		want   []int
+	}{{0, 0, []int{1, 3}}, {0, 6, []int{0, 1, 3}}} {
+		out := NewBitmap(5)
+		v.CompareRange(c.lo, c.hi, out)
+		var got []int
+		out.ForEach(func(i int) { got = append(got, i) })
+		if !slices.Equal(got, c.want) {
+			t.Fatalf("range [%d,%d] matched %v, want %v", c.lo, c.hi, got, c.want)
+		}
+	}
+}
+
+// checkRange fails t unless out equals was ORed with the positions whose
+// code lies in [lo, hi], by the scalar oracle's GE lo and LE hi.
+func checkRange(t testing.TB, v *Vector, lo, hi uint64, was, out *Bitmap) {
+	t.Helper()
+	ge, le := NewBitmap(v.Len()), NewBitmap(v.Len())
+	v.CompareScalar(CmpGE, lo, ge)
+	v.CompareScalar(CmpLE, hi, le)
+	want := was.Clone()
+	for i := 0; i < v.Len(); i++ {
+		if ge.Get(i) && le.Get(i) {
+			want.Set(i)
+		}
+	}
+	for i := 0; i < v.Len(); i++ {
+		if out.Get(i) != want.Get(i) {
+			t.Fatalf("width=%d n=%d [%d,%d] pos=%d code=%d: CompareRange=%v oracle=%v",
+				v.Width(), v.Len(), lo, hi, i, v.Get(i), out.Get(i), want.Get(i))
+		}
+	}
+	if bits := out.Count(); bits != want.Count() {
+		t.Fatalf("width=%d n=%d [%d,%d]: %d bits set, want %d", v.Width(), v.Len(), lo, hi, bits, want.Count())
+	}
+}
+
+// TestCompareRangeMatchesScalar holds the fused range kernel to the
+// scalar GE ∧ LE oracle at every width, at lengths that end mid-word and
+// cross 64-bit output words, for point, inverted, zero-based and
+// open-topped ranges, ORing into a bitmap that already holds bits.
+func TestCompareRangeMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for width := uint(1); width <= MaxWidth; width++ {
+		max := uint64(1)<<width - 1
+		for _, n := range []int{1, 5, 63, 64, 65, 127, 129, 1024, 1000} {
+			v := NewVector(width)
+			for i := 0; i < n; i++ {
+				v.Append(rng.Uint64() & max)
+			}
+			mid := rng.Uint64() & max
+			ranges := [][2]uint64{
+				{mid, mid}, {v.Get(n / 2), v.Get(n / 2)}, // lo == hi
+				{mid + 1, mid}, {max, 0}, // lo > hi
+				{0, mid}, {0, 0}, // lo == 0
+				{mid, max}, {0, max}, {mid, max + 5}, // hi >= max
+				{mid / 2, mid},
+			}
+			for _, r := range ranges {
+				if r[0] > max {
+					continue
+				}
+				was := NewBitmap(n)
+				for i := 0; i < n; i += 1 + rng.Intn(9) {
+					was.Set(i)
+				}
+				for _, start := range []*Bitmap{NewBitmap(n), was} {
+					out := start.Clone()
+					v.CompareRange(r[0], r[1], out)
+					checkRange(t, v, r[0], r[1], start, out)
+				}
+			}
+		}
+	}
+}
+
+func TestCompareRangeLengthMismatchPanics(t *testing.T) {
+	v := NewVector(4)
+	v.AppendAll(make([]uint64, 100))
+	for _, n := range []int{64, 101} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("CompareRange into a %d-bit bitmap over 100 codes did not panic", n)
+				}
+			}()
+			v.CompareRange(0, 3, NewBitmap(n))
+		}()
+	}
+}
+
+// FuzzCompareRange draws a width, codes and a range, and holds
+// CompareRange to the scalar oracle.
+func FuzzCompareRange(f *testing.F) {
+	f.Add(uint8(3), int64(1), uint16(100), uint64(2), uint64(5))
+	f.Add(uint8(1), int64(2), uint16(64), uint64(0), uint64(0))
+	f.Add(uint8(32), int64(3), uint16(3), uint64(7), uint64(1<<40))
+	f.Add(uint8(20), int64(4), uint16(5), uint64(9), uint64(1))
+	f.Fuzz(func(t *testing.T, widthSel uint8, seed int64, n uint16, lo, hi uint64) {
+		width := uint(widthSel)%MaxWidth + 1
+		max := uint64(1)<<width - 1
+		rng := rand.New(rand.NewSource(seed))
+		v := NewVector(width)
+		for i := 0; i < int(n)%2048; i++ {
+			v.Append(rng.Uint64() & max)
+		}
+		lo &= max
+		was := NewBitmap(v.Len())
+		for i := 0; i < v.Len(); i += 1 + rng.Intn(64) {
+			was.Set(i)
+		}
+		out := was.Clone()
+		v.CompareRange(lo, hi, out)
+		checkRange(t, v, lo, hi, was, out)
+	})
 }
 
 func TestCountCompare(t *testing.T) {
@@ -209,11 +327,9 @@ func TestGELTPartitionProperty(t *testing.T) {
 		lt := NewBitmap(n)
 		v.Compare(CmpGE, c, ge)
 		v.Compare(CmpLT, c, lt)
-		union := ge.Clone()
-		union.Or(lt)
 		inter := ge.Clone()
 		inter.And(lt)
-		return union.Count() == n && !inter.Any()
+		return ge.Count()+lt.Count() == n && !inter.Any()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -234,11 +350,24 @@ func TestBitmapOps(t *testing.T) {
 	if and.Count() != 1 || !and.Get(64) {
 		t.Fatalf("And: %d", and.Count())
 	}
-	or := a.Clone()
-	or.Or(b)
-	if or.Count() != 4 {
-		t.Fatalf("Or: %d", or.Count())
+	// AndNotAt clears bit i where bit off+i of the wider bitmap is set.
+	wide := NewBitmap(256)
+	for _, i := range []int{63, 64, 128, 192, 255} {
+		wide.Set(i)
 	}
+	at := NewBitmapFull(130)
+	at.AndNotAt(wide, 64)
+	if at.Count() != 127 || at.Get(0) || at.Get(64) || at.Get(128) || !at.Get(63) {
+		t.Fatalf("AndNotAt: %d", at.Count())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("AndNotAt at an unaligned offset did not panic")
+			}
+		}()
+		at.AndNotAt(wide, 32)
+	}()
 	a.AndNot(b)
 	if a.Count() != 2 || a.Get(64) {
 		t.Fatalf("AndNot: %d", a.Count())
@@ -303,5 +432,30 @@ func BenchmarkScalarCompare(b *testing.B) {
 				v.CompareScalar(CmpLT, max/2, out)
 			}
 		})
+	}
+}
+
+func BenchmarkCompareRange(b *testing.B) {
+	for _, width := range []uint{3, 8, 17} {
+		v := NewVector(width)
+		rng := rand.New(rand.NewSource(1))
+		max := uint64(1)<<width - 1
+		for i := 0; i < 64*1024; i++ {
+			v.Append(rng.Uint64() & max)
+		}
+		out := NewBitmap(v.Len())
+		name := map[uint]string{3: "width3", 8: "width8", 17: "width17"}[width]
+		for _, r := range []struct {
+			name   string
+			lo, hi uint64
+		}{{"point", max / 3, max / 3}, {"half", max / 4, max / 4 * 3}} {
+			b.Run(name+"/"+r.name, func(b *testing.B) {
+				b.SetBytes(int64(v.SizeBytes()))
+				for i := 0; i < b.N; i++ {
+					out.Reset()
+					v.CompareRange(r.lo, r.hi, out)
+				}
+			})
+		}
 	}
 }

@@ -1,7 +1,5 @@
 package bitpack
 
-import "math/bits"
-
 // CmpOp names a comparison predicate applied in code space.
 type CmpOp uint8
 
@@ -20,18 +18,50 @@ const (
 	CmpGE
 )
 
+// foldStep is one step of packing a word's delimiter matches toward its
+// low bits: groups of g bits spaced g cells apart become groups of 2g
+// bits spaced 2g cells apart.
+type foldStep struct {
+	shift uint   // g*width: brings each odd group next to its even neighbour
+	keep  uint64 // the merged groups' bit positions
+}
+
 // swarPatterns holds the per-width word constants used by the kernels.
+// A word's matches, one bit per cell at the cell's start, pack into its
+// low perWord bits in two stages: fold steps (for widths up to 6) until
+// there are no more groups than bits in a cell, then one multiply that
+// gathers every group into the top of the product.
 type swarPatterns struct {
-	ones  uint64 // 1 in the lowest payload bit of every cell
-	delim uint64 // 1 in the delimiter (top) bit of every cell
+	delim  uint64 // 1 in the delimiter (top) bit of every cell
+	fold   [4]foldStep
+	nfold  int
+	gather uint64 // multiplier that moves group j to bit gshift + j*g
+	gshift uint
 }
 
 func (v *Vector) patterns() swarPatterns {
-	var p swarPatterns
-	for s := 0; s < v.perWord; s++ {
-		p.ones |= 1 << (uint(s) * v.cell)
+	p := swarPatterns{delim: v.replicate(1) << v.width}
+	g := uint(1) // bits per group
+	for (uint(v.perWord)+g-1)/g > v.cell {
+		span := 2 * g * v.cell
+		var keep uint64
+		for at := uint(0); at < 64; at += span {
+			keep |= (1<<(2*g) - 1) << at
+		}
+		p.fold[p.nfold] = foldStep{shift: g * v.width, keep: keep}
+		p.nfold++
+		g *= 2
 	}
-	p.delim = p.ones << v.width
+	// The q = ceil(perWord/g) <= cell groups of g bits sit g cells apart.
+	// Multiplying by the sum over j of 2^(gshift - j*g*width) moves group
+	// j to bit gshift + j*g, and every other term to a distinct g-bit slot
+	// below gshift or past bit 63, so no two terms collide and no carry
+	// reaches the result.
+	q := (uint(v.perWord) + g - 1) / g
+	p.gshift = 64 - q*g
+	for j := uint(0); j < q; j++ {
+		p.gather |= 1 << (p.gshift - j*g*v.width)
+	}
 	return p
 }
 
@@ -57,108 +87,92 @@ func (v *Vector) Compare(op CmpOp, c uint64, out *Bitmap) {
 	if out.Len() != v.n {
 		panic("bitpack: Compare bitmap length mismatch")
 	}
+	top := v.maxCode() + 1 // an exclusive bound no code reaches
 	switch op {
 	case CmpEQ:
-		v.swarEQ(c, out, false)
+		v.selectRange(c, c+1, 0, out)
 	case CmpNE:
-		v.swarEQ(c, out, true)
+		v.selectRange(c, c+1, ^uint64(0), out)
 	case CmpLT:
-		v.swarGE(c, out, true)
+		if c == 0 {
+			return // nothing is below the min code
+		}
+		v.selectRange(0, c, 0, out)
 	case CmpGE:
-		v.swarGE(c, out, false)
+		v.selectRange(c, top, 0, out)
 	case CmpLE:
 		if c >= v.maxCode() {
-			v.allMatch(out)
+			out.SetAll()
 			return
 		}
-		v.swarGE(c+1, out, true) // x <= c  ⇔  !(x >= c+1)
+		v.selectRange(0, c+1, 0, out)
 	case CmpGT:
 		if c >= v.maxCode() {
 			return // nothing can exceed the max code
 		}
-		v.swarGE(c+1, out, false) // x > c  ⇔  x >= c+1
+		v.selectRange(c+1, top, 0, out)
 	}
 }
 
-// CompareRange ORs positions with lo <= code <= hi into out (a BETWEEN in
-// code space, used heavily by data skipping and date-range predicates).
+// CompareRange ORs positions with lo <= code <= hi into out, which must
+// have length v.Len() (a BETWEEN in code space, used heavily by data
+// skipping and date-range predicates). It is one pass over the words.
 //
 //dashdb:hotpath
 func (v *Vector) CompareRange(lo, hi uint64, out *Bitmap) {
-	if lo > hi {
+	if out.Len() != v.n {
+		panic("bitpack: CompareRange bitmap length mismatch")
+	}
+	if lo > hi || lo > v.maxCode() {
 		return
 	}
-	tmp := NewBitmap(v.n)
-	v.Compare(CmpGE, lo, tmp)
-	hiMask := NewBitmap(v.n)
-	v.Compare(CmpLE, hi, hiMask)
-	tmp.And(hiMask)
-	out.Or(tmp)
+	v.selectRange(lo, min(hi, v.maxCode())+1, 0, out)
 }
 
-// swarGE sets (or, when invert, clears-from-full) positions where
-// code >= c. Core identity: with each cell's delimiter bit forced to 1,
-// subtracting the replicated constant leaves the delimiter set exactly
-// when the cell's payload did not borrow, i.e. payload >= c.
+// selectRange is the one SWAR kernel: it ORs into out the positions whose
+// code x has lo <= x < hiEx, or, when flip is all ones, those where that
+// fails. Both bounds are at most 1<<width. Both borrow tests run in the
+// same pass: with each cell's delimiter bit forced to 1, subtracting a
+// replicated constant leaves the delimiter set exactly when the payload
+// did not borrow, i.e. payload >= the constant. An upper bound of
+// 1<<width replicates to the delimiters themselves, whose subtraction
+// never borrows, so the upper test drops out without a second loop.
+//
+// A word's matches leave it a word at a time: its delimiter bits pack
+// into its low perWord bits (see swarPatterns), which are appended to a
+// register that is ORed into out once it holds 64 positions. A word
+// with no match skips the packing.
 //
 //dashdb:hotpath
-func (v *Vector) swarGE(c uint64, out *Bitmap, invert bool) {
+func (v *Vector) selectRange(lo, hiEx, flip uint64, out *Bitmap) {
 	p := v.patterns()
-	cw := v.replicate(c)
-	for wi, w := range v.words {
-		sub := (w | p.delim) - cw
-		match := sub & p.delim
-		if invert {
-			match = ^sub & p.delim
+	rlo, rhi := v.replicate(lo), v.replicate(hiEx)
+	dst, per := out.words, uint(v.perWord)
+	var acc uint64
+	fill, o := uint(0), 0 // positions held in acc; the next word of dst
+	for _, w := range v.words {
+		x := w | p.delim
+		m := (((x-rlo)&^(x-rhi) ^ flip) & p.delim) >> (v.width & 63)
+		if m != 0 {
+			for _, f := range p.fold[:p.nfold] {
+				m = (m | m>>(f.shift&63)) & f.keep
+			}
+			m = m * p.gather >> (p.gshift & 63)
+			acc |= m << (fill & 63)
 		}
-		v.scatter(match, wi, out)
-	}
-}
-
-// swarEQ sets positions where code == c (or != when invert). Zero cells of
-// w XOR replicate(c) are detected word-parallel: a cell is zero exactly
-// when subtracting 1 (with the delimiter as landing zone) clears its
-// delimiter and the cell itself had no bits set.
-//
-//dashdb:hotpath
-func (v *Vector) swarEQ(c uint64, out *Bitmap, invert bool) {
-	p := v.patterns()
-	cw := v.replicate(c)
-	for wi, w := range v.words {
-		t := w ^ cw
-		u := (t | p.delim) - p.ones
-		match := ^(t | u) & p.delim
-		if invert {
-			match = (t | u) & p.delim
+		if fill += per; fill >= 64 {
+			dst[o] |= acc
+			o++
+			fill -= 64
+			acc = m >> ((per - fill) & 63)
 		}
-		v.scatter(match, wi, out)
 	}
-}
-
-// allMatch sets every valid position.
-func (v *Vector) allMatch(out *Bitmap) {
-	for i := 0; i < v.n; i++ {
-		out.Set(i)
+	// Cells past the logical end hold zero payloads and can match (EQ 0);
+	// their positions lie at or past Len(), and are dropped here.
+	if o < len(dst) {
+		dst[o] |= acc
 	}
-}
-
-// scatter converts delimiter-bit matches of word wi into dense bitmap
-// positions, masking cells beyond Len() in the final partial word.
-//
-//dashdb:hotpath
-func (v *Vector) scatter(match uint64, wi int, out *Bitmap) {
-	base := wi * v.perWord
-	// Cells past the logical end hold zero payloads; they can match
-	// predicates like EQ 0, so they must be suppressed.
-	limit := v.n - base
-	for match != 0 {
-		tz := bits.TrailingZeros64(match)
-		slot := tz / int(v.cell)
-		if slot < limit {
-			out.Set(base + slot)
-		}
-		match &= match - 1
-	}
+	out.trimTail()
 }
 
 // CompareScalar is the value-at-a-time reference implementation: it

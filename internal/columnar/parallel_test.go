@@ -98,6 +98,67 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestSealedTombstonesMatchNaive deletes rows at the word edges of a
+// sealed stride — offsets 0, 63, 64 and 1023 — and one row of the open
+// stride, then holds Scan at dop 1 and 2 to the decode-then-evaluate scan
+// for an equality, a BETWEEN, an all-match predicate and none.
+func TestSealedTombstonesMatchNaive(t *testing.T) {
+	tbl := buildParallelTable(t, 2*page.StrideSize+100)
+	base := int64(page.StrideSize) // stride 1 is sealed
+	dead := []int64{base, base + 63, base + 64, base + 1023, 2*base + 5}
+	if _, err := tbl.Change(func(*Snapshot) ([]int64, []types.Row, error) { return dead, nil, nil }); err != nil {
+		t.Fatal(err)
+	}
+	predSets := map[string][]Pred{
+		"eq": {{Col: 1, Op: encoding.OpEQ, Val: types.NewInt(int64(base % 7))}},
+		"between": {
+			{Col: 0, Op: encoding.OpGE, Val: types.NewInt(base)},
+			{Col: 0, Op: encoding.OpLE, Val: types.NewInt(2*base + 50)},
+		},
+		"all":  {{Col: 0, Op: encoding.OpGE, Val: types.NewInt(-1)}},
+		"none": nil,
+	}
+	for name, preds := range predSets {
+		want := map[int64]bool{}
+		if err := scanNaive(tbl, preds, func(b *Batch) bool {
+			for i := 0; i < b.Len(); i++ {
+				want[b.RowID(i)] = true
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, rid := range dead {
+			if want[rid] {
+				t.Fatalf("%s: the naive scan returned deleted row %d", name, rid)
+			}
+		}
+		for _, dop := range []int{1, 2} {
+			var mu sync.Mutex
+			got := map[int64]bool{}
+			err := scanDop(tbl, preds, dop, func(_ int, b *Batch) bool {
+				mu.Lock()
+				defer mu.Unlock()
+				for i := 0; i < b.Len(); i++ {
+					got[b.RowID(i)] = true
+				}
+				return true
+			})
+			if err != nil {
+				t.Fatalf("%s dop %d: %v", name, dop, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s dop %d: %d rows, naive scan %d", name, dop, len(got), len(want))
+			}
+			for rid := range want {
+				if !got[rid] {
+					t.Fatalf("%s dop %d: row %d missing", name, dop, rid)
+				}
+			}
+		}
+	}
+}
+
 func TestParallelScanPerWorkerState(t *testing.T) {
 	tbl := buildParallelTable(t, 3*page.StrideSize+10)
 	const dop = 4

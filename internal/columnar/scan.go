@@ -280,11 +280,12 @@ func (st *tableState) visit(t *Table, s int, preds []Pred, trans encPredicates, 
 
 // selectSealed evaluates the conjunction over a sealed stride with the
 // SWAR kernels over its packed pages, returning the selected offsets with
-// tombstones masked.
+// tombstones cleared a word at a time.
 //
 //dashdb:hotpath
 func (b *Batch) selectSealed(preds []Pred, translated encPredicates) ([]int, error) {
-	var sel *bitpack.Bitmap
+	sel := bitpack.NewBitmapFull(page.StrideSize)
+	var match *bitpack.Bitmap
 	for i, p := range preds {
 		pg, ok := b.pages[p.Col]
 		if !ok {
@@ -296,32 +297,23 @@ func (b *Batch) selectSealed(preds []Pred, translated encPredicates) ([]int, err
 			b.pages[p.Col] = pg
 			b.t.stats.pagesRead.Add(1)
 		}
-		match := bitpack.NewBitmap(pg.Rows())
+		if match == nil {
+			match = bitpack.NewBitmap(page.StrideSize)
+		} else {
+			match.Reset()
+		}
 		applyPredicate(pg, b.st.cols[p.Col].enc, translated[i], p, match)
 		// Comparison predicates never match NULL.
 		match.AndNot(pg.Nulls)
-		if sel == nil {
-			sel = match
-		} else {
-			sel.And(match)
-		}
+		sel.And(match)
 		if !sel.Any() {
 			return nil, nil
 		}
 	}
-	rows := page.StrideSize
-	if len(preds) == 0 {
-		sel = bitpack.NewBitmapFull(rows)
-	} else {
-		rows = sel.Len()
-	}
-	b.t.stats.rowsScanned.Add(uint64(rows))
+	b.t.stats.rowsScanned.Add(page.StrideSize)
+	sel.AndNotAt(b.st.deleted, b.base) // a stride base is word-aligned
 	selIdx := make([]int, 0, sel.Count())
-	sel.ForEach(func(off int) {
-		if !b.st.deleted.Get(b.base + off) {
-			selIdx = append(selIdx, off)
-		}
-	})
+	sel.ForEach(func(off int) { selIdx = append(selIdx, off) })
 	return selIdx, nil
 }
 
@@ -331,8 +323,7 @@ func (b *Batch) selectSealed(preds []Pred, translated encPredicates) ([]int, err
 //dashdb:hotpath
 func applyPredicate(pg *page.Page, enc encoding.Encoder, tp encoding.Predicate, p Pred, match *bitpack.Bitmap) {
 	if tp.All {
-		full := bitpack.NewBitmapFull(pg.Rows())
-		match.Or(full)
+		match.SetAll()
 		return
 	}
 	maxCode := uint64(1)<<pg.Codes.Width() - 1

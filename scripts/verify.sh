@@ -9,7 +9,8 @@
 # expression node's EvalVec vs the row-at-a-time oracle in
 # internal/exec/oracle_test.go on generated trees and batches, the sort's
 # normalized-key order vs a stable types.Compare oracle, one answer and one
-# plan for a drawn inner join however its conditions are spelled).
+# plan for a drawn inner join however its conditions are spelled, the
+# packed-code range kernel vs the value-at-a-time oracle).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -72,4 +73,5 @@ if [ "${DASHDB_FUZZ:-0}" = "1" ]; then
 	go test -run=NONE -fuzz=FuzzEvalVecMatchesEval -fuzztime=10s ./internal/exec/
 	go test -run=NONE -fuzz=FuzzSortOrder -fuzztime=10s ./internal/exec/
 	go test -run=NONE -fuzz=FuzzJoinSpellings -fuzztime=10s ./internal/core/
+	go test -run=NONE -fuzz=FuzzCompareRange -fuzztime=10s ./internal/bitpack/
 fi
