@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"dashdb/internal/columnar"
-	"dashdb/internal/encoding"
-	"dashdb/internal/types"
 )
 
 // BulkOptions tune a Bulk loader. The zero value selects the defaults.
@@ -27,8 +25,9 @@ const (
 )
 
 // Bulk is an accumulate-then-flush loader for one table: Add buffers rows
-// client-side and flushes them to the engine in large batches, each batch
-// becoming visible to readers atomically in a single snapshot epoch.
+// client-side as typed column lanes and flushes them to the engine in
+// large batches, each batch becoming visible to readers atomically in a
+// single snapshot epoch.
 // Concurrent queries therefore never observe a partially applied flush —
 // they read either the epoch before it or the epoch after.
 //
@@ -39,8 +38,7 @@ type Bulk struct {
 	maxRows  int
 	maxBytes int
 
-	rows  []types.Row
-	bytes int
+	lanes *columnar.Lanes
 
 	appended int
 	flushes  int
@@ -53,7 +51,7 @@ func (db *DB) Bulk(table string, opts BulkOptions) (*Bulk, error) {
 	if !ok {
 		return nil, fmt.Errorf("dashdb: bulk: table %s does not exist", table)
 	}
-	b := &Bulk{tbl: t, maxRows: opts.MaxRows, maxBytes: opts.MaxBytes}
+	b := &Bulk{tbl: t, maxRows: opts.MaxRows, maxBytes: opts.MaxBytes, lanes: columnar.NewLanes(t.Schema(), 0)}
 	if b.maxRows <= 0 {
 		b.maxRows = DefaultBulkMaxRows
 	}
@@ -64,19 +62,18 @@ func (db *DB) Bulk(table string, opts BulkOptions) (*Bulk, error) {
 }
 
 // Add buffers one row, flushing automatically when the batch reaches the
-// row or byte threshold. The row is schema-validated immediately so bad
-// input fails at the Add that supplied it, not at a later flush.
+// row or byte threshold. The row is schema-validated value by value into
+// the column lanes immediately, so bad input fails at the Add that
+// supplied it, not at a later flush, and a refused row buffers nothing.
+// The row itself is not kept.
 func (b *Bulk) Add(row Row) error {
 	if b.failed {
 		return fmt.Errorf("dashdb: bulk: loader failed earlier; discard it and open a new one")
 	}
-	checked, err := b.tbl.Schema().Validate(row)
-	if err != nil {
+	if err := b.lanes.Add(row); err != nil {
 		return err
 	}
-	b.rows = append(b.rows, checked)
-	b.bytes += encoding.EstimateRawBytes(checked)
-	if len(b.rows) >= b.maxRows || b.bytes >= b.maxBytes {
+	if b.lanes.Len() >= b.maxRows || b.lanes.Bytes() >= b.maxBytes {
 		return b.Flush()
 	}
 	return nil
@@ -88,12 +85,12 @@ func (b *Bulk) Flush() error {
 	if b.failed {
 		return fmt.Errorf("dashdb: bulk: loader failed earlier; discard it and open a new one")
 	}
-	if len(b.rows) == 0 {
+	if b.lanes.Len() == 0 {
 		return nil
 	}
-	// Add validated and copied every buffered row, so the table's own
-	// validation finds them conforming and stores them as they are.
-	n, err := b.tbl.BulkAppend(b.rows)
+	// Add checked and coerced every value into a lane of its column's
+	// kind, so the table takes the lanes as they are and encodes them.
+	n, err := b.tbl.BulkAppend(b.lanes.Batch())
 	if err != nil {
 		// A failed flush may have torn the engine-side append mid-batch
 		// only in the writer's private buffers — published epochs are
@@ -104,13 +101,12 @@ func (b *Bulk) Flush() error {
 	}
 	b.appended += n
 	b.flushes++
-	b.rows = b.rows[:0]
-	b.bytes = 0
+	b.lanes.Reset() // the table kept codes, not the lanes: reuse their capacity
 	return nil
 }
 
 // Pending reports the number of buffered, not-yet-flushed rows.
-func (b *Bulk) Pending() int { return len(b.rows) }
+func (b *Bulk) Pending() int { return b.lanes.Len() }
 
 // Finish flushes any remaining rows and returns the total appended across
 // the loader's lifetime. The loader may not be reused after Finish.

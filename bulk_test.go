@@ -67,6 +67,85 @@ func TestBulkLoader(t *testing.T) {
 	}
 }
 
+// TestBulkAddAllocatesNothing: once a Bulk's lanes have grown, Add of a
+// conforming row allocates nothing: the row is checked into the column
+// lanes, not copied. A refused row buffers nothing, even when only its
+// last value is bad, so Pending and the next flush are as if it had never
+// been added.
+func TestBulkAddAllocatesNothing(t *testing.T) {
+	db := dashdb.Open(dashdb.Options{})
+	defer db.Close()
+	if _, err := db.Exec(`CREATE TABLE ev (id BIGINT NOT NULL, kind VARCHAR(8), amt DOUBLE, day DATE)`); err != nil {
+		t.Fatal(err)
+	}
+	b, err := db.Bulk("ev", dashdb.BulkOptions{MaxRows: 1 << 20, MaxBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]dashdb.Row, 4096)
+	for i := range rows {
+		rows[i] = dashdb.Row{dashdb.NewInt(int64(i)), dashdb.NewString("view"), dashdb.NewFloat(float64(i) / 4), dashdb.NewDate(int64(17000 + i%90))}
+		if i%5 == 0 {
+			rows[i][1] = dashdb.Null
+		}
+	}
+	for _, r := range rows {
+		if err := b.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	added := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if err := b.Add(rows[added%len(rows)]); err != nil {
+			t.Fatal(err)
+		}
+		added++
+	}); allocs != 0 {
+		t.Fatalf("Add of a conforming row allocated %.1f times", allocs)
+	}
+	pending := b.Pending()
+	for _, bad := range []dashdb.Row{
+		{dashdb.NewInt(-1), dashdb.NewString("bad")},                                                     // wrong arity
+		{dashdb.Null, dashdb.NewString("bad"), dashdb.NewFloat(1), dashdb.NewDate(17000)},                // NULL in NOT NULL
+		{dashdb.NewString("seven"), dashdb.NewString("bad"), dashdb.NewFloat(1), dashdb.NewDate(17000)},  // uncoercible string
+		{dashdb.NewInt(-1), dashdb.NewString("bad"), dashdb.NewFloat(1), dashdb.NewString("not a date")}, // bad last value
+	} {
+		if err := b.Add(bad); err == nil {
+			t.Fatalf("Add(%v) accepted", bad)
+		}
+		if b.Pending() != pending {
+			t.Fatalf("a refused row changed Pending from %d to %d", pending, b.Pending())
+		}
+	}
+	// One more conforming row: a lane a refused row had grown would now be
+	// out of step with the others.
+	if err := b.Add(rows[added]); err != nil {
+		t.Fatal(err)
+	}
+	added++
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := db.Query(`SELECT COUNT(*), COUNT(kind), SUM(id), MIN(id) FROM ev`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n, kinds, ids int64
+	for i := 0; i < len(rows)+added; i++ {
+		row := rows[i%len(rows)]
+		n, ids = n+1, ids+row[0].Int()
+		if !row[1].IsNull() {
+			kinds++
+		}
+	}
+	if got := r.Rows[0]; got[0].Int() != n || got[1].Int() != kinds || got[2].Int() != ids || got[3].Int() != 0 {
+		t.Fatalf("COUNT, COUNT(kind), SUM(id), MIN(id) = %v, want %d, %d, %d, 0", got, n, kinds, ids)
+	}
+}
+
 // TestBulkLoaderRacingQueries: loader goroutines flush while queries run;
 // every count is a whole number of flushes (MaxRows-sized batches except
 // the final partial, which only appears after Finish).

@@ -12,6 +12,7 @@ import (
 	"dashdb/driver"
 	"dashdb/internal/appliance"
 	"dashdb/internal/cloudstore"
+	"dashdb/internal/columnar"
 	"dashdb/internal/core"
 	"dashdb/internal/mpp"
 	"dashdb/internal/types"
@@ -150,7 +151,11 @@ func (e *CoreEngine) Execute(st *workload.Statement) (int, error) {
 		if !ok {
 			return 0, fmt.Errorf("bench: table %s missing", st.Table)
 		}
-		return t.BulkAppend(st.Rows)
+		b, err := columnar.LanesOf(t.Schema(), st.Rows)
+		if err != nil {
+			return 0, err
+		}
+		return t.BulkAppend(b)
 	}
 	r, err := e.DB.NewSession().Exec(st.SQL())
 	if err != nil {

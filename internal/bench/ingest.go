@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"dashdb/internal/columnar"
 	"dashdb/internal/core"
 	"dashdb/internal/types"
 )
@@ -125,16 +126,15 @@ func ingestLoad(db *core.DB, lo, n int) error {
 		return fmt.Errorf("bench ingest: feed table missing")
 	}
 	const flush = 8 << 10
+	lanes := columnar.NewLanes(tbl.Schema(), flush)
 	for off := 0; off < n; off += flush {
-		k := flush
-		if off+k > n {
-			k = n - off
+		lanes.Reset()
+		for i := off; i < min(off+flush, n); i++ {
+			if err := lanes.Add(ingestRow(lo + i)); err != nil {
+				return err
+			}
 		}
-		rows := make([]types.Row, k)
-		for i := range rows {
-			rows[i] = ingestRow(lo + off + i)
-		}
-		if _, err := tbl.BulkAppend(rows); err != nil {
+		if _, err := tbl.BulkAppend(lanes.Batch()); err != nil {
 			return err
 		}
 	}

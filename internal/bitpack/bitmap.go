@@ -24,6 +24,19 @@ func NewBitmapFull(n int) *Bitmap {
 // Len returns the bitmap length in bits.
 func (b *Bitmap) Len() int { return b.n }
 
+// Resize sets the length to n bits, keeping the first min(n, Len()) and
+// clearing the rest. Growing reuses the words' capacity, so a bitmap that
+// follows a growing column allocates only as often as an append would.
+func (b *Bitmap) Resize(n int) {
+	if w := (n + 63) / 64; w > len(b.words) {
+		b.words = append(b.words, make([]uint64, w-len(b.words))...)
+	} else {
+		b.words = b.words[:w]
+	}
+	b.n = n
+	b.trimTail()
+}
+
 // Set sets bit i.
 func (b *Bitmap) Set(i int) { b.words[i/64] |= 1 << (uint(i) % 64) }
 

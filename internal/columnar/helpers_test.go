@@ -83,3 +83,12 @@ func updateWhere(t *Table, preds []Pred, set map[int]types.Value) (int, error) {
 
 // deleteWhere deletes the rows satisfying preds as one Change.
 func deleteWhere(t *Table, preds []Pred) (int, error) { return updateWhere(t, preds, nil) }
+
+// bulkRows flushes rows through the rows→lanes adapter into BulkAppend.
+func bulkRows(t *Table, rows []types.Row) (int, error) {
+	b, err := LanesOf(t.Schema(), rows)
+	if err != nil {
+		return 0, err
+	}
+	return t.BulkAppend(b)
+}

@@ -82,7 +82,7 @@ func TestFrameOfReferenceRebuild(t *testing.T) {
 		for k := 1; k <= 3000; k++ {
 			rows = append(rows, types.Row{types.NewInt(int64(-k - 3000*flush)), types.NewFloat(float64(k) / scale)})
 		}
-		if _, err := tbl.BulkAppend(rows); err != nil {
+		if _, err := bulkRows(tbl, rows); err != nil {
 			t.Fatal(err)
 		}
 		if n, want := tbl.Stats().Rebuilds, uint64(2*(flush+1)); n != want {
@@ -183,7 +183,7 @@ func TestLoadOrderProperty(t *testing.T) {
 					for _, r := range order[lo:min(lo+flush, n)] {
 						batch = append(batch, ref[r])
 					}
-					if _, err := tbl.BulkAppend(batch); err != nil {
+					if _, err := bulkRows(tbl, batch); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -264,7 +264,7 @@ func TestFailedValidationLeavesTableUntouched(t *testing.T) {
 		if err := tbl.InsertBatch(batch); err == nil {
 			t.Fatalf("InsertBatch with a NULL id at row %d succeeded", k)
 		}
-		if _, err := tbl.BulkAppend(batch); err == nil {
+		if _, err := bulkRows(tbl, batch); err == nil {
 			t.Fatalf("BulkAppend with a NULL id at row %d succeeded", k)
 		}
 	}
@@ -298,9 +298,8 @@ func typedSales(n int) []types.Row {
 }
 
 // TestInsertBatchCopiesNoTypedRow: rows that already hold their columns'
-// kinds go to the column encoders as the caller built them. Validation
-// copies none, so inserting a batch allocates fewer times than the batch
-// has rows.
+// kinds go into the column lanes value by value, and no row is copied, so
+// inserting a batch allocates fewer times than the batch has rows.
 func TestInsertBatchCopiesNoTypedRow(t *testing.T) {
 	const n = 8192
 	rows := typedSales(n)
@@ -317,7 +316,7 @@ func TestInsertBatchCopiesNoTypedRow(t *testing.T) {
 }
 
 // TestRefusedBatchChangesNothing: a batch whose rows need coercing is
-// validated into a copy, so a refused batch leaves both the table and the
+// coerced into the lanes, so a refused batch leaves both the table and the
 // caller's rows as they were, and an accepted one stores the coerced
 // values without writing the caller's.
 func TestRefusedBatchChangesNothing(t *testing.T) {

@@ -182,7 +182,7 @@ func TestOpenStrideMatchesReference(t *testing.T) {
 			for r := range rows {
 				rows[r] = openRow(r)
 			}
-			if _, err := tbl.BulkAppend(rows); err != nil {
+			if _, err := bulkRows(tbl, rows); err != nil {
 				t.Fatal(err)
 			}
 			checkAgainstReference(t, tbl, rows)
@@ -285,14 +285,14 @@ func TestSaveMetaPersistsOpenCodes(t *testing.T) {
 	for r := 0; r < 1500; r++ {
 		rows = append(rows, openRow(r))
 	}
-	if _, err := orig.BulkAppend(rows); err != nil {
+	if _, err := bulkRows(orig, rows); err != nil {
 		t.Fatal(err)
 	}
 	var late []types.Row
 	for i := 0; i < 9; i++ {
 		late = append(late, lateRow(1500+i, i)) // k = -50 000 rebuilds k's frame
 	}
-	if _, err := orig.BulkAppend(late); err != nil {
+	if _, err := bulkRows(orig, late); err != nil {
 		t.Fatal(err)
 	}
 	rows = append(rows, late...)
@@ -335,7 +335,7 @@ func TestSaveMetaPersistsOpenCodes(t *testing.T) {
 		more = append(more, openRow(r))
 	}
 	for _, tbl := range []*Table{orig, reopened} {
-		if _, err := tbl.BulkAppend(more); err != nil {
+		if _, err := bulkRows(tbl, more); err != nil {
 			t.Fatal(err)
 		}
 	}

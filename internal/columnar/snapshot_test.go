@@ -57,7 +57,7 @@ func TestSnapshotBatchAtomicity(t *testing.T) {
 				if w%2 == 0 {
 					err = tbl.InsertBatch(batchRows(id, k))
 				} else {
-					_, err = tbl.BulkAppend(batchRows(id, k))
+					_, err = bulkRows(tbl, batchRows(id, k))
 				}
 				if err != nil {
 					t.Error(err)
@@ -167,7 +167,7 @@ func TestSnapshotRepeatableCount(t *testing.T) {
 		t.Fatalf("initial count %d", want)
 	}
 	// Mutate heavily behind the pin.
-	if _, err := tbl.BulkAppend(batchRows(1, 2*page.StrideSize)); err != nil {
+	if _, err := bulkRows(tbl, batchRows(1, 2*page.StrideSize)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := deleteWhere(tbl, []Pred{{Col: 1, Op: encoding.OpLT, Val: types.NewInt(50)}}); err != nil {
@@ -263,7 +263,7 @@ func TestSnapshotRacingTruncateAndRebuild(t *testing.T) {
 			case 4:
 				err = tbl.Truncate()
 			case 2:
-				_, err = tbl.BulkAppend(batchRows(cycle, 3*k))
+				_, err = bulkRows(tbl, batchRows(cycle, 3*k))
 			default:
 				err = tbl.InsertBatch(batchRows(cycle, k))
 			}
@@ -428,7 +428,7 @@ func FuzzBulkAppend(f *testing.F) {
 				t.Errorf("bulk batch torn: %d of %d rows", n, k)
 			}
 		}()
-		n, err := tbl.BulkAppend(rows)
+		n, err := bulkRows(tbl, rows)
 		wg.Wait()
 		if invalid {
 			if err == nil {

@@ -8,9 +8,13 @@
 //
 // A reader pins an epoch with Table.Snapshot and reads it through
 // Snapshot.Scan, the one scan (Snapshot.ScanNaive is the
-// decode-then-evaluate ablation). A writer calls InsertBatch or BulkAppend
-// to append a batch, Change to delete and add rows in one step (UPDATE
-// and DELETE), or Truncate.
+// decode-then-evaluate ablation). A writer appends with Append, the one
+// append: a vec.Batch of typed lanes, one per column (BulkAppend is the
+// same append, counted as a bulk flush; a shard appends the batch its
+// insert frame decodes to). Callers that hold rows go through Lanes, the
+// one rows→lanes adapter (InsertBatch, LanesOf, the public Bulk loader).
+// Change deletes and adds rows in one step (UPDATE and DELETE), and
+// Truncate empties the table.
 //
 // Concurrency model (DESIGN.md §13): the table is split into a
 // writer-private build side and immutable published epochs. All mutation
@@ -27,7 +31,6 @@ package columnar
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -38,6 +41,7 @@ import (
 	"dashdb/internal/snapshot"
 	"dashdb/internal/synopsis"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // PageStore persists sealed pages; the clustered filesystem implements it
@@ -312,26 +316,38 @@ func (t *Table) nextGenLocked() uint32 {
 	return g
 }
 
-// InsertBatch bulk-loads rows; the first batch triggers encoding analysis
-// (the LOAD-time "compression optimized globally per column" of §II.B.1).
-// The whole batch becomes visible in one epoch: concurrent readers observe
-// either none of it or all of it.
+// InsertBatch appends rows: the rows→lanes adapter (LanesOf) in front of
+// Append, for callers that hold rows (INSERT, CTAS, tests).
 func (t *Table) InsertBatch(rows []types.Row) error {
-	checked, err := t.validateAll(rows)
+	b, err := LanesOf(t.schema, rows)
 	if err != nil {
 		return err
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	defer t.publishLocked()
-	return t.appendRowsLocked(checked)
+	return t.Append(b)
 }
 
-// BulkAppend is the bulk-load flush path: semantically InsertBatch, but
-// additionally counted in the table's bulk-flush statistics
-// (MON_SNAPSHOTS). It returns the number of rows appended.
-func (t *Table) BulkAppend(rows []types.Row) (int, error) {
-	checked, err := t.validateAll(rows)
+// Append is the table's one append: it appends b's rows, whose columns
+// match the schema's by position, as typed lanes. The first batch chooses
+// every column's encoding (the LOAD-time "compression optimized globally
+// per column" of §II.B.1). b is checked a column at a time before the
+// writer lock is taken: a lane of another kind is coerced once, and a
+// refused value refuses the whole batch with Schema.Check's error, so
+// nothing changes. The whole batch becomes visible in one epoch:
+// concurrent readers observe either none of it or all of it.
+func (t *Table) Append(b *vec.Batch) error {
+	_, err := t.append(b, false)
+	return err
+}
+
+// BulkAppend is Append for the bulk-load flush path, additionally counted
+// in the table's bulk-flush statistics (MON_SNAPSHOTS). It returns the
+// number of rows appended.
+func (t *Table) BulkAppend(b *vec.Batch) (int, error) {
+	return t.append(b, true)
+}
+
+func (t *Table) append(b *vec.Batch, bulk bool) (int, error) {
+	lanes, err := t.conform(b)
 	if err != nil {
 		return 0, err
 	}
@@ -339,13 +355,15 @@ func (t *Table) BulkAppend(rows []types.Row) (int, error) {
 	defer t.mu.Unlock()
 	defer t.publishLocked()
 	before := t.rawBytes
-	if err := t.appendRowsLocked(checked); err != nil {
+	if err := t.appendLocked(lanes, b.N); err != nil {
 		return 0, err
 	}
-	t.bulk.flushes.Add(1)
-	t.bulk.rows.Add(uint64(len(rows)))
-	t.bulk.bytes.Add(uint64(t.rawBytes - before))
-	return len(rows), nil
+	if bulk {
+		t.bulk.flushes.Add(1)
+		t.bulk.rows.Add(uint64(b.N))
+		t.bulk.bytes.Add(uint64(t.rawBytes - before))
+	}
+	return b.N, nil
 }
 
 // Change is the table's one read-modify-write (UPDATE and DELETE): match
@@ -371,12 +389,16 @@ func (t *Table) Change(match func(*Snapshot) (del []int64, add []types.Row, err 
 	if err != nil {
 		return 0, err
 	}
-	checked, err := t.validateAll(add)
+	b, err := LanesOf(t.schema, add)
+	if err != nil {
+		return 0, err
+	}
+	lanes, err := t.conform(b)
 	if err != nil {
 		return 0, err
 	}
 	defer t.publishLocked()
-	if err := t.appendRowsLocked(checked); err != nil {
+	if err := t.appendLocked(lanes, b.N); err != nil {
 		return 0, err
 	}
 	return t.tombstoneLocked(del), nil
@@ -405,94 +427,131 @@ func (t *Table) tombstoneLocked(rids []int64) int {
 	return n
 }
 
-// validateAll schema-checks every row up front, so a batch that fails
-// validation mutates nothing. A row Validate would not change is used as
-// it is — the table keeps codes, never rows — and the batch is copied
-// only once a row needs coercing, so the caller's rows are never written.
-func (t *Table) validateAll(rows []types.Row) ([]types.Row, error) {
-	checked, copied := rows, false
-	for i, r := range rows {
-		if t.schema.Conforms(r) {
+// conform checks b against the schema a column at a time and returns the
+// lanes to encode: a column that is already a lane of its kind as it is,
+// after its NULLs are checked against NOT NULL; any other column (a lane
+// of another kind, boxed cells, codes, a constant) coerced into a new lane
+// through Schema.Check. It refuses the whole batch at the first refused
+// value and writes nothing of the caller's.
+func (t *Table) conform(b *vec.Batch) ([]*vec.Vector, error) {
+	if b.N == 0 {
+		return nil, nil
+	}
+	if b.Sel != nil {
+		return nil, fmt.Errorf("columnar: append to %s of a batch with a selection vector", t.name)
+	}
+	if err := t.schema.CheckWidth(b.NumCols()); err != nil {
+		return nil, err
+	}
+	lanes := make([]*vec.Vector, len(t.schema))
+	for j, col := range t.schema {
+		v := b.Col(j)
+		if isLane(v, col.Kind, b.N) {
+			if !col.Nullable && v.Nulls != nil && v.Nulls.Any() {
+				_, err := t.schema.Check(j, types.Null)
+				return nil, err
+			}
+			lanes[j] = v
 			continue
 		}
-		c, err := t.schema.Validate(r)
-		if err != nil {
-			return nil, err
+		out := vec.New(col.Kind, b.N)
+		for i := 0; i < b.N; i++ {
+			cv, err := t.schema.Check(j, v.Get(i))
+			if err != nil {
+				return nil, err
+			}
+			out.Set(i, cv)
 		}
-		if !copied {
-			checked, copied = slices.Clone(rows), true
-		}
-		checked[i] = c
+		lanes[j] = out
 	}
-	return checked, nil
+	return lanes, nil
 }
 
-// appendRowsLocked appends validated rows. Columns without an encoder get
-// one analyzed from the batch; then every column's encoder is fitted to
-// the whole batch (the only domain work that can fail, and it runs before
-// any column is touched, so columns never go out of step). The rows are
-// then encoded a column at a time, as many per step as the open stride
-// has room for. Caller holds mu and publishes after.
-func (t *Table) appendRowsLocked(rows []types.Row) error {
-	if len(rows) == 0 {
+// isLane reports whether v is a plain typed lane of kind holding n rows.
+func isLane(v *vec.Vector, kind types.Kind, n int) bool {
+	if v.Kind != kind || v.Const || v.Encoded() || v.Any != nil || v.Len() != n {
+		return false
+	}
+	switch kind {
+	case types.KindBool, types.KindInt, types.KindDate, types.KindTimestamp:
+		return v.I64 != nil
+	case types.KindFloat:
+		return v.F64 != nil
+	case types.KindString:
+		return v.Str != nil
+	}
+	return false
+}
+
+// appendLocked appends n rows held as conformed lanes. Columns without an
+// encoder get one analyzed from the lanes; then every column's encoder is
+// fitted to its whole lane (the only domain work that can fail, and it
+// runs before any column is touched, so columns never go out of step).
+// The lanes are then encoded a column at a time, as many rows per step as
+// the open stride has room for. Caller holds mu and publishes after.
+func (t *Table) appendLocked(lanes []*vec.Vector, n int) error {
+	if n == 0 {
 		return nil
 	}
-	t.analyzeLocked(rows)
+	t.analyzeLocked(lanes, n)
 	for ci := range t.cols {
-		if err := t.fitDomainLocked(ci, rows); err != nil {
+		if err := t.fitDomainLocked(ci, lanes[ci]); err != nil {
 			return err
 		}
 	}
-	t.growDeletedLocked(t.rows + len(rows))
+	t.growDeletedLocked(t.rows + n)
+	for _, v := range lanes {
+		t.rawBytes += laneRawBytes(v)
+	}
 	if t.scratch == nil {
 		t.scratch = make([]types.Value, page.StrideSize)
 	}
-	for len(rows) > 0 {
-		chunk := rows[:min(page.StrideSize-t.openLen(), len(rows))]
+	for off := 0; off < n; {
+		k := min(page.StrideSize-t.openLen(), n-off)
 		for ci, c := range t.cols {
-			t.rawBytes += c.appendOpen(chunk, ci, t.scratch)
+			c.appendLane(lanes[ci], off, k, t.scratch)
 		}
-		t.rows += len(chunk)
-		t.live += len(chunk)
+		t.rows += k
+		t.live += k
 		if t.openLen() == 0 { // stride just filled
 			if err := t.sealStrideLocked(t.sealedStrides() - 1); err != nil {
 				return err
 			}
 		}
-		rows = rows[len(chunk):]
+		off += k
 	}
 	return nil
 }
 
 // analyzeLocked chooses an encoder for every column that has none from
-// the batch about to be loaded. A dictionary is built from a leading
-// sample; a frame of reference spans the whole batch, because the batch's
-// extremes, found in one pass, join the sample.
-func (t *Table) analyzeLocked(rows []types.Row) {
-	n := min(len(rows), t.analyzeSample)
+// the n rows about to be loaded. A dictionary is built from a leading
+// sample of the lane; a frame of reference spans the whole lane, because
+// its extremes, found in one pass, join the sample.
+func (t *Table) analyzeLocked(lanes []*vec.Vector, n int) {
+	n = min(n, t.analyzeSample)
 	for ci, c := range t.cols {
 		if c.enc != nil {
 			continue
 		}
-		kind := t.schema[ci].Kind
+		v, kind := lanes[ci], t.schema[ci].Kind
 		sample := make([]types.Value, n, n+2)
-		for i, r := range rows[:n] {
-			sample[i] = r[ci]
+		for i := range sample {
+			sample[i] = v.Get(i)
 		}
-		if lo, hi, ok := extremes(rows, ci, kind); ok {
+		if lo, hi, ok := extremes(v, kind); ok {
 			sample = append(sample, lo, hi)
 		}
 		c.enc = encoding.ChooseEncoder(kind, sample)
 	}
 }
 
-// extremes returns the smallest and largest non-NULL values of column ci
-// in rows when its kind can take a frame of reference.
-func extremes(rows []types.Row, ci int, kind types.Kind) (lo, hi types.Value, ok bool) {
+// extremes returns the smallest and largest non-NULL values of the lane v
+// when its kind can take a frame of reference.
+func extremes(v *vec.Vector, kind types.Kind) (lo, hi types.Value, ok bool) {
 	var mk func(int64) types.Value
 	switch kind {
 	case types.KindFloat:
-		l, h := floatSpan(rows, ci)
+		l, h := floatSpan(v.F64, v.Nulls)
 		return types.NewFloat(l), types.NewFloat(h), l <= h
 	case types.KindInt:
 		mk = types.NewInt
@@ -503,7 +562,7 @@ func extremes(rows []types.Row, ci int, kind types.Kind) (lo, hi types.Value, ok
 	default:
 		return lo, hi, false
 	}
-	l, h := intSpan(rows, ci)
+	l, h := intSpan(v.I64, v.Nulls)
 	return mk(l), mk(h), l <= h
 }
 
@@ -518,22 +577,22 @@ func (t *Table) ensureEncodersLocked() {
 }
 
 // fitDomainLocked makes column ci's encoder able to encode every value of
-// column ci in rows. A dictionary takes any value. A frame of reference
-// that the values overflow only upward is extended in place: same base,
-// so existing codes, pages, synopsis entries and the page generation stay
+// the lane v. A dictionary takes any value. A frame of reference that the
+// values overflow only upward is extended in place: same base, so
+// existing codes, pages, synopsis entries and the page generation stay
 // valid. Anything else — a value below the base, a float not exact at the
 // column's scale, a span past 32 bits — rebuilds the column, once for the
 // whole batch.
-func (t *Table) fitDomainLocked(ci int, rows []types.Row) error {
+func (t *Table) fitDomainLocked(ci int, v *vec.Vector) error {
 	c := t.cols[ci]
 	switch e := c.enc.(type) {
 	case *encoding.IntFOR:
-		if ext, ok := e.Extend(intSpan(rows, ci)); ok {
+		if ext, ok := e.Extend(intSpan(v.I64, v.Nulls)); ok {
 			c.enc = ext
 			return nil
 		}
 	case *encoding.FloatFOR:
-		if lo, hi, exact := scaledSpan(e, rows, ci); exact {
+		if lo, hi, exact := scaledSpan(e, v.F64, v.Nulls); exact {
 			if ext, ok := e.Extend(lo, hi); ok {
 				c.enc = ext
 				return nil
@@ -542,31 +601,31 @@ func (t *Table) fitDomainLocked(ci int, rows []types.Row) error {
 	default:
 		return nil
 	}
-	return t.rebuildColumnLocked(ci, rows)
+	return t.rebuildColumnLocked(ci, v)
 }
 
-// intSpan returns the smallest and largest raw value of column ci in rows,
-// NULLs skipped; lo > hi when every value is NULL.
+// intSpan returns the smallest and largest of vals, the slots set in nulls
+// (nil: none) skipped; lo > hi when every value is NULL.
 //
 //dashdb:hotpath
-func intSpan(rows []types.Row, ci int) (lo, hi int64) {
+func intSpan(vals []int64, nulls *bitpack.Bitmap) (lo, hi int64) {
 	lo, hi = math.MaxInt64, math.MinInt64
-	for _, r := range rows {
-		if v := r[ci]; !v.IsNull() {
-			lo, hi = min(lo, v.Int()), max(hi, v.Int())
+	for i, x := range vals {
+		if nulls == nil || !nulls.Get(i) {
+			lo, hi = min(lo, x), max(hi, x)
 		}
 	}
 	return lo, hi
 }
 
-// floatSpan is intSpan over a DOUBLE column; a NaN makes both ends NaN.
+// floatSpan is intSpan over a DOUBLE lane; a NaN makes both ends NaN.
 //
 //dashdb:hotpath
-func floatSpan(rows []types.Row, ci int) (lo, hi float64) {
+func floatSpan(vals []float64, nulls *bitpack.Bitmap) (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, r := range rows {
-		if v := r[ci]; !v.IsNull() {
-			lo, hi = min(lo, v.Float()), max(hi, v.Float())
+	for i, f := range vals {
+		if nulls == nil || !nulls.Get(i) {
+			lo, hi = min(lo, f), max(hi, f)
 		}
 	}
 	return lo, hi
@@ -576,14 +635,13 @@ func floatSpan(rows []types.Row, ci int) (lo, hi float64) {
 // some value is not exact at e's scale.
 //
 //dashdb:hotpath
-func scaledSpan(e *encoding.FloatFOR, rows []types.Row, ci int) (lo, hi int64, exact bool) {
+func scaledSpan(e *encoding.FloatFOR, vals []float64, nulls *bitpack.Bitmap) (lo, hi int64, exact bool) {
 	lo, hi = math.MaxInt64, math.MinInt64
-	for _, r := range rows {
-		v := r[ci]
-		if v.IsNull() {
+	for i, f := range vals {
+		if nulls != nil && nulls.Get(i) {
 			continue
 		}
-		s, ok := e.Scaled(v.Float())
+		s, ok := e.Scaled(f)
 		if !ok {
 			return lo, hi, false
 		}
@@ -592,31 +650,57 @@ func scaledSpan(e *encoding.FloatFOR, rows []types.Row, ci int) (lo, hi int64, e
 	return lo, hi, true
 }
 
-// appendOpen encodes column ci of rows, which fit in the open stride,
-// onto the open buffers — one gather loop into scratch and one encode
-// loop (a dictionary locks once for the run) — and returns the values'
-// raw bytes. Only the codes and NULL flags are kept. The buffers'
-// capacity is exactly StrideSize, so the writes land past every published
-// epoch's clamped view and never reallocate mid-stride.
-func (c *column) appendOpen(rows []types.Row, ci int, scratch []types.Value) int {
-	n, m := len(c.openCodes), len(c.openCodes)+len(rows)
-	c.openCodes, c.openNulls = c.openCodes[:m], c.openNulls[:m]
-	vals := scratch[:len(rows)]
-	gatherColumn(rows, ci, vals, c.openNulls[n:])
-	c.enc.EncodeAll(vals, c.openCodes[n:])
-	return encoding.EstimateRawBytes(vals)
-}
-
-// gatherColumn copies column ci of rows into vals and its NULL flags into
-// nulls.
+// laneRawBytes is the lane's size in the naive row format the compression
+// ratio counts: 8 bytes a number or NULL, 4 plus its length a string.
 //
 //dashdb:hotpath
-func gatherColumn(rows []types.Row, ci int, vals []types.Value, nulls []bool) {
-	vals, nulls = vals[:len(rows)], nulls[:len(rows)]
-	for i, r := range rows {
-		v := r[ci]
-		vals[i] = v
-		nulls[i] = v.IsNull()
+func laneRawBytes(v *vec.Vector) int {
+	if v.Str == nil {
+		return 8 * v.Len()
+	}
+	sz := 0
+	for i, s := range v.Str {
+		if v.Nulls != nil && v.Nulls.Get(i) {
+			sz += 8
+		} else {
+			sz += 4 + len(s)
+		}
+	}
+	return sz
+}
+
+// appendLane encodes rows [off, off+k) of the lane v, which fit in the
+// open stride, onto the open buffers; only the codes and NULL flags are
+// kept. A frame of reference encodes the typed lane itself; a dictionary
+// takes the values boxed into scratch, one lock for the run. The buffers'
+// capacity is exactly StrideSize, so the writes land past every published
+// epoch's clamped view and never reallocate mid-stride.
+func (c *column) appendLane(v *vec.Vector, off, k int, scratch []types.Value) {
+	n, m := len(c.openCodes), len(c.openCodes)+k
+	c.openCodes, c.openNulls = c.openCodes[:m], c.openNulls[:m]
+	codes, nulls := c.openCodes[n:], c.openNulls[n:]
+	laneNulls(v.Nulls, off, nulls)
+	switch e := c.enc.(type) {
+	case *encoding.IntFOR:
+		e.EncodeInts(v.I64[off:off+k], nulls, codes)
+	case *encoding.FloatFOR:
+		e.EncodeFloats(v.F64[off:off+k], nulls, codes)
+	default:
+		vals := scratch[:k]
+		for i := range vals {
+			vals[i] = v.Get(off + i)
+		}
+		c.enc.EncodeAll(vals, codes)
+	}
+}
+
+// laneNulls sets nulls[i] to bit off+i of the lane's NULL bitmap (nil:
+// none).
+//
+//dashdb:hotpath
+func laneNulls(bm *bitpack.Bitmap, off int, nulls []bool) {
+	for i := range nulls {
+		nulls[i] = bm != nil && bm.Get(off+i)
 	}
 }
 
@@ -703,13 +787,13 @@ func (t *Table) loadPageGen(ci int, gen uint32, stride int) (*page.Page, error) 
 	})
 }
 
-// rebuildColumnLocked re-encodes column ci when rows hold values its frame
-// of reference cannot take by extension. The new encoder is chosen over
-// every value of the column plus the batch's, so one rebuild covers the
-// whole batch. Sealed strides are rewritten under a fresh generation; the
+// rebuildColumnLocked re-encodes column ci when the lane v holds values
+// its frame of reference cannot take by extension. The new encoder is
+// chosen over every value of the column plus the lane's, so one rebuild
+// covers the whole batch. Sealed strides are rewritten under a fresh generation; the
 // old generation's pages are reclaimed once every epoch that references
 // them has drained. Counted in Stats.Rebuilds.
-func (t *Table) rebuildColumnLocked(ci int, rows []types.Row) error {
+func (t *Table) rebuildColumnLocked(ci int, v *vec.Vector) error {
 	t.stats.rebuilds.Add(1)
 	c := t.cols[ci]
 	kind := t.schema[ci].Kind
@@ -718,7 +802,7 @@ func (t *Table) rebuildColumnLocked(ci int, rows []types.Row) error {
 	// decoded through the encoder being replaced; tombstoned rows are
 	// included (codes must stay positionally aligned).
 	sealed := t.sealedStrides()
-	vals := make([]types.Value, 0, t.rows+len(rows))
+	vals := make([]types.Value, 0, t.rows+v.Len())
 	for s := 0; s < sealed; s++ {
 		pg, err := t.loadPageGen(ci, oldGen, s)
 		if err != nil {
@@ -732,8 +816,8 @@ func (t *Table) rebuildColumnLocked(ci int, rows []types.Row) error {
 		vals = appendDecoded(vals, c.enc, kind, code, c.openNulls[i])
 	}
 	sample := vals
-	for _, r := range rows {
-		sample = append(sample, r[ci])
+	for i := 0; i < v.Len(); i++ {
+		sample = append(sample, v.Get(i))
 	}
 	c.enc = encoding.ChooseEncoder(kind, sample)
 	// Fresh synopsis: resetting in place would tear the entry slices

@@ -8,6 +8,7 @@ import (
 
 	"dashdb/internal/columnar"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // Concurrent-ingest isolation suite: trickle INSERTs and bulk multi-row
@@ -107,7 +108,10 @@ func TestConcurrentIngestQueryMix(t *testing.T) {
 							types.NewFloat(float64(i)),
 						}
 					}
-					_, err = tbl.BulkAppend(rows)
+					var b *vec.Batch
+					if b, err = columnar.LanesOf(tbl.Schema(), rows); err == nil {
+						_, err = tbl.BulkAppend(b)
+					}
 				}
 				if err != nil {
 					t.Error(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -339,8 +340,10 @@ func TestFrameExtend(t *testing.T) {
 	}
 }
 
-// TestEncodeAllMatchesEncode: the run encoder every load uses agrees with
-// Encode value by value, writing 0 for a NULL.
+// TestEncodeAllMatchesEncode: the run encoders a load uses agree with
+// Encode value by value, writing 0 for a NULL: EncodeAll over values, and
+// a frame of reference's typed encode over a lane, whose NULL slots are
+// never read.
 func TestEncodeAllMatchesEncode(t *testing.T) {
 	vals := []types.Value{types.NewInt(7), types.NullOf(types.KindInt), types.NewInt(-3), types.NewInt(40)}
 	fvals := []types.Value{types.NewFloat(0.07), types.NullOf(types.KindFloat), types.NewFloat(-3.5)}
@@ -365,6 +368,25 @@ func TestEncodeAllMatchesEncode(t *testing.T) {
 			if codes[i] != want {
 				t.Errorf("%T: %v encodes to %d in a run, %d alone", c.enc, v, codes[i], want)
 			}
+		}
+		lane, nulls := make([]uint64, len(c.vals)), make([]bool, len(c.vals))
+		ints, floats := make([]int64, len(c.vals)), make([]float64, len(c.vals))
+		for i, v := range c.vals {
+			nulls[i], ints[i], floats[i] = v.IsNull(), v.Int(), v.Float()
+			if nulls[i] {
+				ints[i], floats[i] = 1<<40, math.NaN() // outside every frame
+			}
+		}
+		switch e := c.enc.(type) {
+		case *IntFOR:
+			e.EncodeInts(ints, nulls, lane)
+		case *FloatFOR:
+			e.EncodeFloats(floats, nulls, lane)
+		default:
+			continue
+		}
+		if !slices.Equal(lane, codes) {
+			t.Errorf("%T: the lane encodes to %v, the values to %v", c.enc, lane, codes)
 		}
 	}
 }

@@ -118,6 +118,26 @@ func (e *FloatFOR) EncodeAll(vals []types.Value, codes []uint64) {
 	}
 }
 
+// EncodeFloats is EncodeAll over a typed lane: codes[i] is the code of
+// vals[i], or 0 where nulls[i].
+//
+//dashdb:hotpath
+func (e *FloatFOR) EncodeFloats(vals []float64, nulls []bool, codes []uint64) {
+	codes, nulls = codes[:len(vals)], nulls[:len(vals)]
+	base, limit, scale := e.inner.base, e.inner.limit, e.scale
+	for i, f := range vals {
+		if nulls[i] {
+			codes[i] = 0
+			continue
+		}
+		code := uint64(int64(math.Round(f*scale)) - base)
+		if code > limit {
+			panic("encoding: FloatFOR.EncodeFloats outside domain; caller must fit the frame first")
+		}
+		codes[i] = code
+	}
+}
+
 // Decode maps a code back to its float value.
 func (e *FloatFOR) Decode(code uint64) types.Value {
 	return types.NewFloat(float64(e.inner.Decode(code).Int()) / e.scale)

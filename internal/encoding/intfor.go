@@ -119,6 +119,26 @@ func (e *IntFOR) EncodeAll(vals []types.Value, codes []uint64) {
 	}
 }
 
+// EncodeInts is EncodeAll over a typed lane: codes[i] is the code of
+// vals[i], or 0 where nulls[i]. A load encodes an integral column's lane
+// through it, with no value boxed.
+//
+//dashdb:hotpath
+func (e *IntFOR) EncodeInts(vals []int64, nulls []bool, codes []uint64) {
+	codes, nulls = codes[:len(vals)], nulls[:len(vals)]
+	for i, x := range vals {
+		if nulls[i] {
+			codes[i] = 0
+			continue
+		}
+		code := uint64(x - e.base)
+		if code > e.limit {
+			panic("encoding: IntFOR.EncodeInts outside domain; caller must fit the frame first")
+		}
+		codes[i] = code
+	}
+}
+
 // Decode maps a code back to a value of the encoder's kind.
 func (e *IntFOR) Decode(code uint64) types.Value {
 	raw := e.base + int64(code)

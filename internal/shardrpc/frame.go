@@ -153,7 +153,10 @@ func EncodeRowBlock(dst []byte, rows []types.Row) ([]byte, error) {
 	return vec.AppendBlock(dst, vec.FromRows(nil, rows))
 }
 
-// DecodeRowBlock decodes one block into rows.
+// DecodeRowBlock decodes one block into rows: the row adapter over
+// vec.DecodeBlock for the callers that want rows (the Spark data server's
+// chunks, the benchmark's wire probe). A shard appends an insert block as
+// the batch it decodes to.
 func DecodeRowBlock(data []byte) ([]types.Row, error) {
 	b, err := vec.DecodeBlock(data)
 	if err != nil {

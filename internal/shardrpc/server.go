@@ -617,11 +617,10 @@ func (s *Server) handleExec(c *serverConn, req ExecReq) error {
 	return writeResultTail(c, res, sentBytes, req.WithStats)
 }
 
+// handleInsert appends one bucket's block to the shard's table as the
+// typed lanes it decodes to. A retried bucket that already landed is
+// answered before its block is decoded.
 func (s *Server) handleInsert(hdr InsertHdr, block []byte) error {
-	rows, err := DecodeRowBlock(block)
-	if err != nil {
-		return err
-	}
 	slot, err := s.engine(hdr.ShardID)
 	if err != nil {
 		return err
@@ -629,17 +628,21 @@ func (s *Server) handleInsert(hdr InsertHdr, block []byte) error {
 	if _, ok := s.lookupApplied(hdr.ShardID, hdr.Token); ok {
 		return nil // this bucket already landed durably; retry after a lost reply
 	}
+	b, err := vec.DecodeBlock(block)
+	if err != nil {
+		return err
+	}
 	tbl, ok := slot.db.Table(hdr.Table)
 	if !ok {
 		return fmt.Errorf("shard %d missing table %s", hdr.ShardID, hdr.Table)
 	}
-	if err := tbl.InsertBatch(rows); err != nil {
+	if err := tbl.Append(b); err != nil {
 		return err
 	}
 	if err := tbl.SaveMeta(); err != nil {
 		return err
 	}
-	s.markApplied(hdr.ShardID, hdr.Token, int64(len(rows)))
+	s.markApplied(hdr.ShardID, hdr.Token, int64(b.N))
 	return nil
 }
 

@@ -550,6 +550,37 @@ func TestInsertTokenReplay(t *testing.T) {
 	}
 }
 
+// TestInsertReplaySkipsDecode: a retried bucket whose token already
+// landed is answered from the applied log before its block is decoded, so
+// even a block cut short is accepted and changes nothing. A new token's
+// cut block is still refused.
+func TestInsertReplaySkipsDecode(t *testing.T) {
+	s := startTestServer(t, clusterfs.New())
+	p := NewPool("coord")
+	defer p.Close()
+	rows := []types.Row{
+		{types.NewInt(1), types.NewString("north"), types.NewFloat(10)},
+		{types.NewInt(2), types.NewString("south"), types.NewFloat(20)},
+	}
+	if err := p.Insert(s.Addr(), 0, "sales", 41, rows); err != nil {
+		t.Fatal(err)
+	}
+	block, err := EncodeRowBlock(nil, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := block[:len(block)/2]
+	if err := s.handleInsert(InsertHdr{ShardID: 0, Table: "sales", NRows: 2, Token: 41}, cut); err != nil {
+		t.Fatalf("replay of an applied token with a cut block: %v", err)
+	}
+	if err := s.handleInsert(InsertHdr{ShardID: 0, Table: "sales", NRows: 2, Token: 42}, cut); err == nil {
+		t.Fatal("a new token's cut block was accepted")
+	}
+	if n, err := p.RowCount(s.Addr(), 0, "sales"); err != nil || n != 2 {
+		t.Fatalf("rowcount %d (err %v), want 2", n, err)
+	}
+}
+
 // TestExecTokenReplay: non-idempotent DML retried with the same token
 // must acknowledge with the recorded affected count instead of applying
 // twice (UPDATE amount = amount + 1 must not add 2).

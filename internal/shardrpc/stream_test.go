@@ -341,3 +341,41 @@ func BenchmarkExecRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkShardInsert times Pool.Insert of one bucket of a 50 000-row
+// INSERT spread over 6 shards (8 333 rows) into a loopback server: block
+// encode, frame, decode, the table's append and SaveMeta. The table is
+// truncated between iterations, off the clock, so every insert lands in
+// an empty table and chooses its encodings, as a load's first bucket does.
+func BenchmarkShardInsert(b *testing.B) {
+	s := startTestServer(b, clusterfs.New())
+	p := NewPool("coord")
+	defer p.Close()
+	regions := []string{"north", "south", "east", "west"}
+	rows := make([]types.Row, 50_000/6)
+	for i := range rows {
+		region := types.NewString(regions[i%len(regions)])
+		if i%7 == 0 {
+			region = types.Null
+		}
+		rows[i] = types.Row{types.NewInt(int64(6 * i)), region, types.NewFloat(float64(i%10_000) / 100)}
+	}
+	slot, err := s.engine(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tbl, _ := slot.db.Table("sales")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.Insert(s.Addr(), 0, "sales", 0, rows); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := tbl.Truncate(); err != nil { // not SaveMeta: the next insert analyzes afresh
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(len(rows))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+}

@@ -40,44 +40,44 @@ func (s Schema) Names() []string {
 // Validate checks a row against the schema: arity, kind compatibility and
 // nullability. It returns a coerced copy of the row on success.
 func (s Schema) Validate(row Row) (Row, error) {
-	if len(row) != len(s) {
-		return nil, fmt.Errorf("types: row has %d values, schema %q expects %d", len(row), s.Names(), len(s))
+	if err := s.CheckWidth(len(row)); err != nil {
+		return nil, err
 	}
 	out := make(Row, len(row))
 	for i, v := range row {
-		if v.IsNull() {
-			if !s[i].Nullable {
-				return nil, fmt.Errorf("types: NULL in non-nullable column %s", s[i].Name)
-			}
-			out[i] = NullOf(s[i].Kind)
-			continue
-		}
-		cv, err := Coerce(v, s[i].Kind)
+		cv, err := s.Check(i, v)
 		if err != nil {
-			return nil, fmt.Errorf("types: column %s: %w", s[i].Name, err)
+			return nil, err
 		}
 		out[i] = cv
 	}
 	return out, nil
 }
 
-// Conforms reports whether Validate would return row unchanged: it has
-// the schema's width, and each value is of its column's kind or is that
-// kind's NULL in a nullable column.
-func (s Schema) Conforms(row Row) bool {
-	if len(row) != len(s) {
-		return false
+// CheckWidth is Validate's arity check for a row of n values.
+func (s Schema) CheckWidth(n int) error {
+	if n != len(s) {
+		return fmt.Errorf("types: row has %d values, schema %q expects %d", n, s.Names(), len(s))
 	}
-	for i, v := range row {
-		if v.IsNull() {
-			if !s[i].Nullable || v != NullOf(s[i].Kind) {
-				return false
-			}
-		} else if v.kind != s[i].Kind {
-			return false
+	return nil
+}
+
+// Check is Validate for the one value v of column i: v coerced to the
+// column's kind, or that kind's NULL when v is NULL in a nullable column.
+// A column loader checks value by value through it, so its errors are
+// Validate's.
+func (s Schema) Check(i int, v Value) (Value, error) {
+	if v.IsNull() {
+		if !s[i].Nullable {
+			return Null, fmt.Errorf("types: NULL in non-nullable column %s", s[i].Name)
 		}
+		return NullOf(s[i].Kind), nil
 	}
-	return true
+	cv, err := Coerce(v, s[i].Kind)
+	if err != nil {
+		return Null, fmt.Errorf("types: column %s: %w", s[i].Name, err)
+	}
+	return cv, nil
 }
 
 // String renders the schema as "(name TYPE [NOT NULL], ...)".

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -167,21 +168,25 @@ func TestSchemaValidate(t *testing.T) {
 	if s.ColumnIndex("missing") != -1 {
 		t.Error("ColumnIndex for missing column must be -1")
 	}
-	// Conforms is exactly "Validate returns the row unchanged".
+	// Validate is CheckWidth, then Check value by value.
 	for _, r := range []Row{
 		{NewInt(7), NewString("x")},
 		{NewInt(7), NullOf(KindString)},
 		{NewInt(7), Null},
 		{NewInt(7), NullOf(KindInt)},
 		{NewString("7"), NewString("x")},
+		{NewString("seven"), NewString("x")},
 		{NewFloat(7), NewString("x")},
 		{NullOf(KindInt), NewString("x")},
 		{NewInt(7)},
 	} {
 		out, err := s.Validate(r)
-		same := err == nil && slices.Equal(out, r)
-		if got := s.Conforms(r); got != same {
-			t.Errorf("Conforms(%v) = %v, but Validate gives %v (err %v)", r, got, out, err)
+		got, gotErr := make(Row, len(r)), s.CheckWidth(len(r))
+		for i := 0; gotErr == nil && i < len(r); i++ {
+			got[i], gotErr = s.Check(i, r[i])
+		}
+		if fmt.Sprint(err) != fmt.Sprint(gotErr) || err == nil && !slices.Equal(out, got) {
+			t.Errorf("Validate(%v) = %v, %v; Check gives %v, %v", r, out, err, got, gotErr)
 		}
 	}
 }

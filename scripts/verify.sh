@@ -4,7 +4,8 @@
 # package. Set DASHDB_FUZZ=1 to add a 10-second smoke run of each fuzz
 # target (SQL front end totality, encoder round-trip identity, every
 # encoder's typed stride decode vs the boxed per-cell oracle, bulk-append
-# atomicity under racing truncates, the shard wire's frame, batch block and
+# atomicity under racing truncates, one table image whether rows arrive as
+# rows, typed lanes or wire blocks, the shard wire's frame, batch block and
 # gob stream decoding, every
 # expression node's EvalVec vs the row-at-a-time oracle in
 # internal/exec/oracle_test.go on generated trees and batches, the sort's
@@ -68,6 +69,7 @@ if [ "${DASHDB_FUZZ:-0}" = "1" ]; then
 	go test -run=NONE -fuzz=FuzzEncodingRoundTrip -fuzztime=10s ./internal/encoding/
 	go test -run=NONE -fuzz=FuzzVectorDecode -fuzztime=10s ./internal/columnar/
 	go test -run=NONE -fuzz=FuzzBulkAppend -fuzztime=10s ./internal/columnar/
+	go test -run=NONE -fuzz=FuzzAppendLanesMatchRows -fuzztime=10s ./internal/columnar/
 	go test -run=NONE -fuzz=FuzzShuffleFrame -fuzztime=10s ./internal/shardrpc/
 	go test -run=NONE -fuzz=FuzzGobStream -fuzztime=10s ./internal/shardrpc/
 	go test -run=NONE -fuzz=FuzzEvalVecMatchesEval -fuzztime=10s ./internal/exec/
