@@ -19,6 +19,7 @@ package bitpack
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // MaxWidth is the widest supported code in bits. Codes wider than this
@@ -133,10 +134,23 @@ func (v *Vector) Append(code uint64) {
 	v.n++
 }
 
-// AppendAll adds each code in order.
+// AppendAll is Append of each code in order: the packed words grow once,
+// and the slot advances by a count, not a division per code.
 func (v *Vector) AppendAll(codes []uint64) {
+	v.words = slices.Grow(v.words, (v.n+len(codes)+v.perWord-1)/v.perWord-len(v.words))
+	limit, slot := v.maxCode(), v.n%v.perWord
 	for _, c := range codes {
-		v.Append(c)
+		if c > limit {
+			panicCodeOverflow(c, v.width)
+		}
+		if slot == 0 {
+			v.words = append(v.words, 0)
+		}
+		v.words[len(v.words)-1] |= c << (uint(slot) * v.cell)
+		v.n++
+		if slot++; slot == v.perWord {
+			slot = 0
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package columnar
 
 import (
+	"slices"
+
 	"dashdb/internal/bitpack"
 	"dashdb/internal/types"
 	"dashdb/internal/vec"
@@ -92,13 +94,13 @@ func (l *Lanes) push(j int, x *types.Value) {
 	v := l.cols[j]
 	switch {
 	case v.I64 != nil:
-		v.I64 = append(v.I64, x.Int())
+		v.I64 = append(roomFor1(v.I64), x.Int())
 	case v.F64 != nil:
-		v.F64 = append(v.F64, x.Float())
+		v.F64 = append(roomFor1(v.F64), x.Float())
 	case v.Str != nil:
-		v.Str = append(v.Str, x.Str())
+		v.Str = append(roomFor1(v.Str), x.Str())
 	default:
-		v.Any = append(v.Any, *x)
+		v.Any = append(roomFor1(v.Any), *x)
 	}
 	switch {
 	case x.IsNull():
@@ -110,6 +112,16 @@ func (l *Lanes) push(j int, x *types.Value) {
 	default:
 		l.bytes += 8
 	}
+}
+
+// roomFor1 is s with room for one more element: a full lane doubles. A
+// large slice that append grows by a quarter at a time would be copied
+// about five times over while a flush's rows arrive one by one.
+func roomFor1[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(cap(s), 64))
 }
 
 // Len is the number of rows added since the last Reset.
@@ -140,4 +152,22 @@ func (l *Lanes) Reset() {
 		l.nulls[j].Resize(0)
 	}
 	l.n, l.bytes = 0, 0
+}
+
+// gatherLane is the rows at sel of the typed lane v, as a lane of its own.
+func gatherLane(v *vec.Vector, sel []int) *vec.Vector {
+	out := vec.New(v.Kind, len(sel))
+	for k, i := range sel {
+		switch {
+		case v.Nulls != nil && v.Nulls.Get(i):
+			out.SetNull(k)
+		case v.I64 != nil:
+			out.I64[k] = v.I64[i]
+		case v.F64 != nil:
+			out.F64[k] = v.F64[i]
+		default:
+			out.Str[k] = v.Str[i]
+		}
+	}
+	return out
 }

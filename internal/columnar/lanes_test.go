@@ -134,16 +134,32 @@ func imageOf(t testing.TB, tbl *Table) tableImage {
 	return im
 }
 
-// loadThreeWays loads rows in flushes of the given sizes into three
-// tables of one id: through the rows adapter (InsertBatch), as typed
-// lanes (laneBatch) and as decoded wire blocks. It fails the test unless
-// each flush is accepted or refused alike by all three and the three
-// tables' images are identical after every flush; it returns the image.
-func loadThreeWays(t *testing.T, schema types.Schema, rows []types.Row, flushes []int) tableImage {
+// loadEveryWay loads rows in flushes of the given sizes into tables of
+// one id at dop 1, 2 and 8, each three ways: through the rows adapter
+// (InsertBatch), as typed lanes (laneBatch) and as decoded wire blocks. It
+// fails the test unless each flush is accepted or refused alike by all
+// nine and their images are identical after every flush; it returns the
+// image.
+func loadEveryWay(t *testing.T, schema types.Schema, rows []types.Row, flushes []int) tableImage {
 	t.Helper()
-	byRows := NewTable(7, "p", schema, Config{AnalyzeSample: 1500})
-	byLanes := NewTable(7, "p", schema, Config{AnalyzeSample: 1500})
-	byBlock := NewTable(7, "p", schema, Config{AnalyzeSample: 1500})
+	type loader struct {
+		name string
+		tbl  *Table
+		load func(*Table, []types.Row) error
+	}
+	var loaders []loader
+	for _, dop := range []int{1, 2, 8} {
+		cfg := Config{AnalyzeSample: 1500, Dop: dop}
+		loaders = append(loaders,
+			loader{fmt.Sprintf("rows at dop %d", dop), NewTable(7, "p", schema, cfg), (*Table).InsertBatch},
+			loader{fmt.Sprintf("typed lanes at dop %d", dop), NewTable(7, "p", schema, cfg), func(tbl *Table, batch []types.Row) error {
+				return tbl.Append(laneBatch(batch, len(schema)))
+			}},
+			loader{fmt.Sprintf("a decoded block at dop %d", dop), NewTable(7, "p", schema, cfg), func(tbl *Table, batch []types.Row) error {
+				return tbl.Append(blockBatch(t, batch))
+			}},
+		)
+	}
 	var im tableImage
 	for k, off := 0, 0; off < len(rows); k++ {
 		n := len(rows) - off
@@ -152,18 +168,15 @@ func loadThreeWays(t *testing.T, schema types.Schema, rows []types.Row, flushes 
 		}
 		batch := rows[off : off+n]
 		off += n
-		errRows := byRows.InsertBatch(batch)
-		errLanes := byLanes.Append(laneBatch(batch, len(schema)))
-		errBlock := byBlock.Append(blockBatch(t, batch))
-		if (errRows == nil) != (errLanes == nil) || (errRows == nil) != (errBlock == nil) {
-			t.Fatalf("flush %d: rows %v, lanes %v, block %v", k, errRows, errLanes, errBlock)
-		}
-		im = imageOf(t, byRows)
-		if got := imageOf(t, byLanes); !reflect.DeepEqual(got, im) {
-			t.Fatalf("flush %d of %d rows: typed lanes loaded\n%+v\nrows loaded\n%+v", k, n, got, im)
-		}
-		if got := imageOf(t, byBlock); !reflect.DeepEqual(got, im) {
-			t.Fatalf("flush %d of %d rows: decoded block loaded\n%+v\nrows loaded\n%+v", k, n, got, im)
+		errRef := loaders[0].load(loaders[0].tbl, batch)
+		im = imageOf(t, loaders[0].tbl)
+		for _, l := range loaders[1:] {
+			if err := l.load(l.tbl, batch); (err == nil) != (errRef == nil) {
+				t.Fatalf("flush %d: %s: %v, %s: %v", k, loaders[0].name, errRef, l.name, err)
+			}
+			if got := imageOf(t, l.tbl); !reflect.DeepEqual(got, im) {
+				t.Fatalf("flush %d of %d rows: %s loaded\n%+v\n%s loaded\n%+v", k, n, l.name, got, loaders[0].name, im)
+			}
 		}
 	}
 	return im
@@ -206,13 +219,15 @@ func parityRow(r int) types.Row {
 }
 
 // TestAppendLanesMatchRows: a load through the rows adapter, through
-// typed lanes and through decoded wire blocks leaves identical encoders,
-// page bytes, synopsis entries, raw bytes, compression and rebuild
-// counts, flush by flush. The flush shapes end mid-stride and cross
-// stride boundaries; the rows extend a frame, force rebuilds below an INT
-// base and at a finer DOUBLE scale, carry NULLs in every nullable lane,
-// send an INT lane into the DOUBLE column, and grow the dictionary after
-// analysis.
+// typed lanes and through decoded wire blocks, at dop 1, 2 and 8, leaves
+// identical encoders, page bytes, synopsis entries, open codes and NULLs,
+// raw bytes, compression and rebuild counts, flush by flush. The flush
+// shapes end mid-stride and cross stride boundaries, and one flush of 2 500
+// rows begins mid-stride and crosses three seals, which a table at dop 2
+// or 8 encodes a column per worker; the rows extend a frame, force
+// rebuilds below an INT base and at a finer DOUBLE scale, carry NULLs in
+// every nullable lane, send an INT lane into the DOUBLE column, and grow
+// the string dictionary's extension after analysis.
 func TestAppendLanesMatchRows(t *testing.T) {
 	const n = 3500
 	rows := make([]types.Row, n)
@@ -233,9 +248,10 @@ func TestAppendLanesMatchRows(t *testing.T) {
 		{1000, 1000, 1000, 500},
 		{700, 500, 600, 1, 1023, 1025, 51}, // rows 1 200–1 799 alone: f is an INT lane
 		{1500, 1, 1, 2, 3, 5, 8, 13, 600, 1367},
+		{1000, 2500}, // analysis sees s00–s39 only; the second flush adds n000–n299
 	} {
 		t.Run(fmt.Sprint(flushes), func(t *testing.T) {
-			im := loadThreeWays(t, schema, rows, flushes)
+			im := loadEveryWay(t, schema, rows, flushes)
 			if im.Rows != n || len(im.Pages[0]) != n/page.StrideSize || im.RawBytes != rawBytes {
 				t.Fatalf("%d rows in %d sealed strides, %d raw bytes (want %d)", im.Rows, len(im.Pages[0]), im.RawBytes, rawBytes)
 			}
@@ -244,6 +260,19 @@ func TestAppendLanesMatchRows(t *testing.T) {
 			}
 		})
 	}
+	// The 2 500-row flush grows the string column's dictionary past what
+	// the first flush's analysis gave it, through its extension.
+	tbl := NewTable(7, "p", schema, Config{AnalyzeSample: 1500, Dop: 2})
+	cards := make([]int, 2)
+	for k, batch := range [][]types.Row{rows[:1000], rows[1000:]} {
+		if err := tbl.InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		cards[k] = tbl.ColumnCompressionReport()[6].Cardinality
+	}
+	if cards[0] != 40 || cards[1] != 340 {
+		t.Fatalf("the string dictionary holds %v codes after each flush, want [40 340]", cards)
+	}
 	// A NULL in the NOT NULL column, or a value that does not coerce,
 	// refuses the batch on every path and changes nothing.
 	for _, bad := range []types.Row{
@@ -251,14 +280,15 @@ func TestAppendLanesMatchRows(t *testing.T) {
 		{types.NewInt(1), types.NewBool(true), types.NewString("one"), types.NewDate(1), types.NewTimestamp(1), types.NewFloat(1), types.NewString("x")},
 	} {
 		batch := append(append([]types.Row(nil), rows[:900]...), bad)
-		im := loadThreeWays(t, schema, append(append([]types.Row(nil), rows[:1200]...), batch...), []int{1200, len(batch)})
+		im := loadEveryWay(t, schema, append(append([]types.Row(nil), rows[:1200]...), batch...), []int{1200, len(batch)})
 		if im.Rows != 1200 {
 			t.Fatalf("a refused batch left %d rows, want 1200", im.Rows)
 		}
 	}
 }
 
-// FuzzAppendLanesMatchRows is TestAppendLanesMatchRows on drawn rows:
+// FuzzAppendLanesMatchRows is TestAppendLanesMatchRows, at dop 1, 2 and
+// 8, on drawn rows:
 // each value, its NULL flag and its spelling (the column's kind or
 // another that coerces to it) come from the input, and so do the flush
 // sizes and where in a flush the frame-moving values fall.
@@ -308,7 +338,7 @@ func FuzzAppendLanesMatchRows(f *testing.F) {
 			}
 			rows[r] = row
 		}
-		loadThreeWays(t, schema, rows, flushes)
+		loadEveryWay(t, schema, rows, flushes)
 	})
 }
 

@@ -37,14 +37,21 @@ func batchRows(batch, k int) []types.Row {
 // writers insert K-row batches (half trickle InsertBatch, half
 // BulkAppend), readers must never observe a partial batch — every batch
 // id is visible with exactly 0 or K rows, on both the serial and the
-// dop-8 parallel scan path.
+// dop-8 parallel scan path. Batches of 700 rows straddle seals on a table
+// at dop 1; batches of 2 600 rows, on a table at dop 2, begin mid-stride
+// and seal two or three strides each, which the table's workers encode and
+// seal a column each.
 func TestSnapshotBatchAtomicity(t *testing.T) {
-	const (
-		writers    = 4
-		batchesPer = 25
-		k          = 700 // not a stride divisor: batches straddle seals
-	)
-	tbl := NewTable(70, "ingest", ingestSchema(), Config{})
+	for _, c := range []struct{ k, batchesPer, dop int }{{700, 25, 1}, {2600, 6, 2}} {
+		t.Run(fmt.Sprintf("k=%d/dop=%d", c.k, c.dop), func(t *testing.T) {
+			testBatchAtomicity(t, c.k, c.batchesPer, c.dop)
+		})
+	}
+}
+
+func testBatchAtomicity(t *testing.T, k, batchesPer, dop int) {
+	const writers = 4
+	tbl := NewTable(70, "ingest", ingestSchema(), Config{Dop: dop})
 	var writerWG, readerWG sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < writers; w++ {

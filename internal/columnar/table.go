@@ -11,10 +11,20 @@
 // decode-then-evaluate ablation). A writer appends with Append, the one
 // append: a vec.Batch of typed lanes, one per column (BulkAppend is the
 // same append, counted as a bulk flush; a shard appends the batch its
-// insert frame decodes to). Callers that hold rows go through Lanes, the
-// one rows→lanes adapter (InsertBatch, LanesOf, the public Bulk loader).
-// Change deletes and adds rows in one step (UPDATE and DELETE), and
-// Truncate empties the table.
+// insert frame decodes to, and an in-process shard the coordinator's
+// batch under its selection). Callers that hold rows go through Lanes,
+// the one rows→lanes adapter (InsertBatch, LanesOf, the public Bulk
+// loader). Change deletes and adds rows in one step (UPDATE and DELETE),
+// and Truncate empties the table.
+//
+// An append works a column at a time. One of a stride or more spreads its
+// columns over min(dop, columns) workers (Config.Dop, the engine's query
+// parallelism): each analyzes its column's encoder on a first load, then
+// encodes the column's lane a stride chunk at a time and seals each stride
+// it fills. Frame fitting and rebuilds stay serial, before any column is
+// encoded: a rebuild takes a page generation and queues page deletes,
+// which the columns share. An append shorter than a stride, and any table
+// at dop 1, runs on the writer's goroutine.
 //
 // Concurrency model (DESIGN.md §13): the table is split into a
 // writer-private build side and immutable published epochs. All mutation
@@ -31,6 +41,7 @@ package columnar
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -139,6 +150,9 @@ type Config struct {
 	// AnalyzeSample is the number of leading rows used to choose column
 	// encodings when the table is bulk loaded (0 = default).
 	AnalyzeSample int
+	// Dop is how many columns an append of a stride or more analyzes,
+	// encodes and seals at once: the engine's query parallelism (0 = 1).
+	Dop int
 }
 
 const defaultAnalyzeSample = 8192
@@ -156,8 +170,9 @@ const genShift = 24
 // rows' NULL flags; no value is kept beside its code. The open buffers
 // are copy-on-seal: they always have exactly page.StrideSize capacity, the
 // writer appends in place (published epochs hold length-and-capacity
-// clamped views below every index the writer touches), and sealing
-// allocates fresh buffers so drained epochs keep the old backing arrays.
+// clamped views below every index the writer touches), and an append's
+// first seal allocates fresh buffers so drained epochs keep the old
+// backing arrays (appendColumnLocked).
 type column struct {
 	enc       encoding.Encoder
 	syn       synopsis.Column
@@ -188,9 +203,9 @@ type Table struct {
 	rawBytes int             // naive row-format bytes, for compression accounting
 	genSeq   uint32          // allocator for page generations
 	pending  []func()        // cleanups to attach to the next publish
-	// scratch holds one column of the chunk being appended while it is
-	// encoded; it is reused for every column and chunk.
-	scratch []types.Value
+	// scratch holds, for each append worker, one column of the chunk it
+	// is encoding; a worker reuses its own for every column and chunk.
+	scratch [][]types.Value
 
 	epochs *snapshot.Manager[*tableState]
 
@@ -200,6 +215,7 @@ type Table struct {
 	bulk  bulkCounters
 
 	analyzeSample int
+	dop           int
 }
 
 // NewTable creates an empty columnar table with the given unique id.
@@ -224,6 +240,7 @@ func NewTable(id uint32, name string, schema types.Schema, cfg Config) *Table {
 		store:         store,
 		deleted:       bitpack.NewBitmap(0),
 		analyzeSample: sample,
+		dop:           max(cfg.Dop, 1),
 	}
 	for range schema {
 		c := &column{}
@@ -326,13 +343,13 @@ func (t *Table) InsertBatch(rows []types.Row) error {
 	return t.Append(b)
 }
 
-// Append is the table's one append: it appends b's rows, whose columns
-// match the schema's by position, as typed lanes. The first batch chooses
-// every column's encoding (the LOAD-time "compression optimized globally
-// per column" of §II.B.1). b is checked a column at a time before the
-// writer lock is taken: a lane of another kind is coerced once, and a
-// refused value refuses the whole batch with Schema.Check's error, so
-// nothing changes. The whole batch becomes visible in one epoch:
+// Append is the table's one append: it appends b's live rows, whose
+// columns match the schema's by position, as typed lanes. The first batch
+// chooses every column's encoding (the LOAD-time "compression optimized
+// globally per column" of §II.B.1). b is checked a column at a time
+// before the writer lock is taken: a lane of another kind is coerced once,
+// and a refused value refuses the whole batch with Schema.Check's error,
+// so nothing changes. The whole batch becomes visible in one epoch:
 // concurrent readers observe either none of it or all of it.
 func (t *Table) Append(b *vec.Batch) error {
 	_, err := t.append(b, false)
@@ -347,7 +364,7 @@ func (t *Table) BulkAppend(b *vec.Batch) (int, error) {
 }
 
 func (t *Table) append(b *vec.Batch, bulk bool) (int, error) {
-	lanes, err := t.conform(b)
+	lanes, n, err := t.conform(b)
 	if err != nil {
 		return 0, err
 	}
@@ -355,15 +372,15 @@ func (t *Table) append(b *vec.Batch, bulk bool) (int, error) {
 	defer t.mu.Unlock()
 	defer t.publishLocked()
 	before := t.rawBytes
-	if err := t.appendLocked(lanes, b.N); err != nil {
+	if err := t.appendLocked(lanes, n); err != nil {
 		return 0, err
 	}
 	if bulk {
 		t.bulk.flushes.Add(1)
-		t.bulk.rows.Add(uint64(b.N))
+		t.bulk.rows.Add(uint64(n))
 		t.bulk.bytes.Add(uint64(t.rawBytes - before))
 	}
-	return b.N, nil
+	return n, nil
 }
 
 // Change is the table's one read-modify-write (UPDATE and DELETE): match
@@ -393,12 +410,12 @@ func (t *Table) Change(match func(*Snapshot) (del []int64, add []types.Row, err 
 	if err != nil {
 		return 0, err
 	}
-	lanes, err := t.conform(b)
+	lanes, n, err := t.conform(b)
 	if err != nil {
 		return 0, err
 	}
 	defer t.publishLocked()
-	if err := t.appendLocked(lanes, b.N); err != nil {
+	if err := t.appendLocked(lanes, n); err != nil {
 		return 0, err
 	}
 	return t.tombstoneLocked(del), nil
@@ -427,44 +444,51 @@ func (t *Table) tombstoneLocked(rids []int64) int {
 	return n
 }
 
-// conform checks b against the schema a column at a time and returns the
-// lanes to encode: a column that is already a lane of its kind as it is,
-// after its NULLs are checked against NOT NULL; any other column (a lane
-// of another kind, boxed cells, codes, a constant) coerced into a new lane
-// through Schema.Check. It refuses the whole batch at the first refused
-// value and writes nothing of the caller's.
-func (t *Table) conform(b *vec.Batch) ([]*vec.Vector, error) {
-	if b.N == 0 {
-		return nil, nil
-	}
-	if b.Sel != nil {
-		return nil, fmt.Errorf("columnar: append to %s of a batch with a selection vector", t.name)
+// conform checks the live rows of b against the schema a column at a time
+// and returns the lanes to encode and their length: a column that is
+// already a lane of its kind as it is (its selected rows gathered into a
+// new lane when b has a selection), after its NULLs are checked against
+// NOT NULL; any other column (a lane of another kind, boxed cells, codes,
+// a constant) coerced into a new lane through Schema.Check. It refuses the
+// whole batch at the first refused value and writes nothing of the
+// caller's.
+func (t *Table) conform(b *vec.Batch) ([]*vec.Vector, int, error) {
+	n := b.Rows()
+	if n == 0 {
+		return nil, 0, nil
 	}
 	if err := t.schema.CheckWidth(b.NumCols()); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	lanes := make([]*vec.Vector, len(t.schema))
 	for j, col := range t.schema {
 		v := b.Col(j)
 		if isLane(v, col.Kind, b.N) {
+			if b.Sel != nil {
+				v = gatherLane(v, b.Sel)
+			}
 			if !col.Nullable && v.Nulls != nil && v.Nulls.Any() {
 				_, err := t.schema.Check(j, types.Null)
-				return nil, err
+				return nil, 0, err
 			}
 			lanes[j] = v
 			continue
 		}
-		out := vec.New(col.Kind, b.N)
-		for i := 0; i < b.N; i++ {
+		out := vec.New(col.Kind, n)
+		for k := range n {
+			i := k
+			if b.Sel != nil {
+				i = b.Sel[k]
+			}
 			cv, err := t.schema.Check(j, v.Get(i))
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			out.Set(i, cv)
+			out.Set(k, cv)
 		}
 		lanes[j] = out
 	}
-	return lanes, nil
+	return lanes, n, nil
 }
 
 // isLane reports whether v is a plain typed lane of kind holding n rows.
@@ -483,66 +507,137 @@ func isLane(v *vec.Vector, kind types.Kind, n int) bool {
 	return false
 }
 
-// appendLocked appends n rows held as conformed lanes. Columns without an
-// encoder get one analyzed from the lanes; then every column's encoder is
-// fitted to its whole lane (the only domain work that can fail, and it
-// runs before any column is touched, so columns never go out of step).
-// The lanes are then encoded a column at a time, as many rows per step as
-// the open stride has room for. Caller holds mu and publishes after.
+// appendLocked appends n rows held as conformed lanes, a column at a
+// time. Columns without an encoder get one analyzed from their lanes; then
+// every column's encoder is fitted to its whole lane, serially (the only
+// domain work that can fail, and a rebuild takes a page generation and
+// queues page deletes, which the columns share; it runs before any column
+// is encoded, so columns never go out of step). Each lane is then encoded
+// onto its column, as many rows per step as the open stride has room for,
+// sealing every stride it fills. Analysis and encoding touch one column
+// each, so eachColumnLocked spreads them over the table's dop. Caller holds
+// mu and publishes after.
 func (t *Table) appendLocked(lanes []*vec.Vector, n int) error {
 	if n == 0 {
 		return nil
 	}
-	t.analyzeLocked(lanes, n)
+	if slices.ContainsFunc(t.cols, func(c *column) bool { return c.enc == nil }) {
+		if err := t.eachColumnLocked(n, func(ci int, _ []types.Value) error {
+			t.analyzeLocked(ci, lanes[ci], n)
+			return nil
+		}); err != nil {
+			return err
+		}
+	}
 	for ci := range t.cols {
 		if err := t.fitDomainLocked(ci, lanes[ci]); err != nil {
 			return err
 		}
 	}
 	t.growDeletedLocked(t.rows + n)
-	for _, v := range lanes {
-		t.rawBytes += laneRawBytes(v)
+	raw := make([]int, len(t.cols))
+	err := t.eachColumnLocked(n, func(ci int, scratch []types.Value) error {
+		raw[ci] = laneRawBytes(lanes[ci])
+		return t.appendColumnLocked(ci, lanes[ci], n, scratch)
+	})
+	for _, b := range raw {
+		t.rawBytes += b
 	}
-	if t.scratch == nil {
-		t.scratch = make([]types.Value, page.StrideSize)
+	t.rows += n
+	t.live += n
+	return err
+}
+
+// eachColumnLocked runs fn once for every column and returns the error of
+// the lowest column that failed. An append of n rows shorter than a
+// stride, or a table at dop 1, runs on the caller's goroutine; otherwise
+// min(dop, columns) workers take columns in turn. fn gets its worker's own
+// scratch, and must touch no state but its column's. Caller holds mu.
+func (t *Table) eachColumnLocked(n int, fn func(ci int, scratch []types.Value) error) error {
+	workers := min(t.dop, len(t.cols))
+	if n < page.StrideSize {
+		workers = 1
 	}
-	for off := 0; off < n; {
-		k := min(page.StrideSize-t.openLen(), n-off)
-		for ci, c := range t.cols {
-			c.appendLane(lanes[ci], off, k, t.scratch)
-		}
-		t.rows += k
-		t.live += k
-		if t.openLen() == 0 { // stride just filled
-			if err := t.sealStrideLocked(t.sealedStrides() - 1); err != nil {
+	for len(t.scratch) < workers {
+		t.scratch = append(t.scratch, make([]types.Value, page.StrideSize))
+	}
+	if workers == 1 {
+		for ci := range t.cols {
+			if err := fn(ci, t.scratch[0]); err != nil {
 				return err
 			}
 		}
-		off += k
+		return nil
+	}
+	errs := make([]error, len(t.cols))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ci := int(next.Add(1)) - 1; ci < len(t.cols); ci = int(next.Add(1)) - 1 {
+				errs[ci] = fn(ci, t.scratch[w])
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// analyzeLocked chooses an encoder for every column that has none from
-// the n rows about to be loaded. A dictionary is built from a leading
-// sample of the lane; a frame of reference spans the whole lane, because
-// its extremes, found in one pass, join the sample.
-func (t *Table) analyzeLocked(lanes []*vec.Vector, n int) {
-	n = min(n, t.analyzeSample)
-	for ci, c := range t.cols {
-		if c.enc != nil {
+// appendColumnLocked encodes the n rows of the lane v onto column ci from
+// the table's row count on, a stride chunk at a time, and seals each
+// stride it fills: writes its page and synopsis entry, then empties the
+// open buffers for the next stride. The buffers the append began with may
+// be held by published epochs, so the first seal gives the column fresh
+// ones; no epoch has seen those before this append publishes, so later
+// seals reuse them. Caller holds mu; t.rows advances after every column is
+// done.
+func (t *Table) appendColumnLocked(ci int, v *vec.Vector, n int, scratch []types.Value) error {
+	c, row, fresh := t.cols[ci], t.rows, false
+	for off := 0; off < n; {
+		k := min(page.StrideSize-row%page.StrideSize, n-off)
+		c.appendLane(v, off, k, scratch)
+		off, row = off+k, row+k
+		if row%page.StrideSize != 0 {
 			continue
 		}
-		v, kind := lanes[ci], t.schema[ci].Kind
-		sample := make([]types.Value, n, n+2)
-		for i := range sample {
-			sample[i] = v.Get(i)
+		if err := t.writeStrideLocked(ci, row/page.StrideSize-1, c.openCodes, c.openNulls); err != nil {
+			return err
 		}
-		if lo, hi, ok := extremes(v, kind); ok {
-			sample = append(sample, lo, hi)
+		if fresh {
+			c.openCodes, c.openNulls = c.openCodes[:0], c.openNulls[:0]
+		} else {
+			c.newOpenBuffers()
+			fresh = true
 		}
-		c.enc = encoding.ChooseEncoder(kind, sample)
 	}
+	return nil
+}
+
+// analyzeLocked chooses an encoder for column ci, when it has none, from
+// the n rows of the lane v about to be loaded. A dictionary is built from
+// a leading sample of the lane; a frame of reference spans the whole lane,
+// because its extremes, found in one pass, join the sample.
+func (t *Table) analyzeLocked(ci int, v *vec.Vector, n int) {
+	c, kind := t.cols[ci], t.schema[ci].Kind
+	if c.enc != nil {
+		return
+	}
+	m := min(n, t.analyzeSample)
+	sample := make([]types.Value, m, m+2)
+	for i := range sample {
+		sample[i] = v.Get(i)
+	}
+	if lo, hi, ok := extremes(v, kind); ok {
+		sample = append(sample, lo, hi)
+	}
+	c.enc = encoding.ChooseEncoder(kind, sample)
 }
 
 // extremes returns the smallest and largest non-NULL values of the lane v
@@ -671,10 +766,11 @@ func laneRawBytes(v *vec.Vector) int {
 
 // appendLane encodes rows [off, off+k) of the lane v, which fit in the
 // open stride, onto the open buffers; only the codes and NULL flags are
-// kept. A frame of reference encodes the typed lane itself; a dictionary
-// takes the values boxed into scratch, one lock for the run. The buffers'
-// capacity is exactly StrideSize, so the writes land past every published
-// epoch's clamped view and never reallocate mid-stride.
+// kept. A frame of reference encodes the typed lane itself, and so does a
+// string dictionary; any other dictionary takes the values boxed into
+// scratch. Each takes one lock for the run. The buffers' capacity is
+// exactly StrideSize, so the writes land past every published epoch's
+// clamped view and never reallocate mid-stride.
 func (c *column) appendLane(v *vec.Vector, off, k int, scratch []types.Value) {
 	n, m := len(c.openCodes), len(c.openCodes)+k
 	c.openCodes, c.openNulls = c.openCodes[:m], c.openNulls[:m]
@@ -686,6 +782,10 @@ func (c *column) appendLane(v *vec.Vector, off, k int, scratch []types.Value) {
 	case *encoding.FloatFOR:
 		e.EncodeFloats(v.F64[off:off+k], nulls, codes)
 	default:
+		if d, ok := e.(*encoding.Dict); ok && v.Str != nil {
+			d.EncodeStrings(v.Str[off:off+k], nulls, codes)
+			return
+		}
 		vals := scratch[:k]
 		for i := range vals {
 			vals[i] = v.Get(off + i)
@@ -713,20 +813,6 @@ func (t *Table) growDeletedLocked(n int) {
 		t.deleted.ForEach(func(i int) { nb.Set(i) })
 		t.deleted = nb
 	}
-}
-
-// sealStrideLocked packs every column's open buffers for stride s into
-// pages, writes them to the store, records the synopsis entries, and
-// hands each column fresh open buffers (published epochs keep the sealed
-// buffers' backing arrays).
-func (t *Table) sealStrideLocked(s int) error {
-	for ci, c := range t.cols {
-		if err := t.writeStrideLocked(ci, s, c.openCodes, c.openNulls); err != nil {
-			return err
-		}
-		c.newOpenBuffers()
-	}
-	return nil
 }
 
 // writeStrideLocked packs column ci's codes for stride s into a page at

@@ -228,6 +228,7 @@ func (db *DB) CreateTable(name string, schema types.Schema) (*columnar.Table, er
 	t := columnar.NewTable(db.cat.NextTableID(), name, schema, columnar.Config{
 		Pool:  db.pool,
 		Store: db.store,
+		Dop:   db.Config().Parallelism,
 	})
 	if err := db.cat.CreateTable(t); err != nil {
 		return nil, err

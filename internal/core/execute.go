@@ -404,6 +404,7 @@ func (s *Session) executeCreateTable(stmt *sql.CreateTableStmt) (*Result, error)
 	t := columnar.NewTable(s.db.cat.NextTableID(), stmt.Table, schema, columnar.Config{
 		Pool:  s.db.pool,
 		Store: s.db.store,
+		Dop:   s.db.Config().Parallelism,
 	})
 	if err := s.db.cat.CreateTable(t); err != nil {
 		return nil, err

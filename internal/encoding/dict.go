@@ -29,12 +29,49 @@ type Dict struct {
 	parts     []dictPartition
 	extension []types.Value
 	extStart  uint64
-	lookup    map[types.Value]uint64
+	lookup    codeMap
 	card      uint64
 	// decoded caches code→value so the scan/join/grouping hot path never
 	// replays front-coded blocks; it grows append-only with the domain.
 	decoded []types.Value
 }
+
+// codeMap is a dictionary's one value→code lookup. A string dictionary
+// keys it by the string itself, so a load hashes its lane's strings as
+// they are and boxes none (EncodeStrings); a dictionary of any other kind
+// keys it by the value. Exactly one of the two maps is set, and every key
+// is a non-NULL value of the dictionary's kind.
+type codeMap struct {
+	strs map[string]uint64      // KindString
+	vals map[types.Value]uint64 // every other kind
+}
+
+func newCodeMap(kind types.Kind, n int) codeMap {
+	if kind == types.KindString {
+		return codeMap{strs: make(map[string]uint64, n)}
+	}
+	return codeMap{vals: make(map[types.Value]uint64, n)}
+}
+
+// get returns the code of v, a non-NULL value of the dictionary's kind.
+func (m codeMap) get(v types.Value) (uint64, bool) {
+	if m.strs != nil {
+		code, ok := m.strs[v.Str()]
+		return code, ok
+	}
+	code, ok := m.vals[v]
+	return code, ok
+}
+
+func (m codeMap) put(v types.Value, code uint64) {
+	if m.strs != nil {
+		m.strs[v.Str()] = code
+	} else {
+		m.vals[v] = code
+	}
+}
+
+func (m codeMap) len() int { return len(m.strs) + len(m.vals) }
 
 // dictPartition is one sorted code range. Strings are held front-coded;
 // other kinds as a plain sorted slice.
@@ -93,32 +130,43 @@ func BuildDict(kind types.Kind, sample []types.Value) *Dict {
 		hist[cv]++
 		total++
 	}
-	distinct := make([]types.Value, 0, len(hist))
-	for v := range hist {
-		distinct = append(distinct, v)
+	// Each distinct value with its count, so ordering by frequency reads
+	// the count beside the value instead of hashing both per comparison.
+	type seen struct {
+		v types.Value
+		n int
+	}
+	distinct := make([]seen, 0, len(hist))
+	for v, n := range hist {
+		distinct = append(distinct, seen{v, n})
 	}
 	// Pick the hot set: the smallest group of most-frequent values
 	// covering hotCoverage of all occurrences.
 	sort.Slice(distinct, func(i, j int) bool {
-		ci, cj := hist[distinct[i]], hist[distinct[j]]
-		if ci != cj {
-			return ci > cj
+		if distinct[i].n != distinct[j].n {
+			return distinct[i].n > distinct[j].n
 		}
-		return types.Compare(distinct[i], distinct[j]) < 0
+		return types.Compare(distinct[i].v, distinct[j].v) < 0
 	})
 	hotN := 0
 	covered := 0
 	for hotN < len(distinct) && float64(covered) < hotCoverage*float64(total) {
-		covered += hist[distinct[hotN]]
+		covered += distinct[hotN].n
 		hotN++
 	}
 	if hotN*minHotBenefit > len(distinct) {
 		hotN = 0 // hot set too large to pay for a second partition
 	}
 
-	d := &Dict{kind: kind, lookup: make(map[types.Value]uint64, len(distinct))}
-	hot := append([]types.Value(nil), distinct[:hotN]...)
-	cold := append([]types.Value(nil), distinct[hotN:]...)
+	d := &Dict{kind: kind, lookup: newCodeMap(kind, len(distinct))}
+	hot, cold := make([]types.Value, 0, hotN), make([]types.Value, 0, len(distinct)-hotN)
+	for i, e := range distinct {
+		if i < hotN {
+			hot = append(hot, e.v)
+		} else {
+			cold = append(cold, e.v)
+		}
+	}
 	for _, part := range [][]types.Value{hot, cold} {
 		if len(part) == 0 {
 			continue
@@ -133,7 +181,7 @@ func BuildDict(kind types.Kind, sample []types.Value) *Dict {
 // NewDict returns an empty dictionary whose entire domain is extension
 // codes; used when a column receives data before any analysis pass.
 func NewDict(kind types.Kind) *Dict {
-	return &Dict{kind: kind, lookup: make(map[types.Value]uint64)}
+	return &Dict{kind: kind, lookup: newCodeMap(kind, 0)}
 }
 
 func (d *Dict) addPartition(sorted []types.Value) {
@@ -148,7 +196,7 @@ func (d *Dict) addPartition(sorted []types.Value) {
 		p.vals = sorted
 	}
 	for i, v := range sorted {
-		d.lookup[v] = d.card + uint64(i)
+		d.lookup.put(v, d.card+uint64(i))
 		d.decoded = append(d.decoded, v)
 	}
 	d.card += uint64(len(sorted))
@@ -198,7 +246,7 @@ func (d *Dict) MemSize() int {
 	for _, v := range d.extension {
 		sz += 16 + len(v.Str())
 	}
-	sz += len(d.lookup) * 24
+	sz += d.lookup.len() * 24
 	return sz
 }
 
@@ -227,7 +275,7 @@ func (d *Dict) ExistingCodes(vals []types.Value, codes []uint64, found []bool) {
 		case v.Kind() != d.kind:
 			codes[k], found[k] = d.coercedLocked(v)
 		default:
-			codes[k], found[k] = d.lookup[v]
+			codes[k], found[k] = d.lookup.get(v)
 		}
 	}
 }
@@ -241,8 +289,7 @@ func (d *Dict) coercedLocked(v types.Value) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	code, ok := d.lookup[cv]
-	return code, ok
+	return d.lookup.get(cv)
 }
 
 // Encode returns v's code, admitting unseen values into the extension
@@ -279,14 +326,45 @@ func (d *Dict) EncodeAll(vals []types.Value, codes []uint64) {
 	}
 }
 
+// EncodeStrings is EncodeAll over a VARCHAR lane: codes[i] is the code of
+// strs[i], or 0 where nulls[i], unseen strings admitted into the extension
+// region. A load encodes a string column's lane through it, looking each
+// string up as it is, with no value boxed. The dictionary's kind must be
+// KindString.
+func (d *Dict) EncodeStrings(strs []string, nulls []bool, codes []uint64) {
+	if d.kind != types.KindString {
+		panic("encoding: Dict.EncodeStrings on a dictionary of " + d.kind.String())
+	}
+	codes, nulls = codes[:len(strs)], nulls[:len(strs)]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i, s := range strs {
+		if nulls[i] {
+			codes[i] = 0
+			continue
+		}
+		code, ok := d.lookup.strs[s]
+		if !ok {
+			code = d.extendLocked(types.NewString(s))
+		}
+		codes[i] = code
+	}
+}
+
 // encodeLocked returns the code of the normalized value cv, appending it
 // to the extension region when it is new. Caller holds mu.
 func (d *Dict) encodeLocked(cv types.Value) uint64 {
-	if code, ok := d.lookup[cv]; ok {
+	if code, ok := d.lookup.get(cv); ok {
 		return code
 	}
+	return d.extendLocked(cv)
+}
+
+// extendLocked admits cv, a normalized value not in the domain, into the
+// extension region and returns its code. Caller holds mu.
+func (d *Dict) extendLocked(cv types.Value) uint64 {
 	code := d.card
-	d.lookup[cv] = code
+	d.lookup.put(cv, code)
 	d.extension = append(d.extension, cv)
 	d.decoded = append(d.decoded, cv)
 	d.card++
@@ -333,13 +411,13 @@ func (d *Dict) Translate(op CmpOp, v types.Value) Predicate {
 	defer d.mu.RUnlock()
 	switch op {
 	case OpEQ:
-		code, ok := d.lookup[cv]
+		code, ok := d.lookup.get(cv)
 		if !ok {
 			return NonePredicate()
 		}
 		return Predicate{Ranges: []CodeRange{{code, code}}}
 	case OpNE:
-		code, ok := d.lookup[cv]
+		code, ok := d.lookup.get(cv)
 		if !ok {
 			return AllPredicate()
 		}

@@ -389,6 +389,38 @@ func TestEncodeAllMatchesEncode(t *testing.T) {
 			t.Errorf("%T: the lane encodes to %v, the values to %v", c.enc, lane, codes)
 		}
 	}
+
+	// A string lane: known values interleaved with unseen ones (one seen
+	// twice), NULL slots holding garbage, one of them a known string. Two
+	// dictionaries built alike must give the same codes through
+	// EncodeStrings as through EncodeAll and end with the same domain.
+	known := []types.Value{types.NewString("b"), types.NewString("d"), types.NewString("a")}
+	strs := []string{"d", "zz", "a", "garbage", "q", "zz", "b", "d", "", "q"}
+	nulls := []bool{false, false, false, true, false, false, true, false, false, false}
+	svals := make([]types.Value, len(strs))
+	for i, s := range strs {
+		svals[i] = types.NewString(s)
+		if nulls[i] {
+			svals[i] = types.NullOf(types.KindString)
+		}
+	}
+	byVals, byLane := BuildDict(types.KindString, known), BuildDict(types.KindString, known)
+	codes, lane := make([]uint64, len(strs)), make([]uint64, len(strs))
+	byVals.EncodeAll(svals, codes)
+	byLane.EncodeStrings(strs, nulls, lane)
+	if !slices.Equal(lane, codes) {
+		t.Errorf("the string lane encodes to %v, the values to %v", lane, codes)
+	}
+	for i, v := range svals {
+		if !v.IsNull() && byLane.Decode(lane[i]) != v {
+			t.Errorf("string %q encodes to %d, which decodes to %v", strs[i], lane[i], byLane.Decode(lane[i]))
+		}
+	}
+	a, errA := MarshalEncoder(byVals)
+	b, errB := MarshalEncoder(byLane)
+	if errA != nil || errB != nil || !slices.Equal(a, b) || byVals.MemSize() != byLane.MemSize() {
+		t.Errorf("the domains differ after the load: %d vs %d bytes (errors %v, %v)", byVals.MemSize(), byLane.MemSize(), errA, errB)
+	}
 }
 
 // TestFloatFORTranslateExactConstant: 0.07·100 is 7.000000000000001 in

@@ -75,7 +75,7 @@ func UnmarshalEncoder(data []byte) (Encoder, error) {
 			scale: snap.Scale,
 		}, nil
 	case 2:
-		d := &Dict{kind: kind, lookup: make(map[types.Value]uint64)}
+		d := &Dict{kind: kind, lookup: newCodeMap(kind, 0)}
 		for _, part := range snap.Parts {
 			d.addPartition(part)
 		}

@@ -200,6 +200,26 @@ func TestInsertRouting(t *testing.T) {
 	})
 }
 
+// TestInsertRefusedRowAppliesNothing: a cluster INSERT is all or nothing
+// against a value the schema refuses. Row 150 of 200 has an id that is not
+// a number; the statement fails, and no shard keeps the rows routed to it.
+func TestInsertRefusedRowAppliesNothing(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.salesCluster(0)
+		rows := make([]types.Row, 200)
+		for i := range rows {
+			rows[i] = types.Row{types.NewInt(int64(i)), types.NewString("north"), types.NewFloat(1)}
+		}
+		rows[150][0] = types.NewString("not a number")
+		if err := c.Insert("sales", rows); err == nil {
+			t.Fatal("an id that is not a number was accepted")
+		}
+		if n, err := c.Rows("sales"); err != nil || n != 0 {
+			t.Fatalf("a refused INSERT left %d rows (err %v)", n, err)
+		}
+	})
+}
+
 func TestFastPathAggregates(t *testing.T) {
 	forEachClient(t, func(t *testing.T, h *harness) {
 		c := h.salesCluster(4000)

@@ -10,7 +10,6 @@ import (
 	"dashdb/internal/columnar"
 	"dashdb/internal/core"
 	"dashdb/internal/shardrpc"
-	"dashdb/internal/types"
 	"dashdb/internal/vec"
 )
 
@@ -134,12 +133,12 @@ func (l *localShards) Exec(_ string, req shardrpc.ExecReq) (*shardrpc.Result, er
 	}, nil
 }
 
-func (l *localShards) Insert(_ string, shardID int, table string, _ uint64, rows []types.Row) error {
+func (l *localShards) Insert(_ string, shardID int, table string, _ uint64, rows *shardrpc.Bucket) error {
 	tbl, err := l.table(shardID, table)
 	if err != nil {
 		return err
 	}
-	return tbl.InsertBatch(rows)
+	return tbl.Append(rows.Batch)
 }
 
 func (l *localShards) RowCount(_ string, shardID int, table string) (int64, error) {

@@ -18,12 +18,15 @@ import (
 	"sync/atomic"
 
 	"dashdb/internal/clusterfs"
+	"dashdb/internal/columnar"
 	"dashdb/internal/core"
+	"dashdb/internal/exec"
 	"dashdb/internal/mem"
 	"dashdb/internal/shardrpc"
 	"dashdb/internal/sql"
 	"dashdb/internal/telemetry"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // NetCluster is the MPP coordinator: catalog, DDL, hash routing, the
@@ -59,7 +62,7 @@ type shardClient interface {
 	Adopt(addr string, req shardrpc.AdoptReq) error
 	Release(addr string, shards []int) error
 	Exec(addr string, req shardrpc.ExecReq) (*shardrpc.Result, error)
-	Insert(addr string, shardID int, table string, token uint64, rows []types.Row) error
+	Insert(addr string, shardID int, table string, token uint64, rows *shardrpc.Bucket) error
 	RowCount(addr string, shardID int, table string) (int64, error)
 	DropShuffle(addr string, query uint64) error
 	Close()
@@ -720,33 +723,50 @@ func (c *NetCluster) tableMeta(name string) (*tableMeta, error) {
 }
 
 // Insert routes rows to shards by distribution-key hash; replicated
-// tables receive every row on every shard. A node death mid-insert
-// triggers failover and a retry that re-sends ONLY the buckets whose
-// shard failed — shards that acknowledged the first attempt have their
-// rows durably applied and must not see them again. For the failed
-// shard itself, the per-statement token lets its adopter (which may
-// have recovered state the dead node persisted just before losing the
-// reply) acknowledge the resend without duplicating the bucket.
+// tables receive every row on every shard. The rows become typed lanes
+// once, before any shard is called, so a value the schema refuses refuses
+// the whole statement and no shard applies a row. Each shard's bucket is
+// the lanes under a selection of its rows (exec.Partition over the
+// distribution lane, already coerced to the column's kind, which is the
+// shard shardOf names). A node death mid-insert triggers failover and a
+// retry that re-sends ONLY the buckets whose shard failed — shards that
+// acknowledged the first attempt have their rows durably applied and must
+// not see them again. For the failed shard itself, the per-statement token
+// lets its adopter (which may have recovered state the dead node persisted
+// just before losing the reply) acknowledge the resend without
+// duplicating the bucket.
 func (c *NetCluster) Insert(table string, rows []types.Row) error {
 	meta, err := c.tableMeta(table)
 	if err != nil {
 		return err
 	}
-	buckets := make([][]types.Row, c.nShards)
+	b, err := columnar.LanesOf(meta.schema, rows)
+	if err != nil || b.N == 0 {
+		return err
+	}
+	buckets := make([]*shardrpc.Bucket, c.nShards)
 	if meta.repl {
-		for i := range buckets {
-			buckets[i] = rows
+		all := shardrpc.NewBucket(b) // one wire block for every shard
+		for s := range buckets {
+			buckets[s] = all
 		}
 	} else {
-		for _, r := range rows {
-			s := c.shardOf(meta, r[meta.distCol])
-			buckets[s] = append(buckets[s], r)
+		key := []*vec.Vector{b.Col(meta.distCol)}
+		sels := make([][]int, c.nShards)
+		for i := range b.N {
+			s := exec.Partition(key, i, c.nShards)
+			sels[s] = append(sels[s], i)
+		}
+		for s, sel := range sels {
+			if len(sel) > 0 {
+				buckets[s] = shardrpc.NewBucket(b.WithSel(sel))
+			}
 		}
 	}
 	token := c.mintID()
 	var loaded []int
-	for s := range buckets {
-		if len(buckets[s]) > 0 {
+	for s, k := range buckets {
+		if k != nil {
 			loaded = append(loaded, s)
 		}
 	}

@@ -425,17 +425,38 @@ func (p *Pool) Exec(addr string, req ExecReq) (*Result, error) {
 	return res, err
 }
 
-// Insert ships pre-routed rows to a shard's table. The token (nonzero)
-// lets a shard that already durably applied this bucket — but whose
-// reply was lost to a node death — acknowledge a coordinator retry
-// without inserting the rows twice.
-func (p *Pool) Insert(addr string, shardID int, table string, token uint64, rows []types.Row) error {
-	block, err := EncodeRowBlock(nil, rows)
+// Bucket is the rows one INSERT sends a shard: a batch whose live rows
+// are the shard's. Its wire block is encoded on the first send and kept,
+// so a replicated table's one bucket, sent to every shard, and a bucket
+// resent after a failover are each encoded once.
+type Bucket struct {
+	Batch *vec.Batch
+
+	once  sync.Once
+	block []byte
+	err   error
+}
+
+// NewBucket returns the bucket of b's live rows.
+func NewBucket(b *vec.Batch) *Bucket { return &Bucket{Batch: b} }
+
+// wire returns the bucket's block, encoding it on the first call.
+func (k *Bucket) wire() ([]byte, error) {
+	k.once.Do(func() { k.block, k.err = vec.AppendBlock(nil, k.Batch) })
+	return k.block, k.err
+}
+
+// Insert ships a pre-routed bucket to a shard's table as one block of
+// typed lanes. The token (nonzero) lets a shard that already durably
+// applied this bucket — but whose reply was lost to a node death —
+// acknowledge a coordinator retry without inserting the rows twice.
+func (p *Pool) Insert(addr string, shardID int, table string, token uint64, rows *Bucket) error {
+	block, err := rows.wire()
 	if err != nil {
 		return err
 	}
 	return p.Do(addr, 1, func(c *Conn) error {
-		hdr, err := c.encode(&InsertHdr{ShardID: shardID, Table: table, NRows: len(rows), Token: token})
+		hdr, err := c.encode(&InsertHdr{ShardID: shardID, Table: table, NRows: rows.Batch.Rows(), Token: token})
 		if err != nil {
 			return err
 		}

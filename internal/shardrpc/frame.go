@@ -141,9 +141,10 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 }
 
 // EncodeRowBlock appends the block of rows to dst: the row adapter over
-// vec.AppendBlock for callers that hold rows (the Spark data server's
-// chunks, the benchmark's wire probe, Pool.Insert). A column whose cells
-// all have one kind takes that kind's lane.
+// vec.AppendBlock, left with two callers that hold rows, the Spark data
+// server's chunks and the benchmark's wire probe (an INSERT reaches
+// Pool.Insert as typed lanes). A column whose cells all have one kind
+// takes that kind's lane.
 func EncodeRowBlock(dst []byte, rows []types.Row) ([]byte, error) {
 	for _, r := range rows {
 		if len(r) != len(rows[0]) {

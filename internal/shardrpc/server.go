@@ -194,7 +194,7 @@ func EnsureTables(db *core.DB, tables []TableSpec) error {
 		if _, ok := db.Table(t.Name); ok {
 			continue
 		}
-		cfg := columnar.Config{Pool: db.Pool(), Store: db.Config().Store}
+		cfg := columnar.Config{Pool: db.Pool(), Store: db.Config().Store, Dop: db.Config().Parallelism}
 		tbl, err := columnar.OpenTable(t.ID, t.Schema, cfg)
 		if err != nil {
 			// No persisted meta yet: a freshly created shard slice.

@@ -58,6 +58,10 @@ func TestFrameRejectsGarbage(t *testing.T) {
 	}
 }
 
+// bucketOf is the bucket of rows as they are, each column a lane where its
+// cells share a kind and boxed cells where they do not.
+func bucketOf(rows []types.Row) *Bucket { return NewBucket(vec.FromRows(nil, rows)) }
+
 func sampleRows() []types.Row {
 	return []types.Row{
 		{types.NewInt(1), types.NewString("north"), types.NewFloat(1.5), types.NewBool(true)},
@@ -380,7 +384,7 @@ func TestServerExecInsertRoundTrip(t *testing.T) {
 		{types.NewInt(1), types.NewString("north"), types.NewFloat(10)},
 		{types.NewInt(2), types.NewString("south"), types.NewFloat(20)},
 	}
-	if err := p.Insert(s.Addr(), 0, "sales", 1, rows); err != nil {
+	if err := p.Insert(s.Addr(), 0, "sales", 1, bucketOf(rows)); err != nil {
 		t.Fatal(err)
 	}
 	n, err := p.RowCount(s.Addr(), 0, "sales")
@@ -431,7 +435,7 @@ func TestAdoptAcrossServers(t *testing.T) {
 		{types.NewInt(1), types.NewString("north"), types.NewFloat(10)},
 		{types.NewInt(2), types.NewString("south"), types.NewFloat(20)},
 	}
-	if err := p.Insert(s1.Addr(), 1, "sales", 2, rows); err != nil {
+	if err := p.Insert(s1.Addr(), 1, "sales", 2, bucketOf(rows)); err != nil {
 		t.Fatal(err)
 	}
 	// "Kill" server 1; a second server over the SAME filesystem adopts
@@ -506,7 +510,7 @@ func TestInsertTokenReplay(t *testing.T) {
 		{types.NewInt(2), types.NewString("south"), types.NewFloat(20)},
 	}
 	for i := 0; i < 3; i++ {
-		if err := p.Insert(s.Addr(), 0, "sales", 77, rows); err != nil {
+		if err := p.Insert(s.Addr(), 0, "sales", 77, bucketOf(rows)); err != nil {
 			t.Fatalf("attempt %d: %v", i, err)
 		}
 	}
@@ -514,7 +518,7 @@ func TestInsertTokenReplay(t *testing.T) {
 		t.Fatalf("replayed insert duplicated rows: n=%d err=%v", n, err)
 	}
 	// Token 0 opts out of dedup.
-	if err := p.Insert(s.Addr(), 0, "sales", 0, rows); err != nil {
+	if err := p.Insert(s.Addr(), 0, "sales", 0, bucketOf(rows)); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := p.RowCount(s.Addr(), 0, "sales"); n != 4 {
@@ -542,7 +546,7 @@ func TestInsertTokenReplay(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Insert(s2.Addr(), 0, "sales", 77, rows); err != nil {
+	if err := p.Insert(s2.Addr(), 0, "sales", 77, bucketOf(rows)); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := p.RowCount(s2.Addr(), 0, "sales"); err != nil || n != 4 {
@@ -562,7 +566,7 @@ func TestInsertReplaySkipsDecode(t *testing.T) {
 		{types.NewInt(1), types.NewString("north"), types.NewFloat(10)},
 		{types.NewInt(2), types.NewString("south"), types.NewFloat(20)},
 	}
-	if err := p.Insert(s.Addr(), 0, "sales", 41, rows); err != nil {
+	if err := p.Insert(s.Addr(), 0, "sales", 41, bucketOf(rows)); err != nil {
 		t.Fatal(err)
 	}
 	block, err := EncodeRowBlock(nil, rows)
@@ -589,9 +593,9 @@ func TestExecTokenReplay(t *testing.T) {
 	s := startTestServer(t, fs)
 	p := NewPool("coord")
 	defer p.Close()
-	if err := p.Insert(s.Addr(), 0, "sales", 5, []types.Row{
+	if err := p.Insert(s.Addr(), 0, "sales", 5, bucketOf([]types.Row{
 		{types.NewInt(1), types.NewString("north"), types.NewFloat(10)},
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	upd, err := sql.Parse("UPDATE sales SET amount = amount + 1 WHERE id = 1", sql.DialectANSI)
@@ -649,10 +653,10 @@ func TestExecPersistsOnlyTargetTable(t *testing.T) {
 	if err := s.Adopt(AdoptReq{Shards: []ShardAssign{shard0}, Tables: tables}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Insert(s.Addr(), 0, "sales", 0, []types.Row{{types.NewInt(1), types.NewString("north"), types.NewFloat(10)}}); err != nil {
+	if err := p.Insert(s.Addr(), 0, "sales", 0, bucketOf([]types.Row{{types.NewInt(1), types.NewString("north"), types.NewFloat(10)}})); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Insert(s.Addr(), 0, "audit", 0, []types.Row{{types.NewInt(7)}}); err != nil {
+	if err := p.Insert(s.Addr(), 0, "audit", 0, bucketOf([]types.Row{{types.NewInt(7)}})); err != nil {
 		t.Fatal(err)
 	}
 	upd, err := sql.Parse("UPDATE sales SET amount = amount + 1 WHERE id = 1", sql.DialectANSI)
@@ -741,7 +745,7 @@ func TestExecShuffleExchange(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		rows = append(rows, types.Row{types.NewInt(int64(i)), types.NewString("r"), types.NewFloat(float64(i % 97))})
 	}
-	if err := p.Insert(s.Addr(), 0, "sales", 0, rows); err != nil {
+	if err := p.Insert(s.Addr(), 0, "sales", 0, bucketOf(rows)); err != nil {
 		t.Fatal(err)
 	}
 	scan, _ := sql.Parse("SELECT * FROM sales", sql.DialectANSI)

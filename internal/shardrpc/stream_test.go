@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dashdb/internal/clusterfs"
+	"dashdb/internal/columnar"
 	"dashdb/internal/sql"
 	"dashdb/internal/types"
 )
@@ -37,7 +38,7 @@ func TestConnStreamCarriesEveryMessage(t *testing.T) {
 	s := startTestServer(t, fs)
 	seed := NewPool("seed")
 	defer seed.Close()
-	if err := seed.Insert(s.Addr(), 0, "sales", 0, []types.Row{{types.NewInt(1), types.NewString("north"), types.NewFloat(10)}}); err != nil {
+	if err := seed.Insert(s.Addr(), 0, "sales", 0, bucketOf([]types.Row{{types.NewInt(1), types.NewString("north"), types.NewFloat(10)}})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,7 +92,7 @@ func TestConnStreamCarriesEveryMessage(t *testing.T) {
 	if err != nil || len(read.Rows()) != 1 || read.Rows()[0][0].Float() != 110 || read.Stats == nil {
 		t.Fatalf("shuffle input: %+v, err %v", read, err)
 	}
-	if err := p.Insert(s.Addr(), 1, "sales", 77, []types.Row{{types.NewInt(2), types.Null, types.NewFloat(1)}}); err != nil {
+	if err := p.Insert(s.Addr(), 1, "sales", 77, bucketOf([]types.Row{{types.NewInt(2), types.Null, types.NewFloat(1)}})); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := p.RowCount(s.Addr(), 1, "sales"); err != nil || n != 1 {
@@ -253,7 +254,7 @@ func TestPoolConcurrentStreams(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				row := types.Row{types.NewInt(int64(w*rounds + r)), types.NewString(fmt.Sprint("w", w)), types.NewFloat(1)}
-				if err := p.Insert(s.Addr(), w%2, "sales", 0, []types.Row{row}); err != nil {
+				if err := p.Insert(s.Addr(), w%2, "sales", 0, bucketOf([]types.Row{row})); err != nil {
 					errs <- err
 					return
 				}
@@ -328,7 +329,7 @@ func BenchmarkExecRoundTrip(b *testing.B) {
 	for i := 0; i < 1000; i++ {
 		rows = append(rows, types.Row{types.NewInt(int64(i)), types.NewString("r"), types.NewFloat(float64(i))})
 	}
-	if err := p.Insert(s.Addr(), 0, "sales", 0, rows); err != nil {
+	if err := p.Insert(s.Addr(), 0, "sales", 0, bucketOf(rows)); err != nil {
 		b.Fatal(err)
 	}
 	req := ExecReq{ShardID: 0, Stmt: mustParse(b, "SELECT id, amount FROM sales WHERE id = 417"), WithStats: true}
@@ -343,8 +344,9 @@ func BenchmarkExecRoundTrip(b *testing.B) {
 }
 
 // BenchmarkShardInsert times Pool.Insert of one bucket of a 50 000-row
-// INSERT spread over 6 shards (8 333 rows) into a loopback server: block
-// encode, frame, decode, the table's append and SaveMeta. The table is
+// INSERT spread over 6 shards (8 333 rows) into a loopback server, sent as
+// the coordinator sends it, typed lanes: block encode, frame, decode, the
+// table's append and SaveMeta. The table is
 // truncated between iterations, off the clock, so every insert lands in
 // an empty table and chooses its encodings, as a load's first bucket does.
 func BenchmarkShardInsert(b *testing.B) {
@@ -365,10 +367,14 @@ func BenchmarkShardInsert(b *testing.B) {
 		b.Fatal(err)
 	}
 	tbl, _ := slot.db.Table("sales")
+	lanes, err := columnar.LanesOf(tbl.Schema(), rows)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := p.Insert(s.Addr(), 0, "sales", 0, rows); err != nil {
+		if err := p.Insert(s.Addr(), 0, "sales", 0, NewBucket(lanes)); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()

@@ -1,6 +1,9 @@
 package synopsis
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // sketchRegisters is the HyperLogLog register count (m). 64 registers cost
 // 64 bytes per column — noise next to the min/max entries — and keep the
@@ -32,11 +35,7 @@ func (s *Sketch) AddCode(code uint64) {
 	idx := h & (sketchRegisters - 1)
 	// Rank of the first set bit in the remaining hash bits (1-based).
 	rest := h>>6 | 1<<58 // sentinel so rank is bounded
-	rank := uint8(1)
-	for rest&1 == 0 {
-		rank++
-		rest >>= 1
-	}
+	rank := uint8(bits.TrailingZeros64(rest) + 1)
 	if rank > s.reg[idx] {
 		s.reg[idx] = rank
 	}

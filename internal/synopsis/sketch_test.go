@@ -72,4 +72,22 @@ func TestColumnObserveAndCopy(t *testing.T) {
 	if after := c.SketchCopy().Estimate(); after != base {
 		t.Fatalf("mutating a copy changed the column sketch: %.1f != %.1f", after, base)
 	}
+	// Observe over runs of one code, NULLs inside the runs, leaves the
+	// registers that AddCode of every non-NULL code leaves.
+	var runs Column
+	var want Sketch
+	codes = codes[:0]
+	for i := 0; i < 3000; i++ {
+		codes = append(codes, uint64(i/7))
+	}
+	isNull := func(i int) bool { return i%5 == 3 }
+	runs.Observe(codes, isNull)
+	for i, code := range codes {
+		if !isNull(i) {
+			want.AddCode(code)
+		}
+	}
+	if runs.SketchCopy() != want {
+		t.Fatal("Observe over runs left other registers than AddCode of every code")
+	}
 }

@@ -60,11 +60,13 @@ func (c *Column) MemSize() int { return len(c.entries)*24 + 24 + sketchRegisters
 // Called alongside Set at seal time; NULL positions are skipped (NULL
 // never joins, so it does not count as a key value).
 func (c *Column) Observe(codes []uint64, isNull func(i int) bool) {
+	prev, seen := uint64(0), false
 	for i, code := range codes {
-		if isNull != nil && isNull(i) {
-			continue
+		if isNull != nil && isNull(i) || seen && code == prev {
+			continue // a repeated code cannot raise a register
 		}
 		c.sketch.AddCode(code)
+		prev, seen = code, true
 	}
 }
 

@@ -5,7 +5,8 @@
 # target (SQL front end totality, encoder round-trip identity, every
 # encoder's typed stride decode vs the boxed per-cell oracle, bulk-append
 # atomicity under racing truncates, one table image whether rows arrive as
-# rows, typed lanes or wire blocks, the shard wire's frame, batch block and
+# rows, typed lanes or wire blocks and into tables at dop 1, 2 or 8, the
+# shard wire's frame, batch block and
 # gob stream decoding, every
 # expression node's EvalVec vs the row-at-a-time oracle in
 # internal/exec/oracle_test.go on generated trees and batches, the sort's
@@ -59,9 +60,11 @@ DASHDB_SORTHEAP=1MB DASHDB_HASHHEAP=64KB go test -race -count=1 ./internal/core/
 
 # Writers-active gate: the snapshot-isolation property suites — trickle
 # INSERTs, bulk flushes, TRUNCATE and DROP racing the full query mix at
-# dop 1/2/8 — re-run under the race detector.
+# dop 1/2/8 — re-run under the race detector, with the append parity test,
+# whose tables at dop 2 and 8 encode and seal a column per worker. Same
+# list as .github/workflows/ci.yml.
 go test -race -count=1 \
-	-run 'TestSnapshot|TestPin|TestCleanup|TestDrainOrder|TestReleaseIsExact|TestConcurrentPinPublish|TestTruncateDrains|TestConcurrentIngest|TestTruncateRacing|TestDropRacing|TestMultiRowInsert|TestBulk|TestUpdate|TestChange' \
+	-run 'TestSnapshot|TestPin|TestCleanup|TestDrainOrder|TestReleaseIsExact|TestConcurrentPinPublish|TestTruncateDrains|TestConcurrentIngest|TestTruncateRacing|TestDropRacing|TestMultiRowInsert|TestBulk|TestUpdate|TestChange|TestAppendLanesMatchRows' \
 	./internal/snapshot/ ./internal/columnar/ ./internal/core/ ./. ./driver/
 
 if [ "${DASHDB_FUZZ:-0}" = "1" ]; then
