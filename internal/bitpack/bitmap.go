@@ -14,13 +14,6 @@ func NewBitmap(n int) *Bitmap {
 	return &Bitmap{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// NewBitmapFull returns an all-one bitmap of length n.
-func NewBitmapFull(n int) *Bitmap {
-	b := NewBitmap(n)
-	b.SetAll()
-	return b
-}
-
 // Len returns the bitmap length in bits.
 func (b *Bitmap) Len() int { return b.n }
 
@@ -53,15 +46,6 @@ func (b *Bitmap) Clear(i int) { b.words[i/64] &^= 1 << (uint(i) % 64) }
 
 // Get reports whether bit i is set.
 func (b *Bitmap) Get(i int) bool { return b.words[i/64]&(1<<(uint(i)%64)) != 0 }
-
-// Count returns the number of set bits.
-func (b *Bitmap) Count() int {
-	c := 0
-	for _, w := range b.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
 
 // Any reports whether at least one bit is set.
 func (b *Bitmap) Any() bool {

@@ -1,6 +1,7 @@
 package bitpack
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -458,4 +459,20 @@ func BenchmarkCompareRange(b *testing.B) {
 			})
 		}
 	}
+}
+
+// NewBitmapFull returns an all-one bitmap of length n.
+func NewBitmapFull(n int) *Bitmap {
+	b := NewBitmap(n)
+	b.SetAll()
+	return b
+}
+
+// Count returns the number of set bits.
+func (b *Bitmap) Count() int {
+	c := 0
+	for _, w := range b.words {
+		c += bits.OnesCount64(w)
+	}
+	return c
 }

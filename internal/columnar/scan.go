@@ -22,16 +22,17 @@ type Pred struct {
 
 // Batch is one stride's worth of selected tuples handed to the scan
 // callback. A batch references only the scan's pinned epoch state, so it
-// stays consistent no matter what writers commit meanwhile; it is valid
-// for the lifetime of the snapshot it was scanned under.
+// stays consistent no matter what writers commit meanwhile. It is valid
+// only during the callback: each scan worker delivers every stride through
+// one batch and one set of selection buffers, which the next stride
+// reuses. A callback that keeps data must copy it out (Row and VectorsEnc
+// return copies).
 //
 // Concurrency invariant: a Batch is confined to a single goroutine. Value
 // populates the batch's private pages map lazily and without locking, so
 // sharing one batch across goroutines would race. Scan gives every worker
-// its own batches (each with its own page map, so buffer-pool loads don't
-// serialize on shared mutable state). Callbacks that want to keep data
-// past the callback must copy values out (Row and VectorsEnc materialize
-// copies).
+// its own batch (with its own page map, so buffer-pool loads don't
+// serialize on shared mutable state).
 type Batch struct {
 	t      *Table
 	st     *tableState
@@ -45,6 +46,47 @@ type Batch struct {
 // newBatch returns an empty batch over stride s of st.
 func newBatch(t *Table, st *tableState, s, preds int) *Batch {
 	return &Batch{t: t, st: st, stride: s, base: s * page.StrideSize, pages: make(map[int]*page.Page, preds)}
+}
+
+// scanScratch is one scan worker's selection state, reused from stride to
+// stride: the batch it delivers, the selection and match bitmaps, the
+// candidates of a residual range, the selected offsets and the code ranges
+// of an open-stride conjunct. A worker takes one from scratchPool at its
+// first stride not skipped and puts it back when it stops.
+type scanScratch struct {
+	b                Batch
+	sel, match, cand *bitpack.Bitmap
+	offs             []int
+	ranges           [][2]uint64
+}
+
+// scratchPool recycles scratch from scan to scan, so a scan that visits
+// one stride, a point query's, allocates none either.
+var scratchPool = sync.Pool{New: func() any {
+	return &scanScratch{
+		b:     Batch{pages: make(map[int]*page.Page)},
+		sel:   bitpack.NewBitmap(page.StrideSize),
+		match: bitpack.NewBitmap(page.StrideSize),
+		cand:  bitpack.NewBitmap(page.StrideSize),
+		offs:  make([]int, 0, page.StrideSize),
+	}
+}}
+
+// batch readies the scratch batch for stride s of st: no pages loaded, no
+// dictionary snapshot taken, nothing selected.
+func (sc *scanScratch) batch(t *Table, st *tableState, s int) *Batch {
+	b := &sc.b
+	clear(b.pages)
+	clear(b.doms)
+	b.t, b.st, b.stride, b.base, b.sel = t, st, s, s*page.StrideSize, nil
+	return b
+}
+
+// put returns the scratch to the pool, holding no table, page or
+// dictionary.
+func (sc *scanScratch) put() {
+	sc.batch(nil, nil, 0)
+	scratchPool.Put(sc)
 }
 
 // Len returns the number of selected tuples.
@@ -121,8 +163,9 @@ type encPredicates []encoding.Predicate
 // per-worker state without locking, one worker never runs fn
 // concurrently with itself, and batches arrive in ascending stride order
 // within a worker but in no particular order across workers. Every Batch
-// is confined to the worker that delivered it and must not outlive the
-// snapshot.
+// is confined to the worker that delivered it and is valid only during
+// the callback: the worker delivers its next stride through the same
+// batch.
 //
 // fn returning false stops the scan; other workers stop at their next
 // morsel boundary. ss, when not nil, receives each worker's stride
@@ -190,12 +233,26 @@ func (r *scanRun) work(worker int) {
 func (r *scanRun) drain(worker int) (err error) {
 	defer recoverScanPanic(&err)
 	sh := r.ss.Shard(worker)
+	var sc *scanScratch // taken at the first stride not skipped
+	defer func() {
+		if sc != nil {
+			sc.put()
+		}
+	}()
 	for !r.stop.Load() {
 		m := int(r.next.Add(1)) - 1
 		if m >= r.morsels {
 			return nil
 		}
-		b, err := r.st.visit(r.t, m, r.preds, r.trans, sh)
+		if r.st.skipStride(m, r.preds, r.trans) {
+			r.t.stats.stridesSkipped.Add(1)
+			sh.Skip()
+			continue
+		}
+		if sc == nil {
+			sc = scratchPool.Get().(*scanScratch)
+		}
+		b, err := r.st.visit(r.t, m, r.preds, r.trans, sh, sc)
 		if err != nil {
 			return err
 		}
@@ -252,24 +309,19 @@ func (st *tableState) skipStride(s int, preds []Pred, trans encPredicates) bool 
 	return false
 }
 
-// visit scans stride s for Scan: data skipping over the
-// synopsis, then the conjunction in code space. It counts the skip or the
-// visit and the delivered rows into t's counters and sh, and returns the
-// selected tuples, or nil when the stride was skipped or nothing matched.
-func (st *tableState) visit(t *Table, s int, preds []Pred, trans encPredicates, sh *telemetry.ScanShard) (*Batch, error) {
-	if st.skipStride(s, preds, trans) {
-		t.stats.stridesSkipped.Add(1)
-		sh.Skip()
-		return nil, nil
-	}
+// visit selects from stride s for Scan, which has already found that the
+// synopsis cannot skip it: the conjunction in code space, into sc. It
+// counts the visit and the delivered rows into t's counters and sh, and
+// returns sc's batch, or nil when nothing matched.
+func (st *tableState) visit(t *Table, s int, preds []Pred, trans encPredicates, sh *telemetry.ScanShard, sc *scanScratch) (*Batch, error) {
 	t.stats.stridesVisited.Add(1)
 	sh.Visit()
-	b := newBatch(t, st, s, len(preds))
+	b := sc.batch(t, st, s)
 	var err error
 	if b.open() {
-		b.sel = b.selectOpen(preds, trans)
+		b.sel = b.selectOpen(preds, trans, sc)
 	} else {
-		b.sel, err = b.selectSealed(preds, trans)
+		b.sel, err = b.selectSealed(preds, trans, sc)
 	}
 	if err != nil || b.Len() == 0 {
 		return nil, err
@@ -280,12 +332,13 @@ func (st *tableState) visit(t *Table, s int, preds []Pred, trans encPredicates, 
 
 // selectSealed evaluates the conjunction over a sealed stride with the
 // SWAR kernels over its packed pages, returning the selected offsets with
-// tombstones cleared a word at a time.
+// tombstones cleared a word at a time. The bitmaps and the offsets are
+// sc's.
 //
 //dashdb:hotpath
-func (b *Batch) selectSealed(preds []Pred, translated encPredicates) ([]int, error) {
-	sel := bitpack.NewBitmapFull(page.StrideSize)
-	var match *bitpack.Bitmap
+func (b *Batch) selectSealed(preds []Pred, translated encPredicates, sc *scanScratch) ([]int, error) {
+	sel, match := sc.sel, sc.match
+	sel.SetAll()
 	for i, p := range preds {
 		pg, ok := b.pages[p.Col]
 		if !ok {
@@ -297,12 +350,8 @@ func (b *Batch) selectSealed(preds []Pred, translated encPredicates) ([]int, err
 			b.pages[p.Col] = pg
 			b.t.stats.pagesRead.Add(1)
 		}
-		if match == nil {
-			match = bitpack.NewBitmap(page.StrideSize)
-		} else {
-			match.Reset()
-		}
-		applyPredicate(pg, b.st.cols[p.Col].enc, translated[i], p, match)
+		match.Reset()
+		applyPredicate(pg, b.st.cols[p.Col].enc, translated[i], p, match, sc.cand)
 		// Comparison predicates never match NULL.
 		match.AndNot(pg.Nulls)
 		sel.And(match)
@@ -312,16 +361,17 @@ func (b *Batch) selectSealed(preds []Pred, translated encPredicates) ([]int, err
 	}
 	b.t.stats.rowsScanned.Add(page.StrideSize)
 	sel.AndNotAt(b.st.deleted, b.base) // a stride base is word-aligned
-	selIdx := make([]int, 0, sel.Count())
-	sel.ForEach(func(off int) { selIdx = append(selIdx, off) })
-	return selIdx, nil
+	offs := sc.offs[:0]
+	sel.ForEach(func(off int) { offs = append(offs, off) })
+	return offs, nil
 }
 
 // applyPredicate ORs matching positions into match: SWAR range kernels for
-// exact ranges, decode-and-recheck for residual ranges.
+// exact ranges, decode-and-recheck for residual ranges, whose candidates
+// are gathered in cand, a stride-long scratch bitmap.
 //
 //dashdb:hotpath
-func applyPredicate(pg *page.Page, enc encoding.Encoder, tp encoding.Predicate, p Pred, match *bitpack.Bitmap) {
+func applyPredicate(pg *page.Page, enc encoding.Encoder, tp encoding.Predicate, p Pred, match, cand *bitpack.Bitmap) {
 	if tp.All {
 		match.SetAll()
 		return
@@ -345,7 +395,7 @@ func applyPredicate(pg *page.Page, enc encoding.Encoder, tp encoding.Predicate, 
 		if hi > maxCode {
 			hi = maxCode
 		}
-		cand := bitpack.NewBitmap(pg.Rows())
+		cand.Reset()
 		pg.Codes.CompareRange(lo, hi, cand)
 		cand.ForEach(func(off int) {
 			if !pg.Nulls.Get(off) && p.Op.Eval(enc.Decode(pg.Codes.Get(off)), p.Val) {
@@ -357,10 +407,11 @@ func applyPredicate(pg *page.Page, enc encoding.Encoder, tp encoding.Predicate, 
 
 // selectOpen evaluates the conjunction over the open stride's codes, with
 // the same translated predicates as a sealed stride: the selection starts
-// as the stride's live rows and every conjunct narrows it.
-func (b *Batch) selectOpen(preds []Pred, translated encPredicates) []int {
+// as the stride's live rows, in sc's offsets, and every conjunct narrows
+// it.
+func (b *Batch) selectOpen(preds []Pred, translated encPredicates, sc *scanScratch) []int {
 	n := b.st.openLen()
-	sel := make([]int, 0, n)
+	sel := sc.offs[:0]
 	for off := 0; off < n; off++ {
 		if !b.st.deleted.Get(b.base + off) {
 			sel = append(sel, off)
@@ -372,7 +423,7 @@ func (b *Batch) selectOpen(preds []Pred, translated encPredicates) []int {
 		if d, ok := c.enc.(*encoding.Dict); ok && len(translated[i].Residual) > 0 {
 			dom = d.Snapshot() // one dictionary lock per conjunct, not one per residual row
 		}
-		sel = selectCodes(c.openCodes, c.openNulls, dom, translated[i], p, sel)
+		sel = selectCodes(c.openCodes, c.openNulls, dom, translated[i], p, sel, &sc.ranges)
 	}
 	b.t.stats.rowsScanned.Add(uint64(n))
 	return sel
@@ -383,10 +434,11 @@ func (b *Batch) selectOpen(preds []Pred, translated encPredicates) []int {
 // space, and a code in a residual range is decoded through dom and
 // rechecked against p, as applyPredicate does on a page. Only a
 // dictionary's extension is residual, so dom is that dictionary's
-// Snapshot (nil when tp has no residual ranges).
+// Snapshot (nil when tp has no residual ranges). The ranges are gathered
+// in *scratch, grown as needed.
 //
 //dashdb:hotpath
-func selectCodes(codes []uint64, nulls []bool, dom []types.Value, tp encoding.Predicate, p Pred, sel []int) []int {
+func selectCodes(codes []uint64, nulls []bool, dom []types.Value, tp encoding.Predicate, p Pred, sel []int, scratch *[][2]uint64) []int {
 	live := sel[:0]
 	for _, off := range sel {
 		if !nulls[off] {
@@ -396,7 +448,7 @@ func selectCodes(codes []uint64, nulls []bool, dom []types.Value, tp encoding.Pr
 	if tp.All {
 		return live
 	}
-	ranges := make([][2]uint64, 0, len(tp.Ranges)+len(tp.Residual))
+	ranges := (*scratch)[:0]
 	for _, r := range tp.Ranges {
 		ranges = append(ranges, [2]uint64{r.Lo, r.Hi})
 	}
@@ -404,6 +456,7 @@ func selectCodes(codes []uint64, nulls []bool, dom []types.Value, tp encoding.Pr
 	for _, r := range tp.Residual {
 		ranges = append(ranges, [2]uint64{r.Lo, r.Hi})
 	}
+	*scratch = ranges
 	live = bitpack.SelectCodesInRanges(codes, ranges, nil, live, live[:0])
 	if exact == len(ranges) {
 		return live

@@ -15,7 +15,11 @@ import (
 // tight decode loop over the selected offsets, instead of the per-row
 // Value calls Row performs. projection lists the table-schema ordinals to
 // produce (nil = all columns). Like Row, the returned vectors are copies
-// and stay valid after the scan callback returns.
+// and stay valid after the scan callback returns. Their payloads come from
+// vec's pools (vec.NewPooled): a caller that wraps them in a batch may mark
+// it owned (vec.Batch.Own), so the consumer that copies it out returns
+// them (vec.Batch.Release); vectors nobody releases are garbage, as any
+// allocation is.
 //
 // encoded gives per-output-position control over compressed emission: when
 // encoded[j] is true the j'th output column is delivered as a code-carrying
@@ -49,13 +53,13 @@ func (b *Batch) vector(ci int, wantCodes bool) *vec.Vector {
 	kind := b.t.schema[ci].Kind
 	enc := b.st.cols[ci].enc
 	if d, ok := enc.(*encoding.Dict); ok && wantCodes {
-		v := vec.NewCodes(kind, len(b.sel), d)
-		_, v.Nulls = b.gather(ci, v.Codes)
+		v := vec.NewPooledCodes(kind, len(b.sel), d)
+		v.Codes, v.Nulls = b.gather(ci, v.Codes)
 		return v
 	}
 	// A column the planner thought dictionary-encoded may have been
 	// re-encoded since (e.g. truncate + reload): it is decoded instead.
-	v := vec.New(kind, len(b.sel))
+	v := vec.NewPooled(kind, len(b.sel))
 	buf := codeScratch.Get().(*[page.StrideSize]uint64)
 	codes, nulls := b.gather(ci, buf[:0])
 	v.Nulls = nulls

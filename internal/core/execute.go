@@ -119,6 +119,7 @@ func (s *Session) executeSelect(stmt *sql.SelectStmt, text string, emit func(*ve
 	if emit == nil {
 		emit = func(b *vec.Batch) error {
 			rows = b.AppendRows(rows)
+			b.Release() // the rows are copies
 			return nil
 		}
 	}
@@ -288,6 +289,7 @@ func (s *Session) change(tbl *columnar.Table, where sql.Expr, set func(vb *vec.B
 	return tbl.Change(func(snap *columnar.Snapshot) (del []int64, add []types.Row, err error) {
 		scanErr := snap.Scan(preds, 1, nil, func(_ int, b *columnar.Batch) bool {
 			vb := vec.NewBatch(tbl.Schema(), b.VectorsEnc(nil, nil), b.Len())
+			vb.Own()
 			if residual != nil {
 				var pv *vec.Vector
 				if pv, err = residual.EvalVec(vb); err != nil {
@@ -301,6 +303,7 @@ func (s *Session) change(tbl *columnar.Table, where sql.Expr, set func(vb *vec.B
 			if set != nil && vb.Rows() > 0 {
 				add, err = set(vb, add)
 			}
+			vb.Release() // del and add hold copies
 			return err == nil
 		})
 		if err == nil {

@@ -320,6 +320,7 @@ func (g *GroupByOp) consume(stop *atomic.Bool) (t *groupTable, err error) {
 		if err := t.ingest(keyVecs, argVecs, arg2Vecs, vb.Sel, vb.Rows()); err != nil {
 			return t, err
 		}
+		vb.Release() // the table holds copies of all it needs
 	}
 	return t, nil
 }

@@ -72,7 +72,8 @@ type ShuffleWriter struct {
 
 // Write routes the live rows of b. Its column vectors are materialized
 // and, on a row-built batch, made once here, so the views that reach
-// readers running at once share them without writing to them.
+// readers running at once share them without writing to them. The views
+// are held past the call, so b is disowned.
 func (w *ShuffleWriter) Write(b *vec.Batch) error {
 	if w.Parts <= 0 {
 		return fmt.Errorf("exec: shuffle writer with %d partitions", w.Parts)
@@ -80,6 +81,7 @@ func (w *ShuffleWriter) Write(b *vec.Batch) error {
 	if w.pending == nil {
 		w.pending, w.rows = make([][]*vec.Batch, w.Parts), make([]int, w.Parts)
 	}
+	b.Disown()
 	b.Decode()
 	keys := make([]*vec.Vector, len(w.Keys))
 	for k, c := range w.Keys {

@@ -38,11 +38,27 @@ const ChunkSize = 1024
 // Sel and keep it past the next Next call — a producer builds a fresh batch
 // for every Next and never rewrites a batch or vector it has handed out, so
 // the shard server frames several batches at once and a nickname holds the
-// batches it fetched. Rows taken out of a batch
-// (Batch.Row, Batch.AppendRows) belong to whoever took them — a producer
-// never rewrites a row it has handed out, so Drain, buffering operators
-// and clients retain rows without deep-copying — and are read-only, since
-// a row-built batch hands out the producer's own rows.
+// batches it fetched. A batch that ScanOp decodes, or that SortOp,
+// GroupByOp or HashJoinOp gathers, is also owned (vec.Batch.Own): its
+// vectors' payloads come from vec's pools, and whoever ends up with the
+// batch decides what happens to them. A pass-through operator moves it to
+// its output: FilterOp narrows Sel in place and releases a batch it drops
+// whole, ProjectOp's output adopts its input, and LimitOp and StatsOp hand
+// it on as it came. A consumer that has copied out everything it keeps
+// calls Release, which returns the payloads for the next scan to fill:
+// GroupByOp after ingesting a batch, SortOp after buffering it, HashJoinOp
+// after filing a build batch and after gathering a probe batch's last
+// chunk, Drain and the session's result after boxing its rows, an UPDATE
+// or DELETE after taking its row ids and new rows, and the shard server
+// after framing a block. Any other holder disowns what it keeps
+// (vec.Batch.Disown): BatchesOp, the ShuffleWriter and the in-process
+// shards. A batch nobody releases is garbage, as any allocation is; a read
+// of a released batch panics.
+// Rows taken out of a batch (Batch.Row, Batch.AppendRows) belong to
+// whoever took them — a producer never rewrites a row it has handed out,
+// so Drain, buffering operators and clients retain rows without
+// deep-copying — and are read-only, since a row-built batch hands out the
+// producer's own rows.
 type Operator interface {
 	Schema() types.Schema
 	Open() error
@@ -72,6 +88,7 @@ func Drain(op Operator) ([]types.Row, error) {
 	var out []types.Row
 	err := Stream(op, func(b *vec.Batch) error {
 		out = b.AppendRows(out)
+		b.Release()
 		return nil
 	})
 	if err != nil {
@@ -138,8 +155,9 @@ func NewValues(sch types.Schema, rows []types.Row) *BatchesOp {
 
 // BatchesOp is the one leaf over data a statement already holds: literal
 // rows, a CTE's output, a nickname's scan, the coordinator's pulls and a
-// shard's shuffle partitions. It hands out a copy of each batch, so a
-// parent that narrows Sel leaves the data as it was for the next reader.
+// shard's shuffle partitions. It hands out an unowned copy of each batch,
+// so a parent that narrows Sel leaves the data as it was for the next
+// reader, and a consumer's Release leaves it in place.
 type BatchesOp struct {
 	Sch  types.Schema
 	Data []*vec.Batch
@@ -151,11 +169,13 @@ type BatchesOp struct {
 	next    int
 }
 
-// NewBatches creates a BatchesOp over batches of sch's width. Every column
+// NewBatches creates a BatchesOp over batches of sch's width. It keeps
+// them, so it disowns them: no reader releases their payloads. Every column
 // of a row-built batch gets its view now, so readers running at once share
 // the batch without writing to it.
 func NewBatches(sch types.Schema, batches []*vec.Batch) *BatchesOp {
 	for _, b := range batches {
+		b.Disown()
 		for j := 0; j < b.NumCols(); j++ {
 			b.Col(j)
 		}
@@ -198,7 +218,8 @@ func (o *BatchesOp) Close() error { return nil }
 
 // FilterOp drops rows whose predicate does not evaluate to TRUE
 // (three-valued logic: NULL and false both drop the row) by narrowing the
-// batch's selection vector — no row is copied or moved.
+// batch's selection vector in place — no row is copied or moved — and
+// releases a batch of which it keeps no row.
 type FilterOp struct {
 	Child Operator
 	Pred  Expr
@@ -238,6 +259,7 @@ func (f *FilterOp) Next() (*vec.Batch, error) {
 			sel = SelTrue(pv, vb.Idx())
 		}
 		if len(sel) == 0 {
+			vb.Release()
 			continue
 		}
 		vb.Sel = sel
@@ -249,7 +271,9 @@ func (f *FilterOp) Next() (*vec.Batch, error) {
 func (f *FilterOp) Close() error { return f.Child.Close() }
 
 // ProjectOp evaluates output expressions one column at a time over the
-// whole batch, preserving the child's selection vector.
+// whole batch, preserving the child's selection vector. Its output adopts
+// the input batch (vec.Batch.Adopt), so releasing the output returns the
+// input's payloads, the columns it dropped included.
 type ProjectOp struct {
 	Child Operator
 	Exprs []Expr
@@ -295,6 +319,7 @@ func (p *ProjectOp) Next() (*vec.Batch, error) {
 	}
 	out := vec.NewBatch(p.Out, cols, vb.N)
 	out.Sel = vb.Sel
+	out.Adopt(vb)
 	return out, nil
 }
 

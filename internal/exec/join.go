@@ -203,10 +203,8 @@ func (j *HashJoinOp) fill(next func() (*vec.Batch, error)) error {
 			// build's kind: keys of two kinds meet as canonical bytes.
 			raw := make([]*vec.Vector, len(j.RightKeys))
 			for k, c := range j.RightKeys {
-				if raw[k] = vb.Col(c); raw[k].Encoded() && raw[k].Kind != j.Left.Schema()[j.LeftKeys[k]].Kind {
-					d := *raw[k]
-					d.Materialize()
-					raw[k] = &d
+				if raw[k] = vb.Col(c); raw[k].Kind != j.Left.Schema()[j.LeftKeys[k]].Kind {
+					raw[k] = raw[k].Decoded()
 				}
 			}
 			j.shape = adoptKeys(raw)
@@ -215,6 +213,7 @@ func (j *HashJoinOp) fill(next func() (*vec.Batch, error)) error {
 		if err := j.ingest(vb); err != nil {
 			return err
 		}
+		vb.Release() // the buffers hold copies of the build rows
 	}
 }
 
@@ -411,6 +410,11 @@ func (j *HashJoinOp) Next() (*vec.Batch, error) {
 		if out, err := j.emit(); err != nil || out != nil {
 			return out, err
 		}
+		if j.cur != nil {
+			// Its last chunk is gathered: every output holds copies.
+			j.cur.Release()
+			j.cur = nil
+		}
 		vb, err := j.nextProbe()
 		if err != nil || vb == nil {
 			return nil, err
@@ -571,7 +575,7 @@ func (j *HashJoinOp) pairs() {
 // emit is the join's materialization point: the cursor's next chunk of
 // pairs gathered into typed vectors — probe columns by probe position, build
 // columns by build row, typed NULL build cells on a pad — and narrowed to
-// what the residual keeps. nil when no pair is left.
+// what the residual keeps, an owned batch. nil when no pair is left.
 //
 //dashdb:hotpath
 func (j *HashJoinOp) emit() (*vec.Batch, error) {
@@ -608,12 +612,14 @@ func (j *HashJoinOp) emit() (*vec.Batch, error) {
 			cols = append(cols, v)
 		}
 		out := vec.NewBatch(j.Schema(), cols, n)
+		out.Own()
 		if j.Residual == nil {
 			return out, nil
 		}
 		if err := j.check(out); err != nil || len(out.Sel) > 0 {
 			return out, err
 		}
+		out.Release() // the residual kept none of the chunk
 	}
 }
 

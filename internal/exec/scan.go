@@ -108,9 +108,10 @@ func (s *ScanOp) PlanSnapshot() (*columnar.Snapshot, func()) {
 }
 
 // Open implements Operator: a producer goroutine runs the scan and
-// vectorizes each columnar.Batch inside the callback (batches are only
-// valid during the callback). With Dop > 1 the scan's workers all feed
-// the same channel.
+// vectorizes each columnar.Batch inside the callback, the only time a
+// columnar.Batch is valid. Each vec.Batch it hands out is owned (its
+// payloads are pooled; see vec.Batch.Own). With Dop > 1 the scan's workers
+// all feed the same channel.
 func (s *ScanOp) Open() error {
 	buf := 2
 	if s.Dop > buf {
@@ -121,10 +122,12 @@ func (s *ScanOp) Open() error {
 	s.stop = make(chan struct{})
 	deliver := func(_ int, b *columnar.Batch) bool {
 		vb := vec.NewBatch(s.out, b.VectorsEnc(s.Projection, s.Compressed), b.Len())
+		vb.Own()
 		select {
 		case s.chunks <- vb:
 			return true
 		case <-s.stop:
+			vb.Release()
 			return false
 		}
 	}
@@ -162,8 +165,10 @@ func (s *ScanOp) Close() error {
 		default:
 			close(s.stop)
 		}
-		// Drain so the producer goroutine exits.
-		for range s.chunks {
+		// Drain so the producer goroutine exits; nobody reads what it
+		// drains.
+		for vb := range s.chunks {
+			vb.Release()
 		}
 		s.stop = nil
 	}

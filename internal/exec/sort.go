@@ -368,8 +368,8 @@ func strWord(s string) uint64 {
 	return w
 }
 
-// batch gathers the next ChunkSize ids in order into typed vectors; nil
-// after the last.
+// batch gathers the next ChunkSize ids in order into typed vectors, an
+// owned batch; nil after the last.
 func (s *sortedCols) batch(sch types.Schema) *vec.Batch {
 	if s.next >= len(s.order) {
 		return nil
@@ -380,7 +380,9 @@ func (s *sortedCols) batch(sch types.Schema) *vec.Batch {
 	for c, col := range s.cols {
 		cols[c] = gather(col, s.order, a, b)
 	}
-	return vec.NewBatch(sch, cols, b-a)
+	vb := vec.NewBatch(sch, cols, b-a)
+	vb.Own()
+	return vb
 }
 
 // compareAt orders two positions of a column as types.Compare orders their
@@ -448,14 +450,15 @@ func put[I int | uint32](dst, src *vec.Vector, to int, sel []I, j0, j1 int) {
 
 // gather copies rows sel[a:b] of src into a new vector, typed like src or
 // boxed when src has no typed payload (a constant, a row-built batch's
-// column); a code vector decodes first.
+// column); a code vector decodes first. The payload is pooled: the vector
+// goes into an owned batch, as a scan's do.
 func gather[I int | uint32](src *vec.Vector, sel []I, a, b int) *vec.Vector {
 	src.Materialize()
 	kind := src.Kind
 	if !typedVec(src) {
 		kind = types.KindNull
 	}
-	dst := vec.New(kind, b-a)
+	dst := vec.NewPooled(kind, b-a)
 	put(dst, src, 0, sel, a, b)
 	return dst
 }
@@ -554,11 +557,7 @@ func (b *typedRows) add(in []*vec.Vector, sel []int, from, to int) int {
 // decodeCols replaces every code vector of in with a decoded copy.
 func decodeCols(in []*vec.Vector) {
 	for c, v := range in {
-		if v.Encoded() {
-			d := *v
-			d.Materialize()
-			in[c] = &d
-		}
+		in[c] = v.Decoded()
 	}
 }
 
@@ -714,6 +713,7 @@ func (s *SortOp) Open() error {
 				}
 			}
 		}
+		vb.Release() // the buffers hold copies of every row kept
 	}
 	if len(s.runs) == 0 {
 		s.sortBuf()

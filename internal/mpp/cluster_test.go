@@ -1543,6 +1543,31 @@ func TestParityGenerated(t *testing.T) {
 		} {
 			check(q, &want.GatherPathQueries)
 		}
+		// Shapes whose scan batches an operator shares, holds or drops whole,
+		// which must come out the same whether the scans' vectors are
+		// recycled or not: a projection repeating a column, a CTE two
+		// consumers read, and a filter the scan cannot take that drops
+		// every batch of most shards under a group-by. One engine answers
+		// at dop 1 and at dop 2.
+		for _, r := range []struct {
+			q    string
+			path *uint64
+		}{
+			{"SELECT id, id, region, id FROM sales WHERE id < 40 ORDER BY 1", &want.FastPathQueries},
+			{"WITH r AS (SELECT id, region, amount FROM sales WHERE id < 300) SELECT a.region, COUNT(*), SUM(b.amount) FROM r a JOIN r b ON a.id = b.id GROUP BY a.region ORDER BY a.region", &want.GatherPathQueries},
+			{"SELECT region, COUNT(*), SUM(amount) FROM sales WHERE id * 1 = 17 OR id * 1 = 450 GROUP BY region ORDER BY region", &want.FastPathQueries},
+		} {
+			for _, dop := range []string{"1", "2"} {
+				if _, err := ref.Exec("SET PARALLELISM " + dop); err != nil {
+					t.Fatal(err)
+				}
+				check(r.q, r.path)
+			}
+		}
+		if _, err := ref.Exec("SET PARALLELISM AUTO"); err != nil {
+			t.Fatal(err)
+		}
+
 		// ORDER BY after a set operation sorts the whole chain, which the
 		// cluster and one engine agreeing would not show.
 		const union = "SELECT region FROM sales WHERE id < 3 UNION ALL SELECT name FROM regions ORDER BY 1"

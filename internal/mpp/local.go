@@ -117,6 +117,7 @@ func (l *localShards) Exec(_ string, req shardrpc.ExecReq) (*shardrpc.Result, er
 	sess.SetDialect(req.Dialect)
 	var batches []*vec.Batch
 	res, err := sess.StreamParsed(req.Stmt, func(b *vec.Batch) error {
+		b.Disown() // held as the shard's result
 		batches = append(batches, b)
 		return nil
 	})

@@ -521,6 +521,9 @@ func (f *rowFramer) flush() error {
 		return nil
 	}
 	block, err := vec.AppendBlock(f.buf[:0], f.pending...)
+	for _, b := range f.pending {
+		b.Release() // the block holds copies
+	}
 	clear(f.pending)
 	f.pending, f.rows = f.pending[:0], 0
 	if err != nil {

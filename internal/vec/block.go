@@ -102,11 +102,7 @@ type part struct {
 // decodes into a copy (the batch's own may be shared), and a boxed one
 // whose values all have one lane kind becomes a typed copy.
 func newPart(v *Vector, idx []int) part {
-	if v.Encoded() {
-		d := *v
-		d.Materialize()
-		v = &d
-	}
+	v = v.Decoded()
 	if v.I64 == nil && v.F64 == nil && v.Str == nil {
 		if typed := unbox(v, idx); typed != nil {
 			v = typed

@@ -8,6 +8,8 @@
 package vec
 
 import (
+	"slices"
+
 	"dashdb/internal/bitpack"
 	"dashdb/internal/encoding"
 	"dashdb/internal/types"
@@ -55,23 +57,32 @@ type Vector struct {
 	// IsNull only.
 	rows []types.Row
 	col  int
+
+	// pooled: the payloads came from the pools (NewPooled, NewPooledCodes)
+	// and go back when the batch that owns the vector is released.
+	pooled bool
 }
 
 // New allocates a dense vector of n values of the given kind, all
 // initially zero / non-NULL. KindNull yields a boxed Any vector.
 func New(kind types.Kind, n int) *Vector {
 	v := &Vector{Kind: kind}
+	v.I64, v.F64, v.Str, v.Any = makePayload(kind, n)
+	return v
+}
+
+// makePayload allocates a zeroed n-position payload of kind's
+// representation: the one of the four returned that is not nil.
+func makePayload(kind types.Kind, n int) ([]int64, []float64, []string, []types.Value) {
 	switch kind {
 	case types.KindInt, types.KindBool, types.KindDate, types.KindTimestamp:
-		v.I64 = make([]int64, n)
+		return make([]int64, n), nil, nil, nil
 	case types.KindFloat:
-		v.F64 = make([]float64, n)
+		return nil, make([]float64, n), nil, nil
 	case types.KindString:
-		v.Str = make([]string, n)
-	default:
-		v.Any = make([]types.Value, n)
+		return nil, nil, make([]string, n), nil
 	}
-	return v
+	return nil, nil, nil, make([]types.Value, n)
 }
 
 // NewConst returns a broadcast vector holding one value for every row.
@@ -112,7 +123,8 @@ func (v *Vector) Dom() []types.Value { return v.dom }
 // vectors across WithSel copies, so materialization is visible through
 // every view of the batch. This is the executor's single decode point:
 // exec.ProjectOp (and kernels that genuinely need values) call it; filters,
-// joins, and grouping operate on Codes directly.
+// joins, and grouping operate on Codes directly. A pooled vector decodes
+// into a pooled payload and hands its codes back to the pool.
 func (v *Vector) Materialize() {
 	if v.Codes == nil {
 		return
@@ -120,35 +132,39 @@ func (v *Vector) Materialize() {
 	codes, dom, nulls := v.Codes, v.dom, v.Nulls
 	v.Codes, v.Dict, v.dom = nil, nil, nil
 	n := len(codes)
-	switch v.Kind {
-	case types.KindInt, types.KindBool, types.KindDate, types.KindTimestamp:
-		v.I64 = make([]int64, n)
+	if v.pooled {
+		v.I64, v.F64, v.Str, v.Any = payload(v.Kind, n)
+	} else {
+		v.I64, v.F64, v.Str, v.Any = makePayload(v.Kind, n)
+	}
+	switch {
+	case v.I64 != nil:
 		for i, c := range codes {
 			if nulls != nil && nulls.Get(i) {
+				v.I64[i] = 0
 				continue
 			}
 			x, _ := dom[c].AsInt()
 			v.I64[i] = x
 		}
-	case types.KindFloat:
-		v.F64 = make([]float64, n)
+	case v.F64 != nil:
 		for i, c := range codes {
 			if nulls != nil && nulls.Get(i) {
+				v.F64[i] = 0
 				continue
 			}
 			f, _ := dom[c].AsFloat()
 			v.F64[i] = f
 		}
-	case types.KindString:
-		v.Str = make([]string, n)
+	case v.Str != nil:
 		for i, c := range codes {
 			if nulls != nil && nulls.Get(i) {
+				v.Str[i] = ""
 				continue
 			}
 			v.Str[i] = dom[c].Str()
 		}
 	default:
-		v.Any = make([]types.Value, n)
 		for i, c := range codes {
 			if nulls != nil && nulls.Get(i) {
 				v.Any[i] = types.Null
@@ -157,6 +173,22 @@ func (v *Vector) Materialize() {
 			v.Any[i] = dom[c]
 		}
 	}
+	if v.pooled && cap(codes) == PoolCap {
+		codePool.Put((*[PoolCap]uint64)(codes[:PoolCap]))
+	}
+}
+
+// Decoded returns v when it carries values, else a decoded copy, leaving v
+// as it is: for a reader that must not write a vector other readers share.
+// The copy's payload is its own, never pooled, so v's codes stay v's.
+func (v *Vector) Decoded() *Vector {
+	if v.Codes == nil {
+		return v
+	}
+	d := *v
+	d.pooled = false
+	d.Materialize()
+	return &d
 }
 
 // Len returns the payload length (1 for Const vectors).
@@ -288,7 +320,8 @@ func (v *Vector) Get(i int) types.Value {
 // stride, a projection's outputs). FromRows wraps rows an operator already
 // holds (join output, group results, sorted rows, VALUES): Row hands those
 // same rows back, and a kernel that asks for a column through Col gets a
-// view of them.
+// view of them. A column-built batch may be owned, its payloads pooled and
+// returned by Release (pool.go).
 type Batch struct {
 	Schema types.Schema
 	N      int
@@ -296,7 +329,8 @@ type Batch struct {
 
 	cols  []*Vector   // column-built: all set; row-built: filled by Col on demand
 	rows  []types.Row // row-built: position i is rows[i]
-	dense []int       // cached 0..N-1 for Idx when Sel is nil
+	dense []int       // cached 0..N-1 for Idx when Sel is nil and N > PoolCap
+	owns  []*Vector   // the vectors whose pooled payloads Release returns; nil = unowned
 }
 
 // NewBatch returns a batch of n positions over column vectors.
@@ -336,13 +370,18 @@ func (b *Batch) Rows() int {
 	return b.N
 }
 
-// Idx returns the live positions as a slice: Sel when set, else a cached
-// dense [0..N) index. Kernels range over it in a tight loop.
+// Idx returns the live positions as a slice: Sel when set, else a dense
+// [0..N) index. Kernels range over it in a tight loop. The slice is
+// read-only: without a Sel it is shared by every batch of at most PoolCap
+// positions.
 //
 //dashdb:hotpath
 func (b *Batch) Idx() []int {
 	if b.Sel != nil {
 		return b.Sel
+	}
+	if b.N <= PoolCap {
+		return identity[:b.N:b.N]
 	}
 	if len(b.dense) != b.N {
 		b.dense = make([]int, b.N)
@@ -353,11 +392,22 @@ func (b *Batch) Idx() []int {
 	return b.dense
 }
 
+// identity is 0..PoolCap-1: Idx hands a prefix of it to every batch of at
+// most PoolCap positions that has no Sel.
+var identity = func() *[PoolCap]int {
+	var a [PoolCap]int
+	for i := range a {
+		a[i] = i
+	}
+	return &a
+}()
+
 // WithSel returns a shallow copy of the batch restricted to sel. The
-// backing is shared; only the selection changes.
+// backing is shared; only the selection changes. The copy is unowned: its
+// vectors stay the original's to release.
 func (b *Batch) WithSel(sel []int) *Batch {
 	nb := *b
-	nb.Sel = sel
+	nb.Sel, nb.owns = sel, nil
 	return &nb
 }
 
@@ -384,19 +434,33 @@ func (b *Batch) RowInto(dst types.Row, i int) types.Row {
 }
 
 // AppendRows appends the live rows to dst in position order, as Row would
-// return them.
+// return them. A column-built batch boxes its rows into one slab of values
+// per call, each row capped at its width, so an append to one row
+// reallocates it instead of overwriting the next.
 func (b *Batch) AppendRows(dst []types.Row) []types.Row {
-	switch {
-	case b.Sel != nil:
+	if b.rows != nil {
+		if b.Sel == nil {
+			return append(dst, b.rows...)
+		}
 		for _, i := range b.Sel {
-			dst = append(dst, b.Row(i))
+			dst = append(dst, b.rows[i])
 		}
-	case b.rows != nil:
-		dst = append(dst, b.rows...)
-	default:
-		for i := 0; i < b.N; i++ {
-			dst = append(dst, b.Row(i))
+		return dst
+	}
+	idx, w := b.Idx(), len(b.cols)
+	if cap(dst)-len(dst) < len(idx) {
+		// Double at least, so a caller appending batch after batch copies
+		// each row header a bounded number of times.
+		dst = slices.Grow(dst, max(len(idx), len(dst)))
+	}
+	slab := make([]types.Value, len(idx)*w)
+	for j, cv := range b.cols {
+		for k, i := range idx {
+			slab[k*w+j] = cv.Get(i)
 		}
+	}
+	for k := range idx {
+		dst = append(dst, slab[k*w:(k+1)*w:(k+1)*w])
 	}
 	return dst
 }

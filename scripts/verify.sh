@@ -61,11 +61,13 @@ DASHDB_SORTHEAP=1MB DASHDB_HASHHEAP=64KB go test -race -count=1 ./internal/core/
 # Writers-active gate: the snapshot-isolation property suites — trickle
 # INSERTs, bulk flushes, TRUNCATE and DROP racing the full query mix at
 # dop 1/2/8 — re-run under the race detector, with the append parity test,
-# whose tables at dop 2 and 8 encode and seal a column per worker. Same
-# list as .github/workflows/ci.yml.
+# whose tables at dop 2 and 8 encode and seal a column per worker, and the
+# recycling tests: scans hand pooled vectors to the operators that copy
+# them out, at dop 1 and 2, beside a writer's INSERTs, TRUNCATE and DROP.
+# Same list as .github/workflows/ci.yml.
 go test -race -count=1 \
-	-run 'TestSnapshot|TestPin|TestCleanup|TestDrainOrder|TestReleaseIsExact|TestConcurrentPinPublish|TestTruncateDrains|TestConcurrentIngest|TestTruncateRacing|TestDropRacing|TestMultiRowInsert|TestBulk|TestUpdate|TestChange|TestAppendLanesMatchRows' \
-	./internal/snapshot/ ./internal/columnar/ ./internal/core/ ./. ./driver/
+	-run 'TestSnapshot|TestPin|TestCleanup|TestDrainOrder|TestReleaseIsExact|TestConcurrentPinPublish|TestTruncateDrains|TestConcurrentIngest|TestTruncateRacing|TestDropRacing|TestMultiRowInsert|TestBulk|TestUpdate|TestChange|TestAppendLanesMatchRows|TestRecycle|TestScanAllocsPerStride|TestAppendRowsSlab' \
+	./internal/snapshot/ ./internal/columnar/ ./internal/core/ ./internal/exec/ ./internal/vec/ ./. ./driver/
 
 if [ "${DASHDB_FUZZ:-0}" = "1" ]; then
 	go test -run=NONE -fuzz=FuzzParseSQL -fuzztime=10s ./internal/sql/
