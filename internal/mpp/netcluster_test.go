@@ -3,6 +3,7 @@ package mpp
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -199,4 +200,117 @@ func TestNetClusterShuffleJoinFailoverDrops(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
+}
+
+// stmtRecorder is a shard client that records the shared wire bytes of
+// every Exec.
+type stmtRecorder struct {
+	shardClient
+	mu   sync.Mutex
+	sent []*shardrpc.StmtWire
+}
+
+func (r *stmtRecorder) Exec(addr string, req shardrpc.ExecReq) (*shardrpc.Result, error) {
+	r.mu.Lock()
+	r.sent = append(r.sent, req.Wire)
+	r.mu.Unlock()
+	return r.shardClient.Exec(addr, req)
+}
+
+// distinct returns the calls recorded since the last call and how many
+// distinct StmtWires they shared, failing on a call that shared none.
+func (r *stmtRecorder) distinct(t *testing.T) (calls, stmts int) {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	seen := map[*shardrpc.StmtWire]bool{}
+	for _, w := range r.sent {
+		if w == nil {
+			t.Fatal("a call encoded its statement alone")
+		}
+		seen[w] = true
+	}
+	calls, r.sent = len(r.sent), nil
+	return calls, len(seen)
+}
+
+// TestShardStatementSharedByCalls: every call of a scatter, of a shuffle
+// stage and of a broadcast sends its statement's one shared encoding.
+func TestShardStatementSharedByCalls(t *testing.T) {
+	c := (&harness{t: t, socket: true}).form(fourNodes()[:3], 2, clusterfs.New())
+	seedSales(t, c, 600, 0)
+	rec := &stmtRecorder{shardClient: c.client}
+	c.client = rec
+	for _, q := range []struct {
+		sql          string
+		calls, stmts int
+	}{
+		{"SELECT region, COUNT(*), AVG(amount) FROM sales GROUP BY region", 6, 1},
+		{"SELECT COUNT(*) FROM sales a JOIN sales b ON a.region = b.region WHERE a.id < 20", 3 * 6, 3},
+		{"DELETE FROM sales WHERE id < 10", 6, 1},
+	} {
+		if _, err := c.Query(q.sql); err != nil {
+			t.Fatalf("%s: %v", q.sql, err)
+		}
+		if calls, stmts := rec.distinct(t); calls != q.calls || stmts != q.stmts {
+			t.Errorf("%s: %d calls sent %d statements, want %d and %d", q.sql, calls, stmts, q.calls, q.stmts)
+		}
+	}
+}
+
+// BenchmarkScatterNoWork times the fixed cost of one scatter: a SELECT
+// over 6 shards on 3 loopback servers whose scan skips every stride (its
+// predicate lies outside every column frame, so no stride is visited),
+// and what remains is the statement's encode, six round trips and the
+// coordinator's final statement.
+func BenchmarkScatterNoWork(b *testing.B) {
+	c := (&harness{t: b, socket: true}).form(fourNodes()[:3], 2, clusterfs.New())
+	seedSales(b, c, 12000, 0)
+	const q = "SELECT id, amount FROM sales WHERE amount > 1000"
+	res, err := c.Query(q)
+	if err != nil || len(res.Rows) != 0 || res.Stats.Shards != 6 {
+		b.Fatalf("%+v, err %v", res, err)
+	}
+	for _, op := range res.Stats.Ops {
+		if op.HasScan && op.StridesVisited != 0 {
+			b.Fatalf("%s: %d strides visited", op.Name, op.StridesVisited)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Query(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestLongPredicateChain: a WHERE clause of 2 500 ORed terms, which the
+// parser builds 2 500 BinaryOps deep, selects and deletes the same rows
+// over in-process and socket shards.
+func TestLongPredicateChain(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.form(fourNodes()[:3], 2, clusterfs.New())
+		seedSales(t, c, 600, 0)
+		terms := make([]string, 2500)
+		for i := range terms {
+			terms[i] = fmt.Sprintf("id = %d", 3*i)
+		}
+		where := " WHERE " + strings.Join(terms, " OR ")
+		res, err := c.Query("SELECT COUNT(*), SUM(id) FROM sales" + where)
+		if err != nil {
+			t.Fatalf("select: %v", err)
+		}
+		if n, sum := res.Rows[0][0].Int(), res.Rows[0][1].Int(); n != 200 || sum != 3*199*200/2 {
+			t.Fatalf("select: %d rows summing to %d, want 200 and %d", n, sum, 3*199*200/2)
+		}
+		if res, err = c.Query("DELETE FROM sales" + where); err != nil {
+			t.Fatalf("delete: %v", err)
+		} else if res.RowsAffected != 200 {
+			t.Fatalf("delete: %d rows, want 200", res.RowsAffected)
+		}
+		if res, err = c.Query("SELECT COUNT(*) FROM sales"); err != nil || res.Rows[0][0].Int() != 400 {
+			t.Fatalf("after delete: %v, err %v; want 400 rows", res.Rows, err)
+		}
+	})
 }

@@ -83,10 +83,10 @@ func (c *NetCluster) movesRows(st sql.Statement) bool {
 // and reply read) acknowledges the retry from its applied log instead
 // of applying twice — e.g. UPDATE balance = balance + x must not add 2x.
 func (c *NetCluster) netBroadcast(st sql.Statement, d sql.Dialect) (*core.Result, error) {
-	token := c.mintID()
+	token, wire := c.mintID(), &shardrpc.StmtWire{}
 	var total atomic.Int64
 	err := c.eachShard(c.allShards(), func(s int, addr string) error {
-		res, err := c.client.Exec(addr, shardrpc.ExecReq{ShardID: s, Dialect: d, Stmt: st, Token: token})
+		res, err := c.client.Exec(addr, shardrpc.ExecReq{ShardID: s, Dialect: d, Stmt: st, Wire: wire, Token: token})
 		if err == nil {
 			total.Add(res.RowsAffected)
 		}
@@ -253,12 +253,13 @@ func (c *NetCluster) run(p *distSelect, d sql.Dialect, text string) (*core.Resul
 }
 
 // pull runs one input's statement on its shards (every one unless the
-// plan names them) and returns the results in shard order. Without stages
-// each shard answers over its own tables and a shard whose node dies is
-// asked again on its new owner. With stages the statement reads what the
-// stages shuffled, so a death abandons the whole exchange: its inboxes
-// are dropped everywhere and everything is sent once more under a new
-// query id.
+// plan names them) and returns the results in shard order. Each statement
+// of the pull is encoded once, for all its shards and attempts. Without
+// stages each shard answers over its own tables and a shard whose node
+// dies is asked again on its new owner. With stages the statement reads
+// what the stages shuffled, so a death abandons the whole exchange: its
+// inboxes are dropped everywhere and everything is sent once more under a
+// new query id.
 func (c *NetCluster) pull(stages []input, in input, d sql.Dialect, text string) ([]*shardrpc.Result, error) {
 	shards := in.shards
 	if shards == nil {
@@ -266,8 +267,9 @@ func (c *NetCluster) pull(stages []input, in input, d sql.Dialect, text string) 
 	}
 	results := make([]*shardrpc.Result, c.nShards)
 	var ex shardrpc.Exchange // of the statement, when there are stages
+	wire := &shardrpc.StmtWire{}
 	ask := func(s int, addr string) (err error) {
-		req := shardrpc.ExecReq{ShardID: s, Dialect: d, Stmt: in.sel, SQL: text, WithStats: true}
+		req := shardrpc.ExecReq{ShardID: s, Dialect: d, Stmt: in.sel, Wire: wire, SQL: text, WithStats: true}
 		if len(stages) > 0 {
 			x := ex
 			x.Part = s
@@ -283,6 +285,7 @@ func (c *NetCluster) pull(stages []input, in input, d sql.Dialect, text string) 
 		return c.pulled(results), nil
 	}
 	ex.Senders = len(shards)
+	stageWires := make([]shardrpc.StmtWire, len(stages))
 	for i, st := range stages {
 		ex.Inputs = append(ex.Inputs, shardrpc.ShuffleInput{Name: st.name, Schema: st.schema, Stage: i})
 	}
@@ -306,7 +309,7 @@ func (c *NetCluster) pull(stages []input, in input, d sql.Dialect, text string) 
 				go func() {
 					defer wg.Done()
 					out := &shardrpc.ShuffleOutput{Stage: i, Keys: st.keys, Parts: parts, Sender: s}
-					res, err := c.client.Exec(addr, shardrpc.ExecReq{ShardID: s, Dialect: d, Stmt: st.sel,
+					res, err := c.client.Exec(addr, shardrpc.ExecReq{ShardID: s, Dialect: d, Stmt: st.sel, Wire: &stageWires[i],
 						Exchange: &shardrpc.Exchange{Query: ex.Query, Output: out}})
 					if errs[i] = err; err == nil {
 						c.mu.Lock()

@@ -36,7 +36,8 @@ const (
 	retryBackoff    = 25 * time.Millisecond
 )
 
-// Conn is one pooled protocol connection and its gob stream.
+// Conn is one pooled protocol connection, its gob stream and the buffer
+// its statement requests are encoded in.
 type Conn struct {
 	pool   *Pool
 	addr   string
@@ -44,6 +45,7 @@ type Conn struct {
 	br     *bufio.Reader
 	bw     *bufio.Writer
 	gs     *stream
+	buf    []byte
 	broken bool
 }
 
@@ -329,8 +331,8 @@ func (p *Pool) Ping(addr string) (PingInfo, error) {
 	return info, err
 }
 
-// Result is a decoded response stream: header, batches and the optional
-// per-shard ANALYZE record.
+// Result is a decoded response stream: batches, then what FrameDone
+// carries, with the optional per-shard ANALYZE record.
 type Result struct {
 	Columns      []string
 	Kinds        []types.Kind
@@ -339,7 +341,9 @@ type Result struct {
 	Message      string
 	Stats        *telemetry.QueryRecord
 	// WireBytes is the bytes of the blocks the batches arrived in (0 from
-	// an in-process shard); SentBytes is ResultHdr's.
+	// an in-process shard); SentBytes is the bytes of the blocks a shuffle
+	// stage sent to other servers (a partition its server owns takes no
+	// wire).
 	WireBytes int64
 	SentBytes int64
 }
@@ -362,10 +366,9 @@ func (r *Result) Rows() []types.Row {
 	return rows
 }
 
-// readResultStream consumes Rows/ResultHdr/Stats frames until Done.
+// readResultStream consumes FrameRows until FrameDone.
 func (c *Conn) readResultStream() (*Result, error) {
 	res := &Result{}
-	sawHdr := false
 	for {
 		t, payload, err := c.read()
 		if err != nil {
@@ -374,14 +377,6 @@ func (c *Conn) readResultStream() (*Result, error) {
 		switch t {
 		case FrameErr:
 			return nil, c.remote(payload)
-		case FrameResultHdr:
-			var hdr ResultHdr
-			if err := c.readGob(payload, &hdr); err != nil {
-				return nil, err
-			}
-			res.Columns, res.Kinds = hdr.Columns, hdr.Kinds
-			res.RowsAffected, res.Message, res.SentBytes = hdr.RowsAffected, hdr.Message, hdr.SentBytes
-			sawHdr = true
 		case FrameRows:
 			b, err := vec.DecodeBlock(payload)
 			if err != nil {
@@ -390,17 +385,10 @@ func (c *Conn) readResultStream() (*Result, error) {
 			}
 			res.Batches = append(res.Batches, b)
 			res.WireBytes += int64(len(payload))
-		case FrameStats:
-			var sm StatsMsg
-			if err := c.readGob(payload, &sm); err != nil {
-				return nil, err
-			}
-			rec := sm.Record
-			res.Stats = &rec
 		case FrameDone:
-			if !sawHdr {
+			if err := readDone(payload, res); err != nil {
 				c.Fail()
-				return nil, fmt.Errorf("shardrpc: %s: response stream without header", c.addr)
+				return nil, err
 			}
 			return res, nil
 		default:
@@ -415,10 +403,14 @@ func (c *Conn) readResultStream() (*Result, error) {
 func (p *Pool) Exec(addr string, req ExecReq) (*Result, error) {
 	var res *Result
 	err := p.Do(addr, 1, func(c *Conn) error {
-		if err := c.writeGob(FrameExec, &req); err != nil {
+		payload, err := appendExecReq(c.buf[:0], &req)
+		if err != nil {
 			return err
 		}
-		var err error
+		c.buf = keepBuf(payload)
+		if err := c.write(FrameExec, payload); err != nil {
+			return err
+		}
 		res, err = c.readResultStream()
 		return err
 	})

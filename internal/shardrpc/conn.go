@@ -7,13 +7,11 @@ import (
 	"fmt"
 	"net"
 	"time"
-
-	"dashdb/internal/sql"
 )
 
-// stream is one connection's gob state: an encoder for what this side
-// sends and a decoder for what it receives, each living as long as the
-// connection. A frame's gob payload is exactly what one Encode wrote, so
+// stream is one connection's gob state, which only control messages use:
+// an encoder for what this side sends and a decoder for what it receives,
+// each living as long as the connection. A frame's gob payload is exactly what one Encode wrote, so
 // a type's descriptors travel in the first frame that holds the type and
 // never again; the peer must therefore decode every gob frame, in order,
 // on the stream it arrived on. A gob error leaves the stream position
@@ -28,7 +26,6 @@ type stream struct {
 }
 
 func newStream() *stream {
-	sql.RegisterWire()
 	s := &stream{}
 	s.enc = gob.NewEncoder(&s.out)
 	s.dec = gob.NewDecoder(&s.in)
@@ -65,12 +62,14 @@ func (s *stream) decode(payload []byte, msg any) ([]byte, error) {
 
 // serverConn is the server side of one protocol connection: buffered
 // framing with a write deadline (a dead client must not wedge a handler
-// goroutine mid-response), and the connection's gob stream. Reads carry
+// goroutine mid-response), the connection's gob stream, and the buffer its
+// responses' row blocks and FrameDone payloads are encoded in. Reads carry
 // no deadline — idle coordinator connections are normal.
 type serverConn struct {
-	nc net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
+	nc  net.Conn
+	br  *bufio.Reader
+	bw  *bufio.Writer
+	buf []byte
 	*stream
 }
 
@@ -87,9 +86,29 @@ func (c *serverConn) read() (FrameType, []byte, error) {
 	return ReadFrame(c.br)
 }
 
-func (c *serverConn) write(t FrameType, payload []byte) error {
+// maxKeptBuf is the largest encoding buffer a connection keeps between
+// frames: the common responses and requests reuse theirs, and an idle
+// pooled connection does not hold the largest block it ever framed.
+const maxKeptBuf = 1 << 20
+
+// keepBuf returns b to keep for the next frame, nil if it is too large.
+func keepBuf(b []byte) []byte {
+	if cap(b) > maxKeptBuf {
+		return nil
+	}
+	return b
+}
+
+// send buffers one frame; it reaches the client with the next flush, or
+// sooner if the buffer fills.
+func (c *serverConn) send(t FrameType, payload []byte) error {
 	c.nc.SetWriteDeadline(time.Now().Add(serverWriteTimeout))
-	if err := WriteFrame(c.bw, t, payload); err != nil {
+	return WriteFrame(c.bw, t, payload)
+}
+
+// write sends one frame and flushes it with whatever send buffered.
+func (c *serverConn) write(t FrameType, payload []byte) error {
+	if err := c.send(t, payload); err != nil {
 		return err
 	}
 	return c.bw.Flush()

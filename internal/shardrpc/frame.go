@@ -10,16 +10,19 @@
 // Frame layout (all multi-byte integers big-endian):
 //
 //	byte    magic 0xD5
-//	byte    version 5
+//	byte    version 6
 //	byte    frame type
 //	byte    flags (reserved, 0)
 //	uint32  payload length (<= MaxFrame)
 //	...     payload
 //
-// Control/meta payloads are gob, one stream per connection and direction
-// (messages.go, conn.go). Rows travel as batch blocks (vec/block.go):
-// FrameRows is one block, FrameInsert a gob InsertHdr and a block, and
-// FrameShuffleData a binary shuffle header and a block.
+// Control payloads are gob, one stream per connection and direction
+// (messages.go, conn.go). What every statement pays for is binary: a
+// request is one FrameExec (messages.go, with the statement in the sql
+// package's AST codec), rows travel as batch blocks (vec/block.go) —
+// FrameRows is one block, FrameInsert a gob InsertHdr and a block,
+// FrameShuffleData a binary shuffle header and a block — and a response
+// ends in one FrameDone.
 package shardrpc
 
 import (
@@ -42,8 +45,11 @@ const (
 	// a version-3 peer, which decodes every frame as a stream of its own,
 	// would misread it. Version 5 replaces the row block with the typed
 	// batch block (vec/block.go), sends a statement's FrameRows before its
-	// FrameResultHdr, and gives ResultHdr the column kinds.
-	frameVersion = 5
+	// FrameResultHdr, and gives ResultHdr the column kinds. Version 6 sends
+	// ExecReq and the response's end in binary: the gob ResultHdr and
+	// StatsMsg frames became one FrameDone, and the frame types after
+	// FrameExec were renumbered.
+	frameVersion = 6
 
 	// MaxFrame bounds a single frame payload (64 MiB): a corrupt or
 	// hostile length prefix must not become an allocation.
@@ -65,11 +71,9 @@ const (
 	FrameErr                   // utf-8 error text
 	FramePing                  // empty: liveness probe
 	FramePong                  // gob PingInfo
-	FrameExec                  // gob ExecReq: run one statement on a shard
-	FrameResultHdr             // gob ResultHdr: columns, kinds, affected, message
-	FrameRows                  // batch block: result rows, before the header
-	FrameStats                 // gob StatsMsg
-	FrameDone                  // empty: end of a response stream
+	FrameExec                  // binary ExecReq: run one statement on a shard
+	FrameRows                  // batch block: result rows
+	FrameDone                  // binary result: columns, kinds, affected, message, stats; ends a response
 	FrameInsert                // gob InsertHdr then batch block in same payload
 	FrameShuffleData           // binary shuffle header + batch block
 	FrameShuffleEOF            // binary shuffle header, sender is done
@@ -82,8 +86,9 @@ const (
 
 func (t FrameType) valid() bool { return t > FrameInvalid && t < frameTypeMax }
 
-// WriteFrame writes one frame. The caller owns buffering (Conn writes
-// through a bufio.Writer and flushes per message).
+// WriteFrame writes one frame. The caller owns buffering: both ends write
+// through a bufio.Writer, a client flushing each request, a server each
+// full row block and the end of each response.
 func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("shardrpc: frame payload %d exceeds %d", len(payload), MaxFrame)

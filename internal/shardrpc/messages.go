@@ -2,22 +2,28 @@ package shardrpc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"sync"
+	"time"
 
+	"dashdb/internal/core"
 	"dashdb/internal/sql"
 	"dashdb/internal/telemetry"
 	"dashdb/internal/types"
 )
 
-// Control-plane messages, the gob half of the protocol. Each connection
-// carries one gob stream per direction (conn.go): a message's type
-// descriptors cross a connection once, before its first value, and every
-// later frame holds only the value, which the peer decodes into a fresh
-// zero value. Statements travel as parsed ASTs (sql.RegisterWire +
-// types.Value's gob codec): the coordinator builds trees — shard
-// statements with partial-aggregate select lists over base tables or
-// shuffle inputs — and ships them, so no SQL renderer exists anywhere in
-// the protocol.
+// Messages. The control plane — Hello, PingInfo, AdoptReq, ReleaseReq,
+// RowCountReq, InsertHdr and RowCount's int64 — is gob, one stream per
+// connection and direction (conn.go): a message's type descriptors cross a
+// connection once, before its first value, and every later frame holds
+// only the value, which the peer decodes into a fresh zero value. What
+// every statement pays for is binary: its request (ExecReq, whose
+// statement is the sql package's AST codec) and the end of its response
+// (FrameDone), like the rows and shuffle headers between them. The
+// coordinator builds trees — shard statements with partial-aggregate
+// select lists over base tables or shuffle inputs — and ships them, so no
+// SQL renderer exists anywhere in the protocol.
 
 // Hello opens a connection; the server answers FrameOK.
 type Hello struct {
@@ -31,12 +37,16 @@ type PingInfo struct {
 }
 
 // ExecReq runs one parsed statement on one hosted shard. The response is
-// zero or more FrameRows, FrameResultHdr, an optional FrameStats, then
-// FrameDone — or FrameErr.
+// zero or more FrameRows, then FrameDone — or FrameErr.
 type ExecReq struct {
-	ShardID   int
-	Dialect   sql.Dialect
-	Stmt      sql.Statement
+	ShardID int
+	Dialect sql.Dialect
+	Stmt    sql.Statement
+	// Wire, when set, holds Stmt's wire bytes for every call that sends
+	// this Stmt — each shard of a scatter, each sender of a shuffle stage,
+	// each target of a broadcast — so the statement is encoded once, by
+	// the first send. Without it each send encodes Stmt itself.
+	Wire      *StmtWire
 	SQL       string // original text, for telemetry/history on the shard
 	WithStats bool   // collect ANALYZE records for coordinator merge
 	// Token is the statement's idempotency token for DML (0 = none): a
@@ -49,12 +59,33 @@ type ExecReq struct {
 	Exchange *Exchange
 }
 
+// StmtWire is the wire form of one statement that many requests send. Its
+// zero value is empty; the first request that sends it encodes its
+// statement into it, and a later request with another statement is
+// refused.
+type StmtWire struct {
+	once sync.Once
+	st   sql.Statement
+	wire []byte
+	err  error
+}
+
+// encoded returns st's wire bytes, encoding them on the first call.
+func (w *StmtWire) encoded(st sql.Statement) ([]byte, error) {
+	w.once.Do(func() { w.st = st; w.wire, w.err = sql.AppendStmt(nil, st) })
+	if w.st != st {
+		return nil, errors.New("shardrpc: shared wire bytes of another statement")
+	}
+	return w.wire, w.err
+}
+
 // Exchange places a SELECT at a shuffle exchange. With Inputs, the
-// statement runs in a scratch engine under the shard's grant where each
-// input names the rows delivered to partition Part of one shuffle stage;
-// the partition's inboxes are dropped when the statement ends. With
-// Output, the statement's rows are hash-partitioned to their owners
-// instead of returned, and the response ends once they are delivered.
+// statement runs in the shard's own engine, on the request's session,
+// where each input names the rows delivered to partition Part of one
+// shuffle stage; the partition's inboxes are dropped when the statement
+// ends. With Output, the statement's rows are hash-partitioned to their
+// owners instead of returned, and the response ends once they are
+// delivered.
 type Exchange struct {
 	Query   uint64 // coordinator-minted distributed query ID keying the inboxes
 	Inputs  []ShuffleInput
@@ -78,18 +109,6 @@ type ShuffleOutput struct {
 	Keys   []int
 	Parts  []PartLoc
 	Sender int
-}
-
-// ResultHdr carries the non-row part of a core.Result. It follows the
-// statement's FrameRows, so it can carry what is known only at the end.
-type ResultHdr struct {
-	Columns      []string
-	Kinds        []types.Kind // of Columns; nil when the statement ran no plan
-	RowsAffected int64
-	Message      string
-	// SentBytes is the bytes of the blocks a shuffle stage sent to other
-	// servers (a partition this server owns takes no wire).
-	SentBytes int64
 }
 
 // InsertHdr prefixes a FrameInsert payload; the batch block is what the
@@ -153,15 +172,9 @@ type PartLoc struct {
 	ShardID int
 }
 
-// StatsMsg wraps the per-shard ANALYZE record for FrameStats.
-type StatsMsg struct {
-	Record telemetry.QueryRecord
-}
-
 // shuffleHdr is the binary prefix of FrameShuffleData/FrameShuffleEOF
 // payloads: uvarint query, stage, partition, sender; data frames append
-// a batch block. Kept binary (not gob) because it is the per-batch hot
-// path.
+// a batch block.
 type shuffleHdr struct {
 	Query  uint64
 	Stage  int
@@ -178,27 +191,223 @@ func appendShuffleHdr(dst []byte, h shuffleHdr) []byte {
 }
 
 func decodeShuffleHdr(b []byte) (shuffleHdr, []byte, error) {
-	var h shuffleHdr
-	var n int
-	if h.Query, n = binary.Uvarint(b); n <= 0 {
-		return h, nil, fmt.Errorf("shardrpc: shuffle header: truncated query")
+	r := types.NewReader(b)
+	h := shuffleHdr{Query: r.Uvarint(), Stage: int(r.Uvarint()), Part: int(r.Uvarint()), Sender: int(r.Uvarint())}
+	return h, r.Rest(), readEnd(&r, "shuffle header", true)
+}
+
+// The binary messages, in types.Reader's integers, strings and bools; a
+// list is its uvarint length and then its elements, an optional part a
+// bool and then the part.
+//
+// FrameExec: varint shard, byte dialect, uvarint token, bool with stats,
+// string SQL text, the optional Exchange (appendExchange), then the
+// statement (sql.AppendStmt) to the end of the payload.
+//
+// FrameDone: the column names, their kinds (a byte each), varint rows
+// affected, string message, varint shuffled bytes, then the optional
+// ANALYZE record (appendRecord).
+
+// appendExecReq appends req's FrameExec payload to dst. Shared wire bytes
+// are copied; without them the statement is encoded in place.
+func appendExecReq(dst []byte, req *ExecReq) ([]byte, error) {
+	dst = binary.AppendVarint(dst, int64(req.ShardID))
+	dst = append(dst, byte(req.Dialect))
+	dst = binary.AppendUvarint(dst, req.Token)
+	dst = types.AppendBool(dst, req.WithStats)
+	dst = types.AppendStr(dst, req.SQL)
+	dst = appendExchange(dst, req.Exchange)
+	if req.Wire != nil {
+		wire, err := req.Wire.encoded(req.Stmt)
+		return append(dst, wire...), err
 	}
-	b = b[n:]
-	stage, n := binary.Uvarint(b)
-	if n <= 0 {
-		return h, nil, fmt.Errorf("shardrpc: shuffle header: truncated stage")
+	return sql.AppendStmt(dst, req.Stmt)
+}
+
+// readExecReq decodes a FrameExec payload.
+func readExecReq(payload []byte) (ExecReq, error) {
+	r := types.NewReader(payload)
+	req := ExecReq{ShardID: int(r.Varint()), Dialect: sql.Dialect(r.Byte()), Token: r.Uvarint(), WithStats: r.Bool(), SQL: r.Str()}
+	req.Exchange = readExchange(&r)
+	if err := readEnd(&r, "exec request", true); err != nil {
+		return ExecReq{}, err
 	}
-	b = b[n:]
-	part, n := binary.Uvarint(b)
-	if n <= 0 {
-		return h, nil, fmt.Errorf("shardrpc: shuffle header: truncated partition")
+	st, n, err := sql.ReadStmt(r.Rest())
+	if rest := len(r.Rest()); err == nil && n != rest {
+		err = fmt.Errorf("shardrpc: exec request: %d bytes after the statement", rest-n)
 	}
-	b = b[n:]
-	sender, n := binary.Uvarint(b)
-	if n <= 0 {
-		return h, nil, fmt.Errorf("shardrpc: shuffle header: truncated sender")
+	req.Stmt = st
+	return req, err
+}
+
+func appendExchange(dst []byte, x *Exchange) []byte {
+	if dst = types.AppendBool(dst, x != nil); x == nil {
+		return dst
 	}
-	b = b[n:]
-	h.Stage, h.Part, h.Sender = int(stage), int(part), int(sender)
-	return h, b, nil
+	dst = binary.AppendUvarint(dst, x.Query)
+	dst = binary.AppendVarint(dst, int64(x.Part))
+	dst = binary.AppendVarint(dst, int64(x.Senders))
+	dst = binary.AppendUvarint(dst, uint64(len(x.Inputs)))
+	for _, in := range x.Inputs {
+		dst = types.AppendStr(dst, in.Name)
+		dst = binary.AppendVarint(dst, int64(in.Stage))
+		dst = binary.AppendUvarint(dst, uint64(len(in.Schema)))
+		for _, c := range in.Schema {
+			dst = append(types.AppendStr(dst, c.Name), byte(c.Kind))
+			dst = types.AppendBool(dst, c.Nullable)
+		}
+	}
+	out := x.Output
+	if dst = types.AppendBool(dst, out != nil); out == nil {
+		return dst
+	}
+	dst = binary.AppendVarint(dst, int64(out.Stage))
+	dst = binary.AppendVarint(dst, int64(out.Sender))
+	dst = binary.AppendUvarint(dst, uint64(len(out.Keys)))
+	for _, k := range out.Keys {
+		dst = binary.AppendVarint(dst, int64(k))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(out.Parts)))
+	for _, p := range out.Parts {
+		dst = binary.AppendVarint(types.AppendStr(dst, p.Addr), int64(p.ShardID))
+	}
+	return dst
+}
+
+func readExchange(r *types.Reader) *Exchange {
+	if !r.Bool() {
+		return nil
+	}
+	x := &Exchange{Query: r.Uvarint(), Part: int(r.Varint()), Senders: int(r.Varint())}
+	if n := r.Count(); n > 0 {
+		x.Inputs = make([]ShuffleInput, n)
+		for i := range x.Inputs {
+			in := &x.Inputs[i]
+			in.Name, in.Stage = r.Str(), int(r.Varint())
+			if n := r.Count(); n > 0 {
+				in.Schema = make(types.Schema, n)
+				for j := range in.Schema {
+					in.Schema[j] = types.Column{Name: r.Str(), Kind: types.Kind(r.Byte()), Nullable: r.Bool()}
+				}
+			}
+		}
+	}
+	if !r.Bool() {
+		return x
+	}
+	out := &ShuffleOutput{Stage: int(r.Varint()), Sender: int(r.Varint())}
+	if n := r.Count(); n > 0 {
+		out.Keys = make([]int, n)
+		for i := range out.Keys {
+			out.Keys[i] = int(r.Varint())
+		}
+	}
+	if n := r.Count(); n > 0 {
+		out.Parts = make([]PartLoc, n)
+		for i := range out.Parts {
+			out.Parts[i] = PartLoc{Addr: r.Str(), ShardID: int(r.Varint())}
+		}
+	}
+	x.Output = out
+	return x
+}
+
+// appendDone appends the FrameDone payload that ends a statement's
+// response: everything of res but its rows, the bytes a shuffle stage
+// sent, and res's ANALYZE record when the request asked for it.
+func appendDone(dst []byte, res *core.Result, sentBytes int64, withStats bool) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(res.Columns)))
+	for _, c := range res.Columns {
+		dst = types.AppendStr(dst, c)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(res.Kinds)))
+	for _, k := range res.Kinds {
+		dst = append(dst, byte(k))
+	}
+	dst = binary.AppendVarint(dst, res.RowsAffected)
+	dst = types.AppendStr(dst, res.Message)
+	dst = binary.AppendVarint(dst, sentBytes)
+	stats := withStats && res.Stats != nil
+	if dst = types.AppendBool(dst, stats); stats {
+		dst = appendRecord(dst, res.Stats)
+	}
+	return dst
+}
+
+// readDone decodes a FrameDone payload into res.
+func readDone(payload []byte, res *Result) error {
+	r := types.NewReader(payload)
+	if n := r.Count(); n > 0 {
+		res.Columns = make([]string, n)
+		for i := range res.Columns {
+			res.Columns[i] = r.Str()
+		}
+	}
+	if n := r.Count(); n > 0 {
+		res.Kinds = make([]types.Kind, n)
+		for i := range res.Kinds {
+			res.Kinds[i] = types.Kind(r.Byte())
+		}
+	}
+	res.RowsAffected, res.Message, res.SentBytes = r.Varint(), r.Str(), r.Varint()
+	if r.Bool() {
+		res.Stats = readRecord(&r)
+	}
+	return readEnd(&r, "result", false)
+}
+
+func appendRecord(dst []byte, q *telemetry.QueryRecord) []byte {
+	dst = binary.AppendUvarint(dst, q.ID)
+	dst = types.AppendStr(dst, q.SQL)
+	dst = binary.AppendVarint(dst, q.Start.Unix())
+	dst = binary.AppendVarint(dst, int64(q.Start.Nanosecond()))
+	for _, x := range []int64{int64(q.Elapsed), q.Rows, int64(q.Dop)} {
+		dst = binary.AppendVarint(dst, x)
+	}
+	dst = types.AppendStr(types.AppendStr(dst, q.Status), q.Err)
+	dst = types.AppendStr(types.AppendBool(dst, q.Slow), q.Plan)
+	dst = binary.AppendVarint(dst, int64(q.Shards))
+	dst = binary.AppendUvarint(dst, uint64(len(q.Ops)))
+	for i := range q.Ops {
+		o := &q.Ops[i]
+		dst = binary.AppendVarint(dst, int64(o.Seq))
+		dst = binary.AppendVarint(dst, int64(o.Depth))
+		dst = types.AppendStr(dst, o.Name)
+		for _, x := range []int64{o.Rows, o.Batches, int64(o.Wall)} {
+			dst = binary.AppendVarint(dst, x)
+		}
+		dst = types.AppendBool(dst, o.HasScan)
+		for _, x := range []int64{o.StridesVisited, o.StridesSkipped, o.SpillRuns, o.SpillBytes} {
+			dst = binary.AppendVarint(dst, x)
+		}
+	}
+	return dst
+}
+
+func readRecord(r *types.Reader) *telemetry.QueryRecord {
+	q := &telemetry.QueryRecord{ID: r.Uvarint(), SQL: r.Str()}
+	q.Start = time.Unix(r.Varint(), r.Varint())
+	q.Elapsed, q.Rows, q.Dop = time.Duration(r.Varint()), r.Varint(), int(r.Varint())
+	q.Status, q.Err, q.Slow, q.Plan, q.Shards = r.Str(), r.Str(), r.Bool(), r.Str(), int(r.Varint())
+	if n := r.Count(); n > 0 {
+		q.Ops = make([]telemetry.OpRecord, n)
+		for i := range q.Ops {
+			q.Ops[i] = telemetry.OpRecord{Seq: int(r.Varint()), Depth: int(r.Varint()), Name: r.Str(),
+				Rows: r.Varint(), Batches: r.Varint(), Wall: time.Duration(r.Varint()), HasScan: r.Bool(),
+				StridesVisited: r.Varint(), StridesSkipped: r.Varint(), SpillRuns: r.Varint(), SpillBytes: r.Varint()}
+		}
+	}
+	return q
+}
+
+// readEnd returns r's error, naming the message; unless more may follow,
+// bytes left over are one too.
+func readEnd(r *types.Reader, what string, more bool) error {
+	if rest := len(r.Rest()); !more && rest > 0 {
+		r.Fail(fmt.Errorf("%d trailing bytes", rest))
+	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("shardrpc: %s: %w", what, err)
+	}
+	return nil
 }

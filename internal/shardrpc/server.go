@@ -429,9 +429,11 @@ func (s *Server) dispatch(c *serverConn, t FrameType, payload []byte) error {
 	case FramePing:
 		return c.writeGob(FramePong, &PingInfo{Node: s.node, Shards: s.Shards()})
 	case FrameExec:
-		var req ExecReq
-		if _, err := c.decode(payload, &req); err != nil {
-			return c.fail(err)
+		// A binary request that does not decode leaves no stream behind:
+		// the connection stays.
+		req, err := readExecReq(payload)
+		if err != nil {
+			return reply(err)
 		}
 		return s.handleExec(c, req)
 	case FrameInsert:
@@ -478,19 +480,11 @@ func (s *Server) dispatch(c *serverConn, t FrameType, payload []byte) error {
 	}
 }
 
-// writeResultTail ends a response stream whose rows went out as the
-// statement produced them: header, optional stats, done.
-func writeResultTail(c *serverConn, res *core.Result, sentBytes int64, withStats bool) error {
-	hdr := ResultHdr{Columns: res.Columns, Kinds: res.Kinds, RowsAffected: res.RowsAffected, Message: res.Message, SentBytes: sentBytes}
-	if err := c.writeGob(FrameResultHdr, &hdr); err != nil {
-		return err
-	}
-	if withStats && res.Stats != nil {
-		if err := c.writeGob(FrameStats, &StatsMsg{Record: *res.Stats}); err != nil {
-			return err
-		}
-	}
-	return c.write(FrameDone, nil)
+// writeDone ends a response stream whose rows went out as the statement
+// produced them, flushing the frames the statement left buffered with it.
+func writeDone(c *serverConn, res *core.Result, sentBytes int64, withStats bool) error {
+	c.buf = appendDone(c.buf[:0], res, sentBytes, withStats)
+	return c.write(FrameDone, c.buf)
 }
 
 // blockRows is about how many rows a FrameRows block holds: a statement's
@@ -498,29 +492,31 @@ func writeResultTail(c *serverConn, res *core.Result, sentBytes int64, withStats
 const blockRows = 4096
 
 // rowFramer frames a statement's batches as FrameRows blocks while it
-// runs. A failed write is the connection's, kept apart from the
+// runs, in the connection's buffer. A full block is flushed at once, so a
+// long statement keeps the client reading; the last one waits for
+// FrameDone. A failed write is the connection's, kept apart from the
 // statement's errors.
 type rowFramer struct {
 	c       *serverConn
 	pending []*vec.Batch
 	rows    int
-	buf     []byte
 	lost    error // the connection failed
 }
 
 func (f *rowFramer) add(b *vec.Batch) error {
 	f.pending = append(f.pending, b)
 	if f.rows += b.Rows(); f.rows >= blockRows {
-		return f.flush()
+		return f.frame(f.c.write)
 	}
 	return nil
 }
 
-func (f *rowFramer) flush() error {
+// frame sends the pending batches as one block through send.
+func (f *rowFramer) frame(send func(FrameType, []byte) error) error {
 	if len(f.pending) == 0 {
 		return nil
 	}
-	block, err := vec.AppendBlock(f.buf[:0], f.pending...)
+	block, err := vec.AppendBlock(f.c.buf[:0], f.pending...)
 	for _, b := range f.pending {
 		b.Release() // the block holds copies
 	}
@@ -529,8 +525,8 @@ func (f *rowFramer) flush() error {
 	if err != nil {
 		return err
 	}
-	f.buf = block
-	if err := f.c.write(FrameRows, block); err != nil {
+	f.c.buf = block
+	if err := send(FrameRows, block); err != nil {
 		f.lost = err
 		return err
 	}
@@ -551,6 +547,7 @@ func isReadOnly(st sql.Statement) bool {
 // log, a SELECT over the shard's tables, and both sides of a shuffle
 // exchange (see Exchange).
 func (s *Server) handleExec(c *serverConn, req ExecReq) error {
+	defer func() { c.buf = keepBuf(c.buf) }()
 	slot, err := s.engine(req.ShardID)
 	if err != nil {
 		return c.write(FrameErr, []byte(err.Error()))
@@ -566,7 +563,7 @@ func (s *Server) handleExec(c *serverConn, req ExecReq) error {
 		if affected, ok := s.lookupApplied(req.ShardID, req.Token); ok {
 			// Lost-reply retry of a statement this shard already durably
 			// applied: acknowledge without re-executing it.
-			return writeResultTail(c, &core.Result{RowsAffected: affected, Message: "OK"}, 0, false)
+			return writeDone(c, &core.Result{RowsAffected: affected, Message: "OK"}, 0, false)
 		}
 	}
 	sess := slot.db.NewSession()
@@ -599,7 +596,7 @@ func (s *Server) handleExec(c *serverConn, req ExecReq) error {
 		}
 		sentBytes = sink.sentBytes
 	} else if res, err = sess.StreamParsed(req.Stmt, frames.add); err == nil {
-		err = frames.flush()
+		err = frames.frame(c.send)
 	}
 	if frames.lost != nil {
 		return frames.lost
@@ -617,7 +614,7 @@ func (s *Server) handleExec(c *serverConn, req ExecReq) error {
 		}
 		s.markApplied(req.ShardID, req.Token, res.RowsAffected)
 	}
-	return writeResultTail(c, res, sentBytes, req.WithStats)
+	return writeDone(c, res, sentBytes, req.WithStats)
 }
 
 // handleInsert appends one bucket's block to the shard's table as the

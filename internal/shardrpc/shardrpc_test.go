@@ -11,8 +11,10 @@ import (
 	"time"
 
 	"dashdb/internal/clusterfs"
+	"dashdb/internal/core"
 	"dashdb/internal/encoding"
 	"dashdb/internal/sql"
+	"dashdb/internal/telemetry"
 	"dashdb/internal/types"
 	"dashdb/internal/vec"
 )
@@ -47,6 +49,7 @@ func TestFrameRejectsGarbage(t *testing.T) {
 		{frameMagic, 2, byte(FrameRows), 0, 0, 0, 0, 4},          // bad version (row blocks framed by column count)
 		{frameMagic, 3, byte(FrameExec), 0, 0, 0, 0, 4},          // bad version (a fresh gob stream per frame)
 		{frameMagic, 4, byte(FrameRows), 0, 0, 0, 0, 4},          // bad version (row blocks, not batch blocks)
+		{frameMagic, 5, byte(FrameExec), 0, 0, 0, 0, 4},          // bad version (a gob statement request)
 		{frameMagic, frameVersion, 0, 0, 0, 0, 0, 0},             // invalid type
 		{frameMagic, frameVersion, 99, 0, 0, 0, 0, 0},            // type out of range
 		{frameMagic, frameVersion, 1, 0, 0xFF, 0xFF, 0xFF, 0xFF}, // oversized
@@ -221,10 +224,11 @@ func TestDecodersRejectBadCells(t *testing.T) {
 	}
 }
 
-// FuzzShuffleFrame fuzzes the network-facing decoders with raw bytes:
-// they must never panic or demand memory the input does not hold, only
-// return errors, and whatever the block, stream and gob decoders accept
-// must survive a round trip.
+// FuzzShuffleFrame fuzzes the network-facing decoders with raw bytes —
+// frame, shuffle header, statement request, FrameDone, block, spill stream
+// and gob value: they must never panic or demand memory the input does not
+// hold, only return errors, and whatever the block, stream and gob
+// decoders accept must survive a round trip.
 func FuzzShuffleFrame(f *testing.F) {
 	// Not the 4 KB row: the fuzzer minimizes every new input it finds, and
 	// minimizing kilobytes leaves a 10-second run no time to fuzz.
@@ -237,8 +241,15 @@ func FuzzShuffleFrame(f *testing.F) {
 	f.Add([]byte{0xFF})
 	f.Add([]byte{byte(types.KindBool), 10})
 	f.Add([]byte{1, 1, 0, 0xBF})
+	st, _ := sql.Parse("SELECT region, SUM(amount) FROM sales WHERE id > 3 GROUP BY region", sql.DialectANSI)
+	req, _ := appendExecReq(nil, &ExecReq{ShardID: 1, Stmt: st, WithStats: true, Exchange: &Exchange{Query: 4, Output: &ShuffleOutput{Keys: []int{0}, Parts: []PartLoc{{Addr: "h:1", ShardID: 2}}}}})
+	f.Add(req)
+	f.Add(appendDone(nil, &core.Result{Columns: []string{"R"}, Kinds: []types.Kind{types.KindString}, Message: "OK",
+		Stats: &telemetry.QueryRecord{SQL: "q", Ops: []telemetry.OpRecord{{Name: "SCAN"}}}}, 9, true))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ReadFrame(bytes.NewReader(data))
+		readExecReq(data)
+		readDone(data, &Result{})
 		if _, rest, err := decodeShuffleHdr(data); err == nil {
 			vec.DecodeBlock(rest)
 		}
@@ -279,9 +290,10 @@ func FuzzShuffleFrame(f *testing.F) {
 	})
 }
 
-// TestWireStatementRoundTrip gob-ships rewritten ASTs the way the
-// coordinator does, one connection stream carrying them all, and checks
-// every tree survives (the types.Value gob codec carries the literals).
+// TestWireStatementRoundTrip ships rewritten ASTs the way the coordinator
+// does, in FrameExec payloads, bare and shared, and checks every request
+// survives with the statement's bytes all taken, and that a payload with
+// a byte too many, or with no statement, is refused.
 func TestWireStatementRoundTrip(t *testing.T) {
 	stmts := []string{
 		"SELECT region, SUM(amount), COUNT(*) FROM sales WHERE amount > 10.5 AND region <> 'x' GROUP BY region ORDER BY 2 DESC",
@@ -289,27 +301,42 @@ func TestWireStatementRoundTrip(t *testing.T) {
 		"SELECT CASE WHEN x IS NULL THEN 0 ELSE x + 1 END FROM t",
 		"INSERT INTO t (a, b) VALUES (1, 'x'), (2, NULL)",
 	}
-	out, in := newStream(), newStream()
-	for _, src := range stmts {
+	x := &Exchange{Query: 7, Part: 2, Senders: 3,
+		Inputs: []ShuffleInput{{Name: "__shuf_l", Stage: 1, Schema: types.Schema{{Name: "id", Kind: types.KindInt}, {Name: "v", Kind: types.KindString, Nullable: true}}}},
+		Output: &ShuffleOutput{Stage: 1, Keys: []int{0, 2}, Parts: []PartLoc{{Addr: "h:1", ShardID: 4}, {ShardID: 5}}, Sender: 2}}
+	for i, src := range stmts {
 		st, err := sql.Parse(src, sql.DialectANSI)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		payload, err := out.encode(&ExecReq{ShardID: 3, Stmt: st, SQL: src})
-		if err != nil {
-			t.Fatalf("%s: encode: %v", src, err)
+		want := ExecReq{ShardID: 3, Dialect: sql.DialectOracle, Stmt: st, SQL: src, WithStats: i%2 == 0, Token: uint64(i)}
+		if i == 0 {
+			want.Exchange = x
 		}
-		var got ExecReq
-		rest, err := in.decode(payload, &got)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", src, err)
+		for _, wire := range []*StmtWire{nil, {}} {
+			req := want
+			req.Wire = wire
+			payload, err := appendExecReq(nil, &req)
+			if err != nil {
+				t.Fatalf("%s: encode: %v", src, err)
+			}
+			got, err := readExecReq(payload)
+			if err != nil {
+				t.Fatalf("%s: decode: %v", src, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: request did not survive the wire:\n%#v\nvs\n%#v", src, got, want)
+			}
+			if _, err := readExecReq(append(payload, 0)); err == nil {
+				t.Fatalf("%s: a trailing byte was accepted", src)
+			}
 		}
-		if len(rest) != 0 {
-			t.Fatalf("%s: %d trailing bytes", src, len(rest))
-		}
-		if !reflect.DeepEqual(st, got.Stmt) {
-			t.Fatalf("%s: AST did not survive the wire:\n%#v\nvs\n%#v", src, st, got.Stmt)
-		}
+	}
+	if _, err := readExecReq([]byte{0, 0, 0, 0, 0, 0}); err == nil {
+		t.Fatal("request without a statement accepted")
+	}
+	if _, err := appendExecReq(nil, &ExecReq{Wire: &StmtWire{}}); err == nil {
+		t.Fatal("nil statement encoded")
 	}
 }
 

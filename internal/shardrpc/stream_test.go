@@ -26,13 +26,13 @@ func mustParse(t testing.TB, src string) sql.Statement {
 	return st
 }
 
-// TestConnStreamCarriesEveryMessage drives every gob message through one
-// pooled connection's streams, in an order where a message's zero fields
-// follow the same message with them set: a decoder that reused the last
-// value would carry a Token into a statement without one (which would
-// then be acknowledged as a replay instead of applied) or a StatsMsg into
-// a response that asked for none. The exchange's request types appear
-// only after 200 requests.
+// TestConnStreamCarriesEveryMessage drives every message through one
+// pooled connection, in an order where a message's zero fields follow the
+// same message with them set: a decoder that reused the last value would
+// carry a Token into a statement without one (which would then be
+// acknowledged as a replay instead of applied) or an ANALYZE record into
+// a response that asked for none. The exchange's fields and the gob
+// control messages appear only after 200 requests.
 func TestConnStreamCarriesEveryMessage(t *testing.T) {
 	fs := clusterfs.New()
 	s := startTestServer(t, fs)
@@ -123,7 +123,9 @@ func TestConnStreamCarriesEveryMessage(t *testing.T) {
 
 // TestGobFailureClosesConn: a stream error drops the connection on the
 // side that saw it — the server after answering FrameErr, the client by
-// not pooling it — and the next call dials afresh.
+// not pooling it — and the next call dials afresh. A statement request is
+// binary and has no stream to lose: one that does not decode is answered
+// FrameErr on a connection that stays.
 func TestGobFailureClosesConn(t *testing.T) {
 	s := startTestServer(t, clusterfs.New())
 	nc, err := net.Dial("tcp", s.Addr())
@@ -141,10 +143,23 @@ func TestGobFailureClosesConn(t *testing.T) {
 	if ft, _, err := ReadFrame(nc); err != nil || ft != FrameOK {
 		t.Fatalf("hello reply %d, err %v", ft, err)
 	}
-	if err := WriteFrame(nc, FrameExec, []byte{0x05, 0xff, 0x81, 0x03, 0x01, 0x01}); err != nil {
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	garbage := []byte{0x05, 0xff, 0x81, 0x03, 0x01, 0x01}
+	if err := WriteFrame(nc, FrameExec, garbage); err != nil {
 		t.Fatal(err)
 	}
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if ft, msg, err := ReadFrame(nc); err != nil || ft != FrameErr || strings.HasPrefix(string(msg), gobErrPrefix) {
+		t.Fatalf("garbage statement request answered %d %q, err %v", ft, msg, err)
+	}
+	if err := WriteFrame(nc, FramePing, nil); err != nil {
+		t.Fatal(err)
+	}
+	if ft, _, err := ReadFrame(nc); err != nil || ft != FramePong {
+		t.Fatalf("after a garbage statement request: frame %d, err %v", ft, err)
+	}
+	if err := WriteFrame(nc, FrameRowCount, garbage); err != nil {
+		t.Fatal(err)
+	}
 	if ft, msg, err := ReadFrame(nc); err != nil || ft != FrameErr || !strings.HasPrefix(string(msg), gobErrPrefix) {
 		t.Fatalf("garbage request answered %d %q, err %v", ft, msg, err)
 	}
@@ -288,14 +303,11 @@ func TestPoolConcurrentStreams(t *testing.T) {
 	}
 }
 
-// FuzzGobStream feeds raw bytes to a fresh server stream as an ExecReq
-// and as a FrameInsert payload: a hostile or corrupt request may only
-// fail to decode, never panic.
+// FuzzGobStream feeds raw bytes to a fresh server stream as a control
+// request, an AdoptReq, and as a FrameInsert payload: a hostile or corrupt
+// request may only fail to decode, never panic.
 func FuzzGobStream(f *testing.F) {
-	// No statement: its type descriptors alone take 800 bytes, and the
-	// fuzzer minimizes every new input it finds, which for kilobytes leaves
-	// a 10-second run no time to fuzz.
-	req, err := newStream().encode(&ExecReq{ShardID: 1, Token: 3, Exchange: &Exchange{Query: 4, Output: &ShuffleOutput{Keys: []int{0}, Parts: []PartLoc{{Addr: "h:1", ShardID: 2}}}}})
+	req, err := newStream().encode(&AdoptReq{Shards: []ShardAssign{{ID: 1, MemBytes: 4 << 20}}, Reason: "grow"})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -309,7 +321,7 @@ func FuzzGobStream(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x05, 0xff, 0x81, 0x03, 0x01, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req ExecReq
+		var req AdoptReq
 		newStream().decode(data, &req)
 		var hdr InsertHdr
 		if rest, err := newStream().decode(data, &hdr); err == nil {
@@ -320,7 +332,7 @@ func FuzzGobStream(f *testing.F) {
 
 // BenchmarkExecRoundTrip times one point SELECT with its ANALYZE record
 // through Pool.Exec against a loopback server: request encode, frame,
-// decode, execute, and the result header, rows and stats back.
+// decode, execute, and the row block and FrameDone back.
 func BenchmarkExecRoundTrip(b *testing.B) {
 	s := startTestServer(b, clusterfs.New())
 	p := NewPool("coord")

@@ -8,9 +8,10 @@ import (
 )
 
 // Value codec: the one way a boxed Value becomes bytes. Spill runs
-// (encoding.RowWriter/RowReader) write rows of it, gob
-// (Value.GobEncode/GobDecode, so the literals of gob-shipped statements)
-// writes one cell, and the shard wire's batch block (vec.AppendBlock)
+// (encoding.RowWriter/RowReader) write rows of it, a statement's literal
+// on the shard wire (sql.AppendStmt) and gob (Value.GobEncode/GobDecode,
+// so an encoder snapshot's dictionary values) write one cell, and the
+// shard wire's batch block (vec.AppendBlock)
 // writes it for a column that has no typed lane: a row-backed or
 // mixed-kind column, or one of KindNull. A typed column crosses the wire
 // in its own lane; the block's format is documented in vec/block.go.

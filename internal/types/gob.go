@@ -4,8 +4,9 @@ import "fmt"
 
 // Value's fields are unexported, so it implements gob.GobEncoder and
 // gob.GobDecoder itself: a gob Value is one cell of the codec in codec.go.
-// This is what lets the MPP wire protocol gob-ship parsed statements,
-// whose Literal nodes hold Values, without a SQL renderer.
+// The one gob payload that still holds Values is a dictionary encoder's
+// snapshot (encoding.MarshalEncoder), which a table's saved metadata
+// (columnar SaveMeta) carries.
 
 // GobEncode implements gob.GobEncoder.
 func (v Value) GobEncode() ([]byte, error) { return AppendCell(make([]byte, 0, 12), v) }

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -260,5 +261,36 @@ func TestNaNSortsHigh(t *testing.T) {
 	}
 	if Compare(nan, nan) != 0 {
 		t.Error("NaN must compare equal to NaN for sort stability")
+	}
+}
+
+// TestReaderRefusesShortInput: a Reader gives back what the Append
+// functions and varints wrote, and fails, for good, on a truncated
+// integer, a length past the bytes left and a bool byte other than 0 or 1.
+func TestReaderRefusesShortInput(t *testing.T) {
+	b := binary.AppendVarint(AppendBool(AppendStr(nil, "héllo"), true), -7)
+	b, _ = AppendCell(b, NewFloat(2.5))
+	r := NewReader(b)
+	if s, ok, n, v := r.Str(), r.Bool(), r.Varint(), r.Cell(); s != "héllo" || !ok || n != -7 || v.Float() != 2.5 || r.Err() != nil || len(r.Rest()) != 0 {
+		t.Fatalf("read %q %v %d %v, err %v, %d left", s, ok, n, v, r.Err(), len(r.Rest()))
+	}
+	for _, c := range []struct {
+		in   []byte
+		read func(*Reader)
+	}{
+		{[]byte{0x80}, func(r *Reader) { r.Uvarint() }},
+		{[]byte{}, func(r *Reader) { r.Byte() }},
+		{[]byte{2}, func(r *Reader) { r.Bool() }},
+		{[]byte{4, 'a', 'b'}, func(r *Reader) { r.Str() }},
+		{[]byte{0xff, 0xff, 0xff, 0xff, 0x0f}, func(r *Reader) { r.Count() }},
+	} {
+		r := NewReader(c.in)
+		c.read(&r)
+		if r.Err() == nil {
+			t.Errorf("% x: accepted", c.in)
+		}
+		if r.Uvarint() != 0 || r.Str() != "" || r.Err() == nil {
+			t.Errorf("% x: a read after the error did not read zero", c.in)
+		}
 	}
 }
