@@ -264,11 +264,7 @@ func BenchmarkFigHSparkIntegration(b *testing.B) {
 	if err := c.Insert("pts", rows); err != nil {
 		b.Fatal(err)
 	}
-	d, err := spark.NewDispatcher(c.ShardEngines())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer d.Close()
+	d := spark.NewDispatcher(c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := d.SubmitFunc("bench", "glm", func(ctx *spark.Context) (interface{}, error) {

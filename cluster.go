@@ -111,30 +111,18 @@ func (c *Cluster) AddNode(spec NodeSpec) error { return c.inner.AddNode(spec) }
 func (c *Cluster) Internal() *mpp.NetCluster { return c.inner }
 
 // Spark returns (starting on first use) the integrated analytics runtime:
-// the dispatcher with per-user cluster managers and shard-collocated
-// workers of §II.D.
-func (c *Cluster) Spark() (*spark.Dispatcher, error) {
-	if c.dispatcher != nil {
-		return c.dispatcher, nil
+// the dispatcher with per-user cluster managers and one worker per shard
+// of §II.D, on an in-process cluster and a connected one alike.
+func (c *Cluster) Spark() *spark.Dispatcher {
+	if c.dispatcher == nil {
+		c.dispatcher = spark.NewDispatcher(c.inner)
 	}
-	d, err := spark.NewDispatcher(c.inner.ShardEngines())
-	if err != nil {
-		return nil, err
-	}
-	c.dispatcher = d
-	return d, nil
+	return c.dispatcher
 }
 
-// Close releases cluster resources: the Spark data servers, and the
-// shard engines (in-process) or the connections to the shard servers,
-// which keep running.
-func (c *Cluster) Close() {
-	if c.dispatcher != nil {
-		c.dispatcher.Close()
-		c.dispatcher = nil
-	}
-	c.inner.Close()
-}
+// Close releases the shard engines (in-process) or the connections to
+// the shard servers, which keep running.
+func (c *Cluster) Close() { c.inner.Close() }
 
 // Checkpoint persists every table (pages were already on the clustered
 // filesystem; this adds dictionaries, synopses and counters) plus a

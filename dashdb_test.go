@@ -132,10 +132,7 @@ func TestClusterSpark(t *testing.T) {
 	}
 	cl.Insert("pts", rows)
 
-	d, err := cl.Spark()
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := cl.Spark()
 	id := d.SubmitFunc("ana", "fit", func(ctx *dashdb.SparkContext) (interface{}, error) {
 		ds, err := ctx.Table("pts", "")
 		if err != nil {

@@ -1,6 +1,6 @@
 // Command sparkml demonstrates the integrated Spark runtime of §II.D:
-// a cluster with shard-collocated workers, per-user cluster managers,
-// socket data transfer with predicate pushdown, and an MLlib-style GLM
+// a cluster with one worker per shard, per-user cluster managers, shard
+// reads with predicate pushdown, and an MLlib-style GLM
 // trained in-database, plus the SQL stored-procedure submission path.
 package main
 
@@ -46,19 +46,16 @@ func main() {
 	}
 	must0(cl.Insert("loans", rows))
 
-	d, err := cl.Spark()
-	if err != nil {
-		log.Fatal(err)
-	}
+	d := cl.Spark()
 
 	// Register the application, then submit it for user "riskteam".
 	d.RegisterApp("lateRisk", func(ctx *dashdb.SparkContext) (interface{}, error) {
-		// Pushdown: only rows with known labels cross the socket.
+		// Pushdown: only rows with known labels leave the shards.
 		ds, err := ctx.Table("loans", "late IS NOT NULL")
 		if err != nil {
 			return nil, err
 		}
-		fmt.Printf("  dataset: %d rows in %d shard-collocated partitions\n", ds.Count(), ds.Partitions())
+		fmt.Printf("  dataset: %d rows in %d partitions, one per shard\n", ds.Count(), ds.Partitions())
 		return ds.TrainGLM(3, []int{1, 2}, dashdb.GLMConfig{
 			Family: dashdb.Binomial, Iterations: 300, LearnRate: 0.5,
 		})
@@ -105,9 +102,7 @@ func main() {
 	}
 	fmt.Println("  CALL SPARK_WAIT completed ✔")
 
-	rowsSent, bytesSent := d.TransferStats()
-	fmt.Printf("  socket transfer: %d rows, %dKB (pushdown-filtered at the shards)\n",
-		rowsSent, bytesSent>>10)
+	fmt.Printf("  rows read from the shards: %d (pushdown-filtered there)\n", cl.Internal().Stats().PulledRows)
 }
 
 func must(err error) {

@@ -17,6 +17,7 @@ import (
 	"dashdb/internal/exec"
 	"dashdb/internal/mpp"
 	"dashdb/internal/page"
+	"dashdb/internal/shardrpc"
 	"dashdb/internal/spark"
 	"dashdb/internal/telemetry"
 	"dashdb/internal/types"
@@ -243,77 +244,100 @@ func FigureG() (string, error) {
 }
 
 // FigureH reports the integrated-Spark measurements: pushdown transfer
-// reduction and scaling of a distributed GLM as nodes grow (Figures 6–7).
+// reduction and scaling of a distributed GLM as nodes grow (Figures 6–7),
+// with the shards in this process and behind loopback shard servers.
 func FigureH(rowsPerNode int) (string, error) {
 	var b strings.Builder
 	b.WriteString("F-H integrated Spark: pushdown and scaling\n")
-	for _, nodes := range []int{1, 2, 4} {
-		var specs []mpp.NetNode
-		for i := 0; i < nodes; i++ {
-			specs = append(specs, mpp.NetNode{Name: fmt.Sprintf("n%d", i), Cores: 4, MemBytes: 32 << 20})
-		}
-		c, err := mpp.NewCluster(specs, 2, nil)
-		if err != nil {
-			return "", err
-		}
-		schema := types.Schema{
-			{Name: "id", Kind: types.KindInt},
-			{Name: "x", Kind: types.KindFloat, Nullable: true},
-			{Name: "y", Kind: types.KindFloat, Nullable: true},
-		}
-		if err := c.CreateTable("pts", schema, mpp.TableOptions{DistributeBy: "id"}); err != nil {
-			return "", err
-		}
-		var rows []types.Row
-		total := rowsPerNode * nodes
-		for i := 0; i < total; i++ {
-			x := float64(i % 1000)
-			rows = append(rows, types.Row{
-				types.NewInt(int64(i)), types.NewFloat(x), types.NewFloat(3*x + 2),
-			})
-		}
-		if err := c.Insert("pts", rows); err != nil {
-			return "", err
-		}
-		d, err := spark.NewDispatcher(c.ShardEngines())
-		if err != nil {
-			return "", err
-		}
-		t0 := time.Now()
-		id := d.SubmitFunc("bench", "glm", func(ctx *spark.Context) (interface{}, error) {
-			ds, err := ctx.Table("pts", "")
-			if err != nil {
-				return nil, err
+	for _, socket := range []bool{false, true} {
+		for _, nodes := range []int{1, 2, 4} {
+			if err := figureHRun(&b, nodes, rowsPerNode*nodes, socket); err != nil {
+				return "", err
 			}
-			return ds.TrainGLM(2, []int{1}, spark.GLMConfig{Family: spark.Gaussian, Iterations: 50, LearnRate: 0.3})
-		})
-		if _, err := d.Wait(id); err != nil {
-			d.Close()
-			return "", err
 		}
-		glmTime := time.Since(t0)
-
-		// Pushdown vs full transfer.
-		r0, _ := d.TransferStats()
-		id = d.SubmitFunc("bench", "push", func(ctx *spark.Context) (interface{}, error) {
-			ds, err := ctx.Table("pts", "x < 100")
-			if err != nil {
-				return nil, err
-			}
-			return ds.Count(), nil
-		})
-		if _, err := d.Wait(id); err != nil {
-			d.Close()
-			return "", err
-		}
-		r1, _ := d.TransferStats()
-		d.Close()
-		moved := r1 - r0
-		fmt.Fprintf(&b, "  %d node(s): GLM over %7d rows in %7v; pushdown moved %d of %d rows (%.0f%% saved)\n",
-			nodes, total, glmTime.Round(time.Millisecond),
-			moved, int64(total), 100*(1-float64(moved)/float64(total)))
 	}
 	return b.String(), nil
+}
+
+// figureHRun trains a GLM over total rows on a cluster of nodes with two
+// shards each, then reads the rows with x < 100, and reports what each
+// moved.
+func figureHRun(b *strings.Builder, nodes, total int, socket bool) error {
+	kind := "in-process"
+	var c *mpp.NetCluster
+	var err error
+	if socket {
+		kind = "loopback  "
+		var servers []*shardrpc.Server
+		c, servers, err = netClusterOf(nodes, 2*nodes)
+		for _, srv := range servers {
+			defer srv.Close()
+		}
+	} else {
+		specs := make([]mpp.NetNode, nodes)
+		for i := range specs {
+			specs[i] = mpp.NetNode{Name: fmt.Sprintf("n%d", i), Cores: 4, MemBytes: 32 << 20}
+		}
+		c, err = mpp.NewCluster(specs, 2, nil)
+	}
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	schema := types.Schema{
+		{Name: "id", Kind: types.KindInt},
+		{Name: "x", Kind: types.KindFloat, Nullable: true},
+		{Name: "y", Kind: types.KindFloat, Nullable: true},
+	}
+	if err := c.CreateTable("pts", schema, mpp.TableOptions{DistributeBy: "id"}); err != nil {
+		return err
+	}
+	rows := make([]types.Row, total)
+	for i := range rows {
+		x := float64(i % 1000)
+		rows[i] = types.Row{types.NewInt(int64(i)), types.NewFloat(x), types.NewFloat(3*x + 2)}
+	}
+	if err := c.Insert("pts", rows); err != nil {
+		return err
+	}
+	d := spark.NewDispatcher(c)
+	// moved runs app and returns the rows and block bytes it pulled.
+	moved := func(app spark.App) (rows, bytes uint64, err error) {
+		before := c.Stats()
+		_, err = d.Wait(d.SubmitFunc("bench", "f-h", app))
+		after := c.Stats()
+		return after.PulledRows - before.PulledRows, after.PulledBytes - before.PulledBytes, err
+	}
+	t0 := time.Now()
+	fullRows, fullBytes, err := moved(func(ctx *spark.Context) (interface{}, error) {
+		ds, err := ctx.Table("pts", "")
+		if err != nil {
+			return nil, err
+		}
+		return ds.TrainGLM(2, []int{1}, spark.GLMConfig{Family: spark.Gaussian, Iterations: 50, LearnRate: 0.3})
+	})
+	if err != nil {
+		return err
+	}
+	glmTime := time.Since(t0)
+	pushedRows, pushedBytes, err := moved(func(ctx *spark.Context) (interface{}, error) {
+		ds, err := ctx.Table("pts", "x < 100")
+		if err != nil {
+			return nil, err
+		}
+		return ds.Count(), nil
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(b, "  %s %d node(s): GLM over %7d rows in %7v; pushdown moved %d of %d rows (%.0f%% saved)",
+		kind, nodes, total, glmTime.Round(time.Millisecond),
+		pushedRows, fullRows, 100*(1-float64(pushedRows)/float64(fullRows)))
+	if socket {
+		fmt.Fprintf(b, ", %d of %d KB", pushedBytes>>10, fullBytes>>10)
+	}
+	b.WriteString("\n")
+	return nil
 }
 
 // FigureP reports morsel-driven parallel speedups: the serial scan and the

@@ -367,14 +367,55 @@ func (c *NetCluster) dropShuffle(qid uint64) {
 // TableRows gathers every live row of a table to the caller (hybrid sync
 // and diagnostics; replicated tables return one copy).
 func (c *NetCluster) TableRows(name string) ([]types.Row, error) {
-	meta, err := c.tableMeta(name)
-	if err != nil {
-		return nil, err
-	}
-	results, err := c.pull(nil, scanInput(name, name, meta), sql.DialectANSI, "")
+	results, err := c.ReadShards(name, "", nil)
 	var rows []types.Row
 	for _, r := range results {
 		rows = append(rows, r.Rows()...)
 	}
 	return rows, err
+}
+
+// ReadShards reads a table shard by shard, for a reader that works on
+// each shard's slice apart (integrated analytics, §II.D): one result per
+// shard in shard order, or shard 0's alone for a replicated table, which
+// every shard holds whole. where is an optional predicate each shard
+// applies before a row crosses the wire, and cols the columns to read,
+// every one when empty. Both become parts of a statement tree, never of
+// statement text, so neither reaches past the table: a subquery, or a
+// name that is not one of the table's columns, is refused.
+func (c *NetCluster) ReadShards(table, where string, cols []string) ([]*shardrpc.Result, error) {
+	meta, err := c.tableMeta(table)
+	if err != nil {
+		return nil, err
+	}
+	in := scanInput(table, table, meta)
+	if len(cols) > 0 {
+		in.sel.Items = nil
+		for _, col := range cols {
+			if meta.schema.ColumnIndex(col) < 0 {
+				return nil, fmt.Errorf("mpp: table %s has no column %q", table, col)
+			}
+			in.sel.Items = append(in.sel.Items, sql.SelectItem{Expr: &sql.ColumnRef{Column: col}})
+		}
+	}
+	if where != "" {
+		if in.sel.Where, err = sql.ParseExpr(where, sql.DialectANSI); err != nil {
+			return nil, err
+		}
+		scope := fromScope{{alias: table, name: table, meta: meta}}
+		sql.WalkExpr(in.sel.Where, func(e sql.Expr) bool {
+			if sql.SubqueryOf(e) != nil {
+				err = fmt.Errorf("mpp: a read of %s cannot filter with a subquery", table)
+			} else if ref, ok := e.(*sql.ColumnRef); ok {
+				if _, _, ok := scope.resolve(ref); !ok {
+					err = fmt.Errorf("mpp: table %s has no column %s", table, ref.Column)
+				}
+			}
+			return err == nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return c.pull(nil, in, sql.DialectANSI, "")
 }

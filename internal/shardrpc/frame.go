@@ -146,10 +146,9 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 }
 
 // EncodeRowBlock appends the block of rows to dst: the row adapter over
-// vec.AppendBlock, left with two callers that hold rows, the Spark data
-// server's chunks and the benchmark's wire probe (an INSERT reaches
-// Pool.Insert as typed lanes). A column whose cells all have one kind
-// takes that kind's lane.
+// vec.AppendBlock, left with one caller, the benchmark's wire probe (an
+// INSERT reaches Pool.Insert as typed lanes). A column whose cells all
+// have one kind takes that kind's lane.
 func EncodeRowBlock(dst []byte, rows []types.Row) ([]byte, error) {
 	for _, r := range rows {
 		if len(r) != len(rows[0]) {
@@ -160,9 +159,8 @@ func EncodeRowBlock(dst []byte, rows []types.Row) ([]byte, error) {
 }
 
 // DecodeRowBlock decodes one block into rows: the row adapter over
-// vec.DecodeBlock for the callers that want rows (the Spark data server's
-// chunks, the benchmark's wire probe). A shard appends an insert block as
-// the batch it decodes to.
+// vec.DecodeBlock, left with one caller, the benchmark's wire probe. A
+// shard appends an insert block as the batch it decodes to.
 func DecodeRowBlock(data []byte) ([]types.Row, error) {
 	b, err := vec.DecodeBlock(data)
 	if err != nil {

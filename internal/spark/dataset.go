@@ -24,38 +24,29 @@ func (c *Context) checkCancelled() {
 }
 
 // Dataset is a partitioned collection of rows with a functional API — the
-// RDD/DataFrame stand-in. One partition per worker, fetched collocated
-// from that worker's shard.
+// RDD/DataFrame stand-in. A table's Dataset has one partition per shard
+// that holds its rows.
 type Dataset struct {
 	ctx        *Context
-	cols       []string
 	partitions [][]types.Row
 }
 
-// Table loads a table as a Dataset with every worker fetching its own
-// shard's rows over the socket channel. where is an optional SQL
-// predicate pushed down to each shard ("to transfer only the data really
-// needed"); cols optionally projects columns.
+// Table loads a table as a Dataset, each shard's rows one partition (a
+// replicated table's one copy, one partition). where is an optional SQL
+// predicate over the table's columns pushed down to each shard ("to
+// transfer only the data really needed"); cols optionally projects
+// columns.
 func (c *Context) Table(table, where string, cols ...string) (*Dataset, error) {
 	c.checkCancelled()
-	parts := make([][]types.Row, len(c.cm.workers))
-	errs := make([]error, len(c.cm.workers))
-	var wg sync.WaitGroup
-	for i, w := range c.cm.workers {
-		wg.Add(1)
-		go func(i int, w *Worker) {
-			defer wg.Done()
-			rows, err := fetch(w.DataAddr, fetchRequest{Table: table, Where: where, Cols: cols})
-			parts[i], errs[i] = rows, err
-		}(i, w)
+	results, err := c.cm.d.cluster.ReadShards(table, where, cols)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	parts := make([][]types.Row, len(results))
+	for i, r := range results {
+		parts[i] = r.Rows()
 	}
-	return &Dataset{ctx: c, cols: cols, partitions: parts}, nil
+	return &Dataset{ctx: c, partitions: parts}, nil
 }
 
 // Parallelize distributes in-memory rows across the workers.
@@ -128,7 +119,7 @@ func (d *Dataset) transform(fn func([]types.Row) []types.Row) *Dataset {
 		}(i, p)
 	}
 	wg.Wait()
-	return &Dataset{ctx: d.ctx, cols: d.cols, partitions: parts}
+	return &Dataset{ctx: d.ctx, partitions: parts}
 }
 
 // Aggregate folds every partition with seqOp then merges partials with

@@ -1,3 +1,18 @@
+// Package spark is a from-scratch reproduction of dashDB Local's
+// integrated Apache Spark runtime (paper §II.D, Figures 6–7): a Spark
+// Dispatcher co-resident with the database, one Cluster Manager per user
+// (isolation: "different users could not see what other users are
+// doing"), and one Worker per database shard, whose partition is that
+// shard's rows, filtered on the shard by an optional pushed-down WHERE
+// ("an additional where clause could be pushed to the database to
+// transfer only the data really needed"). A shard's rows reach Spark
+// through the cluster's own shard read (mpp.NetCluster.ReadShards), on the
+// in-process cluster and the socket one alike.
+//
+// It is not Apache Spark: it is the closest synthetic equivalent that
+// exercises the same architecture — partitioned datasets with a
+// functional API, job submission/monitoring, and MLlib-style algorithms
+// (GLM, k-means) — per the substitution rules in DESIGN.md.
 package spark
 
 import (
@@ -5,7 +20,7 @@ import (
 	"sync"
 	"time"
 
-	"dashdb/internal/core"
+	"dashdb/internal/mpp"
 )
 
 // JobState tracks a submitted application's lifecycle.
@@ -52,57 +67,23 @@ type App func(ctx *Context) (interface{}, error)
 // It creates one ClusterManager per user so users are isolated from each
 // other, and dispatches submitted applications onto that user's managers.
 type Dispatcher struct {
+	cluster  *mpp.NetCluster
 	mu       sync.Mutex
 	managers map[string]*ClusterManager
 	apps     map[string]App
 	jobs     map[int64]*Job
 	nextID   int64
-	servers  []*DataServer // one per shard, shared by all users
 }
 
 // NewDispatcher starts the integrated analytics runtime over an MPP
-// cluster's shard engines, in shard order: one data server per shard
-// (collocated access, so the engines must live in this process) and an
-// empty manager map.
-func NewDispatcher(shards []*core.DB) (*Dispatcher, error) {
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("spark: no in-process shard engines to collocate with")
-	}
-	d := &Dispatcher{
+// cluster, in-process or over sockets, with an empty manager map.
+func NewDispatcher(c *mpp.NetCluster) *Dispatcher {
+	return &Dispatcher{
+		cluster:  c,
 		managers: make(map[string]*ClusterManager),
 		apps:     make(map[string]App),
 		jobs:     make(map[int64]*Job),
 	}
-	for _, db := range shards {
-		srv, err := NewDataServer(db)
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		d.servers = append(d.servers, srv)
-	}
-	return d, nil
-}
-
-// Close stops every data server.
-func (d *Dispatcher) Close() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, s := range d.servers {
-		s.Close()
-	}
-}
-
-// TransferStats sums the socket traffic of all shard data servers — the
-// measurement behind the pushdown experiment.
-func (d *Dispatcher) TransferStats() (rows, bytes int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, s := range d.servers {
-		rows += s.RowsSent()
-		bytes += s.BytesSent()
-	}
-	return rows, bytes
 }
 
 // RegisterApp publishes an application under a name, making it callable
@@ -176,12 +157,6 @@ func (d *Dispatcher) submitFunc(user, name string, app App) int64 {
 			}()
 			return app(ctx)
 		}()
-		select {
-		case <-job.cancel:
-			d.setState(job, JobCancelled, "cancelled by user")
-			return
-		default:
-		}
 		if err != nil {
 			d.setState(job, JobFailed, err.Error())
 			return
@@ -194,17 +169,26 @@ func (d *Dispatcher) submitFunc(user, name string, app App) int64 {
 	return job.ID
 }
 
+// setState moves a job on, unless it has ended: a cancelled job stays
+// cancelled whatever its application returns later.
 func (d *Dispatcher) setState(job *Job, st JobState, errMsg string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if job.State == JobCancelled {
-		return
+	d.setStateLocked(job, st, errMsg)
+}
+
+// setStateLocked is setState under d.mu, and the one place a job ends:
+// an end state records errMsg and the finish time. It reports whether
+// the job moved.
+func (d *Dispatcher) setStateLocked(job *Job, st JobState, errMsg string) bool {
+	if job.State >= JobDone {
+		return false
 	}
-	job.State = st
-	job.Err = errMsg
-	if st == JobDone || st == JobFailed || st == JobCancelled {
+	job.State, job.Err = st, errMsg
+	if st >= JobDone {
 		job.Finished = time.Now()
 	}
+	return true
 }
 
 // Wait blocks until the job completes and returns its result.
@@ -224,17 +208,17 @@ func (d *Dispatcher) Wait(id int64) (interface{}, error) {
 	return job.result, nil
 }
 
-// Cancel requests job cancellation (best effort: checked at dataset
-// materialization points).
-func (d *Dispatcher) Cancel(id int64) error {
+// Cancel cancels the user's job (best effort: the application stops at
+// its next dataset materialization point). Like Status, it finds only
+// the user's own jobs.
+func (d *Dispatcher) Cancel(user string, id int64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	job, ok := d.jobs[id]
-	if !ok {
-		return fmt.Errorf("spark: job %d not found", id)
+	job, err := d.ownedLocked(user, id)
+	if err != nil {
+		return err
 	}
-	if job.State == JobQueued || job.State == JobRunning {
-		job.State = JobCancelled
+	if d.setStateLocked(job, JobCancelled, "cancelled by user") {
 		close(job.cancel)
 	}
 	return nil
@@ -245,11 +229,20 @@ func (d *Dispatcher) Cancel(id int64) error {
 func (d *Dispatcher) Status(user string, id int64) (Job, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	job, ok := d.jobs[id]
-	if !ok || job.User != user {
-		return Job{}, fmt.Errorf("spark: job %d not found for user %s", id, user)
+	job, err := d.ownedLocked(user, id)
+	if err != nil {
+		return Job{}, err
 	}
 	return *job, nil
+}
+
+// ownedLocked finds the user's job id; another user's job is not found.
+func (d *Dispatcher) ownedLocked(user string, id int64) (*Job, error) {
+	job, ok := d.jobs[id]
+	if !ok || job.User != user {
+		return nil, fmt.Errorf("spark: job %d not found for user %s", id, user)
+	}
+	return job, nil
 }
 
 // Jobs lists the user's jobs (isolation as in Status).
@@ -269,7 +262,7 @@ func (d *Dispatcher) Jobs(user string) []Job {
 type cancelledPanic struct{ id int64 }
 
 // ClusterManager owns the per-user worker set: one worker per database
-// shard, each bound to that shard's collocated data server.
+// shard.
 type ClusterManager struct {
 	user    string
 	d       *Dispatcher
@@ -278,14 +271,13 @@ type ClusterManager struct {
 
 func newClusterManager(user string, d *Dispatcher) *ClusterManager {
 	cm := &ClusterManager{user: user, d: d}
-	for i, srv := range d.servers {
-		cm.workers = append(cm.workers, &Worker{Shard: i, DataAddr: srv.Addr()})
+	for i := range d.cluster.NShards() {
+		cm.workers = append(cm.workers, &Worker{Shard: i})
 	}
 	return cm
 }
 
-// Worker executes partition tasks against one shard's data server.
+// Worker executes partition tasks over one shard's rows.
 type Worker struct {
-	Shard    int
-	DataAddr string
+	Shard int
 }

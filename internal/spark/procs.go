@@ -36,7 +36,7 @@ func RegisterProcedures(db *core.DB, d *Dispatcher) {
 			return nil, fmt.Errorf("spark: SPARK_CANCEL expects (jobID)")
 		}
 		id, _ := args[0].AsInt()
-		if err := d.Cancel(id); err != nil {
+		if err := d.Cancel(s.User(), id); err != nil {
 			return nil, err
 		}
 		return &core.Result{Message: "CANCELLED"}, nil
@@ -65,6 +65,10 @@ func RegisterProcedures(db *core.DB, d *Dispatcher) {
 			return nil, fmt.Errorf("spark: SPARK_WAIT expects (jobID)")
 		}
 		id, _ := args[0].AsInt()
+		// Another user's job is not found, so it is not waited for either.
+		if _, err := d.Status(s.User(), id); err != nil {
+			return nil, err
+		}
 		if _, err := d.Wait(id); err != nil {
 			return nil, err
 		}

@@ -148,12 +148,7 @@ func (s *RESTServer) handleJob(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, toJobJSON(job))
 	case http.MethodDelete:
-		// Isolation: verify ownership before cancelling.
-		if _, err := s.d.Status(user, id); err != nil {
-			writeErr(w, http.StatusNotFound, err)
-			return
-		}
-		if err := s.d.Cancel(id); err != nil {
+		if err := s.d.Cancel(user, id); err != nil {
 			writeErr(w, http.StatusNotFound, err)
 			return
 		}

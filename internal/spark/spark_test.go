@@ -1,24 +1,65 @@
 package spark
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
+	"dashdb/internal/clusterfs"
 	"dashdb/internal/mpp"
 	"dashdb/internal/shardrpc"
 	"dashdb/internal/types"
 )
 
-func testCluster(t testing.TB, rows int) *mpp.NetCluster {
+// newCluster forms a cluster of n nodes with two shards each: in this
+// process, or, with socket set, behind n shard servers on loopback
+// sockets that share one clustered filesystem.
+func newCluster(t testing.TB, n int, socket bool) *mpp.NetCluster {
 	t.Helper()
-	c, err := mpp.NewCluster([]mpp.NetNode{
-		{Name: "A", Cores: 4, MemBytes: 32 << 20},
-		{Name: "B", Cores: 4, MemBytes: 32 << 20},
-	}, 2, nil)
+	nodes := make([]mpp.NetNode, n)
+	for i := range nodes {
+		nodes[i] = mpp.NetNode{Name: string(rune('A' + i)), Cores: 4, MemBytes: 32 << 20}
+	}
+	var c *mpp.NetCluster
+	var err error
+	if socket {
+		fs := clusterfs.New()
+		for i := range nodes {
+			srv := shardrpc.NewServer(nodes[i].Name, fs)
+			if err := srv.Start("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(srv.Close)
+			nodes[i].Addr = srv.Addr()
+		}
+		c, err = mpp.NewNetCluster(nodes, 2*n, fs)
+	} else {
+		c, err = mpp.NewCluster(nodes, 2, nil)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(c.Close)
+	return c
+}
+
+// forEachClient runs a test once per way the coordinator reaches its
+// shards: in-process engines and shard servers behind sockets.
+func forEachClient(t *testing.T, test func(t *testing.T, socket bool)) {
+	for _, socket := range []bool{false, true} {
+		name := "local"
+		if socket {
+			name = "socket"
+		}
+		t.Run(name, func(t *testing.T) { test(t, socket) })
+	}
+}
+
+// loadPoints creates the points table, label = 3*x1 - 2*x2 + 5 exactly.
+func loadPoints(t testing.TB, c *mpp.NetCluster, rows int) {
+	t.Helper()
 	schema := types.Schema{
 		{Name: "id", Kind: types.KindInt},
 		{Name: "x1", Kind: types.KindFloat, Nullable: true},
@@ -43,18 +84,32 @@ func testCluster(t testing.TB, rows int) *mpp.NetCluster {
 	if err := c.Insert("points", batch); err != nil {
 		t.Fatal(err)
 	}
-	return c
 }
 
+// newDispatcher is a dispatcher over an in-process 2-node, 4-shard
+// cluster holding rows points.
 func newDispatcher(t testing.TB, rows int) (*mpp.NetCluster, *Dispatcher) {
 	t.Helper()
-	c := testCluster(t, rows)
-	d, err := NewDispatcher(c.ShardEngines())
-	if err != nil {
-		t.Fatal(err)
+	c := newCluster(t, 2, false)
+	loadPoints(t, c, rows)
+	return c, NewDispatcher(c)
+}
+
+// run submits app for alice and waits for its result.
+func run(t testing.TB, d *Dispatcher, app App) (interface{}, error) {
+	t.Helper()
+	return d.Wait(d.SubmitFunc("alice", "app", app))
+}
+
+// countOf is an application counting a table read's rows.
+func countOf(table, where string, cols ...string) App {
+	return func(ctx *Context) (interface{}, error) {
+		ds, err := ctx.Table(table, where, cols...)
+		if err != nil {
+			return nil, err
+		}
+		return ds.Count(), nil
 	}
-	t.Cleanup(d.Close)
-	return c, d
 }
 
 func TestDatasetTableLoad(t *testing.T) {
@@ -93,63 +148,33 @@ func TestDatasetPartitionsMatchShards(t *testing.T) {
 	}
 }
 
+// TestPushdownReducesTransfer: a pushed-down WHERE moves exactly the
+// rows that qualify, and on sockets a matching share of the bytes.
 func TestPushdownReducesTransfer(t *testing.T) {
-	_, d := newDispatcher(t, 2000)
-	run := func(where string) int64 {
-		before, _ := d.TransferStats()
-		id := d.SubmitFunc("alice", "q", func(ctx *Context) (interface{}, error) {
-			ds, err := ctx.Table("points", where)
-			if err != nil {
-				return nil, err
+	forEachClient(t, func(t *testing.T, socket bool) {
+		c := newCluster(t, 2, socket)
+		loadPoints(t, c, 2000)
+		d := NewDispatcher(c)
+		moved := func(where string) (rows, bytes uint64) {
+			before := c.Stats()
+			if _, err := run(t, d, countOf("points", where)); err != nil {
+				t.Fatal(err)
 			}
-			return ds.Count(), nil
-		})
-		if _, err := d.Wait(id); err != nil {
-			t.Fatal(err)
+			after := c.Stats()
+			return after.PulledRows - before.PulledRows, after.PulledBytes - before.PulledBytes
 		}
-		after, _ := d.TransferStats()
-		return after - before
-	}
-	full := run("")
-	pushed := run("id < 100")
-	if full != 2000 {
-		t.Fatalf("full transfer rows %d", full)
-	}
-	if pushed != 100 {
-		t.Fatalf("pushdown transfer rows %d, want 100", pushed)
-	}
-}
-
-// TestDataServerBytesSent: BytesSent counts the row blocks written, one
-// per chunk of at most chunkRows (512) rows.
-func TestDataServerBytesSent(t *testing.T) {
-	c := testCluster(t, 4000)
-	srv, err := NewDataServer(c.ShardEngines()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	rows, err := fetch(srv.Addr(), fetchRequest{Table: "points"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) <= chunkRows {
-		t.Fatalf("fetched %d rows, want more than one chunk", len(rows))
-	}
-	want := 0
-	for off := 0; off < len(rows); off += chunkRows {
-		block, err := shardrpc.EncodeRowBlock(nil, rows[off:min(off+chunkRows, len(rows))])
-		if err != nil {
-			t.Fatal(err)
+		fullRows, fullBytes := moved("")
+		pushedRows, pushedBytes := moved("id < 100")
+		if fullRows != 2000 || pushedRows != 100 {
+			t.Fatalf("rows moved: %d full, %d pushed; want 2000 and 100", fullRows, pushedRows)
 		}
-		want += len(block)
-	}
-	if got := srv.BytesSent(); got != int64(want) {
-		t.Fatalf("BytesSent %d, want %d: the blocks of %d rows", got, want, len(rows))
-	}
-	if got := srv.RowsSent(); got != int64(len(rows)) {
-		t.Fatalf("RowsSent %d, want %d", got, len(rows))
-	}
+		if !socket {
+			return // in-process shards move no bytes
+		}
+		if pushedBytes == 0 || pushedBytes*10 > fullBytes {
+			t.Fatalf("bytes moved: %d full, %d pushed; want the pushed read at most a tenth", fullBytes, pushedBytes)
+		}
+	})
 }
 
 func TestMapFilterCollect(t *testing.T) {
@@ -339,7 +364,7 @@ func TestJobCancel(t *testing.T) {
 		return nil, nil
 	})
 	<-started
-	if err := d.Cancel(id); err != nil {
+	if err := d.Cancel("alice", id); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Wait(id); err == nil {
@@ -348,6 +373,45 @@ func TestJobCancel(t *testing.T) {
 	st, _ := d.Status("alice", id)
 	if st.State != JobCancelled {
 		t.Fatalf("state %v", st.State)
+	}
+	if st.Err != "cancelled by user" || st.Finished.Before(st.Submitted) {
+		t.Fatalf("cancelled job: Err %q, submitted %v, finished %v", st.Err, st.Submitted, st.Finished)
+	}
+}
+
+// TestSQLProceduresCheckOwner: through SQL, as through REST, a user can
+// neither cancel nor wait for another user's job.
+func TestSQLProceduresCheckOwner(t *testing.T) {
+	c, d := newDispatcher(t, 10)
+	release := make(chan struct{})
+	defer close(release)
+	id := d.SubmitFunc("alice", "held", func(ctx *Context) (interface{}, error) {
+		<-release
+		return 1, nil
+	})
+	db := c.ShardEngines()[0]
+	RegisterProcedures(db, d)
+	mallory := db.NewSession()
+	mallory.SetUser("mallory")
+	call := fmt.Sprintf("(%d)", id)
+	if _, err := mallory.Exec("CALL SPARK_CANCEL" + call); err == nil {
+		t.Error("mallory cancelled alice's job")
+	}
+	if st, _ := d.Status("alice", id); st.State == JobCancelled {
+		t.Error("alice's job is cancelled")
+	}
+	waited := make(chan error, 1)
+	go func() {
+		_, err := mallory.Exec("CALL SPARK_WAIT" + call)
+		waited <- err
+	}()
+	select {
+	case err := <-waited:
+		if err == nil {
+			t.Error("mallory waited for alice's job")
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("SPARK_WAIT blocked on another user's job")
 	}
 }
 
@@ -386,13 +450,118 @@ func TestRegisteredAppAndSQLProcedures(t *testing.T) {
 	}
 }
 
-func TestDataServerErrors(t *testing.T) {
+// TestTableReadErrors: a read of a table or column that does not exist
+// is an error, as is a WHERE that is not one expression over the table.
+func TestTableReadErrors(t *testing.T) {
 	_, d := newDispatcher(t, 10)
-	id := d.SubmitFunc("alice", "missing", func(ctx *Context) (interface{}, error) {
-		_, err := ctx.Table("no_such_table", "")
-		return nil, err
+	for _, bad := range []App{
+		countOf("no_such_table", ""),
+		countOf("points", "", "id", "nope"),
+		countOf("points", "nope > 1"),
+		countOf("points", "other.id > 1"),
+		countOf("points", "id >"),
+		countOf("points", "id > 1;"),
+	} {
+		if _, err := run(t, d, bad); err == nil {
+			t.Error("a bad read succeeded")
+		}
+	}
+}
+
+// TestTableReadStaysInTable: neither the WHERE nor the columns of a read
+// reach another table. Built as text, the first read once returned
+// secret's row inside the points Dataset.
+func TestTableReadStaysInTable(t *testing.T) {
+	c, d := newDispatcher(t, 10)
+	schema := types.Schema{{Name: "a", Kind: types.KindInt}, {Name: "b", Kind: types.KindInt},
+		{Name: "c", Kind: types.KindInt}, {Name: "e", Kind: types.KindInt}}
+	if err := c.CreateTable("secret", schema, mpp.TableOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Insert("secret", []types.Row{{types.NewInt(42), types.NewInt(0), types.NewInt(0), types.NewInt(0)}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, read := range []App{
+		countOf("points", "id < 0 UNION ALL SELECT * FROM secret"),
+		countOf("points", "id IN (SELECT a FROM secret)"),
+		countOf("points", "EXISTS (SELECT a FROM secret)"),
+		countOf("points", "", "id", "(SELECT MAX(a) FROM secret)"),
+	} {
+		if res, err := run(t, d, read); err == nil {
+			t.Errorf("a read reaching another table returned %v", res)
+		}
+	}
+}
+
+// TestReplicatedTableCountsOnce: every shard holds a replicated table
+// whole, so its Dataset is one copy, as SQL counts it.
+func TestReplicatedTableCountsOnce(t *testing.T) {
+	c, d := newDispatcher(t, 10)
+	if err := c.CreateTable("dim", types.Schema{{Name: "k", Kind: types.KindInt}}, mpp.TableOptions{Replicated: true}); err != nil {
+		t.Fatal(err)
+	}
+	var rows []types.Row
+	for i := range 7 {
+		rows = append(rows, types.Row{types.NewInt(int64(i))})
+	}
+	if err := c.Insert("dim", rows); err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.Query("SELECT COUNT(*) FROM dim")
+	if err != nil || r.Rows[0][0].Int() != 7 {
+		t.Fatalf("SQL count %v err %v", r, err)
+	}
+	if n, err := run(t, d, countOf("dim", "")); err != nil || n.(int) != 7 {
+		t.Fatalf("Dataset count %v err %v, want 7 on %d shards", n, err, c.NShards())
+	}
+}
+
+// TestTableReadAfterFailover: a read after a node dies returns every row
+// from the shards' new owners.
+func TestTableReadAfterFailover(t *testing.T) {
+	forEachClient(t, func(t *testing.T, socket bool) {
+		c := newCluster(t, 3, socket)
+		loadPoints(t, c, 900)
+		if err := c.FailNode("B"); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := run(t, NewDispatcher(c), countOf("points", "")); err != nil || n.(int) != 900 {
+			t.Fatalf("count after failover %v err %v", n, err)
+		}
 	})
-	if _, err := d.Wait(id); err == nil {
-		t.Fatal("missing table must fail")
+}
+
+// TestModelsMatchAcrossClients: a GLM and a k-means job train the same
+// models on a loopback socket cluster as on the in-process one over the
+// same data and shard count.
+func TestModelsMatchAcrossClients(t *testing.T) {
+	train := func(socket bool) (*GLMModel, *KMeansModel) {
+		c := newCluster(t, 3, socket)
+		loadPoints(t, c, 2000)
+		res, err := run(t, NewDispatcher(c), func(ctx *Context) (interface{}, error) {
+			ds, err := ctx.Table("points", "x1 >= 1")
+			if err != nil {
+				return nil, err
+			}
+			glm, err := ds.TrainGLM(3, []int{1, 2}, GLMConfig{Family: Gaussian, Iterations: 100, LearnRate: 0.3})
+			if err != nil {
+				return nil, err
+			}
+			km, err := ds.KMeans([]int{1, 2}, 3, 10)
+			return [2]interface{}{glm, km}, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		models := res.([2]interface{})
+		return models[0].(*GLMModel), models[1].(*KMeansModel)
+	}
+	localGLM, localKM := train(false)
+	socketGLM, socketKM := train(true)
+	if !reflect.DeepEqual(localGLM, socketGLM) {
+		t.Errorf("GLM differs: in-process %+v, socket %+v", localGLM, socketGLM)
+	}
+	if !reflect.DeepEqual(localKM, socketKM) {
+		t.Errorf("k-means differs: in-process %+v, socket %+v", localKM, socketKM)
 	}
 }

@@ -3,9 +3,11 @@ package sql
 import "testing"
 
 // FuzzParseSQL asserts the front end is total: on arbitrary input the
-// lexer and both parser entry points must return a value or an error,
-// never panic, and must uphold their structural contracts (EOF-terminated
-// token streams, non-nil statements on success) under every dialect.
+// lexer and the three parser entry points must return a value or an
+// error, never panic, and must uphold their structural contracts
+// (EOF-terminated token streams, non-nil statements and expressions on
+// success, ParseExpr refusing anything after its one expression) under
+// every dialect.
 func FuzzParseSQL(f *testing.F) {
 	for _, s := range parseSeeds {
 		f.Add(s)
@@ -28,6 +30,19 @@ func FuzzParseSQL(f *testing.F) {
 				for i, s := range sts {
 					if s == nil {
 						t.Fatalf("ParseScript(%q, %v): nil statement %d without error", src, d, i)
+					}
+				}
+			}
+			e, err := ParseExpr(src, d)
+			if err == nil {
+				if e == nil {
+					t.Fatalf("ParseExpr(%q, %v): nil expression without error", src, d)
+				}
+				// A newline ends a trailing line comment, so what follows
+				// is input ParseExpr must refuse.
+				for _, tail := range []string{"\n;", "\n)"} {
+					if _, err := ParseExpr(src+tail, d); err == nil {
+						t.Fatalf("ParseExpr(%q, %v) accepted trailing input", src+tail, d)
 					}
 				}
 			}
@@ -71,6 +86,11 @@ var parseSeeds = []string{
 	"WITH w AS (SELECT 1 UNION SELECT 2) SELECT * FROM w UNION ALL SELECT a FROM (SELECT a FROM t UNION SELECT a FROM t) q",
 	"SELECT a FROM t ORDER BY a UNION SELECT a FROM t",
 	"SELECT b FROM t GROUP BY b ORDER BY SUM(a) + 1 DESC, b",
+	// Bare expressions (ParseExpr), with and without trailing input.
+	"x < 100",
+	"late IS NOT NULL AND a.b BETWEEN -1 AND 2 -- note",
+	"id < 0 UNION ALL SELECT * FROM secret",
+	"a IN (SELECT MAX(a) FROM secret);",
 	"SELECT 1 /* unterminated",
 	"'unterminated string",
 	"\"unterminated ident",

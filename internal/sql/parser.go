@@ -34,6 +34,23 @@ func Parse(src string, d Dialect) (Statement, error) {
 	return st, nil
 }
 
+// ParseExpr parses exactly one expression: anything after it, a ';'
+// included, is an error.
+func ParseExpr(src string, d Dialect) (Expr, error) {
+	p, err := newParser(src, d)
+	if err != nil {
+		return nil, err
+	}
+	e, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if !p.atEOF() {
+		return nil, p.errf("unexpected trailing input %q", p.cur().Text)
+	}
+	return e, nil
+}
+
 // ParseScript parses a ';'-separated statement list.
 func ParseScript(src string, d Dialect) ([]Statement, error) {
 	p, err := newParser(src, d)

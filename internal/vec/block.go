@@ -12,8 +12,8 @@ import (
 )
 
 // Batch block: the wire form of batches. Shard results (FrameRows), rows
-// shipped to a shard (FrameInsert), shuffle partitions (FrameShuffleData)
-// and the Spark data server's chunks are all one block each. A block holds
+// shipped to a shard (FrameInsert) and shuffle partitions
+// (FrameShuffleData) are all one block each. A block holds
 // the live rows of one or more batches of the same width, in order, column
 // by column, and decodes to one batch, so a value stays typed from the
 // sender's operator to the receiver's kernels. All integers are varints:
