@@ -1,6 +1,7 @@
 package dashdb
 
 import (
+	"sync"
 	"time"
 
 	"dashdb/internal/clusterfs"
@@ -27,6 +28,7 @@ type Cluster struct {
 	// Timeline is the per-phase deployment schedule.
 	Timeline deploy.Timeline
 
+	sparkOnce  sync.Once
 	dispatcher *spark.Dispatcher
 }
 
@@ -114,9 +116,7 @@ func (c *Cluster) Internal() *mpp.NetCluster { return c.inner }
 // the dispatcher with per-user cluster managers and one worker per shard
 // of §II.D, on an in-process cluster and a connected one alike.
 func (c *Cluster) Spark() *spark.Dispatcher {
-	if c.dispatcher == nil {
-		c.dispatcher = spark.NewDispatcher(c.inner)
-	}
+	c.sparkOnce.Do(func() { c.dispatcher = spark.NewDispatcher(c.inner) })
 	return c.dispatcher
 }
 

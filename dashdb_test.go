@@ -1,6 +1,7 @@
 package dashdb_test
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -108,6 +109,29 @@ func TestDeployAndCluster(t *testing.T) {
 	r2, err := cl.Exec(`SELECT COUNT(*) FROM f`)
 	if err != nil || r2.Rows[0][0].Int() != 5000 {
 		t.Fatalf("post-failover %v err %v", r2, err)
+	}
+}
+
+// TestClusterSparkConcurrent: two first callers of Spark get the one
+// dispatcher (run it under -race).
+func TestClusterSparkConcurrent(t *testing.T) {
+	cl, err := dashdb.NewCluster([]dashdb.NodeSpec{{Name: "A", Cores: 2, MemBytes: 16 << 20}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var got [2]*dashdb.SparkDispatcher
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = cl.Spark()
+		}()
+	}
+	wg.Wait()
+	if got[0] == nil || got[0] != got[1] || cl.Spark() != got[0] {
+		t.Fatalf("dispatchers %p and %p", got[0], got[1])
 	}
 }
 

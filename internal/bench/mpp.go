@@ -21,16 +21,16 @@ func FigureMPP(rows int) (string, error) {
 	var b strings.Builder
 	b.WriteString("F-MPP distributed runtime: shuffle parity and HA failover\n")
 
-	single, _, err := netClusterOf(1, 1)
+	single, singleServers, err := netClusterOf(1, 1)
 	if err != nil {
 		return "", err
 	}
-	defer single.Close()
+	defer closeNetCluster(single, singleServers)
 	multi, servers, err := netClusterOf(3, 6)
 	if err != nil {
 		return "", err
 	}
-	defer multi.Close()
+	defer closeNetCluster(multi, servers) // Close is idempotent: the drill's victim too
 
 	for _, c := range []*mpp.NetCluster{single, multi} {
 		if err := loadMPPTables(c, rows); err != nil {
@@ -91,7 +91,8 @@ func FigureMPP(rows int) (string, error) {
 }
 
 // netClusterOf boots n in-process shard servers over one in-memory
-// clustered filesystem plus a coordinator with nShards shards.
+// clustered filesystem plus a coordinator with nShards shards. On failure
+// it closes the servers it started.
 func netClusterOf(n, nShards int) (*mpp.NetCluster, []*shardrpc.Server, error) {
 	fs := clusterfs.New()
 	var servers []*shardrpc.Server
@@ -100,6 +101,7 @@ func netClusterOf(n, nShards int) (*mpp.NetCluster, []*shardrpc.Server, error) {
 		name := fmt.Sprintf("node%c", 'A'+i)
 		srv := shardrpc.NewServer(name, fs)
 		if err := srv.Start("127.0.0.1:0"); err != nil {
+			closeNetCluster(nil, servers)
 			return nil, nil, err
 		}
 		servers = append(servers, srv)
@@ -107,9 +109,20 @@ func netClusterOf(n, nShards int) (*mpp.NetCluster, []*shardrpc.Server, error) {
 	}
 	c, err := mpp.NewNetCluster(nodes, nShards, fs)
 	if err != nil {
+		closeNetCluster(nil, servers)
 		return nil, nil, err
 	}
 	return c, servers, nil
+}
+
+// closeNetCluster closes a coordinator, if any, then its shard servers.
+func closeNetCluster(c *mpp.NetCluster, servers []*shardrpc.Server) {
+	if c != nil {
+		c.Close()
+	}
+	for _, srv := range servers {
+		srv.Close()
+	}
 }
 
 func loadMPPTables(c *mpp.NetCluster, rows int) error {

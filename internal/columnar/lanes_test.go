@@ -112,7 +112,7 @@ func imageOf(t testing.TB, tbl *Table) tableImage {
 		var enc []byte
 		if c.enc != nil {
 			var err error
-			if enc, err = encoding.MarshalEncoder(c.enc); err != nil {
+			if enc, err = encoding.AppendEncoder(nil, c.enc); err != nil {
 				t.Fatal(err)
 			}
 		}

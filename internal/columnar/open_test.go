@@ -7,6 +7,7 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -254,30 +255,32 @@ func TestOpenStrideNegativeZero(t *testing.T) {
 	}
 }
 
-// parentColMeta and parentMetaBlob are SaveMeta's format before the open
-// stride was persisted as codes: open rows went row-major into OpenRows.
-type parentColMeta struct {
-	Encoder  []byte
-	Synopsis []synopsis.Entry
-	Gen      uint32
+// gobColMeta and gobMetaBlob are SaveMeta's last gob format, whose blob
+// was a gob stream of a gobMetaBlob.
+type gobColMeta struct {
+	Encoder   []byte
+	Synopsis  []synopsis.Entry
+	Gen       uint32
+	OpenCodes []uint64
+	OpenNulls []uint64
 }
 
-type parentMetaBlob struct {
+type gobMetaBlob struct {
 	Name     string
 	Rows     int
 	Live     int
 	RawBytes int
 	GenSeq   uint32
 	Deleted  []int
-	Cols     []parentColMeta
-	OpenRows []types.Row
+	Cols     []gobColMeta
 }
 
 // TestSaveMetaPersistsOpenCodes round-trips a table whose open stride
 // holds NULLs, extension-region dictionary codes and codes of a frame
 // rebuilt in the same batch: the reopened table scans identically,
 // rebuilds nothing and keeps the raw-byte count, and keeps sealing where
-// the original left off. A blob in the earlier row format is refused.
+// the original left off. A blob in the earlier gob format is refused with
+// an error that names the format.
 func TestSaveMetaPersistsOpenCodes(t *testing.T) {
 	store := NewMemStore()
 	orig := NewTable(84, "persist", openSchema(), Config{Store: store})
@@ -341,20 +344,23 @@ func TestSaveMetaPersistsOpenCodes(t *testing.T) {
 	}
 	same("after sealing")
 
-	// The parent format: the same table with its open stride as rows.
+	// The gob format: the same table's state as a gob stream.
 	data, err := store.ReadPage(metaID(84))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var blob tableMetaBlob
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&blob); err != nil {
+	meta, err := readMeta(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	old := parentMetaBlob{Name: blob.Name, Rows: blob.Rows, Live: blob.Live, RawBytes: blob.RawBytes, GenSeq: blob.GenSeq, Deleted: blob.Deleted}
-	for _, cm := range blob.Cols {
-		old.Cols = append(old.Cols, parentColMeta{Encoder: cm.Encoder, Synopsis: cm.Synopsis, Gen: cm.Gen})
+	old := gobMetaBlob{Name: meta.Name, Rows: meta.Rows, Live: meta.Live, RawBytes: meta.RawBytes, GenSeq: meta.GenSeq, Deleted: meta.Deleted}
+	for _, cm := range meta.Cols {
+		enc, err := encoding.AppendEncoder(nil, cm.Encoder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old.Cols = append(old.Cols, gobColMeta{Encoder: enc, Synopsis: cm.Synopsis, Gen: cm.Gen, OpenCodes: cm.OpenCodes, OpenNulls: cm.OpenNulls})
 	}
-	old.OpenRows = rows[page.StrideSize:]
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
 		t.Fatal(err)
@@ -362,7 +368,7 @@ func TestSaveMetaPersistsOpenCodes(t *testing.T) {
 	if err := store.WritePage(metaID(84), buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenTable(84, openSchema(), Config{Store: store}); err == nil {
-		t.Fatal("a blob with its open stride as rows opened without it")
+	if _, err := OpenTable(84, openSchema(), Config{Store: store}); err == nil || !strings.Contains(err.Error(), "table metadata is gob-encoded") {
+		t.Fatalf("a gob-format blob: err %v", err)
 	}
 }

@@ -1,8 +1,8 @@
 package columnar
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"dashdb/internal/encoding"
@@ -18,6 +18,9 @@ import (
 // pages. Together with the clustered filesystem this realizes §II.E's
 // portability claim: copy the filesystem, reopen the tables anywhere.
 
+// ErrNoMeta is OpenTable's error for a table that has saved no metadata.
+var ErrNoMeta = errors.New("columnar: no saved table metadata")
+
 // metaColumn is the reserved column ordinal of the metadata pseudo-page.
 const metaColumn = 0xFFFF
 
@@ -26,19 +29,33 @@ func metaID(table uint32) page.ID {
 	return page.ID{Table: table, Column: metaColumn, Stride: 0}
 }
 
+// The metadata blob is a types.Reader message behind the
+// types.BlobTableMeta header:
+//
+//	string   table name
+//	varint   rows, live rows, raw bytes
+//	uvarint  page-generation allocator position
+//	list     tombstones: each position's uvarint distance from the last
+//	list     columns, each: the encoder snapshot (encoding.AppendEncoder),
+//	         uvarint page generation, its synopsis entries (uvarint min
+//	         and max code, NULL and row counts, bool all NULL), then the
+//	         open stride as the column holds it: one uvarint code per row
+//	         (0 for a NULL) and the rows' NULL flags as uvarint bitmap
+//	         words, bit i in word i/64
+//
+// where a list is its uvarint length and then its elements.
+
 // colMeta is one column's persisted state.
 type colMeta struct {
-	Encoder  []byte
-	Synopsis []synopsis.Entry
-	Gen      uint32 // page generation the sealed strides live under
-	// The open stride as the column holds it: one code per row (0 for a
-	// NULL), and the rows' NULL flags as a bitmap, bit i in word i/64.
+	Encoder   encoding.Encoder
+	Synopsis  []synopsis.Entry
+	Gen       uint32 // page generation the sealed strides live under
 	OpenCodes []uint64
 	OpenNulls []uint64
 }
 
-// tableMetaBlob is the serialized table state.
-type tableMetaBlob struct {
+// tableMeta is the persisted table state.
+type tableMeta struct {
 	Name     string
 	Rows     int
 	Live     int
@@ -53,35 +70,104 @@ func (t *Table) SaveMeta() error {
 	t.mu.Lock() // writer lock: ensureEncodersLocked may install encoders
 	defer t.mu.Unlock()
 	t.ensureEncodersLocked()
-	blob := tableMetaBlob{
-		Name:     t.name,
-		Rows:     t.rows,
-		Live:     t.live,
-		RawBytes: t.rawBytes,
-		GenSeq:   t.genSeq,
+	b := types.AppendStr(types.AppendHeader(nil, types.BlobTableMeta), t.name)
+	for _, x := range []int{t.rows, t.live, t.rawBytes} {
+		b = binary.AppendVarint(b, int64(x))
 	}
-	t.deleted.ForEach(func(i int) { blob.Deleted = append(blob.Deleted, i) })
+	b = binary.AppendUvarint(b, uint64(t.genSeq))
+	deleted := 0
+	t.deleted.ForEach(func(int) { deleted++ })
+	b = binary.AppendUvarint(b, uint64(deleted))
+	last := 0
+	t.deleted.ForEach(func(i int) { b, last = binary.AppendUvarint(b, uint64(i-last)), i })
+	b = binary.AppendUvarint(b, uint64(len(t.cols)))
 	for _, c := range t.cols {
-		encBytes, err := encoding.MarshalEncoder(c.enc)
-		if err != nil {
+		var err error
+		if b, err = encoding.AppendEncoder(b, c.enc); err != nil {
 			return fmt.Errorf("columnar: save %s: %w", t.name, err)
 		}
-		cm := colMeta{Encoder: encBytes, Gen: c.gen, OpenCodes: c.openCodes, OpenNulls: make([]uint64, (len(c.openNulls)+63)/64)}
-		for s := 0; s < c.syn.Strides(); s++ {
-			cm.Synopsis = append(cm.Synopsis, c.syn.Entry(s))
+		b = binary.AppendUvarint(b, uint64(c.gen))
+		entries := c.syn.Entries()
+		b = binary.AppendUvarint(b, uint64(len(entries)))
+		for _, e := range entries {
+			b = binary.AppendUvarint(binary.AppendUvarint(b, e.MinCode), e.MaxCode)
+			b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(e.NullCnt)), uint64(e.RowCnt))
+			b = types.AppendBool(b, e.AllNulls)
 		}
-		for i, null := range c.openNulls {
-			if null {
-				cm.OpenNulls[i/64] |= 1 << (i % 64)
+		b = binary.AppendUvarint(b, uint64(len(c.openCodes)))
+		for _, code := range c.openCodes {
+			b = binary.AppendUvarint(b, code)
+		}
+		b = binary.AppendUvarint(b, uint64((len(c.openNulls)+63)/64))
+		for w := 0; w < len(c.openNulls); w += 64 {
+			var word uint64
+			for i, null := range c.openNulls[w:min(w+64, len(c.openNulls))] {
+				if null {
+					word |= 1 << i
+				}
 			}
+			b = binary.AppendUvarint(b, word)
 		}
-		blob.Cols = append(blob.Cols, cm)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(blob); err != nil {
-		return fmt.Errorf("columnar: save %s: %w", t.name, err)
+	return t.store.WritePage(metaID(t.id), b)
+}
+
+// readMeta decodes a metadata blob SaveMeta wrote.
+func readMeta(data []byte) (tableMeta, error) {
+	r := types.NewReader(data)
+	r.Header(types.BlobTableMeta)
+	m := tableMeta{Name: r.Str(), Rows: int(r.Varint()), Live: int(r.Varint()), RawBytes: int(r.Varint()), GenSeq: uint32(r.Uvarint())}
+	if m.Rows < 0 || m.Live < 0 || m.Live > m.Rows {
+		r.Fail(fmt.Errorf("%d live rows of %d", m.Live, m.Rows))
 	}
-	return t.store.WritePage(metaID(t.id), buf.Bytes())
+	if n := r.Count(); n > 0 {
+		m.Deleted = make([]int, n)
+		pos := uint64(0)
+		for i := range m.Deleted {
+			if pos += r.Uvarint(); pos >= uint64(m.Rows) {
+				r.Fail(fmt.Errorf("tombstone at row %d of %d", pos, m.Rows))
+			}
+			m.Deleted[i] = int(pos)
+		}
+	}
+	if n := r.Count(); n > 0 {
+		m.Cols = make([]colMeta, n)
+		for i := range m.Cols {
+			cm := &m.Cols[i]
+			cm.Encoder, cm.Gen = encoding.ReadEncoder(&r), uint32(r.Uvarint())
+			// Every sealed stride has its entry, which bounds the rows a
+			// blob can claim by its length.
+			if n := r.Count(); n < m.Rows/page.StrideSize {
+				r.Fail(fmt.Errorf("%d synopsis entries for %d sealed strides", n, m.Rows/page.StrideSize))
+			} else if n > 0 {
+				cm.Synopsis = make([]synopsis.Entry, n)
+				for j := range cm.Synopsis {
+					cm.Synopsis[j] = synopsis.Entry{MinCode: r.Uvarint(), MaxCode: r.Uvarint(),
+						NullCnt: uint32(r.Uvarint()), RowCnt: uint32(r.Uvarint()), AllNulls: r.Bool()}
+				}
+			}
+			cm.OpenCodes, cm.OpenNulls = readUvarints(&r), readUvarints(&r)
+		}
+	}
+	if len(m.Cols) == 0 && m.Rows > 0 {
+		r.Fail(fmt.Errorf("%d rows of no columns", m.Rows))
+	}
+	if rest := len(r.Rest()); rest > 0 {
+		r.Fail(fmt.Errorf("%d trailing bytes", rest))
+	}
+	return m, r.Err()
+}
+
+func readUvarints(r *types.Reader) []uint64 {
+	n := r.Count()
+	if n == 0 {
+		return nil
+	}
+	xs := make([]uint64, n)
+	for i := range xs {
+		xs[i] = r.Uvarint()
+	}
+	return xs
 }
 
 // OpenTable reopens a table previously persisted with SaveMeta: encoders,
@@ -94,10 +180,10 @@ func OpenTable(id uint32, schema types.Schema, cfg Config) (*Table, error) {
 	}
 	data, err := store.ReadPage(metaID(id))
 	if err != nil {
-		return nil, fmt.Errorf("columnar: open table %d: %w", id, err)
+		return nil, fmt.Errorf("%w: table %d: %v", ErrNoMeta, id, err)
 	}
-	var blob tableMetaBlob
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&blob); err != nil {
+	blob, err := readMeta(data)
+	if err != nil {
 		return nil, fmt.Errorf("columnar: open table %d: %w", id, err)
 	}
 	if len(blob.Cols) != len(schema) {
@@ -108,12 +194,8 @@ func OpenTable(id uint32, schema types.Schema, cfg Config) (*Table, error) {
 	t.rawBytes = blob.RawBytes
 	t.genSeq = blob.GenSeq
 	for ci, cm := range blob.Cols {
-		enc, err := encoding.UnmarshalEncoder(cm.Encoder)
-		if err != nil {
-			return nil, fmt.Errorf("columnar: open table %d column %d: %w", id, ci, err)
-		}
 		c := t.cols[ci]
-		c.enc, c.gen = enc, cm.Gen
+		c.enc, c.gen = cm.Encoder, cm.Gen
 		for s, e := range cm.Synopsis {
 			c.syn.Set(s, e)
 		}
@@ -123,7 +205,7 @@ func OpenTable(id uint32, schema types.Schema, cfg Config) (*Table, error) {
 	}
 	t.growDeletedLocked(t.rows)
 	for _, pos := range blob.Deleted {
-		if pos < t.rows && !t.deleted.Get(pos) {
+		if !t.deleted.Get(pos) {
 			t.deleted.Set(pos)
 			t.live--
 		}

@@ -88,13 +88,6 @@ func (p *dictPartition) len() int {
 	return len(p.vals)
 }
 
-func (p *dictPartition) get(i int, kind types.Kind) types.Value {
-	if p.strs != nil {
-		return types.NewString(p.strs.Get(i))
-	}
-	return p.vals[i]
-}
-
 // search returns the insertion position of v and whether it is present.
 func (p *dictPartition) search(v types.Value) (int, bool) {
 	if p.strs != nil {

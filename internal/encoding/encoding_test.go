@@ -416,8 +416,8 @@ func TestEncodeAllMatchesEncode(t *testing.T) {
 			t.Errorf("string %q encodes to %d, which decodes to %v", strs[i], lane[i], byLane.Decode(lane[i]))
 		}
 	}
-	a, errA := MarshalEncoder(byVals)
-	b, errB := MarshalEncoder(byLane)
+	a, errA := AppendEncoder(nil, byVals)
+	b, errB := AppendEncoder(nil, byLane)
 	if errA != nil || errB != nil || !slices.Equal(a, b) || byVals.MemSize() != byLane.MemSize() {
 		t.Errorf("the domains differ after the load: %d vs %d bytes (errors %v, %v)", byVals.MemSize(), byLane.MemSize(), errA, errB)
 	}

@@ -13,7 +13,7 @@ import (
 // data and checks their core identity: every value admitted into an
 // encoder's domain decodes back to itself (dictionary and minus/FOR
 // codes), and front-coded lists reproduce and re-find every entry. The
-// value codec's spill stream and gob cells return the same values too.
+// value codec's spill stream and single cells return the same values too.
 func FuzzEncodingRoundTrip(f *testing.F) {
 	f.Add(int64(0), int64(100), int64(7), "alpha", "alphabet", "beta", 1.5)
 	f.Add(int64(-50), int64(50), int64(0), "", "a", "aa", -123.75)
@@ -39,13 +39,14 @@ func fuzzValueCodec(t *testing.T, a int64, s string, x float64) {
 			math.Float64bits(p.Float()) == math.Float64bits(q.Float())
 	}
 	for _, v := range row {
-		b, err := v.GobEncode()
-		var got types.Value
+		b, err := types.AppendCell(nil, v)
+		r := types.NewReader(b)
+		got := r.Cell()
 		if err == nil {
-			err = got.GobDecode(b)
+			err = r.Err()
 		}
-		if err != nil || !identical(got, v) {
-			t.Fatalf("gob: %v of %v -> % x -> %v of %v (err %v)", v, v.Kind(), b, got, got.Kind(), err)
+		if err != nil || len(r.Rest()) != 0 || !identical(got, v) {
+			t.Fatalf("cell: %v of %v -> % x -> %v of %v (err %v)", v, v.Kind(), b, got, got.Kind(), err)
 		}
 	}
 	var buf bytes.Buffer
@@ -97,6 +98,34 @@ func fuzzDict(t *testing.T, a, b, c int64, s1, s2, s3 string) {
 		if got := d.Decode(code); !types.Equal(got, ext) {
 			t.Fatalf("dict(%v) extension: %v -> code %d -> %v", kind, ext, code, got)
 		}
+		snapshotTrip(t, d)
+	}
+}
+
+// snapshotTrip holds an encoder's snapshot to its round trip: the encoder
+// read back decodes every code of the domain as the original does, and
+// snapshots to the same bytes.
+func snapshotTrip(t *testing.T, e Encoder) {
+	t.Helper()
+	snap, err := AppendEncoder(nil, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := types.NewReader(snap)
+	back := ReadEncoder(&r)
+	if err := r.Err(); err != nil || len(r.Rest()) != 0 {
+		t.Fatalf("%T snapshot % x: err %v, %d bytes left", e, snap, err, len(r.Rest()))
+	}
+	if back.Cardinality() != e.Cardinality() {
+		t.Fatalf("%T: %d codes read back as %d", e, e.Cardinality(), back.Cardinality())
+	}
+	for code := uint64(0); code < uint64(min(e.Cardinality(), 64)); code++ {
+		if a, b := e.Decode(code), back.Decode(code); a.Kind() != b.Kind() || math.Float64bits(a.Float()) != math.Float64bits(b.Float()) || !types.Equal(a, b) {
+			t.Fatalf("%T: code %d decodes to %v, read back to %v", e, code, a, b)
+		}
+	}
+	if again, err := AppendEncoder(nil, back); err != nil || !bytes.Equal(again, snap) {
+		t.Fatalf("%T: snapshot % x read back snapshots to % x (err %v)", e, snap, again, err)
 	}
 }
 
@@ -136,6 +165,7 @@ func fuzzIntFOR(t *testing.T, a, b, c int64) {
 	if e.Contains(lo - 1) {
 		t.Fatalf("IntFOR[%d,%d]: Contains(%d)=true below base", lo, hi, lo-1)
 	}
+	snapshotTrip(t, e)
 }
 
 func fuzzFloatFOR(t *testing.T, x float64) {
@@ -152,6 +182,7 @@ func fuzzFloatFOR(t *testing.T, x float64) {
 			t.Fatalf("FloatFOR(scale=%v): %v -> code %d -> %v (raw %d vs %d)",
 				scale, x, code, dec, raw, back)
 		}
+		snapshotTrip(t, e)
 	}
 }
 
@@ -185,5 +216,37 @@ func fuzzFrontCode(t *testing.T, s1, s2, s3 string) {
 	}
 	if _, found := fc.Search(sorted[len(sorted)-1] + "\xffmissing"); found {
 		t.Fatal("frontcode: Search found a string not in the list")
+	}
+}
+
+// TestEncoderSnapshotKinds round-trips a dictionary of every kind a column
+// holds, with values in both partitions and the extension region — NaNs
+// and -0 among the DOUBLEs — and the frame-of-reference encoders.
+func TestEncoderSnapshotKinds(t *testing.T) {
+	nan := math.NaN()
+	for kind, vals := range map[types.Kind][]types.Value{
+		types.KindBool:      {types.NewBool(true), types.NewBool(false), types.NewBool(true)},
+		types.KindInt:       {types.NewInt(-1 << 62), types.NewInt(0), types.NewInt(7), types.NewInt(7)},
+		types.KindFloat:     {types.NewFloat(nan), types.NewFloat(nan), types.NewFloat(math.Copysign(0, -1)), types.NewFloat(2.5)},
+		types.KindString:    {types.NewString(""), types.NewString("b"), types.NewString("ab"), types.NewString("b")},
+		types.KindDate:      {types.NewDate(-3), types.NewDate(19000)},
+		types.KindTimestamp: {types.NewTimestamp(1e15), types.NewTimestamp(-1)},
+	} {
+		hot := make([]types.Value, 0, 40)
+		for i := 0; i < 40; i++ {
+			hot = append(hot, vals[0]) // a hot value makes a second partition
+		}
+		d := BuildDict(kind, append(hot, vals...))
+		d.Encode(vals[len(vals)-1])
+		if kind == types.KindInt {
+			d.Encode(types.NewInt(99)) // an extension value
+		}
+		snapshotTrip(t, d)
+	}
+	snapshotTrip(t, NewIntFOR(-40, 1<<20, types.KindDate))
+	snapshotTrip(t, NewFloatFOR(-100, 100, 10000))
+	r := types.NewReader([]byte{0xDB, 'E', 1, tagDict, byte(types.KindString), 1, 2, 1, 'b', 1, 'a', 0})
+	if ReadEncoder(&r) != nil || r.Err() == nil {
+		t.Fatal("a partition out of order was read")
 	}
 }

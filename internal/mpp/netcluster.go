@@ -137,7 +137,7 @@ func NewNetCluster(nodes []NetNode, nShards int, fs *clusterfs.FS) (*NetCluster,
 	if nShards < len(nodes) {
 		nShards = len(nodes)
 	}
-	return newCluster(shardrpc.NewPool("coordinator"), nodes, manifest{NShards: nShards}, fs)
+	return newCluster(shardrpc.NewPool("coordinator"), nodes, shardrpc.Manifest{NShards: nShards}, fs)
 }
 
 // NewCluster forms a cluster whose shard engines live in this process,
@@ -159,7 +159,7 @@ func NewCluster(nodes []NetNode, shardsPerNode int, fs *clusterfs.FS) (*NetClust
 	if fs == nil {
 		fs = clusterfs.New()
 	}
-	return newCluster(newLocalShards(fs), nodes, manifest{NShards: nShards}, fs)
+	return newCluster(newLocalShards(fs), nodes, shardrpc.Manifest{NShards: nShards}, fs)
 }
 
 // OpenNetCluster bootstraps a coordinator over an existing clustered
@@ -187,7 +187,7 @@ func Restore(nodes []NetNode, fs *clusterfs.FS) (*NetCluster, error) {
 // newCluster builds the coordinator over client and associates the
 // manifest's shards and tables with nodes. It owns client: on failure
 // the client is closed.
-func newCluster(client shardClient, nodes []NetNode, m manifest, fs *clusterfs.FS) (*NetCluster, error) {
+func newCluster(client shardClient, nodes []NetNode, m shardrpc.Manifest, fs *clusterfs.FS) (*NetCluster, error) {
 	if len(nodes) == 0 {
 		client.Close()
 		return nil, fmt.Errorf("mpp: cluster needs at least one node")
@@ -685,9 +685,7 @@ func (c *NetCluster) CreateTable(name string, schema types.Schema, opts TableOpt
 	}
 	c.tables[key] = &tableMeta{schema: schema, distCol: distCol, repl: opts.Replicated, id: c.nextID}
 	c.nextID++
-	if err := c.writeManifestLocked(); err != nil {
-		return err
-	}
+	c.writeManifestLocked()
 	return c.pushAssignmentsLocked("ddl", nil)
 }
 
@@ -700,15 +698,15 @@ func (c *NetCluster) DropTable(name string) error {
 		return fmt.Errorf("mpp: table %s does not exist", name)
 	}
 	delete(c.tables, key)
-	c.writeManifestLocked() //nolint:errcheck — manifest refresh
+	c.writeManifestLocked()
 	c.mu.Unlock()
 	st := &sql.DropStmt{Kind: "TABLE", Name: name}
 	_, err := c.netBroadcast(st, sql.DialectANSI)
 	return err
 }
 
-func (c *NetCluster) writeManifestLocked() error {
-	return writeManifest(c.fs, manifest{NShards: c.nShards, Tables: c.tableSpecsLocked()})
+func (c *NetCluster) writeManifestLocked() {
+	writeManifest(c.fs, shardrpc.Manifest{NShards: c.nShards, Tables: c.tableSpecsLocked()})
 }
 
 // tableMeta looks a table up in the coordinator catalog.

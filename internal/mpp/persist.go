@@ -1,8 +1,6 @@
 package mpp
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"dashdb/internal/clusterfs"
@@ -21,12 +19,6 @@ import (
 
 // manifestPath is the manifest's location on the clustered filesystem.
 const manifestPath = "cluster/manifest"
-
-// manifest is the cluster's persisted shape.
-type manifest struct {
-	NShards int
-	Tables  []shardrpc.TableSpec // storage ids are identical on every shard
-}
 
 // Checkpoint makes the clustered filesystem a complete image of the
 // cluster. Socket shard servers persist a table after every write, so
@@ -48,29 +40,25 @@ func (c *NetCluster) Checkpoint() error {
 			}
 		}
 	}
-	return c.writeManifestLocked()
-}
-
-// writeManifest gob-encodes the cluster manifest onto the clustered
-// filesystem.
-func writeManifest(fs *clusterfs.FS, m manifest) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return err
-	}
-	fs.WriteFile(manifestPath, buf.Bytes())
+	c.writeManifestLocked()
 	return nil
 }
 
+// writeManifest writes the cluster manifest onto the clustered
+// filesystem.
+func writeManifest(fs *clusterfs.FS, m shardrpc.Manifest) {
+	fs.WriteFile(manifestPath, shardrpc.AppendManifest(nil, &m))
+}
+
 // readManifest loads the persisted cluster manifest.
-func readManifest(fs *clusterfs.FS) (manifest, error) {
-	var m manifest
+func readManifest(fs *clusterfs.FS) (shardrpc.Manifest, error) {
 	data, err := fs.ReadFile(manifestPath)
 	if err != nil {
-		return m, fmt.Errorf("mpp: no manifest: %w", err)
+		return shardrpc.Manifest{}, fmt.Errorf("mpp: no manifest: %w", err)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&m); err != nil {
-		return m, fmt.Errorf("mpp: manifest: %w", err)
+	m, err := shardrpc.ReadManifest(data)
+	if err != nil {
+		return m, fmt.Errorf("mpp: %w", err)
 	}
 	return m, nil
 }

@@ -2,7 +2,6 @@ package shardrpc
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -36,15 +35,14 @@ const (
 	retryBackoff    = 25 * time.Millisecond
 )
 
-// Conn is one pooled protocol connection, its gob stream and the buffer
-// its statement requests are encoded in.
+// Conn is one pooled protocol connection and the buffer its requests are
+// encoded in.
 type Conn struct {
 	pool   *Pool
 	addr   string
 	c      net.Conn
 	br     *bufio.Reader
 	bw     *bufio.Writer
-	gs     *stream
 	buf    []byte
 	broken bool
 }
@@ -101,9 +99,8 @@ func (p *Pool) dial(addr string) (*Conn, error) {
 		c:    nc,
 		br:   bufio.NewReaderSize(nc, 64<<10),
 		bw:   bufio.NewWriterSize(nc, 64<<10),
-		gs:   newStream(),
 	}
-	if err := c.writeGob(FrameHello, &Hello{Node: p.Node}); err != nil {
+	if err := c.write(FrameHello, appendHello(nil, &Hello{Node: p.Node})); err != nil {
 		nc.Close()
 		return nil, err
 	}
@@ -170,35 +167,6 @@ func (c *Conn) write(t FrameType, payload []byte) error {
 	return nil
 }
 
-// encode encodes msg on the connection's stream for a request frame. The
-// payload is valid until the next encode.
-func (c *Conn) encode(msg any) ([]byte, error) {
-	payload, err := c.gs.encode(msg)
-	if err != nil {
-		c.broken = true
-	}
-	return payload, err
-}
-
-// writeGob sends msg as one frame of type t.
-func (c *Conn) writeGob(t FrameType, msg any) error {
-	payload, err := c.encode(msg)
-	if err != nil {
-		return err
-	}
-	return c.write(t, payload)
-}
-
-// readGob decodes a reply payload from the connection's stream into msg,
-// a fresh zero value.
-func (c *Conn) readGob(payload []byte, msg any) error {
-	if _, err := c.gs.decode(payload, msg); err != nil {
-		c.broken = true
-		return err
-	}
-	return nil
-}
-
 // read receives one frame under the read deadline.
 func (c *Conn) read() (FrameType, []byte, error) {
 	c.c.SetReadDeadline(time.Now().Add(c.pool.IOTimeout))
@@ -235,22 +203,20 @@ func (c *Conn) callOK(t FrameType, payload []byte) ([]byte, error) {
 	return rp, err
 }
 
-// callGob sends msg as a request frame of type t answered by FrameOK.
-func (c *Conn) callGob(t FrameType, msg any) error {
-	payload, err := c.encode(msg)
-	if err == nil {
-		_, err = c.callOK(t, payload)
+// decodeReply decodes a reply payload as one message with read. A reply
+// that does not decode leaves the connection's state unknown, so it is
+// not pooled.
+func decodeReply[T any](c *Conn, payload []byte, what string, read func(*types.Reader) T) (T, error) {
+	m, err := decode(payload, what, read)
+	if err != nil {
+		c.Fail()
+		err = fmt.Errorf("%w from %s", err, c.addr)
 	}
-	return err
+	return m, err
 }
 
-// remote is the error a FrameErr reply reports. A server that saw its
-// stream fail closes the connection after the reply, so this side drops
-// it too.
+// remote is the error a FrameErr reply reports.
 func (c *Conn) remote(msg []byte) error {
-	if bytes.HasPrefix(msg, []byte(gobErrPrefix)) {
-		c.broken = true
-	}
 	return &RemoteError{Addr: c.addr, Msg: string(msg)}
 }
 
@@ -326,7 +292,8 @@ func (p *Pool) Ping(addr string) (PingInfo, error) {
 			c.Fail()
 			return fmt.Errorf("shardrpc: %s: unexpected ping reply %d", addr, t)
 		}
-		return c.readGob(payload, &info)
+		info, err = decodeReply(c, payload, "ping reply", readPingInfo)
+		return err
 	})
 	return info, err
 }
@@ -447,12 +414,11 @@ func (p *Pool) Insert(addr string, shardID int, table string, token uint64, rows
 	if err != nil {
 		return err
 	}
+	hdr := InsertHdr{ShardID: shardID, Table: table, NRows: rows.Batch.Rows(), Token: token}
 	return p.Do(addr, 1, func(c *Conn) error {
-		hdr, err := c.encode(&InsertHdr{ShardID: shardID, Table: table, NRows: rows.Batch.Rows(), Token: token})
-		if err != nil {
-			return err
-		}
-		_, err = c.callOK(FrameInsert, append(hdr, block...))
+		payload := append(appendInsertHdr(c.buf[:0], &hdr), block...)
+		c.buf = keepBuf(payload)
+		_, err := c.callOK(FrameInsert, payload)
 		return err
 	})
 }
@@ -460,31 +426,33 @@ func (p *Pool) Insert(addr string, shardID int, table string, token uint64, rows
 // Adopt asks a server to host shards. Level-triggered and idempotent,
 // so transient failures retry.
 func (p *Pool) Adopt(addr string, req AdoptReq) error {
+	payload := appendAdoptReq(nil, &req)
 	return p.Do(addr, DefaultAttempts, func(c *Conn) error {
-		return c.callGob(FrameAdopt, &req)
+		_, err := c.callOK(FrameAdopt, payload)
+		return err
 	})
 }
 
 // Release asks a server to stop hosting shards.
 func (p *Pool) Release(addr string, shards []int) error {
+	payload := appendReleaseReq(nil, &ReleaseReq{Shards: shards})
 	return p.Do(addr, DefaultAttempts, func(c *Conn) error {
-		return c.callGob(FrameRelease, &ReleaseReq{Shards: shards})
+		_, err := c.callOK(FrameRelease, payload)
+		return err
 	})
 }
 
 // RowCount returns a shard table's live row count. Read-only, retried.
 func (p *Pool) RowCount(addr string, shardID int, table string) (int64, error) {
 	var n int64
+	payload := appendRowCountReq(nil, &RowCountReq{ShardID: shardID, Table: table})
 	err := p.Do(addr, DefaultAttempts, func(c *Conn) error {
-		payload, err := c.encode(&RowCountReq{ShardID: shardID, Table: table})
-		if err != nil {
-			return err
-		}
 		rp, err := c.callOK(FrameRowCount, payload)
 		if err != nil {
 			return err
 		}
-		return c.readGob(rp, &n)
+		n, err = decodeReply(c, rp, "row count", readRowCount)
+		return err
 	})
 	return n, err
 }

@@ -54,11 +54,7 @@ func TestResponseTailOneWrite(t *testing.T) {
 		<-done
 	}()
 	cli.SetDeadline(time.Now().Add(30 * time.Second))
-	hello, err := newStream().encode(&Hello{Node: "pipe"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(cli, FrameHello, hello); err != nil {
+	if err := WriteFrame(cli, FrameHello, appendHello(nil, &Hello{Node: "pipe"})); err != nil {
 		t.Fatal(err)
 	}
 	if ft, _, err := ReadFrame(cli); err != nil || ft != FrameOK {
@@ -210,7 +206,7 @@ func fillMsg(t *testing.T, v reflect.Value, seed int) {
 		v.SetBool(true)
 	case reflect.Int, reflect.Int64:
 		v.SetInt(int64(-3 - seed))
-	case reflect.Uint8, reflect.Uint64:
+	case reflect.Uint8, reflect.Uint32, reflect.Uint64:
 		v.SetUint(uint64(1 + seed))
 	case reflect.Slice:
 		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
@@ -232,9 +228,10 @@ func fillMsg(t *testing.T, v reflect.Value, seed int) {
 }
 
 // TestBinaryMessagesEveryField fills every exported field of an ExecReq
-// (but Wire, which is not sent) and of an ANALYZE record, and requires
-// them to survive their binary codecs, so a field added to one of them
-// and not to the codec fails here.
+// (but Wire, which is not sent), of an ANALYZE record, of every control
+// message and of the cluster manifest, and requires them to survive their
+// binary codecs, so a field added to one of them and not to its codec
+// fails here.
 func TestBinaryMessagesEveryField(t *testing.T) {
 	var req ExecReq
 	fillMsg(t, reflect.ValueOf(&req).Elem(), 0)
@@ -254,5 +251,31 @@ func TestBinaryMessagesEveryField(t *testing.T) {
 	back := readRecord(&r)
 	if err := readEnd(&r, "record", false); err != nil || !reflect.DeepEqual(*back, rec) {
 		t.Fatalf("record did not survive the wire (err %v):\n%#v\nvs\n%#v", err, *back, rec)
+	}
+
+	roundTrip(t, appendHello, func(b []byte) (Hello, error) { return decode(b, "hello", readHello) })
+	roundTrip(t, appendPingInfo, func(b []byte) (PingInfo, error) { return decode(b, "ping reply", readPingInfo) })
+	roundTrip(t, appendAdoptReq, func(b []byte) (AdoptReq, error) { return decode(b, "adopt request", readAdoptReq) })
+	roundTrip(t, appendReleaseReq, func(b []byte) (ReleaseReq, error) { return decode(b, "release request", readReleaseReq) })
+	roundTrip(t, appendRowCountReq, func(b []byte) (RowCountReq, error) { return decode(b, "row count request", readRowCountReq) })
+	roundTrip(t, appendInsertHdr, func(b []byte) (InsertHdr, error) {
+		h, rest, err := readInsert(b)
+		if err == nil && len(rest) != 0 {
+			err = fmt.Errorf("%d bytes left", len(rest))
+		}
+		return h, err
+	})
+	roundTrip(t, AppendManifest, ReadManifest)
+}
+
+// roundTrip fills every exported field of a T, encodes it with appendMsg
+// and requires read to give it back.
+func roundTrip[T any](t *testing.T, appendMsg func([]byte, *T) []byte, read func([]byte) (T, error)) {
+	t.Helper()
+	var msg T
+	fillMsg(t, reflect.ValueOf(&msg).Elem(), 0)
+	got, err := read(appendMsg(nil, &msg))
+	if err != nil || !reflect.DeepEqual(got, msg) {
+		t.Fatalf("%T did not survive its codec (err %v):\n%#v\nvs\n%#v", msg, err, got, msg)
 	}
 }

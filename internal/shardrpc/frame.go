@@ -10,19 +10,18 @@
 // Frame layout (all multi-byte integers big-endian):
 //
 //	byte    magic 0xD5
-//	byte    version 6
+//	byte    version 7
 //	byte    frame type
 //	byte    flags (reserved, 0)
 //	uint32  payload length (<= MaxFrame)
 //	...     payload
 //
-// Control payloads are gob, one stream per connection and direction
-// (messages.go, conn.go). What every statement pays for is binary: a
-// request is one FrameExec (messages.go, with the statement in the sql
-// package's AST codec), rows travel as batch blocks (vec/block.go) —
-// FrameRows is one block, FrameInsert a gob InsertHdr and a block,
-// FrameShuffleData a binary shuffle header and a block — and a response
-// ends in one FrameDone.
+// Every payload is binary and decodes on its own (messages.go): a control
+// message, or a request that is one FrameExec (with the statement in the
+// sql package's AST codec); rows travel as batch blocks (vec/block.go) —
+// FrameRows is one block, FrameInsert an InsertHdr and a block,
+// FrameShuffleData a shuffle header and a block — and a response ends in
+// one FrameDone.
 package shardrpc
 
 import (
@@ -48,8 +47,9 @@ const (
 	// FrameResultHdr, and gives ResultHdr the column kinds. Version 6 sends
 	// ExecReq and the response's end in binary: the gob ResultHdr and
 	// StatsMsg frames became one FrameDone, and the frame types after
-	// FrameExec were renumbered.
-	frameVersion = 6
+	// FrameExec were renumbered. Version 7 sends the control messages in
+	// binary too, each frame on its own: no gob stream is left.
+	frameVersion = 7
 
 	// MaxFrame bounds a single frame payload (64 MiB): a corrupt or
 	// hostile length prefix must not become an allocation.
@@ -66,20 +66,20 @@ type FrameType uint8
 // Done.
 const (
 	FrameInvalid     FrameType = iota
-	FrameHello                 // gob Hello: first frame on a connection
-	FrameOK                    // gob payload (RowCount's int64) or empty: generic success
+	FrameHello                 // Hello: first frame on a connection
+	FrameOK                    // RowCount's varint or empty: generic success
 	FrameErr                   // utf-8 error text
 	FramePing                  // empty: liveness probe
-	FramePong                  // gob PingInfo
+	FramePong                  // PingInfo
 	FrameExec                  // binary ExecReq: run one statement on a shard
 	FrameRows                  // batch block: result rows
 	FrameDone                  // binary result: columns, kinds, affected, message, stats; ends a response
-	FrameInsert                // gob InsertHdr then batch block in same payload
+	FrameInsert                // InsertHdr then batch block in same payload
 	FrameShuffleData           // binary shuffle header + batch block
 	FrameShuffleEOF            // binary shuffle header, sender is done
-	FrameAdopt                 // gob AdoptReq: host these shards
-	FrameRelease               // gob ReleaseReq: stop hosting these shards
-	FrameRowCount              // gob RowCountReq
+	FrameAdopt                 // AdoptReq: host these shards
+	FrameRelease               // ReleaseReq: stop hosting these shards
+	FrameRowCount              // RowCountReq
 	FrameShuffleDrop           // uvarint query id: discard that query's shuffle inboxes
 	frameTypeMax
 )

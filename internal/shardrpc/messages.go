@@ -13,17 +13,16 @@ import (
 	"dashdb/internal/types"
 )
 
-// Messages. The control plane — Hello, PingInfo, AdoptReq, ReleaseReq,
-// RowCountReq, InsertHdr and RowCount's int64 — is gob, one stream per
-// connection and direction (conn.go): a message's type descriptors cross a
-// connection once, before its first value, and every later frame holds
-// only the value, which the peer decodes into a fresh zero value. What
-// every statement pays for is binary: its request (ExecReq, whose
-// statement is the sql package's AST codec) and the end of its response
-// (FrameDone), like the rows and shuffle headers between them. The
-// coordinator builds trees — shard statements with partial-aggregate
-// select lists over base tables or shuffle inputs — and ships them, so no
-// SQL renderer exists anywhere in the protocol.
+// Messages. Every payload is binary, in types.Reader's integers, strings
+// and bools, and decodes on its own: a control message (Hello, PingInfo,
+// AdoptReq, ReleaseReq, RowCountReq, InsertHdr and RowCount's reply), a
+// statement's request (ExecReq, whose statement is the sql package's AST
+// codec) and the end of its response (FrameDone), like the rows and
+// shuffle headers between them. The coordinator builds trees — shard
+// statements with partial-aggregate select lists over base tables or
+// shuffle inputs — and ships them, so no SQL renderer exists anywhere in
+// the protocol. The cluster manifest, persisted beside the shards'
+// file-sets, is one of these messages behind a blob header.
 
 // Hello opens a connection; the server answers FrameOK.
 type Hello struct {
@@ -111,8 +110,8 @@ type ShuffleOutput struct {
 	Sender int
 }
 
-// InsertHdr prefixes a FrameInsert payload; the batch block is what the
-// peer's decoder leaves of the payload after the header.
+// InsertHdr prefixes a FrameInsert payload; the batch block is the rest
+// of the payload after the header.
 type InsertHdr struct {
 	ShardID int
 	Table   string
@@ -164,6 +163,14 @@ type RowCountReq struct {
 	Table   string
 }
 
+// Manifest is the cluster's persisted shape: the shard count, which the
+// shards' file-sets fix, and the tables, whose storage ids are identical
+// on every shard.
+type Manifest struct {
+	NShards int
+	Tables  []TableSpec
+}
+
 // PartLoc is one shuffle destination: the server address and the shard
 // (= partition owner) on it. Addr "" means the partition stays on the
 // sending server (loopback short-circuit).
@@ -196,9 +203,19 @@ func decodeShuffleHdr(b []byte) (shuffleHdr, []byte, error) {
 	return h, r.Rest(), readEnd(&r, "shuffle header", true)
 }
 
-// The binary messages, in types.Reader's integers, strings and bools; a
-// list is its uvarint length and then its elements, an optional part a
-// bool and then the part.
+// The binary messages. A list is its uvarint length and then its
+// elements, an optional part a bool and then the part, a schema a list of
+// columns (string name, byte kind, bool nullable).
+//
+// FrameHello: string node. FramePong: string node, the hosted shards.
+// FrameAdopt: the shard grants (varint id, memory, sort heap, hash heap,
+// parallelism), the tables (string name, uvarint id, schema, string
+// distribution key, bool replicated), string reason. FrameRelease: the
+// shards. FrameRowCount: varint shard, string table, answered by a
+// FrameOK of the varint count. FrameInsert: varint shard, string table,
+// varint rows, uvarint token, then the batch block to the end of the
+// payload. The manifest: the types.BlobManifest header, varint shards,
+// the tables.
 //
 // FrameExec: varint shard, byte dialect, uvarint token, bool with stats,
 // string SQL text, the optional Exchange (appendExchange), then the
@@ -207,6 +224,149 @@ func decodeShuffleHdr(b []byte) (shuffleHdr, []byte, error) {
 // FrameDone: the column names, their kinds (a byte each), varint rows
 // affected, string message, varint shuffled bytes, then the optional
 // ANALYZE record (appendRecord).
+
+// decode reads a whole payload as one message with read.
+func decode[T any](payload []byte, what string, read func(*types.Reader) T) (T, error) {
+	r := types.NewReader(payload)
+	m := read(&r)
+	return m, readEnd(&r, what, false)
+}
+
+func appendHello(dst []byte, h *Hello) []byte { return types.AppendStr(dst, h.Node) }
+
+func readHello(r *types.Reader) Hello { return Hello{Node: r.Str()} }
+
+func appendPingInfo(dst []byte, p *PingInfo) []byte {
+	return appendInts(types.AppendStr(dst, p.Node), p.Shards)
+}
+
+func readPingInfo(r *types.Reader) PingInfo { return PingInfo{Node: r.Str(), Shards: readInts(r)} }
+
+func appendAdoptReq(dst []byte, req *AdoptReq) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(req.Shards)))
+	for _, a := range req.Shards {
+		for _, x := range []int64{int64(a.ID), a.MemBytes, a.SortHeap, a.HashHeap, int64(a.Parallelism)} {
+			dst = binary.AppendVarint(dst, x)
+		}
+	}
+	return types.AppendStr(appendTableSpecs(dst, req.Tables), req.Reason)
+}
+
+func readAdoptReq(r *types.Reader) AdoptReq {
+	var req AdoptReq
+	if n := r.Count(); n > 0 {
+		req.Shards = make([]ShardAssign, n)
+		for i := range req.Shards {
+			req.Shards[i] = ShardAssign{ID: int(r.Varint()), MemBytes: r.Varint(), SortHeap: r.Varint(), HashHeap: r.Varint(), Parallelism: int(r.Varint())}
+		}
+	}
+	req.Tables, req.Reason = readTableSpecs(r), r.Str()
+	return req
+}
+
+func appendReleaseReq(dst []byte, req *ReleaseReq) []byte { return appendInts(dst, req.Shards) }
+
+func readReleaseReq(r *types.Reader) ReleaseReq { return ReleaseReq{Shards: readInts(r)} }
+
+func appendRowCountReq(dst []byte, req *RowCountReq) []byte {
+	return types.AppendStr(binary.AppendVarint(dst, int64(req.ShardID)), req.Table)
+}
+
+func readRowCountReq(r *types.Reader) RowCountReq {
+	return RowCountReq{ShardID: int(r.Varint()), Table: r.Str()}
+}
+
+func readRowCount(r *types.Reader) int64 { return r.Varint() }
+
+func appendInsertHdr(dst []byte, h *InsertHdr) []byte {
+	dst = types.AppendStr(binary.AppendVarint(dst, int64(h.ShardID)), h.Table)
+	return binary.AppendUvarint(binary.AppendVarint(dst, int64(h.NRows)), h.Token)
+}
+
+// readInsert decodes a FrameInsert payload's header and returns the batch
+// block after it.
+func readInsert(payload []byte) (InsertHdr, []byte, error) {
+	r := types.NewReader(payload)
+	h := InsertHdr{ShardID: int(r.Varint()), Table: r.Str(), NRows: int(r.Varint()), Token: r.Uvarint()}
+	return h, r.Rest(), readEnd(&r, "insert header", true)
+}
+
+// AppendManifest appends m's blob to dst.
+func AppendManifest(dst []byte, m *Manifest) []byte {
+	dst = binary.AppendVarint(types.AppendHeader(dst, types.BlobManifest), int64(m.NShards))
+	return appendTableSpecs(dst, m.Tables)
+}
+
+// ReadManifest decodes a blob AppendManifest wrote.
+func ReadManifest(data []byte) (Manifest, error) {
+	return decode(data, "manifest", func(r *types.Reader) Manifest {
+		r.Header(types.BlobManifest)
+		return Manifest{NShards: int(r.Varint()), Tables: readTableSpecs(r)}
+	})
+}
+
+func appendTableSpecs(dst []byte, specs []TableSpec) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(specs)))
+	for _, t := range specs {
+		dst = binary.AppendUvarint(types.AppendStr(dst, t.Name), uint64(t.ID))
+		dst = types.AppendStr(appendSchema(dst, t.Schema), t.DistributeBy)
+		dst = types.AppendBool(dst, t.Replicated)
+	}
+	return dst
+}
+
+func readTableSpecs(r *types.Reader) []TableSpec {
+	n := r.Count()
+	if n == 0 {
+		return nil
+	}
+	specs := make([]TableSpec, n)
+	for i := range specs {
+		specs[i] = TableSpec{Name: r.Str(), ID: uint32(r.Uvarint()), Schema: readSchema(r), DistributeBy: r.Str(), Replicated: r.Bool()}
+	}
+	return specs
+}
+
+func appendSchema(dst []byte, s types.Schema) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	for _, c := range s {
+		dst = append(types.AppendStr(dst, c.Name), byte(c.Kind))
+		dst = types.AppendBool(dst, c.Nullable)
+	}
+	return dst
+}
+
+func readSchema(r *types.Reader) types.Schema {
+	n := r.Count()
+	if n == 0 {
+		return nil
+	}
+	s := make(types.Schema, n)
+	for i := range s {
+		s[i] = types.Column{Name: r.Str(), Kind: types.Kind(r.Byte()), Nullable: r.Bool()}
+	}
+	return s
+}
+
+func appendInts(dst []byte, xs []int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(xs)))
+	for _, x := range xs {
+		dst = binary.AppendVarint(dst, int64(x))
+	}
+	return dst
+}
+
+func readInts(r *types.Reader) []int {
+	n := r.Count()
+	if n == 0 {
+		return nil
+	}
+	xs := make([]int, n)
+	for i := range xs {
+		xs[i] = int(r.Varint())
+	}
+	return xs
+}
 
 // appendExecReq appends req's FrameExec payload to dst. Shared wire bytes
 // are copied; without them the statement is encoded in place.
@@ -249,13 +409,8 @@ func appendExchange(dst []byte, x *Exchange) []byte {
 	dst = binary.AppendVarint(dst, int64(x.Senders))
 	dst = binary.AppendUvarint(dst, uint64(len(x.Inputs)))
 	for _, in := range x.Inputs {
-		dst = types.AppendStr(dst, in.Name)
-		dst = binary.AppendVarint(dst, int64(in.Stage))
-		dst = binary.AppendUvarint(dst, uint64(len(in.Schema)))
-		for _, c := range in.Schema {
-			dst = append(types.AppendStr(dst, c.Name), byte(c.Kind))
-			dst = types.AppendBool(dst, c.Nullable)
-		}
+		dst = binary.AppendVarint(types.AppendStr(dst, in.Name), int64(in.Stage))
+		dst = appendSchema(dst, in.Schema)
 	}
 	out := x.Output
 	if dst = types.AppendBool(dst, out != nil); out == nil {
@@ -263,10 +418,7 @@ func appendExchange(dst []byte, x *Exchange) []byte {
 	}
 	dst = binary.AppendVarint(dst, int64(out.Stage))
 	dst = binary.AppendVarint(dst, int64(out.Sender))
-	dst = binary.AppendUvarint(dst, uint64(len(out.Keys)))
-	for _, k := range out.Keys {
-		dst = binary.AppendVarint(dst, int64(k))
-	}
+	dst = appendInts(dst, out.Keys)
 	dst = binary.AppendUvarint(dst, uint64(len(out.Parts)))
 	for _, p := range out.Parts {
 		dst = binary.AppendVarint(types.AppendStr(dst, p.Addr), int64(p.ShardID))
@@ -282,26 +434,13 @@ func readExchange(r *types.Reader) *Exchange {
 	if n := r.Count(); n > 0 {
 		x.Inputs = make([]ShuffleInput, n)
 		for i := range x.Inputs {
-			in := &x.Inputs[i]
-			in.Name, in.Stage = r.Str(), int(r.Varint())
-			if n := r.Count(); n > 0 {
-				in.Schema = make(types.Schema, n)
-				for j := range in.Schema {
-					in.Schema[j] = types.Column{Name: r.Str(), Kind: types.Kind(r.Byte()), Nullable: r.Bool()}
-				}
-			}
+			x.Inputs[i] = ShuffleInput{Name: r.Str(), Stage: int(r.Varint()), Schema: readSchema(r)}
 		}
 	}
 	if !r.Bool() {
 		return x
 	}
-	out := &ShuffleOutput{Stage: int(r.Varint()), Sender: int(r.Varint())}
-	if n := r.Count(); n > 0 {
-		out.Keys = make([]int, n)
-		for i := range out.Keys {
-			out.Keys[i] = int(r.Varint())
-		}
-	}
+	out := &ShuffleOutput{Stage: int(r.Varint()), Sender: int(r.Varint()), Keys: readInts(r)}
 	if n := r.Count(); n > 0 {
 		out.Parts = make([]PartLoc, n)
 		for i := range out.Parts {

@@ -1,9 +1,8 @@
 package shardrpc
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -196,9 +195,13 @@ func EnsureTables(db *core.DB, tables []TableSpec) error {
 		}
 		cfg := columnar.Config{Pool: db.Pool(), Store: db.Config().Store, Dop: db.Config().Parallelism}
 		tbl, err := columnar.OpenTable(t.ID, t.Schema, cfg)
+		if errors.Is(err, columnar.ErrNoMeta) {
+			// A freshly created shard slice. Metadata that does not read
+			// is an error, never an empty table.
+			tbl, err = columnar.NewTable(t.ID, t.Name, t.Schema, cfg), nil
+		}
 		if err != nil {
-			// No persisted meta yet: a freshly created shard slice.
-			tbl = columnar.NewTable(t.ID, t.Name, t.Schema, cfg)
+			return fmt.Errorf("table %s: %w", t.Name, err)
 		}
 		if err := db.Catalog().CreateTable(tbl); err != nil {
 			return fmt.Errorf("table %s: %w", t.Name, err)
@@ -283,26 +286,31 @@ type appliedEntry struct {
 	RowsAffected int64
 }
 
-type appliedLog struct {
-	Recent []appliedEntry // newest last, at most appliedKeep
+// The log is a types.Reader message behind the types.BlobAppliedLog
+// header: a list of entries, oldest first, each a uvarint token and a
+// varint affected count.
+
+func appendApplied(dst []byte, log []appliedEntry) []byte {
+	dst = binary.AppendUvarint(types.AppendHeader(dst, types.BlobAppliedLog), uint64(len(log)))
+	for _, e := range log {
+		dst = binary.AppendVarint(binary.AppendUvarint(dst, e.Token), e.RowsAffected)
+	}
+	return dst
 }
 
-// encodeGob gob-encodes a blob as a stream of its own: the applied log
-// outlives every connection.
-func encodeGob(msg any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
-		return nil, fmt.Errorf("shardrpc: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeGob decodes a blob encodeGob wrote.
-func decodeGob(data []byte, msg any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(msg); err != nil {
-		return fmt.Errorf("shardrpc: decode: %w", err)
-	}
-	return nil
+func readApplied(data []byte) ([]appliedEntry, error) {
+	return decode(data, "applied-token log", func(r *types.Reader) []appliedEntry {
+		r.Header(types.BlobAppliedLog)
+		n := r.Count()
+		if n == 0 {
+			return nil
+		}
+		log := make([]appliedEntry, n)
+		for i := range log {
+			log[i] = appliedEntry{Token: r.Uvarint(), RowsAffected: r.Varint()}
+		}
+		return log
+	})
 }
 
 func appliedPath(shardID int) string {
@@ -310,47 +318,58 @@ func appliedPath(shardID int) string {
 }
 
 // lookupApplied reports whether this shard already applied the token,
-// and the affected count recorded for it.
-func (s *Server) lookupApplied(shardID int, token uint64) (int64, bool) {
+// and the affected count recorded for it. A log that does not read is an
+// error, never an empty log: a retry it might name must not run again.
+func (s *Server) lookupApplied(shardID int, token uint64) (int64, bool, error) {
 	if token == 0 {
-		return 0, false
+		return 0, false, nil
 	}
 	s.appliedMu.Lock()
 	defer s.appliedMu.Unlock()
-	lg := s.readAppliedLocked(shardID)
-	for _, e := range lg.Recent {
+	log, err := s.readAppliedLocked(shardID)
+	if err != nil {
+		return 0, false, err
+	}
+	for _, e := range log {
 		if e.Token == token {
-			return e.RowsAffected, true
+			return e.RowsAffected, true, nil
 		}
 	}
-	return 0, false
+	return 0, false, nil
 }
 
-func (s *Server) readAppliedLocked(shardID int) appliedLog {
-	var lg appliedLog
+// readAppliedLocked reads a shard's log; a shard without one has logged
+// nothing.
+func (s *Server) readAppliedLocked(shardID int) ([]appliedEntry, error) {
 	data, err := s.fs.ReadFile(appliedPath(shardID))
 	if err != nil {
-		return lg
+		return nil, nil
 	}
-	decodeGob(data, &lg) //nolint:errcheck — a corrupt log reads as empty
-	return lg
+	log, err := readApplied(data)
+	if err != nil {
+		return nil, fmt.Errorf("shard %d: %s: %w", shardID, appliedPath(shardID), err)
+	}
+	return log, nil
 }
 
 // markApplied logs a token after the shard state it covers is persisted.
-func (s *Server) markApplied(shardID int, token uint64, affected int64) {
+// A log that does not read stays as it is, and keeps refusing tokens.
+func (s *Server) markApplied(shardID int, token uint64, affected int64) error {
 	if token == 0 {
-		return
+		return nil
 	}
 	s.appliedMu.Lock()
 	defer s.appliedMu.Unlock()
-	lg := s.readAppliedLocked(shardID)
-	lg.Recent = append(lg.Recent, appliedEntry{Token: token, RowsAffected: affected})
-	if len(lg.Recent) > appliedKeep {
-		lg.Recent = lg.Recent[len(lg.Recent)-appliedKeep:]
+	log, err := s.readAppliedLocked(shardID)
+	if err != nil {
+		return err
 	}
-	if data, err := encodeGob(&lg); err == nil {
-		s.fs.WriteFile(appliedPath(shardID), data)
+	log = append(log, appliedEntry{Token: token, RowsAffected: affected})
+	if len(log) > appliedKeep {
+		log = log[len(log)-appliedKeep:]
 	}
+	s.fs.WriteFile(appliedPath(shardID), appendApplied(nil, log))
+	return nil
 }
 
 func (s *Server) engine(shardID int) (*engineSlot, error) {
@@ -379,10 +398,10 @@ func (s *Server) acceptLoop() {
 }
 
 // handleConn serves one protocol connection: Hello first, then a
-// request/response loop. Request handling errors answer FrameErr and
-// keep the connection (framing stays intact because payloads are always
-// fully read); a gob stream error answers FrameErr and ends it, as do
-// transport errors.
+// request/response loop. A request that does not decode or fails answers
+// FrameErr and keeps the connection (framing stays intact because
+// payloads are always fully read, and each decodes on its own); a
+// transport error ends it, as does a Hello that does not decode.
 func (s *Server) handleConn(nc net.Conn) {
 	s.connMu.Lock()
 	s.conns[nc] = struct{}{}
@@ -399,9 +418,8 @@ func (s *Server) handleConn(nc net.Conn) {
 	if err != nil || t != FrameHello {
 		return
 	}
-	var hello Hello // unused, but a stream's frames are decoded in order
-	if _, err := c.decode(payload, &hello); err != nil {
-		c.fail(err)
+	if _, err := decode(payload, "hello", readHello); err != nil {
+		c.write(FrameErr, []byte(err.Error())) //nolint:errcheck — the connection closes either way
 		return
 	}
 	if err := c.write(FrameOK, nil); err != nil {
@@ -427,20 +445,18 @@ func (s *Server) dispatch(c *serverConn, t FrameType, payload []byte) error {
 	}
 	switch t {
 	case FramePing:
-		return c.writeGob(FramePong, &PingInfo{Node: s.node, Shards: s.Shards()})
+		c.buf = appendPingInfo(c.buf[:0], &PingInfo{Node: s.node, Shards: s.Shards()})
+		return c.write(FramePong, c.buf)
 	case FrameExec:
-		// A binary request that does not decode leaves no stream behind:
-		// the connection stays.
 		req, err := readExecReq(payload)
 		if err != nil {
 			return reply(err)
 		}
 		return s.handleExec(c, req)
 	case FrameInsert:
-		var hdr InsertHdr
-		block, err := c.decode(payload, &hdr)
+		hdr, block, err := readInsert(payload)
 		if err != nil {
-			return c.fail(err)
+			return reply(err)
 		}
 		return reply(s.handleInsert(hdr, block))
 	case FrameShuffleData, FrameShuffleEOF:
@@ -453,28 +469,28 @@ func (s *Server) dispatch(c *serverConn, t FrameType, payload []byte) error {
 		s.router.Drop(q)
 		return reply(nil)
 	case FrameAdopt:
-		var req AdoptReq
-		if _, err := c.decode(payload, &req); err != nil {
-			return c.fail(err)
+		req, err := decode(payload, "adopt request", readAdoptReq)
+		if err == nil {
+			err = s.Adopt(req)
 		}
-		return reply(s.Adopt(req))
+		return reply(err)
 	case FrameRelease:
-		var req ReleaseReq
-		if _, err := c.decode(payload, &req); err != nil {
-			return c.fail(err)
+		req, err := decode(payload, "release request", readReleaseReq)
+		if err == nil {
+			s.Release(req.Shards)
 		}
-		s.Release(req.Shards)
-		return reply(nil)
+		return reply(err)
 	case FrameRowCount:
-		var req RowCountReq
-		if _, err := c.decode(payload, &req); err != nil {
-			return c.fail(err)
+		req, err := decode(payload, "row count request", readRowCountReq)
+		var n int64
+		if err == nil {
+			n, err = s.rowCount(req)
 		}
-		n, err := s.rowCount(req)
 		if err != nil {
 			return reply(err)
 		}
-		return c.writeGob(FrameOK, n)
+		c.buf = binary.AppendVarint(c.buf[:0], n)
+		return c.write(FrameOK, c.buf)
 	default:
 		return reply(fmt.Errorf("unexpected frame type %d", t))
 	}
@@ -560,7 +576,11 @@ func (s *Server) handleExec(c *serverConn, req ExecReq) error {
 		return c.write(FrameErr, []byte("exchange on a statement that is not a SELECT"))
 	}
 	if write {
-		if affected, ok := s.lookupApplied(req.ShardID, req.Token); ok {
+		affected, ok, err := s.lookupApplied(req.ShardID, req.Token)
+		if err != nil {
+			return c.write(FrameErr, []byte(err.Error()))
+		}
+		if ok {
 			// Lost-reply retry of a statement this shard already durably
 			// applied: acknowledge without re-executing it.
 			return writeDone(c, &core.Result{RowsAffected: affected, Message: "OK"}, 0, false)
@@ -612,7 +632,9 @@ func (s *Server) handleExec(c *serverConn, req ExecReq) error {
 		} else {
 			persistEngine(slot.db)
 		}
-		s.markApplied(req.ShardID, req.Token, res.RowsAffected)
+		if err := s.markApplied(req.ShardID, req.Token, res.RowsAffected); err != nil {
+			return c.write(FrameErr, []byte(err.Error()))
+		}
 	}
 	return writeDone(c, res, sentBytes, req.WithStats)
 }
@@ -625,8 +647,8 @@ func (s *Server) handleInsert(hdr InsertHdr, block []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, ok := s.lookupApplied(hdr.ShardID, hdr.Token); ok {
-		return nil // this bucket already landed durably; retry after a lost reply
+	if _, ok, err := s.lookupApplied(hdr.ShardID, hdr.Token); err != nil || ok {
+		return err // ok: this bucket already landed durably; retry after a lost reply
 	}
 	b, err := vec.DecodeBlock(block)
 	if err != nil {
@@ -642,8 +664,7 @@ func (s *Server) handleInsert(hdr InsertHdr, block []byte) error {
 	if err := tbl.SaveMeta(); err != nil {
 		return err
 	}
-	s.markApplied(hdr.ShardID, hdr.Token, int64(b.N))
-	return nil
+	return s.markApplied(hdr.ShardID, hdr.Token, int64(b.N))
 }
 
 func (s *Server) handleShuffle(t FrameType, payload []byte) error {

@@ -50,6 +50,7 @@ func TestFrameRejectsGarbage(t *testing.T) {
 		{frameMagic, 3, byte(FrameExec), 0, 0, 0, 0, 4},          // bad version (a fresh gob stream per frame)
 		{frameMagic, 4, byte(FrameRows), 0, 0, 0, 0, 4},          // bad version (row blocks, not batch blocks)
 		{frameMagic, 5, byte(FrameExec), 0, 0, 0, 0, 4},          // bad version (a gob statement request)
+		{frameMagic, 6, byte(FrameAdopt), 0, 0, 0, 0, 4},         // bad version (a gob control request)
 		{frameMagic, frameVersion, 0, 0, 0, 0, 0, 0},             // invalid type
 		{frameMagic, frameVersion, 99, 0, 0, 0, 0, 0},            // type out of range
 		{frameMagic, frameVersion, 1, 0, 0xFF, 0xFF, 0xFF, 0xFF}, // oversized
@@ -99,6 +100,19 @@ func sameRows(a, b []types.Row) bool {
 	return true
 }
 
+// readCell decodes b as exactly one cell.
+func readCell(b []byte) (types.Value, error) {
+	r := types.NewReader(b)
+	v := r.Cell()
+	if err := r.Err(); err != nil {
+		return v, err
+	}
+	if len(r.Rest()) != 0 {
+		return v, fmt.Errorf("%d bytes after the cell", len(r.Rest()))
+	}
+	return v, nil
+}
+
 // codecTrips are the three framings of the value codec (types/codec.go),
 // each as an encode-then-decode of a row set.
 var codecTrips = []struct {
@@ -138,14 +152,14 @@ var codecTrips = []struct {
 			got = append(got, r)
 		}
 	}},
-	{"gob", func(rows []types.Row) ([]types.Row, error) {
+	{"cell", func(rows []types.Row) ([]types.Row, error) {
 		got := make([]types.Row, len(rows))
 		for i, r := range rows {
 			got[i] = make(types.Row, len(r))
 			for j, v := range r {
-				b, err := v.GobEncode()
+				b, err := types.AppendCell(nil, v)
 				if err == nil {
-					err = got[i][j].GobDecode(b)
+					got[i][j], err = readCell(b)
 				}
 				if err != nil {
 					return nil, err
@@ -201,7 +215,7 @@ func TestRowBlockEmpty(t *testing.T) {
 }
 
 // TestDecodersRejectBadCells: the cell decoder refuses what the encoder
-// never writes, through gob, a row block and a spill stream alike.
+// never writes, as one cell, in a row block and in a spill stream alike.
 func TestDecodersRejectBadCells(t *testing.T) {
 	for _, cell := range [][]byte{
 		{0xFF},                             // NULL, dictionary code, Kind(63)
@@ -209,9 +223,8 @@ func TestDecodersRejectBadCells(t *testing.T) {
 		{byte(types.KindBool), 10},         // BOOLEAN payload 5
 		{byte(types.KindString) | 0x40, 0}, // dictionary code outside a block
 	} {
-		var v types.Value
-		if err := v.GobDecode(cell); err == nil {
-			t.Errorf("gob % x: accepted %v of %v", cell, v, v.Kind())
+		if v, err := readCell(cell); err == nil {
+			t.Errorf("cell % x: accepted %v of %v", cell, v, v.Kind())
 		}
 		frame := append([]byte{byte(len(cell))}, cell...)
 		// One row of one column of cells.
@@ -226,8 +239,8 @@ func TestDecodersRejectBadCells(t *testing.T) {
 
 // FuzzShuffleFrame fuzzes the network-facing decoders with raw bytes —
 // frame, shuffle header, statement request, FrameDone, block, spill stream
-// and gob value: they must never panic or demand memory the input does not
-// hold, only return errors, and whatever the block, stream and gob
+// and single cell: they must never panic or demand memory the input does
+// not hold, only return errors, and whatever the block, stream and cell
 // decoders accept must survive a round trip.
 func FuzzShuffleFrame(f *testing.F) {
 	// Not the 4 KB row: the fuzzer minimizes every new input it finds, and
@@ -278,8 +291,7 @@ func FuzzShuffleFrame(f *testing.F) {
 			}
 			accepted[1] = append(accepted[1], row)
 		}
-		var v types.Value
-		if v.GobDecode(data) == nil {
+		if v, err := readCell(data); err == nil {
 			accepted[2] = []types.Row{{v}}
 		}
 		for i, c := range codecTrips {
@@ -340,23 +352,16 @@ func TestWireStatementRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeGobTrailingBytes: a FrameInsert payload is an InsertHdr as
-// one Encode on the connection's stream wrote it, then a row block; the
-// decoder stops where the header ends, whether or not the frame carries
-// the header's type descriptors.
+// TestDecodeGobTrailingBytes: a FrameInsert payload is the binary
+// InsertHdr, then the batch block; the header's decoder stops where the
+// header ends and hands back the block, which a header alone lacks.
 func TestDecodeGobTrailingBytes(t *testing.T) {
-	out, in := newStream(), newStream()
 	for i, want := range []InsertHdr{{ShardID: 1, Table: "t", NRows: 2, Token: 9}, {Table: "u", NRows: 1}} {
-		hdr, err := out.encode(&want)
+		payload, err := EncodeRowBlock(appendInsertHdr(nil, &want), sampleRows()[:want.NRows])
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, err := EncodeRowBlock(hdr, sampleRows()[:want.NRows])
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got InsertHdr
-		rest, err := in.decode(payload, &got)
+		got, rest, err := readInsert(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,6 +371,10 @@ func TestDecodeGobTrailingBytes(t *testing.T) {
 		rows, err := DecodeRowBlock(rest)
 		if err != nil || len(rows) != want.NRows {
 			t.Fatalf("frame %d: rows=%d err=%v", i, len(rows), err)
+		}
+		hdr := appendInsertHdr(nil, &want)
+		if _, _, err := readInsert(hdr[:len(hdr)-1]); err == nil {
+			t.Fatalf("frame %d: a truncated header was accepted", i)
 		}
 	}
 }
@@ -383,16 +392,7 @@ func startTestServer(t testing.TB, fs *clusterfs.FS) *Server {
 			{ID: 0, MemBytes: 8 << 20, SortHeap: 1 << 20, HashHeap: 1 << 20, Parallelism: 2},
 			{ID: 1, MemBytes: 8 << 20, SortHeap: 1 << 20, HashHeap: 1 << 20, Parallelism: 2},
 		},
-		Tables: []TableSpec{{
-			Name: "sales",
-			ID:   1,
-			Schema: types.Schema{
-				{Name: "id", Kind: types.KindInt},
-				{Name: "region", Kind: types.KindString, Nullable: true},
-				{Name: "amount", Kind: types.KindFloat, Nullable: true},
-			},
-			DistributeBy: "id",
-		}},
+		Tables: []TableSpec{{Name: "sales", ID: 1, Schema: salesSchema, DistributeBy: "id"}},
 		Reason: "bootstrap",
 	}
 	if err := s.Adopt(req); err != nil {

@@ -1,7 +1,8 @@
 package shardrpc
 
 import (
-	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -13,8 +14,10 @@ import (
 
 	"dashdb/internal/clusterfs"
 	"dashdb/internal/columnar"
+	"dashdb/internal/encoding"
 	"dashdb/internal/sql"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 func mustParse(t testing.TB, src string) sql.Statement {
@@ -31,8 +34,8 @@ func mustParse(t testing.TB, src string) sql.Statement {
 // same message with them set: a decoder that reused the last value would
 // carry a Token into a statement without one (which would then be
 // acknowledged as a replay instead of applied) or an ANALYZE record into
-// a response that asked for none. The exchange's fields and the gob
-// control messages appear only after 200 requests.
+// a response that asked for none. The exchange's fields and the control
+// messages appear only after 200 requests.
 func TestConnStreamCarriesEveryMessage(t *testing.T) {
 	fs := clusterfs.New()
 	s := startTestServer(t, fs)
@@ -77,18 +80,13 @@ func TestConnStreamCarriesEveryMessage(t *testing.T) {
 		}
 	}
 
-	schema := types.Schema{
-		{Name: "id", Kind: types.KindInt},
-		{Name: "region", Kind: types.KindString, Nullable: true},
-		{Name: "amount", Kind: types.KindFloat, Nullable: true},
-	}
 	sent, err := p.Exec(s.Addr(), ExecReq{ShardID: 0, Stmt: mustParse(t, "SELECT * FROM sales"),
 		Exchange: &Exchange{Query: 5, Output: &ShuffleOutput{Keys: []int{0}, Parts: []PartLoc{{ShardID: 0}}}}})
 	if err != nil || sent.RowsAffected != 1 {
 		t.Fatalf("shuffle output: %+v, err %v", sent, err)
 	}
 	read, err := p.Exec(s.Addr(), ExecReq{ShardID: 0, Stmt: mustParse(t, "SELECT amount FROM part"), WithStats: true,
-		Exchange: &Exchange{Query: 5, Senders: 1, Inputs: []ShuffleInput{{Name: "part", Schema: schema}}}})
+		Exchange: &Exchange{Query: 5, Senders: 1, Inputs: []ShuffleInput{{Name: "part", Schema: salesSchema}}}})
 	if err != nil || len(read.Rows()) != 1 || read.Rows()[0][0].Float() != 110 || read.Stats == nil {
 		t.Fatalf("shuffle input: %+v, err %v", read, err)
 	}
@@ -99,7 +97,7 @@ func TestConnStreamCarriesEveryMessage(t *testing.T) {
 		t.Fatalf("rowcount %d, err %v", n, err)
 	}
 	if err := p.Adopt(s.Addr(), AdoptReq{Shards: []ShardAssign{{ID: 2, MemBytes: 4 << 20, SortHeap: 1 << 20, HashHeap: 1 << 20, Parallelism: 1}},
-		Tables: []TableSpec{{Name: "sales", ID: 1, Schema: schema}}, Reason: "grow"}); err != nil {
+		Tables: []TableSpec{{Name: "sales", ID: 1, Schema: salesSchema}}, Reason: "grow"}); err != nil {
 		t.Fatal(err)
 	}
 	if info, err := p.Ping(s.Addr()); err != nil || len(info.Shards) != 3 {
@@ -121,50 +119,55 @@ func TestConnStreamCarriesEveryMessage(t *testing.T) {
 	}
 }
 
-// TestGobFailureClosesConn: a stream error drops the connection on the
-// side that saw it — the server after answering FrameErr, the client by
-// not pooling it — and the next call dials afresh. A statement request is
-// binary and has no stream to lose: one that does not decode is answered
-// FrameErr on a connection that stays.
+// TestGobFailureClosesConn: every request decodes on its own, so one
+// that does not — a statement or a control request — is answered FrameErr
+// on a connection that stays and then serves a Ping; only a Hello that
+// does not decode ends its connection. On the client, a reply that does
+// not decode fails the call and its connection is not pooled, so the next
+// call dials afresh.
 func TestGobFailureClosesConn(t *testing.T) {
 	s := startTestServer(t, clusterfs.New())
-	nc, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
+	dial := func(hello []byte) net.Conn {
+		t.Helper()
+		nc, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if err := WriteFrame(nc, FrameHello, hello); err != nil {
+			t.Fatal(err)
+		}
+		return nc
 	}
-	defer nc.Close()
-	hello, err := newStream().encode(&Hello{Node: "raw"})
-	if err != nil {
-		t.Fatal(err)
+	garbage := []byte{0x05, 0xff, 0x81, 0x03, 0x01, 0x01}
+	bad := dial(garbage[:2])
+	if ft, msg, err := ReadFrame(bad); err != nil || ft != FrameErr {
+		t.Fatalf("garbage hello answered %d %q, err %v", ft, msg, err)
 	}
-	if err := WriteFrame(nc, FrameHello, hello); err != nil {
-		t.Fatal(err)
+	if ft, _, err := ReadFrame(bad); err != io.EOF {
+		t.Fatalf("after a garbage hello the server sent frame %d (err %v), want EOF", ft, err)
 	}
+	nc := dial(appendHello(nil, &Hello{Node: "raw"}))
 	if ft, _, err := ReadFrame(nc); err != nil || ft != FrameOK {
 		t.Fatalf("hello reply %d, err %v", ft, err)
 	}
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	garbage := []byte{0x05, 0xff, 0x81, 0x03, 0x01, 0x01}
-	if err := WriteFrame(nc, FrameExec, garbage); err != nil {
-		t.Fatal(err)
+	for _, req := range []FrameType{FrameExec, FrameInsert, FrameAdopt, FrameRelease, FrameRowCount} {
+		if err := WriteFrame(nc, req, garbage); err != nil {
+			t.Fatal(err)
+		}
+		if ft, msg, err := ReadFrame(nc); err != nil || ft != FrameErr {
+			t.Fatalf("garbage request %d answered %d %q, err %v", req, ft, msg, err)
+		}
+		if err := WriteFrame(nc, FramePing, nil); err != nil {
+			t.Fatal(err)
+		}
+		if ft, _, err := ReadFrame(nc); err != nil || ft != FramePong {
+			t.Fatalf("after garbage request %d: frame %d, err %v", req, ft, err)
+		}
 	}
-	if ft, msg, err := ReadFrame(nc); err != nil || ft != FrameErr || strings.HasPrefix(string(msg), gobErrPrefix) {
-		t.Fatalf("garbage statement request answered %d %q, err %v", ft, msg, err)
-	}
-	if err := WriteFrame(nc, FramePing, nil); err != nil {
-		t.Fatal(err)
-	}
-	if ft, _, err := ReadFrame(nc); err != nil || ft != FramePong {
-		t.Fatalf("after a garbage statement request: frame %d, err %v", ft, err)
-	}
-	if err := WriteFrame(nc, FrameRowCount, garbage); err != nil {
-		t.Fatal(err)
-	}
-	if ft, msg, err := ReadFrame(nc); err != nil || ft != FrameErr || !strings.HasPrefix(string(msg), gobErrPrefix) {
-		t.Fatalf("garbage request answered %d %q, err %v", ft, msg, err)
-	}
-	if ft, _, err := ReadFrame(nc); err != io.EOF {
-		t.Fatalf("after a stream error the server sent frame %d (err %v), want EOF", ft, err)
+	if got := s.Shards(); len(got) != 2 {
+		t.Fatalf("garbage requests changed the hosted shards to %v", got)
 	}
 
 	// A server whose odd-numbered connections answer with garbage.
@@ -185,15 +188,22 @@ func TestGobFailureClosesConn(t *testing.T) {
 	}()
 	addr := ln.Addr().String()
 	calls := []struct {
-		name string
-		call func(*Pool) error
+		name, what string
+		call       func(*Pool) error
 	}{
-		{"ping", func(p *Pool) error { _, err := p.Ping(addr); return err }},
-		{"rowcount", func(p *Pool) error { _, err := p.RowCount(addr, 0, "t"); return err }},
+		{"ping", "ping reply", func(p *Pool) error { _, err := p.Ping(addr); return err }},
+		{"rowcount", "row count", func(p *Pool) error {
+			n, err := p.RowCount(addr, 0, "t")
+			if err == nil && n != 7 {
+				err = fmt.Errorf("count %d, want 7", n)
+			}
+			return err
+		}},
 	}
 	for i, c := range calls {
 		p := NewPool("coord")
-		if err := c.call(p); err == nil || !strings.Contains(err.Error(), gobErrPrefix) {
+		var remote *RemoteError
+		if err := c.call(p); err == nil || errors.As(err, &remote) || !strings.Contains(err.Error(), c.what) {
 			t.Fatalf("%s over a garbage reply: err %v", c.name, err)
 		}
 		if n := len(p.idle[addr]); n != 0 {
@@ -210,42 +220,36 @@ func TestGobFailureClosesConn(t *testing.T) {
 }
 
 // fakeServe answers Hello, then FramePing and FrameRowCount, with a
-// well-formed reply or, when garbage is set, with a reply gob cannot
+// well-formed reply or, when garbage is set, with one that does not
 // decode.
 func fakeServe(nc net.Conn, garbage bool) {
 	defer nc.Close()
-	gs := newStream()
 	for {
 		ft, payload, err := ReadFrame(nc)
 		if err != nil {
 			return
 		}
-		var reply any
+		var out []byte
 		rt := FrameOK
 		switch ft {
 		case FrameHello:
-			var h Hello
-			if _, err := gs.decode(payload, &h); err != nil {
+			if _, err := decode(payload, "hello", readHello); err != nil {
 				return
 			}
 			WriteFrame(nc, FrameOK, nil)
 			continue
 		case FramePing:
-			rt, reply = FramePong, &PingInfo{Node: "fake"}
+			rt, out = FramePong, appendPingInfo(nil, &PingInfo{Node: "fake"})
 		case FrameRowCount:
-			var req RowCountReq
-			if _, err := gs.decode(payload, &req); err != nil {
+			if _, err := decode(payload, "row count request", readRowCountReq); err != nil {
 				return
 			}
-			reply = int64(7)
+			out = binary.AppendVarint(nil, 7)
 		default:
 			return
 		}
-		out := []byte{0x02, 0x99, 0x99}
-		if !garbage {
-			if out, err = gs.encode(reply); err != nil {
-				return
-			}
+		if garbage {
+			out = []byte{0x02, 0x99, 0x99}
 		}
 		if WriteFrame(nc, rt, out) != nil {
 			return
@@ -303,30 +307,33 @@ func TestPoolConcurrentStreams(t *testing.T) {
 	}
 }
 
-// FuzzGobStream feeds raw bytes to a fresh server stream as a control
-// request, an AdoptReq, and as a FrameInsert payload: a hostile or corrupt
-// request may only fail to decode, never panic.
-func FuzzGobStream(f *testing.F) {
-	req, err := newStream().encode(&AdoptReq{Shards: []ShardAssign{{ID: 1, MemBytes: 4 << 20}}, Reason: "grow"})
-	if err != nil {
-		f.Fatal(err)
+// FuzzControlFrame feeds raw bytes to every control message's decoder —
+// each request, each reply, FrameInsert's header and its block — and to
+// every persisted blob's reader: the applied-token log, the cluster
+// manifest, an encoder snapshot and a table's metadata. Hostile or
+// corrupt bytes may only fail to decode, never panic. Its seeds are one
+// valid encoding of each.
+func FuzzControlFrame(f *testing.F) {
+	for _, seed := range controlSeeds(f) {
+		f.Add(seed)
 	}
-	f.Add(bytes.Clone(req))
-	hdr, err := newStream().encode(&InsertHdr{ShardID: 1, Table: "t", NRows: 2, Token: 5})
-	if err != nil {
-		f.Fatal(err)
-	}
-	block, _ := EncodeRowBlock(hdr, sampleRows()[:2])
-	f.Add(block)
 	f.Add([]byte{})
 	f.Add([]byte{0x05, 0xff, 0x81, 0x03, 0x01, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req AdoptReq
-		newStream().decode(data, &req)
-		var hdr InsertHdr
-		if rest, err := newStream().decode(data, &hdr); err == nil {
-			DecodeRowBlock(rest)
+		decode(data, "hello", readHello)
+		decode(data, "ping reply", readPingInfo)
+		decode(data, "adopt request", readAdoptReq)
+		decode(data, "release request", readReleaseReq)
+		decode(data, "row count request", readRowCountReq)
+		decode(data, "row count", readRowCount)
+		if _, rest, err := readInsert(data); err == nil {
+			vec.DecodeBlock(rest)
 		}
+		readApplied(data)
+		ReadManifest(data)
+		r := types.NewReader(data)
+		encoding.ReadEncoder(&r)
+		columnar.OpenTable(1, salesSchema, columnar.Config{Store: blobStore(data)})
 	})
 }
 
@@ -365,15 +372,7 @@ func BenchmarkShardInsert(b *testing.B) {
 	s := startTestServer(b, clusterfs.New())
 	p := NewPool("coord")
 	defer p.Close()
-	regions := []string{"north", "south", "east", "west"}
-	rows := make([]types.Row, 50_000/6)
-	for i := range rows {
-		region := types.NewString(regions[i%len(regions)])
-		if i%7 == 0 {
-			region = types.Null
-		}
-		rows[i] = types.Row{types.NewInt(int64(6 * i)), region, types.NewFloat(float64(i%10_000) / 100)}
-	}
+	rows := salesRows(50_000 / 6)
 	slot, err := s.engine(0)
 	if err != nil {
 		b.Fatal(err)

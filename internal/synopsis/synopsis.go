@@ -37,18 +37,12 @@ func (c *Column) Set(s int, e Entry) {
 	c.entries[s] = e
 }
 
-// Entry returns stride s's entry.
-func (c *Column) Entry(s int) Entry { return c.entries[s] }
-
 // Entries exposes the live entry slice for zero-copy snapshotting: the
 // columnar layer clamps it to its current length so published epochs see
 // a frozen prefix while the writer keeps appending. Callers must treat
 // the result as read-only; Column only ever appends (never overwrites)
 // entries for new strides, so clamped prefixes stay stable.
 func (c *Column) Entries() []Entry { return c.entries }
-
-// Strides returns how many strides are summarized.
-func (c *Column) Strides() int { return len(c.entries) }
 
 // MemSize returns the synopsis footprint in bytes: this is what makes the
 // "three orders of magnitude smaller" claim measurable (experiment F-D).

@@ -63,14 +63,14 @@ func TestMayMatch(t *testing.T) {
 func TestColumnSetExtends(t *testing.T) {
 	var c Column
 	c.Set(3, Entry{MinCode: 1})
-	if c.Strides() != 4 {
-		t.Fatalf("strides %d", c.Strides())
+	if len(c.Entries()) != 4 {
+		t.Fatalf("strides %d", len(c.Entries()))
 	}
-	if c.Entry(3).MinCode != 1 {
+	if c.Entries()[3].MinCode != 1 {
 		t.Fatal("entry not stored")
 	}
 	c.Set(1, Entry{MaxCode: 9})
-	if c.Entry(1).MaxCode != 9 || c.Strides() != 4 {
+	if c.Entries()[1].MaxCode != 9 || len(c.Entries()) != 4 {
 		t.Fatal("in-place set failed")
 	}
 }

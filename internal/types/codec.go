@@ -9,12 +9,11 @@ import (
 
 // Value codec: the one way a boxed Value becomes bytes. Spill runs
 // (encoding.RowWriter/RowReader) write rows of it, a statement's literal
-// on the shard wire (sql.AppendStmt) and gob (Value.GobEncode/GobDecode,
-// so an encoder snapshot's dictionary values) write one cell, and the
-// shard wire's batch block (vec.AppendBlock)
-// writes it for a column that has no typed lane: a row-backed or
-// mixed-kind column, or one of KindNull. A typed column crosses the wire
-// in its own lane; the block's format is documented in vec/block.go.
+// on the shard wire (sql.AppendStmt) writes one cell, and the shard
+// wire's batch block (vec.AppendBlock) writes it for a column that has no
+// typed lane: a row-backed or mixed-kind column, or one of KindNull. A
+// typed column crosses the wire in its own lane; the block's format is
+// documented in vec/block.go.
 //
 // A cell is one tag byte and a payload:
 //
@@ -24,8 +23,8 @@ import (
 //	8 bytes LE       DOUBLE bits (NaN and -0 round-trip exactly)
 //	uvarint + bytes  VARCHAR
 //
-// A gob value is one cell. A row is one frame: the uvarint byte length of
-// its cells, then the cells; a spill run is a stream of frames.
+// A row is one frame: the uvarint byte length of its cells, then the
+// cells; a spill run is a stream of frames.
 //
 // Decoding checks every length against the input left, so hostile bytes
 // cannot demand memory they do not hold, and refuses what the encoder never

@@ -4,13 +4,16 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
-// Reader decodes a binary message from the front of a byte slice; the
-// shard wire's statement codec (sql.ReadStmt) and its request and
-// response messages read through it. An integer is a varint (zig-zag when
-// signed), a string its uvarint length and bytes, a bool one byte, 0 or 1,
-// and a value one cell (codec.go). The first error sticks, and every read
+// Reader decodes a binary message from the front of a byte slice: the
+// shard wire's statement codec (sql.ReadStmt), its control, request and
+// response messages, and every blob persisted on the clustered filesystem
+// read through it. An integer is a varint (zig-zag when signed), a string
+// its uvarint length and bytes, a bool one byte, 0 or 1, a DOUBLE its 8
+// bytes little-endian, and a value one cell (codec.go). The first error
+// sticks, and every read
 // after it returns a zero value. A length is checked against the bytes
 // left before anything is allocated for it, so hostile bytes cannot
 // demand memory they do not hold.
@@ -100,6 +103,17 @@ func (r *Reader) Str() string {
 	return s
 }
 
+// Float64 reads a DOUBLE's 8 bytes.
+func (r *Reader) Float64() float64 {
+	if len(r.b) < 8 {
+		r.Fail(errors.New("truncated DOUBLE"))
+		return 0
+	}
+	f := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
+	r.b = r.b[8:]
+	return f
+}
+
 // Cell reads one value.
 func (r *Reader) Cell() Value {
 	if r.err != nil {
@@ -125,4 +139,62 @@ func AppendBool(b []byte, v bool) []byte {
 		return append(b, 1)
 	}
 	return append(b, 0)
+}
+
+// AppendFloat64 appends f as Reader.Float64 reads it.
+func AppendFloat64(b []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+}
+
+// A blob persisted on the clustered filesystem — a table's metadata, an
+// encoder snapshot, a shard's applied-token log, the cluster manifest — is
+// a Reader message behind a three-byte header: blobMagic, the blob's kind
+// and blobFormat. No gob stream starts with blobMagic (gob opens with a
+// message length: a byte below 0x80, or a byte count's negation, 0xF8 to
+// 0xFF), so a blob written in the earlier gob formats is refused as such,
+// never misread.
+const (
+	blobMagic  = 0xDB
+	blobFormat = 1
+)
+
+// The blob kinds.
+const (
+	BlobTableMeta  byte = 'T' // columnar: a table's metadata
+	BlobEncoder    byte = 'E' // encoding: an encoder snapshot
+	BlobAppliedLog byte = 'L' // shardrpc: a shard's applied-token log
+	BlobManifest   byte = 'M' // shardrpc: the cluster manifest
+)
+
+// AppendHeader appends the header of a blob of the given kind.
+func AppendHeader(b []byte, kind byte) []byte { return append(b, blobMagic, kind, blobFormat) }
+
+// Header reads a blob header, failing unless it is kind's in blobFormat.
+func (r *Reader) Header(kind byte) {
+	if len(r.b) > 0 && (r.b[0] < 0x80 || r.b[0] >= 0xF8) {
+		r.Fail(fmt.Errorf("%s is gob-encoded, the format before binary format %d, and is not read", blobName(kind), blobFormat))
+		return
+	}
+	magic, k, format := r.Byte(), r.Byte(), r.Byte()
+	switch {
+	case r.err != nil:
+	case magic != blobMagic || k != kind:
+		r.Fail(fmt.Errorf("not a %s: header %#x %#x", blobName(kind), magic, k))
+	case format != blobFormat:
+		r.Fail(fmt.Errorf("%s in format %d, want %d", blobName(kind), format, blobFormat))
+	}
+}
+
+func blobName(kind byte) string {
+	switch kind {
+	case BlobTableMeta:
+		return "table metadata"
+	case BlobEncoder:
+		return "encoder snapshot"
+	case BlobAppliedLog:
+		return "applied-token log"
+	case BlobManifest:
+		return "cluster manifest"
+	}
+	return fmt.Sprintf("blob %q", kind)
 }

@@ -6,9 +6,9 @@
 # encoder's typed stride decode vs the boxed per-cell oracle, bulk-append
 # atomicity under racing truncates, one table image whether rows arrive as
 # rows, typed lanes or wire blocks and into tables at dop 1, 2 or 8, the
-# shard wire's frame, batch block and
-# gob stream decoding, the statement AST codec's round trip and hostile
-# bytes, every
+# shard wire's frame, batch block and control message decoding and the
+# persisted blobs' readers, the statement AST codec's round trip and
+# hostile bytes, every
 # expression node's EvalVec vs the row-at-a-time oracle in
 # internal/exec/oracle_test.go on generated trees and batches, the sort's
 # normalized-key order vs a stable types.Compare oracle, one answer and one
@@ -77,7 +77,7 @@ if [ "${DASHDB_FUZZ:-0}" = "1" ]; then
 	go test -run=NONE -fuzz=FuzzBulkAppend -fuzztime=10s ./internal/columnar/
 	go test -run=NONE -fuzz=FuzzAppendLanesMatchRows -fuzztime=10s ./internal/columnar/
 	go test -run=NONE -fuzz=FuzzShuffleFrame -fuzztime=10s ./internal/shardrpc/
-	go test -run=NONE -fuzz=FuzzGobStream -fuzztime=10s ./internal/shardrpc/
+	go test -run=NONE -fuzz=FuzzControlFrame -fuzztime=10s ./internal/shardrpc/
 	go test -run=NONE -fuzz=FuzzStmtWire -fuzztime=10s ./internal/sql/
 	go test -run=NONE -fuzz=FuzzEvalVecMatchesEval -fuzztime=10s ./internal/exec/
 	go test -run=NONE -fuzz=FuzzSortOrder -fuzztime=10s ./internal/exec/
