@@ -44,9 +44,6 @@ type Config struct {
 	// MaxQueuedQueries bounds the WLM admission queue: arrivals beyond the
 	// bound are rejected instead of queued. 0 = unbounded queue.
 	MaxQueuedQueries int
-	// QueryHistorySize bounds the MON_QUERY_HISTORY ring. 0 selects the
-	// telemetry default (256).
-	QueryHistorySize int
 	// SortHeapBytes budgets ORDER BY memory across all sessions; sorts
 	// beyond it spill to disk (external merge sort). 0 selects the
 	// mem.Broker default. The DASHDB_SORTHEAP environment variable
@@ -66,12 +63,6 @@ type Config struct {
 	// escape hatch; the default (false) evaluates over codes with late
 	// materialization at the projection.
 	DisableCompressedExec bool
-	// DisableJoinReorder turns off the planner's greedy join ordering
-	// and build/probe side selection: FROM clauses lower in syntactic
-	// order with the fixed right-side build. Ablation baseline for the
-	// planner experiment (F-J); per-session override via
-	// SET JOIN_ORDER SYNTACTIC|GREEDY.
-	DisableJoinReorder bool
 }
 
 // Procedure is a stored procedure callable via SQL CALL (the Spark
@@ -109,17 +100,13 @@ func Open(cfg Config) *DB {
 	if store == nil {
 		store = columnar.NewMemStore()
 	}
-	histSize := cfg.QueryHistorySize
-	if histSize <= 0 {
-		histSize = telemetry.DefaultHistorySize
-	}
 	db := &DB{
 		cat:    catalog.New(),
 		pool:   bufferpool.New(cfg.BufferPoolBytes, policy),
 		store:  store,
 		cfg:    cfg,
 		wlm:    wlm.New(cfg.MaxConcurrentQueries),
-		reg:    telemetry.NewRegistry(histSize),
+		reg:    telemetry.NewRegistry(telemetry.DefaultHistorySize),
 		broker: mem.NewBroker(cfg.SortHeapBytes, cfg.HashHeapBytes, cfg.TempDir),
 		procs:  make(map[string]Procedure),
 		udx:    sql.NewFuncRegistry(),
@@ -273,9 +260,9 @@ type Session struct {
 	// budget from auto-configuration.
 	sortHeap int64
 	hashHeap int64
-	// joinOrder overrides the engine's join-ordering mode for this
-	// session (SET JOIN_ORDER): "GREEDY", "SYNTACTIC", or "" for the
-	// engine default from Config.DisableJoinReorder.
+	// joinOrder is this session's join-ordering mode (SET JOIN_ORDER):
+	// "SYNTACTIC" lowers FROM clauses as written, the F-J ablation
+	// baseline; "GREEDY" or "" (the default) reorders.
 	joinOrder string
 	// bound holds the names Bind gave this session's statements.
 	bound map[string]catalog.RemoteSource
@@ -412,13 +399,7 @@ func (s *Session) compiler() *sql.Compiler {
 	c.Parallelism = s.Parallelism()
 	c.Gov = &mem.Governor{Broker: s.db.broker, SortLimit: s.sortHeap, HashLimit: s.hashHeap}
 	c.NoCompressedExec = s.db.cfg.DisableCompressedExec
-	c.DisableJoinReorder = s.db.cfg.DisableJoinReorder
-	switch s.joinOrder {
-	case "GREEDY":
-		c.DisableJoinReorder = false
-	case "SYNTACTIC":
-		c.DisableJoinReorder = true
-	}
+	c.DisableJoinReorder = s.joinOrder == "SYNTACTIC"
 	s.mu.Lock()
 	c.Params = s.params
 	c.Snaps = s.snaps

@@ -525,11 +525,7 @@ func (s *Session) executeSet(stmt *sql.SetStmt) (*Result, error) {
 		case "GREEDY", "SYNTACTIC":
 			s.joinOrder = v
 		case "DEFAULT", "AUTO":
-			s.joinOrder = ""
-			v = "GREEDY"
-			if s.db.cfg.DisableJoinReorder {
-				v = "SYNTACTIC"
-			}
+			s.joinOrder, v = "", "GREEDY"
 		default:
 			return nil, fmt.Errorf("core: SET %s expects GREEDY, SYNTACTIC or DEFAULT, got %q", name, stmt.Value)
 		}

@@ -193,12 +193,6 @@ func TestSetJoinOrder(t *testing.T) {
 	if _, err := s.Exec("SET JOIN_ORDER SIDEWAYS"); err == nil {
 		t.Error("bad JOIN_ORDER value should error")
 	}
-
-	// Config-level ablation: reordering disabled makes DEFAULT syntactic.
-	s2 := Open(Config{BufferPoolBytes: 16 << 20, DisableJoinReorder: true}).NewSession()
-	if r := mustExec(t, s2, "SET JOIN_ORDER DEFAULT"); r.Message != "JOIN_ORDER SYNTACTIC" {
-		t.Errorf("disabled-reorder default should be syntactic, got %q", r.Message)
-	}
 }
 
 // explainLines runs an EXPLAIN statement and returns the plan lines.

@@ -13,7 +13,7 @@ import (
 // data and checks their core identity: every value admitted into an
 // encoder's domain decodes back to itself (dictionary and minus/FOR
 // codes), and front-coded lists reproduce and re-find every entry. The
-// value codec's spill stream and single cells return the same values too.
+// value codec's row stream and single cells return the same values too.
 func FuzzEncodingRoundTrip(f *testing.F) {
 	f.Add(int64(0), int64(100), int64(7), "alpha", "alphabet", "beta", 1.5)
 	f.Add(int64(-50), int64(50), int64(0), "", "a", "aa", -123.75)
@@ -55,11 +55,11 @@ func fuzzValueCodec(t *testing.T, a int64, s string, x float64) {
 	}
 	got, err := NewRowReader(&buf).ReadRow()
 	if err != nil || len(got) != len(row) {
-		t.Fatalf("spill stream: %v -> %v (err %v)", row, got, err)
+		t.Fatalf("row stream: %v -> %v (err %v)", row, got, err)
 	}
 	for i := range row {
 		if !identical(got[i], row[i]) {
-			t.Fatalf("spill stream: cell %d %v of %v -> %v of %v", i, row[i], row[i].Kind(), got[i], got[i].Kind())
+			t.Fatalf("row stream: cell %d %v of %v -> %v of %v", i, row[i], row[i].Kind(), got[i], got[i].Kind())
 		}
 	}
 }

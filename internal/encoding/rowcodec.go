@@ -1,14 +1,10 @@
 package encoding
 
-// Spill row stream: the memory governor's spill paths (external sort runs,
-// Grace join partitions, aggregate run files) write rows as the frames of
-// the value codec, whose format internal/types/codec.go describes.
-//
-// Compressed execution (DESIGN.md §11) stores dictionary-code key cells as
-// plain KindInt values, so code-carrying group and join state spills
-// through this stream unchanged: the reader cannot tell a code cell from an
-// ordinary int, so operators must decode codes back to values before
-// results leave them.
+// Row stream: rows as the frames of the value codec, whose format
+// internal/types/codec.go describes. No engine path writes it: every spill
+// file is batch blocks (internal/exec/spill.go). Its one caller is the
+// benchmark's encoding.rowcodec_* probe (benchmark/run.go), and the file
+// goes when a change to the benchmark re-points that probe.
 
 import (
 	"bufio"
@@ -19,14 +15,14 @@ import (
 	"dashdb/internal/types"
 )
 
-// RowWriter streams rows into an io.Writer in spill format.
+// RowWriter streams rows into an io.Writer as frames.
 type RowWriter struct {
 	w   io.Writer
 	buf []byte
 }
 
 // NewRowWriter returns a writer that appends rows to w. The caller owns
-// buffering; mem.SpillFile already writes through a bufio.Writer.
+// buffering.
 func NewRowWriter(w io.Writer) *RowWriter {
 	return &RowWriter{w: w, buf: make([]byte, 0, 256)}
 }
@@ -35,17 +31,17 @@ func NewRowWriter(w io.Writer) *RowWriter {
 func (rw *RowWriter) WriteRow(r types.Row) (int, error) {
 	b, err := types.AppendRow(rw.buf[:0], r)
 	if err != nil {
-		return 0, fmt.Errorf("encoding: spill write: %w", err)
+		return 0, fmt.Errorf("encoding: row write: %w", err)
 	}
 	rw.buf = b
 	n, err := rw.w.Write(b)
 	if err != nil {
-		return n, fmt.Errorf("encoding: spill write: %w", err)
+		return n, fmt.Errorf("encoding: row write: %w", err)
 	}
 	return n, nil
 }
 
-// RowReader streams rows back out of spill format.
+// RowReader streams rows back out of frames.
 type RowReader struct {
 	r     *bufio.Reader
 	frame []byte // the current row's cells, reused
@@ -76,7 +72,7 @@ func (rr *RowReader) ReadRow() (types.Row, error) {
 		row, err = types.DecodeCells(make(types.Row, 0, rr.width), rr.frame)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("encoding: spill read: %w", err)
+		return nil, fmt.Errorf("encoding: row read: %w", err)
 	}
 	rr.width = len(row)
 	return row, nil

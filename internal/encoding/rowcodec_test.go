@@ -8,8 +8,8 @@ import (
 	"dashdb/internal/types"
 )
 
-// The round trip of the spill stream is a case of TestRowBlockRoundTrip in
-// internal/shardrpc, beside the row block and gob.
+// The round trip of the row stream is a case of TestRowBlockRoundTrip in
+// internal/shardrpc, beside the block and the single cell.
 
 func TestRowCodecTruncated(t *testing.T) {
 	var buf bytes.Buffer

@@ -114,7 +114,7 @@ func percentileDisc(vals []float64, p float64) types.Value {
 // arguments are evaluated column-at-a-time over each batch; the table turns
 // the key vectors into a group-id vector and typed kernels update each
 // aggregate's state lane through it — no input tuple and no key is boxed
-// unless it arrives boxed. The workers' tables and spilled records are then
+// unless it arrives boxed. The workers' tables and spilled blocks are then
 // folded into one table, and the groups are emitted as typed vectors in key
 // order (NULLs first), so the output is a function of the data, not of the
 // worker count or batch arrival order.
@@ -138,7 +138,7 @@ type GroupByOp struct {
 
 	// The grouping scheme, fixed from the first batch any worker sees: a key
 	// position whose vector arrives dictionary-encoded groups on the code, so
-	// tables and spill records hold fixed-width codes and key cells decode
+	// tables and spilled blocks hold fixed-width codes and key cells decode
 	// once per distinct group at emit, not once per row. The scan latch fixes
 	// one dictionary per column for the whole scan, so every worker's batches
 	// carry the adopted dictionary.
@@ -325,7 +325,7 @@ func (g *GroupByOp) consume(stop *atomic.Bool) (t *groupTable, err error) {
 	return t, nil
 }
 
-// merge folds the workers' tables and every spilled record into one table,
+// merge folds the workers' tables and every spilled block into one table,
 // group by group through the table's own lookup. One table with nothing
 // spilled already is the result; no table at all is a global aggregate over
 // empty input, whose one group every lane reports empty.
@@ -340,9 +340,6 @@ func (g *GroupByOp) merge(tables []*groupTable) (*groupTable, error) {
 	}
 	if len(g.files) > 0 {
 		rec := newLanes(g.Aggs, nil)
-		for _, l := range rec {
-			l.grow(1)
-		}
 		for _, f := range g.files {
 			if err := final.replay(f, rec); err != nil {
 				return nil, err

@@ -7,12 +7,14 @@ package exec
 // Arguments that arrive boxed (Any and row-backed vectors, constants, kinds a
 // family has no payload loop for) go through one boxed-read kernel per family
 // into the same lanes. Every lane merges exactly — another table's group, or
-// a spilled record read back into a one-group lane, folds in with merge — so
-// a spilled or worker-local partial is just an early partial.
+// a spilled group read back into a lane of the spilled block's groups, folds
+// in with merge — so a spilled or worker-local partial is just an early
+// partial.
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 
@@ -30,9 +32,11 @@ type lane interface {
 	update(gids []uint32, a, b *vec.Vector, sel []int, sc *laneScratch) error
 	merge(g uint32, o lane, og uint32) // fold o's group og into g; may take o's buffers
 	clear(g uint32)
-	appendCells(row types.Row, g uint32) types.Row // the spill record's cells
-	setCells(g uint32, r *cellReader)              // overwrite g from a record
-	result(n int) (*vec.Vector, error)             // output column for groups 0..n-1
+	// spill returns groups gs' state as typed columns, the kinds spill(nil)
+	// has; load overwrites groups 0..n-1 from such columns of n rows.
+	spill(gs []uint32) []*vec.Vector
+	load(cols []*vec.Vector) error
+	result(n int) (*vec.Vector, error) // output column for groups 0..n-1
 }
 
 // newLanes builds the lanes of an aggregate list; args are the first batch's
@@ -72,21 +76,33 @@ func newLane(spec AggSpec, arg *vec.Vector) lane {
 // laneScratch holds the conversion buffers of one table's kernels.
 type laneScratch struct{ fa, fb []float64 }
 
-// cellReader hands a spill record's cells to the lanes in order.
-type cellReader struct {
-	cells types.Row
-	err   error
-}
-
-func (r *cellReader) next() types.Value {
-	if len(r.cells) == 0 {
-		r.err = io.ErrUnexpectedEOF
-		return types.Null
+// ints, floats and flags are lane state of groups gs as a column of a
+// spilled block: BIGINT, DOUBLE and BOOLEAN.
+func ints[T int64 | uint64](xs []T, gs []uint32) *vec.Vector {
+	v := vec.New(types.KindInt, len(gs))
+	for r, g := range gs {
+		v.I64[r] = int64(xs[g])
 	}
-	v := r.cells[0]
-	r.cells = r.cells[1:]
 	return v
 }
+
+func floats(xs []float64, gs []uint32) *vec.Vector {
+	v := vec.New(types.KindFloat, len(gs))
+	for r, g := range gs {
+		v.F64[r] = xs[g]
+	}
+	return v
+}
+
+func flags(b bitset, gs []uint32) *vec.Vector {
+	v := vec.New(types.KindBool, len(gs))
+	for r, g := range gs {
+		v.I64[r] = int64(btoi(b.get(g)))
+	}
+	return v
+}
+
+var errBadRun = errors.New("exec: malformed group-by spill block")
 
 // bitset is one bit per group id.
 type bitset []uint64
@@ -238,11 +254,9 @@ func (l *countLane) merge(g uint32, o lane, og uint32) {
 		l.cnt[g] += o.cnt[og]
 	}
 }
-func (l *countLane) clear(g uint32) { l.cnt[g] = 0 }
-func (l *countLane) appendCells(row types.Row, g uint32) types.Row {
-	return append(row, types.NewInt(l.cnt[g]))
-}
-func (l *countLane) setCells(g uint32, r *cellReader) { l.cnt[g] = r.next().Int() }
+func (l *countLane) clear(g uint32)                  { l.cnt[g] = 0 }
+func (l *countLane) spill(gs []uint32) []*vec.Vector { return []*vec.Vector{ints(l.cnt, gs)} }
+func (l *countLane) load(cols []*vec.Vector) error   { copy(l.cnt, cols[0].I64); return nil }
 func (l *countLane) result(n int) (*vec.Vector, error) {
 	out := vec.New(types.KindInt, n)
 	copy(out.I64, l.cnt)
@@ -352,22 +366,26 @@ func (l *sumLane) merge(g uint32, o lane, og uint32) {
 	}
 }
 
+func (l *sumLane) spill(gs []uint32) []*vec.Vector {
+	return []*vec.Vector{ints(l.cnt, gs), ints(l.lo, gs), ints(l.hi, gs), floats(l.f, gs), flags(l.flt, gs)}
+}
+
+func (l *sumLane) load(cols []*vec.Vector) error {
+	copy(l.cnt, cols[0].I64)
+	copy(l.hi, cols[2].I64)
+	copy(l.f, cols[3].F64)
+	for g, flt := range cols[4].I64 {
+		l.lo[g] = uint64(cols[1].I64[g])
+		if l.flt.unset(uint32(g)); flt != 0 {
+			l.flt.set(uint32(g))
+		}
+	}
+	return nil
+}
+
 func (l *sumLane) clear(g uint32) {
 	l.cnt[g], l.lo[g], l.hi[g], l.f[g] = 0, 0, 0, 0
 	l.flt.unset(g)
-}
-
-func (l *sumLane) appendCells(row types.Row, g uint32) types.Row {
-	return append(row, types.NewInt(l.cnt[g]), types.NewInt(int64(l.lo[g])), types.NewInt(l.hi[g]),
-		types.NewFloat(l.f[g]), types.NewBool(l.flt.get(g)))
-}
-
-func (l *sumLane) setCells(g uint32, r *cellReader) {
-	l.clear(g)
-	l.cnt[g], l.lo[g], l.hi[g], l.f[g] = r.next().Int(), uint64(r.next().Int()), r.next().Int(), r.next().Float()
-	if r.next().Bool() {
-		l.flt.set(g)
-	}
 }
 
 // total is group g's sum as a float: the float lane plus the integer total.
@@ -550,22 +568,31 @@ func (l *minmaxLane) merge(g uint32, o lane, og uint32) {
 		}
 	}
 }
+func (l *minmaxLane) spill(gs []uint32) []*vec.Vector {
+	v := vec.New(l.kind, len(gs))
+	for r, g := range gs {
+		x, _ := l.get(g)
+		v.Set(r, x)
+	}
+	return []*vec.Vector{v}
+}
+
+func (l *minmaxLane) load(cols []*vec.Vector) error {
+	for g := range uint32(cols[0].Len()) {
+		if l.clear(g); !cols[0].IsNull(int(g)) {
+			l.put(g, cols[0].Get(int(g)))
+		}
+	}
+	return nil
+}
+
 func (l *minmaxLane) clear(g uint32) {
 	l.seen.unset(g)
 	if l.kind == types.KindNull {
 		l.box[g] = types.Null
 	}
 }
-func (l *minmaxLane) appendCells(row types.Row, g uint32) types.Row {
-	v, _ := l.get(g)
-	return append(row, v)
-}
-func (l *minmaxLane) setCells(g uint32, r *cellReader) {
-	l.clear(g)
-	if v := r.next(); !v.IsNull() {
-		l.put(g, v)
-	}
-}
+
 func (l *minmaxLane) result(n int) (*vec.Vector, error) {
 	out := vec.New(l.kind, n)
 	for g := 0; g < n; g++ {
@@ -635,12 +662,23 @@ func (l *momentLane) merge(g uint32, o lane, og uint32) {
 	a.n = n
 }
 func (l *momentLane) clear(g uint32) { l.m[g] = moment{} }
-func (l *momentLane) appendCells(row types.Row, g uint32) types.Row {
-	m := l.m[g]
-	return append(row, types.NewFloat(m.n), types.NewFloat(m.mx), types.NewFloat(m.my), types.NewFloat(m.c))
+func (l *momentLane) spill(gs []uint32) []*vec.Vector {
+	cols := make([]*vec.Vector, 4)
+	for c := range cols {
+		cols[c] = vec.New(types.KindFloat, len(gs))
+	}
+	for r, g := range gs {
+		m := l.m[g]
+		cols[0].F64[r], cols[1].F64[r], cols[2].F64[r], cols[3].F64[r] = m.n, m.mx, m.my, m.c
+	}
+	return cols
 }
-func (l *momentLane) setCells(g uint32, r *cellReader) {
-	l.m[g] = moment{r.next().Float(), r.next().Float(), r.next().Float(), r.next().Float()}
+
+func (l *momentLane) load(cols []*vec.Vector) error {
+	for g := range l.m[:cols[0].Len()] {
+		l.m[g] = moment{cols[0].F64[g], cols[1].F64[g], cols[2].F64[g], cols[3].F64[g]}
+	}
+	return nil
 }
 func (l *momentLane) result(n int) (*vec.Vector, error) {
 	out := vec.New(types.KindFloat, n)
@@ -704,20 +742,34 @@ func (l *listLane) merge(g uint32, o lane, og uint32) {
 	}
 }
 func (l *listLane) clear(g uint32) { l.vals[g] = nil }
-func (l *listLane) appendCells(row types.Row, g uint32) types.Row {
-	row = append(row, types.NewInt(int64(len(l.vals[g]))))
-	for _, x := range l.vals[g] {
-		row = append(row, types.NewFloat(x))
+
+// spill packs a group's values into one VARCHAR, 8 bytes each.
+func (l *listLane) spill(gs []uint32) []*vec.Vector {
+	v := vec.New(types.KindString, len(gs))
+	for r, g := range gs {
+		var b []byte
+		for _, x := range l.vals[g] {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		v.Str[r] = string(b)
 	}
-	return row
+	return []*vec.Vector{v}
 }
-func (l *listLane) setCells(g uint32, r *cellReader) {
-	n := min(int(r.next().Int()), len(r.cells))
-	l.vals[g] = make([]float64, n)
-	for i := range l.vals[g] {
-		l.vals[g][i] = r.next().Float()
+
+func (l *listLane) load(cols []*vec.Vector) error {
+	for g, s := range cols[0].Str {
+		if len(s)%8 != 0 {
+			return errBadRun
+		}
+		b, vals := []byte(s), make([]float64, len(s)/8)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		l.vals[g] = vals
 	}
+	return nil
 }
+
 func (l *listLane) result(n int) (*vec.Vector, error) {
 	out := vec.New(types.KindFloat, n)
 	for g, vals := range l.vals[:n] {
@@ -785,19 +837,36 @@ func (l *distinctLane) merge(g uint32, o lane, og uint32) {
 	}
 }
 func (l *distinctLane) clear(g uint32) { l.sets[g] = nil }
-func (l *distinctLane) appendCells(row types.Row, g uint32) types.Row {
-	row = append(row, types.NewInt(int64(len(l.sets[g]))))
-	for key := range l.sets[g] {
-		row = append(row, types.NewString(key))
+
+// spill packs a group's set into one VARCHAR, each canonical value behind
+// its uvarint length.
+func (l *distinctLane) spill(gs []uint32) []*vec.Vector {
+	v := vec.New(types.KindString, len(gs))
+	for r, g := range gs {
+		var b []byte
+		for key := range l.sets[g] {
+			b = append(binary.AppendUvarint(b, uint64(len(key))), key...)
+		}
+		v.Str[r] = string(b)
 	}
-	return row
+	return []*vec.Vector{v}
 }
-func (l *distinctLane) setCells(g uint32, r *cellReader) {
-	l.sets[g] = nil
-	for n := min(int(r.next().Int()), len(r.cells)); n > 0; n-- {
-		l.add(g, r.next().Str())
+
+func (l *distinctLane) load(cols []*vec.Vector) error {
+	for g, s := range cols[0].Str {
+		l.sets[g] = nil
+		for b := []byte(s); len(b) > 0; {
+			n, w := binary.Uvarint(b)
+			if w <= 0 || n > uint64(len(b)-w) {
+				return errBadRun
+			}
+			l.add(uint32(g), string(b[w:w+int(n)]))
+			b = b[w+int(n):]
+		}
 	}
+	return nil
 }
+
 func (l *distinctLane) result(n int) (*vec.Vector, error) {
 	out := vec.New(types.KindInt, n)
 	for g, set := range l.sets[:n] {

@@ -3,7 +3,7 @@ package exec
 // The group table of grouped aggregation: it turns a batch's key vectors
 // into a group-id vector, holds the keys and the per-aggregate state lanes
 // those ids index, and spills a hash partition's groups when the HASHHEAP
-// reservation denies it room. Every lane merges exactly, so a spilled record
+// reservation denies it room. Every lane merges exactly, so a spilled group
 // is just an early partial: the merge reads it back and folds it in group by
 // group, as it folds another worker's table, and the result is the
 // in-memory one.
@@ -11,7 +11,6 @@ package exec
 import (
 	"encoding/binary"
 	"errors"
-	"io"
 	"math"
 
 	"dashdb/internal/bitpack"
@@ -124,8 +123,7 @@ type groupTable struct {
 	count     [aggPartitions]int64 // groups per partition
 	side      [aggPartitions]int64 // surcharge bytes per partition
 
-	spills  [aggPartitions]*mem.SpillFile
-	writers [aggPartitions]*encoding.RowWriter
+	spills [aggPartitions]*mem.SpillFile
 
 	gids  []uint32 // the current batch's group ids, one per live row
 	words []uint64 // the current batch's key words
@@ -377,7 +375,7 @@ var errOutsideDict = errors.New("exec: group key outside adopted dictionary")
 
 // keyCells appends group g's key as cells: codes where a position groups on
 // codes, values elsewhere. Cells are the form keys take between tables and
-// in spill records, whatever scheme either side is in.
+// in spilled blocks, whatever scheme either side is in.
 func (t *groupTable) keyCells(row types.Row, g uint32) types.Row {
 	nk := len(t.shape.code)
 	if t.ids == idsBytes {
@@ -858,8 +856,9 @@ func (t *groupTable) find(keys []*vec.Vector, sel []int, rows int, parts []uint8
 // --- spill and merge
 
 // spillLargest appends the groups of the table's biggest partition to that
-// partition's run file, one record a group — key cells, then every lane's
-// cells — and drops them from the table.
+// partition's run file as one block (spill.go) — their key cells, which the
+// block types by column (a code as BIGINT), then every lane's state
+// columns — and drops them from the table.
 func (t *groupTable) spillLargest() error {
 	victim := t.largest(&t.side)
 	if victim < 0 {
@@ -870,23 +869,32 @@ func (t *groupTable) spillLargest() error {
 		if err != nil {
 			return err
 		}
-		t.spills[victim], t.writers[victim] = f, encoding.NewRowWriter(f)
+		t.spills[victim] = f
 	}
-	before := t.spills[victim].Size()
+	f, before := t.spills[victim], t.spills[victim].Size()
+	gs := make([]uint32, 0, t.count[victim])
 	for g := 0; g < t.n; g++ {
-		if int(t.parts[g]) != victim {
-			continue
+		if int(t.parts[g]) == victim {
+			gs = append(gs, uint32(g))
 		}
-		row := t.keyCells(t.cells[:0], uint32(g))
-		for _, l := range t.lanes {
-			row = l.appendCells(row, uint32(g))
-		}
-		if _, err := t.writers[victim].WriteRow(row); err != nil {
-			return err
-		}
-		t.cells = row
 	}
-	t.res.NoteSpill(t.spills[victim].Size() - before)
+	cols := make([]*vec.Vector, len(t.shape.code))
+	for k := range cols {
+		cols[k] = vec.New(types.KindNull, len(gs))
+	}
+	for r, g := range gs {
+		t.cells = t.keyCells(t.cells[:0], g)
+		for k, c := range t.cells {
+			cols[k].Any[r] = c
+		}
+	}
+	for _, l := range t.lanes {
+		cols = append(cols, l.spill(gs)...)
+	}
+	if err := spillBlock(f, vec.NewBatch(nil, cols, len(gs))); err != nil {
+		return err
+	}
+	t.res.NoteSpill(f.Size() - before)
 	t.drop(victim)
 	return nil
 }
@@ -960,33 +968,55 @@ func (t *groupTable) absorb(o *groupTable) {
 	t.res.Shrink(o.charged)
 }
 
-// replay folds a run file's records into t, the merge target, through rec:
-// one-group lanes each record is read into.
+// replay folds a run file's blocks into t, the merge target, through rec:
+// lanes each block's groups are loaded into.
 func (t *groupTable) replay(f *mem.SpillFile, rec []lane) error {
 	if err := f.Rewind(); err != nil {
 		return err
 	}
 	nk := len(t.shape.code)
-	for rd := encoding.NewRowReader(f); ; {
-		row, err := rd.ReadRow()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
+	var cells types.Row // not t.cells: a demote in lookupCells writes those
+	for {
+		vb, err := readBlock(f)
+		if err != nil || vb == nil {
 			return err
 		}
-		if len(row) < nk {
-			return io.ErrUnexpectedEOF
+		cols := make([]*vec.Vector, vb.NumCols())
+		for c := range cols {
+			cols[c] = vb.Col(c)
 		}
-		g, _ := t.lookupCells(row[:nk])
-		r := cellReader{cells: row[nk:]}
-		for i, l := range rec {
-			l.setCells(0, &r)
-			t.lanes[i].merge(g, l, 0)
-			l.clear(0)
+		if len(cols) < nk {
+			return errBadRun
 		}
-		if r.err != nil || len(r.cells) != 0 {
-			return io.ErrUnexpectedEOF
+		rest := cols[nk:]
+		for _, l := range rec {
+			kinds := l.spill(nil)
+			if len(rest) < len(kinds) {
+				return errBadRun
+			}
+			for c, k := range kinds {
+				if k.Kind != types.KindNull && (rest[c].Kind != k.Kind || !typedVec(rest[c])) {
+					return errBadRun
+				}
+			}
+			l.grow(vb.N)
+			if err := l.load(rest[:len(kinds)]); err != nil {
+				return err
+			}
+			rest = rest[len(kinds):]
+		}
+		if len(rest) != 0 {
+			return errBadRun
+		}
+		for r := range vb.N {
+			cells = cells[:0]
+			for _, kv := range cols[:nk] {
+				cells = append(cells, kv.Get(r))
+			}
+			g, _ := t.lookupCells(cells)
+			for i, l := range rec {
+				t.lanes[i].merge(g, l, uint32(r))
+			}
 		}
 	}
 }

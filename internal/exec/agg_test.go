@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -411,13 +410,6 @@ func TestGroupStateFitsOneMiB(t *testing.T) {
 	requireNoSpillFiles(t, dir)
 }
 
-// countingWriter measures what the spill codec would write.
-type countingWriter struct{ n int64 }
-
-func (w *countingWriter) Write(p []byte) (int, error) { w.n += int64(len(p)); return len(p), nil }
-
-var _ io.Writer = (*countingWriter)(nil)
-
 // runFileCount notes how many partition run files a group-by's ingest wrote:
 // Open leaves them, read back and closed, in files until Close.
 type runFileCount struct {
@@ -434,21 +426,20 @@ func (c *runFileCount) Open() error {
 // TestGroupByHeapStepping lowers HASHHEAP from 1 MiB to 4 KB in halving
 // steps over the headline's input: every step returns the oracle's rows, a
 // worker writes at most one run file a partition, and no step spills more
-// bytes than the input rows themselves encode to — a row makes at most one
-// group record, and a record (key, COUNT and SUM lanes) is smaller than the
-// row it came from. Real overflow still degrades through the partitioned
-// spill, without the blow-up of 22 MB for 2 MB of input.
+// bytes than the input rows took in the row stream spills wrote before
+// blocks, 3 918 926 B — a row makes at most one group record. Down to 128
+// KiB no step spills more than the input rows take as spill blocks either
+// (blockBytes, 2 096 073 B). Below that a run holds a few groups, and its
+// block pays a header and seven column forms: 64 KiB stays under that
+// bound by under 1 %, which the workers' scheduling moves, and from 32 KiB
+// (2.33 MB) to 4 KiB (3.19 MB) it is over. Real overflow still degrades
+// through the partitioned spill, without the blow-up of 22 MB for 2 MB of
+// input.
 func TestGroupByHeapStepping(t *testing.T) {
-	const workers = 2
+	const workers, rowStream = 2, 3_918_926
 	tbl, schema := accountsTable(t, 731, 150_000, 3000)
 	rows := tableRows(t, tbl)
-	var input countingWriter
-	rw := encoding.NewRowWriter(&input)
-	for _, r := range rows {
-		if _, err := rw.WriteRow(r); err != nil {
-			t.Fatal(err)
-		}
-	}
+	input := blockBytes(t, rows, ChunkSize)
 	var want []types.Row
 	spilled := false
 	for heap := int64(1 << 20); heap >= 4<<10; heap /= 2 {
@@ -463,12 +454,12 @@ func TestGroupByHeapStepping(t *testing.T) {
 		}
 		sameRows(t, fmt.Sprintf("heap %d", heap), got, want)
 		runs, bytes := g.SpillStats()
-		t.Logf("heap %7d: %5d runs in %3d files, %7d B spilled (input %d B)", heap, runs, g.files, bytes, input.n)
+		t.Logf("heap %7d: %5d runs in %3d files, %7d B spilled (input %d B)", heap, runs, g.files, bytes, input)
 		if g.files > workers*aggPartitions || (runs > 0) != (g.files > 0) {
 			t.Fatalf("heap %d: %d run files for %d runs", heap, g.files, runs)
 		}
-		if bytes > input.n {
-			t.Fatalf("heap %d: spilled %d B, the input encodes to %d B", heap, bytes, input.n)
+		if bytes > rowStream || heap >= 128<<10 && bytes > input {
+			t.Fatalf("heap %d: spilled %d B, the input takes %d B as blocks, %d B as rows", heap, bytes, input, rowStream)
 		}
 		spilled = spilled || runs > 0
 		requireNoSpillFiles(t, dir)

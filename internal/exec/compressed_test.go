@@ -198,32 +198,38 @@ func TestCompressedJoinParity(t *testing.T) {
 // TestCompressedJoinSpillParity forces a mid-query Grace spill under a
 // tiny hash heap and requires the spilled compressed join and the decoded
 // in-memory join to both return the nested-loop oracle's rows (parked probe
-// rows re-translate at drain).
+// rows re-translate at drain), keyed on the dictionary-coded string, the
+// dictionary-coded integer and both.
 func TestCompressedJoinSpillParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	build := dictTable(t, 540, dictRows(rng, 300, true))
 	probe := dictTable(t, 541, dictRows(rng, 360, true))
-	for _, jt := range []JoinType{InnerJoin, LeftJoin} {
-		mk := func(scan func(*columnar.Table, int) *ScanOp, gov *mem.Governor) *HashJoinOp {
-			return &HashJoinOp{
-				Left:      scan(probe, 1),
-				Right:     scan(build, 1),
-				LeftKeys:  []int{0},
-				RightKeys: []int{0},
-				Type:      jt,
-				Gov:       gov,
+	for _, keys := range [][]int{{0}, {1}, {0, 1}} {
+		for _, jt := range []JoinType{InnerJoin, LeftJoin} {
+			mk := func(scan func(*columnar.Table, int) *ScanOp, gov *mem.Governor) *HashJoinOp {
+				return &HashJoinOp{
+					Left:      scan(probe, 1),
+					Right:     scan(build, 1),
+					LeftKeys:  keys,
+					RightKeys: keys,
+					Type:      jt,
+					Gov:       gov,
+				}
 			}
-		}
-		want := sortedRowKeys(nestedLoopJoin(tableRows(t, probe), tableRows(t, build), []int{0}, []int{0}, jt, dictSchema(), nil))
-		requireEqualKeys(t, fmt.Sprintf("decoded/%v", jt), want, sortedKeys(t, mk(scanDop, nil)))
+			want := sortedRowKeys(nestedLoopJoin(tableRows(t, probe), tableRows(t, build), keys, keys, jt, dictSchema(), nil))
+			requireEqualKeys(t, fmt.Sprintf("decoded/%v/%v", keys, jt), want, sortedKeys(t, mk(scanDop, nil)))
 
-		g, _, _ := tinyGov(t, 8<<10)
-		jo := mk(scanCodes, g)
-		got := sortedKeys(t, jo)
-		if runs, bytes := jo.SpillStats(); runs == 0 || bytes == 0 {
-			t.Fatalf("%v: expected forced spill, got runs=%d bytes=%d", jt, runs, bytes)
+			g, _, _ := tinyGov(t, 8<<10)
+			jo := mk(scanCodes, g)
+			got := sortedKeys(t, jo)
+			if runs, bytes := jo.SpillStats(); runs == 0 || bytes == 0 {
+				t.Fatalf("%v/%v: expected forced spill, got runs=%d bytes=%d", keys, jt, runs, bytes)
+			}
+			if jo.CodeKeyCount() != len(keys) {
+				t.Fatalf("%v/%v: %d code keys", keys, jt, jo.CodeKeyCount())
+			}
+			requireEqualKeys(t, fmt.Sprintf("spill/%v/%v", keys, jt), want, got)
 		}
-		requireEqualKeys(t, fmt.Sprintf("spill/%v", jt), want, got)
 	}
 }
 

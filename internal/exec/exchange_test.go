@@ -98,10 +98,11 @@ func TestPartitionMatchesHashPartition(t *testing.T) {
 		for k, c := range keys {
 			keyVecs[k] = b.Col(c)
 		}
+		rows := b.AppendRows(nil)
 		for _, parts := range []int{1, 2, 6, 7} {
 			for _, i := range b.Idx() {
-				if got, want := Partition(keyVecs, i, parts), HashPartition(b.Row(i), keys, parts); got != want {
-					t.Fatalf("iteration %d: row %v keys %v parts %d: partition %d, want %d", iter, b.Row(i), keys, parts, got, want)
+				if got, want := Partition(keyVecs, i, parts), HashPartition(rows[i], keys, parts); got != want {
+					t.Fatalf("iteration %d: row %v keys %v parts %d: partition %d, want %d", iter, rows[i], keys, parts, got, want)
 				}
 			}
 		}

@@ -54,7 +54,7 @@ const ChunkSize = 1024
 // (vec.Batch.Disown): BatchesOp, the ShuffleWriter and the in-process
 // shards. A batch nobody releases is garbage, as any allocation is; a read
 // of a released batch panics.
-// Rows taken out of a batch (Batch.Row, Batch.AppendRows) belong to
+// Rows taken out of a batch (Batch.AppendRows) belong to
 // whoever took them — a producer never rewrites a row it has handed out,
 // so Drain, buffering operators and clients retain rows without
 // deep-copying — and are read-only, since a row-built batch hands out the
@@ -125,30 +125,14 @@ func Stream(op Operator, emit func(*vec.Batch) error) error {
 	}
 }
 
-// rowQueue hands out rows an operator holds ChunkSize at a time as
-// row-built batches: the sort's merge of spilled runs, and VALUES when it
-// is cut into batches.
-type rowQueue struct{ rows []types.Row }
-
-// next returns the next batch, or nil when no rows are queued.
-func (q *rowQueue) next(sch types.Schema) *vec.Batch {
-	n := min(len(q.rows), ChunkSize)
-	if n == 0 {
-		return nil
-	}
-	vb := vec.FromRows(sch, q.rows[:n:n])
-	q.rows = q.rows[n:]
-	return vb
-}
-
 // NewValues is the leaf over literal rows (VALUES, DUAL, a FROM-less
 // SELECT, tests): a BatchesOp over the rows cut into row-built batches of
 // ChunkSize.
 func NewValues(sch types.Schema, rows []types.Row) *BatchesOp {
-	q := rowQueue{rows: rows}
 	var batches []*vec.Batch
-	for b := q.next(sch); b != nil; b = q.next(sch) {
-		batches = append(batches, b)
+	for a := 0; a < len(rows); a += ChunkSize {
+		b := min(a+ChunkSize, len(rows))
+		batches = append(batches, vec.FromRows(sch, rows[a:b:b]))
 	}
 	return NewBatches(sch, batches)
 }

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"io"
 
 	"dashdb/internal/encoding"
 	"dashdb/internal/mem"
@@ -83,9 +82,8 @@ type HashJoinOp struct {
 	ids      idScheme
 
 	probeDone bool
-	queue     []int               // spilled partitions with parked rows, to drain
-	drained   int                 // the partition whose parked rows are probing
-	parked    *encoding.RowReader // its parked rows
+	queue     []int          // spilled partitions with parked rows, to drain
+	parked    *mem.SpillFile // the parked rows probing the resident partition
 
 	// The cursor over the current probe batch's pairs: the positions of its
 	// rows that can have output and their chains' first build rows (+1, 0
@@ -106,18 +104,17 @@ type HashJoinOp struct {
 	keyVals               []types.Value // codesOf's batch of key values, their codes and hits
 	keyCodes              []uint64
 	keyFound              []bool
-	sel, keep, park, pads []int
+	sel, keep, gone, pads []int
+	park                  [aggPartitions][]int // a probe batch's rows to park, by partition
 	renum                 []uint32
 	pp                    []uint8
-	cells                 types.Row
 }
 
-// joinPartition is one partition's spill files.
+// joinPartition is one partition's spill files, blocks of typed rows
+// (spill.go).
 type joinPartition struct {
 	build *mem.SpillFile // non-nil while the partition's build rows are on disk
-	bw    *encoding.RowWriter
 	probe *mem.SpillFile // parked probe rows for a spilled partition
-	pw    *encoding.RowWriter
 }
 
 // joinRowBytes is what a build row of capacity costs beside its columns:
@@ -143,6 +140,7 @@ func (j *HashJoinOp) Open() error {
 	j.shape, j.remaps, j.spilled = nil, make([]map[*encoding.Dict]*dictRemap, nk), false
 	j.reset(false)
 	j.parts, j.keyIDs, j.keyState, j.ids = [aggPartitions]joinPartition{}, 0, 0, idsDirect
+	j.park = [aggPartitions][]int{}
 	j.probeDone, j.queue, j.parked = false, nil, nil
 	j.cur, j.probes = nil, j.probes[:0] // no pairs pending
 	if err := j.build(); err != nil {
@@ -279,9 +277,9 @@ func nullKey(keys []*vec.Vector, i int) bool {
 }
 
 // spill appends partition pi's resident build rows to its build file as
-// rowcodec cells and drops them: their keys leave the table, the surviving
-// rows — then those buffered without an id yet — move down in order, and
-// the strings of the rows written return to the reservation (capacity stays
+// blocks and drops them: their keys leave the table, the surviving rows —
+// then those buffered without an id yet — move down in order, and the
+// strings of the rows written return to the reservation (capacity stays
 // charged). It does nothing for -1 or a partition with nothing resident.
 func (j *HashJoinOp) spill(pi int) error {
 	t := j.table
@@ -294,7 +292,7 @@ func (j *HashJoinOp) spill(pi int) error {
 		if err != nil {
 			return err
 		}
-		p.build, p.bw, j.spilled = f, encoding.NewRowWriter(f), true
+		p.build, j.spilled = f, true
 	}
 	j.renum = grown(j.renum, t.n) // the survivors' ids once drop compacts them
 	id := uint32(0)
@@ -302,22 +300,22 @@ func (j *HashJoinOp) spill(pi int) error {
 		j.renum[g] = id
 		id += uint32(btoi(int(t.parts[g]) != pi))
 	}
-	keep, freed, ided := j.keep[:0], int64(0), len(j.gid)
+	keep, gone, ided := j.keep[:0], j.gone[:0], len(j.gid)
 	for r, g := range j.gid {
 		if int(t.parts[g]) != pi {
 			j.gid[len(keep)] = j.renum[g]
 			keep = append(keep, r)
-			continue
+		} else {
+			gone = append(gone, r)
 		}
-		j.cells = j.rows.row(j.cells[:0], r)
-		for _, c := range j.cells {
-			if c.Kind() == types.KindString && !c.IsNull() {
-				freed += int64(len(c.Str()))
-			}
-		}
-		if _, err := p.bw.WriteRow(j.cells); err != nil {
-			return err
-		}
+	}
+	j.gone = gone
+	if err := spillRows(p.build, j.rows.cols, gone, ChunkSize); err != nil {
+		return err
+	}
+	freed := int64(0)
+	for _, c := range j.rows.cols {
+		freed += strBytes(c, gone, 0, len(gone))
 	}
 	j.gid = j.gid[:len(keep)]
 	for r := ided; r < j.rows.n; r++ {
@@ -431,13 +429,13 @@ func (j *HashJoinOp) Next() (*vec.Batch, error) {
 func (j *HashJoinOp) nextProbe() (*vec.Batch, error) {
 	for {
 		if j.parked != nil {
-			if vb, err := readBatch(j.parked, j.Left.Schema()); err != nil || vb != nil {
+			if vb, err := readBlock(j.parked); err != nil || vb != nil {
 				return vb, err
 			}
-			j.parked = nil
-			if err := j.parts[j.drained].probe.Close(); err != nil {
+			if err := j.parked.Close(); err != nil {
 				return nil, err
 			}
+			j.parked = nil
 		}
 		if !j.probeDone {
 			vb, err := j.Left.Next()
@@ -465,25 +463,6 @@ func (j *HashJoinOp) nextProbe() (*vec.Batch, error) {
 	}
 }
 
-// readBatch reads up to ChunkSize rows of schema sch; nil at the end.
-func readBatch(rd *encoding.RowReader, sch types.Schema) (*vec.Batch, error) {
-	var rows []types.Row
-	for len(rows) < ChunkSize {
-		r, err := rd.ReadRow()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
-	}
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	return vec.FromRows(sch, rows), nil
-}
-
 // probeBatch finds the key of every live probe row and starts the cursor
 // over the batch: a row with build rows of its key, or any row under LEFT
 // JOIN, gets its chain's head. A row whose key no resident key equals but
@@ -491,7 +470,7 @@ func readBatch(rd *encoding.RowReader, sch types.Schema) (*vec.Batch, error) {
 // instead.
 func (j *HashJoinOp) probeBatch(vb *vec.Batch) error {
 	idx := vb.Idx()
-	j.cur, j.probes, j.heads, j.park = vb, j.probes[:0], j.heads[:0], j.park[:0]
+	j.cur, j.probes, j.heads = vb, j.probes[:0], j.heads[:0]
 	var keys []*vec.Vector
 	var gids []uint32
 	var parts []uint8
@@ -514,7 +493,7 @@ func (j *HashJoinOp) probeBatch(vb *vec.Batch) error {
 		case gids[x] != noGroup:
 			head = j.head[gids[x]]
 		case parts != nil && j.parts[parts[x]].build != nil && !nullKey(keys, i):
-			j.park = append(j.park, x)
+			j.park[parts[x]] = append(j.park[parts[x]], i)
 			continue
 		}
 		if head != 0 || j.Type == LeftJoin {
@@ -529,18 +508,29 @@ func (j *HashJoinOp) probeBatch(vb *vec.Batch) error {
 		j.hit = grown(j.hit, vb.N)
 		clear(j.hit[:vb.N])
 	}
-	for _, x := range j.park {
-		p := &j.parts[parts[x]]
+	var cols []*vec.Vector
+	for pi, rows := range j.park {
+		if len(rows) == 0 {
+			continue
+		}
+		p := &j.parts[pi]
 		if p.probe == nil {
 			f, err := j.res.NewSpillFile("join-probe")
 			if err != nil {
 				return err
 			}
-			p.probe, p.pw = f, encoding.NewRowWriter(f)
+			p.probe = f
 		}
-		if _, err := p.pw.WriteRow(vb.Row(idx[x])); err != nil {
+		if cols == nil {
+			cols = make([]*vec.Vector, vb.NumCols())
+			for c := range cols {
+				cols[c] = vb.Col(c)
+			}
+		}
+		if err := spillRows(p.probe, cols, rows, ChunkSize); err != nil {
 			return err
 		}
+		j.park[pi] = rows[:0]
 	}
 	return nil
 }
@@ -663,8 +653,7 @@ func (j *HashJoinOp) load(pi int) error {
 	if err := p.build.Rewind(); err != nil {
 		return err
 	}
-	rd := encoding.NewRowReader(p.build)
-	if err := j.fill(func() (*vec.Batch, error) { return readBatch(rd, j.Right.Schema()) }); err != nil {
+	if err := j.fill(func() (*vec.Batch, error) { return readBlock(p.build) }); err != nil {
 		return err
 	}
 	if err := p.build.Close(); err != nil {
@@ -675,7 +664,7 @@ func (j *HashJoinOp) load(pi int) error {
 	if err := p.probe.Rewind(); err != nil {
 		return err
 	}
-	j.drained, j.parked = pi, encoding.NewRowReader(p.probe)
+	j.parked = p.probe
 	return nil
 }
 

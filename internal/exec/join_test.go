@@ -69,14 +69,18 @@ func joinSchema() types.Schema {
 		{Name: "id", Kind: types.KindInt},
 		{Name: "f", Kind: types.KindFloat, Nullable: true},
 		{Name: "d", Kind: types.KindDate, Nullable: true},
+		{Name: "b", Kind: types.KindBool, Nullable: true},
+		{Name: "ts", Kind: types.KindTimestamp, Nullable: true},
+		{Name: "n", Kind: types.KindInt, Nullable: true},
 	}
 }
 
 // joinRows draws n rows with ~10% NULLs in each key column, g from
-// gDomain distinct strings, k from 50 integers, f from those integers as
-// DOUBLEs, their halves past them, NaN and both zeros, and d from 30 days,
-// so every key repeats heavily on either side of a join and an INT k meets
-// the DOUBLE f it equals.
+// gDomain distinct strings and ”, k from 50 integers, f from those
+// integers as DOUBLEs, their halves past them, NaN and both zeros, d from 30
+// days, b a BOOLEAN, ts from 40 instants and n always NULL, so every key
+// repeats heavily on either side of a join and an INT k meets the DOUBLE f
+// it equals.
 func joinRows(rng *rand.Rand, n, gDomain int) []types.Row {
 	null := func(v types.Value) types.Value {
 		if rng.Intn(10) == 0 {
@@ -95,12 +99,19 @@ func joinRows(rng *rand.Rand, n, gDomain int) []types.Row {
 		case 2:
 			f = math.Copysign(0, -float64(rng.Intn(2)))
 		}
+		g := fmt.Sprintf("r%02d", rng.Intn(gDomain))
+		if rng.Intn(12) == 0 {
+			g = ""
+		}
 		rows[i] = types.Row{
-			null(types.NewString(fmt.Sprintf("r%02d", rng.Intn(gDomain)))),
+			null(types.NewString(g)),
 			null(types.NewInt(int64(rng.Intn(50)))),
 			types.NewInt(int64(i)),
 			null(types.NewFloat(f)),
 			null(types.NewDate(int64(rng.Intn(30)))),
+			null(types.NewBool(rng.Intn(2) == 0)),
+			null(types.NewTimestamp(int64(rng.Intn(40)) * 86_400_000_000)),
+			types.NullOf(types.KindInt),
 		}
 	}
 	return rows
@@ -121,10 +132,10 @@ func joinTable(t testing.TB, id uint32, rows []types.Row) *columnar.Table {
 // thetaResidual is (l.id + r.id) % 7 = 0 over two joinSchema rows side by
 // side, and thetaHolds its oracle.
 var thetaResidual = &CmpExpr{Op: encoding.OpEQ,
-	L: &ArithExpr{Op: "%", L: &ArithExpr{Op: "+", L: ColRef(2), R: ColRef(7)}, R: Const{V: types.NewInt(7)}},
+	L: &ArithExpr{Op: "%", L: &ArithExpr{Op: "+", L: ColRef(2), R: ColRef(10)}, R: Const{V: types.NewInt(7)}},
 	R: Const{V: types.NewInt(0)}}
 
-func thetaHolds(r types.Row) bool { return (r[2].Int()+r[7].Int())%7 == 0 }
+func thetaHolds(r types.Row) bool { return (r[2].Int()+r[10].Int())%7 == 0 }
 
 // TestHashJoinInputInvariance is the one-join property: whatever form the
 // children's batches take (row-built or column vectors, on either side), whatever
@@ -158,9 +169,9 @@ func TestHashJoinInputInvariance(t *testing.T) {
 		empty := mk(uint32(602+10*seed), 0, 1)
 		few := mk(uint32(603+10*seed), 40+rng.Intn(20), 50)
 		// l.f < r.f reads both sides and meets NaN, which sorts high.
-		fLess := &CmpExpr{Op: encoding.OpLT, L: ColRef(3), R: ColRef(8)}
+		fLess := &CmpExpr{Op: encoding.OpLT, L: ColRef(3), R: ColRef(11)}
 		fHolds := func(r types.Row) bool {
-			return !r[3].IsNull() && !r[8].IsNull() && types.Compare(r[3], r[8]) < 0
+			return !r[3].IsNull() && !r[11].IsNull() && types.Compare(r[3], r[11]) < 0
 		}
 		for _, shape := range []struct {
 			name         string
@@ -176,6 +187,8 @@ func TestHashJoinInputInvariance(t *testing.T) {
 			{"int-probe-double-build", probe, build, []int{1}, []int{3}, nil, nil},
 			{"double-probe-int-build", probe, build, []int{3}, []int{1}, nil, nil},
 			{"date-key", probe, build, []int{4}, []int{4}, nil, nil},
+			{"bool-timestamp-key", probe, build, []int{5, 6}, []int{5, 6}, nil, nil},
+			{"all-null-key", probe, build, []int{7}, []int{7}, nil, nil},
 			{"empty-build", probe, empty, []int{0, 1}, []int{0, 1}, nil, nil},
 			{"empty-probe", empty, build, []int{0}, []int{0}, nil, nil},
 			{"cross", few, build, nil, nil, nil, nil},
@@ -216,7 +229,11 @@ func TestHashJoinInputInvariance(t *testing.T) {
 						}
 						requireEqualKeys(t, ctx, want, sortedKeys(t, j))
 						runs, _ := j.SpillStats()
-						if spilled := heap > 0 && len(shape.build.rows) > 0; (runs > 0) != spilled {
+						// Only build rows with no NULL key are kept, so charged.
+						keyed := slices.ContainsFunc(shape.build.rows, func(r types.Row) bool {
+							return !slices.ContainsFunc(shape.bkeys, func(c int) bool { return r[c].IsNull() })
+						})
+						if spilled := heap > 0 && keyed; (runs > 0) != spilled {
 							t.Fatalf("%s: spill runs = %d, want spilled=%v", ctx, runs, spilled)
 						}
 						wantCodes := 0
@@ -353,9 +370,17 @@ func (c *joinFileCount) Open() error {
 // steps under a LEFT JOIN of 150 000 probe rows with a 4 000-row build of
 // 3 500 keys — 500 of them twice, and 500 probe keys missing: every step
 // returns the oracle's rows, a spill writes at most one build and one probe
-// file a partition, and no step spills more bytes than both inputs encode
-// to, since a row is written at most once. The per-step times are logged.
+// file a partition, and no step spills more bytes than both inputs took in
+// the row stream spills wrote before blocks, 3 991 412 B, since a row is
+// written at most once. While some partitions stay resident (256 KiB) no
+// step spills more than both inputs take as spill blocks either
+// (blockBytes, 2 160 169 B). From 128 KiB every partition is on disk and
+// about 2.60 MB is spilled, over that bound: parking writes one block per
+// partition per probe batch, some 16 rows, and each repeats the block
+// header and the status column's dictionary. The per-step times are
+// logged.
 func TestHashJoinHeapStepping(t *testing.T) {
+	const rowStream = 3_991_412 // both inputs in the row stream spills wrote before blocks
 	probeTbl, _ := accountsTable(t, 732, 150_000, 4000)
 	buildSch := types.Schema{
 		{Name: "bid", Kind: types.KindInt},
@@ -374,21 +399,14 @@ func TestHashJoinHeapStepping(t *testing.T) {
 
 	// The oracle: each probe row's txn_id beside the bid of every build row
 	// with its key, or -1, as one sorted number a pair.
-	var input countingWriter
-	rw := encoding.NewRowWriter(&input)
+	input := blockBytes(t, tableRows(t, buildTbl), ChunkSize) + blockBytes(t, probe, ChunkSize)
 	byKey := map[int64][]int64{}
 	for _, r := range build {
 		byKey[r[1].Int()] = append(byKey[r[1].Int()], r[0].Int())
-		if _, err := rw.WriteRow(r); err != nil {
-			t.Fatal(err)
-		}
 	}
 	byTxn := map[int64]types.Row{}
 	var want []int64
 	for _, r := range probe {
-		if _, err := rw.WriteRow(r); err != nil {
-			t.Fatal(err)
-		}
 		byTxn[r[0].Int()] = r
 		bids := byKey[r[1].Int()]
 		if len(bids) == 0 {
@@ -420,8 +438,7 @@ func TestHashJoinHeapStepping(t *testing.T) {
 			if vb == nil {
 				break
 			}
-			for _, i := range vb.Idx() {
-				row := vb.Row(i)
+			for _, row := range vb.AppendRows(nil) {
 				p, bid := byTxn[row[0].Int()], int64(-1)
 				if !row[4].IsNull() {
 					bid = row[4].Int()
@@ -447,12 +464,12 @@ func TestHashJoinHeapStepping(t *testing.T) {
 			t.Fatalf("heap %d: %d output pairs differ from the oracle's %d", heap, len(got), len(want))
 		}
 		runs, bytes := j.SpillStats()
-		t.Logf("heap %7d: %v, %4d runs in %3d files, %8d B spilled (input %d B)", heap, elapsed.Round(time.Millisecond), runs, j.files, bytes, input.n)
+		t.Logf("heap %7d: %v, %4d runs in %3d files, %8d B spilled (input %d B)", heap, elapsed.Round(time.Millisecond), runs, j.files, bytes, input)
 		if j.files > 2*aggPartitions || (runs > 0) != (j.files > 0) {
 			t.Fatalf("heap %d: %d spill files for %d runs", heap, j.files, runs)
 		}
-		if bytes > input.n {
-			t.Fatalf("heap %d: spilled %d B, the inputs encode to %d B", heap, bytes, input.n)
+		if bytes > rowStream || heap >= 256<<10 && bytes > input {
+			t.Fatalf("heap %d: spilled %d B, the inputs take %d B as blocks, %d B as rows", heap, bytes, input, rowStream)
 		}
 		spilled = spilled || runs > 0
 		requireNoSpillFiles(t, dir)

@@ -2,13 +2,11 @@ package exec
 
 import (
 	"cmp"
-	"io"
 	"math"
 	"math/bits"
 	"slices"
 	"strings"
 
-	"dashdb/internal/encoding"
 	"dashdb/internal/mem"
 	"dashdb/internal/types"
 	"dashdb/internal/vec"
@@ -36,8 +34,7 @@ func (k sortCol) compare(a, b int) int {
 }
 
 // keyOrder orders ids a and b by the keys and then by id, so equal keys keep
-// id order. It orders what words cannot: the spill merge's run heads, and
-// keys past a record's width.
+// id order. It orders what words cannot: keys past a record's width.
 func keyOrder(keys []sortCol, a, b int) int {
 	for _, k := range keys {
 		if c := k.compare(a, b); c != 0 {
@@ -527,13 +524,7 @@ func (b *typedRows) add(in []*vec.Vector, sel []int, from, to int) int {
 			if k := bufKind(b.cols[c], v); k != b.cols[c].Kind || n > b.cap {
 				need += kindWidth[k] * int64(n) // a new buffer
 			}
-			if v.I64 == nil && v.F64 == nil {
-				for j := done; j < done+m; j++ {
-					if x := v.Get(at(sel, j)); x.Kind() == types.KindString && !x.IsNull() {
-						need += int64(len(x.Str()))
-					}
-				}
-			}
+			need += strBytes(v, sel, done, done+m)
 		}
 		if need > 0 && !b.res.Grow(need) {
 			if b.n > 0 && !b.final {
@@ -554,6 +545,17 @@ func (b *typedRows) add(in []*vec.Vector, sel []int, from, to int) int {
 	return done - from
 }
 
+// strBytes is the bytes of the strings at live rows from..to-1 of v
+// (positions through sel): what typedRows charges for them.
+func strBytes(v *vec.Vector, sel []int, from, to int) (n int64) {
+	for j := from; j < to && v.I64 == nil && v.F64 == nil; j++ {
+		if x := v.Get(at(sel, j)); x.Kind() == types.KindString && !x.IsNull() {
+			n += int64(len(x.Str()))
+		}
+	}
+	return n
+}
+
 // decodeCols replaces every code vector of in with a decoded copy.
 func decodeCols(in []*vec.Vector) {
 	for c, v := range in {
@@ -569,14 +571,6 @@ func (b *typedRows) width() int64 {
 		w += kindWidth[c.Kind]
 	}
 	return w
-}
-
-// row appends row r's cells to dst.
-func (b *typedRows) row(dst types.Row, r int) types.Row {
-	for _, c := range b.cols {
-		dst = append(dst, c.Get(r))
-	}
-	return dst
 }
 
 // keep moves rows ids[i], ascending, down to i and drops the others in
@@ -598,10 +592,16 @@ func (b *typedRows) keep(ids []int) {
 // With a governor the buffers charge a SORTHEAP reservation, keyRowBytes a
 // row of capacity for the normalized keys and the order beside them;
 // nothing is credited back until a spill drops them. A denied charge sorts
-// the buffered rows and spills them as one rowcodec run — the data cells,
-// then the cells of the keys that are not bare columns — and Next k-way
-// merges the runs, comparing their key cells through keyOrder, never
-// re-evaluating a key.
+// the buffered rows and spills them as one run of blocks (spill.go) — the
+// data columns, then the keys that are not bare columns — and Next k-way
+// merges the runs into typed output columns, comparing the runs' current
+// key values, never re-evaluating a key.
+//
+// The merge holds one block of each run it reads, charged to the
+// reservation while it is held. A block holds at most a mergeWays-th of
+// the rows any denied charge left buffered, so a merge of mergeWays runs
+// holds about what the heap held; past mergeWays runs, merge passes first
+// merge them mergeWays at a time into runs of such blocks.
 //
 // Bound > 0 says only the first Bound rows are read (a LIMIT above, OFFSET
 // included). Whenever the buffered rows reach max(2·Bound, 4096) the sort
@@ -620,11 +620,14 @@ type SortOp struct {
 	out    sortedCols // the buffered rows in key order, when nothing spilled
 	cut    cutoff
 
-	runs    []*sortRun
-	runKeys []sortCol  // every run's current key cells, at the run's seq
-	live    []*sortRun // the runs not at their end, in merge order (push)
-	merged  rowQueue
+	runs  []*sortRun
+	block int        // rows a run's block holds
+	live  []*sortRun // the runs not at their end, in merge order (push)
+	spans []runSpan  // scratch: the rows of the merge's next batch
 }
+
+// mergeWays is the most runs one merge reads at once.
+const mergeWays = 16
 
 // cutoff is a bounded sort's Bound-th row, once one is known, and the
 // scratch incoming rows are checked against it in.
@@ -643,12 +646,20 @@ type cutKey struct {
 	val  types.Value
 }
 
-// sortRun is one spilled, sorted run being replayed during the merge.
+// sortRun is one spilled, sorted run being merged: its current block, what
+// that block is charged, and the row of it the merge is at.
 type sortRun struct {
-	file *mem.SpillFile
-	rd   *encoding.RowReader
-	seq  int       // run creation order, the stability tiebreak
-	row  types.Row // current data row
+	file   *mem.SpillFile
+	seq    int // place among the runs merged together, the stability tiebreak
+	cur    *vec.Batch
+	charge int64
+	at     int
+}
+
+// runSpan is rows from..to-1 of one run's block, consecutive in the merge.
+type runSpan struct {
+	b        *vec.Batch
+	from, to int
 }
 
 // Schema implements Operator.
@@ -663,7 +674,7 @@ func (s *SortOp) Open() error {
 	defer s.Child.Close()
 	s.res = s.Gov.Acquire(mem.SortHeap)
 	s.rows = typedRows{res: s.res, perRow: keyRowBytes(len(s.Keys))}
-	s.cut.keys = nil
+	s.cut.keys, s.block = nil, ChunkSize
 	nCols := len(s.Schema())
 	var computed []Expr
 	s.keyCol = make([]int, len(s.Keys))
@@ -708,6 +719,7 @@ func (s *SortOp) Open() error {
 			case s.Bound > 0 && s.rows.n >= s.trimAt():
 				s.trim()
 			case done < to:
+				s.block = min(s.block, max(1, s.rows.n/mergeWays))
 				if err := s.spill(); err != nil {
 					return err
 				}
@@ -815,21 +827,17 @@ func (s *SortOp) below(in []*vec.Vector, sel []int, n int) []int {
 }
 
 // spill writes the buffered rows to a fresh spill file as one sorted run,
-// every buffer's cells a row, and drops the buffers and their charge.
+// every buffer a column of its blocks, and drops the buffers and their
+// charge.
 func (s *SortOp) spill() error {
 	s.sortBuf()
 	f, err := s.res.NewSpillFile("sort")
 	if err != nil {
 		return err
 	}
-	s.runs = append(s.runs, &sortRun{file: f, seq: len(s.runs)})
-	w := encoding.NewRowWriter(f)
-	var row types.Row
-	for _, id := range s.out.order {
-		row = s.rows.row(row[:0], int(id))
-		if _, err := w.WriteRow(row); err != nil {
-			return err
-		}
+	s.runs = append(s.runs, &sortRun{file: f})
+	if err := spillRows(f, s.rows.cols, s.out.order, s.block); err != nil {
+		return err
 	}
 	s.res.NoteSpill(f.Size())
 	s.res.Shrink(s.res.Used())
@@ -837,17 +845,45 @@ func (s *SortOp) spill() error {
 	return nil
 }
 
-// openMerge rewinds every run and files each in the merge.
+// openMerge runs merge passes while more than mergeWays runs are left —
+// each merges mergeWays consecutive runs into one run in their place, so
+// equal keys stay in input order — and starts the merge Next reads.
 func (s *SortOp) openMerge() error {
-	s.runKeys = make([]sortCol, len(s.Keys))
-	for j, k := range s.Keys {
-		s.runKeys[j] = sortCol{v: vec.New(types.KindNull, len(s.runs)), desc: k.Desc}
+	for len(s.runs) > mergeWays {
+		for i := 0; i < len(s.runs)-1; i++ {
+			k := min(mergeWays, len(s.runs)-i)
+			f, err := s.res.NewSpillFile("sort")
+			if err != nil {
+				return err
+			}
+			s.runs = slices.Insert(s.runs, i, &sortRun{file: f})
+			if err := s.startMerge(s.runs[i+1 : i+1+k]); err != nil {
+				return err
+			}
+			for width := s.live[0].cur.NumCols(); len(s.live) > 0; {
+				vb, err := s.merge(s.block, width)
+				if err == nil {
+					err = spillBlock(f, vb)
+					vb.Release()
+				}
+				if err != nil {
+					return err
+				}
+			}
+			s.res.NoteSpill(f.Size())
+			s.runs = slices.Delete(s.runs, i+1, i+1+k)
+		}
 	}
-	for _, run := range s.runs {
+	return s.startMerge(s.runs)
+}
+
+// startMerge rewinds runs and files each in the merge.
+func (s *SortOp) startMerge(runs []*sortRun) error {
+	for seq, run := range runs {
 		if err := run.file.Rewind(); err != nil {
 			return err
 		}
-		run.rd = encoding.NewRowReader(run.file)
+		run.seq = seq
 		if err := s.push(run); err != nil {
 			return err
 		}
@@ -855,43 +891,95 @@ func (s *SortOp) openMerge() error {
 	return nil
 }
 
-// push reads run's next row, files its key cells at the run's seq in
-// runKeys and the run in live, or closes the run at its end. live holds the
-// runs last-first by keyOrder over those cells, the run seq as the id: among
-// equal keys the earlier run (earlier input rows) comes first, so the merge
-// is stable.
+// push moves run to its next row, reading its next block past the end of
+// one — the block it leaves returns its charge, the next is charged — and
+// files it in live, or closes the run at its end. live holds the runs
+// last-first by runOrder.
 func (s *SortOp) push(run *sortRun) error {
-	row, err := run.rd.ReadRow()
-	if err == io.EOF {
-		return run.file.Close()
+	for run.at++; run.cur == nil || run.at >= run.cur.N; run.at = 0 {
+		s.res.Shrink(run.charge)
+		vb, err := readBlock(run.file)
+		if err != nil {
+			return err
+		}
+		if run.cur, run.charge = vb, 0; vb == nil {
+			return run.file.Close()
+		}
+		for c := range vb.NumCols() {
+			run.charge += kindWidth[vb.Col(c).Kind]*int64(vb.N) + strBytes(vb.Col(c), nil, 0, vb.N)
+		}
+		s.res.MustGrow(run.charge)
 	}
-	if err != nil {
-		return err
-	}
-	nCols := len(s.Schema())
-	run.row = row[:nCols:nCols]
-	for j, c := range s.keyCol {
-		s.runKeys[j].v.Any[run.seq] = row[c]
-	}
-	i, _ := slices.BinarySearchFunc(s.live, run, func(a, b *sortRun) int { return keyOrder(s.runKeys, b.seq, a.seq) })
+	i, _ := slices.BinarySearchFunc(s.live, run, func(a, b *sortRun) int { return s.runOrder(b, a) })
 	s.live = slices.Insert(s.live, i, run)
 	return nil
 }
 
-// Next implements Operator.
+// runOrder orders two runs by the keys of their current rows, then by seq:
+// among equal keys the earlier run (earlier input rows) comes first, so the
+// merge is stable.
+func (s *SortOp) runOrder(a, b *sortRun) int {
+	for j, c := range s.keyCol {
+		x := types.Compare(a.cur.Col(c).Get(a.at), b.cur.Col(c).Get(b.at))
+		if s.Keys[j].Desc {
+			x = -x
+		}
+		if x != 0 {
+			return x
+		}
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// Next implements Operator: the next ChunkSize rows, from the runs when
+// there are runs.
 func (s *SortOp) Next() (*vec.Batch, error) {
 	if len(s.runs) == 0 {
 		return s.out.batch(s.Schema()), nil
 	}
-	for len(s.merged.rows) < ChunkSize && len(s.live) > 0 {
+	return s.merge(ChunkSize, len(s.Schema()))
+}
+
+// merge returns the next rows, at most limit, in merge order: the blocks'
+// first width columns, copied a span of one block at a time into columns
+// typed like the blocks' (boxed where they differ); nil at the end of the
+// merge.
+func (s *SortOp) merge(limit, width int) (*vec.Batch, error) {
+	s.spans = s.spans[:0]
+	n := 0
+	for ; n < limit && len(s.live) > 0; n++ {
 		run := s.live[len(s.live)-1]
 		s.live = s.live[:len(s.live)-1]
-		s.merged.rows = append(s.merged.rows, run.row)
+		if k := len(s.spans) - 1; k >= 0 && s.spans[k].b == run.cur && s.spans[k].to == run.at {
+			s.spans[k].to++
+		} else {
+			s.spans = append(s.spans, runSpan{b: run.cur, from: run.at, to: run.at + 1})
+		}
 		if err := s.push(run); err != nil {
 			return nil, err
 		}
 	}
-	return s.merged.next(s.Schema()), nil
+	if n == 0 {
+		return nil, nil
+	}
+	cols := make([]*vec.Vector, width)
+	for c := range cols {
+		kind := s.spans[0].b.Col(c).Kind
+		for _, sp := range s.spans {
+			if v := sp.b.Col(c); v.Kind != kind || !typedVec(v) {
+				kind = types.KindNull
+			}
+		}
+		cols[c] = vec.NewPooled(kind, n)
+		to := 0
+		for _, sp := range s.spans {
+			put(cols[c], sp.b.Col(c), to, []int(nil), sp.from, sp.to)
+			to += sp.to - sp.from
+		}
+	}
+	vb := vec.NewBatch(s.Schema(), cols, n)
+	vb.Own()
+	return vb, nil
 }
 
 // SpillStats reports runs and bytes spilled, for EXPLAIN ANALYZE. Valid
@@ -909,7 +997,7 @@ func (s *SortOp) Close() error {
 			firstErr = err
 		}
 	}
-	s.runs, s.live, s.merged = nil, nil, rowQueue{}
+	s.runs, s.live, s.spans = nil, nil, nil
 	s.rows.cols, s.rows.n, s.rows.cap, s.out = nil, 0, 0, sortedCols{}
 	s.res.Close()
 	return firstErr

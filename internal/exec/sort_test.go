@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -212,12 +213,19 @@ func TestSortGenerated(t *testing.T) {
 // rows. The buffers charge every allocation in full, 62 B a row of each
 // capacity they reach: 9 B a number column and keyRowBytes(2) = 44 B, the
 // widest record two keys take (five words) and 4 B of order. Reaching a
-// capacity of C rows has charged 62 × (16 + 32 + … + C) = 62 × (2C − 16) B.
-// So 2 MiB holds 16 384 rows (2 030 624 B) but not 32 768, and spills once at
-// 16 384 rows, then the rest: 2 runs. 1 MiB holds 8 192 (1 014 816 B): 8 192
-// + 8 192 + 5 616, 3 runs. 512 KiB holds 4 096 (506 912 B): 6 runs. A run
-// holds the data cells only (both keys are bare columns), so a step that
-// spills writes the rowcodec size of the data columns and no more.
+// capacity of C rows has charged 62 × (2C − 16) B. So 2 MiB holds 16 384
+// rows (2 030 624 B) but not 32 768, and spills once at 16 384 rows, then
+// the rest: 2 runs. 1 MiB holds 8 192 (1 014 816 B): 8 192 + 8 192 + 5 616,
+// 3 runs. 512 KiB holds 4 096 (506 912 B): 6 runs.
+//
+// A run holds the data columns only (both keys are bare columns), in
+// blocks of min(ChunkSize, C/mergeWays) rows; past mergeWays runs, merge
+// passes merge mergeWays consecutive runs at a time into one run of such
+// blocks. So every step writes exactly what its runs and passes take, 11 B
+// a row (a zig-zag txn_id, 8 B of amount) and a header a block: at 2 MiB the
+// data rows' own block size, 233 898 B, and more where blocks are smaller
+// and passes write rows again. The merge charges the blocks it holds, so
+// no step's SORTHEAP peak passes the heap.
 func TestSortHeapStepping(t *testing.T) {
 	const n = 22_000
 	sch := types.Schema{{Name: "txn_id", Kind: types.KindInt}, {Name: "amount", Kind: types.KindFloat}}
@@ -233,16 +241,43 @@ func TestSortHeapStepping(t *testing.T) {
 	keys := []SortKey{{Expr: ColRef(1), Desc: true}, {Expr: ColRef(0)}}
 	in := tableRows(t, tbl)
 	want := oracleSort(t, in, keys)
-	var data countingWriter
-	rw := encoding.NewRowWriter(&data)
-	for _, r := range in {
-		if _, err := rw.WriteRow(r); err != nil {
-			t.Fatal(err)
+	const dataBytes = 233_898
+	if data := blockBytes(t, in, ChunkSize); data != dataBytes {
+		t.Fatalf("the data rows take %d B as spill blocks, want %d", data, dataBytes)
+	}
+	// written is what a step writes: its runs, each the next C input rows,
+	// C the largest capacity whose charge 62 × (2C − 16) B fits the heap,
+	// then its merge passes.
+	written := func(heap int64) (runs, bytes int64) {
+		c := 16
+		for 62*int64(4*c-16) <= heap {
+			c *= 2
 		}
+		block := min(ChunkSize, c/mergeWays)
+		write := func(run []types.Row) []types.Row {
+			runs, bytes = runs+1, bytes+blockBytes(t, run, block)
+			return run
+		}
+		var sorted [][]types.Row
+		for a := 0; a < len(in); a += c {
+			sorted = append(sorted, write(oracleSort(t, in[a:min(a+c, len(in))], keys)))
+		}
+		for len(sorted) > mergeWays {
+			var next [][]types.Row
+			for a := 0; a < len(sorted); a += mergeWays {
+				if group := sorted[a:min(a+mergeWays, len(sorted))]; len(group) > 1 {
+					next = append(next, write(oracleSort(t, slices.Concat(group...), keys)))
+				} else {
+					next = append(next, group[0])
+				}
+			}
+			sorted = next
+		}
+		return runs, bytes
 	}
 	wantRuns := map[int64]int64{2 << 20: 2, 1 << 20: 3, 512 << 10: 6}
 	for heap := int64(2 << 20); heap >= 4<<10; heap /= 2 {
-		gov, _, dir := tinyGov(t, heap)
+		gov, b, dir := tinyGov(t, heap)
 		op := &SortOp{Child: scanDop(tbl, 1), Keys: keys, Gov: gov}
 		got, err := Drain(op)
 		if err != nil {
@@ -250,14 +285,19 @@ func TestSortHeapStepping(t *testing.T) {
 		}
 		requireSameOrder(t, fmt.Sprintf("heap %d", heap), got, want)
 		runs, bytes := op.SpillStats()
-		t.Logf("heap %7d: %4d runs, %7d B spilled (data columns encode to %d B)", heap, runs, bytes, data.n)
+		heaps, _ := b.Stats()
+		peak := heaps[mem.SortHeap].PeakBytes
+		t.Logf("heap %7d: %4d runs, %7d B spilled (the data rows take %d B), peak %d B", heap, runs, bytes, dataBytes, peak)
+		wruns, wbytes := written(heap)
 		switch {
 		case wantRuns[heap] > 0 && runs != wantRuns[heap]:
 			t.Fatalf("heap %d: %d runs, want %d", heap, runs, wantRuns[heap])
-		case heap < 512<<10 && runs < 6:
-			t.Fatalf("heap %d: %d runs", heap, runs)
-		case bytes > data.n:
-			t.Fatalf("heap %d: spilled %d B, the data columns encode to %d B", heap, bytes, data.n)
+		case runs != wruns || bytes != wbytes:
+			t.Fatalf("heap %d: %d runs of %d B spilled, its runs and passes are %d of %d B", heap, runs, bytes, wruns, wbytes)
+		case heap == 2<<20 && bytes != dataBytes:
+			t.Fatalf("heap %d: spilled %d B, the data rows take %d B", heap, bytes, dataBytes)
+		case peak > heap:
+			t.Fatalf("heap %d: SORTHEAP peak %d B", heap, peak)
 		}
 		requireNoSpillFiles(t, dir)
 	}

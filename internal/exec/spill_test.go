@@ -3,11 +3,14 @@ package exec
 // Spill-parity property tests: every governed operator must produce
 // exactly the same result under a tiny memory budget (forcing external
 // sort runs, Grace join partitions, aggregate run files) as it does fully
-// in memory. Inputs deliberately include NULLs, NaN floats, duplicate
-// keys and empty relations — the values most likely to break a
-// serialize/replay path.
+// in memory. Inputs deliberately include NULLs, NaN floats and −0, '' beside
+// NULL, duplicate keys, a column mixing kinds, an all-NULL column,
+// BOOLEAN, DATE and TIMESTAMP columns and empty relations — every form a
+// spill block takes (lanes, bitmaps, cells), the values most likely to
+// break a serialize/replay path.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -21,6 +24,7 @@ import (
 	"dashdb/internal/mem"
 	"dashdb/internal/page"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // tinyGov builds a governor over a broker with a deliberately tiny budget
@@ -35,13 +39,20 @@ func tinyGov(t *testing.T, budget int64) (*mem.Governor, *mem.Broker, string) {
 }
 
 // mixedSchema is the property-test row shape: an integer key with NULLs
-// and duplicates, a string payload with NULLs and empties, and a float
-// payload that includes NaN (bit-exactness through the spill codec).
+// and duplicates, a string payload with NULLs and empties, a float payload
+// that includes NaN and −0 (bit-exactness through the spill blocks), a
+// column whose values mix kinds (a block's cells), a column of typed NULLs
+// only, and BOOLEAN, DATE and TIMESTAMP columns with NULLs.
 func mixedSchema() types.Schema {
 	return types.Schema{
 		{Name: "k", Kind: types.KindInt, Nullable: true},
 		{Name: "s", Kind: types.KindString, Nullable: true},
 		{Name: "f", Kind: types.KindFloat, Nullable: true},
+		{Name: "m", Kind: types.KindNull, Nullable: true},
+		{Name: "z", Kind: types.KindInt, Nullable: true},
+		{Name: "b", Kind: types.KindBool, Nullable: true},
+		{Name: "d", Kind: types.KindDate, Nullable: true},
+		{Name: "ts", Kind: types.KindTimestamp, Nullable: true},
 	}
 }
 
@@ -65,8 +76,19 @@ func mixedRows(rng *rand.Rand, n int) []types.Row {
 			f = types.NewFloat(math.NaN())
 		case 1:
 			f = types.Null
+		case 2:
+			f = types.NewFloat(math.Copysign(0, -1))
 		}
-		rows[i] = types.Row{k, s, f}
+		m := [...]types.Value{types.NewInt(int64(rng.Intn(9))), types.NewFloat(float64(rng.Intn(9)) / 2),
+			types.NewString(""), types.NewString("m"), types.NewDate(int64(rng.Intn(9))), types.NewBool(true), types.Null}[rng.Intn(7)]
+		null := func(v types.Value) types.Value {
+			if rng.Intn(9) == 0 {
+				return types.Null
+			}
+			return v
+		}
+		rows[i] = types.Row{k, s, f, m, types.NullOf(types.KindInt), null(types.NewBool(rng.Intn(2) == 0)),
+			null(types.NewDate(int64(rng.Intn(400) - 200))), null(types.NewTimestamp(rng.Int63n(1 << 50)))}
 	}
 	return rows
 }
@@ -106,6 +128,20 @@ func sortedFingerprints(rows []types.Row) []string {
 	return out
 }
 
+// blockBytes is what rows take as a spill writes them: blocks of at most
+// block rows (vec.AppendBlock), each behind its uvarint length.
+func blockBytes(t testing.TB, rows []types.Row, block int) (n int64) {
+	t.Helper()
+	for a := 0; a < len(rows); a += block {
+		b, err := vec.AppendBlock(nil, vec.FromRows(nil, rows[a:min(a+block, len(rows))]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += int64(len(b) + len(binary.AppendUvarint(nil, uint64(len(b)))))
+	}
+	return n
+}
+
 // requireNoSpillFiles asserts the broker's temp dir holds no *.spill
 // files (every operator closed its runs).
 func requireNoSpillFiles(t *testing.T, dir string) {
@@ -133,9 +169,10 @@ func TestExternalSortMatchesInMemory(t *testing.T) {
 		// The duplicate-heavy NULL-bearing int column, then the float column
 		// descending: types.Compare orders NaN above every number and equal
 		// to itself (TestNaNSortsHigh), so a NaN key is as total as any
-		// other. NaN rides through the codec in a cell the merge compares,
-		// which is the bit-exactness property under test.
-		keys := []SortKey{{Expr: ColRef(0)}, {Expr: ColRef(2), Desc: true}}
+		// other. NaN rides through a block's lane the merge compares, which
+		// is the bit-exactness property under test. Then the mixed-kind
+		// column, which the merge orders through types.Compare, and the date.
+		keys := []SortKey{{Expr: ColRef(0)}, {Expr: ColRef(2), Desc: true}, {Expr: ColRef(3)}, {Expr: ColRef(6), Desc: true}}
 
 		want, err := Drain(&SortOp{Child: NewValues(mixedSchema(), rows), Keys: keys})
 		if err != nil {
@@ -214,8 +251,12 @@ func TestGraceJoinMatchesInMemory(t *testing.T) {
 }
 
 // TestGroupBySpillMatchesInMemory is the serial aggregation parity
-// property, including MEDIAN (whose spilled state carries every input
-// value, the worst case for the group-state codec).
+// property, including MEDIAN and PERCENTILE_CONT (whose spilled state
+// carries every input value, the worst case for the group state) and
+// COUNT(DISTINCT) over the float with NaN and both zeros and over the
+// mixed-kind column, whose MIN and MAX spill as a block's cells. The rows
+// group on the integer k from VALUES, and, scanned from a table as codes,
+// on the dictionary-coded string and integer of dictRows.
 func TestGroupBySpillMatchesInMemory(t *testing.T) {
 	specs := []AggSpec{
 		{Func: AggCountStar, Name: "CNT"},
@@ -224,8 +265,24 @@ func TestGroupBySpillMatchesInMemory(t *testing.T) {
 		{Func: AggMax, Arg: ColRef(1), Name: "MAX_S"},
 		{Func: AggCountDistinct, Arg: ColRef(1), Name: "CD_S"},
 		{Func: AggMedian, Arg: ColRef(2), Name: "MED_F"},
+		{Func: AggPercentileCont, Arg: ColRef(2), Param: 0.3, Name: "P30_F"},
+		{Func: AggCountDistinct, Arg: ColRef(2), Name: "CD_F"},
+		{Func: AggMin, Arg: ColRef(3), Name: "MIN_M"},
+		{Func: AggMax, Arg: ColRef(3), Name: "MAX_M"},
+		{Func: AggCountDistinct, Arg: ColRef(3), Name: "CD_M"},
+		{Func: AggCount, Arg: ColRef(4), Name: "CNT_Z"},
+		{Func: AggSum, Arg: ColRef(4), Name: "SUM_Z"},
+		{Func: AggMax, Arg: ColRef(5), Name: "MAX_B"},
+		{Func: AggMin, Arg: ColRef(6), Name: "MIN_D"},
+		{Func: AggMax, Arg: ColRef(7), Name: "MAX_TS"},
 	}
-	groupCols := types.Schema{{Name: "k", Kind: types.KindInt, Nullable: true}}
+	dictAggs := []AggSpec{
+		{Func: AggCountStar, Name: "CNT"},
+		{Func: AggMedian, Arg: ColRef(2), Name: "MED_F"},
+		{Func: AggPercentileCont, Arg: ColRef(2), Param: 0.7, Name: "P70_F"},
+		{Func: AggCountDistinct, Arg: ColRef(2), Name: "CD_F"},
+		{Func: AggMax, Arg: ColRef(3), Name: "MAX_ID"},
+	}
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2000 + rng.Intn(2000)
@@ -233,36 +290,45 @@ func TestGroupBySpillMatchesInMemory(t *testing.T) {
 			n = 0
 		}
 		rows := mixedRows(rng, n)
+		tbl := dictTable(t, uint32(560+seed), dictRows(rng, 3*n, true))
 
-		mk := func(gov *mem.Governor) *GroupByOp {
-			return &GroupByOp{
-				Child:     NewValues(mixedSchema(), rows),
-				GroupBy:   []Expr{ColRef(0)},
-				GroupCols: groupCols,
-				Aggs:      specs,
-				Gov:       gov,
+		for _, in := range []struct {
+			name  string
+			child func() Operator
+			keys  []Expr
+			cols  types.Schema
+			aggs  []AggSpec
+		}{
+			{"values", func() Operator { return NewValues(mixedSchema(), rows) }, []Expr{ColRef(0)}, mixedSchema()[:1], specs},
+			{"codes", func() Operator { return scanCodes(tbl, 1) }, []Expr{ColRef(0), ColRef(1)}, dictSchema()[:2], dictAggs},
+		} {
+			mk := func(gov *mem.Governor) *GroupByOp {
+				return &GroupByOp{Child: in.child(), GroupBy: in.keys, GroupCols: in.cols, Aggs: in.aggs, Gov: gov}
 			}
-		}
-		want, err := Drain(mk(nil))
-		if err != nil {
-			t.Fatal(err)
-		}
+			want, err := Drain(mk(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-		gov, _, dir := tinyGov(t, 8<<10)
-		ag := mk(gov)
-		got, err := Drain(ag)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if n > 0 {
-			if runs, bytes := ag.SpillStats(); runs == 0 || bytes == 0 {
-				t.Fatalf("seed %d: expected forced spill, got runs=%d bytes=%d", seed, runs, bytes)
+			gov, _, dir := tinyGov(t, 8<<10)
+			ag := mk(gov)
+			got, err := Drain(ag)
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, in.name, err)
 			}
+			if n > 0 {
+				if runs, bytes := ag.SpillStats(); runs == 0 || bytes == 0 {
+					t.Fatalf("seed %d %s: expected forced spill, got runs=%d bytes=%d", seed, in.name, runs, bytes)
+				}
+				if in.name == "codes" && ag.CodeKeyCount() != 2 {
+					t.Fatalf("seed %d: %d code keys", seed, ag.CodeKeyCount())
+				}
+			}
+			if !reflect.DeepEqual(sortedFingerprints(got), sortedFingerprints(want)) {
+				t.Fatalf("seed %d %s: spilled GROUP BY diverged (%d vs %d groups)", seed, in.name, len(got), len(want))
+			}
+			requireNoSpillFiles(t, dir)
 		}
-		if !reflect.DeepEqual(sortedFingerprints(got), sortedFingerprints(want)) {
-			t.Fatalf("seed %d: spilled GROUP BY diverged (%d vs %d groups)", seed, len(got), len(want))
-		}
-		requireNoSpillFiles(t, dir)
 	}
 }
 

@@ -115,7 +115,8 @@ func newSpillFile(dir, label string) (*SpillFile, error) {
 	return &SpillFile{f: f, bw: bufio.NewWriterSize(f, 64<<10)}, nil
 }
 
-// Write appends run bytes (io.Writer; encoding.RowWriter layers on top).
+// Write appends run bytes: the executor writes each batch block behind its
+// uvarint length (internal/exec/spill.go).
 func (s *SpillFile) Write(p []byte) (int, error) {
 	if s.bw == nil {
 		return 0, fmt.Errorf("mem: write to spill file after Rewind")
@@ -154,6 +155,14 @@ func (s *SpillFile) Read(p []byte) (int, error) {
 		return 0, fmt.Errorf("mem: read from spill file before Rewind")
 	}
 	return s.br.Read(p)
+}
+
+// ReadByte reads one run byte back after Rewind (io.ByteReader).
+func (s *SpillFile) ReadByte() (byte, error) {
+	if s.br == nil {
+		return 0, fmt.Errorf("mem: read from spill file before Rewind")
+	}
+	return s.br.ReadByte()
 }
 
 // Close closes and removes the file. Idempotent; always removes even when

@@ -49,7 +49,7 @@ type Options struct {
 	// Greedy enables the optimizer passes (join reordering, build-side
 	// selection, join-key bounds pushdown). False lowers the tree in
 	// syntactic order with the historical fixed build side — the
-	// SET JOIN_ORDER SYNTACTIC / Config.DisableJoinReorder ablation.
+	// SET JOIN_ORDER SYNTACTIC ablation.
 	Greedy bool
 	// Gov is the session memory governor handed to blocking operators.
 	Gov *mem.Governor

@@ -22,11 +22,11 @@ import (
 // be paired with Release on all paths (the mustrelease lint enforces
 // this protocol).
 
-// Pool default tunables.
+// Pool tunables.
 const (
-	DefaultDialTimeout = 2 * time.Second
-	DefaultIOTimeout   = 30 * time.Second
-	defaultMaxIdle     = 4
+	dialTimeout = 2 * time.Second
+	ioTimeout   = 30 * time.Second
+	maxIdle     = 4 // idle connections kept per address
 
 	// Retry policy for transient errors (dial refused, connection
 	// reset): up to DefaultAttempts tries with doubling backoff from
@@ -49,25 +49,16 @@ type Conn struct {
 
 // Pool manages connections to shard servers, keyed by address.
 type Pool struct {
-	DialTimeout time.Duration
-	IOTimeout   time.Duration
-	MaxIdle     int // per address
-	Node        string
+	Node string
 
 	mu     sync.Mutex
 	idle   map[string][]*Conn
 	closed bool
 }
 
-// NewPool returns a pool with default timeouts.
+// NewPool returns a pool whose connections say they are node's.
 func NewPool(node string) *Pool {
-	return &Pool{
-		DialTimeout: DefaultDialTimeout,
-		IOTimeout:   DefaultIOTimeout,
-		MaxIdle:     defaultMaxIdle,
-		Node:        node,
-		idle:        make(map[string][]*Conn),
-	}
+	return &Pool{Node: node, idle: make(map[string][]*Conn)}
 }
 
 // Get returns a connection to addr, reusing an idle one when available.
@@ -89,7 +80,7 @@ func (p *Pool) Get(addr string) (*Conn, error) {
 }
 
 func (p *Pool) dial(addr string) (*Conn, error) {
-	nc, err := net.DialTimeout("tcp", addr, p.DialTimeout)
+	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("shardrpc: dial %s: %w", addr, err)
 	}
@@ -127,7 +118,7 @@ func (c *Conn) Release() {
 		return
 	}
 	p.mu.Lock()
-	if p.closed || len(p.idle[c.addr]) >= p.MaxIdle {
+	if p.closed || len(p.idle[c.addr]) >= maxIdle {
 		p.mu.Unlock()
 		c.c.Close()
 		return
@@ -155,7 +146,7 @@ func (p *Pool) Close() {
 
 // write sends one frame under the write deadline and flushes.
 func (c *Conn) write(t FrameType, payload []byte) error {
-	c.c.SetWriteDeadline(time.Now().Add(c.pool.IOTimeout))
+	c.c.SetWriteDeadline(time.Now().Add(ioTimeout))
 	if err := WriteFrame(c.bw, t, payload); err != nil {
 		c.broken = true
 		return err
@@ -169,7 +160,7 @@ func (c *Conn) write(t FrameType, payload []byte) error {
 
 // read receives one frame under the read deadline.
 func (c *Conn) read() (FrameType, []byte, error) {
-	c.c.SetReadDeadline(time.Now().Add(c.pool.IOTimeout))
+	c.c.SetReadDeadline(time.Now().Add(ioTimeout))
 	t, payload, err := ReadFrame(c.br)
 	if err != nil {
 		c.broken = true

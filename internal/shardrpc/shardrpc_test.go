@@ -215,7 +215,7 @@ func TestRowBlockEmpty(t *testing.T) {
 }
 
 // TestDecodersRejectBadCells: the cell decoder refuses what the encoder
-// never writes, as one cell, in a row block and in a spill stream alike.
+// never writes, as one cell, in a row block and in a row stream alike.
 func TestDecodersRejectBadCells(t *testing.T) {
 	for _, cell := range [][]byte{
 		{0xFF},                             // NULL, dictionary code, Kind(63)
@@ -238,7 +238,7 @@ func TestDecodersRejectBadCells(t *testing.T) {
 }
 
 // FuzzShuffleFrame fuzzes the network-facing decoders with raw bytes —
-// frame, shuffle header, statement request, FrameDone, block, spill stream
+// frame, shuffle header, statement request, FrameDone, block, row stream
 // and single cell: they must never panic or demand memory the input does
 // not hold, only return errors, and whatever the block, stream and cell
 // decoders accept must survive a round trip.

@@ -7,12 +7,13 @@ import (
 	"math"
 )
 
-// Value codec: the one way a boxed Value becomes bytes. Spill runs
-// (encoding.RowWriter/RowReader) write rows of it, a statement's literal
-// on the shard wire (sql.AppendStmt) writes one cell, and the shard
-// wire's batch block (vec.AppendBlock) writes it for a column that has no
-// typed lane: a row-backed or mixed-kind column, or one of KindNull. A
-// typed column crosses the wire in its own lane; the block's format is
+// Value codec: the one way a boxed Value becomes bytes. The batch block
+// (vec.AppendBlock) — of the shard wire and of every spill file — writes it
+// for a column that has no typed lane: a row-backed or mixed-kind column,
+// or one of KindNull; a statement's literal on the shard wire
+// (sql.AppendStmt) writes one cell; and encoding.RowWriter/RowReader,
+// which only the benchmark's row-stream probe still uses, write rows of
+// it. A typed column goes in its own lane; the block's format is
 // documented in vec/block.go.
 //
 // A cell is one tag byte and a payload:
@@ -24,7 +25,7 @@ import (
 //	uvarint + bytes  VARCHAR
 //
 // A row is one frame: the uvarint byte length of its cells, then the
-// cells; a spill run is a stream of frames.
+// cells; a row stream is a sequence of frames.
 //
 // Decoding checks every length against the input left, so hostile bytes
 // cannot demand memory they do not hold, and refuses what the encoder never

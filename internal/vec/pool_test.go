@@ -41,7 +41,7 @@ func TestRecycleReleaseNilsPayloads(t *testing.T) {
 	}
 	b := pooledBatch(poolMin)
 	b.Col(2).Materialize() // a pooled code vector decodes into a pooled payload
-	if got := b.Row(7); got[0].Int() != 7 || got[1].Float() != 3.5 || got[2].Str() != "y" {
+	if got := b.WithSel([]int{7}).AppendRows(nil)[0]; got[0].Int() != 7 || got[1].Float() != 3.5 || got[2].Str() != "y" {
 		t.Fatalf("row 7 before release: %v", got)
 	}
 	if !(b.owns != nil) {
@@ -60,8 +60,8 @@ func TestRecycleReleaseNilsPayloads(t *testing.T) {
 			t.Fatalf("column %d: a read after Release did not panic", j)
 		}
 	}
-	if !panics(func() { b.Row(0) }) {
-		t.Fatal("Row after Release did not panic")
+	if !panics(func() { b.AppendRows(nil) }) {
+		t.Fatal("AppendRows after Release did not panic")
 	}
 	b.Release()
 }
@@ -76,12 +76,12 @@ func TestRecycleCopiesAreUnowned(t *testing.T) {
 		t.Fatal("a WithSel copy is owned")
 	}
 	view.Release()
-	if got := b.Row(3)[0].Int(); got != 3 {
+	if got := b.Col(0).Get(3).Int(); got != 3 {
 		t.Fatalf("the original after its copy's Release reads %d, want 3", got)
 	}
 	b.Disown()
 	b.Release()
-	if got := view.Row(3)[1].Float(); got != 1.5 {
+	if got := view.Col(1).Get(3).Float(); got != 1.5 {
 		t.Fatalf("a disowned batch's view after Release reads %v, want 1.5", got)
 	}
 

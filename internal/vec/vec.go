@@ -411,28 +411,6 @@ func (b *Batch) WithSel(sel []int) *Batch {
 	return &nb
 }
 
-// Row returns the row at batch position i: the producer's own row on a
-// row-built batch (no allocation; read-only), else a fresh row boxed out of
-// the column vectors.
-func (b *Batch) Row(i int) types.Row { return b.RowInto(nil, i) }
-
-// RowInto is Row boxing into dst when the batch is column-built, for
-// callers that look at one row at a time and keep none: dst is reused when
-// it has the capacity. A row-built batch ignores dst.
-func (b *Batch) RowInto(dst types.Row, i int) types.Row {
-	if b.rows != nil {
-		return b.rows[i]
-	}
-	if cap(dst) < len(b.cols) {
-		dst = make(types.Row, len(b.cols))
-	}
-	dst = dst[:len(b.cols)]
-	for j, cv := range b.cols {
-		dst[j] = cv.Get(i)
-	}
-	return dst
-}
-
 // AppendRows appends the live rows to dst in position order, as Row would
 // return them. A column-built batch boxes its rows into one slab of values
 // per call, each row capped at its width, so an append to one row

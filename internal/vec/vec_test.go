@@ -75,6 +75,8 @@ func TestBatchIdxRowsWithSel(t *testing.T) {
 	}
 }
 
+// TestBatchRow: on a column-built batch AppendRows boxes every position into
+// a fresh row, typed NULLs intact.
 func TestBatchRow(t *testing.T) {
 	b, _ := testBatch(t)
 	want := []types.Row{
@@ -84,15 +86,31 @@ func TestBatchRow(t *testing.T) {
 		{types.NullOf(types.KindInt), types.NewString("c"), types.NewFloat(3.5)},
 		{types.NewInt(40), types.NewString("a"), types.Null},
 	}
-	for i, w := range want {
-		got := b.Row(i)
-		if !reflect.DeepEqual(got, w) {
-			t.Fatalf("row %d: got %v, want %v", i, got, w)
-		}
-		got[0] = types.NewInt(-1) // rows are fresh: writing one must not reach the batch
-		if i != 3 && b.Col(0).Get(i).Int() == -1 {
-			t.Fatal("Row aliases the batch")
-		}
+	got := b.AppendRows(nil)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows: got %v, want %v", got, want)
+	}
+	got[0][0] = types.NewInt(-1) // rows are fresh: writing one must not reach the batch
+	if b.Col(0).Get(0).Int() == -1 {
+		t.Fatal("AppendRows aliases the batch")
+	}
+}
+
+// TestBatchRowIntoAndDecode: on a column-built batch AppendRows boxes only
+// the live positions of a selection, into a caller's slice it grows, and
+// Decode materializes every encoded column without changing a value.
+func TestBatchRowIntoAndDecode(t *testing.T) {
+	b, _ := testBatch(t)
+	all := b.AppendRows(nil)
+	dst := make([]types.Row, 1, 4)
+	dst[0] = all[4]
+	rows := b.WithSel([]int{1, 3}).AppendRows(dst)
+	if &rows[0] != &dst[0] || !reflect.DeepEqual(rows, []types.Row{all[4], all[1], all[3]}) {
+		t.Fatalf("AppendRows under a selection: %v", rows)
+	}
+	b.Decode()
+	if b.Col(1).Encoded() || !reflect.DeepEqual(b.AppendRows(nil), all) {
+		t.Fatal("Decode must materialize encoded columns without changing a value")
 	}
 }
 
@@ -111,18 +129,16 @@ func TestFromRows(t *testing.T) {
 		t.Fatalf("N %d rows %d cols %d", b.N, b.Rows(), b.NumCols())
 	}
 	for i := range rows {
-		if got := b.Row(i); &got[0] != &rows[i][0] {
-			t.Fatalf("Row(%d) is not the row the batch was built from", i)
-		}
-		if got := b.RowInto(make(types.Row, 2), i); &got[0] != &rows[i][0] {
-			t.Fatalf("RowInto(%d) copied a row the batch already holds", i)
+		if got := b.WithSel([]int{i}).AppendRows(nil); &got[0][0] != &rows[i][0] {
+			t.Fatalf("row %d is not the row the batch was built from", i)
 		}
 	}
-	if k := b.Row(1)[0]; !k.IsNull() || k.Kind() != types.KindInt {
+	if k := b.AppendRows(nil)[1][0]; !k.IsNull() || k.Kind() != types.KindInt {
 		t.Fatalf("typed NULL lost: %v", k)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = b.Row(2) }); n != 0 {
-		t.Fatalf("Row allocates %v times on a row-built batch", n)
+	dst := make([]types.Row, 0, len(rows))
+	if n := testing.AllocsPerRun(100, func() { _ = b.AppendRows(dst[:0]) }); n != 0 {
+		t.Fatalf("AppendRows allocates %v times on a row-built batch", n)
 	}
 	if got := b.AppendRows(nil); len(got) != 3 || &got[2][0] != &rows[2][0] {
 		t.Fatalf("AppendRows: %v", got)
@@ -146,37 +162,13 @@ func TestFromRows(t *testing.T) {
 		}
 	}
 	b.Decode() // nothing encoded: a no-op
-	if &b.Row(0)[0] != &rows[0][0] {
+	if &b.AppendRows(nil)[0][0] != &rows[0][0] {
 		t.Fatal("Decode disturbed a row-built batch")
 	}
 
 	// No rows: the width comes from the schema.
 	if e := FromRows(types.Schema{{Name: "x"}}, nil); e.N != 0 || e.NumCols() != 1 || len(e.AppendRows(nil)) != 0 || e.Col(0).Len() != 0 {
 		t.Fatal("empty row-built batch")
-	}
-}
-
-// TestBatchRowIntoAndDecode: on a column-built batch RowInto boxes into the
-// caller's scratch row, AppendRows boxes the live positions, and Decode
-// materializes every encoded column.
-func TestBatchRowIntoAndDecode(t *testing.T) {
-	b, _ := testBatch(t)
-	scratch := make(types.Row, 0, 3)
-	got := b.RowInto(scratch, 2)
-	if &got[0] != &scratch[:1][0] || !reflect.DeepEqual(got, b.Row(2)) {
-		t.Fatalf("RowInto: %v vs %v", got, b.Row(2))
-	}
-	if grown := b.RowInto(make(types.Row, 1), 2); !reflect.DeepEqual(grown, b.Row(2)) {
-		t.Fatalf("RowInto with a short scratch: %v", grown)
-	}
-	rows := b.WithSel([]int{1, 3}).AppendRows(nil)
-	if len(rows) != 2 || !reflect.DeepEqual(rows[0], b.Row(1)) || !reflect.DeepEqual(rows[1], b.Row(3)) {
-		t.Fatalf("AppendRows: %v", rows)
-	}
-	before := b.AppendRows(nil)
-	b.Decode()
-	if b.Col(1).Encoded() || !reflect.DeepEqual(b.AppendRows(nil), before) {
-		t.Fatal("Decode must materialize encoded columns without changing a value")
 	}
 }
 
@@ -235,7 +227,7 @@ func TestVectorEncodedDomMaterialize(t *testing.T) {
 		t.Fatal("Dom grew with the dictionary")
 	}
 
-	before := b.Row(0)
+	before := b.AppendRows(nil)[0]
 	view := b.WithSel([]int{0, 2})
 	codes.Materialize()
 	if codes.Encoded() || codes.Dict != nil || codes.Dom() != nil || codes.Codes != nil {
@@ -244,7 +236,7 @@ func TestVectorEncodedDomMaterialize(t *testing.T) {
 	if !reflect.DeepEqual(codes.Str, []string{"b", "", "b", "c", "a"}) || !codes.IsNull(1) {
 		t.Fatalf("materialized payload %q, null(1)=%v", codes.Str, codes.IsNull(1))
 	}
-	if !reflect.DeepEqual(b.Row(0), before) || view.Col(1).Encoded() {
+	if !reflect.DeepEqual(b.AppendRows(nil)[0], before) || view.Col(1).Encoded() {
 		t.Fatal("materialization must be visible, unchanged in value, through every view")
 	}
 	codes.Materialize() // no-op on a value vector

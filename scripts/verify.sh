@@ -39,6 +39,8 @@ go test -race ./...
 # Low-memory gate: cap SORTHEAP at 1 MiB and HASHHEAP at 64 KB, which forces
 # the external sort and the group-by partition spill under the engine suites'
 # larger queries, and re-run the spill-parity property tests under race.
+# Every spill run is batch blocks read back by vec.DecodeBlock, the decoder
+# FuzzShuffleFrame and FuzzVectorDecode exercise under DASHDB_FUZZ=1.
 # Sort buffers are typed columns charged as allocated, with each row's
 # widest normalized key (62 B a row of every capacity reached for two numeric
 # columns sorted by both), so a 1 MiB sort spills past 8 192 rows:
