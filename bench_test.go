@@ -160,11 +160,11 @@ func BenchmarkFigDNoSkippingBaseline(b *testing.B) {
 
 func BenchmarkFigEBufferPool(b *testing.B) {
 	mkPage := func(id page.ID) (*page.Page, error) {
-		p := page.New(id, 15)
-		for i := 0; i < 256; i++ {
-			p.Codes.Append(uint64(i))
+		codes := make([]uint64, 256)
+		for i := range codes {
+			codes[i] = uint64(i)
 		}
-		return p, nil
+		return page.Pack(id, codes, nil), nil
 	}
 	one, _ := mkPage(page.ID{})
 	for i := 0; i < b.N; i++ {

@@ -129,11 +129,11 @@ func FigureE(nPages, cachePages, rounds int) string {
 	fmt.Fprintf(&b, "%d of %d pages)\n", cachePages, nPages)
 
 	buildPage := func(id page.ID) *page.Page {
-		p := page.New(id, 15)
-		for i := 0; i < 256; i++ {
-			p.Codes.Append(uint64(i))
+		codes := make([]uint64, 256)
+		for i := range codes {
+			codes[i] = uint64(i)
 		}
-		return p
+		return page.Pack(id, codes, nil)
 	}
 	mkPage := func(id page.ID) (*page.Page, error) {
 		return buildPage(id), nil

@@ -14,6 +14,22 @@ func NewBitmap(n int) *Bitmap {
 	return &Bitmap{words: make([]uint64, (n+63)/64), n: n}
 }
 
+// BitmapFromWords returns a bitmap of n bits over words, laid out as
+// Words returns them, and takes ownership of words: bits at positions n
+// and past are cleared. len(words) must be (n+63)/64.
+func BitmapFromWords(n int, words []uint64) *Bitmap {
+	if len(words) != (n+63)/64 {
+		panic("bitpack: BitmapFromWords word count does not hold the length")
+	}
+	b := &Bitmap{words: words, n: n}
+	b.trimTail()
+	return b
+}
+
+// Words exposes the raw words, bit i at bit i%64 of word i/64. The slice
+// must be treated as read-only.
+func (b *Bitmap) Words() []uint64 { return b.words }
+
 // Len returns the bitmap length in bits.
 func (b *Bitmap) Len() int { return b.n }
 

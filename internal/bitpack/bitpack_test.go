@@ -41,7 +41,7 @@ func TestVectorAppendGet(t *testing.T) {
 				t.Fatalf("width %d: Get(%d)=%d want %d", width, i, got, w)
 			}
 		}
-		got := v.Unpack(nil)
+		got := v.Unpack(0, nil)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("width %d: Unpack[%d]=%d want %d", width, i, got[i], want[i])
@@ -52,7 +52,8 @@ func TestVectorAppendGet(t *testing.T) {
 
 // TestAppendAllGather: runs appended with AppendAll, starting at every
 // slot of a word, read back by Get; Gather of ascending selections,
-// dense, sparse and empty, equals Get at each selected position.
+// dense, sparse and empty, equals the base plus Get at each selected
+// position.
 func TestAppendAllGather(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, width := range []uint{1, 3, 7, 8, 13, 21, 32} {
@@ -78,10 +79,11 @@ func TestAppendAllGather(t *testing.T) {
 					sel = append(sel, i)
 				}
 			}
-			got := v.Gather(sel, nil)
+			base := uint64(len(sel)) << 20
+			got := v.Gather(sel, base, nil)
 			for k, i := range sel {
-				if got[k] != want[i] {
-					t.Fatalf("width %d, %d selected: Gather[%d]=%d want code %d's %d", width, len(sel), k, got[k], i, want[i])
+				if got[k] != base+want[i] {
+					t.Fatalf("width %d, %d selected: Gather[%d]=%d want base %d + code %d's %d", width, len(sel), k, got[k], base, i, want[i])
 				}
 			}
 		}
@@ -378,6 +380,29 @@ func TestBitmapOps(t *testing.T) {
 	if full.Count() != 130 {
 		t.Fatalf("full count %d", full.Count())
 	}
+}
+
+// TestBitmapWordsRoundTrip: a bitmap rebuilt from its words holds the
+// same bits, and bits past the length are cleared on adoption.
+func TestBitmapWordsRoundTrip(t *testing.T) {
+	a := NewBitmap(130)
+	for _, i := range []int{0, 63, 64, 129} {
+		a.Set(i)
+	}
+	words := append([]uint64(nil), a.Words()...)
+	words[2] |= 1 << 5 // bit 133, past the length
+	b := BitmapFromWords(130, words)
+	if b.Len() != 130 || b.Count() != 4 || !b.Get(0) || !b.Get(63) || !b.Get(64) || !b.Get(129) {
+		t.Fatalf("adopted words: len %d, %d bits", b.Len(), b.Count())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("three words for 200 bits did not panic")
+			}
+		}()
+		BitmapFromWords(200, words)
+	}()
 }
 
 func TestBitmapForEachOrder(t *testing.T) {

@@ -164,11 +164,13 @@ func (v *Vector) Get(i int) uint64 {
 	return (word >> shift) & v.maxCode()
 }
 
-// Unpack decodes all codes into dst, which is grown as needed, and
-// returns it. Useful for operators that must leave code space.
+// Unpack decodes all codes, each plus base, into dst, which is grown as
+// needed, and returns it. Useful for operators that must leave code space;
+// a page coded over its stride's smallest code passes that code as base,
+// so its readers see column codes without a second pass.
 //
 //dashdb:hotpath
-func (v *Vector) Unpack(dst []uint64) []uint64 {
+func (v *Vector) Unpack(base uint64, dst []uint64) []uint64 {
 	if cap(dst) < v.n {
 		dst = make([]uint64, v.n)
 	}
@@ -177,7 +179,7 @@ func (v *Vector) Unpack(dst []uint64) []uint64 {
 	for wi, w := range v.words {
 		cells := dst[wi*per : min(wi*per+per, v.n)]
 		for s := range cells {
-			cells[s] = w & mask
+			cells[s] = base + w&mask
 			w >>= cell
 		}
 	}
@@ -185,14 +187,14 @@ func (v *Vector) Unpack(dst []uint64) []uint64 {
 }
 
 // Gather is Unpack restricted to the positions in sel, which must ascend:
-// dst[k] becomes the code at sel[k]. dst is grown as needed and returned.
-// A selection of every position is a plain Unpack; otherwise the words
-// are walked in step with sel, so no position costs a division.
+// dst[k] becomes base plus the code at sel[k]. dst is grown as needed and
+// returned. A selection of every position is a plain Unpack; otherwise the
+// words are walked in step with sel, so no position costs a division.
 //
 //dashdb:hotpath
-func (v *Vector) Gather(sel []int, dst []uint64) []uint64 {
+func (v *Vector) Gather(sel []int, base uint64, dst []uint64) []uint64 {
 	if len(sel) == v.n {
-		return v.Unpack(dst) // ascending and distinct: sel is 0..n-1
+		return v.Unpack(base, dst) // ascending and distinct: sel is 0..n-1
 	}
 	if cap(dst) < len(sel) {
 		dst = make([]uint64, len(sel))
@@ -205,7 +207,7 @@ func (v *Vector) Gather(sel []int, dst []uint64) []uint64 {
 			wi++
 			first += per
 		}
-		dst[k] = v.words[wi] >> (uint(i-first) * cell) & mask
+		dst[k] = base + v.words[wi]>>(uint(i-first)*cell)&mask
 	}
 	return dst
 }

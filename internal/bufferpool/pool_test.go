@@ -16,15 +16,12 @@ func cached(p *Pool, id page.ID) bool {
 }
 
 func makePage(id page.ID, payloadBytes int) *page.Page {
-	p := page.New(id, 15) // 16-bit cells → 4 codes/word → 2 bytes/code
-	n := payloadBytes / 2
-	if n > page.StrideSize {
-		n = page.StrideSize
+	codes := make([]uint64, min(payloadBytes/2, page.StrideSize))
+	for i := range codes {
+		codes[i] = uint64(i % 1000)
 	}
-	for i := 0; i < n; i++ {
-		p.Codes.Append(uint64(i % 1000))
-	}
-	return p
+	codes[len(codes)-1] = 1<<15 - 1 // 16-bit cells → 4 codes/word → 2 bytes/code
+	return page.Pack(id, codes, nil)
 }
 
 func pid(i int) page.ID { return page.ID{Table: 1, Column: 0, Stride: uint32(i)} }

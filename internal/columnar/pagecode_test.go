@@ -1,0 +1,327 @@
+package columnar
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"testing"
+
+	"dashdb/internal/bitpack"
+	"dashdb/internal/encoding"
+	"dashdb/internal/page"
+	"dashdb/internal/types"
+)
+
+// Sealed pages pack each code's offset from their stride's smallest code
+// and hold a NULL bitmap only when a cell is NULL. The table below gives
+// every shape of stride that matters to that layout: a sequential BIGINT
+// (wide codes, a narrow span), a date-clustered DATE, a fixed-point
+// DOUBLE, a dictionary VARCHAR whose later values land in the dictionary's
+// extension (residual ranges), and a nullable BIGINT whose strides hold
+// some NULLs, only NULLs, or one repeated value (width 1 over a non-zero
+// base). Nine strides are sealed; the tenth is open.
+
+const pageCodeRows = 9*page.StrideSize + 200
+
+func pageCodeSchema() types.Schema {
+	return types.Schema{
+		{Name: "id", Kind: types.KindInt},
+		{Name: "d", Kind: types.KindDate},
+		{Name: "f", Kind: types.KindFloat},
+		{Name: "s", Kind: types.KindString, Nullable: true},
+		{Name: "v", Kind: types.KindInt, Nullable: true},
+	}
+}
+
+// pageCodeRow returns row i; the table loads rows [0, 6 strides) first,
+// so the VARCHAR's values after that extend its dictionary.
+func pageCodeRow(i int) types.Row {
+	day0, _ := types.ParseDate("2010-01-01")
+	stride := i / page.StrideSize
+	s := types.NewString(fmt.Sprintf("name%03d", (i/7)%50))
+	if stride >= 6 {
+		s = types.NewString(fmt.Sprintf("name%03dx", (i/5)%40))
+	}
+	if (stride == 1 || stride == 7) && i%11 == 0 {
+		s = types.NullOf(types.KindString)
+	}
+	var v types.Value
+	switch {
+	case stride == 0:
+		v = types.NewInt(int64(i % 100))
+	case stride == 1 && i%3 == 0, stride == 2, stride == 9 && i%4 == 0:
+		v = types.NullOf(types.KindInt)
+	case stride == 1:
+		v = types.NewInt(int64(5000 + i%7))
+	case stride == 3:
+		v = types.NewInt(42)
+	default:
+		v = types.NewInt(int64(i*13) % 10007)
+	}
+	return types.Row{
+		types.NewInt(int64(1_000_000 + i)),
+		types.NewDate(day0.Int() + int64(i/60)),
+		types.NewFloat(float64((i*37)%100000) / 100),
+		s,
+		v,
+	}
+}
+
+func newPageCodeTable(t testing.TB) (*Table, []types.Row) {
+	t.Helper()
+	rows := make([]types.Row, pageCodeRows)
+	for i := range rows {
+		rows[i] = pageCodeRow(i)
+	}
+	tbl := NewTable(1, "pagecode", pageCodeSchema(), Config{})
+	first := 6 * page.StrideSize
+	if err := tbl.InsertBatch(rows[:first]); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.InsertBatch(rows[first:]); err != nil {
+		t.Fatal(err)
+	}
+	if r := tbl.Stats().Rebuilds; r != 0 {
+		t.Fatalf("%d rebuilds: the later values must extend the encoders", r)
+	}
+	return tbl, rows
+}
+
+// pageCodeConsts gives each column's constants: below, inside and above
+// its values, on stride boundaries, and values only some strides hold.
+func pageCodeConsts() [][]types.Value {
+	day0, _ := types.ParseDate("2010-01-01")
+	date := func(d int64) types.Value { return types.NewDate(day0.Int() + d) }
+	ints := func(xs ...int64) []types.Value {
+		out := make([]types.Value, len(xs))
+		for i, x := range xs {
+			out[i] = types.NewInt(x)
+		}
+		return out
+	}
+	return [][]types.Value{
+		ints(999_990, 1_000_000, 1_003_000, 1_005_120, 1_000_000+pageCodeRows-1, 1_100_000),
+		{date(-1), date(0), date(17), date(77), date(pageCodeRows / 60), date(400)},
+		{types.NewFloat(-1), types.NewFloat(0), types.NewFloat(123.45), types.NewFloat(500.005), types.NewFloat(999.99), types.NewFloat(2000)},
+		{types.NewString("a"), types.NewString("name010"), types.NewString("name010x"), types.NewString("name025"), types.NewString("name049x"), types.NewString("zzz")},
+		ints(-1, 0, 41, 42, 43, 99, 5003, 10006, 20000),
+	}
+}
+
+// plainFilter returns the ids of rows satisfying every predicate, read
+// from the rows with Go comparisons (a NULL satisfies none).
+func plainFilter(rows []types.Row, preds []Pred) []int64 {
+	var ids []int64
+	for _, r := range rows {
+		ok := true
+		for _, p := range preds {
+			v := r[p.Col]
+			if v.IsNull() || !cmpHolds(p.Op, types.Compare(v, p.Val)) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			ids = append(ids, r[0].Int())
+		}
+	}
+	return ids
+}
+
+func cmpHolds(op encoding.CmpOp, c int) bool {
+	switch op {
+	case encoding.OpEQ:
+		return c == 0
+	case encoding.OpNE:
+		return c != 0
+	case encoding.OpLT:
+		return c < 0
+	case encoding.OpLE:
+		return c <= 0
+	case encoding.OpGT:
+		return c > 0
+	}
+	return c >= 0
+}
+
+// pageCodeScans returns the ids each scan path selects for preds, checking
+// on the way that every delivered row reads back as rows[id] through the
+// batch's decoded vectors, its dictionary codes and its per-cell values.
+func pageCodeScans(t *testing.T, tbl *Table, rows []types.Row, preds []Pred) map[string][]int64 {
+	t.Helper()
+	var mu sync.Mutex
+	out := map[string][]int64{}
+	check := func(name string, b *Batch) bool {
+		vs := b.VectorsEnc(nil, []bool{false, false, false, true, false})
+		mu.Lock()
+		defer mu.Unlock()
+		for i := 0; i < b.Len(); i++ {
+			id := b.RowID(i)
+			out[name] = append(out[name], rows[id][0].Int())
+			for ci, want := range rows[id] {
+				for _, got := range []types.Value{vs[ci].Get(i), b.Value(ci, i)} {
+					if got.IsNull() != want.IsNull() || !want.IsNull() && types.Compare(got, want) != 0 {
+						t.Errorf("%s %v: row %d column %d reads %v, want %v", name, preds, id, ci, got, want)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	for _, dop := range []int{1, 2} {
+		name := fmt.Sprintf("Scan dop %d", dop)
+		if err := scanDop(tbl, preds, dop, func(_ int, b *Batch) bool { return check(name, b) }); err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(out[name])
+	}
+	if err := scanNaive(tbl, preds, func(b *Batch) bool { return check("ScanNaive", b) }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestPageCodeScanParity: every comparison, ≠, BETWEEN (a GE and an LE
+// conjunct) and the column pairs over strides whose page bases differ
+// select what ScanNaive and a plain Go filter select, at dop 1 and 2, and
+// every row reads back as loaded.
+func TestPageCodeScanParity(t *testing.T) {
+	tbl, rows := newPageCodeTable(t)
+	st := tbl.Snapshot()
+	if r := st.state().cols[3].enc.Translate(encoding.OpLT, types.NewString("name010x")); len(r.Residual) == 0 {
+		t.Fatal("the VARCHAR's later values must be residual in its dictionary")
+	}
+	st.Release()
+	ops := []encoding.CmpOp{encoding.OpEQ, encoding.OpNE, encoding.OpLT, encoding.OpLE, encoding.OpGT, encoding.OpGE}
+	var cases [][]Pred
+	for ci, consts := range pageCodeConsts() {
+		for _, c := range consts {
+			for _, op := range ops {
+				cases = append(cases, []Pred{{Col: ci, Op: op, Val: c}})
+			}
+			for _, hi := range consts {
+				cases = append(cases, []Pred{{Col: ci, Op: encoding.OpGE, Val: c}, {Col: ci, Op: encoding.OpLE, Val: hi}})
+			}
+		}
+	}
+	cases = append(cases,
+		[]Pred{{Col: 4, Op: encoding.OpNE, Val: types.NewInt(42)}, {Col: 0, Op: encoding.OpLT, Val: types.NewInt(1_004_500)}},
+		[]Pred{{Col: 3, Op: encoding.OpGE, Val: types.NewString("name020")}, {Col: 4, Op: encoding.OpLE, Val: types.NewInt(5003)}},
+		[]Pred{{Col: 1, Op: encoding.OpGT, Val: types.NewDate(0)}, {Col: 2, Op: encoding.OpLT, Val: types.NewFloat(250.5)}},
+	)
+	for _, preds := range cases {
+		want := plainFilter(rows, preds)
+		for name, got := range pageCodeScans(t, tbl, rows, preds) {
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v: %s selects %d rows, the plain filter %d", preds, name, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestPageCodeInAndNull: IN lists and IS [NOT] NULL, which a scan leaves
+// to the operators above it, read the same rows from the delivered
+// vectors as from the loaded rows.
+func TestPageCodeInAndNull(t *testing.T) {
+	tbl, rows := newPageCodeTable(t)
+	in := map[int][]types.Value{
+		0: {types.NewInt(1_000_005), types.NewInt(1_007_000), types.NewInt(7)},
+		3: {types.NewString("name007"), types.NewString("name033x"), types.NewString("none")},
+		4: {types.NewInt(0), types.NewInt(42), types.NewInt(5006), types.NewInt(-3)},
+	}
+	type tally struct{ in, null, notNull map[int]int }
+	count := func(get func(ci int) types.Value, t *tally) {
+		for ci, list := range in {
+			v := get(ci)
+			if !v.IsNull() && slices.ContainsFunc(list, func(x types.Value) bool { return types.Compare(v, x) == 0 }) {
+				t.in[ci]++
+			}
+		}
+		for ci := range pageCodeSchema() {
+			if get(ci).IsNull() {
+				t.null[ci]++
+			} else {
+				t.notNull[ci]++
+			}
+		}
+	}
+	newTally := func() *tally { return &tally{map[int]int{}, map[int]int{}, map[int]int{}} }
+	want := newTally()
+	for _, r := range rows {
+		count(func(ci int) types.Value { return r[ci] }, want)
+	}
+	for _, dop := range []int{1, 2} {
+		got := newTally()
+		var mu sync.Mutex
+		err := scanDop(tbl, nil, dop, func(_ int, b *Batch) bool {
+			vs := b.VectorsEnc(nil, []bool{false, false, false, true, false})
+			mu.Lock()
+			defer mu.Unlock()
+			for i := 0; i < b.Len(); i++ {
+				count(func(ci int) types.Value { return vs[ci].Get(i) }, got)
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, pair := range map[string][2]map[int]int{"IN": {got.in, want.in}, "IS NULL": {got.null, want.null}, "IS NOT NULL": {got.notNull, want.notNull}} {
+			for ci := range pageCodeSchema() {
+				if pair[0][ci] != pair[1][ci] {
+					t.Errorf("dop %d: %s on column %d counts %d rows, want %d", dop, name, ci, pair[0][ci], pair[1][ci])
+				}
+			}
+		}
+	}
+	if want.null[4] == 0 || want.in[4] == 0 || want.null[3] == 0 {
+		t.Fatal("the table must hold NULLs and IN matches")
+	}
+}
+
+// TestPageCodeBytesExact pins Compression().PageBytes to the per-page
+// formula: a sealed page is its packed words at the width of its
+// stride's code span (largest minus smallest non-NULL code), plus a
+// 128-byte NULL bitmap only when the stride has a NULL, plus its 32-byte
+// header; the open stride counts 8 bytes a code.
+func TestPageCodeBytesExact(t *testing.T) {
+	tbl, _ := newPageCodeTable(t)
+	snap := tbl.Snapshot()
+	defer snap.Release()
+	want := 0
+	widths := make([][]uint, len(snap.state().cols))
+	for ci := range snap.state().cols {
+		c := &snap.state().cols[ci]
+		for _, e := range c.syn {
+			width := bitpack.WidthFor(e.MaxCode - e.MinCode)
+			perWord := 64 / int(width+1)
+			want += (page.StrideSize+perWord-1)/perWord*8 + 32
+			if e.NullCnt > 0 {
+				want += page.StrideSize / 8
+			}
+			widths[ci] = append(widths[ci], width)
+		}
+		want += len(c.openCodes) * 8
+	}
+	if got := tbl.Compression().PageBytes; got != want {
+		t.Fatalf("PageBytes %d, want %d", got, want)
+	}
+	// Known spans: 1 024 sequential ids span 1 023 (10 bits); a stride of
+	// one repeated value or only NULLs packs at width 1.
+	for _, c := range []struct {
+		col, stride int
+		width       uint
+	}{{0, 0, 10}, {0, 8, 10}, {4, 2, 1}, {4, 3, 1}, {4, 0, 7}, {4, 1, 3}} {
+		if got := widths[c.col][c.stride]; got != c.width {
+			t.Errorf("column %d stride %d packs at width %d, want %d", c.col, c.stride, got, c.width)
+		}
+	}
+	// Per stride: 205 words of 10-bit ids (2 072 B with the header); the
+	// all-NULL stride's 32 words, its bitmap and header (416 B).
+	if pg, err := tbl.loadPageGen(0, snap.state().cols[0].gen, 4); err != nil || pg.MemSize() != 205*8+32 {
+		t.Errorf("id page: %v, err %v", pg.MemSize(), err)
+	}
+	if pg, err := tbl.loadPageGen(4, snap.state().cols[4].gen, 2); err != nil || pg.MemSize() != 32*8+128+32 {
+		t.Errorf("all-NULL page: %v, err %v", pg.MemSize(), err)
+	}
+}

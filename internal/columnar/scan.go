@@ -106,8 +106,7 @@ func (b *Batch) cell(ci, off int) (uint64, bool) {
 		c := &b.st.cols[ci]
 		return c.openCodes[off], c.openNulls[off]
 	}
-	pg := b.page(ci)
-	return pg.Codes.Get(off), pg.Nulls.Get(off)
+	return b.page(ci).Get(off)
 }
 
 // Value returns column ci of the i'th selected tuple, decoding lazily.
@@ -350,10 +349,12 @@ func (b *Batch) selectSealed(preds []Pred, translated encPredicates, sc *scanScr
 			b.pages[p.Col] = pg
 			b.t.stats.pagesRead.Add(1)
 		}
+		c := &b.st.cols[p.Col]
 		match.Reset()
-		applyPredicate(pg, b.st.cols[p.Col].enc, translated[i], p, match, sc.cand)
-		// Comparison predicates never match NULL.
-		match.AndNot(pg.Nulls)
+		applyPredicate(pg, c.syn[b.stride], c.enc, translated[i], p, match, sc.cand)
+		if nulls := pg.Nulls(); nulls != nil {
+			match.AndNot(nulls) // comparison predicates never match NULL
+		}
 		sel.And(match)
 		if !sel.Any() {
 			return nil, nil
@@ -368,37 +369,28 @@ func (b *Batch) selectSealed(preds []Pred, translated encPredicates, sc *scanScr
 
 // applyPredicate ORs matching positions into match: SWAR range kernels for
 // exact ranges, decode-and-recheck for residual ranges, whose candidates
-// are gathered in cand, a stride-long scratch bitmap.
+// are gathered in cand, a stride-long scratch bitmap. An exact range that
+// covers the stride's span in its synopsis entry e selects every position
+// with no pass over the page's words.
 //
 //dashdb:hotpath
-func applyPredicate(pg *page.Page, enc encoding.Encoder, tp encoding.Predicate, p Pred, match, cand *bitpack.Bitmap) {
+func applyPredicate(pg *page.Page, e synopsis.Entry, enc encoding.Encoder, tp encoding.Predicate, p Pred, match, cand *bitpack.Bitmap) {
 	if tp.All {
 		match.SetAll()
 		return
 	}
-	maxCode := uint64(1)<<pg.Codes.Width() - 1
 	for _, r := range tp.Ranges {
-		lo, hi := r.Lo, r.Hi
-		if lo > maxCode {
-			continue // this stride's narrow width cannot hold such codes
+		if r.Lo <= e.MinCode && r.Hi >= e.MaxCode {
+			match.SetAll()
+			return
 		}
-		if hi > maxCode {
-			hi = maxCode
-		}
-		pg.Codes.CompareRange(lo, hi, match)
+		pg.SelectRange(r.Lo, r.Hi, match)
 	}
 	for _, r := range tp.Residual {
-		lo, hi := r.Lo, r.Hi
-		if lo > maxCode {
-			continue
-		}
-		if hi > maxCode {
-			hi = maxCode
-		}
 		cand.Reset()
-		pg.Codes.CompareRange(lo, hi, cand)
+		pg.SelectRange(r.Lo, r.Hi, cand)
 		cand.ForEach(func(off int) {
-			if !pg.Nulls.Get(off) && p.Op.Eval(enc.Decode(pg.Codes.Get(off)), p.Val) {
+			if code, null := pg.Get(off); !null && p.Op.Eval(enc.Decode(code), p.Val) {
 				match.Set(off)
 			}
 		})

@@ -815,24 +815,15 @@ func (t *Table) growDeletedLocked(n int) {
 	}
 }
 
-// writeStrideLocked packs column ci's codes for stride s into a page at
-// the narrowest width that fits them (seal-time repack: this is where
-// frequency encoding pays — strides of hot values pack at very narrow
-// widths), writes it under the column's current generation and records
-// the stride's synopsis entry. A NULL's code is 0.
+// writeStrideLocked packs column ci's codes for stride s into a page
+// (seal-time repack: the page packs each code's offset from the stride's
+// smallest code at the narrowest width that fits them, so strides of hot
+// or clustered values pack at very narrow widths), writes it under the
+// column's current generation and records the stride's synopsis entry. A
+// NULL's code is 0.
 func (t *Table) writeStrideLocked(ci, s int, codes []uint64, nulls []bool) error {
 	c := t.cols[ci]
-	maxCode := uint64(0)
-	for _, code := range codes {
-		maxCode = max(maxCode, code)
-	}
-	pg := page.New(t.pageID(ci, s), bitpack.WidthFor(maxCode))
-	pg.Codes.AppendAll(codes)
-	for i, null := range nulls {
-		if null {
-			pg.Nulls.Set(i)
-		}
-	}
+	pg := page.Pack(t.pageID(ci, s), codes, nulls)
 	isNull := func(i int) bool { return nulls[i] }
 	c.syn.Set(s, synopsis.Summarize(codes, isNull))
 	c.syn.Observe(codes, isNull)
@@ -895,7 +886,8 @@ func (t *Table) rebuildColumnLocked(ci int, v *vec.Vector) error {
 			return err
 		}
 		for i := 0; i < pg.Rows(); i++ {
-			vals = appendDecoded(vals, c.enc, kind, pg.Codes.Get(i), pg.Nulls.Get(i))
+			code, null := pg.Get(i)
+			vals = appendDecoded(vals, c.enc, kind, code, null)
 		}
 	}
 	for i, code := range c.openCodes {

@@ -78,8 +78,7 @@ var codeScratch = sync.Pool{New: func() any { return new([page.StrideSize]uint64
 // as a bitmap over selection positions, nil when none is NULL.
 func (b *Batch) gather(ci int, dst []uint64) ([]uint64, *bitpack.Bitmap) {
 	if !b.open() {
-		pg := b.page(ci)
-		return pg.Codes.Gather(b.sel, dst), pg.Nulls.Gather(b.sel)
+		return b.page(ci).Gather(b.sel, dst)
 	}
 	c := &b.st.cols[ci]
 	return gatherOpen(c.openCodes, c.openNulls, b.sel, dst)

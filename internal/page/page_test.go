@@ -2,51 +2,204 @@ package page
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"hash/crc32"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"dashdb/internal/bitpack"
 )
 
-func TestPageMarshalRoundTrip(t *testing.T) {
-	id := ID{Table: 7, Column: 3, Stride: 42}
-	p := New(id, 11)
-	rng := rand.New(rand.NewSource(5))
-	var want []uint64
-	for i := 0; i < 1000; i++ {
-		c := rng.Uint64() & 2047
-		p.Codes.Append(c)
-		want = append(want, c)
-		if i%17 == 0 {
-			p.Nulls.Set(i)
+// checkCodes fails t unless p answers Get, Gather (every position, every
+// other one, none) and SelectRange at every bound in bounds as the plain
+// codes and NULL flags do.
+func checkCodes(t testing.TB, p *Page, codes []uint64, nulls []bool, bounds []uint64) {
+	t.Helper()
+	null := func(i int) bool { return nulls != nil && nulls[i] }
+	if p.Rows() != len(codes) {
+		t.Fatalf("rows %d, want %d", p.Rows(), len(codes))
+	}
+	for i, c := range codes {
+		got, isNull := p.Get(i)
+		if isNull != null(i) || !isNull && got != c {
+			t.Fatalf("Get(%d) = %d, %v; want %d, %v", i, got, isNull, c, null(i))
 		}
 	}
-	data := p.Marshal()
-	got, err := Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != id {
-		t.Fatalf("id %v", got.ID)
-	}
-	if got.Rows() != 1000 {
-		t.Fatalf("rows %d", got.Rows())
-	}
-	for i, w := range want {
-		if got.Codes.Get(i) != w {
-			t.Fatalf("code %d: %d want %d", i, got.Codes.Get(i), w)
+	var every, odd []int
+	for i := range codes {
+		every = append(every, i)
+		if i%2 == 1 {
+			odd = append(odd, i)
 		}
-		if got.Nulls.Get(i) != (i%17 == 0) {
-			t.Fatalf("null bit %d wrong", i)
+	}
+	for _, sel := range [][]int{every, odd, nil} {
+		got, gotNulls := p.Gather(sel, nil)
+		anyNull := false
+		for k, i := range sel {
+			isNull := gotNulls != nil && gotNulls.Get(k)
+			anyNull = anyNull || isNull
+			if isNull != null(i) || !isNull && got[k] != codes[i] {
+				t.Fatalf("Gather of %d positions: [%d] = %d, %v; want %d, %v", len(sel), k, got[k], isNull, codes[i], null(i))
+			}
+		}
+		if gotNulls != nil && !anyNull {
+			t.Fatalf("Gather of %d positions: a NULL bitmap with no NULL", len(sel))
+		}
+	}
+	for _, lo := range bounds {
+		for _, hi := range bounds {
+			out := bitpack.NewBitmap(len(codes))
+			p.SelectRange(lo, hi, out)
+			if nulls := p.Nulls(); nulls != nil {
+				out.AndNot(nulls)
+			}
+			for i, c := range codes {
+				if want := !null(i) && lo <= c && c <= hi; out.Get(i) != want {
+					t.Fatalf("SelectRange(%d, %d): position %d (code %d, NULL %v) selected %v", lo, hi, i, c, null(i), out.Get(i))
+				}
+			}
 		}
 	}
 }
 
+// rangeBounds returns bounds around and inside codes' span: below, at and
+// past its ends, and some codes themselves.
+func rangeBounds(codes []uint64) []uint64 {
+	bounds := []uint64{0, 1 << 33}
+	if len(codes) == 0 {
+		return bounds
+	}
+	lo, hi := codes[0], codes[0]
+	for _, c := range codes {
+		lo, hi = min(lo, c), max(hi, c)
+	}
+	bounds = append(bounds, lo, hi, lo+1, hi+1, codes[len(codes)/2])
+	if lo > 0 {
+		bounds = append(bounds, lo-1)
+	}
+	if hi > 0 {
+		bounds = append(bounds, hi-1)
+	}
+	return bounds
+}
+
+func roundTrip(t testing.TB, p *Page) *Page {
+	t.Helper()
+	got, err := Unmarshal(p.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != p.ID {
+		t.Fatalf("id %v, want %v", got.ID, p.ID)
+	}
+	return got
+}
+
+func TestPageMarshalRoundTrip(t *testing.T) {
+	id := ID{Table: 7, Column: 3, Stride: 42}
+	rng := rand.New(rand.NewSource(5))
+	codes := make([]uint64, 1000)
+	nulls := make([]bool, 1000)
+	for i := range codes {
+		codes[i] = 5000 + rng.Uint64()&2047
+		nulls[i] = i%17 == 0
+	}
+	p := Pack(id, codes, nulls)
+	checkCodes(t, p, codes, nulls, rangeBounds(codes))
+	checkCodes(t, roundTrip(t, p), codes, nulls, rangeBounds(codes))
+}
+
+// TestPackBaseAndWidth: the base is the smallest non-NULL code and the
+// width that of the largest offset from it; NULL cells pack 0, and a page
+// with no NULL holds no bitmap.
+func TestPackBaseAndWidth(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		codes []uint64
+		nulls []bool
+		base  uint64
+		width uint
+	}{
+		{"clustered", []uint64{1000, 1003, 1010, 1001}, nil, 1000, 4},
+		{"zero-based", []uint64{0, 5, 3}, nil, 0, 3},
+		{"repeated", []uint64{77, 77, 77}, nil, 77, 1},
+		{"nulls", []uint64{0, 300, 0, 310}, []bool{true, false, true, false}, 300, 4},
+		{"all NULL", []uint64{0, 0}, []bool{true, true}, 0, 1},
+		{"NULL flags, none set", []uint64{9, 12}, []bool{false, false}, 9, 2},
+		{"empty", nil, nil, 0, 1},
+	} {
+		p := Pack(ID{Table: 1}, c.codes, c.nulls)
+		if p.base != c.base || p.codes.Width() != c.width {
+			t.Errorf("%s: base %d width %d, want %d and %d", c.name, p.base, p.codes.Width(), c.base, c.width)
+		}
+		anyNull := false
+		for i, null := range c.nulls {
+			anyNull = anyNull || null
+			if null && p.codes.Get(i) != 0 {
+				t.Errorf("%s: NULL cell %d packs %d", c.name, i, p.codes.Get(i))
+			}
+		}
+		if (p.Nulls() != nil) != anyNull {
+			t.Errorf("%s: holds a bitmap %v, has a NULL %v", c.name, p.Nulls() != nil, anyNull)
+		}
+		checkCodes(t, p, c.codes, c.nulls, rangeBounds(c.codes))
+		checkCodes(t, roundTrip(t, p), c.codes, c.nulls, rangeBounds(c.codes))
+	}
+}
+
+// TestPageMemSizeExact: the packed words, the bitmap only when held, and
+// the 32-byte header; the serialized page is exactly that long.
+func TestPageMemSizeExact(t *testing.T) {
+	codes := make([]uint64, StrideSize)
+	for i := range codes {
+		codes[i] = 1<<20 + uint64(i%100) // width 7: 8 codes a word
+	}
+	nulls := make([]bool, StrideSize)
+	nulls[3] = true
+	for _, c := range []struct {
+		nulls []bool
+		want  int
+	}{{nil, 128*8 + 32}, {nulls, 128*8 + 128 + 32}} {
+		p := Pack(ID{}, codes, c.nulls)
+		if p.MemSize() != c.want || len(p.Marshal()) != c.want {
+			t.Errorf("MemSize %d, Marshal %d bytes; want %d", p.MemSize(), len(p.Marshal()), c.want)
+		}
+	}
+}
+
+// TestPageGoldenPreBaseLayout: a page serialized before pages carried a
+// base and flags (bytes 22–27 zero, bitmap always present) still reads
+// with its codes and NULLs. The bytes were written by that release's
+// Marshal: width 4, codes 3 0 7 15 9 0 12 1 2 11, cells 1 and 5 NULL.
+func TestPageGoldenPreBaseLayout(t *testing.T) {
+	golden := "5bda0400030000000200050000000a00000001000000000000000000" + // header
+		"2200000000000000" + strings.Repeat("00", 15*8) + // NULL bitmap: bits 1 and 5
+		"039c97000b620100" + // one word: ten codes in five-bit cells
+		"e8d74a89" // CRC
+	data, err := hex.DecodeString(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (ID{Table: 3, Column: 2, Stride: 5}); p.ID != want {
+		t.Fatalf("id %v, want %v", p.ID, want)
+	}
+	codes := []uint64{3, 0, 7, 15, 9, 0, 12, 1, 2, 11}
+	nulls := []bool{false, true, false, false, false, true, false, false, false, false}
+	checkCodes(t, p, codes, nulls, rangeBounds(codes))
+	if p.MemSize() != 8+128+32 {
+		t.Fatalf("MemSize %d: the bitmap it holds counts", p.MemSize())
+	}
+}
+
 func TestPageChecksumDetectsCorruption(t *testing.T) {
-	p := New(ID{Table: 1}, 8)
-	p.Codes.AppendAll([]uint64{1, 2, 3})
-	data := p.Marshal()
-	data[40] ^= 0xff
+	data := Pack(ID{Table: 1}, []uint64{1, 2, 3}, nil).Marshal()
+	data[30] ^= 0xff
 	if _, err := Unmarshal(data); err == nil {
 		t.Fatal("corruption must be detected")
 	}
@@ -59,32 +212,40 @@ func TestPageUnmarshalTruncated(t *testing.T) {
 	if _, err := Unmarshal(make([]byte, 10)); err == nil {
 		t.Fatal("short input must error")
 	}
-	p := New(ID{}, 8)
-	p.Codes.Append(1)
-	data := p.Marshal()
+	data := Pack(ID{}, []uint64{1}, []bool{true}).Marshal()
 	if _, err := Unmarshal(data[:len(data)-20]); err == nil {
 		t.Fatal("truncated body must error")
 	}
 }
 
-// TestPageUnmarshalInconsistentHeader: a header whose code count the
-// packed words cannot hold is an error even under a valid checksum.
-func TestPageUnmarshalInconsistentHeader(t *testing.T) {
-	p := New(ID{}, 8)
-	p.Codes.AppendAll([]uint64{1, 2, 3, 4, 5, 6, 7, 8})
-	data := p.Marshal()
+// reseal rewrites the checksum of data after a header edit.
+func reseal(data []byte) {
 	body := data[:len(data)-4]
-	binary.LittleEndian.PutUint32(body[14:], 100) // 100 codes in 2 words of 7
 	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(body))
-	if _, err := Unmarshal(data); err == nil {
-		t.Fatal("a code count past the packed words must error")
+}
+
+// TestPageUnmarshalInconsistentHeader: a header whose code count the
+// packed words cannot hold, whose flags are unknown, or that claims a
+// bitmap the body lacks is an error even under a valid checksum.
+func TestPageUnmarshalInconsistentHeader(t *testing.T) {
+	p := Pack(ID{}, []uint64{1, 2, 3, 4, 5, 6, 7, 200}, nil) // width 8: 7 a word
+	for _, edit := range []func([]byte){
+		func(b []byte) { binary.LittleEndian.PutUint32(b[14:], 100) }, // 100 codes in 2 words
+		func(b []byte) { b[26] |= 2 },
+		func(b []byte) { b[27] = 1 },
+		func(b []byte) { b[26] = 0 }, // a bitmap the body does not hold
+	} {
+		data := p.Marshal()
+		edit(data)
+		reseal(data)
+		if _, err := Unmarshal(data); err == nil {
+			t.Fatalf("edited header %x read", data[:28])
+		}
 	}
 }
 
 func TestPageBadMagic(t *testing.T) {
-	p := New(ID{}, 8)
-	p.Codes.Append(1)
-	data := p.Marshal()
+	data := Pack(ID{}, []uint64{1}, nil).Marshal()
 	data[0] = 0
 	if _, err := Unmarshal(data); err == nil {
 		t.Fatal("bad magic must error (and not pass checksum)")
@@ -92,43 +253,78 @@ func TestPageBadMagic(t *testing.T) {
 }
 
 func TestPageMemSizeReflectsWidth(t *testing.T) {
-	narrow := New(ID{}, 1)
-	wide := New(ID{}, 31)
-	for i := 0; i < StrideSize; i++ {
-		narrow.Codes.Append(uint64(i % 2))
-		wide.Codes.Append(uint64(i))
+	narrow := make([]uint64, StrideSize)
+	wide := make([]uint64, StrideSize)
+	for i := range narrow {
+		narrow[i] = 1<<30 + uint64(i%2) // a wide code, a narrow span
+		wide[i] = uint64(i) << 20
 	}
-	if narrow.MemSize() >= wide.MemSize() {
-		t.Errorf("narrow %d must be smaller than wide %d", narrow.MemSize(), wide.MemSize())
+	n, w := Pack(ID{}, narrow, nil), Pack(ID{}, wide, nil)
+	if n.MemSize() >= w.MemSize() {
+		t.Errorf("narrow %d must be smaller than wide %d", n.MemSize(), w.MemSize())
 	}
 }
 
-// Property: marshal/unmarshal is the identity for random pages.
+// Property: Pack → Marshal → Unmarshal answers as the codes do, for
+// random pages of random span, base and NULL density.
 func TestPageRoundTripProperty(t *testing.T) {
 	f := func(seed int64, widthSel uint8, nSel uint16) bool {
-		width := uint(widthSel%31) + 1
-		n := int(nSel)%StrideSize + 1
-		rng := rand.New(rand.NewSource(seed))
-		p := New(ID{Table: uint32(seed)}, width)
-		max := uint64(1)<<width - 1
-		for i := 0; i < n; i++ {
-			p.Codes.Append(rng.Uint64() & max)
-			if rng.Intn(10) == 0 {
-				p.Nulls.Set(i)
-			}
-		}
-		got, err := Unmarshal(p.Marshal())
-		if err != nil || got.Rows() != n {
+		codes, nulls := drawPage(seed, widthSel, nSel)
+		got, err := Unmarshal(Pack(ID{Table: uint32(seed)}, codes, nulls).Marshal())
+		if err != nil {
 			return false
 		}
-		for i := 0; i < n; i++ {
-			if got.Codes.Get(i) != p.Codes.Get(i) || got.Nulls.Get(i) != p.Nulls.Get(i) {
-				return false
-			}
-		}
+		checkCodes(t, got, codes, nulls, rangeBounds(codes))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// drawPage draws up to a stride of codes of some span over some base, with
+// NULLs at some density (none, some or all).
+func drawPage(seed int64, widthSel uint8, nSel uint16) ([]uint64, []bool) {
+	rng := rand.New(rand.NewSource(seed))
+	width := uint(widthSel%32) + 1
+	n := int(nSel) % (StrideSize + 1)
+	base := rng.Uint64() & (1<<32 - 1) >> (rng.Intn(33))
+	span := uint64(1)<<width - 1
+	density := []int{0, 0, 10, 2, 1}[rng.Intn(5)]
+	codes, nulls := make([]uint64, n), make([]bool, n)
+	for i := range codes {
+		codes[i] = min(base+rng.Uint64()&span, 1<<32-1)
+		nulls[i] = density > 0 && rng.Intn(density) == 0
+		if nulls[i] {
+			codes[i] = 0
+		}
+	}
+	if density == 0 && rng.Intn(2) == 0 {
+		nulls = nil
+	}
+	return codes, nulls
+}
+
+// FuzzPageRoundTrip: Unmarshal of any bytes returns a page or an error,
+// never a panic, and a page packed from drawn codes reads back through
+// Marshal and Unmarshal as those codes.
+func FuzzPageRoundTrip(f *testing.F) {
+	f.Add(int64(1), uint8(4), uint16(1000), []byte{})
+	f.Add(int64(2), uint8(31), uint16(1024), []byte{0x5b, 0xda})
+	f.Add(int64(3), uint8(0), uint16(7), Pack(ID{Table: 9}, []uint64{4, 4, 5}, []bool{false, true, false}).Marshal())
+	f.Fuzz(func(t *testing.T, seed int64, widthSel uint8, nSel uint16, raw []byte) {
+		if p, err := Unmarshal(raw); err == nil {
+			for i := 0; i < p.Rows(); i++ {
+				p.Get(i)
+			}
+			p.Gather([]int{0, p.Rows() / 2}[:min(p.Rows(), 2)], nil)
+			p.SelectRange(0, 1<<32, bitpack.NewBitmap(p.Rows()))
+		}
+		codes, nulls := drawPage(seed, widthSel, nSel)
+		got, err := Unmarshal(Pack(ID{Stride: uint32(nSel)}, codes, nulls).Marshal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCodes(t, got, codes, nulls, rangeBounds(codes))
+	})
 }
