@@ -220,6 +220,57 @@ func TestPageCodeScanParity(t *testing.T) {
 	}
 }
 
+// TestCoveredConjunctReadsNoPage: on a date-clustered table (four days a
+// stride), a date window skips the strides outside it, and of those inside
+// reads a page only where a conjunct does not hold for every row: the
+// stride the window starts inside, and the stride whose dates hold a NULL
+// although the window covers its span. The answers equal ScanNaive's and
+// a plain filter's at dop 1 and 2.
+func TestCoveredConjunctReadsNoPage(t *testing.T) {
+	const strides = 8
+	schema := types.Schema{{Name: "id", Kind: types.KindInt}, {Name: "d", Kind: types.KindDate, Nullable: true}}
+	rows := make([]types.Row, strides*page.StrideSize)
+	for i := range rows {
+		d := types.NewDate(18_000 + int64(i/(page.StrideSize/4)))
+		if i/page.StrideSize == 5 && i%7 == 0 {
+			d = types.NullOf(types.KindDate)
+		}
+		rows[i] = types.Row{types.NewInt(int64(i)), d}
+	}
+	tbl := NewTable(1, "dated", schema, Config{})
+	if err := tbl.InsertBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	// Days 18 006–18 023: strides 1 (from its third day) to 5.
+	window := []Pred{{Col: 1, Op: encoding.OpGE, Val: types.NewDate(18_006)}, {Col: 1, Op: encoding.OpLE, Val: types.NewDate(18_023)}}
+	for _, dop := range []int{1, 2} {
+		tbl.ResetStats()
+		n := 0
+		var mu sync.Mutex
+		if err := scanDop(tbl, window, dop, func(_ int, b *Batch) bool {
+			mu.Lock()
+			defer mu.Unlock()
+			n += b.Len()
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		st := tbl.Stats()
+		if want := len(plainFilter(rows, window)); n != want {
+			t.Fatalf("dop %d: %d rows, want %d", dop, n, want)
+		}
+		if st.StridesVisited != 5 || st.PagesRead != 2 {
+			t.Fatalf("dop %d: visited %d strides and read %d pages, want 5 and 2 (stride 1's and stride 5's)", dop, st.StridesVisited, st.PagesRead)
+		}
+	}
+	want := plainFilter(rows, window)
+	for name, got := range scanIDs(t, tbl, window) {
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s selects %d rows, the plain filter %d", name, len(got), len(want))
+		}
+	}
+}
+
 // TestPageCodeInAndNull: IN lists and IS [NOT] NULL, which a scan leaves
 // to the operators above it, read the same rows from the delivered
 // vectors as from the loaded rows.

@@ -331,27 +331,32 @@ func (st *tableState) visit(t *Table, s int, preds []Pred, trans encPredicates, 
 
 // selectSealed evaluates the conjunction over a sealed stride with the
 // SWAR kernels over its packed pages, returning the selected offsets with
-// tombstones cleared a word at a time. The bitmaps and the offsets are
-// sc's.
+// tombstones cleared a word at a time. A conjunct its synopsis entry shows
+// to hold for every row is passed over without reading its page. The
+// bitmaps and the offsets are sc's.
 //
 //dashdb:hotpath
 func (b *Batch) selectSealed(preds []Pred, translated encPredicates, sc *scanScratch) ([]int, error) {
 	sel, match := sc.sel, sc.match
 	sel.SetAll()
 	for i, p := range preds {
+		c := &b.st.cols[p.Col]
+		e := c.syn[b.stride]
+		if e.NullCnt == 0 && spans(translated[i], e) {
+			continue // every row matches: no page to read
+		}
 		pg, ok := b.pages[p.Col]
 		if !ok {
 			var err error
-			pg, err = b.t.loadPageGen(p.Col, b.st.cols[p.Col].gen, b.stride)
+			pg, err = b.t.loadPageGen(p.Col, c.gen, b.stride)
 			if err != nil {
 				return nil, err
 			}
 			b.pages[p.Col] = pg
 			b.t.stats.pagesRead.Add(1)
 		}
-		c := &b.st.cols[p.Col]
 		match.Reset()
-		applyPredicate(pg, c.syn[b.stride], c.enc, translated[i], p, match, sc.cand)
+		applyPredicate(pg, e, c.enc, translated[i], p, match, sc.cand)
 		if nulls := pg.Nulls(); nulls != nil {
 			match.AndNot(nulls) // comparison predicates never match NULL
 		}
@@ -367,23 +372,34 @@ func (b *Batch) selectSealed(preds []Pred, translated encPredicates, sc *scanScr
 	return offs, nil
 }
 
+// spans reports whether translated conjunct tp matches every non-NULL
+// code of a stride whose synopsis entry is e: it matches every code, or
+// one exact range holds the stride's span [MinCode, MaxCode].
+func spans(tp encoding.Predicate, e synopsis.Entry) bool {
+	if tp.All {
+		return true
+	}
+	for _, r := range tp.Ranges {
+		if r.Lo <= e.MinCode && r.Hi >= e.MaxCode {
+			return true
+		}
+	}
+	return false
+}
+
 // applyPredicate ORs matching positions into match: SWAR range kernels for
 // exact ranges, decode-and-recheck for residual ranges, whose candidates
-// are gathered in cand, a stride-long scratch bitmap. An exact range that
-// covers the stride's span in its synopsis entry e selects every position
-// with no pass over the page's words.
+// are gathered in cand, a stride-long scratch bitmap. A conjunct that
+// spans the stride in its synopsis entry e selects every position with no
+// pass over the page's words.
 //
 //dashdb:hotpath
 func applyPredicate(pg *page.Page, e synopsis.Entry, enc encoding.Encoder, tp encoding.Predicate, p Pred, match, cand *bitpack.Bitmap) {
-	if tp.All {
+	if spans(tp, e) {
 		match.SetAll()
 		return
 	}
 	for _, r := range tp.Ranges {
-		if r.Lo <= e.MinCode && r.Hi >= e.MaxCode {
-			match.SetAll()
-			return
-		}
 		pg.SelectRange(r.Lo, r.Hi, match)
 	}
 	for _, r := range tp.Residual {

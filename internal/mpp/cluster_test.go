@@ -18,8 +18,8 @@ import (
 )
 
 // The coordinator's behaviour must not depend on how it reaches its
-// shards, so every test in this file runs once per shard client: the
-// in-process engines of NewCluster/Restore and shardrpc servers on
+// shards, so every test in this file runs once per shard client: the one
+// in-process server of NewCluster/Restore and shardrpc servers on
 // loopback sockets behind NewNetCluster/OpenNetCluster.
 
 // harness forms clusters over one shard client and finds their engines.
@@ -369,14 +369,14 @@ func TestStatementRunsOnce(t *testing.T) {
 }
 
 // TestGatherShipsEachTableOnce: a gathered statement that names a table
-// twice — a self-join where there is no shuffle, a subquery beside the
+// twice — a self-join with no equality to shuffle on, a subquery beside the
 // outer block — binds one input for it and pulls it from every shard once.
 func TestGatherShipsEachTableOnce(t *testing.T) {
 	forEachClient(t, func(t *testing.T, h *harness) {
 		c := h.salesCluster(240)
-		queries := map[string]int64{`SELECT COUNT(*) FROM sales WHERE amount > (SELECT AVG(amount) FROM sales)`: 110}
-		if !h.socket {
-			queries[`SELECT COUNT(*) FROM sales a JOIN sales b ON a.id = b.id`] = 240
+		queries := map[string]int64{
+			`SELECT COUNT(*) FROM sales WHERE amount > (SELECT AVG(amount) FROM sales)`:  110,
+			`SELECT COUNT(*) FROM sales a JOIN sales b ON a.id <= b.id AND a.id >= b.id`: 240,
 		}
 		gathered := uint64(0)
 		for q, want := range queries {
@@ -887,11 +887,12 @@ func TestFigure9Failover(t *testing.T) {
 	})
 }
 
-// TestReassociationUnderLoad: in-process engines are resized live, so
-// statements running while shards re-associate must neither fail nor
-// see a different answer (and, under -race, must not race the resize).
-// Shard servers reopen the engine instead, which may fail an in-flight
-// statement; that path is covered by the kill-a-server tests.
+// TestReassociationUnderLoad: the in-process cluster's one server keeps
+// every shard across re-association and resizes it live, so statements
+// running meanwhile must neither fail nor see a different answer (and,
+// under -race, must not race the resize). On a socket cluster a shard
+// moves to another server, which may fail an in-flight statement; that
+// path is covered by the kill-a-server tests.
 func TestReassociationUnderLoad(t *testing.T) {
 	c := (&harness{t: t}).salesCluster(2400)
 	stop := make(chan struct{})
@@ -1221,8 +1222,7 @@ func renderRows(rows []types.Row) string {
 
 // parityColumns boots the three clusters every parity test compares:
 // one shard behind a socket (the single-node reference), three shards
-// behind sockets, and three shards in-process (whose distributed joins
-// gather instead of shuffling).
+// behind sockets, and three shards in-process.
 func parityColumns(t *testing.T, node NetNode) map[string]*NetCluster {
 	nodes := func(n int) []NetNode {
 		out := make([]NetNode, n)
@@ -1311,11 +1311,10 @@ func TestParitySingleNode(t *testing.T) {
 		// equality; the residual stays in the shard statement's ON.
 		"SELECT s.region, COUNT(*) AS n FROM sales s LEFT JOIN regions r ON s.region = r.name AND s.amount < 30 GROUP BY s.region ORDER BY s.region",
 	})
-	if st := cols["3-shard"].Stats(); st.ShuffleJoins != 5 || st.FastPathQueries != 8 || st.GatherPathQueries != 1 {
-		t.Fatalf("socket cluster took paths %+v, want 8 fast, 5 shuffle, 1 gather", st)
-	}
-	if st := cols["3-shard-local"].Stats(); st.ShuffleJoins != 0 || st.FastPathQueries != 8 || st.GatherPathQueries != 6 {
-		t.Fatalf("in-process cluster took paths %+v, want 8 fast, 6 gather", st)
+	for _, name := range []string{"3-shard", "3-shard-local"} {
+		if st := cols[name].Stats(); st.ShuffleJoins != 5 || st.FastPathQueries != 8 || st.GatherPathQueries != 1 {
+			t.Fatalf("%s cluster took paths %+v, want 8 fast, 5 shuffle, 1 gather", name, st)
+		}
 	}
 }
 
@@ -1516,13 +1515,10 @@ func TestParityGenerated(t *testing.T) {
 		rng := rand.New(rand.NewSource(21))
 		for i := 0; i < 120; i++ {
 			q, join := genSelect(rng)
-			switch {
-			case !join:
-				check(q, &want.FastPathQueries)
-			case h.socket:
+			if join {
 				check(q, &want.ShuffleJoins)
-			default:
-				check(q, &want.GatherPathQueries)
+			} else {
+				check(q, &want.FastPathQueries)
 			}
 		}
 		if want.ShuffleJoins+want.GatherPathQueries < 10 || want.FastPathQueries < 50 {
@@ -2109,6 +2105,55 @@ func joinCluster(t *testing.T, h *harness, trows, urows []types.Row) *NetCluster
 	return c
 }
 
+// TestInProcessShuffle: a join of two distributed tables shuffles on the
+// in-process cluster too, through its one server's router. It moves the
+// rows a socket cluster moves over the same shards, none of them as bytes,
+// and leaves no inbox behind, whether the join answers or fails inside the
+// exchange.
+func TestInProcessShuffle(t *testing.T) {
+	var trows, urows []types.Row
+	for i := int64(1); i <= 40; i++ {
+		trows = append(trows, ints(i, i%7, i*10))
+		urows = append(urows, ints(i, i%5))
+	}
+	trows = append(trows, ints(41, 3, 0))
+	local := joinCluster(t, &harness{t: t}, trows, urows)
+	socket := joinCluster(t, &harness{t: t, socket: true}, trows, urows)
+	inboxes := func() int { return local.client.(inProcess).srv.Router().InboxCount() }
+
+	const q = "SELECT t.k, COUNT(*), SUM(u.id) FROM t JOIN u ON t.k = u.k GROUP BY t.k ORDER BY t.k"
+	want, err := socket.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := local.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAnswer(t, q, got, want)
+	st, sock := local.Stats(), socket.Stats()
+	if st.ShuffleJoins != 1 || st.GatherPathQueries != 0 || st.ShuffledRows != sock.ShuffledRows || st.ShuffledRows != 81 || st.ShuffledBytes != 0 {
+		t.Fatalf("in-process join took %+v; want 1 shuffle join moving the socket cluster's %d rows (both tables once) and 0 bytes", st, sock.ShuffledRows)
+	}
+	if sock.ShuffledBytes == 0 {
+		t.Fatal("the socket cluster's shuffle sent no bytes between its servers")
+	}
+	if n := inboxes(); n != 0 {
+		t.Fatalf("router holds %d inboxes after the join", n)
+	}
+
+	// t's stage divides by its last row's a = 0.
+	if _, err := local.Query("SELECT t.id FROM t JOIN u ON t.k = u.k WHERE 10 / t.a > 0"); err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("err %v, want division by zero", err)
+	}
+	if st := local.Stats(); st.ShuffleJoins != 2 {
+		t.Fatalf("failing join took %+v, want a second shuffle join", st)
+	}
+	if n := inboxes(); n != 0 {
+		t.Fatalf("router holds %d inboxes after a join that failed in its exchange", n)
+	}
+}
+
 // ints is one row of BIGINTs.
 func ints(vs ...int64) types.Row {
 	r := make(types.Row, len(vs))
@@ -2158,9 +2203,8 @@ func TestShuffleKeyAnySpelling(t *testing.T) {
 // TestConjunctRunsBelowTheJoin: every path evaluates a conjunct at the
 // lowest node that reads its columns, so a conjunct over t alone sees t's
 // row whose key no row of u matches (k = 2 lies inside u's key range, so
-// no key-bounds pushdown drops it first): one engine, the in-process
-// cluster (which gathers) and the socket cluster (which runs it in t's
-// shuffle stage) all fail on its division by zero.
+// no key-bounds pushdown drops it first): one engine and both clusters
+// (which run it in t's shuffle stage) all fail on its division by zero.
 func TestConjunctRunsBelowTheJoin(t *testing.T) {
 	const q = "SELECT t.id FROM t JOIN u ON t.k = u.k WHERE 10 / t.a > 1 ORDER BY t.id"
 	forEachClient(t, func(t *testing.T, h *harness) {

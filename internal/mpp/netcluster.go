@@ -34,11 +34,14 @@ import (
 // scatter, shuffle join or gather; netquery.go: one runner), and the HA
 // story — when a node dies, survivors adopt its shards with per-shard
 // memory and parallelism scaled down, and the in-flight statement is sent
-// again to the new owners (Figure 9). It reaches the shard engines through a
-// shardClient; which one is decided by the constructor: NewNetCluster and
-// OpenNetCluster dial shardrpc servers (separate OS processes sharing one
-// clustered filesystem, the paper's §II.E deployment), NewCluster and
-// Restore host the engines in this process.
+// again to the new owners (Figure 9). Its shards are hosted by
+// shardrpc.Servers, reached through a shardClient whose transport the
+// constructor decides: NewNetCluster and OpenNetCluster dial servers in
+// separate OS processes sharing one clustered filesystem (the paper's §II.E
+// deployment), NewCluster and Restore call one server in this process that
+// never listens. Either way a statement is placed, exchanged and answered
+// the same; only the write path differs, since only a listening server
+// persists after every write (shardrpc.Server).
 type NetCluster struct {
 	mu      sync.RWMutex
 	fs      *clusterfs.FS
@@ -56,7 +59,7 @@ type NetCluster struct {
 
 // shardClient is every call the coordinator makes on a shard host.
 // *shardrpc.Pool serves it over sockets, addressed by NetNode.Addr;
-// *localShards serves it in-process and ignores the address.
+// inProcess forwards it to one shardrpc.Server and ignores the address.
 type shardClient interface {
 	Ping(addr string) (shardrpc.PingInfo, error)
 	Adopt(addr string, req shardrpc.AdoptReq) error
@@ -68,8 +71,54 @@ type shardClient interface {
 	Close()
 }
 
+// inProcess is the shard client of an in-process cluster: one
+// shardrpc.Server that never listens hosts every shard, whatever node it
+// is associated with. A shard leaving a node therefore stays hosted, so
+// Release is nothing and the Adopt that follows resizes it in place.
+type inProcess struct{ srv *shardrpc.Server }
+
+func newInProcess(fs *clusterfs.FS) inProcess {
+	return inProcess{srv: shardrpc.NewServer("in-process", fs)}
+}
+
+func (p inProcess) Ping(string) (shardrpc.PingInfo, error) { return p.srv.Ping(), nil }
+
+func (p inProcess) Adopt(_ string, req shardrpc.AdoptReq) error { return p.srv.Adopt(req) }
+
+func (p inProcess) Release(string, []int) error { return nil }
+
+func (p inProcess) Exec(_ string, req shardrpc.ExecReq) (*shardrpc.Result, error) {
+	var batches []*vec.Batch
+	res, sentBytes, err := p.srv.Exec(req, func(b *vec.Batch) error {
+		b.Disown() // held as the shard's result
+		batches = append(batches, b)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &shardrpc.Result{Columns: res.Columns, Kinds: res.Kinds, Batches: batches,
+		RowsAffected: res.RowsAffected, Message: res.Message, Stats: res.Stats, SentBytes: sentBytes}, nil
+}
+
+func (p inProcess) Insert(_ string, shardID int, table string, token uint64, rows *shardrpc.Bucket) error {
+	return p.srv.Insert(shardID, table, token, rows)
+}
+
+func (p inProcess) RowCount(_ string, shardID int, table string) (int64, error) {
+	return p.srv.RowCount(shardID, table)
+}
+
+func (p inProcess) DropShuffle(_ string, query uint64) error {
+	p.srv.Router().Drop(query)
+	return nil
+}
+
+func (p inProcess) Close() { p.srv.Close() }
+
 // NetNode describes one server host; Addr is its shard-server address
-// and stays empty for in-process clusters.
+// and stays empty for in-process clusters, so every shuffle partition of
+// one is delivered inside the process.
 type NetNode struct {
 	Name     string
 	Addr     string
@@ -116,7 +165,8 @@ func (c *NetCluster) mintID() uint64 { return c.qid.Add(1) }
 // NetStats counts coordinator path selections and what crossed the wire:
 // the rows shuffle stages sent and the bytes of the blocks they sent to
 // other servers, and the rows and block bytes the coordinator pulled from
-// the shards (no bytes from in-process shards).
+// the shards. In-process shards count rows, not bytes: their shuffles and
+// pulls never leave the process.
 type NetStats struct {
 	FastPathQueries   uint64
 	ShuffleJoins      uint64
@@ -140,10 +190,11 @@ func NewNetCluster(nodes []NetNode, nShards int, fs *clusterfs.FS) (*NetCluster,
 	return newCluster(shardrpc.NewPool("coordinator"), nodes, shardrpc.Manifest{NShards: nShards}, fs)
 }
 
-// NewCluster forms a cluster whose shard engines live in this process,
-// shardsPerNode data shards per server (the paper: shard count "several
-// factors larger than the number of servers, though not larger than the
-// cumulative cores"). A nil fs selects a fresh in-memory filesystem.
+// NewCluster forms a cluster whose shard engines live in this process, on
+// one shardrpc.Server that never listens, shardsPerNode data shards per
+// node (the paper: shard count "several factors larger than the number of
+// servers, though not larger than the cumulative cores"). A nil fs
+// selects a fresh in-memory filesystem.
 func NewCluster(nodes []NetNode, shardsPerNode int, fs *clusterfs.FS) (*NetCluster, error) {
 	if shardsPerNode < 1 {
 		shardsPerNode = 1
@@ -159,7 +210,7 @@ func NewCluster(nodes []NetNode, shardsPerNode int, fs *clusterfs.FS) (*NetClust
 	if fs == nil {
 		fs = clusterfs.New()
 	}
-	return newCluster(newLocalShards(fs), nodes, shardrpc.Manifest{NShards: nShards}, fs)
+	return newCluster(newInProcess(fs), nodes, shardrpc.Manifest{NShards: nShards}, fs)
 }
 
 // OpenNetCluster bootstraps a coordinator over an existing clustered
@@ -181,7 +232,7 @@ func Restore(nodes []NetNode, fs *clusterfs.FS) (*NetCluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newCluster(newLocalShards(fs), nodes, m, fs)
+	return newCluster(newInProcess(fs), nodes, m, fs)
 }
 
 // newCluster builds the coordinator over client and associates the
@@ -240,8 +291,8 @@ func newCluster(client shardClient, nodes []NetNode, m shardrpc.Manifest, fs *cl
 }
 
 // Close shuts the shard client — the connection pool of a socket cluster
-// (its servers keep running), the engines of an in-process one — and the
-// coordinator's broker.
+// (its servers keep running), the server of an in-process one, which
+// persists its shards — and the coordinator's broker.
 func (c *NetCluster) Close() {
 	c.client.Close()
 	c.broker.Close() //nolint:errcheck — only removes the spill directory
@@ -251,13 +302,20 @@ func (c *NetCluster) Close() {
 func (c *NetCluster) FS() *clusterfs.FS { return c.fs }
 
 // ShardEngines returns an in-process cluster's shard engines in shard
-// order (collocated analytics, monitoring); nil for a socket cluster,
-// whose engines live in the server processes.
+// order (collocated analytics, monitoring), as its one server hosts them;
+// nil for a socket cluster, whose engines live in the server processes.
 func (c *NetCluster) ShardEngines() []*core.DB {
-	if l, ok := c.client.(*localShards); ok {
-		return l.all()
+	p, ok := c.client.(inProcess)
+	if !ok {
+		return nil
 	}
-	return nil
+	var out []*core.DB
+	for _, id := range p.srv.Shards() {
+		if db, ok := p.srv.Engine(id); ok {
+			out = append(out, db)
+		}
+	}
+	return out
 }
 
 // Stats returns path-selection counters.

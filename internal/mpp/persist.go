@@ -21,11 +21,12 @@ import (
 const manifestPath = "cluster/manifest"
 
 // Checkpoint makes the clustered filesystem a complete image of the
-// cluster. Socket shard servers persist a table after every write, so
-// there this only rewrites the manifest; in-process engines persist
-// pages as strides seal but table metadata (dictionaries, synopses, the
-// open stride) only here, which is what keeps their write path free of
-// clusterfs writes. The cluster remains usable afterwards.
+// cluster. A listening shard server persists a table after every write,
+// so on a socket cluster this only rewrites the manifest; the in-process
+// cluster's server, which never listens, persists pages as strides seal
+// but table metadata (dictionaries, synopses, the open stride) only here
+// and at Close, which is what keeps its write path free of clusterfs
+// writes. The cluster remains usable afterwards.
 func (c *NetCluster) Checkpoint() error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -54,9 +54,10 @@ const (
 )
 
 // planSelect places a SELECT: scatter when at most one FROM table is
-// distributed, shuffle join for an equi-join of two distributed tables on
-// a client that has the exchange, gather for everything else — anything
-// cutSelect cannot express, any FROM item that is not a cluster table.
+// distributed, shuffle join for an equi-join of two distributed tables,
+// gather for everything else — anything cutSelect cannot express, any
+// FROM item that is not a cluster table. The placement does not depend on
+// how the shards are reached.
 func (c *NetCluster) planSelect(sel *sql.SelectStmt, d sql.Dialect) *distSelect {
 	if from, distributed, ok := c.fromTables(sel.From); ok {
 		if shard, final, ok := cutSelect(sel, from); ok {
@@ -70,11 +71,9 @@ func (c *NetCluster) planSelect(sel *sql.SelectStmt, d sql.Dialect) *distSelect 
 				p.pulls[0].shards, p.path = c.pin(shard.Where, from), &c.stats.FastPathQueries
 				return p
 			}
-			if _, local := c.client.(*localShards); !local {
-				if stages, ok := shuffleStages(shard, from, d); ok {
-					p.stages, p.path = stages, &c.stats.ShuffleJoins
-					return p
-				}
+			if stages, ok := shuffleStages(shard, from, d); ok {
+				p.stages, p.path = stages, &c.stats.ShuffleJoins
+				return p
 			}
 		}
 	}

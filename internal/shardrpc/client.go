@@ -378,7 +378,8 @@ func (p *Pool) Exec(addr string, req ExecReq) (*Result, error) {
 // Bucket is the rows one INSERT sends a shard: a batch whose live rows
 // are the shard's. Its wire block is encoded on the first send and kept,
 // so a replicated table's one bucket, sent to every shard, and a bucket
-// resent after a failover are each encoded once.
+// resent after a failover are each encoded once. A bucket a server
+// received holds the block alone.
 type Bucket struct {
 	Batch *vec.Batch
 
@@ -389,6 +390,15 @@ type Bucket struct {
 
 // NewBucket returns the bucket of b's live rows.
 func NewBucket(b *vec.Batch) *Bucket { return &Bucket{Batch: b} }
+
+// batch returns the bucket's rows, decoding the block a received bucket
+// holds.
+func (k *Bucket) batch() (*vec.Batch, error) {
+	if k.Batch != nil {
+		return k.Batch, nil
+	}
+	return vec.DecodeBlock(k.block)
+}
 
 // wire returns the bucket's block, encoding it on the first call.
 func (k *Bucket) wire() ([]byte, error) {

@@ -212,6 +212,10 @@ func TestGobBlobsRefused(t *testing.T) {
 
 	s := NewServer("dir", fs)
 	defer s.Close()
+	// Only a server that listens reads the token log.
+	if err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Adopt(AdoptReq{Shards: []ShardAssign{{ID: 0, MemBytes: 8 << 20, Parallelism: 1}},
 		Tables: []TableSpec{{Name: "sales", ID: 1, Schema: salesSchema}}}); err != nil {
 		t.Fatal(err)

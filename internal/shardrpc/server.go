@@ -20,10 +20,12 @@ import (
 	"dashdb/internal/vec"
 )
 
-// Server hosts shard engines behind the frame protocol: one OS process
-// per node in the paper's deployment. All shard state lives on the
-// clustered filesystem, so hosting is a soft association — Adopt opens
-// a shard's file-set with the resources the coordinator computed,
+// Server hosts shard engines: one OS process per node in the paper's
+// deployment, reached through the frame protocol once Start listens, or
+// one server for every shard of an in-process cluster, whose coordinator
+// calls Adopt, Exec, Insert and RowCount directly. All shard state lives
+// on the clustered filesystem, so hosting is a soft association — Adopt
+// opens a shard's file-set with the resources the coordinator computed,
 // Release drops it, and the same shard can be adopted elsewhere after a
 // node death without copying data (§II.E, Figure 9).
 type Server struct {
@@ -65,8 +67,6 @@ func NewServer(node string, fs *clusterfs.FS) *Server {
 }
 
 // Router exposes the shuffle router.
-//
-//dashdb:nolint deadcode cross-package test hook: mpp's shuffle tests check a server's inboxes drain
 func (s *Server) Router() *ShuffleRouter { return s.router }
 
 // Start listens on addr ("host:0" picks a free port) and serves until
@@ -85,6 +85,17 @@ func (s *Server) Start(addr string) error {
 
 // Addr returns the listening address.
 func (s *Server) Addr() string { return s.addr }
+
+// listening reports whether other processes reach this server, and so
+// may adopt its shards at any moment: only then does a write persist its
+// table's metadata at once and log its token. A server that never called
+// Start hosts an in-process cluster, where no other process can adopt a
+// shard mid-run, so it persists at Release, Close and the cluster's
+// Checkpoint.
+func (s *Server) listening() bool { return s.ln != nil }
+
+// Ping reports the node and the shards this server hosts.
+func (s *Server) Ping() PingInfo { return PingInfo{Node: s.node, Shards: s.Shards()} }
 
 // Shards returns the sorted IDs of the shards this server hosts.
 func (s *Server) Shards() []int {
@@ -135,31 +146,28 @@ func (s *Server) Close() {
 }
 
 // Adopt hosts shards with the given resources, reopening their state
-// from the clustered filesystem. Idempotent: adopting an already-hosted
-// shard with identical resources is a no-op; changed resources persist
-// and reopen the engine with the new budgets (the post-failover "same
-// data, smaller heaps" reconfiguration).
+// from the clustered filesystem. Idempotent: an already-hosted shard keeps
+// its engine, resized in place when its grant changed (the post-failover
+// "same data, smaller heaps" reconfiguration), and opens the tables it
+// lacks.
 func (s *Server) Adopt(req AdoptReq) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, a := range req.Shards {
-		if slot, ok := s.engines[a.ID]; ok {
-			if slot.assign == a {
-				if err := EnsureTables(slot.db, req.Tables); err != nil {
-					return fmt.Errorf("shardrpc: adopt shard %d: %w", a.ID, err)
-				}
-				continue
-			}
-			persistEngine(slot.db)
-			slot.db.Close()
-			delete(s.engines, a.ID)
+		slot, hosted := s.engines[a.ID]
+		if !hosted {
+			slot = &engineSlot{db: OpenShard(s.fs, a), assign: a}
+		} else if slot.assign != a {
+			slot.db.Resize(int(a.MemBytes), a.SortHeap, a.HashHeap, a.Parallelism)
+			slot.assign = a
 		}
-		db := OpenShard(s.fs, a)
-		if err := EnsureTables(db, req.Tables); err != nil {
-			db.Close()
+		if err := EnsureTables(slot.db, req.Tables); err != nil {
+			if !hosted {
+				slot.db.Close()
+			}
 			return fmt.Errorf("shardrpc: adopt shard %d: %w", a.ID, err)
 		}
-		s.engines[a.ID] = &engineSlot{db: db, assign: a}
+		s.engines[a.ID] = slot
 	}
 	return nil
 }
@@ -445,7 +453,8 @@ func (s *Server) dispatch(c *serverConn, t FrameType, payload []byte) error {
 	}
 	switch t {
 	case FramePing:
-		c.buf = appendPingInfo(c.buf[:0], &PingInfo{Node: s.node, Shards: s.Shards()})
+		info := s.Ping()
+		c.buf = appendPingInfo(c.buf[:0], &info)
 		return c.write(FramePong, c.buf)
 	case FrameExec:
 		req, err := readExecReq(payload)
@@ -484,7 +493,7 @@ func (s *Server) dispatch(c *serverConn, t FrameType, payload []byte) error {
 		req, err := decode(payload, "row count request", readRowCountReq)
 		var n int64
 		if err == nil {
-			n, err = s.rowCount(req)
+			n, err = s.RowCount(req.ShardID, req.Table)
 		}
 		if err != nil {
 			return reply(err)
@@ -559,31 +568,50 @@ func isReadOnly(st sql.Statement) bool {
 	return false
 }
 
-// handleExec is the one statement entry point: DML under the applied-token
-// log, a SELECT over the shard's tables, and both sides of a shuffle
-// exchange (see Exchange).
+// handleExec answers FrameExec: the statement's rows go out as FrameRows
+// blocks while it runs, then FrameDone.
 func (s *Server) handleExec(c *serverConn, req ExecReq) error {
 	defer func() { c.buf = keepBuf(c.buf) }()
-	slot, err := s.engine(req.ShardID)
+	frames := rowFramer{c: c}
+	res, sentBytes, err := s.Exec(req, frames.add)
+	if err == nil {
+		err = frames.frame(c.send)
+	}
+	if frames.lost != nil {
+		return frames.lost
+	}
 	if err != nil {
 		return c.write(FrameErr, []byte(err.Error()))
 	}
-	write := !isReadOnly(req.Stmt)
+	return writeDone(c, res, sentBytes, req.WithStats)
+}
+
+// Exec is the one statement entry point: DML under the applied-token log,
+// a SELECT over the shard's tables, and both sides of a shuffle exchange
+// (see Exchange). The statement's rows go to emit as it produces them,
+// unless the exchange sends them to their partitions' owners; sentBytes
+// is the bytes of the blocks that crossed to other servers.
+func (s *Server) Exec(req ExecReq, emit func(*vec.Batch) error) (res *core.Result, sentBytes int64, err error) {
+	slot, err := s.engine(req.ShardID)
+	if err != nil {
+		return nil, 0, err
+	}
 	x := req.Exchange
 	if x == nil {
 		x = &Exchange{}
 	} else if _, sel := req.Stmt.(*sql.SelectStmt); !sel {
-		return c.write(FrameErr, []byte("exchange on a statement that is not a SELECT"))
+		return nil, 0, errors.New("exchange on a statement that is not a SELECT")
 	}
-	if write {
+	logged := s.listening() && !isReadOnly(req.Stmt)
+	if logged {
 		affected, ok, err := s.lookupApplied(req.ShardID, req.Token)
 		if err != nil {
-			return c.write(FrameErr, []byte(err.Error()))
+			return nil, 0, err
 		}
 		if ok {
 			// Lost-reply retry of a statement this shard already durably
 			// applied: acknowledge without re-executing it.
-			return writeDone(c, &core.Result{RowsAffected: affected, Message: "OK"}, 0, false)
+			return &core.Result{RowsAffected: affected, Message: "OK"}, 0, nil
 		}
 	}
 	sess := slot.db.NewSession()
@@ -601,9 +629,6 @@ func (s *Server) handleExec(c *serverConn, req ExecReq) error {
 			}})
 		}
 	}
-	frames := rowFramer{c: c}
-	var res *core.Result
-	var sentBytes int64
 	if out := x.Output; out != nil {
 		// The statement's rows go to their partitions' owners instead.
 		sink := newNetSink(s.pool, s.router, s.addr, x.Query, out.Stage, out.Sender, out.Parts)
@@ -611,20 +636,15 @@ func (s *Server) handleExec(c *serverConn, req ExecReq) error {
 		if res, err = sess.StreamParsed(req.Stmt, w.Write); err == nil {
 			err = w.Flush()
 		}
-		if err == nil {
-			res = &core.Result{Columns: res.Columns, Kinds: res.Kinds, RowsAffected: w.Sent, Stats: res.Stats}
+		if err != nil {
+			return nil, 0, err
 		}
+		res = &core.Result{Columns: res.Columns, Kinds: res.Kinds, RowsAffected: w.Sent, Stats: res.Stats}
 		sentBytes = sink.sentBytes
-	} else if res, err = sess.StreamParsed(req.Stmt, frames.add); err == nil {
-		err = frames.frame(c.send)
+	} else if res, err = sess.StreamParsed(req.Stmt, emit); err != nil {
+		return nil, 0, err
 	}
-	if frames.lost != nil {
-		return frames.lost
-	}
-	if err != nil {
-		return c.write(FrameErr, []byte(err.Error()))
-	}
-	if write {
+	if logged {
 		// SaveMeta rewrites a table's whole metadata, so persist only what
 		// the statement changed.
 		if target := writeTarget(req.Stmt); target != "" {
@@ -633,38 +653,47 @@ func (s *Server) handleExec(c *serverConn, req ExecReq) error {
 			persistEngine(slot.db)
 		}
 		if err := s.markApplied(req.ShardID, req.Token, res.RowsAffected); err != nil {
-			return c.write(FrameErr, []byte(err.Error()))
+			return nil, 0, err
 		}
 	}
-	return writeDone(c, res, sentBytes, req.WithStats)
+	return res, sentBytes, nil
 }
 
-// handleInsert appends one bucket's block to the shard's table as the
-// typed lanes it decodes to. A retried bucket that already landed is
-// answered before its block is decoded.
+// handleInsert answers FrameInsert: the bucket's block decodes only if
+// Insert gets past the token check.
 func (s *Server) handleInsert(hdr InsertHdr, block []byte) error {
-	slot, err := s.engine(hdr.ShardID)
+	return s.Insert(hdr.ShardID, hdr.Table, hdr.Token, &Bucket{block: block})
+}
+
+// Insert appends one bucket to a shard's table as the typed lanes it
+// holds. A retried bucket that already landed is answered before a
+// received block is decoded.
+func (s *Server) Insert(shardID int, table string, token uint64, rows *Bucket) error {
+	slot, err := s.engine(shardID)
 	if err != nil {
 		return err
 	}
-	if _, ok, err := s.lookupApplied(hdr.ShardID, hdr.Token); err != nil || ok {
-		return err // ok: this bucket already landed durably; retry after a lost reply
+	logged := s.listening()
+	if logged {
+		if _, ok, err := s.lookupApplied(shardID, token); err != nil || ok {
+			return err // ok: this bucket already landed durably; retry after a lost reply
+		}
 	}
-	b, err := vec.DecodeBlock(block)
+	b, err := rows.batch()
 	if err != nil {
 		return err
 	}
-	tbl, ok := slot.db.Table(hdr.Table)
+	tbl, ok := slot.db.Table(table)
 	if !ok {
-		return fmt.Errorf("shard %d missing table %s", hdr.ShardID, hdr.Table)
+		return fmt.Errorf("shard %d missing table %s", shardID, table)
 	}
-	if err := tbl.Append(b); err != nil {
+	if err := tbl.Append(b); err != nil || !logged {
 		return err
 	}
 	if err := tbl.SaveMeta(); err != nil {
 		return err
 	}
-	return s.markApplied(hdr.ShardID, hdr.Token, int64(b.N))
+	return s.markApplied(shardID, token, int64(b.N))
 }
 
 func (s *Server) handleShuffle(t FrameType, payload []byte) error {
@@ -718,14 +747,15 @@ func (n *Nick) ScanAll() ([]*vec.Batch, error) {
 	return n.batches, n.err
 }
 
-func (s *Server) rowCount(req RowCountReq) (int64, error) {
-	slot, err := s.engine(req.ShardID)
+// RowCount returns a shard table's live row count.
+func (s *Server) RowCount(shardID int, table string) (int64, error) {
+	slot, err := s.engine(shardID)
 	if err != nil {
 		return 0, err
 	}
-	tbl, ok := slot.db.Table(req.Table)
+	tbl, ok := slot.db.Table(table)
 	if !ok {
-		return 0, fmt.Errorf("shard %d missing table %s", req.ShardID, req.Table)
+		return 0, fmt.Errorf("shard %d missing table %s", shardID, table)
 	}
 	return int64(tbl.SnapshotInfo().Rows), nil
 }

@@ -317,11 +317,13 @@ func (v *Vector) Get(i int) types.Value {
 // without copying.
 //
 // A batch has one of two backings. NewBatch wraps column vectors (a scan
-// stride, a projection's outputs). FromRows wraps rows an operator already
-// holds (join output, group results, sorted rows, VALUES): Row hands those
-// same rows back, and a kernel that asks for a column through Col gets a
-// view of them. A column-built batch may be owned, its payloads pooled and
-// returned by Release (pool.go).
+// stride, a projection's outputs, join output, group results, sorted
+// rows). FromRows wraps rows a producer already holds as rows: VALUES, a
+// non-SELECT statement's result in StreamParsed, the system views, the
+// extern and fluid nicknames, cloudstore and EncodeRowBlock. Row hands
+// those same rows back, and a kernel that asks for a column through Col
+// gets a view of them. A column-built batch may be owned, its payloads
+// pooled and returned by Release (pool.go).
 type Batch struct {
 	Schema types.Schema
 	N      int
@@ -338,8 +340,10 @@ func NewBatch(schema types.Schema, cols []*Vector, n int) *Batch {
 	return &Batch{Schema: schema, N: n, cols: cols}
 }
 
-// FromRows returns a batch whose position i is rows[i]. The batch shares
-// the rows; neither the caller nor any consumer may modify them afterwards.
+// FromRows returns a batch whose position i is rows[i], for a producer
+// whose data is rows already (see Batch); operators build their output as
+// columns. The batch shares the rows; neither the caller nor any consumer
+// may modify them afterwards.
 func FromRows(schema types.Schema, rows []types.Row) *Batch {
 	width := len(schema)
 	if len(rows) > 0 {
