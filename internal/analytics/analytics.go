@@ -19,6 +19,7 @@ package analytics
 import (
 	"fmt"
 	"math"
+	"regexp"
 	"strings"
 
 	"dashdb/internal/core"
@@ -33,9 +34,27 @@ func RegisterProcedures(db *core.DB) {
 	db.RegisterProcedure("KMEANS", kmeansProc)
 }
 
+// identifier is a plain SQL identifier, optionally qualified by one
+// more: the only text a procedure's table and column arguments may hold,
+// as they are spliced into the statements the procedures run.
+var identifier = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)?$`)
+
+// checkNames refuses any name that is not an identifier.
+func checkNames(names ...string) error {
+	for _, n := range names {
+		if !identifier.MatchString(n) {
+			return fmt.Errorf("analytics: %q is not a table or column name", n)
+		}
+	}
+	return nil
+}
+
 // loadMatrix reads the labeled feature matrix from a table.
 func loadMatrix(s *core.Session, table, label string, features []string) (X [][]float64, y []float64, err error) {
 	cols := append([]string{label}, features...)
+	if err := checkNames(append(cols, table)...); err != nil {
+		return nil, nil, err
+	}
 	r, err := s.Query("SELECT " + strings.Join(cols, ", ") + " FROM " + table)
 	if err != nil {
 		return nil, nil, err
@@ -83,6 +102,9 @@ func summaryStats(s *core.Session, args []types.Value) (*core.Result, error) {
 		return nil, fmt.Errorf("analytics: SUMMARY_STATS expects (table, column)")
 	}
 	table, col := args[0].Str(), args[1].Str()
+	if err := checkNames(table, col); err != nil {
+		return nil, err
+	}
 	r, err := s.Query(fmt.Sprintf(
 		`SELECT COUNT(%[1]s), AVG(%[1]s), STDDEV_POP(%[1]s), MIN(%[1]s), MAX(%[1]s), MEDIAN(%[1]s) FROM %[2]s`,
 		col, table))
@@ -257,6 +279,9 @@ func kmeansProc(s *core.Session, args []types.Value) (*core.Result, error) {
 		return nil, fmt.Errorf("analytics: KMEANS expects (table, features, k)")
 	}
 	features := splitCols(args[1].Str())
+	if len(features) == 0 {
+		return nil, fmt.Errorf("analytics: KMEANS needs a feature column")
+	}
 	k64, ok := args[2].AsInt()
 	if !ok || k64 < 1 {
 		return nil, fmt.Errorf("analytics: k must be a positive integer")

@@ -161,3 +161,47 @@ func TestProcedureArgErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestProcedureArgsAreNames: a table or column argument that is not an
+// identifier is refused before any statement runs, so a procedure cannot
+// be steered into reading another table, while plain and qualified names
+// answer as before.
+func TestProcedureArgsAreNames(t *testing.T) {
+	_, s := setupDB(t)
+	if _, err := s.Exec(`CREATE TABLE secret (v DOUBLE)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec(`INSERT INTO secret VALUES (1e6), (2e6)`); err != nil {
+		t.Fatal(err)
+	}
+	for _, call := range []string{
+		`CALL SUMMARY_STATS('pts WHERE 1=0 UNION ALL SELECT COUNT(v),AVG(v),0,MIN(v),MAX(v),0 FROM secret --', 'x1')`,
+		`CALL SUMMARY_STATS('pts', 'x1) FROM secret --')`,
+		`CALL SUMMARY_STATS('pts', '')`,
+		`CALL LINEAR_REGRESSION('pts', 'y', 'x1, (SELECT MAX(v) FROM secret)')`,
+		`CALL LINEAR_REGRESSION('pts, secret', 'y', 'x1')`,
+		`CALL LOGISTIC_REGRESSION('pts', 'cls; DROP TABLE secret', 'x1')`,
+		`CALL KMEANS('pts', 'x1,x2 FROM secret --', 2)`,
+		`CALL KMEANS('pts', ' , ', 2)`,
+	} {
+		if r, err := s.Exec(call); err == nil {
+			t.Errorf("%s answered %v", call, r.Rows)
+		}
+	}
+	for _, call := range []string{`CALL SUMMARY_STATS('pts', 'x1')`, `CALL SUMMARY_STATS('pts', 'pts.x1')`} {
+		r, err := s.Exec(call)
+		if err != nil {
+			t.Fatalf("%s: %v", call, err)
+		}
+		if row := r.Rows[0]; row[0].Int() != 500 || row[3].Float() != 0 || row[4].Float() != 9.8 {
+			t.Fatalf("%s: %v", call, row)
+		}
+	}
+	r, err := s.Exec(`CALL LINEAR_REGRESSION('pts', 'y', 'x1, x2')`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(coefficient(t, r, "X2")+3) > 1e-9 {
+		t.Errorf("x2 coefficient %v", coefficient(t, r, "X2"))
+	}
+}

@@ -2,6 +2,7 @@ package columnar
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -12,14 +13,22 @@ import (
 	"dashdb/internal/types"
 )
 
-// Sealed pages pack each code's offset from their stride's smallest code
-// and hold a NULL bitmap only when a cell is NULL. The table below gives
+// Sealed pages pack each code's offset from their stride's smallest code,
+// keep the few offsets too wide for the packed width as exceptions, and
+// hold a NULL bitmap only when a cell is NULL. The table below gives
 // every shape of stride that matters to that layout: a sequential BIGINT
 // (wide codes, a narrow span), a date-clustered DATE, a fixed-point
 // DOUBLE, a dictionary VARCHAR whose later values land in the dictionary's
-// extension (residual ranges), and a nullable BIGINT whose strides hold
-// some NULLs, only NULLs, or one repeated value (width 1 over a non-zero
-// base). Nine strides are sealed; the tenth is open.
+// extension (residual ranges; stride 8 holds a few of them among the
+// first values, whose codes are narrow, so its page patches the wide
+// ones), a nullable BIGINT whose strides hold some NULLs, only NULLs, or
+// one repeated value (width 1 over a non-zero base), and two fat-tail
+// columns whose strides hold a few outliers among narrow values: a
+// nullable BIGINT and a fixed-point DOUBLE. Their outliers sit at a
+// stride's first and last position and a dozen between; the BIGINT's
+// stride 2 holds NULLs too, its stride 3 no outlier, and its stride 4 so
+// many that patching does not pay. Nine strides are sealed; the tenth is
+// open.
 
 const pageCodeRows = 9*page.StrideSize + 200
 
@@ -30,16 +39,22 @@ func pageCodeSchema() types.Schema {
 		{Name: "f", Kind: types.KindFloat},
 		{Name: "s", Kind: types.KindString, Nullable: true},
 		{Name: "v", Kind: types.KindInt, Nullable: true},
+		{Name: "big", Kind: types.KindInt, Nullable: true},
+		{Name: "amt", Kind: types.KindFloat},
 	}
 }
+
+// pageCodeEncoded asks a batch for the VARCHAR's dictionary codes.
+var pageCodeEncoded = []bool{false, false, false, true, false, false, false}
 
 // pageCodeRow returns row i; the table loads rows [0, 6 strides) first,
 // so the VARCHAR's values after that extend its dictionary.
 func pageCodeRow(i int) types.Row {
 	day0, _ := types.ParseDate("2010-01-01")
 	stride := i / page.StrideSize
+	off := i % page.StrideSize
 	s := types.NewString(fmt.Sprintf("name%03d", (i/7)%50))
-	if stride >= 6 {
+	if stride >= 6 && (stride != 8 || off%101 == 7) {
 		s = types.NewString(fmt.Sprintf("name%03dx", (i/5)%40))
 	}
 	if (stride == 1 || stride == 7) && i%11 == 0 {
@@ -58,12 +73,27 @@ func pageCodeRow(i int) types.Row {
 	default:
 		v = types.NewInt(int64(i*13) % 10007)
 	}
+	outlier := off == 0 || off == page.StrideSize-1 || off%97 == 50
+	big := types.NewInt(int64(i*7919) % 5000)
+	switch {
+	case stride == 2 && i%5 == 0:
+		big = types.NullOf(types.KindInt)
+	case stride == 3:
+	case outlier, stride == 4 && i%4 == 0:
+		big = types.NewInt(int64(1_000_000 + off))
+	}
+	amt := types.NewFloat(float64((i*37)%100000) / 100)
+	if off == 0 || off == page.StrideSize-1 || off%89 == 3 {
+		amt = types.NewFloat(100_000 + float64(off)/100)
+	}
 	return types.Row{
 		types.NewInt(int64(1_000_000 + i)),
 		types.NewDate(day0.Int() + int64(i/60)),
 		types.NewFloat(float64((i*37)%100000) / 100),
 		s,
 		v,
+		big,
+		amt,
 	}
 }
 
@@ -105,6 +135,8 @@ func pageCodeConsts() [][]types.Value {
 		{types.NewFloat(-1), types.NewFloat(0), types.NewFloat(123.45), types.NewFloat(500.005), types.NewFloat(999.99), types.NewFloat(2000)},
 		{types.NewString("a"), types.NewString("name010"), types.NewString("name010x"), types.NewString("name025"), types.NewString("name049x"), types.NewString("zzz")},
 		ints(-1, 0, 41, 42, 43, 99, 5003, 10006, 20000),
+		ints(-1, 0, 4999, 5000, 1_000_000, 1_000_500, 1_001_023, 1_001_024),
+		{types.NewFloat(0), types.NewFloat(999.99), types.NewFloat(1000), types.NewFloat(100_000), types.NewFloat(100_005.11), types.NewFloat(100_010.23), types.NewFloat(100_011)},
 	}
 }
 
@@ -152,7 +184,7 @@ func pageCodeScans(t *testing.T, tbl *Table, rows []types.Row, preds []Pred) map
 	var mu sync.Mutex
 	out := map[string][]int64{}
 	check := func(name string, b *Batch) bool {
-		vs := b.VectorsEnc(nil, []bool{false, false, false, true, false})
+		vs := b.VectorsEnc(nil, pageCodeEncoded)
 		mu.Lock()
 		defer mu.Unlock()
 		for i := 0; i < b.Len(); i++ {
@@ -184,8 +216,8 @@ func pageCodeScans(t *testing.T, tbl *Table, rows []types.Row, preds []Pred) map
 
 // TestPageCodeScanParity: every comparison, ≠, BETWEEN (a GE and an LE
 // conjunct) and the column pairs over strides whose page bases differ
-// select what ScanNaive and a plain Go filter select, at dop 1 and 2, and
-// every row reads back as loaded.
+// and whose pages patch their outliers select what ScanNaive and a plain
+// Go filter select, at dop 1 and 2, and every row reads back as loaded.
 func TestPageCodeScanParity(t *testing.T) {
 	tbl, rows := newPageCodeTable(t)
 	st := tbl.Snapshot()
@@ -209,6 +241,8 @@ func TestPageCodeScanParity(t *testing.T) {
 		[]Pred{{Col: 4, Op: encoding.OpNE, Val: types.NewInt(42)}, {Col: 0, Op: encoding.OpLT, Val: types.NewInt(1_004_500)}},
 		[]Pred{{Col: 3, Op: encoding.OpGE, Val: types.NewString("name020")}, {Col: 4, Op: encoding.OpLE, Val: types.NewInt(5003)}},
 		[]Pred{{Col: 1, Op: encoding.OpGT, Val: types.NewDate(0)}, {Col: 2, Op: encoding.OpLT, Val: types.NewFloat(250.5)}},
+		[]Pred{{Col: 5, Op: encoding.OpGE, Val: types.NewInt(1_000_000)}, {Col: 6, Op: encoding.OpNE, Val: types.NewFloat(100_010.23)}},
+		[]Pred{{Col: 3, Op: encoding.OpGE, Val: types.NewString("name020x")}, {Col: 5, Op: encoding.OpLT, Val: types.NewInt(3000)}},
 	)
 	for _, preds := range cases {
 		want := plainFilter(rows, preds)
@@ -280,6 +314,8 @@ func TestPageCodeInAndNull(t *testing.T) {
 		0: {types.NewInt(1_000_005), types.NewInt(1_007_000), types.NewInt(7)},
 		3: {types.NewString("name007"), types.NewString("name033x"), types.NewString("none")},
 		4: {types.NewInt(0), types.NewInt(42), types.NewInt(5006), types.NewInt(-3)},
+		5: {types.NewInt(1_000_000), types.NewInt(1_001_023), types.NewInt(1_000_147), types.NewInt(7919), types.NewInt(0)},
+		6: {types.NewFloat(100_000), types.NewFloat(100_010.23), types.NewFloat(3.7), types.NewFloat(12)},
 	}
 	type tally struct{ in, null, notNull map[int]int }
 	count := func(get func(ci int) types.Value, t *tally) {
@@ -306,7 +342,7 @@ func TestPageCodeInAndNull(t *testing.T) {
 		got := newTally()
 		var mu sync.Mutex
 		err := scanDop(tbl, nil, dop, func(_ int, b *Batch) bool {
-			vs := b.VectorsEnc(nil, []bool{false, false, false, true, false})
+			vs := b.VectorsEnc(nil, pageCodeEncoded)
 			mu.Lock()
 			defer mu.Unlock()
 			for i := 0; i < b.Len(); i++ {
@@ -325,54 +361,128 @@ func TestPageCodeInAndNull(t *testing.T) {
 			}
 		}
 	}
-	if want.null[4] == 0 || want.in[4] == 0 || want.null[3] == 0 {
+	if want.null[4] == 0 || want.in[4] == 0 || want.null[3] == 0 || want.null[5] == 0 || want.in[5] == 0 || want.in[6] == 0 {
 		t.Fatal("the table must hold NULLs and IN matches")
 	}
 }
 
-// TestPageCodeBytesExact pins Compression().PageBytes to the per-page
-// formula: a sealed page is its packed words at the width of its
-// stride's code span (largest minus smallest non-NULL code), plus a
-// 128-byte NULL bitmap only when the stride has a NULL, plus its 32-byte
-// header; the open stride counts 8 bytes a code.
+// sealedPageBytes returns the bytes of the sealed page of codes (a NULL
+// cell's code ignored) and the exceptions it keeps: its packed words at
+// the width w that makes the page smallest, counting 6 bytes for each
+// offset from the smallest non-NULL code that is wider than w bits (the
+// widest w winning a tie), plus a 128-byte NULL bitmap only when a cell is
+// NULL, plus its 32-byte header.
+func sealedPageBytes(codes []uint64, nulls []bool) (bytes, patched int) {
+	lo, hi, anyNull := uint64(math.MaxUint64), uint64(0), false
+	for i, c := range codes {
+		if nulls[i] {
+			anyNull = true
+		} else {
+			lo, hi = min(lo, c), max(hi, c)
+		}
+	}
+	if lo > hi {
+		lo, hi = 0, 0
+	}
+	bytes = math.MaxInt
+	for w := bitpack.WidthFor(hi - lo); w >= 1; w-- {
+		wide := 0
+		for i, c := range codes {
+			if !nulls[i] && (c-lo)>>w != 0 {
+				wide++
+			}
+		}
+		perWord := 64 / int(w+1)
+		if size := (len(codes)+perWord-1)/perWord*8 + 6*wide; size < bytes {
+			bytes, patched = size, wide
+		}
+	}
+	bytes += 32
+	if anyNull {
+		bytes += page.StrideSize / 8
+	}
+	return bytes, patched
+}
+
+// TestPageCodeBytesExact pins Compression().PageBytes, and every sealed
+// page's MemSize and exception count, to sealedPageBytes of the stride's
+// codes (the rows re-encoded); the open stride counts 8 bytes a code.
+// The column shares in the report sum to PageBytes and count the
+// exceptions.
 func TestPageCodeBytesExact(t *testing.T) {
-	tbl, _ := newPageCodeTable(t)
+	tbl, rows := newPageCodeTable(t)
 	snap := tbl.Snapshot()
 	defer snap.Release()
 	want := 0
-	widths := make([][]uint, len(snap.state().cols))
+	sizes, excs := make([][]int, len(pageCodeSchema())), make([][]int, len(pageCodeSchema()))
 	for ci := range snap.state().cols {
 		c := &snap.state().cols[ci]
-		for _, e := range c.syn {
-			width := bitpack.WidthFor(e.MaxCode - e.MinCode)
-			perWord := 64 / int(width+1)
-			want += (page.StrideSize+perWord-1)/perWord*8 + 32
-			if e.NullCnt > 0 {
-				want += page.StrideSize / 8
+		for s := range c.syn {
+			vals := make([]types.Value, page.StrideSize)
+			nulls := make([]bool, page.StrideSize)
+			for k := range vals {
+				vals[k] = rows[s*page.StrideSize+k][ci]
+				nulls[k] = vals[k].IsNull()
 			}
-			widths[ci] = append(widths[ci], width)
+			codes := make([]uint64, page.StrideSize)
+			c.enc.EncodeAll(vals, codes)
+			size, patched := sealedPageBytes(codes, nulls)
+			pg, err := tbl.loadPageGen(ci, c.gen, s)
+			if err != nil || pg.MemSize() != size || pg.Patched() != patched {
+				t.Fatalf("column %d stride %d: page of %d B with %d exceptions (err %v), want %d B with %d", ci, s, pg.MemSize(), pg.Patched(), err, size, patched)
+			}
+			want += size
+			sizes[ci], excs[ci] = append(sizes[ci], size), append(excs[ci], patched)
 		}
 		want += len(c.openCodes) * 8
 	}
-	if got := tbl.Compression().PageBytes; got != want {
-		t.Fatalf("PageBytes %d, want %d", got, want)
+	rep := tbl.Compression()
+	if rep.PageBytes != want {
+		t.Fatalf("PageBytes %d, want %d", rep.PageBytes, want)
 	}
-	// Known spans: 1 024 sequential ids span 1 023 (10 bits); a stride of
-	// one repeated value or only NULLs packs at width 1.
-	for _, c := range []struct {
-		col, stride int
-		width       uint
-	}{{0, 0, 10}, {0, 8, 10}, {4, 2, 1}, {4, 3, 1}, {4, 0, 7}, {4, 1, 3}} {
-		if got := widths[c.col][c.stride]; got != c.width {
-			t.Errorf("column %d stride %d packs at width %d, want %d", c.col, c.stride, got, c.width)
+	sum := 0
+	for ci, cp := range rep.Columns {
+		sum += cp.PageBytes
+		patched := 0
+		for _, n := range excs[ci] {
+			patched += n
+		}
+		if cp.PatchedCodes != patched {
+			t.Errorf("column %d reports %d patched codes, its pages hold %d", ci, cp.PatchedCodes, patched)
 		}
 	}
-	// Per stride: 205 words of 10-bit ids (2 072 B with the header); the
-	// all-NULL stride's 32 words, its bitmap and header (416 B).
-	if pg, err := tbl.loadPageGen(0, snap.state().cols[0].gen, 4); err != nil || pg.MemSize() != 205*8+32 {
-		t.Errorf("id page: %v, err %v", pg.MemSize(), err)
+	if sum != rep.PageBytes {
+		t.Errorf("column page bytes sum to %d, PageBytes is %d", sum, rep.PageBytes)
 	}
-	if pg, err := tbl.loadPageGen(4, snap.state().cols[4].gen, 2); err != nil || pg.MemSize() != 32*8+128+32 {
-		t.Errorf("all-NULL page: %v, err %v", pg.MemSize(), err)
+	// Known pages. 1 024 sequential ids span 1 023: 205 words of 10 bits
+	// (1 672 B with the header); the all-NULL stride's 32 words of width
+	// 1, its bitmap and header (416 B); no uniform column patches. The
+	// fat-tail BIGINT's narrow values are below 5 000 (13 bits) and its
+	// outliers past a million (20 bits): 13 to 15 bits pack 4 a word (256
+	// words) and 20 only 3 (342), so a stride with 13 outliers (its first
+	// and last position and 11 between) packs 256 words and 13 exceptions
+	// (2 158 B). Stride 2 loses 2 of them to NULLs and holds a bitmap;
+	// stride 3 has no outlier; stride 4's 267 would cost 1 602 B to save
+	// 688, so both pack every code.
+	for _, c := range []struct {
+		col, stride, size, patched int
+	}{
+		{0, 0, 205*8 + 32, 0}, {0, 4, 205*8 + 32, 0}, {4, 2, 32*8 + 128 + 32, 0},
+		{5, 0, 256*8 + 13*6 + 32, 13}, {5, 8, 256*8 + 13*6 + 32, 13},
+		{5, 2, 256*8 + 11*6 + 128 + 32, 11}, {5, 3, 256*8 + 32, 0}, {5, 4, 342*8 + 32, 0},
+	} {
+		if sizes[c.col][c.stride] != c.size || excs[c.col][c.stride] != c.patched {
+			t.Errorf("column %d stride %d: %d B with %d exceptions, want %d B with %d", c.col, c.stride, sizes[c.col][c.stride], excs[c.col][c.stride], c.size, c.patched)
+		}
+	}
+	for _, ci := range []int{0, 1, 2, 4} {
+		if rep.Columns[ci].PatchedCodes != 0 {
+			t.Errorf("column %d patches %d codes", ci, rep.Columns[ci].PatchedCodes)
+		}
+	}
+	// The DOUBLE's outliers and the VARCHAR's extension values in stride 8
+	// patch.
+	if excs[6][0] == 0 || excs[3][8] == 0 {
+		t.Errorf("DOUBLE stride 0 patches %d codes, VARCHAR stride 8 %d", excs[6][0], excs[3][8])
 	}
 }

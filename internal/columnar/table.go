@@ -1037,6 +1037,15 @@ type CompressionReport struct {
 	SynopsisBytes   int
 	CompressedBytes int
 	Ratio           float64
+	Columns         []ColumnPages // per column, in schema order
+}
+
+// ColumnPages is one column's share of a compression report: the bytes of
+// its sealed pages and open stride, which sum over the columns to
+// PageBytes, and the exceptions its sealed pages patch.
+type ColumnPages struct {
+	PageBytes    int
+	PatchedCodes int
 }
 
 // Compression computes the table's compression report over a pinned
@@ -1048,14 +1057,17 @@ func (t *Table) Compression() CompressionReport {
 	var r CompressionReport
 	r.RawBytes = st.rawBytes
 	sealed := st.sealedStrides()
+	r.Columns = make([]ColumnPages, len(st.cols))
 	for ci := range st.cols {
-		c := &st.cols[ci]
+		c, cp := &st.cols[ci], &r.Columns[ci]
 		for s := 0; s < sealed; s++ {
 			if pg, err := t.loadPageGen(ci, c.gen, s); err == nil {
-				r.PageBytes += pg.MemSize()
+				cp.PageBytes += pg.MemSize()
+				cp.PatchedCodes += pg.Patched()
 			}
 		}
-		r.PageBytes += len(c.openCodes) * 8 // open stride unpacked
+		cp.PageBytes += len(c.openCodes) * 8 // open stride unpacked
+		r.PageBytes += cp.PageBytes
 		if c.enc != nil {
 			r.DictBytes += c.enc.MemSize()
 		}

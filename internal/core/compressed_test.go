@@ -15,7 +15,7 @@ func TestMonCompressionView(t *testing.T) {
 	s := newDB(t).NewSession()
 	seedSales(t, s, 2_000)
 	r := mustExec(t, s, `SELECT * FROM MON_COMPRESSION`)
-	if len(r.Columns) != 11 {
+	if len(r.Columns) != 13 {
 		t.Fatalf("columns %v", r.Columns)
 	}
 	var region map[string]string
@@ -45,6 +45,50 @@ func TestMonCompressionView(t *testing.T) {
 	}
 	if region["width"] == "0" {
 		t.Fatalf("region code width must be non-zero")
+	}
+}
+
+// TestMonCompressionColumnPages: MON_COMPRESSION's per-column page bytes
+// sum to the table's, and a fat-tail column (values below 1 000 but for
+// every 97th, past ten million) reports the codes its pages patch, while
+// columns with no outlier report none.
+func TestMonCompressionColumnPages(t *testing.T) {
+	s := newDB(t).NewSession()
+	mustExec(t, s, `CREATE TABLE ft (id BIGINT, uni BIGINT, fat BIGINT)`)
+	const rows = 3_000 // two sealed strides and an open one
+	var b strings.Builder
+	for i := 0; i < rows; i++ {
+		if i%500 == 0 {
+			if i > 0 {
+				mustExec(t, s, b.String())
+			}
+			b.Reset()
+			b.WriteString("INSERT INTO ft VALUES ")
+		} else {
+			b.WriteString(", ")
+		}
+		fat := (i * 7919) % 1_000
+		if i%97 == 0 {
+			fat = 10_000_000 + i
+		}
+		fmt.Fprintf(&b, "(%d, %d, %d)", i, (i*7919)%1_000, fat)
+	}
+	mustExec(t, s, b.String())
+	r := mustExec(t, s, `SELECT column_name, table_page_bytes, column_page_bytes, column_patched_codes FROM MON_COMPRESSION WHERE table_name = 'FT'`)
+	if len(r.Rows) != 3 {
+		t.Fatalf("rows %v", r.Rows)
+	}
+	sum, patched := int64(0), map[string]int64{}
+	for _, row := range r.Rows {
+		sum += row[2].Int()
+		patched[strings.ToLower(row[0].Str())] = row[3].Int()
+	}
+	if table := r.Rows[0][1].Int(); sum != table {
+		t.Fatalf("column page bytes sum to %d, table_page_bytes is %d", sum, table)
+	}
+	// Every 97th row of the two sealed strides is an outlier: 22 of them.
+	if patched["fat"] != 22 || patched["uni"] != 0 || patched["id"] != 0 {
+		t.Fatalf("patched codes %v, want fat 22 and none elsewhere", patched)
 	}
 }
 

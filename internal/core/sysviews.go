@@ -304,7 +304,9 @@ func (m *monMemory) rows() ([]types.Row, error) {
 // monCompression is the storage compression monitor: one row per
 // (table, column) with the column's encoder kind, dictionary cardinality
 // and code width, plus the owning table's page/dictionary/synopsis byte
-// breakdown and overall compression ratio. Dictionary columns with a
+// breakdown and overall compression ratio, then the column's own page
+// bytes (they sum to the table's) and the codes its sealed pages keep as
+// exceptions to their packed width. Dictionary columns with a
 // non-zero cardinality are exactly those eligible for
 // operate-on-compressed-data execution (floats excepted).
 type monCompression struct{ db *DB }
@@ -322,6 +324,8 @@ func (m *monCompression) Schema() types.Schema {
 		{Name: "table_dict_bytes", Kind: types.KindInt},
 		{Name: "table_synopsis_bytes", Kind: types.KindInt},
 		{Name: "table_ratio", Kind: types.KindFloat},
+		{Name: "column_page_bytes", Kind: types.KindInt},
+		{Name: "column_patched_codes", Kind: types.KindInt},
 	}
 }
 
@@ -333,7 +337,7 @@ func (m *monCompression) rows() ([]types.Row, error) {
 			continue
 		}
 		rep := t.Compression()
-		for _, cc := range t.ColumnCompressionReport() {
+		for ci, cc := range t.ColumnCompressionReport() {
 			out = append(out, types.Row{
 				types.NewString(name),
 				types.NewString(cc.Name),
@@ -346,6 +350,8 @@ func (m *monCompression) rows() ([]types.Row, error) {
 				types.NewInt(int64(rep.DictBytes)),
 				types.NewInt(int64(rep.SynopsisBytes)),
 				types.NewFloat(rep.Ratio),
+				types.NewInt(int64(rep.Columns[ci].PageBytes)),
+				types.NewInt(int64(rep.Columns[ci].PatchedCodes)),
 			})
 		}
 	}

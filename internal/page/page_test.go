@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -58,6 +59,23 @@ func checkCodes(t testing.TB, p *Page, codes []uint64, nulls []bool, bounds []ui
 			for i, c := range codes {
 				if want := !null(i) && lo <= c && c <= hi; out.Get(i) != want {
 					t.Fatalf("SelectRange(%d, %d): position %d (code %d, NULL %v) selected %v", lo, hi, i, c, null(i), out.Get(i))
+				}
+			}
+			// A second range ORs into what the first selected, as a
+			// predicate of several ranges does: together, every code past
+			// hi or in [lo, hi].
+			if hi == math.MaxUint64 {
+				continue
+			}
+			out.Reset()
+			p.SelectRange(hi+1, math.MaxUint64, out)
+			p.SelectRange(lo, hi, out)
+			if nulls := p.Nulls(); nulls != nil {
+				out.AndNot(nulls)
+			}
+			for i, c := range codes {
+				if want := !null(i) && (c > hi || lo <= c); out.Get(i) != want {
+					t.Fatalf("SelectRange(%d, max) then (%d, %d): position %d (code %d, NULL %v) selected %v", hi+1, lo, hi, i, c, null(i), out.Get(i))
 				}
 			}
 		}
@@ -149,6 +167,139 @@ func TestPackBaseAndWidth(t *testing.T) {
 	}
 }
 
+// fatTail returns n codes over base whose offsets are below 1<<narrow,
+// but for an offset of 1<<wideBits plus its position at each position in
+// wide.
+func fatTail(n int, base uint64, narrow, wideBits uint, wide ...int) []uint64 {
+	codes := make([]uint64, n)
+	for i := range codes {
+		codes[i] = base + uint64(i*7919)%(1<<narrow)
+	}
+	for _, i := range wide {
+		codes[i] = base + 1<<wideBits + uint64(i)
+	}
+	return codes
+}
+
+// TestPackPatchesOutliers: a page packs its narrow offsets at the width
+// that makes it smallest and keeps the wider ones as exceptions, the
+// widest width of the fewest words winning; a page whose outliers do not
+// pay for their bytes, or that has none, packs every offset.
+func TestPackPatchesOutliers(t *testing.T) {
+	ends := []int{0, 100, 500, 1022, 1023}
+	many := make([]int, 0, 450) // 450 outliers cost 2 700 B: 11 bits save 2 456
+	for i := 0; i < 450; i++ {
+		many = append(many, i*2)
+	}
+	withNulls := make([]bool, StrideSize)
+	for i := range withNulls {
+		withNulls[i] = i%9 == 4
+	}
+	nullCodes := fatTail(StrideSize, 70_000, 10, 20, 0, 1023, 7, 600)
+	for i, null := range withNulls {
+		if null {
+			nullCodes[i] = 0
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		codes   []uint64
+		nulls   []bool
+		width   uint
+		patched int
+		size    int
+	}{
+		// Offsets below 1<<10 and five at 1<<20: 21 bits pack 2 a word
+		// (512 words); 10 and 11 bits both pack 5 (205 words), so 11.
+		{"ends", fatTail(StrideSize, 5000, 10, 20, ends...), nil, 11, 5, 205*8 + 5*6 + 32},
+		{"no outlier", fatTail(StrideSize, 5000, 10, 20), nil, 10, 0, 205*8 + 32},
+		{"outliers do not pay", fatTail(StrideSize, 5000, 10, 20, many...), nil, 21, 0, 512*8 + 32},
+		{"NULLs", nullCodes, withNulls, 11, 4, 205*8 + 4*6 + 128 + 32},
+		// 40 offsets below 8 pack 16 a word at 3 bits (3 words), and one
+		// past 1<<30 would take 31 (20 words).
+		{"short page", fatTail(40, 9, 3, 30, 39), nil, 3, 1, 3*8 + 6 + 32},
+	} {
+		p := Pack(ID{Table: 2}, c.codes, c.nulls)
+		if p.codes.Width() != c.width || p.Patched() != c.patched || p.MemSize() != c.size {
+			t.Errorf("%s: width %d, %d exceptions, %d B; want %d, %d, %d B", c.name, p.codes.Width(), p.Patched(), p.MemSize(), c.width, c.patched, c.size)
+		}
+		for j, pos := range p.excPos {
+			if p.codes.Get(int(pos)) != 0 || c.codes[pos]-p.base != uint64(p.excOff[j]) {
+				t.Errorf("%s: exception %d at %d packs %d and keeps %d", c.name, j, pos, p.codes.Get(int(pos)), p.excOff[j])
+			}
+		}
+		if len(p.Marshal()) != p.MemSize() {
+			t.Errorf("%s: Marshal %d bytes, MemSize %d", c.name, len(p.Marshal()), p.MemSize())
+		}
+		checkCodes(t, p, c.codes, c.nulls, rangeBounds(c.codes))
+		checkCodes(t, roundTrip(t, p), c.codes, c.nulls, rangeBounds(c.codes))
+	}
+}
+
+// TestPageGoldenPatched pins the patched layout: flag 2 in byte 26 and,
+// between the packed words and the CRC, each exception's position (u16)
+// and offset (u32). The page is codes 100 101 102 103 100 101 102 103 100
+// 5100 of table 4, column 1, stride 9: offsets to 3 and one of 5 000 pack
+// at 5 bits (10 a word, one word) with 5 000 at position 9 an exception.
+func TestPageGoldenPatched(t *testing.T) {
+	codes := []uint64{100, 101, 102, 103, 100, 101, 102, 103, 100, 5100}
+	golden := "5bda0500040000000100090000000a0000000100000064000000" + "0300" + // header, flags: no NULLs, patched
+		"40200c40200c0000" + // one word: nine offsets in six-bit cells, and a 0
+		"0900" + "88130000" + // the exception: position 9, offset 5 000
+		"00000000" // CRC, filled in below
+	data, err := hex.DecodeString(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reseal(data)
+	if got := Pack(ID{Table: 4, Column: 1, Stride: 9}, codes, nil).Marshal(); hex.EncodeToString(got) != hex.EncodeToString(data) {
+		t.Fatalf("Marshal\n%x\nwant\n%x", got, data)
+	}
+	p, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCodes(t, p, codes, nil, rangeBounds(codes))
+}
+
+// TestPageUnmarshalBadExceptions: an exception list that does not fill
+// its bytes, whose positions do not ascend or pass the page's end, that
+// patches a NULL cell, or whose offset would fit the packed width is an
+// error even under a valid checksum.
+func TestPageUnmarshalBadExceptions(t *testing.T) {
+	for _, data := range badExceptionPages() {
+		if _, err := Unmarshal(data); err == nil {
+			t.Errorf("page %x read", data)
+		}
+	}
+}
+
+// badExceptionPages returns patched pages edited to break one rule of the
+// exception list each, resealed.
+func badExceptionPages() [][]byte {
+	codes := fatTail(100, 10, 4, 16, 3, 50, 99)
+	nulls := make([]bool, len(codes))
+	nulls[20] = true
+	codes[20] = 0
+	good := Pack(ID{Table: 5}, codes, nulls).Marshal() // width 4: 9 words, 3 exceptions
+	excAt := len(good) - 4 - 3*exceptionSize
+	var out [][]byte
+	for _, edit := range []func([]byte) []byte{
+		func(b []byte) []byte { return append(b[:len(b)-4:len(b)-4], 0, 0, 0, 0, 0) },     // a byte past the last exception
+		func(b []byte) []byte { binary.LittleEndian.PutUint16(b[excAt+6:], 3); return b }, // 3 then 3
+		func(b []byte) []byte { binary.LittleEndian.PutUint16(b[excAt:], 60); return b },  // 60 then 50
+		func(b []byte) []byte { binary.LittleEndian.PutUint16(b[excAt+12:], 100); return b },
+		func(b []byte) []byte { binary.LittleEndian.PutUint16(b[excAt+6:], 20); return b }, // the NULL cell
+		func(b []byte) []byte { binary.LittleEndian.PutUint32(b[excAt+2:], 15); return b }, // fits 4 bits
+		func(b []byte) []byte { return append(b[:excAt:excAt], 0, 0, 0, 0) },               // flagged, none listed
+	} {
+		data := edit(append([]byte(nil), good...))
+		reseal(data)
+		out = append(out, data)
+	}
+	return out
+}
+
 // TestPageMemSizeExact: the packed words, the bitmap only when held, and
 // the 32-byte header; the serialized page is exactly that long.
 func TestPageMemSizeExact(t *testing.T) {
@@ -226,14 +377,19 @@ func reseal(data []byte) {
 
 // TestPageUnmarshalInconsistentHeader: a header whose code count the
 // packed words cannot hold, whose flags are unknown, or that claims a
-// bitmap the body lacks is an error even under a valid checksum.
+// bitmap or exceptions the body lacks is an error even under a valid
+// checksum.
 func TestPageUnmarshalInconsistentHeader(t *testing.T) {
-	p := Pack(ID{}, []uint64{1, 2, 3, 4, 5, 6, 7, 200}, nil) // width 8: 7 a word
+	p := Pack(ID{}, []uint64{1, 30, 60, 90, 120, 150, 180, 200}, nil) // width 8: 7 a word
+	if p.Patched() != 0 || p.codes.Width() != 8 {
+		t.Fatalf("width %d with %d exceptions, want 8 and none", p.codes.Width(), p.Patched())
+	}
 	for _, edit := range []func([]byte){
 		func(b []byte) { binary.LittleEndian.PutUint32(b[14:], 100) }, // 100 codes in 2 words
-		func(b []byte) { b[26] |= 2 },
+		func(b []byte) { b[26] |= 4 },
 		func(b []byte) { b[27] = 1 },
-		func(b []byte) { b[26] = 0 }, // a bitmap the body does not hold
+		func(b []byte) { b[26] = 0 },  // a bitmap the body does not hold
+		func(b []byte) { b[26] |= 2 }, // exceptions the body does not hold
 	} {
 		data := p.Marshal()
 		edit(data)
@@ -266,24 +422,35 @@ func TestPageMemSizeReflectsWidth(t *testing.T) {
 }
 
 // Property: Pack → Marshal → Unmarshal answers as the codes do, for
-// random pages of random span, base and NULL density.
+// random pages of random span, base, NULL density and outliers; some of
+// the pages drawn are patched.
 func TestPageRoundTripProperty(t *testing.T) {
+	patched := 0
 	f := func(seed int64, widthSel uint8, nSel uint16) bool {
 		codes, nulls := drawPage(seed, widthSel, nSel)
-		got, err := Unmarshal(Pack(ID{Table: uint32(seed)}, codes, nulls).Marshal())
+		p := Pack(ID{Table: uint32(seed)}, codes, nulls)
+		if p.Patched() > 0 {
+			patched++
+		}
+		got, err := Unmarshal(p.Marshal())
 		if err != nil {
 			return false
 		}
 		checkCodes(t, got, codes, nulls, rangeBounds(codes))
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+	if patched == 0 {
+		t.Error("no drawn page was patched")
 	}
 }
 
 // drawPage draws up to a stride of codes of some span over some base, with
-// NULLs at some density (none, some or all).
+// NULLs at some density (none, some or all) and, on some pages, outliers:
+// a cell in every few, tens or hundreds whose code lies anywhere up to 32
+// bits.
 func drawPage(seed int64, widthSel uint8, nSel uint16) ([]uint64, []bool) {
 	rng := rand.New(rand.NewSource(seed))
 	width := uint(widthSel%32) + 1
@@ -291,9 +458,13 @@ func drawPage(seed int64, widthSel uint8, nSel uint16) ([]uint64, []bool) {
 	base := rng.Uint64() & (1<<32 - 1) >> (rng.Intn(33))
 	span := uint64(1)<<width - 1
 	density := []int{0, 0, 10, 2, 1}[rng.Intn(5)]
+	outliers := []int{0, 0, 300, 60, 5}[rng.Intn(5)]
 	codes, nulls := make([]uint64, n), make([]bool, n)
 	for i := range codes {
 		codes[i] = min(base+rng.Uint64()&span, 1<<32-1)
+		if outliers > 0 && rng.Intn(outliers) == 0 {
+			codes[i] = max(base, rng.Uint64()&(1<<32-1))
+		}
 		nulls[i] = density > 0 && rng.Intn(density) == 0
 		if nulls[i] {
 			codes[i] = 0
@@ -307,11 +478,16 @@ func drawPage(seed int64, widthSel uint8, nSel uint16) ([]uint64, []bool) {
 
 // FuzzPageRoundTrip: Unmarshal of any bytes returns a page or an error,
 // never a panic, and a page packed from drawn codes reads back through
-// Marshal and Unmarshal as those codes.
+// Marshal and Unmarshal as those codes. The seeds include patched pages
+// and exception lists Unmarshal must refuse.
 func FuzzPageRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint16(1000), []byte{})
 	f.Add(int64(2), uint8(31), uint16(1024), []byte{0x5b, 0xda})
 	f.Add(int64(3), uint8(0), uint16(7), Pack(ID{Table: 9}, []uint64{4, 4, 5}, []bool{false, true, false}).Marshal())
+	f.Add(int64(4), uint8(9), uint16(1024), Pack(ID{Table: 9}, fatTail(StrideSize, 77, 9, 24, 0, 5, 1023), nil).Marshal())
+	for i, bad := range badExceptionPages() {
+		f.Add(int64(5+i), uint8(i), uint16(1024), bad)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, widthSel uint8, nSel uint16, raw []byte) {
 		if p, err := Unmarshal(raw); err == nil {
 			for i := 0; i < p.Rows(); i++ {
@@ -327,4 +503,51 @@ func FuzzPageRoundTrip(f *testing.F) {
 		}
 		checkCodes(t, got, codes, nulls, rangeBounds(codes))
 	})
+}
+
+// BenchmarkPageGather gathers a stride of codes from a page packed at 24
+// bits (two codes a word) and from a patched page whose offsets are 17
+// bits but for ten of 24 (packed three a word at 20 bits, the widest
+// width of that many words, with ten exceptions), over every position and
+// over every eighth. It reports 0 allocs/op: the patch is a loop over the
+// exceptions, not a copy.
+func BenchmarkPageGather(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	wide, narrow := make([]uint64, StrideSize), make([]uint64, StrideSize)
+	for i := range wide {
+		wide[i] = rng.Uint64() & (1<<24 - 1)
+		narrow[i] = rng.Uint64() & (1<<17 - 1)
+	}
+	wide[0] = 1<<24 - 1
+	for j := 0; j < 10; j++ {
+		narrow[j*101] = 1<<23 + uint64(j)
+	}
+	unpatched, patched := Pack(ID{}, wide, nil), Pack(ID{}, narrow, nil)
+	if unpatched.codes.Width() != 24 || unpatched.Patched() != 0 || patched.codes.Width() != 20 || patched.Patched() != 10 {
+		b.Fatalf("pages at %d and %d bits with %d and %d exceptions", unpatched.codes.Width(), patched.codes.Width(), unpatched.Patched(), patched.Patched())
+	}
+	var every, eighth []int
+	for i := 0; i < StrideSize; i++ {
+		every = append(every, i)
+		if i%8 == 0 {
+			eighth = append(eighth, i)
+		}
+	}
+	for _, pg := range []struct {
+		name string
+		p    *Page
+	}{{"unpatched24", unpatched}, {"patched20x10", patched}} {
+		for _, sel := range []struct {
+			name string
+			sel  []int
+		}{{"full", every}, {"eighth", eighth}} {
+			b.Run(pg.name+"/"+sel.name, func(b *testing.B) {
+				dst := make([]uint64, StrideSize)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					dst, _ = pg.p.Gather(sel.sel, dst)
+				}
+			})
+		}
+	}
 }
