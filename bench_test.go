@@ -268,11 +268,7 @@ func BenchmarkFigHSparkIntegration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := d.SubmitFunc("bench", "glm", func(ctx *spark.Context) (interface{}, error) {
-			ds, err := ctx.Table("pts", "")
-			if err != nil {
-				return nil, err
-			}
-			return ds.TrainGLM(2, []int{1}, spark.GLMConfig{Family: spark.Gaussian, Iterations: 20, LearnRate: 0.3})
+			return ctx.TrainGLM("pts", "", "y", []string{"x"}, spark.Gaussian)
 		})
 		if _, err := d.Wait(id); err != nil {
 			b.Fatal(err)

@@ -158,11 +158,7 @@ func TestClusterSpark(t *testing.T) {
 
 	d := cl.Spark()
 	id := d.SubmitFunc("ana", "fit", func(ctx *dashdb.SparkContext) (interface{}, error) {
-		ds, err := ctx.Table("pts", "")
-		if err != nil {
-			return nil, err
-		}
-		return ds.TrainGLM(2, []int{1}, dashdb.GLMConfig{Family: dashdb.Gaussian, Iterations: 300, LearnRate: 0.3})
+		return ctx.TrainGLM("pts", "", "y", []string{"x"}, dashdb.Gaussian)
 	})
 	res, err := d.Wait(id)
 	if err != nil {

@@ -243,8 +243,9 @@ func FigureG() (string, error) {
 	return b.String(), nil
 }
 
-// FigureH reports the integrated-Spark measurements: pushdown transfer
-// reduction and scaling of a distributed GLM as nodes grow (Figures 6–7),
+// FigureH reports the integrated-Spark measurements: the rows a GLM fit
+// moves (each shard's partial sums, against the table's rows), pushdown
+// transfer reduction, and scaling of the fit as nodes grow (Figures 6–7),
 // with the shards in this process and behind loopback shard servers.
 func FigureH(rowsPerNode int) (string, error) {
 	var b strings.Builder
@@ -260,8 +261,8 @@ func FigureH(rowsPerNode int) (string, error) {
 }
 
 // figureHRun trains a GLM over total rows on a cluster of nodes with two
-// shards each, then reads the rows with x < 100, and reports what each
-// moved.
+// shards each, then reads the table whole and the rows with x < 100, and
+// reports what each moved.
 func figureHRun(b *strings.Builder, nodes, total int, socket bool) error {
 	kind := "in-process"
 	var c *mpp.NetCluster
@@ -309,17 +310,23 @@ func figureHRun(b *strings.Builder, nodes, total int, socket bool) error {
 		return after.PulledRows - before.PulledRows, after.PulledBytes - before.PulledBytes, err
 	}
 	t0 := time.Now()
-	fullRows, fullBytes, err := moved(func(ctx *spark.Context) (interface{}, error) {
-		ds, err := ctx.Table("pts", "")
-		if err != nil {
-			return nil, err
-		}
-		return ds.TrainGLM(2, []int{1}, spark.GLMConfig{Family: spark.Gaussian, Iterations: 50, LearnRate: 0.3})
+	fitRows, _, err := moved(func(ctx *spark.Context) (interface{}, error) {
+		return ctx.TrainGLM("pts", "", "y", []string{"x"}, spark.Gaussian)
 	})
 	if err != nil {
 		return err
 	}
 	glmTime := time.Since(t0)
+	fullRows, fullBytes, err := moved(func(ctx *spark.Context) (interface{}, error) {
+		ds, err := ctx.Table("pts", "")
+		if err != nil {
+			return nil, err
+		}
+		return ds.Count(), nil
+	})
+	if err != nil {
+		return err
+	}
 	pushedRows, pushedBytes, err := moved(func(ctx *spark.Context) (interface{}, error) {
 		ds, err := ctx.Table("pts", "x < 100")
 		if err != nil {
@@ -330,8 +337,8 @@ func figureHRun(b *strings.Builder, nodes, total int, socket bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(b, "  %s %d node(s): GLM over %7d rows in %7v; pushdown moved %d of %d rows (%.0f%% saved)",
-		kind, nodes, total, glmTime.Round(time.Millisecond),
+	fmt.Fprintf(b, "  %s %d node(s): GLM over %7d rows in %7v moved %d rows (%d shards x 2 statements); pushdown moved %d of %d rows (%.0f%% saved)",
+		kind, nodes, total, glmTime.Round(time.Millisecond), fitRows, c.NShards(),
 		pushedRows, fullRows, 100*(1-float64(pushedRows)/float64(fullRows)))
 	if socket {
 		fmt.Fprintf(b, ", %d of %d KB", pushedBytes>>10, fullBytes>>10)

@@ -296,6 +296,15 @@ func (s *Session) SetUser(u string) { s.user = u }
 // User returns the session user.
 func (s *Session) User() string { return s.user }
 
+// TableSchema returns the columns of a base table.
+func (s *Session) TableSchema(name string) (types.Schema, error) {
+	t, ok := s.db.Table(name)
+	if !ok {
+		return nil, fmt.Errorf("core: table %s does not exist", name)
+	}
+	return t.Schema(), nil
+}
+
 // SetDialect switches the session's SQL dialect.
 func (s *Session) SetDialect(d sql.Dialect) { s.dialect = d }
 

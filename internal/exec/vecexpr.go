@@ -17,6 +17,7 @@ import (
 var (
 	errDivisionByZero   = errors.New("sql: division by zero")
 	errUnsupportedArith = errors.New("sql: unsupported arithmetic")
+	errNotNumeric       = errors.New("sql: expected numeric argument")
 )
 
 // Formatted error constructors for the vector dispatch path. Each is
@@ -601,6 +602,45 @@ func (e *NegExpr) EvalVec(b *vec.Batch) (*vec.Vector, error) {
 		}
 		return out, nil
 	}
+}
+
+// FloatFunc is a strict scalar function of one number as a kernel: Fn of
+// each argument value as a DOUBLE (a number converted in place, any other
+// value through Value.AsFloat), NULL for NULL, in a typed float vector, so
+// arithmetic over it keeps its typed path.
+type FloatFunc struct {
+	Arg Expr
+	Fn  func(float64) float64
+}
+
+// EvalVec implements Expr.
+//
+//dashdb:hotpath
+func (e *FloatFunc) EvalVec(b *vec.Batch) (*vec.Vector, error) {
+	v, err := e.Arg.EvalVec(b)
+	if err != nil {
+		return nil, err
+	}
+	v.Materialize()
+	out := vec.New(types.KindFloat, b.N)
+	for _, i := range b.Idx() {
+		x := 0.0
+		switch {
+		case v.IsNull(i):
+			out.SetNull(i)
+			continue
+		case v.Kind == types.KindFloat || v.Kind == types.KindInt:
+			x = numAt(v, i)
+		default:
+			f, ok := v.Get(i).AsFloat()
+			if !ok {
+				return nil, errNotNumeric
+			}
+			x = f
+		}
+		out.F64[i] = e.Fn(x)
+	}
+	return out, nil
 }
 
 // ApplyExpr calls a scalar function once per live position. It is the form

@@ -294,6 +294,39 @@ func TestPlainSelectScatter(t *testing.T) {
 	})
 }
 
+// TestExpressionGroupsScatter: a GROUP BY over an expression keeps its
+// partial aggregation on the shards, so a statement pulls at most one row
+// per shard and group, and answers as one engine does.
+func TestExpressionGroupsScatter(t *testing.T) {
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.salesCluster(2000)
+		ref := referenceOf(t, c)
+		for q, groups := range map[string]uint64{
+			"SELECT id % 3, COUNT(*), SUM(amount) FROM sales GROUP BY id % 3 ORDER BY 1": 3,
+			"SELECT CASE WHEN amount < 30 THEN 0 WHEN amount < 60 THEN 1 ELSE 2 END AS g, COUNT(*), MAX(id) FROM sales" +
+				" GROUP BY CASE WHEN amount < 30 THEN 0 WHEN amount < 60 THEN 1 ELSE 2 END ORDER BY g": 3,
+		} {
+			before := c.Stats()
+			got, err := c.Query(q)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			one, err := ref.Exec(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAnswer(t, q, got, one)
+			st := c.Stats()
+			if st.FastPathQueries != before.FastPathQueries+1 || st.GatherPathQueries != before.GatherPathQueries {
+				t.Fatalf("%s took paths %+v, want the fast path", q, st)
+			}
+			if pulled := st.PulledRows - before.PulledRows; pulled > uint64(c.NShards())*groups {
+				t.Fatalf("%s pulled %d rows, want at most %d shards x %d groups", q, pulled, c.NShards(), groups)
+			}
+		}
+	})
+}
+
 func TestGatherPathFallback(t *testing.T) {
 	forEachClient(t, func(t *testing.T, h *harness) {
 		c := h.salesCluster(1000)
@@ -1509,6 +1542,10 @@ func TestParityGenerated(t *testing.T) {
 			// Sort keys the block does not select: final sorts by a hidden column.
 			"SELECT region FROM sales GROUP BY region ORDER BY SUM(amount) + 1 DESC, COUNT(*)",
 			"SELECT UPPER(region) AS k, SUM(amount) FROM sales GROUP BY region HAVING COUNT(*) > 1 ORDER BY region DESC",
+			// Group terms over expressions: the shards group by them as _G<i>.
+			"SELECT id / 100, COUNT(*) FROM sales GROUP BY id / 100 ORDER BY 1",
+			"SELECT s.id % 4 + 1 AS m, AVG(amount) FROM sales s GROUP BY id % 4 HAVING s.id % 4 > 0 ORDER BY id % 4 DESC LIMIT 2",
+			"SELECT region, CASE WHEN amount < 10 THEN 'lo' ELSE 'hi' END AS band, COUNT(*) FROM sales GROUP BY region, CASE WHEN amount < 10 THEN 'lo' ELSE 'hi' END ORDER BY region, band",
 		} {
 			check(q, &want.FastPathQueries)
 		}
@@ -1525,7 +1562,9 @@ func TestParityGenerated(t *testing.T) {
 			t.Fatalf("generator drew %+v: too few of one placement to mean anything", want)
 		}
 		for _, q := range []string{
-			"SELECT id / 100, COUNT(*) FROM sales GROUP BY id / 100 ORDER BY 1",
+			// An ordinal or an output name is not a term the shards can group by.
+			"SELECT id / 100, COUNT(*) FROM sales GROUP BY 1 ORDER BY 1",
+			"SELECT id / 100 AS h, COUNT(*) FROM sales GROUP BY h ORDER BY 1",
 			"SELECT COUNT(DISTINCT region) FROM sales",
 			"SELECT MEDIAN(amount) FROM sales",
 			"SELECT PERCENTILE_CONT(0.5) WITHIN GROUP (ORDER BY amount) FROM sales",
@@ -2065,6 +2104,7 @@ func TestParityGroupLimit(t *testing.T) {
 			"SELECT k1 AS k, COUNT(*) FROM g GROUP BY k1 ORDER BY k LIMIT 2 OFFSET 1",
 			"SELECT SUM(v), COUNT(*) FROM g GROUP BY k2 ORDER BY k2 LIMIT 3",
 			"SELECT k2, SUM(v) AS s FROM g GROUP BY k2 ORDER BY k2 DESC LIMIT 0",
+			"SELECT k2 % 4, COUNT(*), SUM(v) FROM g GROUP BY k2 % 4 ORDER BY k2 % 4 DESC LIMIT 2",
 			// None of these may push.
 			"SELECT k1, COUNT(*) FROM g GROUP BY k1 HAVING COUNT(*) > 70 ORDER BY k1 LIMIT 2",
 			"SELECT k2, SUM(v) FROM g GROUP BY k2 ORDER BY SUM(v) DESC, k2 LIMIT 3",

@@ -778,6 +778,15 @@ func (c *NetCluster) tableMeta(name string) (*tableMeta, error) {
 	return meta, nil
 }
 
+// TableSchema returns a cluster table's columns.
+func (c *NetCluster) TableSchema(name string) (types.Schema, error) {
+	meta, err := c.tableMeta(name)
+	if err != nil {
+		return nil, err
+	}
+	return meta.schema, nil
+}
+
 // Insert routes rows to shards by distribution-key hash; replicated
 // tables receive every row on every shard. The rows become typed lanes
 // once, before any shard is called, so a value the schema refuses refuses

@@ -60,6 +60,12 @@ func (c *NetCluster) QueryDialect(text string, d sql.Dialect) (*core.Result, err
 	}
 }
 
+// Select runs a parsed SELECT cluster-wide (ANSI dialect): the entry of a
+// caller that builds its statement as a tree, such as the analytics fits.
+func (c *NetCluster) Select(sel *sql.SelectStmt) (*core.Result, error) {
+	return c.netSelect(sel, sql.DialectANSI, "")
+}
+
 // movesRows reports an UPDATE, alone or in a block, that assigns a
 // distributed table's distribution column: the row would stay on the shard
 // its old value hashed to, unseen by a statement pinned to the new value.
@@ -402,18 +408,7 @@ func (c *NetCluster) ReadShards(table, where string, cols []string) ([]*shardrpc
 		if in.sel.Where, err = sql.ParseExpr(where, sql.DialectANSI); err != nil {
 			return nil, err
 		}
-		scope := fromScope{{alias: table, name: table, meta: meta}}
-		sql.WalkExpr(in.sel.Where, func(e sql.Expr) bool {
-			if sql.SubqueryOf(e) != nil {
-				err = fmt.Errorf("mpp: a read of %s cannot filter with a subquery", table)
-			} else if ref, ok := e.(*sql.ColumnRef); ok {
-				if _, _, ok := scope.resolve(ref); !ok {
-					err = fmt.Errorf("mpp: table %s has no column %s", table, ref.Column)
-				}
-			}
-			return err == nil
-		})
-		if err != nil {
+		if err := sql.CheckTableFilter(in.sel.Where, table, meta.schema); err != nil {
 			return nil, err
 		}
 	}

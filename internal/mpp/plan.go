@@ -205,6 +205,26 @@ func (f fromScope) resolve(ref *sql.ColumnRef) (ti, ci int, ok bool) {
 	return ti, ci, ti >= 0
 }
 
+// qualify copies e with every column reference bound to its table's alias
+// and the column's own name, so two spellings of one expression are equal
+// under reflect.DeepEqual; ok is false when a reference resolves to no
+// single column (it is left as written).
+func (f fromScope) qualify(e sql.Expr) (q sql.Expr, ok bool) {
+	ok = true
+	q = sql.MapExpr(e, func(e sql.Expr) sql.Expr {
+		ref, isRef := e.(*sql.ColumnRef)
+		if !isRef {
+			return nil
+		}
+		if ti, ci, found := f.resolve(ref); found {
+			return &sql.ColumnRef{Table: f[ti].alias, Column: f[ti].meta.schema[ci].Name}
+		}
+		ok = false
+		return ref
+	})
+	return q, ok
+}
+
 // expandStars replaces * and t.* the way the compiler will on the shard,
 // so the output names are known at plan time; ok is false for a t.* that
 // matches no table.
@@ -278,30 +298,32 @@ func walkSelect(sel *sql.SelectStmt, visit func(sql.Expr) bool) {
 // statement every shard runs over its slice and the statement that turns
 // the shards' rows into the answer, by substitution, not by shape.
 //
-// An aggregating block needs every GROUP BY term to be a column and every
-// aggregate call to be COUNT, SUM, MIN, MAX or AVG without DISTINCT. The
-// shards compute the group columns as _G<i> and one partial per distinct
-// call as _P<i> (AVG: _P<i>_S and _P<i>_C); final groups the partials by
-// the _G<i> and is the user's select list, HAVING and ORDER BY with each
-// group column and aggregate call replaced by its merge expression —
-// SUM(_P<i>), MIN, MAX, CAST(SUM(_P<i>_S) AS DOUBLE) / SUM(_P<i>_C) —
-// wherever it stands: before a group column, under arithmetic, in a
-// predicate. A plain block has the shards evaluate each item as _C<i>
+// An aggregating block needs every GROUP BY term to be a column or an
+// expression over columns, and every aggregate call to be COUNT, SUM, MIN,
+// MAX or AVG without DISTINCT. The shards compute the group terms as _G<i>
+// and one partial per distinct call as _P<i> (AVG: _P<i>_S and _P<i>_C);
+// final groups the partials by the _G<i> and is the user's select list,
+// HAVING and ORDER BY with each group term (any subtree equal to it once
+// references are qualified) and aggregate call replaced by its merge
+// expression — SUM(_P<i>), MIN, MAX, CAST(SUM(_P<i>_S) AS DOUBLE) /
+// SUM(_P<i>_C) — wherever it stands: before a group column, under
+// arithmetic, in a predicate. A plain block has the shards evaluate each item as _C<i>
 // (keeping only their top OFFSET+LIMIT rows when there is a LIMIT) and
 // final re-sort the concatenation. Either way final keeps the user's
 // output names, LIMIT and OFFSET.
 //
 // An aggregating block with a LIMIT, no HAVING and an ORDER BY that names
-// exactly the full set of its group columns — by output name, ordinal or
-// column, in any order and either direction — also has the shards keep
+// exactly the full set of its group terms — by output name, ordinal or
+// expression, in any order and either direction — also has the shards keep
 // only their first OFFSET+LIMIT groups in that order. Group keys order
 // the groups totally, and a group's rank on a shard is at most its rank
 // over the union, so every partial of every group final keeps arrives.
 //
 // ok is false for what the substitution cannot express — CTEs, UNION,
-// DISTINCT, expressions that need the whole table, other group terms and
-// aggregates, a column that is neither grouped nor aggregated, ORDER BY a
-// column a plain block does not output — and the statement gathers.
+// DISTINCT, expressions that need the whole table, other aggregates, a
+// literal or output-name group term, a column outside every group term and
+// aggregate, ORDER BY a column a plain block does not output — and the
+// statement gathers.
 func cutSelect(sel *sql.SelectStmt, from fromScope) (shard, final *sql.SelectStmt, ok bool) {
 	items, ok := from.expandStars(sel.Items)
 	if !ok || len(sel.With) > 0 || sel.Union != nil || sel.Distinct || needsWholeTable(sel) {
@@ -359,16 +381,13 @@ func cutSelect(sel *sql.SelectStmt, from fromScope) (shard, final *sql.SelectStm
 
 	m := merger{from: from}
 	for i, g := range sel.GroupBy {
-		ref, isRef := g.(*sql.ColumnRef)
-		if !isRef {
-			return nil, nil, false
-		}
-		ti, ci, ok := from.resolve(ref)
-		if !ok {
+		// A literal may be an ordinal; an output name resolves to no column.
+		q, ok := from.qualify(g)
+		if _, isLit := g.(*sql.Literal); isLit || !ok {
 			return nil, nil, false
 		}
 		col := &sql.ColumnRef{Column: fmt.Sprintf("_G%d", i)}
-		m.groups = append(m.groups, groupColumn{ti, ci, col})
+		m.groups = append(m.groups, groupTerm{q, col})
 		shard.Items = append(shard.Items, sql.SelectItem{Expr: g, Alias: col.Column})
 		final.GroupBy = append(final.GroupBy, col)
 	}
@@ -403,11 +422,11 @@ func cutSelect(sel *sql.SelectStmt, from fromScope) (shard, final *sql.SelectStm
 }
 
 // groupOrder is the shard statement's ORDER BY for an ORDER BY that sorts
-// by exactly the full set of group columns, by the ordinals of their _G<i>
+// by exactly the full set of group terms, by the ordinals of their _G<i>
 // items; ok is false for any other ORDER BY. A bare reference names an
 // output column first, as the compiler has it, and that item must be a
-// group column itself; a name several outputs share does not push.
-func groupOrder(order []sql.OrderItem, items []sql.SelectItem, names []string, from fromScope, groups []groupColumn) ([]sql.OrderItem, bool) {
+// group term itself; a name several outputs share does not push.
+func groupOrder(order []sql.OrderItem, items []sql.SelectItem, names []string, from fromScope, groups []groupTerm) ([]sql.OrderItem, bool) {
 	if len(order) == 0 {
 		return nil, false
 	}
@@ -432,14 +451,10 @@ func groupOrder(order []sql.OrderItem, items []sql.SelectItem, names []string, f
 				return nil, false
 			}
 		}
-		ref, isRef := e.(*sql.ColumnRef)
-		if !isRef || ref.OuterJoin {
-			return nil, false
-		}
-		ti, ci, ok := from.resolve(ref)
+		q, ok := from.qualify(e)
 		hit := false
-		for g, gc := range groups {
-			if ok && gc.ti == ti && gc.ci == ci {
+		for g, gt := range groups {
+			if ok && reflect.DeepEqual(gt.expr, q) {
 				if !hit {
 					out = append(out, sql.OrderItem{Ordinal: g + 1, Desc: o.Desc})
 				}
@@ -461,33 +476,36 @@ func groupOrder(order []sql.OrderItem, items []sql.SelectItem, names []string, f
 // shards must compute for them.
 type merger struct {
 	from     fromScope
-	groups   []groupColumn
+	groups   []groupTerm
 	calls    []*sql.FuncCall // distinct aggregate calls, references qualified
 	merges   []sql.Expr      // merges[i] is what stands for calls[i] in final
 	partials []sql.SelectItem
 	failed   bool // met something with no merge expression
 }
 
-type groupColumn struct {
-	ti, ci int
-	col    *sql.ColumnRef // the _G<i> final reads it as
+// groupTerm is one GROUP BY term, a column or an expression over columns.
+type groupTerm struct {
+	expr sql.Expr       // the term, references qualified
+	col  *sql.ColumnRef // the _G<i> final reads it as
 }
 
+// merge substitutes, parents first, the _G<i> for a subtree equal to a
+// group term once references are qualified and the merge expression for
+// an aggregate call; a column reference left over fails.
 func (m *merger) merge(e sql.Expr) sql.Expr {
 	return sql.MapExpr(e, func(e sql.Expr) sql.Expr {
 		if fc, agg := sql.AggregateCall(e); agg {
 			return m.mergeCall(fc)
 		}
-		if ref, isRef := e.(*sql.ColumnRef); isRef {
-			if ti, ci, ok := m.from.resolve(ref); ok {
-				for _, g := range m.groups {
-					if g.ti == ti && g.ci == ci {
-						return g.col
-					}
+		if q, ok := m.from.qualify(e); ok {
+			for _, g := range m.groups {
+				if reflect.DeepEqual(g.expr, q) {
+					return g.col
 				}
 			}
-			m.failed = true
 		}
+		_, isRef := e.(*sql.ColumnRef)
+		m.failed = m.failed || isRef
 		return nil
 	})
 }
@@ -505,14 +523,8 @@ func (m *merger) mergeCall(fc *sql.FuncCall) sql.Expr {
 		m.failed = true
 		return fc
 	}
-	call := sql.MapExpr(fc, func(e sql.Expr) sql.Expr {
-		if ref, isRef := e.(*sql.ColumnRef); isRef {
-			if ti, ci, ok := m.from.resolve(ref); ok {
-				return &sql.ColumnRef{Table: m.from[ti].alias, Column: m.from[ti].meta.schema[ci].Name}
-			}
-		}
-		return nil
-	}).(*sql.FuncCall)
+	q, _ := m.from.qualify(fc)
+	call := q.(*sql.FuncCall)
 	for i, seen := range m.calls {
 		if reflect.DeepEqual(seen, call) {
 			return m.merges[i]

@@ -202,6 +202,7 @@ func TestGroupLimitPlan(t *testing.T) {
 		"SELECT status, txn_type, COUNT(*) FROM transactions GROUP BY status, txn_type ORDER BY txn_type DESC, 1 LIMIT 3 OFFSET 2":    {{Ordinal: 2, Desc: true}, {Ordinal: 1}},
 		"SELECT COUNT(*) AS n FROM transactions GROUP BY status, txn_type ORDER BY transactions.txn_type, status LIMIT 5":             {{Ordinal: 2}, {Ordinal: 1}},
 		"SELECT status AS s, COUNT(*) FROM transactions GROUP BY status ORDER BY s DESC LIMIT 2":                                      {{Ordinal: 1, Desc: true}},
+		"SELECT LOWER(status), COUNT(*) FROM transactions GROUP BY LOWER(status) ORDER BY LOWER(transactions.status) DESC LIMIT 2":    {{Ordinal: 1, Desc: true}},
 	}
 	for q, want := range pushes {
 		p, _ := plan(t, c, q)

@@ -1,9 +1,12 @@
 package spark
 
 import (
-	"fmt"
 	"sync"
 
+	"dashdb/internal/analytics"
+	"dashdb/internal/core"
+	"dashdb/internal/mpp"
+	"dashdb/internal/sql"
 	"dashdb/internal/types"
 )
 
@@ -47,6 +50,52 @@ func (c *Context) Table(table, where string, cols ...string) (*Dataset, error) {
 		parts[i] = r.Rows()
 	}
 	return &Dataset{ctx: c, partitions: parts}, nil
+}
+
+// engine runs a context's fits on its cluster, the job's cancellation
+// checked before each statement.
+type engine struct {
+	*mpp.NetCluster
+	ctx *Context
+}
+
+func (e engine) Select(sel *sql.SelectStmt) (*core.Result, error) {
+	e.ctx.checkCancelled()
+	return e.NetCluster.Select(sel)
+}
+
+// The models, one per algorithm, are the analytics library's.
+type (
+	// GLMFamily selects the generalized linear model link.
+	GLMFamily = analytics.GLMFamily
+	// GLMModel is a fitted generalized linear model.
+	GLMModel = analytics.GLMModel
+	// KMeansModel is a fitted k-means clustering.
+	KMeansModel = analytics.KMeansModel
+)
+
+// GLM families.
+const (
+	// Gaussian is ordinary least-squares linear regression.
+	Gaussian = analytics.Gaussian
+	// Binomial is logistic regression.
+	Binomial = analytics.Binomial
+)
+
+// TrainGLM fits a generalized linear model of label on features over the
+// rows of table that where (optional SQL over its columns) admits
+// (analytics.TrainGLM). Every statement of the fit is a partial aggregate
+// each shard computes over its own rows, so no row leaves its shard: only
+// each shard's sums do.
+func (c *Context) TrainGLM(table, where, label string, features []string, family GLMFamily) (*GLMModel, error) {
+	return analytics.TrainGLM(engine{c.cm.d.cluster, c}, table, where, label, features, family)
+}
+
+// KMeans clusters the feature columns of the rows of table that where
+// admits into k groups (analytics.KMeans), each iteration a GROUP BY the
+// shards aggregate where the rows are.
+func (c *Context) KMeans(table, where string, features []string, k int) (*KMeansModel, error) {
+	return analytics.KMeans(engine{c.cm.d.cluster, c}, table, where, features, k)
 }
 
 // Parallelize distributes in-memory rows across the workers.
@@ -122,80 +171,6 @@ func (d *Dataset) transform(fn func([]types.Row) []types.Row) *Dataset {
 	return &Dataset{ctx: d.ctx, partitions: parts}
 }
 
-// Aggregate folds every partition with seqOp then merges partials with
-// combOp (the treeAggregate shape MLlib uses for gradients).
-func (d *Dataset) Aggregate(zero func() interface{}, seqOp func(acc interface{}, row types.Row) interface{}, combOp func(a, b interface{}) interface{}) interface{} {
-	d.ctx.checkCancelled()
-	partials := make([]interface{}, len(d.partitions))
-	var wg sync.WaitGroup
-	for i, p := range d.partitions {
-		wg.Add(1)
-		go func(i int, p []types.Row) {
-			defer wg.Done()
-			acc := zero()
-			for _, r := range p {
-				acc = seqOp(acc, r)
-			}
-			partials[i] = acc
-		}(i, p)
-	}
-	wg.Wait()
-	if len(partials) == 0 {
-		return zero()
-	}
-	acc := partials[0]
-	for _, p := range partials[1:] {
-		acc = combOp(acc, p)
-	}
-	return acc
-}
-
-// AccTypeError reports an Aggregate contract violation: a seqOp or combOp
-// returned an accumulator of the wrong dynamic type.
-type AccTypeError struct {
-	Want string
-	Got  interface{}
-}
-
-func (e *AccTypeError) Error() string {
-	return fmt.Sprintf("spark: aggregate accumulator is %T, want %s", e.Got, e.Want)
-}
-
-// AggregateTyped is Aggregate with a typed accumulator. It centralizes the
-// interface{} boundary in one place with comma-ok conversions, so ML call
-// sites carry no unchecked type assertions: a mismatched accumulator (a
-// broken seqOp/combOp contract) surfaces as an *AccTypeError instead of a
-// panic in the middle of a distributed job.
-func AggregateTyped[T any](d *Dataset, zero func() T, seqOp func(T, types.Row) T, combOp func(T, T) T) (T, error) {
-	res := d.Aggregate(
-		func() interface{} { return zero() },
-		func(acc interface{}, row types.Row) interface{} {
-			a, ok := acc.(T)
-			if !ok {
-				return acc // preserve the bad value; reported after the fold
-			}
-			return seqOp(a, row)
-		},
-		func(x, y interface{}) interface{} {
-			a, aok := x.(T)
-			b, bok := y.(T)
-			if !aok {
-				return x
-			}
-			if !bok {
-				return y
-			}
-			return combOp(a, b)
-		},
-	)
-	out, ok := res.(T)
-	if !ok {
-		var want T
-		return want, &AccTypeError{Want: fmt.Sprintf("%T", want), Got: res}
-	}
-	return out, nil
-}
-
 // ReduceByKey groups rows by the key column ordinal and reduces the value
 // column ordinal with fn (a minimal shuffle).
 //
@@ -214,42 +189,4 @@ func (d *Dataset) ReduceByKey(keyCol, valCol int, fn func(a, b types.Value) type
 		}
 	}
 	return out
-}
-
-// Features extracts float feature vectors plus a label column for the ML
-// algorithms; rows with NULL in any used column are skipped.
-//
-//dashdb:nolint deadcode F-H: the ML feature extraction Spark applications use, exercised by its tests
-func (d *Dataset) Features(labelCol int, featureCols ...int) (X [][]float64, y []float64, err error) {
-	d.ctx.checkCancelled()
-	for _, p := range d.partitions {
-		for _, r := range p {
-			if labelCol >= len(r) {
-				return nil, nil, fmt.Errorf("spark: label column %d out of range", labelCol)
-			}
-			lv, ok := r[labelCol].AsFloat()
-			if !ok {
-				continue
-			}
-			vec := make([]float64, len(featureCols))
-			skip := false
-			for i, fc := range featureCols {
-				if fc >= len(r) {
-					return nil, nil, fmt.Errorf("spark: feature column %d out of range", fc)
-				}
-				fv, ok := r[fc].AsFloat()
-				if !ok {
-					skip = true
-					break
-				}
-				vec[i] = fv
-			}
-			if skip {
-				continue
-			}
-			X = append(X, vec)
-			y = append(y, lv)
-		}
-	}
-	return X, y, nil
 }

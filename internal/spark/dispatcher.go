@@ -9,10 +9,15 @@
 // through the cluster's own shard read (mpp.NetCluster.ReadShards), on the
 // in-process cluster and the socket one alike.
 //
+// Context.TrainGLM and Context.KMeans fit a table without reading it: they
+// run internal/analytics' fits — the engine's own CALL procedures — over
+// the cluster's SELECT path, where each statement is a partial aggregate
+// the shards compute next to their rows, so only partial sums move.
+//
 // It is not Apache Spark: it is the closest synthetic equivalent that
 // exercises the same architecture — partitioned datasets with a
-// functional API, job submission/monitoring, and MLlib-style algorithms
-// (GLM, k-means) — per the substitution rules in DESIGN.md.
+// functional API, job submission/monitoring, and GLM and k-means fits —
+// per the substitution rules in DESIGN.md.
 package spark
 
 import (

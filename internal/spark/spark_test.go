@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"dashdb/internal/analytics"
 	"dashdb/internal/clusterfs"
+	"dashdb/internal/core"
 	"dashdb/internal/mpp"
 	"dashdb/internal/shardrpc"
 	"dashdb/internal/types"
@@ -220,16 +222,34 @@ func TestReduceByKey(t *testing.T) {
 	}
 }
 
+// loadFloats creates table with an id distribution key and one DOUBLE
+// column per name, holding rows.
+func loadFloats(t testing.TB, c *mpp.NetCluster, table string, names []string, rows [][]float64) {
+	t.Helper()
+	schema := types.Schema{{Name: "id", Kind: types.KindInt}}
+	for _, n := range names {
+		schema = append(schema, types.Column{Name: n, Kind: types.KindFloat, Nullable: true})
+	}
+	if err := c.CreateTable(table, schema, mpp.TableOptions{DistributeBy: "id"}); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]types.Row, len(rows))
+	for i, r := range rows {
+		batch[i] = types.Row{types.NewInt(int64(i))}
+		for _, v := range r {
+			batch[i] = append(batch[i], types.NewFloat(v))
+		}
+	}
+	if err := c.Insert(table, batch); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestGLMLinearRegression(t *testing.T) {
 	_, d := newDispatcher(t, 2000)
-	id := d.SubmitFunc("alice", "glm", func(ctx *Context) (interface{}, error) {
-		ds, err := ctx.Table("points", "")
-		if err != nil {
-			return nil, err
-		}
-		return ds.TrainGLM(3, []int{1, 2}, GLMConfig{Family: Gaussian, Iterations: 500, LearnRate: 0.3})
+	res, err := run(t, d, func(ctx *Context) (interface{}, error) {
+		return ctx.TrainGLM("points", "", "label", []string{"x1", "x2"}, Gaussian)
 	})
-	res, err := d.Wait(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,31 +258,27 @@ func TestGLMLinearRegression(t *testing.T) {
 	if math.Abs(m.Weights[0]-3) > 0.05 || math.Abs(m.Weights[1]+2) > 0.05 || math.Abs(m.Intercept-5) > 0.2 {
 		t.Fatalf("GLM fit w=%v b=%v", m.Weights, m.Intercept)
 	}
-	if m.Loss[len(m.Loss)-1] > m.Loss[0] {
-		t.Fatal("loss did not decrease")
-	}
 	if p := m.Predict([]float64{1, 1}); math.Abs(p-6) > 0.3 {
 		t.Fatalf("predict %v", p)
 	}
 }
 
 func TestGLMLogisticRegression(t *testing.T) {
-	_, d := newDispatcher(t, 100)
-	id := d.SubmitFunc("alice", "logit", func(ctx *Context) (interface{}, error) {
-		// Separable data: label = 1 iff x > 5.
-		var rows []types.Row
-		for i := 0; i < 400; i++ {
-			x := float64(i % 10)
-			label := 0.0
-			if x > 5 {
-				label = 1
-			}
-			rows = append(rows, types.Row{types.NewFloat(x), types.NewFloat(label)})
+	c, d := newDispatcher(t, 100)
+	// Separable data: label = 1 iff x > 5.
+	var rows [][]float64
+	for i := 0; i < 400; i++ {
+		x := float64(i % 10)
+		label := 0.0
+		if x > 5 {
+			label = 1
 		}
-		ds := ctx.Parallelize(rows)
-		return ds.TrainGLM(1, []int{0}, GLMConfig{Family: Binomial, Iterations: 400, LearnRate: 0.5})
+		rows = append(rows, []float64{x, label})
+	}
+	loadFloats(t, c, "logit", []string{"x", "label"}, rows)
+	res, err := run(t, d, func(ctx *Context) (interface{}, error) {
+		return ctx.TrainGLM("logit", "", "label", []string{"x"}, Binomial)
 	})
-	res, err := d.Wait(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,17 +289,15 @@ func TestGLMLogisticRegression(t *testing.T) {
 }
 
 func TestKMeans(t *testing.T) {
-	_, d := newDispatcher(t, 100)
-	id := d.SubmitFunc("alice", "kmeans", func(ctx *Context) (interface{}, error) {
-		var rows []types.Row
-		for i := 0; i < 50; i++ {
-			rows = append(rows, types.Row{types.NewFloat(float64(i % 5)), types.NewFloat(0)})
-			rows = append(rows, types.Row{types.NewFloat(100 + float64(i%5)), types.NewFloat(0)})
-		}
-		ds := ctx.Parallelize(rows)
-		return ds.KMeans([]int{0, 1}, 2, 20)
+	c, d := newDispatcher(t, 100)
+	var rows [][]float64
+	for i := 0; i < 50; i++ {
+		rows = append(rows, []float64{float64(i % 5), 0}, []float64{100 + float64(i%5), 0})
+	}
+	loadFloats(t, c, "blobs", []string{"a", "b"}, rows)
+	res, err := run(t, d, func(ctx *Context) (interface{}, error) {
+		return ctx.KMeans("blobs", "", []string{"a", "b"}, 2)
 	})
-	res, err := d.Wait(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,8 +309,8 @@ func TestKMeans(t *testing.T) {
 	if math.Abs(lo-2) > 1 || math.Abs(hi-102) > 1 {
 		t.Fatalf("centers %v", m.Centers)
 	}
-	if m.Assign([]float64{1, 0}) == m.Assign([]float64{101, 0}) {
-		t.Fatal("assignment does not separate clusters")
+	if m.Sizes[0] != 50 || m.Sizes[1] != 50 {
+		t.Fatalf("sizes %v: the clusters are not separated", m.Sizes)
 	}
 }
 
@@ -539,15 +553,11 @@ func TestModelsMatchAcrossClients(t *testing.T) {
 		c := newCluster(t, 3, socket)
 		loadPoints(t, c, 2000)
 		res, err := run(t, NewDispatcher(c), func(ctx *Context) (interface{}, error) {
-			ds, err := ctx.Table("points", "x1 >= 1")
+			glm, err := ctx.TrainGLM("points", "x1 >= 1", "label", []string{"x1", "x2"}, Gaussian)
 			if err != nil {
 				return nil, err
 			}
-			glm, err := ds.TrainGLM(3, []int{1, 2}, GLMConfig{Family: Gaussian, Iterations: 100, LearnRate: 0.3})
-			if err != nil {
-				return nil, err
-			}
-			km, err := ds.KMeans([]int{1, 2}, 3, 10)
+			km, err := ctx.KMeans("points", "x1 >= 1", []string{"x1", "x2"}, 3)
 			return [2]interface{}{glm, km}, err
 		})
 		if err != nil {
@@ -563,5 +573,244 @@ func TestModelsMatchAcrossClients(t *testing.T) {
 	}
 	if !reflect.DeepEqual(localKM, socketKM) {
 		t.Errorf("k-means differs: in-process %+v, socket %+v", localKM, socketKM)
+	}
+}
+
+// fitRows is n rows of (x1, x2, y, cls, big): y a noisy linear law of x1
+// and x2, cls a noisy (non-separable) class of them, big a BIGINT near
+// 3·10⁹ whose squares overflow an integer sum.
+func fitRows(n int) []types.Row {
+	rows := make([]types.Row, n)
+	for i := range rows {
+		x1 := float64(i%37) / 3.7
+		x2 := float64((i*7)%23) / 2.3
+		cls := 0.0
+		if 0.8*x1-0.5*x2+2*math.Cos(float64(i)*1.3) > 1 {
+			cls = 1
+		}
+		rows[i] = types.Row{types.NewInt(int64(i)), types.NewFloat(x1), types.NewFloat(x2),
+			types.NewFloat(1.5*x1 - 0.7*x2 + 3 + math.Sin(float64(i))), types.NewFloat(cls),
+			types.NewInt(3e9 + int64(i%50)*1e7)}
+	}
+	return rows
+}
+
+var fitSchema = types.Schema{
+	{Name: "id", Kind: types.KindInt},
+	{Name: "x1", Kind: types.KindFloat, Nullable: true},
+	{Name: "x2", Kind: types.KindFloat, Nullable: true},
+	{Name: "y", Kind: types.KindFloat, Nullable: true},
+	{Name: "cls", Kind: types.KindFloat, Nullable: true},
+	{Name: "big", Kind: types.KindInt, Nullable: true},
+}
+
+// loadFit creates the fit table on a cluster, distributed by id.
+func loadFit(t testing.TB, c *mpp.NetCluster, rows []types.Row) {
+	t.Helper()
+	if err := c.CreateTable("fit", fitSchema, mpp.TableOptions{DistributeBy: "id"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Insert("fit", rows); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fits are the models the Spark entry points train on the fit table.
+type fits struct {
+	ols, big, logit *GLMModel
+	km              *KMeansModel
+}
+
+func trainFits(t *testing.T, d *Dispatcher) fits {
+	t.Helper()
+	res, err := run(t, d, func(ctx *Context) (interface{}, error) {
+		var f fits
+		var err error
+		if f.ols, err = ctx.TrainGLM("fit", "", "y", []string{"x1", "x2"}, Gaussian); err != nil {
+			return nil, err
+		}
+		if f.big, err = ctx.TrainGLM("fit", "", "y", []string{"big"}, Gaussian); err != nil {
+			return nil, err
+		}
+		if f.logit, err = ctx.TrainGLM("fit", "", "cls", []string{"x1", "x2"}, Binomial); err != nil {
+			return nil, err
+		}
+		f.km, err = ctx.KMeans("fit", "", []string{"x1", "x2", "big"}, 3)
+		return f, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.(fits)
+}
+
+// near reports got within tol of want, relative to |want| (at least 1).
+func near(got, want, tol float64) bool {
+	return math.Abs(got-want) <= tol*math.Max(1, math.Abs(want))
+}
+
+// TestEntryPointsAgree: the Spark entry points on a 3-shard cluster, in
+// process and over loopback, return the models the CALL procedures return
+// on one engine over the same rows: OLS and R² to 1e-9, IRLS to 1e-6,
+// k-means centers to 1e-9 with the same sizes.
+func TestEntryPointsAgree(t *testing.T) {
+	rows := fitRows(900)
+	db := core.Open(core.Config{BufferPoolBytes: 8 << 20})
+	defer db.Close()
+	analytics.RegisterProcedures(db)
+	s := db.NewSession()
+	tbl, err := db.CreateTable("fit", fitSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.InsertBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	call := func(q string) *core.Result {
+		r, err := s.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return r
+	}
+	// checkGLM compares a model with a procedure's TERM/COEFFICIENT rows.
+	checkGLM := func(name string, m *GLMModel, r *core.Result, tol float64) {
+		t.Helper()
+		want := append([]float64{m.Intercept}, m.Weights...)
+		if m.Family == Gaussian {
+			want = append(want, m.RSquared)
+		}
+		if len(r.Rows) != len(want) {
+			t.Fatalf("%s: %d terms, model %+v", name, len(r.Rows), m)
+		}
+		for i, row := range r.Rows {
+			if !near(want[i], row[1].Float(), tol) {
+				t.Errorf("%s %s: Spark %v, CALL %v", name, row[0].Str(), want[i], row[1].Float())
+			}
+		}
+	}
+	ols := call(`CALL LINEAR_REGRESSION('fit', 'y', 'x1,x2')`)
+	big := call(`CALL LINEAR_REGRESSION('fit', 'y', 'big')`)
+	logit := call(`CALL LOGISTIC_REGRESSION('fit', 'cls', 'x1,x2')`)
+	km := call(`CALL KMEANS('fit', 'x1,x2,big', 3)`)
+	forEachClient(t, func(t *testing.T, socket bool) {
+		c := newCluster(t, 3, socket)
+		loadFit(t, c, rows)
+		f := trainFits(t, NewDispatcher(c))
+		checkGLM("OLS", f.ols, ols, 1e-9)
+		checkGLM("OLS on BIGINT", f.big, big, 1e-9)
+		checkGLM("IRLS", f.logit, logit, 1e-6)
+		for ci, row := range km.Rows {
+			if f.km.Sizes[ci] != row[1].Int() {
+				t.Errorf("cluster %d: Spark %d rows, CALL %v", ci, f.km.Sizes[ci], row[1])
+			}
+			for j, v := range f.km.Centers[ci] {
+				if !near(v, row[2+j].Float(), 1e-9) {
+					t.Errorf("center %d[%d]: Spark %v, CALL %v", ci, j, v, row[2+j].Float())
+				}
+			}
+		}
+	})
+}
+
+// TestFitsStayOnShards pins what a fit moves: every statement of a 20 000
+// row fit on 4 shards takes the fast path and pulls one partial row per
+// shard — per cluster for a k-means iteration — so OLS moves 8 rows, a
+// logistic fit 4 per Newton step, and k-means at most 4·k per iteration
+// plus its seeding, where reading the table moves 20 000.
+func TestFitsStayOnShards(t *testing.T) {
+	const n, k = 20000, 3
+	forEachClient(t, func(t *testing.T, socket bool) {
+		c := newCluster(t, 2, socket)
+		loadFit(t, c, fitRows(n))
+		d := NewDispatcher(c)
+		fit := func(app App) (statements, pulled uint64, res interface{}) {
+			before := c.Stats()
+			res, err := run(t, d, app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := c.Stats()
+			if after.GatherPathQueries != before.GatherPathQueries || after.ShuffleJoins != before.ShuffleJoins {
+				t.Fatalf("a fit statement left the fast path: %+v", after)
+			}
+			return after.FastPathQueries - before.FastPathQueries, after.PulledRows - before.PulledRows, res
+		}
+		shards := uint64(c.NShards())
+		if st, pulled, _ := fit(func(ctx *Context) (interface{}, error) {
+			return ctx.TrainGLM("fit", "", "y", []string{"x1", "x2"}, Gaussian)
+		}); st != 2 || pulled != shards*st {
+			t.Errorf("OLS: %d statements pulled %d rows, want 2 pulling %d", st, pulled, shards*2)
+		}
+		if st, pulled, _ := fit(func(ctx *Context) (interface{}, error) {
+			return ctx.TrainGLM("fit", "", "cls", []string{"x1", "x2"}, Binomial)
+		}); st == 0 || st > 25 || pulled != shards*st {
+			t.Errorf("IRLS: %d statements pulled %d rows, want at most 25 pulling %d each", st, pulled, shards)
+		}
+		st, pulled, res := fit(func(ctx *Context) (interface{}, error) {
+			return ctx.KMeans("fit", "", []string{"x1", "x2"}, k)
+		})
+		iters := uint64(res.(*KMeansModel).Iterations)
+		if st != iters+1 || pulled > shards*(k*iters+1) {
+			t.Errorf("k-means: %d statements for %d iterations pulled %d rows, want at most %d", st, iters, pulled, shards*(k*iters+1))
+		}
+		if _, pulled, _ := fit(countOf("fit", "")); pulled != n {
+			t.Errorf("reading the table pulled %d rows, want %d", pulled, n)
+		}
+	})
+}
+
+// TestFitArgsAreNames: a fit's table, column and WHERE arguments cannot
+// reach another table — a subquery, another table's column or text that
+// would close the WHERE is refused before any statement runs — and an
+// unknown or non-numeric column is an error.
+func TestFitArgsAreNames(t *testing.T) {
+	c, d := newDispatcher(t, 100)
+	schema := types.Schema{{Name: "a", Kind: types.KindFloat}, {Name: "note", Kind: types.KindString, Nullable: true}}
+	if err := c.CreateTable("secret", schema, mpp.TableOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	glm := func(table, where, label string, features ...string) App {
+		return func(ctx *Context) (interface{}, error) {
+			return ctx.TrainGLM(table, where, label, features, Gaussian)
+		}
+	}
+	km := func(table, where string, features ...string) App {
+		return func(ctx *Context) (interface{}, error) { return ctx.KMeans(table, where, features, 2) }
+	}
+	before := c.Stats()
+	for i, app := range []App{
+		glm("points", "id IN (SELECT a FROM secret)", "label", "x1"),
+		glm("points", "EXISTS (SELECT a FROM secret)", "label", "x1"),
+		glm("points", "x1 < (SELECT MAX(a) FROM secret)", "label", "x1"),
+		glm("points", "secret.a > 0", "label", "x1"),
+		glm("points", "a > 0", "label", "x1"),
+		glm("points", "1=1) UNION ALL SELECT a, a, a FROM secret --", "label", "x1"),
+		glm("points", "1=1; DROP TABLE secret", "label", "x1"),
+		glm("points, secret", "", "label", "x1"),
+		glm("points", "", "label; DROP TABLE secret", "x1"),
+		glm("points", "", "label", "x1 FROM secret --"),
+		glm("points", "", "label", "secret.a"),
+		glm("points", "", "label", "nope"),
+		glm("points", "", "label"),
+		glm("secret", "", "a", "note"),
+		km("points", "id IN (SELECT a FROM secret)", "x1"),
+		km("points", "", "x1, (SELECT MAX(a) FROM secret)"),
+		km("points", ""),
+	} {
+		if res, err := run(t, d, app); err == nil {
+			t.Errorf("fit %d answered %v", i, res)
+		}
+	}
+	if after := c.Stats(); after.FastPathQueries != before.FastPathQueries || after.GatherPathQueries != before.GatherPathQueries {
+		t.Fatalf("a refused fit ran statements: %+v, before %+v", after, before)
+	}
+	// Qualified names and a WHERE over the table's own columns fit.
+	res, err := run(t, d, glm("points", "points.id >= 0 AND x2 IS NOT NULL", "points.label", "x1", "points.x2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := res.(*GLMModel); !near(m.Weights[0], 3, 1e-9) || !near(m.Weights[1], -2, 1e-9) || !near(m.Intercept, 5, 1e-9) {
+		t.Fatalf("qualified fit %+v", m)
 	}
 }

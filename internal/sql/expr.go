@@ -287,6 +287,9 @@ func (c *Compiler) compileScalarCall(ex *FuncCall, sc *scope) (exec.Expr, error)
 	if err != nil {
 		return nil, err
 	}
+	if fn.Float != nil {
+		return &exec.FloatFunc{Arg: args[0], Fn: fn.Float}, nil
+	}
 	env, call := c.Env, fn.Fn
 	if udx {
 		// User code: it may keep its argument slice, and it has never been

@@ -27,6 +27,9 @@ type ScalarFunc struct {
 	// Dialects restricts availability; nil = all dialects.
 	Dialects []Dialect
 	Fn       func(env *EvalEnv, args []types.Value) (types.Value, error)
+	// Float, set instead of Fn, is a strict function of one number, which
+	// the compiler runs as a typed kernel over its argument as a DOUBLE.
+	Float func(float64) float64
 }
 
 func (f *ScalarFunc) availableIn(d Dialect) bool {
@@ -235,6 +238,7 @@ func registerCommon() {
 		}
 		return types.NewFloat(math.Sqrt(f)), nil
 	})})
+	register(&ScalarFunc{Name: "EXP", MinArgs: 1, MaxArgs: 1, Float: math.Exp})
 	register(&ScalarFunc{Name: "POWER", MinArgs: 2, MaxArgs: 2, Fn: strict(func(_ *EvalEnv, a []types.Value) (types.Value, error) {
 		x, err := floatArg(a[0])
 		if err != nil {

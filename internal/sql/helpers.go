@@ -1,6 +1,9 @@
 package sql
 
 import (
+	"fmt"
+	"strings"
+
 	"dashdb/internal/columnar"
 	"dashdb/internal/exec"
 	"dashdb/internal/types"
@@ -69,4 +72,19 @@ func (c *Compiler) CompileTablePredicate(where Expr, sch types.Schema) ([]column
 		return nil, nil, err
 	}
 	return preds, residual, nil
+}
+
+// CheckTableFilter refuses a predicate over one table that could read past
+// it: a subquery, or a column reference that names no column of sch or is
+// qualified by another name than table.
+func CheckTableFilter(e Expr, table string, sch types.Schema) (err error) {
+	WalkExpr(e, func(x Expr) bool {
+		if SubqueryOf(x) != nil {
+			err = fmt.Errorf("sql: a filter on %s cannot hold a subquery", table)
+		} else if ref, ok := x.(*ColumnRef); ok && (ref.Table != "" && !strings.EqualFold(ref.Table, table) || sch.ColumnIndex(ref.Column) < 0) {
+			err = fmt.Errorf("sql: table %s has no column %s", table, ref.Column)
+		}
+		return err == nil
+	})
+	return err
 }

@@ -34,7 +34,9 @@ DASHDB_LINT_BUDGET=1 go test -run TestLintBudget -count=1 ./internal/lint/
 # — the expression oracle, which lives only in _test.go — over its fixed 400
 # seeds (under a second); the fuzz gate below keeps drawing seeds for 10 s.
 go test ./...
-go test -race ./...
+# ./internal/exec/ takes longer under the race detector than go test's default
+# 10-minute limit (705-733 s on 2 vCPU), so both race runs of it set 30m.
+go test -race -timeout 30m ./...
 
 # Low-memory gate: cap SORTHEAP at 1 MiB and HASHHEAP at 64 KB, which forces
 # the external sort and the group-by partition spill under the engine suites'
@@ -59,7 +61,7 @@ go test -race ./...
 # are pinned by the same test: TestJoinSpillsSQL's BETWEEN self-join of reps
 # joins in memory at the default heap and spills at 8 KB. Same package list
 # and values as .github/workflows/ci.yml.
-DASHDB_SORTHEAP=1MB DASHDB_HASHHEAP=64KB go test -race -count=1 ./internal/core/ ./internal/exec/ ./driver/
+DASHDB_SORTHEAP=1MB DASHDB_HASHHEAP=64KB go test -race -timeout 30m -count=1 ./internal/core/ ./internal/exec/ ./driver/
 
 # Writers-active gate: the snapshot-isolation property suites — trickle
 # INSERTs, bulk flushes, TRUNCATE and DROP racing the full query mix at

@@ -6,8 +6,9 @@ import (
 
 // Spark runtime surface, re-exported: the integrated analytics engine of
 // §II.D. Obtain a Dispatcher from Cluster.Spark(); submit App functions;
-// inside an App use the Context's Dataset API (Table with pushdown,
-// Map/Filter/Aggregate, TrainGLM, KMeans).
+// inside an App use the Context: Table reads a Dataset with pushdown
+// (Count, Map, Filter, ReduceByKey), and TrainGLM and KMeans fit a table
+// by aggregate statements the shards run over their own rows.
 type (
 	// SparkDispatcher routes applications to per-user cluster managers.
 	SparkDispatcher = spark.Dispatcher
@@ -21,8 +22,8 @@ type (
 	SparkJob = spark.Job
 	// GLMModel is a fitted generalized linear model.
 	GLMModel = spark.GLMModel
-	// GLMConfig tunes GLM training.
-	GLMConfig = spark.GLMConfig
+	// GLMFamily selects a GLM's link: Gaussian or Binomial.
+	GLMFamily = spark.GLMFamily
 	// KMeansModel is a fitted k-means clustering.
 	KMeansModel = spark.KMeansModel
 )
