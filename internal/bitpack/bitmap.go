@@ -49,6 +49,25 @@ func (b *Bitmap) Resize(n int) {
 // Set sets bit i.
 func (b *Bitmap) Set(i int) { b.words[i/64] |= 1 << (uint(i) % 64) }
 
+// SetRange sets bits from through to-1, a word at a time; it sets none
+// when to ≤ from.
+func (b *Bitmap) SetRange(from, to int) {
+	if to <= from {
+		return
+	}
+	first, last := from/64, (to-1)/64
+	head, tail := ^uint64(0)<<(uint(from)%64), ^uint64(0)>>(63-uint(to-1)%64)
+	if first == last {
+		b.words[first] |= head & tail
+		return
+	}
+	b.words[first] |= head
+	for i := first + 1; i < last; i++ {
+		b.words[i] = ^uint64(0)
+	}
+	b.words[last] |= tail
+}
+
 // SetAll sets every bit, a word at a time.
 func (b *Bitmap) SetAll() {
 	for i := range b.words {

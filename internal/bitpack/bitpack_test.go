@@ -380,6 +380,24 @@ func TestBitmapOps(t *testing.T) {
 	if full.Count() != 130 {
 		t.Fatalf("full count %d", full.Count())
 	}
+
+	// SetRange ORs [from, to) as Set of each bit would, over bits already
+	// set, for ends at, beside and across word edges.
+	edges := []int{0, 1, 62, 63, 64, 65, 127, 128, 129, 130}
+	for _, from := range edges {
+		for _, to := range edges {
+			got, want := NewBitmap(130), NewBitmap(130)
+			got.Set(70)
+			want.Set(70)
+			got.SetRange(from, to)
+			for i := from; i < to; i++ {
+				want.Set(i)
+			}
+			if !slices.Equal(got.Words(), want.Words()) {
+				t.Fatalf("SetRange(%d, %d): %x, want %x", from, to, got.Words(), want.Words())
+			}
+		}
+	}
 }
 
 // TestBitmapWordsRoundTrip: a bitmap rebuilt from its words holds the

@@ -1,6 +1,7 @@
 package columnar
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -27,8 +28,11 @@ import (
 // nullable BIGINT and a fixed-point DOUBLE. Their outliers sit at a
 // stride's first and last position and a dozen between; the BIGINT's
 // stride 2 holds NULLs too, its stride 3 no outlier, and its stride 4 so
-// many that patching does not pay. Nine strides are sealed; the tenth is
-// open.
+// many that patching does not pay. A stride whose codes never descend and
+// hold no NULL packs them against its line when that is smaller, as the
+// sequential BIGINT's and the DATE's do; the last column, a nullable
+// BIGINT, gives each stride a shape of sorted codes (see sortedValue).
+// Nine strides are sealed; the tenth is open.
 
 const pageCodeRows = 9*page.StrideSize + 200
 
@@ -41,11 +45,61 @@ func pageCodeSchema() types.Schema {
 		{Name: "v", Kind: types.KindInt, Nullable: true},
 		{Name: "big", Kind: types.KindInt, Nullable: true},
 		{Name: "amt", Kind: types.KindFloat},
+		{Name: "srt", Kind: types.KindInt, Nullable: true},
 	}
 }
 
 // pageCodeEncoded asks a batch for the VARCHAR's dictionary codes.
-var pageCodeEncoded = []bool{false, false, false, true, false, false, false}
+var pageCodeEncoded = []bool{false, false, false, true, false, false, false, false}
+
+// sortedValue returns the last column's value at offset off of stride
+// stride: in stride 0 consecutive codes, in 1 plateaus of 90 equal codes
+// (as a date has), in 2 codes climbing 50 a cell but for one jump, three
+// cells lifted to the fourth's code (line residuals of 150, 100 and 50
+// among zeros, which the page patches), in 3 the column's least value for
+// 600 cells and then a climb, so below the line from its first code by
+// more than that code (the frame of reference pads below its least value,
+// so no stride's first code is 0, but the line plus the bias passes below
+// code 0 as it does from a first code of 0), in 4 a single code, in 5 exactly
+// two, in 6 a climb that descends at its last cell and in 7 a climb with
+// one NULL (both frame of reference), in 8 a climb of uneven steps (the
+// residuals of a random walk) and in 9, the open stride, a short climb.
+func sortedValue(stride, off int) types.Value {
+	switch stride {
+	case 0:
+		return types.NewInt(int64(2_000 + off))
+	case 1:
+		return types.NewInt(int64(10_000 + off/90))
+	case 2:
+		if off >= 600 && off < 603 {
+			off = 603
+		}
+		return types.NewInt(int64(20_000 + 50*off))
+	case 3:
+		return types.NewInt(int64(100 * max(0, off-600)))
+	case 4:
+		return types.NewInt(30_000)
+	case 5:
+		return types.NewInt(int64(40_000 + 500*(off/700)))
+	case 6:
+		if off == page.StrideSize-1 {
+			off = 0
+		}
+		return types.NewInt(int64(50_000 + 3*off))
+	case 7:
+		if off == 400 {
+			return types.NullOf(types.KindInt)
+		}
+		return types.NewInt(int64(60_000 + 2*off))
+	case 8:
+		v := 70_000
+		for k := 0; k < off; k++ {
+			v += k * 7919 % 7
+		}
+		return types.NewInt(int64(v))
+	}
+	return types.NewInt(int64(80_000 + 2*off))
+}
 
 // pageCodeRow returns row i; the table loads rows [0, 6 strides) first,
 // so the VARCHAR's values after that extend its dictionary.
@@ -94,6 +148,7 @@ func pageCodeRow(i int) types.Row {
 		v,
 		big,
 		amt,
+		sortedValue(stride, off),
 	}
 }
 
@@ -137,6 +192,7 @@ func pageCodeConsts() [][]types.Value {
 		ints(-1, 0, 41, 42, 43, 99, 5003, 10006, 20000),
 		ints(-1, 0, 4999, 5000, 1_000_000, 1_000_500, 1_001_023, 1_001_024),
 		{types.NewFloat(0), types.NewFloat(999.99), types.NewFloat(1000), types.NewFloat(100_000), types.NewFloat(100_005.11), types.NewFloat(100_010.23), types.NewFloat(100_011)},
+		ints(-1, 0, 2_500, 10_005, 40_500, 20_000+50*601, 50_150, 60_800, 71_000, 80_100),
 	}
 }
 
@@ -226,31 +282,42 @@ func TestPageCodeScanParity(t *testing.T) {
 	}
 	st.Release()
 	ops := []encoding.CmpOp{encoding.OpEQ, encoding.OpNE, encoding.OpLT, encoding.OpLE, encoding.OpGT, encoding.OpGE}
-	var cases [][]Pred
+	groups := make([][][]Pred, len(pageCodeSchema())+1) // a column's cases each, then the pairs
 	for ci, consts := range pageCodeConsts() {
 		for _, c := range consts {
 			for _, op := range ops {
-				cases = append(cases, []Pred{{Col: ci, Op: op, Val: c}})
+				groups[ci] = append(groups[ci], []Pred{{Col: ci, Op: op, Val: c}})
 			}
 			for _, hi := range consts {
-				cases = append(cases, []Pred{{Col: ci, Op: encoding.OpGE, Val: c}, {Col: ci, Op: encoding.OpLE, Val: hi}})
+				groups[ci] = append(groups[ci], []Pred{{Col: ci, Op: encoding.OpGE, Val: c}, {Col: ci, Op: encoding.OpLE, Val: hi}})
 			}
 		}
 	}
-	cases = append(cases,
-		[]Pred{{Col: 4, Op: encoding.OpNE, Val: types.NewInt(42)}, {Col: 0, Op: encoding.OpLT, Val: types.NewInt(1_004_500)}},
-		[]Pred{{Col: 3, Op: encoding.OpGE, Val: types.NewString("name020")}, {Col: 4, Op: encoding.OpLE, Val: types.NewInt(5003)}},
-		[]Pred{{Col: 1, Op: encoding.OpGT, Val: types.NewDate(0)}, {Col: 2, Op: encoding.OpLT, Val: types.NewFloat(250.5)}},
-		[]Pred{{Col: 5, Op: encoding.OpGE, Val: types.NewInt(1_000_000)}, {Col: 6, Op: encoding.OpNE, Val: types.NewFloat(100_010.23)}},
-		[]Pred{{Col: 3, Op: encoding.OpGE, Val: types.NewString("name020x")}, {Col: 5, Op: encoding.OpLT, Val: types.NewInt(3000)}},
-	)
-	for _, preds := range cases {
-		want := plainFilter(rows, preds)
-		for name, got := range pageCodeScans(t, tbl, rows, preds) {
-			if !slices.Equal(got, want) {
-				t.Fatalf("%v: %s selects %d rows, the plain filter %d", preds, name, len(got), len(want))
-			}
+	groups[len(groups)-1] = [][]Pred{
+		{{Col: 4, Op: encoding.OpNE, Val: types.NewInt(42)}, {Col: 0, Op: encoding.OpLT, Val: types.NewInt(1_004_500)}},
+		{{Col: 3, Op: encoding.OpGE, Val: types.NewString("name020")}, {Col: 4, Op: encoding.OpLE, Val: types.NewInt(5003)}},
+		{{Col: 1, Op: encoding.OpGT, Val: types.NewDate(0)}, {Col: 2, Op: encoding.OpLT, Val: types.NewFloat(250.5)}},
+		{{Col: 5, Op: encoding.OpGE, Val: types.NewInt(1_000_000)}, {Col: 6, Op: encoding.OpNE, Val: types.NewFloat(100_010.23)}},
+		{{Col: 3, Op: encoding.OpGE, Val: types.NewString("name020x")}, {Col: 5, Op: encoding.OpLT, Val: types.NewInt(3000)}},
+		{{Col: 7, Op: encoding.OpGE, Val: types.NewInt(10_005)}, {Col: 0, Op: encoding.OpLT, Val: types.NewInt(1_008_500)}},
+	}
+	// The groups scan the one table side by side, as concurrent readers do.
+	for gi, cases := range groups {
+		name := "pairs"
+		if gi < len(pageCodeSchema()) {
+			name = pageCodeSchema()[gi].Name
 		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			for _, preds := range cases {
+				want := plainFilter(rows, preds)
+				for name, got := range pageCodeScans(t, tbl, rows, preds) {
+					if !slices.Equal(got, want) {
+						t.Fatalf("%v: %s selects %d rows, the plain filter %d", preds, name, len(got), len(want))
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -316,6 +383,7 @@ func TestPageCodeInAndNull(t *testing.T) {
 		4: {types.NewInt(0), types.NewInt(42), types.NewInt(5006), types.NewInt(-3)},
 		5: {types.NewInt(1_000_000), types.NewInt(1_001_023), types.NewInt(1_000_147), types.NewInt(7919), types.NewInt(0)},
 		6: {types.NewFloat(100_000), types.NewFloat(100_010.23), types.NewFloat(3.7), types.NewFloat(12)},
+		7: {types.NewInt(0), types.NewInt(2_500), types.NewInt(10_005), types.NewInt(50_150), types.NewInt(60_800), types.NewInt(80_100), types.NewInt(5)},
 	}
 	type tally struct{ in, null, notNull map[int]int }
 	count := func(get func(ci int) types.Value, t *tally) {
@@ -361,18 +429,23 @@ func TestPageCodeInAndNull(t *testing.T) {
 			}
 		}
 	}
-	if want.null[4] == 0 || want.in[4] == 0 || want.null[3] == 0 || want.null[5] == 0 || want.in[5] == 0 || want.in[6] == 0 {
+	if want.null[4] == 0 || want.in[4] == 0 || want.null[3] == 0 || want.null[5] == 0 || want.in[5] == 0 || want.in[6] == 0 || want.null[7] == 0 || want.in[7] == 0 {
 		t.Fatal("the table must hold NULLs and IN matches")
 	}
 }
 
 // sealedPageBytes returns the bytes of the sealed page of codes (a NULL
-// cell's code ignored) and the exceptions it keeps: its packed words at
-// the width w that makes the page smallest, counting 6 bytes for each
-// offset from the smallest non-NULL code that is wider than w bits (the
-// widest w winning a tie), plus a 128-byte NULL bitmap only when a cell is
-// NULL, plus its 32-byte header.
-func sealedPageBytes(codes []uint64, nulls []bool) (bytes, patched int) {
+// cell's code ignored), the exceptions it keeps and whether it is a line
+// page. A frame-of-reference page packs each code's offset from the
+// smallest non-NULL code; it takes a 128-byte NULL bitmap only when a cell
+// is NULL, and its 32-byte header. When no cell is NULL and the codes, two
+// or more, never descend, the line page packs each code's residual from
+// the line first + i·slope/2¹⁶, slope = (last − first)·2¹⁶/(n − 1) (both
+// divisions rounding down), less the smallest residual, and takes 8 bytes
+// more; it is the page when the slope, the last code and the offsets fit
+// 32 bits and it is the smaller. Either packs its offsets as
+// smallestPacking says.
+func sealedPageBytes(codes []uint64, nulls []bool) (bytes, patched int, sorted bool) {
 	lo, hi, anyNull := uint64(math.MaxUint64), uint64(0), false
 	for i, c := range codes {
 		if nulls[i] {
@@ -382,39 +455,74 @@ func sealedPageBytes(codes []uint64, nulls []bool) (bytes, patched int) {
 		}
 	}
 	if lo > hi {
-		lo, hi = 0, 0
+		lo = 0
 	}
+	offs := make([]uint64, len(codes))
+	for i, c := range codes {
+		if !nulls[i] {
+			offs[i] = c - lo
+		}
+	}
+	bytes, patched = smallestPacking(offs)
+	bytes += 32
+	if anyNull {
+		return bytes + page.StrideSize/8, patched, false
+	}
+	n := len(codes)
+	if n < 2 || !slices.IsSorted(codes) {
+		return bytes, patched, false
+	}
+	first, last := codes[0], codes[n-1]
+	slope := (last - first) * 65536 / uint64(n-1)
+	res := make([]int64, n)
+	for i, c := range codes {
+		res[i] = int64(c) - int64(first) - int64(uint64(i)*slope/65536)
+	}
+	bias := slices.Min(res)
+	for i, r := range res {
+		offs[i] = uint64(r - bias)
+	}
+	if last > math.MaxUint32 || slope > math.MaxUint32 || slices.Max(offs) > math.MaxUint32 || bias < math.MinInt32 {
+		return bytes, patched, false
+	}
+	if lineBytes, linePatched := smallestPacking(offs); lineBytes+32+8 < bytes {
+		return lineBytes + 32 + 8, linePatched, true
+	}
+	return bytes, patched, false
+}
+
+// smallestPacking returns the bytes of offs packed at the width w that
+// makes them smallest, counting 6 bytes for each offset wider than w bits
+// (the widest w winning a tie), and how many offsets those are.
+func smallestPacking(offs []uint64) (bytes, patched int) {
 	bytes = math.MaxInt
-	for w := bitpack.WidthFor(hi - lo); w >= 1; w-- {
+	for w := bitpack.WidthFor(slices.Max(offs)); w >= 1; w-- {
 		wide := 0
-		for i, c := range codes {
-			if !nulls[i] && (c-lo)>>w != 0 {
+		for _, o := range offs {
+			if o>>w != 0 {
 				wide++
 			}
 		}
 		perWord := 64 / int(w+1)
-		if size := (len(codes)+perWord-1)/perWord*8 + 6*wide; size < bytes {
+		if size := (len(offs)+perWord-1)/perWord*8 + 6*wide; size < bytes {
 			bytes, patched = size, wide
 		}
-	}
-	bytes += 32
-	if anyNull {
-		bytes += page.StrideSize / 8
 	}
 	return bytes, patched
 }
 
 // TestPageCodeBytesExact pins Compression().PageBytes, and every sealed
 // page's MemSize and exception count, to sealedPageBytes of the stride's
-// codes (the rows re-encoded); the open stride counts 8 bytes a code.
-// The column shares in the report sum to PageBytes and count the
-// exceptions.
+// codes (the rows re-encoded), and which pages are line pages to what it
+// says; the open stride counts 8 bytes a code. The column shares in the
+// report sum to PageBytes and count the exceptions and line pages.
 func TestPageCodeBytesExact(t *testing.T) {
 	tbl, rows := newPageCodeTable(t)
 	snap := tbl.Snapshot()
 	defer snap.Release()
 	want := 0
 	sizes, excs := make([][]int, len(pageCodeSchema())), make([][]int, len(pageCodeSchema()))
+	lines := make([][]bool, len(pageCodeSchema()))
 	for ci := range snap.state().cols {
 		c := &snap.state().cols[ci]
 		for s := range c.syn {
@@ -426,13 +534,18 @@ func TestPageCodeBytesExact(t *testing.T) {
 			}
 			codes := make([]uint64, page.StrideSize)
 			c.enc.EncodeAll(vals, codes)
-			size, patched := sealedPageBytes(codes, nulls)
+			size, patched, sorted := sealedPageBytes(codes, nulls)
 			pg, err := tbl.loadPageGen(ci, c.gen, s)
-			if err != nil || pg.MemSize() != size || pg.Patched() != patched {
-				t.Fatalf("column %d stride %d: page of %d B with %d exceptions (err %v), want %d B with %d", ci, s, pg.MemSize(), pg.Patched(), err, size, patched)
+			if err != nil || pg.MemSize() != size || pg.Patched() != patched || pg.Sorted() != sorted {
+				t.Fatalf("column %d stride %d: page of %d B with %d exceptions, line page %v (err %v), want %d B with %d, %v", ci, s, pg.MemSize(), pg.Patched(), pg.Sorted(), err, size, patched, sorted)
+			}
+			// A line page serializes its slope, rounded down, in bytes 28–31.
+			if slope := (codes[len(codes)-1] - codes[0]) * 65536 / uint64(len(codes)-1); sorted && uint64(binary.LittleEndian.Uint32(pg.Marshal()[28:])) != slope {
+				t.Fatalf("column %d stride %d: slope %d, want %d", ci, s, binary.LittleEndian.Uint32(pg.Marshal()[28:]), slope)
 			}
 			want += size
 			sizes[ci], excs[ci] = append(sizes[ci], size), append(excs[ci], patched)
+			lines[ci] = append(lines[ci], sorted)
 		}
 		want += len(c.openCodes) * 8
 	}
@@ -450,13 +563,18 @@ func TestPageCodeBytesExact(t *testing.T) {
 		if cp.PatchedCodes != patched {
 			t.Errorf("column %d reports %d patched codes, its pages hold %d", ci, cp.PatchedCodes, patched)
 		}
+		if sorted := len(slices.DeleteFunc(slices.Clone(lines[ci]), func(l bool) bool { return !l })); cp.SortedPages != sorted {
+			t.Errorf("column %d reports %d line pages, it has %d", ci, cp.SortedPages, sorted)
+		}
 	}
 	if sum != rep.PageBytes {
 		t.Errorf("column page bytes sum to %d, PageBytes is %d", sum, rep.PageBytes)
 	}
-	// Known pages. 1 024 sequential ids span 1 023: 205 words of 10 bits
-	// (1 672 B with the header); the all-NULL stride's 32 words of width
-	// 1, its bitmap and header (416 B); no uniform column patches. The
+	// Known pages. 1 024 sequential ids lie on their line: 32 words of
+	// width 1, the header and the line's 8 B (296 B; their frame of
+	// reference was 205 words of 10 bits, 1 672 B); the all-NULL stride's
+	// 32 words of width 1, its bitmap and header (416 B); no uniform column
+	// patches. The
 	// fat-tail BIGINT's narrow values are below 5 000 (13 bits) and its
 	// outliers past a million (20 bits): 13 to 15 bits pack 4 a word (256
 	// words) and 20 only 3 (342), so a stride with 13 outliers (its first
@@ -464,16 +582,44 @@ func TestPageCodeBytesExact(t *testing.T) {
 	// (2 158 B). Stride 2 loses 2 of them to NULLs and holds a bitmap;
 	// stride 3 has no outlier; stride 4's 267 would cost 1 602 B to save
 	// 688, so both pack every code.
+	//
+	// The sorted column's line pages: consecutive codes and plateaus pack
+	// 32 words of width 1 (296 B), as does the lifted run with its three
+	// residuals kept as exceptions (314 B). Stride 3 climbs 42 300 after
+	// 600 cells at its least value, so its line climbs about 41.3 a cell
+	// and lies about 24 800 above the 600th: residuals of 15 bits, four a
+	// word (256 words, 2 096 B), where its frame of reference takes 16 bits,
+	// three a word. A single code packs 32 words of width 1 (288 B), a
+	// climb of 3 a cell that descends at its end 256 words of 12 bits
+	// (2 080 B) and a climb of 2 a cell with one NULL 205 words of 11 bits
+	// and a bitmap (1 800 B): frames of reference.
 	for _, c := range []struct {
 		col, stride, size, patched int
+		line                       bool
 	}{
-		{0, 0, 205*8 + 32, 0}, {0, 4, 205*8 + 32, 0}, {4, 2, 32*8 + 128 + 32, 0},
-		{5, 0, 256*8 + 13*6 + 32, 13}, {5, 8, 256*8 + 13*6 + 32, 13},
-		{5, 2, 256*8 + 11*6 + 128 + 32, 11}, {5, 3, 256*8 + 32, 0}, {5, 4, 342*8 + 32, 0},
+		{0, 0, 32*8 + 8 + 32, 0, true}, {0, 4, 32*8 + 8 + 32, 0, true}, {4, 2, 32*8 + 128 + 32, 0, false},
+		{5, 0, 256*8 + 13*6 + 32, 13, false}, {5, 8, 256*8 + 13*6 + 32, 13, false},
+		{5, 2, 256*8 + 11*6 + 128 + 32, 11, false}, {5, 3, 256*8 + 32, 0, false}, {5, 4, 342*8 + 32, 0, false},
+		{7, 0, 32*8 + 8 + 32, 0, true}, {7, 1, 32*8 + 8 + 32, 0, true}, {7, 2, 32*8 + 3*6 + 8 + 32, 3, true},
+		{7, 3, 256*8 + 8 + 32, 0, true}, {7, 4, 32*8 + 32, 0, false}, {7, 6, 256*8 + 32, 0, false},
+		{7, 7, 205*8 + 128 + 32, 0, false},
 	} {
-		if sizes[c.col][c.stride] != c.size || excs[c.col][c.stride] != c.patched {
-			t.Errorf("column %d stride %d: %d B with %d exceptions, want %d B with %d", c.col, c.stride, sizes[c.col][c.stride], excs[c.col][c.stride], c.size, c.patched)
+		if sizes[c.col][c.stride] != c.size || excs[c.col][c.stride] != c.patched || lines[c.col][c.stride] != c.line {
+			t.Errorf("column %d stride %d: %d B with %d exceptions, line page %v; want %d B with %d, %v", c.col, c.stride, sizes[c.col][c.stride], excs[c.col][c.stride], lines[c.col][c.stride], c.size, c.patched, c.line)
 		}
+	}
+	// Stride 3's line plus its bias passes below code 0: its smallest
+	// residual is below minus its first code.
+	pg := mustPage(t, tbl, 7, 3)
+	first, _ := pg.Get(0)
+	last, _ := pg.Get(page.StrideSize - 1)
+	slope, bias := (last-first)*65536/(page.StrideSize-1), int64(0)
+	for i := 0; i < page.StrideSize; i++ {
+		c, _ := pg.Get(i)
+		bias = min(bias, int64(c)-int64(first)-int64(uint64(i)*slope/65536))
+	}
+	if int64(first)+bias >= 0 {
+		t.Errorf("the sorted column's stride 3 starts at code %d and dips %d below its line: not below code 0", first, -bias)
 	}
 	for _, ci := range []int{0, 1, 2, 4} {
 		if rep.Columns[ci].PatchedCodes != 0 {
@@ -485,4 +631,16 @@ func TestPageCodeBytesExact(t *testing.T) {
 	if excs[6][0] == 0 || excs[3][8] == 0 {
 		t.Errorf("DOUBLE stride 0 patches %d codes, VARCHAR stride 8 %d", excs[6][0], excs[3][8])
 	}
+}
+
+// mustPage loads column ci's sealed page of stride s.
+func mustPage(t *testing.T, tbl *Table, ci, s int) *page.Page {
+	t.Helper()
+	snap := tbl.Snapshot()
+	defer snap.Release()
+	pg, err := tbl.loadPageGen(ci, snap.state().cols[ci].gen, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pg
 }

@@ -1042,10 +1042,12 @@ type CompressionReport struct {
 
 // ColumnPages is one column's share of a compression report: the bytes of
 // its sealed pages and open stride, which sum over the columns to
-// PageBytes, and the exceptions its sealed pages patch.
+// PageBytes, the exceptions its sealed pages patch, and how many of those
+// pages are line pages (page.Page.Sorted).
 type ColumnPages struct {
 	PageBytes    int
 	PatchedCodes int
+	SortedPages  int
 }
 
 // Compression computes the table's compression report over a pinned
@@ -1064,6 +1066,9 @@ func (t *Table) Compression() CompressionReport {
 			if pg, err := t.loadPageGen(ci, c.gen, s); err == nil {
 				cp.PageBytes += pg.MemSize()
 				cp.PatchedCodes += pg.Patched()
+				if pg.Sorted() {
+					cp.SortedPages++
+				}
 			}
 		}
 		cp.PageBytes += len(c.openCodes) * 8 // open stride unpacked

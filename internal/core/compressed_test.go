@@ -15,7 +15,7 @@ func TestMonCompressionView(t *testing.T) {
 	s := newDB(t).NewSession()
 	seedSales(t, s, 2_000)
 	r := mustExec(t, s, `SELECT * FROM MON_COMPRESSION`)
-	if len(r.Columns) != 13 {
+	if len(r.Columns) != 14 {
 		t.Fatalf("columns %v", r.Columns)
 	}
 	var region map[string]string
@@ -49,9 +49,10 @@ func TestMonCompressionView(t *testing.T) {
 }
 
 // TestMonCompressionColumnPages: MON_COMPRESSION's per-column page bytes
-// sum to the table's, and a fat-tail column (values below 1 000 but for
+// sum to the table's, a fat-tail column (values below 1 000 but for
 // every 97th, past ten million) reports the codes its pages patch, while
-// columns with no outlier report none.
+// columns with no outlier report none, and only the column whose values
+// never descend (the ids) reports line pages, one a sealed stride.
 func TestMonCompressionColumnPages(t *testing.T) {
 	s := newDB(t).NewSession()
 	mustExec(t, s, `CREATE TABLE ft (id BIGINT, uni BIGINT, fat BIGINT)`)
@@ -74,14 +75,15 @@ func TestMonCompressionColumnPages(t *testing.T) {
 		fmt.Fprintf(&b, "(%d, %d, %d)", i, (i*7919)%1_000, fat)
 	}
 	mustExec(t, s, b.String())
-	r := mustExec(t, s, `SELECT column_name, table_page_bytes, column_page_bytes, column_patched_codes FROM MON_COMPRESSION WHERE table_name = 'FT'`)
+	r := mustExec(t, s, `SELECT column_name, table_page_bytes, column_page_bytes, column_patched_codes, column_sorted_pages FROM MON_COMPRESSION WHERE table_name = 'FT'`)
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows %v", r.Rows)
 	}
-	sum, patched := int64(0), map[string]int64{}
+	sum, patched, sorted := int64(0), map[string]int64{}, map[string]int64{}
 	for _, row := range r.Rows {
 		sum += row[2].Int()
 		patched[strings.ToLower(row[0].Str())] = row[3].Int()
+		sorted[strings.ToLower(row[0].Str())] = row[4].Int()
 	}
 	if table := r.Rows[0][1].Int(); sum != table {
 		t.Fatalf("column page bytes sum to %d, table_page_bytes is %d", sum, table)
@@ -89,6 +91,9 @@ func TestMonCompressionColumnPages(t *testing.T) {
 	// Every 97th row of the two sealed strides is an outlier: 22 of them.
 	if patched["fat"] != 22 || patched["uni"] != 0 || patched["id"] != 0 {
 		t.Fatalf("patched codes %v, want fat 22 and none elsewhere", patched)
+	}
+	if sorted["id"] != 2 || sorted["uni"] != 0 || sorted["fat"] != 0 {
+		t.Fatalf("sorted pages %v, want id 2 and none elsewhere", sorted)
 	}
 }
 

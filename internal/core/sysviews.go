@@ -305,8 +305,9 @@ func (m *monMemory) rows() ([]types.Row, error) {
 // (table, column) with the column's encoder kind, dictionary cardinality
 // and code width, plus the owning table's page/dictionary/synopsis byte
 // breakdown and overall compression ratio, then the column's own page
-// bytes (they sum to the table's) and the codes its sealed pages keep as
-// exceptions to their packed width. Dictionary columns with a
+// bytes (they sum to the table's), the codes its sealed pages keep as
+// exceptions to their packed width, and how many of those pages code
+// codes that never descend against a line. Dictionary columns with a
 // non-zero cardinality are exactly those eligible for
 // operate-on-compressed-data execution (floats excepted).
 type monCompression struct{ db *DB }
@@ -326,6 +327,7 @@ func (m *monCompression) Schema() types.Schema {
 		{Name: "table_ratio", Kind: types.KindFloat},
 		{Name: "column_page_bytes", Kind: types.KindInt},
 		{Name: "column_patched_codes", Kind: types.KindInt},
+		{Name: "column_sorted_pages", Kind: types.KindInt},
 	}
 }
 
@@ -352,6 +354,7 @@ func (m *monCompression) rows() ([]types.Row, error) {
 				types.NewFloat(rep.Ratio),
 				types.NewInt(int64(rep.Columns[ci].PageBytes)),
 				types.NewInt(int64(rep.Columns[ci].PatchedCodes)),
+				types.NewInt(int64(rep.Columns[ci].SortedPages)),
 			})
 		}
 	}

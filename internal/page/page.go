@@ -1,9 +1,11 @@
 // Package page defines the columnar storage page (paper §II.B.3): a
 // self-describing unit holding the bit-packed codes of one column over one
 // stride of tuples, together with its NULL bitmap when it has a NULL and
-// its exception list when a few codes are too wide to pack. Pages serialize to a
-// compact binary format with a checksum so they can live on the simulated
-// clustered filesystem and flow through the buffer pool.
+// its exception list when a few codes are too wide to pack. A stride whose
+// codes never descend may pack only their distance from a line instead.
+// Pages serialize to a compact binary format with a checksum so they can
+// live on the simulated clustered filesystem and flow through the buffer
+// pool.
 package page
 
 import (
@@ -13,6 +15,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 
 	"dashdb/internal/bitpack"
 )
@@ -42,12 +45,21 @@ func (id ID) String() string {
 // The packed width need not hold every offset: an offset too wide for it
 // is an exception (patched frame of reference), kept beside the packed
 // words with its position while its cell packs 0, so a stride of narrow
-// codes and a few wide ones packs at the narrow width. Every reader sees
-// global codes.
+// codes and a few wide ones packs at the narrow width.
+//
+// A line page codes a stride of at least two codes, none NULL, that never
+// descend, against the line L(i) = base + ⌊i·slope / 2¹⁶⌋ through its
+// first code (the base) and its last: it packs each cell's residual
+// code − L(i) less bias, the smallest residual, and its exceptions hold
+// such offsets too. Pack makes one only when it is smaller than the frame
+// of reference. Every reader sees global codes.
 type Page struct {
 	ID     ID
 	base   uint64
-	codes  *bitpack.Vector // code − base; a NULL cell and an exception pack 0
+	line   bool            // the offsets are residuals from the line
+	slope  uint32          // line page: the line climbs slope / 2¹⁶ a cell
+	bias   int32           // line page: the smallest residual, at most 0
+	codes  *bitpack.Vector // code − origin; a NULL cell and an exception pack 0
 	nulls  *bitpack.Bitmap // bit set ⇒ the cell is NULL; nil when none is
 	excPos []uint16        // ascending positions of the exceptions
 	excOff []uint32        // excOff[j] is the offset at excPos[j]
@@ -57,19 +69,25 @@ type Page struct {
 // offset.
 const exceptionSize = 6
 
+// lineSize is the bytes a line page adds: its slope u32 and bias i32.
+const lineSize = 8
+
 // Pack makes the sealed page of up to StrideSize codes whose cell i is
 // NULL when nulls[i] is set (nulls may be nil: none is). The base is the
 // smallest non-NULL code (0 when every cell is NULL). The width is the one
 // that makes the page smallest, counting the packed words and an
 // exception for each offset wider than it; among widths of equal size the
 // widest wins, so a page no exception pays for packs every offset at
-// bitpack.WidthFor of the largest.
+// bitpack.WidthFor of the largest. A stride of two codes or more with no
+// NULL whose codes never descend is coded against its line instead when
+// that makes the page smaller.
 func Pack(id ID, codes []uint64, nulls []bool) *Page {
 	if len(codes) > StrideSize || nulls != nil && len(nulls) != len(codes) {
 		panic(fmt.Sprintf("page: cannot pack %d codes with %d NULL flags", len(codes), len(nulls)))
 	}
-	lo, hi, seen, anyNull := uint64(0), uint64(0), false, false
+	lo, hi, seen, anyNull, sorted := uint64(0), uint64(0), false, false, true
 	for i, c := range codes {
+		sorted = sorted && (i == 0 || c >= codes[i-1])
 		switch {
 		case nulls != nil && nulls[i]:
 			anyNull = true
@@ -97,7 +115,17 @@ func Pack(id ID, codes []uint64, nulls []bool) *Page {
 			byLen[bits.Len64(offs[i])]++
 		}
 	}
-	width, patched := packWidth(len(codes), bitpack.WidthFor(hi-lo), &byLen)
+	width, patched, size := packWidth(len(codes), bitpack.WidthFor(hi-lo), &byLen)
+	if sorted && !anyNull && len(codes) >= 2 {
+		var res [StrideSize]uint64
+		var resLen [bitpack.MaxWidth + 1]int
+		if slope, bias, span, ok := lineOffsets(codes, res[:len(codes)], &resLen); ok {
+			if w, x, s := packWidth(len(codes), bitpack.WidthFor(span), &resLen); s+lineSize < size {
+				p.base, p.line, p.slope, p.bias = codes[0], true, slope, bias
+				offs, width, patched = res[:len(codes)], w, x
+			}
+		}
+	}
 	if patched > 0 {
 		p.excPos, p.excOff = make([]uint16, 0, patched), make([]uint32, 0, patched)
 		for i, o := range offs {
@@ -113,21 +141,50 @@ func Pack(id ID, codes []uint64, nulls []bool) *Page {
 	return p
 }
 
+// lineOffsets writes into res the offsets a line page packs for codes,
+// two or more that never descend: cell i's residual from the line through
+// the first and last code, less the smallest residual, counting them by
+// bit length in byLen. It returns the line's slope, that smallest residual
+// (the bias) and the largest offset, or false when the last code, the
+// slope or the offsets pass 32 bits.
+func lineOffsets(codes, res []uint64, byLen *[bitpack.MaxWidth + 1]int) (slope uint32, bias int32, span uint64, ok bool) {
+	first, last := codes[0], codes[len(codes)-1]
+	s := (last - first) << 16 / uint64(len(codes)-1)
+	if last > math.MaxUint32 || s > math.MaxUint32 {
+		return 0, 0, 0, false
+	}
+	lo, hi := int64(0), int64(0) // cell 0 lies on the line
+	for i, c := range codes {
+		r := int64(c) - int64(first+uint64(i)*s>>16)
+		res[i] = uint64(r)
+		lo, hi = min(lo, r), max(hi, r)
+	}
+	if lo < math.MinInt32 || hi-lo > math.MaxUint32 {
+		return 0, 0, 0, false
+	}
+	for i := range res {
+		res[i] -= uint64(lo)
+		byLen[bits.Len64(res[i])]++
+	}
+	return uint32(s), int32(lo), uint64(hi - lo), true
+}
+
 // packWidth returns the width, at most full, that makes n offsets
-// smallest, and how many offsets are wider than it: the size is their
-// packed words plus exceptionSize bytes for each of those, byLen counting
-// the offsets of each bit length. Among equal sizes the widest wins.
-func packWidth(n int, full uint, byLen *[bitpack.MaxWidth + 1]int) (width uint, patched int) {
-	bestSize := math.MaxInt
+// smallest, how many offsets are wider than it, and the bytes they take:
+// their packed words plus exceptionSize bytes for each of those, byLen
+// counting the offsets of each bit length. Among equal sizes the widest
+// wins.
+func packWidth(n int, full uint, byLen *[bitpack.MaxWidth + 1]int) (width uint, patched, size int) {
+	size = math.MaxInt
 	wide := 0 // offsets longer than w bits
 	for w := full; w >= 1; w-- {
 		perWord := 64 / int(w+1)
-		if size := (n+perWord-1)/perWord*8 + wide*exceptionSize; size < bestSize {
-			width, patched, bestSize = w, wide, size
+		if sz := (n+perWord-1)/perWord*8 + wide*exceptionSize; sz < size {
+			width, patched, size = w, wide, sz
 		}
 		wide += byLen[w]
 	}
-	return width, patched
+	return width, patched, size
 }
 
 // Rows returns the number of tuples stored.
@@ -137,34 +194,63 @@ func (p *Page) Rows() int { return p.codes.Len() }
 // packed width.
 func (p *Page) Patched() int { return len(p.excPos) }
 
+// Sorted reports whether the page is a line page: its codes never descend
+// and it packs their residuals from its line.
+func (p *Page) Sorted() bool { return p.line }
+
+// origin returns the code of cell i when its offset is 0: the base, or on
+// a line page the line at i plus the bias (a sum that may wrap, as an
+// offset added to it brings it back).
+func (p *Page) origin(i int) uint64 {
+	return p.base + uint64(int64(p.bias)) + uint64(i)*uint64(p.slope)>>16
+}
+
 // Get returns the code of cell i and whether the cell is NULL (a NULL
 // cell reads as the base).
 func (p *Page) Get(i int) (uint64, bool) {
+	return p.code(i), p.nulls != nil && p.nulls.Get(i)
+}
+
+// code is Get's code.
+func (p *Page) code(i int) uint64 {
 	off := p.codes.Get(i)
 	if len(p.excPos) > 0 {
 		if j, ok := slices.BinarySearch(p.excPos, uint16(i)); ok {
 			off = uint64(p.excOff[j])
 		}
 	}
-	return p.base + off, p.nulls != nil && p.nulls.Get(i)
+	return p.origin(i) + off
 }
 
 // Gather writes the codes at the ascending positions in sel into dst
 // (grown as needed) and returns them with their NULL flags as a bitmap
 // over selection positions, nil when none is NULL. The packed codes are
-// gathered first; then each exception that sel holds overwrites its slot.
+// gathered first, a line page's each plus its line at the cell (one
+// multiply and one shift); then each exception that sel holds overwrites
+// its slot.
 func (p *Page) Gather(sel []int, dst []uint64) ([]uint64, *bitpack.Bitmap) {
-	dst = p.codes.Gather(sel, p.base, dst)
+	dst = p.codes.Gather(sel, p.origin(0), dst)
+	slope := uint64(p.slope)
 	if len(sel) == p.Rows() { // every position: dst[i] is cell i
+		if p.line {
+			for i := range dst {
+				dst[i] += uint64(i) * slope >> 16
+			}
+		}
 		for j, pos := range p.excPos {
-			dst[pos] = p.base + uint64(p.excOff[j])
+			dst[pos] = p.origin(int(pos)) + uint64(p.excOff[j])
 		}
 	} else {
+		if p.line {
+			for k, i := range sel {
+				dst[k] += uint64(i) * slope >> 16
+			}
+		}
 		k := 0 // sel[:k] lies below the exceptions still to place
 		for j, pos := range p.excPos {
 			at, ok := slices.BinarySearch(sel[k:], int(pos))
 			if k += at; ok {
-				dst[k] = p.base + uint64(p.excOff[j])
+				dst[k] = p.origin(int(pos)) + uint64(p.excOff[j])
 			}
 		}
 	}
@@ -178,8 +264,17 @@ func (p *Page) Gather(sel []int, dst []uint64) ([]uint64, *bitpack.Bitmap) {
 // lies in [lo, hi], with the SWAR range kernel over the packed offsets.
 // A NULL cell may be selected as if it held the base; Nulls clears it.
 // The kernel tests an exception's packed 0, so each exception's bit is
-// set afterwards to what out held before OR its own code's test.
+// set afterwards to what out held before OR its own code's test. A line
+// page's codes ascend, so the positions in range are one interval: two
+// binary searches find it, and it is ORed into out a word at a time.
 func (p *Page) SelectRange(lo, hi uint64, out *bitpack.Bitmap) {
+	if p.line {
+		n := p.Rows()
+		from := sort.Search(n, func(i int) bool { return p.code(i) >= lo })
+		to := from + sort.Search(n-from, func(k int) bool { return p.code(from+k) > hi })
+		out.SetRange(from, to)
+		return
+	}
 	if hi < p.base {
 		return // the range lies wholly below the stride's codes
 	}
@@ -212,12 +307,16 @@ const headerSize = 32
 const nullWords = StrideSize / 64
 
 // MemSize returns the bytes the page holds (packed words, the NULL bitmap
-// when there is one, the exceptions and the header), the unit of
-// buffer-pool accounting; the serialized page is exactly that long.
+// when there is one, the exceptions, the header and a line page's slope
+// and bias), the unit of buffer-pool accounting; the serialized page is
+// exactly that long.
 func (p *Page) MemSize() int {
 	n := p.codes.SizeBytes() + len(p.excPos)*exceptionSize + headerSize
 	if p.nulls != nil {
 		n += nullWords * 8
+	}
+	if p.line {
+		n += lineSize
 	}
 	return n
 }
@@ -229,14 +328,17 @@ const pageMagic = 0xDA5B
 // a zero base in bytes 22–25), so they read as base 0 with a bitmap.
 // flagPatched marks a page whose exception list follows its packed words;
 // a page without one serializes as it did before exceptions existed.
+// flagLine marks a line page, whose slope and bias follow the header and
+// whose base is its first code.
 const (
 	flagNoNulls = 1
 	flagPatched = 2
+	flagLine    = 4
 )
 
-// Marshal serializes the page: the header, the NULL bitmap's words when
-// the page holds one, the packed words, the exceptions when there are
-// any, and a CRC of all that.
+// Marshal serializes the page: the header, a line page's slope u32 and
+// bias i32, the NULL bitmap's words when the page holds one, the packed
+// words, the exceptions when there are any, and a CRC of all that.
 //
 // Header (little-endian): magic u16, width u16, table u32, column u16,
 // stride u32, codes u32, words u32, base u32, flags u8, one zero byte.
@@ -263,6 +365,11 @@ func (p *Page) Marshal() []byte {
 	if len(p.excPos) > 0 {
 		buf[26] |= flagPatched
 	}
+	if p.line {
+		buf[26] |= flagLine
+		buf = binary.LittleEndian.AppendUint32(buf, p.slope)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.bias))
+	}
 	for _, w := range nw {
 		buf = binary.LittleEndian.AppendUint64(buf, w)
 	}
@@ -279,7 +386,8 @@ func (p *Page) Marshal() []byte {
 // Unmarshal parses a serialized page, verifying the checksum. The NULL
 // bitmap's words are adopted whole, and a bitmap with no bit set (as an
 // older page may carry) is dropped. Exceptions must ascend, lie inside the
-// page on non-NULL cells, and not fit the packed width.
+// page on non-NULL cells, and not fit the packed width. A line page must
+// carry no NULL bitmap, and its codes must never descend nor pass 32 bits.
 func Unmarshal(data []byte) (*Page, error) {
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("page: truncated (%d bytes)", len(data))
@@ -291,7 +399,7 @@ func Unmarshal(data []byte) (*Page, error) {
 	if binary.LittleEndian.Uint16(body[0:]) != pageMagic {
 		return nil, fmt.Errorf("page: bad magic")
 	}
-	if body[26]&^(flagNoNulls|flagPatched) != 0 || body[27] != 0 {
+	if body[26]&^(flagNoNulls|flagPatched|flagLine) != 0 || body[27] != 0 {
 		return nil, fmt.Errorf("page: unknown flags %#x %#x", body[26], body[27])
 	}
 	width := uint(binary.LittleEndian.Uint16(body[2:]))
@@ -313,6 +421,12 @@ func Unmarshal(data []byte) (*Page, error) {
 		nNull = 0
 	}
 	off := headerSize - 4
+	if p.line = body[26]&flagLine != 0; p.line {
+		if nNull > 0 {
+			return nil, fmt.Errorf("page: a line page carries a NULL bitmap")
+		}
+		off += lineSize
+	}
 	if len(body) < off+8*(nNull+nWords) {
 		return nil, fmt.Errorf("page: body shorter than header claims")
 	}
@@ -336,7 +450,53 @@ func Unmarshal(data []byte) (*Page, error) {
 			return nil, err
 		}
 	}
+	if p.line {
+		p.slope = binary.LittleEndian.Uint32(body[headerSize-4:])
+		p.bias = int32(binary.LittleEndian.Uint32(body[headerSize:]))
+		if err := p.checkLine(); err != nil {
+			return nil, err
+		}
+	}
 	return p, nil
+}
+
+// checkLine fails unless the line page's codes never descend and stay
+// within 32 bits. Where the line climbs a cell at least the widest packed
+// offset, no cell whose offset is packed lies below the one before it (an
+// exception's offset passes the packed width), so only the cell after
+// each exception and the two ends are decoded; otherwise every code is,
+// in one pass over the unpacked offsets.
+func (p *Page) checkLine() error {
+	n := p.Rows()
+	if n > 0 && uint64(p.slope)>>16 >= 1<<p.codes.Width()-1 {
+		signed := func(i int) int64 { c, _ := p.Get(i); return int64(c) }
+		for _, pos := range p.excPos {
+			if i := int(pos) + 1; i < n && signed(i) < signed(i-1) {
+				return fmt.Errorf("page: line page codes descend at %d", i)
+			}
+		}
+		if first, last := signed(0), signed(n-1); first < 0 || last > math.MaxUint32 {
+			return fmt.Errorf("page: line page codes %d to %d are not 32-bit codes", first, last)
+		}
+		return nil
+	}
+	var buf [StrideSize]uint64
+	offs := p.codes.Unpack(0, buf[:0])
+	for j, pos := range p.excPos {
+		offs[pos] = uint64(p.excOff[j])
+	}
+	prev := int64(0)
+	for i, o := range offs {
+		c := int64(p.base) + int64(p.bias) + int64(uint64(i)*uint64(p.slope)>>16) + int64(o)
+		switch {
+		case c < 0 || c > math.MaxUint32:
+			return fmt.Errorf("page: line page code %d at %d is not a 32-bit code", c, i)
+		case c < prev:
+			return fmt.Errorf("page: line page codes descend at %d", i)
+		}
+		prev = c
+	}
+	return nil
 }
 
 // readExceptions adopts the exception list in raw, the bytes between the

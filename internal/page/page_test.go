@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -300,6 +301,205 @@ func badExceptionPages() [][]byte {
 	return out
 }
 
+// sortedStride is a stride of codes with its NULL flags (nil: none) and
+// whether Pack codes it against its line.
+type sortedStride struct {
+	name  string
+	codes []uint64
+	nulls []bool
+	line  bool
+}
+
+// sortedStrides returns strides whose codes never descend but for the
+// ones named so.
+func sortedStrides() []sortedStride {
+	gen := func(n int, f func(i int) uint64) []uint64 {
+		codes := make([]uint64, n)
+		for i := range codes {
+			codes[i] = f(i)
+		}
+		return codes
+	}
+	lifted := gen(StrideSize, func(i int) uint64 { return 7_000 + 1000*uint64(i) })
+	for i := 500; i < 503; i++ {
+		lifted[i] = lifted[503] // three cells lifted to the next: residuals 3 000, 2 000, 1 000
+	}
+	descends := gen(StrideSize, func(i int) uint64 { return 9_000 + 3*uint64(i) })
+	descends[StrideSize-1] = 9_000
+	oneNull := make([]bool, StrideSize)
+	oneNull[300] = true
+	return []sortedStride{
+		{"consecutive", gen(StrideSize, func(i int) uint64 { return 1_000_000 + uint64(i) }), nil, true},
+		{"plateaus", gen(StrideSize, func(i int) uint64 { return 40_000 + uint64(i/60) }), nil, true},
+		{"steep", gen(StrideSize, func(i int) uint64 { return 5 + 4093*uint64(i) + uint64(i*7)%13 }), nil, true},
+		{"lifted run", lifted, nil, true},
+		{"dips from 0", gen(StrideSize, func(i int) uint64 { return uint64(max(0, i-100)) * 9 }), nil, true},
+		{"near 32 bits", gen(StrideSize, func(i int) uint64 { return 1<<32 - 5_000 + 4*uint64(i) }), nil, true},
+		{"one code", gen(StrideSize, func(int) uint64 { return 77 }), nil, false},
+		{"two codes", gen(StrideSize, func(i int) uint64 { return 10 + 90*uint64(i/512) }), nil, false},
+		{"descends at the end", descends, nil, false},
+		{"one NULL", gen(StrideSize, func(i int) uint64 { return 500 + 7*uint64(i) }), oneNull, false},
+		{"short", gen(77, func(i int) uint64 { return 3*uint64(i) + uint64(i%2) }), nil, true},
+		{"two cells", []uint64{3, 100_000}, nil, false},
+		{"slope past 32 bits", gen(StrideSize, func(i int) uint64 { return uint64(i) << 20 }), nil, false},
+	}
+}
+
+// TestPackSortedStrides: a stride of two codes or more with no NULL whose
+// codes never descend is a line page when that is smaller than its frame
+// of reference, by the line's eight bytes at least: steep climbs, plateaus,
+// codes below the line (a negative bias) and a run lifted off it (kept as
+// exceptions) all are; one code, a step, a descent, a NULL or a slope past
+// 32 bits are not. Every page reads back as its codes, before and after a
+// round trip.
+func TestPackSortedStrides(t *testing.T) {
+	for _, c := range sortedStrides() {
+		p := Pack(ID{Table: 6}, c.codes, c.nulls)
+		if p.Sorted() != c.line {
+			t.Errorf("%s: line page %v, want %v", c.name, p.Sorted(), c.line)
+		}
+		if len(p.Marshal()) != p.MemSize() {
+			t.Errorf("%s: Marshal %d bytes, MemSize %d", c.name, len(p.Marshal()), p.MemSize())
+		}
+		checkCodes(t, p, c.codes, c.nulls, rangeBounds(c.codes))
+		checkCodes(t, roundTrip(t, p), c.codes, c.nulls, rangeBounds(c.codes))
+	}
+	// Known line pages: consecutive codes lie on their line (32 words of
+	// width 1); the lifted run's three residuals are exceptions; codes
+	// flat at 0 then climbing lie below the line from 0.
+	for _, c := range []struct {
+		name    string
+		patched int
+		bias    int32
+		size    int
+	}{
+		{"consecutive", 0, 0, 32*8 + lineSize + 32},
+		{"lifted run", 3, 0, 32*8 + 3*exceptionSize + lineSize + 32},
+		{"dips from 0", 0, -812, 205*8 + lineSize + 32},
+	} {
+		for _, s := range sortedStrides() {
+			if s.name != c.name {
+				continue
+			}
+			p := Pack(ID{}, s.codes, nil)
+			if p.Patched() != c.patched || p.bias != c.bias || p.MemSize() != c.size {
+				t.Errorf("%s: %d exceptions, bias %d, %d B; want %d, %d, %d B", c.name, p.Patched(), p.bias, p.MemSize(), c.patched, c.bias, c.size)
+			}
+		}
+	}
+}
+
+// TestPageGoldenSorted pins the line layout: flags 1|4 in byte 26, the
+// first code as the base, then the slope u32 and bias i32. The page is
+// codes 1000 1498 2000 2500 3001 3500 4000 4502 5000 5501 of table 4,
+// column 2, stride 3: its line climbs 4 501/9 a cell, so the slope is
+// ⌊4 501·2¹⁶/9⌋ = 32 775 281 (rounded down: up, cell 9's residual would be
+// 0), the residuals are 0 −2 0 0 1 0 0 2 0 1, the bias is −2, and the
+// offsets 2 0 2 2 3 2 2 4 2 3 pack at 3 bits, 16 a word: one word and
+// 48 B, where the frame of reference takes three words of 13 bits and
+// 56 B.
+func TestPageGoldenSorted(t *testing.T) {
+	codes := []uint64{1000, 1498, 2000, 2500, 3001, 3500, 4000, 4502, 5000, 5501}
+	golden := "5bda0300040000000200030000000a00000001000000e8030000" + "0500" + // header, flags: no NULLs, line
+		"711cf401" + "feffffff" + // slope 32 775 281, bias −2
+		"0222234232000000" + // one word: ten offsets in four-bit cells
+		"00000000" // CRC, filled in below
+	data, err := hex.DecodeString(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reseal(data)
+	if got := Pack(ID{Table: 4, Column: 2, Stride: 3}, codes, nil).Marshal(); hex.EncodeToString(got) != hex.EncodeToString(data) {
+		t.Fatalf("Marshal\n%x\nwant\n%x", got, data)
+	}
+	p, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Sorted() || p.MemSize() != 48 {
+		t.Fatalf("line page %v of %d B, want a line page of 48 B", p.Sorted(), p.MemSize())
+	}
+	checkCodes(t, p, codes, nil, rangeBounds(codes))
+}
+
+// TestPageUnmarshalBadSorted: a line page that carries a NULL bitmap,
+// whose residuals decode to codes that descend, whose slope or bias takes
+// a code past 32 bits or below 0, or that sets the unknown flag 8 is an
+// error even under a valid checksum.
+func TestPageUnmarshalBadSorted(t *testing.T) {
+	for _, data := range badSortedPages(t) {
+		if _, err := Unmarshal(data); err == nil {
+			t.Errorf("page %x read", data)
+		}
+	}
+}
+
+// badSortedPages returns line pages edited to break one rule each,
+// resealed. The lifted run's page and the page near 32 bits climb more a
+// cell than their widest packed offset, so Unmarshal checks them at their
+// exceptions and ends only; the plateaus' page it checks cell by cell.
+func badSortedPages(t testing.TB) [][]byte {
+	var lifted, plateaus, top []uint64
+	for _, s := range sortedStrides() {
+		switch s.name {
+		case "lifted run":
+			lifted = s.codes
+		case "plateaus":
+			plateaus = s.codes
+		case "near 32 bits":
+			top = s.codes
+		}
+	}
+	patchedPage, plateauPage := Pack(ID{}, lifted, nil), Pack(ID{}, plateaus, nil)
+	if !patchedPage.Sorted() || patchedPage.Patched() != 3 || !plateauPage.Sorted() {
+		t.Fatal("the strides must pack as line pages")
+	}
+	// Some cell of the plateaus, raised to the widest packed offset,
+	// passes the code of the cell after it.
+	widest, at := uint64(1)<<plateauPage.codes.Width()-1, -1
+	for i := 0; i+1 < plateauPage.Rows() && at < 0; i++ {
+		if plateauPage.origin(i)+widest > plateauPage.code(i+1) {
+			at = i
+		}
+	}
+	if at < 0 {
+		t.Fatal("no cell of the plateaus can be raised past its successor")
+	}
+	word := headerSize - 4 + lineSize + 8*(at/plateauPage.codes.PerWord())
+	shift := uint(at%plateauPage.codes.PerWord()) * (plateauPage.codes.Width() + 1)
+	excAt := len(patchedPage.Marshal()) - 4 - 3*exceptionSize
+	var out [][]byte
+	for _, edit := range []struct {
+		p    *Page
+		edit func([]byte) []byte
+	}{
+		{patchedPage, func(b []byte) []byte { // a NULL bitmap holding cell 9
+			b[26] &^= flagNoNulls
+			bitmap := make([]byte, nullWords*8)
+			bitmap[1] = 2
+			return slices.Concat(b[:headerSize-4+lineSize], bitmap, b[headerSize-4+lineSize:])
+		}},
+		{plateauPage, func(b []byte) []byte {
+			w := binary.LittleEndian.Uint64(b[word:])
+			binary.LittleEndian.PutUint64(b[word:], w|widest<<shift)
+			return b
+		}},
+		{patchedPage, func(b []byte) []byte { // cell 502 lifted past cell 503
+			binary.LittleEndian.PutUint32(b[excAt+12+2:], 1500)
+			return b
+		}},
+		{Pack(ID{}, top, nil), func(b []byte) []byte { binary.LittleEndian.PutUint32(b[28:], math.MaxUint32); return b }},
+		{Pack(ID{}, top, nil), func(b []byte) []byte { binary.LittleEndian.PutUint32(b[32:], math.MaxInt32); return b }},
+		{plateauPage, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[32:], 1<<31); return b }}, // −2³¹
+		{plateauPage, func(b []byte) []byte { b[26] |= 8; return b }},
+	} {
+		data := edit.edit(edit.p.Marshal())
+		reseal(data)
+		out = append(out, data)
+	}
+	return out
+}
+
 // TestPageMemSizeExact: the packed words, the bitmap only when held, and
 // the 32-byte header; the serialized page is exactly that long.
 func TestPageMemSizeExact(t *testing.T) {
@@ -377,8 +577,8 @@ func reseal(data []byte) {
 
 // TestPageUnmarshalInconsistentHeader: a header whose code count the
 // packed words cannot hold, whose flags are unknown, or that claims a
-// bitmap or exceptions the body lacks is an error even under a valid
-// checksum.
+// bitmap, exceptions or a line the body lacks is an error even under a
+// valid checksum.
 func TestPageUnmarshalInconsistentHeader(t *testing.T) {
 	p := Pack(ID{}, []uint64{1, 30, 60, 90, 120, 150, 180, 200}, nil) // width 8: 7 a word
 	if p.Patched() != 0 || p.codes.Width() != 8 {
@@ -386,7 +586,7 @@ func TestPageUnmarshalInconsistentHeader(t *testing.T) {
 	}
 	for _, edit := range []func([]byte){
 		func(b []byte) { binary.LittleEndian.PutUint32(b[14:], 100) }, // 100 codes in 2 words
-		func(b []byte) { b[26] |= 4 },
+		func(b []byte) { b[26] |= 4 },                                 // a line the body does not hold
 		func(b []byte) { b[27] = 1 },
 		func(b []byte) { b[26] = 0 },  // a bitmap the body does not hold
 		func(b []byte) { b[26] |= 2 }, // exceptions the body does not hold
@@ -422,14 +622,20 @@ func TestPageMemSizeReflectsWidth(t *testing.T) {
 }
 
 // Property: Pack → Marshal → Unmarshal answers as the codes do, for
-// random pages of random span, base, NULL density and outliers; some of
-// the pages drawn are patched.
+// random pages of random span, base, NULL density and outliers, sorted or
+// not; some of the pages drawn are patched, some are line pages and some
+// patched line pages.
 func TestPageRoundTripProperty(t *testing.T) {
-	patched := 0
+	patched, line, patchedLine := 0, 0, 0
 	f := func(seed int64, widthSel uint8, nSel uint16) bool {
 		codes, nulls := drawPage(seed, widthSel, nSel)
 		p := Pack(ID{Table: uint32(seed)}, codes, nulls)
-		if p.Patched() > 0 {
+		switch {
+		case p.Sorted() && p.Patched() > 0:
+			patchedLine++
+		case p.Sorted():
+			line++
+		case p.Patched() > 0:
 			patched++
 		}
 		got, err := Unmarshal(p.Marshal())
@@ -439,18 +645,21 @@ func TestPageRoundTripProperty(t *testing.T) {
 		checkCodes(t, got, codes, nulls, rangeBounds(codes))
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
-	if patched == 0 {
-		t.Error("no drawn page was patched")
+	if patched == 0 || line == 0 || patchedLine == 0 {
+		t.Errorf("of the drawn pages %d were patched, %d line pages and %d patched line pages; want some of each", patched, line, patchedLine)
 	}
 }
 
 // drawPage draws up to a stride of codes of some span over some base, with
 // NULLs at some density (none, some or all) and, on some pages, outliers:
 // a cell in every few, tens or hundreds whose code lies anywhere up to 32
-// bits.
+// bits. A third of the pages are sorted instead: each code climbs a step
+// below the span (and below 2¹⁶) from the last, plus noise no wider than
+// the step, and the outliers are cells lifted to the code after them,
+// which leaves the codes sorted.
 func drawPage(seed int64, widthSel uint8, nSel uint16) ([]uint64, []bool) {
 	rng := rand.New(rand.NewSource(seed))
 	width := uint(widthSel%32) + 1
@@ -460,10 +669,28 @@ func drawPage(seed int64, widthSel uint8, nSel uint16) ([]uint64, []bool) {
 	density := []int{0, 0, 10, 2, 1}[rng.Intn(5)]
 	outliers := []int{0, 0, 300, 60, 5}[rng.Intn(5)]
 	codes, nulls := make([]uint64, n), make([]bool, n)
+	sorted := rng.Intn(3) == 0
+	if sorted {
+		step := 1 + rng.Uint64()&min(span, 1<<16-1) // a slope past 32 bits makes no line page
+		noise := max(1, step>>rng.Intn(16))
+		for i := range codes {
+			codes[i] = min(base+uint64(i)*step+rng.Uint64()%noise, 1<<32-1)
+		}
+		for i := n - 2; i >= 0; i-- {
+			if outliers > 0 && rng.Intn(outliers) == 0 {
+				codes[i] = codes[i+1]
+			}
+		}
+		if rng.Intn(4) > 0 {
+			density = 0
+		}
+	}
 	for i := range codes {
-		codes[i] = min(base+rng.Uint64()&span, 1<<32-1)
-		if outliers > 0 && rng.Intn(outliers) == 0 {
-			codes[i] = max(base, rng.Uint64()&(1<<32-1))
+		if !sorted {
+			codes[i] = min(base+rng.Uint64()&span, 1<<32-1)
+			if outliers > 0 && rng.Intn(outliers) == 0 {
+				codes[i] = max(base, rng.Uint64()&(1<<32-1))
+			}
 		}
 		nulls[i] = density > 0 && rng.Intn(density) == 0
 		if nulls[i] {
@@ -478,14 +705,20 @@ func drawPage(seed int64, widthSel uint8, nSel uint16) ([]uint64, []bool) {
 
 // FuzzPageRoundTrip: Unmarshal of any bytes returns a page or an error,
 // never a panic, and a page packed from drawn codes reads back through
-// Marshal and Unmarshal as those codes. The seeds include patched pages
-// and exception lists Unmarshal must refuse.
+// Marshal and Unmarshal as those codes. The seeds include patched pages,
+// line pages (one patched), and exception lists and line pages Unmarshal
+// must refuse.
 func FuzzPageRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint16(1000), []byte{})
 	f.Add(int64(2), uint8(31), uint16(1024), []byte{0x5b, 0xda})
 	f.Add(int64(3), uint8(0), uint16(7), Pack(ID{Table: 9}, []uint64{4, 4, 5}, []bool{false, true, false}).Marshal())
 	f.Add(int64(4), uint8(9), uint16(1024), Pack(ID{Table: 9}, fatTail(StrideSize, 77, 9, 24, 0, 5, 1023), nil).Marshal())
-	for i, bad := range badExceptionPages() {
+	for _, s := range sortedStrides() {
+		if s.name == "plateaus" || s.name == "lifted run" {
+			f.Add(int64(len(s.name)), uint8(12), uint16(1024), Pack(ID{Table: 9}, s.codes, nil).Marshal())
+		}
+	}
+	for i, bad := range slices.Concat(badExceptionPages(), badSortedPages(f)) {
 		f.Add(int64(5+i), uint8(i), uint16(1024), bad)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, widthSel uint8, nSel uint16, raw []byte) {
@@ -506,11 +739,13 @@ func FuzzPageRoundTrip(f *testing.F) {
 }
 
 // BenchmarkPageGather gathers a stride of codes from a page packed at 24
-// bits (two codes a word) and from a patched page whose offsets are 17
-// bits but for ten of 24 (packed three a word at 20 bits, the widest
-// width of that many words, with ten exceptions), over every position and
-// over every eighth. It reports 0 allocs/op: the patch is a loop over the
-// exceptions, not a copy.
+// bits (two codes a word), from a patched page whose offsets are 17 bits
+// but for ten of 24 (packed three a word at 20 bits, the widest width of
+// that many words, with ten exceptions), and from a line page of codes
+// climbing 4 096 a cell plus noise below 16 (residuals of 5 bits, ten a
+// word), over every position and over every eighth. It reports 0
+// allocs/op: the patch is a loop over the exceptions, not a copy, and the
+// line one multiply and one shift a cell.
 func BenchmarkPageGather(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	wide, narrow := make([]uint64, StrideSize), make([]uint64, StrideSize)
@@ -526,6 +761,10 @@ func BenchmarkPageGather(b *testing.B) {
 	if unpatched.codes.Width() != 24 || unpatched.Patched() != 0 || patched.codes.Width() != 20 || patched.Patched() != 10 {
 		b.Fatalf("pages at %d and %d bits with %d and %d exceptions", unpatched.codes.Width(), patched.codes.Width(), unpatched.Patched(), patched.Patched())
 	}
+	line := Pack(ID{}, climbing(rng), nil)
+	if !line.Sorted() || line.codes.Width() != 5 || line.Patched() != 0 {
+		b.Fatalf("line page %v at %d bits with %d exceptions", line.Sorted(), line.codes.Width(), line.Patched())
+	}
 	var every, eighth []int
 	for i := 0; i < StrideSize; i++ {
 		every = append(every, i)
@@ -536,7 +775,7 @@ func BenchmarkPageGather(b *testing.B) {
 	for _, pg := range []struct {
 		name string
 		p    *Page
-	}{{"unpatched24", unpatched}, {"patched20x10", patched}} {
+	}{{"unpatched24", unpatched}, {"patched20x10", patched}, {"line5", line}} {
 		for _, sel := range []struct {
 			name string
 			sel  []int
@@ -549,5 +788,56 @@ func BenchmarkPageGather(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// climbing returns a stride of codes that climb 4 096 a cell plus noise
+// below 16: a frame of reference packs them at 22 bits, a line page its
+// residuals at 5.
+func climbing(rng *rand.Rand) []uint64 {
+	codes := make([]uint64, StrideSize)
+	for i := range codes {
+		codes[i] = 1_000 + uint64(i)<<12 + rng.Uint64()&15
+	}
+	return codes
+}
+
+// forPage packs codes as a frame-of-reference page at the width of their
+// span, as Pack would were they not sorted.
+func forPage(codes []uint64) *Page {
+	lo, hi := slices.Min(codes), slices.Max(codes)
+	p := &Page{base: lo, codes: bitpack.NewVector(bitpack.WidthFor(hi - lo))}
+	for _, c := range codes {
+		p.codes.Append(c - lo)
+	}
+	return p
+}
+
+// BenchmarkPageSelectRange selects a range holding about a quarter of a
+// stride of climbing codes (see climbing) from its line page, two binary
+// searches and a run of words set, and from the frame-of-reference page
+// of the same codes, one SWAR pass over its 342 words. Both report 0
+// allocs/op.
+func BenchmarkPageSelectRange(b *testing.B) {
+	codes := climbing(rand.New(rand.NewSource(1)))
+	lo, hi := codes[300], codes[556]
+	for _, pg := range []struct {
+		name string
+		p    *Page
+	}{{"line", Pack(ID{}, codes, nil)}, {"for", forPage(codes)}} {
+		b.Run(pg.name, func(b *testing.B) {
+			out := bitpack.NewBitmap(StrideSize)
+			pg.p.SelectRange(lo, hi, out)
+			n := 0
+			out.ForEach(func(int) { n++ })
+			if n != 257 {
+				b.Fatalf("%d positions selected, want 257", n)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out.Reset()
+				pg.p.SelectRange(lo, hi, out)
+			}
+		})
 	}
 }
