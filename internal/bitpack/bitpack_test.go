@@ -1,6 +1,7 @@
 package bitpack
 
 import (
+	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -100,16 +101,15 @@ func TestVectorAppendOverflowPanics(t *testing.T) {
 }
 
 func TestPerWordPacking(t *testing.T) {
-	// Width 7 → 8-bit cells → 8 codes per word: "tens of values" per word
-	// at narrow widths (width 1 → 32 per word).
-	if NewVector(7).PerWord() != 8 {
-		t.Error("width 7 must pack 8 per word")
-	}
-	if NewVector(1).PerWord() != 32 {
-		t.Error("width 1 must pack 32 per word")
-	}
-	if NewVector(31).PerWord() != 2 {
-		t.Error("width 31 must pack 2 per word")
+	// A cell is exactly the code's width and a word holds ⌊64/k⌋ of them:
+	// "tens of values" per word at narrow widths.
+	for _, c := range []struct {
+		width uint
+		per   int
+	}{{1, 64}, {2, 32}, {3, 21}, {5, 12}, {7, 9}, {8, 8}, {12, 5}, {17, 3}, {21, 3}, {22, 2}, {31, 2}, {32, 2}} {
+		if got := NewVector(c.width).PerWord(); got != c.per || got != 64/int(c.width) {
+			t.Errorf("width %d packs %d a word, want %d", c.width, got, c.per)
+		}
 	}
 }
 
@@ -171,11 +171,18 @@ func TestCompareRange(t *testing.T) {
 }
 
 func TestTailCellsDoNotMatch(t *testing.T) {
-	// 3 codes of width 20 → one word holds 3 cells; a second word holds
-	// 2 live cells and a zero tail. EQ 0 and a range from 0 must not match
-	// the tail.
-	v := NewVector(20)
-	v.AppendAll([]uint64{5, 0, 9, 0, 7})
+	// Width 20 packs 3 cells a word and leaves its top 4 bits spare; a
+	// second word holds 2 live cells and a zero tail. EQ 0 and a range
+	// from 0 must match neither the tail nor the spare bits, even when the
+	// words handed to FromWords set them.
+	words := []uint64{5 | 9<<40 | 0xf<<60, 7<<20 | 0xabc<<40 | 0xf<<60}
+	v, err := FromWords(20, 5, words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v.Unpack(0, nil); !slices.Equal(got, []uint64{5, 0, 9, 0, 7}) {
+		t.Fatalf("codes %v", got)
+	}
 	out := NewBitmap(5)
 	v.Compare(CmpEQ, 0, out)
 	if out.Count() != 2 || !out.Get(1) || !out.Get(3) {
@@ -184,13 +191,73 @@ func TestTailCellsDoNotMatch(t *testing.T) {
 	for _, c := range []struct {
 		lo, hi uint64
 		want   []int
-	}{{0, 0, []int{1, 3}}, {0, 6, []int{0, 1, 3}}} {
+	}{{0, 0, []int{1, 3}}, {0, 6, []int{0, 1, 3}}, {1 << 19, 1<<20 - 1, nil}} {
 		out := NewBitmap(5)
 		v.CompareRange(c.lo, c.hi, out)
 		var got []int
 		out.ForEach(func(i int) { got = append(got, i) })
 		if !slices.Equal(got, c.want) {
 			t.Fatalf("range [%d,%d] matched %v, want %v", c.lo, c.hi, got, c.want)
+		}
+	}
+}
+
+// TestSelectRangeEveryWidth holds CompareRange and all six Compare ops to
+// the scalar reference at every width, at lengths one word short of,
+// equal to and one past a word's cells and across a stride, for bounds at
+// 0, 1, both sides of the cell's top bit, the largest code and an open
+// top: each bound's top bit set and clear, against codes on either side
+// of every bound.
+func TestSelectRangeEveryWidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	for width := uint(1); width <= MaxWidth; width++ {
+		max, half := uint64(1)<<width-1, uint64(1)<<(width-1)
+		bounds := []uint64{0, 1, half - 1, half, half + 1, max}
+		var near []uint64 // every bound and its neighbours that fit the width
+		for _, b := range bounds {
+			for _, c := range []uint64{b - 1, b, b + 1} {
+				if c <= max {
+					near = append(near, c)
+				}
+			}
+		}
+		per := NewVector(width).PerWord()
+		for _, n := range []int{1, per - 1, per, per + 1, 1024} {
+			if n < 1 {
+				continue
+			}
+			v := NewVector(width)
+			for i := 0; i < n; i++ {
+				if rng.Intn(2) == 0 {
+					v.Append(near[rng.Intn(len(near))])
+				} else {
+					v.Append(rng.Uint64() & max)
+				}
+			}
+			for _, lo := range bounds {
+				for _, hi := range append(bounds, max+1, math.MaxUint64) { // open tops
+					was := NewBitmap(n)
+					if rng.Intn(2) == 0 {
+						for i := 0; i < n; i += 1 + rng.Intn(5) {
+							was.Set(i)
+						}
+					}
+					out := was.Clone()
+					v.CompareRange(lo, hi, out)
+					checkRange(t, v, lo, hi, was, out)
+				}
+				for _, op := range allOps {
+					if lo > max {
+						break // Compare takes constants the width holds
+					}
+					fast, slow := NewBitmap(n), NewBitmap(n)
+					v.Compare(op, lo, fast)
+					v.CompareScalar(op, lo, slow)
+					if !slices.Equal(fast.Words(), slow.Words()) {
+						t.Fatalf("width %d n %d op %d c %d: SWAR %x, scalar %x", width, n, op, lo, fast.Words(), slow.Words())
+					}
+				}
+			}
 		}
 	}
 }
@@ -273,20 +340,38 @@ func TestCompareRangeLengthMismatchPanics(t *testing.T) {
 	}
 }
 
-// FuzzCompareRange draws a width, codes and a range, and holds
-// CompareRange to the scalar oracle.
+// FuzzCompareRange draws a width, words and a range, and holds
+// CompareRange to the scalar oracle. The vector adopts the drawn words
+// through FromWords, so the bits above a word's last cell and the cells
+// past the end start out set and must never match. The seeds cover width
+// 1, width 32 and widths whose cells leave spare bits (5, 12, 17).
 func FuzzCompareRange(f *testing.F) {
 	f.Add(uint8(3), int64(1), uint16(100), uint64(2), uint64(5))
 	f.Add(uint8(1), int64(2), uint16(64), uint64(0), uint64(0))
 	f.Add(uint8(32), int64(3), uint16(3), uint64(7), uint64(1<<40))
 	f.Add(uint8(20), int64(4), uint16(5), uint64(9), uint64(1))
+	for _, width := range []uint8{1, 32, 5, 12, 17} {
+		f.Add(width-1, int64(width), uint16(1024), uint64(1)<<(width-1)-1, uint64(1)<<(width-1))
+		f.Add(width-1, int64(width)+1, uint16(65), uint64(0), uint64(1)<<width-1)
+	}
 	f.Fuzz(func(t *testing.T, widthSel uint8, seed int64, n uint16, lo, hi uint64) {
 		width := uint(widthSel)%MaxWidth + 1
 		max := uint64(1)<<width - 1
 		rng := rand.New(rand.NewSource(seed))
-		v := NewVector(width)
-		for i := 0; i < int(n)%2048; i++ {
-			v.Append(rng.Uint64() & max)
+		codes := int(n) % 2048
+		per := 64 / int(width)
+		words := make([]uint64, (codes+per-1)/per)
+		for i := range words {
+			words[i] = rng.Uint64()
+		}
+		v, err := FromWords(width, codes, words)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range v.Words() {
+			if w&^v.replicate(max) != 0 || i == len(words)-1 && codes%per != 0 && w>>(uint(codes%per)*width) != 0 {
+				t.Fatalf("width %d: word %d keeps %x outside its cells", width, i, w)
+			}
 		}
 		lo &= max
 		was := NewBitmap(v.Len())

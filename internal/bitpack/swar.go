@@ -18,21 +18,22 @@ const (
 	CmpGE
 )
 
-// foldStep is one step of packing a word's delimiter matches toward its
-// low bits: groups of g bits spaced g cells apart become groups of 2g
-// bits spaced 2g cells apart.
+// foldStep is one step of packing a word's matches toward its low bits:
+// groups of g bits spaced g cells apart become groups of 2g bits spaced
+// 2g cells apart.
 type foldStep struct {
-	shift uint   // g*width: brings each odd group next to its even neighbour
+	shift uint   // g*(width-1): brings each odd group next to its even neighbour
 	keep  uint64 // the merged groups' bit positions
 }
 
-// swarPatterns holds the per-width word constants used by the kernels.
-// A word's matches, one bit per cell at the cell's start, pack into its
-// low perWord bits in two stages: fold steps (for widths up to 6) until
-// there are no more groups than bits in a cell, then one multiply that
-// gathers every group into the top of the product.
+// swarPatterns holds the per-width word constants used by the kernel at
+// widths 2 and up. A word's matches, one bit per cell at the cell's top
+// bit, are shifted to the cells' low bits and pack into the low perWord
+// bits in two stages: fold steps (for widths up to 7) until there
+// are no more groups than bits in a cell, then one multiply that gathers
+// every group into the top of the product.
 type swarPatterns struct {
-	delim  uint64 // 1 in the delimiter (top) bit of every cell
+	top    uint64 // 1 in the top bit of every cell
 	fold   [4]foldStep
 	nfold  int
 	gather uint64 // multiplier that moves group j to bit gshift + j*g
@@ -40,36 +41,46 @@ type swarPatterns struct {
 }
 
 func (v *Vector) patterns() swarPatterns {
-	p := swarPatterns{delim: v.replicate(1) << v.width}
-	g := uint(1) // bits per group
-	for (uint(v.perWord)+g-1)/g > v.cell {
-		span := 2 * g * v.cell
+	p := swarPatterns{top: v.replicate(1 << (v.width - 1))}
+	low := v.width - 1 // bits below a cell's top bit
+	g := uint(1)       // bits per group
+	for (uint(v.perWord)+g-1)/g > v.width {
+		span := 2 * g * v.width
 		var keep uint64
 		for at := uint(0); at < 64; at += span {
 			keep |= (1<<(2*g) - 1) << at
 		}
-		p.fold[p.nfold] = foldStep{shift: g * v.width, keep: keep}
+		p.fold[p.nfold] = foldStep{shift: g * low, keep: keep}
 		p.nfold++
 		g *= 2
 	}
-	// The q = ceil(perWord/g) <= cell groups of g bits sit g cells apart.
-	// Multiplying by the sum over j of 2^(gshift - j*g*width) moves group
-	// j to bit gshift + j*g, and every other term to a distinct g-bit slot
-	// below gshift or past bit 63, so no two terms collide and no carry
-	// reaches the result.
+	// The q = ceil(perWord/g) <= width groups of g bits sit g cells apart.
+	// Multiplying by the sum over j of 2^(gshift - j*g*(width-1)) moves
+	// group j to bit gshift + j*g, and every other term to a distinct g-bit
+	// slot below gshift or past bit 63, so no two terms collide and no
+	// carry reaches the result.
 	q := (uint(v.perWord) + g - 1) / g
 	p.gshift = 64 - q*g
 	for j := uint(0); j < q; j++ {
-		p.gather |= 1 << (p.gshift - j*g*v.width)
+		p.gather |= 1 << (p.gshift - j*g*low)
 	}
 	return p
+}
+
+// pack moves m's bits, a word's matches at its cells' low bits, into its
+// low perWord bits.
+func (p *swarPatterns) pack(m uint64) uint64 {
+	for _, f := range p.fold[:p.nfold] {
+		m = (m | m>>(f.shift&63)) & f.keep
+	}
+	return m * p.gather >> (p.gshift & 63)
 }
 
 // replicate spreads the k-bit constant c into every cell of a word.
 func (v *Vector) replicate(c uint64) uint64 {
 	var w uint64
 	for s := 0; s < v.perWord; s++ {
-		w |= c << (uint(s) * v.cell)
+		w |= c << (uint(s) * v.width)
 	}
 	return w
 }
@@ -131,47 +142,88 @@ func (v *Vector) CompareRange(lo, hi uint64, out *Bitmap) {
 
 // selectRange is the one SWAR kernel: it ORs into out the positions whose
 // code x has lo <= x < hiEx, or, when flip is all ones, those where that
-// fails. Both bounds are at most 1<<width. Both borrow tests run in the
-// same pass: with each cell's delimiter bit forced to 1, subtracting a
-// replicated constant leaves the delimiter set exactly when the payload
-// did not borrow, i.e. payload >= the constant. An upper bound of
-// 1<<width replicates to the delimiters themselves, whose subtraction
-// never borrows, so the upper test drops out without a second loop.
+// fails; lo <= max code < hiEx <= 1<<width. An open top (hiEx =
+// 1<<width) is the complement of [0, lo), so only bounds that fit the
+// width are tested.
 //
-// A word's matches leave it a word at a time: its delimiter bits pack
-// into its low perWord bits (see swarPatterns), which are appended to a
-// register that is ORed into out once it holds 64 positions. A word
-// with no match skips the packing.
+// A test x >= c borrows from each cell's own top bit: with H that bit of
+// every cell, d = (x | H) - (c's low bits, replicated) cannot borrow
+// across cells, since every minuend cell has its top bit set and every
+// subtrahend cell has it clear, and d keeps that bit exactly when x's low
+// bits are at least c's. c's own top bit is fixed for the call, so x >= c
+// is x AND d when c's top bit is 1, and x OR d when it is 0. With both
+// bounds' top bits 0 the range x >= lo AND NOT x >= hiEx is dlo AND NOT
+// dhi AND NOT x; with both 1 it is dlo AND NOT dhi AND x; and when it
+// straddles the top bit, (dlo AND NOT x) OR (x AND NOT dhi).
+//
+// A word's matches leave it a word at a time: its cells' top bits pack
+// into perWord bits (see swarPatterns), which are ORed into out at the
+// word's first position, spilling into the next word of out when they
+// cross one. A word with no match skips the packing. At width 1 each cell
+// is its own top bit and a word holds 64 cells, so the word is the
+// bitmap's word.
 //
 //dashdb:hotpath
 func (v *Vector) selectRange(lo, hiEx, flip uint64, out *Bitmap) {
+	if hiEx > v.maxCode() {
+		lo, hiEx, flip = 0, lo, ^flip
+	}
+	dst := out.words
+	if v.width == 1 {
+		var one, zero uint64 // all ones when a 1, a 0 lies in [lo, hiEx)
+		if lo <= 1 && 1 < hiEx {
+			one = ^uint64(0)
+		}
+		if lo == 0 && hiEx > 0 {
+			zero = ^uint64(0)
+		}
+		for i, x := range v.words {
+			dst[i] |= (x&one | ^x&zero) ^ flip
+		}
+		out.trimTail()
+		return
+	}
 	p := v.patterns()
-	rlo, rhi := v.replicate(lo), v.replicate(hiEx)
-	dst, per := out.words, uint(v.perWord)
-	var acc uint64
-	fill, o := uint(0), 0 // positions held in acc; the next word of dst
-	for _, w := range v.words {
-		x := w | p.delim
-		m := (((x-rlo)&^(x-rhi) ^ flip) & p.delim) >> (v.width & 63)
-		if m != 0 {
-			for _, f := range p.fold[:p.nfold] {
-				m = (m | m>>(f.shift&63)) & f.keep
+	low := uint64(1)<<(v.width-1) - 1
+	rlo, rhi := v.replicate(lo&low), v.replicate(hiEx&low)
+	straddle := lo <= low && hiEx > low
+	var below uint64 // all ones when both bounds' top bits are 0
+	if hiEx <= low {
+		below = ^uint64(0)
+	}
+	per, shift := uint(v.perWord), (v.width-1)&63
+	at := uint(0) // the position of the word's first cell
+	// Each form of the range test has its own loop, so a word pays for its
+	// form's few operations and no choice between forms.
+	if straddle {
+		for _, x := range v.words {
+			xh := x | p.top
+			if m := (((xh-rlo)&^x | x&^(xh-rhi)) ^ flip) & p.top; m != 0 {
+				m = p.pack(m >> shift)
+				o, s := at>>6, at&63
+				dst[o] |= m << s
+				if s+per > 64 && int(o)+1 < len(dst) {
+					dst[o+1] |= m >> (64 - s)
+				}
 			}
-			m = m * p.gather >> (p.gshift & 63)
-			acc |= m << (fill & 63)
+			at += per
 		}
-		if fill += per; fill >= 64 {
-			dst[o] |= acc
-			o++
-			fill -= 64
-			acc = m >> ((per - fill) & 63)
+	} else {
+		for _, x := range v.words {
+			xh := x | p.top
+			if m := ((xh-rlo)&^(xh-rhi)&(x^below) ^ flip) & p.top; m != 0 {
+				m = p.pack(m >> shift)
+				o, s := at>>6, at&63
+				dst[o] |= m << s
+				if s+per > 64 && int(o)+1 < len(dst) {
+					dst[o+1] |= m >> (64 - s)
+				}
+			}
+			at += per
 		}
 	}
-	// Cells past the logical end hold zero payloads and can match (EQ 0);
-	// their positions lie at or past Len(), and are dropped here.
-	if o < len(dst) {
-		dst[o] |= acc
-	}
+	// Cells past the logical end hold zero and can match (EQ 0); their
+	// positions lie at or past Len(), and are dropped here.
 	out.trimTail()
 }
 

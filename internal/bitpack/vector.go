@@ -9,11 +9,15 @@
 // of arithmetic instructions (SWAR: SIMD Within A Register), for any code
 // width, not just power-of-two byte sizes.
 //
-// Layout: each code occupies a cell of k+1 bits. The extra high bit of
-// every cell (the delimiter) is kept zero in stored data and acts as the
-// carry/borrow landing zone during word-parallel arithmetic, so cells
-// never interfere. A 64-bit word therefore holds 64/(k+1) codes. Cells do
-// not straddle word boundaries.
+// Layout: each code occupies a cell of exactly k bits, and a 64-bit word
+// holds ⌊64/k⌋ cells from its low bits up; cells do not straddle word
+// boundaries, and the 64 mod k bits above the last cell stay zero. No bit
+// of a cell is reserved: the comparison kernel (swar.go) forces each
+// cell's own top bit on before it subtracts a constant whose cells have
+// that bit off, so no borrow leaves a cell, and reads the answer from
+// that bit. Cells that could straddle words would pack tighter still
+// (17-bit codes would fit 3.76 a word, not 3), but a word could then no
+// longer be tested on its own.
 package bitpack
 
 import (
@@ -54,12 +58,11 @@ func WidthFor(maxCode uint64) uint {
 }
 
 // Vector is an append-only sequence of k-bit unsigned codes packed into
-// 64-bit words with one delimiter bit per cell.
+// 64-bit words, ⌊64/k⌋ to a word.
 type Vector struct {
 	words   []uint64
 	n       int  // number of codes stored
-	width   uint // k: payload bits per code
-	cell    uint // k+1: cell size in bits
+	width   uint // k: bits per code and per cell
 	perWord int  // cells per 64-bit word
 }
 
@@ -69,18 +72,16 @@ func NewVector(width uint) *Vector {
 	if width < 1 || width > MaxWidth {
 		panicWidthRange(width)
 	}
-	cell := width + 1
 	return &Vector{
 		width:   width,
-		cell:    cell,
-		perWord: int(64 / cell),
+		perWord: int(64 / width),
 	}
 }
 
 // FromWords returns a vector of n codes of the given width over words,
 // packed as Append packs them, and takes ownership of words: bits outside
-// the n cells' payloads are cleared a word at a time. It fails when the
-// width is out of range or the word count does not hold exactly n codes.
+// the n cells are cleared a word at a time. It fails when the width is
+// out of range or the word count does not hold exactly n codes.
 func FromWords(width uint, n int, words []uint64) (*Vector, error) {
 	if width < 1 || width > MaxWidth {
 		return nil, fmt.Errorf("bitpack: width %d out of range [1,%d]", width, MaxWidth)
@@ -89,12 +90,12 @@ func FromWords(width uint, n int, words []uint64) (*Vector, error) {
 	if n < 0 || len(words) != (n+v.perWord-1)/v.perWord {
 		return nil, fmt.Errorf("bitpack: %d words do not hold %d codes of width %d", len(words), n, width)
 	}
-	payload := v.replicate(v.maxCode())
+	cells := v.replicate(v.maxCode())
 	for i := range words {
-		words[i] &= payload
+		words[i] &= cells
 	}
 	if tail := n % v.perWord; tail != 0 {
-		words[len(words)-1] &= 1<<(uint(tail)*v.cell) - 1
+		words[len(words)-1] &= 1<<(uint(tail)*v.width) - 1
 	}
 	v.words, v.n = words, n
 	return v, nil
@@ -130,7 +131,7 @@ func (v *Vector) Append(code uint64) {
 	if slot == 0 {
 		v.words = append(v.words, 0)
 	}
-	v.words[len(v.words)-1] |= code << (uint(slot) * v.cell)
+	v.words[len(v.words)-1] |= code << (uint(slot) * v.width)
 	v.n++
 }
 
@@ -146,7 +147,7 @@ func (v *Vector) AppendAll(codes []uint64) {
 		if slot == 0 {
 			v.words = append(v.words, 0)
 		}
-		v.words[len(v.words)-1] |= c << (uint(slot) * v.cell)
+		v.words[len(v.words)-1] |= c << (uint(slot) * v.width)
 		v.n++
 		if slot++; slot == v.perWord {
 			slot = 0
@@ -160,7 +161,7 @@ func (v *Vector) Get(i int) uint64 {
 		panicIndexRange(i, v.n)
 	}
 	word := v.words[i/v.perWord]
-	shift := uint(i%v.perWord) * v.cell
+	shift := uint(i%v.perWord) * v.width
 	return (word >> shift) & v.maxCode()
 }
 
@@ -175,12 +176,12 @@ func (v *Vector) Unpack(base uint64, dst []uint64) []uint64 {
 		dst = make([]uint64, v.n)
 	}
 	dst = dst[:v.n]
-	mask, cell, per := v.maxCode(), v.cell, v.perWord
+	mask, width, per := v.maxCode(), v.width, v.perWord
 	for wi, w := range v.words {
 		cells := dst[wi*per : min(wi*per+per, v.n)]
 		for s := range cells {
 			cells[s] = base + w&mask
-			w >>= cell
+			w >>= width
 		}
 	}
 	return dst
@@ -200,14 +201,14 @@ func (v *Vector) Gather(sel []int, base uint64, dst []uint64) []uint64 {
 		dst = make([]uint64, len(sel))
 	}
 	dst = dst[:len(sel)]
-	mask, cell, per := v.maxCode(), v.cell, v.perWord
+	mask, width, per := v.maxCode(), v.width, v.perWord
 	wi, first := 0, 0 // the current word and the position of its first cell
 	for k, i := range sel {
 		for i >= first+per {
 			wi++
 			first += per
 		}
-		dst[k] = base + v.words[wi]>>(uint(i-first)*cell)&mask
+		dst[k] = base + v.words[wi]>>(uint(i-first)*width)&mask
 	}
 	return dst
 }

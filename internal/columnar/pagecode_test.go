@@ -3,6 +3,7 @@ package columnar
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"slices"
 	"sync"
@@ -23,7 +24,7 @@ import (
 // extension (residual ranges; stride 8 holds a few of them among the
 // first values, whose codes are narrow, so its page patches the wide
 // ones), a nullable BIGINT whose strides hold some NULLs, only NULLs, or
-// one repeated value (width 1 over a non-zero base), and two fat-tail
+// two values in no order (width 1 over a non-zero base), and two fat-tail
 // columns whose strides hold a few outliers among narrow values: a
 // nullable BIGINT and a fixed-point DOUBLE. Their outliers sit at a
 // stride's first and last position and a dozen between; the BIGINT's
@@ -76,7 +77,7 @@ func sortedValue(stride, off int) types.Value {
 		}
 		return types.NewInt(int64(20_000 + 50*off))
 	case 3:
-		return types.NewInt(int64(100 * max(0, off-600)))
+		return types.NewInt(int64(200 * max(0, off-600)))
 	case 4:
 		return types.NewInt(30_000)
 	case 5:
@@ -123,7 +124,7 @@ func pageCodeRow(i int) types.Row {
 	case stride == 1:
 		v = types.NewInt(int64(5000 + i%7))
 	case stride == 3:
-		v = types.NewInt(42)
+		v = types.NewInt(int64(42 + i%3%2))
 	default:
 		v = types.NewInt(int64(i*13) % 10007)
 	}
@@ -153,12 +154,17 @@ func pageCodeRow(i int) types.Row {
 }
 
 func newPageCodeTable(t testing.TB) (*Table, []types.Row) {
+	return newPageCodeTableOn(t, nil)
+}
+
+// newPageCodeTableOn is newPageCodeTable over store (nil: the default).
+func newPageCodeTableOn(t testing.TB, store PageStore) (*Table, []types.Row) {
 	t.Helper()
 	rows := make([]types.Row, pageCodeRows)
 	for i := range rows {
 		rows[i] = pageCodeRow(i)
 	}
-	tbl := NewTable(1, "pagecode", pageCodeSchema(), Config{})
+	tbl := NewTable(1, "pagecode", pageCodeSchema(), Config{Store: store})
 	first := 6 * page.StrideSize
 	if err := tbl.InsertBatch(rows[:first]); err != nil {
 		t.Fatal(err)
@@ -301,6 +307,23 @@ func TestPageCodeScanParity(t *testing.T) {
 		{{Col: 3, Op: encoding.OpGE, Val: types.NewString("name020x")}, {Col: 5, Op: encoding.OpLT, Val: types.NewInt(3000)}},
 		{{Col: 7, Op: encoding.OpGE, Val: types.NewInt(10_005)}, {Col: 0, Op: encoding.OpLT, Val: types.NewInt(1_008_500)}},
 	}
+	// Every seventh case of every group also scans the same rows stored as
+	// a release before flag 8 wrote its pages, each read through
+	// Unmarshal's repack.
+	old, _ := newPageCodeTableOn(t, delimitedStore{NewMemStore()})
+	t.Run("delimited", func(t *testing.T) {
+		t.Parallel()
+		for _, cases := range groups {
+			for k := 0; k < len(cases); k += 7 {
+				want := plainFilter(rows, cases[k])
+				for name, got := range pageCodeScans(t, old, rows, cases[k]) {
+					if !slices.Equal(got, want) {
+						t.Fatalf("%v: %s over pages without flag 8 selects %d rows, the plain filter %d", cases[k], name, len(got), len(want))
+					}
+				}
+			}
+		}
+	})
 	// The groups scan the one table side by side, as concurrent readers do.
 	for gi, cases := range groups {
 		name := "pairs"
@@ -492,8 +515,9 @@ func sealedPageBytes(codes []uint64, nulls []bool) (bytes, patched int, sorted b
 }
 
 // smallestPacking returns the bytes of offs packed at the width w that
-// makes them smallest, counting 6 bytes for each offset wider than w bits
-// (the widest w winning a tie), and how many offsets those are.
+// makes them smallest, ⌈n/⌊64/w⌋⌉ words of 8 bytes for n offsets,
+// counting 6 bytes for each offset wider than w bits (the widest w
+// winning a tie), and how many offsets those are.
 func smallestPacking(offs []uint64) (bytes, patched int) {
 	bytes = math.MaxInt
 	for w := bitpack.WidthFor(slices.Max(offs)); w >= 1; w-- {
@@ -503,7 +527,7 @@ func smallestPacking(offs []uint64) (bytes, patched int) {
 				wide++
 			}
 		}
-		perWord := 64 / int(w+1)
+		perWord := 64 / int(w)
 		if size := (len(offs)+perWord-1)/perWord*8 + 6*wide; size < bytes {
 			bytes, patched = size, wide
 		}
@@ -570,38 +594,38 @@ func TestPageCodeBytesExact(t *testing.T) {
 	if sum != rep.PageBytes {
 		t.Errorf("column page bytes sum to %d, PageBytes is %d", sum, rep.PageBytes)
 	}
-	// Known pages. 1 024 sequential ids lie on their line: 32 words of
-	// width 1, the header and the line's 8 B (296 B; their frame of
-	// reference was 205 words of 10 bits, 1 672 B); the all-NULL stride's
-	// 32 words of width 1, its bitmap and header (416 B); no uniform column
-	// patches. The
-	// fat-tail BIGINT's narrow values are below 5 000 (13 bits) and its
-	// outliers past a million (20 bits): 13 to 15 bits pack 4 a word (256
-	// words) and 20 only 3 (342), so a stride with 13 outliers (its first
-	// and last position and 11 between) packs 256 words and 13 exceptions
+	// Known pages. A page packs ⌊64/w⌋ codes of w bits a word. 1 024
+	// sequential ids lie on their line: 16 words of width 1, the header and
+	// the line's 8 B (168 B; their frame of reference is 171 words of 10
+	// bits, 1 400 B); the all-NULL stride's 16 words of width 1, its bitmap
+	// and header (288 B); no uniform column patches. The fat-tail BIGINT's
+	// narrow values are below 5 000 (13 bits) and its outliers past a
+	// million (20 bits): 13 to 16 bits pack 4 a word (256 words) and 17 to
+	// 21 only 3 (342), so a stride with 13 outliers (its first and last
+	// position and 11 between) packs 256 words and 13 exceptions
 	// (2 158 B). Stride 2 loses 2 of them to NULLs and holds a bitmap;
 	// stride 3 has no outlier; stride 4's 267 would cost 1 602 B to save
 	// 688, so both pack every code.
 	//
 	// The sorted column's line pages: consecutive codes and plateaus pack
-	// 32 words of width 1 (296 B), as does the lifted run with its three
-	// residuals kept as exceptions (314 B). Stride 3 climbs 42 300 after
-	// 600 cells at its least value, so its line climbs about 41.3 a cell
-	// and lies about 24 800 above the 600th: residuals of 15 bits, four a
-	// word (256 words, 2 096 B), where its frame of reference takes 16 bits,
-	// three a word. A single code packs 32 words of width 1 (288 B), a
-	// climb of 3 a cell that descends at its end 256 words of 12 bits
-	// (2 080 B) and a climb of 2 a cell with one NULL 205 words of 11 bits
+	// 16 words of width 1 (168 B), as does the lifted run with its three
+	// residuals kept as exceptions (186 B). Stride 3 climbs 84 600 after
+	// 600 cells at its least value, so its line climbs about 82.7 a cell
+	// and lies about 49 600 above the 600th: residuals of 16 bits, four a
+	// word (256 words, 2 088 B), where its frame of reference takes 17
+	// bits, three a word. A single code packs 16 words of width 1 (160 B),
+	// a climb of 3 a cell that descends at its end 205 words of 12 bits
+	// (1 672 B) and a climb of 2 a cell with one NULL 205 words of 11 bits
 	// and a bitmap (1 800 B): frames of reference.
 	for _, c := range []struct {
 		col, stride, size, patched int
 		line                       bool
 	}{
-		{0, 0, 32*8 + 8 + 32, 0, true}, {0, 4, 32*8 + 8 + 32, 0, true}, {4, 2, 32*8 + 128 + 32, 0, false},
+		{0, 0, 16*8 + 8 + 32, 0, true}, {0, 4, 16*8 + 8 + 32, 0, true}, {4, 2, 16*8 + 128 + 32, 0, false},
 		{5, 0, 256*8 + 13*6 + 32, 13, false}, {5, 8, 256*8 + 13*6 + 32, 13, false},
 		{5, 2, 256*8 + 11*6 + 128 + 32, 11, false}, {5, 3, 256*8 + 32, 0, false}, {5, 4, 342*8 + 32, 0, false},
-		{7, 0, 32*8 + 8 + 32, 0, true}, {7, 1, 32*8 + 8 + 32, 0, true}, {7, 2, 32*8 + 3*6 + 8 + 32, 3, true},
-		{7, 3, 256*8 + 8 + 32, 0, true}, {7, 4, 32*8 + 32, 0, false}, {7, 6, 256*8 + 32, 0, false},
+		{7, 0, 16*8 + 8 + 32, 0, true}, {7, 1, 16*8 + 8 + 32, 0, true}, {7, 2, 16*8 + 3*6 + 8 + 32, 3, true},
+		{7, 3, 256*8 + 8 + 32, 0, true}, {7, 4, 16*8 + 32, 0, false}, {7, 6, 205*8 + 32, 0, false},
 		{7, 7, 205*8 + 128 + 32, 0, false},
 	} {
 		if sizes[c.col][c.stride] != c.size || excs[c.col][c.stride] != c.patched || lines[c.col][c.stride] != c.line {
@@ -631,6 +655,41 @@ func TestPageCodeBytesExact(t *testing.T) {
 	if excs[6][0] == 0 || excs[3][8] == 0 {
 		t.Errorf("DOUBLE stride 0 patches %d codes, VARCHAR stride 8 %d", excs[6][0], excs[3][8])
 	}
+}
+
+// delimitedStore is a PageStore whose pages read back as a release before
+// flag 8 in header byte 26 wrote them: each code in a cell one bit wider
+// than the page's width, ⌊64/(width+1)⌋ a word.
+type delimitedStore struct{ PageStore }
+
+func (s delimitedStore) ReadPage(id page.ID) ([]byte, error) {
+	data, err := s.PageStore.ReadPage(id)
+	if err != nil || len(data) < 32 || binary.LittleEndian.Uint16(data) != 0xDA5B || data[26]&8 == 0 {
+		return data, err
+	}
+	width := uint(binary.LittleEndian.Uint16(data[2:]))
+	n, words := int(binary.LittleEndian.Uint32(data[14:])), int(binary.LittleEndian.Uint32(data[18:]))
+	at := 28 // the packed words follow the header, a line's 8 B and a bitmap
+	if data[26]&4 != 0 {
+		at += 8
+	}
+	if data[26]&1 == 0 {
+		at += page.StrideSize / 8
+	}
+	per, oldPer := int(64/width), int(64/(width+1))
+	packed := make([]uint64, (n+oldPer-1)/oldPer)
+	for i := 0; i < n; i++ {
+		code := binary.LittleEndian.Uint64(data[at+8*(i/per):]) >> (uint(i%per) * width) & (1<<width - 1)
+		packed[i/oldPer] |= code << (uint(i%oldPer) * (width + 1))
+	}
+	out := slices.Clone(data[:at])
+	for _, w := range packed {
+		out = binary.LittleEndian.AppendUint64(out, w)
+	}
+	out = append(out, data[at+8*words:len(data)-4]...)
+	out[26] &^= 8
+	binary.LittleEndian.PutUint32(out[18:], uint32(len(packed)))
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out)), nil
 }
 
 // mustPage loads column ci's sealed page of stride s.

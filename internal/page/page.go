@@ -171,14 +171,14 @@ func lineOffsets(codes, res []uint64, byLen *[bitpack.MaxWidth + 1]int) (slope u
 
 // packWidth returns the width, at most full, that makes n offsets
 // smallest, how many offsets are wider than it, and the bytes they take:
-// their packed words plus exceptionSize bytes for each of those, byLen
-// counting the offsets of each bit length. Among equal sizes the widest
-// wins.
+// their packed words, ⌈n/⌊64/w⌋⌉ at width w, plus exceptionSize bytes for
+// each of those, byLen counting the offsets of each bit length. Among
+// equal sizes the widest wins.
 func packWidth(n int, full uint, byLen *[bitpack.MaxWidth + 1]int) (width uint, patched, size int) {
 	size = math.MaxInt
 	wide := 0 // offsets longer than w bits
 	for w := full; w >= 1; w-- {
-		perWord := 64 / int(w+1)
+		perWord := 64 / int(w)
 		if sz := (n+perWord-1)/perWord*8 + wide*exceptionSize; sz < size {
 			width, patched, size = w, wide, sz
 		}
@@ -329,11 +329,15 @@ const pageMagic = 0xDA5B
 // flagPatched marks a page whose exception list follows its packed words;
 // a page without one serializes as it did before exceptions existed.
 // flagLine marks a line page, whose slope and bias follow the header and
-// whose base is its first code.
+// whose base is its first code. flagExact marks packed words whose cells
+// are exactly the width, ⌊64/width⌋ a word, as bitpack lays them out;
+// Marshal always sets it. A page written before it packed each code in a
+// cell one bit wider, ⌊64/(width+1)⌋ a word, and reads through a repack.
 const (
 	flagNoNulls = 1
 	flagPatched = 2
 	flagLine    = 4
+	flagExact   = 8
 )
 
 // Marshal serializes the page: the header, a line page's slope u32 and
@@ -351,6 +355,7 @@ func (p *Page) Marshal() []byte {
 		nw = p.nulls.Words()
 	}
 	buf := make([]byte, headerSize-4, p.MemSize())
+	buf[26] = flagExact
 	binary.LittleEndian.PutUint16(buf[0:], pageMagic)
 	binary.LittleEndian.PutUint16(buf[2:], uint16(p.codes.Width()))
 	binary.LittleEndian.PutUint32(buf[4:], p.ID.Table)
@@ -360,7 +365,7 @@ func (p *Page) Marshal() []byte {
 	binary.LittleEndian.PutUint32(buf[18:], uint32(len(words)))
 	binary.LittleEndian.PutUint32(buf[22:], uint32(p.base))
 	if p.nulls == nil {
-		buf[26] = flagNoNulls
+		buf[26] |= flagNoNulls
 	}
 	if len(p.excPos) > 0 {
 		buf[26] |= flagPatched
@@ -385,9 +390,11 @@ func (p *Page) Marshal() []byte {
 
 // Unmarshal parses a serialized page, verifying the checksum. The NULL
 // bitmap's words are adopted whole, and a bitmap with no bit set (as an
-// older page may carry) is dropped. Exceptions must ascend, lie inside the
-// page on non-NULL cells, and not fit the packed width. A line page must
-// carry no NULL bitmap, and its codes must never descend nor pass 32 bits.
+// older page may carry) is dropped. The packed words are adopted whole
+// when the page sets flagExact; an older page's codes are repacked.
+// Exceptions must ascend, lie inside the page on non-NULL cells, and not
+// fit the packed width. A line page must carry no NULL bitmap, and its
+// codes must never descend nor pass 32 bits.
 func Unmarshal(data []byte) (*Page, error) {
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("page: truncated (%d bytes)", len(data))
@@ -399,7 +406,7 @@ func Unmarshal(data []byte) (*Page, error) {
 	if binary.LittleEndian.Uint16(body[0:]) != pageMagic {
 		return nil, fmt.Errorf("page: bad magic")
 	}
-	if body[26]&^(flagNoNulls|flagPatched|flagLine) != 0 || body[27] != 0 {
+	if body[26]&^(flagNoNulls|flagPatched|flagLine|flagExact) != 0 || body[27] != 0 {
 		return nil, fmt.Errorf("page: unknown flags %#x %#x", body[26], body[27])
 	}
 	width := uint(binary.LittleEndian.Uint16(body[2:]))
@@ -440,7 +447,13 @@ func Unmarshal(data []byte) (*Page, error) {
 			p.nulls = nulls
 		}
 	}
-	codes, err := bitpack.FromWords(width, n, raw[nNull:])
+	var codes *bitpack.Vector
+	var err error
+	if body[26]&flagExact != 0 {
+		codes, err = bitpack.FromWords(width, n, raw[nNull:])
+	} else {
+		codes, err = repackDelimited(width, n, raw[nNull:])
+	}
 	if err != nil {
 		return nil, fmt.Errorf("page: %w", err)
 	}
@@ -458,6 +471,29 @@ func Unmarshal(data []byte) (*Page, error) {
 		}
 	}
 	return p, nil
+}
+
+// repackDelimited returns the vector of the n codes in words as a page
+// without flagExact packed them: each in a cell of width+1 bits, a word
+// holding ⌊64/(width+1)⌋ cells from its low bits up, the bit above each
+// code unused.
+func repackDelimited(width uint, n int, words []uint64) (*bitpack.Vector, error) {
+	if width < 1 || width > bitpack.MaxWidth {
+		return nil, fmt.Errorf("old layout: width %d out of range [1,%d]", width, bitpack.MaxWidth)
+	}
+	cell := width + 1
+	per := int(64 / cell)
+	if len(words) != (n+per-1)/per {
+		return nil, fmt.Errorf("old layout: %d words do not hold %d codes of width %d in cells of %d bits", len(words), n, width, cell)
+	}
+	var buf [StrideSize]uint64
+	codes, mask := buf[:n], uint64(1)<<width-1
+	for i := range codes {
+		codes[i] = words[i/per] >> (uint(i%per) * cell) & mask
+	}
+	v := bitpack.NewVector(width)
+	v.AppendAll(codes)
+	return v, nil
 }
 
 // checkLine fails unless the line page's codes never descend and stay

@@ -188,7 +188,7 @@ func fatTail(n int, base uint64, narrow, wideBits uint, wide ...int) []uint64 {
 // pay for their bytes, or that has none, packs every offset.
 func TestPackPatchesOutliers(t *testing.T) {
 	ends := []int{0, 100, 500, 1022, 1023}
-	many := make([]int, 0, 450) // 450 outliers cost 2 700 B: 11 bits save 2 456
+	many := make([]int, 0, 450) // 450 outliers cost 2 700 B: 10 bits save 1 368
 	for i := 0; i < 450; i++ {
 		many = append(many, i*2)
 	}
@@ -210,15 +210,16 @@ func TestPackPatchesOutliers(t *testing.T) {
 		patched int
 		size    int
 	}{
-		// Offsets below 1<<10 and five at 1<<20: 21 bits pack 2 a word
-		// (512 words); 10 and 11 bits both pack 5 (205 words), so 11.
-		{"ends", fatTail(StrideSize, 5000, 10, 20, ends...), nil, 11, 5, 205*8 + 5*6 + 32},
-		{"no outlier", fatTail(StrideSize, 5000, 10, 20), nil, 10, 0, 205*8 + 32},
-		{"outliers do not pay", fatTail(StrideSize, 5000, 10, 20, many...), nil, 21, 0, 512*8 + 32},
-		{"NULLs", nullCodes, withNulls, 11, 4, 205*8 + 4*6 + 128 + 32},
-		// 40 offsets below 8 pack 16 a word at 3 bits (3 words), and one
+		// Offsets below 1<<10 and five at 1<<20: 21 bits pack 3 a word
+		// (342 words), 11 bits 5 (205 words) and 10 bits 6 (171 words), so
+		// 10.
+		{"ends", fatTail(StrideSize, 5000, 10, 20, ends...), nil, 10, 5, 171*8 + 5*6 + 32},
+		{"no outlier", fatTail(StrideSize, 5000, 10, 20), nil, 10, 0, 171*8 + 32},
+		{"outliers do not pay", fatTail(StrideSize, 5000, 10, 20, many...), nil, 21, 0, 342*8 + 32},
+		{"NULLs", nullCodes, withNulls, 10, 4, 171*8 + 4*6 + 128 + 32},
+		// 40 offsets below 8 pack 21 a word at 3 bits (2 words), and one
 		// past 1<<30 would take 31 (20 words).
-		{"short page", fatTail(40, 9, 3, 30, 39), nil, 3, 1, 3*8 + 6 + 32},
+		{"short page", fatTail(40, 9, 3, 30, 39), nil, 3, 1, 2*8 + 6 + 32},
 	} {
 		p := Pack(ID{Table: 2}, c.codes, c.nulls)
 		if p.codes.Width() != c.width || p.Patched() != c.patched || p.MemSize() != c.size {
@@ -241,32 +242,35 @@ func TestPackPatchesOutliers(t *testing.T) {
 // between the packed words and the CRC, each exception's position (u16)
 // and offset (u32). The page is codes 100 101 102 103 100 101 102 103 100
 // 5100 of table 4, column 1, stride 9: offsets to 3 and one of 5 000 pack
-// at 5 bits (10 a word, one word) with 5 000 at position 9 an exception.
+// at 6 bits, the widest width that holds ten codes in one word, with
+// 5 000 at position 9 an exception. The same page as the layout before
+// flag 8 wrote it (5 bits, each in a six-bit cell) still reads with its
+// codes and exception.
 func TestPageGoldenPatched(t *testing.T) {
 	codes := []uint64{100, 101, 102, 103, 100, 101, 102, 103, 100, 5100}
-	golden := "5bda0500040000000100090000000a0000000100000064000000" + "0300" + // header, flags: no NULLs, patched
-		"40200c40200c0000" + // one word: nine offsets in six-bit cells, and a 0
-		"0900" + "88130000" + // the exception: position 9, offset 5 000
-		"00000000" // CRC, filled in below
-	data, err := hex.DecodeString(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reseal(data)
-	if got := Pack(ID{Table: 4, Column: 1, Stride: 9}, codes, nil).Marshal(); hex.EncodeToString(got) != hex.EncodeToString(data) {
+	data := golden(t, "5bda0600040000000100090000000a0000000100000064000000"+"0b00"+ // header, flags: no NULLs, patched, exact
+		"40200c40200c0000"+ // one word: nine offsets in six-bit cells, and a 0
+		"0900"+"88130000"+ // the exception: position 9, offset 5 000
+		"00000000") // CRC, filled in
+	p := Pack(ID{Table: 4, Column: 1, Stride: 9}, codes, nil)
+	if got := p.Marshal(); hex.EncodeToString(got) != hex.EncodeToString(data) {
 		t.Fatalf("Marshal\n%x\nwant\n%x", got, data)
 	}
-	p, err := Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
+	checkFixture(t, data, codes, nil)
+	old := golden(t, "5bda0500040000000100090000000a0000000100000064000000"+"0300"+ // header, flags: no NULLs, patched
+		"40200c40200c0000"+ // one word: nine offsets of five bits in six-bit cells, and a 0
+		"0900"+"88130000"+ // the exception: position 9, offset 5 000
+		"00000000") // CRC, filled in
+	pd := checkFixture(t, old, codes, nil)
+	if pd.codes.Width() != 5 || pd.Patched() != 1 || pd.excPos[0] != 9 || pd.excOff[0] != 5000 || pd.Sorted() {
+		t.Fatalf("old patched page: width %d, exceptions %v %v, line page %v", pd.codes.Width(), pd.excPos, pd.excOff, pd.Sorted())
 	}
-	checkCodes(t, p, codes, nil, rangeBounds(codes))
 }
 
 // TestPageUnmarshalBadExceptions: an exception list that does not fill
 // its bytes, whose positions do not ascend or pass the page's end, that
 // patches a NULL cell, or whose offset would fit the packed width is an
-// error even under a valid checksum.
+// error even under a valid checksum, in either layout.
 func TestPageUnmarshalBadExceptions(t *testing.T) {
 	for _, data := range badExceptionPages() {
 		if _, err := Unmarshal(data); err == nil {
@@ -276,27 +280,28 @@ func TestPageUnmarshalBadExceptions(t *testing.T) {
 }
 
 // badExceptionPages returns patched pages edited to break one rule of the
-// exception list each, resealed.
+// exception list each, resealed, in both layouts.
 func badExceptionPages() [][]byte {
 	codes := fatTail(100, 10, 4, 16, 3, 50, 99)
 	nulls := make([]bool, len(codes))
 	nulls[20] = true
 	codes[20] = 0
-	good := Pack(ID{Table: 5}, codes, nulls).Marshal() // width 4: 9 words, 3 exceptions
-	excAt := len(good) - 4 - 3*exceptionSize
 	var out [][]byte
-	for _, edit := range []func([]byte) []byte{
-		func(b []byte) []byte { return append(b[:len(b)-4:len(b)-4], 0, 0, 0, 0, 0) },     // a byte past the last exception
-		func(b []byte) []byte { binary.LittleEndian.PutUint16(b[excAt+6:], 3); return b }, // 3 then 3
-		func(b []byte) []byte { binary.LittleEndian.PutUint16(b[excAt:], 60); return b },  // 60 then 50
-		func(b []byte) []byte { binary.LittleEndian.PutUint16(b[excAt+12:], 100); return b },
-		func(b []byte) []byte { binary.LittleEndian.PutUint16(b[excAt+6:], 20); return b }, // the NULL cell
-		func(b []byte) []byte { binary.LittleEndian.PutUint32(b[excAt+2:], 15); return b }, // fits 4 bits
-		func(b []byte) []byte { return append(b[:excAt:excAt], 0, 0, 0, 0) },               // flagged, none listed
-	} {
-		data := edit(append([]byte(nil), good...))
-		reseal(data)
-		out = append(out, data)
+	for _, good := range bothLayouts(Pack(ID{Table: 5}, codes, nulls)) { // width 4: 7 words (9 before flag 8), 3 exceptions
+		excAt := len(good) - 4 - 3*exceptionSize
+		for _, edit := range []func([]byte) []byte{
+			func(b []byte) []byte { return append(b[:len(b)-4:len(b)-4], 0, 0, 0, 0, 0) },     // a byte past the last exception
+			func(b []byte) []byte { binary.LittleEndian.PutUint16(b[excAt+6:], 3); return b }, // 3 then 3
+			func(b []byte) []byte { binary.LittleEndian.PutUint16(b[excAt:], 60); return b },  // 60 then 50
+			func(b []byte) []byte { binary.LittleEndian.PutUint16(b[excAt+12:], 100); return b },
+			func(b []byte) []byte { binary.LittleEndian.PutUint16(b[excAt+6:], 20); return b }, // the NULL cell
+			func(b []byte) []byte { binary.LittleEndian.PutUint32(b[excAt+2:], 15); return b }, // fits 4 bits
+			func(b []byte) []byte { return append(b[:excAt:excAt], 0, 0, 0, 0) },               // flagged, none listed
+		} {
+			data := edit(append([]byte(nil), good...))
+			reseal(data)
+			out = append(out, data)
+		}
 	}
 	return out
 }
@@ -364,18 +369,19 @@ func TestPackSortedStrides(t *testing.T) {
 		checkCodes(t, p, c.codes, c.nulls, rangeBounds(c.codes))
 		checkCodes(t, roundTrip(t, p), c.codes, c.nulls, rangeBounds(c.codes))
 	}
-	// Known line pages: consecutive codes lie on their line (32 words of
+	// Known line pages: consecutive codes lie on their line (16 words of
 	// width 1); the lifted run's three residuals are exceptions; codes
-	// flat at 0 then climbing lie below the line from 0.
+	// flat at 0 then climbing lie below the line from 0 (171 words of 10
+	// bits).
 	for _, c := range []struct {
 		name    string
 		patched int
 		bias    int32
 		size    int
 	}{
-		{"consecutive", 0, 0, 32*8 + lineSize + 32},
-		{"lifted run", 3, 0, 32*8 + 3*exceptionSize + lineSize + 32},
-		{"dips from 0", 0, -812, 205*8 + lineSize + 32},
+		{"consecutive", 0, 0, 16*8 + lineSize + 32},
+		{"lifted run", 3, 0, 16*8 + 3*exceptionSize + lineSize + 32},
+		{"dips from 0", 0, -812, 171*8 + lineSize + 32},
 	} {
 		for _, s := range sortedStrides() {
 			if s.name != c.name {
@@ -395,37 +401,40 @@ func TestPackSortedStrides(t *testing.T) {
 // column 2, stride 3: its line climbs 4 501/9 a cell, so the slope is
 // ⌊4 501·2¹⁶/9⌋ = 32 775 281 (rounded down: up, cell 9's residual would be
 // 0), the residuals are 0 −2 0 0 1 0 0 2 0 1, the bias is −2, and the
-// offsets 2 0 2 2 3 2 2 4 2 3 pack at 3 bits, 16 a word: one word and
+// offsets 2 0 2 2 3 2 2 4 2 3 pack at 3 bits, 21 a word: one word and
 // 48 B, where the frame of reference takes three words of 13 bits and
-// 56 B.
+// 56 B. The same page as the layout before flag 8 wrote it (each offset
+// in a four-bit cell) still reads with its line.
 func TestPageGoldenSorted(t *testing.T) {
 	codes := []uint64{1000, 1498, 2000, 2500, 3001, 3500, 4000, 4502, 5000, 5501}
-	golden := "5bda0300040000000200030000000a00000001000000e8030000" + "0500" + // header, flags: no NULLs, line
-		"711cf401" + "feffffff" + // slope 32 775 281, bias −2
-		"0222234232000000" + // one word: ten offsets in four-bit cells
-		"00000000" // CRC, filled in below
-	data, err := hex.DecodeString(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reseal(data)
-	if got := Pack(ID{Table: 4, Column: 2, Stride: 3}, codes, nil).Marshal(); hex.EncodeToString(got) != hex.EncodeToString(data) {
+	data := golden(t, "5bda0300040000000200030000000a00000001000000e8030000"+"0d00"+ // header, flags: no NULLs, line, exact
+		"711cf401"+"feffffff"+ // slope 32 775 281, bias −2
+		"8234891a00000000"+ // one word: ten offsets in three-bit cells
+		"00000000") // CRC, filled in
+	p := Pack(ID{Table: 4, Column: 2, Stride: 3}, codes, nil)
+	if got := p.Marshal(); hex.EncodeToString(got) != hex.EncodeToString(data) {
 		t.Fatalf("Marshal\n%x\nwant\n%x", got, data)
 	}
-	p, err := Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
+	if got := checkFixture(t, data, codes, nil); !got.Sorted() || got.MemSize() != 48 {
+		t.Fatalf("line page %v of %d B, want a line page of 48 B", got.Sorted(), got.MemSize())
 	}
-	if !p.Sorted() || p.MemSize() != 48 {
-		t.Fatalf("line page %v of %d B, want a line page of 48 B", p.Sorted(), p.MemSize())
+	old := golden(t, "5bda0300040000000200030000000a00000001000000e8030000"+"0500"+ // header, flags: no NULLs, line
+		"711cf401"+"feffffff"+ // slope 32 775 281, bias −2
+		"0222234232000000"+ // one word: ten offsets in four-bit cells
+		"00000000") // CRC, filled in
+	if got := marshalDelimited(p); hex.EncodeToString(got) != hex.EncodeToString(old) {
+		t.Fatalf("the layout before flag 8\n%x\nwant\n%x", got, old)
 	}
-	checkCodes(t, p, codes, nil, rangeBounds(codes))
+	pd := checkFixture(t, old, codes, nil)
+	if !pd.Sorted() || pd.slope != 32_775_281 || pd.bias != -2 || pd.base != 1000 || pd.Patched() != 0 {
+		t.Fatalf("old line page: line %v, slope %d, bias %d, base %d, %d exceptions", pd.Sorted(), pd.slope, pd.bias, pd.base, pd.Patched())
+	}
 }
 
 // TestPageUnmarshalBadSorted: a line page that carries a NULL bitmap,
 // whose residuals decode to codes that descend, whose slope or bias takes
-// a code past 32 bits or below 0, or that sets the unknown flag 8 is an
-// error even under a valid checksum.
+// a code past 32 bits or below 0, or that sets the unknown flag 16 is an
+// error even under a valid checksum, in either layout.
 func TestPageUnmarshalBadSorted(t *testing.T) {
 	for _, data := range badSortedPages(t) {
 		if _, err := Unmarshal(data); err == nil {
@@ -435,7 +444,7 @@ func TestPageUnmarshalBadSorted(t *testing.T) {
 }
 
 // badSortedPages returns line pages edited to break one rule each,
-// resealed. The lifted run's page and the page near 32 bits climb more a
+// resealed, in both layouts. The lifted run's page and the page near 32 bits climb more a
 // cell than their widest packed offset, so Unmarshal checks them at their
 // exceptions and ends only; the plateaus' page it checks cell by cell.
 func badSortedPages(t testing.TB) [][]byte {
@@ -465,9 +474,17 @@ func badSortedPages(t testing.TB) [][]byte {
 	if at < 0 {
 		t.Fatal("no cell of the plateaus can be raised past its successor")
 	}
-	word := headerSize - 4 + lineSize + 8*(at/plateauPage.codes.PerWord())
-	shift := uint(at%plateauPage.codes.PerWord()) * (plateauPage.codes.Width() + 1)
-	excAt := len(patchedPage.Marshal()) - 4 - 3*exceptionSize
+	raise := func(b []byte) []byte {
+		cell := plateauPage.codes.Width()
+		if b[26]&flagExact == 0 {
+			cell++ // the layout before flag 8
+		}
+		per := int(64 / cell)
+		word := headerSize - 4 + lineSize + 8*(at/per)
+		w := binary.LittleEndian.Uint64(b[word:])
+		binary.LittleEndian.PutUint64(b[word:], w|widest<<(uint(at%per)*cell))
+		return b
+	}
 	var out [][]byte
 	for _, edit := range []struct {
 		p    *Page
@@ -479,23 +496,21 @@ func badSortedPages(t testing.TB) [][]byte {
 			bitmap[1] = 2
 			return slices.Concat(b[:headerSize-4+lineSize], bitmap, b[headerSize-4+lineSize:])
 		}},
-		{plateauPage, func(b []byte) []byte {
-			w := binary.LittleEndian.Uint64(b[word:])
-			binary.LittleEndian.PutUint64(b[word:], w|widest<<shift)
-			return b
-		}},
+		{plateauPage, raise},
 		{patchedPage, func(b []byte) []byte { // cell 502 lifted past cell 503
-			binary.LittleEndian.PutUint32(b[excAt+12+2:], 1500)
+			binary.LittleEndian.PutUint32(b[len(b)-4-exceptionSize+2:], 1500)
 			return b
 		}},
 		{Pack(ID{}, top, nil), func(b []byte) []byte { binary.LittleEndian.PutUint32(b[28:], math.MaxUint32); return b }},
 		{Pack(ID{}, top, nil), func(b []byte) []byte { binary.LittleEndian.PutUint32(b[32:], math.MaxInt32); return b }},
 		{plateauPage, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[32:], 1<<31); return b }}, // −2³¹
-		{plateauPage, func(b []byte) []byte { b[26] |= 8; return b }},
+		{plateauPage, func(b []byte) []byte { b[26] |= 16; return b }},
 	} {
-		data := edit.edit(edit.p.Marshal())
-		reseal(data)
-		out = append(out, data)
+		for _, data := range bothLayouts(edit.p) {
+			data = edit.edit(data)
+			reseal(data)
+			out = append(out, data)
+		}
 	}
 	return out
 }
@@ -505,14 +520,14 @@ func badSortedPages(t testing.TB) [][]byte {
 func TestPageMemSizeExact(t *testing.T) {
 	codes := make([]uint64, StrideSize)
 	for i := range codes {
-		codes[i] = 1<<20 + uint64(i%100) // width 7: 8 codes a word
+		codes[i] = 1<<20 + uint64(i%100) // width 7: 9 codes a word
 	}
 	nulls := make([]bool, StrideSize)
 	nulls[3] = true
 	for _, c := range []struct {
 		nulls []bool
 		want  int
-	}{{nil, 128*8 + 32}, {nulls, 128*8 + 128 + 32}} {
+	}{{nil, 114*8 + 32}, {nulls, 114*8 + 128 + 32}} {
 		p := Pack(ID{}, codes, c.nulls)
 		if p.MemSize() != c.want || len(p.Marshal()) != c.want {
 			t.Errorf("MemSize %d, Marshal %d bytes; want %d", p.MemSize(), len(p.Marshal()), c.want)
@@ -542,9 +557,62 @@ func TestPageGoldenPreBaseLayout(t *testing.T) {
 	}
 	codes := []uint64{3, 0, 7, 15, 9, 0, 12, 1, 2, 11}
 	nulls := []bool{false, true, false, false, false, true, false, false, false, false}
-	checkCodes(t, p, codes, nulls, rangeBounds(codes))
+	checkFixture(t, data, codes, nulls)
 	if p.MemSize() != 8+128+32 {
 		t.Fatalf("MemSize %d: the bitmap it holds counts", p.MemSize())
+	}
+}
+
+// TestPageGoldenExact pins the current layout, flag 8 in byte 26: cells of
+// exactly the width, ⌊64/width⌋ a word from the low bits up.
+//   - A frame-of-reference page with NULLs: the codes of
+//     TestPageGoldenPreBaseLayout over base 1 pack offsets 2 0 6 14 8 0 11
+//     0 1 10 at 4 bits, 16 a word.
+//   - Width 1: 70 codes, 501 at every third position from 0 and 500
+//     elsewhere, pack 64 a word: two words.
+//   - Width 32: offsets 0, 2³²−1, 2³¹ and 3·2³⁰ pack 2 a word. At 31
+//     bits three would be exceptions.
+func TestPageGoldenExact(t *testing.T) {
+	w1 := make([]uint64, 70)
+	for i := range w1 {
+		w1[i] = 500
+		if i%3 == 0 {
+			w1[i] = 501
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		id     ID
+		codes  []uint64
+		nulls  []bool
+		width  uint
+		golden string
+	}{
+		{"FOR", ID{Table: 3, Column: 2, Stride: 5}, []uint64{3, 0, 7, 15, 9, 0, 12, 1, 2, 11},
+			[]bool{false, true, false, false, false, true, false, false, false, false}, 4,
+			"5bda0400030000000200050000000a00000001000000010000000800" + // header, base 1, flags: exact
+				"2200000000000000" + strings.Repeat("00", 15*8) + // NULL bitmap: bits 1 and 5
+				"02e6080ba1000000" + // one word: ten offsets in four-bit cells
+				"00000000"},
+		{"width 1", ID{Table: 8, Column: 1, Stride: 2}, w1, nil, 1,
+			"5bda0100080000000100020000004600000002000000f40100000900" + // header, base 500, flags: no NULLs, exact
+				"4992244992244992" + "2400000000000000" + // bits 0, 3, …, 63, then 66 and 69
+				"00000000"},
+		{"width 32", ID{Table: 8, Column: 3, Stride: 1}, []uint64{0, 1<<32 - 1, 1 << 31, 3 << 30}, nil, 32,
+			"5bda2000080000000300010000000400000002000000000000000900" + // header, base 0, flags: no NULLs, exact
+				"00000000ffffffff" + "00000080000000c0" + // two offsets a word
+				"00000000"},
+	} {
+		data := golden(t, c.golden)
+		p := Pack(c.id, c.codes, c.nulls)
+		if p.codes.Width() != c.width || p.Patched() != 0 || p.Sorted() {
+			t.Fatalf("%s: width %d, %d exceptions, line page %v; want width %d, a frame of reference", c.name, p.codes.Width(), p.Patched(), p.Sorted(), c.width)
+		}
+		if got := p.Marshal(); hex.EncodeToString(got) != hex.EncodeToString(data) {
+			t.Fatalf("%s: Marshal\n%x\nwant\n%x", c.name, got, data)
+		}
+		checkFixture(t, data, c.codes, c.nulls)
+		checkFixture(t, marshalDelimited(p), c.codes, c.nulls)
 	}
 }
 
@@ -575,27 +643,105 @@ func reseal(data []byte) {
 	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(body))
 }
 
-// TestPageUnmarshalInconsistentHeader: a header whose code count the
-// packed words cannot hold, whose flags are unknown, or that claims a
-// bitmap, exceptions or a line the body lacks is an error even under a
-// valid checksum.
-func TestPageUnmarshalInconsistentHeader(t *testing.T) {
-	p := Pack(ID{}, []uint64{1, 30, 60, 90, 120, 150, 180, 200}, nil) // width 8: 7 a word
-	if p.Patched() != 0 || p.codes.Width() != 8 {
-		t.Fatalf("width %d with %d exceptions, want 8 and none", p.codes.Width(), p.Patched())
+// golden returns the page bytes h spells in hex, its CRC filled in.
+func golden(t testing.TB, h string) []byte {
+	t.Helper()
+	data, err := hex.DecodeString(h)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, edit := range []func([]byte){
-		func(b []byte) { binary.LittleEndian.PutUint32(b[14:], 100) }, // 100 codes in 2 words
-		func(b []byte) { b[26] |= 4 },                                 // a line the body does not hold
-		func(b []byte) { b[27] = 1 },
-		func(b []byte) { b[26] = 0 },  // a bitmap the body does not hold
-		func(b []byte) { b[26] |= 2 }, // exceptions the body does not hold
-	} {
-		data := p.Marshal()
-		edit(data)
-		reseal(data)
-		if _, err := Unmarshal(data); err == nil {
-			t.Fatalf("edited header %x read", data[:28])
+	reseal(data)
+	return data
+}
+
+// checkFixture fails t unless data reads as a page that answers as codes
+// and NULL flags do, and whose Marshal, in the current layout and exactly
+// MemSize bytes, reads back as the same codes, exceptions and line; it
+// returns the page read.
+func checkFixture(t testing.TB, data []byte, codes []uint64, nulls []bool) *Page {
+	t.Helper()
+	p, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCodes(t, p, codes, nulls, rangeBounds(codes))
+	again := p.Marshal()
+	if again[26]&flagExact == 0 || len(again) != p.MemSize() {
+		t.Fatalf("marshalled again: flags %#x, %d bytes, MemSize %d", again[26], len(again), p.MemSize())
+	}
+	q, err := Unmarshal(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCodes(t, q, codes, nulls, rangeBounds(codes))
+	if q.ID != p.ID || q.base != p.base || q.Sorted() != p.Sorted() || q.slope != p.slope || q.bias != p.bias ||
+		!slices.Equal(q.excPos, p.excPos) || !slices.Equal(q.excOff, p.excOff) {
+		t.Fatalf("marshalled again: %+v, read %+v", q, p)
+	}
+	return p
+}
+
+// marshalDelimited returns p's bytes as Marshal wrote them before flag 8:
+// the flag clear, and each code in a cell one bit wider than the width,
+// ⌊64/(width+1)⌋ a word.
+func marshalDelimited(p *Page) []byte {
+	data := p.Marshal()
+	w := p.codes.Width()
+	per := int(64 / (w + 1))
+	words := make([]uint64, (p.Rows()+per-1)/per)
+	for i := 0; i < p.Rows(); i++ {
+		words[i/per] |= p.codes.Get(i) << (uint(i%per) * (w + 1))
+	}
+	at := headerSize - 4
+	if p.line {
+		at += lineSize
+	}
+	if p.nulls != nil {
+		at += nullWords * 8
+	}
+	out := slices.Clone(data[:at])
+	for _, word := range words {
+		out = binary.LittleEndian.AppendUint64(out, word)
+	}
+	out = append(out, data[at+8*len(p.codes.Words()):]...)
+	out[26] &^= flagExact
+	binary.LittleEndian.PutUint32(out[18:], uint32(len(words)))
+	reseal(out)
+	return out
+}
+
+// bothLayouts returns p's bytes in the current layout and in the one
+// before flag 8.
+func bothLayouts(p *Page) [2][]byte {
+	return [2][]byte{p.Marshal(), marshalDelimited(p)}
+}
+
+// TestPageUnmarshalInconsistentHeader: a header whose code count the
+// packed words cannot hold, whose flags are unknown, that claims a bitmap,
+// exceptions or a line the body lacks, or whose flag 8 names the other
+// layout (so the word count does not fit it) is an error even under a
+// valid checksum, in either layout.
+func TestPageUnmarshalInconsistentHeader(t *testing.T) {
+	p := Pack(ID{}, []uint64{1, 30, 60, 90, 120, 150, 180, 200}, nil) // width 8: one word of 8, two of 7 before flag 8
+	if p.Patched() != 0 || p.codes.Width() != 8 || len(p.codes.Words()) != 1 {
+		t.Fatalf("width %d in %d words with %d exceptions, want 8 in 1 and none", p.codes.Width(), len(p.codes.Words()), p.Patched())
+	}
+	for _, good := range bothLayouts(p) {
+		for _, edit := range []func([]byte){
+			func(b []byte) { binary.LittleEndian.PutUint32(b[14:], 100) }, // 100 codes in 1 or 2 words
+			func(b []byte) { b[26] |= 4 },                                 // a line the body does not hold
+			func(b []byte) { b[27] = 1 },
+			func(b []byte) { b[26] &^= flagNoNulls }, // a bitmap the body does not hold
+			func(b []byte) { b[26] |= 2 },            // exceptions the body does not hold
+			func(b []byte) { b[26] |= 16 },
+			func(b []byte) { b[26] ^= flagExact }, // 8 codes in 1 word of 7 cells, or 2 words of 8
+		} {
+			data := slices.Clone(good)
+			edit(data)
+			reseal(data)
+			if _, err := Unmarshal(data); err == nil {
+				t.Fatalf("edited header %x read", data[:28])
+			}
 		}
 	}
 }
@@ -706,8 +852,8 @@ func drawPage(seed int64, widthSel uint8, nSel uint16) ([]uint64, []bool) {
 // FuzzPageRoundTrip: Unmarshal of any bytes returns a page or an error,
 // never a panic, and a page packed from drawn codes reads back through
 // Marshal and Unmarshal as those codes. The seeds include patched pages,
-// line pages (one patched), and exception lists and line pages Unmarshal
-// must refuse.
+// line pages (one patched), exception lists and line pages Unmarshal must
+// refuse, and pages in the layout before flag 8.
 func FuzzPageRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint16(1000), []byte{})
 	f.Add(int64(2), uint8(31), uint16(1024), []byte{0x5b, 0xda})
@@ -721,6 +867,10 @@ func FuzzPageRoundTrip(f *testing.F) {
 	for i, bad := range slices.Concat(badExceptionPages(), badSortedPages(f)) {
 		f.Add(int64(5+i), uint8(i), uint16(1024), bad)
 	}
+	for i, s := range sortedStrides() {
+		f.Add(int64(100+i), uint8(i), uint16(len(s.codes)), marshalDelimited(Pack(ID{Table: 9}, s.codes, s.nulls)))
+	}
+	f.Add(int64(200), uint8(20), uint16(1024), marshalDelimited(Pack(ID{Table: 9}, fatTail(StrideSize, 77, 9, 24, 0, 5, 1023), nil)))
 	f.Fuzz(func(t *testing.T, seed int64, widthSel uint8, nSel uint16, raw []byte) {
 		if p, err := Unmarshal(raw); err == nil {
 			for i := 0; i < p.Rows(); i++ {
@@ -740,10 +890,10 @@ func FuzzPageRoundTrip(f *testing.F) {
 
 // BenchmarkPageGather gathers a stride of codes from a page packed at 24
 // bits (two codes a word), from a patched page whose offsets are 17 bits
-// but for ten of 24 (packed three a word at 20 bits, the widest width of
-// that many words, with ten exceptions), and from a line page of codes
-// climbing 4 096 a cell plus noise below 16 (residuals of 5 bits, ten a
-// word), over every position and over every eighth. It reports 0
+// but for ten of 24 (packed three a word at 21 bits, the widest of the
+// widths 17–21 that all hold three, with ten exceptions), and from a line
+// page of codes climbing 4 096 a cell plus noise below 16 (residuals of 5
+// bits, twelve a word), over every position and over every eighth. It reports 0
 // allocs/op: the patch is a loop over the exceptions, not a copy, and the
 // line one multiply and one shift a cell.
 func BenchmarkPageGather(b *testing.B) {
@@ -758,7 +908,7 @@ func BenchmarkPageGather(b *testing.B) {
 		narrow[j*101] = 1<<23 + uint64(j)
 	}
 	unpatched, patched := Pack(ID{}, wide, nil), Pack(ID{}, narrow, nil)
-	if unpatched.codes.Width() != 24 || unpatched.Patched() != 0 || patched.codes.Width() != 20 || patched.Patched() != 10 {
+	if unpatched.codes.Width() != 24 || unpatched.Patched() != 0 || patched.codes.Width() != 21 || patched.Patched() != 10 {
 		b.Fatalf("pages at %d and %d bits with %d and %d exceptions", unpatched.codes.Width(), patched.codes.Width(), unpatched.Patched(), patched.Patched())
 	}
 	line := Pack(ID{}, climbing(rng), nil)
@@ -775,7 +925,7 @@ func BenchmarkPageGather(b *testing.B) {
 	for _, pg := range []struct {
 		name string
 		p    *Page
-	}{{"unpatched24", unpatched}, {"patched20x10", patched}, {"line5", line}} {
+	}{{"unpatched24", unpatched}, {"patched21x10", patched}, {"line5", line}} {
 		for _, sel := range []struct {
 			name string
 			sel  []int
@@ -816,7 +966,7 @@ func forPage(codes []uint64) *Page {
 // BenchmarkPageSelectRange selects a range holding about a quarter of a
 // stride of climbing codes (see climbing) from its line page, two binary
 // searches and a run of words set, and from the frame-of-reference page
-// of the same codes, one SWAR pass over its 342 words. Both report 0
+// of the same codes, one SWAR pass over its 512 words of 22 bits. Both report 0
 // allocs/op.
 func BenchmarkPageSelectRange(b *testing.B) {
 	codes := climbing(rand.New(rand.NewSource(1)))

@@ -272,19 +272,20 @@ func TestShardInsertBytesWritten(t *testing.T) {
 	}
 	meta, log := size("shards/0000/pages/T00000001/C65535/"), size(appliedPath(0))
 	total := int(after.BytesWritten - before.BytesWritten)
-	// The eight sealed strides' pages are 9 152 B of it, each page its
-	// packed words plus a 32 B header: id 8 × 296 B (ids climb 6 a row, so
-	// every code lies on its stride's line: a line page of 32 words of
-	// width 1 and the line's 8 B), region 8 × 552 B (codes 0–3: 2 bits, 49
-	// words, and a 128 B NULL bitmap, as a NULL falls every seventh row)
-	// and amount 8 × 296 B (codes climb 1 a row: line pages too). As
-	// frames of reference, id's offsets from the stride's first id span
-	// 6 138 (13 bits, 256 words: 2 080 B a page) and amount's 1 023 (10
-	// bits, 205 words: 1 672 B), and the pages were 34 432 B; packed at
-	// column-global widths with a bitmap on every page they were 43 184 B.
-	// The gob formats wrote the same pages with 2 283 B of metadata and a
-	// 143 B log.
-	const wantMeta, wantLog, wantTotal = 1165, 8, 10_325
+	// The eight sealed strides' pages are 6 016 B of it, each page its
+	// packed words, ⌊64/w⌋ codes of w bits a word, plus a 32 B header: id
+	// 8 × 168 B (ids climb 6 a row, so every code lies on its stride's
+	// line: a line page of 16 words of width 1 and the line's 8 B), region
+	// 8 × 416 B (codes 0–3: 2 bits, 32 words, and a 128 B NULL bitmap, as a
+	// NULL falls every seventh row) and amount 8 × 168 B (codes climb 1 a
+	// row: line pages too). As frames of reference, id's offsets from the
+	// stride's first id span 6 138 (13 bits, 256 words: 2 080 B a page) and
+	// amount's 1 023 (10 bits, 171 words: 1 400 B). With a spare bit in
+	// every cell the pages were 9 152 B (10 325 B in all), as frames of
+	// reference 34 432 B, and packed at column-global widths with a bitmap
+	// on every page 43 184 B. The gob formats wrote the same pages with
+	// 2 283 B of metadata and a 143 B log.
+	const wantMeta, wantLog, wantTotal = 1165, 8, 7_189
 	if meta != wantMeta || log != wantLog || total != wantTotal {
 		t.Fatalf("metadata %d B, token log %d B, all writes %d B; want %d, %d, %d", meta, log, total, wantMeta, wantLog, wantTotal)
 	}
