@@ -24,6 +24,7 @@ import (
 	"dashdb/internal/core"
 	"dashdb/internal/sql"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // RegisterProcedures installs the analytic routines on the engine.
@@ -41,7 +42,9 @@ func RegisterProcedures(db *core.DB) {
 // session runs a procedure's fit on the calling session's engine.
 type session struct{ *core.Session }
 
-func (s session) Select(sel *sql.SelectStmt) (*core.Result, error) { return s.ExecParsed(sel) }
+func (s session) Select(sel *sql.SelectStmt) (*core.Result, error) {
+	return core.Batched(func(emit func(*vec.Batch) error) (*core.Result, error) { return s.StreamParsed(sel, emit) })
+}
 
 // identifier is a plain SQL identifier, optionally qualified by one
 // more: the only text a table or column argument may hold.

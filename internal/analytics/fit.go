@@ -13,7 +13,7 @@ import (
 // Engine runs a fit's statements where the table lives: one engine's
 // session, or a cluster, where each statement is an ordinary partial
 // aggregate every shard computes over its own rows, so only sums cross
-// the wire.
+// the wire. Select returns the statement's rows in the Result's Batches.
 type Engine interface {
 	TableSchema(table string) (types.Schema, error)
 	Select(sel *sql.SelectStmt) (*core.Result, error)
@@ -126,8 +126,9 @@ func newSource(e Engine, table, where string, names []string) (*source, error) {
 }
 
 // query runs SELECT [group,] items FROM table WHERE filter [GROUP BY
-// group] and returns its rows as floats; a NULL (a SUM over no rows)
-// means the source has no usable rows.
+// group] and returns its rows as floats, read from the column vectors of
+// its batches; a NULL (a SUM over no rows) means the source has no usable
+// rows.
 func (s *source) query(group sql.Expr, items ...sql.Expr) ([][]float64, error) {
 	sel := &sql.SelectStmt{From: []sql.FromItem{&sql.TableRef{Name: s.table}}, Where: s.where, Limit: -1}
 	if group != nil {
@@ -141,14 +142,18 @@ func (s *source) query(group sql.Expr, items ...sql.Expr) ([][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]float64, len(r.Rows))
-	for i, row := range r.Rows {
-		for _, v := range row {
-			f, ok := v.AsFloat()
-			if !ok {
-				return nil, fmt.Errorf("analytics: no usable rows in %s", s.table)
+	var out [][]float64
+	for _, b := range r.Batches {
+		for _, i := range b.Idx() {
+			row := make([]float64, b.NumCols())
+			for j := range row {
+				f, ok := b.Col(j).Get(i).AsFloat()
+				if !ok {
+					return nil, fmt.Errorf("analytics: no usable rows in %s", s.table)
+				}
+				row[j] = f
 			}
-			out[i] = append(out[i], f)
+			out = append(out, row)
 		}
 	}
 	return out, nil

@@ -308,13 +308,16 @@ func (s *Session) TableSchema(name string) (types.Schema, error) {
 // SetDialect switches the session's SQL dialect.
 func (s *Session) SetDialect(d sql.Dialect) { s.dialect = d }
 
-// Result is the outcome of one statement.
+// Result is the outcome of one statement. Its rows are in Rows, boxed,
+// when a public entry (Exec, Query, ExecParsed, Stmt.Exec) ran it, and in
+// Batches when an internal reader collected them with Batched; a Result
+// never holds both.
 type Result struct {
 	Columns []string
-	// Kinds are the Columns' kinds when the statement ran a plan (a
-	// SELECT), nil otherwise.
-	Kinds        []types.Kind
-	Rows         []types.Row
+	Rows    []types.Row
+	// Batches are the statement's batches as it produced them, owned by
+	// the Result: disowned, so no pool takes them back.
+	Batches      []*vec.Batch
 	RowsAffected int64
 	Message      string
 	// Stats carries the query's telemetry record when the statement was an
@@ -323,28 +326,63 @@ type Result struct {
 	Stats *telemetry.QueryRecord
 }
 
+// NumRows returns the number of rows the result holds.
+func (r *Result) NumRows() int {
+	n := len(r.Rows)
+	for _, b := range r.Batches {
+		n += b.Rows()
+	}
+	return n
+}
+
+// Stream runs one statement, handing its rows to emit a batch at a time.
+type Stream func(emit func(*vec.Batch) error) (*Result, error)
+
+// Boxed runs a statement and returns its Result with the rows boxed into
+// Rows: each batch is boxed as it arrives and then released, so the pools
+// have it back before the statement makes the next. It is the one boxing
+// of a result, at the public entries of an engine and of a cluster.
+func Boxed(run Stream) (*Result, error) {
+	var rows []types.Row
+	res, err := run(func(b *vec.Batch) error {
+		rows = b.AppendRows(rows)
+		b.Release() // the rows are copies
+		return nil
+	})
+	if err == nil {
+		res.Rows = rows
+	}
+	return res, err
+}
+
+// Batched runs a statement and returns its Result with the batches
+// themselves, disowned, in Batches: the result of an internal reader.
+func Batched(run Stream) (*Result, error) {
+	var batches []*vec.Batch
+	res, err := run(func(b *vec.Batch) error {
+		b.Disown() // held by the result
+		batches = append(batches, b)
+		return nil
+	})
+	if err == nil {
+		res.Batches = batches
+	}
+	return res, err
+}
+
 // Exec parses and executes one statement.
 func (s *Session) Exec(text string) (*Result, error) {
 	st, err := sql.Parse(text, s.dialect)
 	if err != nil {
 		return nil, err
 	}
-	return s.execStmt(st, text, nil)
+	return s.boxed(st, text)
 }
 
 // ExecParsed executes an already-parsed statement: StreamParsed with the
-// rows collected into the Result.
+// rows boxed into the Result.
 func (s *Session) ExecParsed(st sql.Statement) (*Result, error) {
-	var rows []types.Row
-	res, err := s.StreamParsed(st, func(b *vec.Batch) error {
-		rows = b.AppendRows(rows)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = rows
-	return res, nil
+	return s.boxed(st, "")
 }
 
 // StreamParsed executes an already-parsed statement (the MPP coordinator
@@ -354,16 +392,12 @@ func (s *Session) ExecParsed(st sql.Statement) (*Result, error) {
 // may keep the batches; an error from it ends the statement with that
 // error. The Result carries everything but the rows.
 func (s *Session) StreamParsed(st sql.Statement, emit func(*vec.Batch) error) (*Result, error) {
-	res, err := s.execStmt(st, "", emit)
-	if err != nil || res.Rows == nil {
-		return res, err
-	}
-	rows := res.Rows
-	res.Rows = nil
-	if err := emit(vec.FromRows(nil, rows)); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return s.execStmt(st, "", emit)
+}
+
+// boxed runs st through execStmt with its rows boxed into the Result.
+func (s *Session) boxed(st sql.Statement, text string) (*Result, error) {
+	return Boxed(func(emit func(*vec.Batch) error) (*Result, error) { return s.execStmt(st, text, emit) })
 }
 
 // ExecScript executes a ';'-separated script, returning the last result.
@@ -374,7 +408,7 @@ func (s *Session) ExecScript(text string) (*Result, error) {
 	}
 	var last *Result
 	for _, st := range stmts {
-		last, err = s.execStmt(st, text, nil)
+		last, err = s.boxed(st, text)
 		if err != nil {
 			return nil, err
 		}
@@ -463,5 +497,5 @@ func (s *Session) execStmtParams(st sql.Statement, args []types.Value) (*Result,
 		s.params = saved
 		s.mu.Unlock()
 	}()
-	return s.execStmt(st, "", nil)
+	return s.boxed(st, "")
 }

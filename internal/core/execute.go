@@ -15,8 +15,9 @@ import (
 	"dashdb/internal/vec"
 )
 
-// execStmt runs one statement. A SELECT hands its batches to emit when it
-// is set and collects its rows into the Result when it is nil.
+// execStmt runs one statement, handing its rows to emit a batch at a time:
+// a SELECT's batches as its plan produces them, any other statement's rows
+// as one row-built batch. The Result carries everything but the rows.
 func (s *Session) execStmt(st sql.Statement, text string, emit func(*vec.Batch) error) (*Result, error) {
 	release, err := s.db.wlm.Admit()
 	if err != nil {
@@ -40,6 +41,21 @@ func (s *Session) execStmt(st sql.Statement, text string, emit func(*vec.Batch) 
 		s.mu.Unlock()
 		set.ReleaseAll()
 	}()
+	res, err := s.execute(st, text, emit)
+	if err != nil || res.Rows == nil {
+		return res, err
+	}
+	rows := res.Rows
+	res.Rows = nil
+	if err := emit(vec.FromRows(nil, rows)); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// execute runs one statement of execStmt: a SELECT streams to emit, and
+// any other statement returns its rows, if it has any, in the Result.
+func (s *Session) execute(st sql.Statement, text string, emit func(*vec.Batch) error) (*Result, error) {
 	switch stmt := st.(type) {
 	case *sql.SelectStmt:
 		return s.executeSelect(stmt, text, emit)
@@ -88,16 +104,18 @@ func (s *Session) execStmt(st sql.Statement, text string, emit func(*vec.Batch) 
 	case *sql.CallStmt:
 		return s.executeCall(stmt)
 	case *sql.BeginBlockStmt:
-		var last *Result
-		for _, inner := range stmt.Body {
+		// The block's result is its last statement's; the rows of the
+		// statements before it are dropped as they arrive.
+		last := &Result{Message: "OK"}
+		for i, inner := range stmt.Body {
+			out := discard
+			if i == len(stmt.Body)-1 {
+				out = emit
+			}
 			var err error
-			last, err = s.execStmt(inner, text, nil)
-			if err != nil {
+			if last, err = s.execStmt(inner, text, out); err != nil {
 				return nil, err
 			}
-		}
-		if last == nil {
-			last = &Result{Message: "OK"}
 		}
 		return last, nil
 	}
@@ -114,15 +132,7 @@ func (s *Session) executeSelect(stmt *sql.SelectStmt, text string, emit func(*ve
 	// atomic row/batch/time counters and scans get per-worker sharded
 	// stride counters.
 	op = exec.Instrument(op)
-	var rows []types.Row
 	var n int64
-	if emit == nil {
-		emit = func(b *vec.Batch) error {
-			rows = b.AppendRows(rows)
-			b.Release() // the rows are copies
-			return nil
-		}
-	}
 	start := time.Now()
 	err = exec.Stream(op, func(b *vec.Batch) error {
 		n += int64(b.Rows())
@@ -133,12 +143,13 @@ func (s *Session) executeSelect(stmt *sql.SelectStmt, text string, emit func(*ve
 	if err != nil {
 		return nil, err
 	}
-	sch := op.Schema()
-	kinds := make([]types.Kind, len(sch))
-	for i, col := range sch {
-		kinds[i] = col.Kind
-	}
-	return &Result{Columns: sch.Names(), Kinds: kinds, Rows: rows, Stats: rec}, nil
+	return &Result{Columns: op.Schema().Names(), Stats: rec}, nil
+}
+
+// discard is the emit of a statement whose rows nobody reads.
+func discard(b *vec.Batch) error {
+	b.Release()
+	return nil
 }
 
 // recordQueryPlan freezes the instrumented plan into a
@@ -187,86 +198,32 @@ func (s *Session) recordQueryError(text string, err error) {
 	})
 }
 
-// evalConstExprs evaluates a list of expressions with no input row
-// (VALUES clauses, CALL arguments).
-func (s *Session) evalConstExprs(exprs []sql.Expr) (types.Row, error) {
-	c := s.compiler()
-	row := make(types.Row, len(exprs))
-	for i, e := range exprs {
-		v, err := c.EvalConst(e)
-		if err != nil {
-			return nil, err
-		}
-		row[i] = v
-	}
-	return row, nil
-}
-
 func (s *Session) executeInsert(stmt *sql.InsertStmt) (*Result, error) {
 	tbl, ok := s.db.cat.Table(stmt.Table)
 	if !ok {
 		return nil, fmt.Errorf("core: table %s does not exist", stmt.Table)
 	}
-	schema := tbl.Schema()
-	// Map the explicit column list (or the full schema) to ordinals.
-	colIdx := make([]int, 0, len(schema))
-	if len(stmt.Columns) == 0 {
-		for i := range schema {
-			colIdx = append(colIdx, i)
-		}
-	} else {
-		for _, name := range stmt.Columns {
-			ci := schema.ColumnIndex(name)
-			if ci < 0 {
-				return nil, fmt.Errorf("core: column %s not in table %s", name, stmt.Table)
-			}
-			colIdx = append(colIdx, ci)
-		}
-	}
-	buildRow := func(vals types.Row) (types.Row, error) {
-		if len(vals) != len(colIdx) {
-			return nil, fmt.Errorf("core: INSERT has %d values for %d columns", len(vals), len(colIdx))
-		}
-		full := make(types.Row, len(schema))
-		for i := range full {
-			full[i] = types.NullOf(schema[i].Kind)
-		}
-		for i, ci := range colIdx {
-			full[ci] = vals[i]
-		}
-		return full, nil
-	}
-
+	c := s.compiler()
 	var rows []types.Row
-	switch {
-	case stmt.Query != nil:
-		op, err := s.compiler().CompileSelect(stmt.Query)
+	if stmt.Query != nil {
+		op, err := c.CompileSelect(stmt.Query)
 		if err != nil {
 			return nil, err
 		}
-		src, err := exec.Drain(op)
+		if rows, err = exec.Drain(op); err != nil {
+			return nil, err
+		}
+	}
+	for _, exprRow := range stmt.Rows {
+		row, err := c.EvalRow(exprRow)
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range src {
-			full, err := buildRow(r)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, full)
-		}
-	default:
-		for _, exprRow := range stmt.Rows {
-			vals, err := s.evalConstExprs(exprRow)
-			if err != nil {
-				return nil, err
-			}
-			full, err := buildRow(vals)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, full)
-		}
+		rows = append(rows, row)
+	}
+	rows, err := stmt.Place(tbl.Schema(), rows)
+	if err != nil {
+		return nil, err
 	}
 	if err := tbl.InsertBatch(rows); err != nil {
 		return nil, err
@@ -538,8 +495,9 @@ func (s *Session) executeSet(stmt *sql.SetStmt) (*Result, error) {
 func (s *Session) executeValues(stmt *sql.ValuesStmt) (*Result, error) {
 	var rows []types.Row
 	width := 0
+	c := s.compiler()
 	for _, er := range stmt.Rows {
-		row, err := s.evalConstExprs(er)
+		row, err := c.EvalRow(er)
 		if err != nil {
 			return nil, err
 		}
@@ -562,7 +520,7 @@ func (s *Session) executeCall(stmt *sql.CallStmt) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: procedure %s does not exist", stmt.Proc)
 	}
-	args, err := s.evalConstExprs(stmt.Args)
+	args, err := s.compiler().EvalRow(stmt.Args)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"dashdb/internal/sql"
 	"dashdb/internal/telemetry"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // executeExplain renders the physical plan of the target statement. Only
@@ -37,14 +38,18 @@ func (s *Session) executeExplain(stmt *sql.ExplainStmt, text string) (*Result, e
 	// is the result), then annotate with the observed counters.
 	op = exec.Instrument(op)
 	start := time.Now()
-	rows, execErr := exec.Drain(op)
+	var rows int64
+	execErr := exec.Stream(op, func(b *vec.Batch) error {
+		rows += int64(b.Rows())
+		return discard(b)
+	})
 	elapsed := time.Since(start)
-	rec := s.recordQueryPlan(text, op, start, elapsed, int64(len(rows)), execErr, true)
+	rec := s.recordQueryPlan(text, op, start, elapsed, rows, execErr, true)
 	if execErr != nil {
 		return nil, execErr
 	}
 	lines := strings.Split(rec.Plan, "\n")
-	lines = append(lines, fmt.Sprintf("(total: rows=%d, time=%s)", len(rows), fmtDur(elapsed)))
+	lines = append(lines, fmt.Sprintf("(total: rows=%d, time=%s)", rows, fmtDur(elapsed)))
 	return planResult(lines, rec), nil
 }
 

@@ -73,9 +73,15 @@ func SyncToCloud(cl *mpp.NetCluster, cloud *CloudService) (tables, rows int, err
 		if err != nil {
 			return tables, rows, err
 		}
-		data, err := cl.TableRows(ti.Name)
+		shards, err := cl.ReadShards(ti.Name, "", nil)
 		if err != nil {
 			return tables, rows, err
+		}
+		var data []types.Row
+		for _, r := range shards {
+			for _, b := range r.Batches {
+				data = b.AppendRows(data)
+			}
 		}
 		if err := t.InsertBatch(data); err != nil {
 			return tables, rows, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -429,6 +430,22 @@ func TestGatherShipsEachTableOnce(t *testing.T) {
 	})
 }
 
+// tableRows reads every live row of a cluster table, boxed.
+func tableRows(t *testing.T, c *NetCluster, table string) []types.Row {
+	t.Helper()
+	results, err := c.ReadShards(table, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []types.Row
+	for _, r := range results {
+		for _, b := range r.Batches {
+			rows = b.AppendRows(rows)
+		}
+	}
+	return rows
+}
+
 // referenceOf loads a cluster's tables into one engine: the answer every
 // distributed statement must equal.
 func referenceOf(t *testing.T, c *NetCluster) *core.Session {
@@ -436,10 +453,7 @@ func referenceOf(t *testing.T, c *NetCluster) *core.Session {
 	one := core.Open(core.Config{BufferPoolBytes: 16 << 20})
 	t.Cleanup(func() { one.Close() })
 	for _, spec := range c.Tables() {
-		rows, err := c.TableRows(spec.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rows := tableRows(t, c, spec.Name)
 		tbl, err := one.CreateTable(spec.Name, spec.Schema)
 		if err != nil {
 			t.Fatal(err)
@@ -655,9 +669,8 @@ func TestReplicatedTableCounts(t *testing.T) {
 		if r.Rows[0][0].Int() != 2 {
 			t.Fatalf("replicated COUNT = %v, want 2", r.Rows[0][0])
 		}
-		rows, err := c.TableRows("d")
-		if err != nil || len(rows) != 2 {
-			t.Fatalf("TableRows of a replicated table: %d rows err %v, want one copy", len(rows), err)
+		if rows := tableRows(t, c, "d"); len(rows) != 2 {
+			t.Fatalf("ReadShards of a replicated table: %d rows, want one copy", len(rows))
 		}
 	})
 }
@@ -1862,6 +1875,68 @@ func TestInsertReadsStatementClock(t *testing.T) {
 			t.Fatalf("CURRENT_DATE in a cluster INSERT: %v err %v", r, err)
 		}
 	})
+}
+
+// TestInsertColumnList: a cluster INSERT with a column list, from a query
+// or from literal rows, places each value in the column the list names and
+// leaves the columns it does not name NULL, as one engine does; a list and
+// rows of different widths are refused on both.
+func TestInsertColumnList(t *testing.T) {
+	script := []string{
+		"CREATE TABLE src (x BIGINT, y BIGINT)",
+		"INSERT INTO src VALUES (1, 10), (2, 20)",
+		"CREATE TABLE dst (a BIGINT, b BIGINT, c BIGINT)",
+		"INSERT INTO dst (b, a) SELECT x, y FROM src",
+		"INSERT INTO dst (c) SELECT x + 100 FROM src",
+		"INSERT INTO dst (c, a) VALUES (7, 8)",
+	}
+	const query = "SELECT a, b, c FROM dst"
+	one := core.Open(core.Config{BufferPoolBytes: 16 << 20})
+	t.Cleanup(func() { one.Close() })
+	sess := one.NewSession()
+	for _, q := range script {
+		if _, err := sess.Exec(q); err != nil {
+			t.Fatalf("one engine: %s: %v", q, err)
+		}
+	}
+	want, err := sess.Query(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sortedRows(want.Rows); got != "10,1,NULL 20,2,NULL 8,NULL,7 NULL,NULL,101 NULL,NULL,102" {
+		t.Fatalf("one engine: %s", got)
+	}
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.form(fourNodes()[:2], 2, clusterfs.New())
+		for _, q := range script {
+			if _, err := c.Query(q); err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+		}
+		got, err := c.Query(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := sortedRows(got.Rows), sortedRows(want.Rows); g != w {
+			t.Fatalf("cluster holds %s, one engine %s", g, w)
+		}
+		for _, q := range []string{"INSERT INTO dst (a, b) SELECT x FROM src", "INSERT INTO dst (a) VALUES (1, 2)"} {
+			if _, err := c.Query(q); err == nil {
+				t.Errorf("%s: accepted", q)
+			}
+			if _, err := sess.Exec(q); err == nil {
+				t.Errorf("one engine: %s: accepted", q)
+			}
+		}
+	})
+}
+
+// sortedRows renders rows as comma-separated cells, one row a field, in
+// sorted order.
+func sortedRows(rows []types.Row) string {
+	out := strings.Fields(strings.ReplaceAll(renderRows(rows), "\t", ","))
+	slices.Sort(out)
+	return strings.Join(out, " ")
 }
 
 // TestTailAnswers pins, on one engine and through both clients, the

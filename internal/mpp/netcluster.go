@@ -88,17 +88,15 @@ func (p inProcess) Adopt(_ string, req shardrpc.AdoptReq) error { return p.srv.A
 func (p inProcess) Release(string, []int) error { return nil }
 
 func (p inProcess) Exec(_ string, req shardrpc.ExecReq) (*shardrpc.Result, error) {
-	var batches []*vec.Batch
-	res, sentBytes, err := p.srv.Exec(req, func(b *vec.Batch) error {
-		b.Disown() // held as the shard's result
-		batches = append(batches, b)
-		return nil
+	var sent int64
+	res, err := core.Batched(func(emit func(*vec.Batch) error) (res *core.Result, err error) {
+		res, sent, err = p.srv.Exec(req, emit)
+		return res, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &shardrpc.Result{Columns: res.Columns, Kinds: res.Kinds, Batches: batches,
-		RowsAffected: res.RowsAffected, Message: res.Message, Stats: res.Stats, SentBytes: sentBytes}, nil
+	return &shardrpc.Result{Result: *res, SentBytes: sent}, nil
 }
 
 func (p inProcess) Insert(_ string, shardID int, table string, token uint64, rows *shardrpc.Bucket) error {

@@ -36,7 +36,7 @@ func (c *NetCluster) QueryDialect(text string, d sql.Dialect) (*core.Result, err
 	}
 	switch stmt := st.(type) {
 	case *sql.SelectStmt:
-		return c.netSelect(stmt, d, text)
+		return core.Boxed(c.netSelect(stmt, d, text))
 	case *sql.InsertStmt:
 		return c.netInsertStmt(stmt, d)
 	case *sql.CreateTableStmt:
@@ -60,10 +60,11 @@ func (c *NetCluster) QueryDialect(text string, d sql.Dialect) (*core.Result, err
 	}
 }
 
-// Select runs a parsed SELECT cluster-wide (ANSI dialect): the entry of a
-// caller that builds its statement as a tree, such as the analytics fits.
+// Select runs a parsed SELECT cluster-wide (ANSI dialect) and returns its
+// rows as batches: the entry of a caller that builds its statement as a
+// tree, such as the analytics fits.
 func (c *NetCluster) Select(sel *sql.SelectStmt) (*core.Result, error) {
-	return c.netSelect(sel, sql.DialectANSI, "")
+	return core.Batched(c.netSelect(sel, sql.DialectANSI, ""))
 }
 
 // movesRows reports an UPDATE, alone or in a block, that assigns a
@@ -105,25 +106,31 @@ func (c *NetCluster) netBroadcast(st sql.Statement, d sql.Dialect) (*core.Result
 	return &core.Result{RowsAffected: n, Message: fmt.Sprintf("%d rows affected cluster-wide", n)}, nil
 }
 
-// netInsertStmt evaluates INSERT rows at the coordinator and routes
-// them through Insert (which carries the failover retry).
+// netInsertStmt evaluates an INSERT's rows at the coordinator — its
+// literal rows, or its query's — places them on the table's columns and
+// routes them through Insert (which carries the failover retry).
 func (c *NetCluster) netInsertStmt(stmt *sql.InsertStmt, d sql.Dialect) (*core.Result, error) {
 	meta, err := c.tableMeta(stmt.Table)
 	if err != nil {
 		return nil, err
 	}
+	var rows []types.Row
 	if stmt.Query != nil {
-		res, err := c.netSelect(stmt.Query, d, "")
+		res, err := core.Boxed(c.netSelect(stmt.Query, d, ""))
 		if err != nil {
 			return nil, err
 		}
-		if err := c.Insert(stmt.Table, res.Rows); err != nil {
+		rows = res.Rows
+	}
+	comp := c.compiler(d, time.Now())
+	for _, exprRow := range stmt.Rows {
+		row, err := comp.EvalRow(exprRow)
+		if err != nil {
 			return nil, err
 		}
-		return &core.Result{RowsAffected: int64(len(res.Rows))}, nil
+		rows = append(rows, row)
 	}
-	rows, err := c.evalInsertRows(stmt, meta.schema, d)
-	if err != nil {
+	if rows, err = stmt.Place(meta.schema, rows); err != nil {
 		return nil, err
 	}
 	if err := c.Insert(stmt.Table, rows); err != nil {
@@ -153,49 +160,19 @@ func (c *NetCluster) netCreateTableStmt(stmt *sql.CreateTableStmt) (*core.Result
 	return &core.Result{Message: "TABLE CREATED"}, nil
 }
 
-// evalInsertRows evaluates an INSERT's literal rows with a coordinator
-// compiler and maps any column list onto the table schema.
-func (c *NetCluster) evalInsertRows(stmt *sql.InsertStmt, schema types.Schema, d sql.Dialect) ([]types.Row, error) {
-	comp := c.compiler(d, time.Now())
-	var rows []types.Row
-	for _, exprRow := range stmt.Rows {
-		row := make(types.Row, len(exprRow))
-		for i, e := range exprRow {
-			v, err := comp.EvalConst(e)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		if len(stmt.Columns) > 0 {
-			full := make(types.Row, len(schema))
-			for i := range full {
-				full[i] = types.NullOf(schema[i].Kind)
-			}
-			for i, name := range stmt.Columns {
-				ci := schema.ColumnIndex(name)
-				if ci < 0 {
-					return nil, fmt.Errorf("mpp: column %s not in table %s", name, stmt.Table)
-				}
-				full[ci] = row[i]
-			}
-			row = full
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 // --- SELECT ------------------------------------------------------------------
 
-// netSelect plans the statement (plan.go), counts its placement and runs
-// it. Whatever fails after that is the statement's error.
-func (c *NetCluster) netSelect(sel *sql.SelectStmt, d sql.Dialect, text string) (*core.Result, error) {
-	p := c.planSelect(sel, d)
-	c.mu.Lock()
-	*p.path++
-	c.mu.Unlock()
-	return c.run(p, d, text)
+// netSelect is the statement's run: it plans the statement (plan.go),
+// counts its placement and runs it, its rows streaming to emit. Whatever
+// fails after that is the statement's error.
+func (c *NetCluster) netSelect(sel *sql.SelectStmt, d sql.Dialect, text string) core.Stream {
+	return func(emit func(*vec.Batch) error) (*core.Result, error) {
+		p := c.planSelect(sel, d)
+		c.mu.Lock()
+		*p.path++
+		c.mu.Unlock()
+		return c.run(p, d, text, emit)
+	}
 }
 
 // compiler is the one compiler of a coordinator statement. It has no
@@ -210,33 +187,35 @@ func (c *NetCluster) compiler(d sql.Dialect, now time.Time) *sql.Compiler {
 // run executes a placed SELECT: each pull is bound to the final
 // statement's compiler — fetched from the shards when the compiler first
 // reads it, once however often it is named, so gather ships only the
-// tables the statement reads — and final compiles and drains over them
-// like any statement.
-func (c *NetCluster) run(p *distSelect, d sql.Dialect, text string) (*core.Result, error) {
+// tables the statement reads — and final compiles and streams its rows to
+// emit over them like any statement.
+func (c *NetCluster) run(p *distSelect, d sql.Dialect, text string, emit func(*vec.Batch) error) (*core.Result, error) {
 	start := time.Now()
 	var pulled []*shardrpc.Result // every shard result behind the answer
 	comp := c.compiler(d, start)
 	for _, in := range p.pulls {
-		comp.Bind(in.name, &shardrpc.Nick{Sch: in.schema, Fetch: func() ([]*vec.Batch, []types.Kind, error) {
+		comp.Bind(in.name, &shardrpc.Nick{Sch: in.schema, Fetch: func() ([]*vec.Batch, error) {
 			results, err := c.pull(p.stages, in, d, text)
 			pulled = append(pulled, results...)
 			var batches []*vec.Batch
-			var kinds []types.Kind
 			for _, r := range results {
-				batches, kinds = append(batches, r.Batches...), r.Kinds
+				batches = append(batches, r.Batches...)
 			}
-			return batches, kinds, err
+			return batches, err
 		}})
 	}
 	op, err := comp.CompileSelect(p.final)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := exec.Drain(op)
-	if err != nil {
+	var rows int64
+	if err := exec.Stream(op, func(b *vec.Batch) error {
+		rows += int64(b.Rows())
+		return emit(b)
+	}); err != nil {
 		return nil, err
 	}
-	res := &core.Result{Columns: op.Schema().Names(), Rows: rows}
+	res := &core.Result{Columns: op.Schema().Names()}
 
 	// One cluster-level history record per statement: the shard records
 	// folded (counters summed, elapsed = slowest shard; a shard whose
@@ -252,7 +231,7 @@ func (c *NetCluster) run(p *distSelect, d sql.Dialect, text string) (*core.Resul
 	if len(pulled) > 0 {
 		rec = telemetry.MergeShardRecords(recs, len(pulled))
 	}
-	rec.ID, rec.SQL, rec.Rows = c.reg.NextID(), text, int64(len(rows))
+	rec.ID, rec.SQL, rec.Rows = c.reg.NextID(), text, rows
 	c.reg.Record(rec)
 	res.Stats = &rec
 	return res, nil
@@ -368,17 +347,6 @@ func (c *NetCluster) dropShuffle(qid uint64) {
 	for _, n := range c.Nodes() {
 		c.client.DropShuffle(n.Addr, qid) //nolint:errcheck — best effort; a dead node has no inboxes to free
 	}
-}
-
-// TableRows gathers every live row of a table to the caller (hybrid sync
-// and diagnostics; replicated tables return one copy).
-func (c *NetCluster) TableRows(name string) ([]types.Row, error) {
-	results, err := c.ReadShards(name, "", nil)
-	var rows []types.Row
-	for _, r := range results {
-		rows = append(rows, r.Rows()...)
-	}
-	return rows, err
 }
 
 // ReadShards reads a table shard by shard, for a reader that works on

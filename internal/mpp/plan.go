@@ -38,6 +38,10 @@ type distSelect struct {
 }
 
 // input is one shard statement and the table its consumer reads it as.
+// A pull's schema names its columns and gives them no kind: the
+// coordinator's compiler reads a pulled column as the values it holds, so
+// a join over in-process shards decodes each shard's dictionary codes
+// instead of keying on them. A stage's schema is its table's columns.
 type input struct {
 	name   string
 	schema types.Schema
@@ -61,7 +65,6 @@ const (
 func (c *NetCluster) planSelect(sel *sql.SelectStmt, d sql.Dialect) *distSelect {
 	if from, distributed, ok := c.fromTables(sel.From); ok {
 		if shard, final, ok := cutSelect(sel, from); ok {
-			// The kinds are the shards' to report (shardrpc.Nick).
 			partial := input{name: partialName, schema: make(types.Schema, len(shard.Items)), sel: shard}
 			for i, it := range shard.Items {
 				partial.schema[i] = types.Column{Name: it.Alias, Nullable: true}
@@ -88,7 +91,11 @@ func (c *NetCluster) planSelect(sel *sql.SelectStmt, d sql.Dialect) *distSelect 
 
 // scanInput is SELECT * FROM table, read by its consumer as name.
 func scanInput(name, table string, meta *tableMeta) input {
-	in := input{name: name, schema: meta.schema, sel: &sql.SelectStmt{
+	schema := slices.Clone(meta.schema)
+	for i := range schema {
+		schema[i].Kind = types.KindNull
+	}
+	in := input{name: name, schema: schema, sel: &sql.SelectStmt{
 		Items: []sql.SelectItem{{Expr: &sql.Star{}}},
 		From:  []sql.FromItem{&sql.TableRef{Name: table}},
 		Limit: -1,

@@ -849,28 +849,77 @@ func drawPage(seed int64, widthSel uint8, nSel uint16) ([]uint64, []bool) {
 	return codes, nulls
 }
 
-// FuzzPageRoundTrip: Unmarshal of any bytes returns a page or an error,
-// never a panic, and a page packed from drawn codes reads back through
-// Marshal and Unmarshal as those codes. The seeds include patched pages,
-// line pages (one patched), exception lists and line pages Unmarshal must
-// refuse, and pages in the layout before flag 8.
-func FuzzPageRoundTrip(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint16(1000), []byte{})
-	f.Add(int64(2), uint8(31), uint16(1024), []byte{0x5b, 0xda})
-	f.Add(int64(3), uint8(0), uint16(7), Pack(ID{Table: 9}, []uint64{4, 4, 5}, []bool{false, true, false}).Marshal())
-	f.Add(int64(4), uint8(9), uint16(1024), Pack(ID{Table: 9}, fatTail(StrideSize, 77, 9, 24, 0, 5, 1023), nil).Marshal())
+// roundTripSeed is one input of FuzzPageRoundTrip: drawPage's arguments
+// and raw bytes for Unmarshal. codes and nulls are what raw reads as when
+// it is a page packed here; codes is nil for raw that is no page, or a
+// page Unmarshal must refuse.
+type roundTripSeed struct {
+	seed     int64
+	widthSel uint8
+	nSel     uint16
+	raw      []byte
+	codes    []uint64
+	nulls    []bool
+}
+
+// roundTripSeeds are FuzzPageRoundTrip's seeds: patched pages, line pages
+// (one patched), exception lists and line pages Unmarshal must refuse, and
+// pages in the layout before flag 8.
+func roundTripSeeds(tb testing.TB) []roundTripSeed {
+	packed := func(seed int64, widthSel uint8, codes []uint64, nulls []bool, marshal func(*Page) []byte) roundTripSeed {
+		return roundTripSeed{seed, widthSel, uint16(len(codes)), marshal(Pack(ID{Table: 9}, codes, nulls)), codes, nulls}
+	}
+	current := (*Page).Marshal
+	tail := fatTail(StrideSize, 77, 9, 24, 0, 5, 1023)
+	seeds := []roundTripSeed{
+		{seed: 1, widthSel: 4, nSel: 1000, raw: []byte{}},
+		{seed: 2, widthSel: 31, nSel: 1024, raw: []byte{0x5b, 0xda}},
+		packed(3, 0, []uint64{4, 4, 5}, []bool{false, true, false}, current),
+		packed(4, 9, tail, nil, current),
+	}
 	for _, s := range sortedStrides() {
 		if s.name == "plateaus" || s.name == "lifted run" {
-			f.Add(int64(len(s.name)), uint8(12), uint16(1024), Pack(ID{Table: 9}, s.codes, nil).Marshal())
+			seeds = append(seeds, packed(int64(len(s.name)), 12, s.codes, nil, current))
 		}
 	}
-	for i, bad := range slices.Concat(badExceptionPages(), badSortedPages(f)) {
-		f.Add(int64(5+i), uint8(i), uint16(1024), bad)
+	for i, bad := range slices.Concat(badExceptionPages(), badSortedPages(tb)) {
+		seeds = append(seeds, roundTripSeed{seed: int64(5 + i), widthSel: uint8(i), nSel: 1024, raw: bad})
 	}
 	for i, s := range sortedStrides() {
-		f.Add(int64(100+i), uint8(i), uint16(len(s.codes)), marshalDelimited(Pack(ID{Table: 9}, s.codes, s.nulls)))
+		seeds = append(seeds, packed(int64(100+i), uint8(i), s.codes, s.nulls, marshalDelimited))
 	}
-	f.Add(int64(200), uint8(20), uint16(1024), marshalDelimited(Pack(ID{Table: 9}, fatTail(StrideSize, 77, 9, 24, 0, 5, 1023), nil)))
+	return append(seeds, packed(200, 20, tail, nil, marshalDelimited))
+}
+
+// TestPageRoundTripSeeds runs every seed of FuzzPageRoundTrip through
+// checkCodes' full rangeBounds sweep, which the fuzz body samples: the page
+// drawPage draws from it and, where the raw bytes are a page packed here,
+// the page they read as.
+func TestPageRoundTripSeeds(t *testing.T) {
+	for _, s := range roundTripSeeds(t) {
+		codes, nulls := drawPage(s.seed, s.widthSel, s.nSel)
+		checkCodes(t, roundTrip(t, Pack(ID{Stride: uint32(s.nSel)}, codes, nulls)), codes, nulls, rangeBounds(codes))
+		if s.codes == nil {
+			continue
+		}
+		p, err := Unmarshal(s.raw)
+		if err != nil {
+			t.Fatalf("seed %d: %v", s.seed, err)
+		}
+		checkCodes(t, p, s.codes, s.nulls, rangeBounds(s.codes))
+	}
+}
+
+// FuzzPageRoundTrip: Unmarshal of any bytes returns a page or an error,
+// never a panic, and a page packed from drawn codes reads back through
+// Marshal and Unmarshal as those codes. Its range checks are both open
+// ends and two bounds drawn from rangeBounds, so an input costs a few
+// SelectRange sweeps instead of all of rangeBounds' pairs;
+// TestPageRoundTripSeeds runs the seeds through every pair.
+func FuzzPageRoundTrip(f *testing.F) {
+	for _, s := range roundTripSeeds(f) {
+		f.Add(s.seed, s.widthSel, s.nSel, s.raw)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, widthSel uint8, nSel uint16, raw []byte) {
 		if p, err := Unmarshal(raw); err == nil {
 			for i := 0; i < p.Rows(); i++ {
@@ -884,7 +933,8 @@ func FuzzPageRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkCodes(t, got, codes, nulls, rangeBounds(codes))
+		all, rng := rangeBounds(codes), rand.New(rand.NewSource(^seed))
+		checkCodes(t, got, codes, nulls, []uint64{0, 1 << 33, all[rng.Intn(len(all))], all[rng.Intn(len(all))]})
 	})
 }
 

@@ -11,7 +11,7 @@ import (
 	"sync"
 	"time"
 
-	"dashdb/internal/telemetry"
+	"dashdb/internal/core"
 	"dashdb/internal/types"
 	"dashdb/internal/vec"
 )
@@ -289,39 +289,15 @@ func (p *Pool) Ping(addr string) (PingInfo, error) {
 	return info, err
 }
 
-// Result is a decoded response stream: batches, then what FrameDone
-// carries, with the optional per-shard ANALYZE record.
+// Result is a shard statement's result: the engine's, its rows in
+// Batches, and the bytes only the transport knows. WireBytes is the bytes
+// of the blocks the batches arrived in (0 from an in-process shard);
+// SentBytes is the bytes of the blocks a shuffle stage sent to other
+// servers (a partition its server owns takes no wire).
 type Result struct {
-	Columns      []string
-	Kinds        []types.Kind
-	Batches      []*vec.Batch
-	RowsAffected int64
-	Message      string
-	Stats        *telemetry.QueryRecord
-	// WireBytes is the bytes of the blocks the batches arrived in (0 from
-	// an in-process shard); SentBytes is the bytes of the blocks a shuffle
-	// stage sent to other servers (a partition its server owns takes no
-	// wire).
+	core.Result
 	WireBytes int64
 	SentBytes int64
-}
-
-// NumRows returns the number of rows the result holds.
-func (r *Result) NumRows() int {
-	n := 0
-	for _, b := range r.Batches {
-		n += b.Rows()
-	}
-	return n
-}
-
-// Rows boxes the result's rows.
-func (r *Result) Rows() []types.Row {
-	var rows []types.Row
-	for _, b := range r.Batches {
-		rows = appendRows(rows, b)
-	}
-	return rows
 }
 
 // readResultStream consumes FrameRows until FrameDone.

@@ -155,15 +155,14 @@ func TestDoneRoundTrip(t *testing.T) {
 		Rows: 4, Dop: 2, Status: "ok", Slow: true, Plan: "SCAN T", Shards: 1,
 		Ops: []telemetry.OpRecord{{Seq: 0, Depth: 0, Name: "SCAN T", Rows: 4, Batches: 1, Wall: time.Microsecond,
 			HasScan: true, StridesVisited: 2, StridesSkipped: 5, SpillRuns: 1, SpillBytes: 77}}}
-	res := &core.Result{Columns: []string{"A", "B"}, Kinds: []types.Kind{types.KindInt, types.KindString},
-		RowsAffected: -1, Message: "OK", Stats: rec}
+	res := &core.Result{Columns: []string{"A", "B"}, RowsAffected: -1, Message: "OK", Stats: rec}
 	for _, withStats := range []bool{false, true} {
 		payload := appendDone(nil, res, 512, withStats)
 		var got Result
 		if err := readDone(payload, &got); err != nil {
 			t.Fatal(err)
 		}
-		want := Result{Columns: res.Columns, Kinds: res.Kinds, RowsAffected: -1, Message: "OK", SentBytes: 512}
+		want := Result{Result: core.Result{Columns: res.Columns, RowsAffected: -1, Message: "OK"}, SentBytes: 512}
 		if withStats {
 			want.Stats = rec
 		}

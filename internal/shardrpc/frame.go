@@ -28,7 +28,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 
 	"dashdb/internal/types"
 	"dashdb/internal/vec"
@@ -48,8 +47,9 @@ const (
 	// ExecReq and the response's end in binary: the gob ResultHdr and
 	// StatsMsg frames became one FrameDone, and the frame types after
 	// FrameExec were renumbered. Version 7 sends the control messages in
-	// binary too, each frame on its own: no gob stream is left.
-	frameVersion = 7
+	// binary too, each frame on its own: no gob stream is left. Version 8
+	// drops the column kinds from FrameDone.
+	frameVersion = 8
 
 	// MaxFrame bounds a single frame payload (64 MiB): a corrupt or
 	// hostile length prefix must not become an allocation.
@@ -73,7 +73,7 @@ const (
 	FramePong                  // PingInfo
 	FrameExec                  // binary ExecReq: run one statement on a shard
 	FrameRows                  // batch block: result rows
-	FrameDone                  // binary result: columns, kinds, affected, message, stats; ends a response
+	FrameDone                  // binary result: columns, affected, message, stats; ends a response
 	FrameInsert                // InsertHdr then batch block in same payload
 	FrameShuffleData           // binary shuffle header + batch block
 	FrameShuffleEOF            // binary shuffle header, sender is done
@@ -166,25 +166,5 @@ func DecodeRowBlock(data []byte) ([]types.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return appendRows(nil, b), nil
-}
-
-// appendRows appends the live rows of b to dst, boxed into one backing
-// array for the whole batch rather than one per row.
-func appendRows(dst []types.Row, b *vec.Batch) []types.Row {
-	idx, w := b.Idx(), b.NumCols()
-	cols := make([]*vec.Vector, w)
-	for j := range cols {
-		cols[j] = b.Col(j)
-	}
-	cells := make([]types.Value, len(idx)*w)
-	dst = slices.Grow(dst, len(idx))
-	for r, i := range idx {
-		row := cells[r*w : (r+1)*w : (r+1)*w]
-		for j, v := range cols {
-			row[j] = v.Get(i)
-		}
-		dst = append(dst, row)
-	}
-	return dst
+	return b.AppendRows(nil), nil
 }

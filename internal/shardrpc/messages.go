@@ -221,9 +221,8 @@ func decodeShuffleHdr(b []byte) (shuffleHdr, []byte, error) {
 // string SQL text, the optional Exchange (appendExchange), then the
 // statement (sql.AppendStmt) to the end of the payload.
 //
-// FrameDone: the column names, their kinds (a byte each), varint rows
-// affected, string message, varint shuffled bytes, then the optional
-// ANALYZE record (appendRecord).
+// FrameDone: the column names, varint rows affected, string message,
+// varint shuffled bytes, then the optional ANALYZE record (appendRecord).
 
 // decode reads a whole payload as one message with read.
 func decode[T any](payload []byte, what string, read func(*types.Reader) T) (T, error) {
@@ -459,10 +458,6 @@ func appendDone(dst []byte, res *core.Result, sentBytes int64, withStats bool) [
 	for _, c := range res.Columns {
 		dst = types.AppendStr(dst, c)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(res.Kinds)))
-	for _, k := range res.Kinds {
-		dst = append(dst, byte(k))
-	}
 	dst = binary.AppendVarint(dst, res.RowsAffected)
 	dst = types.AppendStr(dst, res.Message)
 	dst = binary.AppendVarint(dst, sentBytes)
@@ -480,12 +475,6 @@ func readDone(payload []byte, res *Result) error {
 		res.Columns = make([]string, n)
 		for i := range res.Columns {
 			res.Columns[i] = r.Str()
-		}
-	}
-	if n := r.Count(); n > 0 {
-		res.Kinds = make([]types.Kind, n)
-		for i := range res.Kinds {
-			res.Kinds[i] = types.Kind(r.Byte())
 		}
 	}
 	res.RowsAffected, res.Message, res.SentBytes = r.Varint(), r.Str(), r.Varint()

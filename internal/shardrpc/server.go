@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -623,10 +622,7 @@ func (s *Server) Exec(req ExecReq, emit func(*vec.Batch) error) (res *core.Resul
 		defer s.router.DropPart(x.Query, x.Part)
 		for _, in := range x.Inputs {
 			src := s.router.Source(x.Query, in.Stage, x.Part, x.Senders)
-			sess.Bind(in.Name, &Nick{Sch: in.Schema, Fetch: func() ([]*vec.Batch, []types.Kind, error) {
-				batches, err := src.all()
-				return batches, nil, err
-			}})
+			sess.Bind(in.Name, &Nick{Sch: in.Schema, Fetch: src.all})
 		}
 	}
 	if out := x.Output; out != nil {
@@ -639,7 +635,7 @@ func (s *Server) Exec(req ExecReq, emit func(*vec.Batch) error) (res *core.Resul
 		if err != nil {
 			return nil, 0, err
 		}
-		res = &core.Result{Columns: res.Columns, Kinds: res.Kinds, RowsAffected: w.Sent, Stats: res.Stats}
+		res = &core.Result{Columns: res.Columns, RowsAffected: w.Sent, Stats: res.Stats}
 		sentBytes = sink.sentBytes
 	} else if res, err = sess.StreamParsed(req.Stmt, emit); err != nil {
 		return nil, 0, err
@@ -716,12 +712,11 @@ func (s *Server) handleShuffle(t FrameType, payload []byte) error {
 // Nick is a source bound for one statement over batches that arrive once
 // per statement: a shuffle partition on a shard, a shard statement's output
 // at the coordinator. The fetch is cached, so a plan that reads the name twice
-// sees the same batches and moves them once. Sch names the columns; kinds
-// the fetch reports replace Sch's, since only the shards know what their
-// statement's columns hold.
+// sees the same batches and moves them once. Sch is the schema its reader
+// binds.
 type Nick struct {
 	Sch   types.Schema
-	Fetch func() ([]*vec.Batch, []types.Kind, error)
+	Fetch func() ([]*vec.Batch, error)
 
 	once    sync.Once
 	batches []*vec.Batch
@@ -733,17 +728,7 @@ var _ catalog.RemoteSource = (*Nick)(nil)
 func (n *Nick) Schema() types.Schema { return n.Sch }
 
 func (n *Nick) ScanAll() ([]*vec.Batch, error) {
-	n.once.Do(func() {
-		var kinds []types.Kind
-		n.batches, kinds, n.err = n.Fetch()
-		if len(kinds) == len(n.Sch) && n.err == nil {
-			sch := slices.Clone(n.Sch)
-			for i, k := range kinds {
-				sch[i].Kind = k
-			}
-			n.Sch = sch
-		}
-	})
+	n.once.Do(func() { n.batches, n.err = n.Fetch() })
 	return n.batches, n.err
 }
 

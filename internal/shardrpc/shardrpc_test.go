@@ -257,7 +257,7 @@ func FuzzShuffleFrame(f *testing.F) {
 	st, _ := sql.Parse("SELECT region, SUM(amount) FROM sales WHERE id > 3 GROUP BY region", sql.DialectANSI)
 	req, _ := appendExecReq(nil, &ExecReq{ShardID: 1, Stmt: st, WithStats: true, Exchange: &Exchange{Query: 4, Output: &ShuffleOutput{Keys: []int{0}, Parts: []PartLoc{{Addr: "h:1", ShardID: 2}}}}})
 	f.Add(req)
-	f.Add(appendDone(nil, &core.Result{Columns: []string{"R"}, Kinds: []types.Kind{types.KindString}, Message: "OK",
+	f.Add(appendDone(nil, &core.Result{Columns: []string{"R"}, Message: "OK",
 		Stats: &telemetry.QueryRecord{SQL: "q", Ops: []telemetry.OpRecord{{Name: "SCAN"}}}}, 9, true))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ReadFrame(bytes.NewReader(data))
@@ -426,8 +426,8 @@ func TestServerExecInsertRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows()) != 2 || res.Rows()[0][0].Str() != "north" {
-		t.Fatalf("rows %v", res.Rows())
+	if res.NumRows() != 2 || rowsOf(res)[0][0].Str() != "north" {
+		t.Fatalf("rows %v", rowsOf(res))
 	}
 	if res.Stats == nil {
 		t.Fatal("no shard ANALYZE record")
@@ -647,7 +647,7 @@ func TestExecTokenReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res.Rows()[0][0].Float(); got != want {
+		if got := rowsOf(res)[0][0].Float(); got != want {
 			t.Fatalf("amount %v, want %v", got, want)
 		}
 	}
@@ -708,7 +708,7 @@ func TestExecPersistsOnlyTargetTable(t *testing.T) {
 	}
 	q, _ := sql.Parse("SELECT amount FROM sales WHERE id = 1", sql.DialectANSI)
 	res, err := p.Exec(s2.Addr(), ExecReq{ShardID: 0, Stmt: q})
-	if err != nil || len(res.Rows()) != 1 || res.Rows()[0][0].Float() != 11 {
+	if err != nil || res.NumRows() != 1 || rowsOf(res)[0][0].Float() != 11 {
 		t.Fatalf("adopter reads %v (err %v), want the updated amount 11", res, err)
 	}
 }
@@ -788,8 +788,8 @@ func TestExecShuffleExchange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(sent.Rows()) != 0 || sent.RowsAffected != int64(len(rows)) {
-			t.Fatalf("shuffling statement returned %d rows and reported %d shuffled, want 0 and %d", len(sent.Rows()), sent.RowsAffected, len(rows))
+		if sent.NumRows() != 0 || sent.RowsAffected != int64(len(rows)) {
+			t.Fatalf("shuffling statement returned %d rows and reported %d shuffled, want 0 and %d", sent.NumRows(), sent.RowsAffected, len(rows))
 		}
 		for part := range parts {
 			res, err := p.Exec(s.Addr(), ExecReq{ShardID: part, Stmt: sorted, WithStats: true, Exchange: &Exchange{Query: q, Part: part,
@@ -797,12 +797,12 @@ func TestExecShuffleExchange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 1; i < len(res.Rows()); i++ {
-				if res.Rows()[i-1][1].Float() < res.Rows()[i][1].Float() {
+			for i := 1; i < res.NumRows(); i++ {
+				if rowsOf(res)[i-1][1].Float() < rowsOf(res)[i][1].Float() {
 					t.Fatalf("partition %d is not sorted at row %d", part, i)
 				}
 			}
-			read += len(res.Rows())
+			read += res.NumRows()
 			if part == 0 {
 				dop = res.Stats.Dop
 				for _, op := range res.Stats.Ops {
@@ -883,3 +883,12 @@ func TestIsTransient(t *testing.T) {
 type errFake string
 
 func (e errFake) Error() string { return string(e) }
+
+// rowsOf boxes a shard result's batches.
+func rowsOf(r *Result) []types.Row {
+	var rows []types.Row
+	for _, b := range r.Batches {
+		rows = b.AppendRows(rows)
+	}
+	return rows
+}

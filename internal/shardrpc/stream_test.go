@@ -72,10 +72,10 @@ func TestConnStreamCarriesEveryMessage(t *testing.T) {
 			}
 			continue
 		}
-		if len(res.Columns) != 1 || len(res.Rows()) != 1 || res.RowsAffected != 0 || (res.Stats != nil) != req.WithStats {
+		if len(res.Columns) != 1 || res.NumRows() != 1 || res.RowsAffected != 0 || (res.Stats != nil) != req.WithStats {
 			t.Fatalf("request %d (SELECT, stats %v): %+v", i, req.WithStats, res)
 		}
-		if got, want := res.Rows()[0][0].Float(), float64(10+(i+1)/2); got != want {
+		if got, want := rowsOf(res)[0][0].Float(), float64(10+(i+1)/2); got != want {
 			t.Fatalf("request %d: amount %v, want %v (an UPDATE was not applied)", i, got, want)
 		}
 	}
@@ -87,7 +87,7 @@ func TestConnStreamCarriesEveryMessage(t *testing.T) {
 	}
 	read, err := p.Exec(s.Addr(), ExecReq{ShardID: 0, Stmt: mustParse(t, "SELECT amount FROM part"), WithStats: true,
 		Exchange: &Exchange{Query: 5, Senders: 1, Inputs: []ShuffleInput{{Name: "part", Schema: salesSchema}}}})
-	if err != nil || len(read.Rows()) != 1 || read.Rows()[0][0].Float() != 110 || read.Stats == nil {
+	if err != nil || read.NumRows() != 1 || rowsOf(read)[0][0].Float() != 110 || read.Stats == nil {
 		t.Fatalf("shuffle input: %+v, err %v", read, err)
 	}
 	if err := p.Insert(s.Addr(), 1, "sales", 77, bucketOf([]types.Row{{types.NewInt(2), types.Null, types.NewFloat(1)}})); err != nil {
@@ -105,7 +105,7 @@ func TestConnStreamCarriesEveryMessage(t *testing.T) {
 	}
 	for _, withStats := range []bool{true, false, true} {
 		res, err := p.Exec(s.Addr(), ExecReq{ShardID: 1, Stmt: mustParse(t, "SELECT id, region FROM sales"), WithStats: withStats})
-		if err != nil || len(res.Rows()) != 1 || !res.Rows()[0][1].IsNull() || (res.Stats != nil) != withStats {
+		if err != nil || res.NumRows() != 1 || !rowsOf(res)[0][1].IsNull() || (res.Stats != nil) != withStats {
 			t.Fatalf("stats %v: %+v, err %v", withStats, res, err)
 		}
 	}
@@ -278,7 +278,7 @@ func TestPoolConcurrentStreams(t *testing.T) {
 					return
 				}
 				res, err := p.Exec(s.Addr(), ExecReq{ShardID: w % 2, Stmt: sel, WithStats: r%2 == 0})
-				if err != nil || len(res.Rows()) != 1 || (res.Stats != nil) != (r%2 == 0) {
+				if err != nil || res.NumRows() != 1 || (res.Stats != nil) != (r%2 == 0) {
 					errs <- fmt.Errorf("worker %d round %d: %+v, err %v", w, r, res, err)
 					return
 				}
@@ -356,7 +356,7 @@ func BenchmarkExecRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := p.Exec(s.Addr(), req)
-		if err != nil || len(res.Rows()) != 1 {
+		if err != nil || res.NumRows() != 1 {
 			b.Fatalf("%+v, err %v", res, err)
 		}
 	}

@@ -38,7 +38,7 @@ type Dataset struct {
 // replicated table's one copy, one partition). where is an optional SQL
 // predicate over the table's columns pushed down to each shard ("to
 // transfer only the data really needed"); cols optionally projects
-// columns.
+// columns. The rows are boxed here, once: a Dataset is rows.
 func (c *Context) Table(table, where string, cols ...string) (*Dataset, error) {
 	c.checkCancelled()
 	results, err := c.cm.d.cluster.ReadShards(table, where, cols)
@@ -47,7 +47,9 @@ func (c *Context) Table(table, where string, cols ...string) (*Dataset, error) {
 	}
 	parts := make([][]types.Row, len(results))
 	for i, r := range results {
-		parts[i] = r.Rows()
+		for _, b := range r.Batches {
+			parts[i] = b.AppendRows(parts[i])
+		}
 	}
 	return &Dataset{ctx: c, partitions: parts}, nil
 }

@@ -86,7 +86,6 @@ func (c *Compiler) Bind(name string, src catalog.RemoteSource) {
 type scopeCol struct {
 	table string // alias, lowercased
 	name  string // column name, lowercased
-	kind  types.Kind
 }
 
 // scope maps qualified names to ordinals in the current row layout.
@@ -105,8 +104,8 @@ type aggScope struct {
 	out map[string]int // exprKey of a GROUP BY term or aggregate call → output ordinal
 }
 
-func (s *scope) add(table, name string, kind types.Kind) {
-	s.cols = append(s.cols, scopeCol{table: strings.ToLower(table), name: strings.ToLower(name), kind: kind})
+func (s *scope) add(table, name string) {
+	s.cols = append(s.cols, scopeCol{table: strings.ToLower(table), name: strings.ToLower(name)})
 }
 
 // resolve finds the ordinal of table.column ("" table = unqualified).
@@ -350,7 +349,7 @@ func (c *Compiler) compileTail(sel *SelectStmt, node plan.Node, items []SelectIt
 	visible := len(out)
 	outScope := &scope{}
 	for _, col := range out {
-		outScope.add("", col.Name, col.Kind)
+		outScope.add("", col.Name)
 	}
 	rows := in // the scope exprKey binds column names against
 	if in != nil && in.agg != nil {
@@ -587,7 +586,7 @@ func heldItem(name, alias string, src catalog.RemoteSource) (*compiled, error) {
 func aliased(alias string, op exec.Operator) *compiled {
 	sc := &scope{}
 	for _, col := range op.Schema() {
-		sc.add(alias, col.Name, col.Kind)
+		sc.add(alias, col.Name)
 	}
 	return &compiled{op: op, scope: sc}
 }

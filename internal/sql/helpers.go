@@ -32,12 +32,59 @@ func (c *Compiler) EvalConst(e Expr) (types.Value, error) {
 	return v.Get(0), nil
 }
 
+// EvalRow evaluates a row of expressions with EvalConst: a VALUES or
+// INSERT row, CALL arguments.
+func (c *Compiler) EvalRow(exprs []Expr) (types.Row, error) {
+	row := make(types.Row, len(exprs))
+	for i, e := range exprs {
+		v, err := c.EvalConst(e)
+		if err != nil {
+			return nil, err
+		}
+		row[i] = v
+	}
+	return row, nil
+}
+
+// Place maps the rows an INSERT inserts, a value for each column its list
+// names, onto the table's schema, in place: a column the list leaves out
+// is NULL. Without a list a row is every column in order.
+func (st *InsertStmt) Place(schema types.Schema, rows []types.Row) ([]types.Row, error) {
+	width := len(schema)
+	if len(st.Columns) > 0 {
+		width = len(st.Columns)
+	}
+	idx := make([]int, len(st.Columns))
+	for i, name := range st.Columns {
+		if idx[i] = schema.ColumnIndex(name); idx[i] < 0 {
+			return nil, fmt.Errorf("sql: column %s not in table %s", name, st.Table)
+		}
+	}
+	for r, vals := range rows {
+		if len(vals) != width {
+			return nil, fmt.Errorf("sql: INSERT has %d values for %d columns", len(vals), width)
+		}
+		if len(idx) == 0 {
+			continue
+		}
+		full := make(types.Row, len(schema))
+		for i := range full {
+			full[i] = types.NullOf(schema[i].Kind)
+		}
+		for i, ci := range idx {
+			full[ci] = vals[i]
+		}
+		rows[r] = full
+	}
+	return rows, nil
+}
+
 // CompileRowExpr compiles an expression against a single table's schema
 // (UPDATE SET clauses, CHECK-style predicates).
 func (c *Compiler) CompileRowExpr(e Expr, sch types.Schema) (exec.Expr, error) {
 	sc := &scope{}
 	for _, col := range sch {
-		sc.add("", col.Name, col.Kind)
+		sc.add("", col.Name)
 	}
 	return c.compileExpr(e, sc)
 }
@@ -65,7 +112,7 @@ func (c *Compiler) CompileTablePredicate(where Expr, sch types.Schema) ([]column
 	}
 	sc := &scope{}
 	for _, col := range sch {
-		sc.add("", col.Name, col.Kind)
+		sc.add("", col.Name)
 	}
 	residual, err := c.compileConjuncts(rest, sc)
 	if err != nil {

@@ -6,9 +6,11 @@
 # (scatter), a two-table join (shuffle exchange) and a MEDIAN (gather) —
 # plus a join whose conjuncts run in the shuffle stages, a LEFT join whose
 # null-supplying side's IS NULL must stay above it, and a point lookup
-# asked of the one shard owning its key; then declares one node dead and
-# checks the survivors give the same answers: the minimal end-to-end
-# exercise of the shard RPC boundary, its one statement frame and HA
+# asked of the one shard owning its key; copies rows into a third table
+# with INSERT … SELECT through a column list that reverses its columns;
+# then declares one node dead and checks the survivors give the same
+# answers: the minimal end-to-end exercise of the shard RPC boundary, its
+# one statement frame, the batches a result crosses processes in and HA
 # failover across real processes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -60,6 +62,9 @@ sql SELECT MEDIAN(v) FROM sm
 sql SELECT COUNT(*), SUM(a.v) FROM sm a JOIN sm2 b ON a.v = b.v WHERE a.id < 100 AND b.id >= 50
 sql SELECT COUNT(*) FROM sm a LEFT JOIN sm2 b ON a.v = b.v WHERE b.id IS NULL
 sql SELECT v FROM sm WHERE id = 123
+sql CREATE TABLE sm3 (a BIGINT, b BIGINT)
+sql INSERT INTO sm3 (b, a) SELECT id, id + 1000 FROM sm WHERE id < 3
+sql SELECT a, b FROM sm3
 fail nodeB
 sql SELECT COUNT(*) FROM sm
 sql SELECT COUNT(*), SUM(a.v) FROM sm a JOIN sm2 b ON a.v = b.v
@@ -67,6 +72,7 @@ sql SELECT MEDIAN(v) FROM sm
 sql SELECT COUNT(*), SUM(a.v) FROM sm a JOIN sm2 b ON a.v = b.v WHERE a.id < 100 AND b.id >= 50
 sql SELECT COUNT(*) FROM sm a LEFT JOIN sm2 b ON a.v = b.v WHERE b.id IS NULL
 sql SELECT v FROM sm WHERE id = 123
+sql SELECT a, b FROM sm3
 quit
 EOF
 )
@@ -76,7 +82,8 @@ echo "$out"
 # the join on v (not the distribution key) matches sm2's 300 rows with
 # SUM(a.v) = 299*300/2; the median of sm's 0..499 is 249.5. The filtered
 # join keeps v in 50..99 (SUM 3725); 200 of sm's rows match nothing in sm2
-# (pushing b.id IS NULL below the LEFT join would count all 500).
+# (pushing b.id IS NULL below the LEFT join would count all 500). The
+# column list puts sm's id in sm3's b and id + 1000 in its a.
 TAB=$(printf '\t')
 echo "$out" | grep -q "nodeA:2 nodeB:2" || { echo "cluster_smoke: FAIL initial association" >&2; exit 1; }
 echo "$out" | grep -q "OK loaded 500 rows" || { echo "cluster_smoke: FAIL load" >&2; exit 1; }
@@ -87,6 +94,9 @@ echo "$out" | grep -q "OK loaded 300 rows" || { echo "cluster_smoke: FAIL load o
 [ "$(echo "$out" | grep -cx "50${TAB}3725")" -eq 2 ] || { echo "cluster_smoke: FAIL filtered join (before/after failover)" >&2; exit 1; }
 [ "$(echo "$out" | grep -cx '200')" -eq 2 ] || { echo "cluster_smoke: FAIL LEFT join IS NULL (before/after failover)" >&2; exit 1; }
 [ "$(echo "$out" | grep -cx '123')" -eq 2 ] || { echo "cluster_smoke: FAIL point lookup (before/after failover)" >&2; exit 1; }
+for row in "1000${TAB}0" "1001${TAB}1" "1002${TAB}2"; do
+	[ "$(echo "$out" | grep -cx "$row")" -eq 2 ] || { echo "cluster_smoke: FAIL INSERT … SELECT column list (before/after failover)" >&2; exit 1; }
+done
 echo "$out" | grep -q "nodeA:4" || { echo "cluster_smoke: FAIL failover re-association" >&2; exit 1; }
 
-echo "cluster_smoke: PASS — 2-process cluster ran scatter, pinned, shuffle-join and gather statements and survived a node death"
+echo "cluster_smoke: PASS — 2-process cluster ran scatter, pinned, shuffle-join, gather and INSERT … SELECT statements and survived a node death"
