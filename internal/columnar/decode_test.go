@@ -57,7 +57,7 @@ func sameVector(got, want *vec.Vector) error {
 
 // codeFixture returns a one-column table whose encoder is enc and whose
 // stride 0 holds codes and nulls: a sealed page when there are StrideSize
-// of them, else the open stride.
+// of them, else the tail.
 func codeFixture(t testing.TB, kind types.Kind, enc encoding.Encoder, codes []uint64, nulls []bool) *Table {
 	tbl := NewTable(80, "decode", types.Schema{{Name: "c", Kind: kind, Nullable: true}}, Config{})
 	tbl.mu.Lock()
@@ -69,8 +69,7 @@ func codeFixture(t testing.TB, kind types.Kind, enc encoding.Encoder, codes []ui
 			t.Fatal(err)
 		}
 	} else {
-		c.openCodes = append(c.openCodes, codes...)
-		c.openNulls = append(c.openNulls, nulls...)
+		c.setTail(tbl.pageID(0, 0), codes, nulls)
 	}
 	tbl.rows, tbl.live = len(codes), len(codes)
 	tbl.growDeletedLocked(tbl.rows)
@@ -98,8 +97,8 @@ func checkTypedDecode(t *testing.T, kind types.Kind, enc encoding.Encoder, codes
 		snap := tbl.Snapshot()
 		b := newBatch(tbl, snap.state(), 0, 0)
 		b.sel = sel
-		if b.open() == sealed {
-			t.Fatalf("fixture of %d codes: open %v", len(cs), b.open())
+		if open := b.st.cols[0].tail != nil; open == sealed {
+			t.Fatalf("fixture of %d codes: open %v", len(cs), open)
 		}
 		if err := sameVector(b.vector(0, false), decodeOracle(kind, enc, cs, ns, sel)); err != nil {
 			t.Errorf("%T over %v, sealed %v, %d of %d selected: %v", enc, kind, sealed, len(sel), len(codes), err)
@@ -264,7 +263,7 @@ func FuzzVectorDecode(f *testing.F) {
 		b := newBatch(tbl, snap.state(), 0, 0)
 		b.sel = sel
 		if err := sameVector(b.vector(0, false), decodeOracle(kind, enc, codes, nulls, sel)); err != nil {
-			t.Fatalf("%T over %v, %d of %d selected, open %v: %v", enc, kind, len(sel), n, b.open(), err)
+			t.Fatalf("%T over %v, %d of %d selected, open %v: %v", enc, kind, len(sel), n, n < page.StrideSize, err)
 		}
 	})
 }

@@ -89,14 +89,15 @@ func blockBatch(t testing.TB, rows []types.Row) *vec.Batch {
 }
 
 // tableImage is everything a load leaves in a table: each column's
-// marshalled encoder, sealed page bytes, synopsis entries and open stride,
-// plus the table's counts, raw bytes, compression report and rebuilds.
+// marshalled encoder, sealed page bytes, synopsis entries and tail page
+// bytes and entry, plus the table's counts, raw bytes, compression report
+// and rebuilds.
 type tableImage struct {
 	Encoders    [][]byte
 	Pages       [][][]byte
 	Synopses    [][]synopsis.Entry
-	OpenCodes   [][]uint64
-	OpenNulls   [][]bool
+	Tails       [][]byte
+	TailSyns    []synopsis.Entry
 	Rows, Live  int
 	RawBytes    int
 	Compression CompressionReport
@@ -127,8 +128,12 @@ func imageOf(t testing.TB, tbl *Table) tableImage {
 		im.Encoders = append(im.Encoders, enc)
 		im.Pages = append(im.Pages, pages)
 		im.Synopses = append(im.Synopses, c.syn.Entries())
-		im.OpenCodes = append(im.OpenCodes, c.openCodes)
-		im.OpenNulls = append(im.OpenNulls, c.openNulls)
+		var tail []byte
+		if c.tail != nil {
+			tail = c.tail.Marshal()
+		}
+		im.Tails = append(im.Tails, tail)
+		im.TailSyns = append(im.TailSyns, c.tailSyn)
 	}
 	im.Compression = tbl.Compression()
 	return im

@@ -240,16 +240,15 @@ func TestFailedValidationLeavesTableUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	type colState struct {
-		enc   encoding.Encoder
-		codes []uint64
-		nulls []bool
+		enc  encoding.Encoder
+		tail *page.Page
 	}
 	state := func() (int, []colState) {
 		tbl.mu.Lock()
 		defer tbl.mu.Unlock()
 		out := make([]colState, len(tbl.cols))
 		for ci, c := range tbl.cols {
-			out[ci] = colState{c.enc, slices.Clone(c.openCodes), slices.Clone(c.openNulls)}
+			out[ci] = colState{c.enc, c.tail}
 		}
 		return tbl.rows, out
 	}
@@ -274,7 +273,7 @@ func TestFailedValidationLeavesTableUntouched(t *testing.T) {
 	}
 	for ci := range cols0 {
 		a, b := cols0[ci], cols1[ci]
-		if a.enc != b.enc || !slices.Equal(a.codes, b.codes) || !slices.Equal(a.nulls, b.nulls) {
+		if a.enc != b.enc || a.tail != b.tail {
 			t.Fatalf("column %d changed under a rejected batch", ci)
 		}
 	}

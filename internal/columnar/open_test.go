@@ -359,7 +359,15 @@ func TestSaveMetaPersistsOpenCodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		old.Cols = append(old.Cols, gobColMeta{Encoder: enc, Synopsis: cm.Synopsis, Gen: cm.Gen, OpenCodes: cm.OpenCodes, OpenNulls: cm.OpenNulls})
+		gc := gobColMeta{Encoder: enc, Synopsis: cm.Synopsis, Gen: cm.Gen}
+		if cm.Tail != nil {
+			n := cm.Tail.Rows()
+			gc.OpenCodes, _ = unpack(cm.Tail, make([]uint64, n), make([]bool, n))
+			if nulls := cm.Tail.Nulls(); nulls != nil {
+				gc.OpenNulls = nulls.Words()[:(n+63)/64]
+			}
+		}
+		old.Cols = append(old.Cols, gc)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(old); err != nil {

@@ -12,14 +12,19 @@ import (
 )
 
 // Table persistence: SaveMeta writes everything that is not already in
-// sealed pages — encoders (dictionaries), synopses, the open stride's
-// codes, tombstones and counters — as a metadata blob in the page store.
+// sealed pages — encoders (dictionaries), synopses, the open stride's tail
+// page, tombstones and counters — as a metadata blob in the page store.
 // OpenTable reconstructs the table from that blob plus the existing
 // pages. Together with the clustered filesystem this realizes §II.E's
 // portability claim: copy the filesystem, reopen the tables anywhere.
 
 // ErrNoMeta is OpenTable's error for a table that has saved no metadata.
 var ErrNoMeta = errors.New("columnar: no saved table metadata")
+
+// ErrOpenCodes is OpenTable's error for metadata that holds a non-empty
+// open stride as one uvarint code a row, as releases wrote it before the
+// open stride rested as a tail page. It is not read: reload the table.
+var ErrOpenCodes = errors.New("columnar: table metadata holds its open stride as codes, the form before tail pages, and is not read")
 
 // metaColumn is the reserved column ordinal of the metadata pseudo-page.
 const metaColumn = 0xFFFF
@@ -37,21 +42,24 @@ func metaID(table uint32) page.ID {
 //	uvarint  page-generation allocator position
 //	list     tombstones: each position's uvarint distance from the last
 //	list     columns, each: the encoder snapshot (encoding.AppendEncoder),
-//	         uvarint page generation, its synopsis entries (uvarint min
-//	         and max code, NULL and row counts, bool all NULL), then the
-//	         open stride as the column holds it: one uvarint code per row
-//	         (0 for a NULL) and the rows' NULL flags as uvarint bitmap
-//	         words, bit i in word i/64
+//	         uvarint page generation, the sealed strides' synopsis entries
+//	         (uvarint min and max code, NULL and row counts, bool all
+//	         NULL), a uvarint 0, then the open stride's tail page as
+//	         page.Marshal writes it, behind its uvarint length (0: the
+//	         open stride holds no row)
 //
-// where a list is its uvarint length and then its elements.
+// where a list is its uvarint length and then its elements. The 0 before
+// the tail is where a blob written before tail pages held the open
+// stride's code count: such a blob reads when its open stride is empty
+// (its count and NULL word count are both 0) and is refused with
+// ErrOpenCodes otherwise.
 
 // colMeta is one column's persisted state.
 type colMeta struct {
-	Encoder   encoding.Encoder
-	Synopsis  []synopsis.Entry
-	Gen       uint32 // page generation the sealed strides live under
-	OpenCodes []uint64
-	OpenNulls []uint64
+	Encoder  encoding.Encoder
+	Synopsis []synopsis.Entry
+	Gen      uint32     // page generation the sealed strides live under
+	Tail     *page.Page // nil when the open stride holds no row
 }
 
 // tableMeta is the persisted table state.
@@ -94,20 +102,11 @@ func (t *Table) SaveMeta() error {
 			b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(e.NullCnt)), uint64(e.RowCnt))
 			b = types.AppendBool(b, e.AllNulls)
 		}
-		b = binary.AppendUvarint(b, uint64(len(c.openCodes)))
-		for _, code := range c.openCodes {
-			b = binary.AppendUvarint(b, code)
+		var tail []byte
+		if c.tail != nil {
+			tail = c.tail.Marshal()
 		}
-		b = binary.AppendUvarint(b, uint64((len(c.openNulls)+63)/64))
-		for w := 0; w < len(c.openNulls); w += 64 {
-			var word uint64
-			for i, null := range c.openNulls[w:min(w+64, len(c.openNulls))] {
-				if null {
-					word |= 1 << i
-				}
-			}
-			b = binary.AppendUvarint(b, word)
-		}
+		b = append(binary.AppendUvarint(binary.AppendUvarint(b, 0), uint64(len(tail))), tail...)
 	}
 	return t.store.WritePage(metaID(t.id), b)
 }
@@ -136,8 +135,8 @@ func readMeta(data []byte) (tableMeta, error) {
 			cm := &m.Cols[i]
 			cm.Encoder, cm.Gen = encoding.ReadEncoder(&r), uint32(r.Uvarint())
 			// Every sealed stride has its entry, which bounds the rows a
-			// blob can claim by its length.
-			if n := r.Count(); n < m.Rows/page.StrideSize {
+			// blob can claim by its length, and only a sealed stride.
+			if n := r.Count(); n != m.Rows/page.StrideSize {
 				r.Fail(fmt.Errorf("%d synopsis entries for %d sealed strides", n, m.Rows/page.StrideSize))
 			} else if n > 0 {
 				cm.Synopsis = make([]synopsis.Entry, n)
@@ -146,7 +145,7 @@ func readMeta(data []byte) (tableMeta, error) {
 						NullCnt: uint32(r.Uvarint()), RowCnt: uint32(r.Uvarint()), AllNulls: r.Bool()}
 				}
 			}
-			cm.OpenCodes, cm.OpenNulls = readUvarints(&r), readUvarints(&r)
+			cm.Tail = readTail(&r)
 		}
 	}
 	if len(m.Cols) == 0 && m.Rows > 0 {
@@ -158,20 +157,26 @@ func readMeta(data []byte) (tableMeta, error) {
 	return m, r.Err()
 }
 
-func readUvarints(r *types.Reader) []uint64 {
-	n := r.Count()
-	if n == 0 {
+// readTail reads a column's tail as SaveMeta writes it: nil when the open
+// stride holds no row.
+func readTail(r *types.Reader) *page.Page {
+	if r.Uvarint() != 0 {
+		r.Fail(ErrOpenCodes)
 		return nil
 	}
-	xs := make([]uint64, n)
-	for i := range xs {
-		xs[i] = r.Uvarint()
+	raw := r.Str()
+	if len(raw) == 0 {
+		return nil
 	}
-	return xs
+	pg, err := page.Unmarshal([]byte(raw))
+	if err != nil {
+		r.Fail(fmt.Errorf("tail: %w", err))
+	}
+	return pg
 }
 
 // OpenTable reopens a table previously persisted with SaveMeta: encoders,
-// synopses and the open stride's codes come from the metadata blob,
+// synopses and the open stride's tail page come from the metadata blob,
 // sealed pages stay where they are in the store. Nothing is re-encoded.
 func OpenTable(id uint32, schema types.Schema, cfg Config) (*Table, error) {
 	store := cfg.Store
@@ -199,7 +204,7 @@ func OpenTable(id uint32, schema types.Schema, cfg Config) (*Table, error) {
 		for s, e := range cm.Synopsis {
 			c.syn.Set(s, e)
 		}
-		if err := c.installOpen(cm, t.openLen()); err != nil {
+		if err := c.installTail(cm.Tail, t.rows%page.StrideSize); err != nil {
 			return nil, fmt.Errorf("columnar: open table %d column %d: %w", id, ci, err)
 		}
 	}
@@ -219,25 +224,25 @@ func OpenTable(id uint32, schema types.Schema, cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// installOpen restores the column's open stride of open rows from cm.
-// Every non-NULL code must lie inside the encoder's domain. A blob that
-// holds no codes for a non-empty open stride — one written before the
-// open stride was persisted as codes — is refused, not read as a table
-// without its open rows.
-func (c *column) installOpen(cm colMeta, open int) error {
-	if len(cm.OpenCodes) != open || len(cm.OpenNulls) != (open+63)/64 {
-		return fmt.Errorf("meta holds %d open codes and %d NULL words for an open stride of %d rows", len(cm.OpenCodes), len(cm.OpenNulls), open)
+// installTail makes pg, read from a blob, the column's tail for an open
+// stride of open rows. Every non-NULL code must lie inside the encoder's
+// domain.
+func (c *column) installTail(pg *page.Page, open int) error {
+	rows := 0
+	if pg != nil {
+		rows = pg.Rows()
 	}
-	card := uint64(c.enc.Cardinality())
-	for i, code := range cm.OpenCodes {
-		null := cm.OpenNulls[i/64]>>(i%64)&1 != 0
-		if null {
-			code = 0
-		} else if code >= card {
-			return fmt.Errorf("open stride code %d outside its encoder's %d codes", code, card)
-		}
-		c.openCodes = append(c.openCodes, code)
-		c.openNulls = append(c.openNulls, null)
+	if rows != open {
+		return fmt.Errorf("meta holds a tail of %d rows for an open stride of %d", rows, open)
 	}
+	if open == 0 {
+		return nil
+	}
+	codes, nulls := unpack(pg, make([]uint64, open), make([]bool, open))
+	e := synopsis.Summarize(codes, func(i int) bool { return nulls[i] })
+	if card := uint64(c.enc.Cardinality()); !e.AllNulls && e.MaxCode >= card {
+		return fmt.Errorf("tail code %d outside its encoder's %d codes", e.MaxCode, card)
+	}
+	c.tail, c.tailSyn = pg, e
 	return nil
 }

@@ -36,7 +36,7 @@ type Pred struct {
 type Batch struct {
 	t      *Table
 	st     *tableState
-	stride int   // stride index; st.sealedStrides() for the open stride
+	stride int   // stride index; st.sealedStrides() for the tail
 	base   int   // global row id of stride start
 	sel    []int // selected offsets within the stride, ascending
 	pages  map[int]*page.Page
@@ -50,14 +50,13 @@ func newBatch(t *Table, st *tableState, s, preds int) *Batch {
 
 // scanScratch is one scan worker's selection state, reused from stride to
 // stride: the batch it delivers, the selection and match bitmaps, the
-// candidates of a residual range, the selected offsets and the code ranges
-// of an open-stride conjunct. A worker takes one from scratchPool at its
-// first stride not skipped and puts it back when it stops.
+// candidates of a residual range and the selected offsets. A worker takes
+// one from scratchPool at its first stride not skipped and puts it back
+// when it stops.
 type scanScratch struct {
 	b                Batch
 	sel, match, cand *bitpack.Bitmap
 	offs             []int
-	ranges           [][2]uint64
 }
 
 // scratchPool recycles scratch from scan to scan, so a scan that visits
@@ -95,23 +94,9 @@ func (b *Batch) Len() int { return len(b.sel) }
 // RowID returns the global row id of the i'th selected tuple.
 func (b *Batch) RowID(i int) int64 { return int64(b.base + b.sel[i]) }
 
-// open reports whether the batch is over the open stride, whose codes are
-// not packed on a page.
-func (b *Batch) open() bool { return b.stride == b.st.sealedStrides() }
-
-// cell returns column ci's code at offset off of the stride and whether
-// the cell is NULL.
-func (b *Batch) cell(ci, off int) (uint64, bool) {
-	if b.open() {
-		c := &b.st.cols[ci]
-		return c.openCodes[off], c.openNulls[off]
-	}
-	return b.page(ci).Get(off)
-}
-
 // Value returns column ci of the i'th selected tuple, decoding lazily.
 func (b *Batch) Value(ci, i int) types.Value {
-	code, null := b.cell(ci, b.sel[i])
+	code, null := b.page(ci).Get(b.sel[i])
 	if null {
 		return types.NullOf(b.t.schema[ci].Kind)
 	}
@@ -153,7 +138,7 @@ type encPredicates []encoding.Predicate
 // not this scan).
 //
 // The scan is morsel-driven (§II.B.7 strides × machine cores): every
-// stride, the open one included, is a morsel on a shared queue, and
+// stride, the tail included, is a morsel on a shared queue, and
 // min(dop, strides) workers pull morsels, skip and select independently
 // and deliver their batches to fn. With one worker — dop ≤ 1, or a table
 // of one stride — fn runs on the calling goroutine as worker 0 and the
@@ -293,15 +278,11 @@ func (st *tableState) translatePreds(preds []Pred) (encPredicates, bool) {
 	return trans, false
 }
 
-// skipStride applies data skipping: the stride can be skipped when any
-// conjunct is unsatisfiable in the stride's synopsis span. The open stride
-// has no synopsis entry and is never skipped.
+// skipStride applies data skipping: the stride, the tail as any other, can
+// be skipped when any conjunct is unsatisfiable in its synopsis span.
 func (st *tableState) skipStride(s int, preds []Pred, trans encPredicates) bool {
-	if s == st.sealedStrides() {
-		return false
-	}
 	for i, p := range preds {
-		if !synopsis.MayMatch(trans[i], st.cols[p.Col].syn[s]) {
+		if !synopsis.MayMatch(trans[i], st.cols[p.Col].entry(s)) {
 			return true
 		}
 	}
@@ -317,39 +298,39 @@ func (st *tableState) visit(t *Table, s int, preds []Pred, trans encPredicates, 
 	sh.Visit()
 	b := sc.batch(t, st, s)
 	var err error
-	if b.open() {
-		b.sel = b.selectOpen(preds, trans, sc)
-	} else {
-		b.sel, err = b.selectSealed(preds, trans, sc)
-	}
-	if err != nil || b.Len() == 0 {
+	if b.sel, err = b.selectStride(preds, trans, sc); err != nil || b.Len() == 0 {
 		return nil, err
 	}
 	sh.Rows(b.Len())
 	return b, nil
 }
 
-// selectSealed evaluates the conjunction over a sealed stride with the
-// SWAR kernels over its packed pages, returning the selected offsets with
-// tombstones cleared a word at a time. A conjunct its synopsis entry shows
-// to hold for every row is passed over without reading its page. The
-// bitmaps and the offsets are sc's.
+// selectStride evaluates the conjunction over a stride, sealed or the
+// tail, with the SWAR kernels over its packed pages, returning the
+// selected offsets with tombstones cleared a word at a time. The bitmaps
+// are as long as the stride's rows, so a conjunct that selects every
+// position selects the tail's rows and no more. A conjunct its synopsis
+// entry shows to hold for every row is passed over without reading its
+// page. The bitmaps and the offsets are sc's.
 //
 //dashdb:hotpath
-func (b *Batch) selectSealed(preds []Pred, translated encPredicates, sc *scanScratch) ([]int, error) {
+func (b *Batch) selectStride(preds []Pred, translated encPredicates, sc *scanScratch) ([]int, error) {
+	n := b.st.strideRows(b.stride)
 	sel, match := sc.sel, sc.match
+	sel.Resize(n)
+	match.Resize(n)
+	sc.cand.Resize(n)
 	sel.SetAll()
 	for i, p := range preds {
 		c := &b.st.cols[p.Col]
-		e := c.syn[b.stride]
+		e := c.entry(b.stride)
 		if e.NullCnt == 0 && spans(translated[i], e) {
 			continue // every row matches: no page to read
 		}
 		pg, ok := b.pages[p.Col]
 		if !ok {
 			var err error
-			pg, err = b.t.loadPageGen(p.Col, c.gen, b.stride)
-			if err != nil {
+			if pg, err = b.t.pageOf(b.st, p.Col, b.stride); err != nil {
 				return nil, err
 			}
 			b.pages[p.Col] = pg
@@ -365,7 +346,7 @@ func (b *Batch) selectSealed(preds []Pred, translated encPredicates, sc *scanScr
 			return nil, nil
 		}
 	}
-	b.t.stats.rowsScanned.Add(page.StrideSize)
+	b.t.stats.rowsScanned.Add(uint64(n))
 	sel.AndNotAt(b.st.deleted, b.base) // a stride base is word-aligned
 	offs := sc.offs[:0]
 	sel.ForEach(func(off int) { offs = append(offs, off) })
@@ -413,85 +394,8 @@ func applyPredicate(pg *page.Page, e synopsis.Entry, enc encoding.Encoder, tp en
 	}
 }
 
-// selectOpen evaluates the conjunction over the open stride's codes, with
-// the same translated predicates as a sealed stride: the selection starts
-// as the stride's live rows, in sc's offsets, and every conjunct narrows
-// it.
-func (b *Batch) selectOpen(preds []Pred, translated encPredicates, sc *scanScratch) []int {
-	n := b.st.openLen()
-	sel := sc.offs[:0]
-	for off := 0; off < n; off++ {
-		if !b.st.deleted.Get(b.base + off) {
-			sel = append(sel, off)
-		}
-	}
-	for i, p := range preds {
-		c := &b.st.cols[p.Col]
-		var dom []types.Value
-		if d, ok := c.enc.(*encoding.Dict); ok && len(translated[i].Residual) > 0 {
-			dom = d.Snapshot() // one dictionary lock per conjunct, not one per residual row
-		}
-		sel = selectCodes(c.openCodes, c.openNulls, dom, translated[i], p, sel, &sc.ranges)
-	}
-	b.t.stats.rowsScanned.Add(uint64(n))
-	return sel
-}
-
-// selectCodes narrows sel, ascending offsets into codes, in place to the
-// cells that are not NULL and satisfy tp: exact ranges select in code
-// space, and a code in a residual range is decoded through dom and
-// rechecked against p, as applyPredicate does on a page. Only a
-// dictionary's extension is residual, so dom is that dictionary's
-// Snapshot (nil when tp has no residual ranges). The ranges are gathered
-// in *scratch, grown as needed.
-//
-//dashdb:hotpath
-func selectCodes(codes []uint64, nulls []bool, dom []types.Value, tp encoding.Predicate, p Pred, sel []int, scratch *[][2]uint64) []int {
-	live := sel[:0]
-	for _, off := range sel {
-		if !nulls[off] {
-			live = append(live, off)
-		}
-	}
-	if tp.All {
-		return live
-	}
-	ranges := (*scratch)[:0]
-	for _, r := range tp.Ranges {
-		ranges = append(ranges, [2]uint64{r.Lo, r.Hi})
-	}
-	exact := len(ranges)
-	for _, r := range tp.Residual {
-		ranges = append(ranges, [2]uint64{r.Lo, r.Hi})
-	}
-	*scratch = ranges
-	live = bitpack.SelectCodesInRanges(codes, ranges, nil, live, live[:0])
-	if exact == len(ranges) {
-		return live
-	}
-	out := live[:0]
-	for _, off := range live {
-		if c := codes[off]; inRanges(c, ranges[:exact]) || p.Op.Eval(dom[c], p.Val) {
-			out = append(out, off)
-		}
-	}
-	return out
-}
-
-// inRanges reports whether c lies in one of the closed ranges.
-//
-//dashdb:hotpath
-func inRanges(c uint64, ranges [][2]uint64) bool {
-	for _, r := range ranges {
-		if c-r[0] <= r[1]-r[0] {
-			return true
-		}
-	}
-	return false
-}
-
 // ScanNaive is the decode-then-evaluate ablation (DESIGN.md §6): it
-// visits every stride (no data skipping), the open one included, decodes
+// visits every stride (no data skipping), the tail included, decodes
 // every code back to a value and compares in value space (no SWAR, no
 // operating on compressed data). The cloud column-store baseline of Test 4 runs its scans through
 // this path; benchmarking it against Scan isolates exactly the techniques
@@ -508,10 +412,7 @@ func (s *Snapshot) ScanNaive(preds []Pred, fn func(b *Batch) bool) (err error) {
 	for strideIdx := 0; strideIdx < st.strides(); strideIdx++ {
 		t.stats.stridesVisited.Add(1)
 		b := newBatch(t, st, strideIdx, len(preds))
-		n := page.StrideSize
-		if b.open() {
-			n = st.openLen()
-		}
+		n := st.strideRows(strideIdx)
 		b.sel = make([]int, 0, n)
 		for off := 0; off < n; off++ {
 			if !st.deleted.Get(b.base+off) && b.matchesDecoded(preds, off) {
@@ -531,7 +432,7 @@ func (s *Snapshot) ScanNaive(preds []Pred, fn func(b *Batch) bool) (err error) {
 // comparing in value space.
 func (b *Batch) matchesDecoded(preds []Pred, off int) bool {
 	for _, p := range preds {
-		code, null := b.cell(p.Col, off)
+		code, null := b.page(p.Col).Get(off)
 		if null || !p.Op.Eval(b.st.cols[p.Col].enc.Decode(code), p.Val) {
 			return false
 		}

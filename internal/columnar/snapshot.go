@@ -15,16 +15,25 @@ import (
 // publish time (dictionaries are append-only and internally locked, so
 // sharing one across epochs is safe; frame-of-reference encoders are
 // immutable and replaced wholesale on rebuild), the page generation its
-// sealed strides were written under, capacity-clamped views of the
-// synopsis entries and open-stride codes and NULL flags, and a value copy
-// of the distinct-count sketch.
+// sealed strides were written under, a capacity-clamped view of their
+// synopsis entries, a value copy of the distinct-count sketch, and the
+// open stride's tail page and entry (no tail when it holds no row).
 type colView struct {
-	enc       encoding.Encoder
-	gen       uint32
-	syn       []synopsis.Entry
-	sketch    synopsis.Sketch
-	openCodes []uint64
-	openNulls []bool
+	enc     encoding.Encoder
+	gen     uint32
+	syn     []synopsis.Entry
+	sketch  synopsis.Sketch
+	tail    *page.Page
+	tailSyn synopsis.Entry
+}
+
+// entry returns the synopsis entry of stride s: a sealed stride's, or the
+// tail's.
+func (c *colView) entry(s int) synopsis.Entry {
+	if s == len(c.syn) {
+		return c.tailSyn
+	}
+	return c.syn[s]
 }
 
 // tableState is one published epoch's worth of table state. Everything
@@ -46,8 +55,10 @@ type tableState struct {
 // sealedStrides returns how many full strides this epoch covers.
 func (st *tableState) sealedStrides() int { return st.rows / page.StrideSize }
 
-// openLen returns how many rows this epoch's open stride holds.
-func (st *tableState) openLen() int { return st.rows % page.StrideSize }
+// strideRows returns how many rows stride s of this epoch holds.
+func (st *tableState) strideRows(s int) int {
+	return min(st.rows-s*page.StrideSize, page.StrideSize)
+}
 
 // strides returns how many strides a scan of this epoch visits: the
 // sealed ones, then the open stride when it holds rows. The open stride's

@@ -15,12 +15,12 @@ import (
 type ColumnStats struct {
 	// Rows is the table's live row count.
 	Rows int
-	// Nulls is the column's NULL count over sealed and open strides.
+	// Nulls is the column's NULL count over sealed strides and the tail.
 	Nulls int
 	// Distinct estimates the number of distinct non-NULL values,
 	// clamped to [1, Rows-Nulls] when the column has any non-NULL rows.
 	// Dictionary-encoded columns report the exact dictionary cardinality;
-	// other encodings use the seal-time sketch plus the open stride.
+	// other encodings use the seal-time sketch plus the tail.
 	Distinct float64
 	// HasBounds reports whether Min/Max carry value-space bounds. Only
 	// order-preserving encoders (frame-of-reference integer and float)
@@ -58,8 +58,8 @@ func (st *tableState) columnStats(ci int) ColumnStats {
 	return computed
 }
 
-// computeColumnStats folds the synopsis entries, the seal-time sketch and
-// the open-stride buffers into column ci's statistics.
+// computeColumnStats folds the synopsis entries, the tail's among them,
+// the seal-time sketch and the tail's codes into column ci's statistics.
 func (st *tableState) computeColumnStats(ci int) ColumnStats {
 	out := ColumnStats{Rows: st.live}
 	if ci < 0 || ci >= len(st.cols) {
@@ -70,44 +70,28 @@ func (st *tableState) computeColumnStats(ci int) ColumnStats {
 		return out
 	}
 
-	// Code-space bounds and NULL count from the synopsis entries plus the
-	// open stride buffers.
+	// Code-space bounds and NULL count from the synopsis entries.
 	var minCode, maxCode uint64
 	haveSpan := false
-	for _, e := range c.syn {
+	for s := range st.strides() {
+		e := c.entry(s)
 		out.Nulls += int(e.NullCnt)
-		if e.AllNulls || e.RowCnt == 0 {
-			continue
-		}
-		if !haveSpan {
-			minCode, maxCode = e.MinCode, e.MaxCode
-			haveSpan = true
-			continue
-		}
-		if e.MinCode < minCode {
-			minCode = e.MinCode
-		}
-		if e.MaxCode > maxCode {
-			maxCode = e.MaxCode
+		switch {
+		case e.AllNulls || e.RowCnt == 0:
+		case !haveSpan:
+			minCode, maxCode, haveSpan = e.MinCode, e.MaxCode, true
+		default:
+			minCode, maxCode = min(minCode, e.MinCode), max(maxCode, e.MaxCode)
 		}
 	}
-	sk := c.sketch // value copy: folding the open stride leaves the epoch's sketch untouched
-	for i, code := range c.openCodes {
-		if c.openNulls[i] {
-			out.Nulls++
-			continue
-		}
-		sk.AddCode(code)
-		if !haveSpan {
-			minCode, maxCode = code, code
-			haveSpan = true
-			continue
-		}
-		if code < minCode {
-			minCode = code
-		}
-		if code > maxCode {
-			maxCode = code
+	sk := c.sketch // value copy: folding the tail leaves the epoch's sketch untouched
+	if c.tail != nil {
+		codes, _ := c.tail.Gather(strideOffsets[:c.tail.Rows()], nil)
+		nulls := c.tail.Nulls()
+		for i, code := range codes {
+			if nulls == nil || !nulls.Get(i) {
+				sk.AddCode(code)
+			}
 		}
 	}
 

@@ -31,11 +31,12 @@
 // runs under the writer mutex, accumulates in private buffers, and ends by
 // publishing a fresh immutable tableState through an epoch manager —
 // one atomic pointer swap, one per write. Readers pin an epoch and scan
-// it without any lock on the table: sealed pages are immutable, the open tail is
-// copy-on-seal (published epochs hold capacity-clamped views the writer
-// never writes into), tombstones are copy-on-write, and page reclamation
-// after TRUNCATE or an encoder rebuild is deferred until every epoch that
-// could reach the old pages has drained.
+// it without any lock on the table: pages are immutable, the open
+// stride's tail page included (an append packs a new one, and a published
+// epoch keeps the one it was published with), tombstones are
+// copy-on-write, and page reclamation after TRUNCATE or an encoder
+// rebuild is deferred until every epoch that could reach the old pages
+// has drained.
 package columnar
 
 import (
@@ -165,27 +166,61 @@ const defaultAnalyzeSample = 8192
 const genShift = 24
 
 // column holds one column's writer-side state: the encoder, synopsis,
-// current page generation and the open stride. The open stride is what a
-// seal packs, not yet bit-packed: one code per row (0 for a NULL) and the
-// rows' NULL flags; no value is kept beside its code. The open buffers
-// are copy-on-seal: they always have exactly page.StrideSize capacity, the
-// writer appends in place (published epochs hold length-and-capacity
-// clamped views below every index the writer touches), and an append's
-// first seal allocates fresh buffers so drained epochs keep the old
-// backing arrays (appendColumnLocked).
+// current page generation and the open stride. The open stride (the tail)
+// rests packed like a sealed one: a page made by page.Pack, with its own
+// synopsis entry, nil while the stride holds no row. A page never changes,
+// so a published epoch keeps the tail it was published with: an append
+// unpacks the tail into its worker's scratch, adds its rows there and
+// packs the new tail once at its end (appendColumnLocked).
 type column struct {
-	enc       encoding.Encoder
-	syn       synopsis.Column
-	gen       uint32 // current page generation (0 for never-rebuilt columns)
-	openCodes []uint64
-	openNulls []bool
+	enc     encoding.Encoder
+	syn     synopsis.Column
+	gen     uint32 // current page generation (0 for never-rebuilt columns)
+	tail    *page.Page
+	tailSyn synopsis.Entry
 }
 
-// newOpenBuffers gives c fresh open-stride arrays so previously published
-// epochs keep the old backing.
-func (c *column) newOpenBuffers() {
-	c.openCodes = make([]uint64, 0, page.StrideSize)
-	c.openNulls = make([]bool, 0, page.StrideSize)
+// setTail makes codes and nulls, the rows of the open stride whose page
+// would be id, the column's tail: none when they hold no row.
+func (c *column) setTail(id page.ID, codes []uint64, nulls []bool) {
+	if len(codes) == 0 {
+		c.tail, c.tailSyn = nil, synopsis.Entry{}
+		return
+	}
+	c.tail = page.Pack(id, codes, nulls)
+	c.tailSyn = synopsis.Summarize(codes, func(i int) bool { return nulls[i] })
+}
+
+// strideOffsets is every offset of a stride in order: the selection that
+// unpacks a whole page.
+var strideOffsets = func() (offs [page.StrideSize]int) {
+	for i := range offs {
+		offs[i] = i
+	}
+	return offs
+}()
+
+// unpack writes the cells of pg (nil: none) from the front of codes and
+// nulls, which have room for them, and returns them; a NULL cell's code is
+// the page's base.
+func unpack(pg *page.Page, codes []uint64, nulls []bool) ([]uint64, []bool) {
+	if pg == nil {
+		return codes[:0], nulls[:0]
+	}
+	n := pg.Rows()
+	codes, _ = pg.Gather(strideOffsets[:n], codes[:0])
+	laneNulls(pg.Nulls(), 0, nulls[:n])
+	return codes, nulls[:n]
+}
+
+// appendScratch is one append worker's room, reused for every column and
+// chunk it encodes: the open stride's codes and NULL flags as they are
+// built, and a chunk of boxed values for a dictionary with no typed
+// kernel.
+type appendScratch struct {
+	vals  [page.StrideSize]types.Value
+	codes [page.StrideSize]uint64
+	nulls [page.StrideSize]bool
 }
 
 // Table is a column-organized table.
@@ -199,13 +234,11 @@ type Table struct {
 	cols     []*column
 	rows     int // total rows ever appended (including deleted)
 	live     int
-	deleted  *bitpack.Bitmap // copy-on-write; shared with published epochs
-	rawBytes int             // naive row-format bytes, for compression accounting
-	genSeq   uint32          // allocator for page generations
-	pending  []func()        // cleanups to attach to the next publish
-	// scratch holds, for each append worker, one column of the chunk it
-	// is encoding; a worker reuses its own for every column and chunk.
-	scratch [][]types.Value
+	deleted  *bitpack.Bitmap  // copy-on-write; shared with published epochs
+	rawBytes int              // naive row-format bytes, for compression accounting
+	genSeq   uint32           // allocator for page generations
+	pending  []func()         // cleanups to attach to the next publish
+	scratch  []*appendScratch // one for each append worker
 
 	epochs *snapshot.Manager[*tableState]
 
@@ -243,9 +276,7 @@ func NewTable(id uint32, name string, schema types.Schema, cfg Config) *Table {
 		dop:           max(cfg.Dop, 1),
 	}
 	for range schema {
-		c := &column{}
-		c.newOpenBuffers()
-		t.cols = append(t.cols, c)
+		t.cols = append(t.cols, &column{})
 	}
 	t.epochs = snapshot.NewManager(t.buildState())
 	return t
@@ -280,9 +311,6 @@ func (t *Table) ResetStats() {
 // sealedStrides returns how many full strides the writer has sealed.
 func (t *Table) sealedStrides() int { return t.rows / page.StrideSize }
 
-// openLen returns how many rows sit in the writer's open stride.
-func (t *Table) openLen() int { return t.rows % page.StrideSize }
-
 // buildState snapshots the writer state into an immutable tableState.
 // Caller holds mu (or is the constructor, before the table is shared).
 func (t *Table) buildState() *tableState {
@@ -296,14 +324,13 @@ func (t *Table) buildState() *tableState {
 	}
 	for ci, c := range t.cols {
 		entries := c.syn.Entries()
-		n := len(c.openCodes)
 		st.cols[ci] = colView{
-			enc:       c.enc,
-			gen:       c.gen,
-			syn:       entries[:len(entries):len(entries)],
-			sketch:    c.syn.SketchCopy(),
-			openCodes: c.openCodes[:n:n],
-			openNulls: c.openNulls[:n:n],
+			enc:     c.enc,
+			gen:     c.gen,
+			syn:     entries[:len(entries):len(entries)],
+			sketch:  c.syn.SketchCopy(),
+			tail:    c.tail,
+			tailSyn: c.tailSyn,
 		}
 	}
 	return st
@@ -522,7 +549,7 @@ func (t *Table) appendLocked(lanes []*vec.Vector, n int) error {
 		return nil
 	}
 	if slices.ContainsFunc(t.cols, func(c *column) bool { return c.enc == nil }) {
-		if err := t.eachColumnLocked(n, func(ci int, _ []types.Value) error {
+		if err := t.eachColumnLocked(n, func(ci int, _ *appendScratch) error {
 			t.analyzeLocked(ci, lanes[ci], n)
 			return nil
 		}); err != nil {
@@ -536,9 +563,9 @@ func (t *Table) appendLocked(lanes []*vec.Vector, n int) error {
 	}
 	t.growDeletedLocked(t.rows + n)
 	raw := make([]int, len(t.cols))
-	err := t.eachColumnLocked(n, func(ci int, scratch []types.Value) error {
+	err := t.eachColumnLocked(n, func(ci int, w *appendScratch) error {
 		raw[ci] = laneRawBytes(lanes[ci])
-		return t.appendColumnLocked(ci, lanes[ci], n, scratch)
+		return t.appendColumnLocked(ci, lanes[ci], n, w)
 	})
 	for _, b := range raw {
 		t.rawBytes += b
@@ -553,13 +580,13 @@ func (t *Table) appendLocked(lanes []*vec.Vector, n int) error {
 // stride, or a table at dop 1, runs on the caller's goroutine; otherwise
 // min(dop, columns) workers take columns in turn. fn gets its worker's own
 // scratch, and must touch no state but its column's. Caller holds mu.
-func (t *Table) eachColumnLocked(n int, fn func(ci int, scratch []types.Value) error) error {
+func (t *Table) eachColumnLocked(n int, fn func(ci int, w *appendScratch) error) error {
 	workers := min(t.dop, len(t.cols))
 	if n < page.StrideSize {
 		workers = 1
 	}
 	for len(t.scratch) < workers {
-		t.scratch = append(t.scratch, make([]types.Value, page.StrideSize))
+		t.scratch = append(t.scratch, new(appendScratch))
 	}
 	if workers == 1 {
 		for ci := range t.cols {
@@ -591,32 +618,26 @@ func (t *Table) eachColumnLocked(n int, fn func(ci int, scratch []types.Value) e
 }
 
 // appendColumnLocked encodes the n rows of the lane v onto column ci from
-// the table's row count on, a stride chunk at a time, and seals each
-// stride it fills: writes its page and synopsis entry, then empties the
-// open buffers for the next stride. The buffers the append began with may
-// be held by published epochs, so the first seal gives the column fresh
-// ones; no epoch has seen those before this append publishes, so later
-// seals reuse them. Caller holds mu; t.rows advances after every column is
-// done.
-func (t *Table) appendColumnLocked(ci int, v *vec.Vector, n int, scratch []types.Value) error {
-	c, row, fresh := t.cols[ci], t.rows, false
+// the table's row count on: the tail is unpacked into w, the lane is
+// encoded after it a stride chunk at a time, and each stride it fills is
+// sealed (its page written and its synopsis entry recorded). What stays
+// open is packed into the column's new tail once, at the end. Caller holds
+// mu; t.rows advances after every column is done.
+func (t *Table) appendColumnLocked(ci int, v *vec.Vector, n int, w *appendScratch) error {
+	c, s := t.cols[ci], t.sealedStrides()
+	codes, nulls := unpack(c.tail, w.codes[:], w.nulls[:])
 	for off := 0; off < n; {
-		k := min(page.StrideSize-row%page.StrideSize, n-off)
-		c.appendLane(v, off, k, scratch)
-		off, row = off+k, row+k
-		if row%page.StrideSize != 0 {
-			continue
+		k := min(page.StrideSize-len(codes), n-off)
+		codes, nulls = c.appendLane(v, off, k, codes, nulls, w.vals[:k])
+		if off += k; len(codes) < page.StrideSize {
+			break
 		}
-		if err := t.writeStrideLocked(ci, row/page.StrideSize-1, c.openCodes, c.openNulls); err != nil {
+		if err := t.writeStrideLocked(ci, s, codes, nulls); err != nil {
 			return err
 		}
-		if fresh {
-			c.openCodes, c.openNulls = c.openCodes[:0], c.openNulls[:0]
-		} else {
-			c.newOpenBuffers()
-			fresh = true
-		}
+		codes, nulls, s = codes[:0], nulls[:0], s+1
 	}
+	c.setTail(t.pageID(ci, s), codes, nulls)
 	return nil
 }
 
@@ -764,34 +785,33 @@ func laneRawBytes(v *vec.Vector) int {
 	return sz
 }
 
-// appendLane encodes rows [off, off+k) of the lane v, which fit in the
-// open stride, onto the open buffers; only the codes and NULL flags are
-// kept. A frame of reference encodes the typed lane itself, and so does a
-// string dictionary; any other dictionary takes the values boxed into
-// scratch. Each takes one lock for the run. The buffers' capacity is
-// exactly StrideSize, so the writes land past every published epoch's
-// clamped view and never reallocate mid-stride.
-func (c *column) appendLane(v *vec.Vector, off, k int, scratch []types.Value) {
-	n, m := len(c.openCodes), len(c.openCodes)+k
-	c.openCodes, c.openNulls = c.openCodes[:m], c.openNulls[:m]
-	codes, nulls := c.openCodes[n:], c.openNulls[n:]
-	laneNulls(v.Nulls, off, nulls)
+// appendLane encodes rows [off, off+k) of the lane v after the open
+// stride's codes and NULL flags, which have room for them, and returns
+// both; only the codes and NULL flags are kept. A frame of reference
+// encodes the typed lane itself, and so does a string dictionary; any
+// other dictionary takes the values boxed into vals, k of them. Each takes
+// one lock for the run.
+func (c *column) appendLane(v *vec.Vector, off, k int, codes []uint64, nulls []bool, vals []types.Value) ([]uint64, []bool) {
+	n, m := len(codes), len(codes)+k
+	codes, nulls = codes[:m], nulls[:m]
+	cs, ns := codes[n:], nulls[n:]
+	laneNulls(v.Nulls, off, ns)
 	switch e := c.enc.(type) {
 	case *encoding.IntFOR:
-		e.EncodeInts(v.I64[off:off+k], nulls, codes)
+		e.EncodeInts(v.I64[off:off+k], ns, cs)
 	case *encoding.FloatFOR:
-		e.EncodeFloats(v.F64[off:off+k], nulls, codes)
+		e.EncodeFloats(v.F64[off:off+k], ns, cs)
 	default:
 		if d, ok := e.(*encoding.Dict); ok && v.Str != nil {
-			d.EncodeStrings(v.Str[off:off+k], nulls, codes)
-			return
+			d.EncodeStrings(v.Str[off:off+k], ns, cs)
+			break
 		}
-		vals := scratch[:k]
 		for i := range vals {
 			vals[i] = v.Get(off + i)
 		}
-		c.enc.EncodeAll(vals, codes)
+		c.enc.EncodeAll(vals, cs)
 	}
+	return codes, nulls
 }
 
 // laneNulls sets nulls[i] to bit off+i of the lane's NULL bitmap (nil:
@@ -845,6 +865,17 @@ func (t *Table) pageID(ci, stride int) page.ID {
 	return pageIDFor(t.id, ci, t.cols[ci].gen, stride)
 }
 
+// pageOf returns column ci's page for stride s of st: the tail of an open
+// stride, which is st's own and never in the buffer pool (the page the
+// stride seals to takes its ID), or a sealed page through the pool.
+func (t *Table) pageOf(st *tableState, ci, s int) (*page.Page, error) {
+	c := &st.cols[ci]
+	if s == st.sealedStrides() {
+		return c.tail, nil
+	}
+	return t.loadPageGen(ci, c.gen, s)
+}
+
 // loadPageGen fetches a sealed page of a specific generation through the
 // buffer pool. Generation-qualified IDs are what let pinned epochs keep
 // reading superseded pages while the writer rebuilds under a new
@@ -875,23 +906,23 @@ func (t *Table) rebuildColumnLocked(ci int, v *vec.Vector) error {
 	c := t.cols[ci]
 	kind := t.schema[ci].Kind
 	oldGen := c.gen
-	// Every value of the column, sealed strides then the open one,
-	// decoded through the encoder being replaced; tombstoned rows are
-	// included (codes must stay positionally aligned).
+	// Every value of the column, sealed strides then the tail, decoded
+	// through the encoder being replaced; tombstoned rows are included
+	// (codes must stay positionally aligned).
 	sealed := t.sealedStrides()
 	vals := make([]types.Value, 0, t.rows+v.Len())
-	for s := 0; s < sealed; s++ {
-		pg, err := t.loadPageGen(ci, oldGen, s)
-		if err != nil {
-			return err
+	for s := 0; s*page.StrideSize < t.rows; s++ {
+		pg := c.tail
+		if s < sealed {
+			var err error
+			if pg, err = t.loadPageGen(ci, oldGen, s); err != nil {
+				return err
+			}
 		}
 		for i := 0; i < pg.Rows(); i++ {
 			code, null := pg.Get(i)
 			vals = appendDecoded(vals, c.enc, kind, code, null)
 		}
-	}
-	for i, code := range c.openCodes {
-		vals = appendDecoded(vals, c.enc, kind, code, c.openNulls[i])
 	}
 	sample := vals
 	for i := 0; i < v.Len(); i++ {
@@ -905,22 +936,19 @@ func (t *Table) rebuildColumnLocked(ci int, v *vec.Vector) error {
 
 	codes := make([]uint64, page.StrideSize)
 	nulls := make([]bool, page.StrideSize)
-	for s := 0; s < sealed; s++ {
-		run := vals[s*page.StrideSize : (s+1)*page.StrideSize]
+	for s := 0; s*page.StrideSize < t.rows; s++ {
+		run := vals[s*page.StrideSize : min((s+1)*page.StrideSize, t.rows)]
+		cs, ns := codes[:len(run)], nulls[:len(run)]
 		for i, v := range run {
-			nulls[i] = v.IsNull()
+			ns[i] = v.IsNull()
 		}
-		c.enc.EncodeAll(run, codes)
-		if err := t.writeStrideLocked(ci, s, codes, nulls); err != nil {
+		c.enc.EncodeAll(run, cs)
+		if s == sealed {
+			c.setTail(t.pageID(ci, s), cs, ns)
+		} else if err := t.writeStrideLocked(ci, s, cs, ns); err != nil {
 			return err
 		}
 	}
-	// The open stride gets a fresh code buffer; its NULL flags are
-	// unchanged by a re-encode, so that array stays shared with published
-	// epochs.
-	open := make([]uint64, len(c.openCodes), page.StrideSize)
-	c.enc.EncodeAll(vals[sealed*page.StrideSize:], open)
-	c.openCodes = open
 	t.deferPageDelete(ci, oldGen, sealed)
 	return nil
 }
@@ -961,10 +989,7 @@ func (t *Table) Truncate() error {
 	sealed := t.sealedStrides()
 	for ci, c := range t.cols {
 		t.deferPageDelete(ci, c.gen, sealed)
-		c.newOpenBuffers()
-		c.syn = synopsis.Column{}
-		c.enc = nil
-		c.gen = t.nextGenLocked()
+		*c = column{gen: t.nextGenLocked()}
 	}
 	t.rows, t.live = 0, 0
 	t.rawBytes = 0
@@ -979,9 +1004,7 @@ func (t *Table) Drop() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, c := range t.cols {
-		c.newOpenBuffers()
-		c.syn = synopsis.Column{}
-		c.enc = nil
+		*c = column{}
 	}
 	t.rows, t.live = 0, 0
 	t.rawBytes = 0
@@ -1041,9 +1064,9 @@ type CompressionReport struct {
 }
 
 // ColumnPages is one column's share of a compression report: the bytes of
-// its sealed pages and open stride, which sum over the columns to
-// PageBytes, the exceptions its sealed pages patch, and how many of those
-// pages are line pages (page.Page.Sorted).
+// its pages, the sealed ones and the tail, which sum over the columns to
+// PageBytes, the exceptions its pages patch, and how many of those pages
+// are line pages (page.Page.Sorted).
 type ColumnPages struct {
 	PageBytes    int
 	PatchedCodes int
@@ -1058,12 +1081,11 @@ func (t *Table) Compression() CompressionReport {
 	st := snap.state()
 	var r CompressionReport
 	r.RawBytes = st.rawBytes
-	sealed := st.sealedStrides()
 	r.Columns = make([]ColumnPages, len(st.cols))
 	for ci := range st.cols {
 		c, cp := &st.cols[ci], &r.Columns[ci]
-		for s := 0; s < sealed; s++ {
-			if pg, err := t.loadPageGen(ci, c.gen, s); err == nil {
+		for s := 0; s < st.strides(); s++ {
+			if pg, err := t.pageOf(st, ci, s); err == nil {
 				cp.PageBytes += pg.MemSize()
 				cp.PatchedCodes += pg.Patched()
 				if pg.Sorted() {
@@ -1071,12 +1093,15 @@ func (t *Table) Compression() CompressionReport {
 				}
 			}
 		}
-		cp.PageBytes += len(c.openCodes) * 8 // open stride unpacked
 		r.PageBytes += cp.PageBytes
 		if c.enc != nil {
 			r.DictBytes += c.enc.MemSize()
 		}
-		r.SynopsisBytes += len(c.syn)*24 + 24 + 64 // entries + header + sketch
+		entries := len(c.syn)
+		if c.tail != nil {
+			entries++
+		}
+		r.SynopsisBytes += entries*24 + 24 + 64 // entries + header + sketch
 	}
 	r.CompressedBytes = r.PageBytes + r.DictBytes + r.SynopsisBytes
 	if r.CompressedBytes > 0 {

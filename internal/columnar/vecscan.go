@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"dashdb/internal/bitpack"
 	"dashdb/internal/encoding"
 	"dashdb/internal/page"
 	"dashdb/internal/vec"
@@ -47,21 +46,21 @@ func (b *Batch) VectorsEnc(projection []int, encoded []bool) []*vec.Vector {
 
 // vector decodes one column of the batch's selected tuples, or gathers
 // its raw dictionary codes when wantCodes is set. Either way the codes are
-// gathered once, a page word at a time or from the open stride's codes,
-// and a decoded column goes through its encoder's one typed kernel.
+// gathered once, a page word at a time, and a decoded column goes through
+// its encoder's one typed kernel.
 func (b *Batch) vector(ci int, wantCodes bool) *vec.Vector {
 	kind := b.t.schema[ci].Kind
 	enc := b.st.cols[ci].enc
 	if d, ok := enc.(*encoding.Dict); ok && wantCodes {
 		v := vec.NewPooledCodes(kind, len(b.sel), d)
-		v.Codes, v.Nulls = b.gather(ci, v.Codes)
+		v.Codes, v.Nulls = b.page(ci).Gather(b.sel, v.Codes)
 		return v
 	}
 	// A column the planner thought dictionary-encoded may have been
 	// re-encoded since (e.g. truncate + reload): it is decoded instead.
 	v := vec.NewPooled(kind, len(b.sel))
 	buf := codeScratch.Get().(*[page.StrideSize]uint64)
-	codes, nulls := b.gather(ci, buf[:0])
+	codes, nulls := b.page(ci).Gather(b.sel, buf[:0])
 	v.Nulls = nulls
 	enc.DecodeAll(codes, nulls, encoding.Decoded{I64: v.I64, F64: v.F64, Str: v.Str, Any: v.Any})
 	codeScratch.Put(buf)
@@ -73,47 +72,14 @@ func (b *Batch) vector(ci int, wantCodes bool) *vec.Vector {
 // more.
 var codeScratch = sync.Pool{New: func() any { return new([page.StrideSize]uint64) }}
 
-// gather writes column ci's codes for the selected tuples into dst (grown
-// as needed), in selection order, and returns them with their NULL flags
-// as a bitmap over selection positions, nil when none is NULL.
-func (b *Batch) gather(ci int, dst []uint64) ([]uint64, *bitpack.Bitmap) {
-	if !b.open() {
-		return b.page(ci).Gather(b.sel, dst)
-	}
-	c := &b.st.cols[ci]
-	return gatherOpen(c.openCodes, c.openNulls, b.sel, dst)
-}
-
-// gatherOpen is Batch.gather over the open stride's codes and NULL flags.
-//
-//dashdb:hotpath
-func gatherOpen(codes []uint64, nulls []bool, sel []int, dst []uint64) ([]uint64, *bitpack.Bitmap) {
-	if cap(dst) < len(sel) {
-		dst = make([]uint64, len(sel))
-	}
-	dst = dst[:len(sel)]
-	var nb *bitpack.Bitmap
-	for k, off := range sel {
-		dst[k] = codes[off]
-		if nulls[off] {
-			if nb == nil {
-				nb = bitpack.NewBitmap(len(sel))
-			}
-			nb.Set(k)
-		}
-	}
-	return dst, nb
-}
-
-// page loads (and caches) the batch's page for column ci.
+// page loads (and caches) the batch's page for column ci: the tail's, or
+// a sealed page.
 func (b *Batch) page(ci int) *page.Page {
 	pg, ok := b.pages[ci]
 	if !ok {
-		gen := b.st.cols[ci].gen
 		var err error
-		pg, err = b.t.loadPageGen(ci, gen, b.stride)
-		if err != nil {
-			panicPageLoad(b.t.id, ci, gen, b.stride, err)
+		if pg, err = b.t.pageOf(b.st, ci, b.stride); err != nil {
+			panicPageLoad(b.t.id, ci, b.st.cols[ci].gen, b.stride, err)
 		}
 		b.pages[ci] = pg
 	}

@@ -50,9 +50,10 @@ func TestMonCompressionView(t *testing.T) {
 
 // TestMonCompressionColumnPages: MON_COMPRESSION's per-column page bytes
 // sum to the table's, a fat-tail column (values below 1 000 but for
-// every 97th, past ten million) reports the codes its pages patch, while
-// columns with no outlier report none, and only the column whose values
-// never descend (the ids) reports line pages, one a sealed stride.
+// every 97th, past ten million) reports the codes its pages patch, the
+// tail's among them, while columns with no outlier report none, and only
+// the column whose values never descend (the ids) reports line pages, one
+// a stride, the tail's too.
 func TestMonCompressionColumnPages(t *testing.T) {
 	s := newDB(t).NewSession()
 	mustExec(t, s, `CREATE TABLE ft (id BIGINT, uni BIGINT, fat BIGINT)`)
@@ -88,12 +89,13 @@ func TestMonCompressionColumnPages(t *testing.T) {
 	if table := r.Rows[0][1].Int(); sum != table {
 		t.Fatalf("column page bytes sum to %d, table_page_bytes is %d", sum, table)
 	}
-	// Every 97th row of the two sealed strides is an outlier: 22 of them.
-	if patched["fat"] != 22 || patched["uni"] != 0 || patched["id"] != 0 {
-		t.Fatalf("patched codes %v, want fat 22 and none elsewhere", patched)
+	// Every 97th row is an outlier: 22 of them in the two sealed strides
+	// and 9 in the tail's 952 rows.
+	if patched["fat"] != 31 || patched["uni"] != 0 || patched["id"] != 0 {
+		t.Fatalf("patched codes %v, want fat 31 and none elsewhere", patched)
 	}
-	if sorted["id"] != 2 || sorted["uni"] != 0 || sorted["fat"] != 0 {
-		t.Fatalf("sorted pages %v, want id 2 and none elsewhere", sorted)
+	if sorted["id"] != 3 || sorted["uni"] != 0 || sorted["fat"] != 0 {
+		t.Fatalf("sorted pages %v, want id 3 and none elsewhere", sorted)
 	}
 }
 

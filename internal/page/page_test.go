@@ -849,10 +849,10 @@ func drawPage(seed int64, widthSel uint8, nSel uint16) ([]uint64, []bool) {
 	return codes, nulls
 }
 
-// roundTripSeed is one input of FuzzPageRoundTrip: drawPage's arguments
-// and raw bytes for Unmarshal. codes and nulls are what raw reads as when
-// it is a page packed here; codes is nil for raw that is no page, or a
-// page Unmarshal must refuse.
+// roundTripSeed is one input of FuzzPageRoundTrip, drawPage's arguments,
+// and of FuzzPageUnmarshal, raw bytes for Unmarshal. codes and nulls are
+// what raw reads as when it is a page packed here; codes is nil for raw
+// that is no page, or a page Unmarshal must refuse.
 type roundTripSeed struct {
 	seed     int64
 	widthSel uint8
@@ -862,9 +862,9 @@ type roundTripSeed struct {
 	nulls    []bool
 }
 
-// roundTripSeeds are FuzzPageRoundTrip's seeds: patched pages, line pages
-// (one patched), exception lists and line pages Unmarshal must refuse, and
-// pages in the layout before flag 8.
+// roundTripSeeds are FuzzPageRoundTrip's and FuzzPageUnmarshal's seeds:
+// patched pages, line pages (one patched), exception lists and line pages
+// Unmarshal must refuse, and pages in the layout before flag 8.
 func roundTripSeeds(tb testing.TB) []roundTripSeed {
 	packed := func(seed int64, widthSel uint8, codes []uint64, nulls []bool, marshal func(*Page) []byte) roundTripSeed {
 		return roundTripSeed{seed, widthSel, uint16(len(codes)), marshal(Pack(ID{Table: 9}, codes, nulls)), codes, nulls}
@@ -910,23 +910,43 @@ func TestPageRoundTripSeeds(t *testing.T) {
 	}
 }
 
-// FuzzPageRoundTrip: Unmarshal of any bytes returns a page or an error,
-// never a panic, and a page packed from drawn codes reads back through
-// Marshal and Unmarshal as those codes. Its range checks are both open
-// ends and two bounds drawn from rangeBounds, so an input costs a few
-// SelectRange sweeps instead of all of rangeBounds' pairs;
-// TestPageRoundTripSeeds runs the seeds through every pair.
-func FuzzPageRoundTrip(f *testing.F) {
+// FuzzPageUnmarshal: Unmarshal of any bytes returns a page or an error,
+// never a panic, and a page it returns answers Get, Gather and
+// SelectRange. It draws no page of its own, so minimizing an input costs
+// one Unmarshal and one pass over its cells.
+func FuzzPageUnmarshal(f *testing.F) {
 	for _, s := range roundTripSeeds(f) {
-		f.Add(s.seed, s.widthSel, s.nSel, s.raw)
+		f.Add(s.raw)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, widthSel uint8, nSel uint16, raw []byte) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
 		if p, err := Unmarshal(raw); err == nil {
 			for i := 0; i < p.Rows(); i++ {
 				p.Get(i)
 			}
 			p.Gather([]int{0, p.Rows() / 2}[:min(p.Rows(), 2)], nil)
 			p.SelectRange(0, 1<<32, bitpack.NewBitmap(p.Rows()))
+		}
+	})
+}
+
+// FuzzPageRoundTrip: a page packed from drawn codes reads back through
+// Marshal and Unmarshal as those codes. An odd nSel draws a short page,
+// 1 to 1 023 codes, the form every open stride rests in; seeds of 1, 2,
+// 63, 64, 65 and 1 023 codes start it there. Its range checks are both
+// open ends and two bounds drawn from rangeBounds, so an input costs a few
+// SelectRange sweeps instead of all of rangeBounds' pairs;
+// TestPageRoundTripSeeds runs the seeds through every pair, and
+// FuzzPageUnmarshal feeds the seeds' raw bytes to Unmarshal.
+func FuzzPageRoundTrip(f *testing.F) {
+	for _, s := range roundTripSeeds(f) {
+		f.Add(s.seed, s.widthSel, s.nSel)
+	}
+	for _, n := range []uint16{1, 2, 63, 64, 65, StrideSize - 1} {
+		f.Add(int64(n), uint8(n), 2*n-1) // odd: n codes
+	}
+	f.Fuzz(func(t *testing.T, seed int64, widthSel uint8, nSel uint16) {
+		if nSel%2 == 1 {
+			nSel = 1 + nSel/2%(StrideSize-1)
 		}
 		codes, nulls := drawPage(seed, widthSel, nSel)
 		got, err := Unmarshal(Pack(ID{Stride: uint32(nSel)}, codes, nulls).Marshal())

@@ -88,4 +88,5 @@ if [ "${DASHDB_FUZZ:-0}" = "1" ]; then
 	go test -run=NONE -fuzz=FuzzJoinSpellings -fuzztime=10s ./internal/core/
 	go test -run=NONE -fuzz=FuzzCompareRange -fuzztime=10s ./internal/bitpack/
 	go test -run=NONE -fuzz=FuzzPageRoundTrip -fuzztime=10s ./internal/page/
+	go test -run=NONE -fuzz=FuzzPageUnmarshal -fuzztime=10s ./internal/page/
 fi
