@@ -212,20 +212,26 @@ func (s *Store) Execute(st *workload.Statement) (int, error) {
 // nil, re-inserts each with the columns of set replaced: an UPDATE or a
 // DELETE as one columnar Change.
 func changeWhere(t *columnar.Table, preds []columnar.Pred, set map[int]types.Value) (int, error) {
-	return t.Change(func(snap *columnar.Snapshot) (del []int64, add []types.Row, err error) {
-		err = snap.Scan(preds, 1, nil, func(_ int, b *columnar.Batch) bool {
+	return t.Change(func(snap *columnar.Snapshot) (del []int64, add []*vec.Batch, err error) {
+		scanErr := snap.Scan(preds, 1, nil, func(_ int, b *columnar.Batch) bool {
 			for i := 0; i < b.Len(); i++ {
 				del = append(del, b.RowID(i))
-				if set != nil {
-					row := b.Row(i)
-					for ci, v := range set {
-						row[ci] = v
-					}
-					add = append(add, row)
-				}
 			}
-			return true
+			if set != nil && b.Len() > 0 {
+				// Unowned: the new rows may hold its lanes.
+				nb := vec.NewBatch(t.Schema(), b.VectorsEnc(nil, nil), b.Len())
+				for ci, v := range set {
+					nb = nb.WithCol(ci, vec.NewConst(v))
+				}
+				var lanes *vec.Batch
+				lanes, err = columnar.Conform(t.Schema(), nb)
+				add = append(add, lanes)
+			}
+			return err == nil
 		})
+		if err == nil {
+			err = scanErr
+		}
 		return del, add, err
 	})
 }

@@ -9,6 +9,7 @@ import (
 
 	"dashdb/internal/encoding"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // versionRows returns n rows of batch version v: (v, i, i) for i < n.
@@ -34,19 +35,21 @@ func TestChangeRefusedAddChangesNothing(t *testing.T) {
 	}
 	epoch := tbl.SnapshotInfo().Epoch
 	errMatch := errors.New("match failed")
-	for name, match := range map[string]func(*Snapshot) ([]int64, []types.Row, error){
-		"NULL into NOT NULL": func(*Snapshot) ([]int64, []types.Row, error) {
+	for name, match := range map[string]func(*Snapshot) ([]int64, []*vec.Batch, error){
+		"NULL into NOT NULL": func(*Snapshot) ([]int64, []*vec.Batch, error) {
 			add := versionRows(1, 3)
 			add[1][0] = types.Null
-			return []int64{0, 1, 2}, add, nil
+			return []int64{0, 1, 2}, rowsBatch(add), nil
 		},
-		"wrong arity": func(*Snapshot) ([]int64, []types.Row, error) {
+		"wrong arity": func(*Snapshot) ([]int64, []*vec.Batch, error) {
 			add := versionRows(1, 3)
-			add[2] = add[2][:2]
-			return []int64{0, 1, 2}, add, nil
+			for i := range add {
+				add[i] = add[i][:2]
+			}
+			return []int64{0, 1, 2}, rowsBatch(add), nil
 		},
-		"match error": func(*Snapshot) ([]int64, []types.Row, error) {
-			return []int64{0, 1, 2}, versionRows(1, 3), errMatch
+		"match error": func(*Snapshot) ([]int64, []*vec.Batch, error) {
+			return []int64{0, 1, 2}, rowsBatch(versionRows(1, 3)), errMatch
 		},
 	} {
 		if _, err := tbl.Change(match); err == nil {
@@ -64,8 +67,8 @@ func TestChangeRefusedAddChangesNothing(t *testing.T) {
 		}
 	}
 	// A valid Change after the refused ones applies once, in one epoch.
-	n, err := tbl.Change(func(*Snapshot) ([]int64, []types.Row, error) {
-		return []int64{0, 1, 2}, versionRows(1, 3), nil
+	n, err := tbl.Change(func(*Snapshot) ([]int64, []*vec.Batch, error) {
+		return []int64{0, 1, 2}, rowsBatch(versionRows(1, 3)), nil
 	})
 	if err != nil || n != 3 {
 		t.Fatalf("Change = %d, %v; want 3 rows deleted", n, err)
@@ -131,17 +134,18 @@ func TestChangePinnedReaders(t *testing.T) {
 	}
 	for v := 1; v <= versions; v++ {
 		epoch := tbl.SnapshotInfo().Epoch
-		got, err := tbl.Change(func(snap *Snapshot) (del []int64, add []types.Row, err error) {
+		got, err := tbl.Change(func(snap *Snapshot) (del []int64, add []*vec.Batch, err error) {
+			var rows []types.Row
 			err = snap.Scan(nil, 1, nil, func(_ int, b *Batch) bool {
 				for i := 0; i < b.Len(); i++ {
 					del = append(del, b.RowID(i))
 					row := b.Row(i)
 					row[0] = types.NewInt(int64(v))
-					add = append(add, row)
+					rows = append(rows, row)
 				}
 				return true
 			})
-			return del, add, err
+			return del, rowsBatch(rows), err
 		})
 		if err != nil || got != n {
 			t.Fatalf("version %d: Change = %d, %v", v, got, err)

@@ -2,6 +2,8 @@ package columnar
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"dashdb/internal/encoding"
@@ -37,16 +39,110 @@ func (f *faultStore) DeletePage(id page.ID) error { return f.inner.DeletePage(id
 
 func (f *faultStore) DeletePages(table uint32) error { return f.inner.DeletePages(table) }
 
+// TestSealFailureSurfacesOnInsert: an append whose page write fails — the
+// first to the fourth of the append's writes, with and without a rebuild
+// of the frame of reference inside the append (a value below its base,
+// which rewrites the sealed stride first) — returns the error and leaves
+// the table exactly as its last epoch was: no epoch published, the same
+// image (counts, raw bytes, encoders, pages, synopsis, tails), no page
+// delete queued, and the same rows read back. A retry of the same rows
+// then appends them all.
 func TestSealFailureSurfacesOnInsert(t *testing.T) {
-	fs := &faultStore{inner: NewMemStore(), failAfter: 2}
-	tbl := NewTable(50, "f", types.Schema{{Name: "a", Kind: types.KindInt}}, Config{Store: fs})
-	var rows []types.Row
-	for i := 0; i < 4*page.StrideSize; i++ {
-		rows = append(rows, types.Row{types.NewInt(int64(i))})
+	schema := types.Schema{{Name: "a", Kind: types.KindInt}, {Name: "f", Kind: types.KindFloat, Nullable: true}}
+	rows := func(from, n int, lo int64) []types.Row {
+		out := make([]types.Row, n)
+		for i := range out {
+			x := lo + int64(from+i)
+			out[i] = types.Row{types.NewInt(x), types.NewFloat(float64(x) / 4)}
+			if i%7 == 3 {
+				out[i][1] = types.NullOf(types.KindFloat)
+			}
+		}
+		return out
 	}
-	err := tbl.InsertBatch(rows)
-	if err == nil {
-		t.Fatal("write failure during seal must surface")
+	for _, rebuild := range []bool{false, true} {
+		for failAfter := 0; failAfter <= 3; failAfter++ {
+			name := fmt.Sprintf("rebuild %v, write %d fails", rebuild, failAfter+1)
+			fs := &faultStore{inner: NewMemStore(), failAfter: -1}
+			tbl := NewTable(50, "f", schema, Config{Store: fs})
+			first := rows(0, page.StrideSize+100, 1000) // one sealed stride and a tail
+			if err := tbl.InsertBatch(first); err != nil {
+				t.Fatal(err)
+			}
+			lo := int64(1000)
+			if rebuild {
+				lo = -5000
+			}
+			second := rows(len(first), 4*page.StrideSize, lo)
+			image, epoch := imageOf(t, tbl), tbl.SnapshotInfo().Epoch
+			fs.writes, fs.failAfter = 0, failAfter
+			if err := tbl.InsertBatch(second); err == nil {
+				t.Fatalf("%s: write failure during seal must surface", name)
+			}
+			after := imageOf(t, tbl)
+			after.Rebuilds = image.Rebuilds // a failed rebuild is still counted
+			if !reflect.DeepEqual(after, image) {
+				t.Fatalf("%s: the failed append changed the table:\n%+v\nwas\n%+v", name, after, image)
+			}
+			if e := tbl.SnapshotInfo().Epoch; e != epoch {
+				t.Fatalf("%s: epoch %d -> %d, want none published", name, epoch, e)
+			}
+			tbl.mu.Lock()
+			pending := len(tbl.pending)
+			tbl.mu.Unlock()
+			if pending != 0 {
+				t.Fatalf("%s: %d page deletes queued", name, pending)
+			}
+			if got, err := selectWhere(tbl, nil); err != nil || !reflect.DeepEqual(got, first) {
+				t.Fatalf("%s: after the failure %d rows read (%v), want the first %d", name, len(got), err, len(first))
+			}
+			fs.failAfter = -1
+			if err := tbl.InsertBatch(second); err != nil {
+				t.Fatalf("%s: retry: %v", name, err)
+			}
+			want := append(slices.Clone(first), second...)
+			if got, err := selectWhere(tbl, nil); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: after the retry %d rows read (%v), want %d", name, len(got), err, len(want))
+			}
+			if n := tbl.SnapshotInfo().Rows; n != len(want) {
+				t.Fatalf("%s: %d rows after the retry, want %d", name, n, len(want))
+			}
+		}
+	}
+}
+
+// TestAllNullFirstAppendRechooses: a BIGINT column whose first append is
+// all NULL gets a dictionary (there is nothing to frame), and chooses
+// again once values arrive: 3 000 one-row inserts of distinct values after
+// two NULLs leave a frame of reference, no dictionary (the encoder bytes of
+// the same values loaded alone), and every value in place.
+func TestAllNullFirstAppendRechooses(t *testing.T) {
+	tbl := NewTable(53, "n", types.Schema{{Name: "x", Kind: types.KindInt, Nullable: true}}, Config{})
+	want := []types.Row{{types.NullOf(types.KindInt)}, {types.NullOf(types.KindInt)}}
+	if err := tbl.InsertBatch(want); err != nil {
+		t.Fatal(err)
+	}
+	if cc := tbl.ColumnCompressionReport()[0]; cc.Encoding != encoding.KindDict.String() {
+		t.Fatalf("all-NULL column encoded as %q", cc.Encoding)
+	}
+	for i := range 3000 {
+		row := types.Row{types.NewInt(int64(7*i + 1))}
+		if err := tbl.InsertBatch([]types.Row{row}); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, row)
+	}
+	// DictBytes is the encoder's size: a frame of reference's constant.
+	framed := NewTable(54, "v", tbl.Schema(), Config{})
+	if err := framed.InsertBatch(want[2:]); err != nil {
+		t.Fatal(err)
+	}
+	cc, fc := tbl.ColumnCompressionReport()[0], framed.ColumnCompressionReport()[0]
+	if cc.Encoding == encoding.KindDict.String() || cc.DictBytes != fc.DictBytes {
+		t.Fatalf("after 3 000 values the column is %q with %d encoder bytes; the values alone make %q with %d", cc.Encoding, cc.DictBytes, fc.Encoding, fc.DictBytes)
+	}
+	if got, err := selectWhere(tbl, nil); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("read back %d rows (%v), want %d", len(got), err, len(want))
 	}
 }
 

@@ -1,6 +1,9 @@
 package columnar
 
-import "dashdb/internal/types"
+import (
+	"dashdb/internal/types"
+	"dashdb/internal/vec"
+)
 
 // source is what the scan helpers read: a pinned snapshot as it is, or a
 // table's current epoch pinned for the one call.
@@ -63,7 +66,8 @@ func selectWhere[S source](src S, preds []Pred) ([]types.Row, error) {
 // columns in set take the given values, as one Change; a nil set deletes
 // them.
 func updateWhere(t *Table, preds []Pred, set map[int]types.Value) (int, error) {
-	return t.Change(func(snap *Snapshot) (del []int64, add []types.Row, err error) {
+	return t.Change(func(snap *Snapshot) (del []int64, add []*vec.Batch, err error) {
+		var rows []types.Row
 		err = snap.Scan(preds, 1, nil, func(_ int, b *Batch) bool {
 			for i := 0; i < b.Len(); i++ {
 				del = append(del, b.RowID(i))
@@ -72,13 +76,22 @@ func updateWhere(t *Table, preds []Pred, set map[int]types.Value) (int, error) {
 					for ci, v := range set {
 						row[ci] = v
 					}
-					add = append(add, row)
+					rows = append(rows, row)
 				}
 			}
 			return true
 		})
-		return del, add, err
+		return del, rowsBatch(rows), err
 	})
+}
+
+// rowsBatch is rows as the batches a Change adds: one, or none for no
+// rows.
+func rowsBatch(rows []types.Row) []*vec.Batch {
+	if len(rows) == 0 {
+		return nil
+	}
+	return []*vec.Batch{vec.FromRows(nil, rows)}
 }
 
 // deleteWhere deletes the rows satisfying preds as one Change.

@@ -11,10 +11,10 @@ import (
 // Lanes accumulates rows as the typed column lanes Table.Append takes:
 // one vector per column of the schema's kind (I64 for BOOLEAN, BIGINT,
 // DATE and TIMESTAMP, F64 for DOUBLE, Str for VARCHAR) plus its NULLs. It
-// is the one rows→lanes adapter: InsertBatch, Change's added rows and the
-// public Bulk loader all fill one. Add checks a row value by value with
-// Schema.Check, so a refused row appends to no lane, and a row is never
-// copied. Reset keeps the lanes' capacity for the next batch: the table
+// is the one rows→lanes adapter, for callers that hold rows at a public
+// edge: InsertBatch, LanesOf and the Bulk loader. Add checks a row value
+// by value with Schema.Check, so a refused row appends to no lane, and a
+// row is never copied. Reset keeps the lanes' capacity for the next batch: the table
 // keeps codes, never lanes.
 type Lanes struct {
 	schema types.Schema
@@ -152,22 +152,4 @@ func (l *Lanes) Reset() {
 		l.nulls[j].Resize(0)
 	}
 	l.n, l.bytes = 0, 0
-}
-
-// gatherLane is the rows at sel of the typed lane v, as a lane of its own.
-func gatherLane(v *vec.Vector, sel []int) *vec.Vector {
-	out := vec.New(v.Kind, len(sel))
-	for k, i := range sel {
-		switch {
-		case v.Nulls != nil && v.Nulls.Get(i):
-			out.SetNull(k)
-		case v.I64 != nil:
-			out.I64[k] = v.I64[i]
-		case v.F64 != nil:
-			out.F64[k] = v.F64[i]
-		default:
-			out.Str[k] = v.Str[i]
-		}
-	}
-	return out
 }

@@ -140,11 +140,12 @@ func imageOf(t testing.TB, tbl *Table) tableImage {
 }
 
 // loadEveryWay loads rows in flushes of the given sizes into tables of
-// one id at dop 1, 2 and 8, each three ways: through the rows adapter
-// (InsertBatch), as typed lanes (laneBatch) and as decoded wire blocks. It
-// fails the test unless each flush is accepted or refused alike by all
-// nine and their images are identical after every flush; it returns the
-// image.
+// one id at dop 1, 2 and 8, each four ways: through the rows adapter
+// (InsertBatch), as typed lanes (laneBatch), as decoded wire blocks and as
+// several batches placed by an INSERT's column list in one Append
+// (placedLoad). It fails the test unless each flush is accepted or refused
+// alike by all twelve and their images are identical after every flush;
+// it returns the image.
 func loadEveryWay(t *testing.T, schema types.Schema, rows []types.Row, flushes []int) tableImage {
 	t.Helper()
 	type loader struct {
@@ -158,12 +159,17 @@ func loadEveryWay(t *testing.T, schema types.Schema, rows []types.Row, flushes [
 		loaders = append(loaders,
 			loader{fmt.Sprintf("rows at dop %d", dop), NewTable(7, "p", schema, cfg), (*Table).InsertBatch},
 			loader{fmt.Sprintf("typed lanes at dop %d", dop), NewTable(7, "p", schema, cfg), func(tbl *Table, batch []types.Row) error {
-				return tbl.Append(laneBatch(batch, len(schema)))
+				_, err := tbl.Append(laneBatch(batch, len(schema)))
+				return err
 			}},
 			loader{fmt.Sprintf("a decoded block at dop %d", dop), NewTable(7, "p", schema, cfg), func(tbl *Table, batch []types.Row) error {
-				return tbl.Append(blockBatch(t, batch))
+				_, err := tbl.Append(blockBatch(t, batch))
+				return err
 			}},
 		)
+		if placedLoad != nil {
+			loaders = append(loaders, loader{fmt.Sprintf("placed batches at dop %d", dop), NewTable(7, "p", schema, cfg), placedLoad})
+		}
 	}
 	var im tableImage
 	for k, off := 0, 0; off < len(rows); k++ {
@@ -296,7 +302,10 @@ func TestAppendLanesMatchRows(t *testing.T) {
 // 8, on drawn rows:
 // each value, its NULL flag and its spelling (the column's kind or
 // another that coerces to it) come from the input, and so do the flush
-// sizes and where in a flush the frame-moving values fall.
+// sizes and where in a flush the frame-moving values fall. Every flush is
+// also appended as three batches an INSERT's column list places
+// (placedLoad), so a refused value in any of them refuses the whole
+// write.
 func FuzzAppendLanesMatchRows(f *testing.F) {
 	f.Add([]byte{0, 40, 3, 200, 7, 1, 9, 0, 255, 128, 17, 3, 0, 0, 5})
 	f.Add([]byte{1, 10, 0, 4, 1, 4, 1, 4, 250, 250, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})

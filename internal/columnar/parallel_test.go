@@ -10,6 +10,7 @@ import (
 	"dashdb/internal/encoding"
 	"dashdb/internal/page"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // buildParallelTable loads n rows spanning several sealed strides plus an
@@ -106,7 +107,7 @@ func TestSealedTombstonesMatchNaive(t *testing.T) {
 	tbl := buildParallelTable(t, 2*page.StrideSize+100)
 	base := int64(page.StrideSize) // stride 1 is sealed
 	dead := []int64{base, base + 63, base + 64, base + 1023, 2*base + 5}
-	if _, err := tbl.Change(func(*Snapshot) ([]int64, []types.Row, error) { return dead, nil, nil }); err != nil {
+	if _, err := tbl.Change(func(*Snapshot) ([]int64, []*vec.Batch, error) { return dead, nil, nil }); err != nil {
 		t.Fatal(err)
 	}
 	predSets := map[string][]Pred{

@@ -9,13 +9,12 @@
 // A reader pins an epoch with Table.Snapshot and reads it through
 // Snapshot.Scan, the one scan (Snapshot.ScanNaive is the
 // decode-then-evaluate ablation). A writer appends with Append, the one
-// append: a vec.Batch of typed lanes, one per column (BulkAppend is the
-// same append, counted as a bulk flush; a shard appends the batch its
-// insert frame decodes to, and an in-process shard the coordinator's
-// batch under its selection). Callers that hold rows go through Lanes,
-// the one rows→lanes adapter (InsertBatch, LanesOf, the public Bulk
-// loader). Change deletes and adds rows in one step (UPDATE and DELETE),
-// and Truncate empties the table.
+// append: batches, whose columns Conform makes typed lanes, all in one
+// epoch or none (BulkAppend is the same append, counted as a bulk flush).
+// Callers that hold rows at a public edge go through Lanes, the one
+// rows→lanes adapter (InsertBatch, LanesOf, the public Bulk loader).
+// Change deletes and adds rows in one step (UPDATE and DELETE), and
+// Truncate empties the table. A failed write changes nothing.
 //
 // An append works a column at a time. One of a stride or more spreads its
 // columns over min(dop, columns) workers (Config.Dop, the engine's query
@@ -361,45 +360,41 @@ func (t *Table) nextGenLocked() uint32 {
 }
 
 // InsertBatch appends rows: the rows→lanes adapter (LanesOf) in front of
-// Append, for callers that hold rows (INSERT, CTAS, tests).
+// Append, for callers that hold rows (library loaders, tests).
 func (t *Table) InsertBatch(rows []types.Row) error {
 	b, err := LanesOf(t.schema, rows)
-	if err != nil {
-		return err
+	if err == nil {
+		_, err = t.Append(b)
 	}
-	return t.Append(b)
+	return err
 }
 
-// Append is the table's one append: it appends b's live rows, whose
-// columns match the schema's by position, as typed lanes. The first batch
-// chooses every column's encoding (the LOAD-time "compression optimized
-// globally per column" of §II.B.1). b is checked a column at a time
-// before the writer lock is taken: a lane of another kind is coerced once,
-// and a refused value refuses the whole batch with Schema.Check's error,
-// so nothing changes. The whole batch becomes visible in one epoch:
-// concurrent readers observe either none of it or all of it.
-func (t *Table) Append(b *vec.Batch) error {
-	_, err := t.append(b, false)
-	return err
+// Append is the table's one append: it appends the live rows of bs, in
+// order, as typed lanes (Conform, before the writer lock is taken), and
+// returns how many. The first write chooses every column's encoding (the
+// LOAD-time "compression optimized globally per column" of §II.B.1). All
+// the rows become visible in one epoch, or, when a value is refused or the
+// append fails, none of them.
+func (t *Table) Append(bs ...*vec.Batch) (int, error) {
+	return t.append(bs, false)
 }
 
 // BulkAppend is Append for the bulk-load flush path, additionally counted
 // in the table's bulk-flush statistics (MON_SNAPSHOTS). It returns the
 // number of rows appended.
 func (t *Table) BulkAppend(b *vec.Batch) (int, error) {
-	return t.append(b, true)
+	return t.append([]*vec.Batch{b}, true)
 }
 
-func (t *Table) append(b *vec.Batch, bulk bool) (int, error) {
-	lanes, n, err := t.conform(b)
+func (t *Table) append(bs []*vec.Batch, bulk bool) (int, error) {
+	b, err := Conform(t.schema, bs...)
 	if err != nil {
 		return 0, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	defer t.publishLocked()
-	before := t.rawBytes
-	if err := t.appendLocked(lanes, n); err != nil {
+	before, n := t.rawBytes, b.N
+	if _, err := t.writeLocked(b, nil); err != nil {
 		return 0, err
 	}
 	if bulk {
@@ -416,15 +411,16 @@ func (t *Table) append(b *vec.Batch, bulk bool) (int, error) {
 // change or after it, never between. It holds the writer lock from match
 // to publish, so match reads the latest epoch and changes to one table
 // run one after another: a row one change replaced is gone before the
-// next change's match runs. add is validated before anything changes; a
-// refused add, or an error from match, changes nothing. Change returns
-// how many rows del removed.
+// next change's match runs. add's batches, whose columns match the
+// schema's by position, are conformed as Append's are before anything
+// changes; a refused add, an error from match or a failed append changes
+// nothing. Change returns how many rows del removed.
 //
 // match runs under the writer lock: it may scan any table, this one's
-// snapshot included, but it must not write this table (InsertBatch,
+// snapshot included, but it must not write this table (Append,
 // BulkAppend, Change or Truncate would deadlock). Compile predicates and
 // expressions before calling Change, so the lock covers only the match.
-func (t *Table) Change(match func(*Snapshot) (del []int64, add []types.Row, err error)) (int, error) {
+func (t *Table) Change(match func(*Snapshot) (del []int64, add []*vec.Batch, err error)) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	snap := t.Snapshot()
@@ -433,19 +429,33 @@ func (t *Table) Change(match func(*Snapshot) (del []int64, add []types.Row, err 
 	if err != nil {
 		return 0, err
 	}
-	b, err := LanesOf(t.schema, add)
+	b, err := Conform(t.schema, add...)
 	if err != nil {
 		return 0, err
 	}
-	lanes, n, err := t.conform(b)
-	if err != nil {
+	return t.writeLocked(b, del)
+}
+
+// writeLocked appends b, tombstones del and publishes both as one epoch,
+// returning how many rows del removed. A failed append publishes nothing
+// and puts back the writer state (a dictionary keeps the values it added,
+// which no row holds). Caller holds mu.
+func (t *Table) writeLocked(b *vec.Batch, del []int64) (int, error) {
+	rows, live, raw, deleted, pending := t.rows, t.live, t.rawBytes, t.deleted, len(t.pending)
+	cols := make([]column, len(t.cols))
+	for ci, c := range t.cols {
+		cols[ci] = *c
+	}
+	if err := t.appendLocked(b); err != nil {
+		t.rows, t.live, t.rawBytes, t.deleted, t.pending = rows, live, raw, deleted, t.pending[:pending]
+		for ci, c := range t.cols {
+			*c = cols[ci]
+		}
 		return 0, err
 	}
-	defer t.publishLocked()
-	if err := t.appendLocked(lanes, n); err != nil {
-		return 0, err
-	}
-	return t.tombstoneLocked(del), nil
+	gone := t.tombstoneLocked(del)
+	t.publishLocked()
+	return gone, nil
 }
 
 // tombstoneLocked sets tombstones for the given row ids on a private copy
@@ -471,104 +481,98 @@ func (t *Table) tombstoneLocked(rids []int64) int {
 	return n
 }
 
-// conform checks the live rows of b against the schema a column at a time
-// and returns the lanes to encode and their length: a column that is
-// already a lane of its kind as it is (its selected rows gathered into a
-// new lane when b has a selection), after its NULLs are checked against
-// NOT NULL; any other column (a lane of another kind, boxed cells, codes,
-// a constant) coerced into a new lane through Schema.Check. It refuses the
-// whole batch at the first refused value and writes nothing of the
-// caller's.
-func (t *Table) conform(b *vec.Batch) ([]*vec.Vector, int, error) {
-	n := b.Rows()
-	if n == 0 {
-		return nil, 0, nil
-	}
-	if err := t.schema.CheckWidth(b.NumCols()); err != nil {
-		return nil, 0, err
-	}
-	lanes := make([]*vec.Vector, len(t.schema))
-	for j, col := range t.schema {
-		v := b.Col(j)
-		if isLane(v, col.Kind, b.N) {
-			if b.Sel != nil {
-				v = gatherLane(v, b.Sel)
-			}
-			if !col.Nullable && v.Nulls != nil && v.Nulls.Any() {
-				_, err := t.schema.Check(j, types.Null)
-				return nil, 0, err
-			}
-			lanes[j] = v
+// Conform is the live rows of bs, in order, as one batch of schema's typed
+// lanes, or the first refused value's error. A lone batch with no
+// selection lends its lanes of their columns' kinds; any other column is
+// copied into a new lane, through Schema.Check unless it is a lane or
+// codes of the column's kind. NOT NULL is checked on every lane.
+func Conform(schema types.Schema, bs ...*vec.Batch) (*vec.Batch, error) {
+	var live []*vec.Batch
+	n := 0
+	for _, b := range bs {
+		if b.Rows() == 0 {
 			continue
 		}
-		out := vec.New(col.Kind, n)
-		for k := range n {
-			i := k
-			if b.Sel != nil {
-				i = b.Sel[k]
-			}
-			cv, err := t.schema.Check(j, v.Get(i))
-			if err != nil {
-				return nil, 0, err
-			}
-			out.Set(k, cv)
+		if err := schema.CheckWidth(b.NumCols()); err != nil {
+			return nil, err
 		}
-		lanes[j] = out
+		live, n = append(live, b), n+b.Rows()
 	}
-	return lanes, n, nil
+	if n == 0 {
+		return vec.NewBatch(schema, nil, 0), nil
+	}
+	lanes := make([]*vec.Vector, len(schema))
+	for j, col := range schema {
+		if b := live[0]; len(live) == 1 && b.Sel == nil && isLane(b.Col(j), col.Kind, b.N) {
+			lanes[j] = b.Col(j)
+		} else {
+			lanes[j] = vec.New(col.Kind, n)
+			at := 0
+			for _, b := range live {
+				v := b.Col(j)
+				ofKind := v.Kind == col.Kind && v.Any == nil // a lane or codes: no value to check
+				for _, i := range b.Idx() {
+					x := v.Get(i)
+					if !ofKind {
+						var err error
+						if x, err = schema.Check(j, x); err != nil {
+							return nil, err
+						}
+					}
+					lanes[j].Set(at, x)
+					at++
+				}
+			}
+		}
+		if v := lanes[j]; !col.Nullable && v.Nulls != nil && v.Nulls.Any() {
+			_, err := schema.Check(j, types.Null)
+			return nil, err
+		}
+	}
+	return vec.NewBatch(schema, lanes, n), nil
 }
 
 // isLane reports whether v is a plain typed lane of kind holding n rows.
 func isLane(v *vec.Vector, kind types.Kind, n int) bool {
-	if v.Kind != kind || v.Const || v.Encoded() || v.Any != nil || v.Len() != n {
-		return false
-	}
-	switch kind {
-	case types.KindBool, types.KindInt, types.KindDate, types.KindTimestamp:
-		return v.I64 != nil
-	case types.KindFloat:
-		return v.F64 != nil
-	case types.KindString:
-		return v.Str != nil
-	}
-	return false
+	return v.Kind == kind && !v.Const && !v.Encoded() && v.Any == nil && v.Len() == n
 }
 
-// appendLocked appends n rows held as conformed lanes, a column at a
-// time. Columns without an encoder get one analyzed from their lanes; then
-// every column's encoder is fitted to its whole lane, serially (the only
-// domain work that can fail, and a rebuild takes a page generation and
-// queues page deletes, which the columns share; it runs before any column
-// is encoded, so columns never go out of step). Each lane is then encoded
-// onto its column, as many rows per step as the open stride has room for,
-// sealing every stride it fills. Analysis and encoding touch one column
-// each, so eachColumnLocked spreads them over the table's dop. Caller holds
-// mu and publishes after.
-func (t *Table) appendLocked(lanes []*vec.Vector, n int) error {
+// appendLocked appends the rows of b, a batch of conformed lanes, a
+// column at a time. Columns without an encoder get one analyzed from
+// their lanes; then every column's encoder is fitted to its whole lane,
+// serially (the only domain work that can fail, and a rebuild takes a
+// page generation and queues page deletes, which the columns share; it
+// runs before any column is encoded, so columns never go out of step).
+// Each lane is then encoded onto its column, as many rows per step as the
+// open stride has room for, sealing every stride it fills. Analysis and
+// encoding touch one column each, so eachColumnLocked spreads them over
+// the table's dop. Caller holds mu; writeLocked publishes after.
+func (t *Table) appendLocked(b *vec.Batch) error {
+	n := b.N
 	if n == 0 {
 		return nil
 	}
 	if slices.ContainsFunc(t.cols, func(c *column) bool { return c.enc == nil }) {
 		if err := t.eachColumnLocked(n, func(ci int, _ *appendScratch) error {
-			t.analyzeLocked(ci, lanes[ci], n)
+			t.analyzeLocked(ci, b.Col(ci), n)
 			return nil
 		}); err != nil {
 			return err
 		}
 	}
 	for ci := range t.cols {
-		if err := t.fitDomainLocked(ci, lanes[ci]); err != nil {
+		if err := t.fitDomainLocked(ci, b.Col(ci)); err != nil {
 			return err
 		}
 	}
 	t.growDeletedLocked(t.rows + n)
 	raw := make([]int, len(t.cols))
 	err := t.eachColumnLocked(n, func(ci int, w *appendScratch) error {
-		raw[ci] = laneRawBytes(lanes[ci])
-		return t.appendColumnLocked(ci, lanes[ci], n, w)
+		raw[ci] = laneRawBytes(b.Col(ci))
+		return t.appendColumnLocked(ci, b.Col(ci), n, w)
 	})
-	for _, b := range raw {
-		t.rawBytes += b
+	for _, r := range raw {
+		t.rawBytes += r
 	}
 	t.rows += n
 	t.live += n
@@ -713,6 +717,15 @@ func (t *Table) fitDomainLocked(ci int, v *vec.Vector) error {
 				c.enc = ext
 				return nil
 			}
+		}
+	case *encoding.Dict:
+		// Chosen while the column held only NULLs: choose again once
+		// values a frame of reference could take arrive.
+		if e.Cardinality() > 0 {
+			return nil
+		}
+		if _, _, ok := extremes(v, t.schema[ci].Kind); !ok {
+			return nil
 		}
 	default:
 		return nil

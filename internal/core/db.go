@@ -388,7 +388,7 @@ func (s *Session) ExecParsed(st sql.Statement) (*Result, error) {
 // StreamParsed executes an already-parsed statement (the MPP coordinator
 // ships rewritten ASTs to shard engines through this entry point), handing
 // its result to emit a batch at a time: a SELECT's batches as its plan
-// produces them, any other statement's rows as one row-built batch. emit
+// produces them, any other statement's rows as one batch (vec.FromRows). emit
 // may keep the batches; an error from it ends the statement with that
 // error. The Result carries everything but the rows.
 func (s *Session) StreamParsed(st sql.Statement, emit func(*vec.Batch) error) (*Result, error) {

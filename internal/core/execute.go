@@ -17,7 +17,7 @@ import (
 
 // execStmt runs one statement, handing its rows to emit a batch at a time:
 // a SELECT's batches as its plan produces them, any other statement's rows
-// as one row-built batch. The Result carries everything but the rows.
+// as one batch (vec.FromRows). The Result carries everything but the rows.
 func (s *Session) execStmt(st sql.Statement, text string, emit func(*vec.Batch) error) (*Result, error) {
 	release, err := s.db.wlm.Admit()
 	if err != nil {
@@ -53,8 +53,8 @@ func (s *Session) execStmt(st sql.Statement, text string, emit func(*vec.Batch) 
 	return res, nil
 }
 
-// execute runs one statement of execStmt: a SELECT streams to emit, and
-// any other statement returns its rows, if it has any, in the Result.
+// execute runs one statement of execStmt: a SELECT or VALUES streams to
+// emit; any other statement returns its rows, if any, in the Result.
 func (s *Session) execute(st sql.Statement, text string, emit func(*vec.Batch) error) (*Result, error) {
 	switch stmt := st.(type) {
 	case *sql.SelectStmt:
@@ -100,7 +100,7 @@ func (s *Session) execute(st sql.Statement, text string, emit func(*vec.Batch) e
 	case *sql.ExplainStmt:
 		return s.executeExplain(stmt, text)
 	case *sql.ValuesStmt:
-		return s.executeValues(stmt)
+		return s.executeValues(stmt, emit)
 	case *sql.CallStmt:
 		return s.executeCall(stmt)
 	case *sql.BeginBlockStmt:
@@ -204,46 +204,45 @@ func (s *Session) executeInsert(stmt *sql.InsertStmt) (*Result, error) {
 		return nil, fmt.Errorf("core: table %s does not exist", stmt.Table)
 	}
 	c := s.compiler()
-	var rows []types.Row
+	var bs []*vec.Batch
 	if stmt.Query != nil {
 		op, err := c.CompileSelect(stmt.Query)
 		if err != nil {
 			return nil, err
 		}
-		if rows, err = exec.Drain(op); err != nil {
+		if bs, err = exec.Collect(op); err != nil {
 			return nil, err
 		}
 	}
-	for _, exprRow := range stmt.Rows {
-		row, err := c.EvalRow(exprRow)
+	if len(stmt.Rows) > 0 {
+		rows, err := c.EvalRows(stmt.Rows)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, row)
+		bs = append(bs, vec.FromRows(nil, rows))
 	}
-	rows, err := stmt.Place(tbl.Schema(), rows)
+	if err := stmt.Place(tbl.Schema(), bs); err != nil {
+		return nil, err
+	}
+	n, err := tbl.Append(bs...)
 	if err != nil {
 		return nil, err
 	}
-	if err := tbl.InsertBatch(rows); err != nil {
-		return nil, err
-	}
-	return &Result{RowsAffected: int64(len(rows)), Message: fmt.Sprintf("%d rows inserted", len(rows))}, nil
+	return &Result{RowsAffected: int64(n), Message: fmt.Sprintf("%d rows inserted", n)}, nil
 }
 
 // change runs an UPDATE or a DELETE on tbl as one columnar Change: the
 // WHERE clause is compiled first, then, under the table's writer lock, the
 // latest epoch is scanned with pushdown, the residual predicate narrows
 // each batch, and the matches are deleted. set, when not nil, sees every
-// scan batch that holds a match as column vectors, the selection narrowed
-// to the matches, and appends the rows that replace them; nothing is
-// boxed here.
-func (s *Session) change(tbl *columnar.Table, where sql.Expr, set func(vb *vec.Batch, add []types.Row) ([]types.Row, error)) (int, error) {
+// scan batch that holds a match, the selection narrowed to the matches,
+// and returns the batch of the rows that replace them; nothing is boxed.
+func (s *Session) change(tbl *columnar.Table, where sql.Expr, set func(vb *vec.Batch) (*vec.Batch, error)) (int, error) {
 	preds, residual, err := s.compiler().CompileTablePredicate(where, tbl.Schema())
 	if err != nil {
 		return 0, err
 	}
-	return tbl.Change(func(snap *columnar.Snapshot) (del []int64, add []types.Row, err error) {
+	return tbl.Change(func(snap *columnar.Snapshot) (del []int64, add []*vec.Batch, err error) {
 		scanErr := snap.Scan(preds, 1, nil, func(_ int, b *columnar.Batch) bool {
 			vb := vec.NewBatch(tbl.Schema(), b.VectorsEnc(nil, nil), b.Len())
 			vb.Own()
@@ -258,9 +257,11 @@ func (s *Session) change(tbl *columnar.Table, where sql.Expr, set func(vb *vec.B
 				del = append(del, b.RowID(i))
 			}
 			if set != nil && vb.Rows() > 0 {
-				add, err = set(vb, add)
+				var nb *vec.Batch
+				nb, err = set(vb)
+				add = append(add, nb)
 			}
-			vb.Release() // del and add hold copies
+			vb.Release() // a no-op when set disowned it
 			return err == nil
 		})
 		if err == nil {
@@ -293,21 +294,19 @@ func (s *Session) executeUpdate(stmt *sql.UpdateStmt) (*Result, error) {
 		}
 		sets = append(sets, setOp{ci: ci, e: ce})
 	}
-	n, err := s.change(tbl, stmt.Where, func(vb *vec.Batch, add []types.Row) ([]types.Row, error) {
-		// Every SET expression reads the old values (the vectors), so the
-		// boxed rows can take the new ones in place.
-		first := len(add)
-		add = vb.AppendRows(add)
+	n, err := s.change(tbl, stmt.Where, func(vb *vec.Batch) (*vec.Batch, error) {
+		// Every SET reads the old values (vb) and takes its column's place.
+		// The new rows may hold vb's own lanes: disowned, not released.
+		nb := vb
 		for _, so := range sets {
 			v, err := so.e.EvalVec(vb)
 			if err != nil {
 				return nil, err
 			}
-			for n, i := range vb.Idx() {
-				add[first+n][so.ci] = v.Get(i)
-			}
+			nb = nb.WithCol(so.ci, v)
 		}
-		return add, nil
+		vb.Disown()
+		return columnar.Conform(schema, nb)
 	})
 	if err != nil {
 		return nil, err
@@ -334,24 +333,22 @@ func (s *Session) executeCreateTable(stmt *sql.CreateTableStmt) (*Result, error)
 		}
 	}
 	var schema types.Schema
-	var initial []types.Row
+	var initial []*vec.Batch
 	if stmt.AsQuery != nil {
 		op, err := s.compiler().CompileSelect(stmt.AsQuery)
 		if err != nil {
 			return nil, err
 		}
-		rows, err := exec.Drain(op)
-		if err != nil {
+		if initial, err = exec.Collect(op); err != nil {
 			return nil, err
 		}
-		for _, col := range op.Schema() {
+		for ci, col := range op.Schema() {
 			kind := col.Kind
 			if kind == types.KindNull {
-				kind = inferKind(rows, op.Schema().ColumnIndex(col.Name))
+				kind = inferKind(initial, ci)
 			}
 			schema = append(schema, types.Column{Name: col.Name, Kind: kind, Nullable: true})
 		}
-		initial = rows
 	} else {
 		for _, cd := range stmt.Columns {
 			kind, err := sql.TypeKindFor(cd.Type)
@@ -369,22 +366,21 @@ func (s *Session) executeCreateTable(stmt *sql.CreateTableStmt) (*Result, error)
 	if err := s.db.cat.CreateTable(t); err != nil {
 		return nil, err
 	}
-	if len(initial) > 0 {
-		if err := t.InsertBatch(initial); err != nil {
-			return nil, err
-		}
+	if _, err := t.Append(initial...); err != nil {
+		return nil, err
 	}
 	return &Result{Message: "TABLE CREATED"}, nil
 }
 
-// inferKind guesses a column kind from materialized data (CTAS outputs).
-func inferKind(rows []types.Row, ci int) types.Kind {
-	if ci < 0 {
-		return types.KindString
-	}
-	for _, r := range rows {
-		if ci < len(r) && !r[ci].IsNull() {
-			return r[ci].Kind()
+// inferKind is the kind of column ci's first non-NULL value in bs (a
+// CTAS's output), VARCHAR when there is none.
+func inferKind(bs []*vec.Batch, ci int) types.Kind {
+	for _, b := range bs {
+		v := b.Col(ci)
+		for _, i := range b.Idx() {
+			if !v.IsNull(i) {
+				return v.Get(i).Kind()
+			}
 		}
 	}
 	return types.KindString
@@ -492,27 +488,18 @@ func (s *Session) executeSet(stmt *sql.SetStmt) (*Result, error) {
 	return &Result{Message: "OK"}, nil
 }
 
-func (s *Session) executeValues(stmt *sql.ValuesStmt) (*Result, error) {
-	var rows []types.Row
-	width := 0
-	c := s.compiler()
-	for _, er := range stmt.Rows {
-		row, err := c.EvalRow(er)
-		if err != nil {
-			return nil, err
-		}
-		if width == 0 {
-			width = len(row)
-		} else if len(row) != width {
-			return nil, fmt.Errorf("core: VALUES rows have differing arity")
-		}
-		rows = append(rows, row)
+// executeValues streams a VALUES statement's rows to emit as one batch.
+func (s *Session) executeValues(stmt *sql.ValuesStmt, emit func(*vec.Batch) error) (*Result, error) {
+	rows, err := s.compiler().EvalRows(stmt.Rows)
+	if err != nil {
+		return nil, err
 	}
-	cols := make([]string, width)
+	b := vec.FromRows(nil, rows)
+	cols := make([]string, b.NumCols())
 	for i := range cols {
 		cols[i] = fmt.Sprintf("COL%d", i+1)
 	}
-	return &Result{Columns: cols, Rows: rows}, nil
+	return &Result{Columns: cols}, emit(b)
 }
 
 func (s *Session) executeCall(stmt *sql.CallStmt) (*Result, error) {

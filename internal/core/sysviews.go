@@ -412,7 +412,7 @@ type sysView interface {
 }
 
 // rowView is a system view as a catalog.RemoteSource: its few rows,
-// wrapped once as one row-built batch.
+// made once into one batch (vec.FromRows).
 type rowView struct{ sysView }
 
 func (v rowView) ScanAll() ([]*vec.Batch, error) {

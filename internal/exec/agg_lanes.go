@@ -4,7 +4,7 @@ package exec
 // columns indexed by group id, sized by what the aggregate needs (COUNT is
 // one int64 a group), and is updated a batch at a time by a kernel that
 // walks the batch's group-id vector next to the argument's typed payload.
-// Arguments that arrive boxed (Any and row-backed vectors, constants, kinds a
+// Arguments that arrive boxed (Any vectors, constants, kinds a
 // family has no payload loop for) go through one boxed-read kernel per family
 // into the same lanes. Every lane merges exactly — another table's group, or
 // a spilled group read back into a lane of the spilled block's groups, folds
@@ -126,7 +126,7 @@ func grown[T any](s []T, n int) []T {
 }
 
 // typedVec reports whether v's NULLs are exactly its bitmap's: a payload or
-// code vector, not a boxed, row-backed or constant one.
+// code vector, not a boxed or constant one.
 func typedVec(v *vec.Vector) bool {
 	return !v.Const && (v.I64 != nil || v.F64 != nil || v.Str != nil || v.Codes != nil)
 }

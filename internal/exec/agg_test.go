@@ -132,8 +132,8 @@ func genConstAggs(full bool) []AggSpec {
 
 // TestGroupByGenerated is the group table's generated oracle: key shapes
 // {none, one and two dictionary-code keys, INT, DATE, DOUBLE with NaN and
-// ±0, a string without a dictionary, a mix with NULLs, row-backed VALUES
-// input} × every AggFunc (over columns, and over a literal and a NULL
+// ±0, a string without a dictionary, a mix with NULLs, VALUES input
+// (batches from rows)} × every AggFunc (over columns, and over a literal and a NULL
 // literal) × dop 1/2/8 × {no governor, 4 KB, 64 KB HASHHEAP}
 // against oracleGroupBy — rows and order. An integer SUM whose total leaves
 // int64 is the operator's error exactly when it is the oracle's.
@@ -469,7 +469,7 @@ func TestGroupByHeapStepping(t *testing.T) {
 	}
 }
 
-// BenchmarkGroupBy: the row-backed VALUES input it always measured, then a
+// BenchmarkGroupBy: the VALUES input it always measured, then a
 // scan per id scheme, and groups ≈ rows (DISTINCT), where emit — decode,
 // sort, gather — is the cost.
 // benchGroupByTable is the 200 000-row table the group-by benchmarks scan: a

@@ -85,8 +85,8 @@ func randEvalData(rng *rand.Rand) evalData {
 
 // batches renders the rows in every form an operator can be handed: typed
 // column vectors (the mixed column boxed), the same with constant columns
-// broadcast, dictionary-encoded string/int/date columns, and a row-built
-// batch — each under a random selection, which is sometimes empty.
+// broadcast, dictionary-encoded string/int/date columns, and a batch built
+// from the rows (vec.FromRows) — each under a random selection, which is sometimes empty.
 func (d evalData) batches(rng *rand.Rand) map[string]*vec.Batch {
 	typed := func(c int) *vec.Vector {
 		kind := evalCols[c].Kind // KindNull for the mixed column: boxed
@@ -134,7 +134,7 @@ func (d evalData) batches(rng *rand.Rand) map[string]*vec.Batch {
 			}
 			return typed(c)
 		}),
-		"row-built": vec.FromRows(evalCols, d.rows),
+		"from rows": vec.FromRows(evalCols, d.rows),
 	}
 	for _, b := range out {
 		switch rng.Intn(4) {
@@ -398,15 +398,17 @@ func checkEvalVecSeed(t *testing.T, seed int64) {
 		}
 	}
 
-	// A row-built batch through the operators: VALUES hands Drain the very
-	// rows it holds, and a projection over it returns rowEval's values.
+	// Rows through the operators: VALUES hands Drain the values it holds,
+	// kinds included, and a projection over it returns rowEval's values.
 	out, err := Drain(NewValues(evalCols, data.rows))
 	if err != nil || len(out) != len(data.rows) {
 		t.Fatalf("seed %d: VALUES: %d rows, %v", seed, len(out), err)
 	}
 	for i := range out {
-		if &out[i][0] != &data.rows[i][0] {
-			t.Fatalf("seed %d: VALUES re-boxed row %d", seed, i)
+		for j, v := range out[i] {
+			if w := data.rows[i][j]; !sameValue(v, w) || v.Kind() != w.Kind() {
+				t.Fatalf("seed %d: VALUES row %d column %d is %v (%v), holds %v (%v)", seed, i, j, v, v.Kind(), w, w.Kind())
+			}
 		}
 	}
 	exprs := []Expr{randExpr(rng, 3, true), ColRef(evalMixedCol), randExpr(rng, 2, false)}

@@ -71,9 +71,9 @@ type ShuffleWriter struct {
 }
 
 // Write routes the live rows of b. Its column vectors are materialized
-// and, on a row-built batch, made once here, so the views that reach
-// readers running at once share them without writing to them. The views
-// are held past the call, so b is disowned.
+// here, so the views that reach readers running at once share them
+// without writing to them. The views are held past the call, so b is
+// disowned.
 func (w *ShuffleWriter) Write(b *vec.Batch) error {
 	if w.Parts <= 0 {
 		return fmt.Errorf("exec: shuffle writer with %d partitions", w.Parts)
@@ -86,9 +86,6 @@ func (w *ShuffleWriter) Write(b *vec.Batch) error {
 	keys := make([]*vec.Vector, len(w.Keys))
 	for k, c := range w.Keys {
 		keys[k] = b.Col(c)
-	}
-	for j := 0; j < b.NumCols(); j++ {
-		b.Col(j)
 	}
 	sels := make([][]int, w.Parts)
 	for _, i := range b.Idx() {

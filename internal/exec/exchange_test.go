@@ -33,7 +33,7 @@ func HashPartition(row types.Row, keys []int, parts int) int {
 
 // TestPartitionMatchesHashPartition: the typed partition of every live row
 // equals HashPartition of the same row boxed, for one key and several, over
-// typed, dictionary-coded, Const and row-built vectors of every kind —
+// typed, dictionary-coded, Const and from-rows vectors of every kind —
 // integral DOUBLEs, which hash as the BIGINT they equal, and NULLs
 // included.
 func TestPartitionMatchesHashPartition(t *testing.T) {

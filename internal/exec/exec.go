@@ -48,17 +48,12 @@ const ChunkSize = 1024
 // calls Release, which returns the payloads for the next scan to fill:
 // GroupByOp after ingesting a batch, SortOp after buffering it, HashJoinOp
 // after filing a build batch and after gathering a probe batch's last
-// chunk, Drain and the session's result after boxing its rows, an UPDATE
-// or DELETE after taking its row ids and new rows, and the shard server
-// after framing a block. Any other holder disowns what it keeps
-// (vec.Batch.Disown): BatchesOp, the ShuffleWriter and the in-process
-// shards. A batch nobody releases is garbage, as any allocation is; a read
-// of a released batch panics.
-// Rows taken out of a batch (Batch.AppendRows) belong to
-// whoever took them — a producer never rewrites a row it has handed out,
-// so Drain, buffering operators and clients retain rows without
-// deep-copying — and are read-only, since a row-built batch hands out the
-// producer's own rows.
+// chunk, Drain and the session's result after boxing its rows, a DELETE
+// after taking its row ids, and the shard server after framing a block.
+// Any other holder disowns what it keeps (vec.Batch.Disown): BatchesOp,
+// Collect, an UPDATE, the ShuffleWriter and the in-process shards. A
+// batch nobody releases is garbage; a read of a released batch panics.
+// Rows boxed out of a batch (Batch.AppendRows) are the taker's.
 type Operator interface {
 	Schema() types.Schema
 	Open() error
@@ -97,6 +92,18 @@ func Drain(op Operator) ([]types.Row, error) {
 	return out, nil
 }
 
+// Collect runs an operator tree to completion and returns its batches,
+// disowned, for a holder that keeps them (a CTE, a subquery, INSERT).
+func Collect(op Operator) ([]*vec.Batch, error) {
+	var out []*vec.Batch
+	err := Stream(op, func(b *vec.Batch) error {
+		b.Disown()
+		out = append(out, b)
+		return nil
+	})
+	return out, err
+}
+
 // Stream runs an operator tree to completion, handing every non-empty batch
 // to emit; an error from emit stops the tree and is returned.
 func Stream(op Operator, emit func(*vec.Batch) error) error {
@@ -126,8 +133,8 @@ func Stream(op Operator, emit func(*vec.Batch) error) error {
 }
 
 // NewValues is the leaf over literal rows (VALUES, DUAL, a FROM-less
-// SELECT, tests): a BatchesOp over the rows cut into row-built batches of
-// ChunkSize.
+// SELECT, tests): a BatchesOp over the rows cut into batches
+// (vec.FromRows) of ChunkSize.
 func NewValues(sch types.Schema, rows []types.Row) *BatchesOp {
 	var batches []*vec.Batch
 	for a := 0; a < len(rows); a += ChunkSize {
@@ -154,15 +161,10 @@ type BatchesOp struct {
 }
 
 // NewBatches creates a BatchesOp over batches of sch's width. It keeps
-// them, so it disowns them: no reader releases their payloads. Every column
-// of a row-built batch gets its view now, so readers running at once share
-// the batch without writing to it.
+// them, so it disowns them: no reader releases their payloads.
 func NewBatches(sch types.Schema, batches []*vec.Batch) *BatchesOp {
 	for _, b := range batches {
 		b.Disown()
-		for j := 0; j < b.NumCols(); j++ {
-			b.Col(j)
-		}
 	}
 	return &BatchesOp{Sch: sch, Data: batches}
 }

@@ -138,7 +138,7 @@ var thetaResidual = &CmpExpr{Op: encoding.OpEQ,
 func thetaHolds(r types.Row) bool { return (r[2].Int()+r[10].Int())%7 == 0 }
 
 // TestHashJoinInputInvariance is the one-join property: whatever form the
-// children's batches take (row-built or column vectors, on either side), whatever
+// children's batches take (VALUES or a scan's vectors, on either side), whatever
 // the key (plain INT, dictionary string, both, none), with or without a
 // residual, and whether or not the build fits the hash heap, HashJoinOp
 // returns the nested-loop oracle's multiset. The data carries NULL keys,
@@ -150,7 +150,7 @@ func TestHashJoinInputInvariance(t *testing.T) {
 		rows []types.Row
 		tbl  *columnar.Table
 	}
-	// child builds one join input as row-built batches (VALUES) or as a
+	// child builds one join input as batches from rows (VALUES) or as a
 	// scan's column vectors, dictionary keys as codes.
 	child := func(s side, vector bool) Operator {
 		if vector {

@@ -243,8 +243,8 @@ func recordOrder[E record](ties, rest []sortCol) func(a, b E) int {
 }
 
 // wordKind is the kind whose words order rows 0..n-1 of v (positions
-// through sel): its payload's, or for a boxed, constant or row-backed vector
-// the one kind its non-NULL cells share — KindNull when they mix, KindInt
+// through sel): its payload's, or for a boxed or constant vector the one
+// kind its non-NULL cells share — KindNull when they mix, KindInt
 // when every cell is NULL. nulls reports whether v may hold a NULL there.
 //
 //dashdb:hotpath
@@ -446,8 +446,8 @@ func put[I int | uint32](dst, src *vec.Vector, to int, sel []I, j0, j1 int) {
 }
 
 // gather copies rows sel[a:b] of src into a new vector, typed like src or
-// boxed when src has no typed payload (a constant, a row-built batch's
-// column); a code vector decodes first. The payload is pooled: the vector
+// boxed when src has no typed payload (a constant, a mixed-kind column); a
+// code vector decodes first. The payload is pooled: the vector
 // goes into an owned batch, as a scan's do.
 func gather[I int | uint32](src *vec.Vector, sel []I, a, b int) *vec.Vector {
 	src.Materialize()
@@ -462,7 +462,7 @@ func gather[I int | uint32](src *vec.Vector, sel []I, a, b int) *vec.Vector {
 
 // bufKind is the kind of a buffer that holds buf's rows and then v's: buf's
 // own, or boxed (KindNull) when v's payload is not buf's — a UNION ALL of
-// BIGINT and DOUBLE, a row-built batch, a constant. Boxing keeps every cell
+// BIGINT and DOUBLE, a mixed-kind column, a constant. Boxing keeps every cell
 // as it is, typed NULLs included.
 func bufKind(buf, v *vec.Vector) types.Kind {
 	if buf.Any != nil || (v.Kind == buf.Kind && typedVec(v)) {

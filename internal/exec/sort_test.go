@@ -113,7 +113,7 @@ func sortShapes(t *testing.T, seed int64, n int) []sortShape {
 	union := func() Operator { return &UnionAllOp{Children: []Operator{pick(1)(), pick(2)()}} }
 	unionRows := append(oracleProject(t, rows, []Expr{ColRef(1), ColRef(0)}), oracleProject(t, rows, []Expr{ColRef(2), ColRef(0)})...)
 
-	// A row-built VALUES child with every kind in its first column.
+	// A VALUES child with every kind in its first column.
 	rng := rand.New(rand.NewSource(seed))
 	mixed := make([]types.Row, n)
 	for i := range mixed {

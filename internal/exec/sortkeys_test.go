@@ -214,8 +214,8 @@ func fuzzCell(sp keySpec, b byte) types.Value {
 // SORTHEAP under OFFSET 5 for each input's first key set, where every
 // spilled run stops at the bound and sets the cutoff. The inputs are the
 // generated table's scan (typed and dictionary-coded columns), a VALUES
-// child whose boxed columns hold strings that share their first 8 bytes, a
-// mix of BIGINT and DOUBLE cells and a unique scrambled key (rows land
+// child whose columns hold strings that share their first 8 bytes, a mix
+// of BIGINT and DOUBLE cells (boxed) and a unique scrambled key (rows land
 // between the cutoff and the row before it), and a UNION ALL of a BIGINT
 // and a DOUBLE column.
 func TestSortBoundedMatchesFull(t *testing.T) {
@@ -313,8 +313,7 @@ func sortBenchTable(tb testing.TB) (*columnar.Table, []types.Row) {
 
 // BenchmarkSortKeys times the benchmark's sort and topk shape, ORDER BY
 // amount DESC, txn_id over 22 000 rows, in full and FETCH FIRST 100, over
-// typed columns (a columnar scan) and boxed ones (row-built batches, as the
-// coordinator's pulls arrive).
+// a columnar scan's columns and the same rows through VALUES.
 func BenchmarkSortKeys(b *testing.B) {
 	tbl, rows := sortBenchTable(b)
 	sch := types.Schema{{Name: "txn_id", Kind: types.KindInt}, {Name: "amount", Kind: types.KindFloat}}
@@ -324,7 +323,7 @@ func BenchmarkSortKeys(b *testing.B) {
 		child func() Operator
 	}{
 		{"typed", func() Operator { return scanDop(tbl, 1) }},
-		{"boxed", func() Operator { return NewValues(sch, rows) }},
+		{"values", func() Operator { return NewValues(sch, rows) }},
 	}
 	for _, in := range inputs {
 		for _, limit := range []int{-1, 100} {

@@ -90,7 +90,7 @@ func boolAt(v *vec.Vector, i int) (val, null bool) {
 	if v.I64 != nil {
 		return v.I64[v.Ix(i)] != 0, false
 	}
-	// Boxed, encoded and row-backed vectors answer through Get; a float or
+	// Boxed and encoded vectors answer through Get; a float or
 	// string value carries a zero integer payload, hence false.
 	return v.Get(i).Bool(), false
 }

@@ -334,9 +334,9 @@ func TestVectorizeScalarFuncFallsBack(t *testing.T) {
 
 // TestValuesThroughRowOperators pushes a row source that is not a columnar
 // scan through filter, projection and limit: the operators narrow and
-// project the row-built batches like any other and hand the rows — NULLs
-// and mixed kinds included — through unchanged, and a filter and limit
-// alone hand back the very rows VALUES holds.
+// project the batches built from its rows like any other and hand the
+// rows — NULLs and mixed kinds included — through unchanged, and a filter
+// and limit alone hand back the values VALUES holds.
 func TestValuesThroughRowOperators(t *testing.T) {
 	data := []types.Row{
 		{types.NewInt(1), types.Null},
@@ -363,7 +363,7 @@ func TestValuesThroughRowOperators(t *testing.T) {
 		}
 	}
 	rows, err = Drain(&LimitOp{Offset: 1, Limit: 1, Child: &FilterOp{Child: NewValues(sch, data), Pred: notOne}})
-	if err != nil || len(rows) != 1 || &rows[0][0] != &data[3][0] {
+	if err != nil || len(rows) != 1 || rowKey(rows[0]) != rowKey(data[3]) || rows[0][1].Kind() != types.KindString {
 		t.Fatalf("filter+limit over VALUES must hand back the rows it was given: %v %v", rows, err)
 	}
 }

@@ -17,10 +17,10 @@ package hybrid
 import (
 	"fmt"
 
-	"dashdb/internal/columnar"
 	"dashdb/internal/core"
 	"dashdb/internal/mpp"
 	"dashdb/internal/types"
+	"dashdb/internal/vec"
 )
 
 // Plan selects a managed cloud instance profile.
@@ -77,17 +77,16 @@ func SyncToCloud(cl *mpp.NetCluster, cloud *CloudService) (tables, rows int, err
 		if err != nil {
 			return tables, rows, err
 		}
-		var data []types.Row
+		var data []*vec.Batch
 		for _, r := range shards {
-			for _, b := range r.Batches {
-				data = b.AppendRows(data)
-			}
+			data = append(data, r.Batches...)
 		}
-		if err := t.InsertBatch(data); err != nil {
+		n, err := t.Append(data...)
+		if err != nil {
 			return tables, rows, err
 		}
 		tables++
-		rows += len(data)
+		rows += n
 	}
 	return tables, rows, nil
 }
@@ -100,18 +99,11 @@ func SyncFromCloud(cloud *CloudService, cl *mpp.NetCluster, table string, opts m
 	if !ok {
 		return 0, fmt.Errorf("hybrid: cloud table %s does not exist", table)
 	}
-	var rows []types.Row
-	snap := t.Snapshot()
-	err := snap.Scan(nil, 1, nil, func(_ int, b *columnar.Batch) bool {
-		for i := 0; i < b.Len(); i++ {
-			rows = append(rows, b.Row(i))
-		}
-		return true
-	})
-	snap.Release()
+	res, err := cloud.Session().Exec("SELECT * FROM " + table)
 	if err != nil {
 		return 0, err
 	}
+	rows := res.Rows
 	if err := cl.CreateTable(table, t.Schema(), opts); err != nil {
 		return 0, err
 	}

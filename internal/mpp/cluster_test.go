@@ -1906,6 +1906,7 @@ func TestInsertColumnList(t *testing.T) {
 	if got := sortedRows(want.Rows); got != "10,1,NULL 20,2,NULL 8,NULL,7 NULL,NULL,101 NULL,NULL,102" {
 		t.Fatalf("one engine: %s", got)
 	}
+	checkNotNullRefused(t, sess.Exec)
 	forEachClient(t, func(t *testing.T, h *harness) {
 		c := h.form(fourNodes()[:2], 2, clusterfs.New())
 		for _, q := range script {
@@ -1928,7 +1929,51 @@ func TestInsertColumnList(t *testing.T) {
 				t.Errorf("one engine: %s: accepted", q)
 			}
 		}
+		checkNotNullRefused(t, c.Query)
 	})
+}
+
+// checkNotNullRefused loads 3 000 rows whose last x is NULL and checks
+// that an INSERT … SELECT of them into a NOT NULL column, which reads them
+// as several batches, inserts none, with a column list or without, and
+// that the same rows without the NULL all land.
+func checkNotNullRefused(t *testing.T, run func(string) (*core.Result, error)) {
+	t.Helper()
+	values := make([]string, 3000)
+	for i := range values {
+		values[i] = fmt.Sprintf("(%d, %d)", i, 2*i)
+	}
+	values[len(values)-1] = fmt.Sprintf("(NULL, %d)", 2*(len(values)-1))
+	count := func() string {
+		res, err := run("SELECT COUNT(*), SUM(a), SUM(b) FROM nn")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderRows(res.Rows)
+	}
+	for _, q := range []string{
+		"CREATE TABLE big (x BIGINT, y BIGINT)",
+		"INSERT INTO big VALUES " + strings.Join(values, ", "),
+		"CREATE TABLE nn (a BIGINT NOT NULL, b BIGINT)",
+	} {
+		if _, err := run(q); err != nil {
+			t.Fatalf("%.40s: %v", q, err)
+		}
+	}
+	for _, q := range []string{"INSERT INTO nn SELECT x, y FROM big", "INSERT INTO nn (b, a) SELECT y, x FROM big"} {
+		if _, err := run(q); err == nil {
+			t.Fatalf("%s: accepted a NULL into a NOT NULL column", q)
+		}
+		if got := count(); got != "0\tNULL\tNULL\n" {
+			t.Fatalf("%s: nn holds %q, want no row", q, got)
+		}
+	}
+	if _, err := run("INSERT INTO nn (b, a) SELECT y, x FROM big WHERE x IS NOT NULL"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := count(), fmt.Sprintf("2999\t%d\t%d\n", 2999*2998/2, 2999*2998); got != want {
+		t.Fatalf("nn holds %q, want %q", got, want)
+	}
 }
 
 // sortedRows renders rows as comma-separated cells, one row a field, in
@@ -2329,6 +2374,64 @@ func TestConjunctRunsBelowTheJoin(t *testing.T) {
 		}
 		if _, err := c.Query(q); err == nil || !strings.Contains(err.Error(), "division by zero") {
 			t.Errorf("cluster: %v, want division by zero", err)
+		}
+	})
+}
+
+// TestInSubquery pins IN and NOT IN over a subquery, on one engine and
+// through both cluster clients: a NULL in the subquery's answer makes a
+// non-match NULL either way, an INT matches the DOUBLE it equals, strings
+// match as strings, a NULL is NULL against a non-empty answer, and an
+// empty answer matches no value, a NULL included. EXISTS and a scalar
+// subquery read the same answers.
+func TestInSubquery(t *testing.T) {
+	cases := []struct{ q, want string }{
+		{"SELECT a, a IN (SELECT v FROM n) FROM t ORDER BY a", "1,true 2,NULL 3,true 4,NULL 5,NULL"},
+		{"SELECT a, a NOT IN (SELECT v FROM n) FROM t ORDER BY a", "1,false 2,NULL 3,false 4,NULL 5,NULL"},
+		{"SELECT a FROM t WHERE a IN (SELECT v FROM n) ORDER BY a", "1 3"},
+		{"SELECT a FROM t WHERE a IN (SELECT g FROM d) ORDER BY a", "2 4"},
+		{"SELECT a FROM t WHERE f IN (SELECT v FROM n) ORDER BY a", "1"},
+		{"SELECT a FROM t WHERE s IN (SELECT w FROM w) ORDER BY a", "1 3 5"},
+		{"SELECT a FROM t WHERE s NOT IN (SELECT w FROM w) ORDER BY a", "2 4"},
+		{"SELECT a, a IN (SELECT v FROM e), a NOT IN (SELECT v FROM e) FROM t WHERE a < 3 ORDER BY a", "1,false,true 2,false,true"},
+		{"SELECT NULLIF(a, a) IN (SELECT v FROM e), NULLIF(a, a) NOT IN (SELECT v FROM e), NULLIF(a, a) IN (SELECT g FROM d) FROM t WHERE a = 1", "false,true,NULL"},
+		{"SELECT a FROM t WHERE EXISTS (SELECT v FROM e)", ""},
+		{"SELECT a FROM t WHERE NOT EXISTS (SELECT v FROM e) AND a = (SELECT MAX(v) FROM n)", "3"},
+	}
+	tables := []struct {
+		name   string
+		schema types.Schema
+		rows   []types.Row
+	}{
+		{"t", types.Schema{{Name: "a", Kind: types.KindInt}, {Name: "s", Kind: types.KindString}, {Name: "f", Kind: types.KindFloat}}, nil},
+		{"n", types.Schema{{Name: "v", Kind: types.KindInt, Nullable: true}}, []types.Row{{types.NewInt(1)}, {types.NullOf(types.KindInt)}, {types.NewInt(3)}}},
+		{"d", types.Schema{{Name: "g", Kind: types.KindFloat}}, []types.Row{{types.NewFloat(2)}, {types.NewFloat(4)}, {types.NewFloat(4.5)}}},
+		{"w", types.Schema{{Name: "w", Kind: types.KindString}}, []types.Row{{types.NewString("x")}, {types.NewString("z")}}},
+		{"e", types.Schema{{Name: "v", Kind: types.KindInt}}, nil},
+	}
+	for i, s := range []string{"x", "y", "x", "y", "z"} {
+		tables[0].rows = append(tables[0].rows, types.Row{types.NewInt(int64(i + 1)), types.NewString(s), types.NewFloat(float64(i+1) + float64(i)/2)})
+	}
+	forEachClient(t, func(t *testing.T, h *harness) {
+		c := h.form(fourNodes()[:2], 2, clusterfs.New())
+		for _, tb := range tables {
+			if err := c.CreateTable(tb.name, tb.schema, TableOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Insert(tb.name, tb.rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, exec := range map[string]func(string) (*core.Result, error){"one engine": referenceOf(t, c).Exec, "cluster": c.Query} {
+			for _, tc := range cases {
+				r, err := exec(tc.q)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", name, tc.q, err)
+				}
+				if got := strings.ReplaceAll(strings.ReplaceAll(strings.TrimSpace(renderRows(r.Rows)), "\t", ","), "\n", " "); got != tc.want {
+					t.Errorf("%s: %s: rows %q, want %q", name, tc.q, got, tc.want)
+				}
+			}
 		}
 	})
 }

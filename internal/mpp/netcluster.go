@@ -804,8 +804,18 @@ func (c *NetCluster) Insert(table string, rows []types.Row) error {
 		return err
 	}
 	b, err := columnar.LanesOf(meta.schema, rows)
+	if err == nil {
+		_, err = c.insert(table, meta, b)
+	}
+	return err
+}
+
+// insert conforms bs to the table's lanes, so a refused value refuses them
+// all before any shard is called, and routes them as Insert describes.
+func (c *NetCluster) insert(table string, meta *tableMeta, bs ...*vec.Batch) (int, error) {
+	b, err := columnar.Conform(meta.schema, bs...)
 	if err != nil || b.N == 0 {
-		return err
+		return 0, err
 	}
 	buckets := make([]*shardrpc.Bucket, c.nShards)
 	if meta.repl {
@@ -833,7 +843,7 @@ func (c *NetCluster) Insert(table string, rows []types.Row) error {
 			loaded = append(loaded, s)
 		}
 	}
-	return c.eachShard(loaded, func(s int, addr string) error {
+	return b.N, c.eachShard(loaded, func(s int, addr string) error {
 		return c.client.Insert(addr, s, table, token, buckets[s])
 	})
 }

@@ -107,36 +107,36 @@ func (c *NetCluster) netBroadcast(st sql.Statement, d sql.Dialect) (*core.Result
 }
 
 // netInsertStmt evaluates an INSERT's rows at the coordinator — its
-// literal rows, or its query's — places them on the table's columns and
-// routes them through Insert (which carries the failover retry).
+// query's batches and its literal rows — places them on the table's
+// columns and routes them as Insert does.
 func (c *NetCluster) netInsertStmt(stmt *sql.InsertStmt, d sql.Dialect) (*core.Result, error) {
 	meta, err := c.tableMeta(stmt.Table)
 	if err != nil {
 		return nil, err
 	}
-	var rows []types.Row
+	var bs []*vec.Batch
 	if stmt.Query != nil {
-		res, err := core.Boxed(c.netSelect(stmt.Query, d, ""))
+		res, err := core.Batched(c.netSelect(stmt.Query, d, ""))
 		if err != nil {
 			return nil, err
 		}
-		rows = res.Rows
+		bs = res.Batches
 	}
-	comp := c.compiler(d, time.Now())
-	for _, exprRow := range stmt.Rows {
-		row, err := comp.EvalRow(exprRow)
+	if len(stmt.Rows) > 0 {
+		rows, err := c.compiler(d, time.Now()).EvalRows(stmt.Rows)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, row)
+		bs = append(bs, vec.FromRows(nil, rows))
 	}
-	if rows, err = stmt.Place(meta.schema, rows); err != nil {
+	if err := stmt.Place(meta.schema, bs); err != nil {
 		return nil, err
 	}
-	if err := c.Insert(stmt.Table, rows); err != nil {
+	n, err := c.insert(stmt.Table, meta, bs...)
+	if err != nil {
 		return nil, err
 	}
-	return &core.Result{RowsAffected: int64(len(rows))}, nil
+	return &core.Result{RowsAffected: int64(n)}, nil
 }
 
 func (c *NetCluster) netCreateTableStmt(stmt *sql.CreateTableStmt) (*core.Result, error) {

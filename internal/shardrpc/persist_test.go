@@ -75,7 +75,7 @@ func controlSeeds(tb testing.TB) [][]byte {
 	tbl := columnar.NewTable(1, "sales", salesSchema, columnar.Config{Store: store})
 	lanes, err := columnar.LanesOf(salesSchema, salesRows(1500))
 	if err == nil {
-		err = tbl.Append(lanes)
+		_, err = tbl.Append(lanes)
 	}
 	if err == nil {
 		err = tbl.SaveMeta()

@@ -683,7 +683,7 @@ func (s *Server) Insert(shardID int, table string, token uint64, rows *Bucket) e
 	if !ok {
 		return fmt.Errorf("shard %d missing table %s", shardID, table)
 	}
-	if err := tbl.Append(b); err != nil || !logged {
+	if _, err := tbl.Append(b); err != nil || !logged {
 		return err
 	}
 	if err := tbl.SaveMeta(); err != nil {

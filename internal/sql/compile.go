@@ -12,7 +12,6 @@ import (
 	"dashdb/internal/mem"
 	"dashdb/internal/plan"
 	"dashdb/internal/types"
-	"dashdb/internal/vec"
 )
 
 // Compiler binds ASTs to a catalog and produces executor plans. One
@@ -181,11 +180,11 @@ func (c *Compiler) CompileSelect(sel *SelectStmt) (exec.Operator, error) {
 	return cpl.op, nil
 }
 
-// stream runs a tree the compiler materializes itself — a CTE body, an
+// collect runs a tree the compiler materializes itself — a CTE body, an
 // uncorrelated subquery. Such a tree comes from CompileSelect like the
 // statement's own, so it runs on the same engine under the same governor
 // and snapshot set. A variable so a test can see the trees run.
-var stream = exec.Stream
+var collect = exec.Collect
 
 func (c *Compiler) compileSelect(sel *SelectStmt) (*compiled, error) {
 	// Run CTEs first; they are bound for the rest of this query, shadowing
@@ -198,11 +197,8 @@ func (c *Compiler) compileSelect(sel *SelectStmt) (*compiled, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sql: CTE %s: %w", cte.Name, err)
 		}
-		var batches []*vec.Batch
-		if err := stream(sub, func(b *vec.Batch) error {
-			batches = append(batches, b)
-			return nil
-		}); err != nil {
+		batches, err := collect(sub)
+		if err != nil {
 			return nil, fmt.Errorf("sql: CTE %s: %w", cte.Name, err)
 		}
 		c.bound[k] = exec.NewBatches(sub.Schema(), batches)

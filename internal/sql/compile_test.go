@@ -122,12 +122,12 @@ func TestViewScansJoinTheSnapshotSet(t *testing.T) {
 func TestCompilerDrainsVectorizedTrees(t *testing.T) {
 	cat := compileCatalog(t)
 	var drained []exec.Operator
-	realStream := stream
-	stream = func(op exec.Operator, emit func(*vec.Batch) error) error {
+	realCollect := collect
+	collect = func(op exec.Operator) ([]*vec.Batch, error) {
 		drained = append(drained, op)
-		return realStream(op, emit)
+		return realCollect(op)
 	}
-	defer func() { stream = realStream }()
+	defer func() { collect = realCollect }()
 
 	for _, tc := range []struct{ name, text, inlined string }{
 		{"CTE body",

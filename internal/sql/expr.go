@@ -132,33 +132,31 @@ func (c *Compiler) compileExpr(e Expr, sc *scope) (exec.Expr, error) {
 		return c.compileIn(ex, sc)
 
 	case *ExistsExpr:
-		rowsFn := c.lazySubquery(ex.Sub)
+		sub := c.lazySubquery(ex.Sub)
 		not := ex.Not
 		return stateful(func([]types.Value) (types.Value, error) {
-			rows, _, err := rowsFn()
+			_, n, err := sub()
 			if err != nil {
 				return types.Null, err
 			}
-			return types.NewBool((len(rows) > 0) != not), nil
+			return types.NewBool((n > 0) != not), nil
 		}), nil
 
 	case *SubqueryExpr:
-		rowsFn := c.lazySubquery(ex.Sub)
+		sub := c.lazySubquery(ex.Sub)
 		return stateful(func([]types.Value) (types.Value, error) {
-			rows, _, err := rowsFn()
-			if err != nil {
+			bs, n, err := sub()
+			switch {
+			case err != nil:
 				return types.Null, err
-			}
-			if len(rows) == 0 {
+			case n == 0:
 				return types.Null, nil
-			}
-			if len(rows) > 1 {
-				return types.Null, fmt.Errorf("sql: scalar subquery returned %d rows", len(rows))
-			}
-			if len(rows[0]) != 1 {
+			case n > 1:
+				return types.Null, fmt.Errorf("sql: scalar subquery returned %d rows", n)
+			case bs[0].NumCols() != 1:
 				return types.Null, fmt.Errorf("sql: scalar subquery must return one column")
 			}
-			return rows[0][0], nil
+			return bs[0].Col(0).Get(bs[0].Idx()[0]), nil
 		}), nil
 
 	case *SeqValExpr:
@@ -332,26 +330,39 @@ func (c *Compiler) compileIn(ex *InExpr, sc *scope) (exec.Expr, error) {
 	}
 	not := ex.Not
 	if ex.Sub != nil {
-		rowsFn := c.lazySubquery(ex.Sub)
+		sub := c.lazySubquery(ex.Sub)
+		// The answer's non-NULL values by Value.Hash (equal values share
+		// it), built on the first call: stateful calls come one at a time.
+		var set map[uint64][]types.Value
+		sawNull := false
 		return stateful(func(a []types.Value) (types.Value, error) {
 			v := a[0]
-			if v.IsNull() {
+			if set == nil {
+				bs, _, err := sub()
+				if err != nil {
+					return types.Null, err
+				}
+				vals := make(map[uint64][]types.Value)
+				for _, b := range bs {
+					if b.NumCols() != 1 {
+						return types.Null, fmt.Errorf("sql: IN subquery must return one column")
+					}
+					col := b.Col(0)
+					for _, i := range b.Idx() {
+						if col.IsNull(i) {
+							sawNull = true
+							continue
+						}
+						vals[col.Hash(i)] = append(vals[col.Hash(i)], col.Get(i))
+					}
+				}
+				set = vals
+			}
+			if v.IsNull() && (len(set) > 0 || sawNull) { // an empty answer holds no value, NULL included
 				return types.Null, nil
 			}
-			rows, _, err := rowsFn()
-			if err != nil {
-				return types.Null, err
-			}
-			sawNull := false
-			for _, r := range rows {
-				if len(r) != 1 {
-					return types.Null, fmt.Errorf("sql: IN subquery must return one column")
-				}
-				if r[0].IsNull() {
-					sawNull = true
-					continue
-				}
-				if types.Equal(v, r[0]) {
+			for _, x := range set[v.Hash()] {
+				if types.Equal(v, x) {
 					return types.NewBool(!not), nil
 				}
 			}
@@ -393,27 +404,26 @@ func stateful(fn func(a []types.Value) (types.Value, error), args ...exec.Expr) 
 	return &exec.ApplyExpr{Args: args, Fn: fn, Stateful: true}
 }
 
-// lazySubquery compiles an uncorrelated subquery now and materializes it
-// at most once, on first evaluation.
-func (c *Compiler) lazySubquery(sub *SelectStmt) func() ([]types.Row, types.Schema, error) {
+// lazySubquery compiles an uncorrelated subquery now and runs it at most
+// once, on first evaluation: its batches and their live rows' count.
+func (c *Compiler) lazySubquery(sub *SelectStmt) func() ([]*vec.Batch, int, error) {
 	var (
-		once sync.Once
-		rows []types.Row
-		sch  types.Schema
-		err  error
+		once    sync.Once
+		batches []*vec.Batch
+		n       int
+		err     error
 	)
 	op, cerr := c.CompileSelect(sub)
-	return func() ([]types.Row, types.Schema, error) {
+	return func() ([]*vec.Batch, int, error) {
 		if cerr != nil {
-			return nil, nil, cerr
+			return nil, 0, cerr
 		}
 		once.Do(func() {
-			err = stream(op, func(b *vec.Batch) error {
-				rows = b.AppendRows(rows)
-				return nil
-			})
-			sch = op.Schema()
+			batches, err = collect(op)
+			for _, b := range batches {
+				n += b.Rows()
+			}
 		})
-		return rows, sch, err
+		return batches, n, err
 	}
 }

@@ -46,10 +46,26 @@ func (c *Compiler) EvalRow(exprs []Expr) (types.Row, error) {
 	return row, nil
 }
 
-// Place maps the rows an INSERT inserts, a value for each column its list
-// names, onto the table's schema, in place: a column the list leaves out
-// is NULL. Without a list a row is every column in order.
-func (st *InsertStmt) Place(schema types.Schema, rows []types.Row) ([]types.Row, error) {
+// EvalRows evaluates rows of expressions with EvalRow (VALUES, an
+// INSERT's literal rows). Every row must be as wide as the first.
+func (c *Compiler) EvalRows(exprs [][]Expr) ([]types.Row, error) {
+	rows := make([]types.Row, len(exprs))
+	for r, er := range exprs {
+		if len(er) != len(exprs[0]) {
+			return nil, fmt.Errorf("sql: VALUES rows have differing arity")
+		}
+		var err error
+		if rows[r], err = c.EvalRow(er); err != nil {
+			return nil, err
+		}
+	}
+	return rows, nil
+}
+
+// Place maps the batches an INSERT inserts, a column for each column its
+// list names, onto the table's schema, in place: a column the list leaves
+// out is a NULL constant. Without a list a batch is every column in order.
+func (st *InsertStmt) Place(schema types.Schema, bs []*vec.Batch) error {
 	width := len(schema)
 	if len(st.Columns) > 0 {
 		width = len(st.Columns)
@@ -57,26 +73,29 @@ func (st *InsertStmt) Place(schema types.Schema, rows []types.Row) ([]types.Row,
 	idx := make([]int, len(st.Columns))
 	for i, name := range st.Columns {
 		if idx[i] = schema.ColumnIndex(name); idx[i] < 0 {
-			return nil, fmt.Errorf("sql: column %s not in table %s", name, st.Table)
+			return fmt.Errorf("sql: column %s not in table %s", name, st.Table)
 		}
 	}
-	for r, vals := range rows {
-		if len(vals) != width {
-			return nil, fmt.Errorf("sql: INSERT has %d values for %d columns", len(vals), width)
+	for k, b := range bs {
+		if b.NumCols() != width {
+			return fmt.Errorf("sql: INSERT has %d values for %d columns", b.NumCols(), width)
 		}
 		if len(idx) == 0 {
 			continue
 		}
-		full := make(types.Row, len(schema))
-		for i := range full {
-			full[i] = types.NullOf(schema[i].Kind)
+		cols := make([]*vec.Vector, len(schema))
+		for i, col := range schema {
+			cols[i] = vec.NewConst(types.NullOf(col.Kind))
 		}
 		for i, ci := range idx {
-			full[ci] = vals[i]
+			cols[ci] = b.Col(i)
 		}
-		rows[r] = full
+		placed := vec.NewBatch(schema, cols, b.N)
+		placed.Sel = b.Sel
+		placed.Adopt(b)
+		bs[k] = placed
 	}
-	return rows, nil
+	return nil
 }
 
 // CompileRowExpr compiles an expression against a single table's schema

@@ -9,7 +9,7 @@ import (
 
 // Value codec: the one way a boxed Value becomes bytes. The batch block
 // (vec.AppendBlock) — of the shard wire and of every spill file — writes it
-// for a column that has no typed lane: a row-backed or mixed-kind column,
+// for a column that has no typed lane: a mixed-kind column,
 // or one of KindNull; a statement's literal on the shard wire
 // (sql.AppendStmt) writes one cell; and encoding.RowWriter/RowReader,
 // which only the benchmark's row-stream probe still uses, write rows of

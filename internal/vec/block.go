@@ -35,7 +35,7 @@ import (
 //	                    strings' bytes back to back — then one uvarint
 //	                    code < d per row
 //	         cells: one types/codec.go cell per row, NULLs included, so a
-//	         row-backed or mixed-kind column keeps every value's kind
+//	         mixed-kind column keeps every value's kind
 //	a block of no columns ends with ceil(rows/8) zero bytes, so every row
 //	count is backed by input
 //
@@ -120,15 +120,15 @@ func unbox(v *Vector, idx []int) *Vector {
 	if len(idx) == 0 {
 		return nil
 	}
-	kind := v.boxedAt(idx[0]).Kind()
+	kind := v.Any[v.Ix(idx[0])].Kind()
 	if kind == types.KindNull {
 		return nil
 	}
 	out := New(kind, v.Len())
 	out.Const = v.Const
 	for _, i := range idx {
-		x := v.boxedAt(i)
-		switch i = v.Ix(i); {
+		i = v.Ix(i)
+		switch x := &v.Any[i]; {
 		case x.Kind() != kind:
 			return nil
 		case x.IsNull():
@@ -142,17 +142,6 @@ func unbox(v *Vector, idx []int) *Vector {
 		}
 	}
 	return out
-}
-
-// boxedAt is the value Get returns at i of a boxed or row-backed vector,
-// in place.
-//
-//dashdb:hotpath
-func (v *Vector) boxedAt(i int) *types.Value {
-	if v.rows != nil {
-		return &v.rows[i][v.col]
-	}
-	return &v.Any[v.Ix(i)]
 }
 
 // appendColumn appends one column of n rows, the concatenation of parts.

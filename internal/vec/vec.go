@@ -33,8 +33,7 @@ import (
 // Encoded vectors flow through filters, joins, and grouping without
 // decoding; Materialize converts to the value payload in place, and Get
 // decodes single rows on demand. Set must not be called on an encoded
-// vector. A third form has no payload of its own: the row-backed view
-// Batch.Col returns on a row-built batch (see the rows field).
+// vector.
 type Vector struct {
 	Kind  types.Kind
 	Const bool
@@ -50,13 +49,6 @@ type Vector struct {
 	Codes []uint64
 	Dict  *encoding.Dict
 	dom   []types.Value
-
-	// rows/col form the row-backed view Batch.Col returns on a row-built
-	// batch: position i is rows[i][col], nothing copied. Kind is KindNull
-	// and every payload slice nil, so such a vector is read through Get and
-	// IsNull only.
-	rows []types.Row
-	col  int
 
 	// pooled: the payloads came from the pools (NewPooled, NewPooledCodes)
 	// and go back when the batch that owns the vector is released.
@@ -194,8 +186,6 @@ func (v *Vector) Decoded() *Vector {
 // Len returns the payload length (1 for Const vectors).
 func (v *Vector) Len() int {
 	switch {
-	case v.rows != nil:
-		return len(v.rows)
 	case v.Codes != nil:
 		return len(v.Codes)
 	case v.I64 != nil:
@@ -227,10 +217,7 @@ func (v *Vector) IsNull(i int) bool {
 	if v.Nulls != nil && v.Nulls.Get(i) {
 		return true
 	}
-	if v.Any != nil {
-		return v.Any[i].IsNull()
-	}
-	return v.rows != nil && v.rows[i][v.col].IsNull()
+	return v.Any != nil && v.Any[i].IsNull()
 }
 
 // SetNull marks payload position i NULL. Callers writing through SetNull
@@ -304,35 +291,23 @@ func (v *Vector) Get(i int) types.Value {
 	case types.KindTimestamp:
 		return types.NewTimestamp(v.I64[i])
 	}
-	if v.rows != nil {
-		return v.rows[i][v.col]
-	}
 	return types.Null
 }
 
-// Batch is the executor's unit of exchange: N aligned positions under a
-// selection vector. Sel == nil means every position 0..N-1 is live;
-// otherwise Sel lists the live positions in ascending order. Filters narrow
-// Sel; payloads are never compacted, so a batch flows through a pipeline
-// without copying.
-//
-// A batch has one of two backings. NewBatch wraps column vectors (a scan
-// stride, a projection's outputs, join output, group results, sorted
-// rows). FromRows wraps rows a producer already holds as rows: VALUES, a
-// non-SELECT statement's result in StreamParsed, the system views, the
-// extern and fluid nicknames, cloudstore and EncodeRowBlock. Row hands
-// those same rows back, and a kernel that asks for a column through Col
-// gets a view of them. A column-built batch may be owned, its payloads
-// pooled and returned by Release (pool.go).
+// Batch is the executor's unit of exchange: N aligned positions of column
+// vectors under a selection vector. Sel == nil means every position
+// 0..N-1 is live; otherwise Sel lists the live positions in ascending
+// order. Filters narrow Sel; payloads are never compacted, so a batch
+// flows through a pipeline without copying. A batch may be owned, its
+// payloads pooled and returned by Release (pool.go).
 type Batch struct {
 	Schema types.Schema
 	N      int
 	Sel    []int
 
-	cols  []*Vector   // column-built: all set; row-built: filled by Col on demand
-	rows  []types.Row // row-built: position i is rows[i]
-	dense []int       // cached 0..N-1 for Idx when Sel is nil and N > PoolCap
-	owns  []*Vector   // the vectors whose pooled payloads Release returns; nil = unowned
+	cols  []*Vector
+	dense []int     // cached 0..N-1 for Idx when Sel is nil and N > PoolCap
+	owns  []*Vector // the vectors whose pooled payloads Release returns; nil = unowned
 }
 
 // NewBatch returns a batch of n positions over column vectors.
@@ -340,31 +315,54 @@ func NewBatch(schema types.Schema, cols []*Vector, n int) *Batch {
 	return &Batch{Schema: schema, N: n, cols: cols}
 }
 
-// FromRows returns a batch whose position i is rows[i], for a producer
-// whose data is rows already (see Batch); operators build their output as
-// columns. The batch shares the rows; neither the caller nor any consumer
-// may modify them afterwards.
+// FromRows returns rows as a batch, for a producer whose data is rows
+// (VALUES, a non-SELECT statement's result, the system views, the
+// nicknames, EncodeRowBlock). By the rule a block applies (unbox), a
+// column whose values, NULLs included, share one lane kind is a typed lane
+// and any other is boxed. Without rows the width is the schema's.
 func FromRows(schema types.Schema, rows []types.Row) *Batch {
 	width := len(schema)
 	if len(rows) > 0 {
 		width = len(rows[0])
 	}
-	return &Batch{Schema: schema, N: len(rows), rows: rows, cols: make([]*Vector, width)}
+	cols := make([]*Vector, width)
+	for j := range cols {
+		cols[j] = New(types.KindNull, 0)
+		if len(rows) > 0 {
+			cols[j] = New(rows[0][j].Kind(), len(rows))
+		}
+	}
+	for i, r := range rows {
+		for j, v := range cols {
+			if v.Any == nil && r[j].Kind() != v.Kind { // kinds mix: box the column
+				v = New(types.KindNull, len(rows))
+				for k := range i {
+					v.Any[k] = rows[k][j]
+				}
+				cols[j] = v
+			}
+			switch x := &r[j]; {
+			case v.Any != nil:
+				v.Any[i] = *x
+			case x.IsNull():
+				v.SetNull(i)
+			case v.I64 != nil:
+				v.I64[i] = x.Int()
+			case v.F64 != nil:
+				v.F64[i] = x.Float()
+			default:
+				v.Str[i] = x.Str()
+			}
+		}
+	}
+	return NewBatch(schema, cols, len(rows))
 }
 
 // NumCols returns the number of columns.
 func (b *Batch) NumCols() int { return len(b.cols) }
 
-// Col returns column j as a vector. On a row-built batch it is a view of
-// the rows, made on the first call for that column: a KindNull vector, so
-// kernels take their generic arms, which handle every value kind, and no
-// value is copied. WithSel copies share it.
-func (b *Batch) Col(j int) *Vector {
-	if b.cols[j] == nil {
-		b.cols[j] = &Vector{rows: b.rows, col: j}
-	}
-	return b.cols[j]
-}
+// Col returns column j.
+func (b *Batch) Col(j int) *Vector { return b.cols[j] }
 
 // Rows returns the number of live positions.
 func (b *Batch) Rows() int {
@@ -415,20 +413,20 @@ func (b *Batch) WithSel(sel []int) *Batch {
 	return &nb
 }
 
-// AppendRows appends the live rows to dst in position order, as Row would
-// return them. A column-built batch boxes its rows into one slab of values
-// per call, each row capped at its width, so an append to one row
-// reallocates it instead of overwriting the next.
+// WithCol returns an unowned shallow copy of the batch whose column j is
+// v, sharing the other columns and the selection.
+func (b *Batch) WithCol(j int, v *Vector) *Batch {
+	nb := b.WithSel(b.Sel)
+	nb.cols = slices.Clone(b.cols)
+	nb.cols[j] = v
+	return nb
+}
+
+// AppendRows boxes the live rows into dst in position order: one slab of
+// values per call, each row capped at its width, so an append to one row
+// reallocates it instead of overwriting the next. The rows are the
+// caller's.
 func (b *Batch) AppendRows(dst []types.Row) []types.Row {
-	if b.rows != nil {
-		if b.Sel == nil {
-			return append(dst, b.rows...)
-		}
-		for _, i := range b.Sel {
-			dst = append(dst, b.rows[i])
-		}
-		return dst
-	}
 	idx, w := b.Idx(), len(b.cols)
 	if cap(dst)-len(dst) < len(idx) {
 		// Double at least, so a caller appending batch after batch copies
@@ -451,8 +449,6 @@ func (b *Batch) AppendRows(dst []types.Row) []types.Row {
 // Vector.Materialize).
 func (b *Batch) Decode() {
 	for _, cv := range b.cols {
-		if cv != nil {
-			cv.Materialize()
-		}
+		cv.Materialize()
 	}
 }

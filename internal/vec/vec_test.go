@@ -114,61 +114,80 @@ func TestBatchRowIntoAndDecode(t *testing.T) {
 	}
 }
 
-// TestFromRows: a row-built batch hands back the rows it was given — same
-// backing arrays, typed NULLs intact, nothing allocated — under any
-// selection, and boxes a column only when asked, once, shared by WithSel
-// views and equal to the rows' values.
+// TestFromRows: a batch built from rows is columns. A column whose values,
+// NULLs included, share one lane kind is a typed lane of it, NULLs in its
+// bitmap; any other column (mixed kinds, an untyped NULL) is boxed. Every
+// value reads back as it went in, under any selection, and the batch's
+// block is the bytes the same values make as boxed columns.
 func TestFromRows(t *testing.T) {
-	rows := []types.Row{
-		{types.NewInt(1), types.NewString("a")},
-		{types.NullOf(types.KindInt), types.NewString("b")},
-		{types.NewFloat(2.5), types.Null}, // mixed kinds in one column
+	lanes := []types.Row{
+		{types.NewInt(1), types.NewFloat(2.5), types.NewString("a"), types.NewDate(17000), types.NewTimestamp(1_500_000), types.NewBool(true)},
+		{types.NullOf(types.KindInt), types.NewFloat(-1), types.NullOf(types.KindString), types.NullOf(types.KindDate), types.NewTimestamp(7), types.NullOf(types.KindBool)},
+		{types.NewInt(-3), types.NullOf(types.KindFloat), types.NewString(""), types.NewDate(-2), types.NullOf(types.KindTimestamp), types.NewBool(false)},
 	}
-	b := FromRows(types.Schema{{Name: "x"}, {Name: "y"}}, rows)
-	if b.N != 3 || b.Rows() != 3 || b.NumCols() != 2 {
-		t.Fatalf("N %d rows %d cols %d", b.N, b.Rows(), b.NumCols())
+	boxed := []types.Row{
+		{types.NewInt(1), types.Null, types.NullOf(types.KindInt)},
+		{types.NewFloat(2.5), types.NewInt(4), types.Null},
+		{types.NullOf(types.KindInt), types.NewInt(5), types.NullOf(types.KindString)},
 	}
-	for i := range rows {
-		if got := b.WithSel([]int{i}).AppendRows(nil); &got[0][0] != &rows[i][0] {
-			t.Fatalf("row %d is not the row the batch was built from", i)
+	for name, tc := range map[string]struct {
+		rows  []types.Row
+		kinds []types.Kind // each column's vector kind; KindNull is boxed
+	}{
+		"one kind a column": {lanes, []types.Kind{types.KindInt, types.KindFloat, types.KindString, types.KindDate, types.KindTimestamp, types.KindBool}},
+		"mixed kinds":       {boxed, []types.Kind{types.KindNull, types.KindNull, types.KindNull}},
+	} {
+		b := FromRows(nil, tc.rows)
+		if b.N != 3 || b.Rows() != 3 || b.NumCols() != len(tc.kinds) {
+			t.Fatalf("%s: N %d rows %d cols %d", name, b.N, b.Rows(), b.NumCols())
 		}
-	}
-	if k := b.AppendRows(nil)[1][0]; !k.IsNull() || k.Kind() != types.KindInt {
-		t.Fatalf("typed NULL lost: %v", k)
-	}
-	dst := make([]types.Row, 0, len(rows))
-	if n := testing.AllocsPerRun(100, func() { _ = b.AppendRows(dst[:0]) }); n != 0 {
-		t.Fatalf("AppendRows allocates %v times on a row-built batch", n)
-	}
-	if got := b.AppendRows(nil); len(got) != 3 || &got[2][0] != &rows[2][0] {
-		t.Fatalf("AppendRows: %v", got)
-	}
-	view := b.WithSel([]int{0, 2})
-	if got := view.AppendRows(nil); len(got) != 2 || &got[1][0] != &rows[2][0] {
-		t.Fatalf("AppendRows under a selection: %v", got)
-	}
-	col := view.Col(0)
-	if col != b.Col(0) || col != view.Col(0) {
-		t.Fatal("a boxed column must be built once and shared by every view")
-	}
-	if col.Kind != types.KindNull || col.Len() != 3 || !col.IsNull(1) || col.Get(1).Kind() != types.KindInt {
-		t.Fatalf("boxed column: kind %v len %d null(1) %v", col.Kind, col.Len(), col.IsNull(1))
-	}
-	for i, r := range rows {
-		for j := range r {
-			if got := b.Col(j).Get(i); !reflect.DeepEqual(got, r[j]) {
-				t.Fatalf("Col(%d).Get(%d) = %v, row holds %v", j, i, got, r[j])
+		for j, kind := range tc.kinds {
+			v := b.Col(j)
+			if v.Kind != kind || (kind == types.KindNull) != (v.Any != nil) || v.Len() != 3 {
+				t.Fatalf("%s: column %d is %v (boxed %v), want %v", name, j, v.Kind, v.Any != nil, kind)
+			}
+			for i, r := range tc.rows {
+				if got := v.Get(i); !reflect.DeepEqual(got, r[j]) || v.IsNull(i) != r[j].IsNull() {
+					t.Fatalf("%s: Col(%d).Get(%d) = %v, row holds %v", name, j, i, got, r[j])
+				}
 			}
 		}
+		if got := b.WithSel([]int{0, 2}).AppendRows(nil); !reflect.DeepEqual(got, []types.Row{tc.rows[0], tc.rows[2]}) {
+			t.Fatalf("%s: AppendRows under a selection: %v", name, got)
+		}
+		cols := make([]*Vector, len(tc.kinds))
+		for j := range cols {
+			cols[j] = New(types.KindNull, len(tc.rows))
+			for i, r := range tc.rows {
+				cols[j].Any[i] = r[j]
+			}
+		}
+		want, err := AppendBlock(nil, NewBatch(nil, cols, len(tc.rows)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := AppendBlock(nil, b); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: block %x, boxed columns make %x (%v)", name, got, want, err)
+		}
 	}
-	b.Decode() // nothing encoded: a no-op
-	if &b.AppendRows(nil)[0][0] != &rows[0][0] {
-		t.Fatal("Decode disturbed a row-built batch")
-	}
-
 	// No rows: the width comes from the schema.
 	if e := FromRows(types.Schema{{Name: "x"}}, nil); e.N != 0 || e.NumCols() != 1 || len(e.AppendRows(nil)) != 0 || e.Col(0).Len() != 0 {
-		t.Fatal("empty row-built batch")
+		t.Fatal("empty batch from rows")
+	}
+}
+
+// TestWithCol: WithCol replaces one column of an unowned copy and keeps
+// the other columns, the selection and the original as they were.
+func TestWithCol(t *testing.T) {
+	b, _ := testBatch(t)
+	b.Own()
+	view := b.WithSel([]int{1, 3, 4}).WithCol(0, NewConst(types.NewInt(9)))
+	if b.Col(0).Const || view.Col(1) != b.Col(1) || !reflect.DeepEqual(view.Sel, []int{1, 3, 4}) || view.owns != nil {
+		t.Fatal("WithCol must replace one column of an unowned copy and keep the rest and the selection")
+	}
+	rows := view.AppendRows(nil)
+	if len(rows) != 3 || rows[2][0].Int() != 9 || !reflect.DeepEqual(rows[1][1:], b.WithSel([]int{3}).AppendRows(nil)[0][1:]) {
+		t.Fatalf("rows through WithCol: %v", rows)
 	}
 }
 
