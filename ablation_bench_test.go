@@ -36,7 +36,7 @@ func BenchmarkAblationCompressedPredicates(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		snap := ablationTable.Snapshot()
 		n := 0
-		err := snap.Scan(ablationPred, 1, nil, func(_ int, batch *columnar.Batch) bool {
+		err := snap.Scan(ablationPred, nil, 1, nil, func(_ int, batch *columnar.Batch) bool {
 			n += batch.Len()
 			return true
 		})

@@ -131,7 +131,7 @@ func BenchmarkFigDDataSkipping(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t.ResetStats()
 		snap := t.Snapshot()
-		err := snap.Scan([]columnar.Pred{{Col: 2, Op: encoding.OpGE, Val: lo}}, 1, nil, func(int, *columnar.Batch) bool { return true })
+		err := snap.Scan([]columnar.Pred{{Col: 2, Op: encoding.OpGE, Val: lo}}, nil, 1, nil, func(int, *columnar.Batch) bool { return true })
 		snap.Release()
 		if err != nil {
 			b.Fatal(err)

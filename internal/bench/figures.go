@@ -391,7 +391,7 @@ func scanCount(t *columnar.Table, preds []columnar.Pred, dop int, ss *telemetry.
 	snap := t.Snapshot()
 	defer snap.Release()
 	var n atomic.Int64
-	err := snap.Scan(preds, dop, ss, func(_ int, b *columnar.Batch) bool {
+	err := snap.Scan(preds, nil, dop, ss, func(_ int, b *columnar.Batch) bool {
 		n.Add(int64(b.Len()))
 		return true
 	})

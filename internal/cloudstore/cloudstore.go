@@ -213,7 +213,7 @@ func (s *Store) Execute(st *workload.Statement) (int, error) {
 // DELETE as one columnar Change.
 func changeWhere(t *columnar.Table, preds []columnar.Pred, set map[int]types.Value) (int, error) {
 	return t.Change(func(snap *columnar.Snapshot) (del []int64, add []*vec.Batch, err error) {
-		scanErr := snap.Scan(preds, 1, nil, func(_ int, b *columnar.Batch) bool {
+		scanErr := snap.Scan(preds, nil, 1, nil, func(_ int, b *columnar.Batch) bool {
 			for i := 0; i < b.Len(); i++ {
 				del = append(del, b.RowID(i))
 			}

@@ -104,7 +104,7 @@ func TestChangePinnedReaders(t *testing.T) {
 				snap := tbl.Snapshot()
 				var mu sync.Mutex
 				seen := map[int64]int{}
-				err := snap.Scan(nil, dop, nil, func(_ int, b *Batch) bool {
+				err := snap.Scan(nil, nil, dop, nil, func(_ int, b *Batch) bool {
 					mu.Lock()
 					defer mu.Unlock()
 					for i := 0; i < b.Len(); i++ {
@@ -136,7 +136,7 @@ func TestChangePinnedReaders(t *testing.T) {
 		epoch := tbl.SnapshotInfo().Epoch
 		got, err := tbl.Change(func(snap *Snapshot) (del []int64, add []*vec.Batch, err error) {
 			var rows []types.Row
-			err = snap.Scan(nil, 1, nil, func(_ int, b *Batch) bool {
+			err = snap.Scan(nil, nil, 1, nil, func(_ int, b *Batch) bool {
 				for i := 0; i < b.Len(); i++ {
 					del = append(del, b.RowID(i))
 					row := b.Row(i)

@@ -29,7 +29,7 @@ func scanSerial[S source](src S, preds []Pred, fn func(b *Batch) bool) error {
 func scanDop[S source](src S, preds []Pred, dop int, fn func(worker int, b *Batch) bool) error {
 	snap, release := pin(src)
 	defer release()
-	return snap.Scan(preds, dop, nil, fn)
+	return snap.Scan(preds, nil, dop, nil, fn)
 }
 
 // scanNaive runs src's decode-then-evaluate ablation scan.
@@ -68,7 +68,7 @@ func selectWhere[S source](src S, preds []Pred) ([]types.Row, error) {
 func updateWhere(t *Table, preds []Pred, set map[int]types.Value) (int, error) {
 	return t.Change(func(snap *Snapshot) (del []int64, add []*vec.Batch, err error) {
 		var rows []types.Row
-		err = snap.Scan(preds, 1, nil, func(_ int, b *Batch) bool {
+		err = snap.Scan(preds, nil, 1, nil, func(_ int, b *Batch) bool {
 			for i := 0; i < b.Len(); i++ {
 				del = append(del, b.RowID(i))
 				if set != nil {

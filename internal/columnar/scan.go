@@ -2,6 +2,7 @@ package columnar
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -18,6 +19,58 @@ type Pred struct {
 	Col int
 	Op  encoding.CmpOp
 	Val types.Value
+}
+
+// Bound is a scan's one bound that only tightens: column Col, OpLE or OpGE,
+// and a value an operator above the scan publishes while the scan runs — a
+// bounded sort its Bound-th leading key, a group-by under a key-ordered
+// LIMIT its Bound-th group key. A row on the far side of the value cannot
+// reach the statement's answer, so the scan neither selects nor decodes it.
+// Until a value is published the bound admits every row.
+//
+// Producers order NULLs first ascending and last descending, and a
+// comparison never keeps a NULL, so the scan applies an OpLE bound only to
+// a column that holds no NULL in its pinned epoch; an OpGE bound drops
+// NULLs, which sort after every value it keeps.
+type Bound struct {
+	Col int
+	Op  encoding.CmpOp
+	val atomic.Pointer[types.Value]
+}
+
+// NewBound returns a bound on column col with no value yet; op is OpLE or
+// OpGE.
+func NewBound(col int, op encoding.CmpOp) *Bound { return &Bound{Col: col, Op: op} }
+
+// Tighten publishes v when it is tighter than the current value: smaller
+// under OpLE, larger under OpGE. A NULL never tightens. Safe for
+// concurrent use.
+func (b *Bound) Tighten(v types.Value) {
+	if v.IsNull() {
+		return
+	}
+	for {
+		cur := b.val.Load()
+		if cur != nil {
+			if c := types.Compare(v, *cur); c == 0 || (c < 0) != (b.Op == encoding.OpLE) {
+				return
+			}
+		}
+		if b.val.CompareAndSwap(cur, &v) {
+			return
+		}
+	}
+}
+
+// Reset forgets the value, for a statement that runs its scan again.
+func (b *Bound) Reset() { b.val.Store(nil) }
+
+// Value returns the bound's current value; ok is false before the first.
+func (b *Bound) Value() (v types.Value, ok bool) {
+	if p := b.val.Load(); p != nil {
+		return *p, true
+	}
+	return types.Null, false
 }
 
 // Batch is one stride's worth of selected tuples handed to the scan
@@ -151,13 +204,18 @@ type encPredicates []encoding.Predicate
 // the callback: the worker delivers its next stride through the same
 // batch.
 //
+// bound, when not nil, is read once a morsel by every worker: a value it
+// has not seen is translated to code space like a conjunct of preds and
+// joins the conjunction from that morsel on, so skipping and selection
+// both apply it, and a value that no code can satisfy ends the scan.
+//
 // fn returning false stops the scan; other workers stop at their next
 // morsel boundary. ss, when not nil, receives each worker's stride
 // visits, synopsis skips and delivered rows in that worker's ScanShard
 // with plain increments — Scan returns only after every worker has.
 // Storage failures in any worker, including page-load panics raised by
 // lazy materialization inside fn, abort the scan and are returned.
-func (s *Snapshot) Scan(preds []Pred, dop int, ss *telemetry.ScanStats, fn func(worker int, b *Batch) bool) error {
+func (s *Snapshot) Scan(preds []Pred, bound *Bound, dop int, ss *telemetry.ScanStats, fn func(worker int, b *Batch) bool) error {
 	t, st := s.t, s.state()
 	if st.rows == 0 {
 		return nil
@@ -165,12 +223,20 @@ func (s *Snapshot) Scan(preds []Pred, dop int, ss *telemetry.ScanStats, fn func(
 	if err := t.checkPreds(preds); err != nil {
 		return err
 	}
+	if bound != nil {
+		if err := t.checkPreds([]Pred{{Col: bound.Col}}); err != nil {
+			return err
+		}
+		if bound.Op == encoding.OpLE && st.holdsNull(bound.Col) {
+			bound = nil // it would drop the NULLs, which sort first
+		}
+	}
 	trans, none := st.translatePreds(preds)
 	if none {
 		return nil // a false conjunct kills the whole scan
 	}
 
-	r := &scanRun{t: t, st: st, preds: preds, trans: trans, ss: ss, fn: fn, morsels: st.strides()}
+	r := &scanRun{t: t, st: st, preds: preds, trans: trans, bound: bound, ss: ss, fn: fn, morsels: st.strides()}
 	if dop = min(dop, r.morsels); dop <= 1 {
 		r.work(0)
 		return r.err
@@ -193,6 +259,7 @@ type scanRun struct {
 	st      *tableState
 	preds   []Pred
 	trans   encPredicates
+	bound   *Bound
 	ss      *telemetry.ScanStats
 	fn      func(worker int, b *Batch) bool
 	morsels int
@@ -223,12 +290,17 @@ func (r *scanRun) drain(worker int) (err error) {
 			sc.put()
 		}
 	}()
+	view := boundView{preds: r.preds, trans: r.trans}
 	for !r.stop.Load() {
 		m := int(r.next.Add(1)) - 1
 		if m >= r.morsels {
 			return nil
 		}
-		if r.st.skipStride(m, r.preds, r.trans) {
+		if r.bound != nil && view.stale(r.bound) && !view.refresh(r) {
+			r.stop.Store(true) // no row of the table is within the bound
+			return nil
+		}
+		if r.st.skipStride(m, view.preds, view.trans) {
 			r.t.stats.stridesSkipped.Add(1)
 			sh.Skip()
 			continue
@@ -236,7 +308,7 @@ func (r *scanRun) drain(worker int) (err error) {
 		if sc == nil {
 			sc = scratchPool.Get().(*scanScratch)
 		}
-		b, err := r.st.visit(r.t, m, r.preds, r.trans, sh, sc)
+		b, err := r.st.visit(r.t, m, view.preds, view.trans, sh, sc)
 		if err != nil {
 			return err
 		}
@@ -245,6 +317,51 @@ func (r *scanRun) drain(worker int) (err error) {
 		}
 	}
 	return nil
+}
+
+// boundView is one worker's translation of its scan's bound: the value it
+// last read, and the scan's conjunction with that value's conjunct last
+// once there is one.
+type boundView struct {
+	seen  *types.Value
+	preds []Pred
+	trans encPredicates
+}
+
+// stale reports whether the bound holds a value the worker has not
+// translated: one atomic load a morsel.
+//
+//dashdb:hotpath
+func (v *boundView) stale(b *Bound) bool { return b.val.Load() != v.seen }
+
+// refresh translates the bound's current value through the column's
+// encoder into the worker's conjunction, once per value the worker sees.
+// It reports false when no code can satisfy the value.
+func (v *boundView) refresh(r *scanRun) bool {
+	v.seen = r.bound.val.Load()
+	p := Pred{Col: r.bound.Col, Op: r.bound.Op, Val: *v.seen}
+	tp := r.st.cols[p.Col].enc.Translate(p.Op, p.Val)
+	if tp.None {
+		return false
+	}
+	if n := len(r.preds); len(v.preds) > n {
+		v.preds[n], v.trans[n] = p, tp
+	} else {
+		v.preds = append(slices.Clip(r.preds), p)
+		v.trans = append(slices.Clip(r.trans), tp)
+	}
+	return true
+}
+
+// holdsNull reports whether column ci holds a NULL in this epoch, deleted
+// rows included.
+func (st *tableState) holdsNull(ci int) bool {
+	for s := range st.strides() {
+		if st.cols[ci].entry(s).NullCnt > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // recoverScanPanic converts page-load panics raised inside batch

@@ -484,8 +484,10 @@ func (t *Table) tombstoneLocked(rids []int64) int {
 // Conform is the live rows of bs, in order, as one batch of schema's typed
 // lanes, or the first refused value's error. A lone batch with no
 // selection lends its lanes of their columns' kinds; any other column is
-// copied into a new lane, through Schema.Check unless it is a lane or
-// codes of the column's kind. NOT NULL is checked on every lane.
+// copied into a new lane: a lane, a constant or codes of the column's kind
+// by a typed loop (codes through their dictionary snapshot), anything else
+// a value at a time through Schema.Check. NOT NULL is
+// checked on every lane.
 func Conform(schema types.Schema, bs ...*vec.Batch) (*vec.Batch, error) {
 	var live []*vec.Batch
 	n := 0
@@ -509,15 +511,16 @@ func Conform(schema types.Schema, bs ...*vec.Batch) (*vec.Batch, error) {
 			lanes[j] = vec.New(col.Kind, n)
 			at := 0
 			for _, b := range live {
-				v := b.Col(j)
-				ofKind := v.Kind == col.Kind && v.Any == nil // a lane or codes: no value to check
-				for _, i := range b.Idx() {
-					x := v.Get(i)
-					if !ofKind {
-						var err error
-						if x, err = schema.Check(j, x); err != nil {
-							return nil, err
-						}
+				v, idx := b.Col(j), b.Idx()
+				if v.Kind == col.Kind && v.Any == nil { // a lane or codes: no value to check
+					copyLane(lanes[j], v, idx, at)
+					at += len(idx)
+					continue
+				}
+				for _, i := range idx {
+					x, err := schema.Check(j, v.Get(i))
+					if err != nil {
+						return nil, err
 					}
 					lanes[j].Set(at, x)
 					at++
@@ -530,6 +533,48 @@ func Conform(schema types.Schema, bs ...*vec.Batch) (*vec.Batch, error) {
 		}
 	}
 	return vec.NewBatch(schema, lanes, n), nil
+}
+
+// copyLane copies positions idx of v, a typed lane, constant or code
+// vector of dst's kind, to dst from row at: a payload a slice at a time,
+// codes through the dictionary snapshot the vector holds, a NULL as a zero
+// payload and its bit, as Vector.Set leaves one.
+func copyLane(dst, v *vec.Vector, idx []int, at int) {
+	switch {
+	case v.Encoded():
+		dom := v.Dom()
+		for r, i := range idx {
+			if v.Nulls == nil || !v.Nulls.Get(i) {
+				dst.Set(at+r, dom[v.Codes[i]])
+			}
+		}
+	case dst.I64 != nil:
+		copyPayload(dst.I64[at:], v.I64, v, idx)
+	case dst.F64 != nil:
+		copyPayload(dst.F64[at:], v.F64, v, idx)
+	case dst.Str != nil:
+		copyPayload(dst.Str[at:], v.Str, v, idx)
+	}
+	if v.Nulls != nil {
+		for r, i := range idx {
+			if v.Nulls.Get(v.Ix(i)) {
+				dst.SetNull(at + r)
+			}
+		}
+	}
+}
+
+// copyPayload sets dst[r] to src at position idx[r] of v, or to zero where
+// that position is NULL.
+func copyPayload[T any](dst, src []T, v *vec.Vector, idx []int) {
+	var zero T
+	for r, i := range idx {
+		if i = v.Ix(i); v.Nulls != nil && v.Nulls.Get(i) {
+			dst[r] = zero
+		} else {
+			dst[r] = src[i]
+		}
+	}
 }
 
 // isLane reports whether v is a plain typed lane of kind holding n rows.
@@ -648,21 +693,44 @@ func (t *Table) appendColumnLocked(ci int, v *vec.Vector, n int, w *appendScratc
 // analyzeLocked chooses an encoder for column ci, when it has none, from
 // the n rows of the lane v about to be loaded. A dictionary is built from
 // a leading sample of the lane; a frame of reference spans the whole lane,
-// because its extremes, found in one pass, join the sample.
+// because its extremes, found in one pass, join the sample. The sample is
+// read as the lane's typed payload: only a dictionary's distinct values
+// are boxed.
 func (t *Table) analyzeLocked(ci int, v *vec.Vector, n int) {
 	c, kind := t.cols[ci], t.schema[ci].Kind
 	if c.enc != nil {
 		return
 	}
 	m := min(n, t.analyzeSample)
-	sample := make([]types.Value, m, m+2)
-	for i := range sample {
-		sample[i] = v.Get(i)
+	var s encoding.Sample
+	switch kind {
+	case types.KindFloat:
+		lo, hi := floatSpan(v.F64, v.Nulls)
+		s.F64 = present(v.F64[:m], v.Nulls)
+		if lo <= hi {
+			s.F64 = append(s.F64, lo, hi)
+		}
+	case types.KindString:
+		s.Str = present(v.Str[:m], v.Nulls)
+	default:
+		s.I64 = present(v.I64[:m], v.Nulls)
+		if lo, hi := intSpan(v.I64, v.Nulls); lo <= hi && kind != types.KindBool {
+			s.I64 = append(s.I64, lo, hi)
+		}
 	}
-	if lo, hi, ok := extremes(v, kind); ok {
-		sample = append(sample, lo, hi)
+	c.enc = encoding.ChooseEncoderOf(kind, s)
+}
+
+// present returns the values of vals that nulls (nil: none) does not set,
+// in a new slice with room for two more.
+func present[T any](vals []T, nulls *bitpack.Bitmap) []T {
+	out := make([]T, 0, len(vals)+2)
+	for i, x := range vals {
+		if nulls == nil || !nulls.Get(i) {
+			out = append(out, x)
+		}
 	}
-	c.enc = encoding.ChooseEncoder(kind, sample)
+	return out
 }
 
 // extremes returns the smallest and largest non-NULL values of the lane v

@@ -291,7 +291,7 @@ func TestTailEpochsUnderAppends(t *testing.T) {
 func readEpoch(snap *Snapshot) error {
 	n := snap.Rows()
 	next := 0
-	err := snap.Scan(nil, 1, nil, func(_ int, b *Batch) bool {
+	err := snap.Scan(nil, nil, 1, nil, func(_ int, b *Batch) bool {
 		vs := b.VectorsEnc(nil, nil)
 		for k := 0; k < b.Len(); k++ {
 			want := openRow(next)

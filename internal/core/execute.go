@@ -243,7 +243,7 @@ func (s *Session) change(tbl *columnar.Table, where sql.Expr, set func(vb *vec.B
 		return 0, err
 	}
 	return tbl.Change(func(snap *columnar.Snapshot) (del []int64, add []*vec.Batch, err error) {
-		scanErr := snap.Scan(preds, 1, nil, func(_ int, b *columnar.Batch) bool {
+		scanErr := snap.Scan(preds, nil, 1, nil, func(_ int, b *columnar.Batch) bool {
 			vb := vec.NewBatch(tbl.Schema(), b.VectorsEnc(nil, nil), b.Len())
 			vb.Own()
 			if residual != nil {

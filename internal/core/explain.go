@@ -190,6 +190,11 @@ func collectOp(op exec.Operator, depth int, st *telemetry.OpStats, out *[]planEn
 		}
 		e := add(desc)
 		e.scan, e.est = o.ScanStats, o.EstRows
+		if o.Bound != nil {
+			if v, ok := o.Bound.Value(); ok {
+				e.analyzeExtra = " [bound: " + predString(o.Table, []columnar.Pred{{Col: o.Bound.Col, Op: o.Bound.Op, Val: v}}) + "]"
+			}
+		}
 	case *exec.FilterOp:
 		text := "FILTER" + mode(o.Pred)
 		if exec.PredCompressible(o.Pred, exec.CompressedCols(o.Child)) {

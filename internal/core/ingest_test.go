@@ -292,7 +292,7 @@ func TestDropRacingQueries(t *testing.T) {
 	// The pinned snapshot still reads the dropped table's data: pages are
 	// reclaimed only when the epoch drains.
 	n := 0
-	if err := snap.Scan(nil, 1, nil, func(_ int, b *columnar.Batch) bool { n += b.Len(); return true }); err != nil {
+	if err := snap.Scan(nil, nil, 1, nil, func(_ int, b *columnar.Batch) bool { n += b.Len(); return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 2000 {

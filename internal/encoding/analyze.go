@@ -1,6 +1,9 @@
 package encoding
 
 import (
+	"math"
+	"slices"
+
 	"dashdb/internal/types"
 )
 
@@ -74,50 +77,116 @@ func ChooseEncoder(kind types.Kind, sample []types.Value) Encoder {
 	case types.KindBool:
 		return NewIntFOR(0, 1, kind)
 	case types.KindFloat:
-		// Fixed-point floats (prices, amounts) become scaled minus codes;
-		// other floats fall back to the dictionary.
-		if scale := fixedPointScale(nonNull); scale > 0 {
-			if min, max, ok := scaledRange(nonNull, scale); ok {
-				if lo, hi, fits := padFrame(min, max, int64(scale)); fits {
-					return NewFloatFOR(lo, hi, scale)
-				}
+		if fs, ok := floatsOf(nonNull); ok {
+			if e := chooseFloatFOR(fs); e != nil {
+				return e
 			}
 		}
-		return BuildDict(kind, nonNull)
 	case types.KindInt, types.KindDate, types.KindTimestamp:
-		if min, max, ok := intRange(nonNull); ok {
-			if lo, hi, fits := padFrame(min, max, 1); fits {
-				return NewIntFOR(lo, hi, kind)
+		if is, ok := intsOf(nonNull); ok {
+			if e := chooseIntFOR(kind, is); e != nil {
+				return e
 			}
 		}
-		return BuildDict(kind, nonNull)
-	default:
-		return BuildDict(kind, nonNull)
 	}
+	return BuildDict(kind, nonNull)
 }
 
-// scaledRange returns the min and max of sample values scaled to fixed
-// point.
-func scaledRange(sample []types.Value, scale float64) (min, max int64, ok bool) {
-	first := true
-	for _, v := range sample {
-		f, isNum := v.AsFloat()
-		if !isNum {
-			return 0, 0, false
+// Sample is the non-NULL values of a column sample as the column kind's
+// typed payload: I64 for the integral kinds and BOOLEAN, F64 for DOUBLE,
+// Str for strings; the others are nil.
+type Sample struct {
+	I64 []int64
+	F64 []float64
+	Str []string
+}
+
+// ChooseEncoderOf is ChooseEncoder over a typed sample, with no value
+// boxed but a dictionary's distinct ones: the encoder is the one
+// ChooseEncoder picks for the same values boxed.
+func ChooseEncoderOf(kind types.Kind, s Sample) Encoder {
+	switch {
+	case len(s.I64)+len(s.F64)+len(s.Str) == 0:
+		return NewDict(kind)
+	case kind == types.KindBool:
+		return NewIntFOR(0, 1, kind)
+	case s.F64 != nil:
+		if e := chooseFloatFOR(s.F64); e != nil {
+			return e
 		}
-		i := int64(f*scale + 0.5*sign(f))
-		if first {
-			min, max, first = i, i, false
-			continue
+		return buildDictOf(kind, s.F64, types.NewFloat)
+	case s.I64 != nil:
+		if e := chooseIntFOR(kind, s.I64); e != nil {
+			return e
 		}
-		if i < min {
-			min = i
+		box := types.NewInt
+		switch kind {
+		case types.KindDate:
+			box = types.NewDate
+		case types.KindTimestamp:
+			box = types.NewTimestamp
 		}
-		if i > max {
-			max = i
+		return buildDictOf(kind, s.I64, box)
+	}
+	return buildDictOf(kind, s.Str, types.NewString)
+}
+
+// chooseFloatFOR is the fixed-point frame of reference of non-NULL floats
+// — prices, amounts — or nil when they are not all fixed-point at one
+// scale or their span does not fit.
+func chooseFloatFOR(fs []float64) Encoder {
+	if scale := fixedPointScale(fs); scale > 0 {
+		lo, hi := scaledRange(fs, scale)
+		if lo, hi, fits := padFrame(lo, hi, int64(scale)); fits {
+			return NewFloatFOR(lo, hi, scale)
 		}
 	}
-	return min, max, !first
+	return nil
+}
+
+// chooseIntFOR is the frame of reference of non-NULL integral values of
+// kind, or nil when their span does not fit.
+func chooseIntFOR(kind types.Kind, is []int64) Encoder {
+	if lo, hi, fits := padFrame(slices.Min(is), slices.Max(is), 1); fits {
+		return NewIntFOR(lo, hi, kind)
+	}
+	return nil
+}
+
+// floatsOf is values as floats; false when one is not a number.
+func floatsOf(values []types.Value) ([]float64, bool) {
+	fs := make([]float64, len(values))
+	for i, v := range values {
+		f, ok := v.AsFloat()
+		if !ok {
+			return nil, false
+		}
+		fs[i] = f
+	}
+	return fs, true
+}
+
+// intsOf is values as integers; false when one is not integral.
+func intsOf(values []types.Value) ([]int64, bool) {
+	is := make([]int64, len(values))
+	for i, v := range values {
+		x, ok := v.AsInt()
+		if !ok {
+			return nil, false
+		}
+		is[i] = x
+	}
+	return is, true
+}
+
+// scaledRange returns the min and max of floats scaled to fixed point.
+func scaledRange(fs []float64, scale float64) (lo, hi int64) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	for _, f := range fs {
+		i := int64(f*scale + 0.5*sign(f))
+		lo, hi = min(lo, i), max(hi, i)
+	}
+	return lo, hi
 }
 
 func sign(f float64) float64 {
@@ -125,28 +194,6 @@ func sign(f float64) float64 {
 		return -1
 	}
 	return 1
-}
-
-// intRange returns the min and max of integral values in the sample.
-func intRange(sample []types.Value) (min, max int64, ok bool) {
-	first := true
-	for _, v := range sample {
-		i, isInt := v.AsInt()
-		if !isInt {
-			return 0, 0, false
-		}
-		if first {
-			min, max, first = i, i, false
-			continue
-		}
-		if i < min {
-			min = i
-		}
-		if i > max {
-			max = i
-		}
-	}
-	return min, max, !first
 }
 
 // EstimateRawBytes returns the number of bytes the values would occupy in

@@ -123,16 +123,37 @@ func BuildDict(kind types.Kind, sample []types.Value) *Dict {
 		hist[cv]++
 		total++
 	}
-	// Each distinct value with its count, so ordering by frequency reads
-	// the count beside the value instead of hashing both per comparison.
-	type seen struct {
-		v types.Value
-		n int
-	}
 	distinct := make([]seen, 0, len(hist))
 	for v, n := range hist {
 		distinct = append(distinct, seen{v, n})
 	}
+	return dictOf(kind, distinct, total)
+}
+
+// buildDictOf is BuildDict over typed values of kind, all non-NULL: they
+// are counted as they are, and only the distinct ones are boxed.
+func buildDictOf[T comparable](kind types.Kind, vals []T, box func(T) types.Value) *Dict {
+	hist := make(map[T]int)
+	for _, x := range vals {
+		hist[x]++
+	}
+	distinct := make([]seen, 0, len(hist))
+	for x, n := range hist {
+		distinct = append(distinct, seen{box(x), n})
+	}
+	return dictOf(kind, distinct, len(vals))
+}
+
+// seen is a distinct value with its count, so ordering by frequency reads
+// the count beside the value instead of hashing both per comparison.
+type seen struct {
+	v types.Value
+	n int
+}
+
+// dictOf builds the dictionary of the distinct values of a sample of total
+// non-NULL values.
+func dictOf(kind types.Kind, distinct []seen, total int) *Dict {
 	// Pick the hot set: the smallest group of most-frequent values
 	// covering hotCoverage of all occurrences.
 	sort.Slice(distinct, func(i, j int) bool {

@@ -38,14 +38,10 @@ func exactFixedPoint(f, scale float64) (int64, bool) {
 
 // fixedPointScale returns the smallest scale at which every sample value
 // is exactly fixed-point, or 0 when none fits.
-func fixedPointScale(sample []types.Value) float64 {
+func fixedPointScale(sample []float64) float64 {
 	for _, scale := range floatForScales {
 		ok := true
-		for _, v := range sample {
-			f, isNum := v.AsFloat()
-			if !isNum {
-				return 0
-			}
+		for _, f := range sample {
 			if _, ok = exactFixedPoint(f, scale); !ok {
 				break
 			}

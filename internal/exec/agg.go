@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"dashdb/internal/columnar"
+	"dashdb/internal/encoding"
 	"dashdb/internal/mem"
 	"dashdb/internal/types"
 	"dashdb/internal/vec"
@@ -123,6 +125,16 @@ func percentileDisc(vals []float64, p float64) types.Value {
 // what it allocates; when a Grow is denied the worker spills its largest
 // partition (see groupTable) and the merge folds the spilled groups back in,
 // so results are identical to the in-memory path.
+//
+// Publish, set by the planner under a LIMIT whose leading ORDER BY key is
+// bare group key PublishKey (no HAVING or other filter in between), is the
+// bound of the columnar scan that key's column comes from: each worker
+// tightens it to the PublishN-th leading key among the groups it created
+// (leadKeys), so the scan stops delivering rows of groups the LIMIT drops,
+// and cuts each batch to that bound before grouping it, so what a batch
+// selected before the bound brings past it creates no group. The groups
+// within the bound see all their rows; those past it may be partial, and
+// the emit drops them.
 type GroupByOp struct {
 	Child     Operator
 	GroupBy   []Expr
@@ -130,6 +142,10 @@ type GroupByOp struct {
 	Aggs      []AggSpec
 	Gov       *mem.Governor
 	Dop       int // ingest workers wanted; see Workers for how many run
+
+	Publish    *columnar.Bound
+	PublishKey int
+	PublishN   int
 
 	res   *mem.Reservation // shared by all workers; mem counters are atomic
 	files []*mem.SpillFile // every worker's partition run files
@@ -291,6 +307,9 @@ func (g *GroupByOp) consume(stop *atomic.Bool) (t *groupTable, err error) {
 	keyVecs := make([]*vec.Vector, len(g.GroupBy))
 	argVecs := make([]*vec.Vector, len(g.Aggs))
 	arg2Vecs := make([]*vec.Vector, len(g.Aggs))
+	lead := newLeadKeys(g.Publish, g.PublishN)
+	var cells types.Row
+	var within []int
 	for !stop.Load() {
 		vb, err := g.Child.Next()
 		if err != nil || vb == nil {
@@ -317,12 +336,53 @@ func (g *GroupByOp) consume(stop *atomic.Bool) (t *groupTable, err error) {
 		if t == nil {
 			t = newGroupTable(g.shape, g.res, g.Aggs, argVecs)
 		}
-		if err := t.ingest(keyVecs, argVecs, arg2Vecs, vb.Sel, vb.Rows()); err != nil {
+		if lead == nil {
+			err = t.ingest(keyVecs, argVecs, arg2Vecs, vb.Sel, vb.Rows())
+		} else {
+			err = g.ingestBounded(t, lead, keyVecs, argVecs, arg2Vecs, vb.Idx(), &cells, &within)
+		}
+		if err != nil {
 			return t, err
 		}
 		vb.Release() // the table holds copies of all it needs
 	}
 	return t, nil
+}
+
+// ingestBounded folds the live rows idx of a batch into a worker's table
+// under a key-ordered LIMIT: a chunk at a time, each first cut to the rows
+// within the worker's running bound (leadKeys.within), and the groups each
+// chunk creates counted toward the next bound, which is published. The
+// rows a loose batch brings past the bound so create no group. cells and
+// within are the worker's scratch.
+func (g *GroupByOp) ingestBounded(t *groupTable, lead *leadKeys, keys, args, arg2s []*vec.Vector, idx []int, cells *types.Row, within *[]int) error {
+	for len(idx) > 0 {
+		n := min(len(idx), max(4*g.PublishN, 64))
+		part := idx[:n]
+		if cut := lead.within(keys[g.PublishKey], part, n, within); cut != nil {
+			part = cut
+		}
+		if idx = idx[n:]; len(part) == 0 {
+			continue
+		}
+		from, spilled := t.n, t.spilled
+		if err := t.ingest(keys, args, arg2s, part, len(part)); err != nil {
+			return err
+		}
+		if t.spilled != spilled {
+			// A spilled group may be created again: count the resident
+			// groups afresh, so none counts twice.
+			lead.reset()
+			from = 0
+		}
+		for id := from; id < t.n; id++ {
+			var x types.Value
+			x, *cells = t.keyValue(g.PublishKey, uint32(id), *cells)
+			lead.addCell(x)
+		}
+		lead.publish()
+	}
+	return nil
 }
 
 // merge folds the workers' tables and every spilled block into one table,
@@ -359,10 +419,16 @@ func (g *GroupByOp) merge(tables []*groupTable) (*groupTable, error) {
 // key order for Next. Late materialization: code-valued key cells decode
 // here, once per distinct group, and BEFORE the sort — frequency-partitioned
 // dictionary codes are not globally order-preserving, so sorting by code
-// would not be sorting by value.
+// would not be sorting by value. Under a published bound only the groups
+// within it are emitted (kept): the LIMIT above reaches none of the others.
 func (g *GroupByOp) emit(t *groupTable) error {
 	nk := len(g.GroupBy)
 	g.ids = t.ids
+	keep := g.kept(t)
+	n := t.n
+	if keep != nil {
+		n = len(keep)
+	}
 	cols := make([]*vec.Vector, nk, nk+len(g.Aggs))
 	keys := make([]sortCol, nk)
 	doms := make([][]types.Value, nk)
@@ -371,20 +437,24 @@ func (g *GroupByOp) emit(t *groupTable) error {
 		if t.ids == idsBytes && !t.shape.code[k] {
 			kind = types.KindNull // cells keep the kind they arrived with
 		}
-		cols[k] = vec.New(kind, t.n)
+		cols[k] = vec.New(kind, n)
 		keys[k] = sortCol{v: cols[k]}
 		if t.shape.code[k] {
 			doms[k] = t.shape.dicts[k].Snapshot()
 		}
 	}
 	var cells types.Row
-	for id := 0; id < t.n; id++ {
+	for r := range n {
+		id := r
+		if keep != nil {
+			id = keep[r]
+		}
 		cells = t.keyCells(cells[:0], uint32(id))
 		for k, c := range cells {
 			if doms[k] != nil && !c.IsNull() {
 				c = doms[k][c.Int()]
 			}
-			cols[k].Set(id, c)
+			cols[k].Set(r, c)
 		}
 	}
 	for _, l := range t.lanes {
@@ -392,13 +462,16 @@ func (g *GroupByOp) emit(t *groupTable) error {
 		if err != nil {
 			return err
 		}
+		if keep != nil {
+			col = gather(col, keep, 0, n)
+		}
 		if col.Nulls != nil && col.Any == nil {
 			// An aggregate over no values is the untyped NULL: a cluster's
 			// final statement computes it by expression over the shards'
 			// partials (AVG is CAST(SUM(_S) AS DOUBLE)/SUM(_C), NULL/NULL),
 			// and mpp's parity tests hold one engine to the same value, kind
 			// included (TestAvgMergeCorners).
-			boxed := vec.New(types.KindNull, t.n)
+			boxed := vec.New(types.KindNull, n)
 			for i := range boxed.Any {
 				if boxed.Any[i] = types.Null; !col.IsNull(i) {
 					boxed.Any[i] = col.Get(i)
@@ -410,8 +483,36 @@ func (g *GroupByOp) emit(t *groupTable) error {
 	}
 	g.groups = t.n
 	g.sorted = sortedCols{cols: cols}
-	g.sorted.sort(keys, t.n) // the keys are unique: the id tiebreak never decides
+	g.sorted.sort(keys, n) // the keys are unique: the id tiebreak never decides
 	return nil
+}
+
+// kept is the ids of the groups within the bound the group-by published,
+// in id order, or nil when it published none: under <= a NULL key or one
+// at most the value, under >= one at least the value. The groups past it
+// sort after PublishN groups within it.
+func (g *GroupByOp) kept(t *groupTable) []int {
+	if g.Publish == nil {
+		return nil
+	}
+	v, ok := g.Publish.Value()
+	if !ok {
+		return nil
+	}
+	var keep []int
+	var cells types.Row
+	for id := range t.n {
+		var x types.Value
+		x, cells = t.keyValue(g.PublishKey, uint32(id), cells)
+		within := g.Publish.Op == encoding.OpLE // NULLs sort first ascending
+		if !x.IsNull() {
+			within = g.Publish.Op.Eval(x, v)
+		}
+		if within {
+			keep = append(keep, id)
+		}
+	}
+	return keep
 }
 
 // CodeKeyed reports whether ingest can group at least one key on dictionary

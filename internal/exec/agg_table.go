@@ -123,7 +123,8 @@ type groupTable struct {
 	count     [aggPartitions]int64 // groups per partition
 	side      [aggPartitions]int64 // surcharge bytes per partition
 
-	spills [aggPartitions]*mem.SpillFile
+	spills  [aggPartitions]*mem.SpillFile
+	spilled int // partitions spilled so far
 
 	gids  []uint32 // the current batch's group ids, one per live row
 	words []uint64 // the current batch's key words
@@ -401,6 +402,17 @@ func (t *groupTable) keyCells(row types.Row, g uint32) types.Row {
 		}
 	}
 	return row
+}
+
+// keyValue is group g's key at position k as a value, a code decoded
+// through the position's dictionary; cells is scratch for its key cells.
+func (t *groupTable) keyValue(k int, g uint32, cells types.Row) (types.Value, types.Row) {
+	cells = t.keyCells(cells[:0], g)
+	x := cells[k]
+	if d := t.shape.dicts[k]; d != nil && !x.IsNull() {
+		x = d.Decode(uint64(x.Int()))
+	}
+	return x, cells
 }
 
 // partOf is the spill partition of a key of words: the one its canonical
@@ -896,6 +908,7 @@ func (t *groupTable) spillLargest() error {
 	}
 	t.res.NoteSpill(f.Size() - before)
 	t.drop(victim)
+	t.spilled++
 	return nil
 }
 

@@ -146,7 +146,7 @@ func tableRows(t testing.TB, tbl *columnar.Table) []types.Row {
 	var rows []types.Row
 	snap := tbl.Snapshot()
 	defer snap.Release()
-	err := snap.Scan(nil, 1, nil, func(_ int, b *columnar.Batch) bool {
+	err := snap.Scan(nil, nil, 1, nil, func(_ int, b *columnar.Batch) bool {
 		for i := 0; i < b.Len(); i++ {
 			rows = append(rows, b.Row(i))
 		}

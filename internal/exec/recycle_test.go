@@ -1,9 +1,11 @@
 package exec
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"dashdb/internal/columnar"
+	"dashdb/internal/encoding"
 	"dashdb/internal/page"
 	"dashdb/internal/types"
 	"dashdb/internal/vec"
@@ -68,6 +70,35 @@ func TestScanAllocsPerStride(t *testing.T) {
 		if per > 9 {
 			t.Errorf("dop %d: %.2f allocations a stride, want at most 9", dop, per)
 		}
+		// A bound the callback tightens over the first strides costs a
+		// translation a worker a value, none a stride: the per-morsel read
+		// is one atomic load.
+		boundedScan(t, small, dop)
+		boundedScan(t, large, dop)
+		a = testing.AllocsPerRun(10, func() { boundedScan(t, small, dop) })
+		b = testing.AllocsPerRun(10, func() { boundedScan(t, large, dop) })
+		per = (b - a) / 60
+		t.Logf("dop %d bounded: %.1f allocations a run over 4 strides, %.1f over 64: %.2f a stride", dop, a, b, per)
+		if per >= 0.1 {
+			t.Errorf("dop %d: a bounded scan allocates %.2f a stride, want 0", dop, per)
+		}
+	}
+}
+
+// boundedScan scans every stride of tbl at dop under a bound on k that its
+// callback tightens to 96, 95 and 94 as the first three strides arrive.
+func boundedScan(t testing.TB, tbl *columnar.Table, dop int) {
+	b := columnar.NewBound(1, encoding.OpLE)
+	snap := tbl.Snapshot()
+	defer snap.Release()
+	var seen atomic.Int64
+	if err := snap.Scan(nil, b, dop, nil, func(int, *columnar.Batch) bool {
+		if n := seen.Add(1); n <= 3 {
+			b.Tighten(types.NewInt(97 - n))
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

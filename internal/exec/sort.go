@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 
+	"dashdb/internal/columnar"
 	"dashdb/internal/mem"
 	"dashdb/internal/types"
 	"dashdb/internal/vec"
@@ -608,12 +609,22 @@ func (b *typedRows) keep(ids []int) {
 // keeps the first Bound of them, in input order, and remembers the Bound-th
 // as the cutoff: later rows that sort after it are not copied. A spilled
 // run and the emit stop at Bound rows too.
+//
+// Publish, set by the planner when the leading key is a bare column of a
+// columnar scan below, is that scan's bound: from the first batch that
+// brings the rows the sort has taken to Bound, after each batch the sort
+// tightens it to the Bound-th leading key it has taken (leadKeys), so the
+// scan stops decoding rows the sort would drop. The cutoff still drops
+// what the scan delivered before.
 type SortOp struct {
-	Child Operator
-	Keys  []SortKey
-	Gov   *mem.Governor
-	Bound int
+	Child   Operator
+	Keys    []SortKey
+	Gov     *mem.Governor
+	Bound   int
+	Publish *columnar.Bound
 
+	lead   *leadKeys // the cut Publish is fed from
+	ids    []int     // scratch: the buffered rows within the cut
 	res    *mem.Reservation
 	keyCol []int      // the buffer each key reads
 	rows   typedRows  // output columns, then computed keys
@@ -687,6 +698,7 @@ func (s *SortOp) Open() error {
 		s.keyCol[j] = int(c)
 	}
 	in := make([]*vec.Vector, nCols+len(computed))
+	s.lead = newLeadKeys(s.Publish, s.Bound) // the planner publishes a bare leading key only
 	for {
 		vb, err := s.Child.Next()
 		if err != nil {
@@ -725,6 +737,10 @@ func (s *SortOp) Open() error {
 				}
 			}
 		}
+		if s.lead != nil && rows > 0 {
+			s.lead.addVec(in[s.keyCol[0]], sel, rows)
+			s.lead.publish()
+		}
 		vb.Release() // the buffers hold copies of every row kept
 	}
 	if len(s.runs) == 0 {
@@ -740,10 +756,20 @@ func (s *SortOp) Open() error {
 }
 
 // sortBuf puts the buffered rows in key order. Under a bound the order
-// stops at Bound ids, and the Bound-th row becomes the cutoff.
+// stops at Bound ids, and the Bound-th row becomes the cutoff. A sort that
+// publishes first drops the rows whose leading key is past its cut: Bound
+// rows at or before it are held, buffered or spilled, so none of those can
+// be among the first Bound.
 func (s *SortOp) sortBuf() {
 	if s.rows.n == 0 {
 		return
+	}
+	if s.lead != nil {
+		if ids := s.lead.within(s.rows.cols[s.keyCol[0]], nil, s.rows.n, &s.ids); ids != nil && len(ids) < s.rows.n {
+			if s.rows.keep(ids); s.rows.n == 0 {
+				return
+			}
+		}
 	}
 	keys := make([]sortCol, len(s.Keys))
 	for j, k := range s.Keys {

@@ -41,6 +41,7 @@ func lower(n Node, opts Options) (exec.Operator, float64) {
 		}
 		if s := sortBelow(child); s != nil && t.Limit >= 0 && t.Offset+t.Limit <= math.MaxInt32 {
 			s.Bound = int(t.Offset + t.Limit)
+			boundScan(s)
 		}
 		return &exec.LimitOp{Child: child, Offset: t.Offset, Limit: t.Limit}, est
 	case *Distinct:
@@ -107,6 +108,92 @@ func sortBelow(op exec.Operator) *exec.SortOp {
 	}
 	s, _ := op.(*exec.SortOp)
 	return s
+}
+
+// boundScan gives a bounded sort's scan a bound to skip and select by when
+// the sort's leading key reaches a columnar scan as a bare column: through
+// filters and projections, the sort publishes into it; through projections
+// to a bare key of a group-by and from there to the scan, the group-by
+// does. A stateful expression on the way (ROWNUM, a sequence, a UDX, a
+// subquery) would see other rows if the scan dropped some, and a filter
+// between the group-by and the sort (HAVING) could drop the groups the
+// bound keeps: either leaves the scan unbounded.
+func boundScan(s *exec.SortOp) {
+	key, ok := s.Keys[0].Expr.(exec.ColRef)
+	if s.Bound <= 0 || !ok {
+		return
+	}
+	op := exec.Operator(s.Child)
+	if scan, col := scanColumn(op, int(key)); scan != nil {
+		s.Publish = newBound(scan, col, s.Keys[0].Desc)
+		return
+	}
+	c := int(key)
+	for p, ok := op.(*exec.ProjectOp); ok; p, ok = op.(*exec.ProjectOp) {
+		if c = bareColumn(p.Exprs, c); c < 0 {
+			return
+		}
+		op = p.Child
+	}
+	g, ok := op.(*exec.GroupByOp)
+	if !ok || c >= len(g.GroupBy) || exec.Stateful(g.Exprs()...) {
+		return
+	}
+	if k, ok := g.GroupBy[c].(exec.ColRef); ok {
+		if scan, col := scanColumn(g.Child, int(k)); scan != nil {
+			g.Publish, g.PublishKey, g.PublishN = newBound(scan, col, s.Keys[0].Desc), c, s.Bound
+		}
+	}
+}
+
+// scanColumn follows output column c of op down filters and projections of
+// bare columns, none stateful, to the columnar scan it is read from: the
+// scan and the table column, or nil.
+func scanColumn(op exec.Operator, c int) (*exec.ScanOp, int) {
+	for {
+		switch o := op.(type) {
+		case *exec.ScanOp:
+			if o.Projection != nil {
+				c = o.Projection[c]
+			}
+			return o, c
+		case *exec.FilterOp:
+			if exec.Stateful(o.Pred) {
+				return nil, 0
+			}
+			op = o.Child
+		case *exec.ProjectOp:
+			if c = bareColumn(o.Exprs, c); c < 0 {
+				return nil, 0
+			}
+			op = o.Child
+		default:
+			return nil, 0
+		}
+	}
+}
+
+// bareColumn is the input column output c of a projection reads when it is
+// a bare column and no expression of the projection is stateful, else -1.
+func bareColumn(exprs []exec.Expr, c int) int {
+	if c < 0 || c >= len(exprs) || exec.Stateful(exprs...) {
+		return -1
+	}
+	if r, ok := exprs[c].(exec.ColRef); ok {
+		return int(r)
+	}
+	return -1
+}
+
+// newBound makes scan's bound on table column col: <= under an ascending
+// key, >= under a descending one.
+func newBound(scan *exec.ScanOp, col int, desc bool) *columnar.Bound {
+	op := encoding.OpLE
+	if desc {
+		op = encoding.OpGE
+	}
+	scan.Bound = columnar.NewBound(col, op)
+	return scan.Bound
 }
 
 // place lowers n under the conjuncts terms, bound to n's output. A Filter

@@ -68,10 +68,12 @@ DASHDB_SORTHEAP=1MB DASHDB_HASHHEAP=64KB go test -race -timeout 30m -count=1 ./i
 # dop 1/2/8 — re-run under the race detector, with the append parity test,
 # whose tables at dop 2 and 8 encode and seal a column per worker, and the
 # recycling tests: scans hand pooled vectors to the operators that copy
-# them out, at dop 1 and 2, beside a writer's INSERTs, TRUNCATE and DROP.
+# them out, at dop 1 and 2, beside a writer's INSERTs, TRUNCATE and DROP,
+# and the bounded-LIMIT tests: sort and group-by workers tighten a scan's
+# bound while its workers read it, beside a writer's INSERTs and TRUNCATE.
 # Same list as .github/workflows/ci.yml.
 go test -race -count=1 \
-	-run 'TestSnapshot|TestPin|TestCleanup|TestDrainOrder|TestReleaseIsExact|TestConcurrentPinPublish|TestTruncateDrains|TestConcurrentIngest|TestTruncateRacing|TestDropRacing|TestMultiRowInsert|TestBulk|TestUpdate|TestChange|TestAppendLanesMatchRows|TestRecycle|TestScanAllocsPerStride|TestAppendRowsSlab' \
+	-run 'TestSnapshot|TestPin|TestCleanup|TestDrainOrder|TestReleaseIsExact|TestConcurrentPinPublish|TestTruncateDrains|TestConcurrentIngest|TestTruncateRacing|TestDropRacing|TestMultiRowInsert|TestBulk|TestUpdate|TestChange|TestAppendLanesMatchRows|TestRecycle|TestScanAllocsPerStride|TestAppendRowsSlab|TestBoundedLimitUnderWriter|TestScanBoundSelects|TestBoundTightens' \
 	./internal/snapshot/ ./internal/columnar/ ./internal/core/ ./internal/exec/ ./internal/vec/ ./. ./driver/
 
 if [ "${DASHDB_FUZZ:-0}" = "1" ]; then
