@@ -20,8 +20,10 @@ var scanActual = regexp.MustCompile(`COLUMNAR SCAN .*\(actual rows=(\d+).*\[boun
 // its date window. A key-ordered LIMIT over the group-by and the bounded
 // sort publish a bound the scan selects by, so groupby's scan delivers
 // at most 5 % of the rows and topk's at most a quarter of its window; the
-// EXPLAIN ANALYZE scan line shows the last bound. The answer is the first
-// rows of the unbounded statement's.
+// EXPLAIN ANALYZE scan line shows the last bound — groupby's keeps fewer
+// than 20 account ids, as a cut selects again each time its candidates
+// reach twice the LIMIT. The answer is the first rows of the unbounded
+// statement's.
 func TestBoundedScanDelivers(t *testing.T) {
 	fin := workload.NewFinancial(150_000, 1)
 	db := dashdb.Open(dashdb.Options{})
@@ -36,8 +38,8 @@ func TestBoundedScanDelivers(t *testing.T) {
 			most  int
 			bound string
 		}{
-			{"SELECT account_id, COUNT(*), SUM(amount) FROM transactions GROUP BY account_id ORDER BY account_id FETCH FIRST 10 ROWS ONLY", 150_000 / 20, "account_id <= 9"},
-			{"SELECT txn_id, amount FROM transactions WHERE txn_date >= DATE '2016-01-15' ORDER BY amount DESC, txn_id FETCH FIRST 100 ROWS ONLY", 20_547 / 4, "amount >= "},
+			{"SELECT account_id, COUNT(*), SUM(amount) FROM transactions GROUP BY account_id ORDER BY account_id FETCH FIRST 10 ROWS ONLY", 150_000 / 20, `^account_id <= 1?\d$`},
+			{"SELECT txn_id, amount FROM transactions WHERE txn_date >= DATE '2016-01-15' ORDER BY amount DESC, txn_id FETCH FIRST 100 ROWS ONLY", 20_547 / 4, `^amount >= `},
 		} {
 			res, err := db.Exec("EXPLAIN ANALYZE " + tc.q)
 			if err != nil {
@@ -68,7 +70,7 @@ func TestBoundedScanDelivers(t *testing.T) {
 				}
 			}
 			t.Logf("dop %d: scan delivered %d rows [bound: %s]", dop, n, m[2])
-			if n > tc.most || !strings.HasPrefix(m[2], tc.bound) {
+			if ok, _ := regexp.MatchString(tc.bound, m[2]); n > tc.most || !ok {
 				t.Errorf("dop %d: scan delivered %d rows under bound %q, want at most %d under %q\n%s", dop, n, m[2], tc.most, tc.bound, strings.Join(plan, "\n"))
 			}
 		}

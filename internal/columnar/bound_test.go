@@ -2,6 +2,7 @@ package columnar
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -78,8 +79,10 @@ func boundScanTable(t *testing.T, nulls bool) *Table {
 // runs, on a frame-of-reference column, a dictionary out of code order
 // and a column with NULLs, at dop 1 and 4. Every row within the last value
 // is delivered, and every stride a worker selects after it saw a value
-// delivers only rows within it — or, for a <= bound on a column holding a
-// NULL, every row: the NULLs sort first. A >= bound drops NULLs.
+// delivers only rows within it, and the dictionary's extension values (the
+// "a…" strings its second load brought), which the bound keeps whole — or,
+// for a <= bound on a column holding a NULL, every row: the NULLs sort
+// first. A >= bound drops NULLs.
 func TestScanBoundSelects(t *testing.T) {
 	for _, tc := range []struct {
 		col        int
@@ -111,7 +114,8 @@ func TestScanBoundSelects(t *testing.T) {
 				for i := range bt.Len() {
 					x := bt.Value(tc.col, i)
 					got[bt.RowID(i)] = x
-					if cur := seen[w]; cur != nil && !tc.unbounding && (x.IsNull() || !tc.op.Eval(x, *cur)) {
+					ext := tc.col == 1 && strings.HasPrefix(x.Str(), "a")
+					if cur := seen[w]; cur != nil && !tc.unbounding && !ext && (x.IsNull() || !tc.op.Eval(x, *cur)) {
 						t.Errorf("%s: row %d holds %v past the bound %s %v", name, bt.RowID(i), x, tc.op, *cur)
 					}
 				}

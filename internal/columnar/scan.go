@@ -25,8 +25,11 @@ type Pred struct {
 // and a value an operator above the scan publishes while the scan runs — a
 // bounded sort its Bound-th leading key, a group-by under a key-ordered
 // LIMIT its Bound-th group key. A row on the far side of the value cannot
-// reach the statement's answer, so the scan neither selects nor decodes it.
-// Until a value is published the bound admits every row.
+// reach the statement's answer, so the scan neither selects nor decodes it
+// — but for a dictionary's extension codes, which are not in value order
+// and which it keeps whole: the bound may let a row past it through, never
+// drop one within it. Until a value is published the bound admits every
+// row.
 //
 // Producers order NULLs first ascending and last descending, and a
 // comparison never keeps a NULL, so the scan applies an OpLE bound only to
@@ -227,8 +230,8 @@ func (s *Snapshot) Scan(preds []Pred, bound *Bound, dop int, ss *telemetry.ScanS
 		if err := t.checkPreds([]Pred{{Col: bound.Col}}); err != nil {
 			return err
 		}
-		if bound.Op == encoding.OpLE && st.holdsNull(bound.Col) {
-			bound = nil // it would drop the NULLs, which sort first
+		if !s.Bounds(bound) {
+			bound = nil
 		}
 	}
 	trans, none := st.translatePreds(preds)
@@ -344,6 +347,12 @@ func (v *boundView) refresh(r *scanRun) bool {
 	if tp.None {
 		return false
 	}
+	if len(tp.Residual) > 0 {
+		// A dictionary's extension codes are not in value order: they are
+		// kept whole, not decoded a row at a time to recheck. The bound
+		// need only keep every row within it.
+		tp.Ranges, tp.Residual = append(slices.Clip(tp.Ranges), tp.Residual...), nil
+	}
 	if n := len(r.preds); len(v.preds) > n {
 		v.preds[n], v.trans[n] = p, tp
 	} else {
@@ -351,6 +360,13 @@ func (v *boundView) refresh(r *scanRun) bool {
 		v.trans = append(slices.Clip(r.trans), tp)
 	}
 	return true
+}
+
+// Bounds reports whether Scan applies b in this snapshot: not an OpLE
+// bound on a column that holds a NULL, which would drop the NULLs that
+// sort first ascending.
+func (s *Snapshot) Bounds(b *Bound) bool {
+	return b != nil && b.Col >= 0 && b.Col < len(s.t.schema) && (b.Op != encoding.OpLE || !s.state().holdsNull(b.Col))
 }
 
 // holdsNull reports whether column ci holds a NULL in this epoch, deleted

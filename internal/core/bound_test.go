@@ -56,7 +56,7 @@ func boundTable(t *testing.T, db *DB) {
 // boundCases are ORDER BY statements and the LIMIT and OFFSET each runs
 // under; bounded says whether the scan gets a bound (a bare leading key of
 // the scan, or a bare group key with nothing between the group-by and the
-// sort).
+// sort; not a <= bound over n, which holds a NULL).
 var boundCases = []struct {
 	q             string
 	limit, offset int
@@ -68,7 +68,7 @@ var boundCases = []struct {
 	{"SELECT id, k FROM b ORDER BY k DESC, id DESC", 6, 0, true},
 	{"SELECT id, k, f FROM b ORDER BY f, k DESC, id", 7, 0, true},
 	{"SELECT f, id FROM b ORDER BY f DESC, id", 5, 2, true},
-	{"SELECT id, n FROM b ORDER BY n, id", 5, 0, true}, // NULLs first: the last stride's
+	{"SELECT id, n FROM b ORDER BY n, id", 5, 0, false}, // NULLs first: the last stride's
 	{"SELECT id, n FROM b ORDER BY n DESC, id", 5, 0, true},
 	{"SELECT id, s FROM b ORDER BY s, id", 5, 0, true}, // out of code order
 	{"SELECT s, id FROM b ORDER BY s DESC, id", 5, 0, true},
@@ -76,7 +76,7 @@ var boundCases = []struct {
 	{"SELECT id, k * -1 AS m FROM b ORDER BY m, id", 5, 0, false},
 	{"SELECT g, COUNT(*), SUM(id) FROM b GROUP BY g ORDER BY g", 3, 0, true},
 	{"SELECT g, COUNT(*), SUM(id) FROM b GROUP BY g ORDER BY g DESC", 4, 2, true},
-	{"SELECT n, COUNT(*) FROM b GROUP BY n ORDER BY n", 3, 0, true}, // the NULL group first
+	{"SELECT n, COUNT(*) FROM b GROUP BY n ORDER BY n", 3, 0, false}, // the NULL group first
 	{"SELECT n, COUNT(*) FROM b GROUP BY n ORDER BY n DESC", 3, 0, true},
 	{"SELECT s, COUNT(*), MIN(id) FROM b GROUP BY s ORDER BY s", 3, 0, true},
 	{"SELECT k, g, COUNT(*) FROM b GROUP BY k, g ORDER BY g, k", 5, 0, true},
@@ -95,7 +95,8 @@ func limited(q string, limit, offset int) string {
 // rows of its unlimited answer the LIMIT and OFFSET select, at dop 1, 2 and
 // 8 and with 64 KB sort and hash heaps, where the sorts and group-bys
 // spill; EXPLAIN ANALYZE shows a bound on the scan exactly where one
-// applies. The data puts what a wrong bound drops after the first stride:
+// applies — at 64 KB not under LIMIT 3000, whose cut's candidate words
+// the heap cannot hold, so its producer stops before it publishes. The data puts what a wrong bound drops after the first stride:
 // the winners of a tie at the cut, the NULL leading keys, the values a
 // dictionary codes out of order, the rows of the groups a LIMIT keeps.
 func TestBoundedLimitMatchesUnbounded(t *testing.T) {
@@ -121,8 +122,9 @@ func TestBoundedLimitMatchesUnbounded(t *testing.T) {
 					t.Errorf("heap %q dop %d: %s\ngot:\n%swant:\n%s", heap, dop, q, got, want[i])
 				}
 				plan := planText(mustExec(t, s, "EXPLAIN ANALYZE "+q))
-				if strings.Contains(plan, "[bound: ") != c.bounded {
-					t.Errorf("heap %q dop %d: %s\nbounded %v, want %v:\n%s", heap, dop, q, !c.bounded, c.bounded, plan)
+				bounded := c.bounded && (heap == "" || c.limit < 1000)
+				if strings.Contains(plan, "[bound: ") != bounded {
+					t.Errorf("heap %q dop %d: %s\nbounded %v, want %v:\n%s", heap, dop, q, !bounded, bounded, plan)
 				}
 				if strings.Contains(plan, "[spill: ") {
 					spills++

@@ -43,53 +43,47 @@ func padFrame(min, max, unit int64) (lo, hi int64, fits bool) {
 // cannot be bit-packed.
 const maxFORWidth = 32
 
-// ChooseEncoder analyzes a sample of column values and selects the best
-// encoding, mirroring the engine's load-time compression optimization
-// ("compression is then optimized globally per column", §II.B.1):
-//
-//   - integral kinds whose value span fits the packer → minus encoding,
-//     with headroom for drift;
-//   - everything else (strings, floats, very wide integers) → the
-//     frequency-partitioned dictionary.
-//
-// An empty sample yields an extension-only dictionary that grows with the
-// data (the page-level dictionary path for tables populated by INSERT).
+// ChooseEncoder is ChooseEncoderOf over boxed values of kind, NULLs
+// ignored: what a column rebuild, which holds the column decoded, picks.
+// Values without kind's payload (a string in a numeric column) take a
+// dictionary of the values coerced to kind.
 func ChooseEncoder(kind types.Kind, sample []types.Value) Encoder {
-	nulls := 0
+	if s, ok := sampleOf(kind, sample); ok {
+		return ChooseEncoderOf(kind, s)
+	}
+	return BuildDict(kind, sample)
+}
+
+// sampleOf is the non-NULL values of sample as kind's typed payload; false
+// when one has none.
+func sampleOf(kind types.Kind, sample []types.Value) (s Sample, ok bool) {
 	for _, v := range sample {
-		if v.IsNull() {
-			nulls++
-		}
-	}
-	nonNull := sample
-	if nulls > 0 {
-		nonNull = make([]types.Value, 0, len(sample)-nulls)
-		for _, v := range sample {
-			if !v.IsNull() {
-				nonNull = append(nonNull, v)
+		switch {
+		case v.IsNull():
+		case kind == types.KindFloat:
+			f, ok := v.AsFloat()
+			if !ok {
+				return s, false
 			}
-		}
-	}
-	if len(nonNull) == 0 {
-		return NewDict(kind)
-	}
-	switch kind {
-	case types.KindBool:
-		return NewIntFOR(0, 1, kind)
-	case types.KindFloat:
-		if fs, ok := floatsOf(nonNull); ok {
-			if e := chooseFloatFOR(fs); e != nil {
-				return e
+			s.F64 = append(s.F64, f)
+		case kind == types.KindString:
+			if v.Kind() != types.KindString {
+				return s, false
 			}
-		}
-	case types.KindInt, types.KindDate, types.KindTimestamp:
-		if is, ok := intsOf(nonNull); ok {
-			if e := chooseIntFOR(kind, is); e != nil {
-				return e
+			s.Str = append(s.Str, v.Str())
+		case kind == types.KindBool:
+			s.I64 = append(s.I64, 0) // every BOOLEAN sample takes the frame 0..1
+		case kind == types.KindInt || kind == types.KindDate || kind == types.KindTimestamp:
+			i, ok := v.AsInt()
+			if !ok {
+				return s, false
 			}
+			s.I64 = append(s.I64, i)
+		default:
+			return s, false
 		}
 	}
-	return BuildDict(kind, nonNull)
+	return s, true
 }
 
 // Sample is the non-NULL values of a column sample as the column kind's
@@ -101,9 +95,20 @@ type Sample struct {
 	Str []string
 }
 
-// ChooseEncoderOf is ChooseEncoder over a typed sample, with no value
-// boxed but a dictionary's distinct ones: the encoder is the one
-// ChooseEncoder picks for the same values boxed.
+// ChooseEncoderOf analyzes a typed sample of column values and selects the
+// best encoding, mirroring the engine's load-time compression optimization
+// ("compression is then optimized globally per column", §II.B.1):
+//
+//   - integral kinds whose value span fits the packer → minus encoding,
+//     with headroom for drift;
+//   - floats all fixed-point at one scale whose scaled span fits → the
+//     fixed-point frame of reference;
+//   - everything else (strings, other floats, very wide integers) → the
+//     frequency-partitioned dictionary, which boxes only the distinct
+//     values.
+//
+// An empty sample yields an extension-only dictionary that grows with the
+// data (the page-level dictionary path for tables populated by INSERT).
 func ChooseEncoderOf(kind types.Kind, s Sample) Encoder {
 	switch {
 	case len(s.I64)+len(s.F64)+len(s.Str) == 0:
@@ -151,32 +156,6 @@ func chooseIntFOR(kind types.Kind, is []int64) Encoder {
 		return NewIntFOR(lo, hi, kind)
 	}
 	return nil
-}
-
-// floatsOf is values as floats; false when one is not a number.
-func floatsOf(values []types.Value) ([]float64, bool) {
-	fs := make([]float64, len(values))
-	for i, v := range values {
-		f, ok := v.AsFloat()
-		if !ok {
-			return nil, false
-		}
-		fs[i] = f
-	}
-	return fs, true
-}
-
-// intsOf is values as integers; false when one is not integral.
-func intsOf(values []types.Value) ([]int64, bool) {
-	is := make([]int64, len(values))
-	for i, v := range values {
-		x, ok := v.AsInt()
-		if !ok {
-			return nil, false
-		}
-		is[i] = x
-	}
-	return is, true
 }
 
 // scaledRange returns the min and max of floats scaled to fixed point.

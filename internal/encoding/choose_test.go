@@ -11,11 +11,11 @@ import (
 )
 
 // TestChooseEncoderOfMatchesBoxed: over the same values, the typed chooser
-// picks the encoder ChooseEncoder picks boxed, byte for byte: frames of
-// reference for narrow integers and fixed-point floats, dictionaries for
-// wide integers, other floats and strings — their hot and cold
-// partitions drawn from the same counts — and a growable dictionary for a
-// sample of NULLs only.
+// and ChooseEncoder over the values boxed pick the encoder the boxed
+// reference (chooseBoxed) picks, byte for byte: frames of reference for
+// narrow integers and fixed-point floats, dictionaries for wide integers,
+// other floats and strings — their hot and cold partitions drawn from the
+// same counts — and a growable dictionary for a sample of NULLs only.
 func TestChooseEncoderOfMatchesBoxed(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := range 200 {
@@ -56,16 +56,53 @@ func TestChooseEncoderOfMatchesBoxed(t *testing.T) {
 				}[kind](x))
 			}
 		}
-		want, err := AppendEncoder(nil, ChooseEncoder(kind, boxed))
+		want, err := AppendEncoder(nil, chooseBoxed(kind, boxed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := AppendEncoder(nil, ChooseEncoderOf(kind, s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d (%s, %d values): typed %x, boxed %x", trial, kind, n, got, want)
+		for name, e := range map[string]Encoder{"typed": ChooseEncoderOf(kind, s), "boxed": ChooseEncoder(kind, boxed)} {
+			got, err := AppendEncoder(nil, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("trial %d (%s, %d values): %s %x, reference %x", trial, kind, n, name, got, want)
+			}
 		}
 	}
+}
+
+// chooseBoxed is the encoder choice over boxed values, each counted as a
+// value: the reference the typed chooser must match.
+func chooseBoxed(kind types.Kind, sample []types.Value) Encoder {
+	var nonNull []types.Value
+	for _, v := range sample {
+		if !v.IsNull() {
+			nonNull = append(nonNull, v)
+		}
+	}
+	if len(nonNull) == 0 {
+		return NewDict(kind)
+	}
+	switch kind {
+	case types.KindBool:
+		return NewIntFOR(0, 1, kind)
+	case types.KindFloat:
+		fs := make([]float64, len(nonNull))
+		for i, v := range nonNull {
+			fs[i], _ = v.AsFloat()
+		}
+		if e := chooseFloatFOR(fs); e != nil {
+			return e
+		}
+	case types.KindInt, types.KindDate, types.KindTimestamp:
+		is := make([]int64, len(nonNull))
+		for i, v := range nonNull {
+			is[i], _ = v.AsInt()
+		}
+		if e := chooseIntFOR(kind, is); e != nil {
+			return e
+		}
+	}
+	return BuildDict(kind, nonNull)
 }

@@ -307,7 +307,8 @@ func (g *GroupByOp) consume(stop *atomic.Bool) (t *groupTable, err error) {
 	keyVecs := make([]*vec.Vector, len(g.GroupBy))
 	argVecs := make([]*vec.Vector, len(g.Aggs))
 	arg2Vecs := make([]*vec.Vector, len(g.Aggs))
-	lead := newLeadKeys(g.Publish, g.PublishN)
+	lead := newLeadKeys(g.Publish, g.PublishN, g.res)
+	defer lead.release()
 	var cells types.Row
 	var within []int
 	for !stop.Load() {

@@ -5,6 +5,7 @@ import (
 
 	"dashdb/internal/columnar"
 	"dashdb/internal/encoding"
+	"dashdb/internal/mem"
 	"dashdb/internal/types"
 	"dashdb/internal/vec"
 )
@@ -17,26 +18,36 @@ import (
 // later hold, n rows or groups at or before the value are already held,
 // and a row past it sorts after all of them.
 //
+// The cut is amortized: the n-th is selected when the n-th key arrives,
+// and again each time the candidates reach 2n, so a key costs O(1) however
+// large n is, and the published value keeps fewer than 2n of the keys seen.
+// The candidates are charged to the producer's reservation; a denied
+// charge stops the counting, and what was published stays.
+//
 // NULL keys are not counted. They sort last descending, after any value;
 // ascending they sort first, and the scan applies an OpLE bound only to a
 // column that holds no NULL (columnar.Bound).
 type leadKeys struct {
 	bound *columnar.Bound
+	res   *mem.Reservation
 	kind  types.Kind // the keys': the first seen fixes it
 	mask  uint64     // ^0 descending
 	n     int
 	words []uint64 // the candidates: every key seen at or before top
+	held  int64    // bytes of words charged to res
 	top   uint64   // the n-th word, once full
 	full  bool
+	sent  bool // top was published
+	off   bool // a charge was denied: no more keys are counted
 }
 
-// newLeadKeys returns the cut publishing into b the n-th key, or nil when
-// there is no bound to feed.
-func newLeadKeys(b *columnar.Bound, n int) *leadKeys {
+// newLeadKeys returns the cut publishing into b the n-th key, charging its
+// candidates to res, or nil when there is no bound to feed.
+func newLeadKeys(b *columnar.Bound, n int, res *mem.Reservation) *leadKeys {
 	if b == nil || n <= 0 {
 		return nil
 	}
-	l := &leadKeys{bound: b, kind: types.KindNull, n: n}
+	l := &leadKeys{bound: b, res: res, kind: types.KindNull, n: n}
 	if b.Op == encoding.OpGE {
 		l.mask = math.MaxUint64
 	}
@@ -44,17 +55,42 @@ func newLeadKeys(b *columnar.Bound, n int) *leadKeys {
 }
 
 // reset forgets every key seen; what was published stays.
-func (l *leadKeys) reset() { l.words, l.full = l.words[:0], false }
+func (l *leadKeys) reset() { l.words, l.full, l.sent = l.words[:0], false, false }
 
-// add counts one key word (a value word as encodeWord writes it, before
-// the direction mask). A word past the n-th is dropped at once; the
-// candidates are cut back to n whenever they pass twice that and a chunk.
-func (l *leadKeys) add(w uint64) {
-	if w ^= l.mask; l.full && w > l.top {
+// release drops the candidates and their charge: no more keys are counted,
+// and within keeps the last cut.
+func (l *leadKeys) release() {
+	if l == nil {
 		return
 	}
-	l.words = append(l.words, w)
-	if len(l.words) >= 2*l.n+ChunkSize {
+	l.res.Shrink(l.held)
+	l.words, l.held, l.off = nil, 0, true
+}
+
+// charged is the bytes the candidates hold of the reservation.
+func (l *leadKeys) charged() int64 {
+	if l == nil {
+		return 0
+	}
+	return l.held
+}
+
+// add counts one key word (a value word as encodeWord writes it, before
+// the direction mask). A word past the n-th is dropped at once.
+func (l *leadKeys) add(w uint64) {
+	if w ^= l.mask; l.off || l.full && w > l.top {
+		return
+	}
+	if len(l.words) == cap(l.words) {
+		grown := min(max(2*cap(l.words), 64), 2*l.n)
+		if !l.res.Grow(8 * int64(grown-cap(l.words))) {
+			l.release()
+			return
+		}
+		l.held += 8 * int64(grown-cap(l.words))
+		l.words = append(make([]uint64, 0, grown), l.words...)
+	}
+	if l.words = append(l.words, w); len(l.words) == l.n && !l.full || len(l.words) == 2*l.n {
 		l.cut()
 	}
 }
@@ -135,20 +171,18 @@ func (l *leadKeys) within(v *vec.Vector, sel []int, rows int, dst *[]int) []int 
 
 // cut keeps the n first candidates, the n-th last as top.
 func (l *leadKeys) cut() {
-	if len(l.words) < l.n {
-		return
-	}
 	nthWord(l.words, l.n-1)
 	l.words = l.words[:l.n]
-	l.top, l.full = l.words[l.n-1], true
+	l.top, l.full, l.sent = l.words[l.n-1], true, false
 }
 
-// publish cuts the candidates and tightens the bound to the n-th key, once
-// n are known.
+// publish tightens the bound to the n-th key when a cut has moved it since
+// the last publish: O(1), so a producer may call it after every batch.
 func (l *leadKeys) publish() {
-	if l.cut(); !l.full {
+	if !l.full || l.sent {
 		return
 	}
+	l.sent = true
 	if v, ok := wordValue(l.kind, l.top^l.mask, l.mask != 0); ok {
 		l.bound.Tighten(v)
 	}

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"sync"
-
 	"dashdb/internal/columnar"
 	"dashdb/internal/telemetry"
 	"dashdb/internal/types"
@@ -41,8 +39,10 @@ type ScanOp struct {
 	// Bound, when the planner wired one, is the scan's bound that only
 	// tightens: a bounded sort or a group-by under a key-ordered LIMIT above
 	// publishes into it while the scan runs (see columnar.Bound). Nil =
-	// unbounded.
-	Bound *columnar.Bound
+	// unbounded. BoundAfter is the rows or groups the producer takes
+	// before it first publishes.
+	Bound      *columnar.Bound
+	BoundAfter int
 
 	// EstRows is the planner's output-cardinality estimate, surfaced by
 	// EXPLAIN next to actuals. 0 = unplanned (library-built scans).
@@ -56,9 +56,6 @@ type ScanOp struct {
 	chunks chan *vec.Batch
 	errc   chan error
 	stop   chan struct{}
-	paced  bool          // bounded: workers wait for demand
-	mu     sync.Mutex    // guards wake
-	wake   chan struct{} // closed by the next demand
 }
 
 // NewScan builds a ScanOp.
@@ -124,21 +121,26 @@ func (s *ScanOp) PlanSnapshot() (*columnar.Snapshot, func()) {
 // payloads are pooled; see vec.Batch.Own). With Dop > 1 the scan's workers
 // all feed the same channel.
 //
-// A bounded scan hands each batch over unbuffered and runs at its
-// consumers' pace: a worker that has delivered a batch selects its next
-// stride only once a consumer found no batch waiting (demand), so the
-// first bound a producer publishes, after its first batch, reaches every
-// stride selected after that — one loose batch a worker, not as many as a
-// buffer holds.
+// A bounded scan whose producer publishes within its first batch
+// (BoundAfter at most ChunkSize) hands each batch over unbuffered, so a
+// worker selects at most one stride ahead of the batch its consumer is
+// working on, and the first bound reaches every stride selected after
+// that. A producer that counts further needs several strides before it
+// publishes anyway, and the scan keeps its buffer, which overlaps the
+// workers with the consumer. A bound the pinned snapshot does not apply
+// (columnar.Snapshot.Bounds: a NULL under an ascending key) is dropped at
+// Open.
 func (s *ScanOp) Open() error {
-	buf := 2
-	if s.Dop > buf {
-		buf = s.Dop
+	snap, release := s.PlanSnapshot()
+	if s.Bound != nil && !snap.Bounds(s.Bound) {
+		s.Bound = nil
 	}
-	s.paced = s.Bound != nil
-	if s.paced {
-		buf, s.wake = 0, make(chan struct{})
+	buf := max(2, s.Dop)
+	if s.Bound != nil {
 		s.Bound.Reset() // the producers above open after the scan
+		if s.BoundAfter <= ChunkSize {
+			buf = 0
+		}
 	}
 	s.chunks = make(chan *vec.Batch, buf)
 	s.errc = make(chan error, 1)
@@ -146,29 +148,16 @@ func (s *ScanOp) Open() error {
 	deliver := func(_ int, b *columnar.Batch) bool {
 		vb := vec.NewBatch(s.out, b.VectorsEnc(s.Projection, s.Compressed), b.Len())
 		vb.Own()
-		var wake chan struct{}
-		if s.paced {
-			wake = s.demanded()
-		}
 		select {
 		case s.chunks <- vb:
+			return true
 		case <-s.stop:
 			vb.Release()
-			return false
-		}
-		if wake == nil {
-			return true
-		}
-		select {
-		case <-wake:
-			return true
-		case <-s.stop:
 			return false
 		}
 	}
 	go func() {
 		defer close(s.chunks)
-		snap, release := s.PlanSnapshot()
 		defer release()
 		if err := snap.Scan(s.Preds, s.Bound, s.Dop, s.ScanStats, deliver); err != nil {
 			s.errc <- err
@@ -177,43 +166,10 @@ func (s *ScanOp) Open() error {
 	return nil
 }
 
-// demanded is the channel a bounded scan's worker that is about to hand
-// over a batch waits on before selecting its next stride: closed by the
-// next demand. It is read before the hand-over: the consumer the batch
-// serves demands after it received, so its next demand is never missed. A
-// demand another consumer makes while the batch is in flight releases the
-// worker too, so under a race a worker may select one stride more before
-// the first bound.
-func (s *ScanOp) demanded() chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.wake
-}
-
-// demand wakes every worker waiting to select its next stride.
-func (s *ScanOp) demand() {
-	s.mu.Lock()
-	close(s.wake)
-	s.wake = make(chan struct{})
-	s.mu.Unlock()
-}
-
 // Next implements Operator. Several group-by workers may call it at once:
-// the channel hands each batch to exactly one of them. Under a bound, a
-// call that finds no batch waiting first demands one.
+// the channel hands each batch to exactly one of them.
 func (s *ScanOp) Next() (*vec.Batch, error) {
-	var vb *vec.Batch
-	ok := true
-	if s.paced {
-		select {
-		case vb, ok = <-s.chunks:
-		default:
-			s.demand()
-			vb, ok = <-s.chunks
-		}
-	} else {
-		vb, ok = <-s.chunks
-	}
+	vb, ok := <-s.chunks
 	if !ok {
 		select {
 		case err := <-s.errc:

@@ -611,11 +611,12 @@ func (b *typedRows) keep(ids []int) {
 // run and the emit stop at Bound rows too.
 //
 // Publish, set by the planner when the leading key is a bare column of a
-// columnar scan below, is that scan's bound: from the first batch that
-// brings the rows the sort has taken to Bound, after each batch the sort
-// tightens it to the Bound-th leading key it has taken (leadKeys), so the
-// scan stops decoding rows the sort would drop. The cutoff still drops
-// what the scan delivered before.
+// columnar scan below, is that scan's bound, which the sort tightens to
+// the leading key of each cutoff it finds, so the scan stops decoding rows
+// the sort would drop. A sort whose trims wait for 4 096 rows, more than
+// twice Bound, also keeps a cut of its leading keys (leadKeys), so from
+// the batch that brings the rows it has taken to Bound it publishes the
+// Bound-th of them. The cutoff still drops what the scan delivered before.
 type SortOp struct {
 	Child   Operator
 	Keys    []SortKey
@@ -698,7 +699,10 @@ func (s *SortOp) Open() error {
 		s.keyCol[j] = int(c)
 	}
 	in := make([]*vec.Vector, nCols+len(computed))
-	s.lead = newLeadKeys(s.Publish, s.Bound) // the planner publishes a bare leading key only
+	if s.trimAt() > 2*s.Bound { // the trims would publish late: a cut of its own publishes sooner
+		s.lead = newLeadKeys(s.Publish, s.Bound, s.res)
+		defer s.lead.release() // its last cut stays for sortBuf
+	}
 	for {
 		vb, err := s.Child.Next()
 		if err != nil {
@@ -799,7 +803,9 @@ func (s *SortOp) trim() {
 	s.out = sortedCols{}
 }
 
-// setCut makes buffered row id the cutoff.
+// setCut makes buffered row id the cutoff, and tightens the scan's bound
+// to its leading key: Bound rows at or before it are held, buffered or
+// spilled, so a row past it sorts after all of them.
 func (s *SortOp) setCut(keys []sortCol, id int) {
 	sel, rec := []int{id}, make([][2]uint64, 1)
 	s.cut.keys = make([]cutKey, len(keys))
@@ -808,6 +814,9 @@ func (s *SortOp) setCut(keys []sortCol, id int) {
 		encodeWord(rec, 0, keyWord{col: k, flag: true}, sel)
 		encodeWord(rec, 1, keyWord{col: k, kind: kind}, sel)
 		s.cut.keys[j] = cutKey{rec: rec[0], kind: kind, val: k.v.Get(id)}
+	}
+	if s.Publish != nil {
+		s.Publish.Tighten(s.cut.keys[0].val) // a NULL publishes nothing
 	}
 }
 
@@ -866,7 +875,7 @@ func (s *SortOp) spill() error {
 		return err
 	}
 	s.res.NoteSpill(f.Size())
-	s.res.Shrink(s.res.Used())
+	s.res.Shrink(s.res.Used() - s.lead.charged())
 	s.rows.cols, s.rows.n, s.rows.cap, s.out = nil, 0, 0, sortedCols{}
 	return nil
 }

@@ -41,13 +41,14 @@ func scanDelivered(t *testing.T, lines []string) int {
 // 150 000 transactions (amounts in whole cents, as the benchmark has them)
 // on a 6-shard cluster. The answer is the first rows of one engine's
 // unbounded answer, and every shard's scan — the shard statement carries
-// the ORDER BY and the LIMIT — delivers one stride a worker before its
-// producer publishes a bound (two when a demand races the hand-over; see
-// exec.ScanOp.demanded), and then only what the bound lets through: 1 %
-// of a shard's rows under groupby's, a tenth of its date window under
-// topk's. A shard's table is 25 strides and its window four, so the loose
-// stride is most of what a shard's scan delivers: 4.5 % of its rows at
-// dop 1, and about 30 % of its window.
+// the ORDER BY and the LIMIT — delivers at most two strides a worker
+// before its producer publishes a bound (one handed over, one selected
+// while the consumer works on it; see exec.ScanOp.Open), and then only
+// what the bound lets through: 1 % of a shard's rows under groupby's, a
+// tenth of its date window under topk's. A shard's table is 25 strides
+// and its window four, so the loose strides are most of what a shard's
+// scan delivers: about 9 % of its rows at dop 1, and about 60 % of its
+// window.
 func TestBoundedScanOnShards(t *testing.T) {
 	h := &harness{t: t}
 	c := h.form(fourNodes()[:3], 2, clusterfs.New())
@@ -112,6 +113,7 @@ func TestBoundedScanOnShards(t *testing.T) {
 					plan = append(plan, r[0].Str())
 				}
 				n := scanDelivered(t, plan)
+				t.Logf("%s dop %d shard %d: scan delivered %d of %d rows", tc.name, dop, s, n, rows)
 				most := 2*dop*page.StrideSize + rows/100
 				if i == 1 {
 					most = 2*page.StrideSize + rows/10

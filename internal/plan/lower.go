@@ -125,7 +125,7 @@ func boundScan(s *exec.SortOp) {
 	}
 	op := exec.Operator(s.Child)
 	if scan, col := scanColumn(op, int(key)); scan != nil {
-		s.Publish = newBound(scan, col, s.Keys[0].Desc)
+		s.Publish = newBound(scan, col, s.Keys[0].Desc, s.Bound)
 		return
 	}
 	c := int(key)
@@ -141,7 +141,7 @@ func boundScan(s *exec.SortOp) {
 	}
 	if k, ok := g.GroupBy[c].(exec.ColRef); ok {
 		if scan, col := scanColumn(g.Child, int(k)); scan != nil {
-			g.Publish, g.PublishKey, g.PublishN = newBound(scan, col, s.Keys[0].Desc), c, s.Bound
+			g.Publish, g.PublishKey, g.PublishN = newBound(scan, col, s.Keys[0].Desc, s.Bound), c, s.Bound
 		}
 	}
 }
@@ -185,14 +185,14 @@ func bareColumn(exprs []exec.Expr, c int) int {
 	return -1
 }
 
-// newBound makes scan's bound on table column col: <= under an ascending
-// key, >= under a descending one.
-func newBound(scan *exec.ScanOp, col int, desc bool) *columnar.Bound {
+// newBound makes scan's bound on table column col, published after n rows
+// or groups: <= under an ascending key, >= under a descending one.
+func newBound(scan *exec.ScanOp, col int, desc bool, n int) *columnar.Bound {
 	op := encoding.OpLE
 	if desc {
 		op = encoding.OpGE
 	}
-	scan.Bound = columnar.NewBound(col, op)
+	scan.Bound, scan.BoundAfter = columnar.NewBound(col, op), n
 	return scan.Bound
 }
 
