@@ -183,7 +183,15 @@ func (b *Batch) Row(i int) types.Row {
 }
 
 // encPredicates is a predicate list translated to code space.
-type encPredicates []encoding.Predicate
+type encPredicates []encPred
+
+// encPred is one conjunct in code space, with the dictionary snapshot its
+// residual ranges are rechecked through, taken when it was translated: the
+// scan's pinned epoch holds no code the snapshot lacks.
+type encPred struct {
+	encoding.Predicate
+	dom []types.Value
+}
 
 // Scan is the table's one scan: it streams the batches of tuples
 // satisfying the conjunction of preds to fn, applying data skipping over
@@ -343,7 +351,7 @@ func (v *boundView) stale(b *Bound) bool { return b.val.Load() != v.seen }
 func (v *boundView) refresh(r *scanRun) bool {
 	v.seen = r.bound.val.Load()
 	p := Pred{Col: r.bound.Col, Op: r.bound.Op, Val: *v.seen}
-	tp := r.st.cols[p.Col].enc.Translate(p.Op, p.Val)
+	tp := encPred{Predicate: r.st.cols[p.Col].enc.Translate(p.Op, p.Val)}
 	if tp.None {
 		return false
 	}
@@ -403,9 +411,12 @@ func (t *Table) checkPreds(preds []Pred) error {
 func (st *tableState) translatePreds(preds []Pred) (encPredicates, bool) {
 	trans := make(encPredicates, len(preds))
 	for i, p := range preds {
-		trans[i] = st.cols[p.Col].enc.Translate(p.Op, p.Val)
-		if trans[i].None {
+		enc := st.cols[p.Col].enc
+		if trans[i].Predicate = enc.Translate(p.Op, p.Val); trans[i].None {
 			return nil, true
+		}
+		if d, ok := enc.(*encoding.Dict); ok && len(trans[i].Residual) > 0 {
+			trans[i].dom = d.Snapshot()
 		}
 	}
 	return trans, false
@@ -415,7 +426,7 @@ func (st *tableState) translatePreds(preds []Pred) (encPredicates, bool) {
 // be skipped when any conjunct is unsatisfiable in its synopsis span.
 func (st *tableState) skipStride(s int, preds []Pred, trans encPredicates) bool {
 	for i, p := range preds {
-		if !synopsis.MayMatch(trans[i], st.cols[p.Col].entry(s)) {
+		if !synopsis.MayMatch(trans[i].Predicate, st.cols[p.Col].entry(s)) {
 			return true
 		}
 	}
@@ -457,7 +468,7 @@ func (b *Batch) selectStride(preds []Pred, translated encPredicates, sc *scanScr
 	for i, p := range preds {
 		c := &b.st.cols[p.Col]
 		e := c.entry(b.stride)
-		if e.NullCnt == 0 && spans(translated[i], e) {
+		if e.NullCnt == 0 && spans(translated[i].Predicate, e) {
 			continue // every row matches: no page to read
 		}
 		pg, ok := b.pages[p.Col]
@@ -470,7 +481,7 @@ func (b *Batch) selectStride(preds []Pred, translated encPredicates, sc *scanScr
 			b.t.stats.pagesRead.Add(1)
 		}
 		match.Reset()
-		applyPredicate(pg, e, c.enc, translated[i], p, match, sc.cand)
+		applyPredicate(pg, e, translated[i], p, match, sc.cand)
 		if nulls := pg.Nulls(); nulls != nil {
 			match.AndNot(nulls) // comparison predicates never match NULL
 		}
@@ -502,14 +513,15 @@ func spans(tp encoding.Predicate, e synopsis.Entry) bool {
 }
 
 // applyPredicate ORs matching positions into match: SWAR range kernels for
-// exact ranges, decode-and-recheck for residual ranges, whose candidates
-// are gathered in cand, a stride-long scratch bitmap. A conjunct that
-// spans the stride in its synopsis entry e selects every position with no
-// pass over the page's words.
+// exact ranges, and for residual ranges a recheck of each candidate's
+// value in tp's dictionary snapshot, the candidates gathered in cand, a
+// stride-long scratch bitmap. A conjunct that spans the stride in its
+// synopsis entry e selects every position with no pass over the page's
+// words.
 //
 //dashdb:hotpath
-func applyPredicate(pg *page.Page, e synopsis.Entry, enc encoding.Encoder, tp encoding.Predicate, p Pred, match, cand *bitpack.Bitmap) {
-	if spans(tp, e) {
+func applyPredicate(pg *page.Page, e synopsis.Entry, tp encPred, p Pred, match, cand *bitpack.Bitmap) {
+	if spans(tp.Predicate, e) {
 		match.SetAll()
 		return
 	}
@@ -520,7 +532,7 @@ func applyPredicate(pg *page.Page, e synopsis.Entry, enc encoding.Encoder, tp en
 		cand.Reset()
 		pg.SelectRange(r.Lo, r.Hi, cand)
 		cand.ForEach(func(off int) {
-			if code, null := pg.Get(off); !null && p.Op.Eval(enc.Decode(code), p.Val) {
+			if code, null := pg.Get(off); !null && p.Op.Eval(tp.dom[code], p.Val) {
 				match.Set(off)
 			}
 		})

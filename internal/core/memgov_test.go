@@ -74,8 +74,8 @@ func TestMemoryGovernorSQL(t *testing.T) {
 // transactions, ORDER BY amount DESC, txn_id FETCH FIRST 100 ROWS ONLY —
 // under a 1 MiB SORTHEAP. The same sort without the limit spills there
 // (TestSortHeapStepping has the arithmetic). The limit bounds the sort to
-// 100 rows, so it never buffers more than 4 096 and spills nothing, and it
-// returns the unbounded sort's first 100 rows.
+// 100 rows, so it never buffers more than 200 and one batch and spills
+// nothing, and it returns the unbounded sort's first 100 rows.
 func TestTopKDoesNotSpill(t *testing.T) {
 	db := Open(Config{BufferPoolBytes: 16 << 20, TempDir: t.TempDir()})
 	defer db.Close()

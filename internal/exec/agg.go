@@ -309,7 +309,6 @@ func (g *GroupByOp) consume(stop *atomic.Bool) (t *groupTable, err error) {
 	arg2Vecs := make([]*vec.Vector, len(g.Aggs))
 	lead := newLeadKeys(g.Publish, g.PublishN, g.res)
 	defer lead.release()
-	var cells types.Row
 	var within []int
 	for !stop.Load() {
 		vb, err := g.Child.Next()
@@ -340,7 +339,7 @@ func (g *GroupByOp) consume(stop *atomic.Bool) (t *groupTable, err error) {
 		if lead == nil {
 			err = t.ingest(keyVecs, argVecs, arg2Vecs, vb.Sel, vb.Rows())
 		} else {
-			err = g.ingestBounded(t, lead, keyVecs, argVecs, arg2Vecs, vb.Idx(), &cells, &within)
+			err = g.ingestBounded(t, lead, keyVecs, argVecs, arg2Vecs, vb.Idx(), &within)
 		}
 		if err != nil {
 			return t, err
@@ -354,9 +353,9 @@ func (g *GroupByOp) consume(stop *atomic.Bool) (t *groupTable, err error) {
 // under a key-ordered LIMIT: a chunk at a time, each first cut to the rows
 // within the worker's running bound (leadKeys.within), and the groups each
 // chunk creates counted toward the next bound, which is published. The
-// rows a loose batch brings past the bound so create no group. cells and
-// within are the worker's scratch.
-func (g *GroupByOp) ingestBounded(t *groupTable, lead *leadKeys, keys, args, arg2s []*vec.Vector, idx []int, cells *types.Row, within *[]int) error {
+// rows a loose batch brings past the bound so create no group. within is
+// the worker's scratch.
+func (g *GroupByOp) ingestBounded(t *groupTable, lead *leadKeys, keys, args, arg2s []*vec.Vector, idx []int, within *[]int) error {
 	for len(idx) > 0 {
 		n := min(len(idx), max(4*g.PublishN, 64))
 		part := idx[:n]
@@ -376,10 +375,9 @@ func (g *GroupByOp) ingestBounded(t *groupTable, lead *leadKeys, keys, args, arg
 			lead.reset()
 			from = 0
 		}
+		dom := t.dom(g.PublishKey)
 		for id := from; id < t.n; id++ {
-			var x types.Value
-			x, *cells = t.keyValue(g.PublishKey, uint32(id), *cells)
-			lead.addCell(x)
+			lead.addCell(t.keyValue(g.PublishKey, uint32(id), dom))
 		}
 		lead.publish()
 	}
@@ -440,9 +438,7 @@ func (g *GroupByOp) emit(t *groupTable) error {
 		}
 		cols[k] = vec.New(kind, n)
 		keys[k] = sortCol{v: cols[k]}
-		if t.shape.code[k] {
-			doms[k] = t.shape.dicts[k].Snapshot()
-		}
+		doms[k] = t.dom(k)
 	}
 	var cells types.Row
 	for r := range n {
@@ -484,7 +480,7 @@ func (g *GroupByOp) emit(t *groupTable) error {
 	}
 	g.groups = t.n
 	g.sorted = sortedCols{cols: cols}
-	g.sorted.sort(keys, n) // the keys are unique: the id tiebreak never decides
+	g.sorted.sort(keys, n, n) // the keys are unique: the id tiebreak never decides
 	return nil
 }
 
@@ -501,15 +497,9 @@ func (g *GroupByOp) kept(t *groupTable) []int {
 		return nil
 	}
 	var keep []int
-	var cells types.Row
+	dom := t.dom(g.PublishKey)
 	for id := range t.n {
-		var x types.Value
-		x, cells = t.keyValue(g.PublishKey, uint32(id), cells)
-		within := g.Publish.Op == encoding.OpLE // NULLs sort first ascending
-		if !x.IsNull() {
-			within = g.Publish.Op.Eval(x, v)
-		}
-		if within {
+		if x := t.keyValue(g.PublishKey, uint32(id), dom); x.IsNull() && g.Publish.Op == encoding.OpLE || g.Publish.Op.Eval(x, v) { // NULLs sort first ascending
 			keep = append(keep, id)
 		}
 	}

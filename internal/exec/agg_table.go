@@ -381,38 +381,48 @@ func (t *groupTable) keyCells(row types.Row, g uint32) types.Row {
 	nk := len(t.shape.code)
 	if t.ids == idsBytes {
 		b := t.arena[t.koff[g]:t.koff[g+1]]
-		kinds := b[len(b)-nk:]
-		for k := 0; k < nk; k++ {
+		for k, kinds := 0, b[len(b)-nk:]; k < nk; k++ {
 			var v types.Value
 			v, b = readKeyCell(b, types.Kind(kinds[k]))
 			row = append(row, v)
 		}
 		return row
 	}
-	ws := t.keys[int(g)*t.stride:][:t.stride]
-	for k := 0; k < nk; k++ {
-		kind := t.shape.kinds[k]
-		if t.shape.code[k] {
-			kind = types.KindInt
-		}
-		if ws[nk+k>>6]>>(k&63)&1 != 0 {
-			row = append(row, types.NullOf(kind))
-		} else {
-			row = append(row, valueOf(kind, ws[k]))
-		}
+	for k := range nk {
+		row = append(row, t.keyValue(k, g, nil))
 	}
 	return row
 }
 
-// keyValue is group g's key at position k as a value, a code decoded
-// through the position's dictionary; cells is scratch for its key cells.
-func (t *groupTable) keyValue(k int, g uint32, cells types.Row) (types.Value, types.Row) {
-	cells = t.keyCells(cells[:0], g)
-	x := cells[k]
-	if d := t.shape.dicts[k]; d != nil && !x.IsNull() {
-		x = d.Decode(uint64(x.Int()))
+// keyValue is group g's key at position k: a code where the position
+// groups on codes, decoded when dom, its dictionary's snapshot, is not nil.
+func (t *groupTable) keyValue(k int, g uint32, dom []types.Value) (x types.Value) {
+	nk, kind := len(t.shape.code), t.shape.kinds[k]
+	if t.shape.code[k] {
+		kind = types.KindInt
 	}
-	return x, cells
+	if t.ids == idsBytes {
+		b := t.arena[t.koff[g]:t.koff[g+1]]
+		for j, kinds := 0, b[len(b)-nk:]; j <= k; j++ {
+			x, b = readKeyCell(b, types.Kind(kinds[j]))
+		}
+	} else if ws := t.keys[int(g)*t.stride:]; ws[nk+k>>6]>>(k&63)&1 != 0 {
+		x = types.NullOf(kind)
+	} else {
+		x = valueOf(kind, ws[k])
+	}
+	if dom != nil && !x.IsNull() {
+		x = dom[x.Int()]
+	}
+	return x
+}
+
+// dom is key position k's dictionary snapshot; nil where it groups on values.
+func (t *groupTable) dom(k int) []types.Value {
+	if !t.shape.code[k] {
+		return nil
+	}
+	return t.shape.dicts[k].Snapshot()
 }
 
 // partOf is the spill partition of a key of words: the one its canonical

@@ -10,18 +10,18 @@ import (
 	"dashdb/internal/vec"
 )
 
-// leadKeys is one producer's running cut on the key that feeds its scan's
-// bound: the words of the n first keys it has seen in the key's order, as
-// encodeWord has them (DESC complemented, so the order is always
-// ascending). Once n keys are known the n-th is published, non-strict, so
-// the scan keeps every row that ties with it: whatever the rows that come
-// later hold, n rows or groups at or before the value are already held,
-// and a row past it sorts after all of them.
+// leadKeys is a bounded group-by worker's running cut on the group key
+// that feeds its scan's bound: the words of the n first keys it has seen
+// in the key's order, as encodeWord has them (DESC complemented, so the
+// order is always ascending). Once n keys are known the n-th is
+// published, non-strict, so the scan keeps every row that ties with it:
+// whatever the rows that come later hold, n groups at or before the value
+// are already held, and a row past it sorts after all of them.
 //
 // The cut is amortized: the n-th is selected when the n-th key arrives,
 // and again each time the candidates reach 2n, so a key costs O(1) however
 // large n is, and the published value keeps fewer than 2n of the keys seen.
-// The candidates are charged to the producer's reservation; a denied
+// The candidates are charged to the group-by's reservation; a denied
 // charge stops the counting, and what was published stays.
 //
 // NULL keys are not counted. They sort last descending, after any value;
@@ -67,14 +67,6 @@ func (l *leadKeys) release() {
 	l.words, l.held, l.off = nil, 0, true
 }
 
-// charged is the bytes the candidates hold of the reservation.
-func (l *leadKeys) charged() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.held
-}
-
 // add counts one key word (a value word as encodeWord writes it, before
 // the direction mask). A word past the n-th is dropped at once.
 func (l *leadKeys) add(w uint64) {
@@ -102,28 +94,6 @@ func (l *leadKeys) kindOf(k types.Kind) bool {
 		l.kind = k
 	}
 	return k == l.kind && k != types.KindNull
-}
-
-// addVec counts the live rows 0..rows-1 of v (positions through sel): a
-// typed loop over its payload, cellWord over a boxed one.
-func (l *leadKeys) addVec(v *vec.Vector, sel []int, rows int) {
-	if typedVec(v) && !l.kindOf(v.Kind) {
-		return
-	}
-	for r := range rows {
-		i := at(sel, r)
-		switch {
-		case v.IsNull(i):
-		case v.I64 != nil && !v.Const:
-			l.add(uint64(v.I64[i]) ^ 1<<63)
-		case v.F64 != nil && !v.Const:
-			l.add(f64Word(v.F64[i]))
-		case v.Str != nil && !v.Const:
-			l.add(strWord(v.Str[i]))
-		default:
-			l.addCell(v.Get(i))
-		}
-	}
 }
 
 // addCell counts one boxed key; a NULL or a cell of another kind than the

@@ -75,12 +75,13 @@ type keyWord struct {
 // its 4 B place in the order.
 func keyRowBytes(keys int) int64 { return int64(8*(2*keys+1) + 4) }
 
-// sort puts ids 0..n-1 in key order and rewinds the cursor. Each key column
-// is encoded once into order-preserving words (encodeWord), laid out a
-// record a row, and the records are sorted as words. compareAt is left only
-// what equal words do not decide: string prefixes, mixed-kind boxed
-// columns, and keys past the ninth word.
-func (s *sortedCols) sort(keys []sortCol, n int) {
+// sort puts the first top of ids 0..n-1 in key order and rewinds the
+// cursor. Each key column is encoded once into order-preserving words
+// (encodeWord), laid out a record a row, and the records are sorted as
+// words, past the first top only as far as it takes to find them.
+// compareAt is left only what equal words do not decide: string prefixes,
+// mixed-kind boxed columns, and keys past the ninth word.
+func (s *sortedCols) sort(keys []sortCol, n, top int) {
 	s.next = 0
 	var words []keyWord
 	rest := keys[len(keys):]
@@ -97,32 +98,33 @@ func (s *sortedCols) sort(keys []sortCol, n int) {
 	}
 	switch len(words) + 1 {
 	case 1:
-		s.order = make([]uint32, n)
+		s.order = make([]uint32, top)
 		for id := range s.order {
 			s.order[id] = uint32(id)
 		}
 	case 2:
-		s.order = sortRecords[[2]uint64](words, rest, n)
+		s.order = sortRecords[[2]uint64](words, rest, n, top)
 	case 3:
-		s.order = sortRecords[[3]uint64](words, rest, n)
+		s.order = sortRecords[[3]uint64](words, rest, n, top)
 	case 4:
-		s.order = sortRecords[[4]uint64](words, rest, n)
+		s.order = sortRecords[[4]uint64](words, rest, n, top)
 	case 5:
-		s.order = sortRecords[[5]uint64](words, rest, n)
+		s.order = sortRecords[[5]uint64](words, rest, n, top)
 	case 6:
-		s.order = sortRecords[[6]uint64](words, rest, n)
+		s.order = sortRecords[[6]uint64](words, rest, n, top)
 	case 7:
-		s.order = sortRecords[[7]uint64](words, rest, n)
+		s.order = sortRecords[[7]uint64](words, rest, n, top)
 	case 8:
-		s.order = sortRecords[[8]uint64](words, rest, n)
+		s.order = sortRecords[[8]uint64](words, rest, n, top)
 	default:
-		s.order = sortRecords[[9]uint64](words, rest, n)
+		s.order = sortRecords[[9]uint64](words, rest, n, top)
 	}
 }
 
 // sortRecords encodes ids 0..n-1 into records of words, sorts them and
-// returns the ids in record order. rest are the keys the words leave out.
-func sortRecords[E record](words []keyWord, rest []sortCol, n int) []uint32 {
+// returns the ids of the first top in record order. rest are the keys the
+// words leave out.
+func sortRecords[E record](words []keyWord, rest []sortCol, n, top int) []uint32 {
 	recs := make([]E, n)
 	ties := make([]sortCol, len(words)) // by word position: the key whose equal words compareAt orders
 	tied := len(rest) > 0
@@ -139,21 +141,23 @@ func sortRecords[E record](words []keyWord, rest []sortCol, n int) []uint32 {
 	if tied {
 		slices.SortFunc(recs, recordOrder[E](ties, rest))
 	} else {
-		quickWords(recs, 2*bits.Len(uint(n)))
+		quickWords(recs, top, 2*bits.Len(uint(n)))
 	}
-	order := make([]uint32, n)
-	for r := range recs {
+	order := make([]uint32, top)
+	for r := range order {
 		order[r] = uint32(recs[r][id])
 	}
 	return order
 }
 
-// quickWords sorts records whose words alone order them: quicksort on a
-// median of three with the comparison inlined, which slices.SortFunc's
-// comparison function is not (twice the speed on the benchmark's sort),
-// insertion sort below 12 records, and pdqsort past depth partitions.
-func quickWords[E record](r []E, depth int) {
-	for len(r) > 12 {
+// quickWords puts the top least of records whose words alone order them
+// first, in order, the rest after them in no order: quicksort on a median
+// of three with the comparison inlined, which slices.SortFunc's comparison
+// function is not (twice the speed on the benchmark's sort), going into a
+// part only when it holds one of the top, insertion sort below 12
+// records, and pdqsort past depth partitions.
+func quickWords[E record](r []E, top, depth int) {
+	for len(r) > 12 && top > 0 {
 		if depth == 0 {
 			slices.SortFunc(r, recordOrder[E](nil, nil))
 			return
@@ -187,15 +191,18 @@ func quickWords[E record](r []E, depth int) {
 			i, j = i+1, j-1
 		}
 		r[0], r[j] = r[j], r[0]
-		if j < len(r)-j {
-			quickWords(r[:j], depth)
-			r = r[j+1:]
-		} else {
-			quickWords(r[j+1:], depth)
+		switch {
+		case top <= j: // the pivot and the records after it are past the top
 			r = r[:j]
+		case j < len(r)-j:
+			quickWords(r[:j], j, depth)
+			r, top = r[j+1:], top-j-1
+		default:
+			quickWords(r[j+1:], top-j-1, depth)
+			r, top = r[:j], j
 		}
 	}
-	for i := 1; i < len(r); i++ {
+	for i := 1; i < len(r) && top > 0; i++ {
 		for j := i; j > 0 && wordsLess(&r[j], &r[j-1]); j-- {
 			r[j], r[j-1] = r[j-1], r[j]
 		}
@@ -605,18 +612,18 @@ func (b *typedRows) keep(ids []int) {
 // merge them mergeWays at a time into runs of such blocks.
 //
 // Bound > 0 says only the first Bound rows are read (a LIMIT above, OFFSET
-// included). Whenever the buffered rows reach max(2·Bound, 4096) the sort
-// keeps the first Bound of them, in input order, and remembers the Bound-th
-// as the cutoff: later rows that sort after it are not copied. A spilled
-// run and the emit stop at Bound rows too.
+// included). After each input batch that leaves 2·Bound rows or more
+// buffered the sort trims: it keeps the first Bound of them, in input
+// order, and remembers the Bound-th as the cutoff, so later rows that sort
+// after it are not copied. A batch is added whole, so at most 2·Bound rows
+// and one batch are buffered, and a trim's sort is amortized over the
+// batch. A spilled run and the emit stop at Bound rows too.
 //
 // Publish, set by the planner when the leading key is a bare column of a
 // columnar scan below, is that scan's bound, which the sort tightens to
-// the leading key of each cutoff it finds, so the scan stops decoding rows
-// the sort would drop. A sort whose trims wait for 4 096 rows, more than
-// twice Bound, also keeps a cut of its leading keys (leadKeys), so from
-// the batch that brings the rows it has taken to Bound it publishes the
-// Bound-th of them. The cutoff still drops what the scan delivered before.
+// the leading key of each cutoff it sets, so the scan stops decoding rows
+// the sort would drop: the first publish comes after the first batch that
+// brings the rows taken to 2·Bound.
 type SortOp struct {
 	Child   Operator
 	Keys    []SortKey
@@ -624,8 +631,6 @@ type SortOp struct {
 	Bound   int
 	Publish *columnar.Bound
 
-	lead   *leadKeys // the cut Publish is fed from
-	ids    []int     // scratch: the buffered rows within the cut
 	res    *mem.Reservation
 	keyCol []int      // the buffer each key reads
 	rows   typedRows  // output columns, then computed keys
@@ -677,8 +682,9 @@ type runSpan struct {
 // Schema implements Operator.
 func (s *SortOp) Schema() types.Schema { return s.Child.Schema() }
 
-// Open implements Operator: drains the child, spilling sorted runs
-// whenever the sort heap reservation denies growth.
+// Open implements Operator: drains the child, trimming a bounded sort's
+// buffer after each batch and spilling sorted runs whenever the sort heap
+// reservation denies growth.
 func (s *SortOp) Open() error {
 	if err := s.Child.Open(); err != nil {
 		return err
@@ -699,10 +705,6 @@ func (s *SortOp) Open() error {
 		s.keyCol[j] = int(c)
 	}
 	in := make([]*vec.Vector, nCols+len(computed))
-	if s.trimAt() > 2*s.Bound { // the trims would publish late: a cut of its own publishes sooner
-		s.lead = newLeadKeys(s.Publish, s.Bound, s.res)
-		defer s.lead.release() // its last cut stays for sortBuf
-	}
 	for {
 		vb, err := s.Child.Next()
 		if err != nil {
@@ -726,24 +728,15 @@ func (s *SortOp) Open() error {
 			rows = len(sel)
 		}
 		for done := 0; done < rows; {
-			to := rows
-			if s.Bound > 0 {
-				to = min(rows, done+s.trimAt()-s.rows.n)
-			}
-			done += s.rows.add(in, sel, done, to)
-			switch {
-			case s.Bound > 0 && s.rows.n >= s.trimAt():
-				s.trim()
-			case done < to:
+			if done += s.rows.add(in, sel, done, rows); done < rows {
 				s.block = min(s.block, max(1, s.rows.n/mergeWays))
 				if err := s.spill(); err != nil {
 					return err
 				}
 			}
 		}
-		if s.lead != nil && rows > 0 {
-			s.lead.addVec(in[s.keyCol[0]], sel, rows)
-			s.lead.publish()
+		if s.Bound > 0 && s.rows.n >= 2*s.Bound {
+			s.trim()
 		}
 		vb.Release() // the buffers hold copies of every row kept
 	}
@@ -759,36 +752,26 @@ func (s *SortOp) Open() error {
 	return s.openMerge()
 }
 
-// sortBuf puts the buffered rows in key order. Under a bound the order
-// stops at Bound ids, and the Bound-th row becomes the cutoff. A sort that
-// publishes first drops the rows whose leading key is past its cut: Bound
-// rows at or before it are held, buffered or spilled, so none of those can
-// be among the first Bound.
+// sortBuf puts the buffered rows in key order. Under a bound only the
+// first Bound are selected and ordered, and the Bound-th becomes the
+// cutoff.
 func (s *SortOp) sortBuf() {
 	if s.rows.n == 0 {
 		return
-	}
-	if s.lead != nil {
-		if ids := s.lead.within(s.rows.cols[s.keyCol[0]], nil, s.rows.n, &s.ids); ids != nil && len(ids) < s.rows.n {
-			if s.rows.keep(ids); s.rows.n == 0 {
-				return
-			}
-		}
 	}
 	keys := make([]sortCol, len(s.Keys))
 	for j, k := range s.Keys {
 		keys[j] = sortCol{v: s.rows.cols[s.keyCol[j]], desc: k.Desc}
 	}
+	top := s.rows.n
+	if s.Bound > 0 {
+		top = min(top, s.Bound)
+	}
 	s.out = sortedCols{cols: s.rows.cols[:len(s.Schema())]}
-	s.out.sort(keys, s.rows.n)
-	if s.Bound > 0 && len(s.out.order) >= s.Bound {
-		s.out.order = s.out.order[:s.Bound]
+	if s.out.sort(keys, s.rows.n, top); top == s.Bound {
 		s.setCut(keys, int(s.out.order[s.Bound-1]))
 	}
 }
-
-// trimAt is how many buffered rows a bounded sort trims at.
-func (s *SortOp) trimAt() int { return max(2*s.Bound, 4096) }
 
 // trim keeps the buffered rows among the first Bound in key order, in
 // input order, so ties stay stable, and drops the rest in place.
@@ -875,7 +858,7 @@ func (s *SortOp) spill() error {
 		return err
 	}
 	s.res.NoteSpill(f.Size())
-	s.res.Shrink(s.res.Used() - s.lead.charged())
+	s.res.Shrink(s.res.Used())
 	s.rows.cols, s.rows.n, s.rows.cap, s.out = nil, 0, 0, sortedCols{}
 	return nil
 }

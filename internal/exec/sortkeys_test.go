@@ -74,12 +74,14 @@ func (sp keySpec) vector(cells []types.Value) *vec.Vector {
 
 // requireKeyOrder sorts ids 0..n-1 by the keys through sortedCols and holds
 // the order to a stable sort of the ids by types.Compare over the cells,
-// key by key, a DESC key's comparison negated.
+// key by key, a DESC key's comparison negated; and the first third of the
+// ids, selected before they are sorted, to that order's first third.
 func requireKeyOrder(t testing.TB, label string, keys []sortCol, cells [][]types.Value) {
 	t.Helper()
 	n := len(cells[0])
-	var s sortedCols
-	s.sort(keys, n)
+	var s, top sortedCols
+	s.sort(keys, n, n)
+	top.sort(keys, n, n/3)
 	want := make([]int, n)
 	for i := range want {
 		want[i] = i
@@ -96,8 +98,13 @@ func requireKeyOrder(t testing.TB, label string, keys []sortCol, cells [][]types
 		}
 		return false
 	})
-	if len(s.order) != n {
-		t.Fatalf("%s: %d ids, want %d", label, len(s.order), n)
+	if len(s.order) != n || len(top.order) != n/3 {
+		t.Fatalf("%s: %d ids and %d selected, want %d and %d", label, len(s.order), len(top.order), n, n/3)
+	}
+	for i, id := range top.order {
+		if int(id) != want[i] {
+			t.Fatalf("%s: selected position %d holds row %d, want row %d", label, i, id, want[i])
+		}
 	}
 	for i, id := range s.order {
 		if int(id) != want[i] {
@@ -208,16 +215,18 @@ func fuzzCell(sp keySpec, b byte) types.Value {
 }
 
 // TestSortBoundedMatchesFull holds a bounded SortOp under a LimitOp to the
-// unbounded sort's rows: k ∈ {1, 7, 100, ChunkSize, n−1, n, n+5} × OFFSET 0
-// and 5 × key sets over duplicate-heavy columns (ties straddle every trim,
-// and the first k must be the earliest in input order) × no heap, and a 4 KB
-// SORTHEAP under OFFSET 5 for each input's first key set, where every
-// spilled run stops at the bound and sets the cutoff. The inputs are the
-// generated table's scan (typed and dictionary-coded columns), a VALUES
-// child whose columns hold strings that share their first 8 bytes, a mix
-// of BIGINT and DOUBLE cells (boxed) and a unique scrambled key (rows land
-// between the cutoff and the row before it), and a UNION ALL of a BIGINT
-// and a DOUBLE column.
+// unbounded sort's rows: k ∈ {1, 7, 100, 511, 512, 513, ChunkSize, n−1, n,
+// n+5} × OFFSET 0 and 5 × key sets over duplicate-heavy columns (ties
+// straddle every trim, and the first k must be the earliest in input
+// order) × no heap, and a 4 KB SORTHEAP under OFFSET 5 for each input's
+// first key set, where every spilled run stops at the bound and sets the
+// cutoff. The inputs are the generated table's scan (typed and
+// dictionary-coded columns), a VALUES child whose columns hold strings
+// that share their first 8 bytes, a mix of BIGINT and DOUBLE cells (boxed)
+// and a unique scrambled key (rows land between the cutoff and the row
+// before it), the same rows in 4 096-row batches, as a pulled shard block
+// brings them (2·Bound is reached inside a batch), and a UNION ALL of a
+// BIGINT and a DOUBLE column.
 func TestSortBoundedMatchesFull(t *testing.T) {
 	const n = 6_000
 	tbl := sortTable(t, 32, n)
@@ -257,6 +266,17 @@ func TestSortBoundedMatchesFull(t *testing.T) {
 			{{Expr: ColRef(2)}},
 			{{Expr: ColRef(1), Desc: true}, {Expr: ColRef(2)}},
 		}},
+		{"blocks", func() Operator {
+			var blocks []*vec.Batch
+			for a := 0; a < n; a += 4096 {
+				b := min(a+4096, n)
+				blocks = append(blocks, vec.FromRows(boxedSch, boxed[a:b:b]))
+			}
+			return NewBatches(boxedSch, blocks)
+		}, boxed, [][]SortKey{
+			{{Expr: ColRef(2), Desc: true}},
+			{{Expr: ColRef(1)}, {Expr: ColRef(0)}},
+		}},
 		{"union", func() Operator { return &UnionAllOp{Children: []Operator{pick(2), pick(1)}} }, unionRows, [][]SortKey{
 			{{Expr: ColRef(0)}},
 			{{Expr: ColRef(0), Desc: true}, {Expr: ColRef(1), Desc: true}},
@@ -265,7 +285,7 @@ func TestSortBoundedMatchesFull(t *testing.T) {
 	for _, in := range inputs {
 		for ks, keys := range in.keySets {
 			full := oracleSort(t, in.rows, keys)
-			for _, k := range []int{1, 7, 100, ChunkSize, n - 1, n, n + 5} {
+			for _, k := range []int{1, 7, 100, 511, 512, 513, ChunkSize, n - 1, n, n + 5} {
 				for _, off := range []int{0, 5} {
 					heaps := []int64{0, 4 << 10}
 					if ks > 0 || off == 0 {

@@ -125,7 +125,7 @@ func boundScan(s *exec.SortOp) {
 	}
 	op := exec.Operator(s.Child)
 	if scan, col := scanColumn(op, int(key)); scan != nil {
-		s.Publish = newBound(scan, col, s.Keys[0].Desc, s.Bound)
+		s.Publish = newBound(scan, col, s.Keys[0].Desc, 2*s.Bound) // the rows taken before its first trim
 		return
 	}
 	c := int(key)

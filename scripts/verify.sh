@@ -17,6 +17,8 @@
 set -eux
 
 cd "$(dirname "$0")/.."
+# The race and fuzz gates' lists, shared with .github/workflows/ci.yml.
+. scripts/gates.sh
 
 go build ./...
 # Formatting gate: every tracked Go file outside testdata is gofmt-clean.
@@ -59,9 +61,9 @@ go test -race -timeout 30m ./...
 # and TestHashJoinHeapStepping in internal/exec). Keyless joins (cross and
 # theta) are charged to HASHHEAP too, one partition for the whole build, and
 # are pinned by the same test: TestJoinSpillsSQL's BETWEEN self-join of reps
-# joins in memory at the default heap and spills at 8 KB. Same package list
-# and values as .github/workflows/ci.yml.
-DASHDB_SORTHEAP=1MB DASHDB_HASHHEAP=64KB go test -race -timeout 30m -count=1 ./internal/core/ ./internal/exec/ ./driver/
+# joins in memory at the default heap and spills at 8 KB. The package list
+# is scripts/gates.sh's LOWMEM_PKGS, which CI runs too.
+lowmem_gate
 
 # Writers-active gate: the snapshot-isolation property suites — trickle
 # INSERTs, bulk flushes, TRUNCATE and DROP racing the full query mix at
@@ -71,24 +73,11 @@ DASHDB_SORTHEAP=1MB DASHDB_HASHHEAP=64KB go test -race -timeout 30m -count=1 ./i
 # them out, at dop 1 and 2, beside a writer's INSERTs, TRUNCATE and DROP,
 # and the bounded-LIMIT tests: sort and group-by workers tighten a scan's
 # bound while its workers read it, beside a writer's INSERTs and TRUNCATE.
-# Same list as .github/workflows/ci.yml.
-go test -race -count=1 \
-	-run 'TestSnapshot|TestPin|TestCleanup|TestDrainOrder|TestReleaseIsExact|TestConcurrentPinPublish|TestTruncateDrains|TestConcurrentIngest|TestTruncateRacing|TestDropRacing|TestMultiRowInsert|TestBulk|TestUpdate|TestChange|TestAppendLanesMatchRows|TestRecycle|TestScanAllocsPerStride|TestAppendRowsSlab|TestBoundedLimitUnderWriter|TestScanBoundSelects|TestBoundTightens' \
-	./internal/snapshot/ ./internal/columnar/ ./internal/core/ ./internal/exec/ ./internal/vec/ ./. ./driver/
+# The tests and packages are scripts/gates.sh's WRITERS_RUN and
+# WRITERS_PKGS, which CI runs too.
+writers_gate
 
+# The fuzz targets are scripts/gates.sh's, which CI's fuzz steps run too.
 if [ "${DASHDB_FUZZ:-0}" = "1" ]; then
-	go test -run=NONE -fuzz=FuzzParseSQL -fuzztime=10s ./internal/sql/
-	go test -run=NONE -fuzz=FuzzEncodingRoundTrip -fuzztime=10s ./internal/encoding/
-	go test -run=NONE -fuzz=FuzzVectorDecode -fuzztime=10s ./internal/columnar/
-	go test -run=NONE -fuzz=FuzzBulkAppend -fuzztime=10s ./internal/columnar/
-	go test -run=NONE -fuzz=FuzzAppendLanesMatchRows -fuzztime=10s ./internal/columnar/
-	go test -run=NONE -fuzz=FuzzShuffleFrame -fuzztime=10s ./internal/shardrpc/
-	go test -run=NONE -fuzz=FuzzControlFrame -fuzztime=10s ./internal/shardrpc/
-	go test -run=NONE -fuzz=FuzzStmtWire -fuzztime=10s ./internal/sql/
-	go test -run=NONE -fuzz=FuzzEvalVecMatchesEval -fuzztime=10s ./internal/exec/
-	go test -run=NONE -fuzz=FuzzSortOrder -fuzztime=10s ./internal/exec/
-	go test -run=NONE -fuzz=FuzzJoinSpellings -fuzztime=10s ./internal/core/
-	go test -run=NONE -fuzz=FuzzCompareRange -fuzztime=10s ./internal/bitpack/
-	go test -run=NONE -fuzz=FuzzPageRoundTrip -fuzztime=10s ./internal/page/
-	go test -run=NONE -fuzz=FuzzPageUnmarshal -fuzztime=10s ./internal/page/
+	fuzz_gate
 fi
