@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,8 +28,15 @@ func boundRows(from, to int) []types.Row {
 		if i >= 4096 && i%3 == 0 {
 			s = fmt.Sprintf("a%05d", i%911)
 		}
+		x := float64(i*53%2003-1001) / 8
+		switch {
+		case i >= 2048 && i%1009 == 1008:
+			x = math.NaN()
+		case i%1013 == 0:
+			x = math.Copysign(0, -1)
+		}
 		rows = append(rows, types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 5)), types.NewInt(int64(i * 7919 % 3001)),
-			n, types.NewString(s), types.NewFloat(float64(i*37%1000) / 4)})
+			n, types.NewString(s), types.NewFloat(float64(i*37%1000) / 4), types.NewFloat(x), types.NewString(fmt.Sprintf("sharedpf%05d", i*131%4999))})
 	}
 	return rows
 }
@@ -42,6 +50,7 @@ func boundTable(t *testing.T, db *DB) {
 	tbl, err := db.CreateTable("b", types.Schema{
 		{Name: "id", Kind: types.KindInt}, {Name: "k", Kind: types.KindInt}, {Name: "g", Kind: types.KindInt},
 		{Name: "n", Kind: types.KindInt, Nullable: true}, {Name: "s", Kind: types.KindString}, {Name: "f", Kind: types.KindFloat},
+		{Name: "x", Kind: types.KindFloat}, {Name: "p", Kind: types.KindString},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,12 +83,20 @@ var boundCases = []struct {
 	{"SELECT s, id FROM b ORDER BY s DESC, id", 5, 0, true},
 	{"SELECT id FROM b WHERE id % 3 = 0 ORDER BY k, id DESC", 5, 0, true},
 	{"SELECT id, k * -1 AS m FROM b ORDER BY m, id", 5, 0, false},
+	{"SELECT x, id FROM b ORDER BY x DESC, id", 1, 0, true}, // the NaNs first
+	{"SELECT x, id FROM b ORDER BY x, id", 5, 0, true},
+	{"SELECT p, id FROM b ORDER BY p, id", 5, 0, true}, // past their shared 8 bytes
+	{"SELECT p, id FROM b ORDER BY p DESC, id", 5, 0, true},
 	{"SELECT g, COUNT(*), SUM(id) FROM b GROUP BY g ORDER BY g", 3, 0, true},
 	{"SELECT g, COUNT(*), SUM(id) FROM b GROUP BY g ORDER BY g DESC", 4, 2, true},
 	{"SELECT n, COUNT(*) FROM b GROUP BY n ORDER BY n", 3, 0, false}, // the NULL group first
 	{"SELECT n, COUNT(*) FROM b GROUP BY n ORDER BY n DESC", 3, 0, true},
 	{"SELECT s, COUNT(*), MIN(id) FROM b GROUP BY s ORDER BY s", 3, 0, true},
 	{"SELECT k, g, COUNT(*) FROM b GROUP BY k, g ORDER BY g, k", 5, 0, true},
+	{"SELECT x, COUNT(*), MIN(id) FROM b GROUP BY x ORDER BY x DESC", 1, 0, true}, // every NaN row counted
+	{"SELECT x, COUNT(*), MIN(id) FROM b GROUP BY x ORDER BY x", 3, 0, true},
+	{"SELECT p, COUNT(*), MIN(id) FROM b GROUP BY p ORDER BY p", 3, 0, true},
+	{"SELECT p, COUNT(*), MIN(id) FROM b GROUP BY p ORDER BY p DESC", 4, 1, true},
 	{"SELECT DISTINCT g FROM b ORDER BY g", 4, 0, true},
 	{"SELECT g, COUNT(*) FROM b GROUP BY g HAVING COUNT(*) > 4 ORDER BY g", 3, 0, false},
 	{"SELECT g + 1, COUNT(*) FROM b GROUP BY g + 1 ORDER BY 1", 3, 0, false},
@@ -95,10 +112,12 @@ func limited(q string, limit, offset int) string {
 // rows of its unlimited answer the LIMIT and OFFSET select, at dop 1, 2 and
 // 8 and with 64 KB sort and hash heaps, where the sorts and group-bys
 // spill; EXPLAIN ANALYZE shows a bound on the scan exactly where one
-// applies — at 64 KB not under LIMIT 3000, whose cut's candidate words
-// the heap cannot hold, so its producer stops before it publishes. The data puts what a wrong bound drops after the first stride:
-// the winners of a tie at the cut, the NULL leading keys, the values a
-// dictionary codes out of order, the rows of the groups a LIMIT keeps.
+// applies — at 64 KB not under LIMIT 3000, whose sort spills before it
+// buffers the 2·Bound rows its first trim needs, so it never publishes.
+// The data puts what a wrong bound drops after the first stride: the
+// winners of a tie at the cut, the NULL leading keys, the values a
+// dictionary codes out of order, the NaNs past +Inf, the strings a key
+// word cannot tell apart, the rows of the groups a LIMIT keeps.
 func TestBoundedLimitMatchesUnbounded(t *testing.T) {
 	db := Open(Config{BufferPoolBytes: 16 << 20, TempDir: t.TempDir()})
 	defer db.Close()
@@ -181,7 +200,7 @@ func TestBoundedLimitUnderWriter(t *testing.T) {
 		for i := 0; !stop.Load(); i++ {
 			id := boundTableRows + i
 			for _, q := range []string{
-				fmt.Sprintf("INSERT INTO b VALUES (%d, 9, %d, 99, 'zz', 1000000)", id, 5000+i),
+				fmt.Sprintf("INSERT INTO b VALUES (%d, 9, %d, 99, 'zz', 1000000, 1000000, 'zz')", id, 5000+i),
 				"TRUNCATE TABLE c",
 				"INSERT INTO c SELECT * FROM b WHERE id < " + fmt.Sprint(boundTableRows),
 			} {

@@ -1,9 +1,11 @@
 package exec
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -130,11 +132,11 @@ func percentileDisc(vals []float64, p float64) types.Value {
 // bare group key PublishKey (no HAVING or other filter in between), is the
 // bound of the columnar scan that key's column comes from: each worker
 // tightens it to the PublishN-th leading key among the groups it created
-// (leadKeys), so the scan stops delivering rows of groups the LIMIT drops,
-// and cuts each batch to that bound before grouping it, so what a batch
-// selected before the bound brings past it creates no group. The groups
-// within the bound see all their rows; those past it may be partial, and
-// the emit drops them.
+// (groupCut, a bounded sort's trim over group ids), so the scan stops
+// delivering rows of groups the LIMIT drops, and cuts each batch to the
+// bound before grouping it, so what a batch selected before the bound
+// brings past it creates no group. The groups within the bound see all
+// their rows; those past it may be partial, and the emit drops them.
 type GroupByOp struct {
 	Child     Operator
 	GroupBy   []Expr
@@ -193,6 +195,9 @@ func (g *GroupByOp) Schema() types.Schema {
 // Open implements Operator: it consumes the whole child, merges the
 // workers' tables and builds the output columns.
 func (g *GroupByOp) Open() error {
+	if g.Publish != nil {
+		g.Publish.Reset() // the scan resets it only where it applies it
+	}
 	if err := g.Child.Open(); err != nil {
 		return err
 	}
@@ -307,9 +312,11 @@ func (g *GroupByOp) consume(stop *atomic.Bool) (t *groupTable, err error) {
 	keyVecs := make([]*vec.Vector, len(g.GroupBy))
 	argVecs := make([]*vec.Vector, len(g.Aggs))
 	arg2Vecs := make([]*vec.Vector, len(g.Aggs))
-	lead := newLeadKeys(g.Publish, g.PublishN, g.res)
-	defer lead.release()
-	var within []int
+	var c *groupCut
+	if g.Publish != nil && g.PublishN > 0 {
+		c = &groupCut{at: g.PublishN}
+		defer c.release(g.res)
+	}
 	for !stop.Load() {
 		vb, err := g.Child.Next()
 		if err != nil || vb == nil {
@@ -336,10 +343,10 @@ func (g *GroupByOp) consume(stop *atomic.Bool) (t *groupTable, err error) {
 		if t == nil {
 			t = newGroupTable(g.shape, g.res, g.Aggs, argVecs)
 		}
-		if lead == nil {
+		if c == nil {
 			err = t.ingest(keyVecs, argVecs, arg2Vecs, vb.Sel, vb.Rows())
 		} else {
-			err = g.ingestBounded(t, lead, keyVecs, argVecs, arg2Vecs, vb.Idx(), &within)
+			err = g.ingestBounded(t, c, keyVecs, argVecs, arg2Vecs, vb.Idx())
 		}
 		if err != nil {
 			return t, err
@@ -351,15 +358,15 @@ func (g *GroupByOp) consume(stop *atomic.Bool) (t *groupTable, err error) {
 
 // ingestBounded folds the live rows idx of a batch into a worker's table
 // under a key-ordered LIMIT: a chunk at a time, each first cut to the rows
-// within the worker's running bound (leadKeys.within), and the groups each
-// chunk creates counted toward the next bound, which is published. The
-// rows a loose batch brings past the bound so create no group. within is
-// the worker's scratch.
-func (g *GroupByOp) ingestBounded(t *groupTable, lead *leadKeys, keys, args, arg2s []*vec.Vector, idx []int, within *[]int) error {
+// within the bound published so far (within), so the rows a loose batch
+// brings past the bound create no group. The groups each chunk creates are
+// admitted to the worker's cut, which may tighten the bound before the
+// next chunk is cut.
+func (g *GroupByOp) ingestBounded(t *groupTable, c *groupCut, keys, args, arg2s []*vec.Vector, idx []int) error {
 	for len(idx) > 0 {
-		n := min(len(idx), max(4*g.PublishN, 64))
+		n := min(len(idx), g.chunk())
 		part := idx[:n]
-		if cut := lead.within(keys[g.PublishKey], part, n, within); cut != nil {
+		if cut := within(g.Publish, keys[g.PublishKey], part, n, &c.rows); cut != nil {
 			part = cut
 		}
 		if idx = idx[n:]; len(part) == 0 {
@@ -370,18 +377,126 @@ func (g *GroupByOp) ingestBounded(t *groupTable, lead *leadKeys, keys, args, arg
 			return err
 		}
 		if t.spilled != spilled {
-			// A spilled group may be created again: count the resident
-			// groups afresh, so none counts twice.
-			lead.reset()
-			from = 0
+			// drop moved the resident groups' ids, and a spilled group may
+			// be created again: count the resident groups afresh, so none
+			// counts twice.
+			c.ids, c.at, from = c.ids[:0], g.PublishN, 0
 		}
-		dom := t.dom(g.PublishKey)
-		for id := from; id < t.n; id++ {
-			lead.addCell(t.keyValue(g.PublishKey, uint32(id), dom))
-		}
-		lead.publish()
+		g.admit(t, c, from, t.n)
 	}
 	return nil
+}
+
+// chunk is the most rows ingestBounded groups between two cuts.
+func (g *GroupByOp) chunk() int { return max(4*g.PublishN, 64) }
+
+// groupCut is a bounded group-by worker's cut on its leading key: a bounded
+// sort's trim, applied to the ids of the groups the worker creates. When
+// they first reach PublishN, and again each time they reach 2·PublishN, the
+// worker orders their leading keys as the sort orders rows (sortedCols),
+// keeps the first PublishN ids and publishes the PublishN-th key — exactly,
+// as the sort's cutoff is (a NULL publishes nothing): PublishN groups at or
+// before it are held, so a row past it sorts after all of them, and the
+// scan keeps every row that ties with it. The selects are handed fewer
+// than three keys a group created, and the published value keeps fewer
+// than 2·PublishN of the keys seen besides its ties.
+//
+// The ids are charged to the group-by's reservation, 4 B a slot of
+// capacity; a denied charge stops the selecting, and what was published
+// stays.
+type groupCut struct {
+	ids  []uint32
+	held int64 // bytes charged for ids' capacity
+	at   int   // the count of ids that selects next: PublishN, then 2·PublishN
+	off  bool  // a charge was denied
+	rows []int // scratch: a chunk's rows within the bound
+}
+
+// release drops the ids and their charge: no more groups are counted.
+func (c *groupCut) release(res *mem.Reservation) {
+	res.Shrink(c.held)
+	c.ids, c.held, c.off = nil, 0, true
+}
+
+// admit makes groups from..to-1 candidates as if one at a time, selecting
+// whenever they reach c.at, a chunk at a time: only the last select a
+// chunk brings runs, since it keeps what the selects before it would have
+// kept. So the candidates never pass 2·PublishN and a chunk.
+func (g *GroupByOp) admit(t *groupTable, c *groupCut, from, to int) {
+	for from < to && !c.off {
+		end, last := min(to, from+g.chunk()), -1 // last: the id whose admission selects
+		if k := len(c.ids) + end - from - c.at; k >= 0 {
+			last = end - 1 - k%g.PublishN
+		}
+		if need := len(c.ids) + end - from; need > cap(c.ids) {
+			grown := min(max(need, 2*cap(c.ids), 64), 2*g.PublishN+g.chunk())
+			if !g.res.Grow(4 * int64(grown-cap(c.ids))) {
+				c.release(g.res)
+				return
+			}
+			c.held += 4 * int64(grown-cap(c.ids))
+			c.ids = append(make([]uint32, 0, grown), c.ids...)
+		}
+		for ; from < end; from++ {
+			if c.ids = append(c.ids, uint32(from)); from == last {
+				g.selectCut(t, c)
+			}
+		}
+	}
+}
+
+// selectCut keeps the candidates among the first PublishN in the leading
+// key's order and publishes the PublishN-th key.
+func (g *GroupByOp) selectCut(t *groupTable, c *groupCut) {
+	n := g.PublishN
+	keys := keyVec(t, g.PublishKey, c.ids, len(c.ids))
+	var s sortedCols
+	s.sort([]sortCol{{v: keys, desc: g.Publish.Op == encoding.OpGE}}, len(c.ids), n)
+	nth := keys.Get(int(s.order[n-1]))
+	for i, r := range s.order {
+		s.order[i] = c.ids[r]
+	}
+	c.ids, c.at = append(c.ids[:0], s.order...), 2*n
+	g.Publish.Tighten(nth)
+}
+
+// within returns the positions among the live rows 0..rows-1 of v (through
+// sel) whose key is within b — at most its value under OpLE, a NULL too,
+// which sorts first ascending; at least it under OpGE — in dst's storage;
+// nil, every row, before b holds a value. The others sort after the rows or
+// groups whose key b published.
+func within(b *columnar.Bound, v *vec.Vector, sel []int, rows int, dst *[]int) []int {
+	x, ok := b.Value()
+	if !ok {
+		return nil
+	}
+	le, out := b.Op == encoding.OpLE, slices.Grow((*dst)[:0], rows) // not nil: none may be within
+	xi, xf, xs := x.Int(), f64Word(x.Float()), x.Str()
+	nulls := v.Nulls != nil || v.Any != nil
+	ints := v.I64 != nil && !v.Const && v.Kind == x.Kind()
+	floats := v.F64 != nil && !v.Const && x.Kind() == types.KindFloat
+	strs := v.Str != nil && !v.Const && x.Kind() == types.KindString
+	for r := range rows {
+		i := at(sel, r)
+		var c int
+		switch {
+		case nulls && v.IsNull(i):
+			c = -1 // first ascending, last descending
+		case ints:
+			c = cmp.Compare(v.I64[i], xi)
+		case floats:
+			c = cmp.Compare(f64Word(v.F64[i]), xf)
+		case strs:
+			c = strings.Compare(v.Str[i], xs)
+		default:
+			c = types.Compare(v.Get(i), x)
+		}
+		if c == 0 || (c < 0) == le {
+			out = append(out, i)
+		}
+	}
+	*dst = out
+	return out
 }
 
 // merge folds the workers' tables and every spilled block into one table,
@@ -430,29 +545,9 @@ func (g *GroupByOp) emit(t *groupTable) error {
 	}
 	cols := make([]*vec.Vector, nk, nk+len(g.Aggs))
 	keys := make([]sortCol, nk)
-	doms := make([][]types.Value, nk)
 	for k := range cols {
-		kind := t.shape.kinds[k]
-		if t.ids == idsBytes && !t.shape.code[k] {
-			kind = types.KindNull // cells keep the kind they arrived with
-		}
-		cols[k] = vec.New(kind, n)
+		cols[k] = keyVec(t, k, keep, n)
 		keys[k] = sortCol{v: cols[k]}
-		doms[k] = t.dom(k)
-	}
-	var cells types.Row
-	for r := range n {
-		id := r
-		if keep != nil {
-			id = keep[r]
-		}
-		cells = t.keyCells(cells[:0], uint32(id))
-		for k, c := range cells {
-			if doms[k] != nil && !c.IsNull() {
-				c = doms[k][c.Int()]
-			}
-			cols[k].Set(r, c)
-		}
 	}
 	for _, l := range t.lanes {
 		col, err := l.result(t.n)
@@ -485,25 +580,14 @@ func (g *GroupByOp) emit(t *groupTable) error {
 }
 
 // kept is the ids of the groups within the bound the group-by published,
-// in id order, or nil when it published none: under <= a NULL key or one
-// at most the value, under >= one at least the value. The groups past it
-// sort after PublishN groups within it.
+// in id order, or nil when it published none. The groups past it sort
+// after PublishN groups within it.
 func (g *GroupByOp) kept(t *groupTable) []int {
 	if g.Publish == nil {
 		return nil
 	}
-	v, ok := g.Publish.Value()
-	if !ok {
-		return nil
-	}
 	var keep []int
-	dom := t.dom(g.PublishKey)
-	for id := range t.n {
-		if x := t.keyValue(g.PublishKey, uint32(id), dom); x.IsNull() && g.Publish.Op == encoding.OpLE || g.Publish.Op.Eval(x, v) { // NULLs sort first ascending
-			keep = append(keep, id)
-		}
-	}
-	return keep
+	return within(g.Publish, keyVec[int](t, g.PublishKey, nil, t.n), nil, t.n, &keep)
 }
 
 // CodeKeyed reports whether ingest can group at least one key on dictionary

@@ -425,6 +425,27 @@ func (t *groupTable) dom(k int) []types.Value {
 	return t.shape.dicts[k].Snapshot()
 }
 
+// keyVec gathers key position k of groups ids (nil: groups 0..n-1) into a
+// new vector of the position's kind, boxed where a bytes table keeps cells
+// of the kinds they arrived with, its codes decoded through one snapshot of
+// the dictionary: the emit's key columns, and the keys a bounded group-by
+// cuts and selects on.
+func keyVec[I int | uint32](t *groupTable, k int, ids []I, n int) *vec.Vector {
+	kind := t.shape.kinds[k]
+	if t.ids == idsBytes && !t.shape.code[k] {
+		kind = types.KindNull
+	}
+	v, dom := vec.New(kind, n), t.dom(k)
+	for r := range n {
+		id := uint32(r)
+		if ids != nil {
+			id = uint32(ids[r])
+		}
+		v.Set(r, t.keyValue(k, id, dom))
+	}
+	return v
+}
+
 // partOf is the spill partition of a key of words: the one its canonical
 // cells hash to, as findBytes has it, so a key keeps its partition whatever
 // scheme the table is in when the key is inserted or looked up.

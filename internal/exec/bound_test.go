@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
+	"slices"
 	"testing"
 
 	"dashdb/internal/columnar"
@@ -14,103 +14,258 @@ import (
 	"dashdb/internal/vec"
 )
 
-// TestWordValueKeepsItsWord: the value published for a key word keeps
-// every key of that word and before it — exactly the key for integral and
-// float kinds; for a string, the least string past every string of the
-// word ascending and the least string of the word descending. A NaN and
-// the last string word publish nothing.
-func TestWordValueKeepsItsWord(t *testing.T) {
-	for _, x := range []types.Value{types.NewInt(-7), types.NewInt(math.MaxInt64), types.NewDate(19000), types.NewTimestamp(-1), types.NewBool(true),
-		types.NewFloat(-2.5), types.NewFloat(0), types.NewFloat(math.Inf(-1)), types.NewFloat(1e300)} {
-		v, ok := wordValue(x.Kind(), cellWord(x, x.Kind()), false)
-		if !ok || types.Compare(v, x) != 0 || v.Kind() != x.Kind() {
-			t.Errorf("%v: %v %v", x, v, ok)
-		}
-	}
-	if _, ok := wordValue(types.KindFloat, f64Word(math.NaN()), false); ok {
-		t.Error("a NaN publishes")
-	}
-	for _, s := range []string{"", "ab", "abcdefgh", "abcdefghij", "ab\x00c", "a\xff\xff\xff\xff\xff\xff\xff"} {
-		w := strWord(s)
-		asc, ok := wordValue(types.KindString, w, false)
-		if !ok || asc.Str() <= s || strWord(asc.Str()) <= w {
-			t.Errorf("%q ascending: %q %v", s, asc.Str(), ok)
-		}
-		desc, _ := wordValue(types.KindString, w, true)
-		if desc.Str() > s || strWord(desc.Str()) != w {
-			t.Errorf("%q descending: %q", s, desc.Str())
-		}
-	}
-	if _, ok := wordValue(types.KindString, strWord(strings.Repeat("\xff", 9)), false); ok {
-		t.Error("the last string word publishes ascending")
-	}
+// keyCase draws the keys of a one-column table, of one kind.
+type keyCase struct {
+	name string
+	col  types.Column
+	key  func(rng *rand.Rand, i int) types.Value
 }
 
-// TestLeadKeysPublishNth: fed keys in chunks, the cut publishes a key in
-// the bound's order after the chunk that brings it to n keys — ties
-// counted, NULLs not — and tightens it from there: the published value
-// keeps at least n of the keys seen and fewer than 2n besides its ties,
-// and is exactly the n-th when the n-th key arrives.
-func TestLeadKeysPublishNth(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, op := range []encoding.CmpOp{encoding.OpLE, encoding.OpGE} {
-		for _, n := range []int{1, 10, 100, 3000} {
-			b := columnar.NewBound(0, op)
-			l := newLeadKeys(b, n, nil)
-			var seen []int64
-			for range 20 {
-				v := vec.New(types.KindInt, 500)
-				for i := range v.I64 {
-					if v.I64[i] = rng.Int63n(2000) - 1000; i%50 == 0 {
-						v.SetNull(i)
-					} else {
-						seen = append(seen, v.I64[i])
+// keyCases are the keys a bounded group-by publishes: integers; doubles
+// with NaNs, which sort after +Inf, and both zeros, which are one group;
+// integers with NULLs, which sort first ascending and last descending; and
+// strings longer than 8 bytes that share their first 8, which a key word
+// cannot tell apart.
+var keyCases = []keyCase{
+	{"int", types.Column{Name: "k", Kind: types.KindInt}, func(rng *rand.Rand, i int) types.Value {
+		return types.NewInt(rng.Int63n(20_000) - 10_000)
+	}},
+	{"double", types.Column{Name: "k", Kind: types.KindFloat}, func(rng *rand.Rand, i int) types.Value {
+		switch i % 97 {
+		case 0:
+			return types.NewFloat(math.NaN())
+		case 1:
+			return types.NewFloat(math.Copysign(0, -1))
+		case 2:
+			return types.NewFloat(0)
+		}
+		return types.NewFloat(float64(rng.Int63n(20_000)-10_000) / 4)
+	}},
+	{"nullable", types.Column{Name: "k", Kind: types.KindInt, Nullable: true}, func(rng *rand.Rand, i int) types.Value {
+		if i%50 == 0 {
+			return types.NullOf(types.KindInt)
+		}
+		return types.NewInt(rng.Int63n(20_000))
+	}},
+	{"string", types.Column{Name: "k", Kind: types.KindString}, func(rng *rand.Rand, i int) types.Value {
+		return types.NewString(fmt.Sprintf("prefix%02d%05d", rng.Intn(2), rng.Intn(10_000)))
+	}},
+}
+
+// orderOf compares two keys in a bounded sort's order: NULLs first
+// ascending and last descending, NaNs after +Inf, the zeros equal.
+func orderOf(a, b types.Value, desc bool) int {
+	if desc {
+		return -types.Compare(a, b)
+	}
+	return types.Compare(a, b)
+}
+
+// keyString names a key's group: the zeros are one.
+func keyString(x types.Value) string {
+	if x.Kind() == types.KindFloat && !x.IsNull() && x.Float() == 0 {
+		return "0"
+	}
+	return x.String()
+}
+
+// TestGroupByPublishesItsNth: a bounded group-by over a scan it publishes
+// into, replayed batch by batch at dop 1. A chunk of each batch is cut to
+// the published bound, the groups it creates are candidates one at a time,
+// and the candidates are selected when they first reach PublishN and then
+// each time they reach 2·PublishN. So the bound holds nothing before PublishN
+// candidates exist, and after each select exactly the PublishN-th key of
+// the candidates in the sort's order — a NULL publishing nothing — which
+// keeps fewer than 2·PublishN of the keys seen besides its ties. The
+// groups the LIMIT keeps are emitted with all their rows.
+func TestGroupByPublishesItsNth(t *testing.T) {
+	const n = 24 * ChunkSize
+	for ci, kc := range keyCases {
+		rng := rand.New(rand.NewSource(int64(61 + ci)))
+		tbl := columnar.NewTable(775, "k", types.Schema{kc.col}, columnar.Config{})
+		rows := make([]types.Row, n)
+		all := map[string]int{}
+		for i := range rows {
+			rows[i] = types.Row{kc.key(rng, i)}
+			all[keyString(rows[i][0])]++
+		}
+		if err := tbl.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+		for _, desc := range []bool{false, true} {
+			for _, pn := range []int{1, 10, 100, 3000} {
+				label := fmt.Sprintf("%s desc %v, PublishN %d", kc.name, desc, pn)
+				op := encoding.OpLE
+				if desc {
+					op = encoding.OpGE
+				}
+				bound, scan := columnar.NewBound(0, op), scanCodes(tbl, 1)
+				scan.Bound, scan.BoundAfter = bound, pn // dropped at Open over a NULL ascending
+				g := &GroupByOp{GroupBy: []Expr{ColRef(0)}, GroupCols: types.Schema{kc.col},
+					Aggs: []AggSpec{{Func: AggCountStar, Name: "c"}}, Publish: bound, PublishN: pn}
+				var (
+					cands     []types.Value
+					pub       types.Value
+					published bool
+					at        = pn
+					groups    = map[string]bool{}
+					selects   int
+				)
+				tap := &tapOp[types.Value]{Operator: scan, key: func(x types.Value) types.Value { return x }}
+				tap.check = func(seen, last []types.Value) { // on the group-by's worker: no Fatal
+					if t.Failed() {
+						return
+					}
+					for len(last) > 0 { // replay the batch the group-by took last, a chunk at a time
+						chunk := last[:min(len(last), g.chunk())]
+						last = last[len(chunk):]
+						cut, bounded := pub, published
+						for _, x := range chunk {
+							if bounded && orderOf(x, cut, desc) > 0 || groups[keyString(x)] {
+								continue
+							}
+							groups[keyString(x)] = true
+							if cands = append(cands, x); len(cands) < at {
+								continue
+							}
+							slices.SortStableFunc(cands, func(a, b types.Value) int { return orderOf(a, b, desc) })
+							nth := cands[pn-1]
+							cands, at, selects = cands[:pn], 2*pn, selects+1
+							if !nth.IsNull() && (!published || orderOf(nth, pub, desc) < 0) {
+								pub, published = nth, true
+							}
+						}
+					}
+					v, ok := bound.Value()
+					if ok != published || ok && (types.Compare(v, pub) != 0 || v.Kind() != pub.Kind()) {
+						t.Errorf("%s: after %d rows, %d selects, published %v (%v), want %v (%v)", label, len(seen), selects, v, ok, pub, published)
+						return
+					}
+					if !ok {
+						return
+					}
+					before, distinct := 0, map[string]bool{}
+					for _, x := range seen {
+						if s := keyString(x); !distinct[s] && orderOf(x, v, desc) < 0 {
+							distinct[s], before = true, before+1
+						}
+					}
+					if before >= 2*pn {
+						t.Errorf("%s: after %d rows published %v, which keeps %d keys besides its ties", label, len(seen), v, before)
 					}
 				}
-				for i := range v.I64 {
-					l.addCell(v.Get(i))
+				g.Child = tap
+				out, err := Drain(g)
+				if err != nil {
+					t.Fatal(err)
 				}
-				l.publish()
-				got, ok := b.Value()
-				if len(seen) < n {
-					if ok {
-						t.Fatalf("%s n=%d: published %v from %d keys", op, n, got, len(seen))
+				if t.Failed() {
+					t.FailNow()
+				}
+				// The PublishN first groups in the LIMIT's order, every row counted.
+				slices.SortStableFunc(out, func(a, b types.Row) int { return orderOf(a[0], b[0], desc) })
+				var keys []types.Value
+				for _, r := range rows {
+					keys = append(keys, r[0])
+				}
+				slices.SortStableFunc(keys, func(a, b types.Value) int { return orderOf(a, b, desc) })
+				keys = slices.CompactFunc(keys, func(a, b types.Value) bool { return keyString(a) == keyString(b) })
+				if len(out) < min(pn, len(keys)) {
+					t.Fatalf("%s: %d groups emitted under %v, want at least %d", label, len(out), pub, min(pn, len(keys)))
+				}
+				for i := range min(pn, len(keys)) {
+					if keyString(out[i][0]) != keyString(keys[i]) || out[i][1].Int() != int64(all[keyString(keys[i])]) {
+						t.Fatalf("%s: group %d is %v, want %v with %d rows", label, i, out[i], keys[i], all[keyString(keys[i])])
 					}
-					continue
 				}
-				if !ok {
-					t.Fatalf("%s n=%d: nothing published from %d keys", op, n, len(seen))
-				}
-				kept := 0
-				for _, x := range seen {
-					if op.Eval(types.NewInt(x), got) {
-						kept++
-					}
-				}
-				if kept < n || kept-countOf(seen, got.Int()) >= 2*n {
-					t.Fatalf("%s n=%d: published %v keeps %d of %d keys", op, n, got, kept, len(seen))
-				}
+				t.Logf("%s: %d rows taken, %d groups, %d selects, published %v", label, len(tap.keys), len(groups), selects, pub)
 			}
 		}
 	}
-	b := columnar.NewBound(0, encoding.OpLE)
-	l := newLeadKeys(b, 3, nil)
-	for _, x := range []int64{9, 4, 7} {
-		l.addCell(types.NewInt(x))
-	}
-	if l.publish(); mustValue(t, b).Int() != 9 {
-		t.Fatalf("the third key published %v, want 9", mustValue(t, b))
-	}
 }
 
-// countOf is how many of xs equal x: the ties a non-strict cut keeps.
-func countOf(xs []int64, x int64) (n int) {
-	for _, y := range xs {
-		if y == x {
-			n++
+// TestGroupCutAmortized: a million distinct keys arriving ascending,
+// descending and in random order, under PublishN 10 and 100 000, admitted
+// to the cut in runs of one to a chunk of groups. A select is handed fewer
+// than three keys a group, the candidates never pass 2·PublishN between
+// runs nor their capacity 2·PublishN and a chunk, and their charge is
+// exact and released. A denied charge stops the selecting and keeps the
+// value published last.
+func TestGroupCutAmortized(t *testing.T) {
+	const keys = 1_000_000
+	rng := rand.New(rand.NewSource(8))
+	perm := rng.Perm(keys)
+	for _, pn := range []int{10, 100_000} {
+		for _, order := range []string{"ascending", "descending", "random"} {
+			label := fmt.Sprintf("%s, PublishN %d", order, pn)
+			res := mem.NewBroker(1<<30, 1<<30, t.TempDir()).Reserve(mem.HashHeap, 0)
+			g := &GroupByOp{Publish: columnar.NewBound(0, encoding.OpLE), PublishN: pn, res: res}
+			c := &groupCut{at: pn}
+			v := vec.New(types.KindInt, keys)
+			for i := range v.I64 {
+				switch order {
+				case "ascending":
+					v.I64[i] = int64(i)
+				case "descending":
+					v.I64[i] = int64(keys - i)
+				default:
+					v.I64[i] = int64(perm[i])
+				}
+			}
+			tbl := newGroupTable(adoptKeys([]*vec.Vector{v}), nil, nil, nil)
+			if err := tbl.ingest([]*vec.Vector{v}, nil, nil, nil, keys); err != nil {
+				t.Fatal(err)
+			}
+			handed := 0
+			for from := 0; from < tbl.n; {
+				to := min(tbl.n, from+1+rng.Intn(g.chunk()))
+				before, at := len(c.ids), c.at
+				if g.admit(tbl, c, from, to); len(c.ids) != before+to-from || c.at != at {
+					handed += before + to - from - (before+to-from-at)%pn // the last select's, the one that ran
+				}
+				if from = to; len(c.ids) >= 2*pn || cap(c.ids) > 2*pn+g.chunk() || c.held != 4*int64(cap(c.ids)) || res.Used() != c.held {
+					t.Fatalf("%s: %d candidates of capacity %d, charged %d, reservation %d", label, len(c.ids), cap(c.ids), c.held, res.Used())
+				}
+			}
+			// Never tighter than the PublishN-th key, 0..PublishN-1 being the
+			// least; exactly it when those come first.
+			if got := mustValue(t, g.Publish).Int(); handed >= 3*tbl.n || got < int64(pn-1) || got != int64(pn-1) && order == "ascending" {
+				t.Errorf("%s: %d keys handed to the select for %d groups, published %v", label, handed, tbl.n, mustValue(t, g.Publish))
+			}
+			c.release(res)
+			if res.Used() != 0 {
+				t.Errorf("%s: released, reservation holds %d", label, res.Used())
+			}
+			t.Logf("%s: %d keys handed to the select for %d groups", label, handed, tbl.n)
 		}
 	}
-	return n
+
+	// 1 KB: the candidates' first 100 and 200 ids fit, 400 do not. The
+	// keys descend, so the select at 200 publishes the first chunk's first.
+	tight := mem.NewBroker(1<<30, 1<<30, t.TempDir()).Reserve(mem.HashHeap, 1024)
+	g := &GroupByOp{Publish: columnar.NewBound(0, encoding.OpLE), PublishN: 200, res: tight}
+	c := &groupCut{at: 200}
+	v := vec.New(types.KindInt, 1000)
+	for i := range v.I64 {
+		v.I64[i] = int64(1000 - i)
+	}
+	tbl := newGroupTable(adoptKeys([]*vec.Vector{v}), nil, nil, nil)
+	var last types.Value
+	for from := 0; from < 1000; from += 100 {
+		idx := make([]int, 100)
+		for i := range idx {
+			idx[i] = from + i
+		}
+		if err := g.ingestBounded(tbl, c, []*vec.Vector{v}, nil, nil, idx); err != nil {
+			t.Fatal(err)
+		}
+		if from == 100 {
+			last = mustValue(t, g.Publish)
+		}
+	}
+	if !c.off || c.held != 0 || tight.Used() != 0 || mustValue(t, g.Publish).Int() != last.Int() || last.Int() != 1000 {
+		t.Errorf("denied: off %v, charged %d, reservation %d, published %v after %v", c.off, c.held, tight.Used(), mustValue(t, g.Publish), last)
+	}
 }
 
 func mustValue(t *testing.T, b *columnar.Bound) types.Value {
@@ -120,52 +275,6 @@ func mustValue(t *testing.T, b *columnar.Bound) types.Value {
 		t.Fatal("no value published")
 	}
 	return v
-}
-
-// TestLeadKeysAmortized: under a large n the cut selects only when its
-// candidates reach n, then 2n — never on a publish — so a million keys
-// under n = 100 000, published every batch, select fewer than three words
-// a key; and the candidates are charged to the
-// reservation, and a denied charge stops the counting with the last
-// published value kept.
-func TestLeadKeysAmortized(t *testing.T) {
-	const n, keys = 100_000, 1_000_000
-	rng := rand.New(rand.NewSource(7))
-	b := columnar.NewBound(0, encoding.OpLE)
-	res := mem.NewBroker(1<<30, 1<<30, t.TempDir()).Reserve(mem.SortHeap, 0)
-	l := newLeadKeys(b, n, res)
-	selected := 0
-	for i := range keys {
-		before := len(l.words)
-		if l.add(uint64(rng.Int63())); len(l.words) < before {
-			selected += before + 1 // a cut among them and the key
-		}
-		if before = len(l.words); i%ChunkSize == 0 {
-			if l.publish(); len(l.words) != before {
-				t.Fatalf("a publish cut %d candidates to %d", before, len(l.words))
-			}
-		}
-	}
-	if selected >= 3*keys {
-		t.Errorf("selected %d words for %d keys", selected, keys)
-	}
-	if res.Used() != l.held || l.held > 8*2*n {
-		t.Errorf("charged %d, reservation %d, want at most %d", l.held, res.Used(), 8*2*n)
-	}
-	l.release()
-	if res.Used() != 0 {
-		t.Errorf("released, reservation holds %d", res.Used())
-	}
-
-	// 1 KB: the candidates' first 64 and 128 words fit, 256 do not.
-	tight := mem.NewBroker(1<<30, 1<<30, t.TempDir()).Reserve(mem.SortHeap, 1024)
-	small := newLeadKeys(columnar.NewBound(0, encoding.OpLE), n, tight)
-	for i := range 200 {
-		small.add(uint64(i))
-	}
-	if !small.off || small.held != 0 || tight.Used() != 0 {
-		t.Errorf("denied: off %v, charged %d, reservation %d", small.off, small.held, tight.Used())
-	}
 }
 
 // BenchmarkBoundedSortLargeLimit times ORDER BY k LIMIT 100 000 over a

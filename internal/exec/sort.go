@@ -623,7 +623,8 @@ func (b *typedRows) keep(ids []int) {
 // columnar scan below, is that scan's bound, which the sort tightens to
 // the leading key of each cutoff it sets, so the scan stops decoding rows
 // the sort would drop: the first publish comes after the first batch that
-// brings the rows taken to 2·Bound.
+// brings the rows taken to 2·Bound. A bounded GroupByOp applies the same
+// trim to its group ids (groupCut).
 type SortOp struct {
 	Child   Operator
 	Keys    []SortKey

@@ -14,21 +14,22 @@ import (
 )
 
 // tapOp hands its child's batches up unchanged, noting the first column
-// of their live rows as BIGINTs, and calls check before each Next with the
-// keys handed up so far and those of the batch handed up last.
-type tapOp struct {
+// of their live rows through key, and calls check before each Next with
+// the keys handed up so far and those of the batch handed up last.
+type tapOp[K any] struct {
 	Operator
-	keys  []int64
+	key   func(types.Value) K
+	keys  []K
 	last  int
-	check func(keys, last []int64)
+	check func(keys, last []K)
 }
 
-func (o *tapOp) Next() (*vec.Batch, error) {
+func (o *tapOp[K]) Next() (*vec.Batch, error) {
 	o.check(o.keys, o.keys[len(o.keys)-o.last:])
 	vb, err := o.Operator.Next()
 	if o.last = 0; vb != nil {
 		for _, i := range vb.Idx() {
-			o.keys = append(o.keys, vb.Col(0).Get(i).Int())
+			o.keys = append(o.keys, o.key(vb.Col(0).Get(i)))
 		}
 		o.last = len(vb.Idx())
 	}
@@ -84,7 +85,7 @@ func TestSortPublishesItsCutoff(t *testing.T) {
 			scan.Bound, scan.BoundAfter = columnar.NewBound(0, op), 2*bound
 			held, cut, trims := 0, int64(-1), 0
 			before := func(k int64) bool { return cut < 0 || desc && k > cut || !desc && k < cut }
-			tap := &tapOp{Operator: scan}
+			tap := &tapOp[int64]{Operator: scan, key: types.Value.Int}
 			tap.check = func(seen, last []int64) {
 				for _, k := range last { // replay the batch the sort took last
 					held += btoi(before(k))
@@ -132,7 +133,7 @@ func TestSortDescLimitOneTrimsABatch(t *testing.T) {
 	defer broker.Close()
 	bound := columnar.NewBound(0, encoding.OpGE)
 	var sort *SortOp
-	tap := &tapOp{Operator: vals}
+	tap := &tapOp[int64]{Operator: vals, key: types.Value.Int}
 	tap.check = func(seen, last []int64) {
 		if len(last) == 0 {
 			return
